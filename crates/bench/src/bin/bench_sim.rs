@@ -273,12 +273,12 @@ fn run_all(scale: u64) -> Vec<BenchResult> {
     // This bounds how fast the WFQ tier itself can cycle requests,
     // independent of admission, dispatch slots, and the cluster below.
     {
-        use dpdpu_dds::gateway::DrrScheduler;
+        use dpdpu_des::Drr;
 
         let ops = 16_384 * scale;
         results.push(bench("gateway_wfq", ops, 5, move || {
             let weights = [1u64, 4, 2, 8, 1, 4, 2, 8];
-            let mut drr = DrrScheduler::new(&weights, 4_096);
+            let mut drr = Drr::new(&weights, 4_096);
             let mut acc = 0u64;
             for i in 0..ops {
                 drr.enqueue((i % 8) as usize, 64 + (i & 0xFFF), i);

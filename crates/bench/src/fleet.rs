@@ -466,7 +466,10 @@ pub async fn run_tenant_fleet(
                     let mut issued = 0u64;
                     let mut in_flight = Vec::with_capacity(w.ops_per_task as usize);
                     while issued < w.ops_per_task {
-                        if w.pause_every_ops > 0 && issued > 0 && issued.is_multiple_of(w.pause_every_ops) {
+                        if w.pause_every_ops > 0
+                            && issued > 0
+                            && issued.is_multiple_of(w.pause_every_ops)
+                        {
                             // Off phase of the on/off burst cycle.
                             dpdpu_des::sleep(w.pause_ns).await;
                         }

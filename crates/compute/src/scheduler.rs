@@ -10,12 +10,15 @@
 //!   classes (also the multi-tenant fairness mechanism of §5);
 //! * [`SchedPolicy::DpuOnly`] — static placement, no host migration
 //!   (the baseline the paper argues against).
+//!
+//! All three queue through the workspace's one weighted-fair queue,
+//! [`dpdpu_des::Drr`]: one class per tenant under DRR, a single class
+//! (plain arrival order) under the other two.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use dpdpu_des::{oneshot, spawn, yield_now, Counter, OneshotReceiver, OneshotSender, Time};
+use dpdpu_des::{oneshot, spawn, yield_now, Counter, Drr, OneshotReceiver, OneshotSender, Time};
 use dpdpu_hw::CpuPool;
 
 use crate::kernel::ExecTarget;
@@ -75,10 +78,9 @@ struct Pending {
 }
 
 struct SchedState {
-    /// Per-tenant queues (DRR) — FCFS uses only index 0.
-    queues: Vec<VecDeque<Pending>>,
-    deficits: Vec<u64>,
-    rr_cursor: usize,
+    /// One class per tenant under DRR; a single class (arrival order)
+    /// under FCFS and DPU-only.
+    drr: Drr<Pending>,
     dispatcher_running: bool,
 }
 
@@ -87,7 +89,6 @@ pub struct Scheduler {
     policy: SchedPolicy,
     dpu: Rc<CpuPool>,
     host: Rc<CpuPool>,
-    weights: Vec<u64>,
     state: RefCell<SchedState>,
     /// Sprocs executed on DPU cores.
     pub on_dpu: Counter,
@@ -111,19 +112,21 @@ impl Scheduler {
         weights: Vec<u64>,
     ) -> Rc<Self> {
         assert!(!weights.is_empty(), "at least one tenant weight required");
-        let n = weights.len();
+        let drr = match policy {
+            SchedPolicy::Drr { quantum_cycles } => Drr::new(&weights, quantum_cycles),
+            // One class serves in arrival order whatever the quantum;
+            // the largest one never has to top up twice.
+            SchedPolicy::Fcfs | SchedPolicy::DpuOnly => Drr::new(&[1], u64::MAX),
+        };
         Rc::new(Scheduler {
             policy,
             dpu,
             host,
             state: RefCell::new(SchedState {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                deficits: vec![0; n],
-                rr_cursor: 0,
+                drr,
                 dispatcher_running: false,
             }),
-            tenant_cycles: RefCell::new(vec![0; n]),
-            weights,
+            tenant_cycles: RefCell::new(vec![0; weights.len()]),
             on_dpu: Counter::new(),
             on_host: Counter::new(),
         })
@@ -133,7 +136,7 @@ impl Scheduler {
     /// Must be called from inside a running simulation.
     pub fn submit(self: &Rc<Self>, spec: SprocSpec) -> OneshotReceiver<SprocDone> {
         assert!(
-            spec.tenant < self.weights.len(),
+            spec.tenant < self.tenant_cycles.borrow().len(),
             "unknown tenant {}",
             spec.tenant
         );
@@ -141,15 +144,19 @@ impl Scheduler {
         let submitted_at = dpdpu_telemetry::Telemetry::is_enabled().then(dpdpu_des::now);
         {
             let mut st = self.state.borrow_mut();
-            let q = match self.policy {
+            let class = match self.policy {
                 SchedPolicy::Drr { .. } => spec.tenant,
                 _ => 0,
             };
-            st.queues[q].push_back(Pending {
-                spec,
-                done: tx,
-                submitted_at,
-            });
+            st.drr.enqueue(
+                class,
+                spec.cycles,
+                Pending {
+                    spec,
+                    done: tx,
+                    submitted_at,
+                },
+            );
             if !st.dispatcher_running {
                 st.dispatcher_running = true;
                 let this = self.clone();
@@ -159,55 +166,20 @@ impl Scheduler {
         rx
     }
 
-    fn total_queued(&self) -> usize {
-        self.state.borrow().queues.iter().map(|q| q.len()).sum()
-    }
-
     async fn dispatch_loop(self: Rc<Self>) {
         loop {
-            let next = self.pick_next();
-            let Some(pending) = next else {
-                self.state.borrow_mut().dispatcher_running = false;
-                return;
+            let pending = {
+                let mut st = self.state.borrow_mut();
+                let Some((_, _, pending)) = st.drr.pick() else {
+                    st.dispatcher_running = false;
+                    return;
+                };
+                pending
             };
             self.dispatch(pending);
             // Let freshly spawned executions enqueue on the core pools so
             // queue_len() reflects real backlog for migration decisions.
             yield_now().await;
-        }
-    }
-
-    fn pick_next(&self) -> Option<Pending> {
-        let mut st = self.state.borrow_mut();
-        match self.policy {
-            SchedPolicy::Fcfs | SchedPolicy::DpuOnly => st.queues[0].pop_front(),
-            SchedPolicy::Drr { quantum_cycles } => {
-                let n = st.queues.len();
-                if st.queues.iter().all(|q| q.is_empty()) {
-                    return None;
-                }
-                // Classic DRR: visit classes round-robin; a class may send
-                // while its deficit covers the head-of-line task.
-                loop {
-                    let c = st.rr_cursor;
-                    if st.queues[c].is_empty() {
-                        st.deficits[c] = 0;
-                        st.rr_cursor = (c + 1) % n;
-                        continue;
-                    }
-                    let head_cycles = st.queues[c].front().expect("non-empty checked").spec.cycles;
-                    if st.deficits[c] >= head_cycles {
-                        st.deficits[c] -= head_cycles;
-                        return st.queues[c].pop_front();
-                    }
-                    st.deficits[c] += quantum_cycles * self.weights[c];
-                    if st.deficits[c] >= head_cycles {
-                        st.deficits[c] -= head_cycles;
-                        return st.queues[c].pop_front();
-                    }
-                    st.rr_cursor = (c + 1) % n;
-                }
-            }
         }
     }
 
@@ -259,7 +231,7 @@ impl Scheduler {
 
     /// Work still queued (diagnostics).
     pub fn backlog(&self) -> usize {
-        self.total_queued()
+        self.state.borrow().drr.len()
     }
 }
 
@@ -389,6 +361,72 @@ mod tests {
             );
         });
         sim.run();
+    }
+
+    #[test]
+    fn drr_dispatches_equal_tenants_in_alternating_order() {
+        // Quantum == head cost used to pin the cursor on tenant 0 until
+        // its queue drained (strict priority). Span ids ascend in
+        // dispatch order, unlike finish times, which migration reorders.
+        use dpdpu_telemetry::Telemetry;
+        let t = Telemetry::install();
+        let mut sim = Sim::new();
+        let (dpu, host) = pools();
+        let sched = Scheduler::new(
+            dpu,
+            host,
+            SchedPolicy::Drr {
+                quantum_cycles: 50_000,
+            },
+            vec![1, 1],
+        );
+        sim.spawn(async move {
+            let mut rxs = Vec::new();
+            for tenant in [0, 1] {
+                for _ in 0..8 {
+                    rxs.push(sched.submit(SprocSpec {
+                        tenant,
+                        cycles: 50_000,
+                        variance: Variance::High,
+                    }));
+                }
+            }
+            for rx in rxs {
+                rx.await.unwrap();
+            }
+        });
+        sim.run();
+        Telemetry::uninstall();
+
+        let mut sprocs: Vec<_> = t
+            .tracer()
+            .spans()
+            .into_iter()
+            .filter(|s| s.name == "sproc")
+            .collect();
+        sprocs.sort_by_key(|s| s.id);
+        let order: Vec<&str> = sprocs
+            .iter()
+            .map(|s| {
+                let (_, tenant) = s.attrs.iter().find(|(k, _)| k == "tenant").unwrap();
+                tenant.as_str()
+            })
+            .collect();
+        assert_eq!(order, ["0", "1"].repeat(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-weight")]
+    fn zero_weight_rejected_at_construction() {
+        let (dpu, host) = pools();
+        Scheduler::new(
+            dpu,
+            host,
+            SchedPolicy::Drr {
+                quantum_cycles: 50_000,
+            },
+            vec![0, 1],
+        );
     }
 
     #[test]

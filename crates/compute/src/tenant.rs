@@ -4,14 +4,14 @@
 //! accelerator capacities vary greatly across hardware; there is also a
 //! lack of virtualization support on these accelerators." This module
 //! virtualizes one engine in software: per-tenant queues drained by
-//! byte-weighted deficit round robin in front of the (unvirtualized)
-//! hardware, so a flooding tenant cannot starve others beyond its share.
+//! byte-weighted deficit round robin ([`dpdpu_des::Drr`]) in front of
+//! the (unvirtualized) hardware, so a flooding tenant cannot starve
+//! others beyond its share.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use dpdpu_des::{oneshot, spawn, OneshotReceiver, OneshotSender, Time};
+use dpdpu_des::{oneshot, spawn, Drr, OneshotReceiver, OneshotSender, Time};
 use dpdpu_hw::Accelerator;
 
 /// One queued accelerator job.
@@ -21,56 +21,39 @@ struct Job {
 }
 
 struct ShareState {
-    queues: Vec<VecDeque<Job>>,
-    deficits: Vec<u64>,
-    cursor: usize,
-    /// Whether the class under the cursor already received its quantum
-    /// for the current visit (DRR adds the quantum once per visit, then
-    /// serves while the deficit lasts).
-    topped_up: bool,
+    drr: Drr<Job>,
     dispatcher_running: bool,
 }
 
 /// A DRR arbiter in front of one accelerator.
 pub struct AccelShares {
     accel: Rc<Accelerator>,
-    weights: Vec<u64>,
-    quantum_bytes: u64,
+    tenants: usize,
     state: RefCell<ShareState>,
-    /// Bytes processed per tenant (fairness accounting).
-    pub tenant_bytes: RefCell<Vec<u64>>,
 }
 
 impl AccelShares {
     /// Wraps `accel` with per-tenant weighted shares. `quantum_bytes` is
     /// the base service quantum per DRR round.
     pub fn new(accel: Rc<Accelerator>, weights: Vec<u64>, quantum_bytes: u64) -> Rc<Self> {
-        assert!(!weights.is_empty(), "at least one tenant");
-        assert!(quantum_bytes > 0, "quantum must be positive");
-        let n = weights.len();
         Rc::new(AccelShares {
             accel,
-            quantum_bytes,
+            tenants: weights.len(),
             state: RefCell::new(ShareState {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                deficits: vec![0; n],
-                cursor: 0,
-                topped_up: false,
+                drr: Drr::new(&weights, quantum_bytes),
                 dispatcher_running: false,
             }),
-            tenant_bytes: RefCell::new(vec![0; n]),
-            weights,
         })
     }
 
     /// Submits a job for `tenant`; resolves with the completion time.
     /// Must be called inside a running simulation.
     pub fn submit(self: &Rc<Self>, tenant: usize, bytes: u64) -> OneshotReceiver<Time> {
-        assert!(tenant < self.weights.len(), "unknown tenant {tenant}");
+        assert!(tenant < self.tenants, "unknown tenant {tenant}");
         let (tx, rx) = oneshot();
         {
             let mut st = self.state.borrow_mut();
-            st.queues[tenant].push_back(Job { bytes, done: tx });
+            st.drr.enqueue(tenant, bytes, Job { bytes, done: tx });
             if !st.dispatcher_running {
                 st.dispatcher_running = true;
                 let this = self.clone();
@@ -80,50 +63,27 @@ impl AccelShares {
         rx
     }
 
-    fn pick(&self) -> Option<(usize, Job)> {
-        let mut st = self.state.borrow_mut();
-        if st.queues.iter().all(|q| q.is_empty()) {
-            st.dispatcher_running = false;
-            return None;
-        }
-        loop {
-            let c = st.cursor;
-            if st.queues[c].is_empty() {
-                st.deficits[c] = 0;
-                st.cursor = (c + 1) % st.queues.len();
-                st.topped_up = false;
-                continue;
-            }
-            if !st.topped_up {
-                st.deficits[c] += self.quantum_bytes * self.weights[c];
-                st.topped_up = true;
-            }
-            let head = st.queues[c].front().expect("non-empty").bytes;
-            if st.deficits[c] >= head {
-                // Serve; the cursor stays so the class can drain its
-                // remaining deficit before the round moves on.
-                st.deficits[c] -= head;
-                let job = st.queues[c].pop_front().expect("non-empty");
-                return Some((c, job));
-            }
-            st.cursor = (c + 1) % st.queues.len();
-            st.topped_up = false;
-        }
-    }
-
     async fn dispatch_loop(self: Rc<Self>) {
-        while let Some((tenant, job)) = self.pick() {
+        loop {
+            let job = {
+                let mut st = self.state.borrow_mut();
+                let Some((_, _, job)) = st.drr.pick() else {
+                    st.dispatcher_running = false;
+                    return;
+                };
+                job
+            };
             // An offline engine simply contributes no timing; the job's
             // completion still fires so fairness accounting stays whole.
             let _ = self.accel.process(job.bytes).await;
-            self.tenant_bytes.borrow_mut()[tenant] += job.bytes;
             let _ = job.done.send(dpdpu_des::now());
         }
     }
 
-    /// Bytes processed per tenant so far.
+    /// Bytes admitted to the engine per tenant so far.
     pub fn bytes_by_tenant(&self) -> Vec<u64> {
-        self.tenant_bytes.borrow().clone()
+        let st = self.state.borrow();
+        (0..self.tenants).map(|t| st.drr.served(t)).collect()
     }
 }
 
@@ -222,5 +182,13 @@ mod tests {
             drop(shares.submit(3, 100));
         });
         sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-weight")]
+    fn zero_weight_rejected_at_construction() {
+        // Used to be accepted and then spin forever in the dispatcher
+        // once the zero-weight tenant submitted.
+        AccelShares::new(engine(), vec![0, 1], 4_096);
     }
 }

@@ -55,7 +55,6 @@ pub struct DpdpuBuilder {
     preset: Preset,
     tag: String,
     sched_policy: SchedPolicy,
-    tenant_weights: Vec<u64>,
     tenant_specs: Vec<TenantSpec>,
     fault_plan: Option<FaultPlan>,
     telemetry: bool,
@@ -69,7 +68,6 @@ impl Default for DpdpuBuilder {
             preset: Preset::Bluefield2,
             tag: String::new(),
             sched_policy: SchedPolicy::Fcfs,
-            tenant_weights: vec![1],
             tenant_specs: Vec::new(),
             fault_plan: None,
             telemetry: true,
@@ -131,22 +129,13 @@ impl DpdpuBuilder {
         self
     }
 
-    /// Per-tenant DRR weights (defaults to one tenant of weight 1).
-    pub fn tenant_weights(mut self, weights: Vec<u64>) -> Self {
-        assert!(!weights.is_empty(), "at least one tenant weight required");
-        self.tenant_weights = weights;
-        self
-    }
-
     /// Full per-tenant QoS configuration: names, SLO classes, WFQ
-    /// weights, and admission limits. The weight vector feeds the
-    /// compute scheduler's accelerator DRR shares (like
-    /// [`tenant_weights`](Self::tenant_weights)); the full specs are
-    /// carried on the runtime as [`Dpdpu::tenants`] so a serving-tier
-    /// gateway can enforce them on the request path.
+    /// weights, and admission limits. The weights feed the sproc
+    /// scheduler's DRR classes (default: one tenant of weight 1); the
+    /// full specs are carried on the runtime as [`Dpdpu::tenants`] so a
+    /// serving-tier gateway can enforce them on the request path.
     pub fn tenants(mut self, specs: Vec<TenantSpec>) -> Self {
         assert!(!specs.is_empty(), "at least one tenant required");
-        self.tenant_weights = specs.iter().map(|t| t.weight).collect();
         self.tenant_specs = specs;
         self
     }
@@ -243,11 +232,16 @@ impl DpdpuBuilder {
             storage.clone(),
         );
         let compute = ComputeEngine::new(platform.clone());
+        let weights = if self.tenant_specs.is_empty() {
+            vec![1]
+        } else {
+            self.tenant_specs.iter().map(|t| t.weight).collect()
+        };
         let scheduler = Scheduler::new(
             platform.dpu_cpu.clone(),
             platform.host_cpu.clone(),
             self.sched_policy,
-            self.tenant_weights.clone(),
+            weights,
         );
         Rc::new(Dpdpu {
             platform,
@@ -330,7 +324,6 @@ mod tests {
 
     #[test]
     fn builder_tenants_feed_scheduler_weights_and_runtime_specs() {
-        use crate::tenants::TenantSpec;
         let mut sim = Sim::new();
         sim.spawn(async {
             let rt = DpdpuBuilder::new()
@@ -355,7 +348,7 @@ mod tests {
             let rt = DpdpuBuilder::new()
                 .bluefield3()
                 .sched_policy(SchedPolicy::DpuOnly)
-                .tenant_weights(vec![2, 1])
+                .tenants(vec![TenantSpec::batch("a", 2), TenantSpec::batch("b", 1)])
                 .boot();
             assert_eq!(rt.platform.dpu_spec.name, "BlueField-3");
             assert_eq!(rt.scheduler.cycles_by_tenant().len(), 2);

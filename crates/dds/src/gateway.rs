@@ -14,7 +14,7 @@
 //!    with [`DpdpuError::Unavailable`] — the gateway protects the
 //!    cluster by refusing work, not by queueing unboundedly.
 //! 2. **Weighted-fair scheduling** — admitted requests queue per
-//!    tenant; a deficit-round-robin dispatcher ([`DrrScheduler`])
+//!    tenant; a deficit-round-robin dispatcher ([`dpdpu_des::Drr`])
 //!    releases them toward the shard fabric in proportion to the
 //!    tenants' weights whenever a dispatch slot (the DPU-side
 //!    concurrency budget) frees. The dispatcher is work-conserving: no
@@ -30,17 +30,16 @@
 //! a bypass path is flagged at the offending event).
 //!
 //! For the known-sensitive isolation gate, [`GatewayConfig::unfair`]
-//! swaps the DRR for a single arrival-order FIFO and disables the
-//! admission limits; `tests/qos_isolation.rs` proves the isolation
-//! assertions *fail* in that mode.
+//! puts every tenant in one DRR class (a single arrival-order FIFO) and
+//! disables the admission limits; `tests/qos_isolation.rs` proves the
+//! isolation assertions *fail* in that mode.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_core::{DpdpuError, SloClass, TenantSpec};
-use dpdpu_des::{now, oneshot, spawn, Histogram, OneshotSender, Semaphore};
+use dpdpu_des::{now, oneshot, spawn, Drr, Histogram, OneshotSender, Semaphore};
 
 use crate::cluster::ClusterClient;
 
@@ -95,115 +94,9 @@ impl GatewayConfig {
     }
 }
 
-/// A deficit-round-robin scheduler over per-tenant queues.
-///
-/// Classic DRR: visiting a backlogged queue tops its deficit up by
-/// `quantum × weight` once, then serves head items while the deficit
-/// covers their cost; an empty queue forfeits its deficit. Over any
-/// interval where a set of tenants stays backlogged, served cost
-/// converges to the weight ratio, and a weight-1 tenant is never
-/// starved: every full rotation grows its deficit by one quantum, so
-/// its head item is served within a bounded amount of competing work.
-pub struct DrrScheduler<T> {
-    queues: Vec<VecDeque<(u64, T)>>,
-    deficits: Vec<u64>,
-    weights: Vec<u64>,
-    quantum: u64,
-    cursor: usize,
-    topped_up: bool,
-    len: usize,
-    served: Vec<u64>,
-}
-
-impl<T> DrrScheduler<T> {
-    /// A scheduler with one queue per weight. `quantum` is the cost
-    /// budget added per visit (before weight scaling).
-    pub fn new(weights: &[u64], quantum: u64) -> Self {
-        assert!(!weights.is_empty(), "scheduler needs at least one queue");
-        assert!(quantum > 0, "zero quantum would never serve anything");
-        assert!(
-            weights.iter().all(|&w| w > 0),
-            "zero-weight queues would starve"
-        );
-        DrrScheduler {
-            queues: weights.iter().map(|_| VecDeque::new()).collect(),
-            deficits: vec![0; weights.len()],
-            weights: weights.to_vec(),
-            quantum,
-            cursor: 0,
-            topped_up: false,
-            len: 0,
-            served: vec![0; weights.len()],
-        }
-    }
-
-    /// Queues an item of `cost` bytes for `tenant` (cost is clamped to
-    /// at least 1 so free items cannot capture the scheduler).
-    pub fn enqueue(&mut self, tenant: usize, cost: u64, item: T) {
-        self.queues[tenant].push_back((cost.max(1), item));
-        self.len += 1;
-    }
-
-    /// The next item to dispatch, in DRR order: `(tenant, cost, item)`.
-    /// Returns `None` only when every queue is empty — the scheduler is
-    /// work-conserving by construction.
-    pub fn pick(&mut self) -> Option<(usize, u64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let c = self.cursor;
-            if self.queues[c].is_empty() {
-                // An empty queue forfeits its deficit: credit must not
-                // accumulate while a tenant has nothing to send.
-                self.deficits[c] = 0;
-                self.advance();
-                continue;
-            }
-            if !self.topped_up {
-                self.deficits[c] = self.deficits[c].saturating_add(self.quantum * self.weights[c]);
-                self.topped_up = true;
-            }
-            let head_cost = self.queues[c][0].0;
-            if head_cost <= self.deficits[c] {
-                let (cost, item) = self.queues[c].pop_front().expect("non-empty checked above");
-                self.deficits[c] -= cost;
-                self.len -= 1;
-                self.served[c] += cost;
-                if self.queues[c].is_empty() {
-                    self.deficits[c] = 0;
-                }
-                return Some((c, cost, item));
-            }
-            self.advance();
-        }
-    }
-
-    fn advance(&mut self) {
-        self.cursor = (self.cursor + 1) % self.queues.len();
-        self.topped_up = false;
-    }
-
-    /// Items queued across all tenants.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no tenant has anything queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Items queued for one tenant.
-    pub fn queue_depth(&self, tenant: usize) -> usize {
-        self.queues[tenant].len()
-    }
-
-    /// Total cost served to one tenant since construction.
-    pub fn served(&self, tenant: usize) -> u64 {
-        self.served[tenant]
-    }
-}
+/// The gateway's scheduler is the workspace-wide [`dpdpu_des::Drr`];
+/// the old name stays because `benchmark/` (its own workspace) imports it.
+pub use dpdpu_des::Drr as DrrScheduler;
 
 /// One KV request, type-erased for the queue.
 enum Op {
@@ -232,36 +125,6 @@ struct Job {
     tenant: usize,
     op: Op,
     done: OneshotSender<Result<Reply, DpdpuError>>,
-}
-
-/// The per-tenant queues: weighted-fair by default, a single
-/// arrival-order FIFO in the known-bad `unfair` mode.
-enum Queues {
-    Drr(DrrScheduler<Job>),
-    Fifo(VecDeque<Job>),
-}
-
-impl Queues {
-    fn push(&mut self, tenant: usize, cost: u64, job: Job) {
-        match self {
-            Queues::Drr(s) => s.enqueue(tenant, cost, job),
-            Queues::Fifo(q) => q.push_back(job),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Job> {
-        match self {
-            Queues::Drr(s) => s.pick().map(|(_, _, job)| job),
-            Queues::Fifo(q) => q.pop_front(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queues::Drr(s) => s.len(),
-            Queues::Fifo(q) => q.len(),
-        }
-    }
 }
 
 /// Live state for one tenant.
@@ -356,7 +219,7 @@ impl TenantSnapshot {
 pub struct Gateway {
     client: Rc<ClusterClient>,
     tenants: Vec<TenantState>,
-    queues: RefCell<Queues>,
+    queues: RefCell<Drr<Job>>,
     slots: Semaphore,
     dispatching: Cell<bool>,
     fair: bool,
@@ -366,12 +229,14 @@ impl Gateway {
     /// Fronts a connected cluster client with a gateway over the
     /// configured tenants.
     pub fn front(client: Rc<ClusterClient>, config: GatewayConfig) -> Rc<Self> {
-        let weights: Vec<u64> = config.tenants.iter().map(|t| t.weight).collect();
-        let queues = if config.fair {
-            Queues::Drr(DrrScheduler::new(&weights, config.quantum_bytes))
+        // Unfair mode is the same scheduler with every tenant in one
+        // class, i.e. a single arrival-order FIFO.
+        let weights: Vec<u64> = if config.fair {
+            config.tenants.iter().map(|t| t.weight).collect()
         } else {
-            Queues::Fifo(VecDeque::new())
+            vec![1]
         };
+        let queues = Drr::new(&weights, config.quantum_bytes);
         Rc::new(Gateway {
             client,
             tenants: config.tenants.into_iter().map(TenantState::new).collect(),
@@ -464,12 +329,12 @@ impl Gateway {
         };
         let t0 = now();
         let cost = op.cost();
-        let name = state.spec.name.clone();
+        let name = &state.spec.name;
         let slo = state.spec.slo.label();
         state.issued.set(state.issued.get() + 1);
-        dpdpu_check::tenant_op_issued(&name, cost);
+        dpdpu_check::tenant_op_issued(name, cost);
         if let Some(c) =
-            dpdpu_telemetry::counter("gateway_requests", &[("tenant", &name), ("slo", slo)])
+            dpdpu_telemetry::counter("gateway_requests", &[("tenant", name), ("slo", slo)])
         {
             c.inc();
         }
@@ -483,8 +348,8 @@ impl Gateway {
         }
         state.in_flight.set(state.in_flight.get() + 1);
         let (tx, rx) = oneshot();
-        self.queues.borrow_mut().push(
-            tenant.0,
+        self.queues.borrow_mut().enqueue(
+            if self.fair { tenant.0 } else { 0 },
             cost,
             Job {
                 tenant: tenant.0,
@@ -503,24 +368,24 @@ impl Gateway {
             Ok(_) => {
                 state.ok.set(state.ok.get() + 1);
                 state.latency.record(now() - t0);
-                if let Some(h) = dpdpu_telemetry::histogram("gateway_latency", &[("tenant", &name)])
+                if let Some(h) = dpdpu_telemetry::histogram("gateway_latency", &[("tenant", name)])
                 {
                     h.record(now() - t0);
                 }
-                dpdpu_check::tenant_op_ok(&name, cost);
+                dpdpu_check::tenant_op_ok(name, cost);
             }
             Err(DpdpuError::Unavailable(_)) => {
                 // Downstream shed (shard admission window): the tenant
                 // still sees it as shed load.
                 state.shed.set(state.shed.get() + 1);
-                if let Some(c) = dpdpu_telemetry::counter("gateway_shed", &[("tenant", &name)]) {
+                if let Some(c) = dpdpu_telemetry::counter("gateway_shed", &[("tenant", name)]) {
                     c.inc();
                 }
-                dpdpu_check::tenant_op_shed(&name, cost);
+                dpdpu_check::tenant_op_shed(name, cost);
             }
             Err(_) => {
                 state.errors.set(state.errors.get() + 1);
-                dpdpu_check::tenant_op_failed(&name, cost);
+                dpdpu_check::tenant_op_failed(name, cost);
             }
         }
         result
@@ -554,12 +419,12 @@ impl Gateway {
     /// concurrently (the slot frees when the cluster call completes).
     async fn dispatch_loop(self: Rc<Self>) {
         loop {
-            if self.queues.borrow().len() == 0 {
+            if self.queues.borrow().is_empty() {
                 self.dispatching.set(false);
                 return;
             }
             let permit = self.slots.acquire().await;
-            let Some(job) = self.queues.borrow_mut().pop() else {
+            let Some((_, _, job)) = self.queues.borrow_mut().pick() else {
                 drop(permit);
                 continue;
             };
@@ -617,39 +482,6 @@ mod tests {
         .await;
         let client = cluster.connect(CpuPool::new("gw-client", 32, 3_000_000_000));
         Gateway::front(client, config)
-    }
-
-    #[test]
-    fn drr_splits_service_by_weight() {
-        let mut s: DrrScheduler<u32> = DrrScheduler::new(&[3, 1], 100);
-        for i in 0..400 {
-            s.enqueue((i % 2) as usize, 100, i);
-        }
-        // Serve half the backlog; both queues stay backlogged throughout.
-        for _ in 0..200 {
-            assert!(s.pick().is_some(), "backlogged scheduler must serve");
-        }
-        let ratio = s.served(0) as f64 / s.served(1) as f64;
-        assert!(
-            (2.5..=3.5).contains(&ratio),
-            "3:1 weights should serve ~3x: served {} vs {}",
-            s.served(0),
-            s.served(1)
-        );
-    }
-
-    #[test]
-    fn drr_serves_oversized_items_eventually() {
-        // A single item costing many quanta must still be served (the
-        // deficit accumulates across rotations).
-        let mut s: DrrScheduler<&str> = DrrScheduler::new(&[1, 1], 10);
-        s.enqueue(0, 1_000, "huge");
-        s.enqueue(1, 5, "small");
-        let mut got = Vec::new();
-        while let Some((_, _, item)) = s.pick() {
-            got.push(item);
-        }
-        assert_eq!(got, vec!["small", "huge"]);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 mod channel;
 mod combinators;
 pub mod domain;
+mod drr;
 mod executor;
 mod oneshot;
 pub mod probe;
@@ -43,6 +44,7 @@ mod time;
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use combinators::{join_all, race, timeout, Either, Elapsed};
 pub use domain::{DomainHooks, DomainSet, NoHooks, XReceiver, XSender};
+pub use drr::Drr;
 pub use executor::{now, sleep, sleep_until, spawn, try_now, yield_now, JoinHandle, Sim};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use semaphore::{Permit, Semaphore};

@@ -548,19 +548,20 @@ fn engine_compress_adversarial_pages() {
     sim.run();
 }
 
-/// DRR (gateway scheduler): work conservation — the scheduler never
+/// DRR (`des::Drr`, shared by the sproc scheduler, accelerator shares
+/// and the gateway): work conservation — the scheduler never
 /// refuses to serve while any queue holds an item, and never serves
 /// from an empty backlog, across random enqueue/pick interleavings.
 #[test]
 fn drr_is_work_conserving() {
-    use dpdpu::dds::gateway::DrrScheduler;
+    use dpdpu::des::Drr;
 
     let mut rng = StdRng::seed_from_u64(0x9B_0010);
     for case in 0..32 {
         let n = rng.random_range(2..8usize);
         let weights: Vec<u64> = (0..n).map(|_| rng.random_range(1..9u64)).collect();
         let quantum = rng.random_range(64..4_096u64);
-        let mut s: DrrScheduler<u64> = DrrScheduler::new(&weights, quantum);
+        let mut s: Drr<u64> = Drr::new(&weights, quantum);
         let mut queued = 0usize;
         for step in 0..2_000u64 {
             if rng.random_range(0..100u32) < 55 {
@@ -581,17 +582,46 @@ fn drr_is_work_conserving() {
     }
 }
 
+/// DRR: a one-class scheduler is a FIFO — items come back in exact
+/// arrival order whatever their costs and the quantum. The FCFS sproc
+/// policies and the gateway's `unfair` mode are this instantiation.
+#[test]
+fn drr_with_one_class_is_arrival_order() {
+    use dpdpu::des::Drr;
+
+    let mut rng = StdRng::seed_from_u64(0x9B_0013);
+    for case in 0..32 {
+        let quantum = rng.random_range(1..8_192u64);
+        let mut s: Drr<u64> = Drr::new(&[1], quantum);
+        let (mut next_in, mut next_out) = (0u64, 0u64);
+        for _ in 0..1_000 {
+            if rng.random_range(0..100u32) < 55 {
+                s.enqueue(0, rng.random_range(0..16_384u64), next_in);
+                next_in += 1;
+            } else if let Some((_, _, item)) = s.pick() {
+                assert_eq!(item, next_out, "case {case} (quantum {quantum})");
+                next_out += 1;
+            }
+        }
+        while let Some((_, _, item)) = s.pick() {
+            assert_eq!(item, next_out, "case {case} (quantum {quantum})");
+            next_out += 1;
+        }
+        assert_eq!(next_out, next_in, "case {case}: items lost");
+    }
+}
+
 /// DRR: under sustained all-tenant backlog, served cost converges to
 /// the weight ratio within tolerance, for random weights and costs.
 #[test]
 fn drr_converges_to_weighted_shares() {
-    use dpdpu::dds::gateway::DrrScheduler;
+    use dpdpu::des::Drr;
 
     let mut rng = StdRng::seed_from_u64(0x9B_0011);
     for case in 0..16 {
         let n = rng.random_range(2..6usize);
         let weights: Vec<u64> = (0..n).map(|_| rng.random_range(1..8u64)).collect();
-        let mut s: DrrScheduler<usize> = DrrScheduler::new(&weights, 1_024);
+        let mut s: Drr<usize> = Drr::new(&weights, 1_024);
         for t in 0..n {
             for _ in 0..8 {
                 s.enqueue(t, rng.random_range(1..2_048u64), t);
@@ -621,7 +651,7 @@ fn drr_converges_to_weighted_shares() {
 /// matter how heavily-weighted adversaries flood the other queues.
 #[test]
 fn drr_never_starves_weight_one_tenants() {
-    use dpdpu::dds::gateway::DrrScheduler;
+    use dpdpu::des::Drr;
 
     let mut rng = StdRng::seed_from_u64(0x9B_0012);
     for case in 0..16 {
@@ -630,7 +660,7 @@ fn drr_never_starves_weight_one_tenants() {
         weights[0] = 1;
         let quantum = 256u64;
         let max_cost = 4_096u64;
-        let mut s: DrrScheduler<&str> = DrrScheduler::new(&weights, quantum);
+        let mut s: Drr<&str> = Drr::new(&weights, quantum);
         // Worst case for the victim: its head item costs many quanta.
         s.enqueue(0, max_cost, "victim");
         for t in 1..n {

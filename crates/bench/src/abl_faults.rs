@@ -17,11 +17,12 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
-use dpdpu_dds::server::{Dds, DdsClient, DdsConfig};
+use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{now, Sim};
 use dpdpu_faults::{FaultPlan, SessionGuard};
-use dpdpu_hw::{CpuPool, LinkConfig, Platform};
-use dpdpu_net::tcp::{TcpConnector, TcpSide};
+use dpdpu_hw::{CpuPool, Platform};
+use dpdpu_net::fabric::Endpoint;
+use dpdpu_net::NetConfig;
 
 use crate::table::Table;
 
@@ -134,17 +135,11 @@ pub fn measure(rate: f64) -> FaultMeasurement {
         )
         .await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
+        let client = dds.connect(
+            &*NetConfig::default().transport(),
+            &Endpoint::host(client_cpu),
+            "client",
         );
-        let client_side = TcpSide::host(client_cpu);
-        let net = TcpConnector::new(LinkConfig::rack_100g());
-        let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());
-        let (s2c_tx, s2c_rx) = net.stream(server_side, client_side);
-        dds.serve(c2s_rx, s2c_tx);
-        let client = DdsClient::new(c2s_tx, s2c_rx);
 
         for k in 0..KEYS {
             client

@@ -13,10 +13,11 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
-use dpdpu_dds::server::{Dds, DdsClient, DdsConfig};
+use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{now, Sim};
-use dpdpu_hw::{CpuPool, LinkConfig, Platform};
-use dpdpu_net::tcp::{TcpConnector, TcpSide};
+use dpdpu_hw::{CpuPool, Platform};
+use dpdpu_net::fabric::Endpoint;
+use dpdpu_net::NetConfig;
 
 use crate::table::Table;
 
@@ -82,17 +83,11 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
         let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
         let ce = ComputeEngine::new(platform.clone());
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
+        let client = dds.connect(
+            &*NetConfig::default().transport(),
+            &Endpoint::host(client_cpu),
+            "client",
         );
-        let client_side = TcpSide::host(client_cpu);
-        let net = TcpConnector::new(LinkConfig::rack_100g());
-        let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());
-        let (s2c_tx, s2c_rx) = net.stream(server_side, client_side);
-        dds.serve(c2s_rx, s2c_tx);
-        let client = DdsClient::new(c2s_tx, s2c_rx);
 
         for k in 0..32u64 {
             client
@@ -144,17 +139,11 @@ fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
         )
         .await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
+        let client = dds.connect(
+            &*NetConfig::default().transport(),
+            &Endpoint::host(client_cpu),
+            "client",
         );
-        let client_side = TcpSide::host(client_cpu);
-        let net = TcpConnector::new(LinkConfig::rack_100g());
-        let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());
-        let (s2c_tx, s2c_rx) = net.stream(server_side, client_side);
-        dds.serve(c2s_rx, s2c_tx);
-        let client = DdsClient::new(c2s_tx, s2c_rx);
 
         for k in 0..KEYS {
             client

@@ -16,13 +16,14 @@
 //! `fig10_cluster_scale` sweep and the `cluster_fleet` scenario report.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::ClusterClient;
 use dpdpu_dds::gateway::{Gateway, TenantId};
-use dpdpu_des::{now, spawn, Histogram};
+use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, Semaphore, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -129,17 +130,18 @@ impl Mix {
         }
     }
 
-    /// 50/50 reads and updates.
-    pub fn update_heavy() -> Self {
-        Mix {
-            read_pct: 50,
-            update_pct: 50,
-            scan_pct: 0,
-        }
+    /// Rejects a mix that does not sum to 100. Checked once where a
+    /// fleet starts: [`Mix::pick`] sends whatever the percentages leave
+    /// over to scans, so a short mix would silently change the workload.
+    pub(crate) fn validate(&self) {
+        assert_eq!(
+            self.read_pct + self.update_pct + self.scan_pct,
+            100,
+            "request mix must sum to 100: {self:?}"
+        );
     }
 
-    fn pick(&self, rng: &mut StdRng) -> OpChoice {
-        debug_assert_eq!(self.read_pct + self.update_pct + self.scan_pct, 100);
+    pub(crate) fn pick(&self, rng: &mut StdRng) -> OpChoice {
         let roll = rng.random_range(0..100u32);
         if roll < self.read_pct {
             OpChoice::Read
@@ -151,17 +153,15 @@ impl Mix {
     }
 }
 
-enum OpChoice {
+pub(crate) enum OpChoice {
     Read,
     Update,
     Scan,
 }
 
-/// How one fleet request resolved.
-enum Outcome {
-    Ok,
-    Shed,
-    Error,
+/// The value every generator writes under `key`.
+pub(crate) fn value_for(key: u64, value_bytes: usize) -> Bytes {
+    Bytes::from(vec![key as u8; value_bytes])
 }
 
 /// Fleet shape and offered load.
@@ -248,15 +248,149 @@ impl FleetReport {
     }
 }
 
-/// Preloads every key of `cfg.dist` so reads hit (routed puts through
-/// the cluster client, sequential — deterministic and admission-safe).
-pub async fn preload(client: &Rc<ClusterClient>, cfg: &FleetConfig) {
-    for key in 0..cfg.dist.keys() {
-        client
-            .kv_put(key, Bytes::from(vec![key as u8; cfg.value_bytes]))
+/// Pacing of one generator task.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Pace {
+    /// Requests the task issues.
+    pub ops: u64,
+    /// In-flight window.
+    pub pipeline: usize,
+    /// Open-loop gap between launches, ns (`0` = saturating).
+    pub gap_ns: u64,
+    /// Pause after this many launches (`0` = steady load).
+    pub pause_every_ops: u64,
+    /// Silent-phase length of the burst cycle, ns.
+    pub pause_ns: u64,
+}
+
+/// How a fleet's requests resolved so far, shared by all its generator
+/// tasks (single-threaded within one `Sim`).
+#[derive(Default)]
+pub(crate) struct Outcomes {
+    /// Latency of every completed request.
+    pub latency: Histogram,
+    pub ok: Counter,
+    pub shed: Counter,
+    pub errors: Counter,
+}
+
+/// The one client loop every load generator runs: a sliding in-flight
+/// window over `request`, which draws from the task's seeded RNG and
+/// returns the future to launch. Returns once all `pace.ops` requests
+/// have resolved into `outcomes`. Shed requests
+/// ([`DpdpuError::Unavailable`]) are counted, not retried.
+///
+/// A sliding window, not batch barriers: a new request launches the
+/// moment a slot frees (or on the open-loop clock), so one slow shard
+/// delays its own slot only — a barrier would stall the whole window on
+/// the slowest of each batch and understate the cluster.
+pub(crate) async fn client_loop<F, Fut>(
+    pace: Pace,
+    seed: u64,
+    outcomes: Rc<Outcomes>,
+    mut request: F,
+) where
+    F: FnMut(&mut StdRng) -> Fut,
+    Fut: Future<Output = Result<(), DpdpuError>> + 'static,
+{
+    let mut rng = StdRng::seed_from_u64(seed);
+    let window = Semaphore::new(pace.pipeline);
+    let mut in_flight = Vec::with_capacity(pace.ops as usize);
+    for issued in 0..pace.ops {
+        if pace.pause_every_ops > 0 && issued > 0 && issued.is_multiple_of(pace.pause_every_ops) {
+            // Off phase of the on/off burst cycle.
+            sleep(pace.pause_ns).await;
+        }
+        let permit = window.acquire().await;
+        let fut = request(&mut rng);
+        let outcomes = outcomes.clone();
+        in_flight.push(spawn(async move {
+            let _slot = permit;
+            let t = now();
+            match fut.await {
+                Ok(()) => {
+                    outcomes.latency.record(now() - t);
+                    outcomes.ok.inc();
+                }
+                Err(DpdpuError::Unavailable(_)) => outcomes.shed.inc(),
+                Err(_) => outcomes.errors.inc(),
+            }
+        }));
+        if pace.gap_ns > 0 {
+            // Open loop: the next launch waits on the clock, not on any
+            // completion.
+            sleep(pace.gap_ns).await;
+        }
+    }
+    for h in in_flight {
+        h.await;
+    }
+}
+
+/// Spawns `n` generator tasks and reports once all have resolved.
+/// Client `c` wakes at `start(c)`, seeds its RNG from `seed(c)` and runs
+/// [`client_loop`] over its own clone of `request`; `elapsed_ns` runs
+/// from `t0` to the moment the last request resolves.
+pub(crate) async fn run_clients<F, Fut>(
+    n: usize,
+    pace: Pace,
+    t0: Time,
+    start: impl Fn(u64) -> Time,
+    seed: impl Fn(u64) -> u64,
+    request: F,
+) -> FleetReport
+where
+    F: FnMut(&mut StdRng) -> Fut + Clone + 'static,
+    Fut: Future<Output = Result<(), DpdpuError>> + 'static,
+{
+    let outcomes = Rc::new(Outcomes::default());
+    let tasks: Vec<_> = (0..n as u64)
+        .map(|c| {
+            let (start, seed) = (start(c), seed(c));
+            let (outcomes, request) = (outcomes.clone(), request.clone());
+            spawn(async move {
+                sleep_until(start).await;
+                client_loop(pace, seed, outcomes, request).await
+            })
+        })
+        .collect();
+    for t in tasks {
+        t.await;
+    }
+    FleetReport {
+        issued: n as u64 * pace.ops,
+        ok: outcomes.ok.get(),
+        shed: outcomes.shed.get(),
+        errors: outcomes.errors.get(),
+        elapsed_ns: (now() - t0).max(1),
+        p50_ns: outcomes.latency.p50().unwrap_or(0),
+        p99_ns: outcomes.latency.p99().unwrap_or(0),
+    }
+}
+
+/// Puts [`value_for`] under every key of `keys` through `put`,
+/// sequentially — deterministic and admission-safe.
+pub(crate) async fn preload_keys<Fut>(
+    keys: impl Iterator<Item = u64>,
+    value_bytes: usize,
+    put: impl Fn(u64, Bytes) -> Fut,
+) where
+    Fut: Future<Output = Result<(), DpdpuError>>,
+{
+    for key in keys {
+        put(key, value_for(key, value_bytes))
             .await
             .expect("preload put must succeed");
     }
+}
+
+/// Preloads every key of `cfg.dist` so reads hit (routed puts through
+/// the cluster client).
+pub async fn preload(client: &Rc<ClusterClient>, cfg: &FleetConfig) {
+    preload_keys(0..cfg.dist.keys(), cfg.value_bytes, |key, value| {
+        client.kv_put(key, value)
+    })
+    .await;
 }
 
 /// Runs the fleet to completion and reports.
@@ -266,89 +400,39 @@ pub async fn preload(client: &Rc<ClusterClient>, cfg: &FleetConfig) {
 /// missing reads are part of the experiment.
 pub async fn run_fleet(client: &Rc<ClusterClient>, cfg: FleetConfig) -> FleetReport {
     assert!(cfg.clients > 0 && cfg.pipeline > 0, "degenerate fleet");
-    let latency = Rc::new(Histogram::new());
+    cfg.mix.validate();
+    let pace = Pace {
+        ops: cfg.ops_per_client,
+        pipeline: cfg.pipeline,
+        gap_ns: cfg.gap_ns,
+        ..Pace::default()
+    };
+    let client = client.clone();
+    let sampler = Rc::new(KeySampler::new(&cfg.dist));
     let t0 = now();
-    let mut tasks = Vec::with_capacity(cfg.clients);
-    for c in 0..cfg.clients {
-        let client = client.clone();
-        let latency = latency.clone();
-        tasks.push(spawn(async move {
-            // Deterministic start stagger: real fleets are not
-            // batch-synchronized, and lock-step launches would measure
-            // burst-drain tails instead of steady-state latency.
-            dpdpu_des::sleep(c as u64 * 7_919).await;
-            let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(1_000) + c as u64);
-            let sampler = KeySampler::new(&cfg.dist);
-            // Sliding in-flight window, not batch barriers: a new
-            // request launches the moment a slot frees (or on the
-            // open-loop clock), so one slow shard delays its own slot
-            // only — a barrier would stall the whole window on the
-            // slowest of each batch and understate the cluster.
-            let window = dpdpu_des::Semaphore::new(cfg.pipeline);
-            let mut issued = 0u64;
-            let mut in_flight = Vec::with_capacity(cfg.ops_per_client as usize);
-            while issued < cfg.ops_per_client {
-                let permit = window.acquire().await;
-                let key = sampler.sample(&mut rng);
-                let op = cfg.mix.pick(&mut rng);
-                let client = client.clone();
-                let latency = latency.clone();
-                issued += 1;
-                in_flight.push(spawn(async move {
-                    let _slot = permit;
-                    let t = now();
-                    let result = match op {
-                        OpChoice::Read => client.kv_get(key).await.map(|_| ()),
-                        OpChoice::Update => {
-                            client
-                                .kv_put(key, Bytes::from(vec![key as u8; cfg.value_bytes]))
-                                .await
-                        }
-                        OpChoice::Scan => client.kv_scan(key, cfg.scan_len).await.map(|_| ()),
-                    };
-                    match result {
-                        Ok(()) => {
-                            latency.record(now() - t);
-                            Outcome::Ok
-                        }
-                        Err(DpdpuError::Unavailable(_)) => Outcome::Shed,
-                        Err(_) => Outcome::Error,
-                    }
-                }));
-                if cfg.gap_ns > 0 {
-                    // Open loop: the next launch waits on the clock,
-                    // not on any completion.
-                    dpdpu_des::sleep(cfg.gap_ns).await;
+    run_clients(
+        cfg.clients,
+        pace,
+        t0,
+        // Deterministic start stagger: real fleets are not
+        // batch-synchronized, and lock-step launches would measure
+        // burst-drain tails instead of steady-state latency.
+        |c| t0 + c * 7_919,
+        |c| cfg.seed.wrapping_mul(1_000) + c,
+        move |rng| {
+            let key = sampler.sample(rng);
+            let op = cfg.mix.pick(rng);
+            let client = client.clone();
+            async move {
+                match op {
+                    OpChoice::Read => client.kv_get(key).await.map(|_| ()),
+                    OpChoice::Update => client.kv_put(key, value_for(key, cfg.value_bytes)).await,
+                    OpChoice::Scan => client.kv_scan(key, cfg.scan_len).await.map(|_| ()),
                 }
             }
-            let (mut ok, mut shed, mut errors) = (0u64, 0u64, 0u64);
-            for h in in_flight {
-                match h.await {
-                    Outcome::Ok => ok += 1,
-                    Outcome::Shed => shed += 1,
-                    Outcome::Error => errors += 1,
-                }
-            }
-            (issued, ok, shed, errors)
-        }));
-    }
-    let (mut issued, mut ok, mut shed, mut errors) = (0u64, 0u64, 0u64, 0u64);
-    for t in tasks {
-        let (i, o, s, e) = t.await;
-        issued += i;
-        ok += o;
-        shed += s;
-        errors += e;
-    }
-    FleetReport {
-        issued,
-        ok,
-        shed,
-        errors,
-        elapsed_ns: (now() - t0).max(1),
-        p50_ns: latency.p50().unwrap_or(0),
-        p99_ns: latency.p99().unwrap_or(0),
-    }
+        },
+    )
+    .await
 }
 
 /// One tenant's offered load for the mixed-tenant gateway fleet.
@@ -424,7 +508,8 @@ pub struct TenantFleetReport {
 
 /// Runs every tenant's workload concurrently against one [`Gateway`]
 /// and reports per tenant. `seed` steers all workloads (task `c` of
-/// tenant `t` seeds from `seed * 1e6 + t * 1000 + c`).
+/// tenant `t` seeds from `seed * 1e6 + t * 1000 + c`, hence at most
+/// 1000 tasks per tenant).
 ///
 /// Must be called inside a running simulation; preload the key
 /// populations first (e.g. [`preload`] on the gateway's inner client).
@@ -438,114 +523,68 @@ pub async fn run_tenant_fleet(
     for (wi, w) in workloads.iter().enumerate() {
         let w = *w;
         assert!(w.tasks > 0 && w.pipeline > 0, "degenerate tenant workload");
+        assert!(
+            w.tasks <= 1_000,
+            "tenant {}: more than 1000 tasks would share RNG seeds",
+            w.tenant
+        );
         assert!(w.logical_clients > 0, "tenant needs a client population");
+        w.mix.validate();
         let gateway = gateway.clone();
         // One aggregator per tenant so elapsed time is measured at the
         // moment *this* tenant's last request resolves, not at whatever
         // later point the caller gets around to awaiting it.
         tenants.push(spawn(async move {
-            let latency = Rc::new(Histogram::new());
+            let sampler = Rc::new(KeySampler::new(&w.dist));
             let seen = Rc::new(RefCell::new(vec![
                 0u64;
                 w.logical_clients.div_ceil(64) as usize
             ]));
-            let mut tasks = Vec::with_capacity(w.tasks);
-            for c in 0..w.tasks {
-                let gateway = gateway.clone();
-                let latency = latency.clone();
-                let seen = seen.clone();
-                tasks.push(spawn(async move {
-                    // Deterministic stagger, distinct across tenants and
-                    // tasks (same rationale as `run_fleet`).
-                    dpdpu_des::sleep((wi as u64 * 131 + c as u64) * 7_919).await;
-                    let mut rng = StdRng::seed_from_u64(
-                        seed.wrapping_mul(1_000_000) + w.tenant as u64 * 1_000 + c as u64,
-                    );
-                    let sampler = KeySampler::new(&w.dist);
-                    let window = dpdpu_des::Semaphore::new(w.pipeline);
-                    let mut issued = 0u64;
-                    let mut in_flight = Vec::with_capacity(w.ops_per_task as usize);
-                    while issued < w.ops_per_task {
-                        if w.pause_every_ops > 0
-                            && issued > 0
-                            && issued.is_multiple_of(w.pause_every_ops)
-                        {
-                            // Off phase of the on/off burst cycle.
-                            dpdpu_des::sleep(w.pause_ns).await;
-                        }
-                        let permit = window.acquire().await;
-                        // Attribute the request to one logical client out
-                        // of the tenant's population.
-                        let client_id = rng.random_range(0..w.logical_clients);
-                        seen.borrow_mut()[(client_id / 64) as usize] |= 1 << (client_id % 64);
-                        let key = sampler.sample(&mut rng);
-                        let op = w.mix.pick(&mut rng);
-                        let gateway = gateway.clone();
-                        let latency = latency.clone();
-                        issued += 1;
-                        in_flight.push(spawn(async move {
-                            let _slot = permit;
-                            let t = now();
-                            let tenant = TenantId(w.tenant);
-                            let result = match op {
-                                OpChoice::Read => gateway.kv_get(tenant, key).await.map(|_| ()),
-                                OpChoice::Update => {
-                                    gateway
-                                        .kv_put(
-                                            tenant,
-                                            key,
-                                            Bytes::from(vec![key as u8; w.value_bytes]),
-                                        )
-                                        .await
-                                }
-                                OpChoice::Scan => {
-                                    gateway.kv_scan(tenant, key, w.scan_len).await.map(|_| ())
-                                }
-                            };
-                            match result {
-                                Ok(()) => {
-                                    latency.record(now() - t);
-                                    Outcome::Ok
-                                }
-                                Err(DpdpuError::Unavailable(_)) => Outcome::Shed,
-                                Err(_) => Outcome::Error,
+            let pace = Pace {
+                ops: w.ops_per_task,
+                pipeline: w.pipeline,
+                gap_ns: w.gap_ns,
+                pause_every_ops: w.pause_every_ops,
+                pause_ns: w.pause_ns,
+            };
+            let tenant = TenantId(w.tenant);
+            let seen_by_tasks = seen.clone();
+            let report = run_clients(
+                w.tasks,
+                pace,
+                t0,
+                // Deterministic stagger, distinct across tenants and tasks
+                // (same rationale as `run_fleet`).
+                |c| t0 + (wi as u64 * 131 + c) * 7_919,
+                |c| seed.wrapping_mul(1_000_000) + w.tenant as u64 * 1_000 + c,
+                move |rng| {
+                    // Attribute the request to one logical client out of
+                    // the tenant's population.
+                    let client_id = rng.random_range(0..w.logical_clients);
+                    seen_by_tasks.borrow_mut()[(client_id / 64) as usize] |= 1 << (client_id % 64);
+                    let key = sampler.sample(rng);
+                    let op = w.mix.pick(rng);
+                    let gateway = gateway.clone();
+                    async move {
+                        match op {
+                            OpChoice::Read => gateway.kv_get(tenant, key).await.map(|_| ()),
+                            OpChoice::Update => {
+                                gateway
+                                    .kv_put(tenant, key, value_for(key, w.value_bytes))
+                                    .await
                             }
-                        }));
-                        if w.gap_ns > 0 {
-                            dpdpu_des::sleep(w.gap_ns).await;
+                            OpChoice::Scan => {
+                                gateway.kv_scan(tenant, key, w.scan_len).await.map(|_| ())
+                            }
                         }
                     }
-                    let (mut ok, mut shed, mut errors) = (0u64, 0u64, 0u64);
-                    for h in in_flight {
-                        match h.await {
-                            Outcome::Ok => ok += 1,
-                            Outcome::Shed => shed += 1,
-                            Outcome::Error => errors += 1,
-                        }
-                    }
-                    (issued, ok, shed, errors)
-                }));
-            }
-            let (mut issued, mut ok, mut shed, mut errors) = (0u64, 0u64, 0u64, 0u64);
-            for t in tasks {
-                let (i, o, s, e) = t.await;
-                issued += i;
-                ok += o;
-                shed += s;
-                errors += e;
-            }
+                },
+            )
+            .await;
             let logical_seen = seen.borrow().iter().map(|b| b.count_ones() as u64).sum();
             TenantFleetReport {
                 tenant: w.tenant,
-                report: FleetReport {
-                    issued,
-                    ok,
-                    shed,
-                    errors,
-                    elapsed_ns: (now() - t0).max(1),
-                    p50_ns: latency.p50().unwrap_or(0),
-                    p99_ns: latency.p99().unwrap_or(0),
-                },
+                report,
                 logical_seen,
             }
         }));
@@ -576,6 +615,135 @@ mod tests {
         });
         sim.run();
         assert!(done.get(), "simulation deadlocked mid-fleet");
+    }
+
+    /// Drives [`client_loop`] against a scripted in-memory target: every
+    /// request sleeps `service_ns`, then resolves by its index (`Ok`,
+    /// `Unavailable`, another error, `Ok`, ...). Returns the outcomes, the
+    /// launch time of every request relative to the loop's start and the
+    /// peak number of requests in flight.
+    async fn scripted(pace: Pace, service_ns: Time) -> (Rc<Outcomes>, Vec<Time>, usize) {
+        let launches = Rc::new(RefCell::new(Vec::new()));
+        let (live, peak) = (Rc::new(Cell::new(0usize)), Rc::new(Cell::new(0usize)));
+        let outcomes = Rc::new(Outcomes::default());
+        let t0 = now();
+        client_loop(pace, 1, outcomes.clone(), |_rng| {
+            let i = launches.borrow().len();
+            launches.borrow_mut().push(now() - t0);
+            let (live, peak) = (live.clone(), peak.clone());
+            async move {
+                live.set(live.get() + 1);
+                peak.set(peak.get().max(live.get()));
+                sleep(service_ns).await;
+                live.set(live.get() - 1);
+                match i % 3 {
+                    0 => Ok(()),
+                    1 => Err(DpdpuError::Unavailable("scripted shed")),
+                    _ => Err(DpdpuError::ConnectionClosed),
+                }
+            }
+        })
+        .await;
+        let launches = launches.borrow().clone();
+        (outcomes, launches, peak.get())
+    }
+
+    #[test]
+    fn client_loop_windows_paces_and_tallies() {
+        run_async(async {
+            let steady = Pace {
+                ops: 12,
+                pipeline: 3,
+                ..Pace::default()
+            };
+            // Closed loop: the window fills, never overflows, and a new
+            // request launches the moment a slot frees.
+            let (seen, launches, peak) = scripted(steady, 10_000).await;
+            assert_eq!(
+                peak, 3,
+                "in-flight requests must fill but not exceed pipeline"
+            );
+            let expect: Vec<Time> = (0..12).map(|i| i / 3 * 10_000).collect();
+            assert_eq!(launches, expect);
+            assert_eq!(
+                (seen.ok.get(), seen.shed.get(), seen.errors.get()),
+                (4, 4, 4),
+                "issued == ok + shed + errors; Unavailable is shed, anything else an error"
+            );
+            assert_eq!(
+                seen.latency.count(),
+                4,
+                "only completed requests record latency"
+            );
+
+            // Open loop: launches follow the clock even though every
+            // request outlives several gaps.
+            let open = Pace {
+                pipeline: 8,
+                gap_ns: 1_000,
+                ..steady
+            };
+            let (seen, launches, _) = scripted(open, 5_000).await;
+            let expect: Vec<Time> = (0..12).map(|i| i * 1_000).collect();
+            assert_eq!(launches, expect);
+            assert_eq!(12, seen.ok.get() + seen.shed.get() + seen.errors.get());
+
+            // On/off bursts: four launches, a silent phase, repeat.
+            let bursty = Pace {
+                pipeline: 4,
+                pause_every_ops: 4,
+                pause_ns: 100_000,
+                ..steady
+            };
+            let (_, launches, _) = scripted(bursty, 1_000).await;
+            let expect: Vec<Time> = (0..12).map(|i| i / 4 * 100_000).collect();
+            assert_eq!(launches, expect);
+        });
+    }
+
+    /// A two-shard cluster client for the entry-validation tests.
+    async fn small_cluster() -> Rc<ClusterClient> {
+        let cluster = DdsCluster::build(ClusterConfig {
+            shards: 2,
+            ..ClusterConfig::default()
+        })
+        .await;
+        cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000))
+    }
+
+    #[test]
+    #[should_panic(expected = "request mix must sum to 100")]
+    fn fleet_rejects_a_mix_that_does_not_sum_to_100() {
+        run_async(async {
+            let cfg = FleetConfig {
+                mix: Mix {
+                    read_pct: 90,
+                    update_pct: 5,
+                    scan_pct: 0,
+                },
+                ..FleetConfig::default()
+            };
+            run_fleet(&small_cluster().await, cfg).await;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "would share RNG seeds")]
+    fn tenant_fleet_rejects_task_counts_that_collide_seeds() {
+        use dpdpu_core::TenantSpec;
+        use dpdpu_dds::gateway::GatewayConfig;
+
+        run_async(async {
+            let gw = Gateway::front(
+                small_cluster().await,
+                GatewayConfig::new(vec![TenantSpec::latency("kv", 1)]),
+            );
+            let crowded = TenantWorkload {
+                tasks: 1_001,
+                ..TenantWorkload::new(0)
+            };
+            run_tenant_fleet(&gw, &[crowded], 42).await;
+        });
     }
 
     #[test]

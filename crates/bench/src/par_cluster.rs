@@ -27,19 +27,21 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::HashRing;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
-use dpdpu_dds::server::{Dds, DdsClient, DdsConfig};
+use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{
-    now, oneshot, sleep_until, spawn, DomainHooks, DomainSet, Histogram, OneshotSender, Semaphore,
-    Sim, Time, XReceiver, XSender,
+    oneshot, spawn, DomainHooks, DomainSet, OneshotSender, Sim, Time, XReceiver, XSender,
 };
 use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
 use dpdpu_telemetry::{merge_traces, Telemetry};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+
+use crate::fleet::{
+    preload_keys, run_clients, value_for, FleetReport, KeyDist, KeySampler, Mix, OpChoice, Pace,
+};
 
 /// Virtual time at which every domain's clients start issuing: far
 /// enough past t=0 that each domain's local preload (a handful of puts,
@@ -110,43 +112,17 @@ struct Ports {
     resp_in: Vec<(usize, XReceiver<ParResp>)>,
 }
 
-/// Workload counters one domain accumulates (single-threaded within the
-/// domain's `Sim`, hence `Cell`s).
-struct DomainStats {
-    issued: Cell<u64>,
-    ok: Cell<u64>,
-    errors: Cell<u64>,
-    local: Cell<u64>,
-    remote: Cell<u64>,
-    latency: Histogram,
-    end_ns: Cell<u64>,
-}
-
-impl DomainStats {
-    fn new() -> Rc<Self> {
-        Rc::new(DomainStats {
-            issued: Cell::new(0),
-            ok: Cell::new(0),
-            errors: Cell::new(0),
-            local: Cell::new(0),
-            remote: Cell::new(0),
-            latency: Histogram::new(),
-            end_ns: Cell::new(0),
-        })
-    }
-}
-
 /// What one domain publishes at teardown.
 struct DomainOut {
     line: String,
     report: String,
     trace: String,
     polls: u64,
-    issued: u64,
-    ok: u64,
+    /// The local fleet's report; `elapsed_ns` is measured from t=0, i.e.
+    /// it is the domain's clock when its last request resolved.
+    fleet: FleetReport,
+    /// Requests the local fleet routed to a peer domain.
     remote: u64,
-    p50_ns: u64,
-    p99_ns: u64,
 }
 
 /// Binds a domain's telemetry and conformance sessions to its execution
@@ -155,7 +131,7 @@ struct ParHooks {
     domain: usize,
     telemetry: Rc<Telemetry>,
     check: Rc<dpdpu_check::CheckSession>,
-    stats: Rc<DomainStats>,
+    fleet: Rc<Cell<Option<(FleetReport, u64)>>>,
     out: Arc<Mutex<Option<DomainOut>>>,
     polls: u64,
 }
@@ -183,30 +159,30 @@ impl DomainHooks for ParHooks {
             "domain pd{}: conformance violations — {report}",
             self.domain
         );
-        let s = &self.stats;
+        let (fleet, remote) = self
+            .fleet
+            .get()
+            .expect("domain root runs its fleet to completion");
         let line = format!(
             "domain=pd{} issued={} ok={} errors={} local={} remote={} \
              p50_us={:.1} p99_us={:.1} end_us={}",
             self.domain,
-            s.issued.get(),
-            s.ok.get(),
-            s.errors.get(),
-            s.local.get(),
-            s.remote.get(),
-            s.latency.p50().unwrap_or(0) as f64 / 1e3,
-            s.latency.p99().unwrap_or(0) as f64 / 1e3,
-            s.end_ns.get() / 1_000,
+            fleet.issued,
+            fleet.ok,
+            fleet.shed + fleet.errors,
+            fleet.issued - remote,
+            remote,
+            fleet.p50_ns as f64 / 1e3,
+            fleet.p99_ns as f64 / 1e3,
+            fleet.elapsed_ns / 1_000,
         );
         *self.out.lock().unwrap_or_else(|e| e.into_inner()) = Some(DomainOut {
             line,
             report,
             trace: self.telemetry.chrome_trace(),
             polls: self.polls,
-            issued: s.issued.get(),
-            ok: s.ok.get(),
-            remote: s.remote.get(),
-            p50_ns: s.latency.p50().unwrap_or(0),
-            p99_ns: s.latency.p99().unwrap_or(0),
+            fleet,
+            remote,
         });
         Telemetry::uninstall();
         dpdpu_check::CheckSession::uninstall();
@@ -245,6 +221,17 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
         cfg.clients_per_domain > 0 && cfg.pipeline > 0,
         "degenerate workload"
     );
+    // Client `c` of domain `d` seeds from `seed * 1000 + d * 64 + c`.
+    assert!(
+        cfg.clients_per_domain <= 64,
+        "more than 64 clients per domain would share RNG seeds"
+    );
+    let mix = Mix {
+        read_pct: cfg.read_pct,
+        update_pct: 100u32.saturating_sub(cfg.read_pct),
+        scan_pct: 0,
+    };
+    mix.validate();
     let lookahead = NetConfig::default().lookahead_ns();
     let ring = HashRing::new(cfg.domains, cfg.vnodes);
     let mut set = DomainSet::new();
@@ -283,15 +270,14 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
             // every setup-time probe land inside this domain's sessions.
             let telemetry = Telemetry::install();
             let check = dpdpu_check::CheckSession::install_collecting();
-            let stats = DomainStats::new();
+            let fleet = Rc::new(Cell::new(None));
             let sim = Sim::new();
-            let st = stats.clone();
-            sim.spawn(domain_root(d, cfg, ring, port, st));
+            sim.spawn(domain_root(d, cfg, mix, ring, port, fleet.clone()));
             let hooks = ParHooks {
                 domain: d,
                 telemetry,
                 check,
-                stats,
+                fleet,
                 out,
                 polls: 0,
             };
@@ -323,12 +309,12 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
         stdout,
         trace: merge_traces(&named),
         polls: outs.iter().map(|o| o.polls).sum(),
-        issued: outs.iter().map(|o| o.issued).sum(),
-        ok: outs.iter().map(|o| o.ok).sum(),
+        issued: outs.iter().map(|o| o.fleet.issued).sum(),
+        ok: outs.iter().map(|o| o.fleet.ok).sum(),
         remote: outs.iter().map(|o| o.remote).sum(),
         elapsed_ns: finals.iter().copied().max().unwrap_or(0),
-        mean_p50_ns: outs.iter().map(|o| o.p50_ns).sum::<u64>() / n.max(1),
-        max_p99_ns: outs.iter().map(|o| o.p99_ns).max().unwrap_or(0),
+        mean_p50_ns: outs.iter().map(|o| o.fleet.p50_ns).sum::<u64>() / n.max(1),
+        max_p99_ns: outs.iter().map(|o| o.fleet.p99_ns).max().unwrap_or(0),
         finals,
     }
 }
@@ -338,9 +324,10 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
 async fn domain_root(
     d: usize,
     cfg: ParClusterConfig,
+    mix: Mix,
     ring: HashRing,
     ports: Ports,
-    stats: Rc<DomainStats>,
+    out: Rc<Cell<Option<(FleetReport, u64)>>>,
 ) {
     let total_keys = cfg.domains as u64 * cfg.keys_per_domain;
     let platform = Platform::new_tagged(
@@ -359,30 +346,20 @@ async fn domain_root(
         },
     )
     .await;
-    let transport = NetConfig::default().transport();
-    let server_ep = Endpoint::offloaded(
-        platform.host_cpu.clone(),
-        platform.dpu_cpu.clone(),
-        platform.host_dpu_pcie.clone(),
+    let local = dds.connect(
+        &*NetConfig::default().transport(),
+        &Endpoint::host(CpuPool::new(format!("parfleet{d}"), 16, 3_000_000_000)),
+        &format!("pd{d}-local"),
     );
-    let client_ep = Endpoint::host(CpuPool::new(format!("parfleet{d}"), 16, 3_000_000_000));
-    let (cconn, sconn) = transport.connect(&client_ep, &server_ep, &format!("pd{d}-local"));
-    let (stx, srx) = sconn.split();
-    dds.serve(srx, stx);
-    let (ctx, crx) = cconn.split();
-    let local = DdsClient::new(ctx, crx);
 
     // Preload the keys this domain owns; every domain does the same at
     // its own t≈0, so by CLIENT_START_NS the whole population exists.
-    for key in 0..total_keys {
-        if ring.shard_for(key) != d {
-            continue;
-        }
-        local
-            .kv_put(key, Bytes::from(vec![key as u8; cfg.value_bytes]))
-            .await
-            .expect("preload put must succeed");
-    }
+    preload_keys(
+        (0..total_keys).filter(|&key| ring.shard_for(key) == d),
+        cfg.value_bytes,
+        |key, value| local.kv_put(key, value),
+    )
+    .await;
 
     // Ingress: serve each peer's requests against the local DDS and
     // answer on the paired response link. The loops park forever once
@@ -427,89 +404,73 @@ async fn domain_root(
     }
 
     let req_out = Rc::new(ports.req_out);
+    // Doubles as the count of requests this domain routed to a peer.
     let next_id = Rc::new(Cell::new(0u64));
-    let mut clients = Vec::with_capacity(cfg.clients_per_domain);
-    for c in 0..cfg.clients_per_domain {
-        let local = local.clone();
-        let ring = ring.clone();
-        let pending = pending.clone();
-        let req_out = req_out.clone();
-        let next_id = next_id.clone();
-        let stats = stats.clone();
-        clients.push(spawn(async move {
-            // Fixed global start plus a deterministic stagger, so the
-            // fleet's shape is independent of preload duration.
-            sleep_until(CLIENT_START_NS + c as u64 * 7_919).await;
-            let mut rng =
-                StdRng::seed_from_u64(cfg.seed.wrapping_mul(1_000) + (d as u64) * 64 + c as u64);
-            let window = Semaphore::new(cfg.pipeline);
-            let mut in_flight = Vec::with_capacity(cfg.ops_per_client as usize);
-            for _ in 0..cfg.ops_per_client {
-                let permit = window.acquire().await;
-                let key = rng.random_range(0..total_keys);
-                let write = rng.random_range(0..100u32) >= cfg.read_pct;
-                let owner = ring.shard_for(key);
-                let local = local.clone();
-                let pending = pending.clone();
-                let req_out = req_out.clone();
-                let next_id = next_id.clone();
-                let stats = stats.clone();
-                in_flight.push(spawn(async move {
-                    let _slot = permit;
-                    let t0 = now();
-                    stats.issued.set(stats.issued.get() + 1);
-                    let ok = if owner == d {
-                        stats.local.set(stats.local.get() + 1);
-                        if write {
-                            local
-                                .kv_put(key, Bytes::from(vec![key as u8; cfg.value_bytes]))
-                                .await
-                                .is_ok()
-                        } else {
-                            matches!(local.kv_get(key).await, Ok(Some(_)))
-                        }
+    let remote = next_id.clone();
+    let sampler = Rc::new(KeySampler::new(&KeyDist::Uniform { keys: total_keys }));
+    let pace = Pace {
+        ops: cfg.ops_per_client,
+        pipeline: cfg.pipeline,
+        ..Pace::default()
+    };
+    let report = run_clients(
+        cfg.clients_per_domain,
+        pace,
+        0,
+        // Fixed global start plus a deterministic stagger, so the fleet's
+        // shape is independent of preload duration.
+        |c| CLIENT_START_NS + c * 7_919,
+        |c| cfg.seed.wrapping_mul(1_000) + (d as u64) * 64 + c,
+        move |rng| {
+            let key = sampler.sample(rng);
+            let write = !matches!(mix.pick(rng), OpChoice::Read);
+            let owner = ring.shard_for(key);
+            let local = local.clone();
+            let pending = pending.clone();
+            let req_out = req_out.clone();
+            let next_id = next_id.clone();
+            async move {
+                if owner == d {
+                    return if write {
+                        local.kv_put(key, value_for(key, cfg.value_bytes)).await
                     } else {
-                        stats.remote.set(stats.remote.get() + 1);
-                        let req_id = next_id.get();
-                        next_id.set(req_id + 1);
-                        let (otx, orx) = oneshot();
-                        pending.borrow_mut().insert(req_id, otx);
-                        let value = if write {
-                            vec![key as u8; cfg.value_bytes]
-                        } else {
-                            Vec::new()
-                        };
-                        req_out[owner]
-                            .as_ref()
-                            .expect("link to every peer")
-                            .send(ParReq {
-                                req_id,
-                                write,
-                                key,
-                                value,
-                            });
-                        match orx.await {
-                            Ok(resp) => resp.ok,
-                            Err(_) => false,
-                        }
+                        found(local.kv_get(key).await)
                     };
-                    if ok {
-                        stats.ok.set(stats.ok.get() + 1);
-                        stats.latency.record(now() - t0);
-                    } else {
-                        stats.errors.set(stats.errors.get() + 1);
-                    }
-                }));
+                }
+                let req_id = next_id.get();
+                next_id.set(req_id + 1);
+                let (otx, orx) = oneshot();
+                pending.borrow_mut().insert(req_id, otx);
+                let value = if write {
+                    vec![key as u8; cfg.value_bytes]
+                } else {
+                    Vec::new()
+                };
+                req_out[owner]
+                    .as_ref()
+                    .expect("link to every peer")
+                    .send(ParReq {
+                        req_id,
+                        write,
+                        key,
+                        value,
+                    });
+                match orx.await {
+                    Ok(ParResp { ok: true, .. }) => Ok(()),
+                    _ => Err(DpdpuError::Remote("peer domain failed the request")),
+                }
             }
-            for h in in_flight {
-                h.await;
-            }
-        }));
-    }
-    for h in clients {
-        h.await;
-    }
-    stats.end_ns.set(now());
+        },
+    )
+    .await;
+    out.set(Some((report, remote.get())));
+}
+
+/// A read succeeds only if the (preloaded) key is there.
+fn found(read: Result<Option<Bytes>, DpdpuError>) -> Result<(), DpdpuError> {
+    read?
+        .map(|_| ())
+        .ok_or(DpdpuError::Remote("preloaded key missing"))
 }
 
 /// Scenario: the partitioned cluster replayed serially and in parallel
@@ -609,6 +570,30 @@ mod tests {
         let a = run_par(a_cfg, 2);
         let b = run_par(b_cfg, 2);
         assert_ne!(a.stdout, b.stdout, "seed must change the key stream");
+    }
+
+    #[test]
+    #[should_panic(expected = "would share RNG seeds")]
+    fn rejects_client_counts_that_collide_seeds() {
+        run_par(
+            ParClusterConfig {
+                clients_per_domain: 65,
+                ..small()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "request mix must sum to 100")]
+    fn rejects_a_read_percentage_above_100() {
+        run_par(
+            ParClusterConfig {
+                read_pct: 101,
+                ..small()
+            },
+            1,
+        );
     }
 
     #[test]

@@ -268,24 +268,11 @@ impl DdsCluster {
             // Chain link primary→backup over the cluster fabric. The
             // backup serves the chain exactly like client traffic, so
             // its crash windows gate replication automatically.
-            let transport = config.net.transport();
-            let ep = |dds: &Rc<Dds>| {
-                let p = dds.platform();
-                Endpoint::offloaded(
-                    p.host_cpu.clone(),
-                    p.dpu_cpu.clone(),
-                    p.host_dpu_pcie.clone(),
-                )
-            };
-            let (primary_conn, backup_conn) = transport.connect(
-                &ep(&members[0]),
-                &ep(&members[1]),
+            let chain = members[1].connect(
+                &*config.net.transport(),
+                &members[0].endpoint(),
                 &format!("node{group}-repl"),
             );
-            let (btx, brx) = backup_conn.split();
-            members[1].serve(brx, btx);
-            let (ptx, prx) = primary_conn.split();
-            let chain = DdsClient::new(ptx, prx);
             chain.set_policy(CHAIN_POLICY);
             *members[0]
                 .replication()
@@ -494,26 +481,16 @@ impl ClusterClient {
                 .iter()
                 .enumerate()
                 .map(|(r, dds)| {
-                    let p = dds.platform();
-                    let server_ep = Endpoint::offloaded(
-                        p.host_cpu.clone(),
-                        p.dpu_cpu.clone(),
-                        p.host_dpu_pcie.clone(),
-                    );
                     let suffix = if r == 0 {
                         String::new()
                     } else {
                         format!("r{r}")
                     };
-                    let (client_conn, server_conn) = self.transport.connect(
+                    dds.connect(
+                        &*self.transport,
                         &self.client_ep,
-                        &server_ep,
                         &format!("{}-{label}{suffix}", self.name),
-                    );
-                    let (stx, srx) = server_conn.split();
-                    dds.serve(srx, stx);
-                    let (ctx, crx) = client_conn.split();
-                    DdsClient::new(ctx, crx)
+                    )
                 })
                 .collect();
             conns.push(Rc::new(GroupConn {

@@ -252,19 +252,9 @@ impl Gateway {
         &self.client
     }
 
-    /// Number of configured tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Requests queued behind the scheduler right now.
     pub fn queued(&self) -> usize {
         self.queues.borrow().len()
-    }
-
-    /// Free DPU-side dispatch slots right now.
-    pub fn slots_available(&self) -> usize {
-        self.slots.available()
     }
 
     /// Per-tenant accounting snapshot.

@@ -17,7 +17,7 @@ use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_des::{oneshot, spawn, timeout, Counter, OneshotSender};
 use dpdpu_hw::{costs, Platform};
-use dpdpu_net::fabric::{FabricReceiver, FabricSender};
+use dpdpu_net::fabric::{Endpoint, FabricReceiver, FabricSender, Transport};
 use dpdpu_storage::{BlockDevice, ExtentFs, FileService, FsError};
 
 use crate::director::{Route, TrafficDirector};
@@ -139,6 +139,33 @@ impl Dds {
     /// The platform (for CPU accounting in experiments).
     pub fn platform(&self) -> &Rc<Platform> {
         &self.platform
+    }
+
+    /// This server as a fabric endpoint: the transport terminates on the
+    /// DPU (DDS's network front end), with host cores behind the PCIe.
+    pub fn endpoint(&self) -> Endpoint {
+        let p = &self.platform;
+        Endpoint::offloaded(
+            p.host_cpu.clone(),
+            p.dpu_cpu.clone(),
+            p.host_dpu_pcie.clone(),
+        )
+    }
+
+    /// Attaches one client: connects `client` to this server over
+    /// `transport`, serves the server half and returns a [`DdsClient`]
+    /// on the client half. `label` names the connection's resources.
+    pub fn connect(
+        self: &Rc<Self>,
+        transport: &dyn Transport,
+        client: &Endpoint,
+        label: &str,
+    ) -> Rc<DdsClient> {
+        let (client_conn, server_conn) = transport.connect(client, &self.endpoint(), label);
+        let (stx, srx) = server_conn.split();
+        self.serve(srx, stx);
+        let (ctx, crx) = client_conn.split();
+        DdsClient::new(ctx, crx)
     }
 
     /// Joins this server to a replica group. Called by the cluster once
@@ -888,6 +915,7 @@ mod tests {
     use dpdpu_des::Sim;
     use dpdpu_hw::{CpuPool, LinkConfig};
     use dpdpu_net::tcp::{TcpConnector, TcpSide};
+    use dpdpu_net::NetConfig;
 
     /// Runs an async test body to completion, failing loudly if the
     /// simulation quiesces before the body finishes (a deadlock would
@@ -912,19 +940,11 @@ mod tests {
         let platform = Platform::default_bf2();
         let dds = Dds::build(platform.clone(), config).await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        // Client -> server and server -> client simplex streams. The
-        // server side terminates TCP on the DPU (DDS's transport).
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
+        let client = dds.connect(
+            &*NetConfig::default().transport(),
+            &Endpoint::host(client_cpu),
+            "client",
         );
-        let client_side = TcpSide::host(client_cpu);
-        let net = TcpConnector::new(LinkConfig::rack_100g());
-        let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());
-        let (s2c_tx, s2c_rx) = net.stream(server_side, client_side);
-        dds.serve(c2s_rx, s2c_tx);
-        let client = DdsClient::new(c2s_tx, s2c_rx);
         (dds, client, platform)
     }
 

@@ -15,9 +15,7 @@
 //! * [`relops`] — predicate/projection/aggregation over [`record`]
 //!   batches (the pushdown operators of §4);
 //! * [`text`] — seeded generators for compressible, natural-language-like
-//!   corpora (Figure 1's dataset stand-in);
-//! * [`zipf`] — Zipf-skewed key sampling for realistic KV/page access
-//!   patterns (DDS workloads).
+//!   corpora (Figure 1's dataset stand-in).
 //!
 //! Kernels here are deterministic pure functions over bytes. *Where* a
 //! kernel runs and how long that takes is decided by `dpdpu-compute`
@@ -34,4 +32,3 @@ pub mod regex;
 pub mod relops;
 pub mod sha256;
 pub mod text;
-pub mod zipf;

@@ -2,8 +2,9 @@
 //! load-bearing).
 //!
 //! `DdsCluster` used to hard-code one duplex TCP connection per shard.
-//! This module abstracts that channel behind a [`Transport`] /
-//! [`Connection`] trait pair and ships three interchangeable fabrics:
+//! This module abstracts that channel behind the [`Transport`] trait,
+//! whose `connect` hands each side a [`Connection`], and ships three
+//! interchangeable fabrics:
 //!
 //! * [`TcpTransport`] — the existing offloaded-TCP path, wrapped with
 //!   **zero** added tasks or queues so the default cluster behaves (and
@@ -225,11 +226,18 @@ impl From<TcpReceiver> for FabricReceiver {
 }
 
 /// One endpoint's handle on an established fabric connection.
-pub trait Connection {
+pub struct Connection {
     /// Which fabric this connection rides.
-    fn kind(&self) -> FabricKind;
+    pub kind: FabricKind,
+    tx: FabricSender,
+    rx: FabricReceiver,
+}
+
+impl Connection {
     /// Consumes the connection into its duplex halves.
-    fn split(self: Box<Self>) -> (FabricSender, FabricReceiver);
+    pub fn split(self) -> (FabricSender, FabricReceiver) {
+        (self.tx, self.rx)
+    }
 }
 
 /// A connector: builds duplex per-shard message channels between two
@@ -240,12 +248,7 @@ pub trait Transport {
     /// Connects `a` to `b`; `label` names the connection's resources
     /// (links, conservation sites) — unique per connection within a
     /// simulation. Returns `(a_conn, b_conn)`.
-    fn connect(
-        &self,
-        a: &Endpoint,
-        b: &Endpoint,
-        label: &str,
-    ) -> (Box<dyn Connection>, Box<dyn Connection>);
+    fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection);
 }
 
 /// The transport for `kind` with the given link and tunables.
@@ -259,21 +262,6 @@ pub fn transport_for(
         FabricKind::Tcp => Rc::new(TcpTransport { link, tcp }),
         FabricKind::Rdma => Rc::new(RdmaTransport { link, params }),
         FabricKind::RdmaOffload => Rc::new(RdmaOffloadTransport { link, params }),
-    }
-}
-
-struct SplitConn {
-    kind: FabricKind,
-    tx: FabricSender,
-    rx: FabricReceiver,
-}
-
-impl Connection for SplitConn {
-    fn kind(&self) -> FabricKind {
-        self.kind
-    }
-    fn split(self: Box<Self>) -> (FabricSender, FabricReceiver) {
-        (self.tx, self.rx)
     }
 }
 
@@ -295,26 +283,21 @@ impl Transport for TcpTransport {
         FabricKind::Tcp
     }
 
-    fn connect(
-        &self,
-        a: &Endpoint,
-        b: &Endpoint,
-        _label: &str,
-    ) -> (Box<dyn Connection>, Box<dyn Connection>) {
+    fn connect(&self, a: &Endpoint, b: &Endpoint, _label: &str) -> (Connection, Connection) {
         let ((a_tx, a_rx), (b_tx, b_rx)) = TcpConnector::new(self.link)
             .params(self.tcp)
             .duplex(a.tcp_side(), b.tcp_side());
         (
-            Box::new(SplitConn {
+            Connection {
                 kind: FabricKind::Tcp,
                 tx: a_tx.into(),
                 rx: a_rx.into(),
-            }),
-            Box::new(SplitConn {
+            },
+            Connection {
                 kind: FabricKind::Tcp,
                 tx: b_tx.into(),
                 rx: b_rx.into(),
-            }),
+            },
         )
     }
 }
@@ -573,12 +556,7 @@ impl Transport for RdmaTransport {
         FabricKind::Rdma
     }
 
-    fn connect(
-        &self,
-        a: &Endpoint,
-        b: &Endpoint,
-        label: &str,
-    ) -> (Box<dyn Connection>, Box<dyn Connection>) {
+    fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection) {
         let mut cfg = self.link;
         cfg.loss_rate = 0.0;
         let (qa, qb) = rdma_pair_named(
@@ -619,16 +597,16 @@ impl Transport for RdmaTransport {
             a2b,
         );
         (
-            Box::new(SplitConn {
+            Connection {
                 kind: FabricKind::Rdma,
                 tx: a_tx,
                 rx: a_rx,
-            }),
-            Box::new(SplitConn {
+            },
+            Connection {
                 kind: FabricKind::Rdma,
                 tx: b_tx,
                 rx: b_rx,
-            }),
+            },
         )
     }
 }
@@ -654,12 +632,7 @@ impl Transport for RdmaOffloadTransport {
         FabricKind::RdmaOffload
     }
 
-    fn connect(
-        &self,
-        a: &Endpoint,
-        b: &Endpoint,
-        label: &str,
-    ) -> (Box<dyn Connection>, Box<dyn Connection>) {
+    fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection) {
         let (a_dpu, a_pcie) = a
             .dpu
             .clone()
@@ -699,16 +672,16 @@ impl Transport for RdmaOffloadTransport {
             a2b,
         );
         (
-            Box::new(SplitConn {
+            Connection {
                 kind: FabricKind::RdmaOffload,
                 tx: a_tx,
                 rx: a_rx,
-            }),
-            Box::new(SplitConn {
+            },
+            Connection {
                 kind: FabricKind::RdmaOffload,
                 tx: b_tx,
                 rx: b_rx,
-            }),
+            },
         )
     }
 }

@@ -265,9 +265,8 @@ impl TcpReceiver {
 /// the peer and a receiver for the peer's messages.
 pub type TcpEndpoint = (TcpSender, TcpReceiver);
 
-/// Builder for TCP connections — the one entry point behind which the
-/// historical `tcp_stream`/`tcp_duplex`/`tcp_mux`/`tcp_mux_duplex`
-/// constructors now live.
+/// Builder for TCP connections — the one entry point for simplex
+/// streams, shared-wire stream fans and duplex connections.
 ///
 /// ```ignore
 /// let (tx, rx) = TcpConnector::new(LinkConfig::rack_100g())
@@ -352,57 +351,6 @@ impl TcpConnector {
     }
 }
 
-/// Creates a simplex TCP stream from `src` to `dst` over a dedicated
-/// link (the reverse direction carries ACKs). Thin shim over
-/// [`TcpConnector::stream`].
-pub fn tcp_stream(
-    src: TcpSide,
-    dst: TcpSide,
-    link_cfg: LinkConfig,
-    params: TcpParams,
-) -> (TcpSender, TcpReceiver) {
-    TcpConnector::new(link_cfg).params(params).stream(src, dst)
-}
-
-/// Creates one duplex TCP connection between `a` and `b`. Thin shim over
-/// [`TcpConnector::duplex`].
-pub fn tcp_duplex(
-    a: TcpSide,
-    b: TcpSide,
-    link_cfg: LinkConfig,
-    params: TcpParams,
-) -> (TcpEndpoint, TcpEndpoint) {
-    TcpConnector::new(link_cfg).params(params).duplex(a, b)
-}
-
-/// Connection fan-out for a client fleet. Thin shim over
-/// [`TcpConnector::mux_duplex`].
-pub fn tcp_mux_duplex(
-    a: TcpSide,
-    b: TcpSide,
-    link_cfg: LinkConfig,
-    params: TcpParams,
-    streams: usize,
-) -> Vec<(TcpEndpoint, TcpEndpoint)> {
-    TcpConnector::new(link_cfg)
-        .params(params)
-        .mux_duplex(a, b, streams)
-}
-
-/// Creates `streams` simplex TCP connections sharing one physical link
-/// per direction. Thin shim over [`TcpConnector::streams`].
-pub fn tcp_mux(
-    src: TcpSide,
-    dst: TcpSide,
-    link_cfg: LinkConfig,
-    params: TcpParams,
-    streams: usize,
-) -> Vec<(TcpSender, TcpReceiver)> {
-    TcpConnector::new(link_cfg)
-        .params(params)
-        .streams(src, dst, streams)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,7 +372,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             for i in 0..20u32 {
                 tx.send(Bytes::from(vec![i as u8; 8_192]));
             }
@@ -445,7 +393,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             let total: u64 = 256 * 1024 * 1024; // 256 MB
             let msgs = total / 65_536;
             for _ in 0..msgs {
@@ -482,7 +430,7 @@ mod tests {
         sim.spawn(async {
             let (src, dst) = host_sides();
             let lossy = fast_link().with_loss(0.02, 11);
-            let (tx, mut rx) = tcp_stream(src, dst, lossy, TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(lossy).stream(src, dst);
             let payload: Vec<Bytes> = (0..200u32)
                 .map(|i| Bytes::from(vec![(i % 251) as u8; 8_192]))
                 .collect();
@@ -514,7 +462,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             let payload: Vec<Bytes> = (0..100u32)
                 .map(|i| Bytes::from(vec![(i % 251) as u8; 8_192]))
                 .collect();
@@ -552,12 +500,8 @@ mod tests {
             let out2 = out.clone();
             sim.spawn(async move {
                 let (src, dst) = host_sides();
-                let (tx, mut rx) = tcp_stream(
-                    src,
-                    dst,
-                    fast_link().with_loss(loss, 5),
-                    TcpParams::default(),
-                );
+                let (tx, mut rx) =
+                    TcpConnector::new(fast_link().with_loss(loss, 5)).stream(src, dst);
                 for _ in 0..500 {
                     tx.send(Bytes::from(vec![7u8; 8_192]));
                 }
@@ -597,7 +541,7 @@ mod tests {
                     TcpSide::host(src_host.clone())
                 };
                 let dst = TcpSide::host(dst_host);
-                let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+                let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
                 for _ in 0..2_000 {
                     tx.send(Bytes::from(vec![1u8; 8_192]));
                 }
@@ -624,7 +568,7 @@ mod tests {
         let d2 = done.clone();
         sim.spawn(async move {
             let (src, dst) = host_sides();
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             tx.send(Bytes::from_static(b"first"));
             tx.close();
             let m = rx.recv().await.unwrap();
@@ -652,7 +596,7 @@ mod tests {
             let (src, dst) = host_sides();
             // Heavy loss: SYNs drop too; the retry loop must connect.
             let lossy = fast_link().with_loss(0.3, 77);
-            let (tx, mut rx) = tcp_stream(src, dst, lossy, TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(lossy).stream(src, dst);
             for i in 0..20u8 {
                 tx.send(Bytes::from(vec![i; 1_024]));
             }
@@ -676,7 +620,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let streams = tcp_mux(src, dst, fast_link(), TcpParams::default(), 4);
+            let streams = TcpConnector::new(fast_link()).streams(src, dst, 4);
             let t0 = now();
             let mut handles = Vec::new();
             let per_flow: u64 = 16 * 1024 * 1024;
@@ -714,7 +658,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let streams = tcp_mux(src, dst, fast_link(), TcpParams::default(), 3);
+            let streams = TcpConnector::new(fast_link()).streams(src, dst, 3);
             let mut handles = Vec::new();
             for (i, (tx, mut rx)) in streams.into_iter().enumerate() {
                 for n in 0..50u8 {
@@ -748,7 +692,9 @@ mod tests {
                 recv_ring_slots: 4,
                 ..TcpParams::default()
             };
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), params);
+            let (tx, mut rx) = TcpConnector::new(fast_link())
+                .params(params)
+                .stream(src, dst);
             let stats = tx.stats.clone();
             const MSGS: u64 = 40;
             for i in 0..MSGS {
@@ -795,7 +741,9 @@ mod tests {
                 recv_ring_slots: 2,
                 ..TcpParams::default()
             };
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), params);
+            let (tx, mut rx) = TcpConnector::new(fast_link())
+                .params(params)
+                .stream(src, dst);
             for i in 0..10u8 {
                 tx.send(Bytes::from(vec![i; 8_192]));
             }
@@ -820,7 +768,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             tx.close();
             assert_eq!(rx.recv().await, None);
         });
@@ -832,7 +780,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let (src, dst) = host_sides();
-            let (tx, mut rx) = tcp_stream(src, dst, fast_link(), TcpParams::default());
+            let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             let big: Bytes = (0..100_000u32).map(|i| (i % 253) as u8).collect();
             tx.send(big.clone());
             let stats = tx.stats.clone();

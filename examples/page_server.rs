@@ -7,10 +7,11 @@
 //! ```
 
 use bytes::Bytes;
-use dpdpu::dds::server::{Dds, DdsClient, DdsConfig};
+use dpdpu::dds::server::{Dds, DdsConfig};
 use dpdpu::des::{now, Sim};
-use dpdpu::hw::{CpuPool, LinkConfig, Platform};
-use dpdpu::net::tcp::{TcpConnector, TcpSide};
+use dpdpu::hw::{CpuPool, Platform};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::NetConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -34,17 +35,11 @@ fn main() {
         .await;
 
         let client_cpu = CpuPool::new("compute-tier", 16, 3_000_000_000);
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
+        let client = dds.connect(
+            &*NetConfig::default().transport(),
+            &Endpoint::host(client_cpu),
+            "client",
         );
-        let client_side = TcpSide::host(client_cpu);
-        let net = TcpConnector::new(LinkConfig::rack_100g());
-        let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());
-        let (s2c_tx, s2c_rx) = net.stream(server_side, client_side);
-        dds.serve(c2s_rx, s2c_tx);
-        let client = DdsClient::new(c2s_tx, s2c_rx);
 
         let mut rng = StdRng::seed_from_u64(7);
 

@@ -6,10 +6,7 @@
 //! remote requests served on the DPU and local host-application reads.
 //! The best split tracks the workload mix.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use dpdpu_des::{now, Histogram, Sim};
+use dpdpu_des::{block_on, now, Histogram};
 use dpdpu_hw::Platform;
 use dpdpu_storage::{BlockDevice, CachedFileService, ExtentFs, FileService, PageCache};
 
@@ -56,10 +53,7 @@ struct Measurement {
 /// `remote_fraction` of requests are remote (DPU-side); the rest are
 /// local host-application reads.
 fn measure(dpu_cache_pages: usize, remote_fraction: f64) -> Measurement {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let p = Platform::default_bf2();
         let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
         let service = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
@@ -115,19 +109,12 @@ fn measure(dpu_cache_pages: usize, remote_fraction: f64) -> Measurement {
                 local_lat.record(d);
             }
         }
-        out2.set((
-            remote_lat.p50().unwrap_or(0),
-            local_lat.p50().unwrap_or(0),
-            all.mean() as u64,
-        ));
-    });
-    sim.run();
-    let (remote_p50, local_p50, mean) = out.get();
-    Measurement {
-        remote_p50,
-        local_p50,
-        mean,
-    }
+        Measurement {
+            remote_p50: remote_lat.p50().unwrap_or(0),
+            local_p50: local_lat.p50().unwrap_or(0),
+            mean: all.mean() as u64,
+        }
+    })
 }
 
 #[cfg(test)]

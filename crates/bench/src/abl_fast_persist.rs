@@ -5,10 +5,7 @@
 //! the host's deeper stack has persisted. Sweep payload sizes, report ack
 //! latency for both modes.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use dpdpu_des::{Histogram, Sim};
+use dpdpu_des::{block_on, Histogram};
 use dpdpu_hw::Platform;
 use dpdpu_storage::{AckMode, BlockDevice, ExtentFs, FastPersist, FileService};
 
@@ -44,10 +41,7 @@ pub fn run() -> String {
 
 /// Returns p50 ack latency in ns.
 fn measure(mode: AckMode, payload_bytes: usize) -> u64 {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let p = Platform::default_bf2();
         let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
         let service = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
@@ -64,10 +58,8 @@ fn measure(mode: AckMode, payload_bytes: usize) -> u64 {
         for _ in 0..APPENDS {
             lat.record(persist.append(&payload).await.unwrap());
         }
-        out2.set(lat.p50().unwrap());
-    });
-    sim.run();
-    out.get()
+        lat.p50().unwrap()
+    })
 }
 
 #[cfg(test)]

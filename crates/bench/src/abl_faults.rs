@@ -12,13 +12,10 @@
 //! in virtual time from seeded streams, the same seed reproduces the same
 //! run bit for bit (the CI determinism check diffs two traced runs).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::{Dds, DdsConfig};
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_faults::{FaultPlan, SessionGuard};
 use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
@@ -115,10 +112,7 @@ fn plan(rate: f64) -> FaultPlan {
 /// Runs the read-heavy DDS workload under `plan(rate)`.
 pub fn measure(rate: f64) -> FaultMeasurement {
     let guard = SessionGuard::new(plan(rate));
-    let out = Rc::new(RefCell::new(None::<(Vec<u64>, f64, u64, u64)>));
-    let out2 = out.clone();
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    let (mut latencies, host_frac, errors, retries) = block_on(async move {
         let platform = Platform::default_bf2();
         // When a telemetry session is installed (the traced CI scenario),
         // add resource-utilisation counter tracks to the trace.
@@ -172,12 +166,9 @@ pub fn measure(rate: f64) -> FaultMeasurement {
         if let Some(sampler) = sampler {
             sampler.stop();
         }
-        *out2.borrow_mut() = Some((latencies, host_frac, errors, client.retries.get()));
+        (latencies, host_frac, errors, client.retries.get())
     });
-    sim.run();
     let injected = guard.session.report().total();
-    let (mut latencies, host_frac, errors, retries) =
-        out.borrow_mut().take().expect("measurement must complete");
     let resolved = latencies.len() as u64;
     latencies.sort_unstable();
     let p99_ns = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];

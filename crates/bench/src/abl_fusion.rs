@@ -7,12 +7,9 @@
 //! unfused (per-kernel launches, intermediates over PCIe), across input
 //! sizes — fusion wins most where launch + transfer overheads dominate.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, KernelOp};
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_hw::{PeerSpec, Platform};
 
 use crate::table::Table;
@@ -40,10 +37,7 @@ pub fn run() -> String {
 }
 
 fn measure(bytes: u64, fused: bool) -> u64 {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         platform.install_peer(PeerSpec::gpu());
         let ce = ComputeEngine::new(platform);
@@ -57,10 +51,8 @@ fn measure(bytes: u64, fused: bool) -> u64 {
         ];
         let t0 = now();
         ce.run_chain_on_peer(&chain, data, fused).await.unwrap();
-        out2.set(now() - t0);
-    });
-    sim.run();
-    out.get()
+        now() - t0
+    })
 }
 
 #[cfg(test)]

@@ -6,12 +6,9 @@
 //! the offload engine can keep, the DPU memory actually used, and host
 //! CPU per request — the trade-off curve operators would tune.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_dds::kv::{KvStore, Residency, INDEX_ENTRY_BYTES};
-use dpdpu_des::Sim;
+use dpdpu_des::block_on;
 use dpdpu_hw::Platform;
 use dpdpu_storage::{BlockDevice, ExtentFs, FileService};
 
@@ -52,10 +49,7 @@ struct Measurement {
 }
 
 fn measure(budget_bytes: u64) -> Measurement {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0usize, 0.0f64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let p = Platform::default_bf2();
         let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 22));
         let service = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
@@ -75,15 +69,12 @@ fn measure(budget_bytes: u64) -> Measurement {
             }
         }
         let (dpu_keys, _host_keys) = kv.partition_sizes();
-        out2.set((dpu_keys, offloadable as f64 / KEYS as f64, p.dpu_mem.used()));
-    });
-    sim.run();
-    let (dpu_keys, offloadable, dpu_mem_used) = out.get();
-    Measurement {
-        dpu_keys,
-        offloadable,
-        dpu_mem_used,
-    }
+        Measurement {
+            dpu_keys,
+            offloadable: offloadable as f64 / KEYS as f64,
+            dpu_mem_used: p.dpu_mem.used(),
+        }
+    })
 }
 
 #[cfg(test)]

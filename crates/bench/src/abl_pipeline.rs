@@ -8,13 +8,10 @@
 //! pipelined (per-page streaming, as `Dpdpu::read_compress_send` does) —
 //! and compare makespan.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_compute::{KernelInput, KernelOp, Placement};
 use dpdpu_core::Dpdpu;
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_hw::{CpuPool, LinkConfig};
 use dpdpu_net::tcp::{TcpConnector, TcpSide};
 
@@ -48,10 +45,7 @@ pub fn run() -> String {
 
 /// Returns the makespan in ns.
 fn measure(pipelined: bool) -> u64 {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let rt = Dpdpu::start_default();
         let file = rt.storage.create("pages").await.unwrap();
         let corpus = dpdpu_kernels::text::natural_text((PAGES * PAGE) as usize, 5);
@@ -88,10 +82,8 @@ fn measure(pipelined: bool) -> u64 {
         }
         drop(tx);
         while rx.recv().await.is_some() {}
-        out2.set(now() - t0);
-    });
-    sim.run();
-    out.get()
+        now() - t0
+    })
 }
 
 #[cfg(test)]

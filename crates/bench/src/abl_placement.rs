@@ -6,12 +6,9 @@
 //! the ASIC's fixed per-job latency and two hardware contexts become the
 //! bottleneck — scheduled placement wins by using the whole SoC.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, ExecTarget, KernelInput, KernelOp, Placement};
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_hw::Platform;
 
 use crate::table::Table;
@@ -57,10 +54,7 @@ struct Measurement {
 }
 
 fn measure(placement: Placement) -> Measurement {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let ce = ComputeEngine::new(Platform::default_bf2());
         let data = Bytes::from(dpdpu_kernels::text::natural_text(JOB_BYTES, 3));
         let mut handles = Vec::new();
@@ -74,21 +68,13 @@ fn measure(placement: Placement) -> Measurement {
             }));
         }
         dpdpu_des::join_all(handles).await;
-        out2.set((
-            now(),
-            ce.asic_jobs.get(),
-            ce.dpu_jobs.get(),
-            ce.host_jobs.get(),
-        ));
-    });
-    sim.run();
-    let (makespan, asic, dpu, host) = out.get();
-    Measurement {
-        makespan,
-        asic,
-        dpu,
-        host,
-    }
+        Measurement {
+            makespan: now(),
+            asic: ce.asic_jobs.get(),
+            dpu: ce.dpu_jobs.get(),
+            host: ce.host_jobs.get(),
+        }
+    })
 }
 
 #[cfg(test)]

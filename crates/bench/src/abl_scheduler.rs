@@ -5,11 +5,10 @@
 //! elephants trample mice; DRR bounds the damage; never migrating to the
 //! host caps throughput.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use dpdpu_compute::{SchedPolicy, Scheduler, SprocSpec, Variance};
-use dpdpu_des::{now, Histogram, Sim};
+use dpdpu_des::{block_on, now, Histogram};
 use dpdpu_hw::CpuPool;
 
 use crate::table::Table;
@@ -63,10 +62,7 @@ struct Measurement {
 }
 
 fn measure(policy: SchedPolicy) -> Measurement {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let dpu = CpuPool::new("dpu", 8, 2_500_000_000);
         let host = CpuPool::new("host", 32, 3_000_000_000);
         // Tenant 0 = small sprocs, tenant 1 = heavy sprocs.
@@ -98,21 +94,13 @@ fn measure(policy: SchedPolicy) -> Measurement {
             }));
         }
         dpdpu_des::join_all(handles).await;
-        out2.set((
-            lat.p50().unwrap(),
-            lat.p99().unwrap(),
-            now(),
-            sched.on_host.get(),
-        ));
-    });
-    sim.run();
-    let (small_p50, small_p99, makespan, migrated) = out.get();
-    Measurement {
-        small_p50,
-        small_p99,
-        makespan,
-        migrated,
-    }
+        Measurement {
+            small_p50: lat.p50().unwrap(),
+            small_p99: lat.p99().unwrap(),
+            makespan: now(),
+            migrated: sched.on_host.get(),
+        }
+    })
 }
 
 #[cfg(test)]

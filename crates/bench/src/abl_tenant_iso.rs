@@ -5,11 +5,10 @@
 //! while a foreground tenant issues small jobs; with FIFO admission the
 //! small jobs wait behind the flood, with DRR shares they do not.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use dpdpu_compute::AccelShares;
-use dpdpu_des::{now, sleep, Histogram, Sim};
+use dpdpu_des::{block_on, now, sleep, Histogram};
 use dpdpu_hw::{AccelKind, DpuSpec, HostSpec, Platform};
 
 use crate::table::Table;
@@ -47,10 +46,7 @@ pub fn run() -> String {
 
 /// Returns (p50, p99) latency of the small tenant's jobs in ns.
 fn measure(isolated: bool) -> (u64, u64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let p = Platform::new(HostSpec::epyc(), DpuSpec::bluefield2());
         let accel = p.accel(AccelKind::Compression).expect("BF-2 engine");
         let lat = Rc::new(Histogram::new());
@@ -96,10 +92,8 @@ fn measure(isolated: bool) -> (u64, u64) {
             }
             dpdpu_des::join_all(handles).await;
         }
-        out2.set((lat.p50().unwrap(), lat.p99().unwrap()));
-    });
-    sim.run();
-    out.get()
+        (lat.p50().unwrap(), lat.p99().unwrap())
+    })
 }
 
 #[cfg(test)]

@@ -21,20 +21,17 @@
 //! at a production rate of 5M req/s per server, matching Figure 9's
 //! scaling.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::DdsConfig;
-use dpdpu_des::Sim;
+use dpdpu_des::block_on;
 use dpdpu_hw::CpuPool;
 use dpdpu_net::NetConfig;
 
 use crate::fleet::{preload, run_fleet, FleetConfig, KeyDist, Mix};
 use crate::table::Table;
 
-const KEYS: u64 = 128;
+pub(crate) const KEYS: u64 = 128;
 const CLIENTS_PER_SERVER: usize = 4;
 const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
@@ -160,15 +157,15 @@ pub fn run_scale(servers: &[usize], jobs: usize) -> String {
     )
 }
 
-struct Measurement {
-    agg_mops: f64,
-    p50_us: f64,
-    p99_us: f64,
-    shed: u64,
-    host_cyc_per_req: f64,
+pub(crate) struct Measurement {
+    pub(crate) agg_mops: f64,
+    pub(crate) p50_us: f64,
+    pub(crate) p99_us: f64,
+    pub(crate) shed: u64,
+    pub(crate) host_cyc_per_req: f64,
 }
 
-fn measure(
+pub(crate) fn measure(
     servers: usize,
     dist: KeyDist,
     offload: bool,
@@ -176,10 +173,7 @@ fn measure(
     replicas: usize,
 ) -> Measurement {
     let clients = servers * CLIENTS_PER_SERVER;
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(None));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let cluster = DdsCluster::build(ClusterConfig {
             shards: servers,
             vnodes: 512,
@@ -214,30 +208,17 @@ fn measure(
             cluster.platform(i).host_cpu.reset_stats();
         }
         let report = run_fleet(&client, cfg).await;
-        if std::env::var("FIG10_DEBUG").is_ok() {
-            for (i, node) in cluster.primaries().iter().enumerate() {
-                eprintln!(
-                    "  shard{i}: dpu={} host={} client_retries={} timeouts={}",
-                    node.served_dpu.get(),
-                    node.served_host.get(),
-                    client.shard_client(i).retries.get(),
-                    client.shard_client(i).timeouts.get()
-                );
-            }
-        }
         let host_busy_ns: u64 = (0..cluster.shards())
             .map(|i| cluster.platform(i).host_cpu.busy_ns())
             .sum();
-        out2.set(Some(Measurement {
+        Measurement {
             agg_mops: report.throughput_mops(),
             p50_us: report.p50_ns as f64 / 1e3,
             p99_us: report.p99_ns as f64 / 1e3,
             shed: report.shed,
             host_cyc_per_req: host_busy_ns as f64 * 3.0 / report.ok.max(1) as f64,
-        }));
-    });
-    sim.run();
-    out.take().expect("measurement must complete")
+        }
+    })
 }
 
 #[cfg(test)]

@@ -17,23 +17,13 @@
 //! `saved/server` converts each fabric's per-request host-cycle delta
 //! against TCP to cores at a production rate of 5M req/s per server.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
-use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
-use dpdpu_dds::server::DdsConfig;
-use dpdpu_des::Sim;
-use dpdpu_hw::CpuPool;
 use dpdpu_net::fabric::FabricKind;
 use dpdpu_net::NetConfig;
 
-use crate::fleet::{preload, run_fleet, FleetConfig, KeyDist, Mix};
+use crate::fig10_cluster_scale::{self, Measurement, KEYS};
+use crate::fleet::KeyDist;
 use crate::table::Table;
 
-const KEYS: u64 = 128;
-const CLIENTS_PER_SERVER: usize = 4;
-const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
 const PROD_RATE: f64 = 5_000_000.0;
 
@@ -95,61 +85,16 @@ pub fn run_with(only: Option<FabricKind>, base: NetConfig) -> String {
     )
 }
 
-struct Measurement {
-    agg_mops: f64,
-    p50_us: f64,
-    p99_us: f64,
-    host_cyc_per_req: f64,
-}
-
 fn measure(servers: usize, fabric: FabricKind, base: NetConfig) -> Measurement {
-    let clients = servers * CLIENTS_PER_SERVER;
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(None));
-    let out2 = out.clone();
-    sim.spawn(async move {
-        let cluster = DdsCluster::build(ClusterConfig {
-            shards: servers,
-            vnodes: 512,
-            net: base.with_fabric(fabric),
-            dds: DdsConfig {
-                kv_index_budget: 2 * KEYS * INDEX_ENTRY_BYTES,
-                ..DdsConfig::default()
-            },
-            ..ClusterConfig::default()
-        })
-        .await;
-        let client = cluster.connect(CpuPool::new("fleet", (clients * 8).max(16), 3_000_000_000));
-        let cfg = FleetConfig {
-            clients,
-            ops_per_client: OPS_PER_CLIENT,
-            pipeline: 4,
-            gap_ns: 0,
-            dist: KeyDist::Uniform {
-                keys: KEYS * servers as u64,
-            },
-            mix: Mix::read_heavy(),
-            value_bytes: 256,
-            scan_len: 8,
-            seed: 42,
-        };
-        preload(&client, &cfg).await;
-        for i in 0..cluster.shards() {
-            cluster.platform(i).host_cpu.reset_stats();
-        }
-        let report = run_fleet(&client, cfg).await;
-        let host_busy_ns: u64 = (0..cluster.shards())
-            .map(|i| cluster.platform(i).host_cpu.busy_ns())
-            .sum();
-        out2.set(Some(Measurement {
-            agg_mops: report.throughput_mops(),
-            p50_us: report.p50_ns as f64 / 1e3,
-            p99_us: report.p99_ns as f64 / 1e3,
-            host_cyc_per_req: host_busy_ns as f64 * 3.0 / report.ok.max(1) as f64,
-        }));
-    });
-    sim.run();
-    out.take().expect("measurement must complete")
+    fig10_cluster_scale::measure(
+        servers,
+        KeyDist::Uniform {
+            keys: KEYS * servers as u64,
+        },
+        true,
+        base.with_fabric(fabric),
+        1,
+    )
 }
 
 #[cfg(test)]

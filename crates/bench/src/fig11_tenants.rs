@@ -24,13 +24,10 @@
 //! isolation test matrix (`tests/qos_isolation.rs`) gates on across
 //! seeds and fault regimes.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use dpdpu_core::TenantSpec;
 use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
 use dpdpu_dds::gateway::{Gateway, GatewayConfig, TenantSnapshot};
-use dpdpu_des::Sim;
+use dpdpu_des::block_on;
 use dpdpu_hw::CpuPool;
 
 use crate::fleet::{
@@ -138,10 +135,7 @@ fn measure(
     fair: bool,
     seed: u64,
 ) -> Vec<(TenantFleetReport, TenantSnapshot)> {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(None));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let cluster = DdsCluster::build(ClusterConfig {
             shards: SHARDS,
             ..ClusterConfig::default()
@@ -163,17 +157,14 @@ fn measure(
         };
         let gw = Gateway::front(client, config);
         let reports = run_tenant_fleet(&gw, &workloads, seed).await;
-        let paired: Vec<(TenantFleetReport, TenantSnapshot)> = reports
+        reports
             .into_iter()
             .map(|r| {
                 let snap = gw.snapshot(r.tenant);
                 (r, snap)
             })
-            .collect();
-        out2.set(Some(paired));
-    });
-    sim.run();
-    out.take().expect("measurement must complete")
+            .collect()
+    })
 }
 
 /// Solo baseline p99 for one tenant: same cluster, same gateway

@@ -11,10 +11,7 @@
 //! harness charges the calibrated costs without re-running LZ77 at every
 //! point).
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_hw::{AccelKind, CpuPool, DpuSpec, HostSpec, Platform};
 
 use crate::table::Table;
@@ -60,25 +57,17 @@ fn time_cpu(host: HostSpec, bytes: u64) -> u64 {
     } else {
         dpdpu_hw::costs::DEFLATE_CYCLES_PER_BYTE_ARM
     };
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let cpu = CpuPool::new(host.name, 1, host.clock_hz);
         cpu.exec(bytes * cycles_per_byte).await;
-        out2.set(now());
-    });
-    sim.run();
-    out.get()
+        now()
+    })
 }
 
 /// Times the BF-2 compression engine (streaming in 1 MB jobs through its
 /// hardware contexts, as the DOCA API would).
 fn time_asic(bytes: u64) -> u64 {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let p = Platform::new(HostSpec::epyc(), DpuSpec::bluefield2());
         let accel = p
             .accel(AccelKind::Compression)
@@ -95,10 +84,8 @@ fn time_asic(bytes: u64) -> u64 {
             handles.push(dpdpu_des::spawn(async move { accel.process(job).await }));
         }
         dpdpu_des::join_all(handles).await;
-        out2.set(now());
-    });
-    sim.run();
-    out.get()
+        now()
+    })
 }
 
 #[cfg(test)]

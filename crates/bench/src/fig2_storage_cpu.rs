@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use dpdpu_des::{now, sleep_until, spawn, Sim, SECONDS};
+use dpdpu_des::{block_on, now, sleep_until, spawn, SECONDS};
 use dpdpu_hw::{Platform, Ssd};
 use dpdpu_storage::{BlockDevice, ExtentFs, FileService, HostFrontEnd, HostKernelPath};
 
@@ -62,10 +62,7 @@ pub fn run() -> String {
 /// Drives an open-loop random-read workload at `target_iops` for the
 /// window; returns (achieved IOPS, host cores consumed).
 fn measure(path: Path, target_iops: u64) -> (f64, f64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0.0f64, 0.0f64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         // The paper's testbed sustains 450K×8KB ≈ 3.7 GB/s: model an SSD
         // array with headroom instead of a single consumer device.
@@ -134,10 +131,8 @@ fn measure(path: Path, target_iops: u64) -> (f64, f64) {
         dpdpu_des::join_all(handles).await;
         let elapsed = (now() - t0).max(1);
         let achieved = completed.get() as f64 * SECONDS as f64 / elapsed as f64;
-        out2.set((achieved, platform.host_cpu.cores_consumed(elapsed)));
-    });
-    sim.run();
-    out.get()
+        (achieved, platform.host_cpu.cores_consumed(elapsed))
+    })
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dpdpu_des::{now, sleep_until, Sim, SECONDS};
+use dpdpu_des::{block_on, now, sleep_until, SECONDS};
 use dpdpu_hw::{CpuPool, LinkConfig, PcieLink};
 use dpdpu_net::tcp::{TcpConnector, TcpSide, TcpStack};
 
@@ -50,10 +50,7 @@ pub fn run() -> String {
 /// Paces `FLOWS` parallel flows to an aggregate `target_gbps` for the
 /// window; returns (achieved aggregate Gbps, sender host cores).
 fn measure(stack: TcpStack, target_gbps: u64) -> (f64, f64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0.0f64, 0.0f64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let src_host = CpuPool::new("src-host", 32, 3_000_000_000);
         let src_dpu = CpuPool::new("src-dpu", 8, 2_500_000_000);
         let src_pcie = PcieLink::new("src-pcie", 16_000_000_000);
@@ -94,10 +91,8 @@ fn measure(stack: TcpStack, target_gbps: u64) -> (f64, f64) {
         dpdpu_des::join_all(handles).await;
         let elapsed = (now() - t0).max(1);
         let gbps = delivered.get() as f64 * 8.0 / elapsed as f64;
-        out2.set((gbps, src_host.cores_consumed(elapsed)));
-    });
-    sim.run();
-    out.get()
+        (gbps, src_host.cores_consumed(elapsed))
+    })
 }
 
 #[cfg(test)]

@@ -6,10 +6,7 @@
 //! verbs itself. We sweep transfer sizes and report issuing-host CPU
 //! cycles per op and completion latency for both designs.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_hw::{CpuPool, LinkConfig, PcieLink};
 use dpdpu_net::rdma::rdma_pair;
 use dpdpu_net::rdma_offload::offload_qp;
@@ -48,10 +45,7 @@ pub fn run() -> String {
 
 /// Standard verbs: host issues. Returns (host cycles/op, p50 ns).
 fn measure_verbs(bytes: u64) -> (f64, u64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0.0f64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let host = CpuPool::new("host", 8, 3_000_000_000);
         let remote = CpuPool::new("remote", 8, 3_000_000_000);
         let (qp, _r) = rdma_pair(host.clone(), remote, LinkConfig::rack_100g());
@@ -62,18 +56,13 @@ fn measure_verbs(bytes: u64) -> (f64, u64) {
             lat.record(now() - t);
         }
         let cyc_per_op = host.busy_ns() as f64 * 3.0 / OPS as f64; // 3 GHz
-        out2.set((cyc_per_op, lat.p50().unwrap()));
-    });
-    sim.run();
-    out.get()
+        (cyc_per_op, lat.p50().unwrap())
+    })
 }
 
 /// NE rings: DPU issues. Returns (host cycles/op, p50 ns).
 fn measure_rings(bytes: u64) -> (f64, u64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0.0f64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let host = CpuPool::new("host", 8, 3_000_000_000);
         let dpu = CpuPool::new("dpu", 8, 2_500_000_000);
         let remote = CpuPool::new("remote", 8, 3_000_000_000);
@@ -87,10 +76,8 @@ fn measure_rings(bytes: u64) -> (f64, u64) {
             lat.record(now() - t);
         }
         let cyc_per_op = host.busy_ns() as f64 * 3.0 / OPS as f64;
-        out2.set((cyc_per_op, lat.p50().unwrap()));
-    });
-    sim.run();
-    out.get()
+        (cyc_per_op, lat.p50().unwrap())
+    })
 }
 
 #[cfg(test)]

@@ -7,12 +7,9 @@
 //! remote 8 KB read through the full DDS server (network included) with
 //! the director forced each way, and break down where the time goes.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_dds::server::{Dds, DdsConfig};
-use dpdpu_des::{now, Histogram, Sim};
+use dpdpu_des::{block_on, now, Histogram};
 use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
@@ -60,10 +57,7 @@ fn measure(offload: bool) -> (u64, u64) {
 
 /// As [`measure`], with a DPU page cache of `cache_pages`.
 fn measure_with(offload: bool, cache_pages: usize) -> (u64, u64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         let dds = Dds::build(
             platform.clone(),
@@ -99,10 +93,8 @@ fn measure_with(offload: bool, cache_pages: usize) -> (u64, u64) {
             lat.record(now() - t);
             assert_eq!(img.len(), 8_192);
         }
-        out2.set((lat.p50().unwrap(), lat.p99().unwrap()));
-    });
-    sim.run();
-    out.get()
+        (lat.p50().unwrap(), lat.p99().unwrap())
+    })
 }
 
 #[cfg(test)]

@@ -8,13 +8,10 @@
 //! then scale the per-request saving to a production request rate to
 //! recover the paper's headline.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::{Dds, DdsConfig};
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
@@ -75,8 +72,7 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
 
     let t = Telemetry::install();
     let session = t.clone();
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         platform.register_telemetry(&session);
         let sampler = dpdpu_telemetry::start_sampler(50_000); // 50 µs ticks
@@ -111,7 +107,6 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
         }
         sampler.stop();
     });
-    sim.run();
     Telemetry::uninstall();
     t.write_chrome_trace(path)?;
     Ok(t.summary())
@@ -124,10 +119,7 @@ struct Measurement {
 }
 
 fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
-    let mut sim = Sim::new();
-    let out = Rc::new(Cell::new((0.0f64, 0.0f64, 0.0f64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         let dds = Dds::build(
             platform.clone(),
@@ -169,17 +161,12 @@ fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
         let elapsed = (now() - t0).max(1);
         let frac =
             dds.served_dpu.get() as f64 / (dds.served_dpu.get() + dds.served_host.get()) as f64;
-        let cores = platform.host_cpu.cores_consumed(elapsed);
-        let cyc_per_req = platform.host_cpu.busy_ns() as f64 * 3.0 / GETS as f64;
-        out2.set((frac, cores, cyc_per_req));
-    });
-    sim.run();
-    let (offload_fraction, host_cores, cyc_per_req) = out.get();
-    Measurement {
-        offload_fraction,
-        host_cores,
-        cyc_per_req,
-    }
+        Measurement {
+            offload_fraction: frac,
+            host_cores: platform.host_cpu.cores_consumed(elapsed),
+            cyc_per_req: platform.host_cpu.busy_ns() as f64 * 3.0 / GETS as f64,
+        }
+    })
 }
 
 #[cfg(test)]

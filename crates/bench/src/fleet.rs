@@ -602,20 +602,8 @@ mod tests {
     use std::cell::Cell;
 
     use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
-    use dpdpu_des::Sim;
+    use dpdpu_des::block_on;
     use dpdpu_hw::CpuPool;
-
-    fn run_async<Fut: std::future::Future<Output = ()> + 'static>(fut: Fut) {
-        let mut sim = Sim::new();
-        let done = Rc::new(Cell::new(false));
-        let flag = done.clone();
-        sim.spawn(async move {
-            fut.await;
-            flag.set(true);
-        });
-        sim.run();
-        assert!(done.get(), "simulation deadlocked mid-fleet");
-    }
 
     /// Drives [`client_loop`] against a scripted in-memory target: every
     /// request sleeps `service_ns`, then resolves by its index (`Ok`,
@@ -650,7 +638,7 @@ mod tests {
 
     #[test]
     fn client_loop_windows_paces_and_tallies() {
-        run_async(async {
+        block_on(async {
             let steady = Pace {
                 ops: 12,
                 pipeline: 3,
@@ -714,7 +702,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "request mix must sum to 100")]
     fn fleet_rejects_a_mix_that_does_not_sum_to_100() {
-        run_async(async {
+        block_on(async {
             let cfg = FleetConfig {
                 mix: Mix {
                     read_pct: 90,
@@ -733,7 +721,7 @@ mod tests {
         use dpdpu_core::TenantSpec;
         use dpdpu_dds::gateway::GatewayConfig;
 
-        run_async(async {
+        block_on(async {
             let gw = Gateway::front(
                 small_cluster().await,
                 GatewayConfig::new(vec![TenantSpec::latency("kv", 1)]),
@@ -787,7 +775,7 @@ mod tests {
     #[test]
     fn fleet_conserves_and_measures() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 ..ClusterConfig::default()
@@ -826,9 +814,7 @@ mod tests {
     #[test]
     fn fleet_is_deterministic_per_seed() {
         let run = || {
-            let out = Rc::new(Cell::new(None));
-            let out2 = out.clone();
-            run_async(async move {
+            block_on(async move {
                 let cluster = DdsCluster::build(ClusterConfig {
                     shards: 2,
                     ..ClusterConfig::default()
@@ -842,9 +828,8 @@ mod tests {
                 };
                 preload(&client, &cfg).await;
                 let r = run_fleet(&client, cfg).await;
-                out2.set(Some((r.issued, r.ok, r.elapsed_ns, r.p50_ns, r.p99_ns)));
-            });
-            out.get().unwrap()
+                (r.issued, r.ok, r.elapsed_ns, r.p50_ns, r.p99_ns)
+            })
         };
         assert_eq!(run(), run(), "same seed must reproduce the same run");
     }
@@ -855,7 +840,7 @@ mod tests {
         use dpdpu_dds::gateway::GatewayConfig;
 
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 ..ClusterConfig::default()
@@ -920,9 +905,7 @@ mod tests {
         use dpdpu_dds::gateway::GatewayConfig;
 
         let run = || {
-            let out = Rc::new(Cell::new(None));
-            let out2 = out.clone();
-            run_async(async move {
+            block_on(async move {
                 let cluster = DdsCluster::build(ClusterConfig {
                     shards: 2,
                     ..ClusterConfig::default()
@@ -948,23 +931,22 @@ mod tests {
                     ..TenantWorkload::new(t)
                 };
                 let reports = run_tenant_fleet(&gw, &[wl(0), wl(1)], 7).await;
-                out2.set(Some((
+                (
                     reports[0].report.elapsed_ns,
                     reports[0].report.p99_ns,
                     reports[0].logical_seen,
                     reports[1].report.elapsed_ns,
                     reports[1].report.p99_ns,
                     reports[1].logical_seen,
-                )));
-            });
-            out.get().unwrap()
+                )
+            })
         };
         assert_eq!(run(), run(), "same seed must reproduce the same run");
     }
 
     #[test]
     fn open_loop_gap_paces_batches() {
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig::default()).await;
             let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
             let cfg = FleetConfig {

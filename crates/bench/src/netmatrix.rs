@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dpdpu_des::{now, Histogram, Sim, Time};
+use dpdpu_des::{block_on, now, Histogram, Time};
 use dpdpu_faults::{FaultPlan, SessionGuard};
 use dpdpu_hw::{CpuPool, LinkConfig};
 use dpdpu_net::tcp::{CongAlgKind, TcpConnector, TcpParams, TcpSide};
@@ -155,10 +155,6 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
     let guard = sh.fault_plan.clone().map(SessionGuard::new);
     let label = format!("net-{}-{}", scenario.name(), alg.name());
 
-    let latency = Rc::new(Histogram::new());
-    let out = Rc::new(RefCell::new((0u64, 0u64))); // (delivered msgs, last delivery ns)
-    let latency2 = latency.clone();
-    let out2 = out.clone();
     let streams = sh.streams;
     let msgs = sh.msgs_per_stream;
     let bytes = sh.msg_bytes;
@@ -166,8 +162,9 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
     let params = sh.params;
     let cell = label.clone();
 
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    let (p50_ns, p99_ns, delivered, last_ns) = block_on(async move {
+        let latency = Rc::new(Histogram::new());
+        let out = Rc::new(RefCell::new((0u64, 0u64))); // (delivered msgs, last delivery ns)
         let src = TcpSide::host(CpuPool::new(
             format!("{cell}-src"),
             (streams * 2).max(8),
@@ -196,8 +193,8 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
                 tx.send(Bytes::from(vec![0u8; bytes]));
             }
             drop(tx); // half-close: FIN after the burst drains
-            let latency = latency2.clone();
-            let out = out2.clone();
+            let latency = latency.clone();
+            let out = out.clone();
             handles.push(dpdpu_des::spawn(async move {
                 while let Some(msg) = rx.recv().await {
                     let t0 = submitted
@@ -215,11 +212,16 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
         for h in handles {
             h.await;
         }
+        let (delivered, last_ns) = *out.borrow();
+        (
+            latency.p50().unwrap_or(0),
+            latency.p99().unwrap_or(0),
+            delivered,
+            last_ns,
+        )
     });
-    sim.run();
     drop(guard);
 
-    let (delivered, last_ns) = *out.borrow();
     let payload_bits = (delivered * bytes as u64 * 8) as f64;
     let (mut retransmits, mut ecn_echoes) = (0u64, 0u64);
     for conn in 0..streams {
@@ -233,8 +235,8 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
         }
     }
     CellReport {
-        p50_us: latency.p50().unwrap_or(0) as f64 / 1_000.0,
-        p99_us: latency.p99().unwrap_or(0) as f64 / 1_000.0,
+        p50_us: p50_ns as f64 / 1_000.0,
+        p99_us: p99_ns as f64 / 1_000.0,
         goodput_gbps: if last_ns > 0 {
             payload_bits / last_ns as f64
         } else {

@@ -9,16 +9,14 @@
 //! requires byte-identical output, and the golden-trace harness pins
 //! the seed-42 outputs as blessed fixtures under `tests/golden/`.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
 use dpdpu_core::DpdpuBuilder;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::{Dds, DdsConfig};
-use dpdpu_des::{now, Sim};
+use dpdpu_des::{block_on, now};
 use dpdpu_faults::{FaultPlan, SessionGuard};
 use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
@@ -59,10 +57,8 @@ pub fn by_name(name: &str) -> Option<ScenarioFn> {
 }
 
 /// Shared harness: installs telemetry and a strict check session, runs
-/// `body` (which must create and drop its `Sim` inside), appends the
-/// conformance report line, and tears both sessions down. The guard
-/// outlives the body's `Sim`, so the end-of-run balance sweeps see the
-/// fully torn-down simulation.
+/// `body`, appends the conformance report line, and tears both sessions
+/// down.
 fn harness(body: impl FnOnce(&mut String)) -> ScenarioRun {
     let telemetry = Telemetry::install();
     let check = dpdpu_check::CheckGuard::new();
@@ -90,10 +86,7 @@ pub fn storage_faults(seed: u64) -> ScenarioRun {
                 .ssd_read_errors(0.15)
                 .ssd_slow_io(0.05, 100_000),
         );
-        let out = Rc::new(RefCell::new(None::<(u64, u64, u64, u64)>));
-        let out2 = out.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let (written, mismatches, surfaced, retries) = block_on(async move {
             let rt = DpdpuBuilder::new().bluefield2().boot();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut written = 0u64;
@@ -112,10 +105,8 @@ pub fn storage_faults(seed: u64) -> ScenarioRun {
                     Err(_) => surfaced += 1,
                 }
             }
-            *out2.borrow_mut() = Some((written, mismatches, surfaced, rt.storage.retries.get()));
+            (written, mismatches, surfaced, rt.storage.retries.get())
         });
-        sim.run();
-        let (written, mismatches, surfaced, retries) = out.borrow_mut().take().unwrap();
         let injected = guard.session.report().total();
         let _ = writeln!(stdout, "## scenario storage_faults (seed {seed})");
         let _ = writeln!(
@@ -136,10 +127,7 @@ pub fn dds_kv(seed: u64) -> ScenarioRun {
     const VALUE: usize = 256;
     harness(|stdout| {
         let guard = SessionGuard::new(FaultPlan::new(seed).link_drops(0.02).ssd_read_errors(0.02));
-        let out = Rc::new(RefCell::new(None::<(u64, u64, f64, u64, u64)>));
-        let out2 = out.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let (resolved, errors, host_frac, retries, total_ns) = block_on(async move {
             let platform = Platform::default_bf2();
             if let Some(t) = Telemetry::current() {
                 platform.register_telemetry(&t);
@@ -184,11 +172,8 @@ pub fn dds_kv(seed: u64) -> ScenarioRun {
             } else {
                 dds.served_host.get() as f64 / served as f64
             };
-            *out2.borrow_mut() =
-                Some((resolved, errors, host_frac, client.retries.get(), total_ns));
+            (resolved, errors, host_frac, client.retries.get(), total_ns)
         });
-        sim.run();
-        let (resolved, errors, host_frac, retries, total_ns) = out.borrow_mut().take().unwrap();
         let injected = guard.session.report().total();
         let _ = writeln!(stdout, "## scenario dds_kv (seed {seed})");
         let _ = writeln!(
@@ -208,10 +193,7 @@ pub fn dds_kv(seed: u64) -> ScenarioRun {
 pub fn compute_pipeline(seed: u64) -> ScenarioRun {
     const ROWS: usize = 256;
     harness(|stdout| {
-        let out = Rc::new(RefCell::new(None::<String>));
-        let out2 = out.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let line = block_on(async move {
             let platform = Platform::default_bf2();
             let engine = ComputeEngine::new(platform);
             let batch = dpdpu_kernels::record::gen::orders(ROWS, seed);
@@ -257,15 +239,13 @@ pub fn compute_pipeline(seed: u64) -> ScenarioRun {
             };
             assert_eq!(decrypted, page, "AES-CTR must be an involution");
             let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-            *out2.borrow_mut() = Some(format!(
+            format!(
                 "rows={ROWS} page_bytes={page_len} compressed_bytes={} \
                  sha256={hex} crypt_roundtrip=ok t_end={}",
                 compressed.len(),
                 now(),
-            ));
+            )
         });
-        sim.run();
-        let line = out.borrow_mut().take().unwrap();
         let _ = writeln!(stdout, "## scenario compute_pipeline (seed {seed})");
         let _ = writeln!(stdout, "{line}");
     })
@@ -283,10 +263,7 @@ pub fn cluster_fleet(seed: u64) -> ScenarioRun {
 
     harness(|stdout| {
         let guard = SessionGuard::new(FaultPlan::new(seed).link_drops(0.01).ssd_read_errors(0.01));
-        let out = Rc::new(RefCell::new(None::<(String, String)>));
-        let out2 = out.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let (summary, shards) = block_on(async move {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 3,
                 ..ClusterConfig::default()
@@ -326,10 +303,8 @@ pub fn cluster_fleet(seed: u64) -> ScenarioRun {
                 })
                 .collect::<Vec<_>>()
                 .join(" ");
-            *out2.borrow_mut() = Some((report.summary(), shards));
+            (report.summary(), shards)
         });
-        sim.run();
-        let (summary, shards) = out.borrow_mut().take().unwrap();
         let injected = guard.session.report().total();
         let _ = writeln!(stdout, "## scenario cluster_fleet (seed {seed})");
         let _ = writeln!(stdout, "{summary} injected={injected}");
@@ -356,10 +331,7 @@ pub fn cluster_fabric(seed: u64) -> ScenarioRun {
         let _ = writeln!(stdout, "## scenario cluster_fabric (seed {seed})");
         for fabric in FabricKind::ALL {
             let guard = SessionGuard::new(FaultPlan::new(seed ^ 0xFAB).link_drops(0.01));
-            let out = Rc::new(RefCell::new(None::<(String, u64)>));
-            let out2 = out.clone();
-            let mut sim = Sim::new();
-            sim.spawn(async move {
+            let (summary, host_busy) = block_on(async move {
                 let cluster = DdsCluster::build(ClusterConfig {
                     shards: 2,
                     net: dpdpu_net::NetConfig::default().with_fabric(fabric),
@@ -388,10 +360,8 @@ pub fn cluster_fabric(seed: u64) -> ScenarioRun {
                 let host_busy: u64 = (0..cluster.shards())
                     .map(|i| cluster.platform(i).host_cpu.busy_ns())
                     .sum();
-                *out2.borrow_mut() = Some((report.summary(), host_busy));
+                (report.summary(), host_busy)
             });
-            sim.run();
-            let (summary, host_busy) = out.borrow_mut().take().unwrap();
             let injected = guard.session.report().total();
             let _ = writeln!(
                 stdout,
@@ -458,19 +428,13 @@ pub fn cluster_failover(seed: u64) -> ScenarioRun {
         // zombie gets to wake up fenced.
         let guard =
             SessionGuard::new(FaultPlan::new(seed).shard_crash("node1", 16_000_000, 96_000_000));
-        let out = Rc::new(RefCell::new(None::<(String, String, String, usize)>));
-        let out2 = out.clone();
-        let cluster_slot = Rc::new(RefCell::new(None::<Rc<dpdpu_dds::cluster::DdsCluster>>));
-        let slot = cluster_slot.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let (summary, repl, shards, new_shard, cluster) = block_on(async move {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 4,
                 replicas: 2,
                 ..ClusterConfig::default()
             })
             .await;
-            *slot.borrow_mut() = Some(cluster.clone());
             let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
             let cfg = FleetConfig {
                 clients: 6,
@@ -532,18 +496,12 @@ pub fn cluster_failover(seed: u64) -> ScenarioRun {
                 })
                 .collect::<Vec<_>>()
                 .join(" ");
-            *out2.borrow_mut() = Some((report.summary(), repl, shards, new_shard));
+            (report.summary(), repl, shards, new_shard, cluster)
         });
-        sim.run();
-        let (summary, repl, shards, new_shard) = out.borrow_mut().take().unwrap();
         let injected = guard.session.report().total();
         // Replica digests feed the check session's finish sweep; the
         // harness's CheckGuard fails the scenario on any divergence.
-        cluster_slot
-            .borrow()
-            .as_ref()
-            .expect("cluster must escape the sim")
-            .verify_replicas();
+        cluster.verify_replicas();
         let _ = writeln!(stdout, "## scenario cluster_failover (seed {seed})");
         let _ = writeln!(
             stdout,
@@ -571,10 +529,7 @@ pub fn gateway_tenants(seed: u64) -> ScenarioRun {
 
     harness(|stdout| {
         let guard = SessionGuard::new(FaultPlan::new(seed ^ 0x6A7E).link_drops(0.01));
-        let out = Rc::new(RefCell::new(None::<(Vec<String>, u64)>));
-        let out2 = out.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let (lines, distinct) = block_on(async move {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 ..ClusterConfig::default()
@@ -650,10 +605,8 @@ pub fn gateway_tenants(seed: u64) -> ScenarioRun {
                     r.logical_seen
                 ));
             }
-            *out2.borrow_mut() = Some((lines, distinct));
+            (lines, distinct)
         });
-        sim.run();
-        let (lines, distinct) = out.borrow_mut().take().unwrap();
         let injected = guard.session.report().total();
         let _ = writeln!(stdout, "## scenario gateway_tenants (seed {seed})");
         let _ = writeln!(

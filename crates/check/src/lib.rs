@@ -799,13 +799,15 @@ impl Probe for CheckSession {
 /// on drop runs [`CheckSession::finish`], uninstalls, and panics if any
 /// violation was recorded (unless the thread is already panicking).
 ///
-/// Declare the guard *before* the `Sim` so the simulation (and the
-/// permits its tasks hold) is torn down first:
+/// The guard must outlive the simulation, so the permits its tasks
+/// hold are released before the balance sweeps run.
+/// `dpdpu_des::block_on` tears its `Sim` down before it returns:
 ///
 /// ```
 /// let _check = dpdpu_check::CheckGuard::new();
-/// let mut sim = dpdpu_des::Sim::new();
-/// // ... spawn, run ...
+/// dpdpu_des::block_on(async {
+///     // ... the workload ...
+/// });
 /// ```
 pub struct CheckGuard {
     session: Rc<CheckSession>,

@@ -2,7 +2,7 @@
 //!
 //! `Dpdpu::start(platform)` wired everything positionally and left no
 //! room for the knobs robustness needs (scheduling policy, fault plan,
-//! telemetry opt-out). [`DpdpuBuilder`] is the front door now;
+//! tenants). [`DpdpuBuilder`] is the front door now;
 //! `Dpdpu::start`/`start_default` remain as thin shims over it.
 //!
 //! ```
@@ -10,8 +10,7 @@
 //! use dpdpu_compute::SchedPolicy;
 //! use dpdpu_faults::FaultPlan;
 //!
-//! let mut sim = dpdpu_des::Sim::new();
-//! sim.spawn(async {
+//! dpdpu_des::block_on(async {
 //!     let rt = DpdpuBuilder::new()
 //!         .bluefield2()
 //!         .sched_policy(SchedPolicy::Fcfs)
@@ -20,7 +19,6 @@
 //!     let file = rt.storage.create("t").await.unwrap();
 //!     rt.storage.write(file, 0, b"payload").await.unwrap();
 //! });
-//! sim.run();
 //! # dpdpu_faults::FaultSession::uninstall();
 //! ```
 
@@ -29,8 +27,6 @@ use std::rc::Rc;
 use dpdpu_compute::{ComputeEngine, SchedPolicy, Scheduler};
 use dpdpu_faults::{FaultPlan, FaultSession};
 use dpdpu_hw::{DpuSpec, HostSpec, Platform};
-use dpdpu_net::fabric::FabricKind;
-use dpdpu_net::NetConfig;
 use dpdpu_storage::{BlockDevice, ExtentFs, FileService, HostFrontEnd};
 
 use crate::runtime::Dpdpu;
@@ -40,45 +36,31 @@ use crate::tenants::TenantSpec;
 /// File-system capacity the runtime formats at boot, in 4 KB blocks.
 const FS_CAPACITY_BLOCKS: u64 = 1 << 24;
 
-/// Hardware preset applied when no explicit platform is given. Kept
-/// symbolic (not an eager `Platform`) so a later [`DpdpuBuilder::tag`]
-/// or [`DpdpuBuilder::boot_cluster`] can still name the resources.
-#[derive(Debug, Clone, Copy)]
-enum Preset {
-    Bluefield2,
-    Bluefield3,
-}
-
 /// Fluent builder for [`Dpdpu`].
 pub struct DpdpuBuilder {
     platform: Option<Rc<Platform>>,
-    preset: Preset,
-    tag: String,
+    /// DPU paired with the EPYC host when no explicit platform is given.
+    dpu: DpuSpec,
     sched_policy: SchedPolicy,
     tenant_specs: Vec<TenantSpec>,
     fault_plan: Option<FaultPlan>,
-    telemetry: bool,
-    net: NetConfig,
 }
 
 impl Default for DpdpuBuilder {
     fn default() -> Self {
         DpdpuBuilder {
             platform: None,
-            preset: Preset::Bluefield2,
-            tag: String::new(),
+            dpu: DpuSpec::bluefield2(),
             sched_policy: SchedPolicy::Fcfs,
             tenant_specs: Vec::new(),
             fault_plan: None,
-            telemetry: true,
-            net: NetConfig::default(),
         }
     }
 }
 
 impl DpdpuBuilder {
     /// A builder with the defaults: EPYC + BlueField-2, FCFS scheduling,
-    /// single tenant, no faults, telemetry registration on.
+    /// single tenant, no faults.
     pub fn new() -> Self {
         Self::default()
     }
@@ -91,36 +73,15 @@ impl DpdpuBuilder {
 
     /// Preset: EPYC host + BlueField-2 DPU (the paper's test rig).
     pub fn bluefield2(mut self) -> Self {
-        self.preset = Preset::Bluefield2;
+        self.dpu = DpuSpec::bluefield2();
         self
     }
 
     /// Preset: EPYC host + BlueField-3 DPU (no RegEx engine — the
     /// heterogeneity case of §5).
     pub fn bluefield3(mut self) -> Self {
-        self.preset = Preset::Bluefield3;
+        self.dpu = DpuSpec::bluefield3();
         self
-    }
-
-    /// Prefixes every preset-built resource name with `tag.` — required
-    /// when several platforms share one simulation, so CPU pools, PCIe
-    /// links, and SSDs stay distinct in telemetry and conformance
-    /// accounting. Ignored when an explicit [`platform`](Self::platform)
-    /// is supplied.
-    pub fn tag(mut self, tag: impl Into<String>) -> Self {
-        self.tag = tag.into();
-        self
-    }
-
-    fn preset_platform(&self, tag: &str) -> Rc<Platform> {
-        match self.preset {
-            Preset::Bluefield2 => {
-                Platform::new_tagged(HostSpec::epyc(), DpuSpec::bluefield2(), tag)
-            }
-            Preset::Bluefield3 => {
-                Platform::new_tagged(HostSpec::epyc(), DpuSpec::bluefield3(), tag)
-            }
-        }
     }
 
     /// Sproc scheduling policy for the runtime's [`Scheduler`].
@@ -149,80 +110,22 @@ impl DpdpuBuilder {
         self
     }
 
-    /// Whether to register the platform's resources with an installed
-    /// telemetry session at boot (default `true`; a no-op when no
-    /// session is installed).
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
-    /// The full network configuration — link shaping, TCP tunables
-    /// (congestion control included), and fabric selection — carried as
-    /// [`Dpdpu::net`] for the serving layers (e.g. a DDS
-    /// `ClusterConfig`) to consume. The runtime itself opens no
-    /// connections.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Which cluster fabric this runtime's cluster connections should
-    /// ride (default [`FabricKind::Tcp`]). Shorthand for setting
-    /// [`NetConfig::fabric`] through [`Self::net`].
-    pub fn fabric(mut self, kind: FabricKind) -> Self {
-        self.net.fabric = kind;
-        self
-    }
-
-    /// Boots the runtime: installs the fault plan (if any), formats the
-    /// file system, starts the DPU file service, host front end, Compute
-    /// Engine, and sproc scheduler. Must be called inside a running
-    /// simulation.
+    /// Boots the runtime: installs the fault plan (if any), registers the
+    /// platform's resources with an installed telemetry session, formats
+    /// the file system, starts the DPU file service, host front end,
+    /// Compute Engine, and sproc scheduler. Must be called inside a
+    /// running simulation.
     pub fn boot(self) -> Rc<Dpdpu> {
         // Conformance is always-on: every builder-booted run gets the
         // invariant checker. An outer `CheckGuard` (strict, owned by the
         // caller) is respected — this only fills the slot when empty.
         dpdpu_check::CheckSession::ensure_installed();
-        let faults = self.fault_plan.clone().map(FaultSession::install);
-        let platform = match &self.platform {
-            Some(p) => p.clone(),
-            None => self.preset_platform(&self.tag),
-        };
-        self.boot_one(platform, faults)
-    }
-
-    /// Boots `n` independent runtimes inside one simulation, each on
-    /// its own `node{i}`-tagged preset platform (prefixed by
-    /// [`tag`](Self::tag) when set). The fault plan, if any, is
-    /// installed once and shared — fault sessions are per-thread, not
-    /// per-platform.
-    pub fn boot_cluster(self, n: usize) -> Vec<Rc<Dpdpu>> {
-        assert!(n > 0, "cluster must have at least one node");
-        assert!(
-            self.platform.is_none(),
-            "boot_cluster builds its own platforms; don't pass an explicit one"
-        );
-        dpdpu_check::CheckSession::ensure_installed();
-        let faults = self.fault_plan.clone().map(FaultSession::install);
-        (0..n)
-            .map(|i| {
-                let node_tag = if self.tag.is_empty() {
-                    format!("node{i}")
-                } else {
-                    format!("{}.node{i}", self.tag)
-                };
-                let platform = self.preset_platform(&node_tag);
-                self.boot_one(platform, faults.clone())
-            })
-            .collect()
-    }
-
-    fn boot_one(&self, platform: Rc<Platform>, faults: Option<Rc<FaultSession>>) -> Rc<Dpdpu> {
-        if self.telemetry {
-            if let Some(t) = dpdpu_telemetry::Telemetry::current() {
-                platform.register_telemetry(&t);
-            }
+        let faults = self.fault_plan.map(FaultSession::install);
+        let platform = self
+            .platform
+            .unwrap_or_else(|| Platform::new(HostSpec::epyc(), self.dpu));
+        if let Some(t) = dpdpu_telemetry::Telemetry::current() {
+            platform.register_telemetry(&t);
         }
         let fs = ExtentFs::format(BlockDevice::new(platform.ssd.clone(), FS_CAPACITY_BLOCKS));
         let storage = FileService::new(fs, platform.dpu_cpu.clone(), platform.dpu_ssd_pcie.clone());
@@ -251,8 +154,7 @@ impl DpdpuBuilder {
             scheduler,
             sprocs: SprocRegistry::new(),
             faults,
-            net: self.net,
-            tenants: self.tenant_specs.clone(),
+            tenants: self.tenant_specs,
         })
     }
 }
@@ -293,33 +195,6 @@ mod tests {
         });
         sim.run();
         FaultSession::uninstall();
-    }
-
-    #[test]
-    fn boot_cluster_isolates_node_resources() {
-        let mut sim = Sim::new();
-        sim.spawn(async {
-            let nodes = DpdpuBuilder::new().boot_cluster(3);
-            assert_eq!(nodes.len(), 3);
-            let names: std::collections::HashSet<String> = nodes
-                .iter()
-                .map(|n| n.platform.host_cpu.name().to_string())
-                .collect();
-            assert_eq!(names.len(), 3, "host CPU pools must be distinct");
-            assert_eq!(nodes[0].platform.tag, "node0");
-            assert_eq!(nodes[2].platform.tag, "node2");
-            // Every node's storage stack works independently.
-            for (i, node) in nodes.iter().enumerate() {
-                let f = node.storage.create("t").await.unwrap();
-                node.storage
-                    .write(f, 0, format!("node-{i}").as_bytes())
-                    .await
-                    .unwrap();
-                let back = node.storage.read(f, 0, 6).await.unwrap();
-                assert_eq!(&back, format!("node-{i}").as_bytes());
-            }
-        });
-        sim.run();
     }
 
     #[test]

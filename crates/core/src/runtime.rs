@@ -8,7 +8,6 @@ use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placemen
 use dpdpu_faults::FaultSession;
 use dpdpu_hw::Platform;
 use dpdpu_net::tcp::TcpSender;
-use dpdpu_net::NetConfig;
 use dpdpu_storage::{FileId, FileService, HostFrontEnd};
 
 use crate::builder::DpdpuBuilder;
@@ -33,10 +32,6 @@ pub struct Dpdpu {
     /// The fault session installed at boot, if the builder was given a
     /// plan (handle for injection counts and reports).
     pub faults: Option<Rc<FaultSession>>,
-    /// The network configuration chosen at build time
-    /// ([`DpdpuBuilder::net`]); serving layers route their shard
-    /// connections over its fabric with its TCP/link settings.
-    pub net: NetConfig,
     /// Per-tenant QoS specs declared at build time
     /// ([`DpdpuBuilder::tenants`]); empty when the run is
     /// single-tenant. A serving-tier gateway enforces these on the

@@ -224,6 +224,21 @@ pub struct DdsCluster {
     config: ClusterConfig,
 }
 
+impl Drop for DdsCluster {
+    /// Releases every primary→backup chain link. A primary outlives the
+    /// cluster handle — its parked `serve` tasks own it, and on the RDMA
+    /// fabrics they never observe a peer hang-up — so a chain left in
+    /// its [`ReplRole`] would keep the link's NE ring poller re-arming
+    /// its idle timer for ever and the simulation could never quiesce.
+    fn drop(&mut self) {
+        for group in self.groups.borrow().iter() {
+            if let Some(role) = group.members[0].replication() {
+                role.backup.borrow_mut().take();
+            }
+        }
+    }
+}
+
 impl DdsCluster {
     /// Builds `config.shards` replica groups, each server on its own
     /// tagged BlueField-2 platform (`node{i}`, backups `node{i}r{j}`).
@@ -837,24 +852,7 @@ mod tests {
     use super::*;
     use std::collections::{HashMap, HashSet};
 
-    use dpdpu_des::Sim;
-
-    /// Runs an async test body to completion, failing loudly if the
-    /// simulation quiesces before the body finishes.
-    fn run_async<Fut: std::future::Future<Output = ()> + 'static>(fut: Fut) {
-        let mut sim = Sim::new();
-        let done = Rc::new(std::cell::Cell::new(false));
-        let flag = done.clone();
-        sim.spawn(async move {
-            fut.await;
-            flag.set(true);
-        });
-        sim.run();
-        assert!(
-            done.get(),
-            "simulation deadlocked before the test body completed"
-        );
-    }
+    use dpdpu_des::block_on;
 
     /// 10K distinct keys drawn from a zipfian(θ≈1) rank distribution
     /// over 100K ranks, scrambled onto the full u64 space — the key
@@ -968,7 +966,7 @@ mod tests {
     #[test]
     fn cluster_routes_puts_and_gets_across_all_shards() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 4,
                 ..ClusterConfig::default()
@@ -1013,7 +1011,7 @@ mod tests {
             let _check = dpdpu_check::CheckGuard::new();
             let busy = Rc::new(std::cell::Cell::new(0u64));
             let busy2 = busy.clone();
-            run_async(async move {
+            block_on(async move {
                 let cluster = DdsCluster::build(ClusterConfig {
                     shards: 3,
                     net: NetConfig::default().with_fabric(fabric),
@@ -1055,7 +1053,7 @@ mod tests {
 
     #[test]
     fn cluster_scan_merges_shards_in_key_order() {
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 3,
                 ..ClusterConfig::default()
@@ -1085,7 +1083,7 @@ mod tests {
     #[test]
     fn admission_control_sheds_when_a_shard_saturates() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 admission: 2,
@@ -1135,7 +1133,7 @@ mod tests {
 
     #[test]
     fn tagged_platforms_keep_per_shard_resources_distinct() {
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 ..ClusterConfig::default()
@@ -1155,18 +1153,55 @@ mod tests {
     }
 
     #[test]
+    fn replicated_rdma_offload_cluster_quiesces_once_dropped() {
+        // The chain link's NE ring poller re-arms for as long as its
+        // host handle lives; dropping the cluster must release it even
+        // though parked `serve` tasks still hold the primaries. Driven
+        // with a bounded `run_until`: an immortal poller would make
+        // `block_on` spin for ever.
+        let mut sim = dpdpu_des::Sim::new();
+        let finished = Rc::new(Cell::new(false));
+        let flag = finished.clone();
+        sim.spawn(async move {
+            let cluster = DdsCluster::build(ClusterConfig {
+                shards: 4,
+                replicas: 2,
+                net: NetConfig::default().with_fabric(FabricKind::RdmaOffload),
+                ..ClusterConfig::default()
+            })
+            .await;
+            let client = cluster.connect(CpuPool::new("client", 16, 3_000_000_000));
+            for key in 0..8u64 {
+                client
+                    .kv_put(key, Bytes::from(vec![1u8; 64]))
+                    .await
+                    .unwrap();
+            }
+            for key in 0..5u64 {
+                assert!(client.kv_get(key).await.unwrap().is_some());
+            }
+            flag.set(true);
+        });
+        let now = sim.run_until(50_000_000);
+        assert!(finished.get(), "workload must finish within 50 ms");
+        sim.run_until(now + 1_000_000_000);
+        assert_eq!(
+            sim.next_timer_deadline(),
+            None,
+            "a dropped cluster must leave no poller re-arming its timer"
+        );
+    }
+
+    #[test]
     fn replicated_cluster_serves_and_replicas_converge() {
         let _check = dpdpu_check::CheckGuard::new();
-        let cluster_out: Rc<RefCell<Option<Rc<DdsCluster>>>> = Rc::new(RefCell::new(None));
-        let out = cluster_out.clone();
-        run_async(async move {
+        let cluster = block_on(async move {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 replicas: 2,
                 ..ClusterConfig::default()
             })
             .await;
-            *out.borrow_mut() = Some(cluster.clone());
             let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
             let client = cluster.connect(client_cpu);
             for key in 0..24u64 {
@@ -1195,9 +1230,9 @@ mod tests {
                 assert!(role.chained.get() > 0, "group {g} chained no writes");
                 assert_eq!(role.solo_commits.get(), 0);
             }
+            cluster
         });
         // After quiesce: every group's replicas hold identical state.
-        let cluster = cluster_out.borrow().clone().unwrap();
         cluster.verify_replicas();
         for g in 0..2 {
             let group = cluster.group(g);
@@ -1213,7 +1248,7 @@ mod tests {
                 .shard_crash("node0", 1_000_000, 400_000_000),
         );
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async move {
+        block_on(async move {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 1,
                 replicas: 2,
@@ -1267,7 +1302,7 @@ mod tests {
     #[test]
     fn add_shard_migrates_keys_and_keeps_them_readable() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 ..ClusterConfig::default()
@@ -1316,7 +1351,7 @@ mod tests {
     #[test]
     fn remove_shard_drains_and_retires_the_victim() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 3,
                 ..ClusterConfig::default()
@@ -1360,7 +1395,7 @@ mod tests {
             1_000_000_000,
         ));
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 ..ClusterConfig::default()
@@ -1427,7 +1462,7 @@ mod tests {
             dpdpu_faults::FaultPlan::new(42).shard_crash("node0", 1_000_000, 10_000_000),
         );
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 1,
                 replicas: 2,
@@ -1489,7 +1524,7 @@ mod tests {
         // the promoted replica's fence exactly like a stale ReplPut —
         // while client-originated drops (epoch 0) still land.
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 1,
                 replicas: 2,

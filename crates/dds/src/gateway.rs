@@ -445,24 +445,11 @@ impl Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
-    use dpdpu_des::Sim;
+    use dpdpu_des::block_on;
     use dpdpu_hw::CpuPool;
 
     use crate::cluster::{ClusterConfig, DdsCluster};
-
-    fn run_async<Fut: std::future::Future<Output = ()> + 'static>(fut: Fut) {
-        let mut sim = Sim::new();
-        let done = Rc::new(Cell::new(false));
-        let flag = done.clone();
-        sim.spawn(async move {
-            fut.await;
-            flag.set(true);
-        });
-        sim.run();
-        assert!(done.get(), "simulation deadlocked mid-test");
-    }
 
     async fn small_gateway(config: GatewayConfig) -> Rc<Gateway> {
         let cluster = DdsCluster::build(ClusterConfig {
@@ -477,7 +464,7 @@ mod tests {
     #[test]
     fn gateway_routes_and_accounts_per_tenant() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let gw = small_gateway(GatewayConfig::new(vec![
                 TenantSpec::latency("kv", 4),
                 TenantSpec::batch("scan", 2),
@@ -506,7 +493,7 @@ mod tests {
     #[test]
     fn unknown_tenant_is_rejected_before_accounting() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let gw = small_gateway(GatewayConfig::new(vec![TenantSpec::latency("kv", 1)])).await;
             let err = gw.kv_get(TenantId(7), 1).await.unwrap_err();
             assert_eq!(err, DpdpuError::Unavailable("unknown tenant"));
@@ -516,7 +503,7 @@ mod tests {
     #[test]
     fn token_bucket_sheds_over_rate_traffic() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             // 4 ops of burst, then ~1 op/ms of refill: a 32-op burst at
             // t=0 must shed most of itself.
             let gw = small_gateway(GatewayConfig::new(vec![
@@ -551,7 +538,7 @@ mod tests {
     #[test]
     fn in_flight_cap_sheds_excess_concurrency() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let gw = small_gateway(GatewayConfig::new(vec![
                 TenantSpec::latency("capped", 1).in_flight(2)
             ]))
@@ -577,7 +564,7 @@ mod tests {
     #[test]
     fn unfair_mode_still_conserves_every_request() {
         let _check = dpdpu_check::CheckGuard::new();
-        run_async(async {
+        block_on(async {
             let gw = small_gateway(
                 GatewayConfig::new(vec![
                     TenantSpec::latency("a", 1).rate(10, 1),
@@ -608,10 +595,8 @@ mod tests {
     #[test]
     fn gateway_is_deterministic_per_run() {
         let run = || {
-            let out = Rc::new(Cell::new(None));
-            let out2 = out.clone();
             let _check = dpdpu_check::CheckGuard::new();
-            run_async(async move {
+            block_on(async move {
                 let gw = small_gateway(GatewayConfig::new(vec![
                     TenantSpec::latency("kv", 2),
                     TenantSpec::batch("scan", 1),
@@ -636,9 +621,8 @@ mod tests {
                 for h in handles {
                     h.await.expect("op");
                 }
-                out2.set(Some((now(), gw.snapshot(0).p99_ns, gw.snapshot(1).p99_ns)));
-            });
-            out.get().unwrap()
+                (now(), gw.snapshot(0).p99_ns, gw.snapshot(1).p99_ns)
+            })
         };
         assert_eq!(run(), run(), "same inputs must replay identically");
     }

@@ -912,28 +912,10 @@ impl DdsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpdpu_des::Sim;
+    use dpdpu_des::block_on;
     use dpdpu_hw::{CpuPool, LinkConfig};
     use dpdpu_net::tcp::{TcpConnector, TcpSide};
     use dpdpu_net::NetConfig;
-
-    /// Runs an async test body to completion, failing loudly if the
-    /// simulation quiesces before the body finishes (a deadlock would
-    /// otherwise make assertions unreachable and the test pass vacuously).
-    fn run_async<Fut: std::future::Future<Output = ()> + 'static>(fut: Fut) {
-        let mut sim = Sim::new();
-        let done = Rc::new(std::cell::Cell::new(false));
-        let flag = done.clone();
-        sim.spawn(async move {
-            fut.await;
-            flag.set(true);
-        });
-        sim.run();
-        assert!(
-            done.get(),
-            "simulation deadlocked before the test body completed"
-        );
-    }
 
     /// Builds server + connected client inside a running sim.
     async fn testbed(config: DdsConfig) -> (Rc<Dds>, Rc<DdsClient>, Rc<Platform>) {
@@ -950,7 +932,7 @@ mod tests {
 
     #[test]
     fn kv_end_to_end_over_the_network() {
-        run_async(async {
+        block_on(async {
             let (_dds, client, _p) = testbed(DdsConfig::default()).await;
             client
                 .kv_put(1, Bytes::from_static(b"value-1"))
@@ -974,7 +956,7 @@ mod tests {
 
     #[test]
     fn kv_scan_end_to_end_routes_by_residency() {
-        run_async(async {
+        block_on(async {
             let config = DdsConfig {
                 kv_index_budget: 4 * crate::kv::INDEX_ENTRY_BYTES,
                 ..DdsConfig::default()
@@ -1002,7 +984,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_replay_without_reexecution() {
-        run_async(async {
+        block_on(async {
             let platform = Platform::default_bf2();
             let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
             let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
@@ -1075,7 +1057,7 @@ mod tests {
 
     #[test]
     fn page_server_end_to_end() {
-        run_async(async {
+        block_on(async {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client
                 .append_log(3, 16, Bytes::from_static(b"wal-bytes"))
@@ -1096,7 +1078,7 @@ mod tests {
 
     #[test]
     fn large_values_cross_segment_boundaries() {
-        run_async(async {
+        block_on(async {
             let (_dds, client, _p) = testbed(DdsConfig::default()).await;
             // Value bigger than several segments.
             let value: Vec<u8> = (0..40_000u32).map(|i| (i % 249) as u8).collect();
@@ -1107,7 +1089,7 @@ mod tests {
 
     #[test]
     fn reads_route_dpu_writes_route_host() {
-        run_async(async {
+        block_on(async {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client.kv_put(7, Bytes::from_static(b"x")).await.unwrap(); // host
             client.kv_get(7).await.unwrap(); // dpu (index resident)
@@ -1119,7 +1101,7 @@ mod tests {
 
     #[test]
     fn offload_disabled_sends_everything_to_host() {
-        run_async(async {
+        block_on(async {
             let config = DdsConfig {
                 offload_enabled: false,
                 ..DdsConfig::default()
@@ -1138,9 +1120,7 @@ mod tests {
         // The §9 claim in miniature: same read-heavy workload, with and
         // without DDS offloading; compare host cores consumed.
         let run = |offload: bool| {
-            let out = Rc::new(std::cell::Cell::new(f64::NAN));
-            let out2 = out.clone();
-            run_async(async move {
+            block_on(async move {
                 let config = DdsConfig {
                     offload_enabled: offload,
                     ..DdsConfig::default()
@@ -1158,11 +1138,8 @@ mod tests {
                     client.kv_get(i % 32).await.unwrap();
                 }
                 let elapsed = (dpdpu_des::now() - t0).max(1);
-                out2.set(p.host_cpu.busy_ns() as f64 / elapsed as f64);
-            });
-            let v = out.get();
-            assert!(v.is_finite(), "measurement did not complete");
-            v
+                p.host_cpu.busy_ns() as f64 / elapsed as f64
+            })
         };
         let baseline = run(false);
         let offloaded = run(true);
@@ -1174,7 +1151,7 @@ mod tests {
 
     #[test]
     fn dpu_cache_accelerates_hot_get_page() {
-        run_async(async {
+        block_on(async {
             let config = DdsConfig {
                 dpu_cache_pages: 32,
                 ..DdsConfig::default()
@@ -1203,7 +1180,7 @@ mod tests {
 
     #[test]
     fn partial_offload_under_tight_index_budget() {
-        run_async(async {
+        block_on(async {
             let config = DdsConfig {
                 kv_index_budget: 8 * crate::kv::INDEX_ENTRY_BYTES,
                 ..DdsConfig::default()
@@ -1226,7 +1203,7 @@ mod tests {
     #[test]
     fn dpu_storage_fault_degrades_to_host() {
         let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(7));
-        run_async(async {
+        block_on(async {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client.kv_put(1, Bytes::from_static(b"v")).await.unwrap(); // host
             assert_eq!(
@@ -1259,7 +1236,7 @@ mod tests {
     #[test]
     fn timed_out_request_backs_off_and_retries() {
         let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
-        run_async(async {
+        block_on(async {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             // Per-attempt timeout below the TCP retransmission timeout:
             // a dropped request frame forces a client-level retry rather
@@ -1286,7 +1263,7 @@ mod tests {
     #[test]
     fn unrecoverable_storage_error_is_typed_not_hung() {
         let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
-        run_async(async {
+        block_on(async {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client.kv_put(1, Bytes::from_static(b"v")).await.unwrap();
             // Every read fails, on both paths, for every client attempt:

@@ -473,6 +473,28 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
+/// Runs `fut` as the root task of a fresh simulation and returns its value.
+///
+/// Spawns `fut` at virtual time zero, runs to quiescence — the same polls
+/// and clock advances as `Sim::new()` + [`Sim::spawn`] + [`Sim::run`] —
+/// then drops the simulation, which cancels every task still parked, and
+/// hands back the root's output. Hold a [`Sim`] directly only when the
+/// caller needs the handle itself (`run_until`, `polls`, a domain root).
+///
+/// # Panics
+/// Panics if the simulation quiesces while the root task is still parked:
+/// a body that deadlocks before its assertions must not pass vacuously.
+pub fn block_on<T: 'static>(fut: impl Future<Output = T> + 'static) -> T {
+    let mut sim = Sim::new();
+    let mut root = sim.spawn(fut);
+    sim.run();
+    drop(sim);
+    match Pin::new(&mut root.rx).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(Ok(value)) => value,
+        _ => panic!("dpdpu-des: simulation quiesced before the root task finished (deadlock?)"),
+    }
+}
+
 /// Spawns a task on the currently running simulation.
 ///
 /// # Panics
@@ -733,6 +755,116 @@ mod tests {
             "slots should be recycled, got {}",
             sim.tasks.len()
         );
+    }
+
+    #[test]
+    fn block_on_returns_the_roots_value() {
+        let v = block_on(async {
+            let h = spawn(async {
+                sleep(100).await;
+                40
+            });
+            h.await + 2
+        });
+        assert_eq!(v, 42);
+    }
+
+    /// Records the virtual time at which it is dropped.
+    struct DroppedAt(Rc<Cell<Option<Time>>>);
+
+    impl Drop for DroppedAt {
+        fn drop(&mut self) {
+            self.0.set(Some(now()));
+        }
+    }
+
+    #[test]
+    fn block_on_cancels_background_tasks_at_return() {
+        let dropped = Rc::new(Cell::new(None));
+        let guard = DroppedAt(dropped.clone());
+        block_on(async move {
+            spawn(async move {
+                let _guard = guard;
+                std::future::pending::<()>().await;
+            });
+            sleep(500).await;
+        });
+        assert_eq!(
+            dropped.get(),
+            Some(500),
+            "the parked task is dropped inside the simulation at its final time"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "quiesced before the root task finished")]
+    fn block_on_panics_when_the_root_deadlocks() {
+        block_on(async {
+            let (tx, mut rx) = crate::channel::<()>();
+            rx.recv().await;
+            drop(tx);
+        });
+    }
+
+    /// Polls `fut`, counting every poll into `polls`.
+    async fn counted<T>(polls: Rc<Cell<u64>>, fut: impl Future<Output = T>) -> T {
+        let mut fut = std::pin::pin!(fut);
+        std::future::poll_fn(|cx| {
+            polls.set(polls.get() + 1);
+            fut.as_mut().poll(cx)
+        })
+        .await
+    }
+
+    /// Timers, a contended [`crate::Server`], a channel, a straggler that
+    /// outlives the root and a task parked for good; every task counts
+    /// its polls into `polls`.
+    async fn workload(polls: Rc<Cell<u64>>, end: Rc<Cell<Option<Time>>>) -> Time {
+        let cpu = crate::Server::new("cpu", 1);
+        let (tx, mut rx) = crate::channel::<Time>();
+        for i in 0..4u64 {
+            let (cpu, tx) = (cpu.clone(), tx.clone());
+            spawn(counted(polls.clone(), async move {
+                sleep(10 * i).await;
+                cpu.process(25).await;
+                let _ = tx.send(now());
+            }));
+        }
+        spawn(counted(polls.clone(), sleep(1_000)));
+        spawn(counted(polls.clone(), async move {
+            let _guard = DroppedAt(end);
+            let _tx = tx; // keeps the channel open: the root stops by count
+            std::future::pending::<()>().await;
+        }));
+        let mut sum = 0;
+        for _ in 0..4 {
+            sum += rx.recv().await.expect("four workers report");
+        }
+        sum
+    }
+
+    #[test]
+    fn block_on_polls_and_clock_match_the_spawn_run_spelling() {
+        let (polls_a, end_a) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(None)));
+        let mut sim = Sim::new();
+        sim.spawn(counted(
+            polls_a.clone(),
+            workload(polls_a.clone(), end_a.clone()),
+        ));
+        let end = sim.run();
+        assert_eq!(sim.polls(), polls_a.get(), "every poll is counted");
+        drop(sim);
+        assert_eq!(end_a.get(), Some(end));
+
+        let (polls_b, end_b) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(None)));
+        let sum = block_on(counted(
+            polls_b.clone(),
+            workload(polls_b.clone(), end_b.clone()),
+        ));
+        assert_eq!(sum, 25 + 50 + 75 + 100);
+        assert_eq!(polls_b.get(), polls_a.get());
+        assert_eq!(end_b.get(), Some(1_000));
+        assert_eq!(end_b.get(), end_a.get());
     }
 
     #[test]

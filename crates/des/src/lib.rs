@@ -18,16 +18,20 @@
 //! ## Quick example
 //!
 //! ```
-//! use dpdpu_des::{Sim, sleep, now};
+//! use dpdpu_des::{block_on, now, sleep};
 //!
-//! let mut sim = Sim::new();
-//! sim.spawn(async {
+//! let end = block_on(async {
 //!     sleep(1_000).await;          // 1 µs of virtual time
-//!     assert_eq!(now(), 1_000);
+//!     now()
 //! });
-//! let end = sim.run();
 //! assert_eq!(end, 1_000);
 //! ```
+//!
+//! [`block_on`] is how an experiment runs: a fresh [`Sim`], the body as
+//! its root task, run to quiescence, the body's value handed back (and a
+//! panic if the body deadlocks). Drive a [`Sim`] by hand only when the
+//! caller needs the handle — partial runs with [`Sim::run_until`], poll
+//! counts, or one root per time domain ([`domain`]).
 
 mod channel;
 mod combinators;
@@ -45,7 +49,7 @@ pub use channel::{channel, Receiver, SendError, Sender};
 pub use combinators::{join_all, race, timeout, Either, Elapsed};
 pub use domain::{DomainHooks, DomainSet, NoHooks, XReceiver, XSender};
 pub use drr::Drr;
-pub use executor::{now, sleep, sleep_until, spawn, try_now, yield_now, JoinHandle, Sim};
+pub use executor::{block_on, now, sleep, sleep_until, spawn, try_now, yield_now, JoinHandle, Sim};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use semaphore::{Permit, Semaphore};
 pub use server::Server;

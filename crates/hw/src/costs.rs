@@ -135,6 +135,13 @@ pub const PCIE_RTT_NS: u64 = 700;
 /// Per-DMA-transaction engine overhead on top of the RTT, nanoseconds.
 pub const DMA_SETUP_NS: u64 = 150;
 
+/// Descriptor size on the SE/NE request and completion rings, bytes.
+pub const RING_DESC_BYTES: u64 = 64;
+
+/// Re-probe cadence of a DPU ring poller that found its ring empty,
+/// nanoseconds.
+pub const RING_IDLE_POLL_NS: u64 = 1_000;
+
 /// NVMe SSD read base latency (4K–8K random read), nanoseconds.
 pub const SSD_READ_LATENCY_NS: u64 = 78_000;
 

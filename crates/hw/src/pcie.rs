@@ -1,5 +1,7 @@
 //! PCIe links and DMA engines (host↔DPU and DPU↔SSD peer-to-peer paths).
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use dpdpu_des::{sleep, transmit_ns, Counter, Server, Time};
@@ -62,6 +64,34 @@ impl PcieLink {
     /// round-trip only, no meaningful serialization.
     pub async fn poll_round_trip(&self) {
         sleep(self.rtt_ns).await;
+    }
+
+    /// The DPU side of a DMA-polled ring in host memory: drains up to
+    /// `max_batch` descriptors and fetches them with one DMA. An empty
+    /// ring costs an idle probe and a [`costs::RING_IDLE_POLL_NS`] pause
+    /// before the next look. Returns `None` once the ring is empty and
+    /// the caller's is the only handle left — the host side is gone.
+    pub async fn poll_ring<T>(
+        &self,
+        ring: &Rc<RefCell<VecDeque<T>>>,
+        max_batch: usize,
+    ) -> Option<Vec<T>> {
+        loop {
+            let batch: Vec<T> = {
+                let mut r = ring.borrow_mut();
+                let take = r.len().min(max_batch);
+                r.drain(..take).collect()
+            };
+            if !batch.is_empty() {
+                self.dma(costs::RING_DESC_BYTES * batch.len() as u64).await;
+                return Some(batch);
+            }
+            self.poll_round_trip().await;
+            if Rc::strong_count(ring) == 1 {
+                return None;
+            }
+            sleep(costs::RING_IDLE_POLL_NS).await;
+        }
     }
 
     /// Link busy time.

@@ -17,13 +17,10 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dpdpu_des::{channel, oneshot, sleep, spawn, Counter, OneshotSender, Receiver, Time};
+use dpdpu_des::{channel, oneshot, spawn, Counter, OneshotSender, Receiver};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::rdma::{RdmaOpKind, RdmaQp};
-
-/// Descriptor size on the request/completion rings.
-const DESC_BYTES: u64 = 64;
 
 /// Statistics for the offloaded path.
 #[derive(Default)]
@@ -61,8 +58,6 @@ pub struct OffloadedQp {
     pub stats: Rc<OffloadStats>,
 }
 
-/// Poll cadence of the DPU DMA engine when the ring has been empty.
-const IDLE_POLL_NS: Time = 1_000;
 /// Max descriptors fetched per DMA batch.
 const POLL_BATCH: usize = 16;
 
@@ -83,27 +78,10 @@ pub fn offload_qp(
         let ring = ring.clone();
         let stats = stats.clone();
         spawn(async move {
-            loop {
-                let batch: Vec<RingEntry> = {
-                    let mut r = ring.borrow_mut();
-                    let take = r.len().min(POLL_BATCH);
-                    r.drain(..take).collect()
-                };
-                if batch.is_empty() {
-                    // The ring lives in host memory; an idle probe is one
-                    // small DMA read.
-                    pcie.poll_round_trip().await;
-                    if Rc::strong_count(&ring) == 1 {
-                        // Host handle dropped and ring drained: shut down.
-                        return;
-                    }
-                    sleep(IDLE_POLL_NS).await;
-                    continue;
-                }
+            // Runs until the host handle is dropped and its ring drained.
+            while let Some(batch) = pcie.poll_ring(&ring, POLL_BATCH).await {
                 stats.poll_batches.inc();
                 stats.polled.add(batch.len() as u64);
-                // One DMA fetch for the whole batch of descriptors.
-                pcie.dma(DESC_BYTES * batch.len() as u64).await;
                 for entry in batch {
                     // DPU-side software issue (cheaper than host verbs and
                     // off the host entirely).
@@ -141,7 +119,7 @@ pub fn offload_qp(
                         pcie.dma(entry.bytes).await;
                     }
                     // Completion descriptor back to the host ring.
-                    pcie.dma(DESC_BYTES).await;
+                    pcie.dma(costs::RING_DESC_BYTES).await;
                     stats.completions.inc();
                     let _ = entry.done.send(());
                 }
@@ -174,7 +152,8 @@ pub fn offload_qp_with_recv(
             // The DPU re-posts the receive and reaps its completion
             // (dpu_qp's issuing processor is the DPU pool).
             let payload = dpu_qp.recv().await;
-            pcie.dma(DESC_BYTES + payload.len() as u64).await;
+            pcie.dma(costs::RING_DESC_BYTES + payload.len() as u64)
+                .await;
             if tx.send(payload).is_err() {
                 return; // host stream dropped: stop pumping
             }

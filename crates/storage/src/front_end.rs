@@ -10,16 +10,12 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use dpdpu_des::{oneshot, sleep, spawn, Counter, OneshotSender, Time};
+use dpdpu_des::{oneshot, spawn, Counter, OneshotSender};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::fs::{FileId, FsError};
 use crate::service::FileService;
 
-/// Descriptor size on the rings.
-const DESC_BYTES: u64 = 64;
-/// Poll cadence when the ring is empty.
-const IDLE_POLL_NS: Time = 1_000;
 /// Max descriptors pulled per DMA batch.
 const POLL_BATCH: usize = 32;
 
@@ -77,21 +73,8 @@ impl HostFrontEnd {
             let ring = ring.clone();
             let pcie = host_dpu_pcie;
             spawn(async move {
-                loop {
-                    let batch: Vec<RingEntry> = {
-                        let mut r = ring.borrow_mut();
-                        let take = r.len().min(POLL_BATCH);
-                        r.drain(..take).collect()
-                    };
-                    if batch.is_empty() {
-                        pcie.poll_round_trip().await;
-                        if Rc::strong_count(&ring) == 1 {
-                            return; // front end dropped, ring drained
-                        }
-                        sleep(IDLE_POLL_NS).await;
-                        continue;
-                    }
-                    pcie.dma(DESC_BYTES * batch.len() as u64).await;
+                // Runs until the front end is dropped and its ring drained.
+                while let Some(batch) = pcie.poll_ring(&ring, POLL_BATCH).await {
                     // Ops dispatch concurrently: the file service and SSD
                     // provide the queue depth (SPDK-style), so the poller
                     // must not serialize a batch behind one SSD latency.
@@ -128,7 +111,7 @@ impl HostFrontEnd {
                                     service.delete(&name).await.map(|()| FileReply::Unit)
                                 }
                             };
-                            pcie.dma(DESC_BYTES).await;
+                            pcie.dma(costs::RING_DESC_BYTES).await;
                             let _ = entry.done.send(reply);
                         });
                     }

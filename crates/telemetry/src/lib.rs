@@ -27,12 +27,10 @@
 //! use dpdpu_telemetry::{self as telemetry, Telemetry};
 //!
 //! let t = Telemetry::install();
-//! let mut sim = dpdpu_des::Sim::new();
-//! sim.spawn(async {
+//! dpdpu_des::block_on(async {
 //!     let _s = telemetry::span("dpu", "compute-engine", "compress");
 //!     dpdpu_des::sleep(1_000).await;
 //! });
-//! sim.run();
 //! let json = t.chrome_trace();
 //! assert!(json.contains("compress"));
 //! Telemetry::uninstall();

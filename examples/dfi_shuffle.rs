@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, LinkConfig, PcieLink};
 use dpdpu::kernels::record::gen;
 use dpdpu::net::dfi::{Flow, RdmaTransport};
@@ -23,7 +23,6 @@ const PARTITIONS: usize = 4;
 const FLOW_BUFFER: u64 = 64 * 1024;
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
     println!("shuffling {ROWS} orders into {PARTITIONS} partitions over DFI flows\n");
     let (verbs_ms, verbs_net_us) = run(false);
@@ -64,10 +63,7 @@ async fn shuffle<T: RdmaTransport>(flows: &mut [Flow<T>], host: &Rc<CpuPool>) ->
 }
 
 fn run(offloaded: bool) -> (f64, f64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(std::cell::Cell::new((0.0f64, 0.0f64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let host = CpuPool::new("dbms-host", 16, 3_000_000_000);
         let dpu = CpuPool::new("dpu", 8, 2_500_000_000);
         let pcie = PcieLink::new("pcie", 16_000_000_000);
@@ -107,8 +103,6 @@ fn run(offloaded: bool) -> (f64, f64) {
         // partitioning compute (identical in both configurations).
         let hash_ns = ROWS as u64 * 40 / 3; // cycles at 3 GHz
         let transport_us = host.busy_ns().saturating_sub(hash_ns) as f64 / 1e3;
-        out2.set((elapsed as f64 / 1e6, transport_us));
-    });
-    sim.run();
-    out.get()
+        (elapsed as f64 / 1e6, transport_us)
+    })
 }

@@ -6,11 +6,9 @@
 //! cargo run --example kv_offload
 //! ```
 
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu::dds::server::{Dds, DdsConfig};
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, Platform};
 use dpdpu::net::fabric::Endpoint;
 use dpdpu::net::NetConfig;
@@ -22,7 +20,6 @@ const READS: u64 = 4_096;
 const VALUE_BYTES: usize = 512;
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
     println!("workload: {KEYS} keys x {VALUE_BYTES} B, {READS} gets (uniform), 1 client");
     let (base_cores, base_ms) = run(false);
@@ -38,10 +35,7 @@ fn main() {
 }
 
 fn run(offload: bool) -> (f64, f64) {
-    let mut sim = Sim::new();
-    let out = Rc::new(std::cell::Cell::new((0.0f64, 0.0f64)));
-    let out2 = out.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         let dds = Dds::build(
             platform.clone(),
@@ -88,8 +82,6 @@ fn run(offload: bool) -> (f64, f64) {
             dds.served_dpu.get(),
             dds.served_host.get()
         );
-        out2.set((cores, elapsed as f64 / 1e6));
-    });
-    sim.run();
-    out.get()
+        (cores, elapsed as f64 / 1e6)
+    })
 }

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelOp, KernelOutput, Placement};
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 use dpdpu::hw::{DpuSpec, HostSpec, Platform};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -23,7 +23,6 @@ use rand::{RngExt, SeedableRng};
 const LOG_LINES: usize = 20_000;
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
     let log = synth_log(LOG_LINES, 1234);
     println!(
@@ -58,8 +57,7 @@ fn synth_log(lines: usize, seed: u64) -> Vec<u8> {
 
 fn scan_on(dpu: DpuSpec, log: Vec<u8>) {
     let name = dpu.name;
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    block_on(async move {
         let rt = dpdpu::core::DpdpuBuilder::new()
             .platform(Platform::new(HostSpec::epyc(), dpu))
             .boot();
@@ -98,5 +96,4 @@ fn scan_on(dpu: DpuSpec, log: Vec<u8>) {
             (now() - t0) as f64 / 1e6
         );
     });
-    sim.run();
 }

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use dpdpu::dds::server::{Dds, DdsConfig};
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, Platform};
 use dpdpu::net::fabric::Endpoint;
 use dpdpu::net::NetConfig;
@@ -20,10 +20,8 @@ const TXNS: usize = 200;
 const GETS: usize = 1_000;
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    block_on(async move {
         let platform = Platform::default_bf2();
         let dds = Dds::build(
             platform.clone(),
@@ -106,5 +104,4 @@ fn main() {
             dds.pages.dirty_pages()
         );
     });
-    sim.run();
 }

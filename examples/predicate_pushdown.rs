@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu::compute::{KernelInput, KernelOp, Placement};
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, LinkConfig};
 use dpdpu::kernels::record::{gen, Batch, Value};
 use dpdpu::kernels::relops::{CmpOp, Predicate};
@@ -26,7 +26,6 @@ const ROWS_PER_PAGE: usize = 64;
 const NUM_PAGES: usize = 64;
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
     let wire_full = run(false);
     let wire_pushed = run(true);
@@ -37,10 +36,7 @@ fn main() {
 }
 
 fn run(pushdown: bool) -> u64 {
-    let mut sim = Sim::new();
-    let sent = Rc::new(std::cell::Cell::new(0u64));
-    let sent2 = sent.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let rt = dpdpu::core::DpdpuBuilder::new().boot();
 
         // Load an orders table onto the storage server, one batch per page.
@@ -148,8 +144,6 @@ fn run(pushdown: bool) -> u64 {
             wire_bytes,
             elapsed as f64 / 1e6,
         );
-        sent2.set(wire_bytes);
-    });
-    sim.run();
-    sent.get()
+        wire_bytes
+    })
 }

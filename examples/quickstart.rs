@@ -10,13 +10,11 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dpdpu::compute::{KernelInput, KernelOp, Placement};
 use dpdpu::core::{Dpdpu, DpdpuBuilder};
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
-    let mut sim = Sim::new();
-    sim.spawn(async {
+    block_on(async {
         // Boot the runtime through the builder: platform preset picked,
         // file system formatted, DPU file service and host front end
         // running, Compute Engine ready. (A fault plan or scheduling
@@ -94,5 +92,4 @@ fn main() {
 
         println!("\n--- resource report ---\n{}", rt.report(now().max(1)));
     });
-    sim.run();
 }

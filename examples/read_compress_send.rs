@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelKind, KernelOp, Placement};
-use dpdpu::des::{now, spawn, Sim};
+use dpdpu::des::{block_on, now, spawn};
 use dpdpu::hw::{CpuPool, DpuSpec, HostSpec, LinkConfig, Platform};
 use dpdpu::net::tcp::{TcpConnector, TcpSide};
 use dpdpu::telemetry::Telemetry;
@@ -27,7 +27,6 @@ const PAGE: u64 = 8_192;
 const PAGES: u64 = 32;
 
 fn main() {
-    // Declared before the Sim so invariant balance sweeps run after teardown.
     let _check = dpdpu::check::CheckGuard::new();
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -67,8 +66,7 @@ fn run_on(label: &str, dpu: DpuSpec, trace_out: Option<&std::path::Path>) {
     let label = label.to_string();
     let session = trace_out.map(|_| Telemetry::install());
     let traced = session.is_some();
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    block_on(async move {
         // Booting registers the platform's resources with the
         // installed telemetry session (tracks, gauges, timeline sources).
         let rt = dpdpu::core::DpdpuBuilder::new()
@@ -162,7 +160,6 @@ fn run_on(label: &str, dpu: DpuSpec, trace_out: Option<&std::path::Path>) {
             sampler.stop();
         }
     });
-    sim.run();
     if let Some(t) = session {
         Telemetry::uninstall();
         let path = trace_out.expect("session implies a path");

@@ -11,18 +11,16 @@
 //! tests.
 //!
 //! ```
-//! use dpdpu::des::Sim;
 //! use dpdpu::core::Dpdpu;
+//! use dpdpu::des::block_on;
 //!
-//! let mut sim = Sim::new();
-//! sim.spawn(async {
+//! block_on(async {
 //!     let rt = Dpdpu::start_default();
 //!     let file = rt.storage.create("hello.db").await.unwrap();
 //!     rt.storage.write(file, 0, b"hello dpu").await.unwrap();
 //!     let back = rt.storage.read(file, 0, 9).await.unwrap();
 //!     assert_eq!(back, b"hello dpu");
 //! });
-//! sim.run();
 //! ```
 
 /// Conformance checking: simulation invariants, golden-file helpers.

@@ -6,11 +6,10 @@
 //! [`Scheduler`]: dpdpu::compute::Scheduler
 //! [`AccelShares`]: dpdpu::compute::AccelShares
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use dpdpu::compute::{AccelShares, SchedPolicy, Scheduler, SprocSpec, Variance};
-use dpdpu::des::{now, spawn, Histogram, Sim};
+use dpdpu::des::{block_on, now, spawn, Histogram};
 use dpdpu::hw::{AccelKind, Platform};
 
 /// Tenant 0: latency-sensitive point lookups — small sprocs plus small
@@ -19,10 +18,7 @@ use dpdpu::hw::{AccelKind, Platform};
 /// its latency must stay bounded while tenant 1 saturates everything.
 #[test]
 fn two_tenants_share_cores_and_asic() {
-    let mut sim = Sim::new();
-    let done = Rc::new(Cell::new(false));
-    let d2 = done.clone();
-    sim.spawn(async move {
+    block_on(async move {
         let p = Platform::default_bf2();
         let sched = Scheduler::new(
             p.dpu_cpu.clone(),
@@ -82,10 +78,7 @@ fn two_tenants_share_cores_and_asic() {
         );
         // The batch tenant still made full progress.
         assert_eq!(shares.bytes_by_tenant()[1], 32 << 20);
-        d2.set(true);
     });
-    sim.run();
-    assert!(done.get(), "co-scheduling scenario deadlocked");
 }
 
 /// Static partitioning (the strawman the paper rejects in challenge #2)
@@ -95,10 +88,7 @@ fn two_tenants_share_cores_and_asic() {
 fn shared_scheduling_beats_static_partition_under_asymmetry() {
     // Asymmetric load: only tenant 1 has work.
     let run = |static_partition: bool| -> u64 {
-        let mut sim = Sim::new();
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = out.clone();
-        sim.spawn(async move {
+        block_on(async move {
             let p = Platform::default_bf2();
             // Static partition: tenant 1 may use only half the DPU cores.
             let dpu = if static_partition {
@@ -125,10 +115,8 @@ fn shared_scheduling_beats_static_partition_under_asymmetry() {
                 }));
             }
             dpdpu::des::join_all(handles).await;
-            out2.set(now());
-        });
-        sim.run();
-        out.get()
+            now()
+        })
     };
     let partitioned = run(true);
     let shared = run(false);

@@ -2,13 +2,12 @@
 //! end — storage → compute → network pipelines, DPU heterogeneity, and
 //! determinism of the whole simulation.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelOp, Placement};
 use dpdpu::core::Dpdpu;
-use dpdpu::des::{now, Sim};
+use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, DpuSpec, HostSpec, LinkConfig, Platform};
 use dpdpu::net::tcp::{TcpConnector, TcpSide};
 
@@ -18,10 +17,7 @@ use dpdpu::net::tcp::{TcpConnector, TcpSide};
 #[test]
 fn same_sproc_portable_across_dpus() {
     let run = |dpu: DpuSpec| -> (Vec<u8>, u64) {
-        let mut sim = Sim::new();
-        let out: Rc<Cell<Option<Vec<u8>>>> = Rc::new(Cell::new(None));
-        let out2 = out.clone();
-        sim.spawn(async move {
+        block_on(async move {
             let rt = Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
             let file = rt.storage.create("data").await.unwrap();
             let corpus = dpdpu::kernels::text::natural_text(128 * 1024, 5);
@@ -37,10 +33,8 @@ fn same_sproc_portable_across_dpus() {
                 .await
                 .unwrap()
                 .into_bytes();
-            out2.set(Some(compressed.to_vec()));
-        });
-        let end = sim.run();
-        (out.take().expect("pipeline completed"), end)
+            (compressed.to_vec(), now())
+        })
     };
 
     let (bf2, t_bf2) = run(DpuSpec::bluefield2());
@@ -63,10 +57,7 @@ fn same_sproc_portable_across_dpus() {
 #[test]
 fn regex_fallback_matches_asic_result() {
     let scan = |dpu: DpuSpec| -> u64 {
-        let mut sim = Sim::new();
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = out.clone();
-        sim.spawn(async move {
+        block_on(async move {
             let rt = Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
             let regex = Rc::new(dpdpu::kernels::regex::Regex::new(r"ERROR \w+").unwrap());
             let op = KernelOp::RegexScan { regex };
@@ -93,12 +84,10 @@ fn regex_fallback_matches_asic_result() {
                 Err(e) => panic!("{e}"),
             };
             match result {
-                dpdpu::compute::KernelOutput::Count(n) => out2.set(n),
+                dpdpu::compute::KernelOutput::Count(n) => n,
                 other => panic!("unexpected {other:?}"),
             }
-        });
-        sim.run();
-        out.get()
+        })
     };
     let on_bf2 = scan(DpuSpec::bluefield2()); // has RXP
     let on_bf3 = scan(DpuSpec::bluefield3()); // falls back to CPU
@@ -111,10 +100,7 @@ fn regex_fallback_matches_asic_result() {
 #[test]
 fn whole_stack_determinism() {
     let run = || -> (u64, u64, u64) {
-        let mut sim = Sim::new();
-        let out = Rc::new(Cell::new((0u64, 0u64)));
-        let out2 = out.clone();
-        sim.spawn(async move {
+        block_on(async move {
             let rt = Dpdpu::start_default();
             let file = rt.storage.create("pages").await.unwrap();
             let corpus = dpdpu::kernels::text::natural_text(32 * 8_192, 17);
@@ -137,11 +123,8 @@ fn whole_stack_determinism() {
             while let Some(m) = rx.recv().await {
                 received += m.len() as u64;
             }
-            out2.set((compressed, received));
-        });
-        let end = sim.run();
-        let (compressed, received) = out.get();
-        (end, compressed, received)
+            (now(), compressed, received)
+        })
     };
     let a = run();
     let b = run();
@@ -153,8 +136,7 @@ fn whole_stack_determinism() {
 /// through the file system and decrypt back to plaintext.
 #[test]
 fn encrypt_store_decrypt_pipeline() {
-    let mut sim = Sim::new();
-    sim.spawn(async {
+    block_on(async {
         let rt = Dpdpu::start_default();
         let key = [9u8; 16];
         let nonce = [4u8; 12];
@@ -192,15 +174,13 @@ fn encrypt_store_decrypt_pipeline() {
         // The crypto ASIC did the heavy lifting.
         assert!(rt.compute.asic_jobs.get() >= 2);
     });
-    sim.run();
 }
 
 /// The compute engine under concurrent mixed load keeps every device
 /// busy and produces correct results for each kernel.
 #[test]
 fn mixed_kernel_storm() {
-    let mut sim = Sim::new();
-    sim.spawn(async {
+    block_on(async {
         let rt = Dpdpu::start_default();
         let corpus = dpdpu::kernels::text::natural_text(8 * 1024, 3);
         let mut handles = Vec::new();
@@ -285,7 +265,6 @@ fn mixed_kernel_storm() {
             rt.compute.asic_jobs.get() + rt.compute.dpu_jobs.get() + rt.compute.host_jobs.get();
         assert_eq!(total, 80);
     });
-    sim.run();
 }
 
 /// Aggregation pushdown computes the same answer the host would.
@@ -293,8 +272,7 @@ fn mixed_kernel_storm() {
 fn aggregate_pushdown_equals_local() {
     use dpdpu::kernels::record::gen;
     use dpdpu::kernels::relops::{aggregate, AggFunc, AggSpec};
-    let mut sim = Sim::new();
-    sim.spawn(async {
+    block_on(async {
         let rt = Dpdpu::start_default();
         let batch = gen::orders(5_000, 77);
         let specs = vec![
@@ -328,5 +306,4 @@ fn aggregate_pushdown_equals_local() {
             other => panic!("{other:?}"),
         }
     });
-    sim.run();
 }

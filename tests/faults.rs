@@ -3,19 +3,15 @@
 //! accelerator outage, and bit-for-bit determinism — exercised end to
 //! end through the public `dpdpu` facade and the redesigned builder.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use dpdpu::core::DpdpuBuilder;
-use dpdpu::des::Sim;
+use dpdpu::des::{block_on, now};
 use dpdpu::faults::{FaultPlan, FaultSession, FaultSite, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig};
 use dpdpu::net::tcp::{TcpConnector, TcpSide};
 
 #[test]
 fn injected_ssd_read_error_is_retried_and_succeeds() {
-    let mut sim = Sim::new();
-    sim.spawn(async {
+    block_on(async {
         let rt = DpdpuBuilder::new().fault_plan(FaultPlan::new(5)).boot();
         let faults = rt.faults.clone().expect("builder installed the plan");
         let file = rt.storage.create("t").await.unwrap();
@@ -32,16 +28,12 @@ fn injected_ssd_read_error_is_retried_and_succeeds() {
         );
         assert_eq!(faults.injected(FaultSite::SsdRead), 2);
     });
-    sim.run();
     FaultSession::uninstall();
 }
 
 #[test]
 fn accel_offline_run_completes_via_cpu_fallback() {
-    let mut sim = Sim::new();
-    let done = Rc::new(Cell::new(false));
-    let flag = done.clone();
-    sim.spawn(async move {
+    block_on(async move {
         // The compression ASIC is offline for the whole run: scheduled
         // kernels must silently fall back to cores (Figure 6 semantics).
         let rt = DpdpuBuilder::new()
@@ -78,11 +70,8 @@ fn accel_offline_run_completes_via_cpu_fallback() {
         assert_eq!(accel.completed(), 0, "offline ASIC must not complete jobs");
         assert_eq!(rt.compute.asic_jobs.get(), 0);
         assert_eq!(rt.compute.dpu_jobs.get() + rt.compute.host_jobs.get(), 4);
-        flag.set(true);
     });
-    sim.run();
     FaultSession::uninstall();
-    assert!(done.get(), "pipeline must run to completion");
 }
 
 #[test]
@@ -93,10 +82,8 @@ fn same_seed_and_plan_reproduce_identical_runs() {
                 .ssd_read_errors(0.3)
                 .ssd_slow_io(0.2, 50_000),
         );
-        let errors = Rc::new(Cell::new(0u64));
-        let errors2 = errors.clone();
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        let (end, errors) = block_on(async move {
+            let mut errors = 0u64;
             let rt = dpdpu::core::Dpdpu::start_default();
             let file = rt.storage.create("d").await.unwrap();
             rt.storage
@@ -107,13 +94,13 @@ fn same_seed_and_plan_reproduce_identical_runs() {
                 // A 30% per-I/O error rate occasionally defeats even the
                 // retry budget; both outcomes must replay identically.
                 if rt.storage.read(file, i * 1_024, 1_024).await.is_err() {
-                    errors2.set(errors2.get() + 1);
+                    errors += 1;
                 }
             }
+            (now(), errors)
         });
-        let end = sim.run();
         let report = guard.session.report();
-        (end, format!("{report}"), report.total(), errors.get())
+        (end, format!("{report}"), report.total(), errors)
     };
     let (end_a, report_a, total_a, errors_a) = run();
     let (end_b, report_b, total_b, errors_b) = run();
@@ -127,8 +114,7 @@ fn same_seed_and_plan_reproduce_identical_runs() {
 #[test]
 fn builder_without_plan_injects_nothing() {
     FaultSession::uninstall();
-    let mut sim = Sim::new();
-    sim.spawn(async {
+    block_on(async {
         let rt = DpdpuBuilder::new().boot();
         assert!(rt.faults.is_none());
         let file = rt.storage.create("clean").await.unwrap();
@@ -136,5 +122,4 @@ fn builder_without_plan_injects_nothing() {
         assert_eq!(rt.storage.read(file, 0, 3).await.unwrap(), b"abc");
         assert_eq!(rt.storage.retries.get(), 0, "no faults, no retries");
     });
-    sim.run();
 }

@@ -7,12 +7,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use dpdpu::des::Sim;
+use dpdpu::des::block_on;
 use dpdpu::hw::Ssd;
 use dpdpu::storage::{BlockDevice, ExtentFs, FileId, FsError};
 
@@ -96,18 +95,14 @@ fn extent_fs_agrees_with_reference_model() {
 }
 
 fn run_case(case: usize, ops: Vec<Op>) {
-    let mut sim = Sim::new();
-    let failed: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
-    let failed2 = failed.clone();
-    let done = Rc::new(std::cell::Cell::new(false));
-    let done2 = done.clone();
-    sim.spawn(async move {
+    let failure = block_on(async move {
+        let failed: RefCell<Option<String>> = RefCell::new(None);
         let fs = ExtentFs::format(BlockDevice::new(Ssd::new("m"), 1 << 16));
         let mut model = Model::default();
         let mut ids: HashMap<u8, FileId> = HashMap::new();
         let check = |cond: bool, msg: String| {
-            if !cond && failed2.borrow().is_none() {
-                *failed2.borrow_mut() = Some(msg);
+            if !cond && failed.borrow().is_none() {
+                *failed.borrow_mut() = Some(msg);
             }
         };
         for op in ops {
@@ -206,11 +201,8 @@ fn run_case(case: usize, ops: Vec<Op>) {
                 },
             }
         }
-        done2.set(true);
+        failed.into_inner()
     });
-    sim.run();
-    assert!(done.get(), "case {case}: fs model simulation deadlocked");
-    let failure: Option<String> = failed.borrow().clone();
     if let Some(msg) = failure {
         panic!("case {case}: model divergence: {msg}");
     }

@@ -11,11 +11,8 @@
 //!   half-on-mark on p99 latency at equal-or-better goodput (the
 //!   paper-era DCTCP claim, reproduced in simulation).
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bytes::Bytes;
-use dpdpu::des::Sim;
+use dpdpu::des::block_on;
 use dpdpu::faults::{FaultPlan, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig};
 use dpdpu::net::tcp::{CongAlgKind, TcpConnector, TcpSide};
@@ -32,11 +29,8 @@ fn every_algorithm_survives_loss_in_order() {
     for alg in CongAlgKind::ALL {
         let _faults = SessionGuard::new(FaultPlan::new(0xC0 ^ alg as u64).link_drops(0.05));
         let _check = dpdpu::check::CheckGuard::new();
-        let done = Rc::new(Cell::new(0usize));
-        let done2 = done.clone();
 
-        let mut sim = Sim::new();
-        sim.spawn(async move {
+        block_on(async move {
             let src = TcpSide::host(CpuPool::new("src", 8, 3_000_000_000));
             let dst = TcpSide::host(CpuPool::new("dst", 8, 3_000_000_000));
             let conns = TcpConnector::new(LinkConfig::rack_100g())
@@ -54,7 +48,6 @@ fn every_algorithm_survives_loss_in_order() {
                     ));
                 }
                 drop(tx);
-                let done = done2.clone();
                 handles.push(dpdpu::des::spawn(async move {
                     let mut expect = 0u64;
                     while let Some(msg) = rx.recv().await {
@@ -67,15 +60,12 @@ fn every_algorithm_survives_loss_in_order() {
                         expect += 1;
                     }
                     assert_eq!(expect, MSGS, "{alg:?} stream {stream_id}: lost messages");
-                    done.set(done.get() + 1);
                 }));
             }
             for h in handles {
                 h.await;
             }
         });
-        sim.run();
-        assert_eq!(done.get(), STREAMS, "{alg:?}: a receiver never finished");
     }
 }
 

@@ -15,13 +15,10 @@
 //! *fails*, proving the assertions have teeth and the WFQ tier is the
 //! thing providing the isolation.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use dpdpu::core::TenantSpec;
 use dpdpu::dds::cluster::{ClusterConfig, DdsCluster};
 use dpdpu::dds::gateway::{Gateway, GatewayConfig, TenantSnapshot};
-use dpdpu::des::Sim;
+use dpdpu::des::block_on;
 use dpdpu::faults::{FaultPlan, SessionGuard};
 use dpdpu::hw::CpuPool;
 use dpdpu_bench::fleet::{preload, run_tenant_fleet, FleetConfig, KeyDist, Mix, TenantWorkload};
@@ -172,11 +169,8 @@ fn measure(
     seed: u64,
 ) -> Vec<TenantSnapshot> {
     let _check = dpdpu::check::CheckGuard::new();
-    let guard = SessionGuard::new(regime.plan(seed));
-    let out = Rc::new(RefCell::new(None::<Vec<TenantSnapshot>>));
-    let out2 = out.clone();
-    let mut sim = Sim::new();
-    sim.spawn(async move {
+    let _faults = SessionGuard::new(regime.plan(seed));
+    block_on(async move {
         let cluster = DdsCluster::build(ClusterConfig {
             shards: 2,
             replicas: regime.replicas(),
@@ -205,13 +199,8 @@ fn measure(
             },
         );
         let reports = run_tenant_fleet(&gw, &workloads, seed).await;
-        let snaps = reports.iter().map(|r| gw.snapshot(r.tenant)).collect();
-        *out2.borrow_mut() = Some(snaps);
-    });
-    sim.run();
-    drop(guard);
-    let snaps = out.borrow_mut().take().expect("run must complete");
-    snaps
+        reports.iter().map(|r| gw.snapshot(r.tenant)).collect()
+    })
 }
 
 /// One matrix cell: solo victim baselines, then the mixed storm run.

@@ -27,7 +27,7 @@ use rand::{RngExt, SeedableRng};
 use dpdpu::check::linearizability::History;
 use dpdpu::check::CheckGuard;
 use dpdpu::dds::cluster::{ClusterClient, ClusterConfig, DdsCluster};
-use dpdpu::des::{now, sleep, spawn, Sim};
+use dpdpu::des::{block_on, now, sleep, spawn};
 use dpdpu::faults::{FaultPlan, FaultSession};
 use dpdpu::hw::CpuPool;
 
@@ -109,13 +109,7 @@ async fn client_task(client: Rc<ClusterClient>, c: usize, seed: u64) -> (History
 
 fn run_chaos(chaos: Chaos, seed: u64) {
     let _check = CheckGuard::new();
-    let cluster_slot: Rc<std::cell::RefCell<Option<Rc<DdsCluster>>>> =
-        Rc::new(std::cell::RefCell::new(None));
-    let slot = cluster_slot.clone();
-    let mut sim = Sim::new();
-    let done = Rc::new(std::cell::Cell::new(false));
-    let flag = done.clone();
-    sim.spawn(async move {
+    let cluster = block_on(async move {
         let faults = FaultSession::install(plan_for(chaos, seed));
         let cluster = DdsCluster::build(ClusterConfig {
             shards: 2,
@@ -123,7 +117,6 @@ fn run_chaos(chaos: Chaos, seed: u64) {
             ..ClusterConfig::default()
         })
         .await;
-        *slot.borrow_mut() = Some(cluster.clone());
         let client = cluster.connect(CpuPool::new("clients", 32, 3_000_000_000));
         let mut tasks = Vec::new();
         for c in 0..CLIENTS {
@@ -227,22 +220,13 @@ fn run_chaos(chaos: Chaos, seed: u64) {
         if chaos != Chaos::CrashDuringMigration {
             assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
         }
-        flag.set(true);
+        cluster
     });
-    sim.run();
     FaultSession::uninstall();
-    assert!(
-        done.get(),
-        "simulation deadlocked before the fleet finished"
-    );
     // After quiesce: surviving replicas of every group must hold
     // identical KV state. The CheckGuard fails the test on drop if the
     // digests diverge or any epoch went backwards.
-    cluster_slot
-        .borrow()
-        .as_ref()
-        .expect("cluster escaped the sim")
-        .verify_replicas();
+    cluster.verify_replicas();
 }
 
 #[test]

@@ -129,11 +129,7 @@ pub fn measure(rate: f64) -> FaultMeasurement {
         )
         .await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
         for k in 0..KEYS {
             client

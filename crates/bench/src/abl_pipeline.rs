@@ -13,7 +13,8 @@ use dpdpu_compute::{KernelInput, KernelOp, Placement};
 use dpdpu_core::Dpdpu;
 use dpdpu_des::{block_on, now};
 use dpdpu_hw::{CpuPool, LinkConfig};
-use dpdpu_net::tcp::{TcpConnector, TcpSide};
+use dpdpu_net::fabric::Endpoint;
+use dpdpu_net::tcp::TcpConnector;
 
 use crate::table::Table;
 
@@ -51,14 +52,8 @@ fn measure(pipelined: bool) -> u64 {
         let corpus = dpdpu_kernels::text::natural_text((PAGES * PAGE) as usize, 5);
         rt.storage.write(file, 0, &corpus).await.unwrap();
         let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
-        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g()).stream(
-            TcpSide::offloaded(
-                rt.platform.host_cpu.clone(),
-                rt.platform.dpu_cpu.clone(),
-                rt.platform.host_dpu_pcie.clone(),
-            ),
-            TcpSide::host(client_cpu),
-        );
+        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
+            .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
         let pages: Vec<(u64, u64)> = (0..PAGES).map(|i| (i * PAGE, PAGE)).collect();
 
         let t0 = now();

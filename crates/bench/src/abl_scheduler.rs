@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use dpdpu_compute::{SchedPolicy, Scheduler, SprocSpec, Variance};
+use dpdpu_compute::{SchedPolicy, Scheduler, SprocSpec};
 use dpdpu_des::{block_on, now, Histogram};
 use dpdpu_hw::CpuPool;
 
@@ -74,7 +74,6 @@ fn measure(policy: SchedPolicy) -> Measurement {
             let rx = sched.submit(SprocSpec {
                 tenant: 1,
                 cycles: BIG_CYCLES,
-                variance: Variance::High,
             });
             handles.push(dpdpu_des::spawn(async move {
                 let _ = rx.await;
@@ -85,7 +84,6 @@ fn measure(policy: SchedPolicy) -> Measurement {
             let rx = sched.submit(SprocSpec {
                 tenant: 0,
                 cycles: SMALL_CYCLES,
-                variance: Variance::Low,
             });
             let lat = lat.clone();
             handles.push(dpdpu_des::spawn(async move {

@@ -13,7 +13,8 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dpdpu_des::{block_on, now, sleep_until, SECONDS};
 use dpdpu_hw::{CpuPool, LinkConfig, PcieLink};
-use dpdpu_net::tcp::{TcpConnector, TcpSide, TcpStack};
+use dpdpu_net::fabric::Endpoint;
+use dpdpu_net::tcp::TcpConnector;
 
 use crate::table::Table;
 
@@ -30,8 +31,8 @@ pub fn run() -> String {
         "ne_offload_cores",
     ]);
     for target_gbps in [10u64, 25, 50, 75, 100] {
-        let (ach, host_cores) = measure(TcpStack::HostKernel, target_gbps);
-        let (_ach2, ne_cores) = measure(TcpStack::DpuOffload, target_gbps);
+        let (ach, host_cores) = measure(false, target_gbps);
+        let (_ach2, ne_cores) = measure(true, target_gbps);
         table.row(vec![
             format!("{target_gbps}"),
             format!("{ach:.0}"),
@@ -48,8 +49,9 @@ pub fn run() -> String {
 }
 
 /// Paces `FLOWS` parallel flows to an aggregate `target_gbps` for the
-/// window; returns (achieved aggregate Gbps, sender host cores).
-fn measure(stack: TcpStack, target_gbps: u64) -> (f64, f64) {
+/// window, the sender's stack on its DPU when `offload`; returns
+/// (achieved aggregate Gbps, sender host cores).
+fn measure(offload: bool, target_gbps: u64) -> (f64, f64) {
     block_on(async move {
         let src_host = CpuPool::new("src-host", 32, 3_000_000_000);
         let src_dpu = CpuPool::new("src-dpu", 8, 2_500_000_000);
@@ -63,13 +65,12 @@ fn measure(stack: TcpStack, target_gbps: u64) -> (f64, f64) {
         let delivered = Rc::new(Cell::new(0u64));
         let t0 = now();
         let mut handles = Vec::new();
-        let src = match stack {
-            TcpStack::HostKernel => TcpSide::host(src_host.clone()),
-            TcpStack::DpuOffload => {
-                TcpSide::offloaded(src_host.clone(), src_dpu.clone(), src_pcie.clone())
-            }
+        let src = if offload {
+            Endpoint::offloaded(src_host.clone(), src_dpu.clone(), src_pcie.clone())
+        } else {
+            Endpoint::host(src_host.clone())
         };
-        let dst = TcpSide::host(dst_host.clone());
+        let dst = Endpoint::host(dst_host.clone());
         // All flows share one physical 100 Gbps port.
         let streams = TcpConnector::new(LinkConfig::rack_100g()).streams(src, dst, FLOWS as usize);
         for (tx, mut rx) in streams {
@@ -101,8 +102,8 @@ mod tests {
 
     #[test]
     fn cpu_grows_with_bandwidth() {
-        let (_g1, c1) = measure(TcpStack::HostKernel, 20);
-        let (_g2, c2) = measure(TcpStack::HostKernel, 80);
+        let (_g1, c1) = measure(false, 20);
+        let (_g2, c2) = measure(false, 80);
         assert!(
             c2 > 2.5 * c1,
             "4x bandwidth should cost ~4x CPU: {c1} -> {c2}"
@@ -111,15 +112,15 @@ mod tests {
 
     #[test]
     fn near_line_rate_costs_multiple_cores() {
-        let (gbps, cores) = measure(TcpStack::HostKernel, 100);
+        let (gbps, cores) = measure(false, 100);
         assert!(gbps > 70.0, "should approach line rate, got {gbps}");
         assert!(cores > 2.0, "Figure 3 shows multi-core cost, got {cores}");
     }
 
     #[test]
     fn offload_flattens_the_curve() {
-        let (_g, host) = measure(TcpStack::HostKernel, 50);
-        let (_g2, ne) = measure(TcpStack::DpuOffload, 50);
+        let (_g, host) = measure(false, 50);
+        let (_g2, ne) = measure(true, 50);
         assert!(
             ne * 5.0 < host,
             "NE must slash sender host CPU: host={host} ne={ne}"

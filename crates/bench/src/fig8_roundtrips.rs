@@ -70,11 +70,7 @@ fn measure_with(offload: bool, cache_pages: usize) -> (u64, u64) {
         )
         .await;
         let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
         // Touch one page so its image exists; requests then read clean
         // pages (DPU-servable when the director allows).

@@ -79,11 +79,7 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
         let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
         let ce = ComputeEngine::new(platform.clone());
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
         for k in 0..32u64 {
             client
@@ -131,11 +127,7 @@ fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
         )
         .await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
         for k in 0..KEYS {
             client

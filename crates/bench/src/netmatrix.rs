@@ -34,7 +34,8 @@ use bytes::Bytes;
 use dpdpu_des::{block_on, now, Histogram, Time};
 use dpdpu_faults::{FaultPlan, SessionGuard};
 use dpdpu_hw::{CpuPool, LinkConfig};
-use dpdpu_net::tcp::{CongAlgKind, TcpConnector, TcpParams, TcpSide};
+use dpdpu_net::fabric::Endpoint;
+use dpdpu_net::tcp::{CongAlgKind, TcpConnector, TcpParams};
 
 /// A traffic shape in the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,12 +166,12 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
     let (p50_ns, p99_ns, delivered, last_ns) = block_on(async move {
         let latency = Rc::new(Histogram::new());
         let out = Rc::new(RefCell::new((0u64, 0u64))); // (delivered msgs, last delivery ns)
-        let src = TcpSide::host(CpuPool::new(
+        let src = Endpoint::host(CpuPool::new(
             format!("{cell}-src"),
             (streams * 2).max(8),
             3_000_000_000,
         ));
-        let dst = TcpSide::host(CpuPool::new(
+        let dst = Endpoint::host(CpuPool::new(
             format!("{cell}-dst"),
             (streams * 2).max(8),
             3_000_000_000,

@@ -347,7 +347,7 @@ async fn domain_root(
     )
     .await;
     let local = dds.connect(
-        &*NetConfig::default().transport(),
+        &NetConfig::default(),
         &Endpoint::host(CpuPool::new(format!("parfleet{d}"), 16, 3_000_000_000)),
         &format!("pd{d}-local"),
     );

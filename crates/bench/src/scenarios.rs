@@ -141,11 +141,7 @@ pub fn dds_kv(seed: u64) -> ScenarioRun {
             )
             .await;
             let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-            let client = dds.connect(
-                &*NetConfig::default().transport(),
-                &Endpoint::host(client_cpu),
-                "client",
-            );
+            let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
             for k in 0..KEYS {
                 client

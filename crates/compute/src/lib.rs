@@ -32,5 +32,5 @@ mod tenant;
 
 pub use engine::{ComputeEngine, DpKernel, Placement};
 pub use kernel::{ExecTarget, KernelError, KernelInput, KernelKind, KernelOp, KernelOutput};
-pub use scheduler::{SchedPolicy, Scheduler, SprocSpec, Variance};
+pub use scheduler::{SchedPolicy, Scheduler, SprocSpec};
 pub use tenant::AccelShares;

@@ -3,7 +3,8 @@
 //! The paper (§5) points to iPipe's discipline: an FCFS queue for
 //! low-variance tasks and a deficit-round-robin (DRR) queue for
 //! high-variance tasks, with migration to host cores when the DPU backs
-//! up. This module implements three policies as an ablation surface:
+//! up. Here the discipline is chosen per scheduler, by [`SchedPolicy`],
+//! not per sproc; the three policies are an ablation surface:
 //!
 //! * [`SchedPolicy::Fcfs`] — one arrival-ordered queue;
 //! * [`SchedPolicy::Drr`] — weighted deficit round robin across tenant
@@ -23,16 +24,6 @@ use dpdpu_hw::CpuPool;
 
 use crate::kernel::ExecTarget;
 
-/// Expected service-time variance of a sproc class (the signal iPipe uses
-/// to pick a queueing discipline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variance {
-    /// Small, predictable tasks.
-    Low,
-    /// Heavy-tailed tasks.
-    High,
-}
-
 /// One sproc submission.
 #[derive(Debug, Clone, Copy)]
 pub struct SprocSpec {
@@ -40,8 +31,6 @@ pub struct SprocSpec {
     pub tenant: usize,
     /// CPU cycles the sproc needs.
     pub cycles: u64,
-    /// Variance class.
-    pub variance: Variance,
 }
 
 /// Completion record for a sproc.
@@ -258,7 +247,6 @@ mod tests {
                 rxs.push(sched.submit(SprocSpec {
                     tenant: 0,
                     cycles: 25_000,
-                    variance: Variance::Low,
                 }));
             }
             let mut finish = Vec::new();
@@ -284,7 +272,6 @@ mod tests {
                 let rx = sched2.submit(SprocSpec {
                     tenant: 0,
                     cycles: 2_500_000, // 1 ms each on DPU cores
-                    variance: Variance::High,
                 });
                 handles.push(dpdpu_des::spawn(async move { rx.await.unwrap() }));
             }
@@ -307,7 +294,6 @@ mod tests {
                 let rx = sched2.submit(SprocSpec {
                     tenant: 0,
                     cycles: 2_500_000,
-                    variance: Variance::High,
                 });
                 handles.push(dpdpu_des::spawn(async move { rx.await.unwrap() }));
             }
@@ -340,13 +326,11 @@ mod tests {
                 burst.push(sched.submit(SprocSpec {
                     tenant: 0,
                     cycles: 50_000,
-                    variance: Variance::High,
                 }));
             }
             let late = sched.submit(SprocSpec {
                 tenant: 1,
                 cycles: 50_000,
-                variance: Variance::Low,
             });
             let late_done = late.await.unwrap().finished_at;
             let mut burst_done = Vec::new();
@@ -387,7 +371,6 @@ mod tests {
                     rxs.push(sched.submit(SprocSpec {
                         tenant,
                         cycles: 50_000,
-                        variance: Variance::High,
                     }));
                 }
             }
@@ -449,7 +432,6 @@ mod tests {
                 rxs.push(sched2.submit(SprocSpec {
                     tenant: i % 2,
                     cycles: 25_000,
-                    variance: Variance::High,
                 }));
             }
             for rx in rxs {
@@ -477,7 +459,6 @@ mod tests {
             drop(sched.submit(SprocSpec {
                 tenant: 5,
                 cycles: 1,
-                variance: Variance::Low,
             }));
         });
         sim.run();
@@ -503,7 +484,6 @@ mod tests {
                 rxs.push(sched.submit(SprocSpec {
                     tenant: i % 2,
                     cycles: 25_000,
-                    variance: Variance::Low,
                 }));
             }
             for rx in rxs {
@@ -540,7 +520,6 @@ mod tests {
             let a = sched.submit(SprocSpec {
                 tenant: 0,
                 cycles: 1_000,
-                variance: Variance::Low,
             });
             a.await.unwrap();
             let idle_at = now();
@@ -548,7 +527,6 @@ mod tests {
             let b = sched.submit(SprocSpec {
                 tenant: 0,
                 cycles: 1_000,
-                variance: Variance::Low,
             });
             let done = b.await.unwrap();
             assert!(done.finished_at > idle_at);

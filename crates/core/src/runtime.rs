@@ -140,7 +140,8 @@ mod tests {
     use super::*;
     use dpdpu_des::{now, Sim};
     use dpdpu_hw::{CpuPool, LinkConfig};
-    use dpdpu_net::tcp::{TcpConnector, TcpSide};
+    use dpdpu_net::fabric::Endpoint;
+    use dpdpu_net::tcp::TcpConnector;
 
     #[test]
     fn runtime_boots_and_reports() {
@@ -209,14 +210,8 @@ mod tests {
             dpdpu.storage.write(id, 0, &text).await.unwrap();
 
             let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
-            let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g()).stream(
-                TcpSide::offloaded(
-                    dpdpu.platform.host_cpu.clone(),
-                    dpdpu.platform.dpu_cpu.clone(),
-                    dpdpu.platform.host_dpu_pcie.clone(),
-                ),
-                TcpSide::host(client_cpu),
-            );
+            let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
+                .stream(Endpoint::of(&dpdpu.platform), Endpoint::host(client_cpu));
 
             let pages: Vec<(u64, u64)> = (0..8).map(|i| (i * 8_192, 8_192)).collect();
             let (input, compressed) = dpdpu.read_compress_send(id, &pages, &tx).await.unwrap();

@@ -40,7 +40,7 @@ use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_des::{Counter, Semaphore};
 use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, PcieLink, Platform};
-use dpdpu_net::fabric::{Endpoint, FabricKind, Transport};
+use dpdpu_net::fabric::{Endpoint, FabricKind};
 use dpdpu_net::NetConfig;
 
 use crate::proto::{Request, RetryPolicy};
@@ -284,7 +284,7 @@ impl DdsCluster {
             // backup serves the chain exactly like client traffic, so
             // its crash windows gate replication automatically.
             let chain = members[1].connect(
-                &*config.net.transport(),
+                &config.net,
                 &members[0].endpoint(),
                 &format!("node{group}-repl"),
             );
@@ -424,7 +424,6 @@ impl DdsCluster {
             cluster: self.clone(),
             name: client_cpu.name().to_string(),
             client_ep,
-            transport: self.config.net.transport(),
             admission: self.config.admission,
             conns: RefCell::new(Vec::new()),
         });
@@ -452,7 +451,6 @@ pub struct ClusterClient {
     cluster: Rc<DdsCluster>,
     name: String,
     client_ep: Endpoint,
-    transport: Rc<dyn Transport>,
     admission: usize,
     conns: RefCell<Vec<Rc<GroupConn>>>,
 }
@@ -502,7 +500,7 @@ impl ClusterClient {
                         format!("r{r}")
                     };
                     dds.connect(
-                        &*self.transport,
+                        &self.cluster.config.net,
                         &self.client_ep,
                         &format!("{}-{label}{suffix}", self.name),
                     )

@@ -51,6 +51,10 @@ const REQUEST_OVERHEAD_BYTES: u64 = 64;
 /// front (DRR needs the cost before the rows exist).
 const SCAN_ROW_BYTES: u64 = 256;
 
+/// DRR quantum in cost bytes added per queue visit (scaled by the
+/// tenant's weight).
+const QUANTUM_BYTES: u64 = 4096;
+
 /// An authenticated tenant handle. The gateway only accepts requests
 /// under a `TenantId` it was configured with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +65,6 @@ pub struct TenantId(pub usize);
 pub struct GatewayConfig {
     /// The tenants, in [`TenantId`] order.
     pub tenants: Vec<TenantSpec>,
-    /// DRR quantum in cost bytes added per queue visit (scaled by the
-    /// tenant's weight).
-    pub quantum_bytes: u64,
     /// DPU-side dispatch concurrency: requests in flight toward the
     /// cluster at once, across all tenants.
     pub dispatch_slots: usize,
@@ -79,7 +80,6 @@ impl GatewayConfig {
         assert!(!tenants.is_empty(), "gateway needs at least one tenant");
         GatewayConfig {
             tenants,
-            quantum_bytes: 4096,
             dispatch_slots: 32,
             fair: true,
         }
@@ -236,7 +236,7 @@ impl Gateway {
         } else {
             vec![1]
         };
-        let queues = Drr::new(&weights, config.quantum_bytes);
+        let queues = Drr::new(&weights, QUANTUM_BYTES);
         Rc::new(Gateway {
             client,
             tenants: config.tenants.into_iter().map(TenantState::new).collect(),

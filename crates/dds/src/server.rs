@@ -17,7 +17,8 @@ use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_des::{oneshot, spawn, timeout, Counter, OneshotSender};
 use dpdpu_hw::{costs, Platform};
-use dpdpu_net::fabric::{Endpoint, FabricReceiver, FabricSender, Transport};
+use dpdpu_net::fabric::{Endpoint, FabricReceiver, FabricSender};
+use dpdpu_net::NetConfig;
 use dpdpu_storage::{BlockDevice, ExtentFs, FileService, FsError};
 
 use crate::director::{Route, TrafficDirector};
@@ -144,24 +145,20 @@ impl Dds {
     /// This server as a fabric endpoint: the transport terminates on the
     /// DPU (DDS's network front end), with host cores behind the PCIe.
     pub fn endpoint(&self) -> Endpoint {
-        let p = &self.platform;
-        Endpoint::offloaded(
-            p.host_cpu.clone(),
-            p.dpu_cpu.clone(),
-            p.host_dpu_pcie.clone(),
-        )
+        Endpoint::of(&self.platform)
     }
 
     /// Attaches one client: connects `client` to this server over
-    /// `transport`, serves the server half and returns a [`DdsClient`]
-    /// on the client half. `label` names the connection's resources.
+    /// `net`'s fabric, serves the server half and returns a
+    /// [`DdsClient`] on the client half. `label` names the connection's
+    /// resources.
     pub fn connect(
         self: &Rc<Self>,
-        transport: &dyn Transport,
+        net: &NetConfig,
         client: &Endpoint,
         label: &str,
     ) -> Rc<DdsClient> {
-        let (client_conn, server_conn) = transport.connect(client, &self.endpoint(), label);
+        let (client_conn, server_conn) = net.connect(client, &self.endpoint(), label);
         let (stx, srx) = server_conn.split();
         self.serve(srx, stx);
         let (ctx, crx) = client_conn.split();
@@ -914,19 +911,14 @@ mod tests {
     use super::*;
     use dpdpu_des::block_on;
     use dpdpu_hw::{CpuPool, LinkConfig};
-    use dpdpu_net::tcp::{TcpConnector, TcpSide};
-    use dpdpu_net::NetConfig;
+    use dpdpu_net::tcp::TcpConnector;
 
     /// Builds server + connected client inside a running sim.
     async fn testbed(config: DdsConfig) -> (Rc<Dds>, Rc<DdsClient>, Rc<Platform>) {
         let platform = Platform::default_bf2();
         let dds = Dds::build(platform.clone(), config).await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
         (dds, client, platform)
     }
 
@@ -988,12 +980,8 @@ mod tests {
             let platform = Platform::default_bf2();
             let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
             let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-            let server_side = TcpSide::offloaded(
-                platform.host_cpu.clone(),
-                platform.dpu_cpu.clone(),
-                platform.host_dpu_pcie.clone(),
-            );
-            let client_side = TcpSide::host(client_cpu);
+            let server_side = Endpoint::of(&platform);
+            let client_side = Endpoint::host(client_cpu);
             let net = TcpConnector::new(LinkConfig::rack_100g());
             let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());
             let (s2c_tx, mut s2c_rx) = net.stream(server_side, client_side);

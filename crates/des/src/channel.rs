@@ -98,11 +98,6 @@ impl<T> Receiver<T> {
         Recv { rx: self }
     }
 
-    /// Non-blocking poll of the queue.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.inner.borrow_mut().queue.pop_front()
-    }
-
     /// Number of values currently buffered.
     pub fn len(&self) -> usize {
         self.inner.borrow().queue.len()

@@ -64,10 +64,6 @@ pub const BF2_DEDUP_ASIC_BYTES_PER_SEC: u64 = 8_000_000_000;
 /// 2.7 × 3e9 / 450e3 = 18 000 cycles/op.
 pub const LINUX_IO_CYCLES_PER_OP: u64 = 18_000;
 
-/// Extra host CPU cycles per byte for the kernel path's page-cache copy.
-/// Small relative to the per-op cost for 8 KB pages (≈0.25 cycles/byte).
-pub const LINUX_IO_CYCLES_PER_BYTE: u64 = 0; // folded into per-op anchor
-
 /// Host CPU cycles per storage I/O through io_uring (batched submission
 /// amortises syscalls, but VFS/block-layer/completion work remains).
 ///
@@ -85,16 +81,14 @@ pub const SPDK_IO_CYCLES_PER_OP: u64 = 2_500;
 /// DMA'ed").
 pub const SE_HOST_RING_CYCLES_PER_OP: u64 = 600;
 
-/// Host CPU cycles per byte for TCP/IP protocol processing (checksum,
-/// segmentation bookkeeping, copies between socket buffers and userspace).
+/// Host CPU cycles per TCP message (socket call, sk_buff management,
+/// ACK processing amortised per 8 KB send). The TCP model adds 0.5
+/// cycles per payload byte on top (checksum, segmentation bookkeeping,
+/// copies between socket buffers and userspace).
 ///
 /// Anchor: Figure 3 — substantial multi-core consumption approaching
 /// 100 Gbps with 8 KB messages. 0.5 cycles/byte + 6000 cycles/message gives
 /// ≈5.1 cores at 100 Gbps on 3 GHz cores.
-pub const TCP_CYCLES_PER_BYTE: u64 = 1; // applied per 2 bytes; see TCP model
-
-/// Host CPU cycles per TCP message (socket call, sk_buff management,
-/// ACK processing amortised per 8 KB send).
 pub const TCP_CYCLES_PER_MSG: u64 = 6_000;
 
 /// DPU CPU cycles per TCP message when the stack runs on the DPU
@@ -156,10 +150,6 @@ pub const SSD_WRITE_BYTES_PER_SEC: u64 = 2_800_000_000;
 
 /// NVMe queue depth per device.
 pub const SSD_QUEUE_DEPTH: usize = 128;
-
-/// Kernel-bypass network stack one-way software latency on the DPU,
-/// nanoseconds (packet parse + director lookup).
-pub const DPU_PKT_PROC_NS: u64 = 1_200;
 
 /// Host kernel network stack one-way latency, nanoseconds (driver,
 /// softirq, socket wakeup, scheduler).

@@ -50,11 +50,6 @@ impl CpuPool {
         self.server.process(self.cycles_ns(cycles)).await;
     }
 
-    /// Runs per-byte work: `bytes * cycles_per_byte + fixed_cycles`.
-    pub async fn exec_bytes(&self, bytes: u64, cycles_per_byte: u64, fixed_cycles: u64) {
-        self.exec(bytes * cycles_per_byte + fixed_cycles).await;
-    }
-
     /// Pins a core for a caller-managed critical section; pair with
     /// [`CpuPool::charge_cycles`] to account the time spent.
     pub async fn acquire(&self) -> Permit {
@@ -75,11 +70,6 @@ impl CpuPool {
     /// Work items queued for a core right now.
     pub fn queue_len(&self) -> usize {
         self.server.queue_len()
-    }
-
-    /// Idle cores right now.
-    pub fn free_cores(&self) -> usize {
-        self.server.free_slots()
     }
 
     /// Average cores busy over `elapsed` ns — the paper's Figures 2/3

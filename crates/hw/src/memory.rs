@@ -93,11 +93,6 @@ impl Memory {
             bytes,
         })
     }
-
-    /// True if `bytes` more would fit right now.
-    pub fn would_fit(&self, bytes: u64) -> bool {
-        bytes <= self.available()
-    }
 }
 
 impl std::fmt::Debug for MemoryReservation {

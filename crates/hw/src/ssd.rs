@@ -168,16 +168,6 @@ impl Ssd {
     pub fn busy_ns(&self) -> u64 {
         self.read_bw.busy_ns() + self.write_bw.busy_ns()
     }
-
-    /// Uncontended read latency for `bytes` (for analytic checks).
-    pub fn read_service_ns(&self, bytes: u64) -> Time {
-        self.read_lat_ns + transmit_ns(bytes, self.read_bytes_per_sec * 8)
-    }
-
-    /// Maximum read IOPS for a given request size (analytic).
-    pub fn max_read_iops(&self, bytes: u64) -> f64 {
-        self.read_bytes_per_sec as f64 / bytes as f64
-    }
 }
 
 #[cfg(test)]

@@ -145,13 +145,6 @@ impl Encoder {
         debug_assert!(len > 0, "writing symbol {sym} with no code");
         w.write_bits(self.codes[sym as usize], len as u32);
     }
-
-    /// Code length of a symbol (0 = unused). Exposed for cost estimation
-    /// and tests.
-    #[allow(dead_code)]
-    pub fn code_len(&self, sym: u16) -> u8 {
-        self.lengths[sym as usize]
-    }
 }
 
 fn reverse_bits(code: u32, len: u8) -> u32 {

@@ -9,7 +9,7 @@
 
 use dpdpu_hw::LinkConfig;
 
-use crate::fabric::{FabricKind, FabricParams, Transport};
+use crate::fabric::{FabricKind, FabricParams};
 use crate::tcp::{CongAlgKind, TcpParams};
 
 /// The full network configuration of a simulated deployment: physical
@@ -57,9 +57,11 @@ impl NetConfig {
         self
     }
 
-    /// The fabric transport this configuration describes.
-    pub fn transport(&self) -> std::rc::Rc<dyn Transport> {
-        crate::fabric::transport_for(self.fabric, self.link, self.tcp, self.fabric_params)
+    /// This configuration, as the thing [`NetConfig::connect`] is called
+    /// on. Kept only because `benchmark/` spells
+    /// `.transport().connect(..)`; call `connect` directly.
+    pub fn transport(&self) -> Self {
+        *self
     }
 
     /// The network's latency floor in ns — the conservative lookahead a
@@ -97,7 +99,9 @@ impl NetConfig {
                 let us: u64 = value
                     .parse()
                     .map_err(|_| format!("bad --ecn-threshold-us value {value:?}"))?;
-                self.link.ecn_threshold_ns = us * 1_000;
+                self.link.ecn_threshold_ns = us
+                    .checked_mul(1_000)
+                    .ok_or_else(|| format!("--ecn-threshold-us {us} overflows nanoseconds"))?;
             }
             _ => return Ok(false),
         }
@@ -140,6 +144,16 @@ mod tests {
         // Bad values surface as errors.
         assert!(net.apply_cli_flag("--cong", "bbr").is_err());
         assert!(net.apply_cli_flag("--loss", "1.5").is_err());
+        // u64::MAX / 1000 µs is the last value that fits in nanoseconds;
+        // one more used to panic in debug and wrap in release.
+        assert!(net
+            .apply_cli_flag("--ecn-threshold-us", "18446744073709552")
+            .is_err());
+        assert_eq!(net.link.ecn_threshold_ns, 50_000);
+        assert_eq!(
+            net.apply_cli_flag("--ecn-threshold-us", "18446744073709551"),
+            Ok(true)
+        );
     }
 
     #[test]

@@ -1,25 +1,29 @@
 //! Cluster fabric: pluggable shard transports (paper §6, Fig. 7 made
 //! load-bearing).
 //!
-//! `DdsCluster` used to hard-code one duplex TCP connection per shard.
-//! This module abstracts that channel behind the [`Transport`] trait,
-//! whose `connect` hands each side a [`Connection`], and ships three
+//! `DdsCluster` moves its per-shard request/response traffic over a
+//! [`Connection`] pair, and [`NetConfig::connect`] is the one way to
+//! build one: the application names *who* it talks to (two
+//! [`Endpoint`]s) and [`NetConfig::fabric`] picks among three
 //! interchangeable fabrics:
 //!
-//! * [`TcpTransport`] — the existing offloaded-TCP path, wrapped with
-//!   **zero** added tasks or queues so the default cluster behaves (and
-//!   traces) exactly as before;
-//! * [`RdmaTransport`] — an RPC layer over [`crate::rdma`]'s verbs
+//! * [`FabricKind::Tcp`] — the offloaded-TCP path, wrapped with **zero**
+//!   added tasks or queues so the default cluster behaves (and traces)
+//!   exactly as a bare [`TcpConnector`] duplex does;
+//! * [`FabricKind::Rdma`] — an RPC layer over [`crate::rdma`]'s verbs
 //!   model: host-issued QPs, two-sided sends for requests, one-sided
 //!   writes for bulk payloads, and credit-based flow control sized so
 //!   the receive-side NIC backlog (posted-receive pool) never
 //!   underflows;
-//! * [`RdmaOffloadTransport`] — the same RPC layer riding the NE
+//! * [`FabricKind::RdmaOffload`] — the same RPC layer riding the NE
 //!   request/completion rings of [`crate::rdma_offload`]: the client
 //!   host issues zero verbs (its DPU polls the rings and issues them),
 //!   and the server side terminates *natively on the DPU* — the DDS
 //!   engine lives there, so server host cores spend nothing on
 //!   transport at all (the Hyperion-style zero-CPU data path).
+//!
+//! Whether an endpoint's stack runs on host cores or on its DPU is a
+//! fact about the [`Endpoint`] (one `Option`), not about the API.
 //!
 //! ## Wire format and credits
 //!
@@ -53,11 +57,12 @@ use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dpdpu_des::{channel, race, sleep, spawn, Either, Receiver, Sender, Time};
-use dpdpu_hw::{CpuPool, LinkConfig, PcieLink};
+use dpdpu_hw::{CpuPool, PcieLink, Platform};
 
+use crate::config::NetConfig;
 use crate::rdma::{rdma_pair_named, RdmaOpKind, RdmaQp};
 use crate::rdma_offload::{offload_qp_with_recv, OffloadRecvStream, OffloadedQp};
-use crate::tcp::{TcpConnector, TcpParams, TcpReceiver, TcpSender, TcpSide};
+use crate::tcp::{TcpConnector, TcpReceiver, TcpSender};
 
 /// Which fabric a cluster connection rides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,25 +114,24 @@ pub struct FabricParams {
     /// flight. Doubles as the posted-receive pool depth the receive
     /// side must sustain.
     pub credit_window: u32,
-    /// Payloads at or above this ride a one-sided write plus a 0-byte
-    /// notify send instead of a plain two-sided send.
-    pub bulk_threshold: usize,
-    /// Base RNR-style backoff after a dropped WQE; doubles per
-    /// consecutive retry (capped at 6 doublings).
-    pub rnr_backoff_ns: Time,
 }
 
 impl Default for FabricParams {
     fn default() -> Self {
-        FabricParams {
-            credit_window: 32,
-            bulk_threshold: 4_096,
-            rnr_backoff_ns: 2_000,
-        }
+        FabricParams { credit_window: 32 }
     }
 }
 
-/// One endpoint's compute resources, as the fabric sees them.
+/// Payloads at or above this ride a one-sided write plus a 0-byte
+/// notify send instead of a plain two-sided send.
+const BULK_THRESHOLD: usize = 4_096;
+/// Base RNR-style backoff after a dropped WQE; doubles per consecutive
+/// retry (capped at 6 doublings).
+const RNR_BACKOFF_NS: Time = 2_000;
+
+/// One endpoint's compute resources: who the network stack on this
+/// side can charge. With a DPU the stack runs there (TCP protocol
+/// cycles, NE rings); without one it runs on host cores.
 #[derive(Clone)]
 pub struct Endpoint {
     /// Host cores.
@@ -153,13 +157,14 @@ impl Endpoint {
         }
     }
 
-    fn tcp_side(&self) -> TcpSide {
-        match &self.dpu {
-            Some((dpu_cpu, pcie)) => {
-                TcpSide::offloaded(self.host_cpu.clone(), dpu_cpu.clone(), pcie.clone())
-            }
-            None => TcpSide::host(self.host_cpu.clone()),
-        }
+    /// `platform` with the stack on its DPU: host cores behind the
+    /// host↔DPU PCIe link.
+    pub fn of(platform: &Platform) -> Self {
+        Endpoint::offloaded(
+            platform.host_cpu.clone(),
+            platform.dpu_cpu.clone(),
+            platform.host_dpu_pcie.clone(),
+        )
     }
 }
 
@@ -240,63 +245,80 @@ impl Connection {
     }
 }
 
-/// A connector: builds duplex per-shard message channels between two
-/// endpoints. Object-safe so cluster code can hold `Rc<dyn Transport>`.
-pub trait Transport {
-    /// Which fabric this transport builds.
-    fn kind(&self) -> FabricKind;
-    /// Connects `a` to `b`; `label` names the connection's resources
-    /// (links, conservation sites) — unique per connection within a
-    /// simulation. Returns `(a_conn, b_conn)`.
-    fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection);
-}
-
-/// The transport for `kind` with the given link and tunables.
-pub fn transport_for(
-    kind: FabricKind,
-    link: LinkConfig,
-    tcp: TcpParams,
-    params: FabricParams,
-) -> Rc<dyn Transport> {
-    match kind {
-        FabricKind::Tcp => Rc::new(TcpTransport { link, tcp }),
-        FabricKind::Rdma => Rc::new(RdmaTransport { link, params }),
-        FabricKind::RdmaOffload => Rc::new(RdmaOffloadTransport { link, params }),
-    }
-}
-
-// ---- TCP ------------------------------------------------------------
-
-/// The original offloaded-TCP path behind the trait. The returned
-/// halves wrap [`TcpSender`]/[`TcpReceiver`] directly — no extra tasks,
-/// channels, or costs — so a TCP-fabric cluster is event-for-event
-/// identical to the pre-fabric one.
-pub struct TcpTransport {
-    /// Physical link both simplex streams run over.
-    pub link: LinkConfig,
-    /// TCP tunables.
-    pub tcp: TcpParams,
-}
-
-impl Transport for TcpTransport {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Tcp
-    }
-
-    fn connect(&self, a: &Endpoint, b: &Endpoint, _label: &str) -> (Connection, Connection) {
-        let ((a_tx, a_rx), (b_tx, b_rx)) = TcpConnector::new(self.link)
-            .params(self.tcp)
-            .duplex(a.tcp_side(), b.tcp_side());
+impl NetConfig {
+    /// Connects `a` to `b` over this configuration's fabric; `label`
+    /// names the connection's resources (links, conservation sites) and
+    /// must be unique per connection within a simulation. Returns
+    /// `(a_conn, b_conn)`.
+    ///
+    /// # Panics
+    /// With [`FabricKind::RdmaOffload`] when either endpoint has no DPU.
+    pub fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection) {
+        let ((a_tx, a_rx), (b_tx, b_rx)) = match self.fabric {
+            // The halves wrap `TcpSender`/`TcpReceiver` directly — no
+            // extra tasks, channels, or costs.
+            FabricKind::Tcp => {
+                let ((a_tx, a_rx), (b_tx, b_rx)) = TcpConnector::new(self.link)
+                    .params(self.tcp)
+                    .duplex(a.clone(), b.clone());
+                ((a_tx.into(), a_rx.into()), (b_tx.into(), b_rx.into()))
+            }
+            // One RPC layer over one QP pair. Host verbs: each side's
+            // host cores issue its QP (the §6 baseline — WQE build, QP
+            // lock, doorbell MMIO and CQ polls all land there), and a
+            // payload crosses PCIe when that side's application lives
+            // on its DPU. Offload: DPU cores issue both QPs, side `a`
+            // (the client) sits behind NE rings — its host enqueues
+            // descriptors and polls completions — and side `b` (the
+            // server) terminates on its DPU, where the DDS engine
+            // already lives: zero host cycles, zero PCIe per request.
+            FabricKind::Rdma | FabricKind::RdmaOffload => {
+                let offload = self.fabric == FabricKind::RdmaOffload;
+                let dpu_of = |e: &Endpoint, role: &str| {
+                    e.dpu.clone().unwrap_or_else(|| {
+                        panic!("rdma-offload fabric needs a DPU on the {role} endpoint")
+                    })
+                };
+                let pcie_of = |e: &Endpoint| e.dpu.as_ref().map(|(_, pcie)| pcie.clone());
+                let (a_issuer, b_issuer) = if offload {
+                    (dpu_of(a, "client").0, dpu_of(b, "server").0)
+                } else {
+                    (a.host_cpu.clone(), b.host_cpu.clone())
+                };
+                // Loss is injected above the NIC, so the wire itself is
+                // made lossless.
+                let mut cfg = self.link;
+                cfg.loss_rate = 0.0;
+                let (qa, qb) =
+                    rdma_pair_named(a_issuer, b_issuer, cfg, &format!("{label}.rdma"), true);
+                let a2b = format!("{label}.a2b");
+                let b2a = format!("{label}.b2a");
+                let a_io = if offload {
+                    let (a_dpu, a_pcie) = dpu_of(a, "client");
+                    let (qp, stream) = offload_qp_with_recv(a.host_cpu.clone(), a_dpu, a_pcie, qa);
+                    (FabricTx::Rings { qp }, FabricRx::Rings { stream })
+                } else {
+                    qp_io(qa, pcie_of(a))
+                };
+                let b_io = qp_io(qb, if offload { None } else { pcie_of(b) });
+                let params = self.fabric_params;
+                (
+                    spawn_endpoint(a_io, params, a2b.clone(), b2a.clone()),
+                    spawn_endpoint(b_io, params, b2a, a2b),
+                )
+            }
+        };
+        let kind = self.fabric;
         (
             Connection {
-                kind: FabricKind::Tcp,
-                tx: a_tx.into(),
-                rx: a_rx.into(),
+                kind,
+                tx: a_tx,
+                rx: a_rx,
             },
             Connection {
-                kind: FabricKind::Tcp,
-                tx: b_tx.into(),
-                rx: b_rx.into(),
+                kind,
+                tx: b_tx,
+                rx: b_rx,
             },
         )
     }
@@ -352,6 +374,17 @@ enum FabricRx {
     Rings { stream: OffloadRecvStream },
 }
 
+/// Both halves of an endpoint whose verbs are issued directly on `qp`.
+fn qp_io(qp: Rc<RdmaQp>, xfer_pcie: Option<Rc<PcieLink>>) -> (FabricTx, FabricRx) {
+    (
+        FabricTx::Qp {
+            qp: qp.clone(),
+            xfer_pcie: xfer_pcie.clone(),
+        },
+        FabricRx::Qp { qp, xfer_pcie },
+    )
+}
+
 impl FabricTx {
     async fn send(&self, framed: Bytes, bulk: bool) {
         match self {
@@ -405,7 +438,7 @@ impl FabricRx {
 /// Waits out the fault layer's verdict for one WQE: a `Drop` is a lost
 /// WQE / RNR NAK — back off exponentially and retry; a `Delay` stalls
 /// the doorbell. Returns once the WQE may be issued.
-async fn wqe_gate(params: &FabricParams) {
+async fn wqe_gate() {
     let mut attempt = 0u32;
     loop {
         match dpdpu_faults::link_verdict() {
@@ -416,7 +449,7 @@ async fn wqe_gate(params: &FabricParams) {
             }
             dpdpu_faults::LinkVerdict::Drop => {
                 dpdpu_check::fault_handled("link_drop", "retried");
-                sleep(params.rnr_backoff_ns << attempt.min(6)).await;
+                sleep(RNR_BACKOFF_NS << attempt.min(6)).await;
                 attempt += 1;
             }
         }
@@ -430,8 +463,7 @@ async fn wqe_gate(params: &FabricParams) {
 /// accounting: this endpoint records sends on `site_out` and deliveries
 /// on `site_in`; the peer is constructed with the names swapped.
 fn spawn_endpoint(
-    tx_io: FabricTx,
-    mut rx_io: FabricRx,
+    (tx_io, mut rx_io): (FabricTx, FabricRx),
     params: FabricParams,
     site_out: String,
     site_in: String,
@@ -467,10 +499,7 @@ fn spawn_endpoint(
                 let len = msg.len();
                 let framed = encode(TAG_DATA, 0, &msg);
                 dpdpu_check::fabric_msg_sent(&site_out, len as u64);
-                if wire_tx
-                    .send((framed, len >= params.bulk_threshold))
-                    .is_err()
-                {
+                if wire_tx.send((framed, len >= BULK_THRESHOLD)).is_err() {
                     return;
                 }
             }
@@ -483,7 +512,7 @@ fn spawn_endpoint(
     // each.
     spawn(async move {
         while let Some((framed, bulk)) = wire_rx.recv().await {
-            wqe_gate(&params).await;
+            wqe_gate().await;
             tx_io.send(framed, bulk).await;
         }
     });
@@ -538,154 +567,6 @@ fn spawn_endpoint(
     )
 }
 
-// ---- RDMA (host-issued verbs) ---------------------------------------
-
-/// RPC over host-issued RDMA verbs: the §6 baseline where issue-side
-/// CPU (WQE build, QP lock, doorbell MMIO, CQ polls) lands on host
-/// cores at both ends.
-pub struct RdmaTransport {
-    /// Physical link the QP pair runs over (loss is injected above the
-    /// NIC, so the wire itself is made lossless).
-    pub link: LinkConfig,
-    /// Credit window and bulk threshold.
-    pub params: FabricParams,
-}
-
-impl Transport for RdmaTransport {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Rdma
-    }
-
-    fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection) {
-        let mut cfg = self.link;
-        cfg.loss_rate = 0.0;
-        let (qa, qb) = rdma_pair_named(
-            a.host_cpu.clone(),
-            b.host_cpu.clone(),
-            cfg,
-            &format!("{label}.rdma"),
-            true,
-        );
-        let a2b = format!("{label}.a2b");
-        let b2a = format!("{label}.b2a");
-        let a_pcie = a.dpu.as_ref().map(|(_, p)| p.clone());
-        let b_pcie = b.dpu.as_ref().map(|(_, p)| p.clone());
-        let (a_tx, a_rx) = spawn_endpoint(
-            FabricTx::Qp {
-                qp: qa.clone(),
-                xfer_pcie: a_pcie.clone(),
-            },
-            FabricRx::Qp {
-                qp: qa,
-                xfer_pcie: a_pcie,
-            },
-            self.params,
-            a2b.clone(),
-            b2a.clone(),
-        );
-        let (b_tx, b_rx) = spawn_endpoint(
-            FabricTx::Qp {
-                qp: qb.clone(),
-                xfer_pcie: b_pcie.clone(),
-            },
-            FabricRx::Qp {
-                qp: qb,
-                xfer_pcie: b_pcie,
-            },
-            self.params,
-            b2a,
-            a2b,
-        );
-        (
-            Connection {
-                kind: FabricKind::Rdma,
-                tx: a_tx,
-                rx: a_rx,
-            },
-            Connection {
-                kind: FabricKind::Rdma,
-                tx: b_tx,
-                rx: b_rx,
-            },
-        )
-    }
-}
-
-// ---- RDMA offload (DPU-issued verbs) --------------------------------
-
-/// RPC over DPU-issued verbs. Side `a` (the client) runs behind NE
-/// request/completion rings — its host enqueues descriptors and polls
-/// completions, its DPU does everything else — and side `b` (the
-/// server) terminates directly on its DPU, where the DDS engine already
-/// lives: zero server host cycles, zero PCIe per request.
-///
-/// Requires a DPU on both endpoints.
-pub struct RdmaOffloadTransport {
-    /// Physical link the QP pair runs over.
-    pub link: LinkConfig,
-    /// Credit window and bulk threshold.
-    pub params: FabricParams,
-}
-
-impl Transport for RdmaOffloadTransport {
-    fn kind(&self) -> FabricKind {
-        FabricKind::RdmaOffload
-    }
-
-    fn connect(&self, a: &Endpoint, b: &Endpoint, label: &str) -> (Connection, Connection) {
-        let (a_dpu, a_pcie) = a
-            .dpu
-            .clone()
-            .expect("rdma-offload fabric needs a DPU on the client endpoint");
-        let (b_dpu, _b_pcie) = b
-            .dpu
-            .clone()
-            .expect("rdma-offload fabric needs a DPU on the server endpoint");
-        let mut cfg = self.link;
-        cfg.loss_rate = 0.0;
-        // Both QPs are issued by DPU cores.
-        let (qa, qb) = rdma_pair_named(a_dpu.clone(), b_dpu, cfg, &format!("{label}.rdma"), true);
-        let a2b = format!("{label}.a2b");
-        let b2a = format!("{label}.b2a");
-        // Client side: host behind the rings.
-        let (oqp, stream) = offload_qp_with_recv(a.host_cpu.clone(), a_dpu, a_pcie, qa);
-        let (a_tx, a_rx) = spawn_endpoint(
-            FabricTx::Rings { qp: oqp },
-            FabricRx::Rings { stream },
-            self.params,
-            a2b.clone(),
-            b2a.clone(),
-        );
-        // Server side: the application *is* on the DPU — verbs, buffers
-        // and app memory are all DPU-local.
-        let (b_tx, b_rx) = spawn_endpoint(
-            FabricTx::Qp {
-                qp: qb.clone(),
-                xfer_pcie: None,
-            },
-            FabricRx::Qp {
-                qp: qb,
-                xfer_pcie: None,
-            },
-            self.params,
-            b2a,
-            a2b,
-        );
-        (
-            Connection {
-                kind: FabricKind::RdmaOffload,
-                tx: a_tx,
-                rx: a_rx,
-            },
-            Connection {
-                kind: FabricKind::RdmaOffload,
-                tx: b_tx,
-                rx: b_rx,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,14 +608,9 @@ mod tests {
         let ok2 = ok.clone();
         sim.spawn(async move {
             let (a, b) = endpoints_for(kind, kind.name());
-            let t = transport_for(
-                kind,
-                LinkConfig::rack_100g(),
-                TcpParams::default(),
-                FabricParams::default(),
-            );
-            assert_eq!(t.kind(), kind);
-            let (ca, cb) = t.connect(&a, &b, &format!("t-{kind}"));
+            let net = NetConfig::default().with_fabric(kind);
+            let (ca, cb) = net.connect(&a, &b, &format!("t-{kind}"));
+            assert_eq!((ca.kind, cb.kind), (kind, kind));
             let (a_tx, mut a_rx) = ca.split();
             let (b_tx, mut b_rx) = cb.split();
             spawn(async move {
@@ -798,13 +674,8 @@ mod tests {
         sim.spawn(async move {
             let (a, b) = endpoints_for(FabricKind::RdmaOffload, "idle");
             let b_host = b.host_cpu.clone();
-            let t = transport_for(
-                FabricKind::RdmaOffload,
-                LinkConfig::rack_100g(),
-                TcpParams::default(),
-                FabricParams::default(),
-            );
-            let (ca, cb) = t.connect(&a, &b, "t-idle");
+            let net = NetConfig::default().with_fabric(FabricKind::RdmaOffload);
+            let (ca, cb) = net.connect(&a, &b, "t-idle");
             let (a_tx, mut a_rx) = ca.split();
             let (b_tx, mut b_rx) = cb.split();
             spawn(async move {
@@ -825,6 +696,32 @@ mod tests {
             0,
             "rdma-offload server transport must cost zero host cycles"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a DPU on the client endpoint")]
+    fn offload_fabric_rejects_a_host_only_client() {
+        // Rejected before anything is spawned: no simulation needed.
+        let net = NetConfig::default().with_fabric(FabricKind::RdmaOffload);
+        net.connect(&host_endpoint("a"), &dpu_endpoint("b"), "t-no-dpu");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a DPU on the server endpoint")]
+    fn offload_fabric_rejects_a_host_only_server() {
+        // Rejected before anything is spawned: no simulation needed.
+        let net = NetConfig::default().with_fabric(FabricKind::RdmaOffload);
+        net.connect(&dpu_endpoint("a"), &host_endpoint("b"), "t-no-dpu");
+    }
+
+    #[test]
+    fn endpoint_of_a_platform_is_its_host_dpu_and_pcie() {
+        let p = Platform::default_bf2();
+        let ep = Endpoint::of(&p);
+        let (dpu_cpu, pcie) = ep.dpu.expect("platform endpoints have a DPU");
+        assert!(Rc::ptr_eq(&ep.host_cpu, &p.host_cpu));
+        assert!(Rc::ptr_eq(&dpu_cpu, &p.dpu_cpu));
+        assert!(Rc::ptr_eq(&pcie, &p.host_dpu_pcie));
     }
 
     #[test]

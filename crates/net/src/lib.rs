@@ -21,11 +21,12 @@
 //! * [`dfi`] — a DFI-style flow interface (pipelined record shipping)
 //!   layered over either RDMA path, showing how an existing
 //!   communication framework adopts the NE by swapping its transport.
-//! * [`fabric`] — the cluster fabric: a `Transport` trait whose
-//!   `connect` yields the `Connection` pair over which `DdsCluster` moves
-//!   its per-shard request/response traffic, with TCP, host-verbs RDMA,
-//!   and DPU-issued (NE-ring) RDMA implementations behind one
-//!   credit-flow-controlled RPC framing.
+//! * [`fabric`] — the cluster fabric: [`fabric::Endpoint`] says who is
+//!   talking (and whether that side's stack runs on a DPU), and
+//!   [`NetConfig::connect`] yields the `Connection` pair over which
+//!   `DdsCluster` moves its per-shard request/response traffic — over
+//!   TCP, host-verbs RDMA, or DPU-issued (NE-ring) RDMA, the latter two
+//!   behind one credit-flow-controlled RPC framing.
 //! * [`config`] — [`NetConfig`], the one bundle of link, TCP, and fabric
 //!   parameters that `ClusterConfig`/`DpdpuBuilder` thread through the
 //!   stack, with the shared `--fabric`/`--cong`/`--loss`/

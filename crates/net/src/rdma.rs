@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dpdpu_des::{channel, oneshot, sleep, spawn, Counter, Receiver, Sender};
+use dpdpu_des::{channel, oneshot, sleep, spawn, Counter, OneshotReceiver, Receiver, Sender};
 use dpdpu_hw::{costs, CpuPool, Link, LinkConfig};
 
 /// One-sided or two-sided RDMA operation kinds.
@@ -80,8 +80,8 @@ struct Completion {
 /// A local RDMA queue pair bound to a remote peer.
 ///
 /// `post` models the verbs issue path on the caller's CPU pool; the NIC
-/// and wire then run asynchronously; awaiting the returned handle models
-/// polling the completion queue.
+/// and wire then run asynchronously; the completion-queue entry is
+/// polled inline (`post`) or by a spawned reaper (`post_pipelined`).
 pub struct RdmaQp {
     cpu: Rc<CpuPool>,
     nic_tx: Sender<(NicMsg, dpdpu_des::OneshotSender<Completion>)>,
@@ -274,32 +274,36 @@ fn make_qp(
 }
 
 impl RdmaQp {
-    /// Posts one operation through the verbs path and waits for its
-    /// completion-queue entry. The issuing CPU pays WQE construction +
-    /// QP lock + doorbell, and later the CQ poll.
-    pub async fn post(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
-        // Issue-side software cost (the §6 overhead).
+    /// The issue half of every post: the issuing CPU pays WQE
+    /// construction + QP lock + doorbell (the §6 overhead), then the WQE
+    /// is on the queue pair. Resolves to the completion-queue entry.
+    async fn issue(
+        &self,
+        kind: RdmaOpKind,
+        bytes: u64,
+        payload: Option<Bytes>,
+    ) -> OneshotReceiver<Completion> {
         self.cpu.exec(costs::RDMA_VERB_ISSUE_CYCLES).await;
         let op_id = self.next_op.get();
         self.next_op.set(op_id + 1);
         let (tx, rx) = oneshot();
-        if self
-            .nic_tx
-            .send((
-                NicMsg::Request {
-                    kind,
-                    bytes,
-                    payload,
-                    op_id,
-                },
-                tx,
-            ))
-            .is_err()
-        {
+        let request = NicMsg::Request {
+            kind,
+            bytes,
+            payload,
+            op_id,
+        };
+        if self.nic_tx.send((request, tx)).is_err() {
             panic!("NIC engine gone");
         }
-        let _ = rx.await;
-        // Completion poll.
+        rx
+    }
+
+    /// Posts one operation through the verbs path and waits for its
+    /// completion-queue entry, then pays the CQ poll.
+    pub async fn post(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
+        let cqe = self.issue(kind, bytes, payload).await;
+        let _ = cqe.await;
         self.cpu.exec(costs::RDMA_CQ_POLL_CYCLES).await;
     }
 
@@ -315,28 +319,10 @@ impl RdmaQp {
     /// Not for one-sided *reads* a caller consumes the result of —
     /// those need [`post`](Self::post)'s completion semantics.
     pub async fn post_pipelined(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
-        self.cpu.exec(costs::RDMA_VERB_ISSUE_CYCLES).await;
-        let op_id = self.next_op.get();
-        self.next_op.set(op_id + 1);
-        let (tx, rx) = oneshot();
-        if self
-            .nic_tx
-            .send((
-                NicMsg::Request {
-                    kind,
-                    bytes,
-                    payload,
-                    op_id,
-                },
-                tx,
-            ))
-            .is_err()
-        {
-            panic!("NIC engine gone");
-        }
+        let cqe = self.issue(kind, bytes, payload).await;
         let cpu = self.cpu.clone();
         spawn(async move {
-            if rx.await.is_ok() {
+            if cqe.await.is_ok() {
                 cpu.exec(costs::RDMA_CQ_POLL_CYCLES).await;
             }
         });
@@ -536,6 +522,45 @@ mod tests {
             );
         });
         sim.run();
+    }
+
+    #[test]
+    fn pipelined_posts_cost_the_same_cpu_and_overlap_round_trips() {
+        // `post` and `post_pipelined` share one issue half and pay one
+        // CQ poll per op; only where the completion is awaited differs.
+        const N: u8 = 32;
+        let run = |pipelined: bool| {
+            let a_cpu = CpuPool::new("a", 8, 3_000_000_000);
+            let b_cpu = CpuPool::new("b", 8, 3_000_000_000);
+            let issuer = a_cpu.clone();
+            let delivered_at = dpdpu_des::block_on(async move {
+                let (a, b) = rdma_pair(issuer, b_cpu, LinkConfig::rack_100g());
+                dpdpu_des::spawn(async move {
+                    for i in 0..N {
+                        let msg = Some(Bytes::from(vec![i; 64]));
+                        if pipelined {
+                            a.post_pipelined(RdmaOpKind::Send, 64, msg).await;
+                        } else {
+                            a.post(RdmaOpKind::Send, 64, msg).await;
+                        }
+                    }
+                });
+                for i in 0..N {
+                    assert_eq!(b.recv().await[0], i, "wire order");
+                }
+                now()
+            });
+            (a_cpu.busy_ns(), delivered_at)
+        };
+        let (inline_busy, inline_ns) = run(false);
+        let (pipelined_busy, pipelined_ns) = run(true);
+        let per_op = costs::RDMA_VERB_ISSUE_CYCLES + costs::RDMA_CQ_POLL_CYCLES;
+        assert_eq!(inline_busy, N as u64 * per_op / 3);
+        assert_eq!(pipelined_busy, inline_busy);
+        assert!(
+            pipelined_ns * 2 < inline_ns,
+            "pipelined={pipelined_ns} inline={inline_ns}"
+        );
     }
 
     #[test]

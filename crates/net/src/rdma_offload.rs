@@ -36,17 +36,15 @@ pub struct OffloadStats {
 struct RingEntry {
     kind: RdmaOpKind,
     bytes: u64,
-    /// Two-sided payload the DPU ships with the verb (DMA'd from host
-    /// memory first).
+    /// A message the DPU delivers to the peer (DMA'd from host memory
+    /// first). Message entries complete (`done`) once their verbs are
+    /// issued, not when the remote round trip finishes — send-path
+    /// semantics, where wire order is all the submitter needs. A
+    /// message of kind `Write` is placed by a one-sided write, then
+    /// delivered by a 0-byte notify send — one descriptor, one payload
+    /// DMA, two verbs. `None` is a one-sided op that completes after
+    /// its round trip.
     payload: Option<Bytes>,
-    /// Bulk entries: the DPU places the payload with a one-sided write,
-    /// then notifies the peer with a 0-byte send carrying the message —
-    /// one descriptor, one payload DMA, two verbs.
-    bulk: bool,
-    /// Pipelined entries complete (`done`) once their verbs are issued,
-    /// not when the remote round trip finishes — send-path semantics,
-    /// where wire order is all the submitter needs.
-    pipelined: bool,
     done: OneshotSender<()>,
 }
 
@@ -90,29 +88,23 @@ pub fn offload_qp(
                     if entry.kind != RdmaOpKind::Read && entry.bytes > 0 {
                         pcie.dma(entry.bytes).await;
                     }
-                    if entry.bulk {
+                    match entry.payload {
                         // Payload by one-sided write, delivery by a
                         // 0-byte notify send — the payload crossed PCIe
                         // once, above.
-                        if entry.pipelined {
+                        Some(msg) if entry.kind == RdmaOpKind::Write => {
                             dpu_qp
                                 .post_pipelined(RdmaOpKind::Write, entry.bytes, None)
                                 .await;
                             dpu_cpu.exec(costs::DPU_RDMA_ISSUE_CYCLES).await;
-                            dpu_qp
-                                .post_pipelined(RdmaOpKind::Send, 0, entry.payload)
-                                .await;
-                        } else {
-                            dpu_qp.post(RdmaOpKind::Write, entry.bytes, None).await;
-                            dpu_cpu.exec(costs::DPU_RDMA_ISSUE_CYCLES).await;
-                            dpu_qp.post(RdmaOpKind::Send, 0, entry.payload).await;
+                            dpu_qp.post_pipelined(RdmaOpKind::Send, 0, Some(msg)).await;
                         }
-                    } else if entry.pipelined {
-                        dpu_qp
-                            .post_pipelined(entry.kind, entry.bytes, entry.payload)
-                            .await;
-                    } else {
-                        dpu_qp.post(entry.kind, entry.bytes, entry.payload).await;
+                        Some(msg) => {
+                            dpu_qp
+                                .post_pipelined(entry.kind, entry.bytes, Some(msg))
+                                .await;
+                        }
+                        None => dpu_qp.post(entry.kind, entry.bytes, None).await,
                     }
                     if entry.kind == RdmaOpKind::Read && entry.bytes > 0 {
                         // Read payload lands in host memory by DMA.
@@ -179,22 +171,13 @@ impl OffloadRecvStream {
 }
 
 impl OffloadedQp {
-    async fn submit_entry(
-        &self,
-        kind: RdmaOpKind,
-        bytes: u64,
-        payload: Option<Bytes>,
-        bulk: bool,
-        pipelined: bool,
-    ) {
+    async fn submit_entry(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES).await;
         let (tx, rx) = oneshot();
         self.ring.borrow_mut().push_back(RingEntry {
             kind,
             bytes,
             payload,
-            bulk,
-            pipelined,
             done: tx,
         });
         let _ = rx.await;
@@ -202,16 +185,12 @@ impl OffloadedQp {
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES / 4).await;
     }
 
-    async fn submit(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>, bulk: bool) {
-        self.submit_entry(kind, bytes, payload, bulk, false).await;
-    }
-
-    /// Posts an operation from the host: a ring enqueue (no lock, no
-    /// doorbell), then an await of the completion ring. The await models
-    /// the §6 requirement that "applications only spend minimal resources
-    /// polling responses".
+    /// Posts a one-sided operation from the host: a ring enqueue (no
+    /// lock, no doorbell), then an await of the completion ring. The
+    /// await models the §6 requirement that "applications only spend
+    /// minimal resources polling responses".
     pub async fn post(&self, kind: RdmaOpKind, bytes: u64) {
-        self.submit(kind, bytes, None, false).await;
+        self.submit_entry(kind, bytes, None).await;
     }
 
     /// One-sided write.
@@ -224,36 +203,23 @@ impl OffloadedQp {
         self.post(RdmaOpKind::Read, bytes).await;
     }
 
-    /// Two-sided send carrying `payload`, issued by the DPU.
-    pub async fn send(&self, payload: Bytes) {
+    /// Two-sided send carrying `payload`, issued by the DPU; returns
+    /// once the DPU has issued the verb, not after the remote round
+    /// trip. Successive sends keep ring and wire order, so a message
+    /// pump overlaps round trips instead of paying one per message.
+    pub async fn send_pipelined(&self, payload: Bytes) {
         let bytes = payload.len() as u64;
-        self.submit(RdmaOpKind::Send, bytes, Some(payload), false)
+        self.submit_entry(RdmaOpKind::Send, bytes, Some(payload))
             .await;
     }
 
     /// Bulk message: payload placed by a one-sided write, delivery
-    /// signalled by a 0-byte notify send (both DPU-issued).
-    pub async fn send_bulk(&self, payload: Bytes) {
-        let bytes = payload.len() as u64;
-        self.submit(RdmaOpKind::Write, bytes, Some(payload), true)
-            .await;
-    }
-
-    /// [`send`](Self::send) that returns once the DPU has issued the
-    /// verb instead of after the remote round trip. Successive
-    /// pipelined sends keep ring and wire order, so a message pump can
-    /// overlap round trips instead of paying one per message.
-    pub async fn send_pipelined(&self, payload: Bytes) {
-        let bytes = payload.len() as u64;
-        self.submit_entry(RdmaOpKind::Send, bytes, Some(payload), false, true)
-            .await;
-    }
-
-    /// [`send_bulk`](Self::send_bulk) with pipelined completion, as in
+    /// signalled by a 0-byte notify send (both DPU-issued), with
+    /// pipelined completion as in
     /// [`send_pipelined`](Self::send_pipelined).
     pub async fn send_bulk_pipelined(&self, payload: Bytes) {
         let bytes = payload.len() as u64;
-        self.submit_entry(RdmaOpKind::Write, bytes, Some(payload), true, true)
+        self.submit_entry(RdmaOpKind::Write, bytes, Some(payload))
             .await;
     }
 }

@@ -12,7 +12,8 @@ use dpdpu_hw::{Link, LinkConfig};
 
 use super::receiver::receiver_task;
 use super::sender::sender_task;
-use super::{TcpParams, TcpReceiver, TcpSender, TcpSide, TcpStats};
+use super::{TcpParams, TcpReceiver, TcpSender, TcpStats};
+use crate::fabric::Endpoint;
 
 /// TCP segment header bytes on the wire (Ethernet+IP+TCP, rounded).
 pub(crate) const HEADER_BYTES: u64 = 66;
@@ -106,11 +107,11 @@ impl SegPort {
 }
 
 /// Builds `streams` simplex connections sharing one physical link per
-/// direction (data forward, ACKs reverse): the core the public
-/// constructors and [`super::TcpConnector`] delegate to.
+/// direction (data forward, ACKs reverse): the core
+/// [`super::TcpConnector`] delegates to.
 pub(crate) fn build_mux(
-    src: TcpSide,
-    dst: TcpSide,
+    src: Endpoint,
+    dst: Endpoint,
     link_cfg: LinkConfig,
     params: TcpParams,
     streams: usize,

@@ -11,12 +11,12 @@
 //!   MSS keep their boundaries; larger messages arrive as MSS-sized
 //!   chunks — nothing in the reproduced experiments depends on
 //!   byte-granular framing).
-//! * **Host stack** ([`TcpStack::HostKernel`]): every data segment and
-//!   ACK charges host-CPU cycles — the Figure 3 cost.
-//! * **Offloaded stack** ([`TcpStack::DpuOffload`]): protocol cycles are
-//!   charged to DPU cores; payloads cross host↔DPU PCIe by DMA; the host
-//!   pays only the lock-free-ring enqueue/poll cost per message — the §6
-//!   "POSIX-like socket API through a user library".
+//! * **Host stack** (an [`Endpoint`] with no DPU): every data segment
+//!   and ACK charges host-CPU cycles — the Figure 3 cost.
+//! * **Offloaded stack** (an [`Endpoint`] with a DPU): protocol cycles
+//!   are charged to DPU cores; payloads cross host↔DPU PCIe by DMA; the
+//!   host pays only the lock-free-ring enqueue/poll cost per message —
+//!   the §6 "POSIX-like socket API through a user library".
 //!
 //! ## Structure
 //!
@@ -32,8 +32,7 @@
 //!   portus-style [`CongAlg`] trait: [`cong::Reno`], [`cong::Cubic`],
 //!   [`cong::Dctcp`].
 //!
-//! Connections are built with [`TcpConnector`]; the historical
-//! free-function constructors remain as thin shims over it.
+//! Connections are built with [`TcpConnector`], the only constructor.
 
 pub mod cong;
 mod conn;
@@ -44,28 +43,18 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_des::{Counter, Permit, Receiver, Sender, Time};
-use dpdpu_hw::{costs, CpuPool, LinkConfig, PcieLink};
+use dpdpu_hw::{costs, LinkConfig};
 
 pub use cong::{CongAlg, CongAlgKind, CongConfig, Measurement, Report};
 
+use crate::fabric::Endpoint;
 use conn::build_mux;
-
-/// Where a side's protocol stack executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpStack {
-    /// Traditional kernel TCP on host cores.
-    HostKernel,
-    /// NE: stack on DPU cores, host touches rings + DMA only.
-    DpuOffload,
-}
 
 /// Tunables for one connection.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpParams {
     /// Maximum segment size (payload bytes per segment).
     pub mss: usize,
-    /// Initial congestion window, in segments.
-    pub init_cwnd_segs: u64,
     /// Maximum congestion window, in segments.
     pub max_wnd_segs: u64,
     /// Retransmission timeout.
@@ -83,7 +72,6 @@ impl Default for TcpParams {
     fn default() -> Self {
         TcpParams {
             mss: 8_192,
-            init_cwnd_segs: 10,
             max_wnd_segs: 256,
             rto_ns: 1_000_000,
             recv_ring_slots: 256,
@@ -92,76 +80,42 @@ impl Default for TcpParams {
     }
 }
 
-/// One side's compute resources.
-#[derive(Clone)]
-pub struct TcpSide {
-    /// Which stack this side runs.
-    pub stack: TcpStack,
-    /// Host cores (always present).
-    pub host_cpu: Rc<CpuPool>,
-    /// DPU cores (required for [`TcpStack::DpuOffload`]).
-    pub dpu_cpu: Option<Rc<CpuPool>>,
-    /// Host↔DPU PCIe link (required for [`TcpStack::DpuOffload`]).
-    pub pcie: Option<Rc<PcieLink>>,
-}
-
-impl TcpSide {
-    /// A host-kernel side.
-    pub fn host(host_cpu: Rc<CpuPool>) -> Self {
-        TcpSide {
-            stack: TcpStack::HostKernel,
-            host_cpu,
-            dpu_cpu: None,
-            pcie: None,
-        }
-    }
-
-    /// A DPU-offloaded side.
-    pub fn offloaded(host_cpu: Rc<CpuPool>, dpu_cpu: Rc<CpuPool>, pcie: Rc<PcieLink>) -> Self {
-        TcpSide {
-            stack: TcpStack::DpuOffload,
-            host_cpu,
-            dpu_cpu: Some(dpu_cpu),
-            pcie: Some(pcie),
-        }
-    }
-
+/// The TCP stack's costs on one endpoint: the kernel path on host cores
+/// when the endpoint has no DPU, the NE path (stack on DPU cores, host
+/// touches rings + DMA only) when it has one.
+impl Endpoint {
     /// Charges protocol cycles for one data segment of `bytes`. Stack
     /// *latency* (softirq, wakeups) is not charged here — per-segment
     /// processing pipelines in a real stack; latency effects are modelled
     /// where they matter (the Figure 8 round-trip experiment).
     pub(crate) async fn charge_data_segment(&self, bytes: u64) {
-        match self.stack {
-            TcpStack::HostKernel => {
+        match &self.dpu {
+            None => {
                 self.host_cpu
                     .exec(costs::TCP_CYCLES_PER_MSG + bytes / 2)
                     .await;
             }
-            TcpStack::DpuOffload => {
-                let dpu = self.dpu_cpu.as_ref().expect("offload side needs DPU cores");
-                dpu.exec(costs::DPU_TCP_CYCLES_PER_MSG + bytes / 8).await;
+            Some((dpu_cpu, _)) => {
+                dpu_cpu
+                    .exec(costs::DPU_TCP_CYCLES_PER_MSG + bytes / 8)
+                    .await;
             }
         }
     }
 
     /// Charges ACK processing.
     pub(crate) async fn charge_ack(&self) {
-        match self.stack {
-            TcpStack::HostKernel => {
-                self.host_cpu.exec(costs::TCP_CYCLES_PER_MSG / 4).await;
-            }
-            TcpStack::DpuOffload => {
-                let dpu = self.dpu_cpu.as_ref().expect("offload side needs DPU cores");
-                dpu.exec(costs::DPU_TCP_CYCLES_PER_MSG / 4).await;
-            }
+        match &self.dpu {
+            None => self.host_cpu.exec(costs::TCP_CYCLES_PER_MSG / 4).await,
+            Some((dpu_cpu, _)) => dpu_cpu.exec(costs::DPU_TCP_CYCLES_PER_MSG / 4).await,
         }
     }
 
-    /// Device this side's stack spends cycles on (telemetry process).
+    /// Device this endpoint's stack spends cycles on (telemetry process).
     pub(crate) fn device(&self) -> &'static str {
-        match self.stack {
-            TcpStack::HostKernel => "host",
-            TcpStack::DpuOffload => "dpu",
+        match &self.dpu {
+            None => "host",
+            Some(_) => "dpu",
         }
     }
 
@@ -169,13 +123,9 @@ impl TcpSide {
     /// (syscall-free ring ops when offloaded; folded into segment cost on
     /// the kernel path) plus payload DMA for the offloaded path.
     pub(crate) async fn app_boundary(&self, bytes: u64) {
-        if self.stack == TcpStack::DpuOffload {
+        if let Some((_, pcie)) = &self.dpu {
             self.host_cpu.exec(costs::NE_HOST_RING_CYCLES_PER_MSG).await;
-            self.pcie
-                .as_ref()
-                .expect("offload side needs PCIe")
-                .dma(bytes)
-                .await;
+            pcie.dma(bytes).await;
         }
     }
 }
@@ -293,7 +243,22 @@ impl TcpConnector {
     }
 
     /// Replaces the full parameter set.
+    ///
+    /// # Panics
+    /// On a parameter set no connection can make progress with: a zero
+    /// `mss` (segmentation never consumes the message), zero
+    /// `recv_ring_slots` (a zero window nothing can reopen) or zero
+    /// `max_wnd_segs` (a zero congestion window under a re-arming RTO).
     pub fn params(mut self, params: TcpParams) -> Self {
+        assert!(params.mss > 0, "TcpParams::mss must be at least 1");
+        assert!(
+            params.recv_ring_slots > 0,
+            "TcpParams::recv_ring_slots must be at least 1"
+        );
+        assert!(
+            params.max_wnd_segs > 0,
+            "TcpParams::max_wnd_segs must be at least 1"
+        );
         self.params = params;
         self
     }
@@ -316,7 +281,7 @@ impl TcpConnector {
     /// One simplex stream from `src` to `dst` over a dedicated link
     /// (the reverse direction carries ACKs). Spawns the protocol tasks;
     /// must be called inside a running simulation.
-    pub fn stream(&self, src: TcpSide, dst: TcpSide) -> (TcpSender, TcpReceiver) {
+    pub fn stream(&self, src: Endpoint, dst: Endpoint) -> (TcpSender, TcpReceiver) {
         self.streams(src, dst, 1).pop().expect("one stream")
     }
 
@@ -324,30 +289,17 @@ impl TcpConnector {
     /// link** in each direction (data forward, ACKs reverse) —
     /// connections contend for wire time exactly as parallel flows
     /// through one NIC port do.
-    pub fn streams(&self, src: TcpSide, dst: TcpSide, n: usize) -> Vec<(TcpSender, TcpReceiver)> {
+    pub fn streams(&self, src: Endpoint, dst: Endpoint, n: usize) -> Vec<(TcpSender, TcpReceiver)> {
         build_mux(src, dst, self.link, self.params, n, self.label.clone())
     }
 
     /// One duplex connection between `a` and `b`: two simplex streams
     /// (a→b and b→a), each with its own physical link pair. Returns
     /// `(a_endpoint, b_endpoint)`.
-    pub fn duplex(&self, a: TcpSide, b: TcpSide) -> (TcpEndpoint, TcpEndpoint) {
+    pub fn duplex(&self, a: Endpoint, b: Endpoint) -> (TcpEndpoint, TcpEndpoint) {
         let (a2b_tx, a2b_rx) = self.stream(a.clone(), b.clone());
         let (b2a_tx, b2a_rx) = self.stream(b, a);
         ((a2b_tx, b2a_rx), (b2a_tx, a2b_rx))
-    }
-
-    /// Connection fan-out for a client fleet: `n` duplex connections
-    /// from `a` to `b` whose forward streams share one physical link
-    /// (and likewise the reverse streams) — the contention pattern of
-    /// many clients behind one NIC port talking to one server port.
-    pub fn mux_duplex(&self, a: TcpSide, b: TcpSide, n: usize) -> Vec<(TcpEndpoint, TcpEndpoint)> {
-        let fwd = self.streams(a.clone(), b.clone(), n);
-        let rev = self.streams(b, a, n);
-        fwd.into_iter()
-            .zip(rev)
-            .map(|((a2b_tx, a2b_rx), (b2a_tx, b2a_rx))| ((a2b_tx, b2a_rx), (b2a_tx, a2b_rx)))
-            .collect()
     }
 }
 
@@ -355,11 +307,12 @@ impl TcpConnector {
 mod tests {
     use super::*;
     use dpdpu_des::{now, Sim};
+    use dpdpu_hw::{CpuPool, PcieLink};
 
-    fn host_sides() -> (TcpSide, TcpSide) {
+    fn host_sides() -> (Endpoint, Endpoint) {
         (
-            TcpSide::host(CpuPool::new("src-cpu", 16, 3_000_000_000)),
-            TcpSide::host(CpuPool::new("dst-cpu", 16, 3_000_000_000)),
+            Endpoint::host(CpuPool::new("src-cpu", 16, 3_000_000_000)),
+            Endpoint::host(CpuPool::new("dst-cpu", 16, 3_000_000_000)),
         )
     }
 
@@ -532,15 +485,15 @@ mod tests {
                 let src_host = CpuPool::new("src-host", 16, 3_000_000_000);
                 let dst_host = CpuPool::new("dst-host", 16, 3_000_000_000);
                 let src = if offload {
-                    TcpSide::offloaded(
+                    Endpoint::offloaded(
                         src_host.clone(),
                         CpuPool::new("src-dpu", 8, 2_500_000_000),
                         PcieLink::new("src-pcie", 16_000_000_000),
                     )
                 } else {
-                    TcpSide::host(src_host.clone())
+                    Endpoint::host(src_host.clone())
                 };
-                let dst = TcpSide::host(dst_host);
+                let dst = Endpoint::host(dst_host);
                 let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
                 for _ in 0..2_000 {
                     tx.send(Bytes::from(vec![1u8; 8_192]));
@@ -761,6 +714,36 @@ mod tests {
         });
         sim.run();
         assert!(done.get(), "zero-window test deadlocked");
+    }
+
+    #[test]
+    #[should_panic(expected = "mss must be at least 1")]
+    fn zero_mss_is_rejected_at_the_connector() {
+        // Used to loop for ever in the sender's segmentation.
+        let _ = TcpConnector::new(fast_link()).params(TcpParams {
+            mss: 0,
+            ..TcpParams::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "recv_ring_slots must be at least 1")]
+    fn zero_receive_ring_is_rejected_at_the_connector() {
+        // Used to advertise a zero window nothing could reopen.
+        let _ = TcpConnector::new(fast_link()).params(TcpParams {
+            recv_ring_slots: 0,
+            ..TcpParams::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_wnd_segs must be at least 1")]
+    fn zero_max_window_is_rejected_at_the_connector() {
+        // Used to clamp cwnd to zero while the RTO kept re-arming.
+        let _ = TcpConnector::new(fast_link()).params(TcpParams {
+            max_wnd_segs: 0,
+            ..TcpParams::default()
+        });
     }
 
     #[test]

@@ -9,10 +9,11 @@ use bytes::Bytes;
 use dpdpu_des::{race, Either, Permit, Receiver, Semaphore, Sender};
 
 use super::conn::{SegPort, Segment};
-use super::{TcpParams, TcpSide, TcpStats};
+use super::{TcpParams, TcpStats};
+use crate::fabric::Endpoint;
 
 pub(crate) async fn receiver_task(
-    side: TcpSide,
+    side: Endpoint,
     port: SegPort,
     mut data_rx: Receiver<Segment>,
     mut wnd_rx: Receiver<()>,

@@ -13,7 +13,11 @@ use dpdpu_des::{race, timeout, Either, Receiver};
 
 use super::cong::{CongAlg, CongConfig, Measurement};
 use super::conn::{AckEvent, SegPort, Segment};
-use super::{TcpParams, TcpSide, TcpStats};
+use super::{TcpParams, TcpStats};
+use crate::fabric::Endpoint;
+
+/// Initial congestion window, in segments (RFC 6928's IW10).
+const INIT_CWND_SEGS: u64 = 10;
 
 pub(crate) struct SendState {
     /// Lowest unacknowledged byte.
@@ -40,7 +44,7 @@ enum Evt {
 }
 
 pub(crate) async fn sender_task(
-    side: TcpSide,
+    side: Endpoint,
     port: SegPort,
     mut app_rx: Receiver<Bytes>,
     mut ack_rx: Receiver<AckEvent>,
@@ -53,7 +57,7 @@ pub(crate) async fn sender_task(
     let mut alg: Box<dyn CongAlg> = params.cong.build();
     let initial = alg.install(&CongConfig {
         mss,
-        init_cwnd: (params.init_cwnd_segs * mss) as f64,
+        init_cwnd: (INIT_CWND_SEGS * mss) as f64,
         max_wnd,
     });
     let st = RefCell::new(SendState {

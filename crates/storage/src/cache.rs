@@ -136,16 +136,6 @@ impl PageCache {
     pub fn is_empty(&self) -> bool {
         self.map.borrow().is_empty()
     }
-
-    /// Hit fraction so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits.get() as f64 / total as f64
-        }
-    }
 }
 
 /// A page-granular cached view over the DPU file service.

@@ -47,11 +47,7 @@ fn run(offload: bool) -> (f64, f64) {
         .await;
 
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
         // Load phase.
         let mut rng = StdRng::seed_from_u64(1);

@@ -33,11 +33,7 @@ fn main() {
         .await;
 
         let client_cpu = CpuPool::new("compute-tier", 16, 3_000_000_000);
-        let client = dds.connect(
-            &*NetConfig::default().transport(),
-            &Endpoint::host(client_cpu),
-            "client",
-        );
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
         let mut rng = StdRng::seed_from_u64(7);
 

@@ -20,7 +20,8 @@ use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, LinkConfig};
 use dpdpu::kernels::record::{gen, Batch, Value};
 use dpdpu::kernels::relops::{CmpOp, Predicate};
-use dpdpu::net::tcp::{TcpConnector, TcpSide};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::tcp::TcpConnector;
 
 const ROWS_PER_PAGE: usize = 64;
 const NUM_PAGES: usize = 64;
@@ -57,14 +58,8 @@ fn run(pushdown: bool) -> u64 {
 
         // Remote database server connection.
         let db_cpu = CpuPool::new("dbms", 16, 3_000_000_000);
-        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g()).stream(
-            TcpSide::offloaded(
-                rt.platform.host_cpu.clone(),
-                rt.platform.dpu_cpu.clone(),
-                rt.platform.host_dpu_pcie.clone(),
-            ),
-            TcpSide::host(db_cpu),
-        );
+        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
+            .stream(Endpoint::of(&rt.platform), Endpoint::host(db_cpu));
 
         // WHERE status = 'paid' AND amount > 5000.
         let predicate = Rc::new(

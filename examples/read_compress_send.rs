@@ -20,7 +20,8 @@ use bytes::Bytes;
 use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelKind, KernelOp, Placement};
 use dpdpu::des::{block_on, now, spawn};
 use dpdpu::hw::{CpuPool, DpuSpec, HostSpec, LinkConfig, Platform};
-use dpdpu::net::tcp::{TcpConnector, TcpSide};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::tcp::TcpConnector;
 use dpdpu::telemetry::Telemetry;
 
 const PAGE: u64 = 8_192;
@@ -81,14 +82,8 @@ fn run_on(label: &str, dpu: DpuSpec, trace_out: Option<&std::path::Path>) {
 
         // The remote client connection (Network Engine, offloaded TCP).
         let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
-        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g()).stream(
-            TcpSide::offloaded(
-                rt.platform.host_cpu.clone(),
-                rt.platform.dpu_cpu.clone(),
-                rt.platform.host_dpu_pcie.clone(),
-            ),
-            TcpSide::host(client_cpu),
-        );
+        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
+            .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
 
         // --- the sproc body (Figure 6) ---
         let dpk_compress = rt.compute.get_dpk(KernelKind::Compress);

@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use dpdpu::compute::{AccelShares, SchedPolicy, Scheduler, SprocSpec, Variance};
+use dpdpu::compute::{AccelShares, SchedPolicy, Scheduler, SprocSpec};
 use dpdpu::des::{block_on, now, spawn, Histogram};
 use dpdpu::hw::{AccelKind, Platform};
 
@@ -37,7 +37,6 @@ fn two_tenants_share_cores_and_asic() {
             let rx = sched.submit(SprocSpec {
                 tenant: 1,
                 cycles: 1_000_000,
-                variance: Variance::High,
             });
             handles.push(spawn(async move {
                 let _ = rx.await;
@@ -56,7 +55,6 @@ fn two_tenants_share_cores_and_asic() {
             let sproc = sched.submit(SprocSpec {
                 tenant: 0,
                 cycles: 20_000,
-                variance: Variance::Low,
             });
             let sched2 = shares.clone();
             let lat = lat.clone();
@@ -108,7 +106,6 @@ fn shared_scheduling_beats_static_partition_under_asymmetry() {
                 let rx = sched.submit(SprocSpec {
                     tenant: 1,
                     cycles: 2_500_000,
-                    variance: Variance::High,
                 });
                 handles.push(spawn(async move {
                     let _ = rx.await;

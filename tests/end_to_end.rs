@@ -9,7 +9,8 @@ use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelOp, Placement};
 use dpdpu::core::Dpdpu;
 use dpdpu::des::{block_on, now};
 use dpdpu::hw::{CpuPool, DpuSpec, HostSpec, LinkConfig, Platform};
-use dpdpu::net::tcp::{TcpConnector, TcpSide};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::tcp::TcpConnector;
 
 /// The same "scan, compress, ship" sproc runs unchanged on three
 /// different DPUs — the portability DPDPU promises (challenge #3). Only
@@ -108,14 +109,7 @@ fn whole_stack_determinism() {
 
             let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
             let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g().with_loss(0.01, 23))
-                .stream(
-                    TcpSide::offloaded(
-                        rt.platform.host_cpu.clone(),
-                        rt.platform.dpu_cpu.clone(),
-                        rt.platform.host_dpu_pcie.clone(),
-                    ),
-                    TcpSide::host(client_cpu),
-                );
+                .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
             let pages: Vec<(u64, u64)> = (0..32).map(|i| (i * 8_192, 8_192)).collect();
             let (_, compressed) = rt.read_compress_send(file, &pages, &tx).await.unwrap();
             drop(tx);

@@ -7,7 +7,8 @@ use dpdpu::core::DpdpuBuilder;
 use dpdpu::des::{block_on, now};
 use dpdpu::faults::{FaultPlan, FaultSession, FaultSite, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig};
-use dpdpu::net::tcp::{TcpConnector, TcpSide};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::tcp::TcpConnector;
 
 #[test]
 fn injected_ssd_read_error_is_retried_and_succeeds() {
@@ -44,14 +45,8 @@ fn accel_offline_run_completes_via_cpu_fallback() {
         rt.storage.write(file, 0, &text).await.unwrap();
 
         let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
-        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g()).stream(
-            TcpSide::offloaded(
-                rt.platform.host_cpu.clone(),
-                rt.platform.dpu_cpu.clone(),
-                rt.platform.host_dpu_pcie.clone(),
-            ),
-            TcpSide::host(client_cpu),
-        );
+        let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
+            .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
         let pages: Vec<(u64, u64)> = (0..4).map(|i| (i * 8_192, 8_192)).collect();
         let (input, compressed) = rt.read_compress_send(file, &pages, &tx).await.unwrap();
         assert_eq!(input, 4 * 8_192);

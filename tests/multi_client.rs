@@ -13,7 +13,8 @@ use dpdpu::dds::server::{Dds, DdsClient, DdsConfig};
 use dpdpu::des::{block_on, sleep, spawn};
 use dpdpu::faults::{FaultPlan, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig, Platform};
-use dpdpu::net::tcp::{TcpConnector, TcpSide};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::tcp::TcpConnector;
 
 const CLIENTS: usize = 4;
 const OPS_PER_CLIENT: u64 = 64;
@@ -25,12 +26,8 @@ fn four_clients_share_one_server_port() {
         let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
 
         let client_cpu = CpuPool::new("clients", 16, 3_000_000_000);
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
-        );
-        let client_side = TcpSide::host(client_cpu);
+        let server_side = Endpoint::of(&platform);
+        let client_side = Endpoint::host(client_cpu);
         // All clients multiplex over ONE duplex port pair.
         let net = TcpConnector::new(LinkConfig::rack_100g());
         let c2s = net.streams(client_side.clone(), server_side.clone(), CLIENTS);
@@ -114,12 +111,8 @@ fn stress_clients_terminate_under_aggressive_faults() {
         let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
 
         let client_cpu = CpuPool::new("clients", 16, 3_000_000_000);
-        let server_side = TcpSide::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
-        );
-        let client_side = TcpSide::host(client_cpu);
+        let server_side = Endpoint::of(&platform);
+        let client_side = Endpoint::host(client_cpu);
         let net = TcpConnector::new(LinkConfig::rack_100g());
         let c2s = net.streams(client_side.clone(), server_side.clone(), STRESS_CLIENTS);
         let s2c = net.streams(server_side, client_side, STRESS_CLIENTS);

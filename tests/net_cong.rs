@@ -15,7 +15,8 @@ use bytes::Bytes;
 use dpdpu::des::block_on;
 use dpdpu::faults::{FaultPlan, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig};
-use dpdpu::net::tcp::{CongAlgKind, TcpConnector, TcpSide};
+use dpdpu::net::fabric::Endpoint;
+use dpdpu::net::tcp::{CongAlgKind, TcpConnector};
 use dpdpu_bench::netmatrix::{run_cell, NetScenario};
 
 /// Every algorithm delivers a seeded multi-stream workload in order
@@ -31,8 +32,8 @@ fn every_algorithm_survives_loss_in_order() {
         let _check = dpdpu::check::CheckGuard::new();
 
         block_on(async move {
-            let src = TcpSide::host(CpuPool::new("src", 8, 3_000_000_000));
-            let dst = TcpSide::host(CpuPool::new("dst", 8, 3_000_000_000));
+            let src = Endpoint::host(CpuPool::new("src", 8, 3_000_000_000));
+            let dst = Endpoint::host(CpuPool::new("dst", 8, 3_000_000_000));
             let conns = TcpConnector::new(LinkConfig::rack_100g())
                 .cong(alg)
                 .streams(src, dst, STREAMS);

@@ -303,9 +303,9 @@ fn compression_ratio_bounds() {
 fn fabric_credit_flow_interleavings_never_deadlock() {
     use dpdpu::check::CheckGuard;
     use dpdpu::des::{block_on, sleep, spawn};
-    use dpdpu::hw::{CpuPool, LinkConfig, PcieLink};
-    use dpdpu::net::fabric::{transport_for, Endpoint, FabricKind, FabricParams};
-    use dpdpu::net::tcp::TcpParams;
+    use dpdpu::hw::{CpuPool, PcieLink};
+    use dpdpu::net::fabric::{Endpoint, FabricKind, FabricParams};
+    use dpdpu::net::NetConfig;
     use std::collections::VecDeque;
 
     for (case, seed) in [7u64, 42, 1234, 0xFA8].into_iter().enumerate() {
@@ -313,8 +313,6 @@ fn fabric_credit_flow_interleavings_never_deadlock() {
             let mut rng = StdRng::seed_from_u64(seed);
             let params = FabricParams {
                 credit_window: rng.random_range(2..=8u32),
-                bulk_threshold: 4_096,
-                rnr_backoff_ns: 2_000,
             };
             let n = rng.random_range(24..64usize);
             // A quarter of the payloads cross the bulk threshold and
@@ -349,8 +347,12 @@ fn fabric_credit_flow_interleavings_never_deadlock() {
                     }
                 };
                 let (a, b) = (mk_side("a"), mk_side("b"));
-                let t = transport_for(kind, LinkConfig::rack_100g(), TcpParams::default(), params);
-                let (ca, cb) = t.connect(&a, &b, &tag);
+                let net = NetConfig {
+                    fabric: kind,
+                    fabric_params: params,
+                    ..NetConfig::default()
+                };
+                let (ca, cb) = net.connect(&a, &b, &tag);
                 let (a_tx, mut a_rx) = ca.split();
                 let (b_tx, mut b_rx) = cb.split();
 

@@ -104,9 +104,9 @@ impl Dpdpu {
     ///
     /// Use this instead of capturing an `Rc<Dpdpu>` inside the closure:
     /// a captured strong reference forms a cycle (runtime → registry →
-    /// closure → runtime) that keeps the Storage Engine's pollers alive
-    /// forever and prevents the simulation from quiescing. The registry
-    /// holds only a `Weak` and upgrades it per invocation.
+    /// closure → runtime) that leaks the runtime and every engine task
+    /// parked behind it. The registry holds only a `Weak` and upgrades
+    /// it per invocation.
     pub fn register_sproc<F, Fut>(self: &Rc<Self>, name: &str, f: F) -> Result<(), DpdpuError>
     where
         F: Fn(Rc<Dpdpu>, Bytes) -> Fut + 'static,
@@ -177,11 +177,9 @@ mod tests {
 
     #[test]
     fn register_sproc_does_not_leak_the_runtime() {
-        // A sproc that uses the runtime must not keep the simulation
-        // alive: the registry holds a Weak, so dropping the runtime lets
-        // the storage pollers shut down and the sim quiesce.
-        let mut sim = Sim::new();
-        sim.spawn(async {
+        // A sproc that uses the runtime must not keep it alive: the
+        // registry holds a Weak, so the last handle frees the runtime.
+        let rt = dpdpu_des::block_on(async {
             let rt = Dpdpu::start_default();
             rt.register_sproc("noop", |_rt: Rc<Dpdpu>, arg: Bytes| async move { arg })
                 .unwrap();
@@ -191,13 +189,9 @@ mod tests {
                 .await
                 .unwrap();
             assert_eq!(out, Bytes::from_static(b"x"));
+            Rc::downgrade(&rt)
         });
-        // Would spin forever if the Rc cycle existed.
-        let end = sim.run();
-        assert!(
-            end < dpdpu_des::SECONDS,
-            "sim must quiesce promptly, ended at {end}"
-        );
+        assert!(rt.upgrade().is_none(), "runtime ↔ sproc registry cycle");
     }
 
     #[test]

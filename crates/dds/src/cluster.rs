@@ -224,21 +224,6 @@ pub struct DdsCluster {
     config: ClusterConfig,
 }
 
-impl Drop for DdsCluster {
-    /// Releases every primary→backup chain link. A primary outlives the
-    /// cluster handle — its parked `serve` tasks own it, and on the RDMA
-    /// fabrics they never observe a peer hang-up — so a chain left in
-    /// its [`ReplRole`] would keep the link's NE ring poller re-arming
-    /// its idle timer for ever and the simulation could never quiesce.
-    fn drop(&mut self) {
-        for group in self.groups.borrow().iter() {
-            if let Some(role) = group.members[0].replication() {
-                role.backup.borrow_mut().take();
-            }
-        }
-    }
-}
-
 impl DdsCluster {
     /// Builds `config.shards` replica groups, each server on its own
     /// tagged BlueField-2 platform (`node{i}`, backups `node{i}r{j}`).
@@ -1148,46 +1133,6 @@ mod tests {
             assert_eq!(loads[&0], "node0");
             assert_eq!(loads[&1], "node1");
         });
-    }
-
-    #[test]
-    fn replicated_rdma_offload_cluster_quiesces_once_dropped() {
-        // The chain link's NE ring poller re-arms for as long as its
-        // host handle lives; dropping the cluster must release it even
-        // though parked `serve` tasks still hold the primaries. Driven
-        // with a bounded `run_until`: an immortal poller would make
-        // `block_on` spin for ever.
-        let mut sim = dpdpu_des::Sim::new();
-        let finished = Rc::new(Cell::new(false));
-        let flag = finished.clone();
-        sim.spawn(async move {
-            let cluster = DdsCluster::build(ClusterConfig {
-                shards: 4,
-                replicas: 2,
-                net: NetConfig::default().with_fabric(FabricKind::RdmaOffload),
-                ..ClusterConfig::default()
-            })
-            .await;
-            let client = cluster.connect(CpuPool::new("client", 16, 3_000_000_000));
-            for key in 0..8u64 {
-                client
-                    .kv_put(key, Bytes::from(vec![1u8; 64]))
-                    .await
-                    .unwrap();
-            }
-            for key in 0..5u64 {
-                assert!(client.kv_get(key).await.unwrap().is_some());
-            }
-            flag.set(true);
-        });
-        let now = sim.run_until(50_000_000);
-        assert!(finished.get(), "workload must finish within 50 ms");
-        sim.run_until(now + 1_000_000_000);
-        assert_eq!(
-            sim.next_timer_deadline(),
-            None,
-            "a dropped cluster must leave no poller re-arming its timer"
-        );
     }
 
     #[test]

@@ -475,8 +475,7 @@ fn spawn_endpoint(
     // Teardown: once the application drops its sender, the send pump
     // tells the receive pump to stand down too. Both then release the
     // wire channel, the wire pump exits, and the transport I/O handles
-    // drop — which is what lets an NE ring poller stop polling and the
-    // simulation quiesce.
+    // drop — which hangs up an NE ring and lets its poller exit.
     let (shutdown_tx, mut shutdown_rx) = channel::<()>();
     dpdpu_check::fabric_conn_open(&site_out, params.credit_window as u64);
 

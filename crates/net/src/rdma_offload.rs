@@ -12,12 +12,10 @@
 //! batched completion poll (≈100 cycles) — the Figure 7 saving — at the
 //! price of one PCIe hop of added latency and DPU CPU cycles.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dpdpu_des::{channel, oneshot, spawn, Counter, OneshotSender, Receiver};
+use dpdpu_des::{channel, oneshot, spawn, Counter, OneshotSender, Receiver, Sender};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::rdma::{RdmaOpKind, RdmaQp};
@@ -51,7 +49,7 @@ struct RingEntry {
 /// The host-visible handle: a request ring plus a completion await.
 pub struct OffloadedQp {
     host_cpu: Rc<CpuPool>,
-    ring: Rc<RefCell<VecDeque<RingEntry>>>,
+    ring: Sender<RingEntry>,
     /// Path statistics.
     pub stats: Rc<OffloadStats>,
 }
@@ -68,16 +66,15 @@ pub fn offload_qp(
     pcie: Rc<PcieLink>,
     dpu_qp: Rc<RdmaQp>,
 ) -> Rc<OffloadedQp> {
-    let ring: Rc<RefCell<VecDeque<RingEntry>>> = Rc::new(RefCell::new(VecDeque::new()));
+    let (ring, mut entries) = channel::<RingEntry>();
     let stats = Rc::new(OffloadStats::default());
 
     // The NE poller on the DPU.
     {
-        let ring = ring.clone();
         let stats = stats.clone();
         spawn(async move {
             // Runs until the host handle is dropped and its ring drained.
-            while let Some(batch) = pcie.poll_ring(&ring, POLL_BATCH).await {
+            while let Some(batch) = pcie.poll_ring(&mut entries, POLL_BATCH).await {
                 stats.poll_batches.inc();
                 stats.polled.add(batch.len() as u64);
                 for entry in batch {
@@ -174,13 +171,15 @@ impl OffloadedQp {
     async fn submit_entry(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES).await;
         let (tx, rx) = oneshot();
-        self.ring.borrow_mut().push_back(RingEntry {
+        let entry = RingEntry {
             kind,
             bytes,
             payload,
             done: tx,
-        });
-        let _ = rx.await;
+        };
+        // A descriptor nobody takes must not read as a completed verb.
+        self.ring.send(entry).ok().expect("DPU poller alive");
+        rx.await.expect("DPU poller alive");
         // Batched completion-ring poll, far cheaper than a CQ poll.
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES / 4).await;
     }

@@ -6,11 +6,9 @@
 //! response ring. Host cost per op collapses from the kernel path's
 //! ~18 000 cycles to the ~600-cycle ring protocol — the Figure 2 delta.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use dpdpu_des::{oneshot, spawn, Counter, OneshotSender};
+use dpdpu_des::{channel, oneshot, spawn, Counter, OneshotSender, Sender};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::fs::{FileId, FsError};
@@ -55,7 +53,7 @@ struct RingEntry {
 /// The host-side SE library handle.
 pub struct HostFrontEnd {
     host_cpu: Rc<CpuPool>,
-    ring: Rc<RefCell<VecDeque<RingEntry>>>,
+    ring: Sender<RingEntry>,
     /// Ops submitted through the rings.
     pub ops: Counter,
 }
@@ -68,13 +66,12 @@ impl HostFrontEnd {
         host_dpu_pcie: Rc<PcieLink>,
         service: Rc<FileService>,
     ) -> Rc<Self> {
-        let ring: Rc<RefCell<VecDeque<RingEntry>>> = Rc::new(RefCell::new(VecDeque::new()));
+        let (ring, mut entries) = channel::<RingEntry>();
         {
-            let ring = ring.clone();
             let pcie = host_dpu_pcie;
             spawn(async move {
                 // Runs until the front end is dropped and its ring drained.
-                while let Some(batch) = pcie.poll_ring(&ring, POLL_BATCH).await {
+                while let Some(batch) = pcie.poll_ring(&mut entries, POLL_BATCH).await {
                     // Ops dispatch concurrently: the file service and SSD
                     // provide the queue depth (SPDK-style), so the poller
                     // must not serialize a batch behind one SSD latency.
@@ -130,7 +127,8 @@ impl HostFrontEnd {
         self.host_cpu.exec(costs::SE_HOST_RING_CYCLES_PER_OP).await;
         self.ops.inc();
         let (tx, rx) = oneshot();
-        self.ring.borrow_mut().push_back(RingEntry { op, done: tx });
+        let entry = RingEntry { op, done: tx };
+        self.ring.send(entry).ok().expect("DPU poller alive");
         rx.await.expect("DPU poller alive")
     }
 

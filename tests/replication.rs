@@ -18,6 +18,7 @@
 //! write, serves stale state from a zombie primary, or lets replicas
 //! diverge, the checker names it.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -27,9 +28,12 @@ use rand::{RngExt, SeedableRng};
 use dpdpu::check::linearizability::History;
 use dpdpu::check::CheckGuard;
 use dpdpu::dds::cluster::{ClusterClient, ClusterConfig, DdsCluster};
-use dpdpu::des::{block_on, now, sleep, spawn};
+use dpdpu::des::{block_on, now, sleep, spawn, Sim};
 use dpdpu::faults::{FaultPlan, FaultSession};
 use dpdpu::hw::CpuPool;
+use dpdpu::net::fabric::FabricKind;
+use dpdpu::net::NetConfig;
+use dpdpu_bench::fleet::{preload, FleetConfig, KeyDist};
 
 const CLIENTS: usize = 4;
 const OPS_PER_CLIENT: u64 = 36;
@@ -287,4 +291,66 @@ fn double_fault_seed_7() {
 #[test]
 fn double_fault_seed_1234() {
     run_chaos(Chaos::DoubleFault, 1234);
+}
+
+/// 4 shards x 2 replicas on `rdma-offload` (the `kv_write_repl` topology
+/// of `benchmark/`): every request, response and chain hop crosses an
+/// NE ring with a DPU poller behind it.
+fn rdma_offload_4x2() -> ClusterConfig {
+    ClusterConfig {
+        shards: 4,
+        replicas: 2,
+        net: NetConfig::default().with_fabric(FabricKind::RdmaOffload),
+        ..ClusterConfig::default()
+    }
+}
+
+#[test]
+fn rdma_offload_cluster_quiesces_while_still_alive() {
+    // `block_on` returns only when `Sim::run` finds no timer pending.
+    // The cluster handed back still owns every primary, and each
+    // primary its chain link: an idle ring poller must hold no timer.
+    let _check = CheckGuard::new();
+    let cluster = block_on(async {
+        let cluster = DdsCluster::build(rdma_offload_4x2()).await;
+        let client = cluster.connect(CpuPool::new("clients", 16, 3_000_000_000));
+        for key in 0..8u64 {
+            let value = Bytes::from(vec![key as u8; 64]);
+            client.kv_put(key, value).await.expect("put");
+        }
+        for key in 0..5u64 {
+            assert!(client.kv_get(key).await.expect("get").is_some());
+        }
+        cluster
+    });
+    cluster.verify_replicas();
+}
+
+#[test]
+fn idle_rdma_offload_fleet_costs_no_polls() {
+    // Idle polling is gone: with the fleet built and preloaded but no
+    // load offered, virtual time passes without one executor poll. A
+    // poller that re-arms a timer on an empty ring fails here.
+    let mut sim = Sim::new();
+    let fleet = Rc::new(RefCell::new(None));
+    let slot = fleet.clone();
+    sim.spawn(async move {
+        let cluster = DdsCluster::build(rdma_offload_4x2()).await;
+        let client = cluster.connect(CpuPool::new("clients", 64, 3_000_000_000));
+        let population = FleetConfig {
+            dist: KeyDist::Uniform { keys: 512 },
+            value_bytes: 4096,
+            ..FleetConfig::default()
+        };
+        preload(&client, &population).await;
+        *slot.borrow_mut() = Some((cluster, client));
+    });
+    // Bounded (preload ends near 0.25 s), so a poller that re-arms
+    // fails the test instead of hanging it.
+    sim.run_until(1_000_000_000);
+    assert!(fleet.borrow().is_some(), "preload must finish within 1 s");
+    let polls = sim.polls();
+    sim.run_until(1_010_000_000);
+    assert_eq!(sim.polls(), polls, "10 ms without load polled a task");
+    assert_eq!(sim.pending_timers(), 0, "`Sim::run` quiesces unaided");
 }

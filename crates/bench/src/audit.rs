@@ -73,44 +73,28 @@ fn audit_one(name: &str, f: ScenarioFn, seed: u64) -> Vec<Divergence> {
     found
 }
 
-/// Replays each `(name, scenario)` twice per seed and byte-compares
-/// stdout and trace. Returns every divergence found (empty = fully
-/// deterministic).
-pub fn audit_scenarios(
-    scenarios: &[(&'static str, ScenarioFn)],
-    seeds: &[u64],
-    mut progress: impl FnMut(&str, u64, bool),
-) -> Vec<Divergence> {
-    let mut divergences = Vec::new();
-    for (name, f) in scenarios {
-        for &seed in seeds {
-            let found = audit_one(name, *f, seed);
-            progress(name, seed, found.is_empty());
-            divergences.extend(found);
-        }
-    }
-    divergences
-}
-
-/// Worker count the parallel auditor uses when the caller doesn't pick
-/// one: one per available core.
+/// Worker count the auditor uses when the caller doesn't pick one: one
+/// per available core.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// [`audit_scenarios`] spread across `jobs` worker threads.
+/// Replays each `(name, scenario)` twice per seed and byte-compares
+/// stdout and trace, spread across `jobs` worker threads (`jobs = 1` is
+/// the serial run). Returns every divergence found (empty = fully
+/// deterministic).
 ///
 /// Each `(scenario, seed)` pair is an independent job — the simulator and
 /// telemetry sessions are thread-confined, so replaying different pairs on
 /// different OS threads cannot interact. Determinism of the *report* is
 /// preserved by construction: every job writes into its own slot, indexed
-/// by position in the serial matrix order, and progress/divergences are
+/// by position in the matrix order, and progress/divergences are
 /// collected from those slots in that fixed order after all workers have
-/// joined. The output is byte-identical to the serial runner's no matter
-/// how the OS schedules the workers.
-pub fn audit_scenarios_parallel(
+/// joined. The output is byte-identical at every `jobs`, no matter how
+/// the OS schedules the workers.
+pub fn audit_scenarios(
     scenarios: &[(&'static str, ScenarioFn)],
     seeds: &[u64],
     jobs: usize,
@@ -148,18 +132,13 @@ pub fn audit_scenarios_parallel(
     divergences
 }
 
-/// Audits every shipped scenario over `seeds`.
-pub fn audit_all(seeds: &[u64], progress: impl FnMut(&str, u64, bool)) -> Vec<Divergence> {
-    audit_scenarios(&scenarios::all(), seeds, progress)
-}
-
-/// Parallel [`audit_all`] over `jobs` worker threads.
-pub fn audit_all_parallel(
+/// Audits every shipped scenario over `seeds` on `jobs` worker threads.
+pub fn audit_all(
     seeds: &[u64],
     jobs: usize,
     progress: impl FnMut(&str, u64, bool),
 ) -> Vec<Divergence> {
-    audit_scenarios_parallel(&scenarios::all(), seeds, jobs, progress)
+    audit_scenarios(&scenarios::all(), seeds, jobs, progress)
 }
 
 /// Monotonic process-global counter — the planted nondeterminism.
@@ -203,10 +182,10 @@ mod tests {
     fn parallel_runner_reports_identically_to_serial() {
         let seeds = [42, 7];
         let mut serial = String::new();
-        let serial_div = audit_all(&seeds, progress_log(&mut serial));
-        for jobs in [1, 4, 64] {
+        let serial_div = audit_all(&seeds, 1, progress_log(&mut serial));
+        for jobs in [4, 64] {
             let mut parallel = String::new();
-            let parallel_div = audit_all_parallel(&seeds, jobs, progress_log(&mut parallel));
+            let parallel_div = audit_all(&seeds, jobs, progress_log(&mut parallel));
             assert_eq!(serial, parallel, "jobs={jobs} changed the report order");
             assert_eq!(serial_div.len(), parallel_div.len());
         }
@@ -220,7 +199,7 @@ mod tests {
     fn parallel_runner_catches_planted_nondeterminism() {
         let planted: [(&'static str, ScenarioFn); 1] =
             [("planted_nondeterminism", planted_nondeterminism)];
-        let divergences = audit_scenarios_parallel(&planted, &[42], 2, |_, _, _| {});
+        let divergences = audit_scenarios(&planted, &[42], 2, |_, _, _| {});
         assert!(
             !divergences.is_empty(),
             "plant must be detected in parallel mode"

@@ -3,8 +3,7 @@
 //! ```sh
 //! cargo run -p dpdpu-bench --bin audit_determinism                  # default seeds
 //! cargo run -p dpdpu-bench --bin audit_determinism -- --seeds 1,2  # custom seeds
-//! cargo run -p dpdpu-bench --bin audit_determinism -- --jobs 2     # worker cap
-//! cargo run -p dpdpu-bench --bin audit_determinism -- --serial     # one thread
+//! cargo run -p dpdpu-bench --bin audit_determinism -- --jobs 2     # worker cap (1 = serial)
 //! cargo run -p dpdpu-bench --bin audit_determinism -- --list       # scenario names
 //! cargo run -p dpdpu-bench --bin audit_determinism -- --self-test  # prove detection works
 //! ```
@@ -39,7 +38,6 @@ fn main() {
                     usage("--jobs needs at least one worker");
                 }
             }
-            "--serial" => jobs = 1,
             "--seeds" => {
                 let list = args
                     .next()
@@ -72,15 +70,17 @@ fn main() {
         // auditor cannot see that, it cannot be trusted on real runs.
         let planted: [(&'static str, dpdpu_bench::scenarios::ScenarioFn); 1] =
             [("planted_nondeterminism", audit::planted_nondeterminism)];
-        let divergences = audit::audit_scenarios(&planted, &seeds[..1], |_, _, _| {});
-        if divergences.is_empty() {
-            eprintln!("SELF-TEST FAILED: planted nondeterminism went undetected");
-            std::process::exit(1);
+        for jobs in [1, jobs] {
+            let divergences = audit::audit_scenarios(&planted, &seeds, jobs, |_, _, _| {});
+            if divergences.len() < seeds.len() {
+                eprintln!("SELF-TEST FAILED: planted nondeterminism went undetected");
+                std::process::exit(1);
+            }
+            println!(
+                "self-test ok: planted nondeterminism detected ({} divergence(s), {jobs} worker(s))",
+                divergences.len()
+            );
         }
-        println!(
-            "self-test ok: planted nondeterminism detected ({} divergence(s))",
-            divergences.len()
-        );
         return;
     }
 
@@ -90,7 +90,7 @@ fn main() {
         seeds.len(),
         jobs,
     );
-    let divergences = audit::audit_all_parallel(&seeds, jobs, |name, seed, ok| {
+    let divergences = audit::audit_all(&seeds, jobs, |name, seed, ok| {
         println!(
             "  {} seed={seed}: {}",
             name,
@@ -113,8 +113,6 @@ fn main() {
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!(
-        "usage: audit_determinism [--seeds a,b,c] [--jobs N] [--serial] [--list] [--self-test]"
-    );
+    eprintln!("usage: audit_determinism [--seeds a,b,c] [--jobs N] [--list] [--self-test]");
     std::process::exit(2)
 }

@@ -9,7 +9,7 @@ use dpdpu_bench::scenarios::ScenarioFn;
 fn auditor_catches_planted_nondeterminism() {
     let planted: [(&'static str, ScenarioFn); 1] =
         [("planted_nondeterminism", audit::planted_nondeterminism)];
-    let divergences = audit::audit_scenarios(&planted, &[42], |_, _, _| {});
+    let divergences = audit::audit_scenarios(&planted, &[42], 1, |_, _, _| {});
     assert!(
         !divergences.is_empty(),
         "the planted process-global counter must surface as a divergence"
@@ -27,7 +27,7 @@ fn auditor_catches_planted_nondeterminism() {
 
 #[test]
 fn auditor_passes_honest_scenarios() {
-    let divergences = audit::audit_all(&[42], |_, _, _| {});
+    let divergences = audit::audit_all(&[42], 1, |_, _, _| {});
     assert!(
         divergences.is_empty(),
         "shipped scenarios must be deterministic: {}",

@@ -43,7 +43,7 @@ use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, PcieLink, Platform};
 use dpdpu_net::fabric::{Endpoint, FabricKind};
 use dpdpu_net::NetConfig;
 
-use crate::proto::{Request, RetryPolicy};
+use crate::proto::{Op, Reply, RetryPolicy};
 use crate::replication::{ReplGroupCtl, ReplRole};
 use crate::server::{Dds, DdsClient, DdsConfig};
 
@@ -507,19 +507,16 @@ impl ClusterClient {
     /// current primary; a transport-dead primary trips the failure
     /// detector and fails over to the backup, and a deposed server's
     /// `StaleEpoch` answer re-routes to the new primary.
-    async fn call_group<T, F, Fut>(
-        &self,
-        group: usize,
-        bytes: u64,
-        admit: bool,
-        op: F,
-    ) -> Result<T, DpdpuError>
-    where
-        F: Fn(Rc<DdsClient>) -> Fut,
-        Fut: std::future::Future<Output = Result<T, DpdpuError>>,
-    {
+    async fn call_group(&self, group: usize, op: Op, admit: bool) -> Result<Reply, DpdpuError> {
         self.ensure_conns();
         let conn = self.conns.borrow()[group].clone();
+        // Payload bytes the conservation ledger books this op under.
+        let bytes = match &op {
+            Op::KvPut { value, .. } | Op::MigratePut { value, .. } => 8 + value.len() as u64,
+            Op::KvScan { .. } => 12,
+            Op::DropKeys { keys, .. } => 8 * keys.len() as u64,
+            _ => 8,
+        };
         dpdpu_check::cluster_op_issued(&conn.label, bytes);
         let _permit = if admit {
             match conn.admission.try_acquire() {
@@ -541,7 +538,7 @@ impl ClusterClient {
         if let Some(c) = dpdpu_telemetry::counter("cluster_requests", &[("shard", &conn.label)]) {
             c.inc();
         }
-        let result = self.routed_call(&conn, group, &op).await;
+        let result = self.routed_call(&conn, group, op).await;
         match &result {
             Ok(_) => dpdpu_check::cluster_op_ok(&conn.label, bytes),
             Err(_) => dpdpu_check::cluster_op_failed(&conn.label, bytes),
@@ -549,22 +546,18 @@ impl ClusterClient {
         result
     }
 
-    async fn routed_call<T, F, Fut>(
+    async fn routed_call(
         &self,
         conn: &Rc<GroupConn>,
         group: usize,
-        op: &F,
-    ) -> Result<T, DpdpuError>
-    where
-        F: Fn(Rc<DdsClient>) -> Fut,
-        Fut: std::future::Future<Output = Result<T, DpdpuError>>,
-    {
+        op: Op,
+    ) -> Result<Reply, DpdpuError> {
         let ctl = self.cluster.ctl(group);
         let mut rerouted = false;
         loop {
             let primary = ctl.as_ref().map(|c| c.primary()).unwrap_or(0);
             let client = conn.clients[primary].clone();
-            match op(client).await {
+            match client.call(op.clone()).await {
                 Ok(v) => {
                     conn.streak.set(0);
                     return Ok(v);
@@ -595,11 +588,7 @@ impl ClusterClient {
                         // keeps its seat (the timeout streak resets; the
                         // caller still sees this op's failure).
                         let probe = conn.clients[primary].clone();
-                        if probe
-                            .call_with(PROBE_POLICY, |id| Request::Ping { req_id: id })
-                            .await
-                            .is_ok()
-                        {
+                        if probe.call_with(PROBE_POLICY, Op::Ping).await.is_ok() {
                             conn.streak.set(0);
                             return Err(e);
                         }
@@ -622,25 +611,38 @@ impl ClusterClient {
         }
     }
 
-    /// Routed KV get. During a migration the key may sit on its old
-    /// owner (not yet copied) or land on the new owner between probes,
-    /// so a miss falls back through both rings before declaring the
-    /// key absent — no key is ever unreadable mid-migration.
-    pub async fn kv_get(&self, key: u64) -> Result<Option<Bytes>, DpdpuError> {
+    /// The one routed entry point: runs a KV op against the shard (or
+    /// shards) the ring assigns it. [`ClusterClient::kv_get`],
+    /// [`ClusterClient::kv_put`] and [`ClusterClient::kv_scan`] are this
+    /// call with the reply unpacked; the gateway queues the [`Op`] itself.
+    pub(crate) async fn call(&self, op: Op) -> Result<Reply, DpdpuError> {
+        match op {
+            Op::KvGet { key } => self.routed_get(key).await,
+            // Writes always go to the ring's *current* owner, so a
+            // migration never loses a concurrent write: the copy path is
+            // put-if-absent and cannot clobber it.
+            Op::KvPut { key, .. } => self.call_group(self.cluster.shard_for(key), op, true).await,
+            Op::KvScan { .. } => self.routed_scan(op).await,
+            _ => Err(DpdpuError::Unavailable("routing for a non-KV op")),
+        }
+    }
+
+    /// During a migration the key may sit on its old owner (not yet
+    /// copied) or land on the new owner between probes, so a miss falls
+    /// back through both rings before declaring the key absent — no key
+    /// is ever unreadable mid-migration.
+    async fn routed_get(&self, key: u64) -> Result<Reply, DpdpuError> {
+        let get = Op::KvGet { key };
         let migrating0 = self.cluster.migrating();
         let first = self.cluster.shard_for(key);
-        let hit = self
-            .call_group(first, 8, true, |c| async move { c.kv_get(key).await })
-            .await?;
-        if hit.is_some() {
+        let hit = self.call_group(first, get.clone(), true).await?;
+        if hit != Reply::NotFound {
             return Ok(hit);
         }
         if let Some(prev) = self.cluster.prev_shard_for(key) {
             if prev != first {
-                let hit = self
-                    .call_group(prev, 8, true, |c| async move { c.kv_get(key).await })
-                    .await?;
-                if hit.is_some() {
+                let hit = self.call_group(prev, get.clone(), true).await?;
+                if hit != Reply::NotFound {
                     return Ok(hit);
                 }
             }
@@ -649,36 +651,17 @@ impl ClusterClient {
         // current owner is authoritative once the old owner misses.
         let cur = self.cluster.shard_for(key);
         if migrating0 || self.cluster.migrating() || cur != first {
-            return self
-                .call_group(cur, 8, true, |c| async move { c.kv_get(key).await })
-                .await;
+            return self.call_group(cur, get, true).await;
         }
-        Ok(None)
+        Ok(Reply::NotFound)
     }
 
-    /// Routed KV put. Writes always go to the ring's *current* owner,
-    /// so a migration never loses a concurrent write: the copy path is
-    /// put-if-absent and cannot clobber it.
-    pub async fn kv_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
-        let shard = self.cluster.shard_for(key);
-        let bytes = 8 + value.len() as u64;
-        self.call_group(shard, bytes, true, |c| {
-            let value = value.clone();
-            async move { c.kv_put(key, value).await }
-        })
-        .await
-    }
-
-    /// Cluster-wide range scan: the range's keys are scattered across
-    /// shards by the hash partitioning, so every live shard is queried
-    /// and the results merged in key order. Under membership churn a
-    /// key can momentarily exist on two shards; the current ring
-    /// owner's copy wins.
-    pub async fn kv_scan(
-        &self,
-        start_key: u64,
-        count: u32,
-    ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {
+    /// The range's keys are scattered across shards by the hash
+    /// partitioning, so every live shard is queried and the results
+    /// merged in key order. Under membership churn a key can
+    /// momentarily exist on two shards; the current ring owner's copy
+    /// wins.
+    async fn routed_scan(&self, scan: Op) -> Result<Reply, DpdpuError> {
         self.ensure_conns();
         let shards = self.conns.borrow().len();
         let mut hits: Vec<(u64, Bytes, usize)> = Vec::new();
@@ -686,12 +669,7 @@ impl ClusterClient {
             if self.cluster.group(shard).retired.get() {
                 continue;
             }
-            let part = self
-                .call_group(shard, 12, true, |c| async move {
-                    c.kv_scan(start_key, count).await
-                })
-                .await?;
-            for (k, v) in part {
+            for (k, v) in self.call_group(shard, scan.clone(), true).await?.rows() {
                 hits.push((k, v, shard));
             }
         }
@@ -702,20 +680,38 @@ impl ClusterClient {
                 merged.push((k, v));
             }
         }
-        Ok(merged)
+        Ok(Reply::Scan(merged))
     }
 
-    /// Retries one migration step until it lands or the attempt budget
-    /// runs dry — rides out crash windows (the failure detector fails
-    /// the group over underneath the retries).
-    async fn retrying<T, F, Fut>(&self, op: F) -> Result<T, DpdpuError>
-    where
-        F: Fn() -> Fut,
-        Fut: std::future::Future<Output = Result<T, DpdpuError>>,
-    {
+    /// Routed KV get: `None` when no owner, old or new, holds the key.
+    pub async fn kv_get(&self, key: u64) -> Result<Option<Bytes>, DpdpuError> {
+        self.call(Op::KvGet { key }).await.map(Reply::value)
+    }
+
+    /// Routed KV put.
+    pub async fn kv_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
+        self.call(Op::KvPut { key, value }).await.map(Reply::ack)
+    }
+
+    /// Cluster-wide range scan, merged in key order.
+    pub async fn kv_scan(
+        &self,
+        start_key: u64,
+        count: u32,
+    ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {
+        self.call(Op::KvScan { start_key, count })
+            .await
+            .map(Reply::rows)
+    }
+
+    /// Runs one migration step against `group`, outside admission
+    /// control, retrying until it lands or the attempt budget runs dry
+    /// — rides out crash windows (the failure detector fails the group
+    /// over underneath the retries).
+    async fn migration_step(&self, group: usize, op: Op) -> Result<Reply, DpdpuError> {
         let mut last = DpdpuError::Unavailable("migration retries exhausted");
         for _ in 0..MIGRATION_ATTEMPTS {
-            match op().await {
+            match self.call_group(group, op.clone(), false).await {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     last = e;
@@ -729,36 +725,24 @@ impl ClusterClient {
     /// Copies every key `src` no longer owns under `ring` to its new
     /// owner (put-if-absent), then drops the moved keys from `src`.
     async fn migrate_out(&self, src: usize, ring: &HashRing) -> Result<(), DpdpuError> {
-        let keys = self
-            .retrying(|| self.call_group(src, 8, false, |c| async move { c.list_keys().await }))
-            .await?;
+        let keys = self.migration_step(src, Op::ListKeys).await?.keys();
         let moving: Vec<u64> = keys
             .into_iter()
             .filter(|&k| ring.shard_for(k) != src)
             .collect();
-        for &k in &moving {
-            let value = self
-                .retrying(|| self.call_group(src, 8, false, |c| async move { c.kv_get(k).await }))
-                .await?;
+        for &key in &moving {
+            let value = self.migration_step(src, Op::KvGet { key }).await?.value();
             // Already dropped by a prior (aborted) pass: nothing to copy.
             let Some(value) = value else { continue };
-            let dst = ring.shard_for(k);
-            self.retrying(|| {
-                self.call_group(dst, 8 + value.len() as u64, false, |c| {
-                    let value = value.clone();
-                    async move { c.migrate_put(k, value).await }
-                })
-            })
-            .await?;
+            let copy = Op::MigratePut { key, value };
+            self.migration_step(ring.shard_for(key), copy).await?.ack();
         }
         if !moving.is_empty() {
-            self.retrying(|| {
-                self.call_group(src, 8 * moving.len() as u64, false, |c| {
-                    let keys = moving.clone();
-                    async move { c.drop_keys(keys).await }
-                })
-            })
-            .await?;
+            let drop = Op::DropKeys {
+                epoch: 0,
+                keys: moving,
+            };
+            self.migration_step(src, drop).await?.ack();
         }
         Ok(())
     }
@@ -1484,8 +1468,7 @@ mod tests {
             // fence sits at the new epoch.
             let new_primary = client.shard_client(0);
             let stale = new_primary
-                .call(|req_id| Request::DropKeys {
-                    req_id,
+                .call(Op::DropKeys {
                     epoch: old_epoch,
                     keys: vec![7],
                 })

@@ -3,10 +3,10 @@
 //!
 //! Hyperscale gateways terminate millions of client connections on DPUs
 //! and schedule the shared data path underneath them; the [`Gateway`]
-//! reproduces that tier in front of a [`DdsCluster`]
-//! (`crate::cluster::DdsCluster`). Every request is authenticated to a
-//! [`TenantId`] and labeled with the tenant's SLO class, then passes
-//! three stages:
+//! reproduces that tier in front of a
+//! [`DdsCluster`](crate::cluster::DdsCluster). Every request is
+//! authenticated to a [`TenantId`] and labeled with the tenant's SLO
+//! class, then passes three stages:
 //!
 //! 1. **Admission** — a per-tenant token bucket (sustained rate +
 //!    burst) and an in-flight cap, both from the tenant's
@@ -42,6 +42,7 @@ use dpdpu_core::{DpdpuError, SloClass, TenantSpec};
 use dpdpu_des::{now, oneshot, spawn, Drr, Histogram, OneshotSender, Semaphore};
 
 use crate::cluster::ClusterClient;
+use crate::proto::{Op, Reply};
 
 /// Fixed per-request overhead charged to the DRR deficit (framing +
 /// routing), so even zero-payload ops cost scheduler credit.
@@ -98,27 +99,14 @@ impl GatewayConfig {
 /// the old name stays because `benchmark/` (its own workspace) imports it.
 pub use dpdpu_des::Drr as DrrScheduler;
 
-/// One KV request, type-erased for the queue.
-enum Op {
-    Get(u64),
-    Put(u64, Bytes),
-    Scan(u64, u32),
-}
-
-impl Op {
-    fn cost(&self) -> u64 {
-        match self {
-            Op::Get(_) => REQUEST_OVERHEAD_BYTES,
-            Op::Put(_, v) => REQUEST_OVERHEAD_BYTES + v.len() as u64,
-            Op::Scan(_, n) => REQUEST_OVERHEAD_BYTES + SCAN_ROW_BYTES * *n as u64,
+/// DRR cost of one op in bytes, known before it runs.
+fn drr_cost(op: &Op) -> u64 {
+    REQUEST_OVERHEAD_BYTES
+        + match op {
+            Op::KvPut { value, .. } => value.len() as u64,
+            Op::KvScan { count, .. } => SCAN_ROW_BYTES * *count as u64,
+            _ => 0,
         }
-    }
-}
-
-enum Reply {
-    Value(Option<Bytes>),
-    Done,
-    Rows(Vec<(u64, Bytes)>),
 }
 
 struct Job {
@@ -278,10 +266,9 @@ impl Gateway {
         tenant: TenantId,
         key: u64,
     ) -> Result<Option<Bytes>, DpdpuError> {
-        match self.submit(tenant, Op::Get(key)).await? {
-            Reply::Value(v) => Ok(v),
-            _ => unreachable!("get yields a value"),
-        }
+        self.submit(tenant, Op::KvGet { key })
+            .await
+            .map(Reply::value)
     }
 
     /// A labeled KV update for `tenant`.
@@ -291,10 +278,8 @@ impl Gateway {
         key: u64,
         value: Bytes,
     ) -> Result<(), DpdpuError> {
-        match self.submit(tenant, Op::Put(key, value)).await? {
-            Reply::Done => Ok(()),
-            _ => unreachable!("put yields a bare ack"),
-        }
+        let put = Op::KvPut { key, value };
+        self.submit(tenant, put).await.map(Reply::ack)
     }
 
     /// A labeled range scan for `tenant` (fans out to every shard).
@@ -304,10 +289,8 @@ impl Gateway {
         start_key: u64,
         count: u32,
     ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {
-        match self.submit(tenant, Op::Scan(start_key, count)).await? {
-            Reply::Rows(rows) => Ok(rows),
-            _ => unreachable!("scan yields rows"),
-        }
+        let scan = Op::KvScan { start_key, count };
+        self.submit(tenant, scan).await.map(Reply::rows)
     }
 
     /// Authenticate → admit → queue → await the dispatched result.
@@ -318,7 +301,7 @@ impl Gateway {
             return Err(DpdpuError::Unavailable("unknown tenant"));
         };
         let t0 = now();
-        let cost = op.cost();
+        let cost = drr_cost(&op);
         let name = &state.spec.name;
         let slo = state.spec.slo.label();
         state.issued.set(state.issued.get() + 1);
@@ -426,18 +409,10 @@ impl Gateway {
             dpdpu_check::tenant_dispatched(name);
             let gw = self.clone();
             spawn(async move {
-                let result = gw.execute(job.op).await;
+                let result = gw.client.call(job.op).await;
                 let _ = job.done.send(result);
                 drop(permit);
             });
-        }
-    }
-
-    async fn execute(&self, op: Op) -> Result<Reply, DpdpuError> {
-        match op {
-            Op::Get(key) => self.client.kv_get(key).await.map(Reply::Value),
-            Op::Put(key, value) => self.client.kv_put(key, value).await.map(|()| Reply::Done),
-            Op::Scan(start, count) => self.client.kv_scan(start, count).await.map(Reply::Rows),
         }
     }
 }

@@ -12,9 +12,11 @@
 //! * **Q2 — directing traffic**: [`director`] classifies each reassembled
 //!   request DPU-vs-host without breaking transport semantics (the
 //!   transport terminates on the DPU; both paths answer through it).
-//! * **Q3 — general, efficient offloading**: [`offload`] exposes the UDF
-//!   API of §7 — parse a network message, emit the file operation to run
-//!   against the DPU file service.
+//! * **Q3 — general, efficient offloading**: the UDF of §7 — parse a
+//!   network message, decide whether the DPU can serve it alone, run it
+//!   against the DPU file service — is [`proto::Request::decode`], then
+//!   the server's `wants_dpu` and `try_exec` over the decoded
+//!   [`proto::Op`]; see [`server::Dds::handle`].
 //!
 //! Two production-system stand-ins exercise the whole path end to end:
 //!
@@ -30,7 +32,6 @@ pub mod cluster;
 pub mod director;
 pub mod gateway;
 pub mod kv;
-pub mod offload;
 pub mod pageserver;
 pub mod proto;
 pub mod replication;

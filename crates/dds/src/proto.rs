@@ -2,25 +2,33 @@
 //!
 //! Requests are real bytes on the simulated network — the traffic
 //! director and UDFs parse them exactly the way DDS parses messages after
-//! transport reassembly. Framing: a one-byte tag, a `u64` request id,
-//! then tag-specific fields (little-endian).
+//! transport reassembly. Every message is an envelope — a one-byte
+//! tag, then a `u64` request id — around tag-specific fields, all
+//! little-endian: a [`Request`] around its [`Op`], a [`Response`] around
+//! its [`Reply`].
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// A client request.
+/// A client request: the header every hop reads — which request this
+/// is — around the operation the traffic director classifies.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub struct Request {
+    /// Request id for response correlation; a retry re-sends the same id.
+    pub req_id: u64,
+    /// The operation to run.
+    pub op: Op,
+}
+
+/// What a [`Request`] asks the server to do.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
     /// KV point lookup.
     KvGet {
-        /// Request id for response correlation.
-        req_id: u64,
         /// Key.
         key: u64,
     },
     /// KV upsert.
     KvPut {
-        /// Request id.
-        req_id: u64,
         /// Key.
         key: u64,
         /// Value bytes.
@@ -28,15 +36,11 @@ pub enum Request {
     },
     /// Page fetch (Hyperscale GetPage).
     GetPage {
-        /// Request id.
-        req_id: u64,
         /// Page number.
         page_id: u64,
     },
     /// WAL shipping (Hyperscale log apply).
     AppendLog {
-        /// Request id.
-        req_id: u64,
         /// Page the record modifies.
         page_id: u64,
         /// Byte offset within the page.
@@ -46,8 +50,6 @@ pub enum Request {
     },
     /// KV range scan: every present key in `[start_key, start_key + count)`.
     KvScan {
-        /// Request id.
-        req_id: u64,
         /// First key of the dense range.
         start_key: u64,
         /// Number of consecutive keys scanned.
@@ -57,8 +59,6 @@ pub enum Request {
     /// backup, stamped with the primary's epoch. A backup fenced at a
     /// higher epoch answers [`ErrorCode::StaleEpoch`].
     ReplPut {
-        /// Request id.
-        req_id: u64,
         /// Epoch the sending primary believes it holds.
         epoch: u64,
         /// Key.
@@ -70,143 +70,110 @@ pub enum Request {
     /// owner can never clobber a fresh client write that already landed
     /// on the new owner during the dual-read window.
     MigratePut {
-        /// Request id.
-        req_id: u64,
         /// Key.
         key: u64,
         /// Value bytes.
         value: Bytes,
     },
     /// Migration enumeration: list every key this server holds.
-    ListKeys {
-        /// Request id.
-        req_id: u64,
-    },
+    ListKeys,
     /// Migration cleanup: drop these keys from this server's index
     /// (their bytes stay in the append-only log as garbage).
     DropKeys {
-        /// Request id.
-        req_id: u64,
         /// `0` on client-originated drops; the group epoch when a
         /// primary chain-forwards the drop to its backup. A backup
         /// fenced at a higher epoch rejects the stamped drop with
-        /// [`ErrorCode::StaleEpoch`], exactly like [`Request::ReplPut`].
+        /// [`ErrorCode::StaleEpoch`], exactly like [`Op::ReplPut`].
         epoch: u64,
         /// Keys to drop.
         keys: Vec<u64>,
     },
-    /// Liveness probe: answered [`Response::Ok`] without touching
+    /// Liveness probe: answered [`Reply::Ok`] without touching
     /// storage. The cluster's failure detector pings a suspected
     /// primary before promoting its backup, so a slow-but-alive server
     /// is not deposed over a transient congestion blip.
-    Ping {
-        /// Request id.
-        req_id: u64,
-    },
+    Ping,
+}
+
+impl Op {
+    /// The variant's name: the `req:<name>` span and the
+    /// `dds_requests{kind=<name>}` counter label.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Op::KvGet { .. } => "KvGet",
+            Op::KvPut { .. } => "KvPut",
+            Op::GetPage { .. } => "GetPage",
+            Op::AppendLog { .. } => "AppendLog",
+            Op::KvScan { .. } => "KvScan",
+            Op::ReplPut { .. } => "ReplPut",
+            Op::MigratePut { .. } => "MigratePut",
+            Op::ListKeys => "ListKeys",
+            Op::DropKeys { .. } => "DropKeys",
+            Op::Ping => "Ping",
+        }
+    }
+}
+
+fn put_blob(b: &mut BytesMut, blob: &[u8]) {
+    b.put_u32_le(blob.len() as u32);
+    b.put_slice(blob);
+}
+
+fn put_keys(b: &mut BytesMut, keys: &[u64]) {
+    b.put_u32_le(keys.len() as u32);
+    for key in keys {
+        b.put_u64_le(*key);
+    }
 }
 
 impl Request {
-    /// Request id accessor.
-    pub fn req_id(&self) -> u64 {
-        match self {
-            Request::KvGet { req_id, .. }
-            | Request::KvPut { req_id, .. }
-            | Request::GetPage { req_id, .. }
-            | Request::AppendLog { req_id, .. }
-            | Request::KvScan { req_id, .. }
-            | Request::ReplPut { req_id, .. }
-            | Request::MigratePut { req_id, .. }
-            | Request::ListKeys { req_id }
-            | Request::DropKeys { req_id, .. }
-            | Request::Ping { req_id } => *req_id,
-        }
-    }
-
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(32);
-        match self {
-            Request::KvGet { req_id, key } => {
-                b.put_u8(1);
-                b.put_u64_le(*req_id);
+        let tag = match &self.op {
+            Op::KvGet { .. } => 1,
+            Op::KvPut { .. } => 2,
+            Op::GetPage { .. } => 3,
+            Op::AppendLog { .. } => 4,
+            Op::KvScan { .. } => 5,
+            Op::ReplPut { .. } => 6,
+            Op::MigratePut { .. } => 7,
+            Op::ListKeys => 8,
+            Op::DropKeys { .. } => 9,
+            Op::Ping => 10,
+        };
+        b.put_u8(tag);
+        b.put_u64_le(self.req_id);
+        match &self.op {
+            Op::KvGet { key } => b.put_u64_le(*key),
+            Op::KvPut { key, value } | Op::MigratePut { key, value } => {
                 b.put_u64_le(*key);
+                put_blob(&mut b, value);
             }
-            Request::KvPut { req_id, key, value } => {
-                b.put_u8(2);
-                b.put_u64_le(*req_id);
-                b.put_u64_le(*key);
-                b.put_u32_le(value.len() as u32);
-                b.put_slice(value);
-            }
-            Request::GetPage { req_id, page_id } => {
-                b.put_u8(3);
-                b.put_u64_le(*req_id);
-                b.put_u64_le(*page_id);
-            }
-            Request::AppendLog {
-                req_id,
+            Op::GetPage { page_id } => b.put_u64_le(*page_id),
+            Op::AppendLog {
                 page_id,
                 offset,
                 delta,
             } => {
-                b.put_u8(4);
-                b.put_u64_le(*req_id);
                 b.put_u64_le(*page_id);
                 b.put_u32_le(*offset);
-                b.put_u32_le(delta.len() as u32);
-                b.put_slice(delta);
+                put_blob(&mut b, delta);
             }
-            Request::KvScan {
-                req_id,
-                start_key,
-                count,
-            } => {
-                b.put_u8(5);
-                b.put_u64_le(*req_id);
+            Op::KvScan { start_key, count } => {
                 b.put_u64_le(*start_key);
                 b.put_u32_le(*count);
             }
-            Request::ReplPut {
-                req_id,
-                epoch,
-                key,
-                value,
-            } => {
-                b.put_u8(6);
-                b.put_u64_le(*req_id);
+            Op::ReplPut { epoch, key, value } => {
                 b.put_u64_le(*epoch);
                 b.put_u64_le(*key);
-                b.put_u32_le(value.len() as u32);
-                b.put_slice(value);
+                put_blob(&mut b, value);
             }
-            Request::MigratePut { req_id, key, value } => {
-                b.put_u8(7);
-                b.put_u64_le(*req_id);
-                b.put_u64_le(*key);
-                b.put_u32_le(value.len() as u32);
-                b.put_slice(value);
-            }
-            Request::ListKeys { req_id } => {
-                b.put_u8(8);
-                b.put_u64_le(*req_id);
-            }
-            Request::DropKeys {
-                req_id,
-                epoch,
-                keys,
-            } => {
-                b.put_u8(9);
-                b.put_u64_le(*req_id);
+            Op::DropKeys { epoch, keys } => {
                 b.put_u64_le(*epoch);
-                b.put_u32_le(keys.len() as u32);
-                for key in keys {
-                    b.put_u64_le(*key);
-                }
+                put_keys(&mut b, keys);
             }
-            Request::Ping { req_id } => {
-                b.put_u8(10);
-                b.put_u64_le(*req_id);
-            }
+            Op::ListKeys | Op::Ping => {}
         }
         b.freeze()
     }
@@ -216,81 +183,44 @@ impl Request {
         let mut c = Cursor::new(data);
         let tag = c.u8()?;
         let req_id = c.u64()?;
-        match tag {
-            1 => Ok(Request::KvGet {
-                req_id,
+        let op = match tag {
+            1 => Op::KvGet { key: c.u64()? },
+            2 => Op::KvPut {
                 key: c.u64()?,
-            }),
-            2 => {
-                let key = c.u64()?;
-                let len = c.u32()? as usize;
-                Ok(Request::KvPut {
-                    req_id,
-                    key,
-                    value: c.bytes(len)?,
-                })
-            }
-            3 => Ok(Request::GetPage {
-                req_id,
+                value: c.blob()?,
+            },
+            3 => Op::GetPage { page_id: c.u64()? },
+            4 => Op::AppendLog {
                 page_id: c.u64()?,
-            }),
-            4 => {
-                let page_id = c.u64()?;
-                let offset = c.u32()?;
-                let len = c.u32()? as usize;
-                Ok(Request::AppendLog {
-                    req_id,
-                    page_id,
-                    offset,
-                    delta: c.bytes(len)?,
-                })
-            }
-            5 => Ok(Request::KvScan {
-                req_id,
+                offset: c.u32()?,
+                delta: c.blob()?,
+            },
+            5 => Op::KvScan {
                 start_key: c.u64()?,
                 count: c.u32()?,
-            }),
-            6 => {
-                let epoch = c.u64()?;
-                let key = c.u64()?;
-                let len = c.u32()? as usize;
-                Ok(Request::ReplPut {
-                    req_id,
-                    epoch,
-                    key,
-                    value: c.bytes(len)?,
-                })
-            }
-            7 => {
-                let key = c.u64()?;
-                let len = c.u32()? as usize;
-                Ok(Request::MigratePut {
-                    req_id,
-                    key,
-                    value: c.bytes(len)?,
-                })
-            }
-            8 => Ok(Request::ListKeys { req_id }),
-            9 => {
-                let epoch = c.u64()?;
-                let n = c.u32()? as usize;
-                let mut keys = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    keys.push(c.u64()?);
-                }
-                Ok(Request::DropKeys {
-                    req_id,
-                    epoch,
-                    keys,
-                })
-            }
-            10 => Ok(Request::Ping { req_id }),
-            t => Err(ProtoError::BadTag(t)),
-        }
+            },
+            6 => Op::ReplPut {
+                epoch: c.u64()?,
+                key: c.u64()?,
+                value: c.blob()?,
+            },
+            7 => Op::MigratePut {
+                key: c.u64()?,
+                value: c.blob()?,
+            },
+            8 => Op::ListKeys,
+            9 => Op::DropKeys {
+                epoch: c.u64()?,
+                keys: c.keys()?,
+            },
+            10 => Op::Ping,
+            t => return Err(ProtoError::BadTag(t)),
+        };
+        Ok(Request { req_id, op })
     }
 }
 
-/// Failure class a server can report in a [`Response::Error`].
+/// Failure class a server can report in a [`Reply::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The storage layer failed on both serving paths.
@@ -321,105 +251,98 @@ impl ErrorCode {
     }
 }
 
-/// A server response.
+/// A server response: the id of the [`Request`] it answers, then the
+/// answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Value found (or page contents).
-    Data {
-        /// Correlated request id.
-        req_id: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// Key absent.
-    NotFound {
-        /// Correlated request id.
-        req_id: u64,
-    },
-    /// Write acknowledged.
-    Ok {
-        /// Correlated request id.
-        req_id: u64,
-    },
-    /// The server failed to execute the request (a terminal answer: the
-    /// client stops waiting and surfaces a typed error or retries).
-    Error {
-        /// Correlated request id.
-        req_id: u64,
-        /// Failure class.
-        code: ErrorCode,
-    },
-    /// Scan result: the present keys of the requested range, ascending,
-    /// each with its current value.
-    Scan {
-        /// Correlated request id.
-        req_id: u64,
-        /// `(key, value)` pairs in ascending key order.
-        entries: Vec<(u64, Bytes)>,
-    },
-    /// Key enumeration result (migration): every key held, ascending.
-    Keys {
-        /// Correlated request id.
-        req_id: u64,
-        /// Keys in ascending order.
-        keys: Vec<u64>,
-    },
+pub struct Response {
+    /// Correlated request id.
+    pub req_id: u64,
+    /// The server's answer.
+    pub reply: Reply,
 }
 
-impl Response {
-    /// Request id accessor.
-    pub fn req_id(&self) -> u64 {
+/// What a server answers in a [`Response`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// Value found (or page contents).
+    Data(Bytes),
+    /// Key absent.
+    NotFound,
+    /// Write acknowledged.
+    Ok,
+    /// The server failed to execute the request (a terminal answer: the
+    /// client stops waiting and surfaces a typed error or retries).
+    Error(ErrorCode),
+    /// Scan result: the present keys of the requested range, each with
+    /// its current value, in ascending key order.
+    Scan(Vec<(u64, Bytes)>),
+    /// Key enumeration result (migration): every key held, ascending.
+    Keys(Vec<u64>),
+}
+
+impl Reply {
+    /// A point read's value, `None` when the key is absent. Like the
+    /// three accessors below, panics on a reply of another kind: the
+    /// server answered an op the caller did not send.
+    pub(crate) fn value(self) -> Option<Bytes> {
         match self {
-            Response::Data { req_id, .. }
-            | Response::NotFound { req_id }
-            | Response::Ok { req_id }
-            | Response::Error { req_id, .. }
-            | Response::Scan { req_id, .. }
-            | Response::Keys { req_id, .. } => *req_id,
+            Reply::Data(data) => Some(data),
+            Reply::NotFound => None,
+            other => unreachable!("expected a value, got {other:?}"),
         }
     }
 
+    /// A write's bare acknowledgement.
+    pub(crate) fn ack(self) {
+        match self {
+            Reply::Ok => (),
+            other => unreachable!("expected an ack, got {other:?}"),
+        }
+    }
+
+    /// A scan's `(key, value)` rows.
+    pub(crate) fn rows(self) -> Vec<(u64, Bytes)> {
+        match self {
+            Reply::Scan(entries) => entries,
+            other => unreachable!("expected scan rows, got {other:?}"),
+        }
+    }
+
+    /// A key enumeration's keys.
+    pub(crate) fn keys(self) -> Vec<u64> {
+        match self {
+            Reply::Keys(keys) => keys,
+            other => unreachable!("expected a key list, got {other:?}"),
+        }
+    }
+}
+
+impl Response {
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(16);
-        match self {
-            Response::Data { req_id, data } => {
-                b.put_u8(1);
-                b.put_u64_le(*req_id);
-                b.put_u32_le(data.len() as u32);
-                b.put_slice(data);
-            }
-            Response::NotFound { req_id } => {
-                b.put_u8(2);
-                b.put_u64_le(*req_id);
-            }
-            Response::Ok { req_id } => {
-                b.put_u8(3);
-                b.put_u64_le(*req_id);
-            }
-            Response::Error { req_id, code } => {
-                b.put_u8(4);
-                b.put_u64_le(*req_id);
-                b.put_u8(code.to_wire());
-            }
-            Response::Scan { req_id, entries } => {
-                b.put_u8(5);
-                b.put_u64_le(*req_id);
+        let tag = match &self.reply {
+            Reply::Data(_) => 1,
+            Reply::NotFound => 2,
+            Reply::Ok => 3,
+            Reply::Error(_) => 4,
+            Reply::Scan(_) => 5,
+            Reply::Keys(_) => 6,
+        };
+        b.put_u8(tag);
+        b.put_u64_le(self.req_id);
+        match &self.reply {
+            Reply::Data(data) => put_blob(&mut b, data),
+            Reply::NotFound | Reply::Ok => {}
+            Reply::Error(code) => b.put_u8(code.to_wire()),
+            Reply::Scan(entries) => {
                 b.put_u32_le(entries.len() as u32);
                 for (key, value) in entries {
                     b.put_u64_le(*key);
-                    b.put_u32_le(value.len() as u32);
-                    b.put_slice(value);
+                    put_blob(&mut b, value);
                 }
             }
-            Response::Keys { req_id, keys } => {
-                b.put_u8(6);
-                b.put_u64_le(*req_id);
-                b.put_u32_le(keys.len() as u32);
-                for key in keys {
-                    b.put_u64_le(*key);
-                }
-            }
+            Reply::Keys(keys) => put_keys(&mut b, keys),
         }
         b.freeze()
     }
@@ -427,44 +350,25 @@ impl Response {
     /// Parses wire bytes.
     pub fn decode(data: &[u8]) -> Result<Response, ProtoError> {
         let mut c = Cursor::new(data);
-        match c.u8()? {
-            1 => {
-                let req_id = c.u64()?;
-                let len = c.u32()? as usize;
-                Ok(Response::Data {
-                    req_id,
-                    data: c.bytes(len)?,
-                })
-            }
-            2 => Ok(Response::NotFound { req_id: c.u64()? }),
-            3 => Ok(Response::Ok { req_id: c.u64()? }),
-            4 => {
-                let req_id = c.u64()?;
-                let code = ErrorCode::from_wire(c.u8()?)?;
-                Ok(Response::Error { req_id, code })
-            }
+        let tag = c.u8()?;
+        let req_id = c.u64()?;
+        let reply = match tag {
+            1 => Reply::Data(c.blob()?),
+            2 => Reply::NotFound,
+            3 => Reply::Ok,
+            4 => Reply::Error(ErrorCode::from_wire(c.u8()?)?),
             5 => {
-                let req_id = c.u64()?;
                 let n = c.u32()? as usize;
                 let mut entries = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let key = c.u64()?;
-                    let len = c.u32()? as usize;
-                    entries.push((key, c.bytes(len)?));
+                    entries.push((c.u64()?, c.blob()?));
                 }
-                Ok(Response::Scan { req_id, entries })
+                Reply::Scan(entries)
             }
-            6 => {
-                let req_id = c.u64()?;
-                let n = c.u32()? as usize;
-                let mut keys = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    keys.push(c.u64()?);
-                }
-                Ok(Response::Keys { req_id, keys })
-            }
-            t => Err(ProtoError::BadTag(t)),
-        }
+            6 => Reply::Keys(c.keys()?),
+            t => return Err(ProtoError::BadTag(t)),
+        };
+        Ok(Response { req_id, reply })
     }
 }
 
@@ -615,8 +519,20 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn bytes(&mut self, n: usize) -> Result<Bytes, ProtoError> {
-        Ok(Bytes::copy_from_slice(self.take(n)?))
+    /// A `u32` length, then that many bytes.
+    fn blob(&mut self) -> Result<Bytes, ProtoError> {
+        let len = self.u32()? as usize;
+        Ok(Bytes::copy_from_slice(self.take(len)?))
+    }
+
+    /// A `u32` count, then that many `u64` keys.
+    fn keys(&mut self) -> Result<Vec<u64>, ProtoError> {
+        let n = self.u32()? as usize;
+        let mut keys = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            keys.push(self.u64()?);
+        }
+        Ok(keys)
     }
 }
 
@@ -624,110 +540,182 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_round_trip() {
-        let cases = vec![
-            Request::KvGet { req_id: 1, key: 42 },
-            Request::KvPut {
-                req_id: 2,
-                key: 7,
-                value: Bytes::from_static(b"hello"),
-            },
-            Request::GetPage {
-                req_id: 3,
-                page_id: 99,
-            },
-            Request::AppendLog {
-                req_id: 4,
-                page_id: 12,
-                offset: 100,
-                delta: Bytes::from_static(b"delta"),
-            },
-            Request::KvScan {
-                req_id: 5,
-                start_key: 1_000,
-                count: 32,
-            },
-            Request::ReplPut {
-                req_id: 6,
-                epoch: 3,
-                key: 77,
-                value: Bytes::from_static(b"chained"),
-            },
-            Request::MigratePut {
-                req_id: 7,
-                key: 88,
-                value: Bytes::from_static(b"moved"),
-            },
-            Request::ListKeys { req_id: 8 },
-            Request::DropKeys {
-                req_id: 9,
-                epoch: 0,
-                keys: vec![1, 2, 300],
-            },
-            Request::DropKeys {
-                req_id: 10,
-                epoch: 4,
-                keys: vec![],
-            },
-            Request::Ping { req_id: 11 },
-        ];
-        for r in cases {
-            assert_eq!(Request::decode(&r.encode()).unwrap(), r);
-        }
+    fn unhex(s: &str) -> Vec<u8> {
+        let s: String = s.split_whitespace().collect();
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Every request variant with its exact wire bytes. The hex literals
+    /// are the compatibility contract with deployed peers: a refactor
+    /// may rewrite the constructors on the left, never a byte on the
+    /// right.
+    fn request_wire() -> Vec<(Request, &'static str)> {
+        let req = |req_id, op| Request { req_id, op };
+        vec![
+            (
+                req(0x0102_0304_0506_0708, Op::KvGet { key: 42 }),
+                "01 0807060504030201 2a00000000000000",
+            ),
+            (
+                req(
+                    2,
+                    Op::KvPut {
+                        key: 7,
+                        value: Bytes::from_static(b"hello"),
+                    },
+                ),
+                "02 0200000000000000 0700000000000000 05000000 68656c6c6f",
+            ),
+            (
+                req(3, Op::GetPage { page_id: 99 }),
+                "03 0300000000000000 6300000000000000",
+            ),
+            (
+                req(
+                    4,
+                    Op::AppendLog {
+                        page_id: 12,
+                        offset: 100,
+                        delta: Bytes::from_static(b"delta"),
+                    },
+                ),
+                "04 0400000000000000 0c00000000000000 64000000 05000000 64656c7461",
+            ),
+            (
+                req(
+                    5,
+                    Op::KvScan {
+                        start_key: 1_000,
+                        count: 32,
+                    },
+                ),
+                "05 0500000000000000 e803000000000000 20000000",
+            ),
+            (
+                req(
+                    6,
+                    Op::ReplPut {
+                        epoch: 3,
+                        key: 77,
+                        value: Bytes::from_static(b"chained"),
+                    },
+                ),
+                "06 0600000000000000 0300000000000000 4d00000000000000 07000000 636861696e6564",
+            ),
+            (
+                req(
+                    7,
+                    Op::MigratePut {
+                        key: 88,
+                        value: Bytes::from_static(b"moved"),
+                    },
+                ),
+                "07 0700000000000000 5800000000000000 05000000 6d6f766564",
+            ),
+            (req(8, Op::ListKeys), "08 0800000000000000"),
+            (
+                req(
+                    9,
+                    Op::DropKeys {
+                        epoch: 0,
+                        keys: vec![1, 2, 300],
+                    },
+                ),
+                "09 0900000000000000 0000000000000000 03000000 \
+                 0100000000000000 0200000000000000 2c01000000000000",
+            ),
+            (
+                req(
+                    10,
+                    Op::DropKeys {
+                        epoch: 4,
+                        keys: vec![],
+                    },
+                ),
+                "09 0a00000000000000 0400000000000000 00000000",
+            ),
+            (req(11, Op::Ping), "0a 0b00000000000000"),
+        ]
+    }
+
+    /// Every response variant (and all three error codes) with its
+    /// exact wire bytes; same contract as [`request_wire`].
+    fn response_wire() -> Vec<(Response, &'static str)> {
+        let resp = |req_id, reply| Response { req_id, reply };
+        vec![
+            (
+                resp(
+                    0x0102_0304_0506_0708,
+                    Reply::Data(Bytes::from_static(b"payload")),
+                ),
+                "01 0807060504030201 07000000 7061796c6f6164",
+            ),
+            (resp(2, Reply::NotFound), "02 0200000000000000"),
+            (resp(3, Reply::Ok), "03 0300000000000000"),
+            (
+                resp(4, Reply::Error(ErrorCode::Storage)),
+                "04 0400000000000000 01",
+            ),
+            (
+                resp(5, Reply::Error(ErrorCode::Unavailable)),
+                "04 0500000000000000 02",
+            ),
+            (
+                resp(8, Reply::Error(ErrorCode::StaleEpoch)),
+                "04 0800000000000000 03",
+            ),
+            (
+                resp(
+                    6,
+                    Reply::Scan(vec![
+                        (10, Bytes::from_static(b"a")),
+                        (12, Bytes::from_static(b"bb")),
+                    ]),
+                ),
+                "05 0600000000000000 02000000 \
+                 0a00000000000000 01000000 61 0c00000000000000 02000000 6262",
+            ),
+            (resp(7, Reply::Scan(vec![])), "05 0700000000000000 00000000"),
+            (
+                resp(9, Reply::Keys(vec![5, 6, 700])),
+                "06 0900000000000000 03000000 \
+                 0500000000000000 0600000000000000 bc02000000000000",
+            ),
+            (
+                resp(10, Reply::Keys(vec![])),
+                "06 0a00000000000000 00000000",
+            ),
+        ]
     }
 
     #[test]
-    fn responses_round_trip() {
-        let cases = vec![
-            Response::Data {
-                req_id: 1,
-                data: Bytes::from_static(b"payload"),
-            },
-            Response::NotFound { req_id: 2 },
-            Response::Ok { req_id: 3 },
-            Response::Error {
-                req_id: 4,
-                code: ErrorCode::Storage,
-            },
-            Response::Error {
-                req_id: 5,
-                code: ErrorCode::Unavailable,
-            },
-            Response::Scan {
-                req_id: 6,
-                entries: vec![
-                    (10, Bytes::from_static(b"a")),
-                    (12, Bytes::from_static(b"bb")),
-                ],
-            },
-            Response::Scan {
-                req_id: 7,
-                entries: vec![],
-            },
-            Response::Error {
-                req_id: 8,
-                code: ErrorCode::StaleEpoch,
-            },
-            Response::Keys {
-                req_id: 9,
-                keys: vec![5, 6, 700],
-            },
-            Response::Keys {
-                req_id: 10,
-                keys: vec![],
-            },
-        ];
-        for r in cases {
-            assert_eq!(Response::decode(&r.encode()).unwrap(), r);
+    fn wire_format_is_pinned() {
+        for (req, hex) in request_wire() {
+            let wire = unhex(hex);
+            assert_eq!(req.encode()[..], wire[..], "{req:?}");
+            assert_eq!(Request::decode(&wire), Ok(req));
         }
+        for (resp, hex) in response_wire() {
+            let wire = unhex(hex);
+            assert_eq!(resp.encode()[..], wire[..], "{resp:?}");
+            assert_eq!(Response::decode(&wire), Ok(resp));
+        }
+        // A framed message: u32-le length, then the payload verbatim.
+        let (get, _) = &request_wire()[0];
+        assert_eq!(
+            frame(&get.encode())[..],
+            unhex("11000000 01 0807060504030201 2a00000000000000")[..]
+        );
     }
 
     #[test]
     fn error_response_rejects_unknown_code() {
-        let mut wire = Response::Error {
+        let mut wire = Response {
             req_id: 9,
-            code: ErrorCode::Storage,
+            reply: Reply::Error(ErrorCode::Storage),
         }
         .encode()
         .to_vec();
@@ -751,22 +739,31 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(Request::decode(&[]), Err(ProtoError::Truncated));
-        assert_eq!(Request::decode(&[9, 0, 0]), Err(ProtoError::Truncated));
-        assert_eq!(
-            Request::decode(&[99, 0, 0, 0, 0, 0, 0, 0, 0]),
-            Err(ProtoError::BadTag(99))
-        );
-        // Declared length longer than the buffer.
-        let mut put = Request::KvPut {
-            req_id: 1,
-            key: 1,
-            value: Bytes::from_static(b"abcd"),
+        // Every proper prefix of every pinned message is `Truncated`:
+        // never a panic, never a short `Ok`.
+        for (req, hex) in request_wire() {
+            let wire = unhex(hex);
+            for cut in 0..wire.len() {
+                assert_eq!(
+                    Request::decode(&wire[..cut]),
+                    Err(ProtoError::Truncated),
+                    "{req:?} cut at {cut}"
+                );
+            }
         }
-        .encode()
-        .to_vec();
-        let cut = put.len() - 2;
-        put.truncate(cut);
-        assert_eq!(Request::decode(&put), Err(ProtoError::Truncated));
+        for (resp, hex) in response_wire() {
+            let wire = unhex(hex);
+            for cut in 0..wire.len() {
+                assert_eq!(
+                    Response::decode(&wire[..cut]),
+                    Err(ProtoError::Truncated),
+                    "{resp:?} cut at {cut}"
+                );
+            }
+        }
+        // An unknown tag after a valid id.
+        let unknown = unhex("63 0100000000000000");
+        assert_eq!(Request::decode(&unknown), Err(ProtoError::BadTag(99)));
+        assert_eq!(Response::decode(&unknown), Err(ProtoError::BadTag(99)));
     }
 }

@@ -24,7 +24,7 @@ use dpdpu_storage::{BlockDevice, ExtentFs, FileService, FsError};
 use crate::director::{Route, TrafficDirector};
 use crate::kv::{KvStore, Residency};
 use crate::pageserver::PageServer;
-use crate::proto::{ErrorCode, Request, Response, RetryPolicy};
+use crate::proto::{ErrorCode, Op, Reply, Request, Response, RetryPolicy};
 use crate::replication::ReplRole;
 
 /// DPU cycles to parse one request and consult the director.
@@ -82,7 +82,7 @@ pub struct Dds {
     /// (graceful degradation; also opens the director's breaker).
     pub host_fallbacks: Counter,
     /// Requests that failed on both paths and were answered with
-    /// [`Response::Error`].
+    /// [`Reply::Error`].
     pub exec_errors: Counter,
     /// Duplicate requests (client retries of an id this connection has
     /// already answered) served from the per-connection replay cache
@@ -177,44 +177,40 @@ impl Dds {
     }
 
     /// Classifies one request: can the offload engine serve it alone?
-    fn wants_dpu(&self, req: &Request) -> bool {
-        match req {
-            Request::KvGet { key, .. } => self.kv.residency(*key) == Residency::Dpu,
+    fn wants_dpu(&self, op: &Op) -> bool {
+        match op {
+            Op::KvGet { key } => self.kv.residency(*key) == Residency::Dpu,
             // A liveness probe touches no storage at all.
-            Request::Ping { .. } => true,
+            Op::Ping => true,
             // Writes and replay involve host-owned state (§7's partial
             // offloading: the log protocol needs host memory).
-            Request::KvPut { .. } | Request::AppendLog { .. } => false,
-            Request::GetPage { page_id, .. } => self.pages.is_clean(*page_id),
+            Op::KvPut { .. } | Op::AppendLog { .. } => false,
+            Op::GetPage { page_id } => self.pages.is_clean(*page_id),
             // A scan is DPU-servable only when every present key of the
             // range is DPU-resident; one host-partition key drags the
             // whole request to the host.
-            Request::KvScan {
-                start_key, count, ..
-            } => self.kv.range_resident_dpu(*start_key, *count),
+            Op::KvScan { start_key, count } => self.kv.range_resident_dpu(*start_key, *count),
             // Replication and migration traffic mutates the log or walks
             // the full index — host-owned state, host path.
-            Request::ReplPut { .. }
-            | Request::MigratePut { .. }
-            | Request::ListKeys { .. }
-            | Request::DropKeys { .. } => false,
+            Op::ReplPut { .. } | Op::MigratePut { .. } | Op::ListKeys | Op::DropKeys { .. } => {
+                false
+            }
         }
     }
 
     /// Handles one already-received request, charging the serving path.
     pub async fn handle(&self, req: Request) -> Response {
-        let req_kind = match &req {
-            Request::KvGet { .. } => "KvGet",
-            Request::KvPut { .. } => "KvPut",
-            Request::GetPage { .. } => "GetPage",
-            Request::AppendLog { .. } => "AppendLog",
-            Request::KvScan { .. } => "KvScan",
-            Request::ReplPut { .. } => "ReplPut",
-            Request::MigratePut { .. } => "MigratePut",
-            Request::ListKeys { .. } => "ListKeys",
-            Request::DropKeys { .. } => "DropKeys",
-            Request::Ping { .. } => "Ping",
-        };
+        let reply = self.reply_to(&req).await;
+        Response {
+            req_id: req.req_id,
+            reply,
+        }
+    }
+
+    /// Routes and executes `req.op`; only the host path's PCIe charges
+    /// look at the envelope (they are sized by the whole message).
+    async fn reply_to(&self, req: &Request) -> Reply {
+        let req_kind = req.op.name();
         let mut req_span = dpdpu_telemetry::span("dpu", "dds-server", format!("req:{req_kind}"));
         // Parse + director lookup on the DPU.
         self.platform.dpu_cpu.exec(DPU_PARSE_CYCLES).await;
@@ -227,13 +223,10 @@ impl Dds {
             if role.deposed() {
                 role.stale_rejections.inc();
                 req_span.attr("route", "fenced".to_string());
-                return Response::Error {
-                    req_id: req.req_id(),
-                    code: ErrorCode::StaleEpoch,
-                };
+                return Reply::Error(ErrorCode::StaleEpoch);
             }
         }
-        let route = self.director.route(self.wants_dpu(&req));
+        let route = self.director.route(self.wants_dpu(&req.op));
         req_span.attr("route", format!("{route:?}"));
         if let Some(c) = dpdpu_telemetry::counter(
             "dds_requests",
@@ -244,10 +237,10 @@ impl Dds {
         match route {
             Route::Dpu => {
                 self.platform.dpu_cpu.exec(DPU_APP_CYCLES).await;
-                match self.try_exec(&req).await {
-                    Ok(resp) => {
+                match self.try_exec(&req.op).await {
+                    Ok(reply) => {
                         self.served_dpu.inc();
-                        resp
+                        reply
                     }
                     Err(_) => {
                         // The DPU path failed even after the storage
@@ -261,72 +254,68 @@ impl Dds {
                         {
                             c.inc();
                         }
-                        self.host_exec(&req).await
+                        self.host_exec(req).await
                     }
                 }
             }
-            Route::Host => self.host_exec(&req).await,
+            Route::Host => self.host_exec(req).await,
         }
     }
 
     /// Serves one request on the host path: PCIe crossing, kernel network
     /// stack, host application logic, execution, PCIe return. A storage
-    /// failure here is terminal and becomes a [`Response::Error`] — the
+    /// failure here is terminal and becomes a [`Reply::Error`] — the
     /// client always gets an answer.
-    async fn host_exec(&self, req: &Request) -> Response {
+    async fn host_exec(&self, req: &Request) -> Reply {
         self.served_host.inc();
         let req_bytes = req.encode().len() as u64;
         // NIC→host handoff, kernel network stack, app logic.
         self.platform.host_dpu_pcie.dma(req_bytes).await;
         dpdpu_des::sleep(costs::HOST_KERNEL_NET_NS).await;
         self.platform.host_cpu.exec(HOST_APP_CYCLES).await;
-        let resp = match self.try_exec(req).await {
-            Ok(resp) => resp,
+        let reply = match self.try_exec(&req.op).await {
+            Ok(reply) => reply,
             Err(_) => {
                 self.exec_errors.inc();
                 if let Some(c) = dpdpu_telemetry::counter("dds_exec_errors", &[]) {
                     c.inc();
                 }
-                Response::Error {
-                    req_id: req.req_id(),
-                    code: ErrorCode::Storage,
-                }
+                Reply::Error(ErrorCode::Storage)
             }
         };
         // Response descends back through the DPU.
+        let resp = Response {
+            req_id: req.req_id,
+            reply,
+        };
         self.platform
             .host_dpu_pcie
             .dma(resp.encode().len() as u64)
             .await;
-        resp
+        resp.reply
     }
 
     /// Executes the application operation (costs inside the KV / page
     /// server / file service layers are charged by those layers).
     /// Storage failures — e.g. injected SSD errors that survive the file
     /// service's retries — surface as `Err` for the caller to degrade on.
-    async fn try_exec(&self, req: &Request) -> Result<Response, FsError> {
-        Ok(match req {
-            Request::KvGet { req_id, key } => match self.kv.get(*key).await? {
-                Some(data) => Response::Data {
-                    req_id: *req_id,
-                    data,
-                },
-                None => Response::NotFound { req_id: *req_id },
+    async fn try_exec(&self, op: &Op) -> Result<Reply, FsError> {
+        Ok(match op {
+            Op::KvGet { key } => match self.kv.get(*key).await? {
+                Some(data) => Reply::Data(data),
+                None => Reply::NotFound,
             },
-            Request::KvPut { req_id, key, value } => {
+            Op::KvPut { key, value } => {
                 let role = self.repl.borrow().clone();
                 match role {
-                    Some(role) => {
-                        return self.repl_commit(&role, *req_id, *key, value, false).await
-                    }
+                    Some(role) => return self.repl_commit(&role, *key, value, false).await,
                     None => {
                         self.kv.put(*key, value).await?;
-                        Response::Ok { req_id: *req_id }
+                        Reply::Ok
                     }
                 }
             }
-            Request::GetPage { req_id, page_id } => {
+            Op::GetPage { page_id } => {
                 let data = if self.pages.is_clean(*page_id) {
                     self.pages.get_page_dpu(*page_id).await?
                 } else {
@@ -334,13 +323,9 @@ impl Dds {
                         .get_page_host(*page_id, &self.platform.host_cpu)
                         .await?
                 };
-                Response::Data {
-                    req_id: *req_id,
-                    data,
-                }
+                Reply::Data(data)
             }
-            Request::AppendLog {
-                req_id,
+            Op::AppendLog {
                 page_id,
                 offset,
                 delta,
@@ -348,22 +333,10 @@ impl Dds {
                 self.pages
                     .append_log(*page_id, *offset, delta.clone())
                     .await?;
-                Response::Ok { req_id: *req_id }
+                Reply::Ok
             }
-            Request::KvScan {
-                req_id,
-                start_key,
-                count,
-            } => Response::Scan {
-                req_id: *req_id,
-                entries: self.kv.scan(*start_key, *count).await?,
-            },
-            Request::ReplPut {
-                req_id,
-                epoch,
-                key,
-                value,
-            } => {
+            Op::KvScan { start_key, count } => Reply::Scan(self.kv.scan(*start_key, *count).await?),
+            Op::ReplPut { epoch, key, value } => {
                 let role = self.repl.borrow().clone();
                 match role {
                     Some(role) if *epoch >= role.fence.get() => {
@@ -373,46 +346,33 @@ impl Dds {
                         // the two must not make this write look like it
                         // was acked under a stale epoch.
                         dpdpu_check::repl_write_acked(role.ctl.group, *epoch);
-                        Response::Ok { req_id: *req_id }
+                        Reply::Ok
                     }
                     Some(role) => {
                         role.stale_rejections.inc();
-                        Response::Error {
-                            req_id: *req_id,
-                            code: ErrorCode::StaleEpoch,
-                        }
+                        Reply::Error(ErrorCode::StaleEpoch)
                     }
-                    None => Response::Error {
-                        req_id: *req_id,
-                        code: ErrorCode::Unavailable,
-                    },
+                    None => Reply::Error(ErrorCode::Unavailable),
                 }
             }
-            Request::MigratePut { req_id, key, value } => {
+            Op::MigratePut { key, value } => {
                 let role = self.repl.borrow().clone();
                 match role {
                     // The replicated path's chain gate already spans the
                     // presence check and the put.
-                    Some(role) => return self.repl_commit(&role, *req_id, *key, value, true).await,
+                    Some(role) => return self.repl_commit(&role, *key, value, true).await,
                     None => {
                         // Put-if-absent, decided at index-update time: a
                         // client write that already landed — or is still
                         // in flight — on this (new) owner must win over
                         // the stale copy arriving from the old owner.
                         self.kv.put_if_absent(*key, value).await?;
-                        Response::Ok { req_id: *req_id }
+                        Reply::Ok
                     }
                 }
             }
-            Request::ListKeys { req_id } => Response::Keys {
-                req_id: *req_id,
-                keys: self.kv.keys(),
-            },
-            Request::DropKeys {
-                req_id,
-                epoch,
-                keys,
-            } => {
+            Op::ListKeys => Reply::Keys(self.kv.keys()),
+            Op::DropKeys { epoch, keys } => {
                 let role = self.repl.borrow().clone();
                 // A chain-forwarded drop (epoch > 0) is fenced exactly
                 // like ReplPut: a drop stamped by a since-deposed
@@ -420,10 +380,7 @@ impl Dds {
                 if let Some(role) = &role {
                     if *epoch > 0 && *epoch < role.fence.get() {
                         role.stale_rejections.inc();
-                        return Ok(Response::Error {
-                            req_id: *req_id,
-                            code: ErrorCode::StaleEpoch,
-                        });
+                        return Ok(Reply::Error(ErrorCode::StaleEpoch));
                     }
                 }
                 if let Some(role) = role.filter(|r| r.is_primary() && !r.deposed()) {
@@ -435,17 +392,11 @@ impl Dds {
                     if !role.ctl.primary_is_solo() {
                         let backup = role.backup.borrow().clone();
                         if let Some(backup) = backup {
-                            let fwd = keys.clone();
-                            let fwd_epoch = role.ctl.epoch();
-                            if backup
-                                .call(|id| Request::DropKeys {
-                                    req_id: id,
-                                    epoch: fwd_epoch,
-                                    keys: fwd.clone(),
-                                })
-                                .await
-                                .is_err()
-                            {
+                            let fwd = Op::DropKeys {
+                                epoch: role.ctl.epoch(),
+                                keys: keys.clone(),
+                            };
+                            if backup.call(fwd).await.is_err() {
                                 // Unreachable backup would keep the
                                 // dropped keys forever: depose it so the
                                 // divergence check only counts live
@@ -458,9 +409,9 @@ impl Dds {
                 for key in keys {
                     self.kv.drop_key(*key);
                 }
-                Response::Ok { req_id: *req_id }
+                Reply::Ok
             }
-            Request::Ping { req_id } => Response::Ok { req_id: *req_id },
+            Op::Ping => Reply::Ok,
         })
     }
 
@@ -471,24 +422,20 @@ impl Dds {
     async fn repl_commit(
         &self,
         role: &Rc<ReplRole>,
-        req_id: u64,
         key: u64,
         value: &Bytes,
         if_absent: bool,
-    ) -> Result<Response, FsError> {
+    ) -> Result<Reply, FsError> {
         // One replicated commit at a time: the backup must apply writes
         // in this primary's apply order or same-key races would leave
         // the replicas permanently divergent.
         let _gate = role.chain_gate.acquire().await;
         if role.deposed() || !role.is_primary() {
             role.stale_rejections.inc();
-            return Ok(Response::Error {
-                req_id,
-                code: ErrorCode::StaleEpoch,
-            });
+            return Ok(Reply::Error(ErrorCode::StaleEpoch));
         }
         if if_absent && self.kv.contains(key) {
-            return Ok(Response::Ok { req_id });
+            return Ok(Reply::Ok);
         }
         let epoch = role.ctl.epoch();
         self.kv.put(key, value).await?;
@@ -500,27 +447,20 @@ impl Dds {
         match backup {
             Some(backup) => {
                 role.chained.inc();
-                let value = value.clone();
-                match backup
-                    .call(|id| Request::ReplPut {
-                        req_id: id,
-                        epoch,
-                        key,
-                        value: value.clone(),
-                    })
-                    .await
-                {
+                let fwd = Op::ReplPut {
+                    epoch,
+                    key,
+                    value: value.clone(),
+                };
+                match backup.call(fwd).await {
                     // The backup applied (and recorded the ack itself).
-                    Ok(Response::Ok { .. }) => Ok(Response::Ok { req_id }),
-                    Ok(other) => unreachable!("unexpected replication response {other:?}"),
+                    Ok(Reply::Ok) => Ok(Reply::Ok),
+                    Ok(other) => unreachable!("unexpected replication reply {other:?}"),
                     Err(DpdpuError::StaleEpoch) => {
                         // The fence rose past us: a failover already
                         // promoted the backup. Stand down without acking.
                         role.stale_rejections.inc();
-                        Ok(Response::Error {
-                            req_id,
-                            code: ErrorCode::StaleEpoch,
-                        })
+                        Ok(Reply::Error(ErrorCode::StaleEpoch))
                     }
                     Err(_) => match role.ctl.solo_grant(role.me) {
                         // Backup unreachable: depose it and commit solo
@@ -528,15 +468,12 @@ impl Dds {
                         Some(e) => {
                             role.solo_commits.inc();
                             dpdpu_check::repl_write_acked(role.ctl.group, e);
-                            Ok(Response::Ok { req_id })
+                            Ok(Reply::Ok)
                         }
                         // Refused: a failover promoted past us mid-write.
                         None => {
                             role.stale_rejections.inc();
-                            Ok(Response::Error {
-                                req_id,
-                                code: ErrorCode::StaleEpoch,
-                            })
+                            Ok(Reply::Error(ErrorCode::StaleEpoch))
                         }
                     },
                 }
@@ -551,16 +488,13 @@ impl Dds {
                         Some(e) => e,
                         None => {
                             role.stale_rejections.inc();
-                            return Ok(Response::Error {
-                                req_id,
-                                code: ErrorCode::StaleEpoch,
-                            });
+                            return Ok(Reply::Error(ErrorCode::StaleEpoch));
                         }
                     }
                 };
                 role.solo_commits.inc();
                 dpdpu_check::repl_write_acked(role.ctl.group, e);
-                Ok(Response::Ok { req_id })
+                Ok(Reply::Ok)
             }
         }
     }
@@ -600,7 +534,7 @@ impl Dds {
                         Ok(r) => r,
                         Err(_) => continue, // non-storage traffic: ignore here
                     };
-                    let req_id = req.req_id();
+                    let req_id = req.req_id;
                     match dedup.borrow_mut().entry(req_id) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             if let Some(cached) = e.get() {
@@ -646,7 +580,7 @@ impl Dds {
 /// when the network drops frames or the server answers with an error.
 pub struct DdsClient {
     tx: FabricSender,
-    pending: Rc<RefCell<HashMap<u64, OneshotSender<Response>>>>,
+    pending: Rc<RefCell<HashMap<u64, OneshotSender<Reply>>>>,
     next_id: std::cell::Cell<u64>,
     policy: std::cell::Cell<RetryPolicy>,
     /// Attempts re-sent after a timeout or a server-reported error.
@@ -663,7 +597,7 @@ impl DdsClient {
     pub fn new(tx: impl Into<FabricSender>, rx: impl Into<FabricReceiver>) -> Rc<Self> {
         let tx = tx.into();
         let mut rx = rx.into();
-        let pending: Rc<RefCell<HashMap<u64, OneshotSender<Response>>>> =
+        let pending: Rc<RefCell<HashMap<u64, OneshotSender<Reply>>>> =
             Rc::new(RefCell::new(HashMap::new()));
         {
             let pending = pending.clone();
@@ -672,8 +606,8 @@ impl DdsClient {
                 while let Some(chunk) = rx.recv().await {
                     for msg in deframer.push(&chunk) {
                         if let Ok(resp) = Response::decode(&msg) {
-                            if let Some(tx) = pending.borrow_mut().remove(&resp.req_id()) {
-                                let _ = tx.send(resp);
+                            if let Some(tx) = pending.borrow_mut().remove(&resp.req_id) {
+                                let _ = tx.send(resp.reply);
                             }
                         }
                     }
@@ -708,20 +642,19 @@ impl DdsClient {
     }
 
     /// Issues one request under the client's default [`RetryPolicy`].
-    pub async fn call(&self, build: impl Fn(u64) -> Request) -> Result<Response, DpdpuError> {
-        self.call_with(self.policy.get(), build).await
+    pub async fn call(&self, op: Op) -> Result<Reply, DpdpuError> {
+        self.call_with(self.policy.get(), op).await
     }
 
     /// Issues one request under an explicit policy. Retries re-send with
     /// the same request id, so a late response to an earlier attempt
     /// still completes the call (and duplicate responses are dropped by
     /// the demultiplexer).
-    pub async fn call_with(
-        &self,
-        policy: RetryPolicy,
-        build: impl Fn(u64) -> Request,
-    ) -> Result<Response, DpdpuError> {
-        let req_id = self.fresh_id();
+    pub async fn call_with(&self, policy: RetryPolicy, op: Op) -> Result<Reply, DpdpuError> {
+        let req = Request {
+            req_id: self.fresh_id(),
+            op,
+        };
         let start = dpdpu_des::now();
         let mut attempt = 1u32;
         loop {
@@ -732,17 +665,12 @@ impl DdsClient {
                     elapsed_ns: elapsed,
                 });
             }
-            let req = build(req_id);
-            debug_assert_eq!(req.req_id(), req_id, "builder must use the given id");
             let wait = policy.request_timeout_ns.min(policy.deadline_ns - elapsed);
             let (otx, orx) = oneshot();
-            self.pending.borrow_mut().insert(req_id, otx);
+            self.pending.borrow_mut().insert(req.req_id, otx);
             self.tx.send(crate::proto::frame(&req.encode()));
             match timeout(wait, orx).await {
-                Ok(Ok(Response::Error {
-                    code: ErrorCode::StaleEpoch,
-                    ..
-                })) => {
+                Ok(Ok(Reply::Error(ErrorCode::StaleEpoch))) => {
                     // Fencing is terminal at this epoch: the server was
                     // deposed and will never recover here. Surface
                     // immediately — no retry — so the caller re-routes
@@ -750,7 +678,7 @@ impl DdsClient {
                     self.failures.inc();
                     return Err(DpdpuError::StaleEpoch);
                 }
-                Ok(Ok(Response::Error { code, .. })) => {
+                Ok(Ok(Reply::Error(code))) => {
                     // Terminal server answer; retry in case the fault
                     // was transient, error out once attempts run dry.
                     if attempt >= policy.max_attempts {
@@ -762,14 +690,14 @@ impl DdsClient {
                         });
                     }
                 }
-                Ok(Ok(resp)) => return Ok(resp),
+                Ok(Ok(reply)) => return Ok(reply),
                 Ok(Err(_cancelled)) => {
                     // Demultiplexer dropped our waiter: stream closed.
                     self.failures.inc();
                     return Err(DpdpuError::ConnectionClosed);
                 }
                 Err(_elapsed) => {
-                    self.pending.borrow_mut().remove(&req_id);
+                    self.pending.borrow_mut().remove(&req.req_id);
                     self.timeouts.inc();
                     if let Some(c) = dpdpu_telemetry::counter("dds_client_timeouts", &[]) {
                         c.inc();
@@ -791,26 +719,12 @@ impl DdsClient {
 
     /// KV get.
     pub async fn kv_get(&self, key: u64) -> Result<Option<Bytes>, DpdpuError> {
-        match self.call(|req_id| Request::KvGet { req_id, key }).await? {
-            Response::Data { data, .. } => Ok(Some(data)),
-            Response::NotFound { .. } => Ok(None),
-            other => unreachable!("unexpected get response {other:?}"),
-        }
+        self.call(Op::KvGet { key }).await.map(Reply::value)
     }
 
     /// KV put.
     pub async fn kv_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
-        match self
-            .call(|req_id| Request::KvPut {
-                req_id,
-                key,
-                value: value.clone(),
-            })
-            .await?
-        {
-            Response::Ok { .. } => Ok(()),
-            other => unreachable!("unexpected put response {other:?}"),
-        }
+        self.call(Op::KvPut { key, value }).await.map(Reply::ack)
     }
 
     /// KV range scan: present keys of `[start_key, start_key + count)`.
@@ -819,69 +733,37 @@ impl DdsClient {
         start_key: u64,
         count: u32,
     ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {
-        match self
-            .call(|req_id| Request::KvScan {
-                req_id,
-                start_key,
-                count,
-            })
-            .await?
-        {
-            Response::Scan { entries, .. } => Ok(entries),
-            other => unreachable!("unexpected scan response {other:?}"),
-        }
+        self.call(Op::KvScan { start_key, count })
+            .await
+            .map(Reply::rows)
     }
 
     /// GetPage.
     pub async fn get_page(&self, page_id: u64) -> Result<Bytes, DpdpuError> {
-        match self
-            .call(|req_id| Request::GetPage { req_id, page_id })
-            .await?
-        {
-            Response::Data { data, .. } => Ok(data),
-            other => unreachable!("unexpected page response {other:?}"),
-        }
+        let page = self.call(Op::GetPage { page_id }).await?.value();
+        Ok(page.expect("a page is never absent"))
     }
 
     /// Migration copy: put-if-absent on the receiver, so a stale copy
     /// can never clobber a fresher write that already landed there.
     pub async fn migrate_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
-        match self
-            .call(|req_id| Request::MigratePut {
-                req_id,
-                key,
-                value: value.clone(),
-            })
-            .await?
-        {
-            Response::Ok { .. } => Ok(()),
-            other => unreachable!("unexpected migrate response {other:?}"),
-        }
+        self.call(Op::MigratePut { key, value })
+            .await
+            .map(Reply::ack)
     }
 
     /// Every key the shard currently holds (for migration planning).
     pub async fn list_keys(&self) -> Result<Vec<u64>, DpdpuError> {
-        match self.call(|req_id| Request::ListKeys { req_id }).await? {
-            Response::Keys { keys, .. } => Ok(keys),
-            other => unreachable!("unexpected list response {other:?}"),
-        }
+        self.call(Op::ListKeys).await.map(Reply::keys)
     }
 
     /// Drops migrated-away keys from the shard's index. Client drops
     /// carry epoch 0 (unfenced); the serving primary re-stamps the
     /// chain-forwarded copy with its group epoch.
     pub async fn drop_keys(&self, keys: Vec<u64>) -> Result<(), DpdpuError> {
-        match self
-            .call(|req_id| Request::DropKeys {
-                req_id,
-                epoch: 0,
-                keys: keys.clone(),
-            })
-            .await?
-        {
-            Response::Ok { .. } => Ok(()),
-            other => unreachable!("unexpected drop response {other:?}"),
-        }
+        self.call(Op::DropKeys { epoch: 0, keys })
+            .await
+            .map(Reply::ack)
     }
 
     /// Ship one WAL record.
@@ -891,18 +773,12 @@ impl DdsClient {
         offset: u32,
         delta: Bytes,
     ) -> Result<(), DpdpuError> {
-        match self
-            .call(|req_id| Request::AppendLog {
-                req_id,
-                page_id,
-                offset,
-                delta: delta.clone(),
-            })
-            .await?
-        {
-            Response::Ok { .. } => Ok(()),
-            other => unreachable!("unexpected log response {other:?}"),
-        }
+        let record = Op::AppendLog {
+            page_id,
+            offset,
+            delta,
+        };
+        self.call(record).await.map(Reply::ack)
     }
 }
 
@@ -991,10 +867,12 @@ mod tests {
             // Preload one key, then re-send the same get three times — as
             // a retrying client does after timeouts.
             c2s_tx.send(crate::proto::frame(
-                &Request::KvPut {
+                &Request {
                     req_id: 1,
-                    key: 1,
-                    value: Bytes::from_static(b"v"),
+                    op: Op::KvPut {
+                        key: 1,
+                        value: Bytes::from_static(b"v"),
+                    },
                 }
                 .encode(),
             ));
@@ -1004,7 +882,13 @@ mod tests {
                     responses.push(Response::decode(&msg).unwrap());
                 }
             }
-            assert_eq!(responses[0], Response::Ok { req_id: 1 });
+            assert_eq!(
+                responses[0],
+                Response {
+                    req_id: 1,
+                    reply: Reply::Ok
+                }
+            );
             let served_before = dds.served_dpu.get() + dds.served_host.get();
             // Await each response before re-sending: the duplicates reach
             // the server after the original completed, so they replay the
@@ -1012,9 +896,9 @@ mod tests {
             // the retrying client's timeout covers that case.)
             for round in 1..=3 {
                 c2s_tx.send(crate::proto::frame(
-                    &Request::KvGet {
+                    &Request {
                         req_id: 777,
-                        key: 1,
+                        op: Op::KvGet { key: 1 },
                     }
                     .encode(),
                 ));
@@ -1028,9 +912,9 @@ mod tests {
             for resp in &responses[1..] {
                 assert_eq!(
                     *resp,
-                    Response::Data {
+                    Response {
                         req_id: 777,
-                        data: Bytes::from_static(b"v")
+                        reply: Reply::Data(Bytes::from_static(b"v"))
                     }
                 );
             }

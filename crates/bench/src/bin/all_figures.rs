@@ -1,11 +1,6 @@
 //! Regenerates every figure and ablation table in experiment-id order —
-//! the artifact EXPERIMENTS.md records.
+//! the artifact EXPERIMENTS.md records. Every run is invariant-checked.
 
 fn main() {
-    // Conformance guard: every figure/ablation run is invariant-checked.
-    let _check = dpdpu_check::CheckGuard::new();
-    for (id, runner) in dpdpu_bench::all() {
-        println!("=== {id} ===");
-        println!("{}", runner());
-    }
+    print!("{}", dpdpu_bench::render_all());
 }

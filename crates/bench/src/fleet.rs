@@ -23,6 +23,7 @@ use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::ClusterClient;
 use dpdpu_dds::gateway::{Gateway, TenantId};
+use dpdpu_dds::proto::Op;
 use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, Semaphore, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -131,7 +132,7 @@ impl Mix {
     }
 
     /// Rejects a mix that does not sum to 100. Checked once where a
-    /// fleet starts: [`Mix::pick`] sends whatever the percentages leave
+    /// fleet starts: [`Mix::op`] sends whatever the percentages leave
     /// over to scans, so a short mix would silently change the workload.
     pub(crate) fn validate(&self) {
         assert_eq!(
@@ -141,22 +142,26 @@ impl Mix {
         );
     }
 
-    pub(crate) fn pick(&self, rng: &mut StdRng) -> OpChoice {
+    /// Draws the next operation on `key`: a point read, an update
+    /// writing `value_bytes` bytes of the key's low byte (what
+    /// [`preload`] wrote), or a `scan_len`-key scan starting at `key`.
+    /// One `0..100` draw from `rng`.
+    pub fn op(&self, rng: &mut StdRng, key: u64, value_bytes: usize, scan_len: u32) -> Op {
         let roll = rng.random_range(0..100u32);
         if roll < self.read_pct {
-            OpChoice::Read
+            Op::KvGet { key }
         } else if roll < self.read_pct + self.update_pct {
-            OpChoice::Update
+            Op::KvPut {
+                key,
+                value: value_for(key, value_bytes),
+            }
         } else {
-            OpChoice::Scan
+            Op::KvScan {
+                start_key: key,
+                count: scan_len,
+            }
         }
     }
-}
-
-pub(crate) enum OpChoice {
-    Read,
-    Update,
-    Scan,
 }
 
 /// The value every generator writes under `key`.
@@ -421,15 +426,9 @@ pub async fn run_fleet(client: &Rc<ClusterClient>, cfg: FleetConfig) -> FleetRep
         |c| cfg.seed.wrapping_mul(1_000) + c,
         move |rng| {
             let key = sampler.sample(rng);
-            let op = cfg.mix.pick(rng);
+            let op = cfg.mix.op(rng, key, cfg.value_bytes, cfg.scan_len);
             let client = client.clone();
-            async move {
-                match op {
-                    OpChoice::Read => client.kv_get(key).await.map(|_| ()),
-                    OpChoice::Update => client.kv_put(key, value_for(key, cfg.value_bytes)).await,
-                    OpChoice::Scan => client.kv_scan(key, cfg.scan_len).await.map(|_| ()),
-                }
-            }
+            async move { client.call(op).await.map(|_| ()) }
         },
     )
     .await
@@ -512,7 +511,8 @@ pub struct TenantFleetReport {
 /// 1000 tasks per tenant).
 ///
 /// Must be called inside a running simulation; preload the key
-/// populations first (e.g. [`preload`] on the gateway's inner client).
+/// populations first (e.g. [`preload`] on the cluster client the gateway
+/// fronts).
 pub async fn run_tenant_fleet(
     gateway: &Rc<Gateway>,
     workloads: &[TenantWorkload],
@@ -563,21 +563,9 @@ pub async fn run_tenant_fleet(
                     let client_id = rng.random_range(0..w.logical_clients);
                     seen_by_tasks.borrow_mut()[(client_id / 64) as usize] |= 1 << (client_id % 64);
                     let key = sampler.sample(rng);
-                    let op = w.mix.pick(rng);
+                    let op = w.mix.op(rng, key, w.value_bytes, w.scan_len);
                     let gateway = gateway.clone();
-                    async move {
-                        match op {
-                            OpChoice::Read => gateway.kv_get(tenant, key).await.map(|_| ()),
-                            OpChoice::Update => {
-                                gateway
-                                    .kv_put(tenant, key, value_for(key, w.value_bytes))
-                                    .await
-                            }
-                            OpChoice::Scan => {
-                                gateway.kv_scan(tenant, key, w.scan_len).await.map(|_| ())
-                            }
-                        }
-                    }
+                    async move { gateway.call(tenant, op).await.map(|_| ()) }
                 },
             )
             .await;

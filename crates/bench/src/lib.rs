@@ -66,3 +66,27 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("A9", abl_faults::run),
     ]
 }
+
+/// Every figure and ablation table under its `=== id ===` header, in
+/// experiment-id order: what `all_figures` prints and
+/// `tests/golden/all_figures.stdout.txt` pins. Each runner gets its own
+/// worker thread (simulations are thread-confined, so they cannot
+/// interact) and its own strict invariant session.
+pub fn render_all() -> String {
+    let workers: Vec<_> = all()
+        .into_iter()
+        .map(|(id, runner)| {
+            let checked = move || {
+                let _check = dpdpu_check::CheckGuard::new();
+                runner()
+            };
+            (id, std::thread::spawn(checked))
+        })
+        .collect();
+    let mut out = String::new();
+    for (id, worker) in workers {
+        let table = worker.join().expect("figure panicked");
+        out += &format!("=== {id} ===\n{table}\n");
+    }
+    out
+}

@@ -30,6 +30,7 @@ use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::HashRing;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
+use dpdpu_dds::proto::{Op, Reply};
 use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{
     oneshot, spawn, DomainHooks, DomainSet, OneshotSender, Sim, Time, XReceiver, XSender,
@@ -39,9 +40,7 @@ use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
 use dpdpu_telemetry::{merge_traces, Telemetry};
 
-use crate::fleet::{
-    preload_keys, run_clients, value_for, FleetReport, KeyDist, KeySampler, Mix, OpChoice, Pace,
-};
+use crate::fleet::{preload_keys, run_clients, FleetReport, KeyDist, KeySampler, Mix, Pace};
 
 /// Virtual time at which every domain's clients start issuing: far
 /// enough past t=0 that each domain's local preload (a handful of puts,
@@ -423,7 +422,9 @@ async fn domain_root(
         |c| cfg.seed.wrapping_mul(1_000) + (d as u64) * 64 + c,
         move |rng| {
             let key = sampler.sample(rng);
-            let write = !matches!(mix.pick(rng), OpChoice::Read);
+            // The mix has no scans: anything but a read is an update.
+            let op = mix.op(rng, key, cfg.value_bytes, 0);
+            let write = !matches!(op, Op::KvGet { .. });
             let owner = ring.shard_for(key);
             let local = local.clone();
             let pending = pending.clone();
@@ -431,20 +432,18 @@ async fn domain_root(
             let next_id = next_id.clone();
             async move {
                 if owner == d {
-                    return if write {
-                        local.kv_put(key, value_for(key, cfg.value_bytes)).await
-                    } else {
-                        found(local.kv_get(key).await)
+                    return match local.call(op).await? {
+                        Reply::NotFound => Err(DpdpuError::Remote("preloaded key missing")),
+                        _ => Ok(()),
                     };
                 }
                 let req_id = next_id.get();
                 next_id.set(req_id + 1);
                 let (otx, orx) = oneshot();
                 pending.borrow_mut().insert(req_id, otx);
-                let value = if write {
-                    vec![key as u8; cfg.value_bytes]
-                } else {
-                    Vec::new()
+                let value = match op {
+                    Op::KvPut { value, .. } => value.to_vec(),
+                    _ => Vec::new(),
                 };
                 req_out[owner]
                     .as_ref()
@@ -464,13 +463,6 @@ async fn domain_root(
     )
     .await;
     out.set(Some((report, remote.get())));
-}
-
-/// A read succeeds only if the (preloaded) key is there.
-fn found(read: Result<Option<Bytes>, DpdpuError>) -> Result<(), DpdpuError> {
-    read?
-        .map(|_| ())
-        .ok_or(DpdpuError::Remote("preloaded key missing"))
 }
 
 /// Scenario: the partitioned cluster replayed serially and in parallel

@@ -34,6 +34,8 @@
 //! | [`Invariant::FabricConservation`] | fabric messages delivered ≠ sent, or credit debt above the advertised window |
 //! | [`Invariant::EpochFencing`] | a replica-group epoch that fails to strictly increase, or a write acked at an epoch below the group's fence |
 //! | [`Invariant::ReplicaDivergence`] | live replicas of one group whose KV digests disagree at end of run |
+//! | [`Invariant::TenantConservation`] | a gateway request without a tenant label, or per tenant issued ≠ completed + shed + failed |
+//! | [`Invariant::QosIsolation`] | a dispatch toward the shard fabric without a scheduler grant, or a grant never dispatched |
 //!
 //! ## Modes
 //!

@@ -121,14 +121,6 @@ impl Dpdpu {
             .map_err(DpdpuError::from)
     }
 
-    /// Invokes a registered sproc by name with request bytes.
-    pub async fn invoke_sproc(&self, name: &str, arg: Bytes) -> Result<Bytes, DpdpuError> {
-        self.sprocs
-            .invoke(name, arg)
-            .await
-            .map_err(DpdpuError::from)
-    }
-
     /// Snapshot of resource consumption at `elapsed` virtual time.
     pub fn report(&self, elapsed: dpdpu_des::Time) -> Report {
         Report::collect(&self.platform, elapsed)

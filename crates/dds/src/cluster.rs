@@ -441,11 +441,6 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    /// The cluster this client is connected to.
-    pub fn cluster(&self) -> &Rc<DdsCluster> {
-        &self.cluster
-    }
-
     /// The shard that currently owns `key`.
     pub fn shard_for(&self, key: u64) -> usize {
         self.cluster.shard_for(key)
@@ -614,8 +609,9 @@ impl ClusterClient {
     /// The one routed entry point: runs a KV op against the shard (or
     /// shards) the ring assigns it. [`ClusterClient::kv_get`],
     /// [`ClusterClient::kv_put`] and [`ClusterClient::kv_scan`] are this
-    /// call with the reply unpacked; the gateway queues the [`Op`] itself.
-    pub(crate) async fn call(&self, op: Op) -> Result<Reply, DpdpuError> {
+    /// call with the reply unpacked; the gateway queues the [`Op`] itself
+    /// and load generators hand over the one they drew.
+    pub async fn call(&self, op: Op) -> Result<Reply, DpdpuError> {
         match op {
             Op::KvGet { key } => self.routed_get(key).await,
             // Writes always go to the ring's *current* owner, so a
@@ -1485,7 +1481,11 @@ mod tests {
                 "fenced drop must not reach the index"
             );
             // A client-originated drop (epoch 0) still works.
-            new_primary.drop_keys(vec![7]).await.unwrap();
+            let drop = Op::DropKeys {
+                epoch: 0,
+                keys: vec![7],
+            };
+            assert_eq!(new_primary.call(drop).await.unwrap(), Reply::Ok);
             assert_eq!(client.kv_get(7).await.unwrap(), None);
         });
     }

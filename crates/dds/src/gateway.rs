@@ -37,7 +37,6 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use bytes::Bytes;
 use dpdpu_core::{DpdpuError, SloClass, TenantSpec};
 use dpdpu_des::{now, oneshot, spawn, Drr, Histogram, OneshotSender, Semaphore};
 
@@ -235,11 +234,6 @@ impl Gateway {
         })
     }
 
-    /// The routed cluster client underneath the gateway.
-    pub fn client(&self) -> &Rc<ClusterClient> {
-        &self.client
-    }
-
     /// Requests queued behind the scheduler right now.
     pub fn queued(&self) -> usize {
         self.queues.borrow().len()
@@ -260,41 +254,9 @@ impl Gateway {
         }
     }
 
-    /// A labeled KV point read for `tenant`.
-    pub async fn kv_get(
-        self: &Rc<Self>,
-        tenant: TenantId,
-        key: u64,
-    ) -> Result<Option<Bytes>, DpdpuError> {
-        self.submit(tenant, Op::KvGet { key })
-            .await
-            .map(Reply::value)
-    }
-
-    /// A labeled KV update for `tenant`.
-    pub async fn kv_put(
-        self: &Rc<Self>,
-        tenant: TenantId,
-        key: u64,
-        value: Bytes,
-    ) -> Result<(), DpdpuError> {
-        let put = Op::KvPut { key, value };
-        self.submit(tenant, put).await.map(Reply::ack)
-    }
-
-    /// A labeled range scan for `tenant` (fans out to every shard).
-    pub async fn kv_scan(
-        self: &Rc<Self>,
-        tenant: TenantId,
-        start_key: u64,
-        count: u32,
-    ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {
-        let scan = Op::KvScan { start_key, count };
-        self.submit(tenant, scan).await.map(Reply::rows)
-    }
-
-    /// Authenticate → admit → queue → await the dispatched result.
-    async fn submit(self: &Rc<Self>, tenant: TenantId, op: Op) -> Result<Reply, DpdpuError> {
+    /// The one labeled entry point: authenticate → admit → queue → await
+    /// the dispatched result of `op` (a KV get, put or scan) for `tenant`.
+    pub async fn call(self: &Rc<Self>, tenant: TenantId, op: Op) -> Result<Reply, DpdpuError> {
         let Some(state) = self.tenants.get(tenant.0) else {
             // Not a label loss: an unknown tenant never enters the
             // accounted pipeline at all.
@@ -421,10 +383,19 @@ impl Gateway {
 mod tests {
     use super::*;
 
+    use bytes::Bytes;
     use dpdpu_des::block_on;
     use dpdpu_hw::CpuPool;
 
     use crate::cluster::{ClusterConfig, DdsCluster};
+
+    /// Seeds key 1.
+    fn put_v() -> Op {
+        Op::KvPut {
+            key: 1,
+            value: Bytes::from_static(b"v"),
+        }
+    }
 
     async fn small_gateway(config: GatewayConfig) -> Rc<Gateway> {
         let cluster = DdsCluster::build(ClusterConfig {
@@ -446,15 +417,20 @@ mod tests {
             ]))
             .await;
             for key in 0..16u64 {
-                gw.kv_put(TenantId(0), key, Bytes::from(vec![key as u8; 64]))
+                let value = Bytes::from(vec![key as u8; 64]);
+                gw.call(TenantId(0), Op::KvPut { key, value })
                     .await
                     .expect("put");
             }
             for key in 0..16u64 {
-                let v = gw.kv_get(TenantId(0), key).await.expect("get");
-                assert_eq!(v.expect("present"), Bytes::from(vec![key as u8; 64]));
+                let v = gw.call(TenantId(0), Op::KvGet { key }).await.expect("get");
+                assert_eq!(v, Reply::Data(Bytes::from(vec![key as u8; 64])));
             }
-            let rows = gw.kv_scan(TenantId(1), 0, 8).await.expect("scan");
+            let scan = Op::KvScan {
+                start_key: 0,
+                count: 8,
+            };
+            let rows = gw.call(TenantId(1), scan).await.expect("scan").rows();
             assert_eq!(rows.len(), 8);
             let kv = gw.snapshot(0);
             assert_eq!((kv.issued, kv.ok, kv.shed, kv.errors), (32, 32, 0, 0));
@@ -470,7 +446,10 @@ mod tests {
         let _check = dpdpu_check::CheckGuard::new();
         block_on(async {
             let gw = small_gateway(GatewayConfig::new(vec![TenantSpec::latency("kv", 1)])).await;
-            let err = gw.kv_get(TenantId(7), 1).await.unwrap_err();
+            let err = gw
+                .call(TenantId(7), Op::KvGet { key: 1 })
+                .await
+                .unwrap_err();
             assert_eq!(err, DpdpuError::Unavailable("unknown tenant"));
         });
     }
@@ -485,7 +464,7 @@ mod tests {
                 TenantSpec::latency("storm", 1).rate(1_000_000, 4)
             ]))
             .await;
-            gw.kv_put(TenantId(0), 1, Bytes::from_static(b"v"))
+            gw.call(TenantId(0), put_v())
                 .await
                 .expect("first op rides the burst");
             // Fire the storm at a single instant: no virtual time passes
@@ -493,7 +472,9 @@ mod tests {
             let mut handles = Vec::new();
             for _ in 0..31 {
                 let gw = gw.clone();
-                handles.push(spawn(async move { gw.kv_get(TenantId(0), 1).await }));
+                handles.push(spawn(async move {
+                    gw.call(TenantId(0), Op::KvGet { key: 1 }).await
+                }));
             }
             let mut ok = 0u64;
             let mut shed = 0u64;
@@ -518,13 +499,13 @@ mod tests {
                 TenantSpec::latency("capped", 1).in_flight(2)
             ]))
             .await;
-            gw.kv_put(TenantId(0), 1, Bytes::from_static(b"v"))
-                .await
-                .expect("seed");
+            gw.call(TenantId(0), put_v()).await.expect("seed");
             let mut handles = Vec::new();
             for _ in 0..16 {
                 let gw = gw.clone();
-                handles.push(spawn(async move { gw.kv_get(TenantId(0), 1).await }));
+                handles.push(spawn(async move {
+                    gw.call(TenantId(0), Op::KvGet { key: 1 }).await
+                }));
             }
             let mut shed = 0u64;
             for h in handles {
@@ -548,14 +529,16 @@ mod tests {
                 .unfair(),
             )
             .await;
-            gw.kv_put(TenantId(0), 1, Bytes::from_static(b"v"))
+            gw.call(TenantId(0), put_v())
                 .await
                 .expect("limits are off in unfair mode");
             // Rate limit and cap are disabled: everything dispatches.
             let mut handles = Vec::new();
             for _ in 0..8 {
                 let gw = gw.clone();
-                handles.push(spawn(async move { gw.kv_get(TenantId(1), 1).await }));
+                handles.push(spawn(async move {
+                    gw.call(TenantId(1), Op::KvGet { key: 1 }).await
+                }));
             }
             for h in handles {
                 h.await.expect("no caps in unfair mode");
@@ -578,7 +561,8 @@ mod tests {
                 ]))
                 .await;
                 for key in 0..8u64 {
-                    gw.kv_put(TenantId(0), key, Bytes::from(vec![1u8; 32]))
+                    let value = Bytes::from(vec![1u8; 32]);
+                    gw.call(TenantId(0), Op::KvPut { key, value })
                         .await
                         .expect("put");
                 }
@@ -586,11 +570,15 @@ mod tests {
                 for key in 0..8u64 {
                     let gw1 = gw.clone();
                     handles.push(spawn(async move {
-                        gw1.kv_get(TenantId(0), key).await.map(|_| ())
+                        gw1.call(TenantId(0), Op::KvGet { key }).await.map(|_| ())
                     }));
                     let gw2 = gw.clone();
                     handles.push(spawn(async move {
-                        gw2.kv_scan(TenantId(1), key, 4).await.map(|_| ())
+                        let scan = Op::KvScan {
+                            start_key: key,
+                            count: 4,
+                        };
+                        gw2.call(TenantId(1), scan).await.map(|_| ())
                     }));
                 }
                 for h in handles {

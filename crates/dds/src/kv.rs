@@ -44,6 +44,22 @@ struct IndexEntry {
     /// so a migrated entry loses to a client entry regardless of log
     /// offsets — offsets order concurrent client puts, not copies.
     migrated: bool,
+    /// True when the entry lives in the DPU-resident partition. Decided
+    /// once, when the key is first indexed; updates keep it.
+    on_dpu: bool,
+}
+
+impl IndexEntry {
+    /// The entry for the record whose 12-byte header sits at log offset
+    /// `record_offset`; [`KvStore::index_insert`] decides `on_dpu`.
+    fn at(record_offset: u64, value_len: u32, migrated: bool) -> Self {
+        IndexEntry {
+            value_offset: record_offset + 12,
+            value_len,
+            migrated,
+            on_dpu: false,
+        }
+    }
 }
 
 /// The KV store.
@@ -51,14 +67,40 @@ pub struct KvStore {
     service: Rc<FileService>,
     log: FileId,
     tail: Cell<u64>,
-    dpu_index: RefCell<HashMap<u64, IndexEntry>>,
-    host_index: RefCell<HashMap<u64, IndexEntry>>,
-    dpu_mem: Memory,
-    index_reservation: RefCell<Option<MemoryReservation>>,
+    /// Both partitions of the split index: an entry's `on_dpu` says
+    /// which one holds it.
+    index: RefCell<HashMap<u64, IndexEntry>>,
+    /// Entries with `on_dpu` set — what the §7 budget test counts.
+    dpu_entries: Cell<u64>,
+    /// DPU memory held by the `dpu_entries` (grown per entry, never
+    /// shrunk: FASTER-style stores reclaim index slots lazily).
+    index_reservation: RefCell<MemoryReservation>,
     index_budget: u64,
 }
 
 impl KvStore {
+    /// A store over `log` with an empty index, appending at `tail`.
+    fn new(
+        service: Rc<FileService>,
+        log: FileId,
+        tail: u64,
+        dpu_mem: Memory,
+        index_budget: u64,
+    ) -> Rc<Self> {
+        let reservation = dpu_mem
+            .try_reserve(0)
+            .expect("an empty reservation always fits");
+        Rc::new(KvStore {
+            service,
+            log,
+            tail: Cell::new(tail),
+            index: RefCell::new(HashMap::new()),
+            dpu_entries: Cell::new(0),
+            index_reservation: RefCell::new(reservation),
+            index_budget,
+        })
+    }
+
     /// Recovers a store from an existing hybrid-log file: scans the log
     /// from the head, rebuilding the hash index (latest version of each
     /// key wins, as in FASTER recovery). This is the §9 "coordinated
@@ -68,21 +110,12 @@ impl KvStore {
     pub async fn recover(
         service: Rc<FileService>,
         dpu_mem: Memory,
-        dpu_index_budget: u64,
+        index_budget: u64,
         name: &str,
     ) -> Result<Rc<Self>, FsError> {
         let log = service.open(name).await?;
         let size = service.fs().size(log)?;
-        let store = Rc::new(KvStore {
-            service: service.clone(),
-            log,
-            tail: Cell::new(size),
-            dpu_index: RefCell::new(HashMap::new()),
-            host_index: RefCell::new(HashMap::new()),
-            dpu_mem,
-            index_reservation: RefCell::new(None),
-            index_budget: dpu_index_budget,
-        });
+        let store = Self::new(service.clone(), log, size, dpu_mem, index_budget);
         // Sequential log scan: read headers, skip values.
         let mut offset = 0u64;
         while offset + 12 <= size {
@@ -92,18 +125,16 @@ impl KvStore {
             if offset + 12 + len as u64 > size {
                 break; // torn tail record: discard (ack never left the DPU)
             }
-            let entry = IndexEntry {
-                value_offset: offset + 12,
-                value_len: len,
-                migrated: false,
-            };
-            store.index_insert(key, entry);
+            store.index_insert(key, IndexEntry::at(offset, len, false));
             offset += 12 + len as u64;
         }
         Ok(store)
     }
 
-    /// Inserts or updates an index entry, respecting the DPU budget.
+    /// Inserts or updates the index entry of `key`, respecting the DPU
+    /// budget; returns whether the entry was installed. An existing key
+    /// keeps its partition; a new key goes to the DPU while the budget
+    /// and DPU memory allow, to the host partition otherwise.
     ///
     /// Client updates are newest-offset-wins: log offsets are reserved
     /// in put arrival order before any await, but the index update runs
@@ -121,79 +152,53 @@ impl KvStore {
     /// re-check must happen at this point, not before the storage
     /// write: a concurrent client put that reserved a lower offset but
     /// has not indexed yet is invisible to any earlier `contains` probe.
-    fn index_insert(&self, key: u64, entry: IndexEntry) {
-        let wins = |e: &IndexEntry| {
-            if entry.migrated {
+    fn index_insert(&self, key: u64, entry: IndexEntry) -> bool {
+        let mut index = self.index.borrow_mut();
+        if let Some(e) = index.get_mut(&key) {
+            let wins = if entry.migrated {
                 false
             } else if e.migrated {
                 true
             } else {
                 entry.value_offset > e.value_offset
-            }
-        };
-        if let Some(e) = self.dpu_index.borrow_mut().get_mut(&key) {
-            if wins(e) {
-                *e = entry;
-            }
-            return;
-        }
-        if let Some(e) = self.host_index.borrow_mut().get_mut(&key) {
-            if wins(e) {
-                *e = entry;
-            }
-            return;
-        }
-        let dpu_used = self.dpu_index.borrow().len() as u64 * INDEX_ENTRY_BYTES;
-        if dpu_used + INDEX_ENTRY_BYTES <= self.index_budget {
-            let mut reservation = self.index_reservation.borrow_mut();
-            let ok = match reservation.as_mut() {
-                Some(r) => r.grow(INDEX_ENTRY_BYTES).is_ok(),
-                None => match self.dpu_mem.try_reserve(INDEX_ENTRY_BYTES) {
-                    Ok(r) => {
-                        *reservation = Some(r);
-                        true
-                    }
-                    Err(_) => false,
-                },
             };
-            if ok {
-                self.dpu_index.borrow_mut().insert(key, entry);
-                return;
+            if wins {
+                *e = IndexEntry {
+                    on_dpu: e.on_dpu,
+                    ..entry
+                };
             }
+            return wins;
         }
-        self.host_index.borrow_mut().insert(key, entry);
+        let dpu_used = self.dpu_entries.get() * INDEX_ENTRY_BYTES;
+        let on_dpu = dpu_used + INDEX_ENTRY_BYTES <= self.index_budget
+            && self
+                .index_reservation
+                .borrow_mut()
+                .grow(INDEX_ENTRY_BYTES)
+                .is_ok();
+        if on_dpu {
+            self.dpu_entries.set(self.dpu_entries.get() + 1);
+        }
+        index.insert(key, IndexEntry { on_dpu, ..entry });
+        true
     }
 
     /// Creates a store whose DPU-resident index may use at most
-    /// `dpu_index_budget` bytes of `dpu_mem`.
+    /// `index_budget` bytes of `dpu_mem`.
     pub async fn create(
         service: Rc<FileService>,
         dpu_mem: Memory,
-        dpu_index_budget: u64,
+        index_budget: u64,
         name: &str,
     ) -> Result<Rc<Self>, FsError> {
         let log = service.create(name).await?;
-        Ok(Rc::new(KvStore {
-            service,
-            log,
-            tail: Cell::new(0),
-            dpu_index: RefCell::new(HashMap::new()),
-            host_index: RefCell::new(HashMap::new()),
-            dpu_mem,
-            index_reservation: RefCell::new(None),
-            index_budget: dpu_index_budget,
-        }))
+        Ok(Self::new(service, log, 0, dpu_mem, index_budget))
     }
 
-    /// The backing file service.
-    pub fn service(&self) -> &Rc<FileService> {
-        &self.service
-    }
-
-    /// Upserts a record: appends `[key u64][len u32][value]` to the
-    /// hybrid log and updates whichever index partition holds (or can
-    /// hold) the key.
-    pub async fn put(&self, key: u64, value: &[u8]) -> Result<(), FsError> {
+    /// Appends `[key u64][len u32][value]` to the hybrid log, then
+    /// indexes the record; returns whether the index took it.
+    async fn append(&self, key: u64, value: &[u8], migrated: bool) -> Result<bool, FsError> {
         let mut rec = Vec::with_capacity(12 + value.len());
         rec.extend_from_slice(&key.to_le_bytes());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -203,13 +208,14 @@ impl KvStore {
         let offset = self.tail.get();
         self.tail.set(offset + rec.len() as u64);
         self.service.write(self.log, offset, &rec).await?;
-        let entry = IndexEntry {
-            value_offset: offset + 12,
-            value_len: value.len() as u32,
-            migrated: false,
-        };
-        self.index_insert(key, entry);
-        Ok(())
+        let entry = IndexEntry::at(offset, value.len() as u32, migrated);
+        Ok(self.index_insert(key, entry))
+    }
+
+    /// Upserts a record: appends it to the hybrid log and updates
+    /// whichever index partition holds (or can hold) the key.
+    pub async fn put(&self, key: u64, value: &[u8]) -> Result<(), FsError> {
+        self.append(key, value, false).await.map(|_| ())
     }
 
     /// Migration copy: appends and indexes `value` only if `key` is
@@ -226,46 +232,22 @@ impl KvStore {
         if self.contains(key) {
             return Ok(false);
         }
-        let mut rec = Vec::with_capacity(12 + value.len());
-        rec.extend_from_slice(&key.to_le_bytes());
-        rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        rec.extend_from_slice(value);
-        let offset = self.tail.get();
-        self.tail.set(offset + rec.len() as u64);
-        self.service.write(self.log, offset, &rec).await?;
-        let installed = !self.contains(key);
-        self.index_insert(
-            key,
-            IndexEntry {
-                value_offset: offset + 12,
-                value_len: value.len() as u32,
-                migrated: true,
-            },
-        );
-        Ok(installed)
+        self.append(key, value, true).await
     }
 
     /// Which partition (if any) indexes `key`.
     pub fn residency(&self, key: u64) -> Residency {
-        if self.dpu_index.borrow().contains_key(&key) {
-            Residency::Dpu
-        } else if self.host_index.borrow().contains_key(&key) {
-            Residency::Host
-        } else {
-            Residency::Missing
+        match self.index.borrow().get(&key) {
+            Some(e) if e.on_dpu => Residency::Dpu,
+            Some(_) => Residency::Host,
+            None => Residency::Missing,
         }
     }
 
     /// Reads a value by key (either partition; callers charge host CPU
     /// separately when the host partition was needed).
     pub async fn get(&self, key: u64) -> Result<Option<Bytes>, FsError> {
-        let entry = {
-            self.dpu_index
-                .borrow()
-                .get(&key)
-                .copied()
-                .or_else(|| self.host_index.borrow().get(&key).copied())
-        };
+        let entry = self.index.borrow().get(&key).copied();
         match entry {
             None => Ok(None),
             Some(e) => {
@@ -283,8 +265,9 @@ impl KvStore {
     /// serve the scan alone. A range with no present keys is trivially
     /// DPU-servable.
     pub fn range_resident_dpu(&self, start_key: u64, count: u32) -> bool {
-        let host = self.host_index.borrow();
-        (start_key..start_key.saturating_add(count as u64)).all(|k| !host.contains_key(&k))
+        let index = self.index.borrow();
+        (start_key..start_key.saturating_add(count as u64))
+            .all(|k| index.get(&k).is_none_or(|e| e.on_dpu))
     }
 
     /// Multi-get over the dense key range `[start_key, start_key +
@@ -302,18 +285,12 @@ impl KvStore {
 
     /// True when `key` is present in either index partition (no I/O).
     pub fn contains(&self, key: u64) -> bool {
-        self.dpu_index.borrow().contains_key(&key) || self.host_index.borrow().contains_key(&key)
+        self.index.borrow().contains_key(&key)
     }
 
     /// Every indexed key, ascending (migration enumeration; no I/O).
     pub fn keys(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .dpu_index
-            .borrow()
-            .keys()
-            .chain(self.host_index.borrow().keys())
-            .copied()
-            .collect();
+        let mut out: Vec<u64> = self.index.borrow().keys().copied().collect();
         out.sort_unstable();
         out
     }
@@ -323,8 +300,11 @@ impl KvStore {
     /// was present. The DPU memory reservation is deliberately not
     /// shrunk: FASTER-style stores reclaim index slots lazily.
     pub fn drop_key(&self, key: u64) -> bool {
-        self.dpu_index.borrow_mut().remove(&key).is_some()
-            || self.host_index.borrow_mut().remove(&key).is_some()
+        let dropped = self.index.borrow_mut().remove(&key);
+        if dropped.is_some_and(|e| e.on_dpu) {
+            self.dpu_entries.set(self.dpu_entries.get() - 1);
+        }
+        dropped.is_some()
     }
 
     /// Order-independent digest of the *live* state (indexed entries
@@ -336,26 +316,22 @@ impl KvStore {
         let mut entries = 0u64;
         let mut bytes = 0u64;
         let mut checksum = 0u64;
-        for index in [&self.dpu_index, &self.host_index] {
-            for (key, e) in index.borrow().iter() {
-                entries += 1;
-                bytes += e.value_len as u64;
-                let mut h = key ^ ((e.value_len as u64) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-                h ^= h >> 30;
-                h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                h ^= h >> 27;
-                checksum = checksum.wrapping_add(h);
-            }
+        for (key, e) in self.index.borrow().iter() {
+            entries += 1;
+            bytes += e.value_len as u64;
+            let mut h = key ^ ((e.value_len as u64) << 32) ^ 0x9E37_79B9_7F4A_7C15;
+            h ^= h >> 30;
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 27;
+            checksum = checksum.wrapping_add(h);
         }
         (entries, bytes, checksum)
     }
 
     /// Number of keys in each partition `(dpu, host)`.
     pub fn partition_sizes(&self) -> (usize, usize) {
-        (
-            self.dpu_index.borrow().len(),
-            self.host_index.borrow().len(),
-        )
+        let dpu = self.dpu_entries.get() as usize;
+        (dpu, self.index.borrow().len() - dpu)
     }
 
     /// Bytes appended to the hybrid log so far.
@@ -537,6 +513,40 @@ mod tests {
         sim.run();
     }
 
+    /// Reproducer, not fixed here: a put whose write fails has already
+    /// reserved its log range, and recovery parses the unwritten (zero)
+    /// range as `key 0, len 0` records until the next real record no
+    /// longer sits on a record boundary.
+    #[test]
+    #[ignore = "ROADMAP item 4"]
+    fn failed_put_must_not_poison_recovery() {
+        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
+                .await
+                .unwrap();
+            kv.put(0, b"zero").await.unwrap();
+            kv.put(1, b"one").await.unwrap();
+            // One more failure than the file service retries.
+            dpdpu_faults::FaultSession::current()
+                .expect("session installed")
+                .arm_ssd_write_failures(4);
+            assert!(kv.put(2, b"two").await.is_err());
+            kv.put(3, b"three").await.unwrap();
+            drop(kv);
+            let kv = KvStore::recover(svc, p.dpu_mem.clone(), 1 << 20, "kv.log")
+                .await
+                .unwrap();
+            assert_eq!(kv.keys(), vec![0, 1, 3], "acked key lost in recovery");
+            assert_eq!(
+                kv.get(0).await.unwrap().unwrap(),
+                Bytes::from_static(b"zero")
+            );
+        });
+    }
+
     #[test]
     fn stale_index_update_cannot_resurrect_old_value() {
         let mut sim = Sim::new();
@@ -548,14 +558,7 @@ mod tests {
                                              // A late-completing concurrent put of the older version tries
                                              // to re-install its (lower) offset: newest-offset-wins must
                                              // ignore it.
-            kv.index_insert(
-                1,
-                IndexEntry {
-                    value_offset: 12,
-                    value_len: 2,
-                    migrated: false,
-                },
-            );
+            kv.index_insert(1, IndexEntry::at(0, 2, false));
             assert_eq!(kv.get(1).await.unwrap().unwrap(), Bytes::from_static(b"v2"));
         });
         sim.run();

@@ -168,11 +168,6 @@ impl PageServer {
         }))
     }
 
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Appends one WAL record: durable in the WAL file, then queued for
     /// replay. The page becomes dirty until replay catches up.
     pub async fn append_log(&self, page_id: u64, offset: u32, delta: Bytes) -> Result<(), FsError> {
@@ -254,22 +249,41 @@ impl PageServer {
     }
 
     /// Host-side replay of one page's pending records: read the image,
-    /// apply deltas (charging host CPU per record), write it back.
+    /// apply deltas (charging host CPU per record), write it back. The
+    /// records are acknowledged state: a replay that fails keeps them,
+    /// ahead of anything appended meanwhile, and the page stays dirty.
     pub async fn replay_page(&self, page_id: u64, host_cpu: &CpuPool) -> Result<(), FsError> {
         let Some(records) = self.pending.borrow_mut().remove(&page_id) else {
             return Ok(());
         };
+        let applied = self.apply(page_id, &records, host_cpu).await;
+        match applied {
+            Ok(()) => self.replayed.add(records.len() as u64),
+            Err(_) => {
+                let mut pending = self.pending.borrow_mut();
+                pending.entry(page_id).or_default().splice(0..0, records);
+            }
+        }
+        applied
+    }
+
+    /// Applies `records` to the stored image of `page_id`.
+    async fn apply(
+        &self,
+        page_id: u64,
+        records: &[LogRecord],
+        host_cpu: &CpuPool,
+    ) -> Result<(), FsError> {
         let base = page_id * self.page_size as u64;
         let epoch = self.epoch(page_id);
         let mut image = self
             .service
             .read(self.pages, base, self.page_size as u64)
             .await?;
-        for rec in &records {
+        for rec in records {
             host_cpu.exec(REPLAY_CYCLES_PER_RECORD).await;
             let start = rec.offset as usize;
             image[start..start + rec.delta.len()].copy_from_slice(&rec.delta);
-            self.replayed.inc();
         }
         self.service.write(self.pages, base, &image).await?;
         if let Some(cache) = &self.cache {
@@ -565,6 +579,39 @@ mod tests {
             assert_eq!(&page[0..3], b"new");
         });
         sim.run();
+    }
+
+    /// A replay that fails — at the base-page read or at the write-back —
+    /// must keep the acknowledged records: the page stays dirty (so the
+    /// director keeps routing it to the host) and the next host read
+    /// applies them.
+    #[test]
+    fn failed_replay_keeps_its_log_records() {
+        for fail_writes in [false, true] {
+            let _check = dpdpu_check::CheckGuard::new();
+            let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(5));
+            dpdpu_des::block_on(async move {
+                let p = Platform::default_bf2();
+                let ps = server(&p).await;
+                ps.append_log(4, 0, Bytes::from_static(b"NEW"))
+                    .await
+                    .unwrap();
+                // One more failure than the file service retries.
+                let session = dpdpu_faults::FaultSession::current().expect("session installed");
+                if fail_writes {
+                    session.arm_ssd_write_failures(4);
+                } else {
+                    session.arm_ssd_read_failures(4);
+                }
+                assert!(ps.get_page_host(4, &p.host_cpu).await.is_err());
+                assert!(!ps.is_clean(4), "acknowledged log records dropped");
+                assert_eq!(ps.replayed.get(), 0, "nothing was applied");
+                let page = ps.get_page_host(4, &p.host_cpu).await.unwrap();
+                assert_eq!(&page[0..3], b"NEW");
+                assert!(ps.is_clean(4));
+                assert_eq!(ps.replayed.get(), 1);
+            });
+        }
     }
 
     #[test]

@@ -510,7 +510,9 @@ impl Dds {
     /// duplicate of a completed one is answered from a replay cache
     /// without re-executing. Without this, a zombie duplicate of an old
     /// write landing after a newer same-key write would silently
-    /// resurrect the old value — a lost update.
+    /// resurrect the old value — a lost update. The one reply that is
+    /// not cached is [`ErrorCode::Storage`]: the op never took effect,
+    /// and the client retries it in case the fault was transient.
     pub fn serve(self: &Rc<Self>, rx: impl Into<FabricReceiver>, tx: impl Into<FabricSender>) {
         let mut rx = rx.into();
         let tx = tx.into();
@@ -556,10 +558,17 @@ impl Dds {
                     spawn(async move {
                         let resp = this.handle(req).await;
                         let framed = crate::proto::frame(&resp.encode());
-                        // The replay cache still records the response —
-                        // state survives a crash; only the send vanishes
-                        // with the downed node.
-                        dedup.borrow_mut().insert(req_id, Some(framed.clone()));
+                        if resp.reply == Reply::Error(ErrorCode::Storage) {
+                            // Not an answer to cache: every storage error
+                            // surfaces before the op takes effect, so the
+                            // client's retry of this id may re-execute.
+                            dedup.borrow_mut().remove(&req_id);
+                        } else {
+                            // The replay cache still records the response
+                            // — state survives a crash; only the send
+                            // vanishes with the downed node.
+                            dedup.borrow_mut().insert(req_id, Some(framed.clone()));
+                        }
                         if !dpdpu_faults::shard_down(&tag) {
                             tx.send(framed);
                         }
@@ -742,28 +751,6 @@ impl DdsClient {
     pub async fn get_page(&self, page_id: u64) -> Result<Bytes, DpdpuError> {
         let page = self.call(Op::GetPage { page_id }).await?.value();
         Ok(page.expect("a page is never absent"))
-    }
-
-    /// Migration copy: put-if-absent on the receiver, so a stale copy
-    /// can never clobber a fresher write that already landed there.
-    pub async fn migrate_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
-        self.call(Op::MigratePut { key, value })
-            .await
-            .map(Reply::ack)
-    }
-
-    /// Every key the shard currently holds (for migration planning).
-    pub async fn list_keys(&self) -> Result<Vec<u64>, DpdpuError> {
-        self.call(Op::ListKeys).await.map(Reply::keys)
-    }
-
-    /// Drops migrated-away keys from the shard's index. Client drops
-    /// carry epoch 0 (unfenced); the serving primary re-stamps the
-    /// chain-forwarded copy with its group epoch.
-    pub async fn drop_keys(&self, keys: Vec<u64>) -> Result<(), DpdpuError> {
-        self.call(Op::DropKeys { epoch: 0, keys })
-            .await
-            .map(Reply::ack)
     }
 
     /// Ship one WAL record.
@@ -1151,6 +1138,56 @@ mod tests {
             );
             assert!(dds.exec_errors.get() >= 1, "host path reported the failure");
             assert!(client.failures.get() >= 1);
+        });
+    }
+
+    /// A `Storage` reply is not a cached answer: the client re-sends the
+    /// same request id "in case the fault was transient", and that retry
+    /// must re-execute rather than be served the error again from the
+    /// at-most-once replay cache.
+    #[test]
+    fn retry_after_a_transient_storage_error_reexecutes() {
+        let _check = dpdpu_check::CheckGuard::new();
+        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
+        block_on(async {
+            let (dds, client, _p) = testbed(DdsConfig::default()).await;
+            client.kv_put(1, Bytes::from_static(b"v")).await.unwrap();
+            // Exactly one request's worth of failures: 4 device reads on
+            // the DPU path, 4 on the host re-execution.
+            dpdpu_faults::FaultSession::current()
+                .expect("session installed")
+                .arm_ssd_read_failures(8);
+            assert_eq!(
+                client.kv_get(1).await.unwrap().unwrap(),
+                Bytes::from_static(b"v"),
+                "the fault was transient: the retry must read the value"
+            );
+            assert_eq!(dds.exec_errors.get(), 1);
+            assert!(client.retries.get() >= 1);
+            assert_eq!(dds.dup_replays.get(), 0, "the error was replayed");
+        });
+    }
+
+    /// The two error arms together: a failed replay answers `Storage`,
+    /// the retry re-executes, and the re-execution still finds the
+    /// acknowledged log records to replay.
+    #[test]
+    fn get_page_survives_a_failed_replay() {
+        let _check = dpdpu_check::CheckGuard::new();
+        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
+        block_on(async {
+            let (dds, client, _p) = testbed(DdsConfig::default()).await;
+            client
+                .append_log(4, 0, Bytes::from_static(b"NEW"))
+                .await
+                .unwrap();
+            dpdpu_faults::FaultSession::current()
+                .expect("session installed")
+                .arm_ssd_read_failures(4);
+            let page = client.get_page(4).await.unwrap();
+            assert_eq!(&page[0..3], b"NEW", "acknowledged log record lost");
+            assert_eq!(dds.exec_errors.get(), 1);
+            assert!(dds.pages.is_clean(4));
         });
     }
 }

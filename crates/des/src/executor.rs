@@ -115,6 +115,8 @@ pub(crate) struct SimShared {
     /// Fast-path flag mirroring `!spawned.is_empty()`, so the run loop's
     /// per-poll admission check is a plain `Cell` read.
     has_spawned: Cell<bool>,
+    /// Root tasks ([`Sim::spawn`]) that have not finished yet.
+    live_roots: Cell<usize>,
     wake_list: Arc<WakeList>,
 }
 
@@ -198,6 +200,7 @@ impl Sim {
                 timer_seq: Cell::new(0),
                 spawned: RefCell::new(Vec::new()),
                 has_spawned: Cell::new(false),
+                live_roots: Cell::new(0),
                 wake_list: Arc::new(WakeList::default()),
             }),
             tasks: Vec::new(),
@@ -281,15 +284,25 @@ impl Sim {
     /// Spawns a root task. Tasks spawned before [`Sim::run`] start at time 0
     /// in spawn order.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        spawn_on(&self.shared, fut)
+        spawn_on(&self.shared, fut, true)
     }
 
     /// Runs until no task is runnable and no timer is pending, returning the
-    /// final virtual time. Tasks still blocked on channels/semaphores at that
-    /// point are deadlocked (or waiting on a peer that exited) and are
-    /// dropped with the simulation.
+    /// final virtual time. Background tasks (spawned with [`spawn`]) still
+    /// blocked on channels/semaphores at that point are waiting on a peer
+    /// that exited and are dropped with the simulation.
+    ///
+    /// # Panics
+    /// Panics if a root task ([`Sim::spawn`]) is still parked at
+    /// quiescence: a body that deadlocks before its assertions must not
+    /// pass vacuously. A driver that stops early uses [`Sim::run_until`].
     pub fn run(&mut self) -> Time {
-        self.run_until(Time::MAX)
+        let end = self.run_until(Time::MAX);
+        assert!(
+            self.shared.live_roots.get() == 0,
+            "dpdpu-des: simulation quiesced before the root task finished (deadlock?)"
+        );
+        end
     }
 
     /// Runs until the simulation is idle or virtual time would exceed
@@ -446,10 +459,17 @@ impl Drop for Sim {
 fn spawn_on<T: 'static>(
     shared: &Rc<SimShared>,
     fut: impl Future<Output = T> + 'static,
+    root: bool,
 ) -> JoinHandle<T> {
     let (tx, rx) = oneshot::oneshot();
+    if root {
+        shared.live_roots.set(shared.live_roots.get() + 1);
+    }
     shared.spawned.borrow_mut().push(Box::pin(async move {
         let value = fut.await;
+        if root {
+            with_shared(|s| s.live_roots.set(s.live_roots.get() - 1));
+        }
         let _ = tx.send(value);
     }));
     shared.has_spawned.set(true);
@@ -482,16 +502,16 @@ impl<T> Future for JoinHandle<T> {
 /// caller needs the handle itself (`run_until`, `polls`, a domain root).
 ///
 /// # Panics
-/// Panics if the simulation quiesces while the root task is still parked:
-/// a body that deadlocks before its assertions must not pass vacuously.
+/// As [`Sim::run`]: if the simulation quiesces while the root task is
+/// still parked.
 pub fn block_on<T: 'static>(fut: impl Future<Output = T> + 'static) -> T {
     let mut sim = Sim::new();
     let mut root = sim.spawn(fut);
     sim.run();
     drop(sim);
-    match Pin::new(&mut root.rx).poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(Ok(value)) => value,
-        _ => panic!("dpdpu-des: simulation quiesced before the root task finished (deadlock?)"),
+    match Pin::new(&mut root).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(value) => value,
+        Poll::Pending => unreachable!("Sim::run returned, so the root finished"),
     }
 }
 
@@ -505,7 +525,7 @@ pub fn spawn<T: 'static>(fut: impl Future<Output = T> + 'static) -> JoinHandle<T
         let shared = cur
             .as_ref()
             .expect("dpdpu-des: spawn() called outside a running Sim");
-        spawn_on(shared, fut)
+        spawn_on(shared, fut, false)
     })
 }
 
@@ -804,6 +824,20 @@ mod tests {
             rx.recv().await;
             drop(tx);
         });
+    }
+
+    /// The same rule for the hand-rolled harness: `Sim::run` itself
+    /// refuses to return past a parked root.
+    #[test]
+    #[should_panic(expected = "quiesced before the root task finished")]
+    fn run_panics_when_a_spawned_root_deadlocks() {
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            let (tx, mut rx) = crate::channel::<()>();
+            rx.recv().await;
+            drop(tx);
+        });
+        sim.run();
     }
 
     /// Polls `fut`, counting every poll into `polls`.

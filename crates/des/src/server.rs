@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use crate::executor::{now, sleep};
 use crate::probe;
-use crate::semaphore::{Permit, Semaphore};
+use crate::semaphore::Semaphore;
 use crate::time::Time;
 
 /// A FIFO multi-slot service centre with busy-time accounting.
@@ -73,18 +73,6 @@ impl Server {
             probe::emit_span(&self.name, "serve", t0, now());
         }
         self.busy_ns.set(self.busy_ns.get() + service_ns);
-        self.completed.set(self.completed.get() + 1);
-    }
-
-    /// Acquires a slot without a predetermined service time; use
-    /// [`Server::charge`] to account busy time while holding the permit.
-    pub async fn acquire(&self) -> Permit {
-        self.sem.acquire().await
-    }
-
-    /// Records `ns` of busy time (for callers using [`Server::acquire`]).
-    pub fn charge(&self, ns: Time) {
-        self.busy_ns.set(self.busy_ns.get() + ns);
         self.completed.set(self.completed.get() + 1);
     }
 
@@ -178,21 +166,6 @@ mod tests {
             // 8 jobs of 50 on 4 slots => finishes at 100.
             assert_eq!(now(), 100);
             assert!((server.utilization(100) - 1.0).abs() < 1e-9);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn manual_charge_accounts() {
-        let mut sim = Sim::new();
-        sim.spawn(async {
-            let server = Server::new("nic", 1);
-            let permit = server.acquire().await;
-            crate::executor::sleep(30).await;
-            server.charge(30);
-            drop(permit);
-            assert_eq!(server.busy_ns(), 30);
-            assert_eq!(server.completed(), 1);
         });
         sim.run();
     }

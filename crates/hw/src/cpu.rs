@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use dpdpu_des::{cycles_to_ns, Permit, Server, Time};
+use dpdpu_des::{cycles_to_ns, Server, Time};
 
 /// A pool of identical CPU cores at a fixed clock rate.
 ///
@@ -35,11 +35,6 @@ impl CpuPool {
         self.server.slots()
     }
 
-    /// Core clock in Hz.
-    pub fn clock_hz(&self) -> u64 {
-        self.clock_hz
-    }
-
     /// Nanoseconds a given cycle count takes on one of these cores.
     pub fn cycles_ns(&self, cycles: u64) -> Time {
         cycles_to_ns(cycles, self.clock_hz)
@@ -48,18 +43,6 @@ impl CpuPool {
     /// Runs `cycles` of work on one core (FIFO queued).
     pub async fn exec(&self, cycles: u64) {
         self.server.process(self.cycles_ns(cycles)).await;
-    }
-
-    /// Pins a core for a caller-managed critical section; pair with
-    /// [`CpuPool::charge_cycles`] to account the time spent.
-    pub async fn acquire(&self) -> Permit {
-        self.server.acquire().await
-    }
-
-    /// Accounts `cycles` of busy time without occupying a core (for costs
-    /// already serialized by a held permit).
-    pub fn charge_cycles(&self, cycles: u64) {
-        self.server.charge(self.cycles_ns(cycles));
     }
 
     /// Total busy nanoseconds.

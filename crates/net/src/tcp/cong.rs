@@ -55,12 +55,8 @@ impl CongAlgKind {
 
     /// Parses a CLI value.
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "reno" => Some(CongAlgKind::Reno),
-            "cubic" => Some(CongAlgKind::Cubic),
-            "dctcp" => Some(CongAlgKind::Dctcp),
-            _ => None,
-        }
+        let s = s.to_ascii_lowercase();
+        Self::ALL.into_iter().find(|kind| kind.name() == s)
     }
 
     /// Instantiates the algorithm.
@@ -135,41 +131,16 @@ pub trait CongAlg {
     fn name(&self) -> &'static str;
 }
 
-/// Classic Reno AIMD, lifted unchanged from the pre-refactor sender:
-/// slow start doubles per RTT below `ssthresh`, congestion avoidance
-/// adds one MSS per RTT above it, loss halves.
+/// The window state every algorithm keeps, and the steps they share.
+/// Every step reports the window it leaves behind.
 #[derive(Debug, Default)]
-pub struct Reno {
+struct Window {
     cfg: CongConfig,
     cwnd: f64,
     ssthresh: f64,
-    /// Window frontier at the last ECN cut: at most one multiplicative
-    /// decrease per window of data, as RFC 3168 requires.
-    ecn_cut_until: u64,
 }
 
-impl Reno {
-    fn report(&self) -> Report {
-        Report {
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-        }
-    }
-
-    /// The shared additive-increase step (also used by DCTCP, whose
-    /// growth is Reno's; only the decrease differs).
-    fn grow(cwnd: &mut f64, ssthresh: f64, cfg: &CongConfig) {
-        let mss = cfg.mss;
-        if *cwnd < ssthresh {
-            *cwnd += mss as f64;
-        } else {
-            *cwnd += (mss as f64) * (mss as f64) / *cwnd;
-        }
-        *cwnd = cwnd.min(cfg.max_wnd);
-    }
-}
-
-impl CongAlg for Reno {
+impl Window {
     fn install(&mut self, cfg: &CongConfig) -> Report {
         self.cfg = *cfg;
         self.cwnd = cfg.init_cwnd;
@@ -177,32 +148,78 @@ impl CongAlg for Reno {
         self.report()
     }
 
-    fn on_ack(&mut self, _m: &Measurement) -> Report {
-        Reno::grow(&mut self.cwnd, self.ssthresh, &self.cfg);
+    fn report(&self) -> Report {
+        Report {
+            cwnd: self.cwnd,
+            ssthresh: self.ssthresh,
+        }
+    }
+
+    /// Reno's additive-increase step: slow start below `ssthresh`, one
+    /// MSS per RTT above it. DCTCP grows the same way, and so does CUBIC
+    /// until its first congestion event.
+    fn grow(&mut self) -> Report {
+        let mss = self.cfg.mss;
+        if self.cwnd < self.ssthresh {
+            self.cwnd += mss as f64;
+        } else {
+            self.cwnd += (mss as f64) * (mss as f64) / self.cwnd;
+        }
+        self.cwnd = self.cwnd.min(self.cfg.max_wnd);
         self.report()
     }
 
-    fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
+    /// The standard loss response: halve, floored at two segments.
+    fn halve(&mut self) -> Report {
         self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
         self.cwnd = self.ssthresh;
         self.report()
     }
 
-    fn on_timeout(&mut self, _m: &Measurement) -> Report {
-        self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
+    /// An RTO is a full stall: restart from one MSS.
+    fn collapse(&mut self) -> Report {
         self.cwnd = self.cfg.mss as f64;
         self.report()
+    }
+}
+
+/// Classic Reno AIMD, lifted unchanged from the pre-refactor sender:
+/// slow start doubles per RTT below `ssthresh`, congestion avoidance
+/// adds one MSS per RTT above it, loss halves.
+#[derive(Debug, Default)]
+pub struct Reno {
+    w: Window,
+    /// Window frontier at the last ECN cut: at most one multiplicative
+    /// decrease per window of data, as RFC 3168 requires.
+    ecn_cut_until: u64,
+}
+
+impl CongAlg for Reno {
+    fn install(&mut self, cfg: &CongConfig) -> Report {
+        self.w.install(cfg)
+    }
+
+    fn on_ack(&mut self, _m: &Measurement) -> Report {
+        self.w.grow()
+    }
+
+    fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
+        self.w.halve()
+    }
+
+    fn on_timeout(&mut self, _m: &Measurement) -> Report {
+        self.w.halve();
+        self.w.collapse()
     }
 
     fn on_ecn(&mut self, m: &Measurement) -> Report {
         // RFC 3168 response: treat the echo like a loss signal, but cut
         // at most once per window of data.
         if m.ack >= self.ecn_cut_until {
-            self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-            self.cwnd = self.ssthresh;
+            self.w.halve();
             self.ecn_cut_until = m.snd_nxt;
         }
-        self.report()
+        self.w.report()
     }
 
     fn name(&self) -> &'static str {
@@ -221,9 +238,7 @@ const CUBIC_BETA: f64 = 0.7;
 /// saturation point, convex while probing beyond it.
 #[derive(Debug, Default)]
 pub struct Cubic {
-    cfg: CongConfig,
-    cwnd: f64,
-    ssthresh: f64,
+    w: Window,
     /// Window (in MSS) where the last congestion event occurred.
     w_max: f64,
     /// Time of the last congestion event; `None` until the first loss
@@ -235,75 +250,58 @@ pub struct Cubic {
 }
 
 impl Cubic {
-    fn report(&self) -> Report {
-        Report {
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-        }
-    }
-
     /// Registers a congestion event: remember the saturation point and
     /// restart the cubic clock.
     fn congestion_event(&mut self) {
-        let mss = self.cfg.mss as f64;
-        self.w_max = self.cwnd / mss;
+        let mss = self.w.cfg.mss as f64;
+        self.w_max = self.w.cwnd / mss;
         self.k = (self.w_max * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
         self.epoch_start = Some(now());
-        self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * mss);
-        self.cwnd = self.ssthresh;
+        self.w.ssthresh = (self.w.cwnd * CUBIC_BETA).max(2.0 * mss);
+        self.w.cwnd = self.w.ssthresh;
     }
 }
 
 impl CongAlg for Cubic {
     fn install(&mut self, cfg: &CongConfig) -> Report {
-        self.cfg = *cfg;
-        self.cwnd = cfg.init_cwnd;
-        self.ssthresh = cfg.max_wnd;
-        self.report()
+        self.w.install(cfg)
     }
 
     fn on_ack(&mut self, _m: &Measurement) -> Report {
-        let mss = self.cfg.mss as f64;
-        if self.cwnd < self.ssthresh {
-            // Slow start, as in Reno.
-            self.cwnd = (self.cwnd + mss).min(self.cfg.max_wnd);
-            return self.report();
+        // Slow start, and congestion avoidance until the first congestion
+        // event anchors the cubic curve, are Reno's.
+        let Some(t0) = self.epoch_start else {
+            return self.w.grow();
+        };
+        let w = &mut self.w;
+        if w.cwnd < w.ssthresh {
+            return w.grow();
         }
-        match self.epoch_start {
-            None => {
-                // No loss yet: Reno-style congestion avoidance until the
-                // first congestion event anchors the cubic curve.
-                self.cwnd = (self.cwnd + mss * mss / self.cwnd).min(self.cfg.max_wnd);
-            }
-            Some(t0) => {
-                let t = (now() - t0) as f64 / 1e9;
-                let target = CUBIC_C * (t - self.k).powi(3) + self.w_max; // MSS units
-                let w = self.cwnd / mss;
-                if target > w {
-                    // Close a fraction of the gap per ACK; over one RTT's
-                    // worth of ACKs this tracks the cubic curve.
-                    self.cwnd += (target - w) / w * mss;
-                } else {
-                    // At/above the curve: probe gently (~1.5% of an MSS
-                    // per ACK) so the window never stalls flat.
-                    self.cwnd += 0.015 * mss;
-                }
-                self.cwnd = self.cwnd.min(self.cfg.max_wnd);
-            }
+        let mss = w.cfg.mss as f64;
+        let t = (now() - t0) as f64 / 1e9;
+        let target = CUBIC_C * (t - self.k).powi(3) + self.w_max; // MSS units
+        let segs = w.cwnd / mss;
+        if target > segs {
+            // Close a fraction of the gap per ACK; over one RTT's worth
+            // of ACKs this tracks the cubic curve.
+            w.cwnd += (target - segs) / segs * mss;
+        } else {
+            // At/above the curve: probe gently (~1.5% of an MSS per ACK)
+            // so the window never stalls flat.
+            w.cwnd += 0.015 * mss;
         }
-        self.report()
+        w.cwnd = w.cwnd.min(w.cfg.max_wnd);
+        w.report()
     }
 
     fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
         self.congestion_event();
-        self.report()
+        self.w.report()
     }
 
     fn on_timeout(&mut self, _m: &Measurement) -> Report {
         self.congestion_event();
-        // An RTO is a full stall: restart from one MSS like Reno.
-        self.cwnd = self.cfg.mss as f64;
-        self.report()
+        self.w.collapse()
     }
 
     fn on_ecn(&mut self, m: &Measurement) -> Report {
@@ -311,7 +309,7 @@ impl CongAlg for Cubic {
             self.congestion_event();
             self.ecn_cut_until = m.snd_nxt;
         }
-        self.report()
+        self.w.report()
     }
 
     fn name(&self) -> &'static str {
@@ -326,11 +324,9 @@ const DCTCP_G: f64 = 1.0 / 16.0;
 /// `alpha`, an EWMA of the marked-byte fraction per window, and on a
 /// marked window cuts `cwnd` by `alpha/2` — small cuts for small queue
 /// excursions, a full halving under persistent congestion.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Dctcp {
-    cfg: CongConfig,
-    cwnd: f64,
-    ssthresh: f64,
+    w: Window,
     /// EWMA of the fraction of bytes marked per window.
     alpha: f64,
     /// Bytes acknowledged in the current observation window.
@@ -341,30 +337,7 @@ pub struct Dctcp {
     window_end: u64,
 }
 
-impl Default for Dctcp {
-    fn default() -> Self {
-        Dctcp {
-            cfg: CongConfig::default(),
-            cwnd: 0.0,
-            ssthresh: 0.0,
-            // RFC 8257: start conservative — treat the first window as
-            // fully congested until real measurements arrive.
-            alpha: 1.0,
-            window_bytes: 0,
-            marked_bytes: 0,
-            window_end: 0,
-        }
-    }
-}
-
 impl Dctcp {
-    fn report(&self) -> Report {
-        Report {
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-        }
-    }
-
     /// Current EWMA of the marked fraction (for tests / introspection).
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -384,9 +357,9 @@ impl Dctcp {
             };
             self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
             if self.marked_bytes > 0 {
-                let mss = self.cfg.mss as f64;
-                self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(2.0 * mss);
-                self.ssthresh = self.cwnd;
+                let mss = self.w.cfg.mss as f64;
+                self.w.cwnd = (self.w.cwnd * (1.0 - self.alpha / 2.0)).max(2.0 * mss);
+                self.w.ssthresh = self.w.cwnd;
             }
             self.window_bytes = 0;
             self.marked_bytes = 0;
@@ -397,41 +370,36 @@ impl Dctcp {
 
 impl CongAlg for Dctcp {
     fn install(&mut self, cfg: &CongConfig) -> Report {
-        self.cfg = *cfg;
-        self.cwnd = cfg.init_cwnd;
-        self.ssthresh = cfg.max_wnd;
-        self.report()
+        // RFC 8257: start conservative — treat the first window as
+        // fully congested until real measurements arrive.
+        self.alpha = 1.0;
+        self.w.install(cfg)
     }
 
     fn on_ack(&mut self, m: &Measurement) -> Report {
         self.observe(m);
-        Reno::grow(&mut self.cwnd, self.ssthresh, &self.cfg);
-        self.report()
+        self.w.grow()
     }
 
     fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
         // Loss falls back to the standard halving (RFC 8257 §3.4).
-        self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-        self.cwnd = self.ssthresh;
-        self.report()
+        self.w.halve()
     }
 
     fn on_timeout(&mut self, _m: &Measurement) -> Report {
-        self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-        self.cwnd = self.cfg.mss as f64;
-        self.report()
+        self.w.halve();
+        self.w.collapse()
     }
 
     fn on_ecn(&mut self, m: &Measurement) -> Report {
         // Marks are *measured*, not reacted to per-ACK: the cut happens
         // at the window boundary inside `observe`, scaled by alpha. ECN
         // also ends slow start the first time it appears.
-        if self.cwnd < self.ssthresh {
-            self.ssthresh = self.cwnd;
+        if self.w.cwnd < self.w.ssthresh {
+            self.w.ssthresh = self.w.cwnd;
         }
         self.observe(m);
-        Reno::grow(&mut self.cwnd, self.ssthresh, &self.cfg);
-        self.report()
+        self.w.grow()
     }
 
     fn name(&self) -> &'static str {
@@ -538,8 +506,8 @@ mod tests {
             let mut cubic = Cubic::default();
             cubic.install(&cfg());
             // Grow to a plateau, then signal one loss at W = 100 MSS.
-            cubic.cwnd = (100 * MSS) as f64;
-            cubic.ssthresh = cubic.cwnd;
+            cubic.w.cwnd = (100 * MSS) as f64;
+            cubic.w.ssthresh = cubic.w.cwnd;
             let m = Measurement {
                 ack: 0,
                 snd_nxt: 0,
@@ -607,13 +575,13 @@ mod tests {
             };
             let mut cubic = Cubic::default();
             cubic.install(&cfg());
-            cubic.cwnd = (200 * MSS) as f64;
-            cubic.ssthresh = cubic.cwnd;
+            cubic.w.cwnd = (200 * MSS) as f64;
+            cubic.w.ssthresh = cubic.w.cwnd;
             cubic.on_dup_ack(&loss);
             let mut reno = Reno::default();
             reno.install(&cfg());
-            reno.cwnd = (200 * MSS) as f64;
-            reno.ssthresh = reno.cwnd;
+            reno.w.cwnd = (200 * MSS) as f64;
+            reno.w.ssthresh = reno.w.cwnd;
             reno.on_dup_ack(&loss);
             // Same long-RTT ACK clock for both over ~3 s: few ACKs per
             // unit time, which is exactly where time-based growth wins.
@@ -645,8 +613,8 @@ mod tests {
         let run = |mark_every: u64| {
             let mut d = Dctcp::default();
             d.install(&cfg());
-            d.cwnd = (64 * MSS) as f64;
-            d.ssthresh = d.cwnd; // out of slow start
+            d.w.cwnd = (64 * MSS) as f64;
+            d.w.ssthresh = d.w.cwnd; // out of slow start
             let mut seq = 0u64;
             // Several windows so alpha converges toward the fraction.
             for _ in 0..40 {
@@ -667,7 +635,7 @@ mod tests {
                     }
                 }
             }
-            (d.alpha(), d.cwnd)
+            (d.alpha(), d.w.cwnd)
         };
         let (alpha_all, cwnd_all) = run(1); // every byte marked
         let (alpha_some, cwnd_some) = run(8); // 1/8 of bytes marked

@@ -4,14 +4,13 @@
 //! [`CongAlg`], which sees one measurement per congestion event and
 //! reports the `cwnd`/`ssthresh` the sender must apply.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_des::{race, timeout, Either, Receiver};
 
-use super::cong::{CongAlg, CongConfig, Measurement};
+use super::cong::{CongAlg, CongConfig, Measurement, Report};
 use super::conn::{AckEvent, SegPort, Segment};
 use super::{TcpParams, TcpStats};
 use crate::fabric::Endpoint;
@@ -37,6 +36,45 @@ pub(crate) struct SendState {
     pub inflight: BTreeMap<u64, Bytes>,
 }
 
+impl SendState {
+    /// What the algorithm is told at a congestion event.
+    fn measurement(&self, ack: u64, acked_bytes: u64, ecn: bool) -> Measurement {
+        Measurement {
+            ack,
+            snd_nxt: self.snd_nxt,
+            acked_bytes,
+            ecn,
+        }
+    }
+
+    /// Applies the algorithm's window decision verbatim.
+    fn apply(&mut self, r: Report) {
+        self.cwnd = r.cwnd;
+        self.ssthresh = r.ssthresh;
+    }
+}
+
+/// Retransmits the oldest in-flight segment, if any: the recovery both
+/// fast retransmit and the RTO take.
+async fn retransmit_first(s: &SendState, side: &Endpoint, port: &SegPort, stats: &TcpStats) {
+    let Some((&seq, payload)) = s.inflight.iter().next() else {
+        return;
+    };
+    let payload = payload.clone();
+    side.charge_data_segment(payload.len() as u64).await;
+    stats.segments_sent.inc();
+    stats.retransmits.inc();
+    // A retransmit is the transport-level recovery for a dropped frame
+    // (injected or natural).
+    dpdpu_check::fault_handled("link_drop", "retried");
+    port.send(Segment::Data {
+        seq,
+        payload,
+        ecn: false,
+    })
+    .await;
+}
+
 enum Evt {
     App(Option<Bytes>),
     Ack(Option<AckEvent>),
@@ -60,7 +98,7 @@ pub(crate) async fn sender_task(
         init_cwnd: (INIT_CWND_SEGS * mss) as f64,
         max_wnd,
     });
-    let st = RefCell::new(SendState {
+    let mut s = SendState {
         snd_una: 0,
         snd_nxt: 0,
         cwnd: initial.cwnd,
@@ -69,7 +107,7 @@ pub(crate) async fn sender_task(
         dup_acks: 0,
         unsent: VecDeque::new(),
         inflight: BTreeMap::new(),
-    });
+    };
     let mut app_open = true;
 
     // Three-way handshake: connection management is part of the §6
@@ -96,22 +134,16 @@ pub(crate) async fn sender_task(
     loop {
         // Fill the window.
         loop {
-            let next = {
-                let mut s = st.borrow_mut();
-                let in_flight_bytes = s.snd_nxt - s.snd_una;
-                // Effective window: congestion AND receiver flow control.
-                let wnd = (s.cwnd.min(max_wnd) as u64).min(s.snd_wnd);
-                match s.unsent.front() {
-                    Some((_, payload)) if in_flight_bytes + payload.len() as u64 <= wnd => {
-                        let (seq, payload) = s.unsent.pop_front().expect("front checked");
-                        s.snd_nxt = seq + payload.len() as u64;
-                        s.inflight.insert(seq, payload.clone());
-                        Some((seq, payload))
-                    }
-                    _ => None,
-                }
-            };
-            let Some((seq, payload)) = next else { break };
+            let in_flight_bytes = s.snd_nxt - s.snd_una;
+            // Effective window: congestion AND receiver flow control.
+            let wnd = (s.cwnd.min(max_wnd) as u64).min(s.snd_wnd);
+            let fits = |(_, payload): &(u64, Bytes)| in_flight_bytes + payload.len() as u64 <= wnd;
+            if !s.unsent.front().is_some_and(fits) {
+                break;
+            }
+            let (seq, payload) = s.unsent.pop_front().expect("front checked");
+            s.snd_nxt = seq + payload.len() as u64;
+            s.inflight.insert(seq, payload.clone());
             side.charge_data_segment(payload.len() as u64).await;
             stats.segments_sent.inc();
             port.send(Segment::Data {
@@ -122,10 +154,7 @@ pub(crate) async fn sender_task(
             .await;
         }
 
-        let idle = {
-            let s = st.borrow();
-            s.inflight.is_empty() && s.unsent.is_empty()
-        };
+        let idle = s.inflight.is_empty() && s.unsent.is_empty();
         if idle && !app_open {
             break; // all data delivered; proceed to FIN
         }
@@ -158,7 +187,6 @@ pub(crate) async fn sender_task(
                 let _span = dpdpu_telemetry::span(side.device(), "tcp-tx", "send_msg")
                     .with("bytes", data.len());
                 side.app_boundary(data.len() as u64).await;
-                let mut s = st.borrow_mut();
                 let mut base = s
                     .unsent
                     .back()
@@ -184,114 +212,50 @@ pub(crate) async fn sender_task(
                 update,
                 ece,
             })) => {
-                // The state borrow is scoped so no RefCell guard lives
-                // across an await; retransmission happens afterwards.
-                let fast_retransmit = {
-                    let mut s = st.borrow_mut();
-                    s.snd_wnd = wnd;
-                    if update {
-                        // Pure window update: flow-control signal only.
-                        None
-                    } else if ack > s.snd_una {
-                        let acked_bytes = ack - s.snd_una;
-                        s.snd_una = ack;
-                        s.dup_acks = 0;
-                        let keys: Vec<u64> = s.inflight.range(..ack).map(|(k, _)| *k).collect();
-                        for k in keys {
-                            s.inflight.remove(&k);
-                        }
-                        // Window growth (or an ECN-echo response) is the
-                        // algorithm's call.
-                        let m = Measurement {
-                            ack,
-                            snd_nxt: s.snd_nxt,
-                            acked_bytes,
-                            ecn: ece,
-                        };
-                        let r = if ece {
-                            stats.ecn_echoes.inc();
-                            alg.on_ecn(&m)
-                        } else {
-                            alg.on_ack(&m)
-                        };
-                        s.cwnd = r.cwnd;
-                        s.ssthresh = r.ssthresh;
-                        None
-                    } else if !s.inflight.is_empty() {
-                        s.dup_acks += 1;
-                        if s.dup_acks == 3 {
-                            // Fast retransmit.
-                            let m = Measurement {
-                                ack,
-                                snd_nxt: s.snd_nxt,
-                                acked_bytes: 0,
-                                ecn: ece,
-                            };
-                            let r = alg.on_dup_ack(&m);
-                            s.cwnd = r.cwnd;
-                            s.ssthresh = r.ssthresh;
-                            s.inflight.iter().next().map(|(k, v)| (*k, v.clone()))
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
+                s.snd_wnd = wnd;
+                if update {
+                    // Pure window update: flow-control signal only.
+                } else if ack > s.snd_una {
+                    let acked_bytes = ack - s.snd_una;
+                    s.snd_una = ack;
+                    s.dup_acks = 0;
+                    let keys: Vec<u64> = s.inflight.range(..ack).map(|(k, _)| *k).collect();
+                    for k in keys {
+                        s.inflight.remove(&k);
                     }
-                };
-                if let Some((seq, payload)) = fast_retransmit {
-                    side.charge_data_segment(payload.len() as u64).await;
-                    stats.segments_sent.inc();
-                    stats.retransmits.inc();
-                    // A retransmit is the transport-level recovery for a
-                    // dropped frame (injected or natural).
-                    dpdpu_check::fault_handled("link_drop", "retried");
-                    port.send(Segment::Data {
-                        seq,
-                        payload,
-                        ecn: false,
-                    })
-                    .await;
+                    // Window growth (or an ECN-echo response) is the
+                    // algorithm's call.
+                    let m = s.measurement(ack, acked_bytes, ece);
+                    let r = if ece {
+                        stats.ecn_echoes.inc();
+                        alg.on_ecn(&m)
+                    } else {
+                        alg.on_ack(&m)
+                    };
+                    s.apply(r);
+                } else if !s.inflight.is_empty() {
+                    s.dup_acks += 1;
+                    if s.dup_acks == 3 {
+                        // Fast retransmit.
+                        s.apply(alg.on_dup_ack(&s.measurement(ack, 0, ece)));
+                        retransmit_first(&s, &side, &port, &stats).await;
+                    }
                 }
             }
             Evt::Ack(Some(AckEvent::SynAck | AckEvent::FinAck)) => {}
             // ACK ingress gone: no progress is possible.
             Evt::Ack(None) => return,
             Evt::Rto => {
-                let first = {
-                    let mut s = st.borrow_mut();
-                    let m = Measurement {
-                        ack: s.snd_una,
-                        snd_nxt: s.snd_nxt,
-                        acked_bytes: 0,
-                        ecn: false,
-                    };
-                    let r = alg.on_timeout(&m);
-                    s.cwnd = r.cwnd;
-                    s.ssthresh = r.ssthresh;
-                    s.dup_acks = 0;
-                    s.inflight.iter().next().map(|(k, v)| (*k, v.clone()))
-                };
+                s.apply(alg.on_timeout(&s.measurement(s.snd_una, 0, false)));
+                s.dup_acks = 0;
                 stats.rto_fires.inc();
-                if let Some((seq, payload)) = first {
-                    side.charge_data_segment(payload.len() as u64).await;
-                    stats.segments_sent.inc();
-                    stats.retransmits.inc();
-                    // A retransmit is the transport-level recovery for a
-                    // dropped frame (injected or natural).
-                    dpdpu_check::fault_handled("link_drop", "retried");
-                    port.send(Segment::Data {
-                        seq,
-                        payload,
-                        ecn: false,
-                    })
-                    .await;
-                }
+                retransmit_first(&s, &side, &port, &stats).await;
             }
         }
     }
 
     // FIN with bounded retries.
-    let fin_seq = st.borrow().snd_nxt;
+    let fin_seq = s.snd_nxt;
     let mut acked = false;
     for attempt in 0..5 {
         if attempt > 0 {
@@ -320,7 +284,7 @@ pub(crate) async fn sender_task(
         if let Some(g) =
             dpdpu_telemetry::gauge("tcp_final_cwnd", &[("flow", &label), ("conn", &conn)])
         {
-            g.set(st.borrow().cwnd);
+            g.set(s.cwnd);
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Golden-trace conformance: every shipped scenario's seed-42 summary
-//! and Chrome trace are pinned as blessed fixtures under `tests/golden/`.
+//! and Chrome trace, and every figure table, are pinned as blessed
+//! fixtures under `tests/golden/`.
 //!
 //! A behaviour change that shifts virtual timings, event counts, or
 //! summary numbers shows up here as a line-level diff. To re-bless
@@ -95,6 +96,16 @@ fn gateway_tenants_matches_golden() {
 #[test]
 fn par_cluster_matches_golden() {
     check_scenario("par_cluster");
+}
+
+/// Every number EXPERIMENTS.md quotes, pinned: virtual time makes the
+/// full figure run byte-identical in any profile on any host.
+#[test]
+fn every_figure_matches_its_golden() {
+    golden::assert_matches(
+        golden_path("all_figures.stdout.txt"),
+        &dpdpu_bench::render_all(),
+    );
 }
 
 #[test]

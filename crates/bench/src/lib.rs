@@ -8,12 +8,11 @@
 //! (absolute numbers come from the authors' testbed; ours come from the
 //! calibrated models in `dpdpu_hw::costs`).
 //!
-//! Binaries: `fig1_compression`, `fig2_storage_cpu`, `fig3_network_cpu`,
-//! `fig7_rdma`, `fig8_roundtrips`, `fig9_dds_savings`,
-//! `fig10_cluster_scale`, `fig10_fabric`, `fig11_tenants`, `abl_scheduler`,
-//! `abl_placement`, `abl_cache_split`, `abl_fast_persist`,
-//! `abl_partial_offload`, `abl_tenant_iso`, `abl_pipeline`, `abl_faults`,
-//! and `all_figures` (runs everything).
+//! Binaries: `all_figures [id…]` prints every table, or the named ones
+//! (the ids of [`all`]: `all_figures fig2 A3`); the six harnesses that
+//! take flags keep a binary of their own — `fig9_dds_savings`,
+//! `fig10_cluster_scale`, `fig10_fabric`, `fig11_tenants`, `abl_faults`
+//! and `audit_determinism`.
 
 pub mod abl_cache_split;
 pub mod abl_fast_persist;
@@ -67,14 +66,15 @@ pub fn all() -> Vec<(&'static str, Runner)> {
     ]
 }
 
-/// Every figure and ablation table under its `=== id ===` header, in
-/// experiment-id order: what `all_figures` prints and
-/// `tests/golden/all_figures.stdout.txt` pins. Each runner gets its own
-/// worker thread (simulations are thread-confined, so they cannot
-/// interact) and its own strict invariant session.
-pub fn render_all() -> String {
+/// The tables of those experiments of [`all`] whose id is in `ids`, each
+/// under its `=== id ===` header, in experiment-id order (an id `all`
+/// does not list selects nothing). Each runner gets its own worker thread
+/// (simulations are thread-confined, so they cannot interact) and its
+/// own strict invariant session.
+pub fn render(ids: &[&str]) -> String {
     let workers: Vec<_> = all()
         .into_iter()
+        .filter(|(id, _)| ids.contains(id))
         .map(|(id, runner)| {
             let checked = move || {
                 let _check = dpdpu_check::CheckGuard::new();
@@ -89,4 +89,11 @@ pub fn render_all() -> String {
         out += &format!("=== {id} ===\n{table}\n");
     }
     out
+}
+
+/// Every figure and ablation table: what `all_figures` prints and
+/// `tests/golden/all_figures.stdout.txt` pins.
+pub fn render_all() -> String {
+    let ids: Vec<_> = all().iter().map(|(id, _)| *id).collect();
+    render(&ids)
 }

@@ -677,7 +677,7 @@ impl CheckSession {
 
     fn flow_in(map: &RefCell<BTreeMap<String, FlowStat>>, site: &str, bytes: u64) {
         let mut map = map.borrow_mut();
-        let f = map.entry(site.to_string()).or_default();
+        let f = slot(&mut map, site);
         f.in_ops += 1;
         f.in_bytes += bytes;
     }
@@ -693,7 +693,7 @@ impl CheckSession {
         let mut overdraft = None;
         {
             let mut map = map.borrow_mut();
-            let f = map.entry(site.to_string()).or_default();
+            let f = slot(&mut map, site);
             if dropped {
                 f.dropped_ops += 1;
                 f.dropped_bytes += bytes;
@@ -737,7 +737,7 @@ impl Probe for CheckSession {
         }
         if name == "serve" {
             let mut res = self.resources.borrow_mut();
-            let stat = res.entry(track.to_string()).or_default();
+            let stat = slot(&mut res, track);
             stat.serve_ns += end - start;
             stat.window_start = Some(stat.window_start.unwrap_or(start).min(start));
             stat.window_end = stat.window_end.max(end);
@@ -749,7 +749,7 @@ impl Probe for CheckSession {
         let mut over = false;
         {
             let mut res = self.resources.borrow_mut();
-            let stat = res.entry(track.to_string()).or_default();
+            let stat = slot(&mut res, track);
             stat.capacity = stat.capacity.max(capacity);
             stat.in_flight = in_flight;
             stat.acquires += 1;
@@ -768,7 +768,7 @@ impl Probe for CheckSession {
 
     fn release(&self, track: &str, in_flight: usize) {
         let mut res = self.resources.borrow_mut();
-        let stat = res.entry(track.to_string()).or_default();
+        let stat = slot(&mut res, track);
         stat.in_flight = in_flight;
         stat.releases += 1;
     }
@@ -846,6 +846,15 @@ impl Drop for CheckGuard {
 }
 
 // ---- free check-point functions (no-ops without a session) ---------
+
+/// The entry of `key`, created on first sight. Looked up by `&str`: a
+/// check-point on a known site allocates nothing.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
+}
 
 fn with_session(f: impl FnOnce(&CheckSession)) {
     CURRENT.with(|c| {
@@ -955,11 +964,7 @@ pub fn cluster_op_failed(site: &str, bytes: u64) {
 /// receives).
 pub fn fabric_conn_open(site: &str, window: u64) {
     with_session(|s| {
-        s.fabric
-            .borrow_mut()
-            .entry(site.to_string())
-            .or_default()
-            .window += window;
+        slot(&mut s.fabric.borrow_mut(), site).window += window;
         s.note_now();
     });
 }
@@ -969,7 +974,7 @@ pub fn fabric_conn_open(site: &str, window: u64) {
 pub fn fabric_msg_sent(site: &str, bytes: u64) {
     with_session(|s| {
         let mut map = s.fabric.borrow_mut();
-        let f = map.entry(site.to_string()).or_default();
+        let f = slot(&mut map, site);
         f.sent_msgs += 1;
         f.sent_bytes += bytes;
         s.note_now();
@@ -983,7 +988,7 @@ pub fn fabric_msg_delivered(site: &str, bytes: u64) {
         let mut overdraft = None;
         {
             let mut map = s.fabric.borrow_mut();
-            let f = map.entry(site.to_string()).or_default();
+            let f = slot(&mut map, site);
             f.delivered_msgs += 1;
             f.delivered_bytes += bytes;
             if f.delivered_msgs > f.sent_msgs || f.delivered_bytes > f.sent_bytes {
@@ -1007,7 +1012,7 @@ pub fn fabric_credit_consumed(site: &str, n: u64) {
         let mut overrun = None;
         {
             let mut map = s.fabric.borrow_mut();
-            let f = map.entry(site.to_string()).or_default();
+            let f = slot(&mut map, site);
             f.credits_consumed += n;
             let debt = f.credits_consumed.saturating_sub(f.credits_returned);
             if debt > f.window {
@@ -1032,7 +1037,7 @@ pub fn fabric_credit_returned(site: &str, n: u64) {
         let mut over = None;
         {
             let mut map = s.fabric.borrow_mut();
-            let f = map.entry(site.to_string()).or_default();
+            let f = slot(&mut map, site);
             f.credits_returned += n;
             if f.credits_returned > f.credits_consumed {
                 over = Some(format!(
@@ -1136,10 +1141,7 @@ pub fn kernel_result(kind: &'static str, in_bytes: usize, out_bytes: usize, err:
 /// e.g. `"ssd_read"`).
 pub fn fault_injected(site: &str) {
     with_session(|s| {
-        *s.faults_injected
-            .borrow_mut()
-            .entry(site.to_string())
-            .or_default() += 1;
+        *slot(&mut s.faults_injected.borrow_mut(), site) += 1;
     });
 }
 
@@ -1158,7 +1160,7 @@ pub fn fault_handled(site: &str, outcome: &'static str) {
 pub fn tenant_op_issued(tenant: &str, bytes: u64) {
     with_session(|s| {
         let mut map = s.tenants.borrow_mut();
-        let t = map.entry(tenant.to_string()).or_default();
+        let t = slot(&mut map, tenant);
         t.issued_ops += 1;
         t.issued_bytes += bytes;
         drop(map);
@@ -1171,7 +1173,7 @@ fn tenant_resolved(tenant: &str, bump: impl FnOnce(&mut TenantStat)) {
         let mut overdraft = None;
         {
             let mut map = s.tenants.borrow_mut();
-            let t = map.entry(tenant.to_string()).or_default();
+            let t = slot(&mut map, tenant);
             bump(t);
             if t.resolved_ops() > t.issued_ops || t.resolved_bytes() > t.issued_bytes {
                 overdraft = Some(format!(
@@ -1229,11 +1231,7 @@ pub fn tenant_unlabeled(site: &str) {
 /// The WFQ/DRR scheduler granted `tenant` a dispatch slot.
 pub fn qos_granted(tenant: &str) {
     with_session(|s| {
-        s.tenants
-            .borrow_mut()
-            .entry(tenant.to_string())
-            .or_default()
-            .granted += 1;
+        slot(&mut s.tenants.borrow_mut(), tenant).granted += 1;
         s.note_now();
     });
 }
@@ -1246,7 +1244,7 @@ pub fn tenant_dispatched(tenant: &str) {
         let mut bypass = None;
         {
             let mut map = s.tenants.borrow_mut();
-            let t = map.entry(tenant.to_string()).or_default();
+            let t = slot(&mut map, tenant);
             t.dispatched += 1;
             if t.dispatched > t.granted {
                 bypass = Some(format!(

@@ -161,11 +161,7 @@ impl ComputeEngine {
                         // specified placement surfaces the outage to the
                         // caller, who asked for exactly this device.
                         if placement == Placement::Scheduled {
-                            if let Some(c) =
-                                dpdpu_telemetry::counter("ce_fallbacks", &[("from", "DpuAsic")])
-                            {
-                                c.inc();
-                            }
+                            dpdpu_telemetry::count("ce_fallbacks", &[("from", "DpuAsic")]);
                             dpdpu_check::fault_handled("accel_offline", "degraded");
                             self.platform
                                 .dpu_cpu
@@ -198,10 +194,7 @@ impl ComputeEngine {
                 self.host_jobs.inc();
             }
         }
-        if let Some(c) = dpdpu_telemetry::counter("ce_jobs", &[("target", &format!("{target:?}"))])
-        {
-            c.inc();
-        }
+        dpdpu_telemetry::count("ce_jobs", &[("target", &format!("{target:?}"))]);
         let result = op.execute(input);
         if dpdpu_check::is_active() {
             if let Ok(out) = &result {

@@ -519,20 +519,14 @@ impl ClusterClient {
                 None => {
                     conn.shed.inc();
                     dpdpu_check::cluster_op_failed(&conn.label, bytes);
-                    if let Some(c) =
-                        dpdpu_telemetry::counter("cluster_shed", &[("shard", &conn.label)])
-                    {
-                        c.inc();
-                    }
+                    dpdpu_telemetry::count("cluster_shed", &[("shard", &conn.label)]);
                     return Err(DpdpuError::Unavailable("shard admission window"));
                 }
             }
         } else {
             None
         };
-        if let Some(c) = dpdpu_telemetry::counter("cluster_requests", &[("shard", &conn.label)]) {
-            c.inc();
-        }
+        dpdpu_telemetry::count("cluster_requests", &[("shard", &conn.label)]);
         let result = self.routed_call(&conn, group, op).await;
         match &result {
             Ok(_) => dpdpu_check::cluster_op_ok(&conn.label, bytes),
@@ -588,12 +582,7 @@ impl ClusterClient {
                             return Err(e);
                         }
                         if ctl.primary() == primary && ctl.promote().is_some() {
-                            if let Some(c) = dpdpu_telemetry::counter(
-                                "cluster_failovers",
-                                &[("shard", &conn.label)],
-                            ) {
-                                c.inc();
-                            }
+                            dpdpu_telemetry::count("cluster_failovers", &[("shard", &conn.label)]);
                             conn.streak.set(0);
                             rerouted = true;
                             continue;

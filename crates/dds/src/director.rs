@@ -25,6 +25,16 @@ pub enum Route {
     Host,
 }
 
+impl Route {
+    /// The variant's name: the `route` span attribute and counter label.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Route::Dpu => "Dpu",
+            Route::Host => "Host",
+        }
+    }
+}
+
 /// Directs classified requests and keeps the split observable.
 ///
 /// Besides the application-level classification, the director is the
@@ -74,9 +84,7 @@ impl TrafficDirector {
         if let Some(now) = dpdpu_des::try_now() {
             self.degraded_until.set(now + self.penalty_ns);
         }
-        if let Some(c) = dpdpu_telemetry::counter("dds_degraded", &[("cause", "dpu_fault")]) {
-            c.inc();
-        }
+        dpdpu_telemetry::count("dds_degraded", &[("cause", "dpu_fault")]);
     }
 
     /// True while the DPU path is degraded (open breaker or injected

@@ -268,11 +268,7 @@ impl Gateway {
         let slo = state.spec.slo.label();
         state.issued.set(state.issued.get() + 1);
         dpdpu_check::tenant_op_issued(name, cost);
-        if let Some(c) =
-            dpdpu_telemetry::counter("gateway_requests", &[("tenant", name), ("slo", slo)])
-        {
-            c.inc();
-        }
+        dpdpu_telemetry::count("gateway_requests", &[("tenant", name), ("slo", slo)]);
         if self.fair {
             if !state.take_token() {
                 return Err(self.shed(state, cost, "tenant rate limit"));
@@ -313,9 +309,7 @@ impl Gateway {
                 // Downstream shed (shard admission window): the tenant
                 // still sees it as shed load.
                 state.shed.set(state.shed.get() + 1);
-                if let Some(c) = dpdpu_telemetry::counter("gateway_shed", &[("tenant", name)]) {
-                    c.inc();
-                }
+                dpdpu_telemetry::count("gateway_shed", &[("tenant", name)]);
                 dpdpu_check::tenant_op_shed(name, cost);
             }
             Err(_) => {
@@ -330,9 +324,7 @@ impl Gateway {
     fn shed(&self, state: &TenantState, cost: u64, reason: &'static str) -> DpdpuError {
         state.shed.set(state.shed.get() + 1);
         dpdpu_check::tenant_op_shed(&state.spec.name, cost);
-        if let Some(c) = dpdpu_telemetry::counter("gateway_shed", &[("tenant", &state.spec.name)]) {
-            c.inc();
-        }
+        dpdpu_telemetry::count("gateway_shed", &[("tenant", &state.spec.name)]);
         DpdpuError::Unavailable(reason)
     }
 

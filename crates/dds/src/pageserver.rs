@@ -55,14 +55,27 @@ pub struct PageServer {
 }
 
 impl PageServer {
-    /// Creates a page server with `num_pages` zeroed pages of
-    /// `page_size` bytes.
-    pub async fn create(
+    /// A server over existing files; the next WAL record goes at `wal_tail`.
+    fn new(
         service: Rc<FileService>,
-        num_pages: u64,
+        pages: FileId,
+        wal: FileId,
         page_size: usize,
-    ) -> Result<Rc<Self>, FsError> {
-        Self::with_cache(service, num_pages, page_size, None).await
+        wal_tail: u64,
+        cache: Option<Rc<PageCache>>,
+    ) -> Rc<Self> {
+        Rc::new(PageServer {
+            service,
+            pages,
+            wal,
+            page_size,
+            wal_tail: std::cell::Cell::new(wal_tail),
+            pending: RefCell::new(HashMap::new()),
+            cache,
+            epochs: RefCell::new(HashMap::new()),
+            log_records: Counter::new(),
+            replayed: Counter::new(),
+        })
     }
 
     /// Recovers a page server from its durable files after a crash (§9
@@ -87,18 +100,7 @@ impl PageServer {
             }
             Err(_) => 0,
         };
-        let ps = Rc::new(PageServer {
-            service: service.clone(),
-            pages,
-            wal,
-            page_size,
-            wal_tail: std::cell::Cell::new(wal_size),
-            pending: RefCell::new(HashMap::new()),
-            cache,
-            epochs: RefCell::new(HashMap::new()),
-            log_records: Counter::new(),
-            replayed: Counter::new(),
-        });
+        let ps = Self::new(service.clone(), pages, wal, page_size, wal_size, cache);
         // Redo scan: [page u64][offset u32][len u32][delta].
         let mut pos = ckpt;
         while pos + 16 <= wal_size {
@@ -138,7 +140,8 @@ impl PageServer {
             .await
     }
 
-    /// Creates a page server with an optional DPU-memory page cache.
+    /// Creates a page server with `num_pages` zeroed pages of `page_size`
+    /// bytes and an optional DPU-memory page cache.
     pub async fn with_cache(
         service: Rc<FileService>,
         num_pages: u64,
@@ -154,18 +157,7 @@ impl PageServer {
                 .write(pages, num_pages * page_size as u64 - 1, &[0u8])
                 .await?;
         }
-        Ok(Rc::new(PageServer {
-            service,
-            pages,
-            wal,
-            page_size,
-            wal_tail: std::cell::Cell::new(0),
-            pending: RefCell::new(HashMap::new()),
-            cache,
-            epochs: RefCell::new(HashMap::new()),
-            log_records: Counter::new(),
-            replayed: Counter::new(),
-        }))
+        Ok(Self::new(service, pages, wal, page_size, 0, cache))
     }
 
     /// Appends one WAL record: durable in the WAL file, then queued for
@@ -202,6 +194,12 @@ impl PageServer {
         Ok(())
     }
 
+    /// Reads the stored image of `page_id`.
+    async fn read_page(&self, page_id: u64) -> Result<Vec<u8>, FsError> {
+        let size = self.page_size as u64;
+        self.service.read(self.pages, page_id * size, size).await
+    }
+
     /// Current invalidation epoch of `page_id`.
     fn epoch(&self, page_id: u64) -> u64 {
         self.epochs.borrow().get(&page_id).copied().unwrap_or(0)
@@ -234,10 +232,7 @@ impl PageServer {
             }
         }
         let epoch = self.epoch(page_id);
-        let data = self
-            .service
-            .read(self.pages, offset, self.page_size as u64)
-            .await?;
+        let data = self.read_page(page_id).await?;
         if let Some(cache) = &self.cache {
             // Skip the install if a log record invalidated the page while
             // the read was in flight — the image we hold predates it.
@@ -276,10 +271,7 @@ impl PageServer {
     ) -> Result<(), FsError> {
         let base = page_id * self.page_size as u64;
         let epoch = self.epoch(page_id);
-        let mut image = self
-            .service
-            .read(self.pages, base, self.page_size as u64)
-            .await?;
+        let mut image = self.read_page(page_id).await?;
         for rec in records {
             host_cpu.exec(REPLAY_CYCLES_PER_RECORD).await;
             let start = rec.offset as usize;
@@ -301,15 +293,7 @@ impl PageServer {
     /// pending log), then return the fresh image.
     pub async fn get_page_host(&self, page_id: u64, host_cpu: &CpuPool) -> Result<Bytes, FsError> {
         self.replay_page(page_id, host_cpu).await?;
-        let data = self
-            .service
-            .read(
-                self.pages,
-                page_id * self.page_size as u64,
-                self.page_size as u64,
-            )
-            .await?;
-        Ok(Bytes::from(data))
+        Ok(Bytes::from(self.read_page(page_id).await?))
     }
 }
 
@@ -323,7 +307,7 @@ mod tests {
     async fn server(p: &Rc<Platform>) -> Rc<PageServer> {
         let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
         let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
-        PageServer::create(svc, 64, 8_192).await.unwrap()
+        PageServer::with_cache(svc, 64, 8_192, None).await.unwrap()
     }
 
     #[test]
@@ -501,7 +485,9 @@ mod tests {
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             {
-                let ps = PageServer::create(svc.clone(), 64, 8_192).await.unwrap();
+                let ps = PageServer::with_cache(svc.clone(), 64, 8_192, None)
+                    .await
+                    .unwrap();
                 ps.append_log(3, 10, Bytes::from_static(b"abc"))
                     .await
                     .unwrap();
@@ -528,7 +514,9 @@ mod tests {
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             {
-                let ps = PageServer::create(svc.clone(), 64, 8_192).await.unwrap();
+                let ps = PageServer::with_cache(svc.clone(), 64, 8_192, None)
+                    .await
+                    .unwrap();
                 ps.append_log(1, 0, Bytes::from_static(b"AAAA"))
                     .await
                     .unwrap();
@@ -555,7 +543,9 @@ mod tests {
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             {
-                let ps = PageServer::create(svc.clone(), 64, 8_192).await.unwrap();
+                let ps = PageServer::with_cache(svc.clone(), 64, 8_192, None)
+                    .await
+                    .unwrap();
                 ps.append_log(5, 0, Bytes::from_static(b"old"))
                     .await
                     .unwrap();

@@ -96,21 +96,25 @@ pub enum Op {
 }
 
 impl Op {
-    /// The variant's name: the `req:<name>` span and the
-    /// `dds_requests{kind=<name>}` counter label.
-    pub(crate) fn name(&self) -> &'static str {
+    /// The request's span name, `req:<variant>`.
+    pub(crate) fn span_name(&self) -> &'static str {
         match self {
-            Op::KvGet { .. } => "KvGet",
-            Op::KvPut { .. } => "KvPut",
-            Op::GetPage { .. } => "GetPage",
-            Op::AppendLog { .. } => "AppendLog",
-            Op::KvScan { .. } => "KvScan",
-            Op::ReplPut { .. } => "ReplPut",
-            Op::MigratePut { .. } => "MigratePut",
-            Op::ListKeys => "ListKeys",
-            Op::DropKeys { .. } => "DropKeys",
-            Op::Ping => "Ping",
+            Op::KvGet { .. } => "req:KvGet",
+            Op::KvPut { .. } => "req:KvPut",
+            Op::GetPage { .. } => "req:GetPage",
+            Op::AppendLog { .. } => "req:AppendLog",
+            Op::KvScan { .. } => "req:KvScan",
+            Op::ReplPut { .. } => "req:ReplPut",
+            Op::MigratePut { .. } => "req:MigratePut",
+            Op::ListKeys => "req:ListKeys",
+            Op::DropKeys { .. } => "req:DropKeys",
+            Op::Ping => "req:Ping",
         }
+    }
+
+    /// The variant's name: the `dds_requests{kind=<name>}` counter label.
+    pub(crate) fn name(&self) -> &'static str {
+        &self.span_name()["req:".len()..]
     }
 }
 

@@ -211,7 +211,7 @@ impl Dds {
     /// look at the envelope (they are sized by the whole message).
     async fn reply_to(&self, req: &Request) -> Reply {
         let req_kind = req.op.name();
-        let mut req_span = dpdpu_telemetry::span("dpu", "dds-server", format!("req:{req_kind}"));
+        let mut req_span = dpdpu_telemetry::span("dpu", "dds-server", req.op.span_name());
         // Parse + director lookup on the DPU.
         self.platform.dpu_cpu.exec(DPU_PARSE_CYCLES).await;
         // A deposed replica is fenced out of the group forever: every
@@ -222,18 +222,16 @@ impl Dds {
         if let Some(role) = repl {
             if role.deposed() {
                 role.stale_rejections.inc();
-                req_span.attr("route", "fenced".to_string());
+                req_span.attr("route", "fenced");
                 return Reply::Error(ErrorCode::StaleEpoch);
             }
         }
         let route = self.director.route(self.wants_dpu(&req.op));
-        req_span.attr("route", format!("{route:?}"));
-        if let Some(c) = dpdpu_telemetry::counter(
+        req_span.attr("route", route.name());
+        dpdpu_telemetry::count(
             "dds_requests",
-            &[("kind", req_kind), ("route", &format!("{route:?}"))],
-        ) {
-            c.inc();
-        }
+            &[("kind", req_kind), ("route", route.name())],
+        );
         match route {
             Route::Dpu => {
                 self.platform.dpu_cpu.exec(DPU_APP_CYCLES).await;
@@ -249,11 +247,7 @@ impl Dds {
                         // always serve (graceful degradation, §9).
                         self.director.record_dpu_fault();
                         self.host_fallbacks.inc();
-                        if let Some(c) =
-                            dpdpu_telemetry::counter("dds_fallbacks", &[("kind", req_kind)])
-                        {
-                            c.inc();
-                        }
+                        dpdpu_telemetry::count("dds_fallbacks", &[("kind", req_kind)]);
                         self.host_exec(req).await
                     }
                 }
@@ -277,9 +271,7 @@ impl Dds {
             Ok(reply) => reply,
             Err(_) => {
                 self.exec_errors.inc();
-                if let Some(c) = dpdpu_telemetry::counter("dds_exec_errors", &[]) {
-                    c.inc();
-                }
+                dpdpu_telemetry::count("dds_exec_errors", &[]);
                 Reply::Error(ErrorCode::Storage)
             }
         };
@@ -708,18 +700,14 @@ impl DdsClient {
                 Err(_elapsed) => {
                     self.pending.borrow_mut().remove(&req.req_id);
                     self.timeouts.inc();
-                    if let Some(c) = dpdpu_telemetry::counter("dds_client_timeouts", &[]) {
-                        c.inc();
-                    }
+                    dpdpu_telemetry::count("dds_client_timeouts", &[]);
                     if attempt >= policy.max_attempts {
                         self.failures.inc();
                         return Err(DpdpuError::RetriesExhausted { attempts: attempt });
                     }
                 }
             }
-            if let Some(c) = dpdpu_telemetry::counter("dds_client_retries", &[]) {
-                c.inc();
-            }
+            dpdpu_telemetry::count("dds_client_retries", &[]);
             self.retries.inc();
             dpdpu_des::sleep(policy.backoff_ns(attempt)).await;
             attempt += 1;

@@ -413,9 +413,7 @@ impl FaultSession {
     fn record(&self, site: FaultSite) {
         self.injected[site as usize].inc();
         dpdpu_check::fault_injected(site.label());
-        if let Some(c) = dpdpu_telemetry::counter("faults_injected", &[("site", site.label())]) {
-            c.inc();
-        }
+        dpdpu_telemetry::count("faults_injected", &[("site", site.label())]);
     }
 
     fn link_verdict(&self) -> LinkVerdict {

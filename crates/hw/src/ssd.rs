@@ -37,21 +37,23 @@ impl std::error::Error for IoError {}
 /// type is timing only, so the same model serves every experiment.
 pub struct Ssd {
     queue: Semaphore,
-    /// Conformance site labels (`"<name>.read"` / `"<name>.write"`),
-    /// precomputed so the per-op check-point is allocation-free.
-    read_site: String,
-    write_site: String,
-    read_lat_ns: Time,
-    write_lat_ns: Time,
-    read_bw: Rc<Server>,
-    write_bw: Rc<Server>,
-    read_bytes_per_sec: u64,
-    write_bytes_per_sec: u64,
+    rd: Lane,
+    wr: Lane,
     pub reads: Counter,
     pub writes: Counter,
     pub bytes_read: Counter,
     pub bytes_written: Counter,
     pub io_errors: Counter,
+}
+
+/// One direction of the device: what a read and a write do not share.
+struct Lane {
+    /// Conformance site label (`"<name>.read"` / `"<name>.write"`),
+    /// precomputed so the per-op check-point is allocation-free.
+    site: String,
+    lat_ns: Time,
+    bw: Rc<Server>,
+    bytes_per_sec: u64,
 }
 
 impl Ssd {
@@ -77,16 +79,16 @@ impl Ssd {
         write_bytes_per_sec: u64,
     ) -> Rc<Self> {
         assert!(queue_depth > 0, "queue depth must be positive");
+        let lane = |dir: &str, track: &str, lat_ns, bytes_per_sec| Lane {
+            site: format!("{name}.{dir}"),
+            lat_ns,
+            bw: Server::new(format!("{name}-{track}"), 1),
+            bytes_per_sec,
+        };
         Rc::new(Ssd {
             queue: Semaphore::new_labeled(&format!("{name}-q"), queue_depth),
-            read_site: format!("{name}.read"),
-            write_site: format!("{name}.write"),
-            read_lat_ns,
-            write_lat_ns,
-            read_bw: Server::new(format!("{name}-rd"), 1),
-            write_bw: Server::new(format!("{name}-wr"), 1),
-            read_bytes_per_sec,
-            write_bytes_per_sec,
+            rd: lane("read", "rd", read_lat_ns, read_bytes_per_sec),
+            wr: lane("write", "wr", write_lat_ns, write_bytes_per_sec),
             reads: Counter::new(),
             writes: Counter::new(),
             bytes_read: Counter::new(),
@@ -102,61 +104,49 @@ impl Ssd {
     /// occupies a queue slot for the base latency, like a real aborted
     /// command.
     pub async fn read(&self, bytes: u64) -> Result<(), IoError> {
-        let _slot = self.queue.acquire().await;
-        dpdpu_check::ssd_in(&self.read_site, bytes);
-        let verdict = dpdpu_faults::ssd_verdict(IoOp::Read);
-        sleep(self.read_lat_ns).await;
-        match verdict {
-            IoVerdict::Fail => {
-                self.io_errors.inc();
-                dpdpu_check::ssd_failed(&self.read_site, bytes);
-                return Err(IoError::Read);
-            }
-            IoVerdict::Slow(extra_ns) => sleep(extra_ns).await,
-            IoVerdict::Ok => {}
-        }
-        self.read_bw
-            .process(transmit_ns(bytes, self.read_bytes_per_sec * 8))
-            .await;
-        self.reads.inc();
-        self.bytes_read.add(bytes);
-        dpdpu_check::ssd_done(&self.read_site, bytes);
-        Ok(())
+        self.io(IoOp::Read, bytes).await
     }
 
     /// Performs a write of `bytes`; resolves at durability (SLC-cache ack).
     ///
     /// Fails only under an installed fault plan (see [`Ssd::read`]).
     pub async fn write(&self, bytes: u64) -> Result<(), IoError> {
+        self.io(IoOp::Write, bytes).await
+    }
+
+    /// One device op: a queue slot, the direction's base latency, then its
+    /// bandwidth serializer.
+    async fn io(&self, op: IoOp, bytes: u64) -> Result<(), IoError> {
+        let (lane, ops, moved, error) = match op {
+            IoOp::Read => (&self.rd, &self.reads, &self.bytes_read, IoError::Read),
+            IoOp::Write => (&self.wr, &self.writes, &self.bytes_written, IoError::Write),
+        };
         let _slot = self.queue.acquire().await;
-        dpdpu_check::ssd_in(&self.write_site, bytes);
-        let verdict = dpdpu_faults::ssd_verdict(IoOp::Write);
-        sleep(self.write_lat_ns).await;
+        dpdpu_check::ssd_in(&lane.site, bytes);
+        let verdict = dpdpu_faults::ssd_verdict(op);
+        sleep(lane.lat_ns).await;
         match verdict {
             IoVerdict::Fail => {
                 self.io_errors.inc();
-                dpdpu_check::ssd_failed(&self.write_site, bytes);
-                return Err(IoError::Write);
+                dpdpu_check::ssd_failed(&lane.site, bytes);
+                return Err(error);
             }
             IoVerdict::Slow(extra_ns) => sleep(extra_ns).await,
             IoVerdict::Ok => {}
         }
-        self.write_bw
-            .process(transmit_ns(bytes, self.write_bytes_per_sec * 8))
+        lane.bw
+            .process(transmit_ns(bytes, lane.bytes_per_sec * 8))
             .await;
-        self.writes.inc();
-        self.bytes_written.add(bytes);
-        dpdpu_check::ssd_done(&self.write_site, bytes);
+        ops.inc();
+        moved.add(bytes);
+        dpdpu_check::ssd_done(&lane.site, bytes);
         Ok(())
     }
 
     /// Names of the internal read/write serializer tracks (the span
     /// tracks this device emits under telemetry).
     pub fn track_names(&self) -> (String, String) {
-        (
-            self.read_bw.name().to_string(),
-            self.write_bw.name().to_string(),
-        )
+        (self.rd.bw.name().to_string(), self.wr.bw.name().to_string())
     }
 
     /// Requests queued for an NVMe submission slot right now.
@@ -166,7 +156,7 @@ impl Ssd {
 
     /// Total busy nanoseconds across both direction serializers.
     pub fn busy_ns(&self) -> u64 {
-        self.read_bw.busy_ns() + self.write_bw.busy_ns()
+        self.rd.bw.busy_ns() + self.wr.bw.busy_ns()
     }
 }
 

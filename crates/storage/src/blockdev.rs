@@ -41,21 +41,10 @@ impl BlockDevice {
         &self.ssd
     }
 
-    /// Reads one block (zeros if never written).
-    pub async fn read_block(&self, lba: u64) -> Result<Vec<u8>, IoError> {
-        assert!(lba < self.capacity_blocks, "lba {lba} out of range");
-        self.ssd.read(BLOCK_SIZE as u64).await?;
-        Ok(self
-            .blocks
-            .borrow()
-            .get(&lba)
-            .map(|b| b.to_vec())
-            .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]))
-    }
-
-    /// Reads `n` consecutive blocks as one larger I/O (one SSD op).
+    /// Reads `n` consecutive blocks as one I/O (one SSD op); blocks never
+    /// written read as zeros.
     pub async fn read_blocks(&self, lba: u64, n: u64) -> Result<Vec<u8>, IoError> {
-        assert!(lba + n <= self.capacity_blocks, "range out of bounds");
+        assert!(lba + n <= self.capacity_blocks, "{lba}+{n} out of range");
         self.ssd.read(n * BLOCK_SIZE as u64).await?;
         let blocks = self.blocks.borrow();
         let mut out = Vec::with_capacity((n as usize) * BLOCK_SIZE);
@@ -68,23 +57,12 @@ impl BlockDevice {
         Ok(out)
     }
 
-    /// Writes one block (must be exactly [`BLOCK_SIZE`] bytes).
-    pub async fn write_block(&self, lba: u64, data: &[u8]) -> Result<(), IoError> {
-        assert!(lba < self.capacity_blocks, "lba {lba} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "block writes are full blocks");
-        self.ssd.write(BLOCK_SIZE as u64).await?;
-        self.blocks
-            .borrow_mut()
-            .insert(lba, data.to_vec().into_boxed_slice());
-        Ok(())
-    }
-
     /// Writes `data` (a multiple of the block size) at consecutive blocks
     /// as one SSD op.
     pub async fn write_blocks(&self, lba: u64, data: &[u8]) -> Result<(), IoError> {
         assert_eq!(data.len() % BLOCK_SIZE, 0, "writes are block-aligned");
         let n = (data.len() / BLOCK_SIZE) as u64;
-        assert!(lba + n <= self.capacity_blocks, "range out of bounds");
+        assert!(lba + n <= self.capacity_blocks, "{lba}+{n} out of range");
         self.ssd.write(data.len() as u64).await?;
         let mut blocks = self.blocks.borrow_mut();
         for i in 0..n {
@@ -120,8 +98,8 @@ mod tests {
         sim.spawn(async {
             let d = dev();
             let data: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
-            d.write_block(7, &data).await.unwrap();
-            assert_eq!(d.read_block(7).await.unwrap(), data);
+            d.write_blocks(7, &data).await.unwrap();
+            assert_eq!(d.read_blocks(7, 1).await.unwrap(), data);
         });
         sim.run();
     }
@@ -131,7 +109,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let d = dev();
-            assert_eq!(d.read_block(42).await.unwrap(), vec![0u8; BLOCK_SIZE]);
+            assert_eq!(d.read_blocks(42, 1).await.unwrap(), vec![0u8; BLOCK_SIZE]);
         });
         sim.run();
     }
@@ -156,11 +134,11 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let d = dev();
-            d.write_block(5, &vec![1u8; BLOCK_SIZE]).await.unwrap();
+            d.write_blocks(5, &vec![1u8; BLOCK_SIZE]).await.unwrap();
             assert_eq!(d.allocated_blocks(), 1);
             d.trim(5);
             assert_eq!(d.allocated_blocks(), 0);
-            assert_eq!(d.read_block(5).await.unwrap(), vec![0u8; BLOCK_SIZE]);
+            assert_eq!(d.read_blocks(5, 1).await.unwrap(), vec![0u8; BLOCK_SIZE]);
         });
         sim.run();
     }
@@ -171,7 +149,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let d = BlockDevice::new(Ssd::new("t"), 10);
-            let _ = d.read_block(10).await;
+            let _ = d.read_blocks(10, 1).await;
         });
         sim.run();
     }

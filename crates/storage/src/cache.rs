@@ -15,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use dpdpu_des::Counter;
-use dpdpu_hw::{costs, CpuPool, Memory, MemoryReservation};
+use dpdpu_hw::{CpuPool, Memory, MemoryReservation};
 
 use crate::fs::{FileId, FsError};
 use crate::service::FileService;
@@ -188,12 +188,6 @@ impl CachedFileService {
         self.cache.invalidate(file, offset);
         self.service.write(file, offset, data).await
     }
-}
-
-// Re-export the calibration constant so experiment code can cite it.
-#[allow(unused)]
-fn _cost_anchor() -> u64 {
-    costs::SPDK_IO_CYCLES_PER_OP
 }
 
 #[cfg(test)]

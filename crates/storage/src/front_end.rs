@@ -6,9 +6,11 @@
 //! response ring. Host cost per op collapses from the kernel path's
 //! ~18 000 cycles to the ~600-cycle ring protocol — the Figure 2 delta.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
-use dpdpu_des::{channel, oneshot, spawn, Counter, OneshotSender, Sender};
+use dpdpu_des::{channel, oneshot, spawn, Counter, Sender};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::fs::{FileId, FsError};
@@ -17,43 +19,15 @@ use crate::service::FileService;
 /// Max descriptors pulled per DMA batch.
 const POLL_BATCH: usize = 32;
 
-enum FileOp {
-    Create {
-        name: String,
-    },
-    Open {
-        name: String,
-    },
-    Read {
-        id: FileId,
-        offset: u64,
-        len: u64,
-    },
-    Write {
-        id: FileId,
-        offset: u64,
-        data: Vec<u8>,
-    },
-    Delete {
-        name: String,
-    },
-}
-
-enum FileReply {
-    Id(FileId),
-    Data(Vec<u8>),
-    Unit,
-}
-
-struct RingEntry {
-    op: FileOp,
-    done: OneshotSender<Result<FileReply, FsError>>,
-}
+/// A ring descriptor: the op itself. The DPU runs it against the file
+/// service and the host link; it DMAs its own completion back.
+type Descriptor =
+    Box<dyn FnOnce(Rc<FileService>, Rc<PcieLink>) -> Pin<Box<dyn Future<Output = ()>>>>;
 
 /// The host-side SE library handle.
 pub struct HostFrontEnd {
     host_cpu: Rc<CpuPool>,
-    ring: Sender<RingEntry>,
+    ring: Sender<Descriptor>,
     /// Ops submitted through the rings.
     pub ops: Counter,
 }
@@ -66,55 +40,19 @@ impl HostFrontEnd {
         host_dpu_pcie: Rc<PcieLink>,
         service: Rc<FileService>,
     ) -> Rc<Self> {
-        let (ring, mut entries) = channel::<RingEntry>();
-        {
-            let pcie = host_dpu_pcie;
-            spawn(async move {
-                // Runs until the front end is dropped and its ring drained.
-                while let Some(batch) = pcie.poll_ring(&mut entries, POLL_BATCH).await {
-                    // Ops dispatch concurrently: the file service and SSD
-                    // provide the queue depth (SPDK-style), so the poller
-                    // must not serialize a batch behind one SSD latency.
-                    for entry in batch {
-                        let service = service.clone();
-                        let pcie = pcie.clone();
-                        spawn(async move {
-                            let reply = match entry.op {
-                                FileOp::Create { name } => {
-                                    service.create(&name).await.map(FileReply::Id)
-                                }
-                                FileOp::Open { name } => {
-                                    service.open(&name).await.map(FileReply::Id)
-                                }
-                                FileOp::Read { id, offset, len } => {
-                                    match service.read(id, offset, len).await {
-                                        Ok(data) => {
-                                            // Payload lands in host memory.
-                                            pcie.dma(data.len() as u64).await;
-                                            Ok(FileReply::Data(data))
-                                        }
-                                        Err(e) => Err(e),
-                                    }
-                                }
-                                FileOp::Write { id, offset, data } => {
-                                    // Payload is pulled from host memory first.
-                                    pcie.dma(data.len() as u64).await;
-                                    service
-                                        .write(id, offset, &data)
-                                        .await
-                                        .map(|()| FileReply::Unit)
-                                }
-                                FileOp::Delete { name } => {
-                                    service.delete(&name).await.map(|()| FileReply::Unit)
-                                }
-                            };
-                            pcie.dma(costs::RING_DESC_BYTES).await;
-                            let _ = entry.done.send(reply);
-                        });
-                    }
+        let (ring, mut entries) = channel::<Descriptor>();
+        let pcie = host_dpu_pcie;
+        spawn(async move {
+            // Runs until the front end is dropped and its ring drained.
+            while let Some(batch) = pcie.poll_ring(&mut entries, POLL_BATCH).await {
+                // Ops dispatch concurrently: the file service and SSD
+                // provide the queue depth (SPDK-style), so the poller
+                // must not serialize a batch behind one SSD latency.
+                for entry in batch {
+                    spawn(entry(service.clone(), pcie.clone()));
                 }
-            });
-        }
+            }
+        });
         Rc::new(HostFrontEnd {
             host_cpu,
             ring,
@@ -122,69 +60,68 @@ impl HostFrontEnd {
         })
     }
 
-    async fn submit(&self, op: FileOp) -> Result<FileReply, FsError> {
+    /// Places `op` on the ring and waits for its completion.
+    async fn submit<T, F, Fut>(&self, op: F) -> Result<T, FsError>
+    where
+        T: 'static,
+        F: FnOnce(Rc<FileService>, Rc<PcieLink>) -> Fut + 'static,
+        Fut: Future<Output = Result<T, FsError>> + 'static,
+    {
         // Ring enqueue + (later) completion poll: the entire host cost.
         self.host_cpu.exec(costs::SE_HOST_RING_CYCLES_PER_OP).await;
         self.ops.inc();
-        let (tx, rx) = oneshot();
-        let entry = RingEntry { op, done: tx };
+        let (done, reply) = oneshot();
+        let entry: Descriptor = Box::new(move |service, pcie| {
+            Box::pin(async move {
+                let result = op(service, pcie.clone()).await;
+                pcie.dma(costs::RING_DESC_BYTES).await;
+                let _ = done.send(result);
+            })
+        });
         self.ring.send(entry).ok().expect("DPU poller alive");
-        rx.await.expect("DPU poller alive")
+        reply.await.expect("DPU poller alive")
     }
 
     /// Creates a file.
     pub async fn create(&self, name: &str) -> Result<FileId, FsError> {
-        match self
-            .submit(FileOp::Create {
-                name: name.to_string(),
-            })
-            .await?
-        {
-            FileReply::Id(id) => Ok(id),
-            _ => unreachable!("create returns an id"),
-        }
+        let name = name.to_string();
+        self.submit(|service, _| async move { service.create(&name).await })
+            .await
     }
 
     /// Opens a file.
     pub async fn open(&self, name: &str) -> Result<FileId, FsError> {
-        match self
-            .submit(FileOp::Open {
-                name: name.to_string(),
-            })
-            .await?
-        {
-            FileReply::Id(id) => Ok(id),
-            _ => unreachable!("open returns an id"),
-        }
+        let name = name.to_string();
+        self.submit(|service, _| async move { service.open(&name).await })
+            .await
     }
 
     /// Reads a byte range.
     pub async fn read(&self, id: FileId, offset: u64, len: u64) -> Result<Vec<u8>, FsError> {
-        match self.submit(FileOp::Read { id, offset, len }).await? {
-            FileReply::Data(d) => Ok(d),
-            _ => unreachable!("read returns data"),
-        }
+        self.submit(move |service, pcie| async move {
+            let data = service.read(id, offset, len).await?;
+            // Payload lands in host memory.
+            pcie.dma(data.len() as u64).await;
+            Ok(data)
+        })
+        .await
     }
 
     /// Writes a byte range.
     pub async fn write(&self, id: FileId, offset: u64, data: Vec<u8>) -> Result<(), FsError> {
-        match self.submit(FileOp::Write { id, offset, data }).await? {
-            FileReply::Unit => Ok(()),
-            _ => unreachable!("write returns unit"),
-        }
+        self.submit(move |service, pcie| async move {
+            // Payload is pulled from host memory first.
+            pcie.dma(data.len() as u64).await;
+            service.write(id, offset, &data).await
+        })
+        .await
     }
 
     /// Deletes a file.
     pub async fn delete(&self, name: &str) -> Result<(), FsError> {
-        match self
-            .submit(FileOp::Delete {
-                name: name.to_string(),
-            })
-            .await?
-        {
-            FileReply::Unit => Ok(()),
-            _ => unreachable!("delete returns unit"),
-        }
+        let name = name.to_string();
+        self.submit(|service, _| async move { service.delete(&name).await })
+            .await
     }
 }
 

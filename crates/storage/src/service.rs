@@ -70,9 +70,7 @@ impl FileService {
                 Err(FsError::Io(e)) if attempt < IO_RETRY_LIMIT => {
                     attempt += 1;
                     self.retries.inc();
-                    if let Some(c) = dpdpu_telemetry::counter("io_retries", &[("op", label)]) {
-                        c.inc();
-                    }
+                    dpdpu_telemetry::count("io_retries", &[("op", label)]);
                     dpdpu_check::fault_handled(io_fault_site(e), "retried");
                     sleep(io_backoff_ns(attempt)).await;
                 }

@@ -220,10 +220,17 @@ impl Telemetry {
 }
 
 /// Convenience: get-or-create a counter in the current session's registry.
-/// Returns `None` when telemetry is disabled, so callers can write
-/// `if let Some(c) = telemetry::counter(..) { c.inc() }` or simply ignore.
+/// Returns `None` when telemetry is disabled; to bump one, use [`count`].
 pub fn counter(name: &str, labels: &[(&str, &str)]) -> Option<Rc<dpdpu_des::Counter>> {
     Telemetry::current().map(|t| t.registry.counter(name, labels))
+}
+
+/// Adds one to a counter of the current session's registry; does nothing
+/// when telemetry is disabled.
+pub fn count(name: &str, labels: &[(&str, &str)]) {
+    if let Some(c) = counter(name, labels) {
+        c.inc();
+    }
 }
 
 /// Convenience: get-or-create a gauge in the current session's registry.

@@ -14,7 +14,11 @@
 //! free check-point functions ([`link_in`], [`ssd_done`],
 //! [`kernel_result`], [`fault_injected`], …). All check-points are
 //! no-ops when no session is installed, so the untraced fast path
-//! stays a single branch.
+//! stays a single branch. With a session installed a check-point is an
+//! array index: resources, links, shards and tenants intern their name
+//! into a [`Site`] at construction and every per-event table is a `Vec`
+//! indexed by it. Ids follow interning order — OS-scheduling order under
+//! a `--jobs N` runner — so sweeps, reports and messages go by name.
 //!
 //! ## Invariant catalogue
 //!
@@ -55,6 +59,8 @@ use std::rc::Rc;
 
 use dpdpu_des::probe::{self, Probe};
 use dpdpu_des::{try_now, Time};
+
+pub use dpdpu_des::probe::Site;
 
 pub mod golden;
 pub mod linearizability;
@@ -238,6 +244,47 @@ struct ReplGroupStat {
     digests: Vec<(usize, u64, u64, u64)>,
 }
 
+/// Per-site accounting indexed by [`Site::index`]. A slot is `None`
+/// until this session first touches the site (ids are per thread, not
+/// per session), and keeps the name it resolved then.
+#[derive(Default)]
+struct SiteMap<V>(Vec<Option<(Rc<str>, V)>>);
+
+impl<V: Default> SiteMap<V> {
+    /// The stat of `site`, created on first sight — the only time a
+    /// check-point may allocate (the table grows to cover the new id).
+    fn entry(&mut self, site: Site) -> &mut V {
+        let i = site.index();
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, || None);
+        }
+        &mut self.0[i]
+            .get_or_insert_with(|| (site.name(), V::default()))
+            .1
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().flatten().map(|(_, v)| v)
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.0.iter_mut().flatten().map(|(_, v)| v)
+    }
+
+    /// Sites this session touched.
+    fn len(&self) -> usize {
+        self.values().count()
+    }
+
+    /// Touched sites in name order: the order of every sweep, so a
+    /// violation list never depends on an id's numeric value.
+    fn by_name(&self) -> Vec<(&str, &V)> {
+        let mut sites: Vec<_> = self.0.iter().flatten().map(|(n, v)| (&**n, v)).collect();
+        sites.sort_unstable_by_key(|&(name, _)| name);
+        sites
+    }
+}
+
 /// Fault-hygiene categories with a handling obligation. The other
 /// categories (delays, slow I/O, stalls, overload windows) only stretch
 /// completion time and need no recovery action.
@@ -245,21 +292,22 @@ const FAULTS_REQUIRING_HANDLING: [&str; 4] =
     ["link_drop", "ssd_read", "ssd_write", "accel_offline"];
 
 /// A thread-local conformance session. See the crate docs.
+#[derive(Default)]
 pub struct CheckSession {
     strict: bool,
     violations: RefCell<Vec<Violation>>,
     last_time: Cell<Time>,
-    resources: RefCell<BTreeMap<String, ResourceStat>>,
-    links: RefCell<BTreeMap<String, FlowStat>>,
-    ssd: RefCell<BTreeMap<String, FlowStat>>,
-    pcie: RefCell<BTreeMap<String, FlowStat>>,
-    cluster: RefCell<BTreeMap<String, FlowStat>>,
-    fabric: RefCell<BTreeMap<String, FabricStat>>,
+    resources: RefCell<SiteMap<ResourceStat>>,
+    links: RefCell<SiteMap<FlowStat>>,
+    ssd: RefCell<SiteMap<FlowStat>>,
+    pcie: RefCell<SiteMap<FlowStat>>,
+    cluster: RefCell<SiteMap<FlowStat>>,
+    fabric: RefCell<SiteMap<FabricStat>>,
     repl: RefCell<BTreeMap<usize, ReplGroupStat>>,
-    tenants: RefCell<BTreeMap<String, TenantStat>>,
+    tenants: RefCell<SiteMap<TenantStat>>,
     kernels_checked: Cell<u64>,
-    faults_injected: RefCell<BTreeMap<String, u64>>,
-    faults_handled: RefCell<BTreeMap<(String, &'static str), u64>>,
+    faults_injected: RefCell<BTreeMap<&'static str, u64>>,
+    faults_handled: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
     finished: Cell<bool>,
 }
 
@@ -268,26 +316,6 @@ thread_local! {
 }
 
 impl CheckSession {
-    fn new(strict: bool) -> Rc<Self> {
-        Rc::new(CheckSession {
-            strict,
-            violations: RefCell::new(Vec::new()),
-            last_time: Cell::new(0),
-            resources: RefCell::new(BTreeMap::new()),
-            links: RefCell::new(BTreeMap::new()),
-            ssd: RefCell::new(BTreeMap::new()),
-            pcie: RefCell::new(BTreeMap::new()),
-            cluster: RefCell::new(BTreeMap::new()),
-            fabric: RefCell::new(BTreeMap::new()),
-            repl: RefCell::new(BTreeMap::new()),
-            tenants: RefCell::new(BTreeMap::new()),
-            kernels_checked: Cell::new(0),
-            faults_injected: RefCell::new(BTreeMap::new()),
-            faults_handled: RefCell::new(BTreeMap::new()),
-            finished: Cell::new(false),
-        })
-    }
-
     /// Installs a strict session for this thread (replacing any
     /// previous one) and hooks it into the des checker probe slot.
     pub fn install() -> Rc<Self> {
@@ -301,7 +329,10 @@ impl CheckSession {
     }
 
     fn install_mode(strict: bool) -> Rc<Self> {
-        let session = Self::new(strict);
+        let session = Rc::new(CheckSession {
+            strict,
+            ..Default::default()
+        });
         CURRENT.with(|c| *c.borrow_mut() = Some(session.clone()));
         probe::set_checker(Some(session.clone()));
         session
@@ -382,7 +413,7 @@ impl CheckSession {
 
     fn check_utilization(&self) {
         let mut pending = Vec::new();
-        for (track, stat) in self.resources.borrow().iter() {
+        for (track, stat) in self.resources.borrow().by_name() {
             let Some(start) = stat.window_start else {
                 continue;
             };
@@ -418,7 +449,7 @@ impl CheckSession {
     fn finish_checks(&self) {
         self.check_utilization();
         let mut pending: Vec<(Invariant, String)> = Vec::new();
-        for (track, stat) in self.resources.borrow().iter() {
+        for (track, stat) in self.resources.borrow().by_name() {
             if stat.in_flight != 0 || stat.acquires != stat.releases {
                 pending.push((
                     Invariant::AcquireReleaseBalance,
@@ -430,7 +461,7 @@ impl CheckSession {
                 ));
             }
         }
-        for (name, f) in self.links.borrow().iter() {
+        for (name, f) in self.links.borrow().by_name() {
             if f.in_ops != f.out_ops + f.dropped_ops || f.in_bytes != f.out_bytes + f.dropped_bytes
             {
                 pending.push((
@@ -448,7 +479,7 @@ impl CheckSession {
                 ));
             }
         }
-        for (site, f) in self.ssd.borrow().iter() {
+        for (site, f) in self.ssd.borrow().by_name() {
             if f.in_ops != f.out_ops + f.dropped_ops {
                 pending.push((
                     Invariant::SsdConservation,
@@ -459,7 +490,7 @@ impl CheckSession {
                 ));
             }
         }
-        for (name, f) in self.pcie.borrow().iter() {
+        for (name, f) in self.pcie.borrow().by_name() {
             if f.in_ops != f.out_ops || f.in_bytes != f.out_bytes {
                 pending.push((
                     Invariant::PcieConservation,
@@ -470,7 +501,7 @@ impl CheckSession {
                 ));
             }
         }
-        for (shard, f) in self.cluster.borrow().iter() {
+        for (shard, f) in self.cluster.borrow().by_name() {
             if f.in_ops != f.out_ops + f.dropped_ops || f.in_bytes != f.out_bytes + f.dropped_bytes
             {
                 pending.push((
@@ -488,7 +519,7 @@ impl CheckSession {
                 ));
             }
         }
-        for (site, f) in self.fabric.borrow().iter() {
+        for (site, f) in self.fabric.borrow().by_name() {
             if f.sent_msgs != f.delivered_msgs || f.sent_bytes != f.delivered_bytes {
                 pending.push((
                     Invariant::FabricConservation,
@@ -529,7 +560,7 @@ impl CheckSession {
                 }
             }
         }
-        for (tenant, t) in self.tenants.borrow().iter() {
+        for (tenant, t) in self.tenants.borrow().by_name() {
             if t.issued_ops != t.resolved_ops() || t.issued_bytes != t.resolved_bytes() {
                 pending.push((
                     Invariant::TenantConservation,
@@ -564,7 +595,7 @@ impl CheckSession {
                 let inj = injected.get(site).copied().unwrap_or(0);
                 let han: u64 = handled
                     .iter()
-                    .filter(|((s, _), _)| s == site)
+                    .filter(|((s, _), _)| *s == site)
                     .map(|(_, n)| *n)
                     .sum();
                 if han < inj {
@@ -675,25 +706,27 @@ impl CheckSession {
         }
     }
 
-    fn flow_in(map: &RefCell<BTreeMap<String, FlowStat>>, site: &str, bytes: u64) {
+    fn flow_in(&self, map: &RefCell<SiteMap<FlowStat>>, site: Site, bytes: u64) {
         let mut map = map.borrow_mut();
-        let f = slot(&mut map, site);
+        let f = map.entry(site);
         f.in_ops += 1;
         f.in_bytes += bytes;
+        drop(map);
+        self.note_now();
     }
 
     fn flow_out(
         &self,
-        map: &RefCell<BTreeMap<String, FlowStat>>,
+        map: &RefCell<SiteMap<FlowStat>>,
         invariant: Invariant,
-        site: &str,
+        site: Site,
         bytes: u64,
         dropped: bool,
     ) {
         let mut overdraft = None;
         {
             let mut map = map.borrow_mut();
-            let f = slot(&mut map, site);
+            let f = map.entry(site);
             if dropped {
                 f.dropped_ops += 1;
                 f.dropped_bytes += bytes;
@@ -718,7 +751,7 @@ impl CheckSession {
 }
 
 impl Probe for CheckSession {
-    fn span(&self, track: &str, name: &'static str, start: Time, end: Time) {
+    fn span(&self, track: Site, name: &'static str, start: Time, end: Time) {
         if end < start {
             self.violate(
                 Invariant::SpanCausality,
@@ -737,7 +770,7 @@ impl Probe for CheckSession {
         }
         if name == "serve" {
             let mut res = self.resources.borrow_mut();
-            let stat = slot(&mut res, track);
+            let stat = res.entry(track);
             stat.serve_ns += end - start;
             stat.window_start = Some(stat.window_start.unwrap_or(start).min(start));
             stat.window_end = stat.window_end.max(end);
@@ -745,11 +778,11 @@ impl Probe for CheckSession {
         self.note_now();
     }
 
-    fn acquire(&self, track: &str, capacity: usize, in_flight: usize) {
+    fn acquire(&self, track: Site, capacity: usize, in_flight: usize) {
         let mut over = false;
         {
             let mut res = self.resources.borrow_mut();
-            let stat = slot(&mut res, track);
+            let stat = res.entry(track);
             stat.capacity = stat.capacity.max(capacity);
             stat.in_flight = in_flight;
             stat.acquires += 1;
@@ -766,9 +799,9 @@ impl Probe for CheckSession {
         self.note_now();
     }
 
-    fn release(&self, track: &str, in_flight: usize) {
+    fn release(&self, track: Site, in_flight: usize) {
         let mut res = self.resources.borrow_mut();
-        let stat = slot(&mut res, track);
+        let stat = res.entry(track);
         stat.in_flight = in_flight;
         stat.releases += 1;
     }
@@ -847,15 +880,6 @@ impl Drop for CheckGuard {
 
 // ---- free check-point functions (no-ops without a session) ---------
 
-/// The entry of `key`, created on first sight. Looked up by `&str`: a
-/// check-point on a known site allocates nothing.
-fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_string(), V::default());
-    }
-    map.get_mut(key).expect("present or just inserted")
-}
-
 fn with_session(f: impl FnOnce(&CheckSession)) {
     CURRENT.with(|c| {
         if let Some(s) = c.borrow().as_ref() {
@@ -872,109 +896,83 @@ pub fn is_active() -> bool {
 }
 
 /// A frame of `bytes` entered the named link.
-pub fn link_in(link: &str, bytes: u64) {
-    with_session(|s| {
-        CheckSession::flow_in(&s.links, link, bytes);
-        s.note_now();
-    });
+pub fn link_in(link: Site, bytes: u64) {
+    with_session(|s| s.flow_in(&s.links, link, bytes));
 }
 
 /// A frame of `bytes` left the named link toward its receiver.
-pub fn link_delivered(link: &str, bytes: u64) {
+pub fn link_delivered(link: Site, bytes: u64) {
     with_session(|s| s.flow_out(&s.links, Invariant::LinkConservation, link, bytes, false));
 }
 
 /// A frame of `bytes` was dropped by the named link (loss model or
 /// injected fault).
-pub fn link_dropped(link: &str, bytes: u64) {
+pub fn link_dropped(link: Site, bytes: u64) {
     with_session(|s| s.flow_out(&s.links, Invariant::LinkConservation, link, bytes, true));
 }
 
 /// An SSD op of `bytes` was admitted past the device queue.
 /// `site` should identify device + direction, e.g. `"nvme0.read"`.
-pub fn ssd_in(site: &str, bytes: u64) {
-    with_session(|s| {
-        CheckSession::flow_in(&s.ssd, site, bytes);
-        s.note_now();
-    });
+pub fn ssd_in(site: Site, bytes: u64) {
+    with_session(|s| s.flow_in(&s.ssd, site, bytes));
 }
 
 /// An admitted SSD op completed successfully.
-pub fn ssd_done(site: &str, bytes: u64) {
+pub fn ssd_done(site: Site, bytes: u64) {
     with_session(|s| s.flow_out(&s.ssd, Invariant::SsdConservation, site, bytes, false));
 }
 
 /// An admitted SSD op completed with a device error.
-pub fn ssd_failed(site: &str, bytes: u64) {
+pub fn ssd_failed(site: Site, bytes: u64) {
     with_session(|s| s.flow_out(&s.ssd, Invariant::SsdConservation, site, bytes, true));
 }
 
 /// A DMA of `bytes` entered the named PCIe link.
-pub fn pcie_in(link: &str, bytes: u64) {
-    with_session(|s| {
-        CheckSession::flow_in(&s.pcie, link, bytes);
-        s.note_now();
-    });
+pub fn pcie_in(link: Site, bytes: u64) {
+    with_session(|s| s.flow_in(&s.pcie, link, bytes));
 }
 
 /// A DMA of `bytes` fully crossed the named PCIe link.
-pub fn pcie_done(link: &str, bytes: u64) {
+pub fn pcie_done(link: Site, bytes: u64) {
     with_session(|s| s.flow_out(&s.pcie, Invariant::PcieConservation, link, bytes, false));
 }
 
 /// A cluster request of `bytes` was issued to the named shard
 /// (`site` is the shard's stable label, e.g. `"node0"`).
-pub fn cluster_op_issued(site: &str, bytes: u64) {
-    with_session(|s| {
-        CheckSession::flow_in(&s.cluster, site, bytes);
-        s.note_now();
-    });
+pub fn cluster_op_issued(site: Site, bytes: u64) {
+    with_session(|s| s.flow_in(&s.cluster, site, bytes));
 }
 
 /// An issued cluster request completed successfully.
-pub fn cluster_op_ok(site: &str, bytes: u64) {
-    with_session(|s| {
-        s.flow_out(
-            &s.cluster,
-            Invariant::ClusterConservation,
-            site,
-            bytes,
-            false,
-        )
-    });
+pub fn cluster_op_ok(site: Site, bytes: u64) {
+    let inv = Invariant::ClusterConservation;
+    with_session(|s| s.flow_out(&s.cluster, inv, site, bytes, false));
 }
 
 /// An issued cluster request terminated without a result: a terminal
 /// client error or an admission-control shed.
-pub fn cluster_op_failed(site: &str, bytes: u64) {
-    with_session(|s| {
-        s.flow_out(
-            &s.cluster,
-            Invariant::ClusterConservation,
-            site,
-            bytes,
-            true,
-        )
-    });
+pub fn cluster_op_failed(site: Site, bytes: u64) {
+    let inv = Invariant::ClusterConservation;
+    with_session(|s| s.flow_out(&s.cluster, inv, site, bytes, true));
 }
 
 /// A fabric connection direction opened with a credit window of
 /// `window` data messages. Reusing a site label adds the new window to
 /// the site's budget (each connection instance brings its own posted
 /// receives).
-pub fn fabric_conn_open(site: &str, window: u64) {
+pub fn fabric_conn_open(site: Site, window: u64) {
     with_session(|s| {
-        slot(&mut s.fabric.borrow_mut(), site).window += window;
+        s.fabric.borrow_mut().entry(site).window += window;
         s.note_now();
     });
 }
 
 /// The fabric sender committed a data message of `bytes` to the wire
 /// path for `site` (one direction of one connection).
-pub fn fabric_msg_sent(site: &str, bytes: u64) {
+pub fn fabric_msg_sent(site: Site, bytes: u64) {
     with_session(|s| {
         let mut map = s.fabric.borrow_mut();
-        let f = slot(&mut map, site);
+        let f = map.entry(site);
         f.sent_msgs += 1;
         f.sent_bytes += bytes;
         s.note_now();
@@ -983,12 +981,12 @@ pub fn fabric_msg_sent(site: &str, bytes: u64) {
 
 /// The fabric receiver handed a data message of `bytes` to the
 /// application for `site`. Flags delivery overdraft immediately.
-pub fn fabric_msg_delivered(site: &str, bytes: u64) {
+pub fn fabric_msg_delivered(site: Site, bytes: u64) {
     with_session(|s| {
         let mut overdraft = None;
         {
             let mut map = s.fabric.borrow_mut();
-            let f = slot(&mut map, site);
+            let f = map.entry(site);
             f.delivered_msgs += 1;
             f.delivered_bytes += bytes;
             if f.delivered_msgs > f.sent_msgs || f.delivered_bytes > f.sent_bytes {
@@ -1007,12 +1005,12 @@ pub fn fabric_msg_delivered(site: &str, bytes: u64) {
 /// The fabric sender spent `n` credits for `site`. Flags a window
 /// overrun immediately: outstanding debt must never exceed the
 /// advertised window, or posted receives could underflow.
-pub fn fabric_credit_consumed(site: &str, n: u64) {
+pub fn fabric_credit_consumed(site: Site, n: u64) {
     with_session(|s| {
         let mut overrun = None;
         {
             let mut map = s.fabric.borrow_mut();
-            let f = slot(&mut map, site);
+            let f = map.entry(site);
             f.credits_consumed += n;
             let debt = f.credits_consumed.saturating_sub(f.credits_returned);
             if debt > f.window {
@@ -1032,12 +1030,12 @@ pub fn fabric_credit_consumed(site: &str, n: u64) {
 /// The receiver granted `n` credits back to the sender for `site`.
 /// Flags over-return immediately: the receiver cannot return credit it
 /// was never given.
-pub fn fabric_credit_returned(site: &str, n: u64) {
+pub fn fabric_credit_returned(site: Site, n: u64) {
     with_session(|s| {
         let mut over = None;
         {
             let mut map = s.fabric.borrow_mut();
-            let f = slot(&mut map, site);
+            let f = map.entry(site);
             f.credits_returned += n;
             if f.credits_returned > f.credits_consumed {
                 over = Some(format!(
@@ -1139,28 +1137,28 @@ pub fn kernel_result(kind: &'static str, in_bytes: usize, out_bytes: usize, err:
 
 /// The fault layer injected a fault at `site` (its stable label,
 /// e.g. `"ssd_read"`).
-pub fn fault_injected(site: &str) {
+pub fn fault_injected(site: &'static str) {
     with_session(|s| {
-        *slot(&mut s.faults_injected.borrow_mut(), site) += 1;
+        *s.faults_injected.borrow_mut().entry(site).or_default() += 1;
     });
 }
 
 /// A layer handled a fault at `site`: `outcome` is `"retried"`,
 /// `"degraded"`, or `"surfaced"`.
-pub fn fault_handled(site: &str, outcome: &'static str) {
+pub fn fault_handled(site: &'static str, outcome: &'static str) {
     with_session(|s| {
         *s.faults_handled
             .borrow_mut()
-            .entry((site.to_string(), outcome))
+            .entry((site, outcome))
             .or_default() += 1;
     });
 }
 
 /// A labeled request of `bytes` entered the gateway tier for `tenant`.
-pub fn tenant_op_issued(tenant: &str, bytes: u64) {
+pub fn tenant_op_issued(tenant: Site, bytes: u64) {
     with_session(|s| {
         let mut map = s.tenants.borrow_mut();
-        let t = slot(&mut map, tenant);
+        let t = map.entry(tenant);
         t.issued_ops += 1;
         t.issued_bytes += bytes;
         drop(map);
@@ -1168,12 +1166,12 @@ pub fn tenant_op_issued(tenant: &str, bytes: u64) {
     });
 }
 
-fn tenant_resolved(tenant: &str, bump: impl FnOnce(&mut TenantStat)) {
+fn tenant_resolved(tenant: Site, bump: impl FnOnce(&mut TenantStat)) {
     with_session(|s| {
         let mut overdraft = None;
         {
             let mut map = s.tenants.borrow_mut();
-            let t = slot(&mut map, tenant);
+            let t = map.entry(tenant);
             bump(t);
             if t.resolved_ops() > t.issued_ops || t.resolved_bytes() > t.issued_bytes {
                 overdraft = Some(format!(
@@ -1192,7 +1190,7 @@ fn tenant_resolved(tenant: &str, bump: impl FnOnce(&mut TenantStat)) {
 }
 
 /// An issued tenant request completed successfully.
-pub fn tenant_op_ok(tenant: &str, bytes: u64) {
+pub fn tenant_op_ok(tenant: Site, bytes: u64) {
     tenant_resolved(tenant, |t| {
         t.ok_ops += 1;
         t.ok_bytes += bytes;
@@ -1201,7 +1199,7 @@ pub fn tenant_op_ok(tenant: &str, bytes: u64) {
 
 /// An issued tenant request was shed by per-tenant admission control
 /// (rate limit, in-flight cap, or a downstream shard admission window).
-pub fn tenant_op_shed(tenant: &str, bytes: u64) {
+pub fn tenant_op_shed(tenant: Site, bytes: u64) {
     tenant_resolved(tenant, |t| {
         t.shed_ops += 1;
         t.shed_bytes += bytes;
@@ -1209,7 +1207,7 @@ pub fn tenant_op_shed(tenant: &str, bytes: u64) {
 }
 
 /// An issued tenant request terminated with a non-shed error.
-pub fn tenant_op_failed(tenant: &str, bytes: u64) {
+pub fn tenant_op_failed(tenant: Site, bytes: u64) {
     tenant_resolved(tenant, |t| {
         t.failed_ops += 1;
         t.failed_bytes += bytes;
@@ -1229,9 +1227,9 @@ pub fn tenant_unlabeled(site: &str) {
 }
 
 /// The WFQ/DRR scheduler granted `tenant` a dispatch slot.
-pub fn qos_granted(tenant: &str) {
+pub fn qos_granted(tenant: Site) {
     with_session(|s| {
-        slot(&mut s.tenants.borrow_mut(), tenant).granted += 1;
+        s.tenants.borrow_mut().entry(tenant).granted += 1;
         s.note_now();
     });
 }
@@ -1239,12 +1237,12 @@ pub fn qos_granted(tenant: &str) {
 /// The gateway dispatched one of `tenant`'s requests toward the shard
 /// fabric. Flags immediately when dispatches outrun scheduler grants —
 /// a path that bypasses weighted-fair queueing.
-pub fn tenant_dispatched(tenant: &str) {
+pub fn tenant_dispatched(tenant: Site) {
     with_session(|s| {
         let mut bypass = None;
         {
             let mut map = s.tenants.borrow_mut();
-            let t = slot(&mut map, tenant);
+            let t = map.entry(tenant);
             t.dispatched += 1;
             if t.dispatched > t.granted {
                 bypass = Some(format!(

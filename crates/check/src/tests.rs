@@ -4,6 +4,11 @@
 use super::*;
 use dpdpu_des::{sleep, Server, Sim};
 
+/// The site named `name`, as a resource's constructor would intern it.
+fn at(name: &str) -> Site {
+    Site::new(name)
+}
+
 fn has(violations: &[Violation], inv: Invariant) -> bool {
     violations.iter().any(|v| v.invariant == inv)
 }
@@ -39,7 +44,7 @@ fn time_monotonic_allows_epoch_reset() {
 #[test]
 fn span_causality_catches_inverted_span() {
     let (_, v) = collecting(|s| {
-        s.span("disk", "serve", 50, 10);
+        s.span(at("disk"), "serve", 50, 10);
     });
     assert!(has(&v, Invariant::SpanCausality), "{v:?}");
 }
@@ -51,7 +56,7 @@ fn span_causality_catches_future_dated_span() {
     sim.spawn(async {
         sleep(100).await;
         // now == 100; a span claiming to end at 900 is future-dated.
-        dpdpu_des::probe::emit_span("disk", "serve", 0, 900);
+        dpdpu_des::probe::emit_span(at("disk"), "serve", 0, 900);
     });
     sim.run();
     let v = session.finish();
@@ -62,7 +67,7 @@ fn span_causality_catches_future_dated_span() {
 #[test]
 fn capacity_bound_catches_oversubscription() {
     let (_, v) = collecting(|s| {
-        s.acquire("nic", 2, 3); // 3 permits in flight on 2 slots
+        s.acquire(at("nic"), 2, 3); // 3 permits in flight on 2 slots
     });
     assert!(has(&v, Invariant::CapacityBound), "{v:?}");
 }
@@ -70,9 +75,9 @@ fn capacity_bound_catches_oversubscription() {
 #[test]
 fn acquire_release_balance_catches_leaked_permit() {
     let (_, v) = collecting(|s| {
-        s.acquire("nic", 2, 1);
-        s.acquire("nic", 2, 2);
-        s.release("nic", 1); // one of the two permits never comes back
+        s.acquire(at("nic"), 2, 1);
+        s.acquire(at("nic"), 2, 2);
+        s.release(at("nic"), 1); // one of the two permits never comes back
     });
     assert!(has(&v, Invariant::AcquireReleaseBalance), "{v:?}");
 }
@@ -80,9 +85,9 @@ fn acquire_release_balance_catches_leaked_permit() {
 #[test]
 fn link_conservation_catches_lost_frame() {
     let (_, v) = collecting(|_| {
-        link_in("eth0", 1500);
-        link_in("eth0", 1500);
-        link_delivered("eth0", 1500);
+        link_in(at("eth0"), 1500);
+        link_in(at("eth0"), 1500);
+        link_delivered(at("eth0"), 1500);
         // second frame neither delivered nor accounted as dropped
     });
     assert!(has(&v, Invariant::LinkConservation), "{v:?}");
@@ -91,9 +96,9 @@ fn link_conservation_catches_lost_frame() {
 #[test]
 fn link_conservation_catches_double_delivery_immediately() {
     let (_, v) = collecting(|_| {
-        link_in("eth0", 100);
-        link_delivered("eth0", 100);
-        link_delivered("eth0", 100); // delivered more than was sent
+        link_in(at("eth0"), 100);
+        link_delivered(at("eth0"), 100);
+        link_delivered(at("eth0"), 100); // delivered more than was sent
     });
     assert!(has(&v, Invariant::LinkConservation), "{v:?}");
 }
@@ -101,10 +106,10 @@ fn link_conservation_catches_double_delivery_immediately() {
 #[test]
 fn link_conservation_accepts_balanced_drop() {
     let (_, v) = collecting(|_| {
-        link_in("eth0", 1500);
-        link_in("eth0", 64);
-        link_delivered("eth0", 1500);
-        link_dropped("eth0", 64);
+        link_in(at("eth0"), 1500);
+        link_in(at("eth0"), 64);
+        link_delivered(at("eth0"), 1500);
+        link_dropped(at("eth0"), 64);
     });
     assert!(v.is_empty(), "{v:?}");
 }
@@ -112,9 +117,9 @@ fn link_conservation_accepts_balanced_drop() {
 #[test]
 fn ssd_conservation_catches_vanished_op() {
     let (_, v) = collecting(|_| {
-        ssd_in("nvme0.read", 4096);
-        ssd_in("nvme0.read", 4096);
-        ssd_done("nvme0.read", 4096);
+        ssd_in(at("nvme0.read"), 4096);
+        ssd_in(at("nvme0.read"), 4096);
+        ssd_done(at("nvme0.read"), 4096);
         // second admitted op never completes or errors
     });
     assert!(has(&v, Invariant::SsdConservation), "{v:?}");
@@ -123,10 +128,10 @@ fn ssd_conservation_catches_vanished_op() {
 #[test]
 fn ssd_conservation_accepts_error_accounting() {
     let (_, v) = collecting(|_| {
-        ssd_in("nvme0.write", 512);
-        ssd_failed("nvme0.write", 512);
-        ssd_in("nvme0.read", 4096);
-        ssd_done("nvme0.read", 4096);
+        ssd_in(at("nvme0.write"), 512);
+        ssd_failed(at("nvme0.write"), 512);
+        ssd_in(at("nvme0.read"), 4096);
+        ssd_done(at("nvme0.read"), 4096);
     });
     assert!(v.is_empty(), "{v:?}");
 }
@@ -134,8 +139,8 @@ fn ssd_conservation_accepts_error_accounting() {
 #[test]
 fn pcie_conservation_catches_missing_completion() {
     let (_, v) = collecting(|_| {
-        pcie_in("pcie-host-dpu", 8192);
-        pcie_done("pcie-host-dpu", 4096); // half the bytes vanished
+        pcie_in(at("pcie-host-dpu"), 8192);
+        pcie_done(at("pcie-host-dpu"), 4096); // half the bytes vanished
     });
     assert!(has(&v, Invariant::PcieConservation), "{v:?}");
 }
@@ -157,12 +162,12 @@ fn kernel_ground_truth_catches_mismatch() {
 #[test]
 fn utilization_bound_catches_overcommitted_busy_time() {
     let (_, v) = collecting(|s| {
-        s.acquire("cpu", 1, 1);
-        s.release("cpu", 0);
+        s.acquire(at("cpu"), 1, 1);
+        s.release(at("cpu"), 0);
         // Two full-window serve spans on a 1-slot resource: 200 ns busy
         // inside a 100 ns window.
-        s.span("cpu", "serve", 0, 100);
-        s.span("cpu", "serve", 0, 100);
+        s.span(at("cpu"), "serve", 0, 100);
+        s.span(at("cpu"), "serve", 0, 100);
     });
     assert!(has(&v, Invariant::UtilizationBound), "{v:?}");
 }
@@ -207,8 +212,8 @@ fn clean_simulation_passes_strict_guard() {
         for h in handles {
             h.await;
         }
-        link_in("eth0", 4096);
-        link_delivered("eth0", 4096);
+        link_in(at("eth0"), 4096);
+        link_delivered(at("eth0"), 4096);
     });
     sim.run();
     drop(sim);
@@ -219,8 +224,8 @@ fn clean_simulation_passes_strict_guard() {
 fn strict_session_panics_at_the_offending_event() {
     let err = std::panic::catch_unwind(|| {
         let _s = CheckSession::install();
-        link_in("eth0", 10);
-        link_delivered("eth0", 20); // over-delivery panics right here
+        link_in(at("eth0"), 10);
+        link_delivered(at("eth0"), 20); // over-delivery panics right here
     });
     CheckSession::uninstall();
     let msg = *err.expect_err("must panic").downcast::<String>().unwrap();
@@ -238,8 +243,8 @@ fn ensure_installed_does_not_clobber_existing_session() {
 #[test]
 fn report_has_stable_shape() {
     let (_, _) = collecting(|s| {
-        link_in("eth0", 100);
-        link_delivered("eth0", 100);
+        link_in(at("eth0"), 100);
+        link_delivered(at("eth0"), 100);
         let r = s.report();
         assert!(r.starts_with("conformance:"), "{r}");
         assert!(r.contains("link_bytes=100"), "{r}");
@@ -250,12 +255,12 @@ fn report_has_stable_shape() {
 #[test]
 fn fabric_conservation_accepts_balanced_direction() {
     let (_, v) = collecting(|_| {
-        fabric_conn_open("c0.a2b", 4);
+        fabric_conn_open(at("c0.a2b"), 4);
         for _ in 0..6 {
-            fabric_credit_consumed("c0.a2b", 1);
-            fabric_msg_sent("c0.a2b", 128);
-            fabric_msg_delivered("c0.a2b", 128);
-            fabric_credit_returned("c0.a2b", 1);
+            fabric_credit_consumed(at("c0.a2b"), 1);
+            fabric_msg_sent(at("c0.a2b"), 128);
+            fabric_msg_delivered(at("c0.a2b"), 128);
+            fabric_credit_returned(at("c0.a2b"), 1);
         }
     });
     assert!(v.is_empty(), "{v:?}");
@@ -264,9 +269,9 @@ fn fabric_conservation_accepts_balanced_direction() {
 #[test]
 fn fabric_conservation_catches_lost_message_at_finish() {
     let (_, v) = collecting(|_| {
-        fabric_conn_open("c0.a2b", 8);
-        fabric_credit_consumed("c0.a2b", 1);
-        fabric_msg_sent("c0.a2b", 128);
+        fabric_conn_open(at("c0.a2b"), 8);
+        fabric_credit_consumed(at("c0.a2b"), 1);
+        fabric_msg_sent(at("c0.a2b"), 128);
         // never delivered
     });
     assert!(has(&v, Invariant::FabricConservation), "{v:?}");
@@ -275,8 +280,8 @@ fn fabric_conservation_catches_lost_message_at_finish() {
 #[test]
 fn fabric_conservation_catches_delivery_overdraft_immediately() {
     let (_, v) = collecting(|_| {
-        fabric_conn_open("c0.a2b", 8);
-        fabric_msg_delivered("c0.a2b", 128); // delivered what was never sent
+        fabric_conn_open(at("c0.a2b"), 8);
+        fabric_msg_delivered(at("c0.a2b"), 128); // delivered what was never sent
     });
     assert!(has(&v, Invariant::FabricConservation), "{v:?}");
 }
@@ -284,10 +289,10 @@ fn fabric_conservation_catches_delivery_overdraft_immediately() {
 #[test]
 fn fabric_conservation_catches_window_overrun_immediately() {
     let (_, v) = collecting(|_| {
-        fabric_conn_open("c0.a2b", 2);
-        fabric_credit_consumed("c0.a2b", 1);
-        fabric_credit_consumed("c0.a2b", 1);
-        fabric_credit_consumed("c0.a2b", 1); // debt 3 > window 2
+        fabric_conn_open(at("c0.a2b"), 2);
+        fabric_credit_consumed(at("c0.a2b"), 1);
+        fabric_credit_consumed(at("c0.a2b"), 1);
+        fabric_credit_consumed(at("c0.a2b"), 1); // debt 3 > window 2
     });
     assert!(has(&v, Invariant::FabricConservation), "{v:?}");
 }
@@ -295,9 +300,9 @@ fn fabric_conservation_catches_window_overrun_immediately() {
 #[test]
 fn fabric_conservation_catches_credit_over_return() {
     let (_, v) = collecting(|_| {
-        fabric_conn_open("c0.a2b", 8);
-        fabric_credit_consumed("c0.a2b", 1);
-        fabric_credit_returned("c0.a2b", 2); // returned more than consumed
+        fabric_conn_open(at("c0.a2b"), 8);
+        fabric_credit_consumed(at("c0.a2b"), 1);
+        fabric_credit_returned(at("c0.a2b"), 2); // returned more than consumed
     });
     assert!(has(&v, Invariant::FabricConservation), "{v:?}");
 }
@@ -307,15 +312,15 @@ fn fabric_window_accumulates_across_reopens() {
     // A site label reused by a second connection instance brings its
     // own credit budget: debt up to the summed windows is legal.
     let (_, v) = collecting(|_| {
-        fabric_conn_open("c0.a2b", 2);
-        fabric_conn_open("c0.a2b", 2);
+        fabric_conn_open(at("c0.a2b"), 2);
+        fabric_conn_open(at("c0.a2b"), 2);
         for _ in 0..4 {
-            fabric_credit_consumed("c0.a2b", 1);
-            fabric_msg_sent("c0.a2b", 64);
-            fabric_msg_delivered("c0.a2b", 64);
+            fabric_credit_consumed(at("c0.a2b"), 1);
+            fabric_msg_sent(at("c0.a2b"), 64);
+            fabric_msg_delivered(at("c0.a2b"), 64);
         }
         for _ in 0..4 {
-            fabric_credit_returned("c0.a2b", 1);
+            fabric_credit_returned(at("c0.a2b"), 1);
         }
     });
     assert!(v.is_empty(), "{v:?}");
@@ -325,12 +330,12 @@ fn fabric_window_accumulates_across_reopens() {
 fn report_gains_fabric_segment_only_with_fabric_traffic() {
     let (_, _) = collecting(|s| {
         assert!(!s.report().contains("fabric_"), "{}", s.report());
-        fabric_conn_open("c0.a2b", 8);
+        fabric_conn_open(at("c0.a2b"), 8);
         assert!(!s.report().contains("fabric_"), "{}", s.report());
-        fabric_credit_consumed("c0.a2b", 1);
-        fabric_msg_sent("c0.a2b", 64);
-        fabric_msg_delivered("c0.a2b", 64);
-        fabric_credit_returned("c0.a2b", 1);
+        fabric_credit_consumed(at("c0.a2b"), 1);
+        fabric_msg_sent(at("c0.a2b"), 64);
+        fabric_msg_delivered(at("c0.a2b"), 64);
+        fabric_credit_returned(at("c0.a2b"), 1);
         let r = s.report();
         assert!(r.contains("fabric_sites=1"), "{r}");
         assert!(r.contains("fabric_msgs=1"), "{r}");
@@ -402,9 +407,9 @@ fn replica_divergence_allows_converged_groups() {
 #[test]
 fn tenant_conservation_catches_vanished_request() {
     let (_, v) = collecting(|_| {
-        tenant_op_issued("kv", 64);
-        tenant_op_issued("kv", 64);
-        tenant_op_ok("kv", 64);
+        tenant_op_issued(at("kv"), 64);
+        tenant_op_issued(at("kv"), 64);
+        tenant_op_ok(at("kv"), 64);
         // second request neither completed, shed, nor failed
     });
     assert!(has(&v, Invariant::TenantConservation), "{v:?}");
@@ -413,9 +418,9 @@ fn tenant_conservation_catches_vanished_request() {
 #[test]
 fn tenant_conservation_catches_overdraft_immediately() {
     let (_, v) = collecting(|_| {
-        tenant_op_issued("kv", 64);
-        tenant_op_ok("kv", 64);
-        tenant_op_ok("kv", 64); // resolved more than ever entered
+        tenant_op_issued(at("kv"), 64);
+        tenant_op_ok(at("kv"), 64);
+        tenant_op_ok(at("kv"), 64); // resolved more than ever entered
     });
     assert!(has(&v, Invariant::TenantConservation), "{v:?}");
 }
@@ -431,12 +436,12 @@ fn tenant_conservation_catches_planted_label_loss() {
 #[test]
 fn tenant_conservation_accepts_balanced_accounting() {
     let (_, v) = collecting(|_| {
-        tenant_op_issued("kv", 64);
-        tenant_op_ok("kv", 64);
-        tenant_op_issued("scan", 2048);
-        tenant_op_shed("scan", 2048);
-        tenant_op_issued("kv", 128);
-        tenant_op_failed("kv", 128);
+        tenant_op_issued(at("kv"), 64);
+        tenant_op_ok(at("kv"), 64);
+        tenant_op_issued(at("scan"), 2048);
+        tenant_op_shed(at("scan"), 2048);
+        tenant_op_issued(at("kv"), 128);
+        tenant_op_failed(at("kv"), 128);
     });
     assert!(v.is_empty(), "{v:?}");
 }
@@ -444,9 +449,9 @@ fn tenant_conservation_accepts_balanced_accounting() {
 #[test]
 fn qos_isolation_catches_planted_scheduler_bypass() {
     let (_, v) = collecting(|_| {
-        qos_granted("kv");
-        tenant_dispatched("kv");
-        tenant_dispatched("kv"); // reached the fabric without a grant
+        qos_granted(at("kv"));
+        tenant_dispatched(at("kv"));
+        tenant_dispatched(at("kv")); // reached the fabric without a grant
     });
     assert!(has(&v, Invariant::QosIsolation), "{v:?}");
 }
@@ -454,7 +459,7 @@ fn qos_isolation_catches_planted_scheduler_bypass() {
 #[test]
 fn qos_isolation_catches_unused_grant_at_finish() {
     let (_, v) = collecting(|_| {
-        qos_granted("kv");
+        qos_granted(at("kv"));
         // the granted slot never turned into a dispatch
     });
     assert!(has(&v, Invariant::QosIsolation), "{v:?}");
@@ -464,8 +469,8 @@ fn qos_isolation_catches_unused_grant_at_finish() {
 fn qos_isolation_accepts_granted_dispatches() {
     let (_, v) = collecting(|_| {
         for _ in 0..5 {
-            qos_granted("kv");
-            tenant_dispatched("kv");
+            qos_granted(at("kv"));
+            tenant_dispatched(at("kv"));
         }
     });
     assert!(v.is_empty(), "{v:?}");
@@ -475,12 +480,12 @@ fn qos_isolation_accepts_granted_dispatches() {
 fn report_gains_tenant_segment_only_with_tenant_traffic() {
     let (_, _) = collecting(|s| {
         assert!(!s.report().contains("tenant"), "{}", s.report());
-        tenant_op_issued("kv", 64);
-        qos_granted("kv");
-        tenant_dispatched("kv");
-        tenant_op_ok("kv", 64);
-        tenant_op_issued("scan", 100);
-        tenant_op_shed("scan", 100);
+        tenant_op_issued(at("kv"), 64);
+        qos_granted(at("kv"));
+        tenant_dispatched(at("kv"));
+        tenant_op_ok(at("kv"), 64);
+        tenant_op_issued(at("scan"), 100);
+        tenant_op_shed(at("scan"), 100);
         let r = s.report();
         assert!(r.contains("tenants=2"), "{r}");
         assert!(r.contains("tenant_ops=2"), "{r}");
@@ -502,4 +507,85 @@ fn report_gains_repl_segment_only_with_replication_traffic() {
         assert!(r.contains("repl_acked=2"), "{r}");
         assert!(r.contains("repl_epoch_transitions=1"), "{r}");
     });
+}
+
+/// Replays one fixed event stream — by name, with violations planted at
+/// several sites of several families — in a collecting session on a fresh
+/// thread, i.e. a fresh site table, after interning `first` in that
+/// order. Returns the report and the violation list as text.
+fn replay_after_interning(first: Vec<String>) -> (String, Vec<String>) {
+    std::thread::spawn(move || {
+        for name in &first {
+            Site::new(name);
+        }
+        let session = CheckSession::install_collecting();
+        for nic in ["nic-b", "nic-c", "nic-a"] {
+            session.acquire(at(nic), 2, 1); // never released
+            session.span(at(nic), "serve", 0, 10);
+        }
+        session.acquire(at("nic-b"), 2, 3); // oversubscribed, flagged at the event
+        for link in ["eth-c", "eth-a", "eth-b"] {
+            link_in(at(link), 1500); // never delivered
+        }
+        pcie_in(at("pcie-b"), 64);
+        pcie_in(at("pcie-a"), 64);
+        for tenant in ["scan", "kv"] {
+            tenant_op_issued(at(tenant), 64);
+            qos_granted(at(tenant)); // never dispatched
+        }
+        cluster_op_issued(at("node1"), 8);
+        cluster_op_ok(at("node1"), 8);
+        let violations = session.finish();
+        CheckSession::uninstall();
+        (
+            session.report(),
+            violations.iter().map(|v| v.to_string()).collect(),
+        )
+    })
+    .join()
+    .expect("replay thread")
+}
+
+#[test]
+fn site_ids_are_not_observable() {
+    let names = [
+        "eth-a", "eth-b", "eth-c", "kv", "nic-a", "nic-b", "nic-c", "node1", "pcie-a", "pcie-b",
+        "scan",
+    ];
+    let forward: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+    let backward: Vec<String> = forward.iter().rev().cloned().collect();
+    // 500 unrelated sites first: the stream's ids are large and the
+    // session's tables sparse.
+    let sparse: Vec<String> = (0..500)
+        .map(|i| format!("unrelated{i}"))
+        .chain(backward.iter().cloned())
+        .collect();
+
+    let (report, violations) = replay_after_interning(forward);
+    assert_eq!(
+        replay_after_interning(backward),
+        (report.clone(), violations.clone())
+    );
+    assert_eq!(
+        replay_after_interning(sparse),
+        (report.clone(), violations.clone())
+    );
+    assert!(report.contains("resources=3 acquires=4"), "{report}");
+    assert!(report.contains("cluster_shards=1"), "{report}");
+    assert!(report.contains("tenants=2"), "{report}");
+
+    // The event-time violation first, then each sweep in site-name
+    // order, every message carrying the site's name.
+    let sites: Vec<&str> = violations
+        .iter()
+        .map(|v| v.split('\'').nth(1).expect("a quoted site name"))
+        .collect();
+    assert_eq!(
+        sites,
+        [
+            "nic-b", "nic-a", "nic-b", "nic-c", "eth-a", "eth-b", "eth-c", "pcie-a", "pcie-b",
+            "kv", "kv", "scan", "scan",
+        ],
+        "{violations:#?}"
+    );
 }

@@ -3,9 +3,10 @@
 //!
 //! Every end-to-end run is under a strict session, and its hot
 //! check-points fire several times per simulated `Server::process` and
-//! per link / PCIe / SSD / cluster / fabric / tenant flow, always on the
-//! same few dozen site names. The first event of a site may allocate (it
-//! creates the site's entry); no later one may.
+//! per link / PCIe / SSD / cluster / fabric / tenant flow. A replicated
+//! fleet has hundreds of sites per family, so the guard runs at that
+//! scale. The first event of a site may allocate (it grows the session's
+//! table to cover the site's id); no later one may.
 //!
 //! This file deliberately holds a single `#[test]` so no concurrent test
 //! can pollute the global counter mid-measurement.
@@ -13,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dpdpu_check::CheckSession;
+use dpdpu_check::{CheckSession, Site};
 use dpdpu_des::probe::Probe;
 
 /// Counts every allocation; the default `realloc` goes through `alloc`.
@@ -40,39 +41,79 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One event of every steady-state kind, dated `t`.
-fn round(session: &CheckSession, t: u64) {
-    session.acquire("cpu-dpu", 8, 1);
-    session.span("cpu-dpu", "serve", t, t + 1);
-    session.release("cpu-dpu", 0);
-    dpdpu_check::pcie_in("pcie-host-dpu", 64);
-    dpdpu_check::pcie_done("pcie-host-dpu", 64);
-    dpdpu_check::link_in("rack-link", 1_500);
-    dpdpu_check::link_delivered("rack-link", 1_500);
-    dpdpu_check::ssd_in("nvme0.read", 4_096);
-    dpdpu_check::ssd_done("nvme0.read", 4_096);
-    dpdpu_check::cluster_op_issued("node0", 32);
-    dpdpu_check::cluster_op_ok("node0", 32);
-    dpdpu_check::fabric_msg_sent("node0.a2b", 32);
-    dpdpu_check::fabric_msg_delivered("node0.a2b", 32);
-    dpdpu_check::tenant_op_issued("victim", 32);
-    dpdpu_check::tenant_op_ok("victim", 32);
+/// The sites one fleet member touches, one per check-point family.
+struct Member {
+    cpu: Site,
+    pcie: Site,
+    link: Site,
+    ssd: Site,
+    shard: Site,
+    fabric: Site,
+    tenant: Site,
+}
+
+impl Member {
+    fn new(i: usize) -> Self {
+        Member {
+            cpu: Site::new(&format!("node{i}.BlueField-2-cpu")),
+            pcie: Site::new(&format!("node{i}.pcie-host-dpu")),
+            link: Site::new(&format!("node{i}.rack-link")),
+            ssd: Site::new(&format!("node{i}.nvme0.read")),
+            shard: Site::new(&format!("node{i}")),
+            fabric: Site::new(&format!("node{i}.a2b")),
+            tenant: Site::new(&format!("tenant{i}")),
+        }
+    }
+
+    /// One event of every steady-state kind, dated `t`: 17 check-points.
+    fn round(&self, session: &CheckSession, t: u64) {
+        session.acquire(self.cpu, 8, 1);
+        session.span(self.cpu, "serve", t, t + 1);
+        session.release(self.cpu, 0);
+        dpdpu_check::pcie_in(self.pcie, 64);
+        dpdpu_check::pcie_done(self.pcie, 64);
+        dpdpu_check::link_in(self.link, 1_500);
+        dpdpu_check::link_delivered(self.link, 1_500);
+        dpdpu_check::ssd_in(self.ssd, 4_096);
+        dpdpu_check::ssd_done(self.ssd, 4_096);
+        dpdpu_check::cluster_op_issued(self.shard, 32);
+        dpdpu_check::cluster_op_ok(self.shard, 32);
+        dpdpu_check::fabric_msg_sent(self.fabric, 32);
+        dpdpu_check::fabric_msg_delivered(self.fabric, 32);
+        dpdpu_check::tenant_op_issued(self.tenant, 32);
+        dpdpu_check::tenant_op_ok(self.tenant, 32);
+        dpdpu_check::fault_injected("ssd_read");
+        dpdpu_check::fault_handled("ssd_read", "retried");
+    }
+}
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 #[test]
 fn check_points_on_known_sites_do_not_allocate() {
+    let fleet: Vec<Member> = (0..1_024).map(Member::new).collect();
+    let late = Member::new(fleet.len());
     let session = CheckSession::install();
-    round(&session, 0);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for t in 1..=1_000 {
-        round(&session, t);
-    }
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    let pass = |t: u64| fleet.iter().for_each(|m| m.round(&session, t));
+    pass(0);
+    let steady = allocations_during(|| pass(1));
+
+    // A site first seen mid-run may grow each family's table to cover
+    // its id, once, and never again.
+    let first = allocations_during(|| late.round(&session, 2));
+    let later = allocations_during(|| (3..100).for_each(|t| late.round(&session, t)));
+
     let violations = session.finish();
     CheckSession::uninstall();
     assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(
-        allocated, 0,
-        "15 000 check-points on known sites allocated {allocated} times"
+        steady, 0,
+        "17 408 check-points on 7 168 known sites allocated {steady} times"
     );
+    assert!(first <= 7, "a new site allocated {first} times");
+    assert_eq!(later, 0, "a once-seen site allocated {later} more times");
 }

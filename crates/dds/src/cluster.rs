@@ -38,7 +38,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use dpdpu_core::DpdpuError;
-use dpdpu_des::{Counter, Semaphore};
+use dpdpu_des::{Counter, Semaphore, Site};
 use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, PcieLink, Platform};
 use dpdpu_net::fabric::{Endpoint, FabricKind};
 use dpdpu_net::NetConfig;
@@ -419,7 +419,10 @@ impl DdsCluster {
 
 /// One client's connections to one replica group.
 struct GroupConn {
+    /// The shard's stable label (`"node<g>"`): telemetry tag, and as
+    /// `site` the key of its conservation ledger.
     label: String,
+    site: Site,
     /// One connection per replica; ops route to the current primary.
     clients: Vec<Rc<DdsClient>>,
     admission: Semaphore,
@@ -488,6 +491,7 @@ impl ClusterClient {
                 .collect();
             conns.push(Rc::new(GroupConn {
                 admission: Semaphore::new_labeled(&format!("{label}.admission"), self.admission),
+                site: Site::new(&label),
                 label,
                 clients,
                 shed: Counter::new(),
@@ -512,13 +516,13 @@ impl ClusterClient {
             Op::DropKeys { keys, .. } => 8 * keys.len() as u64,
             _ => 8,
         };
-        dpdpu_check::cluster_op_issued(&conn.label, bytes);
+        dpdpu_check::cluster_op_issued(conn.site, bytes);
         let _permit = if admit {
             match conn.admission.try_acquire() {
                 Some(p) => Some(p),
                 None => {
                     conn.shed.inc();
-                    dpdpu_check::cluster_op_failed(&conn.label, bytes);
+                    dpdpu_check::cluster_op_failed(conn.site, bytes);
                     dpdpu_telemetry::count("cluster_shed", &[("shard", &conn.label)]);
                     return Err(DpdpuError::Unavailable("shard admission window"));
                 }
@@ -529,8 +533,8 @@ impl ClusterClient {
         dpdpu_telemetry::count("cluster_requests", &[("shard", &conn.label)]);
         let result = self.routed_call(&conn, group, op).await;
         match &result {
-            Ok(_) => dpdpu_check::cluster_op_ok(&conn.label, bytes),
-            Err(_) => dpdpu_check::cluster_op_failed(&conn.label, bytes),
+            Ok(_) => dpdpu_check::cluster_op_ok(conn.site, bytes),
+            Err(_) => dpdpu_check::cluster_op_failed(conn.site, bytes),
         }
         result
     }

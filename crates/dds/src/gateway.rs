@@ -38,7 +38,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dpdpu_core::{DpdpuError, SloClass, TenantSpec};
-use dpdpu_des::{now, oneshot, spawn, Drr, Histogram, OneshotSender, Semaphore};
+use dpdpu_des::{now, oneshot, spawn, Drr, Histogram, OneshotSender, Semaphore, Site};
 
 use crate::cluster::ClusterClient;
 use crate::proto::{Op, Reply};
@@ -117,6 +117,8 @@ struct Job {
 /// Live state for one tenant.
 struct TenantState {
     spec: TenantSpec,
+    /// `spec.name` interned: the key of the tenant's conformance ledger.
+    site: Site,
     /// Token bucket: fractional tokens plus the last refill instant.
     tokens: Cell<f64>,
     refilled_at: Cell<u64>,
@@ -132,6 +134,7 @@ impl TenantState {
     fn new(spec: TenantSpec) -> Self {
         let burst = spec.burst_ops as f64;
         TenantState {
+            site: Site::new(&spec.name),
             spec,
             tokens: Cell::new(burst),
             refilled_at: Cell::new(0),
@@ -267,7 +270,7 @@ impl Gateway {
         let name = &state.spec.name;
         let slo = state.spec.slo.label();
         state.issued.set(state.issued.get() + 1);
-        dpdpu_check::tenant_op_issued(name, cost);
+        dpdpu_check::tenant_op_issued(state.site, cost);
         dpdpu_telemetry::count("gateway_requests", &[("tenant", name), ("slo", slo)]);
         if self.fair {
             if !state.take_token() {
@@ -303,18 +306,18 @@ impl Gateway {
                 {
                     h.record(now() - t0);
                 }
-                dpdpu_check::tenant_op_ok(name, cost);
+                dpdpu_check::tenant_op_ok(state.site, cost);
             }
             Err(DpdpuError::Unavailable(_)) => {
                 // Downstream shed (shard admission window): the tenant
                 // still sees it as shed load.
                 state.shed.set(state.shed.get() + 1);
                 dpdpu_telemetry::count("gateway_shed", &[("tenant", name)]);
-                dpdpu_check::tenant_op_shed(name, cost);
+                dpdpu_check::tenant_op_shed(state.site, cost);
             }
             Err(_) => {
                 state.errors.set(state.errors.get() + 1);
-                dpdpu_check::tenant_op_failed(name, cost);
+                dpdpu_check::tenant_op_failed(state.site, cost);
             }
         }
         result
@@ -323,7 +326,7 @@ impl Gateway {
     /// Records a gateway-side shed and returns the error to surface.
     fn shed(&self, state: &TenantState, cost: u64, reason: &'static str) -> DpdpuError {
         state.shed.set(state.shed.get() + 1);
-        dpdpu_check::tenant_op_shed(&state.spec.name, cost);
+        dpdpu_check::tenant_op_shed(state.site, cost);
         dpdpu_telemetry::count("gateway_shed", &[("tenant", &state.spec.name)]);
         DpdpuError::Unavailable(reason)
     }
@@ -355,12 +358,12 @@ impl Gateway {
                 drop(permit);
                 continue;
             };
-            let name = &self.tenants[job.tenant].spec.name;
+            let tenant = self.tenants[job.tenant].site;
             // Grant and dispatch are adjacent by construction; the
             // qos-isolation invariant exists to catch any *other* path
             // reaching the fabric without passing this point.
-            dpdpu_check::qos_granted(name);
-            dpdpu_check::tenant_dispatched(name);
+            dpdpu_check::qos_granted(tenant);
+            dpdpu_check::tenant_dispatched(tenant);
             let gw = self.clone();
             spawn(async move {
                 let result = gw.client.call(job.op).await;

@@ -518,7 +518,7 @@ mod tests {
     /// range as `key 0, len 0` records until the next real record no
     /// longer sits on a record boundary.
     #[test]
-    #[ignore = "ROADMAP item 4"]
+    #[ignore = "ROADMAP item 3"]
     fn failed_put_must_not_poison_recovery() {
         let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
         dpdpu_des::block_on(async {

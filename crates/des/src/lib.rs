@@ -51,6 +51,7 @@ pub use domain::{DomainHooks, DomainSet, NoHooks, XReceiver, XSender};
 pub use drr::Drr;
 pub use executor::{block_on, now, sleep, sleep_until, spawn, try_now, yield_now, JoinHandle, Sim};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
+pub use probe::Site;
 pub use semaphore::{Permit, Semaphore};
 pub use server::Server;
 pub use stats::{Counter, Gauge, Histogram};

@@ -17,32 +17,91 @@
 //! thread-local `Cell<bool>` so the disabled-path cost in
 //! `Server::process` is one predictable branch — no `RefCell` borrow,
 //! no virtual call.
+//!
+//! Events name their resource by [`Site`], a handle the resource interns
+//! once at construction, so a sink keys its per-resource state by array
+//! index instead of comparing names on every event.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::time::Time;
+
+/// An interned resource name: what every probe event and conformance
+/// check-point carries instead of a string.
+///
+/// [`Site::new`] interns into an append-only, thread-local table —
+/// instrumented resources are `Rc` and never leave the thread that built
+/// them. Ids are dense per thread and follow interning order, which
+/// under a multi-threaded runner is OS-scheduling order: key state by
+/// [`Site::index`], but order and print by [`Site::name`] only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Site(u32);
+
+#[derive(Default)]
+struct SiteTable {
+    ids: HashMap<Rc<str>, Site>,
+    names: Vec<Rc<str>>,
+}
+
+impl Site {
+    /// The handle for `name`, interned on first sight. Meant for
+    /// constructors: a hash lookup, plus one allocation for a new name.
+    pub fn new(name: &str) -> Site {
+        SITES.with(|t| {
+            let mut t = t.borrow_mut();
+            if let Some(&site) = t.ids.get(name) {
+                return site;
+            }
+            let site = Site(u32::try_from(t.names.len()).expect("site table overflow"));
+            let name: Rc<str> = Rc::from(name);
+            t.names.push(name.clone());
+            t.ids.insert(name, site);
+            site
+        })
+    }
+
+    /// Dense per-thread index, for `Vec`-backed per-site state.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The interned name. For cold paths: reports, sweeps, violation
+    /// messages, a sink's first sight of the site.
+    pub fn name(self) -> Rc<str> {
+        SITES.with(|t| t.borrow().names[self.index()].clone())
+    }
+}
+
+/// Prints the interned name (a table lookup: for messages, not events).
+impl std::fmt::Display for Site {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.name())
+    }
+}
 
 /// Receiver for instrumentation events from the DES substrate.
 ///
 /// All methods except [`Probe::span`] have default no-op bodies so a
 /// sink only pays for the events it cares about.
 pub trait Probe {
-    /// A resource named `track` spent `start..end` doing `name`
+    /// The resource at `track` spent `start..end` doing `name`
     /// (e.g. `("cpu-dpu", "wait")` or `("accel-Compress", "serve")`).
-    fn span(&self, track: &str, name: &'static str, start: Time, end: Time);
+    fn span(&self, track: Site, name: &'static str, start: Time, end: Time);
 
     /// A permit of the labeled semaphore `track` was handed out.
     /// `in_flight` is the number of permits outstanding *after* this
     /// acquire; `capacity` is the semaphore's total permit count.
-    fn acquire(&self, track: &str, capacity: usize, in_flight: usize) {
+    fn acquire(&self, track: Site, capacity: usize, in_flight: usize) {
         let _ = (track, capacity, in_flight);
     }
 
     /// A permit of the labeled semaphore `track` was returned.
     /// `in_flight` is the number of permits outstanding *after* this
     /// release.
-    fn release(&self, track: &str, in_flight: usize) {
+    fn release(&self, track: Site, in_flight: usize) {
         let _ = (track, in_flight);
     }
 
@@ -62,6 +121,7 @@ thread_local! {
     static PROBE: RefCell<Option<Rc<dyn Probe>>> = const { RefCell::new(None) };
     static CHECKER: RefCell<Option<Rc<dyn Probe>>> = const { RefCell::new(None) };
     static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static SITES: RefCell<SiteTable> = RefCell::default();
 }
 
 fn refresh_enabled() {
@@ -107,7 +167,7 @@ fn each_sink(f: impl Fn(&dyn Probe)) {
 
 /// Delivers one interval to the installed sinks, if any.
 #[inline]
-pub fn emit_span(track: &str, name: &'static str, start: Time, end: Time) {
+pub fn emit_span(track: Site, name: &'static str, start: Time, end: Time) {
     if !probe_enabled() {
         return;
     }
@@ -116,7 +176,7 @@ pub fn emit_span(track: &str, name: &'static str, start: Time, end: Time) {
 
 /// Delivers one semaphore-acquire event to the installed sinks, if any.
 #[inline]
-pub fn emit_acquire(track: &str, capacity: usize, in_flight: usize) {
+pub fn emit_acquire(track: Site, capacity: usize, in_flight: usize) {
     if !probe_enabled() {
         return;
     }
@@ -125,7 +185,7 @@ pub fn emit_acquire(track: &str, capacity: usize, in_flight: usize) {
 
 /// Delivers one semaphore-release event to the installed sinks, if any.
 #[inline]
-pub fn emit_release(track: &str, in_flight: usize) {
+pub fn emit_release(track: Site, in_flight: usize) {
     if !probe_enabled() {
         return;
     }
@@ -166,17 +226,17 @@ mod tests {
     }
 
     impl Probe for Recorder {
-        fn span(&self, track: &str, name: &'static str, start: Time, end: Time) {
+        fn span(&self, track: Site, name: &'static str, start: Time, end: Time) {
             self.events
                 .borrow_mut()
                 .push((track.to_string(), name, start, end));
         }
-        fn acquire(&self, track: &str, capacity: usize, in_flight: usize) {
+        fn acquire(&self, track: Site, capacity: usize, in_flight: usize) {
             self.acquires
                 .borrow_mut()
                 .push((track.to_string(), capacity, in_flight));
         }
-        fn release(&self, track: &str, in_flight: usize) {
+        fn release(&self, track: Site, in_flight: usize) {
             self.releases
                 .borrow_mut()
                 .push((track.to_string(), in_flight));
@@ -185,6 +245,53 @@ mod tests {
             assert!(to >= from, "clock went backwards: {from} -> {to}");
             self.advances.set(self.advances.get() + 1);
         }
+    }
+
+    fn site_count() -> usize {
+        SITES.with(|t| t.borrow().names.len())
+    }
+
+    #[test]
+    fn site_interns_each_name_once() {
+        let a = Site::new("probe-test.a");
+        let b = Site::new("probe-test.b");
+        assert_eq!(a, Site::new("probe-test.a"), "same name, same id");
+        assert_ne!(a, b, "distinct names, distinct ids");
+        assert_eq!((&*a.name(), &*b.name()), ("probe-test.a", "probe-test.b"));
+
+        // The table grows per name, not per instance.
+        let before = site_count();
+        let servers: Vec<_> = (0..1_000).map(|_| Server::new("probe-test.x", 1)).collect();
+        assert_eq!(site_count(), before + 1);
+        assert!(servers.iter().all(|s| s.site() == servers[0].site()));
+        assert_eq!(&*servers[0].site().name(), "probe-test.x");
+    }
+
+    /// The order of every figure: `DpdpuBuilder::boot` builds the
+    /// resources, then a sink is installed. An id interned before the
+    /// sink existed must reach it with the right name.
+    #[test]
+    fn site_interned_before_the_sink_is_installed_is_accounted() {
+        let server = Server::new("probe-test.early", 2);
+        let rec = Rc::new(Recorder::default());
+        set_checker(Some(rec.clone()));
+        let mut sim = Sim::new();
+        let s2 = server.clone();
+        sim.spawn(async move { s2.process(5).await });
+        sim.run();
+        set_checker(None);
+        assert_eq!(
+            *rec.acquires.borrow(),
+            [("probe-test.early".to_string(), 2, 1)]
+        );
+        assert_eq!(
+            *rec.releases.borrow(),
+            [("probe-test.early".to_string(), 0)]
+        );
+        assert_eq!(
+            *rec.events.borrow(),
+            [("probe-test.early".to_string(), "serve", 0, 5)]
+        );
     }
 
     #[test]
@@ -218,9 +325,10 @@ mod tests {
         set_probe(None);
         set_checker(None);
         assert!(!probe_enabled());
-        emit_span("x", "y", 0, 1); // must be a no-op, not a panic
-        emit_acquire("x", 1, 1);
-        emit_release("x", 0);
+        let x = Site::new("x");
+        emit_span(x, "y", 0, 1); // must be a no-op, not a panic
+        emit_acquire(x, 1, 1);
+        emit_release(x, 0);
         emit_advance(0, 1);
         let mut sim = Sim::new();
         sim.spawn(async {

@@ -12,6 +12,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use crate::probe::Site;
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum WaitState {
     Waiting,
@@ -31,19 +33,19 @@ struct SemInner {
     /// Accounting label; labeled semaphores report acquire/release
     /// events through [`crate::probe`] so a conformance checker can
     /// balance them. `None` keeps the semaphore silent.
-    label: Option<Rc<str>>,
+    label: Option<Site>,
     waiters: VecDeque<Rc<Waiter>>,
 }
 
 impl SemInner {
     fn note_acquire(&self) {
-        if let Some(label) = &self.label {
+        if let Some(label) = self.label {
             crate::probe::emit_acquire(label, self.capacity, self.capacity - self.permits);
         }
     }
 
     fn note_release(&self) {
-        if let Some(label) = &self.label {
+        if let Some(label) = self.label {
             crate::probe::emit_release(label, self.capacity - self.permits);
         }
     }
@@ -79,24 +81,24 @@ pub struct Semaphore {
 impl Semaphore {
     /// Creates a semaphore with `permits` initial permits.
     pub fn new(permits: usize) -> Self {
-        Semaphore {
-            inner: Rc::new(RefCell::new(SemInner {
-                permits,
-                capacity: permits,
-                label: None,
-                waiters: VecDeque::new(),
-            })),
-        }
+        Self::build(None, permits)
     }
 
     /// Creates a semaphore that reports acquire/release accounting
-    /// events under `label` (see [`crate::probe`]).
+    /// events under `label` (see [`crate::probe`]), interned here so
+    /// the events carry an id, not a string.
     pub fn new_labeled(label: &str, permits: usize) -> Self {
+        Self::build(Some(Site::new(label)), permits)
+    }
+
+    /// `label`: a name the caller already interned ([`crate::Server`]
+    /// shares its site with its slot semaphore), or `None` for silence.
+    pub(crate) fn build(label: Option<Site>, permits: usize) -> Self {
         Semaphore {
             inner: Rc::new(RefCell::new(SemInner {
                 permits,
                 capacity: permits,
-                label: Some(Rc::from(label)),
+                label,
                 waiters: VecDeque::new(),
             })),
         }

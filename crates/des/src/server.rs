@@ -10,13 +10,14 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::executor::{now, sleep};
-use crate::probe;
+use crate::probe::{self, Site};
 use crate::semaphore::Semaphore;
 use crate::time::Time;
 
 /// A FIFO multi-slot service centre with busy-time accounting.
 pub struct Server {
     name: String,
+    site: Site,
     slots: usize,
     sem: Semaphore,
     busy_ns: Cell<u64>,
@@ -28,11 +29,13 @@ impl Server {
     pub fn new(name: impl Into<String>, slots: usize) -> Rc<Self> {
         assert!(slots > 0, "server needs at least one slot");
         let name = name.into();
-        // The slot semaphore carries the server name so a conformance
+        let site = Site::new(&name);
+        // The slot semaphore carries the server's site so a conformance
         // checker can balance acquires against releases per resource.
-        let sem = Semaphore::new_labeled(&name, slots);
+        let sem = Semaphore::build(Some(site), slots);
         Rc::new(Server {
             name,
+            site,
             slots,
             sem,
             busy_ns: Cell::new(0),
@@ -43,6 +46,13 @@ impl Server {
     /// Server name (for reports).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The interned name this server's probe events carry. Models
+    /// wrapping one server (a link's wire, a PCIe lane) book their
+    /// conformance check-points under it.
+    pub fn site(&self) -> Site {
+        self.site
     }
 
     /// Number of parallel slots.
@@ -64,13 +74,13 @@ impl Server {
         if let Some(t0) = queued_at {
             let t1 = now();
             if t1 > t0 {
-                probe::emit_span(&self.name, "wait", t0, t1);
+                probe::emit_span(self.site, "wait", t0, t1);
             }
         }
         let started = queued_at.map(|_| now());
         sleep(service_ns).await;
         if let Some(t0) = started {
-            probe::emit_span(&self.name, "serve", t0, now());
+            probe::emit_span(self.site, "serve", t0, now());
         }
         self.busy_ns.set(self.busy_ns.get() + service_ns);
         self.completed.set(self.completed.get() + 1);

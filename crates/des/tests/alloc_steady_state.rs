@@ -47,11 +47,12 @@ fn allocations() -> u64 {
 fn disabled_probe_and_steady_state_loop_do_not_allocate() {
     // Part 1: probe emission with no probe installed.
     probe::set_probe(None);
+    let engine = probe::Site::new("engine");
     let before = allocations();
     for i in 0..10_000u64 {
-        probe::emit_span("engine", "op", i, i + 1);
-        probe::emit_acquire("engine", 4, 1);
-        probe::emit_release("engine", 0);
+        probe::emit_span(engine, "op", i, i + 1);
+        probe::emit_acquire(engine, 4, 1);
+        probe::emit_release(engine, 0);
         probe::emit_advance(i, i + 1);
         probe::emit_epoch();
     }

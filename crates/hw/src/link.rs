@@ -161,12 +161,12 @@ impl<T: 'static> Link<T> {
         }
         let frame = make(marked);
         self.bytes_sent.add(bytes);
-        dpdpu_check::link_in(self.wire.name(), bytes);
+        dpdpu_check::link_in(self.wire.site(), bytes);
         let lost =
             self.cfg.loss_rate > 0.0 && self.rng.borrow_mut().random_bool(self.cfg.loss_rate);
         if lost {
             self.dropped.inc();
-            dpdpu_check::link_dropped(self.wire.name(), bytes);
+            dpdpu_check::link_dropped(self.wire.site(), bytes);
             return;
         }
         // Injected faults sit on top of the link's own loss model. A
@@ -180,7 +180,7 @@ impl<T: 'static> Link<T> {
         match verdict {
             dpdpu_faults::LinkVerdict::Drop => {
                 self.dropped.inc();
-                dpdpu_check::link_dropped(self.wire.name(), bytes);
+                dpdpu_check::link_dropped(self.wire.site(), bytes);
                 return;
             }
             dpdpu_faults::LinkVerdict::Delay(extra_ns) => {
@@ -189,7 +189,7 @@ impl<T: 'static> Link<T> {
             dpdpu_faults::LinkVerdict::Deliver => {}
         }
         self.delivered.inc();
-        dpdpu_check::link_delivered(self.wire.name(), bytes);
+        dpdpu_check::link_delivered(self.wire.site(), bytes);
         let this = self.clone();
         spawn(async move {
             sleep(this.cfg.propagation_ns).await;

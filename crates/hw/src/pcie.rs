@@ -48,14 +48,14 @@ impl PcieLink {
     /// Moves `bytes` across the link (either direction): engine setup,
     /// FIFO serialization, then the PCIe round-trip for the completion.
     pub async fn dma(&self, bytes: u64) {
-        dpdpu_check::pcie_in(self.lane.name(), bytes);
+        dpdpu_check::pcie_in(self.lane.site(), bytes);
         self.lane
             .process(self.setup_ns + transmit_ns(bytes, self.bytes_per_sec * 8))
             .await;
         sleep(self.rtt_ns).await;
         self.transactions.inc();
         self.bytes_moved.add(bytes);
-        dpdpu_check::pcie_done(self.lane.name(), bytes);
+        dpdpu_check::pcie_done(self.lane.site(), bytes);
     }
 
     /// A small read of a remote descriptor/doorbell (polling path):

@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use dpdpu_des::{sleep, transmit_ns, Counter, Semaphore, Server, Time};
+use dpdpu_des::{sleep, transmit_ns, Counter, Semaphore, Server, Site, Time};
 use dpdpu_faults::{IoOp, IoVerdict};
 
 use crate::costs;
@@ -48,9 +48,9 @@ pub struct Ssd {
 
 /// One direction of the device: what a read and a write do not share.
 struct Lane {
-    /// Conformance site label (`"<name>.read"` / `"<name>.write"`),
-    /// precomputed so the per-op check-point is allocation-free.
-    site: String,
+    /// Conformance site (`"<name>.read"` / `"<name>.write"`), interned
+    /// once so the per-op check-point is an array index.
+    site: Site,
     lat_ns: Time,
     bw: Rc<Server>,
     bytes_per_sec: u64,
@@ -80,7 +80,7 @@ impl Ssd {
     ) -> Rc<Self> {
         assert!(queue_depth > 0, "queue depth must be positive");
         let lane = |dir: &str, track: &str, lat_ns, bytes_per_sec| Lane {
-            site: format!("{name}.{dir}"),
+            site: Site::new(&format!("{name}.{dir}")),
             lat_ns,
             bw: Server::new(format!("{name}-{track}"), 1),
             bytes_per_sec,
@@ -122,13 +122,13 @@ impl Ssd {
             IoOp::Write => (&self.wr, &self.writes, &self.bytes_written, IoError::Write),
         };
         let _slot = self.queue.acquire().await;
-        dpdpu_check::ssd_in(&lane.site, bytes);
+        dpdpu_check::ssd_in(lane.site, bytes);
         let verdict = dpdpu_faults::ssd_verdict(op);
         sleep(lane.lat_ns).await;
         match verdict {
             IoVerdict::Fail => {
                 self.io_errors.inc();
-                dpdpu_check::ssd_failed(&lane.site, bytes);
+                dpdpu_check::ssd_failed(lane.site, bytes);
                 return Err(error);
             }
             IoVerdict::Slow(extra_ns) => sleep(extra_ns).await,
@@ -139,7 +139,7 @@ impl Ssd {
             .await;
         ops.inc();
         moved.add(bytes);
-        dpdpu_check::ssd_done(&lane.site, bytes);
+        dpdpu_check::ssd_done(lane.site, bytes);
         Ok(())
     }
 

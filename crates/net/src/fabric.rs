@@ -56,7 +56,7 @@
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use dpdpu_des::{channel, race, sleep, spawn, Either, Receiver, Sender, Time};
+use dpdpu_des::{channel, race, sleep, spawn, Either, Receiver, Sender, Site, Time};
 use dpdpu_hw::{CpuPool, PcieLink, Platform};
 
 use crate::config::NetConfig;
@@ -291,8 +291,8 @@ impl NetConfig {
                 cfg.loss_rate = 0.0;
                 let (qa, qb) =
                     rdma_pair_named(a_issuer, b_issuer, cfg, &format!("{label}.rdma"), true);
-                let a2b = format!("{label}.a2b");
-                let b2a = format!("{label}.b2a");
+                let a2b = Site::new(&format!("{label}.a2b"));
+                let b2a = Site::new(&format!("{label}.b2a"));
                 let a_io = if offload {
                     let (a_dpu, a_pcie) = dpu_of(a, "client");
                     let (qp, stream) = offload_qp_with_recv(a.host_cpu.clone(), a_dpu, a_pcie, qa);
@@ -303,7 +303,7 @@ impl NetConfig {
                 let b_io = qp_io(qb, if offload { None } else { pcie_of(b) });
                 let params = self.fabric_params;
                 (
-                    spawn_endpoint(a_io, params, a2b.clone(), b2a.clone()),
+                    spawn_endpoint(a_io, params, a2b, b2a),
                     spawn_endpoint(b_io, params, b2a, a2b),
                 )
             }
@@ -465,8 +465,8 @@ async fn wqe_gate() {
 fn spawn_endpoint(
     (tx_io, mut rx_io): (FabricTx, FabricRx),
     params: FabricParams,
-    site_out: String,
-    site_in: String,
+    site_out: Site,
+    site_in: Site,
 ) -> (FabricSender, FabricReceiver) {
     let (app_in_tx, mut app_in_rx) = channel::<Bytes>();
     let (app_out_tx, app_out_rx) = channel::<Bytes>();
@@ -477,13 +477,12 @@ fn spawn_endpoint(
     // wire channel, the wire pump exits, and the transport I/O handles
     // drop — which hangs up an NE ring and lets its poller exit.
     let (shutdown_tx, mut shutdown_rx) = channel::<()>();
-    dpdpu_check::fabric_conn_open(&site_out, params.credit_window as u64);
+    dpdpu_check::fabric_conn_open(site_out, params.credit_window as u64);
 
     // Send pump: gate each data message on the credit window, then
     // issue it. Grants from the receive pump bypass the window.
     {
         let wire_tx = wire_tx.clone();
-        let site_out = site_out.clone();
         spawn(async move {
             let mut avail = params.credit_window;
             while let Some(msg) = app_in_rx.recv().await {
@@ -494,10 +493,10 @@ fn spawn_endpoint(
                     }
                 }
                 avail -= 1;
-                dpdpu_check::fabric_credit_consumed(&site_out, 1);
+                dpdpu_check::fabric_credit_consumed(site_out, 1);
                 let len = msg.len();
                 let framed = encode(TAG_DATA, 0, &msg);
-                dpdpu_check::fabric_msg_sent(&site_out, len as u64);
+                dpdpu_check::fabric_msg_sent(site_out, len as u64);
                 if wire_tx.send((framed, len >= BULK_THRESHOLD)).is_err() {
                     return;
                 }
@@ -519,42 +518,38 @@ fn spawn_endpoint(
     // Receive pump: demultiplex grants from data, deliver payloads to
     // the application, and grant credits back once half a window is
     // owed.
-    {
-        let site_in = site_in.clone();
-        let site_out = site_out.clone();
-        spawn(async move {
-            let mut owed = 0u32;
-            loop {
-                let raw = match race(rx_io.recv(), shutdown_rx.recv()).await {
-                    Either::Left(Some(raw)) => raw,
-                    // Transport closed, or the application hung up.
-                    Either::Left(None) | Either::Right(_) => return,
-                };
-                let (tag, credits, payload) = decode(raw);
-                if credits > 0 {
-                    dpdpu_check::fabric_credit_returned(&site_out, credits as u64);
-                    if credit_tx.send(credits).is_err() {
-                        return;
-                    }
-                }
-                if tag != TAG_DATA {
-                    continue;
-                }
-                dpdpu_check::fabric_msg_delivered(&site_in, payload.len() as u64);
-                if app_out_tx.send(payload).is_err() {
+    spawn(async move {
+        let mut owed = 0u32;
+        loop {
+            let raw = match race(rx_io.recv(), shutdown_rx.recv()).await {
+                Either::Left(Some(raw)) => raw,
+                // Transport closed, or the application hung up.
+                Either::Left(None) | Either::Right(_) => return,
+            };
+            let (tag, credits, payload) = decode(raw);
+            if credits > 0 {
+                dpdpu_check::fabric_credit_returned(site_out, credits as u64);
+                if credit_tx.send(credits).is_err() {
                     return;
                 }
-                owed += 1;
-                if owed * 2 >= params.credit_window {
-                    let grant = encode(TAG_CREDIT, owed, &Bytes::new());
-                    owed = 0;
-                    if wire_tx.send((grant, false)).is_err() {
-                        return;
-                    }
+            }
+            if tag != TAG_DATA {
+                continue;
+            }
+            dpdpu_check::fabric_msg_delivered(site_in, payload.len() as u64);
+            if app_out_tx.send(payload).is_err() {
+                return;
+            }
+            owed += 1;
+            if owed * 2 >= params.credit_window {
+                let grant = encode(TAG_CREDIT, owed, &Bytes::new());
+                owed = 0;
+                if wire_tx.send((grant, false)).is_err() {
+                    return;
                 }
             }
-        });
-    }
+        }
+    });
 
     (
         FabricSender {

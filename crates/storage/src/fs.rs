@@ -471,7 +471,7 @@ mod tests {
     /// serial device reads (160 µs instead of 78 µs for a 4 KiB KV value).
     /// Merging adjacent extents moves every KV golden.
     #[test]
-    #[ignore = "ROADMAP item 4"]
+    #[ignore = "ROADMAP item 3"]
     fn appended_file_stays_one_extent() {
         run_fs_test(|fs| async move {
             let id = fs.create("log").unwrap();

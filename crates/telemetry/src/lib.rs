@@ -51,7 +51,7 @@ mod summary;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dpdpu_des::probe::{self, Probe};
+use dpdpu_des::probe::{self, Probe, Site};
 use dpdpu_des::Time;
 
 pub use chrome::merge_traces;
@@ -73,6 +73,13 @@ pub struct Telemetry {
     /// probe path stays allocation-free. Unassigned tracks land under
     /// [`SIM_PROCESS`].
     track_process: RefCell<std::collections::HashMap<Sym, Sym, intern::FnvBuild>>,
+    /// The track symbol of each des [`Site`], by [`Site::index`], filled
+    /// in at the site's first span: a server's later spans skip the
+    /// string intern. Not filled at construction, and the owning device
+    /// is not cached beside it ([`Telemetry::assign_track`] may come
+    /// later): symbol ids follow first-intern order, and the exported
+    /// trace's bytes follow symbol ids.
+    site_tracks: RefCell<Vec<Option<Sym>>>,
 }
 
 /// Device name used for tracks nobody claimed.
@@ -86,13 +93,13 @@ thread_local! {
 struct DesProbe;
 
 impl Probe for DesProbe {
-    fn span(&self, track: &str, name: &'static str, start: Time, end: Time) {
+    fn span(&self, track: Site, name: &'static str, start: Time, end: Time) {
         if let Some(t) = Telemetry::current() {
-            // Labels repeat per resource, so after the first event for a
-            // track this is three hash lookups and a Vec push — no heap
-            // allocation on the per-event path.
+            // After a site's first event this is an array index, two
+            // hash lookups and a Vec push — no heap allocation on the
+            // per-event path.
             let intern = t.tracer.interner();
-            let track = intern.intern(track);
+            let track = t.track_sym(track);
             let process = t.process_sym_for(track);
             t.tracer
                 .record_syms(process, track, intern.intern(name), start, end, Vec::new());
@@ -110,6 +117,7 @@ impl Telemetry {
             registry: Registry::new(),
             sampler: sampler::SampleStore::new(),
             track_process: RefCell::new(std::collections::HashMap::default()),
+            site_tracks: RefCell::new(Vec::new()),
         });
         CURRENT.with(|c| *c.borrow_mut() = Some(t.clone()));
         probe::set_probe(Some(Rc::new(DesProbe)));
@@ -173,6 +181,15 @@ impl Telemetry {
             .interner()
             .resolve(self.process_sym_for(track))
             .to_string()
+    }
+
+    /// The track symbol for a des site, interned at its first event.
+    fn track_sym(&self, site: Site) -> Sym {
+        let mut tracks = self.site_tracks.borrow_mut();
+        if site.index() >= tracks.len() {
+            tracks.resize(site.index() + 1, None);
+        }
+        *tracks[site.index()].get_or_insert_with(|| self.tracer.interner().intern(&site.name()))
     }
 
     /// Symbol-level [`Telemetry::process_for`] for per-event use.

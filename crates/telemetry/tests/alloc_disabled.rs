@@ -35,13 +35,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 #[test]
 fn disabled_spans_do_not_allocate() {
     Telemetry::uninstall();
+    let engine = dpdpu_des::Site::new("engine");
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..10_000u64 {
         let mut guard = dpdpu_telemetry::span("dpu", "engine", "op");
         guard.attr("i", i & 7);
         drop(guard);
         dpdpu_telemetry::record_span("dpu", "engine", "op", i, i + 1, &[("k", "v")]);
-        dpdpu_des::probe::emit_span("engine", "op", i, i + 1);
+        dpdpu_des::probe::emit_span(engine, "op", i, i + 1);
     }
     assert_eq!(
         ALLOCS.load(Ordering::Relaxed) - before,

@@ -21,14 +21,13 @@
 //! at a production rate of 5M req/s per server, matching Figure 9's
 //! scaling.
 
-use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
+use dpdpu_dds::cluster::ClusterConfig;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::DdsConfig;
-use dpdpu_des::block_on;
-use dpdpu_hw::CpuPool;
 use dpdpu_net::NetConfig;
 
-use crate::fleet::{preload, run_fleet, FleetConfig, KeyDist, Mix};
+use crate::cell::Cell;
+use crate::fleet::{FleetConfig, KeyDist, Mix};
 use crate::table::Table;
 
 pub(crate) const KEYS: u64 = 128;
@@ -173,8 +172,19 @@ pub(crate) fn measure(
     replicas: usize,
 ) -> Measurement {
     let clients = servers * CLIENTS_PER_SERVER;
-    block_on(async move {
-        let cluster = DdsCluster::build(ClusterConfig {
+    let fleet = FleetConfig {
+        clients,
+        ops_per_client: OPS_PER_CLIENT,
+        pipeline: 4,
+        gap_ns: 0,
+        dist,
+        mix: Mix::read_heavy(),
+        value_bytes: 256,
+        scan_len: 8,
+        ..FleetConfig::default()
+    };
+    let run = Cell {
+        cluster: ClusterConfig {
             shards: servers,
             vnodes: 512,
             net,
@@ -187,38 +197,21 @@ pub(crate) fn measure(
                 ..DdsConfig::default()
             },
             ..ClusterConfig::default()
-        })
-        .await;
+        },
         // A fleet CPU pool wide enough that the load generators are
         // never the bottleneck being measured.
-        let client = cluster.connect(CpuPool::new("fleet", (clients * 8).max(16), 3_000_000_000));
-        let cfg = FleetConfig {
-            clients,
-            ops_per_client: OPS_PER_CLIENT,
-            pipeline: 4,
-            gap_ns: 0,
-            dist,
-            mix: Mix::read_heavy(),
-            value_bytes: 256,
-            scan_len: 8,
-            seed: 42,
-        };
-        preload(&client, &cfg).await;
-        for i in 0..cluster.shards() {
-            cluster.platform(i).host_cpu.reset_stats();
-        }
-        let report = run_fleet(&client, cfg).await;
-        let host_busy_ns: u64 = (0..cluster.shards())
-            .map(|i| cluster.platform(i).host_cpu.busy_ns())
-            .sum();
-        Measurement {
-            agg_mops: report.throughput_mops(),
-            p50_us: report.p50_ns as f64 / 1e3,
-            p99_us: report.p99_ns as f64 / 1e3,
-            shed: report.shed,
-            host_cyc_per_req: host_busy_ns as f64 * 3.0 / report.ok.max(1) as f64,
-        }
-    })
+        pool_cores: (clients * 8).max(16),
+        ..Cell::fleet(fleet)
+    }
+    .run(42);
+    let report = run.fleet;
+    Measurement {
+        agg_mops: report.throughput_mops(),
+        p50_us: report.p50_ns as f64 / 1e3,
+        p99_us: report.p99_ns as f64 / 1e3,
+        shed: report.shed,
+        host_cyc_per_req: run.load_host_busy_ns as f64 * 3.0 / report.ok.max(1) as f64,
+    }
 }
 
 #[cfg(test)]

@@ -25,14 +25,11 @@
 //! seeds and fault regimes.
 
 use dpdpu_core::TenantSpec;
-use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
-use dpdpu_dds::gateway::{Gateway, GatewayConfig, TenantSnapshot};
-use dpdpu_des::block_on;
-use dpdpu_hw::CpuPool;
+use dpdpu_dds::cluster::ClusterConfig;
+use dpdpu_dds::gateway::{GatewayConfig, TenantSnapshot};
 
-use crate::fleet::{
-    preload, run_tenant_fleet, FleetConfig, KeyDist, Mix, TenantFleetReport, TenantWorkload,
-};
+use crate::cell::{Cell, Load, Preload};
+use crate::fleet::{KeyDist, Mix, TenantFleetReport, TenantWorkload};
 use crate::table::Table;
 
 const SHARDS: usize = 2;
@@ -114,6 +111,12 @@ fn batch_workload(tenant: usize) -> TenantWorkload {
     }
 }
 
+/// What the [`default_tenants`] offer, in their order: the saturating
+/// storm, the paced victim, the bursty scans.
+pub fn default_workloads() -> Vec<TenantWorkload> {
+    vec![storm_workload(true), steady_workload(1), batch_workload(2)]
+}
+
 /// One tenant's outcome across the solo and mixed runs.
 pub struct TenantOutcome {
     /// Gateway snapshot from the mixed run.
@@ -126,76 +129,56 @@ pub struct TenantOutcome {
     pub weight: u64,
 }
 
-/// Runs one fleet (any subset of tenants active) on a fresh cluster
-/// behind a gateway configured with *all* the specs, and returns the
-/// per-active-tenant `(fleet report, gateway snapshot)` pairs.
-fn measure(
-    specs: Vec<TenantSpec>,
-    workloads: Vec<TenantWorkload>,
-    fair: bool,
-    seed: u64,
-) -> Vec<(TenantFleetReport, TenantSnapshot)> {
-    block_on(async move {
-        let cluster = DdsCluster::build(ClusterConfig {
+/// One fleet (any subset of the tenants active) on a fresh cluster
+/// behind a gateway configured with *all* the specs.
+fn cell(specs: &[TenantSpec], workloads: Vec<TenantWorkload>, fair: bool) -> Cell {
+    let gateway = GatewayConfig {
+        dispatch_slots: DISPATCH_SLOTS,
+        fair,
+        ..GatewayConfig::new(specs.to_vec())
+    };
+    Cell {
+        cluster: ClusterConfig {
             shards: SHARDS,
             ..ClusterConfig::default()
-        })
-        .await;
-        let client = cluster.connect(CpuPool::new("gw-fleet", 64, 3_000_000_000));
-        preload(
-            &client,
-            &FleetConfig {
-                dist: KeyDist::Uniform { keys: KEYS },
-                ..FleetConfig::default()
-            },
-        )
-        .await;
-        let config = GatewayConfig {
-            dispatch_slots: DISPATCH_SLOTS,
-            fair,
-            ..GatewayConfig::new(specs)
-        };
-        let gw = Gateway::front(client, config);
-        let reports = run_tenant_fleet(&gw, &workloads, seed).await;
-        reports
-            .into_iter()
-            .map(|r| {
-                let snap = gw.snapshot(r.tenant);
-                (r, snap)
-            })
-            .collect()
-    })
-}
-
-/// Solo baseline p99 for one tenant: same cluster, same gateway
-/// config, only this tenant speaking (the storm tenant's baseline uses
-/// its well-behaved shape).
-fn solo_p99(specs: &[TenantSpec], workload: TenantWorkload, seed: u64) -> u64 {
-    let reports = measure(specs.to_vec(), vec![workload], true, seed);
-    reports[0].1.p99_ns
+        },
+        pool_label: "gw-fleet".into(),
+        pool_cores: 64,
+        preload: Preload {
+            keys: KEYS,
+            value_bytes: 256,
+        },
+        load: Load::Tenants(gateway, workloads),
+        ..Cell::default()
+    }
 }
 
 /// Full sweep at one seed: solo baselines, then the mixed storm run.
 /// `fair = false` reproduces the no-QoS baseline (single FIFO, limits
 /// off) that the known-sensitive isolation test proves is broken.
 pub fn sweep(specs: Vec<TenantSpec>, fair: bool, seed: u64) -> Vec<TenantOutcome> {
-    let mut workloads = vec![storm_workload(true), steady_workload(1), batch_workload(2)];
+    let mut workloads = default_workloads();
     // Extra victim tenants (the bin's `--tenants` flag) ride the steady
     // shape.
     for t in 3..specs.len() {
         workloads.push(steady_workload(t));
     }
+    // Solo baseline p99 per tenant: same cluster, same gateway config,
+    // only this tenant speaking (the storm tenant's baseline uses its
+    // well-behaved shape).
     let solo: Vec<u64> = workloads
         .iter()
         .enumerate()
         .map(|(i, w)| {
             let baseline = if i == 0 { storm_workload(false) } else { *w };
-            solo_p99(&specs, baseline, seed)
+            cell(&specs, vec![baseline], true).run(seed).snapshots[0].p99_ns
         })
         .collect();
-    let mixed = measure(specs.clone(), workloads, fair, seed);
+    let mixed = cell(&specs, workloads, fair).run(seed);
     mixed
+        .tenants
         .into_iter()
+        .zip(mixed.snapshots)
         .zip(solo)
         .map(|((fleet, snap), solo_p99_ns)| TenantOutcome {
             weight: specs[fleet.tenant].weight,

@@ -188,7 +188,8 @@ pub struct FleetConfig {
     pub value_bytes: usize,
     /// Keys returned per scan.
     pub scan_len: u32,
-    /// Seeds every client RNG (client `c` uses `seed * 1000 + c`).
+    /// Seeds every client RNG (client `c` uses `seed * 1000 + c`, hence
+    /// at most 1000 clients).
     pub seed: u64,
 }
 
@@ -212,7 +213,7 @@ impl Default for FleetConfig {
 }
 
 /// What the fleet observed: conservation split + latency statistics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FleetReport {
     /// Requests issued (== ok + shed + errors).
     pub issued: u64,
@@ -348,6 +349,12 @@ where
     F: FnMut(&mut StdRng) -> Fut + Clone + 'static,
     Fut: Future<Output = Result<(), DpdpuError>> + 'static,
 {
+    // Every caller's seed formula strides clients by 1 and runs by at
+    // least 1000, so client 1000 of one seed is client 0 of the next.
+    assert!(
+        n <= 1_000,
+        "more than 1000 clients would share RNG seeds across runs: {n}"
+    );
     let outcomes = Rc::new(Outcomes::default());
     let tasks: Vec<_> = (0..n as u64)
         .map(|c| {
@@ -523,11 +530,6 @@ pub async fn run_tenant_fleet(
     for (wi, w) in workloads.iter().enumerate() {
         let w = *w;
         assert!(w.tasks > 0 && w.pipeline > 0, "degenerate tenant workload");
-        assert!(
-            w.tasks <= 1_000,
-            "tenant {}: more than 1000 tasks would share RNG seeds",
-            w.tenant
-        );
         assert!(w.logical_clients > 0, "tenant needs a client population");
         w.mix.validate();
         let gateway = gateway.clone();
@@ -589,9 +591,28 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
+    use dpdpu_core::TenantSpec;
+    use dpdpu_dds::gateway::GatewayConfig;
     use dpdpu_des::block_on;
-    use dpdpu_hw::CpuPool;
+
+    use crate::cell::{self, Load, Preload};
+
+    /// The default cluster behind a gateway over `specs`, preloaded with
+    /// `keys` default-sized values, under `workloads`.
+    fn tenant_cell(
+        specs: Vec<TenantSpec>,
+        keys: u64,
+        workloads: Vec<TenantWorkload>,
+    ) -> cell::Cell {
+        cell::Cell {
+            preload: Preload {
+                keys,
+                value_bytes: 256,
+            },
+            load: Load::Tenants(GatewayConfig::new(specs), workloads),
+            ..cell::Cell::default()
+        }
+    }
 
     /// Drives [`client_loop`] against a scripted in-memory target: every
     /// request sleeps `service_ns`, then resolves by its index (`Ok`,
@@ -677,49 +698,38 @@ mod tests {
         });
     }
 
-    /// A two-shard cluster client for the entry-validation tests.
-    async fn small_cluster() -> Rc<ClusterClient> {
-        let cluster = DdsCluster::build(ClusterConfig {
-            shards: 2,
-            ..ClusterConfig::default()
-        })
-        .await;
-        cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000))
-    }
-
     #[test]
     #[should_panic(expected = "request mix must sum to 100")]
     fn fleet_rejects_a_mix_that_does_not_sum_to_100() {
-        block_on(async {
-            let cfg = FleetConfig {
-                mix: Mix {
-                    read_pct: 90,
-                    update_pct: 5,
-                    scan_pct: 0,
-                },
-                ..FleetConfig::default()
-            };
-            run_fleet(&small_cluster().await, cfg).await;
-        });
+        let cfg = FleetConfig {
+            mix: Mix {
+                read_pct: 90,
+                update_pct: 5,
+                scan_pct: 0,
+            },
+            ..FleetConfig::default()
+        };
+        cell::Cell::fleet(cfg).run(42);
+    }
+
+    #[test]
+    #[should_panic(expected = "would share RNG seeds")]
+    fn fleet_rejects_client_counts_that_collide_seeds() {
+        let crowded = FleetConfig {
+            clients: 1_001,
+            ..FleetConfig::default()
+        };
+        cell::Cell::fleet(crowded).run(42);
     }
 
     #[test]
     #[should_panic(expected = "would share RNG seeds")]
     fn tenant_fleet_rejects_task_counts_that_collide_seeds() {
-        use dpdpu_core::TenantSpec;
-        use dpdpu_dds::gateway::GatewayConfig;
-
-        block_on(async {
-            let gw = Gateway::front(
-                small_cluster().await,
-                GatewayConfig::new(vec![TenantSpec::latency("kv", 1)]),
-            );
-            let crowded = TenantWorkload {
-                tasks: 1_001,
-                ..TenantWorkload::new(0)
-            };
-            run_tenant_fleet(&gw, &[crowded], 42).await;
-        });
+        let crowded = TenantWorkload {
+            tasks: 1_001,
+            ..TenantWorkload::new(0)
+        };
+        tenant_cell(vec![TenantSpec::latency("kv", 1)], 0, vec![crowded]).run(42);
     }
 
     #[test]
@@ -763,195 +773,131 @@ mod tests {
     #[test]
     fn fleet_conserves_and_measures() {
         let _check = dpdpu_check::CheckGuard::new();
-        block_on(async {
-            let cluster = DdsCluster::build(ClusterConfig {
-                shards: 2,
-                ..ClusterConfig::default()
-            })
-            .await;
-            let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-            let cfg = FleetConfig {
-                clients: 4,
-                ops_per_client: 16,
-                dist: KeyDist::Zipfian {
-                    keys: 32,
-                    theta: 0.99,
-                },
-                mix: Mix {
-                    read_pct: 80,
-                    update_pct: 15,
-                    scan_pct: 5,
-                },
-                ..FleetConfig::default()
-            };
-            preload(&client, &cfg).await;
-            let report = run_fleet(&client, cfg).await;
-            assert_eq!(report.issued, 64);
-            assert_eq!(
-                report.issued,
-                report.ok + report.shed + report.errors,
-                "fleet accounting must balance: {report:?}"
-            );
-            assert!(report.ok > 0, "nothing completed");
-            assert!(report.p99_ns >= report.p50_ns);
-            assert!(report.throughput_mops() > 0.0);
-            assert_eq!(report.shed, client.total_shed());
-        });
+        let run = cell::Cell::fleet(FleetConfig {
+            clients: 4,
+            ops_per_client: 16,
+            dist: KeyDist::Zipfian {
+                keys: 32,
+                theta: 0.99,
+            },
+            mix: Mix {
+                read_pct: 80,
+                update_pct: 15,
+                scan_pct: 5,
+            },
+            ..FleetConfig::default()
+        })
+        .run(42);
+        let report = run.fleet;
+        assert_eq!(report.issued, 64);
+        assert_eq!(
+            report.issued,
+            report.ok + report.shed + report.errors,
+            "fleet accounting must balance: {report:?}"
+        );
+        assert!(report.ok > 0, "nothing completed");
+        assert!(report.p99_ns >= report.p50_ns);
+        assert!(report.throughput_mops() > 0.0);
+        assert_eq!(report.shed, run.shed);
     }
 
     #[test]
     fn fleet_is_deterministic_per_seed() {
         let run = || {
-            block_on(async move {
-                let cluster = DdsCluster::build(ClusterConfig {
-                    shards: 2,
-                    ..ClusterConfig::default()
-                })
-                .await;
-                let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-                let cfg = FleetConfig {
-                    clients: 3,
-                    ops_per_client: 12,
-                    ..FleetConfig::default()
-                };
-                preload(&client, &cfg).await;
-                let r = run_fleet(&client, cfg).await;
-                (r.issued, r.ok, r.elapsed_ns, r.p50_ns, r.p99_ns)
-            })
+            let cfg = FleetConfig {
+                clients: 3,
+                ops_per_client: 12,
+                ..FleetConfig::default()
+            };
+            let r = cell::Cell::fleet(cfg).run(42).fleet;
+            (r.issued, r.ok, r.elapsed_ns, r.p50_ns, r.p99_ns)
         };
         assert_eq!(run(), run(), "same seed must reproduce the same run");
     }
 
     #[test]
     fn tenant_fleet_conserves_and_tracks_logical_clients() {
-        use dpdpu_core::TenantSpec;
-        use dpdpu_dds::gateway::GatewayConfig;
-
         let _check = dpdpu_check::CheckGuard::new();
-        block_on(async {
-            let cluster = DdsCluster::build(ClusterConfig {
-                shards: 2,
-                ..ClusterConfig::default()
-            })
-            .await;
-            let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-            let cfg = FleetConfig {
-                dist: KeyDist::Uniform { keys: 64 },
-                ..FleetConfig::default()
-            };
-            preload(&client, &cfg).await;
-            let gw = Gateway::front(
-                client,
-                GatewayConfig::new(vec![
-                    TenantSpec::latency("kv", 4),
-                    TenantSpec::batch("scan", 1),
-                ]),
+        let kv = TenantWorkload {
+            logical_clients: 10_000,
+            tasks: 3,
+            ops_per_task: 16,
+            dist: KeyDist::Uniform { keys: 64 },
+            ..TenantWorkload::new(0)
+        };
+        let scan = TenantWorkload {
+            tasks: 1,
+            ops_per_task: 4,
+            dist: KeyDist::Uniform { keys: 64 },
+            mix: Mix {
+                read_pct: 0,
+                update_pct: 0,
+                scan_pct: 100,
+            },
+            pause_every_ops: 2,
+            pause_ns: 50_000,
+            ..TenantWorkload::new(1)
+        };
+        let specs = vec![TenantSpec::latency("kv", 4), TenantSpec::batch("scan", 1)];
+        let run = tenant_cell(specs, 64, vec![kv, scan]).run(42);
+        let reports = &run.tenants;
+        assert_eq!(reports.len(), 2);
+        for r in reports {
+            assert_eq!(
+                r.report.issued,
+                r.report.ok + r.report.shed + r.report.errors,
+                "tenant {} accounting must balance: {r:?}",
+                r.tenant
             );
-            let kv = TenantWorkload {
-                logical_clients: 10_000,
-                tasks: 3,
-                ops_per_task: 16,
-                dist: KeyDist::Uniform { keys: 64 },
-                ..TenantWorkload::new(0)
-            };
-            let scan = TenantWorkload {
-                tasks: 1,
-                ops_per_task: 4,
-                dist: KeyDist::Uniform { keys: 64 },
-                mix: Mix {
-                    read_pct: 0,
-                    update_pct: 0,
-                    scan_pct: 100,
-                },
-                pause_every_ops: 2,
-                pause_ns: 50_000,
-                ..TenantWorkload::new(1)
-            };
-            let reports = run_tenant_fleet(&gw, &[kv, scan], 42).await;
-            assert_eq!(reports.len(), 2);
-            for r in &reports {
-                assert_eq!(
-                    r.report.issued,
-                    r.report.ok + r.report.shed + r.report.errors,
-                    "tenant {} accounting must balance: {r:?}",
-                    r.tenant
-                );
-                assert!(r.logical_seen > 0 && r.logical_seen <= r.report.issued);
-            }
-            assert_eq!(reports[0].report.issued, 48);
-            assert_eq!(reports[1].report.issued, 4);
-            // Gateway snapshots agree with the fleet's view.
-            let snap = gw.snapshot(0);
-            assert_eq!(snap.issued, 48);
-            assert_eq!(snap.ok, reports[0].report.ok);
-        });
+            assert!(r.logical_seen > 0 && r.logical_seen <= r.report.issued);
+        }
+        assert_eq!(reports[0].report.issued, 48);
+        assert_eq!(reports[1].report.issued, 4);
+        // Gateway snapshots agree with the fleet's view.
+        let snap = &run.snapshots[0];
+        assert_eq!(snap.issued, 48);
+        assert_eq!(snap.ok, reports[0].report.ok);
     }
 
     #[test]
     fn tenant_fleet_is_deterministic_per_seed() {
-        use dpdpu_core::TenantSpec;
-        use dpdpu_dds::gateway::GatewayConfig;
-
         let run = || {
-            block_on(async move {
-                let cluster = DdsCluster::build(ClusterConfig {
-                    shards: 2,
-                    ..ClusterConfig::default()
-                })
-                .await;
-                let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-                let cfg = FleetConfig {
-                    dist: KeyDist::Uniform { keys: 32 },
-                    ..FleetConfig::default()
-                };
-                preload(&client, &cfg).await;
-                let gw = Gateway::front(
-                    client,
-                    GatewayConfig::new(vec![
-                        TenantSpec::latency("a", 2),
-                        TenantSpec::latency("b", 1),
-                    ]),
-                );
-                let wl = |t: usize| TenantWorkload {
-                    tasks: 2,
-                    ops_per_task: 10,
-                    dist: KeyDist::Uniform { keys: 32 },
-                    ..TenantWorkload::new(t)
-                };
-                let reports = run_tenant_fleet(&gw, &[wl(0), wl(1)], 7).await;
-                (
-                    reports[0].report.elapsed_ns,
-                    reports[0].report.p99_ns,
-                    reports[0].logical_seen,
-                    reports[1].report.elapsed_ns,
-                    reports[1].report.p99_ns,
-                    reports[1].logical_seen,
-                )
-            })
+            let specs = vec![TenantSpec::latency("a", 2), TenantSpec::latency("b", 1)];
+            let wl = |t: usize| TenantWorkload {
+                tasks: 2,
+                ops_per_task: 10,
+                dist: KeyDist::Uniform { keys: 32 },
+                ..TenantWorkload::new(t)
+            };
+            let reports = tenant_cell(specs, 32, vec![wl(0), wl(1)]).run(7).tenants;
+            (
+                reports[0].report.elapsed_ns,
+                reports[0].report.p99_ns,
+                reports[0].logical_seen,
+                reports[1].report.elapsed_ns,
+                reports[1].report.p99_ns,
+                reports[1].logical_seen,
+            )
         };
         assert_eq!(run(), run(), "same seed must reproduce the same run");
     }
 
     #[test]
     fn open_loop_gap_paces_batches() {
-        block_on(async {
-            let cluster = DdsCluster::build(ClusterConfig::default()).await;
-            let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-            let cfg = FleetConfig {
-                clients: 1,
-                ops_per_client: 8,
-                pipeline: 2,
-                gap_ns: 1_000_000, // 1 ms between batch launches
-                ..FleetConfig::default()
-            };
-            preload(&client, &cfg).await;
-            let report = run_fleet(&client, cfg).await;
-            // 4 batches, three 1 ms inter-batch gaps minimum.
-            assert!(
-                report.elapsed_ns >= 3_000_000,
-                "open-loop clock ignored: elapsed={}ns",
-                report.elapsed_ns
-            );
-        });
+        let report = cell::Cell::fleet(FleetConfig {
+            clients: 1,
+            ops_per_client: 8,
+            pipeline: 2,
+            gap_ns: 1_000_000, // 1 ms between batch launches
+            ..FleetConfig::default()
+        })
+        .run(42)
+        .fleet;
+        // 4 batches, three 1 ms inter-batch gaps minimum.
+        assert!(
+            report.elapsed_ns >= 3_000_000,
+            "open-loop clock ignored: elapsed={}ns",
+            report.elapsed_ns
+        );
     }
 }

@@ -24,6 +24,7 @@ pub mod abl_placement;
 pub mod abl_scheduler;
 pub mod abl_tenant_iso;
 pub mod audit;
+pub mod cell;
 pub mod fig10_cluster_scale;
 pub mod fig10_fabric;
 pub mod fig11_tenants;

@@ -295,25 +295,3 @@ mod tests {
         assert!(r.ecn_echoes > 0, "the incast queue must trip ECN marking");
     }
 }
-
-#[cfg(test)]
-mod tune {
-    use super::*;
-    #[test]
-    #[ignore]
-    fn print_matrix() {
-        for scenario in NetScenario::ALL {
-            for alg in CongAlgKind::ALL {
-                let t = dpdpu_telemetry::Telemetry::install();
-                let _c = dpdpu_check::CheckGuard::new();
-                let r = run_cell(scenario, alg, 42);
-                dpdpu_telemetry::Telemetry::uninstall();
-                let _ = t;
-                println!(
-                    "{:7} {:6} p50={:9.1}us p99={:9.1}us goodput={:6.3}Gbps retx={:4} ecn={:5} delivered={}",
-                    scenario.name(), alg.name(), r.p50_us, r.p99_us, r.goodput_gbps, r.retransmits, r.ecn_echoes, r.delivered
-                );
-            }
-        }
-    }
-}

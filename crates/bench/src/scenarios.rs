@@ -13,7 +13,9 @@ use std::fmt::Write as _;
 
 use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
-use dpdpu_core::DpdpuBuilder;
+use dpdpu_core::{DpdpuBuilder, TenantSpec};
+use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
+use dpdpu_dds::gateway::GatewayConfig;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{block_on, now};
@@ -24,6 +26,9 @@ use dpdpu_net::NetConfig;
 use dpdpu_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+use crate::cell::{Cell, Load, Preload};
+use crate::fleet::{FleetConfig, KeyDist, Mix, TenantWorkload};
 
 /// Everything observable about one scenario run.
 pub struct ScenarioRun {
@@ -247,63 +252,60 @@ pub fn compute_pipeline(seed: u64) -> ScenarioRun {
     })
 }
 
+/// `node<i>:<dpu>+<host>` requests served, per shard primary.
+fn served_per_shard(cluster: &DdsCluster) -> String {
+    let shards: Vec<_> = cluster
+        .primaries()
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            format!(
+                "node{i}:{}+{}",
+                node.served_dpu.get(),
+                node.served_host.get()
+            )
+        })
+        .collect();
+    shards.join(" ")
+}
+
 /// Scenario 4 — a workload fleet against a 3-shard DDS cluster under
 /// link drops and SSD read errors: zipfian keys route through the
 /// consistent-hash ring to per-node DPU platforms, scans fan out to
 /// every shard, and the cluster-conservation invariant must balance
 /// every issued request against completed + shed + failed.
 pub fn cluster_fleet(seed: u64) -> ScenarioRun {
-    use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
-
-    use crate::fleet::{preload, run_fleet, FleetConfig, KeyDist, Mix};
-
     harness(|stdout| {
-        let guard = SessionGuard::new(FaultPlan::new(seed).link_drops(0.01).ssd_read_errors(0.01));
-        let (summary, shards) = block_on(async move {
-            let cluster = DdsCluster::build(ClusterConfig {
+        let fleet = FleetConfig {
+            clients: 4,
+            ops_per_client: 24,
+            pipeline: 4,
+            dist: KeyDist::Zipfian {
+                keys: 48,
+                theta: 0.99,
+            },
+            mix: Mix {
+                read_pct: 80,
+                update_pct: 15,
+                scan_pct: 5,
+            },
+            value_bytes: 128,
+            scan_len: 4,
+            ..FleetConfig::default()
+        };
+        let run = Cell {
+            cluster: ClusterConfig {
                 shards: 3,
                 ..ClusterConfig::default()
-            })
-            .await;
-            let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-            let cfg = FleetConfig {
-                clients: 4,
-                ops_per_client: 24,
-                pipeline: 4,
-                dist: KeyDist::Zipfian {
-                    keys: 48,
-                    theta: 0.99,
-                },
-                mix: Mix {
-                    read_pct: 80,
-                    update_pct: 15,
-                    scan_pct: 5,
-                },
-                value_bytes: 128,
-                scan_len: 4,
-                seed,
-                ..FleetConfig::default()
-            };
-            preload(&client, &cfg).await;
-            let report = run_fleet(&client, cfg).await;
-            let shards = cluster
-                .primaries()
-                .iter()
-                .enumerate()
-                .map(|(i, node)| {
-                    format!(
-                        "node{i}:{}+{}",
-                        node.served_dpu.get(),
-                        node.served_host.get()
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
-            (report.summary(), shards)
-        });
-        let injected = guard.session.report().total();
+            },
+            faults: FaultPlan::new(seed).link_drops(0.01).ssd_read_errors(0.01),
+            ..Cell::fleet(fleet)
+        }
+        .run(seed);
         let _ = writeln!(stdout, "## scenario cluster_fleet (seed {seed})");
+        let (summary, injected) = (run.fleet.summary(), run.faults.total());
         let _ = writeln!(stdout, "{summary} injected={injected}");
+        let shards = served_per_shard(&run.cluster);
         let _ = writeln!(stdout, "served dpu+host per shard: {shards}");
     })
 }
@@ -318,47 +320,38 @@ pub fn cluster_fleet(seed: u64) -> ScenarioRun {
 /// host: TCP pays ring crossings, host-verbs RDMA pays verb issue and
 /// CQ polls, rdma-offload pays nothing.
 pub fn cluster_fabric(seed: u64) -> ScenarioRun {
-    use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
     use dpdpu_net::fabric::FabricKind;
-
-    use crate::fleet::{preload, run_fleet, FleetConfig, KeyDist, Mix};
 
     harness(|stdout| {
         let _ = writeln!(stdout, "## scenario cluster_fabric (seed {seed})");
         for fabric in FabricKind::ALL {
-            let guard = SessionGuard::new(FaultPlan::new(seed ^ 0xFAB).link_drops(0.01));
-            let (summary, host_busy) = block_on(async move {
-                let cluster = DdsCluster::build(ClusterConfig {
+            let fleet = FleetConfig {
+                clients: 3,
+                ops_per_client: 16,
+                pipeline: 4,
+                dist: KeyDist::Uniform { keys: 32 },
+                mix: Mix {
+                    read_pct: 85,
+                    update_pct: 15,
+                    scan_pct: 0,
+                },
+                value_bytes: 128,
+                scan_len: 4,
+                ..FleetConfig::default()
+            };
+            let run = Cell {
+                cluster: ClusterConfig {
                     shards: 2,
-                    net: dpdpu_net::NetConfig::default().with_fabric(fabric),
+                    net: NetConfig::default().with_fabric(fabric),
                     ..ClusterConfig::default()
-                })
-                .await;
-                let client =
-                    cluster.connect(CpuPool::new(format!("fleet-{fabric}"), 32, 3_000_000_000));
-                let cfg = FleetConfig {
-                    clients: 3,
-                    ops_per_client: 16,
-                    pipeline: 4,
-                    dist: KeyDist::Uniform { keys: 32 },
-                    mix: Mix {
-                        read_pct: 85,
-                        update_pct: 15,
-                        scan_pct: 0,
-                    },
-                    value_bytes: 128,
-                    scan_len: 4,
-                    seed,
-                    ..FleetConfig::default()
-                };
-                preload(&client, &cfg).await;
-                let report = run_fleet(&client, cfg).await;
-                let host_busy: u64 = (0..cluster.shards())
-                    .map(|i| cluster.platform(i).host_cpu.busy_ns())
-                    .sum();
-                (report.summary(), host_busy)
-            });
-            let injected = guard.session.report().total();
+                },
+                faults: FaultPlan::new(seed ^ 0xFAB).link_drops(0.01),
+                pool_label: format!("fleet-{fabric}"),
+                ..Cell::fleet(fleet)
+            }
+            .run(seed);
+            let (summary, injected) = (run.fleet.summary(), run.faults.total());
+            let host_busy = run.preload_host_busy_ns + run.load_host_busy_ns;
             let _ = writeln!(
                 stdout,
                 "fabric={fabric} {summary} injected={injected} server_host_busy_ns={host_busy}"
@@ -413,99 +406,126 @@ pub fn net_scenarios(seed: u64) -> ScenarioRun {
 /// digests must match on every group's surviving members — the strict
 /// check session fails the scenario otherwise.
 pub fn cluster_failover(seed: u64) -> ScenarioRun {
-    use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
-
-    use crate::fleet::{preload, run_fleet, FleetConfig, KeyDist, Mix};
-
     harness(|stdout| {
-        // Window opens after the (deterministic-length) preload and
-        // spans most of the fleet run: long enough for the detector's
-        // consecutive-failure threshold, closed before quiesce so the
-        // zombie gets to wake up fenced.
-        let guard =
-            SessionGuard::new(FaultPlan::new(seed).shard_crash("node1", 16_000_000, 96_000_000));
-        let (summary, repl, shards, new_shard, cluster) = block_on(async move {
-            let cluster = DdsCluster::build(ClusterConfig {
+        let fleet = FleetConfig {
+            clients: 6,
+            ops_per_client: 48,
+            pipeline: 4,
+            // Open-loop gap stretches the fleet past the crash
+            // window's opening so the kill lands mid-traffic.
+            gap_ns: 500_000,
+            dist: KeyDist::Zipfian {
+                keys: 48,
+                theta: 0.99,
+            },
+            mix: Mix {
+                read_pct: 70,
+                update_pct: 25,
+                scan_pct: 5,
+            },
+            value_bytes: 128,
+            scan_len: 4,
+            ..FleetConfig::default()
+        };
+        let run = Cell {
+            cluster: ClusterConfig {
                 shards: 4,
                 replicas: 2,
                 ..ClusterConfig::default()
-            })
-            .await;
-            let client = cluster.connect(CpuPool::new("fleet", 32, 3_000_000_000));
-            let cfg = FleetConfig {
-                clients: 6,
-                ops_per_client: 48,
-                pipeline: 4,
-                // Open-loop gap stretches the fleet past the crash
-                // window's opening so the kill lands mid-traffic.
-                gap_ns: 500_000,
-                dist: KeyDist::Zipfian {
-                    keys: 48,
-                    theta: 0.99,
-                },
-                mix: Mix {
-                    read_pct: 70,
-                    update_pct: 25,
-                    scan_pct: 5,
-                },
-                value_bytes: 128,
-                scan_len: 4,
-                seed,
-            };
-            preload(&client, &cfg).await;
+            },
+            // Window opens after the (deterministic-length) preload and
+            // spans most of the fleet run: long enough for the detector's
+            // consecutive-failure threshold, closed before quiesce so the
+            // zombie gets to wake up fenced.
+            faults: FaultPlan::new(seed).shard_crash("node1", 16_000_000, 96_000_000),
             // Scripted resharding: kicks off inside the crash window,
             // while the fleet is still hammering the ring.
-            let resharding = {
-                let client = client.clone();
-                dpdpu_des::spawn(async move {
-                    dpdpu_des::sleep(20_000_000).await;
-                    client
-                        .add_shard()
-                        .await
-                        .expect("shard add must ride out the crash window")
-                })
-            };
-            let report = run_fleet(&client, cfg).await;
-            let new_shard = resharding.await;
-            let repl = (0..cluster.shards())
-                .map(|g| {
-                    let ctl = cluster.ctl(g).expect("every group is replicated");
-                    format!(
-                        "node{g}:primary={} epoch={} promotions={}",
-                        ctl.primary(),
-                        ctl.epoch(),
-                        ctl.promotions.get()
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
-            let shards = cluster
-                .primaries()
-                .iter()
-                .enumerate()
-                .map(|(i, node)| {
-                    format!(
-                        "node{i}:{}+{}",
-                        node.served_dpu.get(),
-                        node.served_host.get()
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
-            (report.summary(), repl, shards, new_shard, cluster)
-        });
-        let injected = guard.session.report().total();
+            script: vec![20_000_000],
+            ..Cell::fleet(fleet)
+        }
+        .run(seed);
+        let new_shard = run.script[0]
+            .as_ref()
+            .expect("shard add must ride out the crash window");
+        let repl = (0..run.cluster.shards())
+            .map(|g| {
+                let ctl = run.cluster.ctl(g).expect("every group is replicated");
+                format!(
+                    "node{g}:primary={} epoch={} promotions={}",
+                    ctl.primary(),
+                    ctl.epoch(),
+                    ctl.promotions.get()
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(" ");
         // Replica digests feed the check session's finish sweep; the
         // harness's CheckGuard fails the scenario on any divergence.
-        cluster.verify_replicas();
+        run.cluster.verify_replicas();
         let _ = writeln!(stdout, "## scenario cluster_failover (seed {seed})");
+        let (summary, injected) = (run.fleet.summary(), run.faults.total());
         let _ = writeln!(
             stdout,
             "{summary} injected={injected} grown_shard={new_shard}"
         );
         let _ = writeln!(stdout, "replication: {repl}");
+        let shards = served_per_shard(&run.cluster);
         let _ = writeln!(stdout, "served dpu+host per shard: {shards}");
     })
+}
+
+/// The three tenants of [`gateway_tenants`], storm first — a saturating
+/// zipfian KV flood held by a token bucket and an in-flight cap, a paced
+/// uniform KV victim and a bursty full-fan-out scanner — over 64 keys
+/// of 128 B. `tests/qos_isolation.rs` re-paces the same trio per regime.
+pub fn storm_trio() -> (Vec<TenantSpec>, [TenantWorkload; 3]) {
+    let specs = vec![
+        TenantSpec::latency("storm-kv", 1)
+            .rate(150_000, 16)
+            .in_flight(8),
+        TenantSpec::latency("steady-kv", 4),
+        TenantSpec::batch("batch-scan", 2),
+    ];
+    let storm = TenantWorkload {
+        logical_clients: 600_000,
+        tasks: 6,
+        ops_per_task: 32,
+        pipeline: 6,
+        dist: KeyDist::Zipfian {
+            keys: 64,
+            theta: 0.99,
+        },
+        value_bytes: 128,
+        ..TenantWorkload::new(0)
+    };
+    let steady = TenantWorkload {
+        logical_clients: 300_000,
+        tasks: 2,
+        ops_per_task: 16,
+        pipeline: 2,
+        gap_ns: 4_000,
+        dist: KeyDist::Uniform { keys: 64 },
+        value_bytes: 128,
+        ..TenantWorkload::new(1)
+    };
+    let batch = TenantWorkload {
+        logical_clients: 150_000,
+        tasks: 1,
+        ops_per_task: 6,
+        pipeline: 1,
+        gap_ns: 20_000,
+        dist: KeyDist::Uniform { keys: 64 },
+        mix: Mix {
+            read_pct: 0,
+            update_pct: 0,
+            scan_pct: 100,
+        },
+        scan_len: 8,
+        pause_every_ops: 2,
+        pause_ns: 100_000,
+        ..TenantWorkload::new(2)
+    };
+    (specs, [storm, steady, batch])
 }
 
 /// Scenario 8 — the multi-tenant gateway under a storm and faults: a
@@ -517,100 +537,32 @@ pub fn cluster_failover(seed: u64) -> ScenarioRun {
 /// tenant-conservation and qos-isolation invariants must balance every
 /// labeled request and scheduler grant at teardown.
 pub fn gateway_tenants(seed: u64) -> ScenarioRun {
-    use dpdpu_core::TenantSpec;
-    use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
-    use dpdpu_dds::gateway::{Gateway, GatewayConfig};
-
-    use crate::fleet::{preload, run_tenant_fleet, FleetConfig, KeyDist, Mix, TenantWorkload};
-
     harness(|stdout| {
-        let guard = SessionGuard::new(FaultPlan::new(seed ^ 0x6A7E).link_drops(0.01));
-        let (lines, distinct) = block_on(async move {
-            let cluster = DdsCluster::build(ClusterConfig {
-                shards: 2,
-                ..ClusterConfig::default()
-            })
-            .await;
-            let client = cluster.connect(CpuPool::new("gw-fleet", 32, 3_000_000_000));
-            let cfg = FleetConfig {
-                dist: KeyDist::Uniform { keys: 64 },
+        let (specs, trio) = storm_trio();
+        let gateway = GatewayConfig {
+            dispatch_slots: 12,
+            ..GatewayConfig::new(specs)
+        };
+        let run = Cell {
+            faults: FaultPlan::new(seed ^ 0x6A7E).link_drops(0.01),
+            pool_label: "gw-fleet".into(),
+            preload: Preload {
+                keys: 64,
                 value_bytes: 128,
-                ..FleetConfig::default()
-            };
-            preload(&client, &cfg).await;
-            let gw = Gateway::front(
-                client,
-                GatewayConfig {
-                    dispatch_slots: 12,
-                    ..GatewayConfig::new(vec![
-                        TenantSpec::latency("storm-kv", 1)
-                            .rate(150_000, 16)
-                            .in_flight(8),
-                        TenantSpec::latency("steady-kv", 4),
-                        TenantSpec::batch("batch-scan", 2),
-                    ])
-                },
-            );
-            let storm = TenantWorkload {
-                logical_clients: 600_000,
-                tasks: 6,
-                ops_per_task: 32,
-                pipeline: 6,
-                dist: KeyDist::Zipfian {
-                    keys: 64,
-                    theta: 0.99,
-                },
-                value_bytes: 128,
-                ..TenantWorkload::new(0)
-            };
-            let steady = TenantWorkload {
-                logical_clients: 300_000,
-                tasks: 2,
-                ops_per_task: 16,
-                pipeline: 2,
-                gap_ns: 4_000,
-                dist: KeyDist::Uniform { keys: 64 },
-                value_bytes: 128,
-                ..TenantWorkload::new(1)
-            };
-            let batch = TenantWorkload {
-                logical_clients: 150_000,
-                tasks: 1,
-                ops_per_task: 6,
-                pipeline: 1,
-                gap_ns: 20_000,
-                dist: KeyDist::Uniform { keys: 64 },
-                mix: Mix {
-                    read_pct: 0,
-                    update_pct: 0,
-                    scan_pct: 100,
-                },
-                scan_len: 8,
-                pause_every_ops: 2,
-                pause_ns: 100_000,
-                ..TenantWorkload::new(2)
-            };
-            let reports = run_tenant_fleet(&gw, &[storm, steady, batch], seed).await;
-            let mut lines = Vec::with_capacity(reports.len());
-            let mut distinct = 0u64;
-            for r in &reports {
-                distinct += r.logical_seen;
-                lines.push(format!(
-                    "{} logical_seen={}",
-                    gw.snapshot(r.tenant).summary(),
-                    r.logical_seen
-                ));
-            }
-            (lines, distinct)
-        });
-        let injected = guard.session.report().total();
+            },
+            load: Load::Tenants(gateway, trio.to_vec()),
+            ..Cell::default()
+        }
+        .run(seed);
+        let distinct: u64 = run.tenants.iter().map(|r| r.logical_seen).sum();
         let _ = writeln!(stdout, "## scenario gateway_tenants (seed {seed})");
+        let injected = run.faults.total();
         let _ = writeln!(
             stdout,
             "tenants=3 distinct_logical_clients={distinct} injected={injected}"
         );
-        for line in lines {
-            let _ = writeln!(stdout, "{line}");
+        for (r, snap) in run.tenants.iter().zip(&run.snapshots) {
+            let _ = writeln!(stdout, "{} logical_seen={}", snap.summary(), r.logical_seen);
         }
     })
 }

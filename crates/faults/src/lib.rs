@@ -1,7 +1,7 @@
 //! # dpdpu-faults — deterministic, seed-driven fault injection
 //!
 //! The paper's DDS exists because DPUs fail and overflow: DPU memory is
-//! "an order of magnitude too small" (§7), accelerators stall, links
+//! "an order of magnitude too small" (§7), accelerators go offline, links
 //! drop frames, SSDs return errors — and every path must degrade to the
 //! host without breaking transport semantics. This crate injects those
 //! failures into the simulated device models so the robustness machinery
@@ -45,8 +45,6 @@ pub enum FaultSite {
     SsdWrite,
     /// An SSD op served far slower than the model's base latency.
     SsdSlow,
-    /// An accelerator job held in the engine (pipeline stall).
-    AccelStall,
     /// An accelerator job rejected: engine offline.
     AccelOffline,
     /// DPU cores reported overloaded to the scheduler/director.
@@ -57,13 +55,12 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    const ALL: [FaultSite; 9] = [
+    const ALL: [FaultSite; 8] = [
         FaultSite::LinkDrop,
         FaultSite::LinkDelay,
         FaultSite::SsdRead,
         FaultSite::SsdWrite,
         FaultSite::SsdSlow,
-        FaultSite::AccelStall,
         FaultSite::AccelOffline,
         FaultSite::DpuOverload,
         FaultSite::ShardCrash,
@@ -78,7 +75,6 @@ impl FaultSite {
             FaultSite::SsdRead => "ssd_read",
             FaultSite::SsdWrite => "ssd_write",
             FaultSite::SsdSlow => "ssd_slow",
-            FaultSite::AccelStall => "accel_stall",
             FaultSite::AccelOffline => "accel_offline",
             FaultSite::DpuOverload => "dpu_overload",
             FaultSite::ShardCrash => "shard_crash",
@@ -124,8 +120,6 @@ pub enum LinkVerdict {
 pub enum AccelVerdict {
     /// Proceed normally.
     Ok,
-    /// Proceed after an extra pipeline stall.
-    Stall(Time),
     /// Reject: the engine is offline.
     Offline,
 }
@@ -169,8 +163,6 @@ pub struct FaultPlan {
     ssd_write_error_rate: f64,
     ssd_slow_rate: f64,
     ssd_slow_ns: Time,
-    accel_stall_rate: f64,
-    accel_stall_ns: Time,
     accel_offline: Vec<Window>,
     dpu_overload: Vec<Window>,
     shard_crash: Vec<(String, Window)>,
@@ -236,14 +228,6 @@ impl FaultPlan {
         self
     }
 
-    /// With probability `rate`, stall an accelerator job `extra_ns`.
-    pub fn accel_stalls(mut self, rate: f64, extra_ns: Time) -> Self {
-        check_rate(rate, "accel stall rate");
-        self.accel_stall_rate = rate;
-        self.accel_stall_ns = extra_ns;
-        self
-    }
-
     /// Take every accelerator offline during `[from, until)` virtual ns.
     pub fn accel_offline(mut self, from: Time, until: Time) -> Self {
         assert!(from < until, "empty accel-offline window");
@@ -289,7 +273,7 @@ impl FaultPlan {
 }
 
 /// Per-category injection counts, rendered deterministically.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
     counts: Vec<(FaultSite, u64)>,
 }
@@ -327,7 +311,6 @@ pub struct FaultSession {
     // must not change which SSD ops fail under the same seed.
     link_rng: RefCell<StdRng>,
     ssd_rng: RefCell<StdRng>,
-    accel_rng: RefCell<StdRng>,
     injected: [Counter; FaultSite::ALL.len()],
     // One flag per shard-crash window so each crash is counted once
     // when it first bites, not on every consult inside the window.
@@ -349,7 +332,6 @@ impl FaultSession {
             shard_crash_fired: RefCell::new(vec![false; crash_windows]),
             link_rng: RefCell::new(StdRng::seed_from_u64(seed ^ 0x1111_1111)),
             ssd_rng: RefCell::new(StdRng::seed_from_u64(seed ^ 0x2222_2222)),
-            accel_rng: RefCell::new(StdRng::seed_from_u64(seed ^ 0x3333_3333)),
             injected: std::array::from_fn(|_| Counter::new()),
         });
         CURRENT.with(|c| *c.borrow_mut() = Some(session.clone()));
@@ -487,18 +469,6 @@ impl FaultSession {
         if !self.accel_online() {
             self.record(FaultSite::AccelOffline);
             return AccelVerdict::Offline;
-        }
-        let plan = self.plan.borrow();
-        if plan.accel_stall_rate > 0.0
-            && self
-                .accel_rng
-                .borrow_mut()
-                .random_bool(plan.accel_stall_rate)
-        {
-            let ns = plan.accel_stall_ns;
-            drop(plan);
-            self.record(FaultSite::AccelStall);
-            return AccelVerdict::Stall(ns);
         }
         AccelVerdict::Ok
     }

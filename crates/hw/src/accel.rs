@@ -86,18 +86,13 @@ impl Accelerator {
     /// context (FIFO), run setup (contexts overlap), then stream through
     /// the shared internal pipeline at the aggregate bandwidth.
     ///
-    /// Fails only when a fault plan has taken the engine offline; an
-    /// injected stall adds pipeline time but still completes.
+    /// Fails only when a fault plan has taken the engine offline.
     pub async fn process(&self, bytes: u64) -> Result<(), AccelError> {
-        let verdict = dpdpu_faults::accel_verdict();
-        if verdict == AccelVerdict::Offline {
+        if dpdpu_faults::accel_verdict() == AccelVerdict::Offline {
             return Err(AccelError::Offline);
         }
         let _ctx = self.contexts.acquire().await;
         sleep(self.fixed_latency_ns).await;
-        if let AccelVerdict::Stall(extra_ns) = verdict {
-            sleep(extra_ns).await;
-        }
         self.pipeline
             .process(transmit_ns(bytes, self.bytes_per_sec * 8))
             .await;

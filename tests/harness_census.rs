@@ -1,0 +1,79 @@
+//! Harness census: a cluster experiment is a `dpdpu_bench::cell::Cell`.
+//!
+//! Reads the sources and fails if a harness under `crates/bench/src` or
+//! `tests/` builds a cluster, fronts a gateway or drives a fleet by
+//! hand instead of through `cell.rs`, or if a second history-recording
+//! client appears. The exceptions are `fleet.rs`'s own definitions
+//! (`fn` items are not calls) and the migration property in
+//! `tests/properties.rs`, whose racing reader is not a load a cell
+//! describes.
+
+use std::path::{Path, PathBuf};
+
+const CELL: &str = "crates/bench/src/cell.rs";
+/// Calls only [`CELL`] may make.
+const CELL_ONLY: [&str; 4] = [
+    "DdsCluster::build(",
+    "Gateway::front(",
+    "run_fleet(",
+    "run_tenant_fleet(",
+];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Does a code line of `source` (comment lines skipped) hold `needle`
+/// other than as the `fn` item defining it?
+fn calls(source: &str, needle: &str) -> bool {
+    let definition = format!("fn {needle}");
+    source.lines().any(|line| {
+        !line.trim_start().starts_with("//")
+            && line.matches(needle).count() > line.matches(&definition).count()
+    })
+}
+
+#[test]
+fn cluster_experiments_go_through_the_cell() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    files.sort();
+    let (mut strays, mut recorders) = (Vec::new(), Vec::new());
+    for path in &files {
+        let name = path.strip_prefix(root).expect("under the repo root");
+        let name = name.to_string_lossy().replace('\\', "/");
+        let source = std::fs::read_to_string(path).expect("readable source");
+        if name == CELL || name == "tests/harness_census.rs" {
+            continue;
+        }
+        if name.starts_with("crates/bench/src/") || name.starts_with("tests/") {
+            for needle in CELL_ONLY {
+                // The bespoke migration property builds its own cluster.
+                let bespoke = name == "tests/properties.rs" && needle == CELL_ONLY[0];
+                if calls(&source, needle) && !bespoke {
+                    strays.push(format!("{name}: `{needle}`"));
+                }
+            }
+        }
+        if !name.starts_with("crates/check/") && calls(&source, "write_ambiguous") {
+            recorders.push(name);
+        }
+    }
+    assert!(
+        strays.is_empty(),
+        "hand-built cluster harnesses (describe them as a `Cell`): {strays:#?}"
+    );
+    assert!(
+        recorders.is_empty(),
+        "a history-recording client outside `{CELL}`: {recorders:?}"
+    );
+}

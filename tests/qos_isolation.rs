@@ -1,7 +1,8 @@
 //! The multi-tenant isolation test matrix gating the gateway tier.
 //!
-//! Seeds {42, 7, 1234} × storm regimes {steady zipfian storm, on/off
-//! burst storm, storm + replicated-shard crash}: in every cell, the
+//! Seeds {42, 7, 1234} × the storm regimes {[`zipf_storm`],
+//! [`burst_storm`], [`storm_with_crash`]}, each a [`Row`] — a function of
+//! the seed giving `(mixed Cell, tail slack)`: in every cell, the
 //! victim tenants' p99 must stay within [`ISOLATION_K`]× of their solo
 //! baseline *measured under the same fault plan* (so the bound isolates
 //! the storm's marginal impact, not the faults'), no request may
@@ -15,211 +16,133 @@
 //! *fails*, proving the assertions have teeth and the WFQ tier is the
 //! thing providing the isolation.
 
-use dpdpu::core::TenantSpec;
-use dpdpu::dds::cluster::{ClusterConfig, DdsCluster};
-use dpdpu::dds::gateway::{Gateway, GatewayConfig, TenantSnapshot};
-use dpdpu::des::block_on;
-use dpdpu::faults::{FaultPlan, SessionGuard};
-use dpdpu::hw::CpuPool;
-use dpdpu_bench::fleet::{preload, run_tenant_fleet, FleetConfig, KeyDist, Mix, TenantWorkload};
+use dpdpu::dds::cluster::ClusterConfig;
+use dpdpu::dds::gateway::{GatewayConfig, TenantSnapshot};
+use dpdpu::faults::FaultPlan;
+use dpdpu_bench::cell::{Cell, Load, Preload};
+use dpdpu_bench::fleet::TenantWorkload;
+use dpdpu_bench::scenarios::storm_trio;
 
 const SEEDS: [u64; 3] = [42, 7, 1234];
 /// Victim-tail bound: mixed-run p99 must stay within this factor of the
 /// same-regime solo baseline.
 const ISOLATION_K: u64 = 2;
-const KEYS: u64 = 64;
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Regime {
-    /// The storm tenant offers a steady saturating zipfian flood.
-    ZipfStorm,
-    /// The storm arrives in on/off bursts (flood, silence, repeat).
-    BurstStorm,
-    /// The steady flood plus a scripted primary crash on a replicated
-    /// cluster mid-run (failover must not break tenant isolation).
-    StormWithCrash,
+/// One regime of the matrix: the mixed cell (storm first, then the
+/// victims) and the absolute tail slack, ns, added to the victim bound.
+/// The solo baselines are the same cell with one victim speaking.
+type Row = fn(seed: u64) -> (Cell, u64);
+
+/// The storm tenant offers a steady saturating zipfian flood.
+fn zipf_storm(seed: u64) -> (Cell, u64) {
+    (cell(1, noise(seed), storm(), 4_000, 20_000), 0)
 }
 
-impl Regime {
-    fn plan(self, seed: u64) -> FaultPlan {
-        match self {
-            // A little link noise so the regimes are not fault-free.
-            Regime::ZipfStorm | Regime::BurstStorm => {
-                FaultPlan::new(seed ^ 0x150).link_drops(0.005)
-            }
-            Regime::StormWithCrash => FaultPlan::new(seed ^ 0x150)
-                .link_drops(0.005)
-                .shard_crash("node1", 300_000, 3_000_000),
-        }
-    }
-
-    fn replicas(self) -> usize {
-        match self {
-            Regime::StormWithCrash => 2,
-            _ => 1,
-        }
-    }
-
-    /// Absolute tail slack added to the victim bound. Zero for the pure
-    /// storm regimes. Under a crash, any single op that is in flight to
-    /// the dying primary eats one request timeout (2 ms on a replicated
-    /// cluster) plus the retry before failover redirects it — whether
-    /// that op lands in the solo or the mixed interleaving is crash
-    /// timing, not storm interference, so the bound must absorb one
-    /// such hit.
-    fn tail_slack_ns(self) -> u64 {
-        match self {
-            Regime::StormWithCrash => 2_500_000,
-            _ => 0,
-        }
-    }
-
-    fn storm(self) -> TenantWorkload {
-        let base = TenantWorkload {
-            logical_clients: 600_000,
-            tasks: 6,
-            ops_per_task: 32,
-            pipeline: 6,
-            dist: KeyDist::Zipfian {
-                keys: KEYS,
-                theta: 0.99,
-            },
-            mix: Mix::read_heavy(),
-            value_bytes: 128,
-            ..TenantWorkload::new(0)
-        };
-        match self {
-            Regime::BurstStorm => TenantWorkload {
-                // Flood 8, sleep, flood again: the bucket must absorb
-                // each burst front without letting it leak downstream.
-                pause_every_ops: 8,
-                pause_ns: 200_000,
-                ..base
-            },
-            Regime::StormWithCrash => TenantWorkload {
-                // Paced slightly so the storm spans the crash window.
-                gap_ns: 5_000,
-                ops_per_task: 48,
-                ..base
-            },
-            Regime::ZipfStorm => base,
-        }
-    }
-
-    fn steady(self) -> TenantWorkload {
-        TenantWorkload {
-            logical_clients: 300_000,
-            tasks: 2,
-            ops_per_task: 24,
-            pipeline: 2,
-            gap_ns: if self == Regime::StormWithCrash {
-                50_000 // stretch across the crash window
-            } else {
-                4_000
-            },
-            dist: KeyDist::Uniform { keys: KEYS },
-            mix: Mix::read_heavy(),
-            value_bytes: 128,
-            ..TenantWorkload::new(1)
-        }
-    }
-
-    fn batch(self) -> TenantWorkload {
-        TenantWorkload {
-            logical_clients: 150_000,
-            tasks: 1,
-            ops_per_task: 6,
-            pipeline: 1,
-            gap_ns: if self == Regime::StormWithCrash {
-                100_000
-            } else {
-                20_000
-            },
-            dist: KeyDist::Uniform { keys: KEYS },
-            mix: Mix {
-                read_pct: 0,
-                update_pct: 0,
-                scan_pct: 100,
-            },
-            scan_len: 8,
-            pause_every_ops: 2,
-            pause_ns: 100_000,
-            ..TenantWorkload::new(2)
-        }
-    }
+/// The storm arrives in on/off bursts: flood 8, sleep, flood again. The
+/// bucket must absorb each burst front without letting it leak
+/// downstream.
+fn burst_storm(seed: u64) -> (Cell, u64) {
+    let bursts = TenantWorkload {
+        pause_every_ops: 8,
+        pause_ns: 200_000,
+        ..storm()
+    };
+    (cell(1, noise(seed), bursts, 4_000, 20_000), 0)
 }
 
-fn specs() -> Vec<TenantSpec> {
-    vec![
-        TenantSpec::latency("storm-kv", 1)
-            .rate(150_000, 16)
-            .in_flight(8),
-        TenantSpec::latency("steady-kv", 4),
-        TenantSpec::batch("batch-scan", 2),
-    ]
+/// The steady flood plus a scripted primary crash on a replicated
+/// cluster mid-run (failover must not break tenant isolation); every
+/// tenant is paced to stretch across the crash window. Any single op
+/// that is in flight to the dying primary eats one request timeout (2 ms
+/// on a replicated cluster) plus the retry before failover redirects it
+/// — whether that op lands in the solo or the mixed interleaving is
+/// crash timing, not storm interference, so the bound must absorb one
+/// such hit.
+fn storm_with_crash(seed: u64) -> (Cell, u64) {
+    let paced = TenantWorkload {
+        gap_ns: 5_000,
+        ops_per_task: 48,
+        ..storm()
+    };
+    let faults = noise(seed).shard_crash("node1", 300_000, 3_000_000);
+    (cell(2, faults, paced, 50_000, 100_000), 2_500_000)
 }
 
-/// Runs one gateway fleet (any subset of the tenants active) under the
-/// regime's fault plan and returns the active tenants' snapshots, in
-/// workload order.
-fn measure(
-    regime: Regime,
-    workloads: Vec<TenantWorkload>,
-    fair: bool,
-    seed: u64,
-) -> Vec<TenantSnapshot> {
-    let _check = dpdpu::check::CheckGuard::new();
-    let _faults = SessionGuard::new(regime.plan(seed));
-    block_on(async move {
-        let cluster = DdsCluster::build(ClusterConfig {
+/// The trio's saturating flood.
+fn storm() -> TenantWorkload {
+    storm_trio().1[0]
+}
+
+/// A little link noise so the regimes are not fault-free.
+fn noise(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed ^ 0x150).link_drops(0.005)
+}
+
+/// `storm` and [`storm_trio`]'s victims, at 24 and 6 ops per task and
+/// the given launch gaps, through a gateway before 2 shards under
+/// `faults`.
+fn cell(
+    replicas: usize,
+    faults: FaultPlan,
+    storm: TenantWorkload,
+    steady_gap_ns: u64,
+    batch_gap_ns: u64,
+) -> Cell {
+    let (specs, [_, mut steady, mut batch]) = storm_trio();
+    (steady.ops_per_task, steady.gap_ns) = (24, steady_gap_ns);
+    batch.gap_ns = batch_gap_ns;
+    let gateway = GatewayConfig {
+        // Comfortably above the storm's in-flight cap (8): slots held by
+        // ops timing out on a crashed shard must never exhaust the
+        // victims' dispatch headroom.
+        dispatch_slots: 24,
+        ..GatewayConfig::new(specs)
+    };
+    Cell {
+        cluster: ClusterConfig {
             shards: 2,
-            replicas: regime.replicas(),
+            replicas,
             ..ClusterConfig::default()
-        })
-        .await;
-        let client = cluster.connect(CpuPool::new("qos-fleet", 32, 3_000_000_000));
-        preload(
-            &client,
-            &FleetConfig {
-                dist: KeyDist::Uniform { keys: KEYS },
-                value_bytes: 128,
-                ..FleetConfig::default()
-            },
-        )
-        .await;
-        let gw = Gateway::front(
-            client,
-            GatewayConfig {
-                // Comfortably above the storm's in-flight cap (8): slots
-                // held by ops timing out on a crashed shard must never
-                // exhaust the victims' dispatch headroom.
-                dispatch_slots: 24,
-                fair,
-                ..GatewayConfig::new(specs())
-            },
-        );
-        let reports = run_tenant_fleet(&gw, &workloads, seed).await;
-        reports.iter().map(|r| gw.snapshot(r.tenant)).collect()
-    })
+        },
+        faults,
+        pool_label: "qos-fleet".into(),
+        preload: Preload {
+            keys: 64,
+            value_bytes: 128,
+        },
+        load: Load::Tenants(gateway, vec![storm, steady, batch]),
+        ..Cell::default()
+    }
 }
 
-/// One matrix cell: solo victim baselines, then the mixed storm run.
-/// Returns `(victim snapshots with solo p99s, storm snapshot)`.
-fn run_cell(regime: Regime, fair: bool, seed: u64) -> (Vec<(TenantSnapshot, u64)>, TenantSnapshot) {
-    let solo_steady = measure(regime, vec![regime.steady()], true, seed)[0].p99_ns;
-    let solo_batch = measure(regime, vec![regime.batch()], true, seed)[0].p99_ns;
-    let mixed = measure(
-        regime,
-        vec![regime.storm(), regime.steady(), regime.batch()],
-        fair,
-        seed,
-    );
-    let storm = mixed[0].clone();
-    let victims = vec![
-        (mixed[1].clone(), solo_steady),
-        (mixed[2].clone(), solo_batch),
-    ];
-    (victims, storm)
+/// One matrix cell: solo victim baselines, then the mixed storm run
+/// (`fair = false` turns the mixed run's QoS tier off), each under a
+/// strict check session. Returns `(victim snapshots with solo p99s,
+/// storm snapshot, tail slack)`.
+fn run_cell(row: Row, fair: bool, seed: u64) -> (Vec<(TenantSnapshot, u64)>, TenantSnapshot, u64) {
+    let (mixed, slack_ns) = row(seed);
+    let Load::Tenants(mut gateway, workloads) = mixed.load.clone() else {
+        unreachable!("every row is a tenant load")
+    };
+    // The active tenants' snapshots, in workload order.
+    let snapshots = |gateway: &GatewayConfig, workloads: Vec<TenantWorkload>| {
+        let _check = dpdpu::check::CheckGuard::new();
+        let load = Load::Tenants(gateway.clone(), workloads);
+        Cell {
+            load,
+            ..mixed.clone()
+        }
+        .run(seed)
+        .snapshots
+    };
+    let solo: Vec<u64> = workloads[1..]
+        .iter()
+        .map(|&victim| snapshots(&gateway, vec![victim])[0].p99_ns)
+        .collect();
+    gateway.fair = fair;
+    let mut mixed = snapshots(&gateway, workloads).into_iter();
+    let storm = mixed.next().expect("the storm speaks first");
+    (mixed.zip(solo).collect(), storm, slack_ns)
 }
 
 /// Does a cell satisfy the isolation property? True iff the storm is
@@ -231,16 +154,16 @@ fn isolated(victims: &[(TenantSnapshot, u64)], storm: &TenantSnapshot, slack_ns:
             .all(|(v, solo)| v.p99_ns < ISOLATION_K * (*solo).max(1) + slack_ns)
 }
 
-fn assert_cell_isolated(regime: Regime, seed: u64) {
-    let (victims, storm) = run_cell(regime, true, seed);
+fn assert_cell_isolated(row: Row, seed: u64) {
+    let (victims, storm, slack_ns) = run_cell(row, true, seed);
     assert!(
         storm.shed > 0,
-        "{regime:?}/seed {seed}: the storm tenant must be shed: {storm:?}"
+        "seed {seed}: the storm tenant must be shed: {storm:?}"
     );
     assert_eq!(
         storm.issued,
         storm.ok + storm.shed + storm.errors,
-        "{regime:?}/seed {seed}: storm requests must not vanish: {storm:?}"
+        "seed {seed}: storm requests must not vanish: {storm:?}"
     );
     for (v, solo) in &victims {
         // No acked-request loss: every issued request reached a terminal
@@ -248,20 +171,20 @@ fn assert_cell_isolated(regime: Regime, seed: u64) {
         assert_eq!(
             v.issued,
             v.ok + v.shed + v.errors,
-            "{regime:?}/seed {seed}: victim '{}' requests must not vanish: {v:?}",
+            "seed {seed}: victim '{}' requests must not vanish: {v:?}",
             v.name
         );
         assert!(
             v.ok > 0,
-            "{regime:?}/seed {seed}: victim '{}' must make progress under the storm: {v:?}",
+            "seed {seed}: victim '{}' must make progress under the storm: {v:?}",
             v.name
         );
         assert!(
-            v.p99_ns < ISOLATION_K * (*solo).max(1) + regime.tail_slack_ns(),
-            "{regime:?}/seed {seed}: victim '{}' p99 must stay within {ISOLATION_K}x of its \
+            v.p99_ns < ISOLATION_K * (*solo).max(1) + slack_ns,
+            "seed {seed}: victim '{}' p99 must stay within {ISOLATION_K}x of its \
              solo baseline (+{}ns slack): solo {solo}ns, under storm {}ns",
             v.name,
-            regime.tail_slack_ns(),
+            slack_ns,
             v.p99_ns
         );
     }
@@ -270,21 +193,21 @@ fn assert_cell_isolated(regime: Regime, seed: u64) {
 #[test]
 fn zipf_storm_is_isolated_across_seeds() {
     for seed in SEEDS {
-        assert_cell_isolated(Regime::ZipfStorm, seed);
+        assert_cell_isolated(zipf_storm, seed);
     }
 }
 
 #[test]
 fn burst_storm_is_isolated_across_seeds() {
     for seed in SEEDS {
-        assert_cell_isolated(Regime::BurstStorm, seed);
+        assert_cell_isolated(burst_storm, seed);
     }
 }
 
 #[test]
 fn storm_with_shard_crash_is_isolated_across_seeds() {
     for seed in SEEDS {
-        assert_cell_isolated(Regime::StormWithCrash, seed);
+        assert_cell_isolated(storm_with_crash, seed);
     }
 }
 
@@ -294,7 +217,7 @@ fn storm_with_shard_crash_is_isolated_across_seeds() {
 /// the matrix is vacuous and would pass with the QoS tier deleted.
 #[test]
 fn wfq_disabled_breaks_isolation() {
-    let (victims, storm) = run_cell(Regime::ZipfStorm, false, 42);
+    let (victims, storm, _) = run_cell(zipf_storm, false, 42);
     assert!(
         !isolated(&victims, &storm, 0),
         "disabling WFQ + admission must break isolation, or the matrix \
@@ -310,7 +233,7 @@ fn wfq_disabled_breaks_isolation() {
 /// the meta-test shows failing — the pair pins the gate's sensitivity.
 #[test]
 fn wfq_enabled_satisfies_the_same_predicate() {
-    let (victims, storm) = run_cell(Regime::ZipfStorm, true, 42);
+    let (victims, storm, _) = run_cell(zipf_storm, true, 42);
     assert!(
         isolated(&victims, &storm, 0),
         "storm {storm:?}, victims {victims:?}"

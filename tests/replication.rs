@@ -1,296 +1,329 @@
 //! Chaos matrix for per-shard replication: failover, fencing, and
 //! live resharding under seeded crash plans.
 //!
-//! A fleet of concurrent clients hammers a replicated [`DdsCluster`]
-//! (2 replicas per shard) while a [`FaultPlan`] freezes whole nodes —
-//! the primary mid-write, the backup under the chain, a primary in the
-//! middle of a live migration, and a double fault that kills the
-//! promoted backup too. Every client records its complete operation
-//! history; after the dust settles a read-back pass re-reads every
-//! key, so an acked write that any crash managed to lose shows up as a
-//! linearizability violation. The union history must check clean, the
-//! surviving replicas of every group must hold byte-identical KV
+//! The matrix is one [`Row`] function per shape: the seed's [`Cell`]
+//! and a predicate over its [`Run`]. The four chaos shapes hammer a
+//! replicated `DdsCluster` (2 replicas per shard) with history-recording
+//! clients ([`Load::Registers`]) while a [`FaultPlan`] freezes whole
+//! nodes — the primary mid-write, the backup under the chain, a primary
+//! in the middle of a live migration, and a double fault that kills the
+//! promoted backup too. After the dust settles a read-back pass re-reads
+//! every key, so an acked write that any crash managed to lose shows up
+//! as a linearizability violation. The union history must check clean,
+//! the surviving replicas of every group must hold byte-identical KV
 //! state, and every epoch transition must be monotone — all three are
 //! enforced by [`dpdpu::check`] before the test ends.
 //!
-//! Four chaos shapes × seeds {42, 7, 1234}: if any interleaving the
+//! Every row runs at seeds {42, 7, 1234}: if any interleaving the
 //! deterministic executor can produce under these plans loses an acked
 //! write, serves stale state from a zombie primary, or lets replicas
 //! diverge, the checker names it.
+//!
+//! To add a row, write its [`Row`] function and one `#[test]` per seed
+//! that hands it to [`run_row`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
-use dpdpu::check::linearizability::History;
 use dpdpu::check::CheckGuard;
-use dpdpu::dds::cluster::{ClusterClient, ClusterConfig, DdsCluster};
-use dpdpu::des::{block_on, now, sleep, spawn, Sim};
-use dpdpu::faults::{FaultPlan, FaultSession};
-use dpdpu::hw::CpuPool;
+use dpdpu::dds::cluster::ClusterConfig;
+use dpdpu::dds::gateway::GatewayConfig;
+use dpdpu::des::{block_on, Sim, Time};
+use dpdpu::faults::{FaultPlan, FaultSite};
 use dpdpu::net::fabric::FabricKind;
 use dpdpu::net::NetConfig;
-use dpdpu_bench::fleet::{preload, FleetConfig, KeyDist};
+use dpdpu_bench::cell::{Cell, Load, Preload, Run};
+use dpdpu_bench::fig11_tenants::{default_tenants, default_workloads};
 
 const CLIENTS: usize = 4;
-const OPS_PER_CLIENT: u64 = 36;
-const KEYS: u64 = 8;
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Chaos {
-    /// Freeze shard 0's primary while writes are in flight: the
-    /// failure detector must promote the backup and no acked write may
-    /// vanish.
-    CrashPrimaryMidWrite,
-    /// Freeze shard 0's backup: the primary must depose it via a solo
-    /// grant and keep acking writes.
-    CrashBackup,
-    /// Freeze shard 1's primary while a live `add_shard` migration is
-    /// draining keys through it.
-    CrashDuringMigration,
-    /// Freeze the primary, let the backup take over, then freeze the
-    /// promoted backup too — the group goes dark and comes back, and
-    /// still nothing acked is lost.
-    DoubleFault,
-}
+/// One row of the matrix: the seed's cell, and what must hold of its run
+/// beyond [`run_row`]'s own checks.
+type Row = fn(seed: u64) -> (Cell, fn(&Run));
 
-fn plan_for(chaos: Chaos, seed: u64) -> FaultPlan {
-    let plan = FaultPlan::new(seed);
-    match chaos {
-        Chaos::CrashPrimaryMidWrite => plan.shard_crash("node0", 5_000_000, 120_000_000),
-        Chaos::CrashBackup => plan.shard_crash("node0r1", 5_000_000, 120_000_000),
-        // Opens just after the resharding driver kicks off at t=8ms,
-        // so the freeze always lands while the migration is draining
-        // keys through shard 1 (the fleet alone may quiesce earlier).
-        Chaos::CrashDuringMigration => plan.shard_crash("node1", 8_200_000, 90_000_000),
-        Chaos::DoubleFault => plan
-            .shard_crash("node0", 5_000_000, 60_000_000)
-            .shard_crash("node0r1", 70_000_000, 150_000_000),
-    }
-}
-
-/// One client task: a random read/write mix over a small hot key set,
-/// recording every observation. Returns its history and how many
-/// writes ended ambiguous (error after possible partial effect).
-async fn client_task(client: Rc<ClusterClient>, c: usize, seed: u64) -> (History, u64) {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1_000) + c as u64);
-    let mut h = History::new();
-    let mut ambiguous = 0u64;
-    for seq in 0..OPS_PER_CLIENT {
-        let key = rng.random_range(0..KEYS);
-        let start = now();
-        if rng.random_bool(0.5) {
-            // Unique value per (client, seq): the checker needs to
-            // identify a read's source write.
-            let value = ((c as u64) << 32) | seq;
-            let payload = Bytes::from(value.to_le_bytes().to_vec());
-            match client.kv_put(key, payload).await {
-                Ok(()) => h.write_ok(c, key, value, start, now()),
-                // Lost ack: the write may still have been applied by a
-                // retried attempt or a deposed primary.
-                Err(_) => {
-                    ambiguous += 1;
-                    h.write_ambiguous(c, key, value, start, now());
-                }
-            }
-        } else {
-            match client.kv_get(key).await {
-                Ok(Some(bytes)) => {
-                    let value = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-                    h.read(c, key, Some(value), start, now());
-                }
-                Ok(None) => h.read(c, key, None, start, now()),
-                // A failed read observed nothing.
-                Err(_) => {}
-            }
-        }
-    }
-    (h, ambiguous)
-}
-
-fn run_chaos(chaos: Chaos, seed: u64) {
-    let _check = CheckGuard::new();
-    let cluster = block_on(async move {
-        let faults = FaultSession::install(plan_for(chaos, seed));
-        let cluster = DdsCluster::build(ClusterConfig {
+/// 2 shards x 2 replicas under the register workload, with a read-back
+/// of every key once every crash window has closed.
+fn chaos_cell(faults: FaultPlan, script: Vec<Time>) -> Cell {
+    Cell {
+        cluster: ClusterConfig {
             shards: 2,
             replicas: 2,
             ..ClusterConfig::default()
-        })
-        .await;
-        let client = cluster.connect(CpuPool::new("clients", 32, 3_000_000_000));
-        let mut tasks = Vec::new();
-        for c in 0..CLIENTS {
-            let client = client.clone();
-            tasks.push(spawn(async move { client_task(client, c, seed).await }));
-        }
-        // The resharding driver runs concurrently with the fleet (and,
-        // in CrashDuringMigration, with the crash window).
-        let migration = (chaos == Chaos::CrashDuringMigration).then(|| {
-            let client = client.clone();
-            spawn(async move {
-                sleep(8_000_000).await;
-                client.add_shard().await
-            })
-        });
-        let mut merged = History::new();
-        let mut ambiguous = 0u64;
-        for t in tasks {
-            let (h, a) = t.await;
-            merged.merge(h);
-            ambiguous += a;
-        }
-        if let Some(m) = migration {
-            let new = m.await.expect("migration must ride out the crash window");
-            assert_eq!(new, 2, "the grown shard gets the next id");
-        }
-        // Let every crash window close, then read back every key: an
-        // acked write any crash lost surfaces as a stale read here.
-        sleep(200_000_000).await;
-        for key in 0..KEYS {
-            let start = now();
-            match client.kv_get(key).await {
-                Ok(Some(bytes)) => {
-                    let value = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-                    merged.read(CLIENTS, key, Some(value), start, now());
-                }
-                Ok(None) => merged.read(CLIENTS, key, None, start, now()),
-                Err(e) => panic!("{chaos:?} seed {seed}: read-back of key {key} failed: {e:?}"),
-            }
-        }
+        },
+        faults,
+        pool_label: "clients".into(),
+        load: Load::Registers {
+            clients: CLIENTS,
+            ops_per_client: 36,
+            read_back_after: Some(200_000_000),
+        },
+        script,
+        ..Cell::default()
+    }
+}
+
+/// Freeze shard 0's primary while writes are in flight: the failure
+/// detector must promote the backup and no acked write may vanish.
+fn crash_primary_mid_write(seed: u64) -> (Cell, fn(&Run)) {
+    let faults = FaultPlan::new(seed).shard_crash("node0", 5_000_000, 120_000_000);
+    (chaos_cell(faults, vec![]), |run| {
+        no_acked_write_lost(run);
         assert!(
-            merged.len() > CLIENTS * 10,
-            "workload too small to mean anything: {} recorded ops",
-            merged.len()
+            run.ambiguous > 0,
+            "no write ended ambiguous — the crash missed the writes"
         );
-        let violations = merged.check();
+        let ctl0 = run.cluster.ctl(0).expect("replicated group");
+        assert_eq!(ctl0.promotions.get(), 1, "exactly one failover");
+        assert_eq!(ctl0.primary(), 1);
+        assert!(ctl0.is_deposed(0), "old primary fenced out");
+        assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
+    })
+}
+
+/// Freeze shard 0's backup: the primary must depose it via a solo grant
+/// and keep acking writes.
+fn crash_backup(seed: u64) -> (Cell, fn(&Run)) {
+    let faults = FaultPlan::new(seed).shard_crash("node0r1", 5_000_000, 120_000_000);
+    (chaos_cell(faults, vec![]), |run| {
+        no_acked_write_lost(run);
+        let ctl0 = run.cluster.ctl(0).expect("replicated group");
+        assert_eq!(ctl0.promotions.get(), 0, "no failover, primary went solo");
+        assert!(ctl0.is_deposed(1), "unreachable backup deposed");
+        assert!(ctl0.primary_is_solo());
+        let role = run.cluster.group(0).members[0].replication().unwrap();
+        assert!(role.solo_commits.get() > 0, "primary must commit solo");
+        assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
+    })
+}
+
+/// Freeze shard 1's primary while a live `add_shard` migration is
+/// draining keys through it. The window opens just after the script's
+/// step at t=8ms, so the freeze always lands while the migration is
+/// draining keys through shard 1 (the fleet alone may quiesce earlier).
+fn crash_during_migration(seed: u64) -> (Cell, fn(&Run)) {
+    let faults = FaultPlan::new(seed).shard_crash("node1", 8_200_000, 90_000_000);
+    (chaos_cell(faults, vec![8_000_000]), |run| {
+        no_acked_write_lost(run);
+        grew_and_failed_over(run, 2);
+    })
+}
+
+/// Freeze the primary, let the backup take over, then freeze the
+/// promoted backup too — the group goes dark and comes back, and still
+/// nothing acked is lost.
+fn double_fault(seed: u64) -> (Cell, fn(&Run)) {
+    let faults = FaultPlan::new(seed)
+        .shard_crash("node0", 5_000_000, 60_000_000)
+        .shard_crash("node0r1", 70_000_000, 150_000_000);
+    (chaos_cell(faults, vec![]), |run| {
+        no_acked_write_lost(run);
         assert!(
-            violations.is_empty(),
-            "{chaos:?} seed {seed}: {} linearizability violation(s):\n  {}",
-            violations.len(),
-            violations.join("\n  ")
+            run.ambiguous > 0,
+            "no write ended ambiguous — the crash missed the writes"
+        );
+        let ctl0 = run.cluster.ctl(0).expect("replicated group");
+        assert_eq!(ctl0.promotions.get(), 1, "second promote has no candidate");
+        assert!(ctl0.is_deposed(0));
+        assert_eq!(
+            ctl0.primary(),
+            1,
+            "the twice-crashed backup stays primary and recovers"
+        );
+        assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
+    })
+}
+
+/// When `composed_storm` freezes shard 1's primary, and how long after
+/// the load starts it adds a shard.
+const STORM_CRASH_AT: Time = 35_200_000;
+const STORM_GROW_AFTER: Time = 600_000;
+
+/// Everything at once (ROADMAP item 5): the gateway with the fig11
+/// tenants before 4 shards x 2 replicas on `rdma-offload`, seeded link
+/// drops and delays, shard 1's primary frozen inside the storm and a
+/// live `add_shard` after that. The crash window is absolute time and
+/// the script counts from the end of preload, so the predicate pins
+/// their order. Cluster and fabric conservation and epoch monotonicity
+/// are the strict check session's.
+fn composed_storm(seed: u64) -> (Cell, fn(&Run)) {
+    let gateway = GatewayConfig {
+        dispatch_slots: 16,
+        ..GatewayConfig::new(default_tenants())
+    };
+    let cell = Cell {
+        cluster: rdma_offload_4x2(),
+        faults: FaultPlan::new(seed)
+            .link_drops(0.005)
+            .link_delays(0.01, 20_000)
+            .shard_crash("node1", STORM_CRASH_AT, 75_000_000),
+        pool_label: "gw-fleet".into(),
+        pool_cores: 64,
+        preload: Preload {
+            keys: 128,
+            value_bytes: 256,
+        },
+        load: Load::Tenants(gateway, default_workloads()),
+        script: vec![STORM_GROW_AFTER],
+    };
+    (cell, |run| {
+        let grow_at = run.load_started_at + STORM_GROW_AFTER;
+        assert!(
+            run.load_started_at < STORM_CRASH_AT && STORM_CRASH_AT < grow_at,
+            "preload drifted: the load starts at {} ns, so the crash at {STORM_CRASH_AT} ns \
+             is no longer inside the storm and ahead of the shard add at {grow_at} ns",
+            run.load_started_at
         );
         assert!(
-            faults.report().total() > 0,
-            "{chaos:?} seed {seed}: the crash plan never fired — the run proves nothing"
+            run.snapshots[0].shed > 0,
+            "the storm tenant must be shed: {:?}",
+            run.snapshots[0]
         );
-        // The scenarios that freeze a serving primary must ack writes
-        // ambiguously while the detector counts failures.
-        if matches!(chaos, Chaos::CrashPrimaryMidWrite | Chaos::DoubleFault) {
-            assert!(
-                ambiguous > 0,
-                "{chaos:?} seed {seed}: no write ended ambiguous — the crash missed the writes"
+        for t in &run.snapshots {
+            assert_eq!(
+                t.issued,
+                t.ok + t.shed + t.errors,
+                "tenant '{}' requests must not vanish: {t:?}",
+                t.name
             );
+            assert!(t.ok > 0, "tenant '{}' must make progress: {t:?}", t.name);
         }
-        // Protocol-level expectations per chaos shape.
-        let ctl0 = cluster.ctl(0).expect("replicated group");
-        match chaos {
-            Chaos::CrashPrimaryMidWrite => {
-                assert_eq!(ctl0.promotions.get(), 1, "exactly one failover");
-                assert_eq!(ctl0.primary(), 1);
-                assert!(ctl0.is_deposed(0), "old primary fenced out");
-            }
-            Chaos::CrashBackup => {
-                assert_eq!(ctl0.promotions.get(), 0, "no failover, primary went solo");
-                assert!(ctl0.is_deposed(1), "unreachable backup deposed");
-                assert!(ctl0.primary_is_solo());
-                let role = cluster.group(0).members[0].replication().unwrap();
-                assert!(role.solo_commits.get() > 0, "primary must commit solo");
-            }
-            Chaos::CrashDuringMigration => {
-                let ctl1 = cluster.ctl(1).expect("replicated group");
-                assert_eq!(
-                    ctl1.promotions.get(),
-                    1,
-                    "shard 1 failed over mid-migration"
-                );
-                assert!(ctl1.epoch() > 1, "failover advances the epoch");
-                assert!(cluster.ctl(2).is_some(), "grown shard is replicated too");
-                assert!(!cluster.migrating(), "migration completed");
-            }
-            Chaos::DoubleFault => {
-                assert_eq!(ctl0.promotions.get(), 1, "second promote has no candidate");
-                assert!(ctl0.is_deposed(0));
-                assert_eq!(
-                    ctl0.primary(),
-                    1,
-                    "the twice-crashed backup stays primary and recovers"
-                );
-            }
+        grew_and_failed_over(run, 4);
+        let ctl1 = run.cluster.ctl(1).expect("replicated group");
+        assert!(ctl1.is_deposed(0), "old primary fenced out");
+        for site in [FaultSite::LinkDrop, FaultSite::LinkDelay] {
+            assert!(run.faults.count(site) > 0, "{site:?} never fired");
         }
-        if chaos != Chaos::CrashDuringMigration {
-            assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
-        }
-        cluster
-    });
-    FaultSession::uninstall();
+        assert_eq!(run.faults.count(FaultSite::ShardCrash), 1);
+    })
+}
+
+/// The register rows' shared predicate: the merged history, read-back
+/// included, is big enough to mean something and checks clean.
+fn no_acked_write_lost(run: &Run) {
+    assert!(
+        run.history.len() > CLIENTS * 10,
+        "workload too small to mean anything: {} recorded ops",
+        run.history.len()
+    );
+    let violations = run.history.check();
+    assert!(
+        violations.is_empty(),
+        "{} linearizability violation(s):\n  {}",
+        violations.len(),
+        violations.join("\n  ")
+    );
+}
+
+/// The migration rows' shared predicate: the scripted `add_shard` rode
+/// out shard 1's crash window and grew shard `new`, replicated, while
+/// shard 1 failed over exactly once.
+fn grew_and_failed_over(run: &Run, new: usize) {
+    let grown = *run.script[0]
+        .as_ref()
+        .expect("migration must ride out the crash window");
+    assert_eq!(grown, new, "the grown shard gets the next id");
+    assert!(
+        run.cluster.ctl(new).is_some(),
+        "grown shard is replicated too"
+    );
+    assert!(!run.cluster.migrating(), "migration completed");
+    let ctl1 = run.cluster.ctl(1).expect("replicated group");
+    assert_eq!(
+        ctl1.promotions.get(),
+        1,
+        "shard 1 failed over mid-migration"
+    );
+    assert!(ctl1.epoch() > 1, "failover advances the epoch");
+}
+
+fn run_row(row: Row, seed: u64) {
+    let _check = CheckGuard::new();
+    let (cell, holds) = row(seed);
+    let run = cell.run(seed);
+    assert!(
+        run.faults.total() > 0,
+        "the plan never fired — the run proves nothing"
+    );
+    holds(&run);
     // After quiesce: surviving replicas of every group must hold
     // identical KV state. The CheckGuard fails the test on drop if the
     // digests diverge or any epoch went backwards.
-    cluster.verify_replicas();
+    run.cluster.verify_replicas();
 }
 
 #[test]
 fn crash_primary_mid_write_seed_42() {
-    run_chaos(Chaos::CrashPrimaryMidWrite, 42);
+    run_row(crash_primary_mid_write, 42);
 }
 
 #[test]
 fn crash_primary_mid_write_seed_7() {
-    run_chaos(Chaos::CrashPrimaryMidWrite, 7);
+    run_row(crash_primary_mid_write, 7);
 }
 
 #[test]
 fn crash_primary_mid_write_seed_1234() {
-    run_chaos(Chaos::CrashPrimaryMidWrite, 1234);
+    run_row(crash_primary_mid_write, 1234);
 }
 
 #[test]
 fn crash_backup_seed_42() {
-    run_chaos(Chaos::CrashBackup, 42);
+    run_row(crash_backup, 42);
 }
 
 #[test]
 fn crash_backup_seed_7() {
-    run_chaos(Chaos::CrashBackup, 7);
+    run_row(crash_backup, 7);
 }
 
 #[test]
 fn crash_backup_seed_1234() {
-    run_chaos(Chaos::CrashBackup, 1234);
+    run_row(crash_backup, 1234);
 }
 
 #[test]
 fn crash_during_migration_seed_42() {
-    run_chaos(Chaos::CrashDuringMigration, 42);
+    run_row(crash_during_migration, 42);
 }
 
 #[test]
 fn crash_during_migration_seed_7() {
-    run_chaos(Chaos::CrashDuringMigration, 7);
+    run_row(crash_during_migration, 7);
 }
 
 #[test]
 fn crash_during_migration_seed_1234() {
-    run_chaos(Chaos::CrashDuringMigration, 1234);
+    run_row(crash_during_migration, 1234);
 }
 
 #[test]
 fn double_fault_seed_42() {
-    run_chaos(Chaos::DoubleFault, 42);
+    run_row(double_fault, 42);
 }
 
 #[test]
 fn double_fault_seed_7() {
-    run_chaos(Chaos::DoubleFault, 7);
+    run_row(double_fault, 7);
 }
 
 #[test]
 fn double_fault_seed_1234() {
-    run_chaos(Chaos::DoubleFault, 1234);
+    run_row(double_fault, 1234);
+}
+
+#[test]
+fn composed_storm_seed_42() {
+    run_row(composed_storm, 42);
+}
+
+#[test]
+fn composed_storm_seed_7() {
+    run_row(composed_storm, 7);
+}
+
+#[test]
+fn composed_storm_seed_1234() {
+    run_row(composed_storm, 1234);
 }
 
 /// 4 shards x 2 replicas on `rdma-offload` (the `kv_write_repl` topology
@@ -312,12 +345,18 @@ fn rdma_offload_cluster_quiesces_while_still_alive() {
     // primary its chain link: an idle ring poller must hold no timer.
     let _check = CheckGuard::new();
     let cluster = block_on(async {
-        let cluster = DdsCluster::build(rdma_offload_4x2()).await;
-        let client = cluster.connect(CpuPool::new("clients", 16, 3_000_000_000));
-        for key in 0..8u64 {
-            let value = Bytes::from(vec![key as u8; 64]);
-            client.kv_put(key, value).await.expect("put");
+        let (cluster, client) = Cell {
+            cluster: rdma_offload_4x2(),
+            pool_label: "clients".into(),
+            pool_cores: 16,
+            preload: Preload {
+                keys: 8,
+                value_bytes: 64,
+            },
+            ..Cell::default()
         }
+        .boot()
+        .await;
         for key in 0..5u64 {
             assert!(client.kv_get(key).await.expect("get").is_some());
         }
@@ -335,15 +374,19 @@ fn idle_rdma_offload_fleet_costs_no_polls() {
     let fleet = Rc::new(RefCell::new(None));
     let slot = fleet.clone();
     sim.spawn(async move {
-        let cluster = DdsCluster::build(rdma_offload_4x2()).await;
-        let client = cluster.connect(CpuPool::new("clients", 64, 3_000_000_000));
-        let population = FleetConfig {
-            dist: KeyDist::Uniform { keys: 512 },
-            value_bytes: 4096,
-            ..FleetConfig::default()
-        };
-        preload(&client, &population).await;
-        *slot.borrow_mut() = Some((cluster, client));
+        let up = Cell {
+            cluster: rdma_offload_4x2(),
+            pool_label: "clients".into(),
+            pool_cores: 64,
+            preload: Preload {
+                keys: 512,
+                value_bytes: 4096,
+            },
+            ..Cell::default()
+        }
+        .boot()
+        .await;
+        *slot.borrow_mut() = Some(up);
     });
     // Bounded (preload ends near 0.25 s), so a poller that re-arms
     // fails the test instead of hanging it.

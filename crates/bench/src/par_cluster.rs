@@ -12,9 +12,11 @@
 //! Every domain installs its own [`Telemetry`] and
 //! [`dpdpu_check::CheckSession`], swapped in and out around each
 //! execution slice by [`ParHooks`], so probe streams never interleave
-//! across domains. The per-domain traces are merged deterministically by
-//! (virtual time, domain index, event index) via
-//! [`dpdpu_telemetry::merge_traces`], and the whole run — summary lines,
+//! across domains. Each domain formats its own events once, at teardown,
+//! into a [`dpdpu_telemetry::TracePart`]; the parts — formatted lines
+//! plus a (start ns, byte range) index, not JSON text to re-read — are
+//! merged deterministically by (virtual time, domain index, event index)
+//! via [`dpdpu_telemetry::merge_traces`], and the whole run — summary lines,
 //! conformance reports, merged trace — is a pure function of
 //! (configuration, seed): `run_par(cfg, 1)` and `run_par(cfg, N)` must
 //! be byte-identical, which the `par_cluster` scenario and the
@@ -38,7 +40,7 @@ use dpdpu_des::{
 use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
-use dpdpu_telemetry::{merge_traces, Telemetry};
+use dpdpu_telemetry::{merge_traces, Telemetry, TracePart};
 
 use crate::fleet::{preload_keys, run_clients, FleetReport, KeyDist, KeySampler, Mix, Pace};
 
@@ -115,7 +117,9 @@ struct Ports {
 struct DomainOut {
     line: String,
     report: String,
-    trace: String,
+    /// The domain's events, formatted on its own thread with pids and
+    /// device names already in its merge namespace.
+    trace: TracePart,
     polls: u64,
     /// The local fleet's report; `elapsed_ns` is measured from t=0, i.e.
     /// it is the domain's clock when its last request resolved.
@@ -178,7 +182,9 @@ impl DomainHooks for ParHooks {
         *self.out.lock().unwrap_or_else(|e| e.into_inner()) = Some(DomainOut {
             line,
             report,
-            trace: self.telemetry.chrome_trace(),
+            trace: self
+                .telemetry
+                .trace_part(self.domain, &format!("pd{}", self.domain)),
             polls: self.polls,
             fleet,
             remote,
@@ -298,15 +304,10 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
         let _ = writeln!(stdout, "{}", out.line);
         let _ = writeln!(stdout, "{}", out.report);
     }
-    let named: Vec<(String, String)> = outs
-        .iter()
-        .enumerate()
-        .map(|(d, o)| (format!("pd{d}"), o.trace.clone()))
-        .collect();
     let n = outs.len() as u64;
     ParRun {
         stdout,
-        trace: merge_traces(&named),
+        trace: merge_traces(outs.iter().map(|o| &o.trace)),
         polls: outs.iter().map(|o| o.polls).sum(),
         issued: outs.iter().map(|o| o.fleet.issued).sum(),
         ok: outs.iter().map(|o| o.fleet.ok).sum(),

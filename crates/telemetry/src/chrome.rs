@@ -10,177 +10,177 @@
 //! * span → `"ph":"X"` complete event with `ts`/`dur` in microseconds
 //!   (fractional — virtual time is nanosecond-granular);
 //! * sampler timeline → `"ph":"C"` counter events.
+//!
+//! Format contract (`benchmark/src/trace.rs` reads it): exactly one
+//! event per line, metadata lines before timed ones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::rc::Rc;
 
-use crate::json::{escape, number};
+use dpdpu_des::Time;
+
+use crate::intern::{FnvBuild, Sym};
+use crate::json::{Escaped, Number};
 use crate::Telemetry;
 
-/// Renders the full trace for `t`.
-pub(crate) fn export(t: &Telemetry) -> String {
-    let spans = t.tracer().spans();
-    let samples = t.samples();
+const HEAD: &str = "{\"traceEvents\":[\n";
+const TAIL: &str = "\n],\"displayTimeUnit\":\"ns\"}\n";
 
-    // Deterministic pid/tid assignment: sorted device names, then sorted
-    // track names within each device.
-    let mut pids: BTreeMap<String, u64> = BTreeMap::new();
-    let mut tids: BTreeMap<(String, String), u64> = BTreeMap::new();
-    for s in &spans {
-        pids.entry(s.process.clone()).or_insert(0);
-        tids.entry((s.process.clone(), s.track.clone()))
-            .or_insert(0);
-    }
-    for s in &samples {
-        pids.entry(s.process.clone()).or_insert(0);
-    }
-    for (i, (_, pid)) in pids.iter_mut().enumerate() {
-        *pid = i as u64 + 1;
-    }
-    let mut next_tid: BTreeMap<String, u64> = BTreeMap::new();
-    for ((process, _), tid) in tids.iter_mut() {
-        let n = next_tid.entry(process.clone()).or_insert(0);
-        *n += 1;
-        *tid = *n;
-    }
-
-    let mut events: Vec<String> = Vec::new();
-
-    for (process, pid) in &pids {
-        events.push(format!(
-            r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"{}"}}}}"#,
-            escape(process)
-        ));
-    }
-    for ((process, track), tid) in &tids {
-        let pid = pids[process];
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}}"#,
-            escape(track)
-        ));
-    }
-
-    for s in &spans {
-        let pid = pids[&s.process];
-        let tid = tids[&(s.process.clone(), s.track.clone())];
-        let ts = s.start as f64 / 1_000.0;
-        let dur = s.end.saturating_sub(s.start) as f64 / 1_000.0;
-        let mut args = String::new();
-        for (k, v) in &s.attrs {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            let _ = write!(args, r#""{}":"{}""#, escape(k), escape(v));
-        }
-        events.push(format!(
-            r#"{{"name":"{}","ph":"X","pid":{pid},"tid":{tid},"ts":{},"dur":{},"args":{{{args}}}}}"#,
-            escape(&s.name),
-            number(ts),
-            number(dur),
-        ));
-    }
-
-    for s in &samples {
-        let pid = pids[&s.process];
-        events.push(format!(
-            r#"{{"name":"{}","ph":"C","pid":{pid},"tid":0,"ts":{},"args":{{"value":{}}}}}"#,
-            escape(&s.name),
-            number(s.t as f64 / 1_000.0),
-            number(s.value),
-        ));
-    }
-
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    out
-}
-
-/// Maximum pids a single domain's trace may use in a merge — the
+/// Maximum pids a single domain's part may use in a merge — the
 /// per-domain pid namespace stride.
 const MERGE_PID_STRIDE: u64 = 1_000;
 
-/// Merges per-domain Chrome traces (as produced by
-/// [`Telemetry::chrome_trace`]) into one trace.
+/// One session's events, formatted once, plus the index [`merge_traces`]
+/// sorts. Plain owned data: a time domain publishes it from its thread.
+pub struct TracePart {
+    domain: usize,
+    /// [`HEAD`], the metadata lines, then the timed lines in recording
+    /// order (spans, then samples); every line ends in `",\n"`.
+    text: String,
+    /// Line boundaries in `text`: entry 0 is where the timed lines start,
+    /// entry `i >= 1` is timed line `i`'s virtual start, ns, and its end.
+    index: Vec<(Time, usize)>,
+}
+
+/// Renders the full trace for `t`.
+pub(crate) fn export(t: &Telemetry) -> String {
+    close(part(t, None).text)
+}
+
+/// Turns [`HEAD`] plus `",\n"`-terminated lines into a whole trace.
+fn close(mut text: String) -> String {
+    if text.len() > HEAD.len() {
+        text.truncate(text.len() - ",\n".len());
+    }
+    text.push_str(TAIL);
+    text
+}
+
+/// The one formatting pass: every line is written once, into one
+/// buffer, straight from the raw spans' symbols. `domain` is the
+/// session's (index, name) in a merge — its pids move into the domain's
+/// namespace and its device names gain a `"{name}/"` prefix as they are
+/// written — or `None` for a trace of its own.
+pub(crate) fn part(t: &Telemetry, domain: Option<(usize, &str)>) -> TracePart {
+    let intern = t.tracer().interner();
+    t.tracer().with_raw(|spans| {
+        t.sampler().with(|samples| {
+            // Deterministic pid/tid assignment: sorted device names, then
+            // sorted track names within each device — resolved once per
+            // distinct (process, track) symbol pair, not per span.
+            let mut ids: HashMap<(Sym, Sym), (u64, u64), FnvBuild> = HashMap::default();
+            for s in spans {
+                ids.entry((s.process, s.track)).or_insert((0, 0));
+            }
+            let tracks: BTreeMap<(Rc<str>, Rc<str>), (Sym, Sym)> = ids
+                .keys()
+                .map(|&(p, t)| ((intern.resolve(p), intern.resolve(t)), (p, t)))
+                .collect();
+            let mut pids: BTreeMap<&str, u64> = tracks.keys().map(|(p, _)| (&**p, 0)).collect();
+            for s in samples {
+                pids.entry(s.process.as_str()).or_insert(0);
+            }
+            // A trace of its own is numbered like domain 0 and not prefixed.
+            let d = domain.map_or(0, |(d, _)| d);
+            let prefix = domain.map_or(String::new(), |(_, name)| format!("{}/", Escaped(name)));
+            assert!(
+                domain.is_none() || (pids.len() as u64) < MERGE_PID_STRIDE,
+                "domain trace uses pid {} >= the merge stride {MERGE_PID_STRIDE}",
+                pids.len()
+            );
+            for (i, pid) in pids.values_mut().enumerate() {
+                *pid = d as u64 * MERGE_PID_STRIDE + i as u64 + 1;
+            }
+
+            let lines = spans.len() + samples.len();
+            // A typical event line is 80–90 bytes: reserve once.
+            let mut out = String::with_capacity(HEAD.len() + 96 * lines);
+            out.push_str(HEAD);
+            for (process, pid) in &pids {
+                let _ = writeln!(
+                    out,
+                    r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"{prefix}{}"}}}},"#,
+                    Escaped(process)
+                );
+            }
+            let (mut device, mut tid) = (None, 0);
+            for ((process, track), pair) in &tracks {
+                tid = if device == Some(process) { tid + 1 } else { 1 };
+                device = Some(process);
+                let pid = pids[&**process];
+                ids.insert(*pair, (pid, tid));
+                let _ = writeln!(
+                    out,
+                    r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}},"#,
+                    Escaped(track)
+                );
+            }
+
+            let mut index = Vec::with_capacity(1 + lines);
+            index.push((0, out.len()));
+            for s in spans {
+                let (pid, tid) = ids[&(s.process, s.track)];
+                let _ = write!(
+                    out,
+                    r#"{{"name":"{}","ph":"X","pid":{pid},"tid":{tid},"ts":{},"dur":{},"args":{{"#,
+                    Escaped(&intern.resolve(s.name)),
+                    Number(s.start as f64 / 1_000.0),
+                    Number(s.end.saturating_sub(s.start) as f64 / 1_000.0),
+                );
+                for (i, (k, v)) in s.attrs.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    let _ = write!(out, r#"{sep}"{}":"{}""#, Escaped(&intern.resolve(*k)), Escaped(v));
+                }
+                out.push_str("}},\n");
+                index.push((s.start, out.len()));
+            }
+            for s in samples {
+                let _ = writeln!(
+                    out,
+                    r#"{{"name":"{}","ph":"C","pid":{},"tid":0,"ts":{},"args":{{"value":{}}}}},"#,
+                    Escaped(&s.name),
+                    pids[s.process.as_str()],
+                    Number(s.t as f64 / 1_000.0),
+                    Number(s.value),
+                );
+                index.push((s.t, out.len()));
+            }
+            TracePart { domain: d, text: out, index }
+        })
+    })
+}
+
+/// Merges per-domain parts (from [`Telemetry::trace_part`], passed in
+/// domain-index order) into one trace.
 ///
 /// This is the parallel simulation core's canonical probe-stream merge:
 /// timed events are globally ordered by **(virtual time, domain index,
 /// original in-domain order)**, so the merged trace is a pure function
-/// of the per-domain traces — independent of thread count or wall-clock
-/// interleaving. Each domain gets its own pid namespace and its process
+/// of the per-domain parts — independent of thread count or wall-clock
+/// interleaving. Each domain has its own pid namespace and its process
 /// names are prefixed `"{domain}/"` so Perfetto shows one process group
 /// per domain.
 ///
-/// Works line-wise: the exporter above emits exactly one event per line,
-/// which is part of its format contract.
-pub fn merge_traces(domains: &[(String, String)]) -> String {
-    // (ts, domain, original index) sort key alongside the rewritten line.
-    let mut meta: Vec<String> = Vec::new();
-    let mut timed: Vec<(f64, usize, usize, String)> = Vec::new();
-    for (d, (name, trace)) in domains.iter().enumerate() {
-        let offset = d as u64 * MERGE_PID_STRIDE;
-        for (idx, raw) in trace.lines().enumerate() {
-            let line = raw.trim().trim_end_matches(',');
-            if !line.contains("\"ph\":") {
-                continue; // the {"traceEvents": shell, not an event
-            }
-            let line = remap_pid(line, offset);
-            if let Some(ts) = field_f64(&line, "\"ts\":") {
-                timed.push((ts, d, idx, line));
-            } else {
-                // Metadata: prefix the device name with the domain.
-                meta.push(prefix_process_name(&line, name));
-            }
-        }
+/// Nothing is parsed: the sort key is each line's integer start ns (the
+/// order of its printed `ts`: `ns as f64 / 1000.0` is strictly monotone
+/// below 2^53 ns) and lines are copied out of the parts as byte ranges.
+pub fn merge_traces<'a>(parts: impl IntoIterator<Item = &'a TracePart>) -> String {
+    let parts: Vec<&TracePart> = parts.into_iter().collect();
+    let mut keys = Vec::with_capacity(parts.iter().map(|p| p.index.len()).sum());
+    let mut out = String::with_capacity(parts.iter().map(|p| p.text.len()).sum());
+    out.push_str(HEAD);
+    for (d, part) in parts.iter().enumerate() {
+        assert_eq!(part.domain, d, "parts are merged in domain-index order");
+        out.push_str(&part.text[HEAD.len()..part.index[0].1]);
+        keys.extend((1..part.index.len()).map(|i| (part.index[i].0, d, i)));
     }
-    timed.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("virtual timestamps are finite")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-
-    let mut events = meta;
-    events.extend(timed.into_iter().map(|(_, _, _, line)| line));
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    out
-}
-
-/// Adds `offset` to the event's pid (every exported event has exactly
-/// one `"pid":` field).
-fn remap_pid(line: &str, offset: u64) -> String {
-    let i = line.find("\"pid\":").expect("every trace event has a pid") + "\"pid\":".len();
-    let digits = line[i..].bytes().take_while(|b| b.is_ascii_digit()).count();
-    let pid: u64 = line[i..i + digits].parse().expect("pid is an integer");
-    assert!(
-        pid < MERGE_PID_STRIDE,
-        "domain trace uses pid {pid} >= the merge stride {MERGE_PID_STRIDE}"
-    );
-    format!("{}{}{}", &line[..i], pid + offset, &line[i + digits..])
-}
-
-/// Parses the numeric value following `key`, if present.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let i = line.find(key)? + key.len();
-    let len = line[i..]
-        .bytes()
-        .take_while(|b| b.is_ascii_digit() || *b == b'.' || *b == b'-')
-        .count();
-    line[i..i + len].parse().ok()
-}
-
-/// Prefixes `process_name` metadata values with `"{domain}/"`.
-fn prefix_process_name(line: &str, domain: &str) -> String {
-    if !line.contains("\"name\":\"process_name\"") {
-        return line.to_string();
+    keys.sort_unstable();
+    for (_, d, i) in keys {
+        let (text, index) = (&parts[d].text, &parts[d].index);
+        out.push_str(&text[index[i - 1].1..index[i].1]);
     }
-    let key = "\"args\":{\"name\":\"";
-    let Some(i) = line.find(key).map(|i| i + key.len()) else {
-        return line.to_string();
-    };
-    format!("{}{}/{}", &line[..i], escape(domain), &line[i..])
+    close(out)
 }
 
 #[cfg(test)]
@@ -309,7 +309,7 @@ mod tests {
             record_span("host", "cpu", "early", *start, *end, &[]);
             record_span("host", "cpu", "late", 500, 900, &[]);
             Telemetry::uninstall();
-            traces.push((format!("d{d}"), t.chrome_trace()));
+            traces.push(t.trace_part(d, &format!("d{d}")));
         }
         let merged = merge_traces(&traces);
         let doc = validate(&merged);
@@ -336,5 +336,138 @@ mod tests {
         assert!(merged.contains("d0/host") && merged.contains("d1/host"));
         // Same inputs, same bytes.
         assert_eq!(merged, merge_traces(&traces));
+    }
+
+    /// A session whose 1 000 devices would make pid 1000: in a merge,
+    /// domain 1's first pid.
+    fn thousand_devices() -> std::rc::Rc<Telemetry> {
+        let t = Telemetry::install();
+        for device in 0..1_000 {
+            record_span(&format!("dev{device}"), "cpu", "op", 0, 1, &[]);
+        }
+        Telemetry::uninstall();
+        t
+    }
+
+    #[test]
+    #[should_panic(expected = "merge stride")]
+    fn a_domain_with_a_full_pid_namespace_is_refused() {
+        thousand_devices().trace_part(0, "d0");
+    }
+
+    #[test]
+    fn a_trace_of_its_own_has_no_pid_limit() {
+        assert!(thousand_devices().chrome_trace().contains(r#""pid":1000,"#));
+    }
+
+    // ---- bytes pinned as literals --------------------------------------
+    // Measured at PR 22's exporter (format + re-parse merge) and held
+    // across the single-pass rewrite: nothing below is computed by the
+    // code under test.
+
+    #[test]
+    fn one_session_exports_these_exact_bytes() {
+        let t = Telemetry::install();
+        t.assign_track("nic", "dpu");
+        t.register_source("dpu", "util:nic", || 0.5);
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            let sampler = start_sampler(2_000);
+            {
+                let _s = span("dpu", "nic", "request").with("path", "a\"b\\c");
+                sleep(1_500).await;
+            }
+            record_span("host", "kernel", "syscall", 10, 40, &[("op", "read")]);
+            // A probe span on a track nobody assigned lands under `sim`.
+            dpdpu_des::probe::emit_span(dpdpu_des::Site::new("stray"), "serve", 1_000, 1_234);
+            sampler.stop();
+        });
+        sim.run();
+        Telemetry::uninstall();
+        assert_eq!(
+            t.chrome_trace(),
+            r#"{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"dpu"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"host"}},
+{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"sim"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"nic"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"kernel"}},
+{"name":"thread_name","ph":"M","pid":3,"tid":1,"args":{"name":"stray"}},
+{"name":"request","ph":"X","pid":1,"tid":1,"ts":0,"dur":1.5,"args":{"path":"a\"b\\c"}},
+{"name":"syscall","ph":"X","pid":2,"tid":1,"ts":0.01,"dur":0.03,"args":{"op":"read"}},
+{"name":"serve","ph":"X","pid":3,"tid":1,"ts":1,"dur":0.234,"args":{}},
+{"name":"util:nic","ph":"C","pid":1,"tid":0,"ts":0,"args":{"value":0.5}},
+{"name":"util:nic","ph":"C","pid":1,"tid":0,"ts":2,"args":{"value":0.5}}
+],"displayTimeUnit":"ns"}
+"#
+        );
+    }
+
+    #[test]
+    fn an_empty_session_exports_these_exact_bytes() {
+        let t = Telemetry::install();
+        Telemetry::uninstall();
+        assert_eq!(
+            t.chrome_trace(),
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\"}\n"
+        );
+    }
+
+    #[test]
+    fn a_merge_exports_these_exact_bytes() {
+        // d0: two spans and a counter sample at 0.5 µs, one span before.
+        let d0 = Telemetry::install();
+        d0.register_source("host", "depth", || 2.0);
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            record_span("host", "cpu", "a", 500, 900, &[]);
+            record_span("host", "cpu", "b", 100, 300, &[]);
+            sleep(500).await;
+            start_sampler(100).stop();
+            record_span("host", "cpu", "c", 500, 600, &[]);
+        });
+        sim.run();
+        // d1: one span tying at 0.5 µs, one earlier on a second device.
+        let d1 = Telemetry::install();
+        record_span("host", "cpu", "d", 500, 700, &[]);
+        record_span("dpu", "arm", "e", 200, 250, &[]);
+        // d"2: no span at all, one counter sample, also at 0.5 µs.
+        let d2 = Telemetry::install();
+        d2.register_source("nic", "q", || 1.0);
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            sleep(500).await;
+            start_sampler(100).stop();
+        });
+        sim.run();
+        Telemetry::uninstall();
+
+        // The 0.5 µs tie: domain index first (a, c, depth of d0 before d
+        // of d1 before q of d"2), then in-domain order (a before c
+        // though b was recorded between them; spans before samples).
+        assert_eq!(
+            merge_traces(&[
+                d0.trace_part(0, "d0"),
+                d1.trace_part(1, "d1"),
+                d2.trace_part(2, "d\"2")
+            ]),
+            r#"{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"d0/host"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"cpu"}},
+{"name":"process_name","ph":"M","pid":1001,"tid":0,"args":{"name":"d1/dpu"}},
+{"name":"process_name","ph":"M","pid":1002,"tid":0,"args":{"name":"d1/host"}},
+{"name":"thread_name","ph":"M","pid":1001,"tid":1,"args":{"name":"arm"}},
+{"name":"thread_name","ph":"M","pid":1002,"tid":1,"args":{"name":"cpu"}},
+{"name":"process_name","ph":"M","pid":2001,"tid":0,"args":{"name":"d\"2/nic"}},
+{"name":"b","ph":"X","pid":1,"tid":1,"ts":0.1,"dur":0.2,"args":{}},
+{"name":"e","ph":"X","pid":1001,"tid":1,"ts":0.2,"dur":0.05,"args":{}},
+{"name":"a","ph":"X","pid":1,"tid":1,"ts":0.5,"dur":0.4,"args":{}},
+{"name":"c","ph":"X","pid":1,"tid":1,"ts":0.5,"dur":0.1,"args":{}},
+{"name":"depth","ph":"C","pid":1,"tid":0,"ts":0.5,"args":{"value":2}},
+{"name":"d","ph":"X","pid":1002,"tid":1,"ts":0.5,"dur":0.2,"args":{}},
+{"name":"q","ph":"C","pid":2001,"tid":0,"ts":0.5,"args":{"value":1}}
+],"displayTimeUnit":"ns"}
+"#
+        );
     }
 }

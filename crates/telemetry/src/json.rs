@@ -6,7 +6,7 @@
 //! check that an exported trace is well-formed.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,30 +74,50 @@ impl Json {
 
 /// Escapes `s` as the *contents* of a JSON string literal (no quotes).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    Escaped(s).to_string()
+}
+
+/// [`escape`] as a `Display` adapter: `write!` it straight into the
+/// output instead of building a `String` per label.
+pub(crate) struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Labels almost never need escaping: one scan, one write.
+        if !self.0.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            return f.write_str(self.0);
         }
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        Ok(())
     }
-    out
 }
 
 /// Formats an `f64` as a JSON number (finite values only; the exporter
 /// never produces NaN/inf, but guard anyway by mapping them to 0).
 pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+    Number(v).to_string()
+}
+
+/// [`number`] as a `Display` adapter.
+pub(crate) struct Number(pub f64);
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("0")
+        }
     }
 }
 

@@ -54,7 +54,7 @@ use std::rc::Rc;
 use dpdpu_des::probe::{self, Probe, Site};
 use dpdpu_des::Time;
 
-pub use chrome::merge_traces;
+pub use chrome::{merge_traces, TracePart};
 pub use intern::{Interner, Sym};
 pub use metrics::Registry;
 pub use sampler::{start_sampler, CounterSample, SamplerHandle};
@@ -216,12 +216,18 @@ impl Telemetry {
 
     /// All samples collected so far.
     pub fn samples(&self) -> Vec<CounterSample> {
-        self.sampler.samples()
+        self.sampler.with(<[CounterSample]>::to_vec)
     }
 
     /// Exports everything recorded so far as Chrome `trace_event` JSON.
     pub fn chrome_trace(&self) -> String {
         chrome::export(self)
+    }
+
+    /// Everything recorded so far as domain number `domain`, named
+    /// `name`, of a merged trace: the input of [`merge_traces`].
+    pub fn trace_part(&self, domain: usize, name: &str) -> TracePart {
+        chrome::part(self, Some((domain, name)))
     }
 
     /// Writes [`Telemetry::chrome_trace`] to `path`.

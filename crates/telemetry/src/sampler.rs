@@ -66,8 +66,10 @@ impl SampleStore {
         }
     }
 
-    pub(crate) fn samples(&self) -> Vec<CounterSample> {
-        self.samples.borrow().clone()
+    /// Runs `f` over everything sampled so far, in place: the exporters
+    /// read through this so an export copies no sample.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&[CounterSample]) -> R) -> R {
+        f(&self.samples.borrow())
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Labels (process, track, name, attribute keys) are stored as interned
 //! [`Sym`]bols — the enabled record path performs no heap allocation for
-//! labels, and the strings are resolved back only when an exporter asks
-//! for [`Tracer::spans`].
+//! labels, and the strings are resolved back only at export: per span by
+//! [`Tracer::spans`], per line written by the Chrome exporter.
 
 use std::cell::{Cell, RefCell};
 
@@ -34,15 +34,15 @@ pub struct SpanRecord {
 }
 
 /// Compact in-memory form: labels are symbols, values stay owned.
-struct RawSpan {
+pub(crate) struct RawSpan {
     id: u64,
     parent: Option<u64>,
-    process: Sym,
-    track: Sym,
-    name: Sym,
-    start: Time,
-    end: Time,
-    attrs: Vec<(Sym, String)>,
+    pub(crate) process: Sym,
+    pub(crate) track: Sym,
+    pub(crate) name: Sym,
+    pub(crate) start: Time,
+    pub(crate) end: Time,
+    pub(crate) attrs: Vec<(Sym, String)>,
 }
 
 /// Collects spans; owned by [`Telemetry`].
@@ -145,6 +145,13 @@ impl Tracer {
                     .collect(),
             })
             .collect()
+    }
+
+    /// Runs `f` over the finished spans as stored, symbols unresolved,
+    /// in completion order: the Chrome exporter formats from these in
+    /// place and never builds a [`SpanRecord`].
+    pub(crate) fn with_raw<R>(&self, f: impl FnOnce(&[RawSpan]) -> R) -> R {
+        f(&self.spans.borrow())
     }
 
     /// Number of finished spans.

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::Telemetry;
+use crate::{CounterSample, Telemetry};
 
 /// Left-aligns `rows` under `header` with two-space gutters.
 fn table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -41,8 +41,11 @@ fn table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 pub(crate) fn render(t: &Telemetry) -> String {
+    t.sampler().with(|samples| render_with(t, samples))
+}
+
+fn render_with(t: &Telemetry, samples: &[CounterSample]) -> String {
     let spans = t.tracer().spans();
-    let samples = t.samples();
     let end = spans
         .iter()
         .map(|s| s.end)
@@ -143,9 +146,9 @@ pub(crate) fn render(t: &Telemetry) -> String {
             max: f64,
             last: f64,
         }
-        let mut tls: BTreeMap<(String, String), Tl> = BTreeMap::new();
-        for s in &samples {
-            let tl = tls.entry((s.process.clone(), s.name.clone())).or_default();
+        let mut tls: BTreeMap<(&str, &str), Tl> = BTreeMap::new();
+        for s in samples {
+            let tl = tls.entry((&s.process, &s.name)).or_default();
             tl.count += 1;
             tl.sum += s.value;
             tl.max = tl.max.max(s.value);
@@ -156,8 +159,8 @@ pub(crate) fn render(t: &Telemetry) -> String {
             .iter()
             .map(|((process, name), tl)| {
                 vec![
-                    process.clone(),
-                    name.clone(),
+                    process.to_string(),
+                    name.to_string(),
                     tl.count.to_string(),
                     format!("{:.3}", tl.sum / tl.count as f64),
                     format!("{:.3}", tl.max),

@@ -10,6 +10,8 @@
 use dpdpu_bench::par_cluster::{run_par, ParClusterConfig};
 use dpdpu_bench::scenarios;
 use dpdpu_des::{DomainSet, NoHooks, Sim};
+use dpdpu_telemetry::intern::FnvHasher;
+use std::hash::Hasher as _;
 
 const SEEDS: [u64; 3] = [42, 7, 1234];
 
@@ -118,4 +120,46 @@ fn planted_lookahead_violation_is_caught_not_reordered() {
         msg.contains("lookahead violation"),
         "expected the checked lookahead invariant, got: {msg}"
     );
+}
+
+#[test]
+fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
+    // A seed no golden uses, big enough (≈150 K events) that every
+    // domain's pid namespace, tie-break and metadata block is exercised.
+    // Length and hash were measured at PR 22, whose merge re-parsed the
+    // per-domain JSON; the part-index merge must reproduce them.
+    let trace = run_par(
+        ParClusterConfig {
+            domains: 4,
+            clients_per_domain: 4,
+            ops_per_client: 300,
+            keys_per_domain: 128,
+            seed: 977,
+            ..Default::default()
+        },
+        1,
+    )
+    .trace;
+    assert_eq!(trace.len(), 12_830_782);
+    // FNV-1a-64, the telemetry crate's own label hash.
+    let mut hash = FnvHasher::default();
+    hash.write(trace.as_bytes());
+    assert_eq!(format!("{:016x}", hash.finish()), "82a3ddbe711e6769");
+    let mut last = f64::MIN;
+    let mut timed = 0usize;
+    for line in trace.lines() {
+        let Some(i) = line.find("\"ts\":") else {
+            continue;
+        };
+        let rest = &line[i + 5..];
+        let len = rest
+            .bytes()
+            .take_while(|b| b.is_ascii_digit() || *b == b'.')
+            .count();
+        let ts: f64 = rest[..len].parse().expect("ts is a decimal number");
+        assert!(ts >= last, "ts went backwards: {last} then {ts}");
+        last = ts;
+        timed += 1;
+    }
+    assert!(timed > 100_000, "only {timed} timed lines");
 }

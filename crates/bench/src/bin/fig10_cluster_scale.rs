@@ -6,91 +6,48 @@
 //! cargo run -p dpdpu-bench --bin fig10_cluster_scale -- --cong cubic
 //! cargo run -p dpdpu-bench --bin fig10_cluster_scale -- --fabric rdma
 //! cargo run -p dpdpu-bench --bin fig10_cluster_scale -- --replicas 2
-//! # Beyond the testbed: the partitioned cluster past 8 servers, one
-//! # time domain per server on N worker threads (byte-identical at any
-//! # --jobs value; defaults to the host's available parallelism).
-//! cargo run --release -p dpdpu-bench --bin fig10_cluster_scale -- \
-//!     --servers 16 32 64 --jobs 8
+//! # Beyond the testbed: the same table at other fleet sizes, every
+//! # other flag still applying (≈7 s in release, byte-identical per run).
+//! cargo run --release -p dpdpu-bench --bin fig10_cluster_scale -- --servers 16 32 64
 //! ```
 
+use dpdpu_bench::fig10_cluster_scale::{parse_servers, run_with, SERVERS};
 use dpdpu_net::NetConfig;
 
 fn main() {
     let mut net = NetConfig::default();
     let mut replicas = 1usize;
-    let mut servers: Vec<usize> = Vec::new();
-    let mut jobs: Option<usize> = None;
+    let mut servers = SERVERS.to_vec();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--servers" => {
-                // Consumes every following numeric token: `--servers 16 32 64`.
-                while let Some(n) = args.peek().and_then(|v| v.parse::<usize>().ok()) {
-                    if n < 2 {
-                        usage("--servers values must be >= 2 (partitioning needs two domains)");
-                    }
-                    servers.push(n);
-                    args.next();
+            "--servers" => servers = parse_servers(&mut args).unwrap_or_else(|msg| usage(&msg)),
+            "--replicas" => {
+                replicas = match args.next().map(|v| v.parse()) {
+                    Some(Ok(n @ 1..=2)) => n,
+                    _ => usage("--replicas must be 1 or 2 (one-hop chain)"),
                 }
-                if servers.is_empty() {
-                    usage("--servers needs at least one fleet size");
-                }
-                continue;
             }
-            "--jobs" => {
+            "--fabric" | "--cong" | "--loss" | "--ecn-threshold-us" => {
                 let value = args
                     .next()
-                    .unwrap_or_else(|| usage("--jobs needs a thread count"));
-                jobs = match value.parse() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => usage("--jobs must be a positive thread count"),
-                };
-                continue;
+                    .unwrap_or_else(|| usage(&format!("{arg} needs a value")));
+                if let Err(msg) = net.apply_cli_flag(&arg, &value) {
+                    usage(&msg)
+                }
             }
-            _ => {}
-        }
-        let value = match arg.as_str() {
-            "--fabric" | "--cong" | "--loss" | "--ecn-threshold-us" | "--replicas" => args
-                .next()
-                .unwrap_or_else(|| usage(&format!("{arg} needs a value"))),
             other => usage(&format!("unknown argument: {other}")),
-        };
-        if arg == "--replicas" {
-            replicas = match value.parse() {
-                Ok(n @ 1..=2) => n,
-                _ => usage("--replicas must be 1 or 2 (one-hop chain)"),
-            };
-            continue;
         }
-        match net.apply_cli_flag(&arg, &value) {
-            Ok(true) => {}
-            Ok(false) => usage(&format!("unknown argument: {arg}")),
-            Err(msg) => usage(&msg),
-        }
-    }
-    if !servers.is_empty() {
-        // The partitioned sweep installs per-domain conformance sessions
-        // itself (one per time domain), so no process-global guard here.
-        let jobs =
-            jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        println!(
-            "{}",
-            dpdpu_bench::fig10_cluster_scale::run_scale(&servers, jobs)
-        );
-        return;
     }
     // Conformance guard: every figure/ablation run is invariant-checked.
     let _check = dpdpu_check::CheckGuard::new();
-    println!(
-        "{}",
-        dpdpu_bench::fig10_cluster_scale::run_with_replicas(net, replicas)
-    );
+    println!("{}", run_with(&servers, net, replicas));
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: fig10_cluster_scale [--replicas 1|2] [--servers N N ...] [--jobs N] {}",
+        "usage: fig10_cluster_scale [--replicas 1|2] [--servers N N ...] {}",
         NetConfig::cli_help()
     );
     std::process::exit(2)

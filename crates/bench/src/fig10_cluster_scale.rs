@@ -20,6 +20,17 @@
 //! `saved/server` converts the per-request host-cycle delta to cores
 //! at a production rate of 5M req/s per server, matching Figure 9's
 //! scaling.
+//!
+//! There is one sweep. `--servers N…` on the bin picks other fleet
+//! sizes for the same table, through the same `measure` →
+//! `Cell::run` path on the same serial `DdsCluster`, so replication,
+//! fabric and congestion flags apply at 64 servers as they do at 1, and
+//! every column is virtual: two runs print identical bytes. (64 servers
+//! × 256 clients × 32 768 ops is about a second per cell in release.)
+//! Past 8 servers the uniform claims keep holding — goodput 1.00 M →
+//! 5.81 M ops/s at 8 → 64, p50 flat, ~19 cores saved per server — while
+//! zipf 0.99 runs into the hot shard's 64-slot admission window and
+//! sheds from 32 servers on (EXPERIMENTS.md, "Beyond the testbed").
 
 use dpdpu_dds::cluster::ClusterConfig;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
@@ -27,31 +38,49 @@ use dpdpu_dds::server::DdsConfig;
 use dpdpu_net::NetConfig;
 
 use crate::cell::Cell;
-use crate::fleet::{FleetConfig, KeyDist, Mix};
+use crate::fleet::{FleetConfig, KeyDist, Mix, MAX_CLIENTS};
 use crate::table::Table;
 
 pub(crate) const KEYS: u64 = 128;
 const CLIENTS_PER_SERVER: usize = 4;
 const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
-const PROD_RATE: f64 = 5_000_000.0;
+pub(crate) const PROD_RATE: f64 = 5_000_000.0;
 
-/// Runs the sweep and renders the table.
+/// The testbed's fleet sizes: what [`run`] and the figure golden sweep.
+pub const SERVERS: [usize; 4] = [1, 2, 4, 8];
+
+/// Runs the default sweep and renders the table.
 pub fn run() -> String {
-    run_with(NetConfig::default())
+    run_with(&SERVERS, NetConfig::default(), 1)
 }
 
-/// Runs the sweep over `net` (fabric, congestion control, link
-/// shaping — the bin's `--fabric`/`--cong` flags land here).
-pub fn run_with(net: NetConfig) -> String {
-    run_with_replicas(net, 1)
+/// The bin's `--servers` list: every token of `args` up to the next
+/// `--flag`, each a fleet size whose clients [`MAX_CLIENTS`] still seeds
+/// apart. `Err` is the usage message.
+pub fn parse_servers(
+    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
+) -> Result<Vec<usize>, String> {
+    let max = MAX_CLIENTS / CLIENTS_PER_SERVER;
+    // A non-number reads as 0, which no fleet has.
+    let servers: Vec<usize> = std::iter::from_fn(|| args.next_if(|a| !a.starts_with("--")))
+        .map(|token| token.parse().unwrap_or(0))
+        .collect();
+    if servers.is_empty() || servers.iter().any(|n| !(1..=max).contains(n)) {
+        return Err(format!(
+            "--servers takes fleet sizes in 1..={max} (at most {MAX_CLIENTS} clients)"
+        ));
+    }
+    Ok(servers)
 }
 
-/// Runs the sweep with `replicas` copies of every shard (the bin's
-/// `--replicas` flag). At 2, every write chains primary→backup before
-/// acking, so the table doubles as the replication tax measurement:
-/// the host-core saving must survive the extra fabric hop.
-pub fn run_with_replicas(net: NetConfig, replicas: usize) -> String {
+/// Runs the sweep at each fleet size of `servers` over `net` (fabric,
+/// congestion control, link shaping — the bin's `--fabric`/`--cong`
+/// flags land here) with `replicas` copies of every shard (`--replicas`).
+/// At 2, every write chains primary→backup before acking, so the table
+/// doubles as the replication tax measurement: the host-core saving must
+/// survive the extra fabric hop.
+pub fn run_with(servers: &[usize], net: NetConfig, replicas: usize) -> String {
     let mut table = Table::new(&[
         "servers",
         "clients",
@@ -62,7 +91,7 @@ pub fn run_with_replicas(net: NetConfig, replicas: usize) -> String {
         "shed",
         "saved_cores_per_server",
     ]);
-    for servers in [1usize, 2, 4, 8] {
+    for &servers in servers {
         let keys = KEYS * servers as u64;
         for dist in [
             KeyDist::Uniform { keys },
@@ -94,64 +123,6 @@ pub fn run_with_replicas(net: NetConfig, replicas: usize) -> String {
         } else {
             String::new()
         },
-        table.render(),
-    )
-}
-
-/// The beyond-the-testbed sweep: the domain-partitioned cluster
-/// (`crate::par_cluster`) at fleet sizes the single-threaded sweep
-/// above cannot reach in reasonable wall-clock — one time domain per
-/// server, driven on `jobs` worker threads under the conservative
-/// synchronizer. Wall-clock seconds are real; every other column is
-/// virtual and byte-identical at any job count. `agg_kops` here is
-/// *virtual* throughput (completed ops over the latest domain clock),
-/// `sim_kevents_per_s` the wall-clock event rate the parallel core
-/// sustained.
-pub fn run_scale(servers: &[usize], jobs: usize) -> String {
-    use crate::par_cluster::{run_par, ParClusterConfig};
-
-    let mut table = Table::new(&[
-        "servers",
-        "clients",
-        "ops",
-        "remote_pct",
-        "agg_kops",
-        "p50_us",
-        "p99_us",
-        "wall_s",
-        "sim_kevents_per_s",
-    ]);
-    for &n in servers {
-        let cfg = ParClusterConfig {
-            domains: n,
-            clients_per_domain: CLIENTS_PER_SERVER,
-            ops_per_client: OPS_PER_CLIENT,
-            ..ParClusterConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let run = run_par(cfg, jobs);
-        let wall = t0.elapsed().as_secs_f64();
-        table.row(vec![
-            format!("{n}"),
-            format!("{}", n * CLIENTS_PER_SERVER),
-            format!("{}", run.ok),
-            format!(
-                "{:.1}",
-                run.remote as f64 * 100.0 / run.issued.max(1) as f64
-            ),
-            format!("{:.0}", run.ok as f64 / run.elapsed_ns.max(1) as f64 * 1e6),
-            format!("{:.1}", run.mean_p50_ns as f64 / 1e3),
-            format!("{:.1}", run.max_p99_ns as f64 / 1e3),
-            format!("{wall:.2}"),
-            format!("{:.0}", run.polls as f64 / wall / 1e3),
-        ]);
-    }
-    format!(
-        "## Figure 10 (extension): beyond the testbed — partitioned cluster, \
-         {jobs} worker thread(s)\n\
-         (target shape: virtual agg_kops grows near-linearly with servers while \
-         p50/p99 hold — shared-nothing shards only meet at the consistent-hash \
-         ring — and the run replays byte-identically at any thread count)\n\n{}",
         table.render(),
     )
 }
@@ -217,20 +188,95 @@ pub(crate) fn measure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpdpu_net::fabric::FabricKind;
+
+    fn uniform(servers: usize, offload: bool) -> Measurement {
+        let keys = KEYS * servers as u64;
+        let dist = KeyDist::Uniform { keys };
+        measure(servers, dist, offload, NetConfig::default(), 1)
+    }
+
+    /// The sweep's claims past the testbed's 8 servers, on the one
+    /// cluster model: goodput keeps growing, the per-request host-cycle
+    /// saving is the 1-server saving, and the median does not move.
+    #[test]
+    fn the_claims_hold_at_sixteen_servers() {
+        let (one, eight, sixteen) = (uniform(1, true), uniform(8, true), uniform(16, true));
+        assert!(
+            sixteen.agg_mops >= 1.6 * eight.agg_mops,
+            "doubling a shared-nothing fleet should near-double goodput: \
+             8 servers {:.3} Mops, 16 servers {:.3} Mops",
+            eight.agg_mops,
+            sixteen.agg_mops
+        );
+        let saved_at_one = uniform(1, false).host_cyc_per_req - one.host_cyc_per_req;
+        let saved_at_sixteen = uniform(16, false).host_cyc_per_req - sixteen.host_cyc_per_req;
+        assert!(
+            (saved_at_sixteen - saved_at_one).abs() <= 0.02 * saved_at_one,
+            "the host cycles/req offload saves must not erode with scale: \
+             1 server {saved_at_one:.0}, 16 servers {saved_at_sixteen:.0}"
+        );
+        assert_eq!(
+            one.p50_us, sixteen.p50_us,
+            "p50 must not depend on fleet size"
+        );
+    }
+
+    /// Every flag reaches every fleet size: there is one sweep, so a
+    /// `--servers` table is the `--replicas`/`--fabric` table too.
+    #[test]
+    fn replicas_and_fabric_reach_a_servers_sized_sweep() {
+        let tcp = NetConfig::default();
+        let solo = run_with(&[3], tcp, 1);
+        let repl = run_with(&[3], tcp, 2);
+        assert!(!solo.contains("replicas/shard"), "{solo}");
+        assert!(
+            repl.contains("(2 replicas/shard, chained writes)"),
+            "{repl}"
+        );
+        let table = |out: &str| out[out.find("servers").expect("header row")..].to_string();
+        assert_ne!(
+            table(&solo),
+            table(&repl),
+            "replication must move the numbers"
+        );
+        let rdma = run_with(&[3], tcp.with_fabric(FabricKind::Rdma), 1);
+        assert_ne!(solo, rdma, "the fabric must move the numbers");
+        let rows = solo
+            .lines()
+            .filter(|l| l.split_whitespace().next() == Some("3"));
+        assert_eq!(rows.count(), 2, "one row per distribution:\n{solo}");
+    }
 
     #[test]
-    fn scale_sweep_renders_and_scales() {
-        let out = run_scale(&[2, 4], 2);
-        assert!(out.contains("beyond the testbed"), "{out}");
-        assert!(out.contains("sim_kevents_per_s"), "{out}");
-        // One data row per fleet size after the header separator.
-        let rows = out
-            .lines()
-            .skip_while(|l| !l.starts_with('-'))
-            .skip(1)
-            .filter(|l| !l.is_empty())
-            .count();
-        assert_eq!(rows, 2, "{out}");
+    fn servers_are_validated_at_the_cli_edge() {
+        let parse = |line: &str| {
+            let mut args = line.split_whitespace().map(String::from).peekable();
+            (parse_servers(&mut args), args.next())
+        };
+        // Consumes up to the next flag and leaves it for the caller.
+        let (servers, rest) = parse("16 32 64 --fabric rdma");
+        assert_eq!(servers, Ok(vec![16, 32, 64]));
+        assert_eq!(rest.as_deref(), Some("--fabric"));
+        // The bounds are the fleet sizes `run_clients` can seed.
+        assert_eq!(parse("1 250").0, Ok(vec![1, 250]));
+        for bad in [
+            "",
+            "--replicas 2",
+            "0",
+            "8 0",
+            "251",
+            "sixteen",
+            "16 x",
+            "-1",
+            "1.5",
+        ] {
+            let err = parse(bad).0.expect_err(bad);
+            assert!(
+                err.contains("1..=250") && err.contains("1000 clients"),
+                "{bad:?}: {err}"
+            );
+        }
     }
 
     #[test]

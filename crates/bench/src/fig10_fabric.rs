@@ -20,26 +20,19 @@
 use dpdpu_net::fabric::FabricKind;
 use dpdpu_net::NetConfig;
 
-use crate::fig10_cluster_scale::{self, Measurement, KEYS};
+use crate::fig10_cluster_scale::{self, Measurement, KEYS, PROD_RATE, SERVERS};
 use crate::fleet::KeyDist;
 use crate::table::Table;
 
-/// Production per-server request rate the cycle delta is scaled to.
-const PROD_RATE: f64 = 5_000_000.0;
-
 /// Runs the full sweep and renders the table.
 pub fn run() -> String {
-    run_filtered(None)
+    run_with(None, NetConfig::default())
 }
 
 /// Runs the sweep, optionally restricted to one fabric (`--fabric` on
-/// the binary). TCP is always measured — it is the savings baseline.
-pub fn run_filtered(only: Option<FabricKind>) -> String {
-    run_with(only, NetConfig::default())
-}
-
-/// Runs the sweep over `base` network settings (congestion control,
-/// link shaping) with the fabric column overriding `base.fabric`.
+/// the binary; TCP is always measured — it is the savings baseline),
+/// over `base` network settings (congestion control, link shaping) with
+/// the fabric column overriding `base.fabric`.
 pub fn run_with(only: Option<FabricKind>, base: NetConfig) -> String {
     let mut table = Table::new(&[
         "servers",
@@ -50,7 +43,7 @@ pub fn run_with(only: Option<FabricKind>, base: NetConfig) -> String {
         "host_cyc_per_req",
         "saved_cores_per_server",
     ]);
-    for servers in [1usize, 2, 4, 8] {
+    for servers in SERVERS {
         let tcp = measure(servers, FabricKind::Tcp, base);
         for fabric in FabricKind::ALL {
             if only.is_some_and(|k| k != fabric) {

@@ -333,6 +333,11 @@ pub(crate) async fn client_loop<F, Fut>(
     }
 }
 
+/// The most clients one run may drive: every caller's seed formula
+/// strides clients by 1 and runs by at least this, so client 1000 of one
+/// seed would be client 0 of the next.
+pub const MAX_CLIENTS: usize = 1_000;
+
 /// Spawns `n` generator tasks and reports once all have resolved.
 /// Client `c` wakes at `start(c)`, seeds its RNG from `seed(c)` and runs
 /// [`client_loop`] over its own clone of `request`; `elapsed_ns` runs
@@ -349,11 +354,9 @@ where
     F: FnMut(&mut StdRng) -> Fut + Clone + 'static,
     Fut: Future<Output = Result<(), DpdpuError>> + 'static,
 {
-    // Every caller's seed formula strides clients by 1 and runs by at
-    // least 1000, so client 1000 of one seed is client 0 of the next.
     assert!(
-        n <= 1_000,
-        "more than 1000 clients would share RNG seeds across runs: {n}"
+        n <= MAX_CLIENTS,
+        "more than {MAX_CLIENTS} clients would share RNG seeds across runs: {n}"
     );
     let outcomes = Rc::new(Outcomes::default());
     let tasks: Vec<_> = (0..n as u64)

@@ -16,7 +16,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use dpdpu_hw::{Memory, MemoryReservation};
-use dpdpu_storage::{FileId, FileService, FsError};
+use dpdpu_storage::{FileService, FsError, RecordLog};
 
 /// Approximate DPU-memory footprint of one index entry (bucket slot,
 /// key, address, chain overhead).
@@ -64,9 +64,7 @@ impl IndexEntry {
 
 /// The KV store.
 pub struct KvStore {
-    service: Rc<FileService>,
-    log: FileId,
-    tail: Cell<u64>,
+    log: RecordLog,
     /// Both partitions of the split index: an entry's `on_dpu` says
     /// which one holds it.
     index: RefCell<HashMap<u64, IndexEntry>>,
@@ -79,21 +77,13 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    /// A store over `log` with an empty index, appending at `tail`.
-    fn new(
-        service: Rc<FileService>,
-        log: FileId,
-        tail: u64,
-        dpu_mem: Memory,
-        index_budget: u64,
-    ) -> Rc<Self> {
+    /// A store over `log` with an empty index.
+    fn new(log: RecordLog, dpu_mem: Memory, index_budget: u64) -> Rc<Self> {
         let reservation = dpu_mem
             .try_reserve(0)
             .expect("an empty reservation always fits");
         Rc::new(KvStore {
-            service,
             log,
-            tail: Cell::new(tail),
             index: RefCell::new(HashMap::new()),
             dpu_entries: Cell::new(0),
             index_reservation: RefCell::new(reservation),
@@ -114,19 +104,15 @@ impl KvStore {
         name: &str,
     ) -> Result<Rc<Self>, FsError> {
         let log = service.open(name).await?;
-        let size = service.fs().size(log)?;
-        let store = Self::new(service.clone(), log, size, dpu_mem, index_budget);
-        // Sequential log scan: read headers, skip values.
+        let log = RecordLog::open(service, log)?;
+        let store = Self::new(log, dpu_mem, index_budget);
+        // Sequential log scan: read headers, skip values. A torn tail
+        // record ends it: its ack never left the DPU.
         let mut offset = 0u64;
-        while offset + 12 <= size {
-            let header = service.read(log, offset, 12).await?;
+        while let Some((header, len)) = store.log.header_at(offset, 12).await? {
             let key = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-            if offset + 12 + len as u64 > size {
-                break; // torn tail record: discard (ack never left the DPU)
-            }
-            store.index_insert(key, IndexEntry::at(offset, len, false));
-            offset += 12 + len as u64;
+            store.index_insert(key, IndexEntry::at(offset, len as u32, false));
+            offset += 12 + len;
         }
         Ok(store)
     }
@@ -193,7 +179,8 @@ impl KvStore {
         name: &str,
     ) -> Result<Rc<Self>, FsError> {
         let log = service.create(name).await?;
-        Ok(Self::new(service, log, 0, dpu_mem, index_budget))
+        let log = RecordLog::open(service, log)?;
+        Ok(Self::new(log, dpu_mem, index_budget))
     }
 
     /// Appends `[key u64][len u32][value]` to the hybrid log, then
@@ -203,11 +190,7 @@ impl KvStore {
         rec.extend_from_slice(&key.to_le_bytes());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(value);
-        // Reserve the log range BEFORE the first await: concurrent puts
-        // must not race on the tail (they would overwrite each other).
-        let offset = self.tail.get();
-        self.tail.set(offset + rec.len() as u64);
-        self.service.write(self.log, offset, &rec).await?;
+        let offset = self.log.append(&rec).await?;
         let entry = IndexEntry::at(offset, value.len() as u32, migrated);
         Ok(self.index_insert(key, entry))
     }
@@ -251,10 +234,7 @@ impl KvStore {
         match entry {
             None => Ok(None),
             Some(e) => {
-                let data = self
-                    .service
-                    .read(self.log, e.value_offset, e.value_len as u64)
-                    .await?;
+                let data = self.log.read(e.value_offset, e.value_len as u64).await?;
                 Ok(Some(Bytes::from(data)))
             }
         }
@@ -336,7 +316,7 @@ impl KvStore {
 
     /// Bytes appended to the hybrid log so far.
     pub fn log_bytes(&self) -> u64 {
-        self.tail.get()
+        self.log.tail()
     }
 }
 
@@ -514,9 +494,10 @@ mod tests {
     }
 
     /// Reproducer, not fixed here: a put whose write fails has already
-    /// reserved its log range, and recovery parses the unwritten (zero)
-    /// range as `key 0, len 0` records until the next real record no
-    /// longer sits on a record boundary.
+    /// reserved its log range (`RecordLog::append`, the one place that
+    /// decision lives), and recovery parses the unwritten (zero) range as
+    /// `key 0, len 0` records until the next real record no longer sits
+    /// on a record boundary.
     #[test]
     #[ignore = "ROADMAP item 3"]
     fn failed_put_must_not_poison_recovery() {

@@ -16,7 +16,7 @@ use bytes::Bytes;
 
 use dpdpu_des::Counter;
 use dpdpu_hw::CpuPool;
-use dpdpu_storage::{FileId, FileService, FsError, PageCache};
+use dpdpu_storage::{FileId, FileService, FsError, PageCache, RecordLog};
 
 /// Host CPU cycles to apply one log record to a page image (lookup,
 /// LSN checks, memcpy, bookkeeping).
@@ -35,9 +35,8 @@ pub struct LogRecord {
 pub struct PageServer {
     service: Rc<FileService>,
     pages: FileId,
-    wal: FileId,
+    wal: RecordLog,
     page_size: usize,
-    wal_tail: std::cell::Cell<u64>,
     pending: RefCell<HashMap<u64, Vec<LogRecord>>>,
     /// Optional DPU-memory page cache in front of the SSD (§9 "caching
     /// in DPU-backed file system"); write-invalidated by log arrival.
@@ -55,27 +54,26 @@ pub struct PageServer {
 }
 
 impl PageServer {
-    /// A server over existing files; the next WAL record goes at `wal_tail`.
+    /// A server over existing files; the next WAL record goes at the
+    /// end of `wal`.
     fn new(
         service: Rc<FileService>,
         pages: FileId,
         wal: FileId,
         page_size: usize,
-        wal_tail: u64,
         cache: Option<Rc<PageCache>>,
-    ) -> Rc<Self> {
-        Rc::new(PageServer {
+    ) -> Result<Rc<Self>, FsError> {
+        Ok(Rc::new(PageServer {
+            wal: RecordLog::open(service.clone(), wal)?,
             service,
             pages,
-            wal,
             page_size,
-            wal_tail: std::cell::Cell::new(wal_tail),
             pending: RefCell::new(HashMap::new()),
             cache,
             epochs: RefCell::new(HashMap::new()),
             log_records: Counter::new(),
             replayed: Counter::new(),
-        })
+        }))
     }
 
     /// Recovers a page server from its durable files after a crash (§9
@@ -91,7 +89,6 @@ impl PageServer {
     ) -> Result<Rc<Self>, FsError> {
         let pages = service.open("pages.db").await?;
         let wal = service.open("pages.wal").await?;
-        let wal_size = service.fs().size(wal)?;
         // Last durable checkpoint (0 when none was ever taken).
         let ckpt = match service.fs().open("pages.ckpt") {
             Ok(f) => {
@@ -100,18 +97,14 @@ impl PageServer {
             }
             Err(_) => 0,
         };
-        let ps = Self::new(service.clone(), pages, wal, page_size, wal_size, cache);
-        // Redo scan: [page u64][offset u32][len u32][delta].
+        let ps = Self::new(service, pages, wal, page_size, cache)?;
+        // Redo scan: [page u64][offset u32][len u32][delta]. A torn tail
+        // record ends it: that append was never acked.
         let mut pos = ckpt;
-        while pos + 16 <= wal_size {
-            let header = service.read(ps.wal, pos, 16).await?;
+        while let Some((header, len)) = ps.wal.header_at(pos, 16).await? {
             let page_id = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
             let offset = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-            let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-            if pos + 16 + len as u64 > wal_size {
-                break; // torn tail record: the append was never acked
-            }
-            let delta = service.read(ps.wal, pos + 16, len as u64).await?;
+            let delta = ps.wal.read(pos + 16, len).await?;
             ps.pending
                 .borrow_mut()
                 .entry(page_id)
@@ -120,7 +113,7 @@ impl PageServer {
                     offset,
                     delta: Bytes::from(delta),
                 });
-            pos += 16 + len as u64;
+            pos += 16 + len;
         }
         Ok(ps)
     }
@@ -136,7 +129,7 @@ impl PageServer {
             Err(_) => self.service.create("pages.ckpt").await?,
         };
         self.service
-            .write(ckpt, 0, &self.wal_tail.get().to_le_bytes())
+            .write(ckpt, 0, &self.wal.tail().to_le_bytes())
             .await
     }
 
@@ -157,7 +150,7 @@ impl PageServer {
                 .write(pages, num_pages * page_size as u64 - 1, &[0u8])
                 .await?;
         }
-        Ok(Self::new(service, pages, wal, page_size, 0, cache))
+        Self::new(service, pages, wal, page_size, cache)
     }
 
     /// Appends one WAL record: durable in the WAL file, then queued for
@@ -173,11 +166,7 @@ impl PageServer {
         rec.extend_from_slice(&offset.to_le_bytes());
         rec.extend_from_slice(&(delta.len() as u32).to_le_bytes());
         rec.extend_from_slice(&delta);
-        // Reserve the WAL range before awaiting: concurrent appends must
-        // not race on the tail.
-        let tail = self.wal_tail.get();
-        self.wal_tail.set(tail + rec.len() as u64);
-        self.service.write(self.wal, tail, &rec).await?;
+        self.wal.append(&rec).await?;
         self.pending
             .borrow_mut()
             .entry(page_id)

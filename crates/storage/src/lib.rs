@@ -25,11 +25,15 @@
 //! * [`FastPersist`] — the §9 "faster persistence" extension: the DPU
 //!   persists a write via PCIe P2P and acknowledges *before* forwarding
 //!   to the host, cutting commit latency.
+//! * [`RecordLog`] — the one append-only record log under `FastPersist`,
+//!   the DDS KV store's hybrid log and the page server's WAL: the
+//!   reserve-then-write tail and the torn-tail recovery walk.
 
 mod blockdev;
 mod cache;
 mod front_end;
 mod fs;
+mod log;
 mod persist;
 mod service;
 
@@ -37,5 +41,6 @@ pub use blockdev::{BlockDevice, BLOCK_SIZE};
 pub use cache::{CachedFileService, PageCache};
 pub use front_end::HostFrontEnd;
 pub use fs::{ExtentFs, FileId, FsError};
+pub use log::RecordLog;
 pub use persist::{AckMode, FastPersist};
 pub use service::{FileService, HostKernelPath};

@@ -12,6 +12,7 @@ use dpdpu_des::{now, spawn, Counter, Time};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::fs::{FileId, FsError};
+use crate::log::RecordLog;
 use crate::service::FileService;
 
 /// Who must finish before the client sees an acknowledgement.
@@ -27,12 +28,10 @@ pub enum AckMode {
 
 /// A write-ahead persistence channel with selectable ack point.
 pub struct FastPersist {
-    service: Rc<FileService>,
+    log: RecordLog,
     host_cpu: Rc<CpuPool>,
     host_dpu_pcie: Rc<PcieLink>,
     mode: AckMode,
-    log: FileId,
-    tail: std::cell::Cell<u64>,
     /// Appends acknowledged.
     pub appends: Counter,
     /// Background host-apply operations completed (DpuAck mode).
@@ -40,8 +39,12 @@ pub struct FastPersist {
 }
 
 impl FastPersist {
-    /// Opens a persistence channel writing to `log` (a file in the DPU
-    /// file service).
+    /// Opens a persistence channel appending at the end of `log`: a file
+    /// that already holds bytes is extended, not overwritten from 0.
+    ///
+    /// # Panics
+    /// Panics if `log` is not a file of `service`: the file is looked up
+    /// here, not at the first `append`.
     pub fn new(
         service: Rc<FileService>,
         host_cpu: Rc<CpuPool>,
@@ -50,12 +53,10 @@ impl FastPersist {
         log: FileId,
     ) -> Rc<Self> {
         Rc::new(FastPersist {
-            service,
+            log: RecordLog::open(service, log).expect("`log` is a file of `service`"),
             host_cpu,
             host_dpu_pcie,
             mode,
-            log,
-            tail: std::cell::Cell::new(0),
             appends: Counter::new(),
             host_applied: Rc::new(Counter::new()),
         })
@@ -69,12 +70,12 @@ impl FastPersist {
     /// Appends `data` durably and returns the client-visible ack latency.
     pub async fn append(&self, data: &[u8]) -> Result<Time, FsError> {
         let t0 = now();
-        let offset = self.tail.get();
-        self.tail.set(offset + data.len() as u64);
+        // The range is reserved here, in arrival order, in both modes.
+        let write = self.log.append(data);
         match self.mode {
             AckMode::DpuAck => {
                 // Persist via P2P, ack now, apply on host later.
-                self.service.write(self.log, offset, data).await?;
+                write.await?;
                 let ack = now() - t0;
                 self.appends.inc();
                 let host_cpu = self.host_cpu.clone();
@@ -93,7 +94,7 @@ impl FastPersist {
                 self.host_dpu_pcie.dma(data.len() as u64).await;
                 self.host_cpu.exec(costs::LINUX_IO_CYCLES_PER_OP).await;
                 dpdpu_des::sleep(costs::HOST_WAKEUP_NS).await;
-                self.service.write(self.log, offset, data).await?;
+                write.await?;
                 // Completion notification back to the DPU.
                 self.host_dpu_pcie.poll_round_trip().await;
                 let ack = now() - t0;
@@ -155,13 +156,34 @@ mod tests {
                 fast.append(&vec![i; 1_000]).await.unwrap();
             }
             // Read back the log through the same service.
-            let log = fast.service.fs().open("wal").unwrap();
-            let data = fast.service.read(log, 0, 10_000).await.unwrap();
+            let data = fast.log.read(0, 10_000).await.unwrap();
             for i in 0..10u8 {
                 assert!(data[(i as usize) * 1_000..(i as usize + 1) * 1_000]
                     .iter()
                     .all(|&b| b == i));
             }
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_non_empty_log_is_appended_to_not_overwritten() {
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            let p = Platform::default_bf2();
+            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
+            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let log = svc.fs().create("wal").unwrap();
+            let open = |mode| {
+                let (cpu, pcie) = (p.host_cpu.clone(), p.host_dpu_pcie.clone());
+                FastPersist::new(svc.clone(), cpu, pcie, mode, log)
+            };
+            open(AckMode::DpuAck).append(&[1u8; 100]).await.unwrap();
+            let reopened = open(AckMode::HostAck);
+            reopened.append(&[2u8; 50]).await.unwrap();
+            let data = reopened.log.read(0, 150).await.unwrap();
+            assert!(data[..100].iter().all(|&b| b == 1));
+            assert!(data[100..].iter().all(|&b| b == 2));
         });
         sim.run();
     }

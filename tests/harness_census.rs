@@ -7,6 +7,12 @@
 //! (`fn` items are not calls) and the migration property in
 //! `tests/properties.rs`, whose racing reader is not a load a cell
 //! describes.
+//!
+//! Two more things there must stay one of: nothing under
+//! `crates/bench/src` but `par_cluster.rs` itself (and its line in the
+//! scenario registry) reaches the partitioned cluster — the product's
+//! sweeps run on `DdsCluster` — and one file under `crates/` moves a log
+//! tail (`storage/src/log.rs`).
 
 use std::path::{Path, PathBuf};
 
@@ -18,6 +24,24 @@ const CELL_ONLY: [&str; 4] = [
     "run_fleet(",
     "run_tenant_fleet(",
 ];
+
+/// Every `.rs` file under `crates/` and, if `with_tests`, `tests/`:
+/// its repo-relative name and its source, sorted by name.
+fn sources(with_tests: bool) -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    if with_tests {
+        rust_files(&root.join("tests"), &mut files);
+    }
+    files.sort();
+    let named = |path: &PathBuf| {
+        let name = path.strip_prefix(root).expect("under the repo root");
+        let source = std::fs::read_to_string(path).expect("readable source");
+        (name.to_string_lossy().replace('\\', "/"), source)
+    };
+    files.iter().map(named).collect()
+}
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
@@ -42,16 +66,8 @@ fn calls(source: &str, needle: &str) -> bool {
 
 #[test]
 fn cluster_experiments_go_through_the_cell() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("crates"), &mut files);
-    rust_files(&root.join("tests"), &mut files);
-    files.sort();
     let (mut strays, mut recorders) = (Vec::new(), Vec::new());
-    for path in &files {
-        let name = path.strip_prefix(root).expect("under the repo root");
-        let name = name.to_string_lossy().replace('\\', "/");
-        let source = std::fs::read_to_string(path).expect("readable source");
+    for (name, source) in sources(true) {
         if name == CELL || name == "tests/harness_census.rs" {
             continue;
         }
@@ -75,5 +91,35 @@ fn cluster_experiments_go_through_the_cell() {
     assert!(
         recorders.is_empty(),
         "a history-recording client outside `{CELL}`: {recorders:?}"
+    );
+}
+
+#[test]
+fn one_cluster_model_has_callers_and_one_file_moves_a_log_tail() {
+    const PAR: &str = "crates/bench/src/par_cluster.rs";
+    let (mut par_callers, mut tails) = (Vec::new(), Vec::new());
+    for (name, source) in sources(false) {
+        let lines = |needle: &str| source.lines().filter(|l| l.contains(needle)).count();
+        // The scenario registry's one line is the partitioned core's gate.
+        let registry = usize::from(name == "crates/bench/src/scenarios.rs");
+        if name.starts_with("crates/bench/src/")
+            && name != PAR
+            && (lines("run_par") + lines("ParClusterConfig") > 0
+                || lines("par_cluster::") > registry)
+        {
+            par_callers.push(name.clone());
+        }
+        if source.contains("tail.set(") {
+            tails.push(name);
+        }
+    }
+    assert!(
+        par_callers.is_empty(),
+        "the partitioned cluster has no product caller; sweeps run on `DdsCluster`: {par_callers:?}"
+    );
+    assert_eq!(
+        tails,
+        ["crates/storage/src/log.rs"],
+        "a log tail is reserved in `RecordLog::append` and nowhere else"
     );
 }

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::ClusterClient;
-use dpdpu_dds::gateway::{Gateway, TenantId};
+use dpdpu_dds::gateway::Gateway;
 use dpdpu_dds::proto::Op;
 use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, Semaphore, Time};
 use rand::rngs::StdRng;
@@ -455,7 +455,8 @@ pub async fn run_fleet(client: &Rc<ClusterClient>, cfg: FleetConfig) -> FleetRep
 /// source (issue a burst, go silent, repeat).
 #[derive(Debug, Clone, Copy)]
 pub struct TenantWorkload {
-    /// Gateway tenant index ([`TenantId`]).
+    /// Gateway tenant: the index of its spec in
+    /// [`GatewayConfig::tenants`](dpdpu_dds::gateway::GatewayConfig::tenants).
     pub tenant: usize,
     /// Logical client population attributed across requests.
     pub logical_clients: u64,
@@ -552,7 +553,6 @@ pub async fn run_tenant_fleet(
                 pause_every_ops: w.pause_every_ops,
                 pause_ns: w.pause_ns,
             };
-            let tenant = TenantId(w.tenant);
             let seen_by_tasks = seen.clone();
             let report = run_clients(
                 w.tasks,
@@ -570,7 +570,7 @@ pub async fn run_tenant_fleet(
                     let key = sampler.sample(rng);
                     let op = w.mix.op(rng, key, w.value_bytes, w.scan_len);
                     let gateway = gateway.clone();
-                    async move { gateway.call(tenant, op).await.map(|_| ()) }
+                    async move { gateway.call(w.tenant, op).await.map(|_| ()) }
                 },
             )
             .await;

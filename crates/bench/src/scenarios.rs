@@ -92,7 +92,7 @@ pub fn storage_faults(seed: u64) -> ScenarioRun {
                 .ssd_slow_io(0.05, 100_000),
         );
         let (written, mismatches, surfaced, retries) = block_on(async move {
-            let rt = DpdpuBuilder::new().bluefield2().boot();
+            let rt = DpdpuBuilder::new().boot();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut written = 0u64;
             let mut mismatches = 0u64;

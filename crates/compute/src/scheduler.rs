@@ -83,8 +83,11 @@ pub struct Scheduler {
     pub on_dpu: Counter,
     /// Sprocs migrated to host cores.
     pub on_host: Counter,
-    /// DPU-cycles consumed per tenant (fairness accounting).
-    pub tenant_cycles: RefCell<Vec<u64>>,
+    /// Cycles dispatched per tenant (fairness accounting), read through
+    /// [`cycles_by_tenant`](Self::cycles_by_tenant). Kept beside
+    /// [`Drr::served`]: under `Fcfs`/`DpuOnly` the `Drr` has one class,
+    /// so it cannot tell the tenants apart.
+    tenant_cycles: RefCell<Vec<u64>>,
 }
 
 /// Queue-depth multiple of DPU core count beyond which work migrates to

@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement, Scheduler};
+use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
 use dpdpu_faults::FaultSession;
 use dpdpu_hw::Platform;
 use dpdpu_net::tcp::TcpSender;
@@ -25,18 +25,11 @@ pub struct Dpdpu {
     pub storage: Rc<FileService>,
     /// Storage Engine: the host-side POSIX-like front end.
     pub front_end: Rc<HostFrontEnd>,
-    /// Sproc scheduler over the platform's core pools.
-    pub scheduler: Rc<Scheduler>,
     /// Registered sprocs.
     pub sprocs: SprocRegistry,
     /// The fault session installed at boot, if the builder was given a
     /// plan (handle for injection counts and reports).
     pub faults: Option<Rc<FaultSession>>,
-    /// Per-tenant QoS specs declared at build time
-    /// ([`DpdpuBuilder::tenants`]); empty when the run is
-    /// single-tenant. A serving-tier gateway enforces these on the
-    /// request path; the compute scheduler already took the weights.
-    pub tenants: Vec<crate::tenants::TenantSpec>,
 }
 
 impl Dpdpu {

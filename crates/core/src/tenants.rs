@@ -1,15 +1,15 @@
-//! Tenant configuration shared by the runtime and the serving layers.
+//! Tenant configuration for the serving layers.
 //!
 //! A [`TenantSpec`] names one tenant and carries everything the QoS
 //! machinery needs to isolate it: the WFQ/DRR weight its queue is
 //! served at, an SLO class (latency-sensitive KV vs batch scan — the
 //! class labels telemetry and picks table groupings, it does not change
 //! the scheduler math), and the admission knobs (token-bucket rate and
-//! an in-flight cap). The specs are declared once on
-//! [`DpdpuBuilder::tenants`](crate::DpdpuBuilder::tenants) and consumed
-//! twice: the compute scheduler takes the weight vector for its
-//! accelerator DRR shares, and the DDS gateway tier takes the full
-//! specs for request admission and dispatch scheduling.
+//! an in-flight cap). The specs have one consumer, the DDS gateway's
+//! `GatewayConfig::tenants`, and a tenant *is* the index of its spec in
+//! that vector: the gateway's `call` and `snapshot` take that `usize`.
+//! The compute layer's schedulers speak the same vocabulary with a bare
+//! weight vector indexed the same way.
 
 /// What a tenant's traffic promises about itself, and therefore how its
 /// latency should be read: point KV ops that care about tail latency,

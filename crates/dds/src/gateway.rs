@@ -5,8 +5,9 @@
 //! and schedule the shared data path underneath them; the [`Gateway`]
 //! reproduces that tier in front of a
 //! [`DdsCluster`](crate::cluster::DdsCluster). Every request is
-//! authenticated to a [`TenantId`] and labeled with the tenant's SLO
-//! class, then passes three stages:
+//! authenticated to a tenant — the index of its [`TenantSpec`] in
+//! [`GatewayConfig::tenants`] — and labeled with the tenant's SLO class,
+//! then passes three stages:
 //!
 //! 1. **Admission** — a per-tenant token bucket (sustained rate +
 //!    burst) and an in-flight cap, both from the tenant's
@@ -55,15 +56,11 @@ const SCAN_ROW_BYTES: u64 = 256;
 /// tenant's weight).
 const QUANTUM_BYTES: u64 = 4096;
 
-/// An authenticated tenant handle. The gateway only accepts requests
-/// under a `TenantId` it was configured with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantId(pub usize);
-
 /// Gateway shape: the tenant set plus the scheduler knobs.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// The tenants, in [`TenantId`] order.
+    /// The tenants. A tenant is its index here: [`Gateway::call`] and
+    /// [`Gateway::snapshot`] take that index.
     pub tenants: Vec<TenantSpec>,
     /// DPU-side dispatch concurrency: requests in flight toward the
     /// cluster at once, across all tenants.
@@ -242,8 +239,10 @@ impl Gateway {
         self.queues.borrow().len()
     }
 
-    /// Per-tenant accounting snapshot.
+    /// Per-tenant accounting snapshot. Panics on a tenant the gateway
+    /// was not configured with.
     pub fn snapshot(&self, tenant: usize) -> TenantSnapshot {
+        assert!(tenant < self.tenants.len(), "unknown tenant {tenant}");
         let t = &self.tenants[tenant];
         TenantSnapshot {
             name: t.spec.name.clone(),
@@ -259,8 +258,8 @@ impl Gateway {
 
     /// The one labeled entry point: authenticate → admit → queue → await
     /// the dispatched result of `op` (a KV get, put or scan) for `tenant`.
-    pub async fn call(self: &Rc<Self>, tenant: TenantId, op: Op) -> Result<Reply, DpdpuError> {
-        let Some(state) = self.tenants.get(tenant.0) else {
+    pub async fn call(self: &Rc<Self>, tenant: usize, op: Op) -> Result<Reply, DpdpuError> {
+        let Some(state) = self.tenants.get(tenant) else {
             // Not a label loss: an unknown tenant never enters the
             // accounted pipeline at all.
             return Err(DpdpuError::Unavailable("unknown tenant"));
@@ -283,10 +282,10 @@ impl Gateway {
         state.in_flight.set(state.in_flight.get() + 1);
         let (tx, rx) = oneshot();
         self.queues.borrow_mut().enqueue(
-            if self.fair { tenant.0 } else { 0 },
+            if self.fair { tenant } else { 0 },
             cost,
             Job {
-                tenant: tenant.0,
+                tenant,
                 op,
                 done: tx,
             },
@@ -413,19 +412,17 @@ mod tests {
             .await;
             for key in 0..16u64 {
                 let value = Bytes::from(vec![key as u8; 64]);
-                gw.call(TenantId(0), Op::KvPut { key, value })
-                    .await
-                    .expect("put");
+                gw.call(0, Op::KvPut { key, value }).await.expect("put");
             }
             for key in 0..16u64 {
-                let v = gw.call(TenantId(0), Op::KvGet { key }).await.expect("get");
+                let v = gw.call(0, Op::KvGet { key }).await.expect("get");
                 assert_eq!(v, Reply::Data(Bytes::from(vec![key as u8; 64])));
             }
             let scan = Op::KvScan {
                 start_key: 0,
                 count: 8,
             };
-            let rows = gw.call(TenantId(1), scan).await.expect("scan").rows();
+            let rows = gw.call(1, scan).await.expect("scan").rows();
             assert_eq!(rows.len(), 8);
             let kv = gw.snapshot(0);
             assert_eq!((kv.issued, kv.ok, kv.shed, kv.errors), (32, 32, 0, 0));
@@ -441,11 +438,17 @@ mod tests {
         let _check = dpdpu_check::CheckGuard::new();
         block_on(async {
             let gw = small_gateway(GatewayConfig::new(vec![TenantSpec::latency("kv", 1)])).await;
-            let err = gw
-                .call(TenantId(7), Op::KvGet { key: 1 })
-                .await
-                .unwrap_err();
+            let err = gw.call(7, Op::KvGet { key: 1 }).await.unwrap_err();
             assert_eq!(err, DpdpuError::Unavailable("unknown tenant"));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown tenant")]
+    fn snapshot_of_an_undeclared_tenant_names_the_fault() {
+        block_on(async {
+            let gw = small_gateway(GatewayConfig::new(vec![TenantSpec::latency("kv", 1)])).await;
+            gw.snapshot(1);
         });
     }
 
@@ -459,17 +462,13 @@ mod tests {
                 TenantSpec::latency("storm", 1).rate(1_000_000, 4)
             ]))
             .await;
-            gw.call(TenantId(0), put_v())
-                .await
-                .expect("first op rides the burst");
+            gw.call(0, put_v()).await.expect("first op rides the burst");
             // Fire the storm at a single instant: no virtual time passes
             // between admissions, so the bucket cannot refill mid-burst.
             let mut handles = Vec::new();
             for _ in 0..31 {
                 let gw = gw.clone();
-                handles.push(spawn(async move {
-                    gw.call(TenantId(0), Op::KvGet { key: 1 }).await
-                }));
+                handles.push(spawn(async move { gw.call(0, Op::KvGet { key: 1 }).await }));
             }
             let mut ok = 0u64;
             let mut shed = 0u64;
@@ -494,13 +493,11 @@ mod tests {
                 TenantSpec::latency("capped", 1).in_flight(2)
             ]))
             .await;
-            gw.call(TenantId(0), put_v()).await.expect("seed");
+            gw.call(0, put_v()).await.expect("seed");
             let mut handles = Vec::new();
             for _ in 0..16 {
                 let gw = gw.clone();
-                handles.push(spawn(async move {
-                    gw.call(TenantId(0), Op::KvGet { key: 1 }).await
-                }));
+                handles.push(spawn(async move { gw.call(0, Op::KvGet { key: 1 }).await }));
             }
             let mut shed = 0u64;
             for h in handles {
@@ -524,16 +521,14 @@ mod tests {
                 .unfair(),
             )
             .await;
-            gw.call(TenantId(0), put_v())
+            gw.call(0, put_v())
                 .await
                 .expect("limits are off in unfair mode");
             // Rate limit and cap are disabled: everything dispatches.
             let mut handles = Vec::new();
             for _ in 0..8 {
                 let gw = gw.clone();
-                handles.push(spawn(async move {
-                    gw.call(TenantId(1), Op::KvGet { key: 1 }).await
-                }));
+                handles.push(spawn(async move { gw.call(1, Op::KvGet { key: 1 }).await }));
             }
             for h in handles {
                 h.await.expect("no caps in unfair mode");
@@ -557,15 +552,13 @@ mod tests {
                 .await;
                 for key in 0..8u64 {
                     let value = Bytes::from(vec![1u8; 32]);
-                    gw.call(TenantId(0), Op::KvPut { key, value })
-                        .await
-                        .expect("put");
+                    gw.call(0, Op::KvPut { key, value }).await.expect("put");
                 }
                 let mut handles = Vec::new();
                 for key in 0..8u64 {
                     let gw1 = gw.clone();
                     handles.push(spawn(async move {
-                        gw1.call(TenantId(0), Op::KvGet { key }).await.map(|_| ())
+                        gw1.call(0, Op::KvGet { key }).await.map(|_| ())
                     }));
                     let gw2 = gw.clone();
                     handles.push(spawn(async move {
@@ -573,7 +566,7 @@ mod tests {
                             start_key: key,
                             count: 4,
                         };
-                        gw2.call(TenantId(1), scan).await.map(|_| ())
+                        gw2.call(1, scan).await.map(|_| ())
                     }));
                 }
                 for h in handles {

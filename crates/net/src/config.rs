@@ -1,11 +1,10 @@
 //! One network configuration to thread everywhere.
 //!
 //! `LinkConfig`, `TcpParams`, `FabricKind`, and `FabricParams` used to
-//! travel ad-hoc through `ClusterConfig` / `DpdpuBuilder` / bench-bin
-//! CLI flags, each site picking its own subset. [`NetConfig`] bundles
-//! them so every layer (builder, cluster, bins) passes a single struct,
-//! and every bin parses the same flags into it via
-//! [`NetConfig::apply_cli_flag`].
+//! travel ad-hoc through `ClusterConfig` and bench-bin CLI flags, each
+//! site picking its own subset. [`NetConfig`] bundles them so every
+//! layer (cluster, bins) passes a single struct, and every bin parses
+//! the same flags into it via [`NetConfig::apply_cli_flag`].
 
 use dpdpu_hw::LinkConfig;
 

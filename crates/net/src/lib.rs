@@ -28,9 +28,9 @@
 //!   TCP, host-verbs RDMA, or DPU-issued (NE-ring) RDMA, the latter two
 //!   behind one credit-flow-controlled RPC framing.
 //! * [`config`] — [`NetConfig`], the one bundle of link, TCP, and fabric
-//!   parameters that `ClusterConfig`/`DpdpuBuilder` thread through the
-//!   stack, with the shared `--fabric`/`--cong`/`--loss`/
-//!   `--ecn-threshold-us` CLI flag parser the benchmark bins use.
+//!   parameters that `ClusterConfig` threads through the stack, with the
+//!   shared `--fabric`/`--cong`/`--loss`/`--ecn-threshold-us` CLI flag
+//!   parser the benchmark bins use.
 
 pub mod config;
 pub mod dfi;

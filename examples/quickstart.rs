@@ -15,11 +15,12 @@ use dpdpu::des::{block_on, now};
 fn main() {
     let _check = dpdpu::check::CheckGuard::new();
     block_on(async {
-        // Boot the runtime through the builder: platform preset picked,
-        // file system formatted, DPU file service and host front end
-        // running, Compute Engine ready. (A fault plan or scheduling
-        // policy would slot in here too — see README "Fault injection".)
-        let rt = DpdpuBuilder::new().bluefield2().boot();
+        // Boot the runtime through the builder on the default EPYC +
+        // BlueField-2 platform: file system formatted, DPU file service
+        // and host front end running, Compute Engine ready. (Another
+        // platform or a fault plan would slot in here too — see README
+        // "Fault injection".)
+        let rt = DpdpuBuilder::new().boot();
         println!(
             "booted DPDPU on {} + {}",
             rt.platform.host_spec.name, rt.platform.dpu_spec.name

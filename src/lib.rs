@@ -45,3 +45,8 @@ pub use dpdpu_net as net;
 pub use dpdpu_storage as storage;
 /// Telemetry: virtual-time spans, metrics, timelines, Chrome-trace export.
 pub use dpdpu_telemetry as telemetry;
+
+// The README's Rust blocks run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

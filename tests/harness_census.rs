@@ -13,6 +13,10 @@
 //! scenario registry) reaches the partitioned cluster — the product's
 //! sweeps run on `DdsCluster` — and one file under `crates/` moves a log
 //! tail (`storage/src/log.rs`).
+//!
+//! And one tenant vocabulary: a tenant is the index of its `TenantSpec`
+//! in the gateway's config, so no handle type wraps it, and the specs
+//! have no consumer in the runtime beside the gateway.
 
 use std::path::{Path, PathBuf};
 
@@ -121,5 +125,41 @@ fn one_cluster_model_has_callers_and_one_file_moves_a_log_tail() {
         tails,
         ["crates/storage/src/log.rs"],
         "a log tail is reserved in `RecordLog::append` and nowhere else"
+    );
+}
+
+#[test]
+fn a_tenant_is_an_index_into_its_gateways_specs() {
+    let (mut handles, mut spec_users) = (Vec::new(), Vec::new());
+    for (name, source) in sources(true) {
+        if name == "tests/harness_census.rs" {
+            continue;
+        }
+        let code = |needle| {
+            source
+                .lines()
+                .any(|l| !l.trim_start().starts_with("//") && l.contains(needle))
+        };
+        if code("TenantId") {
+            handles.push(name.clone());
+        }
+        let spec_home = name.starts_with("crates/bench/src/")
+            || [
+                "crates/core/src/tenants.rs",
+                "crates/core/src/lib.rs",
+                "crates/dds/src/gateway.rs",
+            ]
+            .contains(&name.as_str());
+        if name.starts_with("crates/") && !spec_home && source.contains("TenantSpec") {
+            spec_users.push(name);
+        }
+    }
+    assert!(
+        handles.is_empty(),
+        "a tenant is a `usize` index, not a handle type: {handles:?}"
+    );
+    assert!(
+        spec_users.is_empty(),
+        "`TenantSpec`'s one consumer is `GatewayConfig`: {spec_users:?}"
     );
 }

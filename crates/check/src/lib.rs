@@ -11,7 +11,7 @@
 //! `Probe` **checker** sink (receiving Server wait/serve spans,
 //! labeled-semaphore acquire/release events, and executor clock
 //! advances) and as a thread-local that the engine crates reach via
-//! free check-point functions ([`link_in`], [`ssd_done`],
+//! free check-point functions ([`flow_in`], [`flow_out`],
 //! [`kernel_result`], [`fault_injected`], …). All check-points are
 //! no-ops when no session is installed, so the untraced fast path
 //! stays a single branch. With a session installed a check-point is an
@@ -19,6 +19,15 @@
 //! into a [`Site`] at construction and every per-event table is a `Vec`
 //! indexed by it. Ids follow interning order — OS-scheduling order under
 //! a `--jobs N` runner — so sweeps, reports and messages go by name.
+//!
+//! ## One conservation ledger
+//!
+//! Seven invariants say the same thing about a different [`Flow`]: per
+//! site, what entered left exactly once, through an [`Exit`]. They share
+//! one ledger row per site, two check-points ([`flow_in`] and
+//! [`flow_out`]), one overdraft check at the event (more left than
+//! entered, in ops or bytes) and one end-of-run sweep (in ≠ the sum of
+//! the exits). A new conservation invariant is a `Flow` variant.
 //!
 //! ## Invariant catalogue
 //!
@@ -28,18 +37,18 @@
 //! | [`Invariant::SpanCausality`] | a span ending before it starts, or dated in the future |
 //! | [`Invariant::CapacityBound`] | more permits in flight than a resource has slots |
 //! | [`Invariant::AcquireReleaseBalance`] | an acquire without a matching release at end of run |
-//! | [`Invariant::LinkConservation`] | link frames/bytes delivered + dropped ≠ frames/bytes sent |
-//! | [`Invariant::SsdConservation`] | SSD ops admitted ≠ completed + errored |
-//! | [`Invariant::PcieConservation`] | DMA bytes entering a PCIe link ≠ bytes that left it |
+//! | [`Invariant::LinkConservation`] | [`Flow::Link`]: frames/bytes delivered + dropped ≠ frames/bytes sent |
+//! | [`Invariant::SsdConservation`] | [`Flow::Ssd`]: SSD ops/bytes admitted ≠ completed + errored |
+//! | [`Invariant::PcieConservation`] | [`Flow::Pcie`]: DMA ops/bytes entering a PCIe link ≠ those that left it |
 //! | [`Invariant::KernelGroundTruth`] | a compute kernel output that contradicts the kernels-crate ground truth |
 //! | [`Invariant::UtilizationBound`] | accumulated busy time above `slots × elapsed` |
 //! | [`Invariant::FaultHygiene`] | an injected fault neither retried, degraded, nor surfaced |
-//! | [`Invariant::ClusterConservation`] | cluster ops issued ≠ completed + failed/shed per shard |
-//! | [`Invariant::FabricConservation`] | fabric messages delivered ≠ sent, or credit debt above the advertised window |
+//! | [`Invariant::ClusterConservation`] | [`Flow::Cluster`]: per shard, ops/bytes issued ≠ completed + shed + failed |
+//! | [`Invariant::FabricConservation`] | [`Flow::Fabric`]: messages/bytes delivered ≠ sent; or credit debt above the advertised window |
 //! | [`Invariant::EpochFencing`] | a replica-group epoch that fails to strictly increase, or a write acked at an epoch below the group's fence |
 //! | [`Invariant::ReplicaDivergence`] | live replicas of one group whose KV digests disagree at end of run |
-//! | [`Invariant::TenantConservation`] | a gateway request without a tenant label, or per tenant issued ≠ completed + shed + failed |
-//! | [`Invariant::QosIsolation`] | a dispatch toward the shard fabric without a scheduler grant, or a grant never dispatched |
+//! | [`Invariant::TenantConservation`] | [`Flow::Tenant`]: per tenant, ops/bytes issued ≠ completed + shed + failed |
+//! | [`Invariant::QosIsolation`] | [`Flow::Qos`]: a dispatch toward the shard fabric without a scheduler grant, or a grant never dispatched |
 //!
 //! ## Modes
 //!
@@ -78,7 +87,7 @@ pub enum Invariant {
     AcquireReleaseBalance,
     /// Link frames/bytes in == delivered + dropped.
     LinkConservation,
-    /// SSD ops admitted == completed + errored.
+    /// SSD ops/bytes admitted == completed + errored.
     SsdConservation,
     /// PCIe DMA ops/bytes in == ops/bytes out.
     PcieConservation,
@@ -106,9 +115,9 @@ pub enum Invariant {
     /// Non-deposed replicas of one group hold identical live KV state
     /// (entry count, value bytes, and content checksum) at end of run.
     ReplicaDivergence,
-    /// Every request entering the gateway tier carries a tenant label,
-    /// and per tenant nothing vanishes between admission and a terminal
-    /// outcome: issued == completed + shed + failed, ops and bytes.
+    /// Per tenant, nothing vanishes between entering the gateway tier
+    /// and a terminal outcome: issued == completed + shed + failed, ops
+    /// and bytes. (An undeclared tenant is refused before it enters.)
     TenantConservation,
     /// Every request the gateway dispatches toward the shard fabric was
     /// granted by the per-tenant QoS scheduler first — no path bypasses
@@ -173,61 +182,149 @@ struct ResourceStat {
     window_end: Time,
 }
 
-/// Conservation accounting for one flow site (a link, an SSD
-/// direction, a PCIe link).
-#[derive(Default)]
-struct FlowStat {
-    in_ops: u64,
-    in_bytes: u64,
-    out_ops: u64,
-    out_bytes: u64,
-    dropped_ops: u64,
-    dropped_bytes: u64,
+/// A family of sites under one conservation invariant: per site, every
+/// unit that [enters](flow_in) must [leave](flow_out) exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Frames onto a link: delivered, or dropped (`Failed`) by the loss
+    /// model or an injected fault.
+    Link,
+    /// Ops admitted past an SSD's device queue (a site is device +
+    /// direction, e.g. `"nvme0.read"`): completed, or errored (`Failed`).
+    Ssd,
+    /// DMAs onto a PCIe link: each crosses (`Ok`).
+    Pcie,
+    /// Requests the cluster router issued to a shard: completed, shed by
+    /// the shard's admission window, or failed.
+    Cluster,
+    /// Data messages on one fabric connection direction: delivered.
+    Fabric,
+    /// Requests entering the gateway, per tenant: completed, shed by
+    /// admission control (the gateway's or a shard's), or failed.
+    Tenant,
+    /// QoS scheduler grants, per tenant, 0 bytes each: every grant is
+    /// dispatched toward the shard fabric (`Ok`), and no dispatch comes
+    /// without one.
+    Qos,
 }
 
-/// Credit/byte accounting for one fabric connection direction.
+impl Flow {
+    /// Every flow, in the order of the end-of-run sweep.
+    const ALL: [Flow; 7] = [
+        Flow::Link,
+        Flow::Ssd,
+        Flow::Pcie,
+        Flow::Cluster,
+        Flow::Fabric,
+        Flow::Tenant,
+        Flow::Qos,
+    ];
+
+    fn invariant(self) -> Invariant {
+        match self {
+            Flow::Link => Invariant::LinkConservation,
+            Flow::Ssd => Invariant::SsdConservation,
+            Flow::Pcie => Invariant::PcieConservation,
+            Flow::Cluster => Invariant::ClusterConservation,
+            Flow::Fabric => Invariant::FabricConservation,
+            Flow::Tenant => Invariant::TenantConservation,
+            Flow::Qos => Invariant::QosIsolation,
+        }
+    }
+
+    /// What a site of this flow is called in a violation message.
+    fn noun(self) -> &'static str {
+        match self {
+            Flow::Link => "link",
+            Flow::Ssd => "ssd",
+            Flow::Pcie => "pcie",
+            Flow::Cluster => "cluster shard",
+            Flow::Fabric => "fabric",
+            Flow::Tenant => "tenant",
+            Flow::Qos => "qos grants of tenant",
+        }
+    }
+}
+
+/// How a unit left a [`Flow`] site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// Delivered, completed, or dispatched.
+    Ok,
+    /// Refused by admission control: a shard's window, or a tenant's
+    /// rate limit or in-flight cap.
+    Shed,
+    /// Lost or errored: a dropped frame, a device error, or a terminal
+    /// request error.
+    Failed,
+}
+
+/// A count of units and of their bytes.
+#[derive(Default, Clone, Copy, PartialEq)]
+struct Tally {
+    ops: u64,
+    bytes: u64,
+}
+
+impl Tally {
+    fn count(&mut self, bytes: u64) {
+        self.ops += 1;
+        self.bytes += bytes;
+    }
+
+    fn plus(self, other: Tally) -> Tally {
+        Tally {
+            ops: self.ops + other.ops,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+}
+
+/// One flow site's row of the ledger: what entered, and what left by
+/// each [`Exit`].
+#[derive(Default)]
+struct Ledger {
+    entered: Tally,
+    exits: [Tally; 3],
+}
+
+impl Ledger {
+    fn exit(&self, exit: Exit) -> Tally {
+        self.exits[exit as usize]
+    }
+
+    fn left(&self) -> Tally {
+        self.exits.into_iter().fold(Tally::default(), Tally::plus)
+    }
+
+    /// The one message of a flow violation, at the event or at finish.
+    fn violation(&self, flow: Flow, site: impl fmt::Display) -> (Invariant, String) {
+        let (entered, left) = (self.entered, self.left());
+        let [ok, shed, failed] = self.exits.map(|t| t.ops);
+        let message = format!(
+            "{} '{site}': {} ops/{} B in, {} ops/{} B out ({ok} ok, {shed} shed, {failed} failed)",
+            flow.noun(),
+            entered.ops,
+            entered.bytes,
+            left.ops,
+            left.bytes,
+        );
+        (flow.invariant(), message)
+    }
+}
+
+/// Credit accounting for one fabric connection direction; its messages
+/// are [`Flow::Fabric`].
 ///
 /// `window` accumulates across connections that reuse a site label
 /// (e.g. a scenario running one sim per fabric kind): each instance
 /// contributes its own credit budget, so the streaming debt bound
 /// stays sound over the whole session.
 #[derive(Default)]
-struct FabricStat {
+struct CreditStat {
     window: u64,
-    sent_msgs: u64,
-    sent_bytes: u64,
-    delivered_msgs: u64,
-    delivered_bytes: u64,
-    credits_consumed: u64,
-    credits_returned: u64,
-}
-
-/// Gateway accounting for one tenant: the admission conservation split
-/// and the scheduler grant/dispatch pairing.
-#[derive(Default)]
-struct TenantStat {
-    issued_ops: u64,
-    issued_bytes: u64,
-    ok_ops: u64,
-    ok_bytes: u64,
-    shed_ops: u64,
-    shed_bytes: u64,
-    failed_ops: u64,
-    failed_bytes: u64,
-    /// Dispatch slots granted by the WFQ/DRR scheduler.
-    granted: u64,
-    /// Requests actually sent toward the shard fabric.
-    dispatched: u64,
-}
-
-impl TenantStat {
-    fn resolved_ops(&self) -> u64 {
-        self.ok_ops + self.shed_ops + self.failed_ops
-    }
-
-    fn resolved_bytes(&self) -> u64 {
-        self.ok_bytes + self.shed_bytes + self.failed_bytes
-    }
+    consumed: u64,
+    returned: u64,
 }
 
 /// Epoch and digest accounting for one replica group.
@@ -250,10 +347,13 @@ struct ReplGroupStat {
 #[derive(Default)]
 struct SiteMap<V>(Vec<Option<(Rc<str>, V)>>);
 
-impl<V: Default> SiteMap<V> {
+impl<V> SiteMap<V> {
     /// The stat of `site`, created on first sight — the only time a
     /// check-point may allocate (the table grows to cover the new id).
-    fn entry(&mut self, site: Site) -> &mut V {
+    fn entry(&mut self, site: Site) -> &mut V
+    where
+        V: Default,
+    {
         let i = site.index();
         if i >= self.0.len() {
             self.0.resize_with(i + 1, || None);
@@ -261,6 +361,19 @@ impl<V: Default> SiteMap<V> {
         &mut self.0[i]
             .get_or_insert_with(|| (site.name(), V::default()))
             .1
+    }
+
+    fn touched(&self, i: usize) -> bool {
+        matches!(self.0.get(i), Some(Some(_)))
+    }
+
+    /// Sites touched in this table or in `other`: the site count of a
+    /// family whose accounting spans two tables.
+    fn len_with<W>(&self, other: &SiteMap<W>) -> usize {
+        let ids = self.0.len().max(other.0.len());
+        (0..ids)
+            .filter(|&i| self.touched(i) || other.touched(i))
+            .count()
     }
 
     fn values(&self) -> impl Iterator<Item = &V> {
@@ -298,13 +411,10 @@ pub struct CheckSession {
     violations: RefCell<Vec<Violation>>,
     last_time: Cell<Time>,
     resources: RefCell<SiteMap<ResourceStat>>,
-    links: RefCell<SiteMap<FlowStat>>,
-    ssd: RefCell<SiteMap<FlowStat>>,
-    pcie: RefCell<SiteMap<FlowStat>>,
-    cluster: RefCell<SiteMap<FlowStat>>,
-    fabric: RefCell<SiteMap<FabricStat>>,
+    /// The conservation ledger, one table per [`Flow`] (indexed by it).
+    flows: [RefCell<SiteMap<Ledger>>; Flow::ALL.len()],
+    credits: RefCell<SiteMap<CreditStat>>,
     repl: RefCell<BTreeMap<usize, ReplGroupStat>>,
-    tenants: RefCell<SiteMap<TenantStat>>,
     kernels_checked: Cell<u64>,
     faults_injected: RefCell<BTreeMap<&'static str, u64>>,
     faults_handled: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
@@ -461,83 +571,11 @@ impl CheckSession {
                 ));
             }
         }
-        for (name, f) in self.links.borrow().by_name() {
-            if f.in_ops != f.out_ops + f.dropped_ops || f.in_bytes != f.out_bytes + f.dropped_bytes
-            {
-                pending.push((
-                    Invariant::LinkConservation,
-                    format!(
-                        "link '{name}': {} frames/{} B in, {} frames/{} B delivered, \
-                         {} frames/{} B dropped",
-                        f.in_ops,
-                        f.in_bytes,
-                        f.out_ops,
-                        f.out_bytes,
-                        f.dropped_ops,
-                        f.dropped_bytes
-                    ),
-                ));
-            }
-        }
-        for (site, f) in self.ssd.borrow().by_name() {
-            if f.in_ops != f.out_ops + f.dropped_ops {
-                pending.push((
-                    Invariant::SsdConservation,
-                    format!(
-                        "ssd '{site}': {} ops admitted, {} completed, {} errored",
-                        f.in_ops, f.out_ops, f.dropped_ops
-                    ),
-                ));
-            }
-        }
-        for (name, f) in self.pcie.borrow().by_name() {
-            if f.in_ops != f.out_ops || f.in_bytes != f.out_bytes {
-                pending.push((
-                    Invariant::PcieConservation,
-                    format!(
-                        "pcie '{name}': {} ops/{} B in vs {} ops/{} B out",
-                        f.in_ops, f.in_bytes, f.out_ops, f.out_bytes
-                    ),
-                ));
-            }
-        }
-        for (shard, f) in self.cluster.borrow().by_name() {
-            if f.in_ops != f.out_ops + f.dropped_ops || f.in_bytes != f.out_bytes + f.dropped_bytes
-            {
-                pending.push((
-                    Invariant::ClusterConservation,
-                    format!(
-                        "cluster shard '{shard}': {} ops/{} B issued, {} ops/{} B completed, \
-                         {} ops/{} B failed-or-shed",
-                        f.in_ops,
-                        f.in_bytes,
-                        f.out_ops,
-                        f.out_bytes,
-                        f.dropped_ops,
-                        f.dropped_bytes
-                    ),
-                ));
-            }
-        }
-        for (site, f) in self.fabric.borrow().by_name() {
-            if f.sent_msgs != f.delivered_msgs || f.sent_bytes != f.delivered_bytes {
-                pending.push((
-                    Invariant::FabricConservation,
-                    format!(
-                        "fabric '{site}': {} msgs/{} B sent vs {} msgs/{} B delivered \
-                         at end of run",
-                        f.sent_msgs, f.sent_bytes, f.delivered_msgs, f.delivered_bytes
-                    ),
-                ));
-            }
-            if f.credits_returned > f.credits_consumed {
-                pending.push((
-                    Invariant::FabricConservation,
-                    format!(
-                        "fabric '{site}': {} credits returned exceed {} consumed",
-                        f.credits_returned, f.credits_consumed
-                    ),
-                ));
+        for flow in Flow::ALL {
+            for (site, ledger) in self.ledger(flow).borrow().by_name() {
+                if ledger.left() != ledger.entered {
+                    pending.push(ledger.violation(flow, site));
+                }
             }
         }
         for (group, stat) in self.repl.borrow().iter() {
@@ -558,34 +596,6 @@ impl CheckSession {
                         ));
                     }
                 }
-            }
-        }
-        for (tenant, t) in self.tenants.borrow().by_name() {
-            if t.issued_ops != t.resolved_ops() || t.issued_bytes != t.resolved_bytes() {
-                pending.push((
-                    Invariant::TenantConservation,
-                    format!(
-                        "tenant '{tenant}': {} ops/{} B issued, {} ok, {} shed, \
-                         {} failed ({} ops/{} B resolved) at end of run",
-                        t.issued_ops,
-                        t.issued_bytes,
-                        t.ok_ops,
-                        t.shed_ops,
-                        t.failed_ops,
-                        t.resolved_ops(),
-                        t.resolved_bytes()
-                    ),
-                ));
-            }
-            if t.granted != t.dispatched {
-                pending.push((
-                    Invariant::QosIsolation,
-                    format!(
-                        "tenant '{tenant}': {} scheduler grants vs {} fabric \
-                         dispatches at end of run",
-                        t.granted, t.dispatched
-                    ),
-                ));
             }
         }
         {
@@ -621,66 +631,64 @@ impl CheckSession {
         let mut out = String::from("conformance:");
         let res = self.resources.borrow();
         let total_acq: u64 = res.values().map(|r| r.acquires).sum();
-        let links = self.links.borrow();
-        let link_in: u64 = links.values().map(|f| f.in_bytes).sum();
-        let link_drop: u64 = links.values().map(|f| f.dropped_bytes).sum();
-        let ssd = self.ssd.borrow();
-        let ssd_ops: u64 = ssd.values().map(|f| f.in_ops).sum();
-        let ssd_err: u64 = ssd.values().map(|f| f.dropped_ops).sum();
-        let pcie = self.pcie.borrow();
-        let dma: u64 = pcie.values().map(|f| f.in_bytes).sum();
+        let entered = |flow| self.total(flow, |l| l.entered);
+        let exited = |flow, exit| self.total(flow, move |l| l.exit(exit));
         let inj: u64 = self.faults_injected.borrow().values().sum();
         let _ = write!(
             out,
-            " resources={} acquires={total_acq} link_bytes={link_in} \
-             link_dropped_bytes={link_drop} ssd_ops={ssd_ops} ssd_errors={ssd_err} \
-             dma_bytes={dma} kernels_checked={} faults_injected={inj} violations={}",
+            " resources={} acquires={total_acq} link_bytes={} link_dropped_bytes={} \
+             ssd_ops={} ssd_errors={} dma_bytes={} kernels_checked={} faults_injected={inj} \
+             violations={}",
             res.len(),
+            entered(Flow::Link).bytes,
+            exited(Flow::Link, Exit::Failed).bytes,
+            entered(Flow::Ssd).ops,
+            exited(Flow::Ssd, Exit::Failed).ops,
+            entered(Flow::Pcie).bytes,
             self.kernels_checked.get(),
             self.violations.borrow().len(),
         );
         // Cluster accounting joins the report only when a cluster ran —
         // single-server golden summaries stay byte-identical.
-        let cluster = self.cluster.borrow();
-        let cluster_ops: u64 = cluster.values().map(|f| f.in_ops).sum();
+        let cluster_ops = entered(Flow::Cluster).ops;
         if cluster_ops > 0 {
-            let cluster_shed: u64 = cluster.values().map(|f| f.dropped_ops).sum();
             let _ = write!(
                 out,
-                " cluster_shards={} cluster_ops={cluster_ops} cluster_shed={cluster_shed}",
-                cluster.len(),
+                " cluster_shards={} cluster_ops={cluster_ops} cluster_shed={}",
+                self.ledger(Flow::Cluster).borrow().len(),
+                exited(Flow::Cluster, Exit::Shed).ops + exited(Flow::Cluster, Exit::Failed).ops,
             );
         }
         // Fabric accounting likewise only appears when a non-TCP fabric
         // actually moved traffic, so pre-fabric goldens are untouched.
-        let fabric = self.fabric.borrow();
-        let fabric_msgs: u64 = fabric.values().map(|f| f.sent_msgs).sum();
-        if fabric_msgs > 0 {
-            let fabric_bytes: u64 = fabric.values().map(|f| f.sent_bytes).sum();
-            let outstanding: u64 = fabric
+        let fabric = entered(Flow::Fabric);
+        if fabric.ops > 0 {
+            let credits = self.credits.borrow();
+            let debt: u64 = credits
                 .values()
-                .map(|f| f.credits_consumed.saturating_sub(f.credits_returned))
+                .map(|c| c.consumed.saturating_sub(c.returned))
                 .sum();
             let _ = write!(
                 out,
-                " fabric_sites={} fabric_msgs={fabric_msgs} fabric_bytes={fabric_bytes} \
-                 fabric_credit_debt={outstanding}",
-                fabric.len(),
+                " fabric_sites={} fabric_msgs={} fabric_bytes={} fabric_credit_debt={debt}",
+                credits.len_with(&self.ledger(Flow::Fabric).borrow()),
+                fabric.ops,
+                fabric.bytes,
             );
         }
         // Tenant/QoS accounting only appears when a gateway labeled
         // traffic, so pre-gateway goldens are untouched.
-        let tenants = self.tenants.borrow();
-        let tenant_ops: u64 = tenants.values().map(|t| t.issued_ops).sum();
+        let tenant_ops = entered(Flow::Tenant).ops;
         if tenant_ops > 0 {
-            let tenant_ok: u64 = tenants.values().map(|t| t.ok_ops).sum();
-            let tenant_shed: u64 = tenants.values().map(|t| t.shed_ops).sum();
-            let grants: u64 = tenants.values().map(|t| t.granted).sum();
             let _ = write!(
                 out,
-                " tenants={} tenant_ops={tenant_ops} tenant_ok={tenant_ok} \
-                 tenant_shed={tenant_shed} qos_grants={grants}",
-                tenants.len(),
+                " tenants={} tenant_ops={tenant_ops} tenant_ok={} tenant_shed={} qos_grants={}",
+                self.ledger(Flow::Tenant)
+                    .borrow()
+                    .len_with(&self.ledger(Flow::Qos).borrow()),
+                exited(Flow::Tenant, Exit::Ok).ops,
+                exited(Flow::Tenant, Exit::Shed).ops,
+                entered(Flow::Qos).ops,
             );
         }
         // Replication accounting only appears when a replicated cluster
@@ -706,46 +714,38 @@ impl CheckSession {
         }
     }
 
-    fn flow_in(&self, map: &RefCell<SiteMap<FlowStat>>, site: Site, bytes: u64) {
-        let mut map = map.borrow_mut();
-        let f = map.entry(site);
-        f.in_ops += 1;
-        f.in_bytes += bytes;
-        drop(map);
+    fn ledger(&self, flow: Flow) -> &RefCell<SiteMap<Ledger>> {
+        &self.flows[flow as usize]
+    }
+
+    /// One tally of `flow`'s ledger rows, summed over its sites.
+    fn total(&self, flow: Flow, tally: impl Fn(&Ledger) -> Tally) -> Tally {
+        let rows = self.ledger(flow).borrow();
+        rows.values().map(tally).fold(Tally::default(), Tally::plus)
+    }
+
+    fn flow_in(&self, flow: Flow, site: Site, bytes: u64) {
+        self.ledger(flow)
+            .borrow_mut()
+            .entry(site)
+            .entered
+            .count(bytes);
         self.note_now();
     }
 
-    fn flow_out(
-        &self,
-        map: &RefCell<SiteMap<FlowStat>>,
-        invariant: Invariant,
-        site: Site,
-        bytes: u64,
-        dropped: bool,
-    ) {
-        let mut overdraft = None;
-        {
-            let mut map = map.borrow_mut();
-            let f = map.entry(site);
-            if dropped {
-                f.dropped_ops += 1;
-                f.dropped_bytes += bytes;
-            } else {
-                f.out_ops += 1;
-                f.out_bytes += bytes;
-            }
-            if f.out_ops + f.dropped_ops > f.in_ops || f.out_bytes + f.dropped_bytes > f.in_bytes {
-                overdraft = Some(format!(
-                    "site '{site}': {} ops/{} B out exceeds {} ops/{} B in",
-                    f.out_ops + f.dropped_ops,
-                    f.out_bytes + f.dropped_bytes,
-                    f.in_ops,
-                    f.in_bytes
-                ));
-            }
-        }
-        if let Some(msg) = overdraft {
-            self.violate(invariant, msg);
+    /// The one overdraft check: flags at the event when more has left a
+    /// site than entered it, in ops or in bytes.
+    fn flow_out(&self, flow: Flow, site: Site, exit: Exit, bytes: u64) {
+        let overdraft = {
+            let mut rows = self.ledger(flow).borrow_mut();
+            let ledger = rows.entry(site);
+            ledger.exits[exit as usize].count(bytes);
+            let (entered, left) = (ledger.entered, ledger.left());
+            (left.ops > entered.ops || left.bytes > entered.bytes)
+                .then(|| ledger.violation(flow, site))
+        };
+        if let Some((invariant, message)) = overdraft {
+            self.violate(invariant, message);
         }
     }
 }
@@ -895,65 +895,17 @@ pub fn is_active() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// A frame of `bytes` entered the named link.
-pub fn link_in(link: Site, bytes: u64) {
-    with_session(|s| s.flow_in(&s.links, link, bytes));
+/// A unit of `bytes` entered `site` of `flow`: a frame onto a link, an
+/// SSD op past the device queue, a DMA onto a PCIe link, a request to a
+/// shard or into the gateway, a fabric data message, a scheduler grant.
+pub fn flow_in(flow: Flow, site: Site, bytes: u64) {
+    with_session(|s| s.flow_in(flow, site, bytes));
 }
 
-/// A frame of `bytes` left the named link toward its receiver.
-pub fn link_delivered(link: Site, bytes: u64) {
-    with_session(|s| s.flow_out(&s.links, Invariant::LinkConservation, link, bytes, false));
-}
-
-/// A frame of `bytes` was dropped by the named link (loss model or
-/// injected fault).
-pub fn link_dropped(link: Site, bytes: u64) {
-    with_session(|s| s.flow_out(&s.links, Invariant::LinkConservation, link, bytes, true));
-}
-
-/// An SSD op of `bytes` was admitted past the device queue.
-/// `site` should identify device + direction, e.g. `"nvme0.read"`.
-pub fn ssd_in(site: Site, bytes: u64) {
-    with_session(|s| s.flow_in(&s.ssd, site, bytes));
-}
-
-/// An admitted SSD op completed successfully.
-pub fn ssd_done(site: Site, bytes: u64) {
-    with_session(|s| s.flow_out(&s.ssd, Invariant::SsdConservation, site, bytes, false));
-}
-
-/// An admitted SSD op completed with a device error.
-pub fn ssd_failed(site: Site, bytes: u64) {
-    with_session(|s| s.flow_out(&s.ssd, Invariant::SsdConservation, site, bytes, true));
-}
-
-/// A DMA of `bytes` entered the named PCIe link.
-pub fn pcie_in(link: Site, bytes: u64) {
-    with_session(|s| s.flow_in(&s.pcie, link, bytes));
-}
-
-/// A DMA of `bytes` fully crossed the named PCIe link.
-pub fn pcie_done(link: Site, bytes: u64) {
-    with_session(|s| s.flow_out(&s.pcie, Invariant::PcieConservation, link, bytes, false));
-}
-
-/// A cluster request of `bytes` was issued to the named shard
-/// (`site` is the shard's stable label, e.g. `"node0"`).
-pub fn cluster_op_issued(site: Site, bytes: u64) {
-    with_session(|s| s.flow_in(&s.cluster, site, bytes));
-}
-
-/// An issued cluster request completed successfully.
-pub fn cluster_op_ok(site: Site, bytes: u64) {
-    let inv = Invariant::ClusterConservation;
-    with_session(|s| s.flow_out(&s.cluster, inv, site, bytes, false));
-}
-
-/// An issued cluster request terminated without a result: a terminal
-/// client error or an admission-control shed.
-pub fn cluster_op_failed(site: Site, bytes: u64) {
-    let inv = Invariant::ClusterConservation;
-    with_session(|s| s.flow_out(&s.cluster, inv, site, bytes, true));
+/// A unit of `bytes` left `site` of `flow` through `exit`. Flags at
+/// the event when more has left the site than entered it.
+pub fn flow_out(flow: Flow, site: Site, exit: Exit, bytes: u64) {
+    with_session(|s| s.flow_out(flow, site, exit, bytes));
 }
 
 /// A fabric connection direction opened with a credit window of
@@ -962,43 +914,8 @@ pub fn cluster_op_failed(site: Site, bytes: u64) {
 /// receives).
 pub fn fabric_conn_open(site: Site, window: u64) {
     with_session(|s| {
-        s.fabric.borrow_mut().entry(site).window += window;
+        s.credits.borrow_mut().entry(site).window += window;
         s.note_now();
-    });
-}
-
-/// The fabric sender committed a data message of `bytes` to the wire
-/// path for `site` (one direction of one connection).
-pub fn fabric_msg_sent(site: Site, bytes: u64) {
-    with_session(|s| {
-        let mut map = s.fabric.borrow_mut();
-        let f = map.entry(site);
-        f.sent_msgs += 1;
-        f.sent_bytes += bytes;
-        s.note_now();
-    });
-}
-
-/// The fabric receiver handed a data message of `bytes` to the
-/// application for `site`. Flags delivery overdraft immediately.
-pub fn fabric_msg_delivered(site: Site, bytes: u64) {
-    with_session(|s| {
-        let mut overdraft = None;
-        {
-            let mut map = s.fabric.borrow_mut();
-            let f = map.entry(site);
-            f.delivered_msgs += 1;
-            f.delivered_bytes += bytes;
-            if f.delivered_msgs > f.sent_msgs || f.delivered_bytes > f.sent_bytes {
-                overdraft = Some(format!(
-                    "fabric '{site}': {} msgs/{} B delivered exceeds {} msgs/{} B sent",
-                    f.delivered_msgs, f.delivered_bytes, f.sent_msgs, f.sent_bytes
-                ));
-            }
-        }
-        if let Some(msg) = overdraft {
-            s.violate(Invariant::FabricConservation, msg);
-        }
     });
 }
 
@@ -1009,15 +926,15 @@ pub fn fabric_credit_consumed(site: Site, n: u64) {
     with_session(|s| {
         let mut overrun = None;
         {
-            let mut map = s.fabric.borrow_mut();
-            let f = map.entry(site);
-            f.credits_consumed += n;
-            let debt = f.credits_consumed.saturating_sub(f.credits_returned);
-            if debt > f.window {
+            let mut map = s.credits.borrow_mut();
+            let c = map.entry(site);
+            c.consumed += n;
+            let debt = c.consumed.saturating_sub(c.returned);
+            if debt > c.window {
                 overrun = Some(format!(
                     "fabric '{site}': credit debt {debt} exceeds window {} \
                      ({} consumed, {} returned)",
-                    f.window, f.credits_consumed, f.credits_returned
+                    c.window, c.consumed, c.returned
                 ));
             }
         }
@@ -1034,13 +951,13 @@ pub fn fabric_credit_returned(site: Site, n: u64) {
     with_session(|s| {
         let mut over = None;
         {
-            let mut map = s.fabric.borrow_mut();
-            let f = map.entry(site);
-            f.credits_returned += n;
-            if f.credits_returned > f.credits_consumed {
+            let mut map = s.credits.borrow_mut();
+            let c = map.entry(site);
+            c.returned += n;
+            if c.returned > c.consumed {
                 over = Some(format!(
                     "fabric '{site}': {} credits returned exceed {} consumed",
-                    f.credits_returned, f.credits_consumed
+                    c.returned, c.consumed
                 ));
             }
         }
@@ -1151,110 +1068,6 @@ pub fn fault_handled(site: &'static str, outcome: &'static str) {
             .borrow_mut()
             .entry((site, outcome))
             .or_default() += 1;
-    });
-}
-
-/// A labeled request of `bytes` entered the gateway tier for `tenant`.
-pub fn tenant_op_issued(tenant: Site, bytes: u64) {
-    with_session(|s| {
-        let mut map = s.tenants.borrow_mut();
-        let t = map.entry(tenant);
-        t.issued_ops += 1;
-        t.issued_bytes += bytes;
-        drop(map);
-        s.note_now();
-    });
-}
-
-fn tenant_resolved(tenant: Site, bump: impl FnOnce(&mut TenantStat)) {
-    with_session(|s| {
-        let mut overdraft = None;
-        {
-            let mut map = s.tenants.borrow_mut();
-            let t = map.entry(tenant);
-            bump(t);
-            if t.resolved_ops() > t.issued_ops || t.resolved_bytes() > t.issued_bytes {
-                overdraft = Some(format!(
-                    "tenant '{tenant}': {} ops/{} B resolved exceeds {} ops/{} B issued",
-                    t.resolved_ops(),
-                    t.resolved_bytes(),
-                    t.issued_ops,
-                    t.issued_bytes
-                ));
-            }
-        }
-        if let Some(msg) = overdraft {
-            s.violate(Invariant::TenantConservation, msg);
-        }
-    });
-}
-
-/// An issued tenant request completed successfully.
-pub fn tenant_op_ok(tenant: Site, bytes: u64) {
-    tenant_resolved(tenant, |t| {
-        t.ok_ops += 1;
-        t.ok_bytes += bytes;
-    });
-}
-
-/// An issued tenant request was shed by per-tenant admission control
-/// (rate limit, in-flight cap, or a downstream shard admission window).
-pub fn tenant_op_shed(tenant: Site, bytes: u64) {
-    tenant_resolved(tenant, |t| {
-        t.shed_ops += 1;
-        t.shed_bytes += bytes;
-    });
-}
-
-/// An issued tenant request terminated with a non-shed error.
-pub fn tenant_op_failed(tenant: Site, bytes: u64) {
-    tenant_resolved(tenant, |t| {
-        t.failed_ops += 1;
-        t.failed_bytes += bytes;
-    });
-}
-
-/// A request left the gateway at `site` without a tenant label — an
-/// immediate violation: unlabeled traffic cannot be admitted, scheduled,
-/// or accounted, so it must never reach the fabric.
-pub fn tenant_unlabeled(site: &str) {
-    with_session(|s| {
-        s.violate(
-            Invariant::TenantConservation,
-            format!("a request left the gateway at '{site}' without a tenant label"),
-        );
-    });
-}
-
-/// The WFQ/DRR scheduler granted `tenant` a dispatch slot.
-pub fn qos_granted(tenant: Site) {
-    with_session(|s| {
-        s.tenants.borrow_mut().entry(tenant).granted += 1;
-        s.note_now();
-    });
-}
-
-/// The gateway dispatched one of `tenant`'s requests toward the shard
-/// fabric. Flags immediately when dispatches outrun scheduler grants —
-/// a path that bypasses weighted-fair queueing.
-pub fn tenant_dispatched(tenant: Site) {
-    with_session(|s| {
-        let mut bypass = None;
-        {
-            let mut map = s.tenants.borrow_mut();
-            let t = map.entry(tenant);
-            t.dispatched += 1;
-            if t.dispatched > t.granted {
-                bypass = Some(format!(
-                    "tenant '{tenant}': {} dispatches exceed {} scheduler grants \
-                     (a request bypassed the QoS scheduler)",
-                    t.dispatched, t.granted
-                ));
-            }
-        }
-        if let Some(msg) = bypass {
-            s.violate(Invariant::QosIsolation, msg);
-        }
     });
 }
 

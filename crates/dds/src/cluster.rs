@@ -28,15 +28,17 @@
 //! traffic continues, with dual-read fallbacks keeping every key
 //! readable at every intermediate step.
 //!
-//! Every request is accounted to the conformance layer
-//! ([`dpdpu_check::cluster_op_issued`] / `_ok` / `_failed`): issued ==
-//! completed + failed-or-shed per shard, end of run, or the run fails.
+//! Every request is accounted to the conformance layer as a
+//! [`Flow::Cluster`] unit per shard, leaving as [`Exit::Ok`], `Shed`
+//! (the admission window) or `Failed`: issued == completed + shed +
+//! failed at end of run, or the run fails.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
 
+use dpdpu_check::{Exit, Flow};
 use dpdpu_core::DpdpuError;
 use dpdpu_des::{Counter, Semaphore, Site};
 use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, PcieLink, Platform};
@@ -516,13 +518,13 @@ impl ClusterClient {
             Op::DropKeys { keys, .. } => 8 * keys.len() as u64,
             _ => 8,
         };
-        dpdpu_check::cluster_op_issued(conn.site, bytes);
+        dpdpu_check::flow_in(Flow::Cluster, conn.site, bytes);
         let _permit = if admit {
             match conn.admission.try_acquire() {
                 Some(p) => Some(p),
                 None => {
                     conn.shed.inc();
-                    dpdpu_check::cluster_op_failed(conn.site, bytes);
+                    dpdpu_check::flow_out(Flow::Cluster, conn.site, Exit::Shed, bytes);
                     dpdpu_telemetry::count("cluster_shed", &[("shard", &conn.label)]);
                     return Err(DpdpuError::Unavailable("shard admission window"));
                 }
@@ -533,8 +535,8 @@ impl ClusterClient {
         dpdpu_telemetry::count("cluster_requests", &[("shard", &conn.label)]);
         let result = self.routed_call(&conn, group, op).await;
         match &result {
-            Ok(_) => dpdpu_check::cluster_op_ok(conn.site, bytes),
-            Err(_) => dpdpu_check::cluster_op_failed(conn.site, bytes),
+            Ok(_) => dpdpu_check::flow_out(Flow::Cluster, conn.site, Exit::Ok, bytes),
+            Err(_) => dpdpu_check::flow_out(Flow::Cluster, conn.site, Exit::Failed, bytes),
         }
         result
     }

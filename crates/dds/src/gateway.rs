@@ -38,6 +38,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use dpdpu_check::{Exit, Flow};
 use dpdpu_core::{DpdpuError, SloClass, TenantSpec};
 use dpdpu_des::{now, oneshot, spawn, Drr, Histogram, OneshotSender, Semaphore, Site};
 
@@ -269,7 +270,7 @@ impl Gateway {
         let name = &state.spec.name;
         let slo = state.spec.slo.label();
         state.issued.set(state.issued.get() + 1);
-        dpdpu_check::tenant_op_issued(state.site, cost);
+        dpdpu_check::flow_in(Flow::Tenant, state.site, cost);
         dpdpu_telemetry::count("gateway_requests", &[("tenant", name), ("slo", slo)]);
         if self.fair {
             if !state.take_token() {
@@ -305,18 +306,18 @@ impl Gateway {
                 {
                     h.record(now() - t0);
                 }
-                dpdpu_check::tenant_op_ok(state.site, cost);
+                dpdpu_check::flow_out(Flow::Tenant, state.site, Exit::Ok, cost);
             }
             Err(DpdpuError::Unavailable(_)) => {
                 // Downstream shed (shard admission window): the tenant
                 // still sees it as shed load.
                 state.shed.set(state.shed.get() + 1);
                 dpdpu_telemetry::count("gateway_shed", &[("tenant", name)]);
-                dpdpu_check::tenant_op_shed(state.site, cost);
+                dpdpu_check::flow_out(Flow::Tenant, state.site, Exit::Shed, cost);
             }
             Err(_) => {
                 state.errors.set(state.errors.get() + 1);
-                dpdpu_check::tenant_op_failed(state.site, cost);
+                dpdpu_check::flow_out(Flow::Tenant, state.site, Exit::Failed, cost);
             }
         }
         result
@@ -325,7 +326,7 @@ impl Gateway {
     /// Records a gateway-side shed and returns the error to surface.
     fn shed(&self, state: &TenantState, cost: u64, reason: &'static str) -> DpdpuError {
         state.shed.set(state.shed.get() + 1);
-        dpdpu_check::tenant_op_shed(state.site, cost);
+        dpdpu_check::flow_out(Flow::Tenant, state.site, Exit::Shed, cost);
         dpdpu_telemetry::count("gateway_shed", &[("tenant", &state.spec.name)]);
         DpdpuError::Unavailable(reason)
     }
@@ -361,8 +362,8 @@ impl Gateway {
             // Grant and dispatch are adjacent by construction; the
             // qos-isolation invariant exists to catch any *other* path
             // reaching the fabric without passing this point.
-            dpdpu_check::qos_granted(tenant);
-            dpdpu_check::tenant_dispatched(tenant);
+            dpdpu_check::flow_in(Flow::Qos, tenant, 0);
+            dpdpu_check::flow_out(Flow::Qos, tenant, Exit::Ok, 0);
             let gw = self.clone();
             spawn(async move {
                 let result = gw.client.call(job.op).await;

@@ -4,6 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use dpdpu_check::{Exit, Flow};
 use dpdpu_des::{channel, now, sleep, spawn, transmit_ns, Counter, Receiver, Sender, Server, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -161,12 +162,12 @@ impl<T: 'static> Link<T> {
         }
         let frame = make(marked);
         self.bytes_sent.add(bytes);
-        dpdpu_check::link_in(self.wire.site(), bytes);
+        dpdpu_check::flow_in(Flow::Link, self.wire.site(), bytes);
         let lost =
             self.cfg.loss_rate > 0.0 && self.rng.borrow_mut().random_bool(self.cfg.loss_rate);
         if lost {
             self.dropped.inc();
-            dpdpu_check::link_dropped(self.wire.site(), bytes);
+            dpdpu_check::flow_out(Flow::Link, self.wire.site(), Exit::Failed, bytes);
             return;
         }
         // Injected faults sit on top of the link's own loss model. A
@@ -180,7 +181,7 @@ impl<T: 'static> Link<T> {
         match verdict {
             dpdpu_faults::LinkVerdict::Drop => {
                 self.dropped.inc();
-                dpdpu_check::link_dropped(self.wire.site(), bytes);
+                dpdpu_check::flow_out(Flow::Link, self.wire.site(), Exit::Failed, bytes);
                 return;
             }
             dpdpu_faults::LinkVerdict::Delay(extra_ns) => {
@@ -189,7 +190,7 @@ impl<T: 'static> Link<T> {
             dpdpu_faults::LinkVerdict::Deliver => {}
         }
         self.delivered.inc();
-        dpdpu_check::link_delivered(self.wire.site(), bytes);
+        dpdpu_check::flow_out(Flow::Link, self.wire.site(), Exit::Ok, bytes);
         let this = self.clone();
         spawn(async move {
             sleep(this.cfg.propagation_ns).await;

@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use dpdpu_check::{Exit, Flow};
 use dpdpu_des::{now, sleep, sleep_until, transmit_ns, Counter, Receiver, Server, Time};
 
 use crate::costs;
@@ -48,14 +49,14 @@ impl PcieLink {
     /// Moves `bytes` across the link (either direction): engine setup,
     /// FIFO serialization, then the PCIe round-trip for the completion.
     pub async fn dma(&self, bytes: u64) {
-        dpdpu_check::pcie_in(self.lane.site(), bytes);
+        dpdpu_check::flow_in(Flow::Pcie, self.lane.site(), bytes);
         self.lane
             .process(self.setup_ns + transmit_ns(bytes, self.bytes_per_sec * 8))
             .await;
         sleep(self.rtt_ns).await;
         self.transactions.inc();
         self.bytes_moved.add(bytes);
-        dpdpu_check::pcie_done(self.lane.site(), bytes);
+        dpdpu_check::flow_out(Flow::Pcie, self.lane.site(), Exit::Ok, bytes);
     }
 
     /// A small read of a remote descriptor/doorbell (polling path):

@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use dpdpu_check::{Exit, Flow};
 use dpdpu_des::{sleep, transmit_ns, Counter, Semaphore, Server, Site, Time};
 use dpdpu_faults::{IoOp, IoVerdict};
 
@@ -122,13 +123,13 @@ impl Ssd {
             IoOp::Write => (&self.wr, &self.writes, &self.bytes_written, IoError::Write),
         };
         let _slot = self.queue.acquire().await;
-        dpdpu_check::ssd_in(lane.site, bytes);
+        dpdpu_check::flow_in(Flow::Ssd, lane.site, bytes);
         let verdict = dpdpu_faults::ssd_verdict(op);
         sleep(lane.lat_ns).await;
         match verdict {
             IoVerdict::Fail => {
                 self.io_errors.inc();
-                dpdpu_check::ssd_failed(lane.site, bytes);
+                dpdpu_check::flow_out(Flow::Ssd, lane.site, Exit::Failed, bytes);
                 return Err(error);
             }
             IoVerdict::Slow(extra_ns) => sleep(extra_ns).await,
@@ -139,7 +140,7 @@ impl Ssd {
             .await;
         ops.inc();
         moved.add(bytes);
-        dpdpu_check::ssd_done(lane.site, bytes);
+        dpdpu_check::flow_out(Flow::Ssd, lane.site, Exit::Ok, bytes);
         Ok(())
     }
 

@@ -56,6 +56,7 @@
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use dpdpu_check::{Exit, Flow};
 use dpdpu_des::{channel, race, sleep, spawn, Either, Receiver, Sender, Site, Time};
 use dpdpu_hw::{CpuPool, PcieLink, Platform};
 
@@ -496,7 +497,7 @@ fn spawn_endpoint(
                 dpdpu_check::fabric_credit_consumed(site_out, 1);
                 let len = msg.len();
                 let framed = encode(TAG_DATA, 0, &msg);
-                dpdpu_check::fabric_msg_sent(site_out, len as u64);
+                dpdpu_check::flow_in(Flow::Fabric, site_out, len as u64);
                 if wire_tx.send((framed, len >= BULK_THRESHOLD)).is_err() {
                     return;
                 }
@@ -536,7 +537,7 @@ fn spawn_endpoint(
             if tag != TAG_DATA {
                 continue;
             }
-            dpdpu_check::fabric_msg_delivered(site_in, payload.len() as u64);
+            dpdpu_check::flow_out(Flow::Fabric, site_in, Exit::Ok, payload.len() as u64);
             if app_out_tx.send(payload).is_err() {
                 return;
             }

@@ -24,19 +24,26 @@ pub enum Either<A, B> {
 
 /// Future returned by [`timeout`].
 pub struct Timeout<F> {
-    fut: Pin<Box<F>>,
+    /// Structurally pinned: never moved out of a pinned `Timeout`.
+    fut: F,
     timer: Sleep,
 }
 
 impl<F: Future> Future for Timeout<F> {
     type Output = Result<F::Output, Elapsed>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        if let Poll::Ready(v) = this.fut.as_mut().poll(cx) {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: nothing moves out of `self`: `fut` is reached only
+        // through the pin made here, `Timeout` has no `Drop` and is `Unpin`
+        // only when `F` is. `timer` is `Unpin`, so it needs no pin.
+        let (fut, timer) = unsafe {
+            let this = self.get_unchecked_mut();
+            (Pin::new_unchecked(&mut this.fut), &mut this.timer)
+        };
+        if let Poll::Ready(v) = fut.poll(cx) {
             return Poll::Ready(Ok(v));
         }
-        match Pin::new(&mut this.timer).poll(cx) {
+        match Pin::new(timer).poll(cx) {
             Poll::Ready(()) => Poll::Ready(Err(Elapsed)),
             Poll::Pending => Poll::Pending,
         }
@@ -44,29 +51,42 @@ impl<F: Future> Future for Timeout<F> {
 }
 
 /// Runs `fut`, giving up after `ns` of virtual time. On timeout the inner
-/// future is dropped (cancelled).
+/// future is dropped (cancelled); when `fut` wins, the timer is cancelled.
+///
+/// `fut` is held inline, so the returned future is `Unpin` only when `F`
+/// is: pin it with `pin!` or `Box::pin` to poll it by hand.
 pub fn timeout<F: Future>(ns: Time, fut: F) -> Timeout<F> {
     Timeout {
-        fut: Box::pin(fut),
+        fut,
         timer: sleep(ns),
     }
 }
 
 /// Future returned by [`race`].
 pub struct Race<A, B> {
-    a: Pin<Box<A>>,
-    b: Pin<Box<B>>,
+    /// Both structurally pinned: never moved out of a pinned `Race`.
+    a: A,
+    b: B,
 }
 
 impl<A: Future, B: Future> Future for Race<A, B> {
     type Output = Either<A::Output, B::Output>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        if let Poll::Ready(v) = this.a.as_mut().poll(cx) {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: nothing moves out of `self`: `a` and `b` are reached
+        // only through the pins made here, `Race` has no `Drop` and is
+        // `Unpin` only when both futures are.
+        let (a, b) = unsafe {
+            let this = self.get_unchecked_mut();
+            (
+                Pin::new_unchecked(&mut this.a),
+                Pin::new_unchecked(&mut this.b),
+            )
+        };
+        if let Poll::Ready(v) = a.poll(cx) {
             return Poll::Ready(Either::Left(v));
         }
-        if let Poll::Ready(v) = this.b.as_mut().poll(cx) {
+        if let Poll::Ready(v) = b.poll(cx) {
             return Poll::Ready(Either::Right(v));
         }
         Poll::Pending
@@ -75,11 +95,12 @@ impl<A: Future, B: Future> Future for Race<A, B> {
 
 /// Polls both futures; completes with whichever finishes first, dropping
 /// the loser. The left future wins ties.
+///
+/// Both futures are held inline, so the returned future is `Unpin` only
+/// when `A` and `B` are: pin it with `pin!` or `Box::pin` to poll it by
+/// hand.
 pub fn race<A: Future, B: Future>(a: A, b: B) -> Race<A, B> {
-    Race {
-        a: Box::pin(a),
-        b: Box::pin(b),
-    }
+    Race { a, b }
 }
 
 /// Awaits every join handle, returning outputs in input order.

@@ -2,21 +2,20 @@
 //!
 //! Tasks live in a slab; wakers push task ids onto a shared wake list; the
 //! run loop polls every runnable task to quiescence and then advances the
-//! virtual clock to the earliest pending timer.
+//! virtual clock to the earliest pending timer (see `timer.rs`).
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::oneshot;
 use crate::time::Time;
+use crate::timer::{TimerId, Timers};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -82,34 +81,23 @@ impl Wake for TaskWaker {
     }
 }
 
-struct TimerEntry {
-    deadline: Time,
-    seq: u64,
-    waker: Waker,
-}
+/// Source of [`SimShared::id`].
+static NEXT_SIM_ID: AtomicU64 = AtomicU64::new(0);
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
+/// A timer a [`Sleep`] armed, and the simulation it was armed in.
+#[derive(Clone, Copy)]
+struct Armed {
+    sim: u64,
+    timer: TimerId,
 }
 
 /// Executor state shared between the run loop and futures polled inside it.
 pub(crate) struct SimShared {
+    /// Distinct per `Sim` in the process: a `Sleep` dropped or polled
+    /// while another simulation is entered leaves that one's timers alone.
+    id: u64,
     now: Cell<Time>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_seq: Cell<u64>,
+    timers: RefCell<Timers>,
     /// Tasks spawned while the simulation is running (or before it starts).
     spawned: RefCell<Vec<BoxFuture>>,
     /// Fast-path flag mirroring `!spawned.is_empty()`, so the run loop's
@@ -121,14 +109,32 @@ pub(crate) struct SimShared {
 }
 
 impl SimShared {
-    fn register_timer(&self, deadline: Time, waker: Waker) {
-        let seq = self.timer_seq.get();
-        self.timer_seq.set(seq + 1);
-        self.timers.borrow_mut().push(Reverse(TimerEntry {
-            deadline,
-            seq,
-            waker,
-        }));
+    fn arm(&self, deadline: Time, waker: &Waker) -> Armed {
+        let timer = self.timers.borrow_mut().arm(deadline, waker.clone());
+        Armed {
+            sim: self.id,
+            timer,
+        }
+    }
+
+    /// Whether `armed` is still pending here and wakes whoever polls
+    /// through `waker`.
+    fn wakes(&self, armed: Armed, waker: &Waker) -> bool {
+        armed.sim == self.id
+            && self
+                .timers
+                .borrow()
+                .waker_of(armed.timer)
+                .is_some_and(|w| w.will_wake(waker))
+    }
+
+    fn disarm(&self, armed: Armed) {
+        if armed.sim == self.id {
+            // Bound first: the waker a cancel hands back is dropped after
+            // the borrow ends.
+            let waker = self.timers.borrow_mut().cancel(armed.timer);
+            drop(waker);
+        }
     }
 }
 
@@ -195,9 +201,9 @@ impl Sim {
         crate::probe::emit_epoch();
         Sim {
             shared: Rc::new(SimShared {
+                id: NEXT_SIM_ID.fetch_add(1, Ordering::Relaxed),
                 now: Cell::new(0),
-                timers: RefCell::new(BinaryHeap::new()),
-                timer_seq: Cell::new(0),
+                timers: RefCell::new(Timers::default()),
                 spawned: RefCell::new(Vec::new()),
                 has_spawned: Cell::new(false),
                 live_roots: Cell::new(0),
@@ -218,23 +224,28 @@ impl Sim {
         self.shared.now.get()
     }
 
-    /// Timer entries currently registered. Diagnostic: `Sleep` suppresses
-    /// duplicate registration on spurious re-polls, so this stays at one
-    /// entry per pending sleep no matter how often `timeout`/`race`
-    /// re-poll their timers.
+    /// Timers the clock has yet to visit: one per pending sleep (a
+    /// spurious re-poll keeps its timer; a sleep dropped before its
+    /// deadline cancels it) or, when none is pending, one for the latest
+    /// cancelled deadline still ahead of the clock (see [`Sim::run_until`]).
     pub fn pending_timers(&self) -> usize {
-        self.shared.timers.borrow().len()
+        let timers = self.shared.timers.borrow();
+        match timers.live() {
+            0 => usize::from(timers.horizon() > self.now()),
+            live => live,
+        }
     }
 
-    /// Deadline of the earliest pending timer, if any. This is the
+    /// Deadline of the earliest pending timer or, when none is pending,
+    /// the latest cancelled deadline still ahead of the clock. This is the
     /// simulation's next *local* event: the conservative synchronizer in
     /// [`crate::domain`] uses it as one component of a domain's promise.
     pub fn next_timer_deadline(&self) -> Option<Time> {
-        self.shared
-            .timers
-            .borrow()
-            .peek()
-            .map(|Reverse(entry)| entry.deadline)
+        let mut timers = self.shared.timers.borrow_mut();
+        let horizon = timers.horizon();
+        timers
+            .next_deadline()
+            .or((horizon > self.now()).then_some(horizon))
     }
 
     /// True when a task is queued, spawned, or has a wake pending — i.e.
@@ -307,6 +318,13 @@ impl Sim {
 
     /// Runs until the simulation is idle or virtual time would exceed
     /// `deadline`, whichever comes first. Returns the final virtual time.
+    ///
+    /// A cancelled timer wakes nothing, but the clock still visits its
+    /// deadline: idle below the latest cancelled deadline (the horizon),
+    /// the clock lands on it, or on `deadline` if that comes first — where
+    /// it would stand had the cancelled timer fired into a task that
+    /// ignored it. Final times therefore do not depend on whether a
+    /// timeout was cancelled or left to expire.
     pub fn run_until(&mut self, deadline: Time) -> Time {
         let _guard = enter(self.shared.clone());
         loop {
@@ -318,35 +336,42 @@ impl Sim {
                 self.admit_spawned();
                 self.drain_woken();
             }
-            // Quiescent: advance the clock to the next timer. Peek before
-            // popping — re-registering a beyond-deadline timer would hand
-            // it a fresh tie-break sequence number and reorder it against
-            // a same-deadline sibling on a later call, so the partial-run
-            // path must leave the heap untouched.
-            let beyond = match self.shared.timers.borrow().peek() {
-                Some(Reverse(entry)) => entry.deadline > deadline,
-                None => false,
-            };
-            if beyond {
-                self.shared.now.set(deadline.max(self.shared.now.get()));
+            // Quiescent: fire the next timer due by `deadline`. Timers
+            // beyond it keep their keys — re-arming one would hand it a
+            // fresh tie-break sequence number and reorder it against a
+            // same-deadline sibling on a later call.
+            let due = self.shared.timers.borrow_mut().pop_due(deadline);
+            let Some((at, waker)) = due else {
+                self.settle(deadline);
                 break;
-            }
-            let next = self.shared.timers.borrow_mut().pop();
-            match next {
-                Some(Reverse(entry)) => {
-                    let prev = self.shared.now.get();
-                    debug_assert!(entry.deadline >= prev);
-                    let next = entry.deadline.max(prev);
-                    self.shared.now.set(next);
-                    if next != prev {
-                        crate::probe::emit_advance(prev, next);
-                    }
-                    entry.waker.wake();
-                }
-                None => break,
-            }
+            };
+            self.set_clock(at);
+            waker.wake();
         }
         self.shared.now.get()
+    }
+
+    fn set_clock(&self, t: Time) {
+        let prev = self.shared.now.get();
+        debug_assert!(t >= prev);
+        if t > prev {
+            self.shared.now.set(t);
+            crate::probe::emit_advance(prev, t);
+        }
+    }
+
+    /// Idle with no timer due by `deadline`: the horizon rule of
+    /// [`Sim::run_until`].
+    fn settle(&self, deadline: Time) {
+        let (live, horizon) = {
+            let timers = self.shared.timers.borrow();
+            (timers.live(), timers.horizon())
+        };
+        if live > 0 || horizon > deadline {
+            self.shared.now.set(deadline.max(self.shared.now.get()));
+        } else {
+            self.set_clock(horizon.max(self.shared.now.get()));
+        }
     }
 
     fn admit_spawned(&mut self) {
@@ -545,13 +570,23 @@ pub fn try_now() -> Option<Time> {
 }
 
 /// Future returned by [`sleep`] / [`sleep_until`].
+///
+/// The first pending poll arms one timer. A spurious re-poll through the
+/// same waker (a `timeout`/`race` whose sibling progressed) keeps it; a
+/// different waker (the sleep moved to another task, or an adaptor wrapped
+/// the waker) re-arms it. Completing or dropping the sleep cancels a timer
+/// that has not fired, so it wakes no one.
 pub struct Sleep {
-    deadline: Option<Time>,
-    duration: Time,
-    absolute: bool,
-    /// Waker stored in the registered timer entry. Kept so spurious
-    /// re-polls can tell whether that entry still wakes the right task.
-    registered: Option<Waker>,
+    when: When,
+    armed: Option<Armed>,
+}
+
+#[derive(Clone, Copy)]
+enum When {
+    /// A relative sleep not yet polled: its deadline counts from the
+    /// first poll.
+    After(Time),
+    At(Time),
 }
 
 impl Future for Sleep {
@@ -560,54 +595,53 @@ impl Future for Sleep {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         with_shared(|shared| {
             let now = shared.now.get();
-            match self.deadline {
-                None => {
-                    let deadline = if self.absolute {
-                        self.duration
-                    } else {
-                        now.saturating_add(self.duration)
-                    };
-                    self.deadline = Some(deadline);
-                    if deadline <= now {
-                        return Poll::Ready(());
-                    }
-                    let waker = cx.waker().clone();
-                    shared.register_timer(deadline, waker.clone());
-                    self.registered = Some(waker);
-                    Poll::Pending
+            let deadline = match self.when {
+                When::At(t) => t,
+                When::After(ns) => {
+                    let t = now.saturating_add(ns);
+                    self.when = When::At(t);
+                    t
                 }
-                Some(deadline) if now >= deadline => Poll::Ready(()),
-                Some(deadline) => {
-                    // Spurious poll (a pending `timeout`/`race` re-polled as
-                    // its sibling progresses). The executor hands every poll
-                    // of a task the same cached waker, so the entry already
-                    // in the heap still wakes the right task — re-registering
-                    // would only push a duplicate and churn the heap. Only a
-                    // genuinely different waker (the future migrated tasks,
-                    // or an adaptor wrapped the waker) forces a new entry.
-                    if !self
-                        .registered
-                        .as_ref()
-                        .is_some_and(|w| w.will_wake(cx.waker()))
-                    {
-                        let waker = cx.waker().clone();
-                        shared.register_timer(deadline, waker.clone());
-                        self.registered = Some(waker);
-                    }
-                    Poll::Pending
+            };
+            if now >= deadline {
+                // Fired, or overtaken at this instant by a same-deadline
+                // timer armed earlier: either way its key must not wake
+                // the task again.
+                if let Some(armed) = self.armed.take() {
+                    shared.disarm(armed);
                 }
+                return Poll::Ready(());
             }
+            if !self.armed.is_some_and(|a| shared.wakes(a, cx.waker())) {
+                if let Some(old) = self.armed.take() {
+                    shared.disarm(old);
+                }
+                self.armed = Some(shared.arm(deadline, cx.waker()));
+            }
+            Poll::Pending
         })
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(armed) = self.armed {
+            // Outside its own simulation (another one entered, or none)
+            // a sleep touches nothing.
+            let _ = CURRENT.try_with(|c| {
+                if let Some(shared) = c.borrow().as_ref() {
+                    shared.disarm(armed);
+                }
+            });
+        }
     }
 }
 
 /// Suspends the current task for `ns` nanoseconds of virtual time.
 pub fn sleep(ns: Time) -> Sleep {
     Sleep {
-        deadline: None,
-        duration: ns,
-        absolute: false,
-        registered: None,
+        when: When::After(ns),
+        armed: None,
     }
 }
 
@@ -615,10 +649,8 @@ pub fn sleep(ns: Time) -> Sleep {
 /// is in the past).
 pub fn sleep_until(t: Time) -> Sleep {
     Sleep {
-        deadline: None,
-        duration: t,
-        absolute: true,
-        registered: None,
+        when: When::At(t),
+        armed: None,
     }
 }
 
@@ -899,6 +931,30 @@ mod tests {
         assert_eq!(polls_b.get(), polls_a.get());
         assert_eq!(end_b.get(), Some(1_000));
         assert_eq!(end_b.get(), end_a.get());
+    }
+
+    /// A `timeout` re-polled on every inner step keeps the timer it armed
+    /// first: no cancel-and-re-arm per spurious poll. `Sim::pending_timers`
+    /// counts live timers only and cannot see that, so this reads the heap
+    /// keys and the arm count.
+    #[test]
+    fn spurious_repolls_arm_no_new_timer() {
+        let steps = 1_000u64;
+        let mut sim = Sim::new();
+        sim.spawn(async move {
+            let r = crate::timeout(1_000_000, async {
+                for _ in 0..steps {
+                    sleep(1).await;
+                }
+            })
+            .await;
+            assert!(r.is_ok(), "inner future beats the deadline");
+        });
+        sim.run_until(steps / 2);
+        let timers = sim.shared.timers.borrow();
+        assert_eq!(timers.keys(), 2, "the deadline and the inner sleep");
+        // Inner sleeps 1..=501 (the last armed at 500), plus the deadline.
+        assert_eq!(timers.arms(), steps / 2 + 2, "the deadline was re-armed");
     }
 
     #[test]

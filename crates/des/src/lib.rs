@@ -44,6 +44,7 @@ mod semaphore;
 mod server;
 mod stats;
 mod time;
+mod timer;
 
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use combinators::{join_all, race, timeout, Either, Elapsed};

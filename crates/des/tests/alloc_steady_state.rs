@@ -6,7 +6,10 @@
 //!   run pays at each instrumentation point must be a single branch;
 //! * the steady-state executor loop — once task slots, wakers, the wake
 //!   list, and the timer heap have reached their working capacity, the
-//!   wake → drain → poll → advance cycle must be allocation-free.
+//!   wake → drain → poll → advance cycle must be allocation-free;
+//! * the combinators — `timeout` and `race` hold their futures inline, and
+//!   a timer cancelled when its timeout loses frees a slot the next one
+//!   re-uses.
 //!
 //! This file deliberately holds a single `#[test]` so no concurrent test
 //! can pollute the global counter mid-measurement.
@@ -14,7 +17,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dpdpu_des::{probe, sleep, yield_now, Sim};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use dpdpu_des::{channel, probe, race, sleep, timeout, yield_now, Sim};
 
 struct CountingAlloc;
 
@@ -84,4 +90,43 @@ fn disabled_probe_and_steady_state_loop_do_not_allocate() {
         "steady-state executor loop must not allocate"
     );
     assert_eq!(sim.now(), 50_000);
+
+    // Part 3: `timeout` and `race` in steady state. Each consumer waits on
+    // one channel under a timeout that sometimes fires and sometimes loses
+    // (cancelling its timer), then races both channels.
+    let mut sim = Sim::new();
+    let (fired, beaten) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(0u64)));
+    for t in 0..16u64 {
+        let (tx_a, mut rx_a) = channel::<u64>();
+        let (tx_b, mut rx_b) = channel::<u64>();
+        sim.spawn(async move {
+            for i in 0.. {
+                sleep(3 + t % 5).await;
+                let _ = tx_a.send(i);
+                sleep(2 + t % 3).await;
+                let _ = tx_b.send(i);
+            }
+        });
+        let (fired, beaten) = (fired.clone(), beaten.clone());
+        sim.spawn(async move {
+            loop {
+                match timeout(4, rx_a.recv()).await {
+                    Ok(_) => beaten.set(beaten.get() + 1),
+                    Err(_) => fired.set(fired.get() + 1),
+                }
+                race(rx_a.recv(), rx_b.recv()).await;
+            }
+        });
+    }
+    sim.run_until(1_000);
+    let (fired_before, beaten_before) = (fired.get(), beaten.get());
+    let before = allocations();
+    sim.run_until(50_000);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "steady-state timeout/race loop must not allocate"
+    );
+    assert!(fired.get() > fired_before, "some timeouts fired");
+    assert!(beaten.get() > beaten_before, "some timeouts were beaten");
 }

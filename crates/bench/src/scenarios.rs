@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
-use dpdpu_core::{DpdpuBuilder, TenantSpec};
+use dpdpu_core::{Dpdpu, TenantSpec};
 use dpdpu_dds::cluster::{ClusterConfig, DdsCluster};
 use dpdpu_dds::gateway::GatewayConfig;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
@@ -92,7 +92,7 @@ pub fn storage_faults(seed: u64) -> ScenarioRun {
                 .ssd_slow_io(0.05, 100_000),
         );
         let (written, mismatches, surfaced, retries) = block_on(async move {
-            let rt = DpdpuBuilder::new().boot();
+            let rt = Dpdpu::start_default();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut written = 0u64;
             let mut mismatches = 0u64;

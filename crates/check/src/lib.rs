@@ -398,12 +398,6 @@ impl<V> SiteMap<V> {
     }
 }
 
-/// Fault-hygiene categories with a handling obligation. The other
-/// categories (delays, slow I/O, stalls, overload windows) only stretch
-/// completion time and need no recovery action.
-const FAULTS_REQUIRING_HANDLING: [&str; 4] =
-    ["link_drop", "ssd_read", "ssd_write", "accel_offline"];
-
 /// A thread-local conformance session. See the crate docs.
 #[derive(Default)]
 pub struct CheckSession {
@@ -416,7 +410,9 @@ pub struct CheckSession {
     credits: RefCell<SiteMap<CreditStat>>,
     repl: RefCell<BTreeMap<usize, ReplGroupStat>>,
     kernels_checked: Cell<u64>,
-    faults_injected: RefCell<BTreeMap<&'static str, u64>>,
+    faults_injected: Cell<u64>,
+    /// Injections per site that carry a handling obligation.
+    faults_owed: RefCell<BTreeMap<&'static str, u64>>,
     faults_handled: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
     finished: Cell<bool>,
 }
@@ -459,7 +455,7 @@ impl CheckSession {
     }
 
     /// Installs a strict session only if none is active; returns the
-    /// active session either way. Lets `DpdpuBuilder::boot` make the
+    /// active session either way. Lets `Dpdpu::start` make the
     /// checker always-on without clobbering an outer [`CheckGuard`].
     pub fn ensure_installed() -> Rc<Self> {
         if let Some(cur) = Self::current() {
@@ -599,10 +595,8 @@ impl CheckSession {
             }
         }
         {
-            let injected = self.faults_injected.borrow();
             let handled = self.faults_handled.borrow();
-            for site in FAULTS_REQUIRING_HANDLING {
-                let inj = injected.get(site).copied().unwrap_or(0);
+            for (&site, &inj) in self.faults_owed.borrow().iter() {
                 let han: u64 = handled
                     .iter()
                     .filter(|((s, _), _)| *s == site)
@@ -633,7 +627,7 @@ impl CheckSession {
         let total_acq: u64 = res.values().map(|r| r.acquires).sum();
         let entered = |flow| self.total(flow, |l| l.entered);
         let exited = |flow, exit| self.total(flow, move |l| l.exit(exit));
-        let inj: u64 = self.faults_injected.borrow().values().sum();
+        let inj = self.faults_injected.get();
         let _ = write!(
             out,
             " resources={} acquires={total_acq} link_bytes={} link_dropped_bytes={} \
@@ -1053,10 +1047,15 @@ pub fn kernel_result(kind: &'static str, in_bytes: usize, out_bytes: usize, err:
 }
 
 /// The fault layer injected a fault at `site` (its stable label,
-/// e.g. `"ssd_read"`).
-pub fn fault_injected(site: &'static str) {
+/// e.g. `"ssd_read"`). `must_be_handled`: some layer owes it a
+/// [`fault_handled`] (the fault layer's `FaultSite::must_be_handled`);
+/// the others only stretch completion time.
+pub fn fault_injected(site: &'static str, must_be_handled: bool) {
     with_session(|s| {
-        *s.faults_injected.borrow_mut().entry(site).or_default() += 1;
+        s.faults_injected.set(s.faults_injected.get() + 1);
+        if must_be_handled {
+            *s.faults_owed.borrow_mut().entry(site).or_default() += 1;
+        }
     });
 }
 

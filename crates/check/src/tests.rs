@@ -76,8 +76,8 @@ fn plant(s: &CheckSession, inv: Invariant) {
             s.span(at("cpu"), "serve", 0, 100);
         }
         Invariant::FaultHygiene => {
-            fault_injected("ssd_read");
-            fault_injected("ssd_read");
+            fault_injected("ssd_read", true);
+            fault_injected("ssd_read", true);
             fault_handled("ssd_read", "retried"); // the second one is swallowed
         }
         Invariant::EpochFencing => {
@@ -220,15 +220,15 @@ fn span_causality_catches_future_dated_span() {
 #[test]
 fn fault_hygiene_accepts_all_three_outcomes() {
     let (_, v) = collecting(|_| {
-        fault_injected("ssd_read");
+        fault_injected("ssd_read", true);
         fault_handled("ssd_read", "retried");
-        fault_injected("accel_offline");
+        fault_injected("accel_offline", true);
         fault_handled("accel_offline", "degraded");
-        fault_injected("ssd_write");
+        fault_injected("ssd_write", true);
         fault_handled("ssd_write", "surfaced");
         // completion-preserving categories carry no obligation
-        fault_injected("ssd_slow");
-        fault_injected("link_delay");
+        fault_injected("ssd_slow", false);
+        fault_injected("link_delay", false);
     });
     assert!(v.is_empty(), "{v:?}");
 }
@@ -312,7 +312,7 @@ fn report_bytes_are_pinned() {
         repl_epoch_advanced(0, 2);
         repl_write_acked(1, 1);
         kernel_result("compress", 1024, 300, None);
-        fault_injected("ssd_read");
+        fault_injected("ssd_read", true);
         fault_handled("ssd_read", "retried");
         assert_eq!(
             s.report(),

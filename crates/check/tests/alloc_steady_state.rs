@@ -85,7 +85,7 @@ impl Member {
         }
         dpdpu_check::fabric_credit_consumed(self.fabric, 1);
         dpdpu_check::fabric_credit_returned(self.fabric, 1);
-        dpdpu_check::fault_injected("ssd_read");
+        dpdpu_check::fault_injected("ssd_read", true);
         dpdpu_check::fault_handled("ssd_read", "retried");
     }
 }

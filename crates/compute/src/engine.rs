@@ -4,6 +4,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_des::{Counter, Time};
+use dpdpu_faults::FaultSite;
 use dpdpu_hw::Platform;
 
 use crate::kernel::{ExecTarget, KernelError, KernelInput, KernelKind, KernelOp, KernelOutput};
@@ -162,7 +163,7 @@ impl ComputeEngine {
                         // caller, who asked for exactly this device.
                         if placement == Placement::Scheduled {
                             dpdpu_telemetry::count("ce_fallbacks", &[("from", "DpuAsic")]);
-                            dpdpu_check::fault_handled("accel_offline", "degraded");
+                            dpdpu_check::fault_handled(FaultSite::AccelOffline.label(), "degraded");
                             self.platform
                                 .dpu_cpu
                                 .exec(kind.fixed_cycles() + bytes * kind.cycles_per_byte_dpu())
@@ -170,7 +171,7 @@ impl ComputeEngine {
                             self.dpu_jobs.inc();
                             target = ExecTarget::DpuCpu;
                         } else {
-                            dpdpu_check::fault_handled("accel_offline", "surfaced");
+                            dpdpu_check::fault_handled(FaultSite::AccelOffline.label(), "surfaced");
                             return Err(KernelError::TargetUnavailable(ExecTarget::DpuAsic));
                         }
                     }

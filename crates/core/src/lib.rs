@@ -14,15 +14,31 @@
 //! Engine … compress … in the DPU compression accelerator … deliver the
 //! result to the client"), and the sproc registry implementing Figure 6's
 //! programming model.
+//!
+//! Boot with [`Dpdpu::start`] (on a given platform) or
+//! [`Dpdpu::start_default`] (EPYC + BlueField-2) inside a running
+//! simulation. A fault plan is not a runtime knob: a
+//! `dpdpu_faults::SessionGuard` installs it around the run.
+//!
+//! ```
+//! use dpdpu_core::Dpdpu;
+//! use dpdpu_faults::{FaultPlan, SessionGuard};
+//!
+//! let guard = SessionGuard::new(FaultPlan::new(42).ssd_read_errors(0.01));
+//! dpdpu_des::block_on(async {
+//!     let rt = Dpdpu::start_default();
+//!     let file = rt.storage.create("t").await.unwrap();
+//!     rt.storage.write(file, 0, b"payload").await.unwrap();
+//! });
+//! println!("{}", guard.session.report());
+//! ```
 
-mod builder;
 mod error;
 mod report;
 mod runtime;
 mod sproc;
 mod tenants;
 
-pub use builder::DpdpuBuilder;
 pub use error::DpdpuError;
 pub use report::Report;
 pub use runtime::Dpdpu;

@@ -5,15 +5,16 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
-use dpdpu_faults::FaultSession;
 use dpdpu_hw::Platform;
 use dpdpu_net::tcp::TcpSender;
-use dpdpu_storage::{FileId, FileService, HostFrontEnd};
+use dpdpu_storage::{BlockDevice, ExtentFs, FileId, FileService, HostFrontEnd};
 
-use crate::builder::DpdpuBuilder;
 use crate::error::DpdpuError;
 use crate::report::Report;
 use crate::sproc::SprocRegistry;
+
+/// File-system capacity the runtime formats at boot, in 4 KB blocks.
+const FS_CAPACITY_BLOCKS: u64 = 1 << 24;
 
 /// The DPDPU runtime: engines wired over one platform.
 pub struct Dpdpu {
@@ -27,21 +28,44 @@ pub struct Dpdpu {
     pub front_end: Rc<HostFrontEnd>,
     /// Registered sprocs.
     pub sprocs: SprocRegistry,
-    /// The fault session installed at boot, if the builder was given a
-    /// plan (handle for injection counts and reports).
-    pub faults: Option<Rc<FaultSession>>,
 }
 
 impl Dpdpu {
-    /// Boots DPDPU on a platform with default policies. Thin shim over
-    /// [`DpdpuBuilder`]; must be called inside a running simulation.
+    /// Boots DPDPU on `platform` — e.g. `Platform::new(HostSpec::epyc(),
+    /// DpuSpec::bluefield3())`, the BlueField-3 without a RegEx engine
+    /// (the heterogeneity case of §5): registers the platform's resources
+    /// with an installed telemetry session, formats the file system,
+    /// starts the DPU file service, host front end and Compute Engine.
+    /// Must be called inside a running simulation. A fault plan is not an
+    /// argument: install one with a `dpdpu_faults::SessionGuard` around
+    /// the run.
     pub fn start(platform: Rc<Platform>) -> Rc<Self> {
-        DpdpuBuilder::new().platform(platform).boot()
+        // Conformance is always-on: every booted run gets the invariant
+        // checker. An outer `CheckGuard` (strict, owned by the caller) is
+        // respected — this only fills the slot when empty.
+        dpdpu_check::CheckSession::ensure_installed();
+        if let Some(t) = dpdpu_telemetry::Telemetry::current() {
+            platform.register_telemetry(&t);
+        }
+        let fs = ExtentFs::format(BlockDevice::new(platform.ssd.clone(), FS_CAPACITY_BLOCKS));
+        let storage = FileService::new(fs, platform.dpu_cpu.clone(), platform.dpu_ssd_pcie.clone());
+        let front_end = HostFrontEnd::new(
+            platform.host_cpu.clone(),
+            platform.host_dpu_pcie.clone(),
+            storage.clone(),
+        );
+        Rc::new(Dpdpu {
+            compute: ComputeEngine::new(platform.clone()),
+            platform,
+            storage,
+            front_end,
+            sprocs: SprocRegistry::new(),
+        })
     }
 
     /// Boots on the default EPYC + BlueField-2 platform.
     pub fn start_default() -> Rc<Self> {
-        DpdpuBuilder::new().boot()
+        Self::start(Platform::default_bf2())
     }
 
     /// The §4 composition example: read pages from SSD (Storage Engine),
@@ -124,7 +148,8 @@ impl Dpdpu {
 mod tests {
     use super::*;
     use dpdpu_des::{now, Sim};
-    use dpdpu_hw::{CpuPool, LinkConfig};
+    use dpdpu_faults::{FaultPlan, FaultSite, SessionGuard};
+    use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, LinkConfig};
     use dpdpu_net::fabric::Endpoint;
     use dpdpu_net::tcp::TcpConnector;
 
@@ -133,6 +158,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let dpdpu = Dpdpu::start_default();
+            assert_eq!(dpdpu.platform.dpu_spec.name, "BlueField-2");
             let id = dpdpu.storage.create("t").await.unwrap();
             dpdpu.storage.write(id, 0, b"hello").await.unwrap();
             let report = dpdpu.report(now().max(1));
@@ -140,6 +166,32 @@ mod tests {
             assert_eq!(report.ssd_writes, 1);
         });
         sim.run();
+    }
+
+    #[test]
+    fn start_boots_on_the_given_platform() {
+        dpdpu_des::block_on(async {
+            let bf3 = Platform::new(HostSpec::epyc(), DpuSpec::bluefield3());
+            let rt = Dpdpu::start(bf3.clone());
+            assert!(Rc::ptr_eq(&rt.platform, &bf3));
+            assert_eq!(rt.platform.dpu_spec.name, "BlueField-3");
+        });
+    }
+
+    #[test]
+    fn runtime_under_a_fault_plan_retries_an_injected_read() {
+        let guard = SessionGuard::new(FaultPlan::new(9));
+        guard.session.arm_ssd_read_failures(1);
+        dpdpu_des::block_on(async {
+            let rt = Dpdpu::start_default();
+            let id = rt.storage.create("f").await.unwrap();
+            rt.storage.write(id, 0, &vec![1u8; 4096]).await.unwrap();
+            // One injected failure, absorbed by the service's retry.
+            let back = rt.storage.read(id, 0, 4096).await.unwrap();
+            assert_eq!(back, vec![1u8; 4096]);
+            assert_eq!(rt.storage.retries.get(), 1);
+        });
+        assert_eq!(guard.session.injected(FaultSite::SsdRead), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::cell::Cell;
 
 use dpdpu_des::{Counter, Time};
+use dpdpu_faults::FaultSite;
 
 /// How long a DPU-path fault keeps the director degraded (routing
 /// everything to the host) before the DPU path is tried again.
@@ -52,7 +53,7 @@ pub struct TrafficDirector {
     pub degraded: Counter,
     /// Hard switch: when false everything goes to the host (the legacy
     /// baseline DDS is compared against).
-    offload_enabled: Cell<bool>,
+    offload_enabled: bool,
     /// Virtual time until which the DPU path is considered faulty.
     degraded_until: Cell<Time>,
     penalty_ns: Time,
@@ -72,7 +73,7 @@ impl TrafficDirector {
             to_dpu: Counter::new(),
             to_host: Counter::new(),
             degraded: Counter::new(),
-            offload_enabled: Cell::new(offload_enabled),
+            offload_enabled,
             degraded_until: Cell::new(0),
             penalty_ns: DEGRADE_PENALTY_NS,
         }
@@ -101,12 +102,12 @@ impl TrafficDirector {
     /// the application/UDF-level judgement (e.g. "index entry resident on
     /// DPU", "page clean"); degradation overrides it toward the host.
     pub fn route(&self, wants_dpu: bool) -> Route {
-        if self.offload_enabled.get() && wants_dpu {
+        if self.offload_enabled && wants_dpu {
             if self.is_degraded() {
                 self.degraded.inc();
                 self.to_host.inc();
                 // Overload faults are absorbed by routing to the host.
-                dpdpu_check::fault_handled("dpu_overload", "degraded");
+                dpdpu_check::fault_handled(FaultSite::DpuOverload.label(), "degraded");
                 return Route::Host;
             }
             self.to_dpu.inc();
@@ -125,11 +126,6 @@ impl TrafficDirector {
         } else {
             self.to_dpu.get() as f64 / total as f64
         }
-    }
-
-    /// Enables/disables offloading at runtime.
-    pub fn set_offload(&self, enabled: bool) {
-        self.offload_enabled.set(enabled);
     }
 }
 
@@ -152,8 +148,6 @@ mod tests {
         let d = TrafficDirector::new(false);
         assert_eq!(d.route(true), Route::Host);
         assert_eq!(d.offload_fraction(), 0.0);
-        d.set_offload(true);
-        assert_eq!(d.route(true), Route::Dpu);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// True if the receiving half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.inner.borrow().receiver_alive
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -184,7 +179,6 @@ mod tests {
         let (tx, rx) = channel::<u8>();
         drop(rx);
         assert_eq!(tx.send(3), Err(SendError(3)));
-        assert!(tx.is_closed());
     }
 
     #[test]

@@ -267,8 +267,8 @@ mod tests {
         assert_eq!(&*servers[0].site().name(), "probe-test.x");
     }
 
-    /// The order of every figure: `DpdpuBuilder::boot` builds the
-    /// resources, then a sink is installed. An id interned before the
+    /// The order of every figure: the platform's resources are built,
+    /// then `Dpdpu::start` installs a sink. An id interned before the
     /// sink existed must reach it with the right name.
     #[test]
     fn site_interned_before_the_sink_is_installed_is_accounted() {

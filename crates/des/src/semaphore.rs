@@ -28,7 +28,7 @@ struct Waiter {
 
 struct SemInner {
     permits: usize,
-    /// Total permits ever made available (initial + `add_permits`).
+    /// Total permits (the initial count).
     capacity: usize,
     /// Accounting label; labeled semaphores report acquire/release
     /// events through [`crate::probe`] so a conformance checker can
@@ -137,14 +137,6 @@ impl Semaphore {
     /// they are reaped).
     pub fn queue_len(&self) -> usize {
         self.inner.borrow().waiters.len()
-    }
-
-    /// Adds `n` permits to the pool (growing capacity), waking waiters.
-    pub fn add_permits(&self, n: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.permits += n;
-        inner.capacity += n;
-        inner.grant();
     }
 }
 
@@ -367,22 +359,5 @@ mod tests {
             Poll::Ready(())
         })
         .await;
-    }
-
-    #[test]
-    fn add_permits_wakes_waiters() {
-        let mut sim = Sim::new();
-        sim.spawn(async {
-            let sem = Semaphore::new(0);
-            let sem2 = sem.clone();
-            let h = spawn(async move {
-                let _p = sem2.acquire().await;
-                now()
-            });
-            sleep(42).await;
-            sem.add_permits(1);
-            assert_eq!(h.await, 42);
-        });
-        sim.run();
     }
 }

@@ -4,7 +4,6 @@
 use std::rc::Rc;
 
 use dpdpu_des::{sleep, transmit_ns, Semaphore, Server, Time};
-use dpdpu_faults::AccelVerdict;
 
 use crate::spec::AccelKind;
 
@@ -88,7 +87,7 @@ impl Accelerator {
     ///
     /// Fails only when a fault plan has taken the engine offline.
     pub async fn process(&self, bytes: u64) -> Result<(), AccelError> {
-        if dpdpu_faults::accel_verdict() == AccelVerdict::Offline {
+        if dpdpu_faults::accel_rejects_job() {
             return Err(AccelError::Offline);
         }
         let _ctx = self.contexts.acquire().await;

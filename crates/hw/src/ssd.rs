@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use dpdpu_check::{Exit, Flow};
 use dpdpu_des::{sleep, transmit_ns, Counter, Semaphore, Server, Site, Time};
-use dpdpu_faults::{IoOp, IoVerdict};
+use dpdpu_faults::{FaultSite, IoOp, IoVerdict};
 
 use crate::costs;
 
@@ -28,6 +28,17 @@ impl std::fmt::Display for IoError {
 }
 
 impl std::error::Error for IoError {}
+
+impl IoError {
+    /// The fault-injection site this error is charged to (for
+    /// `dpdpu-check` hygiene accounting by whoever handles it).
+    pub fn fault_site(self) -> FaultSite {
+        match self {
+            IoError::Read => FaultSite::SsdRead,
+            IoError::Write => FaultSite::SsdWrite,
+        }
+    }
+}
 
 /// An NVMe SSD: bounded queue depth, per-op base latency, and separate
 /// read/write internal bandwidth caps.
@@ -221,8 +232,8 @@ mod tests {
 
     #[test]
     fn injected_read_error_charges_base_latency_only() {
-        let guard =
-            dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(5).fail_next_ssd_reads(1));
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(5));
+        guard.session.arm_ssd_read_failures(1);
         let mut sim = Sim::new();
         sim.spawn(async {
             let ssd = Ssd::with_params("t", 4, 80_000, 15_000, 1_000_000_000, 1_000_000_000);

@@ -38,12 +38,6 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
-    /// Selects the congestion-control algorithm (builder style).
-    pub fn with_cong(mut self, alg: CongAlgKind) -> Self {
-        self.tcp.cong = alg;
-        self
-    }
-
     /// Selects the cluster fabric (builder style).
     pub fn with_fabric(mut self, fabric: FabricKind) -> Self {
         self.fabric = fabric;
@@ -157,10 +151,7 @@ mod tests {
 
     #[test]
     fn builder_helpers_compose() {
-        let net = NetConfig::default()
-            .with_cong(CongAlgKind::Cubic)
-            .with_fabric(FabricKind::RdmaOffload);
-        assert_eq!(net.tcp.cong, CongAlgKind::Cubic);
+        let net = NetConfig::default().with_fabric(FabricKind::RdmaOffload);
         assert_eq!(net.fabric, FabricKind::RdmaOffload);
     }
 }

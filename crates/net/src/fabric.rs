@@ -449,7 +449,7 @@ async fn wqe_gate() {
                 return;
             }
             dpdpu_faults::LinkVerdict::Drop => {
-                dpdpu_check::fault_handled("link_drop", "retried");
+                dpdpu_check::fault_handled(dpdpu_faults::FaultSite::LinkDrop.label(), "retried");
                 sleep(RNR_BACKOFF_NS << attempt.min(6)).await;
                 attempt += 1;
             }

@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_des::{race, timeout, Either, Receiver};
+use dpdpu_faults::FaultSite;
 
 use super::cong::{CongAlg, CongConfig, Measurement, Report};
 use super::conn::{AckEvent, SegPort, Segment};
@@ -66,7 +67,7 @@ async fn retransmit_first(s: &SendState, side: &Endpoint, port: &SegPort, stats:
     stats.retransmits.inc();
     // A retransmit is the transport-level recovery for a dropped frame
     // (injected or natural).
-    dpdpu_check::fault_handled("link_drop", "retried");
+    dpdpu_check::fault_handled(FaultSite::LinkDrop.label(), "retried");
     port.send(Segment::Data {
         seq,
         payload,
@@ -117,7 +118,7 @@ pub(crate) async fn sender_task(
         if attempt > 0 {
             // The SYN rides the data link; a resend is the recovery for
             // a SYN lost there (the ACK path cannot drop).
-            dpdpu_check::fault_handled("link_drop", "retried");
+            dpdpu_check::fault_handled(FaultSite::LinkDrop.label(), "retried");
         }
         side.charge_ack().await;
         port.send(Segment::Syn).await;
@@ -261,7 +262,7 @@ pub(crate) async fn sender_task(
         if attempt > 0 {
             // The FIN rides the data link; a resend is the recovery for
             // a FIN lost there (the ACK path cannot drop).
-            dpdpu_check::fault_handled("link_drop", "retried");
+            dpdpu_check::fault_handled(FaultSite::LinkDrop.label(), "retried");
         }
         port.send(Segment::Fin { seq: fin_seq }).await;
         match timeout(params.rto_ns, ack_rx.recv()).await {
@@ -276,7 +277,7 @@ pub(crate) async fn sender_task(
     if !acked {
         // Retries exhausted: half-close anyway — the unacked FIN is a
         // surfaced terminal state, not a hang.
-        dpdpu_check::fault_handled("link_drop", "surfaced");
+        dpdpu_check::fault_handled(FaultSite::LinkDrop.label(), "surfaced");
     }
     // Flows enrolled in the metrics registry report their final window.
     if let Some(label) = label {

@@ -32,15 +32,6 @@ pub struct FileService {
     pub retries: Counter,
 }
 
-/// Maps a device error to its fault-injection site label for
-/// `dpdpu-check` hygiene accounting.
-fn io_fault_site(e: dpdpu_hw::IoError) -> &'static str {
-    match e {
-        dpdpu_hw::IoError::Read => "ssd_read",
-        dpdpu_hw::IoError::Write => "ssd_write",
-    }
-}
-
 fn io_backoff_ns(attempt: u32) -> u64 {
     IO_RETRY_BASE_NS << attempt.saturating_sub(1).min(16)
 }
@@ -71,13 +62,13 @@ impl FileService {
                     attempt += 1;
                     self.retries.inc();
                     dpdpu_telemetry::count("io_retries", &[("op", label)]);
-                    dpdpu_check::fault_handled(io_fault_site(e), "retried");
+                    dpdpu_check::fault_handled(e.fault_site().label(), "retried");
                     sleep(io_backoff_ns(attempt)).await;
                 }
                 Err(FsError::Io(e)) => {
                     // Retries exhausted: the error crosses the service
                     // boundary as a typed failure, never swallowed.
-                    dpdpu_check::fault_handled(io_fault_site(e), "surfaced");
+                    dpdpu_check::fault_handled(e.fault_site().label(), "surfaced");
                     return Err(FsError::Io(e));
                 }
                 other => return other,
@@ -341,9 +332,8 @@ mod tests {
 
     #[test]
     fn injected_read_error_is_retried_and_succeeds() {
-        let guard = dpdpu_faults::SessionGuard::new(
-            dpdpu_faults::FaultPlan::new(11).fail_next_ssd_reads(2),
-        );
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
+        guard.session.arm_ssd_read_failures(2);
         let mut sim = Sim::new();
         sim.spawn(async {
             let (p, fs) = setup();
@@ -362,9 +352,10 @@ mod tests {
 
     #[test]
     fn retries_exhausted_surface_io_error() {
-        let guard = dpdpu_faults::SessionGuard::new(
-            dpdpu_faults::FaultPlan::new(11).fail_next_ssd_reads(IO_RETRY_LIMIT as u64 + 1),
-        );
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
+        guard
+            .session
+            .arm_ssd_read_failures(IO_RETRY_LIMIT as u64 + 1);
         let mut sim = Sim::new();
         sim.spawn(async {
             let (p, fs) = setup();

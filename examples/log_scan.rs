@@ -58,9 +58,7 @@ fn synth_log(lines: usize, seed: u64) -> Vec<u8> {
 fn scan_on(dpu: DpuSpec, log: Vec<u8>) {
     let name = dpu.name;
     block_on(async move {
-        let rt = dpdpu::core::DpdpuBuilder::new()
-            .platform(Platform::new(HostSpec::epyc(), dpu))
-            .boot();
+        let rt = dpdpu::core::Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
         // Store the log on the server's SSD.
         let file = rt.storage.create("svc.log").await.unwrap();
         rt.storage.write(file, 0, &log).await.unwrap();

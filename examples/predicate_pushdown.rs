@@ -38,7 +38,7 @@ fn main() {
 
 fn run(pushdown: bool) -> u64 {
     block_on(async move {
-        let rt = dpdpu::core::DpdpuBuilder::new().boot();
+        let rt = dpdpu::core::Dpdpu::start_default();
 
         // Load an orders table onto the storage server, one batch per page.
         let table = gen::orders(ROWS_PER_PAGE * NUM_PAGES, 99);

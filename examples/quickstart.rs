@@ -9,18 +9,18 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu::compute::{KernelInput, KernelOp, Placement};
-use dpdpu::core::{Dpdpu, DpdpuBuilder};
+use dpdpu::core::Dpdpu;
 use dpdpu::des::{block_on, now};
 
 fn main() {
     let _check = dpdpu::check::CheckGuard::new();
     block_on(async {
-        // Boot the runtime through the builder on the default EPYC +
-        // BlueField-2 platform: file system formatted, DPU file service
-        // and host front end running, Compute Engine ready. (Another
-        // platform or a fault plan would slot in here too — see README
+        // Boot the runtime on the default EPYC + BlueField-2 platform:
+        // file system formatted, DPU file service and host front end
+        // running, Compute Engine ready. (`Dpdpu::start` takes another
+        // platform; a fault plan is installed around the run — see README
         // "Fault injection".)
-        let rt = DpdpuBuilder::new().boot();
+        let rt = Dpdpu::start_default();
         println!(
             "booted DPDPU on {} + {}",
             rt.platform.host_spec.name, rt.platform.dpu_spec.name

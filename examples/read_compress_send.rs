@@ -70,9 +70,7 @@ fn run_on(label: &str, dpu: DpuSpec, trace_out: Option<&std::path::Path>) {
     block_on(async move {
         // Booting registers the platform's resources with the
         // installed telemetry session (tracks, gauges, timeline sources).
-        let rt = dpdpu::core::DpdpuBuilder::new()
-            .platform(Platform::new(HostSpec::epyc(), dpu))
-            .boot();
+        let rt = dpdpu::core::Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
         let sampler = traced.then(|| dpdpu::telemetry::start_sampler(20_000));
 
         // Seed the "SSD" with compressible pages.

@@ -1,9 +1,10 @@
 //! Fault-injection integration tests: the robustness machinery — seeded
 //! fault plans, file-service retries, CPU-kernel fallback under an
 //! accelerator outage, and bit-for-bit determinism — exercised end to
-//! end through the public `dpdpu` facade and the redesigned builder.
+//! end through the public `dpdpu` facade, each plan installed by the one
+//! way there is: a `SessionGuard` around the run.
 
-use dpdpu::core::DpdpuBuilder;
+use dpdpu::core::Dpdpu;
 use dpdpu::des::{block_on, now};
 use dpdpu::faults::{FaultPlan, FaultSession, FaultSite, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig};
@@ -12,9 +13,10 @@ use dpdpu::net::tcp::TcpConnector;
 
 #[test]
 fn injected_ssd_read_error_is_retried_and_succeeds() {
-    block_on(async {
-        let rt = DpdpuBuilder::new().fault_plan(FaultPlan::new(5)).boot();
-        let faults = rt.faults.clone().expect("builder installed the plan");
+    let guard = SessionGuard::new(FaultPlan::new(5));
+    let faults = guard.session.clone();
+    block_on(async move {
+        let rt = Dpdpu::start_default();
         let file = rt.storage.create("t").await.unwrap();
         rt.storage.write(file, 0, b"payload").await.unwrap();
         // Two transient device errors: both absorbed by the file
@@ -29,17 +31,15 @@ fn injected_ssd_read_error_is_retried_and_succeeds() {
         );
         assert_eq!(faults.injected(FaultSite::SsdRead), 2);
     });
-    FaultSession::uninstall();
 }
 
 #[test]
 fn accel_offline_run_completes_via_cpu_fallback() {
+    // The compression ASIC is offline for the whole run: scheduled
+    // kernels must silently fall back to cores (Figure 6 semantics).
+    let _guard = SessionGuard::new(FaultPlan::new(6).accel_offline(0, u64::MAX));
     block_on(async move {
-        // The compression ASIC is offline for the whole run: scheduled
-        // kernels must silently fall back to cores (Figure 6 semantics).
-        let rt = DpdpuBuilder::new()
-            .fault_plan(FaultPlan::new(6).accel_offline(0, u64::MAX))
-            .boot();
+        let rt = Dpdpu::start_default();
         let file = rt.storage.create("pages").await.unwrap();
         let text = dpdpu::kernels::text::natural_text(4 * 8_192, 3);
         rt.storage.write(file, 0, &text).await.unwrap();
@@ -66,7 +66,6 @@ fn accel_offline_run_completes_via_cpu_fallback() {
         assert_eq!(rt.compute.asic_jobs.get(), 0);
         assert_eq!(rt.compute.dpu_jobs.get() + rt.compute.host_jobs.get(), 4);
     });
-    FaultSession::uninstall();
 }
 
 #[test]
@@ -79,7 +78,7 @@ fn same_seed_and_plan_reproduce_identical_runs() {
         );
         let (end, errors) = block_on(async move {
             let mut errors = 0u64;
-            let rt = dpdpu::core::Dpdpu::start_default();
+            let rt = Dpdpu::start_default();
             let file = rt.storage.create("d").await.unwrap();
             rt.storage
                 .write(file, 0, &vec![7u8; 64 * 1_024])
@@ -107,11 +106,10 @@ fn same_seed_and_plan_reproduce_identical_runs() {
 }
 
 #[test]
-fn builder_without_plan_injects_nothing() {
-    FaultSession::uninstall();
+fn runtime_without_plan_injects_nothing() {
     block_on(async {
-        let rt = DpdpuBuilder::new().boot();
-        assert!(rt.faults.is_none());
+        let rt = Dpdpu::start_default();
+        assert!(!FaultSession::is_active());
         let file = rt.storage.create("clean").await.unwrap();
         rt.storage.write(file, 0, b"abc").await.unwrap();
         assert_eq!(rt.storage.read(file, 0, 3).await.unwrap(), b"abc");

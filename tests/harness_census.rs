@@ -17,6 +17,10 @@
 //! And one tenant vocabulary: a tenant is the index of its `TenantSpec`
 //! in the gateway's config, so no handle type wraps it, and the specs
 //! have no consumer in the runtime beside the gateway.
+//!
+//! And faults have one way in: a `SessionGuard` installs a plan, the
+//! session arms every scripted fault, and a fault site is named by its
+//! `FaultSite`, never by a string a handler retypes.
 
 use std::path::{Path, PathBuf};
 
@@ -29,14 +33,13 @@ const CELL_ONLY: [&str; 4] = [
     "run_tenant_fleet(",
 ];
 
-/// Every `.rs` file under `crates/` and, if `with_tests`, `tests/`:
-/// its repo-relative name and its source, sorted by name.
-fn sources(with_tests: bool) -> Vec<(String, String)> {
+/// Every `.rs` file under the repo-relative `dirs`: its repo-relative
+/// name and its source, sorted by name.
+fn sources(dirs: &[&str]) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    rust_files(&root.join("crates"), &mut files);
-    if with_tests {
-        rust_files(&root.join("tests"), &mut files);
+    for dir in dirs {
+        rust_files(&root.join(dir), &mut files);
     }
     files.sort();
     let named = |path: &PathBuf| {
@@ -71,7 +74,7 @@ fn calls(source: &str, needle: &str) -> bool {
 #[test]
 fn cluster_experiments_go_through_the_cell() {
     let (mut strays, mut recorders) = (Vec::new(), Vec::new());
-    for (name, source) in sources(true) {
+    for (name, source) in sources(&["crates", "tests"]) {
         if name == CELL || name == "tests/harness_census.rs" {
             continue;
         }
@@ -102,7 +105,7 @@ fn cluster_experiments_go_through_the_cell() {
 fn one_cluster_model_has_callers_and_one_file_moves_a_log_tail() {
     const PAR: &str = "crates/bench/src/par_cluster.rs";
     let (mut par_callers, mut tails) = (Vec::new(), Vec::new());
-    for (name, source) in sources(false) {
+    for (name, source) in sources(&["crates"]) {
         let lines = |needle: &str| source.lines().filter(|l| l.contains(needle)).count();
         // The scenario registry's one line is the partitioned core's gate.
         let registry = usize::from(name == "crates/bench/src/scenarios.rs");
@@ -131,7 +134,7 @@ fn one_cluster_model_has_callers_and_one_file_moves_a_log_tail() {
 #[test]
 fn a_tenant_is_an_index_into_its_gateways_specs() {
     let (mut handles, mut spec_users) = (Vec::new(), Vec::new());
-    for (name, source) in sources(true) {
+    for (name, source) in sources(&["crates", "tests"]) {
         if name == "tests/harness_census.rs" {
             continue;
         }
@@ -162,4 +165,45 @@ fn a_tenant_is_an_index_into_its_gateways_specs() {
         spec_users.is_empty(),
         "`TenantSpec`'s one consumer is `GatewayConfig`: {spec_users:?}"
     );
+}
+
+#[test]
+fn faults_have_one_way_in() {
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md");
+    let mut files = sources(&["crates", "tests", "examples", "src"]);
+    files.push((
+        "README.md".to_string(),
+        std::fs::read_to_string(readme).expect("readable README"),
+    ));
+    let mut strays = Vec::new();
+    for (name, source) in files {
+        if name == "tests/harness_census.rs" {
+            continue;
+        }
+        let code = |needle| {
+            source
+                .lines()
+                .any(|l| !l.trim_start().starts_with("//") && l.contains(needle))
+        };
+        let mut stray = |needle, rule| strays.push(format!("{name}: `{needle}` ({rule})"));
+        for needle in ["FaultSession::install", "FaultSession::uninstall"] {
+            if !name.starts_with("crates/faults/") && code(needle) {
+                stray(needle, "a `SessionGuard` installs and removes a plan");
+            }
+        }
+        for needle in ["DpdpuBuilder", "fail_next_", "drop_next_frames"] {
+            if source.contains(needle) {
+                stray(
+                    needle,
+                    "boot with `Dpdpu::start`; arm scripted faults on the session",
+                );
+            }
+        }
+        for needle in ["fault_handled(\"", "fault_injected(\""] {
+            if !name.starts_with("crates/check/") && source.contains(needle) {
+                stray(needle, "name the site as `FaultSite::X.label()`");
+            }
+        }
+    }
+    assert!(strays.is_empty(), "faults have one way in: {strays:#?}");
 }

@@ -24,7 +24,7 @@ use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::ClusterClient;
 use dpdpu_dds::gateway::Gateway;
 use dpdpu_dds::proto::Op;
-use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, Semaphore, Time};
+use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, JoinHandle, Semaphore, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -301,7 +301,9 @@ pub(crate) async fn client_loop<F, Fut>(
 {
     let mut rng = StdRng::seed_from_u64(seed);
     let window = Semaphore::new(pace.pipeline);
-    let mut in_flight = Vec::with_capacity(pace.ops as usize);
+    // Handles of requests that may still be running: resolved ones are
+    // dropped before each launch, so this holds at most a window.
+    let mut in_flight: Vec<JoinHandle<()>> = Vec::with_capacity(pace.pipeline);
     for issued in 0..pace.ops {
         if pace.pause_every_ops > 0 && issued > 0 && issued.is_multiple_of(pace.pause_every_ops) {
             // Off phase of the on/off burst cycle.
@@ -310,6 +312,7 @@ pub(crate) async fn client_loop<F, Fut>(
         let permit = window.acquire().await;
         let fut = request(&mut rng);
         let outcomes = outcomes.clone();
+        in_flight.retain(|h| !h.is_finished());
         in_flight.push(spawn(async move {
             let _slot = permit;
             let t = now();

@@ -130,10 +130,39 @@ fn put_keys(b: &mut BytesMut, keys: &[u64]) {
     }
 }
 
+/// The envelope every message opens with: a tag byte, then the `u64`
+/// request id.
+const HEADER_BYTES: usize = 9;
+
+/// Wire bytes of [`put_blob`] over `blob`.
+fn blob_len(blob: &[u8]) -> usize {
+    4 + blob.len()
+}
+
+/// Wire bytes of [`put_keys`] over `keys`.
+fn keys_len(keys: &[u64]) -> usize {
+    4 + 8 * keys.len()
+}
+
 impl Request {
+    /// `self.encode().len()`, without encoding: what a hop that only
+    /// charges for the message's size needs.
+    pub(crate) fn encoded_len(&self) -> usize {
+        HEADER_BYTES
+            + match &self.op {
+                Op::KvGet { .. } | Op::GetPage { .. } => 8,
+                Op::KvPut { value, .. } | Op::MigratePut { value, .. } => 8 + blob_len(value),
+                Op::AppendLog { delta, .. } => 8 + 4 + blob_len(delta),
+                Op::KvScan { .. } => 8 + 4,
+                Op::ReplPut { value, .. } => 8 + 8 + blob_len(value),
+                Op::DropKeys { keys, .. } => 8 + keys_len(keys),
+                Op::ListKeys | Op::Ping => 0,
+            }
+    }
+
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
+        let mut b = BytesMut::with_capacity(self.encoded_len());
         let tag = match &self.op {
             Op::KvGet { .. } => 1,
             Op::KvPut { .. } => 2,
@@ -322,9 +351,23 @@ impl Reply {
 }
 
 impl Response {
+    /// `self.encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        HEADER_BYTES
+            + match &self.reply {
+                Reply::Data(data) => blob_len(data),
+                Reply::NotFound | Reply::Ok => 0,
+                Reply::Error(_) => 1,
+                Reply::Scan(entries) => {
+                    4 + entries.iter().map(|(_, v)| 8 + blob_len(v)).sum::<usize>()
+                }
+                Reply::Keys(keys) => keys_len(keys),
+            }
+    }
+
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
+        let mut b = BytesMut::with_capacity(self.encoded_len());
         let tag = match &self.reply {
             Reply::Data(_) => 1,
             Reply::NotFound => 2,
@@ -713,6 +756,25 @@ mod tests {
             frame(&get.encode())[..],
             unhex("11000000 01 0807060504030201 2a00000000000000")[..]
         );
+    }
+
+    /// The size the host path charges PCIe for is the size of the bytes
+    /// it would have encoded: for every pinned message and a 4 KiB put.
+    #[test]
+    fn encoded_len_is_the_encoding_length() {
+        let put = Request {
+            req_id: 12,
+            op: Op::KvPut {
+                key: 3,
+                value: Bytes::from(vec![7u8; 4_096]),
+            },
+        };
+        for (req, _) in request_wire().into_iter().chain([(put, "")]) {
+            assert_eq!(req.encoded_len(), req.encode().len(), "{req:?}");
+        }
+        for (resp, _) in response_wire() {
+            assert_eq!(resp.encoded_len(), resp.encode().len(), "{resp:?}");
+        }
     }
 
     #[test]

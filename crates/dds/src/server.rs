@@ -8,8 +8,8 @@
 //! traffic — is the crate's reproduction of "DDS can save up to 10s of
 //! CPU cores per storage server" (§9).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -36,6 +36,15 @@ const DPU_APP_CYCLES: u64 = 2_000;
 /// wakeup, request dispatch, buffer management) — on top of storage I/O
 /// and replay costs charged by the layers below.
 const HOST_APP_CYCLES: u64 = 12_000;
+
+/// One connection's replay cache: `req_id` -> `None` while the request
+/// is in flight, `Some(framed response)` once answered.
+type ReplayCache = RefCell<HashMap<u64, Option<Bytes>>>;
+
+/// The calls a [`Dds::connect`]ed client has finished, oldest first:
+/// `(request frames the client had sent when the call ended, req_id)`.
+/// The client appends, the server retires; nothing crosses the wire.
+type Retired = Rc<RefCell<VecDeque<(u64, u64)>>>;
 
 /// Server construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -88,6 +97,8 @@ pub struct Dds {
     /// already answered) served from the per-connection replay cache
     /// instead of being re-executed.
     pub dup_replays: Counter,
+    /// Replay-cache entries held right now, over every connection.
+    pub(crate) replay_entries: Cell<usize>,
     /// Membership in a replica group, attached by the cluster when it
     /// runs with `replicas >= 2`. Absent, the server behaves exactly as
     /// an unreplicated shard.
@@ -133,6 +144,7 @@ impl Dds {
             host_fallbacks: Counter::new(),
             exec_errors: Counter::new(),
             dup_replays: Counter::new(),
+            replay_entries: Cell::new(0),
             repl: RefCell::new(None),
         })
     }
@@ -151,7 +163,9 @@ impl Dds {
     /// Attaches one client: connects `client` to this server over
     /// `net`'s fabric, serves the server half and returns a
     /// [`DdsClient`] on the client half. `label` names the connection's
-    /// resources.
+    /// resources. The two halves share a ledger of finished calls, so
+    /// the server's replay cache holds only calls the client may still
+    /// retry (see [`Dds::serve`]).
     pub fn connect(
         self: &Rc<Self>,
         net: &NetConfig,
@@ -160,9 +174,10 @@ impl Dds {
     ) -> Rc<DdsClient> {
         let (client_conn, server_conn) = net.connect(client, &self.endpoint(), label);
         let (stx, srx) = server_conn.split();
-        self.serve(srx, stx);
+        let retired = Retired::default();
+        self.serve_retiring(srx, stx, Some(retired.clone()));
         let (ctx, crx) = client_conn.split();
-        DdsClient::new(ctx, crx)
+        DdsClient::with_ledger(ctx, crx, Some(retired))
     }
 
     /// Joins this server to a replica group. Called by the cluster once
@@ -262,9 +277,11 @@ impl Dds {
     /// client always gets an answer.
     async fn host_exec(&self, req: &Request) -> Reply {
         self.served_host.inc();
-        let req_bytes = req.encode().len() as u64;
         // NIC→host handoff, kernel network stack, app logic.
-        self.platform.host_dpu_pcie.dma(req_bytes).await;
+        self.platform
+            .host_dpu_pcie
+            .dma(req.encoded_len() as u64)
+            .await;
         dpdpu_des::sleep(costs::HOST_KERNEL_NET_NS).await;
         self.platform.host_cpu.exec(HOST_APP_CYCLES).await;
         let reply = match self.try_exec(&req.op).await {
@@ -282,7 +299,7 @@ impl Dds {
         };
         self.platform
             .host_dpu_pcie
-            .dma(resp.encode().len() as u64)
+            .dma(resp.encoded_len() as u64)
             .await;
         resp.reply
     }
@@ -505,19 +522,44 @@ impl Dds {
     /// resurrect the old value — a lost update. The one reply that is
     /// not cached is [`ErrorCode::Storage`]: the op never took effect,
     /// and the client retries it in case the fault was transient.
+    ///
+    /// Halves wired by hand have no ledger of finished calls, so their
+    /// cache lives as long as the connection; [`Dds::connect`] bounds it.
     pub fn serve(self: &Rc<Self>, rx: impl Into<FabricReceiver>, tx: impl Into<FabricSender>) {
-        let mut rx = rx.into();
-        let tx = tx.into();
+        self.serve_retiring(rx.into(), tx.into(), None);
+    }
+
+    /// [`Dds::serve`], retiring cache entries through the client's
+    /// `retired` ledger when the connection has one. Before it handles
+    /// frame `seen` (1-based, counting every frame deframed, dropped
+    /// ones included), the server forgets each call that ended after at
+    /// most `seen - 1` frames were sent: the stream is FIFO, so every
+    /// copy of that request came before this frame and has been met.
+    fn serve_retiring(
+        self: &Rc<Self>,
+        mut rx: FabricReceiver,
+        tx: FabricSender,
+        retired: Option<Retired>,
+    ) {
         let this = self.clone();
         spawn(async move {
             let tag = this.platform.tag.clone();
             let mut deframer = crate::proto::Deframer::new();
-            // req_id -> None while in flight, Some(framed response) once
-            // answered. Lives as long as the connection.
-            let dedup: Rc<RefCell<HashMap<u64, Option<Bytes>>>> =
-                Rc::new(RefCell::new(HashMap::new()));
+            let dedup = Rc::new(ReplayCache::default());
+            let mut seen = 0u64;
             while let Some(chunk) = rx.recv().await {
                 for msg in deframer.push(&chunk) {
+                    seen += 1;
+                    if let Some(retired) = &retired {
+                        let mut retired = retired.borrow_mut();
+                        while let Some(&(sent, req_id)) = retired.front() {
+                            if sent >= seen {
+                                break;
+                            }
+                            retired.pop_front();
+                            this.forget(&dedup, req_id);
+                        }
+                    }
                     if dpdpu_faults::shard_down(&tag) {
                         // The node is down: the request vanishes with it.
                         // Durable state survives the crash; the client's
@@ -541,6 +583,7 @@ impl Dds {
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
                             e.insert(None);
+                            this.replay_entries.set(this.replay_entries.get() + 1);
                         }
                     }
                     let this = this.clone();
@@ -554,12 +597,13 @@ impl Dds {
                             // Not an answer to cache: every storage error
                             // surfaces before the op takes effect, so the
                             // client's retry of this id may re-execute.
-                            dedup.borrow_mut().remove(&req_id);
-                        } else {
+                            this.forget(&dedup, req_id);
+                        } else if let Some(slot) = dedup.borrow_mut().get_mut(&req_id) {
                             // The replay cache still records the response
                             // — state survives a crash; only the send
-                            // vanishes with the downed node.
-                            dedup.borrow_mut().insert(req_id, Some(framed.clone()));
+                            // vanishes with the downed node. A call its
+                            // client already retired has no slot left.
+                            *slot = Some(framed.clone());
                         }
                         if !dpdpu_faults::shard_down(&tag) {
                             tx.send(framed);
@@ -568,6 +612,13 @@ impl Dds {
                 }
             }
         });
+    }
+
+    /// Drops `req_id`'s replay-cache entry, if it has one.
+    fn forget(&self, dedup: &ReplayCache, req_id: u64) {
+        if dedup.borrow_mut().remove(&req_id).is_some() {
+            self.replay_entries.set(self.replay_entries.get() - 1);
+        }
     }
 }
 
@@ -582,8 +633,12 @@ impl Dds {
 pub struct DdsClient {
     tx: FabricSender,
     pending: Rc<RefCell<HashMap<u64, OneshotSender<Reply>>>>,
-    next_id: std::cell::Cell<u64>,
-    policy: std::cell::Cell<RetryPolicy>,
+    next_id: Cell<u64>,
+    policy: Cell<RetryPolicy>,
+    /// Request frames sent on this connection so far.
+    sent: Cell<u64>,
+    /// Where finished calls are reported, on a [`Dds::connect`]ion.
+    retired: Option<Retired>,
     /// Attempts re-sent after a timeout or a server-reported error.
     pub retries: Counter,
     /// Per-attempt response timeouts observed.
@@ -596,8 +651,11 @@ impl DdsClient {
     /// Builds a client over an established connection's halves (TCP or
     /// any fabric) and starts its response demultiplexer.
     pub fn new(tx: impl Into<FabricSender>, rx: impl Into<FabricReceiver>) -> Rc<Self> {
-        let tx = tx.into();
-        let mut rx = rx.into();
+        Self::with_ledger(tx.into(), rx.into(), None)
+    }
+
+    /// [`DdsClient::new`], reporting every finished call to `retired`.
+    fn with_ledger(tx: FabricSender, mut rx: FabricReceiver, retired: Option<Retired>) -> Rc<Self> {
         let pending: Rc<RefCell<HashMap<u64, OneshotSender<Reply>>>> =
             Rc::new(RefCell::new(HashMap::new()));
         {
@@ -622,8 +680,10 @@ impl DdsClient {
         Rc::new(DdsClient {
             tx,
             pending,
-            next_id: std::cell::Cell::new(1),
-            policy: std::cell::Cell::new(RetryPolicy::default()),
+            next_id: Cell::new(1),
+            policy: Cell::new(RetryPolicy::default()),
+            sent: Cell::new(0),
+            retired,
             retries: Counter::new(),
             timeouts: Counter::new(),
             failures: Counter::new(),
@@ -656,6 +716,10 @@ impl DdsClient {
             req_id: self.fresh_id(),
             op,
         };
+        let _end = CallEnd {
+            client: self,
+            req_id: req.req_id,
+        };
         let start = dpdpu_des::now();
         let mut attempt = 1u32;
         loop {
@@ -670,6 +734,7 @@ impl DdsClient {
             let (otx, orx) = oneshot();
             self.pending.borrow_mut().insert(req.req_id, otx);
             self.tx.send(crate::proto::frame(&req.encode()));
+            self.sent.set(self.sent.get() + 1);
             match timeout(wait, orx).await {
                 Ok(Ok(Reply::Error(ErrorCode::StaleEpoch))) => {
                     // Fencing is terminal at this epoch: the server was
@@ -754,6 +819,24 @@ impl DdsClient {
             delta,
         };
         self.call(record).await.map(Reply::ack)
+    }
+}
+
+/// Retires one call when it ends, by any return or by being dropped:
+/// the client never sends its id again, so every copy is among the
+/// frames sent so far.
+struct CallEnd<'a> {
+    client: &'a DdsClient,
+    req_id: u64,
+}
+
+impl Drop for CallEnd<'_> {
+    fn drop(&mut self) {
+        if let Some(retired) = &self.client.retired {
+            retired
+                .borrow_mut()
+                .push_back((self.client.sent.get(), self.req_id));
+        }
     }
 }
 
@@ -899,6 +982,71 @@ mod tests {
                 "duplicates must not re-execute"
             );
             assert_eq!(dds.dup_replays.get(), 2);
+        });
+    }
+
+    /// A connection built by [`Dds::connect`] retires each call's replay
+    /// entry once no copy of it can still arrive: 2 000 pipelined calls
+    /// leave at most a window's worth cached, where a cache that lived
+    /// as long as the connection would hold all 2 000.
+    #[test]
+    fn replay_cache_is_bounded_by_the_window() {
+        const WINDOW: usize = 8;
+        block_on(async {
+            let (dds, client, _p) = testbed(DdsConfig::default()).await;
+            let window = dpdpu_des::Semaphore::new(WINDOW);
+            let mut peak = 0;
+            let mut calls = Vec::new();
+            for i in 0..2_000u64 {
+                let slot = window.acquire().await;
+                peak = peak.max(dds.replay_entries.get());
+                let client = client.clone();
+                calls.push(spawn(async move {
+                    let _slot = slot;
+                    client.kv_get(i % 16).await.unwrap();
+                }));
+            }
+            for call in calls {
+                call.await;
+            }
+            let left = dds.replay_entries.get();
+            assert!(left <= WINDOW, "{left} entries cached after the run");
+            assert!(peak <= WINDOW, "{peak} entries cached at once");
+        });
+    }
+
+    /// Retirement waits for the stream position, not the call's end:
+    /// attempt 1 of a put times out just before its answer arrives,
+    /// attempt 2 leaves at once, and the late answer completes the call
+    /// while attempt 2 is still on the wire. Attempt 2 must meet the
+    /// cached answer, not run the put a second time.
+    #[test]
+    fn a_duplicate_sent_before_retirement_is_still_replayed() {
+        block_on(async {
+            let (dds, client, _p) = testbed(DdsConfig::default()).await;
+            let value = Bytes::from(vec![7u8; 1_024]);
+            // A warm put's round trip, measured on a put of the same size.
+            client.kv_put(1, value.clone()).await.unwrap();
+            let t0 = dpdpu_des::now();
+            client.kv_put(2, value.clone()).await.unwrap();
+            let rtt = dpdpu_des::now() - t0;
+            client.set_policy(RetryPolicy {
+                request_timeout_ns: rtt - 500,
+                base_backoff_ns: 0,
+                ..RetryPolicy::default()
+            });
+            let log = dds.kv.log_bytes();
+            client.kv_put(3, value).await.unwrap();
+            assert_eq!((client.timeouts.get(), client.retries.get()), (1, 1));
+            let appended = dds.kv.log_bytes() - log;
+            // Let attempt 2 land and be answered.
+            dpdpu_des::sleep(rtt).await;
+            assert_eq!(dds.dup_replays.get(), 1, "attempt 2 met the cache");
+            assert_eq!(
+                dds.kv.log_bytes() - log,
+                appended,
+                "attempt 2 ran the put again"
+            );
         });
     }
 

@@ -126,7 +126,7 @@ impl<T> Future for Recv<'_, T> {
         if inner.senders == 0 {
             return Poll::Ready(None);
         }
-        inner.recv_waker = Some(cx.waker().clone());
+        crate::executor::store_waker(&mut inner.recv_waker, cx.waker());
         Poll::Pending
     }
 }

@@ -422,20 +422,17 @@ impl Sim {
             scratch.clear();
             self.scratch = scratch;
         }
-        if self
-            .shared
-            .wake_list
-            .remote_dirty
-            .swap(false, Ordering::Acquire)
+        // A plain load first: nothing in-tree wakes from another thread,
+        // so the read-modify-write runs only when a foreign wake landed.
+        // The swap keeps the Acquire that pairs with `wake_task`'s
+        // Release store; the Relaxed pre-check reads no data through the
+        // flag, and a store it misses is seen by the next drain, as one
+        // landing just after the swap always was.
+        let wake_list = &self.shared.wake_list;
+        if wake_list.remote_dirty.load(Ordering::Relaxed)
+            && wake_list.remote_dirty.swap(false, Ordering::Acquire)
         {
-            let remote = std::mem::take(
-                &mut *self
-                    .shared
-                    .wake_list
-                    .remote
-                    .lock()
-                    .expect("wake list poisoned"),
-            );
+            let remote = std::mem::take(&mut *wake_list.remote.lock().expect("wake list poisoned"));
             for id in remote {
                 self.enqueue_woken(id);
             }
@@ -504,6 +501,15 @@ fn spawn_on<T: 'static>(
 /// Handle to a spawned task; awaiting it yields the task's output.
 pub struct JoinHandle<T> {
     rx: oneshot::OneshotReceiver<T>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Whether awaiting this handle would complete at once: the task
+    /// returned, or was cancelled (its simulation dropped it). Reads the
+    /// handle's state; polls nothing.
+    pub fn is_finished(&self) -> bool {
+        self.rx.is_resolved()
+    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -634,6 +640,15 @@ impl Drop for Sleep {
                 }
             });
         }
+    }
+}
+
+/// Parks `waker` in `slot` for a pending poll. A stored waker that
+/// already wakes the same task is kept: re-polls by one task (the
+/// common case, through its slot's cached waker) clone no `Arc`.
+pub(crate) fn store_waker(slot: &mut Option<Waker>, waker: &Waker) {
+    if !slot.as_ref().is_some_and(|w| w.will_wake(waker)) {
+        *slot = Some(waker.clone());
     }
 }
 
@@ -807,6 +822,21 @@ mod tests {
             "slots should be recycled, got {}",
             sim.tasks.len()
         );
+    }
+
+    #[test]
+    fn join_handle_is_finished_once_the_task_returns_or_is_cancelled() {
+        let mut sim = Sim::new();
+        let quick = sim.spawn(sleep(100));
+        let parked = sim.spawn(std::future::pending::<()>());
+        assert!(!quick.is_finished() && !parked.is_finished());
+        sim.run_until(50);
+        assert!(!quick.is_finished(), "still sleeping");
+        sim.run_until(100);
+        assert!(quick.is_finished());
+        assert!(!parked.is_finished(), "parked for good, not finished");
+        drop(sim);
+        assert!(parked.is_finished(), "cancelled by the simulation's drop");
     }
 
     #[test]

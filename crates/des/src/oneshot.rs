@@ -7,6 +7,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use crate::executor::store_waker;
+
 enum State<T> {
     Empty,
     Value(T),
@@ -78,6 +80,14 @@ impl<T> Drop for OneshotSender<T> {
     }
 }
 
+impl<T> OneshotReceiver<T> {
+    /// Whether a poll would complete: the value was sent, the sender was
+    /// dropped, or the value was already taken.
+    pub(crate) fn is_resolved(&self) -> bool {
+        !matches!(self.inner.borrow().state, State::Empty)
+    }
+}
+
 impl<T> Future for OneshotReceiver<T> {
     type Output = Result<T, Cancelled>;
 
@@ -89,7 +99,7 @@ impl<T> Future for OneshotReceiver<T> {
             State::Taken => panic!("oneshot polled after completion"),
             State::Empty => {
                 inner.state = State::Empty;
-                inner.waker = Some(cx.waker().clone());
+                store_waker(&mut inner.waker, cx.waker());
                 Poll::Pending
             }
         }

@@ -22,7 +22,7 @@ enum WaitState {
 }
 
 struct Waiter {
-    state: Rc<Cell<WaitState>>,
+    state: Cell<WaitState>,
     waker: RefCell<Option<Waker>>,
 }
 
@@ -181,7 +181,7 @@ impl Future for Acquire {
                     });
                 }
                 let waiter = Rc::new(Waiter {
-                    state: Rc::new(Cell::new(WaitState::Waiting)),
+                    state: Cell::new(WaitState::Waiting),
                     waker: RefCell::new(Some(cx.waker().clone())),
                 });
                 inner.waiters.push_back(waiter.clone());
@@ -197,7 +197,7 @@ impl Future for Acquire {
                     })
                 }
                 WaitState::Waiting => {
-                    *waiter.waker.borrow_mut() = Some(cx.waker().clone());
+                    crate::executor::store_waker(&mut waiter.waker.borrow_mut(), cx.waker());
                     Poll::Pending
                 }
                 WaitState::Cancelled => unreachable!("cancelled acquire polled"),

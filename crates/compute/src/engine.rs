@@ -137,8 +137,8 @@ impl ComputeEngine {
             Placement::Specified(t) => t,
             Placement::Scheduled => self.choose_target(kind, bytes),
         };
-        let _span = dpdpu_telemetry::span("dpu", "compute-engine", format!("kernel:{kind:?}"))
-            .with("target", format!("{target:?}"))
+        let _span = dpdpu_telemetry::span("dpu", "compute-engine", kind.span_name())
+            .with("target", format_args!("{target:?}"))
             .with("bytes", bytes)
             .with(
                 "placement",
@@ -195,7 +195,9 @@ impl ComputeEngine {
                 self.host_jobs.inc();
             }
         }
-        dpdpu_telemetry::count("ce_jobs", &[("target", &format!("{target:?}"))]);
+        if dpdpu_telemetry::Telemetry::is_enabled() {
+            dpdpu_telemetry::count("ce_jobs", &[("target", &format!("{target:?}"))]);
+        }
         let result = op.execute(input);
         if dpdpu_check::is_active() {
             if let Ok(out) = &result {

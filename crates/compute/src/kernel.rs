@@ -51,6 +51,22 @@ impl KernelKind {
         }
     }
 
+    /// The compute engine's span name for a run of this kernel.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            KernelKind::Compress => "kernel:Compress",
+            KernelKind::Decompress => "kernel:Decompress",
+            KernelKind::Crypt => "kernel:Crypt",
+            KernelKind::RegexScan => "kernel:RegexScan",
+            KernelKind::Dedup => "kernel:Dedup",
+            KernelKind::Sha256 => "kernel:Sha256",
+            KernelKind::Crc32 => "kernel:Crc32",
+            KernelKind::Filter => "kernel:Filter",
+            KernelKind::Project => "kernel:Project",
+            KernelKind::Aggregate => "kernel:Aggregate",
+        }
+    }
+
     /// Which ASIC class (if any) accelerates this kernel. Relational
     /// operators are CPU-only on every DPU we model — exactly why DP
     /// kernels must run anywhere (paper §5).
@@ -331,6 +347,18 @@ mod tests {
             .unwrap()
             .into_bytes();
         assert_eq!(back, data);
+    }
+
+    /// Trace bytes carry these names: each is the kind's `Debug` form.
+    #[test]
+    fn span_names_spell_the_kind() {
+        use KernelKind::*;
+        for kind in [
+            Compress, Decompress, Crypt, RegexScan, Dedup, Sha256, Crc32, Filter, Project,
+            Aggregate,
+        ] {
+            assert_eq!(kind.span_name(), format!("kernel:{kind:?}"));
+        }
     }
 
     #[test]

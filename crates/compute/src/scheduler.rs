@@ -207,7 +207,7 @@ impl Scheduler {
             let _span = dpdpu_telemetry::span("dpu", "sproc-sched", "sproc")
                 .with("tenant", spec.tenant)
                 .with("cycles", spec.cycles)
-                .with("target", format!("{target:?}"));
+                .with("target", format_args!("{target:?}"));
             pool.exec(spec.cycles).await;
             let _ = done.send(SprocDone {
                 target,

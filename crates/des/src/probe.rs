@@ -24,12 +24,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use crate::time::Time;
 
-/// An interned resource name: what every probe event and conformance
-/// check-point carries instead of a string.
+/// An interned name: what every probe event and conformance check-point
+/// carries instead of a string, and what a telemetry span stores for its
+/// device, track, name and attribute keys.
 ///
 /// [`Site::new`] interns into an append-only, thread-local table —
 /// instrumented resources are `Rc` and never leave the thread that built
@@ -39,15 +41,40 @@ use crate::time::Time;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Site(u32);
 
+/// FNV-1a, the classic short-key hash. A name is a handful of bytes;
+/// SipHash's keyed setup costs more than hashing the whole name. Not
+/// DoS-resistant — fine for trusted, in-process names.
+#[derive(Default)]
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut hash = if self.0 == 0 {
+            0xcbf2_9ce4_8422_2325
+        } else {
+            self.0
+        };
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = hash;
+    }
+}
+
 #[derive(Default)]
 struct SiteTable {
-    ids: HashMap<Rc<str>, Site>,
+    ids: HashMap<Rc<str>, Site, BuildHasherDefault<Fnv1a>>,
     names: Vec<Rc<str>>,
 }
 
 impl Site {
-    /// The handle for `name`, interned on first sight. Meant for
-    /// constructors: a hash lookup, plus one allocation for a new name.
+    /// The handle for `name`, interned on first sight: a hash lookup,
+    /// plus one allocation for a new name.
     pub fn new(name: &str) -> Site {
         SITES.with(|t| {
             let mut t = t.borrow_mut();
@@ -69,7 +96,7 @@ impl Site {
     }
 
     /// The interned name. For cold paths: reports, sweeps, violation
-    /// messages, a sink's first sight of the site.
+    /// messages, trace export.
     pub fn name(self) -> Rc<str> {
         SITES.with(|t| t.borrow().names[self.index()].clone())
     }

@@ -1,5 +1,6 @@
 //! A live platform: one host + one DPU + one SSD, instantiated from specs.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -38,8 +39,9 @@ pub struct Platform {
     pub host_ssd_pcie: Rc<PcieLink>,
     /// The NVMe device.
     pub ssd: Rc<Ssd>,
-    /// Optional PCIe peer accelerator (GPU/FPGA; §5 extension).
-    pub peer: RefCellPeer,
+    /// Optional PCIe peer accelerator (GPU/FPGA; §5 extension), set by
+    /// [`Platform::install_peer`].
+    peer: RefCell<Option<Rc<PeerDevice>>>,
     /// Node tag prefixed onto every resource name (empty for a
     /// single-platform sim). Gives each server of a cluster its own
     /// resource identities, so the conformance layer's per-resource
@@ -47,10 +49,6 @@ pub struct Platform {
     /// two nodes into one.
     pub tag: String,
 }
-
-/// Late-bound peer accelerator slot (installed after construction so
-/// existing call sites stay unchanged).
-pub type RefCellPeer = std::cell::RefCell<Option<Rc<PeerDevice>>>;
 
 impl Platform {
     /// Builds a platform from specs.
@@ -97,7 +95,7 @@ impl Platform {
             dpu_ssd_pcie: PcieLink::new(named("dpu-ssd"), dpu.pcie_bytes_per_sec),
             host_ssd_pcie: PcieLink::new(named("host-ssd"), dpu.pcie_bytes_per_sec),
             ssd: Ssd::new(&named("nvme0")),
-            peer: std::cell::RefCell::new(None),
+            peer: RefCell::new(None),
             host_spec: host,
             dpu_spec: dpu,
             tag: tag.to_string(),
@@ -260,29 +258,32 @@ mod tests {
         let p = Platform::default_bf2();
         p.register_telemetry(&t);
 
-        // Tracks grouped under their devices.
-        assert_eq!(t.process_for(p.host_cpu.name()), "host");
-        assert_eq!(t.process_for(p.dpu_cpu.name()), "dpu");
-        assert_eq!(t.process_for("host-dpu"), "fabric");
-        let (rd, _) = p.ssd.track_names();
-        assert_eq!(t.process_for(&rd), "ssd");
-
         // Capacity gauges present.
         let gauges = t.registry().gauge_values();
         assert!(gauges
             .iter()
             .any(|(k, v)| k.starts_with("cores{") && *v > 0.0));
 
-        // Sampler sources produce data once the sim runs.
+        // Sampler sources produce data once the sim runs, and each
+        // resource's spans group under its device.
         let mut sim = Sim::new();
         let p2 = p.clone();
         sim.spawn(async move {
             let sampler = dpdpu_telemetry::start_sampler(1_000);
+            p2.host_cpu.exec(3_000).await;
             p2.dpu_cpu.exec(30_000).await;
+            p2.host_dpu_pcie.dma(4_096).await;
+            p2.ssd.read(4_096).await.unwrap();
             sampler.stop();
         });
         sim.run();
         Telemetry::uninstall();
+        let spans = t.tracer().spans();
+        let device = |track: &str| spans.iter().find(|s| s.track == track).map(|s| &*s.process);
+        assert_eq!(device(p.host_cpu.name()), Some("host"));
+        assert_eq!(device(p.dpu_cpu.name()), Some("dpu"));
+        assert_eq!(device("host-dpu"), Some("fabric"));
+        assert_eq!(device(&p.ssd.track_names().0), Some("ssd"));
         let samples = t.samples();
         assert!(!samples.is_empty());
         assert!(samples

@@ -14,13 +14,12 @@
 //! Format contract (`benchmark/src/trace.rs` reads it): exactly one
 //! event per line, metadata lines before timed ones.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use dpdpu_des::Time;
+use dpdpu_des::{Site, Time};
 
-use crate::intern::{FnvBuild, Sym};
 use crate::json::{Escaped, Number};
 use crate::Telemetry;
 
@@ -58,25 +57,30 @@ fn close(mut text: String) -> String {
 }
 
 /// The one formatting pass: every line is written once, into one
-/// buffer, straight from the raw spans' symbols. `domain` is the
+/// buffer, straight from the raw spans' sites. `domain` is the
 /// session's (index, name) in a merge — its pids move into the domain's
 /// namespace and its device names gain a `"{name}/"` prefix as they are
 /// written — or `None` for a trace of its own.
 pub(crate) fn part(t: &Telemetry, domain: Option<(usize, &str)>) -> TracePart {
-    let intern = t.tracer().interner();
     t.tracer().with_raw(|spans| {
         t.sampler().with(|samples| {
             // Deterministic pid/tid assignment: sorted device names, then
             // sorted track names within each device — resolved once per
-            // distinct (process, track) symbol pair, not per span.
-            let mut ids: HashMap<(Sym, Sym), (u64, u64), FnvBuild> = HashMap::default();
+            // distinct (process, track) pair, not per span. A pair's ids
+            // sit in its track's row (by site index): a track almost
+            // always belongs to one device, so finding them hashes nothing.
+            let mut ids: Vec<Vec<(Site, (u64, u64))>> = Vec::new();
+            let mut tracks: BTreeMap<(Rc<str>, Rc<str>), (Site, Site)> = BTreeMap::new();
             for s in spans {
-                ids.entry((s.process, s.track)).or_insert((0, 0));
+                let i = s.track.index();
+                if ids.len() <= i {
+                    ids.resize_with(i + 1, Vec::new);
+                }
+                if !ids[i].iter().any(|&(p, _)| p == s.process) {
+                    ids[i].push((s.process, (0, 0)));
+                    tracks.insert((s.process.name(), s.track.name()), (s.process, s.track));
+                }
             }
-            let tracks: BTreeMap<(Rc<str>, Rc<str>), (Sym, Sym)> = ids
-                .keys()
-                .map(|&(p, t)| ((intern.resolve(p), intern.resolve(t)), (p, t)))
-                .collect();
             let mut pids: BTreeMap<&str, u64> = tracks.keys().map(|(p, _)| (&**p, 0)).collect();
             for s in samples {
                 pids.entry(s.process.as_str()).or_insert(0);
@@ -105,11 +109,11 @@ pub(crate) fn part(t: &Telemetry, domain: Option<(usize, &str)>) -> TracePart {
                 );
             }
             let (mut device, mut tid) = (None, 0);
-            for ((process, track), pair) in &tracks {
+            for ((process, track), &(p, t)) in &tracks {
                 tid = if device == Some(process) { tid + 1 } else { 1 };
                 device = Some(process);
                 let pid = pids[&**process];
-                ids.insert(*pair, (pid, tid));
+                *slot(&mut ids, p, t) = (pid, tid);
                 let _ = writeln!(
                     out,
                     r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}},"#,
@@ -120,17 +124,17 @@ pub(crate) fn part(t: &Telemetry, domain: Option<(usize, &str)>) -> TracePart {
             let mut index = Vec::with_capacity(1 + lines);
             index.push((0, out.len()));
             for s in spans {
-                let (pid, tid) = ids[&(s.process, s.track)];
+                let (pid, tid) = *slot(&mut ids, s.process, s.track);
                 let _ = write!(
                     out,
                     r#"{{"name":"{}","ph":"X","pid":{pid},"tid":{tid},"ts":{},"dur":{},"args":{{"#,
-                    Escaped(&intern.resolve(s.name)),
+                    Escaped(&s.name.name()),
                     Number(s.start as f64 / 1_000.0),
                     Number(s.end.saturating_sub(s.start) as f64 / 1_000.0),
                 );
                 for (i, (k, v)) in s.attrs.iter().enumerate() {
                     let sep = if i == 0 { "" } else { "," };
-                    let _ = write!(out, r#"{sep}"{}":"{}""#, Escaped(&intern.resolve(*k)), Escaped(v));
+                    let _ = write!(out, r#"{sep}"{}":"{}""#, Escaped(&k.name()), Escaped(v));
                 }
                 out.push_str("}},\n");
                 index.push((s.start, out.len()));
@@ -149,6 +153,13 @@ pub(crate) fn part(t: &Telemetry, domain: Option<(usize, &str)>) -> TracePart {
             TracePart { domain: d, text: out, index }
         })
     })
+}
+
+/// The (pid, tid) of a (process, track) pair [`part`] has seen.
+fn slot(ids: &mut [Vec<(Site, (u64, u64))>], process: Site, track: Site) -> &mut (u64, u64) {
+    let row = &mut ids[track.index()];
+    let at = row.iter().position(|&(p, _)| p == process);
+    &mut row[at.expect("every span's pair has a row entry")].1
 }
 
 /// Merges per-domain parts (from [`Telemetry::trace_part`], passed in

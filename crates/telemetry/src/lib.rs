@@ -41,7 +41,6 @@
 //! automatically through the `dpdpu_des::probe` hook.
 
 mod chrome;
-pub mod intern;
 pub mod json;
 mod metrics;
 mod sampler;
@@ -55,7 +54,6 @@ use dpdpu_des::probe::{self, Probe, Site};
 use dpdpu_des::Time;
 
 pub use chrome::{merge_traces, TracePart};
-pub use intern::{Interner, Sym};
 pub use metrics::Registry;
 pub use sampler::{start_sampler, CounterSample, SamplerHandle};
 pub use span::{record_span, span, SpanGuard, SpanRecord, Tracer};
@@ -68,18 +66,12 @@ pub struct Telemetry {
     tracer: Tracer,
     registry: Registry,
     sampler: sampler::SampleStore,
-    /// Maps a resource track (server name) to its owning device
-    /// ("host", "dpu", ...), both as interned symbols so the per-event
-    /// probe path stays allocation-free. Unassigned tracks land under
+    /// The device ("host", "dpu", ...) each resource track belongs to,
+    /// by the track's [`Site::index`]. Unassigned tracks land under
     /// [`SIM_PROCESS`].
-    track_process: RefCell<std::collections::HashMap<Sym, Sym, intern::FnvBuild>>,
-    /// The track symbol of each des [`Site`], by [`Site::index`], filled
-    /// in at the site's first span: a server's later spans skip the
-    /// string intern. Not filled at construction, and the owning device
-    /// is not cached beside it ([`Telemetry::assign_track`] may come
-    /// later): symbol ids follow first-intern order, and the exported
-    /// trace's bytes follow symbol ids.
-    site_tracks: RefCell<Vec<Option<Sym>>>,
+    devices: RefCell<Vec<Option<Site>>>,
+    /// [`SIM_PROCESS`], interned.
+    sim: Site,
 }
 
 /// Device name used for tracks nobody claimed.
@@ -95,14 +87,11 @@ struct DesProbe;
 impl Probe for DesProbe {
     fn span(&self, track: Site, name: &'static str, start: Time, end: Time) {
         if let Some(t) = Telemetry::current() {
-            // After a site's first event this is an array index, two
-            // hash lookups and a Vec push — no heap allocation on the
-            // per-event path.
-            let intern = t.tracer.interner();
-            let track = t.track_sym(track);
-            let process = t.process_sym_for(track);
+            // An array index, one hash lookup and a Vec push — no heap
+            // allocation on the per-event path.
+            let device = t.device_of(track);
             t.tracer
-                .record_syms(process, track, intern.intern(name), start, end, Vec::new());
+                .record(device, track, Site::new(name), start, end, Vec::new());
         }
     }
 }
@@ -116,8 +105,8 @@ impl Telemetry {
             tracer: Tracer::new(),
             registry: Registry::new(),
             sampler: sampler::SampleStore::new(),
-            track_process: RefCell::new(std::collections::HashMap::default()),
-            site_tracks: RefCell::new(Vec::new()),
+            devices: RefCell::new(Vec::new()),
+            sim: Site::new(SIM_PROCESS),
         });
         CURRENT.with(|c| *c.borrow_mut() = Some(t.clone()));
         probe::set_probe(Some(Rc::new(DesProbe)));
@@ -167,38 +156,22 @@ impl Telemetry {
     /// Declares that resource `track` belongs to device `process`, so its
     /// spans group under that device in the Chrome trace.
     pub fn assign_track(&self, track: impl AsRef<str>, process: impl AsRef<str>) {
-        let intern = self.tracer.interner();
-        self.track_process.borrow_mut().insert(
-            intern.intern(track.as_ref()),
-            intern.intern(process.as_ref()),
-        );
-    }
-
-    /// Device owning `track` ([`SIM_PROCESS`] when unassigned).
-    pub fn process_for(&self, track: &str) -> String {
-        let track = self.tracer.interner().intern(track);
-        self.tracer
-            .interner()
-            .resolve(self.process_sym_for(track))
-            .to_string()
-    }
-
-    /// The track symbol for a des site, interned at its first event.
-    fn track_sym(&self, site: Site) -> Sym {
-        let mut tracks = self.site_tracks.borrow_mut();
-        if site.index() >= tracks.len() {
-            tracks.resize(site.index() + 1, None);
+        let track = Site::new(track.as_ref());
+        let mut devices = self.devices.borrow_mut();
+        if devices.len() <= track.index() {
+            devices.resize(track.index() + 1, None);
         }
-        *tracks[site.index()].get_or_insert_with(|| self.tracer.interner().intern(&site.name()))
+        devices[track.index()] = Some(Site::new(process.as_ref()));
     }
 
-    /// Symbol-level [`Telemetry::process_for`] for per-event use.
-    pub(crate) fn process_sym_for(&self, track: Sym) -> Sym {
-        self.track_process
-            .borrow()
-            .get(&track)
+    /// The device owning `track` ([`SIM_PROCESS`] when unassigned).
+    fn device_of(&self, track: Site) -> Site {
+        let devices = self.devices.borrow();
+        devices
+            .get(track.index())
             .copied()
-            .unwrap_or_else(|| self.tracer.interner().intern(SIM_PROCESS))
+            .flatten()
+            .unwrap_or(self.sim)
     }
 
     /// Registers a timeline source: `sample` is polled by the sampler on

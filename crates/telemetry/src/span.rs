@@ -1,15 +1,14 @@
 //! The span tracer: nested, attributed virtual-time intervals.
 //!
-//! Labels (process, track, name, attribute keys) are stored as interned
-//! [`Sym`]bols — the enabled record path performs no heap allocation for
+//! Labels (process, track, name, attribute keys) are stored as des
+//! [`Site`]s — the enabled record path performs no heap allocation for
 //! labels, and the strings are resolved back only at export: per span by
 //! [`Tracer::spans`], per line written by the Chrome exporter.
 
 use std::cell::{Cell, RefCell};
 
-use dpdpu_des::{now, Time};
+use dpdpu_des::{now, Site, Time};
 
-use crate::intern::{Interner, Sym};
 use crate::Telemetry;
 
 /// One finished span, resolved to strings for exporters and tests.
@@ -33,16 +32,17 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, String)>,
 }
 
-/// Compact in-memory form: labels are symbols, values stay owned.
+/// Compact in-memory form: labels are sites, values stay owned. An open
+/// span is one too, its `end` set when its guard drops.
 pub(crate) struct RawSpan {
     id: u64,
     parent: Option<u64>,
-    pub(crate) process: Sym,
-    pub(crate) track: Sym,
-    pub(crate) name: Sym,
+    pub(crate) process: Site,
+    pub(crate) track: Site,
+    pub(crate) name: Site,
     pub(crate) start: Time,
     pub(crate) end: Time,
-    pub(crate) attrs: Vec<(Sym, String)>,
+    pub(crate) attrs: Vec<(Site, String)>,
 }
 
 /// Collects spans; owned by [`Telemetry`].
@@ -50,7 +50,6 @@ pub struct Tracer {
     spans: RefCell<Vec<RawSpan>>,
     open: RefCell<Vec<u64>>,
     next_id: Cell<u64>,
-    intern: Interner,
 }
 
 impl Tracer {
@@ -59,7 +58,6 @@ impl Tracer {
             spans: RefCell::new(Vec::new()),
             open: RefCell::new(Vec::new()),
             next_id: Cell::new(1),
-            intern: Interner::new(),
         }
     }
 
@@ -69,46 +67,15 @@ impl Tracer {
         id
     }
 
-    /// The session's label symbol table.
-    pub fn interner(&self) -> &Interner {
-        &self.intern
-    }
-
-    /// Records an already-finished span (used for retroactive intervals,
-    /// e.g. scheduler queueing measured from a stored submission time).
-    pub fn record(
+    /// Records an already-finished span under the innermost open one.
+    pub(crate) fn record(
         &self,
-        process: &str,
-        track: &str,
-        name: &str,
+        process: Site,
+        track: Site,
+        name: Site,
         start: Time,
         end: Time,
-        attrs: Vec<(String, String)>,
-    ) {
-        let attrs = attrs
-            .into_iter()
-            .map(|(k, v)| (self.intern.intern(&k), v))
-            .collect();
-        self.record_syms(
-            self.intern.intern(process),
-            self.intern.intern(track),
-            self.intern.intern(name),
-            start,
-            end,
-            attrs,
-        );
-    }
-
-    /// Symbol-level [`Tracer::record`]: the allocation-free hot path used
-    /// by the DES probe adapter once its labels are interned.
-    pub(crate) fn record_syms(
-        &self,
-        process: Sym,
-        track: Sym,
-        name: Sym,
-        start: Time,
-        end: Time,
-        attrs: Vec<(Sym, String)>,
+        attrs: Vec<(Site, String)>,
     ) {
         let id = self.fresh_id();
         self.spans.borrow_mut().push(RawSpan {
@@ -124,7 +91,7 @@ impl Tracer {
     }
 
     /// Snapshot of every finished span in completion order, with labels
-    /// resolved back to strings. This is where symbols are materialised —
+    /// resolved back to strings. This is where sites are materialised —
     /// call it at export time, not per event.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.spans
@@ -133,23 +100,23 @@ impl Tracer {
             .map(|raw| SpanRecord {
                 id: raw.id,
                 parent: raw.parent,
-                process: self.intern.resolve(raw.process).to_string(),
-                track: self.intern.resolve(raw.track).to_string(),
-                name: self.intern.resolve(raw.name).to_string(),
+                process: raw.process.to_string(),
+                track: raw.track.to_string(),
+                name: raw.name.to_string(),
                 start: raw.start,
                 end: raw.end,
                 attrs: raw
                     .attrs
                     .iter()
-                    .map(|(k, v)| (self.intern.resolve(*k).to_string(), v.clone()))
+                    .map(|(k, v)| (k.to_string(), v.clone()))
                     .collect(),
             })
             .collect()
     }
 
-    /// Runs `f` over the finished spans as stored, symbols unresolved,
-    /// in completion order: the Chrome exporter formats from these in
-    /// place and never builds a [`SpanRecord`].
+    /// Runs `f` over the finished spans as stored, sites unresolved, in
+    /// completion order: the Chrome exporter formats from these in place
+    /// and never builds a [`SpanRecord`].
     pub(crate) fn with_raw<R>(&self, f: impl FnOnce(&[RawSpan]) -> R) -> R {
         f(&self.spans.borrow())
     }
@@ -170,27 +137,22 @@ impl Tracer {
 /// session is installed the guard is inert: no clock read, no allocation,
 /// nothing recorded. When one is installed, the labels are interned
 /// (allocation-free after first sight) rather than copied.
-pub fn span(process: &str, track: &str, name: impl AsRef<str>) -> SpanGuard {
+pub fn span(process: &str, track: &str, name: &'static str) -> SpanGuard {
     let Some(t) = Telemetry::current() else {
         return SpanGuard { inner: None };
     };
-    let intern = &t.tracer.intern;
-    let (process, track, name) = (
-        intern.intern(process),
-        intern.intern(track),
-        intern.intern(name.as_ref()),
-    );
     let id = t.tracer.fresh_id();
     let parent = t.tracer.open.borrow().last().copied();
     t.tracer.open.borrow_mut().push(id);
     SpanGuard {
-        inner: Some(OpenSpan {
+        inner: Some(RawSpan {
             id,
             parent,
-            process,
-            track,
-            name,
+            process: Site::new(process),
+            track: Site::new(track),
+            name: Site::new(name),
             start: now(),
+            end: 0,
             attrs: Vec::new(),
         }),
     }
@@ -206,15 +168,14 @@ pub fn record_span(
     attrs: &[(&str, &str)],
 ) {
     if let Some(t) = Telemetry::current() {
-        let intern = &t.tracer.intern;
         let attrs = attrs
             .iter()
-            .map(|(k, v)| (intern.intern(k), v.to_string()))
+            .map(|(k, v)| (Site::new(k), v.to_string()))
             .collect();
-        t.tracer.record_syms(
-            intern.intern(process),
-            intern.intern(track),
-            intern.intern(name),
+        t.tracer.record(
+            Site::new(process),
+            Site::new(track),
+            Site::new(name),
             start,
             end,
             attrs,
@@ -222,32 +183,16 @@ pub fn record_span(
     }
 }
 
-struct OpenSpan {
-    id: u64,
-    parent: Option<u64>,
-    process: Sym,
-    track: Sym,
-    name: Sym,
-    start: Time,
-    attrs: Vec<(Sym, String)>,
-}
-
 /// RAII handle for an open span; records the span on drop.
 pub struct SpanGuard {
-    inner: Option<OpenSpan>,
+    inner: Option<RawSpan>,
 }
 
 impl SpanGuard {
     /// Attaches a key/value attribute (no-op when telemetry is disabled).
     pub fn attr(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
         if let Some(open) = self.inner.as_mut() {
-            // The symbol is only valid for the session that opened the
-            // span; if that session is gone the span will be dropped on
-            // close anyway, so skipping the attribute is consistent.
-            if let Some(t) = Telemetry::current() {
-                open.attrs
-                    .push((t.tracer.intern.intern(key), value.to_string()));
-            }
+            open.attrs.push((Site::new(key), value.to_string()));
         }
         self
     }
@@ -261,7 +206,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(open) = self.inner.take() else {
+        let Some(mut open) = self.inner.take() else {
             return;
         };
         // The session may have been uninstalled while the span was open;
@@ -274,16 +219,8 @@ impl Drop for SpanGuard {
             stack.remove(pos);
         }
         drop(stack);
-        t.tracer.spans.borrow_mut().push(RawSpan {
-            id: open.id,
-            parent: open.parent,
-            process: open.process,
-            track: open.track,
-            name: open.name,
-            start: open.start,
-            end: now(),
-            attrs: open.attrs,
-        });
+        open.end = now();
+        t.tracer.spans.borrow_mut().push(open);
     }
 }
 
@@ -363,22 +300,5 @@ mod tests {
         let children: Vec<_> = spans.iter().filter(|s| s.name == "child").collect();
         assert_eq!(children.len(), 3);
         assert!(children.iter().all(|c| c.parent == Some(root_id)));
-    }
-
-    #[test]
-    fn repeated_labels_intern_to_a_tiny_symbol_table() {
-        let t = Telemetry::install();
-        let mut sim = Sim::new();
-        sim.spawn(async {
-            for _ in 0..1_000 {
-                let _s = span("dpu", "engine", "op").with("k", "v");
-                sleep(1).await;
-            }
-        });
-        sim.run();
-        Telemetry::uninstall();
-        assert_eq!(t.tracer().len(), 1_000);
-        // dpu, engine, op, k — every repeat hit the table.
-        assert_eq!(t.tracer().interner().len(), 4);
     }
 }

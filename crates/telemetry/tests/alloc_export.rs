@@ -1,5 +1,5 @@
 //! Exporting a trace must not allocate per span: the Chrome exporter
-//! formats every line once, from the raw spans' symbols, into one
+//! formats every line once, from the raw spans' sites, into one
 //! pre-sized buffer, and the merge sorts an index and copies byte ranges
 //! — verified with a counting global allocator.
 //!
@@ -7,7 +7,8 @@
 //! span, then a merge that re-parsed and rebuilt every line) allocated
 //! 420 242 times over the sequence below: 12 per span in
 //! `chrome_trace()`, 15 per span across the two domain exports and the
-//! merge. This exporter: 33.
+//! merge. This exporter: 54, buffer growth and one small row per track
+//! per export.
 //!
 //! Single `#[test]` on purpose: a concurrent test in the same binary
 //! would pollute the global allocation counter mid-measurement.

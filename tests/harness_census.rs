@@ -21,6 +21,10 @@
 //! And faults have one way in: a `SessionGuard` installs a plan, the
 //! session arms every scripted fault, and a fault site is named by its
 //! `FaultSite`, never by a string a handler retypes.
+//!
+//! And one interner: every label, probe event and check-point is a des
+//! `Site`, so the telemetry crate's old string table and its hasher are
+//! named nowhere.
 
 use std::path::{Path, PathBuf};
 
@@ -167,16 +171,21 @@ fn a_tenant_is_an_index_into_its_gateways_specs() {
     );
 }
 
-#[test]
-fn faults_have_one_way_in() {
+/// Every `.rs` file under `crates/ tests/ examples/ src/`, then README.md.
+fn code_and_readme() -> Vec<(String, String)> {
     let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md");
     let mut files = sources(&["crates", "tests", "examples", "src"]);
     files.push((
         "README.md".to_string(),
         std::fs::read_to_string(readme).expect("readable README"),
     ));
+    files
+}
+
+#[test]
+fn faults_have_one_way_in() {
     let mut strays = Vec::new();
-    for (name, source) in files {
+    for (name, source) in code_and_readme() {
         if name == "tests/harness_census.rs" {
             continue;
         }
@@ -206,4 +215,36 @@ fn faults_have_one_way_in() {
         }
     }
     assert!(strays.is_empty(), "faults have one way in: {strays:#?}");
+}
+
+/// Does `source` name `ident` as a whole word?
+fn names(source: &str, ident: &str) -> bool {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    source.match_indices(ident).any(|(at, _)| {
+        !source[..at].chars().next_back().is_some_and(word)
+            && !source[at + ident.len()..].chars().next().is_some_and(word)
+    })
+}
+
+#[test]
+fn one_interner() {
+    // Spelled in pieces, so that this file does not name them itself.
+    let gone = [
+        concat!("Inter", "ner"),
+        concat!("Sy", "m"),
+        concat!("Fnv", "Build"),
+        concat!("dpdpu_telemetry::", "intern"),
+    ];
+    let mut strays = Vec::new();
+    for (name, source) in code_and_readme() {
+        for ident in gone {
+            if names(&source, ident) {
+                strays.push(format!("{name}: `{ident}`"));
+            }
+        }
+    }
+    assert!(
+        strays.is_empty(),
+        "a label is a `dpdpu_des::Site`; there is no second string table: {strays:#?}"
+    );
 }

@@ -10,8 +10,6 @@
 use dpdpu_bench::par_cluster::{run_par, ParClusterConfig};
 use dpdpu_bench::scenarios;
 use dpdpu_des::{DomainSet, NoHooks, Sim};
-use dpdpu_telemetry::intern::FnvHasher;
-use std::hash::Hasher as _;
 
 const SEEDS: [u64; 3] = [42, 7, 1234];
 
@@ -141,10 +139,11 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     )
     .trace;
     assert_eq!(trace.len(), 12_830_782);
-    // FNV-1a-64, the telemetry crate's own label hash.
-    let mut hash = FnvHasher::default();
-    hash.write(trace.as_bytes());
-    assert_eq!(format!("{:016x}", hash.finish()), "82a3ddbe711e6769");
+    // FNV-1a-64 of the whole trace.
+    let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(format!("{hash:016x}"), "82a3ddbe711e6769");
     let mut last = f64::MIN;
     let mut timed = 0usize;
     for line in trace.lines() {

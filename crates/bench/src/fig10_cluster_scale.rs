@@ -55,6 +55,12 @@ pub fn run() -> String {
     run_with(&SERVERS, NetConfig::default(), 1)
 }
 
+/// The default sweep with every shard replicated twice: the replication
+/// tax, against [`run`]'s table.
+pub fn run_replicated() -> String {
+    run_with(&SERVERS, NetConfig::default(), 2)
+}
+
 /// The bin's `--servers` list: every token of `args` up to the next
 /// `--flag`, each a fleet size whose clients [`MAX_CLIENTS`] still seeds
 /// apart. `Err` is the usage message.
@@ -329,16 +335,18 @@ mod tests {
     #[test]
     fn replication_tax_does_not_erase_the_offload_win() {
         // Chained writes serialize on the primary's chain gate (apply
-        // order must match on the backup), so a closed-loop fleet goes
-        // write-bound and pays roughly 2× on its update share — the
-        // bound here guards against the tax compounding beyond the
-        // chain's inherent cost. The host-cycle saving from offload
-        // must survive the extra hop outright.
+        // order must match on the backup), but the gate holds for the
+        // slower of the two applies, which run at once, not their sum:
+        // 2 replicas keep 0.82x of the solo goodput (0.49x while the
+        // backup's apply waited for the primary's). The bound guards
+        // against the tax compounding beyond the chain's inherent cost.
+        // The host-cycle saving from offload must survive the extra hop
+        // outright.
         let dist = KeyDist::Uniform { keys: KEYS * 2 };
         let solo = measure(2, dist, true, NetConfig::default(), 1);
         let repl = measure(2, dist, true, NetConfig::default(), 2);
         assert!(
-            repl.agg_mops > 0.33 * solo.agg_mops,
+            repl.agg_mops >= 0.7 * solo.agg_mops,
             "replication should cost the chain serialization, not more: \
              1 replica {:.3} Mops, 2 replicas {:.3} Mops",
             solo.agg_mops,

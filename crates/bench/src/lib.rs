@@ -53,6 +53,7 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("fig8", fig8_roundtrips::run),
         ("fig9", fig9_dds_savings::run),
         ("fig10", fig10_cluster_scale::run),
+        ("fig10r", fig10_cluster_scale::run_replicated),
         ("fig10f", fig10_fabric::run),
         ("fig11", fig11_tenants::run),
         ("A1", abl_scheduler::run),

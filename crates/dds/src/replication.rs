@@ -24,6 +24,8 @@ use std::rc::Rc;
 
 use dpdpu_des::{Counter, Semaphore};
 
+use crate::proto::{ErrorCode, Reply};
+
 /// Shared control state for one replica group (one logical shard).
 pub struct ReplGroupCtl {
     /// Group index (= shard index in the cluster).
@@ -194,6 +196,13 @@ impl ReplRole {
     /// True when this replica is the group's current primary.
     pub fn is_primary(&self) -> bool {
         self.ctl.primary() == self.me
+    }
+
+    /// Counts a request this replica refuses on epoch grounds and
+    /// returns the refusal.
+    pub(crate) fn stand_down(&self) -> Reply {
+        self.stale_rejections.inc();
+        Reply::Error(ErrorCode::StaleEpoch)
     }
 }
 

@@ -236,9 +236,8 @@ impl Dds {
         let repl = self.repl.borrow().clone();
         if let Some(role) = repl {
             if role.deposed() {
-                role.stale_rejections.inc();
                 req_span.attr("route", "fenced");
-                return Reply::Error(ErrorCode::StaleEpoch);
+                return role.stand_down();
             }
         }
         let route = self.director.route(self.wants_dpu(&req.op));
@@ -357,10 +356,7 @@ impl Dds {
                         dpdpu_check::repl_write_acked(role.ctl.group, *epoch);
                         Reply::Ok
                     }
-                    Some(role) => {
-                        role.stale_rejections.inc();
-                        Reply::Error(ErrorCode::StaleEpoch)
-                    }
+                    Some(role) => role.stand_down(),
                     None => Reply::Error(ErrorCode::Unavailable),
                 }
             }
@@ -388,8 +384,7 @@ impl Dds {
                 // primary must not reach this replica's index.
                 if let Some(role) = &role {
                     if *epoch > 0 && *epoch < role.fence.get() {
-                        role.stale_rejections.inc();
-                        return Ok(Reply::Error(ErrorCode::StaleEpoch));
+                        return Ok(role.stand_down());
                     }
                 }
                 if let Some(role) = role.filter(|r| r.is_primary() && !r.deposed()) {
@@ -424,10 +419,10 @@ impl Dds {
         })
     }
 
-    /// Commits one write on a replicated shard: apply locally, chain to
-    /// the backup, ack only once the chain (or an epoch-fenced solo
-    /// grant) holds the write. `if_absent` gives migration copies
-    /// put-if-absent semantics.
+    /// Commits one write on a replicated shard: apply locally and chain
+    /// to the backup at once, ack only once the chain (or an
+    /// epoch-fenced solo grant) holds the write. `if_absent` gives
+    /// migration copies put-if-absent semantics.
     async fn repl_commit(
         &self,
         role: &Rc<ReplRole>,
@@ -440,71 +435,73 @@ impl Dds {
         // the replicas permanently divergent.
         let _gate = role.chain_gate.acquire().await;
         if role.deposed() || !role.is_primary() {
-            role.stale_rejections.inc();
-            return Ok(Reply::Error(ErrorCode::StaleEpoch));
+            return Ok(role.stand_down());
         }
         if if_absent && self.kv.contains(key) {
             return Ok(Reply::Ok);
         }
         let epoch = role.ctl.epoch();
-        self.kv.put(key, value).await?;
         let backup = if role.ctl.primary_is_solo() {
             None
         } else {
             role.backup.borrow().clone()
         };
-        match backup {
-            Some(backup) => {
-                role.chained.inc();
-                let fwd = Op::ReplPut {
-                    epoch,
-                    key,
-                    value: value.clone(),
-                };
-                match backup.call(fwd).await {
-                    // The backup applied (and recorded the ack itself).
-                    Ok(Reply::Ok) => Ok(Reply::Ok),
-                    Ok(other) => unreachable!("unexpected replication reply {other:?}"),
-                    Err(DpdpuError::StaleEpoch) => {
-                        // The fence rose past us: a failover already
-                        // promoted the backup. Stand down without acking.
-                        role.stale_rejections.inc();
-                        Ok(Reply::Error(ErrorCode::StaleEpoch))
-                    }
-                    Err(_) => match role.ctl.solo_grant(role.me) {
-                        // Backup unreachable: depose it and commit solo
-                        // at a fresh epoch.
-                        Some(e) => {
-                            role.solo_commits.inc();
-                            dpdpu_check::repl_write_acked(role.ctl.group, e);
-                            Ok(Reply::Ok)
-                        }
-                        // Refused: a failover promoted past us mid-write.
-                        None => {
-                            role.stale_rejections.inc();
-                            Ok(Reply::Error(ErrorCode::StaleEpoch))
-                        }
-                    },
+        let Some(backup) = backup else {
+            self.kv.put(key, value).await?;
+            // Solo already, or no chain link wired: make the solo claim
+            // explicit before acking unreplicated writes.
+            let e = if role.ctl.primary_is_solo() {
+                role.ctl.epoch()
+            } else {
+                match role.ctl.solo_grant(role.me) {
+                    Some(e) => e,
+                    None => return Ok(role.stand_down()),
                 }
+            };
+            role.solo_commits.inc();
+            dpdpu_check::repl_write_acked(role.ctl.group, e);
+            return Ok(Reply::Ok);
+        };
+        role.chained.inc();
+        let fwd = Op::ReplPut {
+            epoch,
+            key,
+            value: value.clone(),
+        };
+        // The backup's round trip runs beside the local apply, so the
+        // gate holds for the slower of the two, not their sum. It is a
+        // task of its own so that its wakes never re-poll the apply.
+        let chained = spawn(async move { backup.call(fwd).await });
+        let local = self.kv.put(key, value).await;
+        match (local, chained.await) {
+            // Both copies applied (the backup recorded the ack itself).
+            (Ok(()), Ok(Reply::Ok)) => Ok(Reply::Ok),
+            // Only the backup holds the write: hand it the group, so the
+            // client's re-route lands on the copy that has it. With no
+            // candidate to promote, the local error stands.
+            (Err(e), Ok(Reply::Ok)) => {
+                if role.ctl.primary() == role.me && role.ctl.promote().is_none() {
+                    return Err(e);
+                }
+                Ok(role.stand_down())
             }
-            None => {
-                // Solo already, or no chain link wired: make the solo
-                // claim explicit before acking unreplicated writes.
-                let e = if role.ctl.primary_is_solo() {
-                    role.ctl.epoch()
-                } else {
-                    match role.ctl.solo_grant(role.me) {
-                        Some(e) => e,
-                        None => {
-                            role.stale_rejections.inc();
-                            return Ok(Reply::Error(ErrorCode::StaleEpoch));
-                        }
-                    }
-                };
-                role.solo_commits.inc();
-                dpdpu_check::repl_write_acked(role.ctl.group, e);
-                Ok(Reply::Ok)
-            }
+            (_, Ok(other)) => unreachable!("unexpected replication reply {other:?}"),
+            // The fence rose past us: a failover already promoted the
+            // backup. Stand down without acking.
+            (_, Err(DpdpuError::StaleEpoch)) => Ok(role.stand_down()),
+            // Backup unreachable (it may still hold the write): depose
+            // it and go on solo at a fresh epoch. A failed local apply
+            // is still the client's error.
+            (local, Err(_)) => match role.ctl.solo_grant(role.me) {
+                Some(e) => {
+                    local?;
+                    role.solo_commits.inc();
+                    dpdpu_check::repl_write_acked(role.ctl.group, e);
+                    Ok(Reply::Ok)
+                }
+                // Refused: a failover promoted past us mid-write.
+                None => Ok(role.stand_down()),
+            },
         }
     }
 

@@ -25,11 +25,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use dpdpu::check::CheckGuard;
 use dpdpu::dds::cluster::ClusterConfig;
 use dpdpu::dds::gateway::GatewayConfig;
-use dpdpu::des::{block_on, Sim, Time};
-use dpdpu::faults::{FaultPlan, FaultSite};
+use dpdpu::dds::proto::RetryPolicy;
+use dpdpu::des::{block_on, now, sleep, Sim, Time};
+use dpdpu::faults::{FaultPlan, FaultSite, SessionGuard};
 use dpdpu::net::fabric::FabricKind;
 use dpdpu::net::NetConfig;
 use dpdpu_bench::cell::{Cell, Load, Preload, Run};
@@ -135,7 +137,7 @@ fn double_fault(seed: u64) -> (Cell, fn(&Run)) {
 
 /// When `composed_storm` freezes shard 1's primary, and how long after
 /// the load starts it adds a shard.
-const STORM_CRASH_AT: Time = 35_200_000;
+const STORM_CRASH_AT: Time = 22_300_000;
 const STORM_GROW_AFTER: Time = 600_000;
 
 /// Everything at once (ROADMAP item 5): the gateway with the fig11
@@ -396,4 +398,92 @@ fn idle_rdma_offload_fleet_costs_no_polls() {
     sim.run_until(1_010_000_000);
     assert_eq!(sim.polls(), polls, "10 ms without load polled a task");
     assert_eq!(sim.pending_timers(), 0, "`Sim::run` quiesces unaided");
+}
+
+/// One shard with `replicas` copies, preloaded and otherwise idle.
+fn idle_shard(replicas: usize) -> Cell {
+    Cell {
+        cluster: ClusterConfig {
+            shards: 1,
+            replicas,
+            ..ClusterConfig::default()
+        },
+        pool_label: "clients".into(),
+        preload: Preload {
+            keys: 8,
+            value_bytes: 256,
+        },
+        ..Cell::default()
+    }
+}
+
+/// Virtual ns one put takes on an idle [`idle_shard`].
+fn idle_put_ns(replicas: usize) -> Time {
+    let _check = CheckGuard::new();
+    block_on(async move {
+        let (_cluster, client) = idle_shard(replicas).boot().await;
+        // Past anything the preload left in flight.
+        sleep(1_000_000).await;
+        let start = now();
+        client
+            .kv_put(3, Bytes::from(vec![9u8; 256]))
+            .await
+            .expect("put");
+        now() - start
+    })
+}
+
+#[test]
+fn a_replicated_put_waits_for_the_slower_apply_not_the_sum() {
+    // The primary applies its copy while the backup's round trip is in
+    // flight, so replication adds the backup's excess over the local
+    // apply, not a second apply.
+    let (solo, chained) = (idle_put_ns(1), idle_put_ns(2));
+    assert!(
+        chained * 10 <= solo * 13,
+        "a chained put should cost at most 1.3x an unreplicated one: \
+         1 replica {solo} ns, 2 replicas {chained} ns"
+    );
+}
+
+#[test]
+fn a_primary_that_fails_its_own_apply_hands_the_group_to_its_backup() {
+    // The two copies' applies run side by side and take the eight
+    // scripted write failures in turn: each runs out its four storage
+    // attempts. The primary's error is final, but the chain re-sends the
+    // forward and it applies on the backup. Only the backup now holds
+    // the write, so the primary steps down and the routed put re-routes
+    // to it. One attempt per client call, so no client retry can heal a
+    // divergence before the digest sweep.
+    let check = CheckGuard::new();
+    let faults = SessionGuard::new(FaultPlan::new(42));
+    let session = faults.session.clone();
+    let value = Bytes::from_static(b"applied by the backup only");
+    let expected = value.clone();
+    let (cluster, put, stale, read) = block_on(async move {
+        let (cluster, client) = idle_shard(2).boot().await;
+        let primary = client.shard_client(0);
+        primary.set_policy(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
+        session.arm_ssd_write_failures(8);
+        let put = client.kv_put(3, value).await;
+        let stale = primary.failures.get();
+        let read = client.kv_get(3).await;
+        (cluster, put, stale, read)
+    });
+    // The digest sweep first: the copies the group still counts agree.
+    cluster.verify_replicas();
+    drop(check);
+    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 8);
+    let ctl = cluster.ctl(0).expect("replicated group");
+    assert_eq!(ctl.promotions.get(), 1, "the backup is promoted");
+    assert_eq!(ctl.primary(), 1);
+    assert!(ctl.is_deposed(0), "the primary stepped down");
+    let old = cluster.group(0).members[0].replication().unwrap();
+    assert_eq!(old.stale_rejections.get(), 1, "the client saw StaleEpoch");
+    assert_eq!(stale, 1, "that answer ended the call to the old primary");
+    assert_eq!(put, Ok(()), "the re-routed put succeeds");
+    assert_eq!(read, Ok(Some(expected)), "the promoted backup serves it");
 }

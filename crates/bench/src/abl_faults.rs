@@ -12,7 +12,6 @@
 //! in virtual time from seeded streams, the same seed reproduces the same
 //! run bit for bit (the CI determinism check diffs two traced runs).
 
-use bytes::Bytes;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{block_on, now};
@@ -21,6 +20,7 @@ use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
 
+use crate::fleet::{preload_keys, xorshift_keys};
 use crate::table::Table;
 
 const KEYS: u64 = 64;
@@ -131,23 +131,14 @@ pub fn measure(rate: f64) -> FaultMeasurement {
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
         let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
-        for k in 0..KEYS {
-            client
-                .kv_put(k, Bytes::from(vec![k as u8; VALUE]))
-                .await
-                .expect("preload put must succeed");
-        }
+        preload_keys(0..KEYS, VALUE, |k, v| client.kv_put(k, v)).await;
         dds.served_dpu.reset();
         dds.served_host.reset();
         let mut latencies = Vec::with_capacity(GETS as usize);
         let mut errors = 0u64;
-        let mut x = 0x2545F491u64;
-        for _ in 0..GETS {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
+        for key in xorshift_keys(KEYS).take(GETS as usize) {
             let t0 = now();
-            match client.kv_get(x % KEYS).await {
+            match client.kv_get(key).await {
                 Ok(v) => assert!(v.is_some(), "preloaded key must exist"),
                 Err(_) => errors += 1,
             }

@@ -8,7 +8,6 @@
 //! then scale the per-request saving to a production request rate to
 //! recover the paper's headline.
 
-use bytes::Bytes;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::server::{Dds, DdsConfig};
 use dpdpu_des::{block_on, now};
@@ -16,6 +15,7 @@ use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
 
+use crate::fleet::{preload_keys, xorshift_keys};
 use crate::table::Table;
 
 const KEYS: u64 = 128;
@@ -81,12 +81,7 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
         let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
-        for k in 0..32u64 {
-            client
-                .kv_put(k, Bytes::from(vec![k as u8; VALUE]))
-                .await
-                .expect("put must succeed");
-        }
+        preload_keys(0..32, VALUE, |k, v| client.kv_put(k, v)).await;
         for i in 0..96u64 {
             let value = client
                 .kv_get(i % 32)
@@ -129,23 +124,14 @@ fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
         let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
-        for k in 0..KEYS {
-            client
-                .kv_put(k, Bytes::from(vec![k as u8; VALUE]))
-                .await
-                .expect("put must succeed");
-        }
+        preload_keys(0..KEYS, VALUE, |k, v| client.kv_put(k, v)).await;
         platform.host_cpu.reset_stats();
         dds.served_dpu.reset();
         dds.served_host.reset();
         let t0 = now();
-        let mut x = 0x2545F491u64;
-        for _ in 0..GETS {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
+        for key in xorshift_keys(KEYS).take(GETS as usize) {
             client
-                .kv_get(x % KEYS)
+                .kv_get(key)
                 .await
                 .expect("get must succeed")
                 .expect("loaded key");

@@ -402,6 +402,18 @@ pub(crate) async fn preload_keys<Fut>(
     }
 }
 
+/// The single-server read loops' key stream (Fig. 9, A9): xorshift64
+/// from a fixed seed, reduced into `0..keys`.
+pub(crate) fn xorshift_keys(keys: u64) -> impl Iterator<Item = u64> {
+    let mut x = 0x2545F491u64;
+    std::iter::repeat_with(move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % keys
+    })
+}
+
 /// Preloads every key of `cfg.dist` so reads hit (routed puts through
 /// the cluster client).
 pub async fn preload(client: &Rc<ClusterClient>, cfg: &FleetConfig) {

@@ -8,6 +8,10 @@
 //! (absolute numbers come from the authors' testbed; ours come from the
 //! calibrated models in `dpdpu_hw::costs`).
 //!
+//! EXPERIMENTS.md is the figure golden: each `=== id ===` block of
+//! [`render_all`] sits alone in one of its ```` ```text ```` fences,
+//! which `tests/golden_trace.rs` compares and `UPDATE_GOLDEN=1` rewrites.
+//!
 //! Binaries: `all_figures [id…]` prints every table, or the named ones
 //! (the ids of [`all`]: `all_figures fig2 A3`); the six harnesses that
 //! take flags keep a binary of their own — `fig9_dds_savings`,
@@ -93,8 +97,8 @@ pub fn render(ids: &[&str]) -> String {
     out
 }
 
-/// Every figure and ablation table: what `all_figures` prints and
-/// `tests/golden/all_figures.stdout.txt` pins.
+/// Every figure and ablation table: what `all_figures` prints, pinned
+/// block by block in EXPERIMENTS.md's ```` ```text ```` fences.
 pub fn render_all() -> String {
     let ids: Vec<_> = all().iter().map(|(id, _)| *id).collect();
     render(&ids)

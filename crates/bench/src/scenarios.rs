@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::cell::{Cell, Load, Preload};
-use crate::fleet::{FleetConfig, KeyDist, Mix, TenantWorkload};
+use crate::fleet::{preload_keys, FleetConfig, KeyDist, Mix, TenantWorkload};
 
 /// Everything observable about one scenario run.
 pub struct ScenarioRun {
@@ -148,12 +148,7 @@ pub fn dds_kv(seed: u64) -> ScenarioRun {
             let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
             let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
 
-            for k in 0..KEYS {
-                client
-                    .kv_put(k, Bytes::from(vec![k as u8; VALUE]))
-                    .await
-                    .expect("preload put must succeed");
-            }
+            preload_keys(0..KEYS, VALUE, |k, v| client.kv_put(k, v)).await;
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD5);
             let mut resolved = 0u64;
             let mut errors = 0u64;
@@ -202,14 +197,11 @@ pub fn compute_pipeline(seed: u64) -> ScenarioRun {
             let page_len = page.len();
             let input = KernelInput::Bytes(page.clone());
 
-            let compressed = match engine
+            let compressed = engine
                 .run(&KernelOp::Compress, &input, Placement::Scheduled)
                 .await
                 .expect("compress must run")
-            {
-                KernelOutput::Bytes(b) => b,
-                other => panic!("unexpected compress output: {other:?}"),
-            };
+                .into_bytes();
             let digest = match engine
                 .run(&KernelOp::Sha256, &input, Placement::Scheduled)
                 .await
@@ -222,22 +214,16 @@ pub fn compute_pipeline(seed: u64) -> ScenarioRun {
             key[..8].copy_from_slice(&seed.to_le_bytes());
             let nonce = [7u8; 12];
             let crypt = KernelOp::Crypt { key, nonce };
-            let encrypted = match engine
+            let encrypted = engine
                 .run(&crypt, &input, Placement::Scheduled)
                 .await
                 .expect("encrypt must run")
-            {
-                KernelOutput::Bytes(b) => b,
-                other => panic!("unexpected crypt output: {other:?}"),
-            };
-            let decrypted = match engine
+                .into_bytes();
+            let decrypted = engine
                 .run(&crypt, &KernelInput::Bytes(encrypted), Placement::Scheduled)
                 .await
                 .expect("decrypt must run")
-            {
-                KernelOutput::Bytes(b) => b,
-                other => panic!("unexpected crypt output: {other:?}"),
-            };
+                .into_bytes();
             assert_eq!(decrypted, page, "AES-CTR must be an involution");
             let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             format!(

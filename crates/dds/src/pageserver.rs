@@ -22,6 +22,9 @@ use dpdpu_storage::{FileId, FileService, FsError, PageCache, RecordLog};
 /// LSN checks, memcpy, bookkeeping).
 pub const REPLAY_CYCLES_PER_RECORD: u64 = 20_000;
 
+/// Bytes per page, the Hyperscale page size.
+pub const PAGE_SIZE: u64 = 8_192;
+
 /// One pending WAL record.
 #[derive(Debug, Clone)]
 pub struct LogRecord {
@@ -36,7 +39,6 @@ pub struct PageServer {
     service: Rc<FileService>,
     pages: FileId,
     wal: RecordLog,
-    page_size: usize,
     pending: RefCell<HashMap<u64, Vec<LogRecord>>>,
     /// Optional DPU-memory page cache in front of the SSD (§9 "caching
     /// in DPU-backed file system"); write-invalidated by log arrival.
@@ -60,14 +62,12 @@ impl PageServer {
         service: Rc<FileService>,
         pages: FileId,
         wal: FileId,
-        page_size: usize,
         cache: Option<Rc<PageCache>>,
     ) -> Result<Rc<Self>, FsError> {
         Ok(Rc::new(PageServer {
             wal: RecordLog::open(service.clone(), wal)?,
             service,
             pages,
-            page_size,
             pending: RefCell::new(HashMap::new()),
             cache,
             epochs: RefCell::new(HashMap::new()),
@@ -84,7 +84,6 @@ impl PageServer {
     /// (redo is idempotent).
     pub async fn recover(
         service: Rc<FileService>,
-        page_size: usize,
         cache: Option<Rc<PageCache>>,
     ) -> Result<Rc<Self>, FsError> {
         let pages = service.open("pages.db").await?;
@@ -97,7 +96,7 @@ impl PageServer {
             }
             Err(_) => 0,
         };
-        let ps = Self::new(service, pages, wal, page_size, cache)?;
+        let ps = Self::new(service, pages, wal, cache)?;
         // Redo scan: [page u64][offset u32][len u32][delta]. A torn tail
         // record ends it: that append was never acked.
         let mut pos = ckpt;
@@ -133,12 +132,11 @@ impl PageServer {
             .await
     }
 
-    /// Creates a page server with `num_pages` zeroed pages of `page_size`
-    /// bytes and an optional DPU-memory page cache.
+    /// Creates a page server with `num_pages` zeroed pages of
+    /// [`PAGE_SIZE`] bytes and an optional DPU-memory page cache.
     pub async fn with_cache(
         service: Rc<FileService>,
         num_pages: u64,
-        page_size: usize,
         cache: Option<Rc<PageCache>>,
     ) -> Result<Rc<Self>, FsError> {
         let pages = service.create("pages.db").await?;
@@ -147,17 +145,17 @@ impl PageServer {
         // read back as zeros — thin provisioning).
         if num_pages > 0 {
             service
-                .write(pages, num_pages * page_size as u64 - 1, &[0u8])
+                .write(pages, num_pages * PAGE_SIZE - 1, &[0u8])
                 .await?;
         }
-        Self::new(service, pages, wal, page_size, cache)
+        Self::new(service, pages, wal, cache)
     }
 
     /// Appends one WAL record: durable in the WAL file, then queued for
     /// replay. The page becomes dirty until replay catches up.
     pub async fn append_log(&self, page_id: u64, offset: u32, delta: Bytes) -> Result<(), FsError> {
         assert!(
-            (offset as usize + delta.len()) <= self.page_size,
+            offset as u64 + delta.len() as u64 <= PAGE_SIZE,
             "log record exceeds page bounds"
         );
         // Durable WAL append: [page u64][offset u32][len u32][delta].
@@ -177,7 +175,7 @@ impl PageServer {
             // cancels any in-flight read's pending `cache.put` for this
             // page (it snapshotted the old epoch before its SSD await).
             *self.epochs.borrow_mut().entry(page_id).or_default() += 1;
-            cache.invalidate(self.pages, page_id * self.page_size as u64);
+            cache.invalidate(self.pages, page_id * PAGE_SIZE);
         }
         self.log_records.inc();
         Ok(())
@@ -185,8 +183,9 @@ impl PageServer {
 
     /// Reads the stored image of `page_id`.
     async fn read_page(&self, page_id: u64) -> Result<Vec<u8>, FsError> {
-        let size = self.page_size as u64;
-        self.service.read(self.pages, page_id * size, size).await
+        self.service
+            .read(self.pages, page_id * PAGE_SIZE, PAGE_SIZE)
+            .await
     }
 
     /// Current invalidation epoch of `page_id`.
@@ -214,7 +213,7 @@ impl PageServer {
             self.is_clean(page_id),
             "director routed a dirty page to the DPU"
         );
-        let offset = page_id * self.page_size as u64;
+        let offset = page_id * PAGE_SIZE;
         if let Some(cache) = &self.cache {
             if let Some(data) = cache.get(self.pages, offset) {
                 return Ok(Bytes::from(data));
@@ -258,7 +257,7 @@ impl PageServer {
         records: &[LogRecord],
         host_cpu: &CpuPool,
     ) -> Result<(), FsError> {
-        let base = page_id * self.page_size as u64;
+        let base = page_id * PAGE_SIZE;
         let epoch = self.epoch(page_id);
         let mut image = self.read_page(page_id).await?;
         for rec in records {
@@ -296,7 +295,7 @@ mod tests {
     async fn server(p: &Rc<Platform>) -> Rc<PageServer> {
         let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
         let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
-        PageServer::with_cache(svc, 64, 8_192, None).await.unwrap()
+        PageServer::with_cache(svc, 64, None).await.unwrap()
     }
 
     #[test]
@@ -307,7 +306,7 @@ mod tests {
             let ps = server(&p).await;
             assert!(ps.is_clean(3));
             let page = ps.get_page_dpu(3).await.unwrap();
-            assert_eq!(page.len(), 8_192);
+            assert_eq!(page.len() as u64, PAGE_SIZE);
             assert!(page.iter().all(|&b| b == 0));
         });
         sim.run();
@@ -382,8 +381,8 @@ mod tests {
                 1 << 20,
             ));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
-            let cache = PageCache::new(&p.dpu_mem, 16, 8_192).unwrap();
-            let ps = PageServer::with_cache(svc, 64, 8_192, Some(cache.clone()))
+            let cache = PageCache::new(&p.dpu_mem, 16, PAGE_SIZE).unwrap();
+            let ps = PageServer::with_cache(svc, 64, Some(cache.clone()))
                 .await
                 .unwrap();
             // Cold read fills the cache; warm read hits it.
@@ -431,8 +430,8 @@ mod tests {
             let p = Platform::default_bf2();
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
-            let cache = PageCache::new(&p.dpu_mem, 16, 8_192).unwrap();
-            let ps = PageServer::with_cache(svc, 64, 8_192, Some(cache.clone()))
+            let cache = PageCache::new(&p.dpu_mem, 16, PAGE_SIZE).unwrap();
+            let ps = PageServer::with_cache(svc, 64, Some(cache.clone()))
                 .await
                 .unwrap();
             let appender = {
@@ -454,7 +453,7 @@ mod tests {
             appender.await;
             // …so the guarded install must have been skipped.
             assert!(
-                cache.get(ps.pages, 4 * 8_192).is_none(),
+                cache.get(ps.pages, 4 * PAGE_SIZE).is_none(),
                 "in-flight read re-installed an invalidated image"
             );
             // After replay, reads observe the fresh bytes.
@@ -474,9 +473,7 @@ mod tests {
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             {
-                let ps = PageServer::with_cache(svc.clone(), 64, 8_192, None)
-                    .await
-                    .unwrap();
+                let ps = PageServer::with_cache(svc.clone(), 64, None).await.unwrap();
                 ps.append_log(3, 10, Bytes::from_static(b"abc"))
                     .await
                     .unwrap();
@@ -485,7 +482,7 @@ mod tests {
                     .unwrap();
                 // Crash before any replay.
             }
-            let ps = PageServer::recover(svc, 8_192, None).await.unwrap();
+            let ps = PageServer::recover(svc, None).await.unwrap();
             assert_eq!(ps.dirty_pages(), 2, "both pages need redo");
             let page = ps.get_page_host(3, &p.host_cpu).await.unwrap();
             assert_eq!(&page[10..13], b"abc");
@@ -503,9 +500,7 @@ mod tests {
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             {
-                let ps = PageServer::with_cache(svc.clone(), 64, 8_192, None)
-                    .await
-                    .unwrap();
+                let ps = PageServer::with_cache(svc.clone(), 64, None).await.unwrap();
                 ps.append_log(1, 0, Bytes::from_static(b"AAAA"))
                     .await
                     .unwrap();
@@ -516,7 +511,7 @@ mod tests {
                 ps.replay_page(1, &p.host_cpu).await.unwrap();
             }
             // Recovery re-applies already-applied records: same image.
-            let ps = PageServer::recover(svc, 8_192, None).await.unwrap();
+            let ps = PageServer::recover(svc, None).await.unwrap();
             assert!(!ps.is_clean(1), "records conservatively requeued");
             let page = ps.get_page_host(1, &p.host_cpu).await.unwrap();
             assert_eq!(&page[0..4], b"AABB");
@@ -532,9 +527,7 @@ mod tests {
             let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             {
-                let ps = PageServer::with_cache(svc.clone(), 64, 8_192, None)
-                    .await
-                    .unwrap();
+                let ps = PageServer::with_cache(svc.clone(), 64, None).await.unwrap();
                 ps.append_log(5, 0, Bytes::from_static(b"old"))
                     .await
                     .unwrap();
@@ -545,7 +538,7 @@ mod tests {
                     .await
                     .unwrap();
             }
-            let ps = PageServer::recover(svc, 8_192, None).await.unwrap();
+            let ps = PageServer::recover(svc, None).await.unwrap();
             assert_eq!(
                 ps.dirty_pages(),
                 1,

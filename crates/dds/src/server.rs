@@ -23,7 +23,7 @@ use dpdpu_storage::{BlockDevice, ExtentFs, FileService, FsError};
 
 use crate::director::{Route, TrafficDirector};
 use crate::kv::{KvStore, Residency};
-use crate::pageserver::PageServer;
+use crate::pageserver::{PageServer, PAGE_SIZE};
 use crate::proto::{ErrorCode, Op, Reply, Request, Response, RetryPolicy};
 use crate::replication::ReplRole;
 
@@ -55,8 +55,6 @@ pub struct DdsConfig {
     pub kv_index_budget: u64,
     /// Pages hosted by the page server.
     pub num_pages: u64,
-    /// Page size in bytes.
-    pub page_size: usize,
     /// DPU-memory page cache in front of the SSD, in pages (0 = none;
     /// the §9 "caching in DPU-backed file system" extension).
     pub dpu_cache_pages: usize,
@@ -68,7 +66,6 @@ impl Default for DdsConfig {
             offload_enabled: true,
             kv_index_budget: 1 << 20,
             num_pages: 1_024,
-            page_size: 8_192,
             dpu_cache_pages: 0,
         }
     }
@@ -121,17 +118,13 @@ impl Dds {
         .expect("fresh fs cannot fail");
         let cache = if config.dpu_cache_pages > 0 {
             Some(
-                dpdpu_storage::PageCache::new(
-                    &platform.dpu_mem,
-                    config.dpu_cache_pages,
-                    config.page_size as u64,
-                )
-                .expect("cache must fit in DPU memory"),
+                dpdpu_storage::PageCache::new(&platform.dpu_mem, config.dpu_cache_pages, PAGE_SIZE)
+                    .expect("cache must fit in DPU memory"),
             )
         } else {
             None
         };
-        let pages = PageServer::with_cache(service, config.num_pages, config.page_size, cache)
+        let pages = PageServer::with_cache(service, config.num_pages, cache)
             .await
             .expect("fresh fs cannot fail");
         Rc::new(Dds {

@@ -50,11 +50,12 @@ pub use cong::{CongAlg, CongAlgKind, CongConfig, Measurement, Report};
 use crate::fabric::Endpoint;
 use conn::build_mux;
 
+/// Maximum segment size (payload bytes per segment).
+pub const MSS: usize = 8_192;
+
 /// Tunables for one connection.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpParams {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: usize,
     /// Maximum congestion window, in segments.
     pub max_wnd_segs: u64,
     /// Retransmission timeout.
@@ -71,7 +72,6 @@ pub struct TcpParams {
 impl Default for TcpParams {
     fn default() -> Self {
         TcpParams {
-            mss: 8_192,
             max_wnd_segs: 256,
             rto_ns: 1_000_000,
             recv_ring_slots: 256,
@@ -245,12 +245,10 @@ impl TcpConnector {
     /// Replaces the full parameter set.
     ///
     /// # Panics
-    /// On a parameter set no connection can make progress with: a zero
-    /// `mss` (segmentation never consumes the message), zero
+    /// On a parameter set no connection can make progress with: zero
     /// `recv_ring_slots` (a zero window nothing can reopen) or zero
     /// `max_wnd_segs` (a zero congestion window under a re-arming RTO).
     pub fn params(mut self, params: TcpParams) -> Self {
-        assert!(params.mss > 0, "TcpParams::mss must be at least 1");
         assert!(
             params.recv_ring_slots > 0,
             "TcpParams::recv_ring_slots must be at least 1"
@@ -714,16 +712,6 @@ mod tests {
         });
         sim.run();
         assert!(done.get(), "zero-window test deadlocked");
-    }
-
-    #[test]
-    #[should_panic(expected = "mss must be at least 1")]
-    fn zero_mss_is_rejected_at_the_connector() {
-        // Used to loop for ever in the sender's segmentation.
-        let _ = TcpConnector::new(fast_link()).params(TcpParams {
-            mss: 0,
-            ..TcpParams::default()
-        });
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use dpdpu_des::{race, Either, Permit, Receiver, Semaphore, Sender};
 
 use super::conn::{SegPort, Segment};
-use super::{TcpParams, TcpStats};
+use super::{TcpParams, TcpStats, MSS};
 use crate::fabric::Endpoint;
 
 pub(crate) async fn receiver_task(
@@ -31,7 +31,7 @@ pub(crate) async fn receiver_task(
     // Once the app half closes, its wnd channel yields None forever and
     // must leave the wait set.
     let mut wnd_open = true;
-    let mss = params.mss as u64;
+    let mss = MSS as u64;
     let mut advertised: u64 = params.recv_ring_slots as u64 * mss;
 
     loop {

@@ -13,7 +13,7 @@ use dpdpu_faults::FaultSite;
 
 use super::cong::{CongAlg, CongConfig, Measurement, Report};
 use super::conn::{AckEvent, SegPort, Segment};
-use super::{TcpParams, TcpStats};
+use super::{TcpParams, TcpStats, MSS};
 use crate::fabric::Endpoint;
 
 /// Initial congestion window, in segments (RFC 6928's IW10).
@@ -91,7 +91,7 @@ pub(crate) async fn sender_task(
     stats: Rc<TcpStats>,
     label: Option<Rc<str>>,
 ) {
-    let mss = params.mss as u64;
+    let mss = MSS as u64;
     let max_wnd = (params.max_wnd_segs * mss) as f64;
     let mut alg: Box<dyn CongAlg> = params.cong.build();
     let initial = alg.install(&CongConfig {
@@ -195,7 +195,7 @@ pub(crate) async fn sender_task(
                     .unwrap_or(s.snd_nxt);
                 let mut remaining = data;
                 loop {
-                    let take = remaining.len().min(params.mss);
+                    let take = remaining.len().min(MSS);
                     let chunk = remaining.split_to(take);
                     s.unsent.push_back((base, chunk));
                     base += take as u64;

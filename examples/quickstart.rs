@@ -53,10 +53,7 @@ fn main() {
             )
             .await
             .unwrap();
-        let compressed = match out {
-            dpdpu::compute::KernelOutput::Bytes(b) => b,
-            other => panic!("unexpected output {other:?}"),
-        };
+        let compressed = out.into_bytes();
         println!(
             "compute: compressed {} -> {} bytes ({:.2}x) on {}",
             payload.len(),

@@ -1,16 +1,19 @@
 //! Golden-trace conformance: every shipped scenario's seed-42 summary
-//! and Chrome trace, and every figure table, are pinned as blessed
-//! fixtures under `tests/golden/`.
+//! and Chrome trace are pinned as blessed fixtures under `tests/golden/`,
+//! and every figure table is pinned in EXPERIMENTS.md itself: each
+//! `=== id ===` block of `dpdpu_bench::render_all()` sits alone in a
+//! ```` ```text ```` fence there, and that fence is its only copy.
 //!
 //! A behaviour change that shifts virtual timings, event counts, or
 //! summary numbers shows up here as a line-level diff. To re-bless
-//! after an intentional change:
+//! after an intentional change (figure blocks are rewritten in place;
+//! every byte of EXPERIMENTS.md outside them is kept):
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use dpdpu::check::golden;
@@ -98,14 +101,128 @@ fn par_cluster_matches_golden() {
     check_scenario("par_cluster");
 }
 
-/// Every number EXPERIMENTS.md quotes, pinned: virtual time makes the
-/// full figure run byte-identical in any profile on any host.
+/// `render_all()`, run once for the whole test binary, as `(id, block)`
+/// pairs in experiment-id order, each block normalised like every golden.
+fn figures() -> &'static [(String, String)] {
+    static FIGURES: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    FIGURES.get_or_init(|| {
+        let all = format!("\n{}", dpdpu_bench::render_all());
+        let blocks = all.split("\n=== ").skip(1);
+        let blocks = blocks.map(|b| golden::normalize(&format!("=== {b}")));
+        blocks
+            .map(|block| (header_id(&block).expect("a header").to_string(), block))
+            .collect()
+    })
+}
+
+/// The id named by the `=== id ===` header on `text`'s first line.
+fn header_id(text: &str) -> Option<&str> {
+    let first = text.lines().next()?;
+    first.strip_prefix("=== ")?.strip_suffix(" ===")
+}
+
+/// Compares every ```` ```text ```` fence of the doc at `path` with the
+/// [`figures`] block its header names; with `bless`, rewrites the blocks
+/// that moved instead, keeping every other byte. Errs, blessing or not,
+/// when a fence never closes, a text fence holds anything but one block,
+/// or a figure id is unknown, repeated or missing.
+fn check_figures(path: &Path, bless: bool) -> Result<(), String> {
+    let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let (mut out, mut seen, mut drifted) = (String::new(), Vec::new(), Vec::new());
+    let mut lines = doc.split_inclusive('\n').enumerate();
+    while let Some((n, open)) = lines.next() {
+        out.push_str(open);
+        let Some(info) = open.trim_end().strip_prefix("```") else {
+            continue;
+        };
+        let mut body = String::new();
+        let close = loop {
+            match lines.next() {
+                Some((_, line)) if line.trim_end() == "```" => break line,
+                Some((_, line)) => body.push_str(line),
+                None => return Err(format!("line {}: fence never closes", n + 1)),
+            }
+        };
+        if info == "text" {
+            let id = match (header_id(&body), body.lines().skip(1).find_map(header_id)) {
+                (Some(id), None) => id.to_string(),
+                _ => return Err(format!("line {}: a text fence is not one block", n + 1)),
+            };
+            let Some((_, block)) = figures().iter().find(|(f, _)| *f == id) else {
+                return Err(format!("line {}: render_all() prints no `{id}`", n + 1));
+            };
+            if seen.contains(&id) {
+                return Err(format!("line {}: figure `{id}` appears twice", n + 1));
+            }
+            if let Some(d) = golden::diff(&body, block) {
+                drifted.push(format!("figure `{id}` (line {}):\n{d}", n + 2));
+            }
+            body.clone_from(block);
+            seen.push(id);
+        }
+        out.push_str(&body);
+        out.push_str(close);
+    }
+    if let Some((id, _)) = figures().iter().find(|(id, _)| !seen.contains(id)) {
+        return Err(format!("no text fence holds figure `{id}`"));
+    }
+    match (drifted.is_empty(), bless) {
+        (true, _) => Ok(()),
+        (false, true) => std::fs::write(path, out).map_err(|e| e.to_string()),
+        (false, false) => Err(format!(
+            "diverges from dpdpu_bench::render_all() (UPDATE_GOLDEN=1 rewrites the blocks):\n{}",
+            drifted.join("\n")
+        )),
+    }
+}
+
+fn experiments_md() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md")
+}
+
+/// Every figure table, pinned where the paper is answered: virtual time
+/// makes the full figure run byte-identical in any profile on any host.
 #[test]
 fn every_figure_matches_its_golden() {
-    golden::assert_matches(
-        golden_path("all_figures.stdout.txt"),
-        &dpdpu_bench::render_all(),
-    );
+    check_figures(&experiments_md(), golden::blessing())
+        .unwrap_or_else(|e| panic!("EXPERIMENTS.md: {e}"));
+}
+
+/// The figure golden is known-sensitive. On a copy of EXPERIMENTS.md, a
+/// changed digit, a missing or repeated block, a text fence holding prose
+/// and an unclosed fence each fail; blessing the changed digit gives the
+/// original back byte for byte.
+#[test]
+fn the_figure_golden_catches_drift_and_malformed_fences() {
+    let doc = std::fs::read_to_string(experiments_md()).expect("EXPERIMENTS.md");
+    let tmp = std::env::temp_dir().join(format!("dpdpu-experiments-{}.md", std::process::id()));
+    let check = |text: &str, bless: bool| {
+        std::fs::write(&tmp, text).expect("write the copy");
+        check_figures(&tmp, bless)
+    };
+    let a4 = &figures().iter().find(|(id, _)| id == "A4").expect("A4").1;
+    let fence = format!("```text\n{a4}```\n");
+
+    let bumped = doc.replacen("## Ablation A4", "## Ablation A5", 1);
+    let err = check(&bumped, false).expect_err("a changed digit");
+    assert!(err.contains("figure `A4`"), "{err}");
+    check(&bumped, true).expect("blessing a changed digit");
+    let blessed = std::fs::read_to_string(&tmp).expect("read back");
+    assert!(blessed == doc, "blessing must give the original back");
+
+    let (twice, prose) = (fence.repeat(2), "```text\nprose\n```\n");
+    for (text, expect) in [
+        (doc.replacen(&fence, "", 1), "holds figure `A4`"),
+        (doc.replacen(&fence, &twice, 1), "`A4` appears twice"),
+        (doc.replacen(&fence, prose, 1), "not one block"),
+        (format!("{doc}```text\n"), "fence never closes"),
+    ] {
+        for bless in [false, true] {
+            let err = check(&text, bless).expect_err(expect);
+            assert!(err.contains(expect), "{expect}: {err}");
+        }
+    }
+    let _ = std::fs::remove_file(&tmp);
 }
 
 #[test]

@@ -18,7 +18,7 @@ const HOT_PAGES: u64 = 96; // working set > any single cache slice
 const REQUESTS: usize = 1_200;
 
 /// Runs the split sweep at a balanced workload mix and renders it.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "dpu_cache_pages",
         "host_cache_pages",

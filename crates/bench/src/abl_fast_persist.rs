@@ -14,7 +14,7 @@ use crate::table::Table;
 const APPENDS: usize = 64;
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "payload_bytes",
         "host_ack_p50_us",

@@ -39,7 +39,7 @@ const OVERLOAD_PERIODS: u64 = 400;
 
 /// The swept fault rates (applied to link drops, SSD read errors, and
 /// slow I/O simultaneously).
-pub const RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
+pub(crate) const RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
 
 /// Runs the sweep and renders the table.
 pub fn run() -> String {
@@ -74,19 +74,19 @@ pub fn run() -> String {
 }
 
 /// One point of the sweep.
-pub struct FaultMeasurement {
+pub(crate) struct FaultMeasurement {
     /// 99th-percentile get latency in virtual ns.
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
     /// Fraction of measured gets served on the host path.
-    pub host_frac: f64,
+    pub(crate) host_frac: f64,
     /// Requests that reached a terminal state (response or typed error).
-    pub resolved: u64,
+    pub(crate) resolved: u64,
     /// Requests that terminated with a typed error.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Faults the plan injected over the whole run.
-    pub injected: u64,
+    pub(crate) injected: u64,
     /// Client-level re-sends (timeouts and server errors).
-    pub retries: u64,
+    pub(crate) retries: u64,
 }
 
 fn plan(rate: f64) -> FaultPlan {
@@ -110,7 +110,7 @@ fn plan(rate: f64) -> FaultPlan {
 }
 
 /// Runs the read-heavy DDS workload under `plan(rate)`.
-pub fn measure(rate: f64) -> FaultMeasurement {
+pub(crate) fn measure(rate: f64) -> FaultMeasurement {
     let guard = SessionGuard::new(plan(rate));
     let (mut latencies, host_frac, errors, retries) = block_on(async move {
         let platform = Platform::default_bf2();

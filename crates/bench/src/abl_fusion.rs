@@ -15,7 +15,7 @@ use dpdpu_hw::{PeerSpec, Platform};
 use crate::table::Table;
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&["input_kb", "fused_us", "unfused_us", "fusion_speedup"]);
     for kb in [16u64, 64, 256, 1_024] {
         let fused = measure(kb * 1_024, true);

@@ -17,7 +17,7 @@ use crate::table::Table;
 const KEYS: u64 = 10_000;
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "index_budget_entries",
         "dpu_resident_keys",

@@ -22,7 +22,7 @@ const PAGES: u64 = 64;
 const PAGE: u64 = 8_192;
 
 /// Runs both compositions and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let sequential = measure(false);
     let pipelined = measure(true);
     let mut table = Table::new(&["composition", "makespan_ms", "speedup"]);

@@ -17,7 +17,7 @@ const JOBS: usize = 96;
 const JOB_BYTES: usize = 4 * 1024;
 
 /// Runs both policies and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "placement",
         "makespan_ms",

@@ -19,7 +19,7 @@ const SMALL_JOBS: usize = 400;
 const BIG_JOBS: usize = 40;
 
 /// Runs all three policies and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "policy",
         "small_p50_us",

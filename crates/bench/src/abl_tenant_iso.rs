@@ -19,7 +19,7 @@ const SMALL_JOBS: usize = 32;
 const SMALL_BYTES: u64 = 16 * 1024;
 
 /// Runs FIFO vs DRR shares and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&["admission", "small_p50_us", "small_p99_us"]);
     let fifo = measure(false);
     let drr = measure(true);

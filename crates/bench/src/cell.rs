@@ -26,7 +26,7 @@ use crate::fleet::{
 };
 
 /// Hot key set of the register workload: small, so clients collide.
-pub const REGISTER_KEYS: u64 = 8;
+pub(crate) const REGISTER_KEYS: u64 = 8;
 
 /// The key population written before the load: keys `0..keys`, each
 /// holding `value_bytes` bytes of its own low byte. The default preloads
@@ -42,13 +42,13 @@ pub struct Preload {
 /// What drives the cell once it is up.
 #[derive(Debug, Clone)]
 pub enum Load {
-    /// [`run_fleet`] on the cluster client ([`Run::fleet`]). The seed
+    /// [`run_fleet`] on the cluster client (`Run::fleet`). The seed
     /// given to [`Cell::run`] replaces [`FleetConfig::seed`].
     Fleet(FleetConfig),
     /// [`run_tenant_fleet`] through a gateway fronting the client
-    /// ([`Run::tenants`], [`Run::snapshots`]).
+    /// (`Run::tenants`, [`Run::snapshots`]).
     Tenants(GatewayConfig, Vec<TenantWorkload>),
-    /// History-recording clients over [`REGISTER_KEYS`] registers: each
+    /// History-recording clients over `REGISTER_KEYS` (8) registers: each
     /// issues `ops_per_client` operations one at a time, a coin flip
     /// between a put of a value unique to `(client, seq)` and a get, and
     /// records every observation ([`Run::history`], [`Run::ambiguous`]).
@@ -110,9 +110,9 @@ pub struct Run {
     /// The cluster.
     pub cluster: Rc<DdsCluster>,
     /// [`Load::Fleet`]'s report (all zero under another load).
-    pub fleet: FleetReport,
+    pub(crate) fleet: FleetReport,
     /// [`Load::Tenants`]' reports, in workload order.
-    pub tenants: Vec<TenantFleetReport>,
+    pub(crate) tenants: Vec<TenantFleetReport>,
     /// Gateway snapshots of the active tenants, in workload order.
     pub snapshots: Vec<TenantSnapshot>,
     /// [`Load::Registers`]' merged history, read-back included.
@@ -120,16 +120,16 @@ pub struct Run {
     /// Register writes that ended in an error after a possible effect.
     pub ambiguous: u64,
     /// Requests the client's admission windows shed, over all shards.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Virtual time at which preload ended and the load started.
     pub load_started_at: Time,
     /// The new shard's id per script entry, in script order.
     pub script: Vec<Result<usize, DpdpuError>>,
     /// Host-CPU busy ns summed over the shards, boot through preload.
-    pub preload_host_busy_ns: u64,
+    pub(crate) preload_host_busy_ns: u64,
     /// Host-CPU busy ns summed over the shards (a grown one included)
     /// from the end of preload until load and script had both returned.
-    pub load_host_busy_ns: u64,
+    pub(crate) load_host_busy_ns: u64,
     /// What the plan injected, taken after quiescence.
     pub faults: FaultReport,
 }
@@ -137,7 +137,7 @@ pub struct Run {
 impl Cell {
     /// The default cell under `fleet`, the population it draws from
     /// preloaded at its value size.
-    pub fn fleet(fleet: FleetConfig) -> Cell {
+    pub(crate) fn fleet(fleet: FleetConfig) -> Cell {
         Cell {
             preload: Preload {
                 keys: fleet.dist.keys(),

@@ -47,23 +47,23 @@ const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
 pub(crate) const PROD_RATE: f64 = 5_000_000.0;
 
-/// The testbed's fleet sizes: what [`run`] and the figure golden sweep.
+/// The testbed's fleet sizes: what `run` and the figure golden sweep.
 pub const SERVERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the default sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     run_with(&SERVERS, NetConfig::default(), 1)
 }
 
 /// The default sweep with every shard replicated twice: the replication
 /// tax, against [`run`]'s table.
-pub fn run_replicated() -> String {
+pub(crate) fn run_replicated() -> String {
     run_with(&SERVERS, NetConfig::default(), 2)
 }
 
 /// The bin's `--servers` list: every token of `args` up to the next
-/// `--flag`, each a fleet size whose clients [`MAX_CLIENTS`] still seeds
-/// apart. `Err` is the usage message.
+/// `--flag`, each a fleet size whose clients (at most 1 000, the most
+/// one run's seeds keep apart) fit one run. `Err` is the usage message.
 pub fn parse_servers(
     args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
 ) -> Result<Vec<usize>, String> {

@@ -25,7 +25,7 @@ use crate::fleet::KeyDist;
 use crate::table::Table;
 
 /// Runs the full sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     run_with(None, NetConfig::default())
 }
 

@@ -118,15 +118,15 @@ pub fn default_workloads() -> Vec<TenantWorkload> {
 }
 
 /// One tenant's outcome across the solo and mixed runs.
-pub struct TenantOutcome {
+pub(crate) struct TenantOutcome {
     /// Gateway snapshot from the mixed run.
-    pub mixed: TenantSnapshot,
+    pub(crate) mixed: TenantSnapshot,
     /// Fleet report from the mixed run (for distinct-client counts).
-    pub fleet: TenantFleetReport,
+    pub(crate) fleet: TenantFleetReport,
     /// p99 of the tenant measured alone on an identical cluster, ns.
-    pub solo_p99_ns: u64,
+    pub(crate) solo_p99_ns: u64,
     /// DRR weight the tenant was served at.
-    pub weight: u64,
+    pub(crate) weight: u64,
 }
 
 /// One fleet (any subset of the tenants active) on a fresh cluster
@@ -156,7 +156,7 @@ fn cell(specs: &[TenantSpec], workloads: Vec<TenantWorkload>, fair: bool) -> Cel
 /// Full sweep at one seed: solo baselines, then the mixed storm run.
 /// `fair = false` reproduces the no-QoS baseline (single FIFO, limits
 /// off) that the known-sensitive isolation test proves is broken.
-pub fn sweep(specs: Vec<TenantSpec>, fair: bool, seed: u64) -> Vec<TenantOutcome> {
+pub(crate) fn sweep(specs: Vec<TenantSpec>, fair: bool, seed: u64) -> Vec<TenantOutcome> {
     let mut workloads = default_workloads();
     // Extra victim tenants (the bin's `--tenants` flag) ride the steady
     // shape.
@@ -190,7 +190,7 @@ pub fn sweep(specs: Vec<TenantSpec>, fair: bool, seed: u64) -> Vec<TenantOutcome
 }
 
 /// Runs the default three-tenant figure at seed 42.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     run_with(default_tenants(), 42)
 }
 

@@ -19,7 +19,7 @@ use crate::table::Table;
 const MB: u64 = 1_000_000;
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let sizes = [MB, 4 * MB, 16 * MB, 64 * MB, 256 * MB];
     let mut table = Table::new(&[
         "size_mb",

@@ -31,7 +31,7 @@ enum Path {
 }
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "target_kpages_s",
         "achieved_kpages_s",

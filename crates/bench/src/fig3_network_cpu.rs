@@ -23,7 +23,7 @@ const FLOWS: u64 = 8;
 const WINDOW_NS: u64 = 4_000_000; // 4 ms of paced sending
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "target_gbps",
         "achieved_gbps",

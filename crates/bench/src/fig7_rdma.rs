@@ -16,7 +16,7 @@ use crate::table::Table;
 const OPS: u64 = 512;
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "write_bytes",
         "verbs_host_cyc_op",

@@ -19,7 +19,7 @@ use crate::table::Table;
 const REQUESTS: usize = 200;
 
 /// Runs both paths and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let (host_p50, host_p99) = measure_with(false, 0);
     let (dpu_p50, dpu_p99) = measure_with(true, 0);
     let (cached_p50, cached_p99) = measure_with(true, 128);

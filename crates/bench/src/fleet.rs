@@ -48,14 +48,14 @@ pub enum KeyDist {
 
 impl KeyDist {
     /// Population size of the distribution.
-    pub fn keys(&self) -> u64 {
+    pub(crate) fn keys(&self) -> u64 {
         match *self {
             KeyDist::Uniform { keys } | KeyDist::Zipfian { keys, .. } => keys,
         }
     }
 
     /// Short label for tables (`uniform` / `zipf0.99`).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match *self {
             KeyDist::Uniform { .. } => "uniform".into(),
             KeyDist::Zipfian { theta, .. } => format!("zipf{theta}"),
@@ -65,7 +65,7 @@ impl KeyDist {
 
 /// A sampler precomputed from a [`KeyDist`] (the zipfian cumulative
 /// weight table is built once, not per draw).
-pub struct KeySampler {
+pub(crate) struct KeySampler {
     keys: u64,
     /// Cumulative zipf weights per rank; `None` for uniform.
     cum: Option<Vec<f64>>,
@@ -73,7 +73,7 @@ pub struct KeySampler {
 
 impl KeySampler {
     /// Builds the sampler (O(keys) for zipfian, O(1) for uniform).
-    pub fn new(dist: &KeyDist) -> Self {
+    pub(crate) fn new(dist: &KeyDist) -> Self {
         match *dist {
             KeyDist::Uniform { keys } => {
                 assert!(keys > 0, "empty key population");
@@ -96,7 +96,7 @@ impl KeySampler {
     }
 
     /// Draws one key in `0..keys`.
-    pub fn sample(&self, rng: &mut StdRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> u64 {
         match &self.cum {
             None => rng.random_range(0..self.keys),
             Some(cum) => {
@@ -146,7 +146,7 @@ impl Mix {
     /// writing `value_bytes` bytes of the key's low byte (what
     /// [`preload`] wrote), or a `scan_len`-key scan starting at `key`.
     /// One `0..100` draw from `rng`.
-    pub fn op(&self, rng: &mut StdRng, key: u64, value_bytes: usize, scan_len: u32) -> Op {
+    pub(crate) fn op(&self, rng: &mut StdRng, key: u64, value_bytes: usize, scan_len: u32) -> Op {
         let roll = rng.random_range(0..100u32);
         if roll < self.read_pct {
             Op::KvGet { key }
@@ -234,12 +234,12 @@ pub struct FleetReport {
 impl FleetReport {
     /// Aggregate goodput in million completed ops per second of
     /// simulated time.
-    pub fn throughput_mops(&self) -> f64 {
+    pub(crate) fn throughput_mops(&self) -> f64 {
         self.ok as f64 / self.elapsed_ns.max(1) as f64 * 1e3
     }
 
     /// One stable summary line (used by the `cluster_fleet` scenario).
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "issued={} ok={} shed={} errors={} elapsed_us={} p50_us={:.1} p99_us={:.1} mops={:.3}",
             self.issued,
@@ -339,7 +339,7 @@ pub(crate) async fn client_loop<F, Fut>(
 /// The most clients one run may drive: every caller's seed formula
 /// strides clients by 1 and runs by at least this, so client 1000 of one
 /// seed would be client 0 of the next.
-pub const MAX_CLIENTS: usize = 1_000;
+pub(crate) const MAX_CLIENTS: usize = 1_000;
 
 /// Spawns `n` generator tasks and reports once all have resolved.
 /// Client `c` wakes at `start(c)`, seeds its RNG from `seed(c)` and runs
@@ -528,7 +528,7 @@ pub struct TenantFleetReport {
     /// Conservation split + latency statistics for this tenant.
     pub report: FleetReport,
     /// Distinct logical clients that issued at least one request.
-    pub logical_seen: u64,
+    pub(crate) logical_seen: u64,
 }
 
 /// Runs every tenant's workload concurrently against one [`Gateway`]

@@ -18,25 +18,25 @@
 //! `fig10_cluster_scale`, `fig10_fabric`, `fig11_tenants`, `abl_faults`
 //! and `audit_determinism`.
 
-pub mod abl_cache_split;
-pub mod abl_fast_persist;
+mod abl_cache_split;
+mod abl_fast_persist;
 pub mod abl_faults;
-pub mod abl_fusion;
-pub mod abl_partial_offload;
-pub mod abl_pipeline;
-pub mod abl_placement;
-pub mod abl_scheduler;
-pub mod abl_tenant_iso;
+mod abl_fusion;
+mod abl_partial_offload;
+mod abl_pipeline;
+mod abl_placement;
+mod abl_scheduler;
+mod abl_tenant_iso;
 pub mod audit;
 pub mod cell;
 pub mod fig10_cluster_scale;
 pub mod fig10_fabric;
 pub mod fig11_tenants;
-pub mod fig1_compression;
-pub mod fig2_storage_cpu;
-pub mod fig3_network_cpu;
-pub mod fig7_rdma;
-pub mod fig8_roundtrips;
+mod fig1_compression;
+mod fig2_storage_cpu;
+mod fig3_network_cpu;
+mod fig7_rdma;
+mod fig8_roundtrips;
 pub mod fig9_dds_savings;
 pub mod fleet;
 pub mod netmatrix;
@@ -45,7 +45,7 @@ pub mod scenarios;
 pub mod table;
 
 /// A figure/ablation runner.
-pub type Runner = fn() -> String;
+pub(crate) type Runner = fn() -> String;
 
 /// Every figure/ablation in experiment-id order: `(id, runner)`.
 pub fn all() -> Vec<(&'static str, Runner)> {

@@ -50,10 +50,11 @@ pub enum NetScenario {
 
 impl NetScenario {
     /// Every shape, matrix row order.
-    pub const ALL: [NetScenario; 3] = [NetScenario::Incast, NetScenario::Wan, NetScenario::Lossy];
+    pub(crate) const ALL: [NetScenario; 3] =
+        [NetScenario::Incast, NetScenario::Wan, NetScenario::Lossy];
 
     /// Stable lowercase name (scenario output, flow labels).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             NetScenario::Incast => "incast",
             NetScenario::Wan => "wan",
@@ -66,13 +67,13 @@ impl NetScenario {
 #[derive(Debug, Clone, Copy)]
 pub struct CellReport {
     /// Median message latency (submit → in-order delivery), µs.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// p99 message latency, µs.
     pub p99_us: f64,
     /// Delivered payload bits over the drain time, Gbit/s.
     pub goodput_gbps: f64,
     /// Data segments retransmitted (fast retransmit + RTO), all flows.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// ACKs that echoed an ECN mark back to a sender, all flows.
     pub ecn_echoes: u64,
     /// Messages delivered (must equal messages submitted).

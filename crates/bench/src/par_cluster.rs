@@ -11,7 +11,7 @@
 //!
 //! Every domain installs its own [`Telemetry`] and
 //! [`dpdpu_check::CheckSession`], swapped in and out around each
-//! execution slice by [`ParHooks`], so probe streams never interleave
+//! execution slice by the run's domain hooks, so probe streams never interleave
 //! across domains. Each domain formats its own events once, at teardown,
 //! into a [`dpdpu_telemetry::TracePart`]; the parts — formatted lines
 //! plus a (start ns, byte range) index, not JSON text to re-read — are
@@ -469,7 +469,7 @@ async fn domain_root(
 /// Scenario: the partitioned cluster replayed serially and in parallel
 /// from the same seed; any divergence — a summary byte, a trace byte —
 /// fails the run. The emitted output is the (identical) serial run's.
-pub fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
+pub(crate) fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
     let cfg = ParClusterConfig {
         domains: 3,
         clients_per_domain: 2,

@@ -82,7 +82,7 @@ fn harness(body: impl FnOnce(&mut String)) -> ScenarioRun {
 /// seeded random content are written through the DPU file service and
 /// read back while the fault plan injects read errors and slow I/O; the
 /// service's retry loop must absorb every transient.
-pub fn storage_faults(seed: u64) -> ScenarioRun {
+pub(crate) fn storage_faults(seed: u64) -> ScenarioRun {
     const FILES: u64 = 8;
     const FILE_BYTES: usize = 8192;
     harness(|stdout| {
@@ -126,7 +126,7 @@ pub fn storage_faults(seed: u64) -> ScenarioRun {
 /// Scenario 2 — the DDS key-value path over offloaded TCP under link
 /// drops and SSD errors: every get must reach a terminal state, with
 /// retransmits and the traffic director absorbing the injected faults.
-pub fn dds_kv(seed: u64) -> ScenarioRun {
+pub(crate) fn dds_kv(seed: u64) -> ScenarioRun {
     const KEYS: u64 = 16;
     const GETS: u64 = 64;
     const VALUE: usize = 256;
@@ -186,7 +186,7 @@ pub fn dds_kv(seed: u64) -> ScenarioRun {
 /// batch is page-encoded, compressed, hashed, and encrypted through the
 /// Compute Engine; the kernel ground-truth check-points validate every
 /// functional output against the `dpdpu_kernels` reference.
-pub fn compute_pipeline(seed: u64) -> ScenarioRun {
+pub(crate) fn compute_pipeline(seed: u64) -> ScenarioRun {
     const ROWS: usize = 256;
     harness(|stdout| {
         let line = block_on(async move {
@@ -260,7 +260,7 @@ fn served_per_shard(cluster: &DdsCluster) -> String {
 /// consistent-hash ring to per-node DPU platforms, scans fan out to
 /// every shard, and the cluster-conservation invariant must balance
 /// every issued request against completed + shed + failed.
-pub fn cluster_fleet(seed: u64) -> ScenarioRun {
+pub(crate) fn cluster_fleet(seed: u64) -> ScenarioRun {
     harness(|stdout| {
         let fleet = FleetConfig {
             clients: 4,
@@ -305,7 +305,7 @@ pub fn cluster_fleet(seed: u64) -> ScenarioRun {
 /// per-fabric server host time documents what each transport costs the
 /// host: TCP pays ring crossings, host-verbs RDMA pays verb issue and
 /// CQ polls, rdma-offload pays nothing.
-pub fn cluster_fabric(seed: u64) -> ScenarioRun {
+pub(crate) fn cluster_fabric(seed: u64) -> ScenarioRun {
     use dpdpu_net::fabric::FabricKind;
 
     harness(|stdout| {
@@ -355,7 +355,7 @@ pub fn cluster_fabric(seed: u64) -> ScenarioRun {
 /// separate — DCTCP holding the incast link near capacity, CUBIC
 /// refilling the WAN pipe fastest, and all three identical when
 /// recovery is loss-detection-bound.
-pub fn net_scenarios(seed: u64) -> ScenarioRun {
+pub(crate) fn net_scenarios(seed: u64) -> ScenarioRun {
     use crate::netmatrix::{run_cell, NetScenario};
     use dpdpu_net::tcp::CongAlgKind;
 
@@ -391,7 +391,7 @@ pub fn net_scenarios(seed: u64) -> ScenarioRun {
 /// shard without making any key unreadable, and the end-of-run replica
 /// digests must match on every group's surviving members — the strict
 /// check session fails the scenario otherwise.
-pub fn cluster_failover(seed: u64) -> ScenarioRun {
+pub(crate) fn cluster_failover(seed: u64) -> ScenarioRun {
     harness(|stdout| {
         let fleet = FleetConfig {
             clients: 6,
@@ -460,7 +460,7 @@ pub fn cluster_failover(seed: u64) -> ScenarioRun {
     })
 }
 
-/// The three tenants of [`gateway_tenants`], storm first — a saturating
+/// The three tenants of the `gateway_tenants` scenario, storm first — a saturating
 /// zipfian KV flood held by a token bucket and an in-flight cap, a paced
 /// uniform KV victim and a bursty full-fan-out scanner — over 64 keys
 /// of 128 B. `tests/qos_isolation.rs` re-paces the same trio per regime.
@@ -522,7 +522,7 @@ pub fn storm_trio() -> (Vec<TenantSpec>, [TenantWorkload; 3]) {
 /// bucket and in-flight cap while the victims complete; the
 /// tenant-conservation and qos-isolation invariants must balance every
 /// labeled request and scheduler grant at teardown.
-pub fn gateway_tenants(seed: u64) -> ScenarioRun {
+pub(crate) fn gateway_tenants(seed: u64) -> ScenarioRun {
     harness(|stdout| {
         let (specs, trio) = storm_trio();
         let gateway = GatewayConfig {

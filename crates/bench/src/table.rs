@@ -1,14 +1,14 @@
 //! Tiny fixed-width table formatter for figure output.
 
 /// Builds an aligned text table.
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// New table with column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -16,13 +16,13 @@ impl Table {
     }
 
     /// Appends a row (must match the header arity).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
     }
 
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {

@@ -31,24 +31,24 @@
 //!
 //! ## Invariant catalogue
 //!
-//! | invariant | what it rejects |
+//! | invariant (as violations name it) | what it rejects |
 //! |---|---|
-//! | [`Invariant::TimeMonotonic`] | virtual time moving backwards within one run |
-//! | [`Invariant::SpanCausality`] | a span ending before it starts, or dated in the future |
-//! | [`Invariant::CapacityBound`] | more permits in flight than a resource has slots |
-//! | [`Invariant::AcquireReleaseBalance`] | an acquire without a matching release at end of run |
-//! | [`Invariant::LinkConservation`] | [`Flow::Link`]: frames/bytes delivered + dropped ≠ frames/bytes sent |
-//! | [`Invariant::SsdConservation`] | [`Flow::Ssd`]: SSD ops/bytes admitted ≠ completed + errored |
-//! | [`Invariant::PcieConservation`] | [`Flow::Pcie`]: DMA ops/bytes entering a PCIe link ≠ those that left it |
-//! | [`Invariant::KernelGroundTruth`] | a compute kernel output that contradicts the kernels-crate ground truth |
-//! | [`Invariant::UtilizationBound`] | accumulated busy time above `slots × elapsed` |
-//! | [`Invariant::FaultHygiene`] | an injected fault neither retried, degraded, nor surfaced |
-//! | [`Invariant::ClusterConservation`] | [`Flow::Cluster`]: per shard, ops/bytes issued ≠ completed + shed + failed |
-//! | [`Invariant::FabricConservation`] | [`Flow::Fabric`]: messages/bytes delivered ≠ sent; or credit debt above the advertised window |
-//! | [`Invariant::EpochFencing`] | a replica-group epoch that fails to strictly increase, or a write acked at an epoch below the group's fence |
-//! | [`Invariant::ReplicaDivergence`] | live replicas of one group whose KV digests disagree at end of run |
-//! | [`Invariant::TenantConservation`] | [`Flow::Tenant`]: per tenant, ops/bytes issued ≠ completed + shed + failed |
-//! | [`Invariant::QosIsolation`] | [`Flow::Qos`]: a dispatch toward the shard fabric without a scheduler grant, or a grant never dispatched |
+//! | `time-monotonic` | virtual time moving backwards within one run |
+//! | `span-causality` | a span ending before it starts, or dated in the future |
+//! | `capacity-bound` | more permits in flight than a resource has slots |
+//! | `acquire-release-balance` | an acquire without a matching release at end of run |
+//! | `link-conservation` | [`Flow::Link`]: frames/bytes delivered + dropped ≠ frames/bytes sent |
+//! | `ssd-conservation` | [`Flow::Ssd`]: SSD ops/bytes admitted ≠ completed + errored |
+//! | `pcie-conservation` | [`Flow::Pcie`]: DMA ops/bytes entering a PCIe link ≠ those that left it |
+//! | `kernel-ground-truth` | a compute kernel output that contradicts the kernels-crate ground truth |
+//! | `utilization-bound` | accumulated busy time above `slots × elapsed` |
+//! | `fault-hygiene` | an injected fault neither retried, degraded, nor surfaced |
+//! | `cluster-conservation` | [`Flow::Cluster`]: per shard, ops/bytes issued ≠ completed + shed + failed |
+//! | `fabric-conservation` | [`Flow::Fabric`]: messages/bytes delivered ≠ sent; or credit debt above the advertised window |
+//! | `epoch-fencing` | a replica-group epoch that fails to strictly increase, or a write acked at an epoch below the group's fence |
+//! | `replica-divergence` | live replicas of one group whose KV digests disagree at end of run |
+//! | `tenant-conservation` | [`Flow::Tenant`]: per tenant, ops/bytes issued ≠ completed + shed + failed |
+//! | `qos-isolation` | [`Flow::Qos`]: a dispatch toward the shard fabric without a scheduler grant, or a grant never dispatched |
 //!
 //! ## Modes
 //!
@@ -76,7 +76,7 @@ pub mod linearizability;
 
 /// The classes of simulation invariants enforced by this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Invariant {
+pub(crate) enum Invariant {
     /// Virtual time never decreases within one executor run.
     TimeMonotonic,
     /// Every span has `start <= end` and is not dated past "now".
@@ -127,7 +127,7 @@ pub enum Invariant {
 
 impl Invariant {
     /// Stable lowercase name (used in violation messages and docs).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Invariant::TimeMonotonic => "time-monotonic",
             Invariant::SpanCausality => "span-causality",
@@ -159,9 +159,9 @@ impl fmt::Display for Invariant {
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Which invariant was violated.
-    pub invariant: Invariant,
+    pub(crate) invariant: Invariant,
     /// Human-readable description with the offending numbers.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for Violation {
@@ -477,7 +477,7 @@ impl CheckSession {
 
     /// Violations recorded so far (strict sessions panic before
     /// recording a second one, collecting sessions accumulate).
-    pub fn violations(&self) -> Vec<Violation> {
+    pub(crate) fn violations(&self) -> Vec<Violation> {
         self.violations.borrow().clone()
     }
 

@@ -42,7 +42,7 @@ use dpdpu_des::Time;
 
 /// What one operation did and how it resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OpKind {
+pub(crate) enum OpKind {
     /// A write of `value`; `acked` is false when the client never saw
     /// the ack (the write may or may not have taken effect).
     Write { value: u64, acked: bool },
@@ -54,15 +54,15 @@ pub enum OpKind {
 #[derive(Debug, Clone)]
 pub struct Op {
     /// Recording client (diagnostic only).
-    pub client: usize,
+    pub(crate) client: usize,
     /// Key operated on.
-    pub key: u64,
+    pub(crate) key: u64,
     /// Invocation time.
-    pub start: Time,
+    pub(crate) start: Time,
     /// Response (or give-up) time; must be `>= start`.
-    pub end: Time,
+    pub(crate) end: Time,
     /// Operation and outcome.
-    pub kind: OpKind,
+    pub(crate) kind: OpKind,
 }
 
 /// An operation history, appended by any number of clients.
@@ -78,7 +78,7 @@ impl History {
     }
 
     /// Appends one operation.
-    pub fn push(&mut self, op: Op) {
+    pub(crate) fn push(&mut self, op: Op) {
         debug_assert!(op.end >= op.start, "op ends before it starts");
         self.ops.push(op);
     }

@@ -43,14 +43,9 @@ impl ComputeEngine {
         })
     }
 
-    /// The platform this engine drives.
-    pub fn platform(&self) -> &Rc<Platform> {
-        &self.platform
-    }
-
     /// Looks up a DP kernel handle — the `ce.get_dpk("compress")` call of
     /// Figure 6. The handle exists regardless of hardware support; use
-    /// [`DpKernel::asic_available`] or specified execution to probe.
+    /// specified execution to probe.
     pub fn get_dpk(self: &Rc<Self>, kind: KernelKind) -> DpKernel {
         DpKernel {
             engine: self.clone(),
@@ -58,16 +53,14 @@ impl ComputeEngine {
         }
     }
 
-    /// True if this DPU carries an ASIC for the kernel kind.
-    pub fn asic_available(&self, kind: KernelKind) -> bool {
-        kind.accel_kind()
-            .map(|a| self.platform.accels.contains_key(&a))
-            .unwrap_or(false)
-    }
-
     /// Estimated completion time (service + queueing) for `bytes` of this
     /// kernel on `target`; `None` when the target does not exist.
-    pub fn estimate_ns(&self, kind: KernelKind, bytes: u64, target: ExecTarget) -> Option<Time> {
+    pub(crate) fn estimate_ns(
+        &self,
+        kind: KernelKind,
+        bytes: u64,
+        target: ExecTarget,
+    ) -> Option<Time> {
         match target {
             ExecTarget::DpuAsic => {
                 let accel = kind.accel_kind().and_then(|a| self.platform.accel(a))?;
@@ -102,7 +95,7 @@ impl ComputeEngine {
 
     /// Scheduled-execution device choice: cheapest estimated completion,
     /// ASIC first on ties.
-    pub fn choose_target(&self, kind: KernelKind, bytes: u64) -> ExecTarget {
+    pub(crate) fn choose_target(&self, kind: KernelKind, bytes: u64) -> ExecTarget {
         let mut best = ExecTarget::DpuCpu;
         let mut best_ns = self
             .estimate_ns(kind, bytes, ExecTarget::DpuCpu)
@@ -259,18 +252,6 @@ impl ComputeEngine {
         self.asic_jobs.add(ops.len() as u64);
         Ok(data)
     }
-
-    /// Convenience: compress bytes with scheduled placement.
-    pub async fn compress(&self, data: Bytes) -> Result<Bytes, KernelError> {
-        Ok(self
-            .run(
-                &KernelOp::Compress,
-                &KernelInput::Bytes(data),
-                Placement::Scheduled,
-            )
-            .await?
-            .into_bytes())
-    }
 }
 
 /// A handle to one DP kernel kind on one engine — the object Figure 6's
@@ -283,16 +264,6 @@ pub struct DpKernel {
 }
 
 impl DpKernel {
-    /// The kernel kind this handle invokes.
-    pub fn kind(&self) -> KernelKind {
-        self.kind
-    }
-
-    /// True if an ASIC backs this kernel on the current DPU.
-    pub fn asic_available(&self) -> bool {
-        self.engine.asic_available(self.kind)
-    }
-
     /// Invokes the kernel. `op.kind()` must match the handle.
     pub async fn call(
         &self,
@@ -462,7 +433,6 @@ mod tests {
         let ce = bf2_engine();
         sim.spawn(async move {
             let dpk = ce.get_dpk(KernelKind::Sha256);
-            assert!(dpk.asic_available());
             let out = dpk
                 .call(
                     &KernelOp::Sha256,
@@ -488,7 +458,7 @@ mod tests {
         let done = Rc::new(std::cell::Cell::new(false));
         let d2 = done.clone();
         sim.spawn(async move {
-            ce.platform().install_peer(dpdpu_hw::PeerSpec::gpu());
+            ce.platform.install_peer(dpdpu_hw::PeerSpec::gpu());
             let data = Bytes::from(dpdpu_kernels::text::natural_text(256 * 1024, 9));
             // decompress(compress(x)) chained with encryption both ways.
             let chain = vec![

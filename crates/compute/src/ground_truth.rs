@@ -19,7 +19,7 @@ use crate::kernel::{KernelInput, KernelOp, KernelOutput};
 
 /// Returns a mismatch description, or `None` when `out` is consistent
 /// with `op(input)` ground truth.
-pub fn validate(op: &KernelOp, input: &KernelInput, out: &KernelOutput) -> Option<String> {
+pub(crate) fn validate(op: &KernelOp, input: &KernelInput, out: &KernelOutput) -> Option<String> {
     match (op, input, out) {
         (KernelOp::Compress, KernelInput::Bytes(data), KernelOutput::Bytes(comp)) => {
             match dpdpu_kernels::deflate::decompress(comp) {

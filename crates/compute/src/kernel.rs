@@ -36,7 +36,7 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Stable lowercase label (telemetry tags, conformance reports).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             KernelKind::Compress => "compress",
             KernelKind::Decompress => "decompress",
@@ -52,7 +52,7 @@ impl KernelKind {
     }
 
     /// The compute engine's span name for a run of this kernel.
-    pub fn span_name(self) -> &'static str {
+    pub(crate) fn span_name(self) -> &'static str {
         match self {
             KernelKind::Compress => "kernel:Compress",
             KernelKind::Decompress => "kernel:Decompress",
@@ -70,7 +70,7 @@ impl KernelKind {
     /// Which ASIC class (if any) accelerates this kernel. Relational
     /// operators are CPU-only on every DPU we model — exactly why DP
     /// kernels must run anywhere (paper §5).
-    pub fn accel_kind(self) -> Option<AccelKind> {
+    pub(crate) fn accel_kind(self) -> Option<AccelKind> {
         match self {
             KernelKind::Compress | KernelKind::Decompress => Some(AccelKind::Compression),
             KernelKind::Crypt => Some(AccelKind::Encryption),
@@ -84,7 +84,7 @@ impl KernelKind {
     }
 
     /// CPU cycles per input byte on an x86 host core.
-    pub fn cycles_per_byte_host(self) -> u64 {
+    pub(crate) fn cycles_per_byte_host(self) -> u64 {
         match self {
             KernelKind::Compress => costs::DEFLATE_CYCLES_PER_BYTE_X86,
             // Decompression is ~4x cheaper than compression.
@@ -102,7 +102,7 @@ impl KernelKind {
 
     /// CPU cycles per input byte on a DPU (Arm) core. Arm cores lack the
     /// wide SIMD paths of server x86; the paper's Figure 1 shows the gap.
-    pub fn cycles_per_byte_dpu(self) -> u64 {
+    pub(crate) fn cycles_per_byte_dpu(self) -> u64 {
         match self {
             KernelKind::Compress => costs::DEFLATE_CYCLES_PER_BYTE_ARM,
             KernelKind::Decompress => costs::DEFLATE_CYCLES_PER_BYTE_ARM / 4,
@@ -112,7 +112,7 @@ impl KernelKind {
     }
 
     /// Fixed per-invocation CPU cycles (dispatch, setup).
-    pub fn fixed_cycles(self) -> u64 {
+    pub(crate) fn fixed_cycles(self) -> u64 {
         1_000
     }
 }
@@ -164,7 +164,7 @@ pub enum KernelOp {
 
 impl KernelOp {
     /// This op's kernel kind.
-    pub fn kind(&self) -> KernelKind {
+    pub(crate) fn kind(&self) -> KernelKind {
         match self {
             KernelOp::Compress => KernelKind::Compress,
             KernelOp::Decompress => KernelKind::Decompress,
@@ -181,7 +181,7 @@ impl KernelOp {
 
     /// Runs the kernel functionally (no timing — the engine charges time
     /// separately on whichever device it placed the kernel).
-    pub fn execute(&self, input: &KernelInput) -> Result<KernelOutput, KernelError> {
+    pub(crate) fn execute(&self, input: &KernelInput) -> Result<KernelOutput, KernelError> {
         match (self, input) {
             (KernelOp::Compress, KernelInput::Bytes(data)) => Ok(KernelOutput::Bytes(Bytes::from(
                 dpdpu_kernels::deflate::compress(data),
@@ -235,7 +235,7 @@ pub enum KernelInput {
 
 impl KernelInput {
     /// Input size in bytes (drives device time).
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         match self {
             KernelInput::Bytes(b) => b.len() as u64,
             // Batches are charged at their page-encoded size.
@@ -265,7 +265,7 @@ pub enum KernelOutput {
 
 impl KernelOutput {
     /// Output size in bytes (drives transfer costs downstream).
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         match self {
             KernelOutput::Bytes(b) => b.len() as u64,
             KernelOutput::Batch(b) => b.encode_page().len() as u64,

@@ -11,26 +11,26 @@ use dpdpu_hw::{AccelKind, Platform};
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Virtual time the window covers, ns.
-    pub elapsed_ns: Time,
+    pub(crate) elapsed_ns: Time,
     /// Average host cores busy (Figures 2/3 metric).
-    pub host_cores_consumed: f64,
+    pub(crate) host_cores_consumed: f64,
     /// Average DPU cores busy.
-    pub dpu_cores_consumed: f64,
+    pub(crate) dpu_cores_consumed: f64,
     /// Accelerator utilisation by kind, `[0, 1]`.
-    pub accel_utilization: Vec<(AccelKind, f64)>,
+    pub(crate) accel_utilization: Vec<(AccelKind, f64)>,
     /// SSD read ops completed.
-    pub ssd_reads: u64,
+    pub(crate) ssd_reads: u64,
     /// SSD write ops completed.
-    pub ssd_writes: u64,
+    pub(crate) ssd_writes: u64,
     /// Bytes moved over host↔DPU PCIe.
-    pub pcie_bytes: u64,
+    pub(crate) pcie_bytes: u64,
     /// DPU memory in use, bytes.
-    pub dpu_mem_used: u64,
+    pub(crate) dpu_mem_used: u64,
 }
 
 impl Report {
     /// Collects a report from a platform.
-    pub fn collect(platform: &Rc<Platform>, elapsed_ns: Time) -> Report {
+    pub(crate) fn collect(platform: &Rc<Platform>, elapsed_ns: Time) -> Report {
         let elapsed = elapsed_ns.max(1);
         let mut accel_utilization: Vec<(AccelKind, f64)> = platform
             .accels

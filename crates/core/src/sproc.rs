@@ -45,13 +45,13 @@ pub struct SprocRegistry {
 
 impl SprocRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers a sproc under `name`. The closure typically captures an
     /// `Rc<Dpdpu>` and whatever engine handles it needs.
-    pub fn register<F, Fut>(&self, name: &str, f: F) -> Result<(), SprocError>
+    pub(crate) fn register<F, Fut>(&self, name: &str, f: F) -> Result<(), SprocError>
     where
         F: Fn(Bytes) -> Fut + 'static,
         Fut: Future<Output = Bytes> + 'static,
@@ -73,13 +73,6 @@ impl SprocRegistry {
             .cloned()
             .ok_or_else(|| SprocError::Unknown(name.to_string()))?;
         Ok(sproc(arg).await)
-    }
-
-    /// Registered sproc names (sorted).
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.sprocs.borrow().keys().cloned().collect();
-        names.sort();
-        names
     }
 }
 
@@ -109,7 +102,6 @@ mod tests {
                 .await
                 .unwrap();
             assert_eq!(u64::from_le_bytes(out[..8].try_into().unwrap()), 4);
-            assert_eq!(reg.names(), vec!["echo".to_string(), "len".to_string()]);
         });
         sim.run();
     }

@@ -8,8 +8,8 @@
 //! per-server saving times the fleet size. This module wires that up
 //! inside one simulation:
 //!
-//! * [`HashRing`] — a virtual-node consistent-hash ring. Adding or
-//!   removing a shard moves only ~`1/N` of the key space.
+//! * [`HashRing`] — a virtual-node consistent-hash ring. Adding a
+//!   shard moves only ~`1/N` of the key space.
 //! * [`DdsCluster`] — N replica groups of [`Dds`] servers on
 //!   [`Platform::new_tagged`] platforms (`node0`, `node1`, …, backups
 //!   `node0r1`, …), so every CPU pool, PCIe link and SSD is a distinct,
@@ -23,10 +23,9 @@
 //!   [`DpdpuError::Unavailable`]), and a failure detector that
 //!   promotes a group's backup when its primary stops answering.
 //!
-//! Membership changes are online: [`ClusterClient::add_shard`] /
-//! [`ClusterClient::remove_shard`] migrate keys along the ring while
-//! traffic continues, with dual-read fallbacks keeping every key
-//! readable at every intermediate step.
+//! Membership grows online: [`ClusterClient::add_shard`] migrates keys
+//! along the ring while traffic continues, with dual-read fallbacks
+//! keeping every key readable at every intermediate step.
 //!
 //! Every request is accounted to the conformance layer as a
 //! [`Flow::Cluster`] unit per shard, leaving as [`Exit::Ok`], `Shed`
@@ -87,7 +86,7 @@ const CHAIN_POLICY: RetryPolicy = RetryPolicy {
 
 /// 64-bit finalizer (splitmix64): uncorrelates adjacent keys before
 /// they land on the ring.
-pub fn ring_hash(mut x: u64) -> u64 {
+pub(crate) fn ring_hash(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -133,7 +132,7 @@ impl HashRing {
     }
 
     /// Adds a shard's points to the ring.
-    pub fn add_shard(&mut self, shard: usize) {
+    pub(crate) fn add_shard(&mut self, shard: usize) {
         assert!(
             !self.points.iter().any(|&(_, s)| s == shard),
             "shard {shard} already on the ring"
@@ -142,25 +141,11 @@ impl HashRing {
         self.points.sort_unstable();
     }
 
-    /// Removes a shard's points from the ring.
-    pub fn remove_shard(&mut self, shard: usize) {
-        self.points.retain(|&(_, s)| s != shard);
-        assert!(!self.points.is_empty(), "cannot remove the last shard");
-    }
-
     /// The shard owning `key`.
     pub fn shard_for(&self, key: u64) -> usize {
         let h = ring_hash(key);
         let idx = self.points.partition_point(|&(p, _)| p < h);
         self.points[idx % self.points.len()].1
-    }
-
-    /// Number of distinct shards on the ring.
-    pub fn shard_count(&self) -> usize {
-        let mut shards: Vec<usize> = self.points.iter().map(|&(_, s)| s).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards.len()
     }
 }
 
@@ -203,9 +188,7 @@ pub struct ReplicaGroup {
     /// Replica servers; index 0 is the initial primary.
     pub members: Vec<Rc<Dds>>,
     /// Shared membership/epoch control (replicated groups only).
-    pub ctl: Option<Rc<ReplGroupCtl>>,
-    /// True once the shard has been migrated off the ring.
-    retired: Cell<bool>,
+    pub(crate) ctl: Option<Rc<ReplGroupCtl>>,
 }
 
 /// N replica groups of DDS servers on tagged platforms, plus the
@@ -220,9 +203,6 @@ pub struct DdsCluster {
     /// their old owners would make them unreadable — until a
     /// [`ClusterClient::resume_migration`] drains the rest.
     prev_ring: RefCell<Option<HashRing>>,
-    /// Shard awaiting retirement once the in-flight migration drains
-    /// (set by [`ClusterClient::remove_shard`]).
-    pending_retire: Cell<Option<usize>>,
     config: ClusterConfig,
 }
 
@@ -243,7 +223,6 @@ impl DdsCluster {
             groups: RefCell::new(groups),
             ring: RefCell::new(HashRing::new(config.shards, config.vnodes)),
             prev_ring: RefCell::new(None),
-            pending_retire: Cell::new(None),
             config,
         })
     }
@@ -285,24 +264,20 @@ impl DdsCluster {
         } else {
             None
         };
-        Rc::new(ReplicaGroup {
-            members,
-            ctl,
-            retired: Cell::new(false),
-        })
+        Rc::new(ReplicaGroup { members, ctl })
     }
 
     /// Builds one more replica group (servers plus replication chain)
     /// and returns its shard id. The new shard owns no keys until a
     /// migration moves some to it.
-    pub async fn grow(self: &Rc<Self>) -> usize {
+    pub(crate) async fn grow(self: &Rc<Self>) -> usize {
         let group = self.groups.borrow().len();
         let g = Self::build_group(&self.config, group).await;
         self.groups.borrow_mut().push(g);
         group
     }
 
-    /// Number of replica groups ever built (including retired ones).
+    /// Number of replica groups built.
     pub fn shards(&self) -> usize {
         self.groups.borrow().len()
     }
@@ -333,7 +308,7 @@ impl DdsCluster {
     }
 
     /// A snapshot of the current routing ring.
-    pub fn ring(&self) -> HashRing {
+    pub(crate) fn ring(&self) -> HashRing {
         self.ring.borrow().clone()
     }
 
@@ -344,7 +319,7 @@ impl DdsCluster {
 
     /// The shard that owned `key` before the in-flight migration, if
     /// one is running.
-    pub fn prev_shard_for(&self, key: u64) -> Option<usize> {
+    pub(crate) fn prev_shard_for(&self, key: u64) -> Option<usize> {
         self.prev_ring.borrow().as_ref().map(|r| r.shard_for(key))
     }
 
@@ -449,11 +424,6 @@ impl ClusterClient {
     /// The shard that currently owns `key`.
     pub fn shard_for(&self, key: u64) -> usize {
         self.cluster.shard_for(key)
-    }
-
-    /// Requests shed by shard `i`'s admission control so far.
-    pub fn shed(&self, i: usize) -> u64 {
-        self.conns.borrow()[i].shed.get()
     }
 
     /// Total requests shed across all shards.
@@ -648,7 +618,7 @@ impl ClusterClient {
     }
 
     /// The range's keys are scattered across shards by the hash
-    /// partitioning, so every live shard is queried and the results
+    /// partitioning, so every shard is queried and the results
     /// merged in key order. Under membership churn a key can
     /// momentarily exist on two shards; the current ring owner's copy
     /// wins.
@@ -657,9 +627,6 @@ impl ClusterClient {
         let shards = self.conns.borrow().len();
         let mut hits: Vec<(u64, Bytes, usize)> = Vec::new();
         for shard in 0..shards {
-            if self.cluster.group(shard).retired.get() {
-                continue;
-            }
             for (k, v) in self.call_group(shard, scan.clone(), true).await?.rows() {
                 hits.push((k, v, shard));
             }
@@ -738,10 +705,9 @@ impl ClusterClient {
         Ok(())
     }
 
-    /// Drains every live shard's misplaced keys to their owners under
-    /// the (already-installed) post-migration ring, then — only on full
-    /// success — retires any pending victim and closes the dual-read
-    /// window. On failure the window stays open: every not-yet-copied
+    /// Drains every shard's misplaced keys to their owners under the
+    /// (already-installed) post-migration ring, then — only on full
+    /// success — closes the dual-read window. On failure the window stays open: every not-yet-copied
     /// key remains readable through the previous ring, and a later
     /// [`ClusterClient::resume_migration`] finishes the drain (each
     /// step is idempotent: copies are put-if-absent, already-drained
@@ -749,13 +715,7 @@ impl ClusterClient {
     async fn drain_migration(&self) -> Result<(), DpdpuError> {
         let ring = self.cluster.ring();
         for src in 0..self.cluster.shards() {
-            if self.cluster.group(src).retired.get() {
-                continue;
-            }
             self.migrate_out(src, &ring).await?;
-        }
-        if let Some(victim) = self.cluster.pending_retire.take() {
-            self.cluster.group(victim).retired.set(true);
         }
         self.cluster.end_migration();
         Ok(())
@@ -785,23 +745,6 @@ impl ClusterClient {
         new_ring.add_shard(new);
         self.cluster.begin_migration(new_ring);
         self.drain_migration().await.map(|()| new)
-    }
-
-    /// Drains shard `victim` off the ring, live-migrating its keys to
-    /// the surviving owners, and retires it. On a migration failure the
-    /// dual-read window stays open, the victim is not yet retired, and
-    /// [`ClusterClient::resume_migration`] completes the drain (and the
-    /// retirement).
-    pub async fn remove_shard(&self, victim: usize) -> Result<(), DpdpuError> {
-        assert!(
-            !self.cluster.group(victim).retired.get(),
-            "shard {victim} already retired"
-        );
-        let mut new_ring = self.cluster.ring();
-        new_ring.remove_shard(victim);
-        self.cluster.begin_migration(new_ring);
-        self.cluster.pending_retire.set(Some(victim));
-        self.drain_migration().await
     }
 }
 
@@ -884,32 +827,6 @@ mod tests {
                 assert_eq!(after.shard_for(k), n, "key moved between old shards");
             }
         }
-    }
-
-    #[test]
-    fn ring_remove_shard_moves_only_its_keys() {
-        let n = 8;
-        let before = HashRing::new(n, 64);
-        let mut after = before.clone();
-        after.remove_shard(3);
-        let keys = zipfian_keys(10_000);
-        let mut moved = 0;
-        for &k in &keys {
-            let old = before.shard_for(k);
-            let new = after.shard_for(k);
-            if old == 3 {
-                assert_ne!(new, 3, "removed shard still owns a key");
-                moved += 1;
-            } else {
-                assert_eq!(old, new, "a surviving shard's key moved");
-            }
-        }
-        assert!(
-            moved < keys.len() * 2 / n,
-            "removing a shard moved {moved}/{} keys (bound {})",
-            keys.len(),
-            keys.len() * 2 / n
-        );
     }
 
     #[test]
@@ -1267,41 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_shard_drains_and_retires_the_victim() {
-        let _check = dpdpu_check::CheckGuard::new();
-        block_on(async {
-            let cluster = DdsCluster::build(ClusterConfig {
-                shards: 3,
-                ..ClusterConfig::default()
-            })
-            .await;
-            let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-            let client = cluster.connect(client_cpu);
-            for key in 0..48u64 {
-                client
-                    .kv_put(key, Bytes::from(format!("v-{key}")))
-                    .await
-                    .unwrap();
-            }
-            client.remove_shard(1).await.unwrap();
-            assert_eq!(cluster.ring().shard_count(), 2);
-            for key in 0..48u64 {
-                let owner = cluster.shard_for(key);
-                assert_ne!(owner, 1, "retired shard still owns key {key}");
-                assert_eq!(
-                    client.kv_get(key).await.unwrap().unwrap(),
-                    Bytes::from(format!("v-{key}")),
-                    "key {key} lost draining shard 1"
-                );
-            }
-            assert_eq!(cluster.primaries()[1].kv.keys().len(), 0);
-            // Scans skip the retired shard but still see every key.
-            let hits = client.kv_scan(0, 48).await.unwrap();
-            assert_eq!(hits.len(), 48);
-        });
-    }
-
-    #[test]
     fn aborted_migration_keeps_keys_readable_and_resumes() {
         // node0 goes dark long enough to exhaust the whole migration
         // retry budget (64 × ~11.4ms ≈ 730ms), so add_shard fails
@@ -1348,7 +1230,10 @@ mod tests {
             client.resume_migration().await.unwrap();
             assert!(!cluster.migrating(), "resume must close the window");
             let after = cluster.ring();
-            assert_eq!(after.shard_count(), 3);
+            assert!(
+                (0..48u64).any(|key| after.shard_for(key) == 2),
+                "the ring routes keys to the new shard"
+            );
             let primaries = cluster.primaries();
             for key in 0..48u64 {
                 assert_eq!(

@@ -19,7 +19,7 @@ pub const DEGRADE_PENALTY_NS: Time = 500_000;
 
 /// Where a request is served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
+pub(crate) enum Route {
     /// Served by the offload engine on the DPU.
     Dpu,
     /// Forwarded to the host endpoint over PCIe.
@@ -45,12 +45,12 @@ impl Route {
 /// requests flow to the host, which can always serve them.
 pub struct TrafficDirector {
     /// Requests routed to the DPU.
-    pub to_dpu: Counter,
+    pub(crate) to_dpu: Counter,
     /// Requests routed to the host.
-    pub to_host: Counter,
+    pub(crate) to_host: Counter,
     /// Requests rerouted to the host by degradation (fault or overload)
     /// that classification alone would have kept on the DPU.
-    pub degraded: Counter,
+    pub(crate) degraded: Counter,
     /// Hard switch: when false everything goes to the host (the legacy
     /// baseline DDS is compared against).
     offload_enabled: bool,
@@ -68,7 +68,7 @@ impl Default for TrafficDirector {
 impl TrafficDirector {
     /// Creates a director; `offload_enabled=false` models the pre-DDS
     /// server where the DPU is a plain NIC.
-    pub fn new(offload_enabled: bool) -> Self {
+    pub(crate) fn new(offload_enabled: bool) -> Self {
         TrafficDirector {
             to_dpu: Counter::new(),
             to_host: Counter::new(),
@@ -81,7 +81,7 @@ impl TrafficDirector {
 
     /// Records a DPU-path failure: the breaker opens and requests route
     /// to the host for the penalty window.
-    pub fn record_dpu_fault(&self) {
+    pub(crate) fn record_dpu_fault(&self) {
         if let Some(now) = dpdpu_des::try_now() {
             self.degraded_until.set(now + self.penalty_ns);
         }
@@ -101,7 +101,7 @@ impl TrafficDirector {
     /// Applies the classification, recording the outcome. `wants_dpu` is
     /// the application/UDF-level judgement (e.g. "index entry resident on
     /// DPU", "page clean"); degradation overrides it toward the host.
-    pub fn route(&self, wants_dpu: bool) -> Route {
+    pub(crate) fn route(&self, wants_dpu: bool) -> Route {
         if self.offload_enabled && wants_dpu {
             if self.is_degraded() {
                 self.degraded.inc();
@@ -117,16 +117,6 @@ impl TrafficDirector {
             Route::Host
         }
     }
-
-    /// Fraction of traffic that stayed on the DPU.
-    pub fn offload_fraction(&self) -> f64 {
-        let total = self.to_dpu.get() + self.to_host.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.to_dpu.get() as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,19 +130,13 @@ mod tests {
         assert_eq!(d.route(false), Route::Host);
         assert_eq!(d.to_dpu.get(), 1);
         assert_eq!(d.to_host.get(), 1);
-        assert!((d.offload_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn disabled_director_sends_everything_to_host() {
         let d = TrafficDirector::new(false);
         assert_eq!(d.route(true), Route::Host);
-        assert_eq!(d.offload_fraction(), 0.0);
-    }
-
-    #[test]
-    fn empty_director_fraction_is_zero() {
-        assert_eq!(TrafficDirector::default().offload_fraction(), 0.0);
+        assert_eq!(d.to_dpu.get(), 0);
     }
 
     #[test]

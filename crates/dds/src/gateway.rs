@@ -30,8 +30,8 @@
 //! toward the fabric must carry a scheduler grant (`qos-isolation` —
 //! a bypass path is flagged at the offending event).
 //!
-//! For the known-sensitive isolation gate, [`GatewayConfig::unfair`]
-//! puts every tenant in one DRR class (a single arrival-order FIFO) and
+//! For the known-sensitive isolation gate, [`GatewayConfig::fair`]` =
+//! false` puts every tenant in one DRR class (a single arrival-order FIFO) and
 //! disables the admission limits; `tests/qos_isolation.rs` proves the
 //! isolation assertions *fail* in that mode.
 
@@ -81,14 +81,6 @@ impl GatewayConfig {
             dispatch_slots: 32,
             fair: true,
         }
-    }
-
-    /// Disables weighted-fair queueing and the admission limits:
-    /// requests dispatch in pure arrival order. Exists so tests can
-    /// demonstrate the isolation failure this gateway prevents.
-    pub fn unfair(mut self) -> Self {
-        self.fair = false;
-        self
     }
 }
 
@@ -181,7 +173,7 @@ pub struct TenantSnapshot {
     /// Requests failed with a non-shed error.
     pub errors: u64,
     /// Median end-to-end latency (queueing included), ns.
-    pub p50_ns: u64,
+    pub(crate) p50_ns: u64,
     /// 99th-percentile end-to-end latency, ns.
     pub p99_ns: u64,
 }
@@ -233,11 +225,6 @@ impl Gateway {
             dispatching: Cell::new(false),
             fair: config.fair,
         })
-    }
-
-    /// Requests queued behind the scheduler right now.
-    pub fn queued(&self) -> usize {
-        self.queues.borrow().len()
     }
 
     /// Per-tenant accounting snapshot. Panics on a tenant the gateway
@@ -430,7 +417,7 @@ mod tests {
             assert!(kv.p99_ns >= kv.p50_ns && kv.p50_ns > 0);
             let scan = gw.snapshot(1);
             assert_eq!((scan.issued, scan.ok), (1, 1));
-            assert_eq!(gw.queued(), 0, "drained gateway holds nothing");
+            assert_eq!(gw.queues.borrow().len(), 0, "drained gateway holds nothing");
         });
     }
 
@@ -514,14 +501,12 @@ mod tests {
     fn unfair_mode_still_conserves_every_request() {
         let _check = dpdpu_check::CheckGuard::new();
         block_on(async {
-            let gw = small_gateway(
-                GatewayConfig::new(vec![
-                    TenantSpec::latency("a", 1).rate(10, 1),
-                    TenantSpec::latency("b", 1).in_flight(1),
-                ])
-                .unfair(),
-            )
-            .await;
+            let mut config = GatewayConfig::new(vec![
+                TenantSpec::latency("a", 1).rate(10, 1),
+                TenantSpec::latency("b", 1).in_flight(1),
+            ]);
+            config.fair = false;
+            let gw = small_gateway(config).await;
             gw.call(0, put_v())
                 .await
                 .expect("limits are off in unfair mode");

@@ -211,7 +211,7 @@ impl KvStore {
     /// put racing this copy wins no matter how the log offsets and index
     /// updates interleave, and an acked write can never be clobbered by
     /// a stale copy arriving from a key's old owner.
-    pub async fn put_if_absent(&self, key: u64, value: &[u8]) -> Result<bool, FsError> {
+    pub(crate) async fn put_if_absent(&self, key: u64, value: &[u8]) -> Result<bool, FsError> {
         if self.contains(key) {
             return Ok(false);
         }
@@ -229,7 +229,7 @@ impl KvStore {
 
     /// Reads a value by key (either partition; callers charge host CPU
     /// separately when the host partition was needed).
-    pub async fn get(&self, key: u64) -> Result<Option<Bytes>, FsError> {
+    pub(crate) async fn get(&self, key: u64) -> Result<Option<Bytes>, FsError> {
         let entry = self.index.borrow().get(&key).copied();
         match entry {
             None => Ok(None),
@@ -244,7 +244,7 @@ impl KvStore {
     /// `[start_key, start_key + count)` is DPU-resident, so the DPU can
     /// serve the scan alone. A range with no present keys is trivially
     /// DPU-servable.
-    pub fn range_resident_dpu(&self, start_key: u64, count: u32) -> bool {
+    pub(crate) fn range_resident_dpu(&self, start_key: u64, count: u32) -> bool {
         let index = self.index.borrow();
         (start_key..start_key.saturating_add(count as u64))
             .all(|k| index.get(&k).is_none_or(|e| e.on_dpu))
@@ -253,7 +253,11 @@ impl KvStore {
     /// Multi-get over the dense key range `[start_key, start_key +
     /// count)`: returns the present keys in ascending order with their
     /// current values.
-    pub async fn scan(&self, start_key: u64, count: u32) -> Result<Vec<(u64, Bytes)>, FsError> {
+    pub(crate) async fn scan(
+        &self,
+        start_key: u64,
+        count: u32,
+    ) -> Result<Vec<(u64, Bytes)>, FsError> {
         let mut out = Vec::new();
         for key in start_key..start_key.saturating_add(count as u64) {
             if let Some(value) = self.get(key).await? {
@@ -264,12 +268,12 @@ impl KvStore {
     }
 
     /// True when `key` is present in either index partition (no I/O).
-    pub fn contains(&self, key: u64) -> bool {
+    pub(crate) fn contains(&self, key: u64) -> bool {
         self.index.borrow().contains_key(&key)
     }
 
     /// Every indexed key, ascending (migration enumeration; no I/O).
-    pub fn keys(&self) -> Vec<u64> {
+    pub(crate) fn keys(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self.index.borrow().keys().copied().collect();
         out.sort_unstable();
         out
@@ -279,7 +283,7 @@ impl KvStore {
     /// stay in the append-only log as garbage). Returns true if the key
     /// was present. The DPU memory reservation is deliberately not
     /// shrunk: FASTER-style stores reclaim index slots lazily.
-    pub fn drop_key(&self, key: u64) -> bool {
+    pub(crate) fn drop_key(&self, key: u64) -> bool {
         let dropped = self.index.borrow_mut().remove(&key);
         if dropped.is_some_and(|e| e.on_dpu) {
             self.dpu_entries.set(self.dpu_entries.get() - 1);
@@ -292,7 +296,7 @@ impl KvStore {
     /// replicas that applied the same writes agree on all three even if
     /// their logs interleaved overwrites differently — the checksum
     /// covers key and value length, not log offsets.
-    pub fn digest(&self) -> (u64, u64, u64) {
+    pub(crate) fn digest(&self) -> (u64, u64, u64) {
         let mut entries = 0u64;
         let mut bytes = 0u64;
         let mut checksum = 0u64;
@@ -313,9 +317,12 @@ impl KvStore {
         let dpu = self.dpu_entries.get() as usize;
         (dpu, self.index.borrow().len() - dpu)
     }
+}
 
+#[cfg(test)]
+impl KvStore {
     /// Bytes appended to the hybrid log so far.
-    pub fn log_bytes(&self) -> u64 {
+    pub(crate) fn log_bytes(&self) -> u64 {
         self.log.tail()
     }
 }

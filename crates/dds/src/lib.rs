@@ -14,9 +14,9 @@
 //!   transport terminates on the DPU; both paths answer through it).
 //! * **Q3 — general, efficient offloading**: the UDF of §7 — parse a
 //!   network message, decide whether the DPU can serve it alone, run it
-//!   against the DPU file service — is [`proto::Request::decode`], then
+//!   against the DPU file service — is `proto::Request::decode`, then
 //!   the server's `wants_dpu` and `try_exec` over the decoded
-//!   [`proto::Op`]; see [`server::Dds::handle`].
+//!   [`proto::Op`]; see `server::Dds::handle`.
 //!
 //! Two production-system stand-ins exercise the whole path end to end:
 //!

@@ -20,18 +20,18 @@ use dpdpu_storage::{FileId, FileService, FsError, PageCache, RecordLog};
 
 /// Host CPU cycles to apply one log record to a page image (lookup,
 /// LSN checks, memcpy, bookkeeping).
-pub const REPLAY_CYCLES_PER_RECORD: u64 = 20_000;
+pub(crate) const REPLAY_CYCLES_PER_RECORD: u64 = 20_000;
 
 /// Bytes per page, the Hyperscale page size.
-pub const PAGE_SIZE: u64 = 8_192;
+pub(crate) const PAGE_SIZE: u64 = 8_192;
 
 /// One pending WAL record.
 #[derive(Debug, Clone)]
-pub struct LogRecord {
+pub(crate) struct LogRecord {
     /// Byte offset within the page.
-    pub offset: u32,
+    pub(crate) offset: u32,
     /// Replacement bytes.
-    pub delta: Bytes,
+    pub(crate) delta: Bytes,
 }
 
 /// The page server.
@@ -50,7 +50,7 @@ pub struct PageServer {
     /// would re-insert a stale image.
     epochs: RefCell<HashMap<u64, u64>>,
     /// WAL records appended.
-    pub log_records: Counter,
+    pub(crate) log_records: Counter,
     /// Records replayed into page images.
     pub replayed: Counter,
 }
@@ -134,7 +134,7 @@ impl PageServer {
 
     /// Creates a page server with `num_pages` zeroed pages of
     /// [`PAGE_SIZE`] bytes and an optional DPU-memory page cache.
-    pub async fn with_cache(
+    pub(crate) async fn with_cache(
         service: Rc<FileService>,
         num_pages: u64,
         cache: Option<Rc<PageCache>>,
@@ -153,7 +153,12 @@ impl PageServer {
 
     /// Appends one WAL record: durable in the WAL file, then queued for
     /// replay. The page becomes dirty until replay catches up.
-    pub async fn append_log(&self, page_id: u64, offset: u32, delta: Bytes) -> Result<(), FsError> {
+    pub(crate) async fn append_log(
+        &self,
+        page_id: u64,
+        offset: u32,
+        delta: Bytes,
+    ) -> Result<(), FsError> {
         assert!(
             offset as u64 + delta.len() as u64 <= PAGE_SIZE,
             "log record exceeds page bounds"
@@ -194,7 +199,7 @@ impl PageServer {
     }
 
     /// True when the page has no pending log — DPU-servable.
-    pub fn is_clean(&self, page_id: u64) -> bool {
+    pub(crate) fn is_clean(&self, page_id: u64) -> bool {
         !self.pending.borrow().contains_key(&page_id)
     }
 
@@ -208,7 +213,7 @@ impl PageServer {
     /// # Panics
     /// Panics if the page is dirty — the traffic director must not route
     /// dirty pages here.
-    pub async fn get_page_dpu(&self, page_id: u64) -> Result<Bytes, FsError> {
+    pub(crate) async fn get_page_dpu(&self, page_id: u64) -> Result<Bytes, FsError> {
         assert!(
             self.is_clean(page_id),
             "director routed a dirty page to the DPU"
@@ -235,7 +240,11 @@ impl PageServer {
     /// apply deltas (charging host CPU per record), write it back. The
     /// records are acknowledged state: a replay that fails keeps them,
     /// ahead of anything appended meanwhile, and the page stays dirty.
-    pub async fn replay_page(&self, page_id: u64, host_cpu: &CpuPool) -> Result<(), FsError> {
+    pub(crate) async fn replay_page(
+        &self,
+        page_id: u64,
+        host_cpu: &CpuPool,
+    ) -> Result<(), FsError> {
         let Some(records) = self.pending.borrow_mut().remove(&page_id) else {
             return Ok(());
         };
@@ -279,7 +288,11 @@ impl PageServer {
 
     /// Serves a page via the host: replay first (the host owns the
     /// pending log), then return the fresh image.
-    pub async fn get_page_host(&self, page_id: u64, host_cpu: &CpuPool) -> Result<Bytes, FsError> {
+    pub(crate) async fn get_page_host(
+        &self,
+        page_id: u64,
+        host_cpu: &CpuPool,
+    ) -> Result<Bytes, FsError> {
         self.replay_page(page_id, host_cpu).await?;
         Ok(Bytes::from(self.read_page(page_id).await?))
     }

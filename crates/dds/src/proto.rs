@@ -4,7 +4,7 @@
 //! director and UDFs parse them exactly the way DDS parses messages after
 //! transport reassembly. Every message is an envelope — a one-byte
 //! tag, then a `u64` request id — around tag-specific fields, all
-//! little-endian: a [`Request`] around its [`Op`], a [`Response`] around
+//! little-endian: a `Request` around its [`Op`], a `Response` around
 //! its [`Reply`].
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -12,14 +12,14 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// A client request: the header every hop reads — which request this
 /// is — around the operation the traffic director classifies.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request id for response correlation; a retry re-sends the same id.
-    pub req_id: u64,
+    pub(crate) req_id: u64,
     /// The operation to run.
-    pub op: Op,
+    pub(crate) op: Op,
 }
 
-/// What a [`Request`] asks the server to do.
+/// What a `Request` asks the server to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// KV point lookup.
@@ -161,7 +161,7 @@ impl Request {
     }
 
     /// Serializes to wire bytes.
-    pub fn encode(&self) -> Bytes {
+    pub(crate) fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(self.encoded_len());
         let tag = match &self.op {
             Op::KvGet { .. } => 1,
@@ -212,7 +212,7 @@ impl Request {
     }
 
     /// Parses wire bytes (the UDF's job in §7).
-    pub fn decode(data: &[u8]) -> Result<Request, ProtoError> {
+    pub(crate) fn decode(data: &[u8]) -> Result<Request, ProtoError> {
         let mut c = Cursor::new(data);
         let tag = c.u8()?;
         let req_id = c.u64()?;
@@ -287,14 +287,14 @@ impl ErrorCode {
 /// A server response: the id of the [`Request`] it answers, then the
 /// answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+pub(crate) struct Response {
     /// Correlated request id.
-    pub req_id: u64,
+    pub(crate) req_id: u64,
     /// The server's answer.
-    pub reply: Reply,
+    pub(crate) reply: Reply,
 }
 
-/// What a server answers in a [`Response`].
+/// What a server answers in a `Response`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Value found (or page contents).
@@ -366,7 +366,7 @@ impl Response {
     }
 
     /// Serializes to wire bytes.
-    pub fn encode(&self) -> Bytes {
+    pub(crate) fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(self.encoded_len());
         let tag = match &self.reply {
             Reply::Data(_) => 1,
@@ -395,7 +395,7 @@ impl Response {
     }
 
     /// Parses wire bytes.
-    pub fn decode(data: &[u8]) -> Result<Response, ProtoError> {
+    pub(crate) fn decode(data: &[u8]) -> Result<Response, ProtoError> {
         let mut c = Cursor::new(data);
         let tag = c.u8()?;
         let req_id = c.u64()?;
@@ -456,7 +456,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff to sleep before retry number `attempt` (1-based: the
     /// backoff taken after the first failed attempt is `backoff_ns(1)`).
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_ns(&self, attempt: u32) -> u64 {
         let shift = attempt.saturating_sub(1).min(20);
         (self.base_backoff_ns << shift).min(self.max_backoff_ns)
     }
@@ -464,7 +464,7 @@ impl RetryPolicy {
 
 /// Protocol decode errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoError {
+pub(crate) enum ProtoError {
     /// Unknown message tag.
     BadTag(u8),
     /// Message shorter than declared.

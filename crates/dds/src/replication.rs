@@ -29,7 +29,7 @@ use crate::proto::{ErrorCode, Reply};
 /// Shared control state for one replica group (one logical shard).
 pub struct ReplGroupCtl {
     /// Group index (= shard index in the cluster).
-    pub group: usize,
+    pub(crate) group: usize,
     /// Current group epoch; every transition strictly increases it.
     epoch: Cell<u64>,
     /// Which replica currently serves as primary.
@@ -49,7 +49,7 @@ pub struct ReplGroupCtl {
 impl ReplGroupCtl {
     /// A fresh group of `replicas` members; replica 0 is the initial
     /// primary and the group starts at epoch 1.
-    pub fn new(group: usize, replicas: usize) -> Rc<Self> {
+    pub(crate) fn new(group: usize, replicas: usize) -> Rc<Self> {
         assert!(replicas >= 1, "a group needs at least one replica");
         Rc::new(ReplGroupCtl {
             group,
@@ -69,11 +69,6 @@ impl ReplGroupCtl {
     /// Index of the current primary.
     pub fn primary(&self) -> usize {
         self.primary.get()
-    }
-
-    /// Number of replicas in the group.
-    pub fn replicas(&self) -> usize {
-        self.fences.len()
     }
 
     /// True when `replica` has been fenced out of the group.
@@ -99,7 +94,7 @@ impl ReplGroupCtl {
     /// Returns `(new_primary, new_epoch)`, or `None` when no live
     /// candidate exists (the caller keeps retrying the old primary
     /// until its crash window ends).
-    pub fn promote(&self) -> Option<(usize, u64)> {
+    pub(crate) fn promote(&self) -> Option<(usize, u64)> {
         let old = self.primary.get();
         let candidate = {
             let deposed = self.deposed.borrow();
@@ -118,7 +113,7 @@ impl ReplGroupCtl {
     /// deposed backup can never be promoted over the solo commits.
     /// Refused (`None`) when the caller is no longer the primary —
     /// i.e. a failover already promoted past it.
-    pub fn solo_grant(&self, me: usize) -> Option<u64> {
+    pub(crate) fn solo_grant(&self, me: usize) -> Option<u64> {
         if self.primary.get() != me || self.deposed.borrow()[me] {
             return None;
         }
@@ -149,22 +144,22 @@ impl ReplGroupCtl {
 /// as an unreplicated shard.
 pub struct ReplRole {
     /// Shared group control state.
-    pub ctl: Rc<ReplGroupCtl>,
+    pub(crate) ctl: Rc<ReplGroupCtl>,
     /// This server's replica index within the group.
-    pub me: usize,
+    pub(crate) me: usize,
     /// Minimum epoch accepted on incoming replication writes; shared
     /// with (and raised by) the control plane.
-    pub fence: Rc<Cell<u64>>,
+    pub(crate) fence: Rc<Cell<u64>>,
     /// Chain link to the next replica, present on the initial primary
     /// (and any replica that may become one).
-    pub backup: RefCell<Option<Rc<crate::server::DdsClient>>>,
+    pub(crate) backup: RefCell<Option<Rc<crate::server::DdsClient>>>,
     /// Serializes replicated commits on this primary so the backup
     /// applies writes in the primary's apply order — without this, two
     /// concurrent puts to the same key could chain in the opposite
     /// order and leave the replicas permanently divergent.
     pub(crate) chain_gate: Semaphore,
     /// Writes this replica chain-forwarded to its backup.
-    pub chained: Counter,
+    pub(crate) chained: Counter,
     /// Writes committed solo (backup deposed or unreachable).
     pub solo_commits: Counter,
     /// Requests answered `StaleEpoch` (deposed replica, or stale
@@ -174,7 +169,7 @@ pub struct ReplRole {
 
 impl ReplRole {
     /// Builds the role for replica `me` of `ctl`'s group.
-    pub fn new(ctl: Rc<ReplGroupCtl>, me: usize) -> Rc<Self> {
+    pub(crate) fn new(ctl: Rc<ReplGroupCtl>, me: usize) -> Rc<Self> {
         let fence = ctl.fence_of(me);
         Rc::new(ReplRole {
             ctl,
@@ -189,12 +184,12 @@ impl ReplRole {
     }
 
     /// True when this replica has been fenced out of the group.
-    pub fn deposed(&self) -> bool {
+    pub(crate) fn deposed(&self) -> bool {
         self.ctl.is_deposed(self.me)
     }
 
     /// True when this replica is the group's current primary.
-    pub fn is_primary(&self) -> bool {
+    pub(crate) fn is_primary(&self) -> bool {
         self.ctl.primary() == self.me
     }
 

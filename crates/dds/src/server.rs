@@ -77,7 +77,7 @@ pub struct Dds {
     /// Request router (Q2).
     pub director: TrafficDirector,
     /// FASTER-style KV integration.
-    pub kv: Rc<KvStore>,
+    pub(crate) kv: Rc<KvStore>,
     /// Hyperscale-style page-server integration.
     pub pages: Rc<PageServer>,
     /// Requests served on the DPU path.
@@ -86,14 +86,14 @@ pub struct Dds {
     pub served_host: Counter,
     /// Requests whose DPU execution failed and were re-run on the host
     /// (graceful degradation; also opens the director's breaker).
-    pub host_fallbacks: Counter,
+    pub(crate) host_fallbacks: Counter,
     /// Requests that failed on both paths and were answered with
     /// [`Reply::Error`].
-    pub exec_errors: Counter,
+    pub(crate) exec_errors: Counter,
     /// Duplicate requests (client retries of an id this connection has
     /// already answered) served from the per-connection replay cache
     /// instead of being re-executed.
-    pub dup_replays: Counter,
+    pub(crate) dup_replays: Counter,
     /// Replay-cache entries held right now, over every connection.
     pub(crate) replay_entries: Cell<usize>,
     /// Membership in a replica group, attached by the cluster when it
@@ -149,7 +149,7 @@ impl Dds {
 
     /// This server as a fabric endpoint: the transport terminates on the
     /// DPU (DDS's network front end), with host cores behind the PCIe.
-    pub fn endpoint(&self) -> Endpoint {
+    pub(crate) fn endpoint(&self) -> Endpoint {
         Endpoint::of(&self.platform)
     }
 
@@ -175,7 +175,7 @@ impl Dds {
 
     /// Joins this server to a replica group. Called by the cluster once
     /// the group's fabric chain is wired, before traffic starts.
-    pub fn attach_replication(&self, role: Rc<ReplRole>) {
+    pub(crate) fn attach_replication(&self, role: Rc<ReplRole>) {
         *self.repl.borrow_mut() = Some(role);
     }
 
@@ -207,7 +207,7 @@ impl Dds {
     }
 
     /// Handles one already-received request, charging the serving path.
-    pub async fn handle(&self, req: Request) -> Response {
+    pub(crate) async fn handle(&self, req: Request) -> Response {
         let reply = self.reply_to(&req).await;
         Response {
             req_id: req.req_id,
@@ -701,7 +701,7 @@ impl DdsClient {
     /// the same request id, so a late response to an earlier attempt
     /// still completes the call (and duplicate responses are dropped by
     /// the demultiplexer).
-    pub async fn call_with(&self, policy: RetryPolicy, op: Op) -> Result<Reply, DpdpuError> {
+    pub(crate) async fn call_with(&self, policy: RetryPolicy, op: Op) -> Result<Reply, DpdpuError> {
         let req = Request {
             req_id: self.fresh_id(),
             op,
@@ -777,17 +777,6 @@ impl DdsClient {
     /// KV put.
     pub async fn kv_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
         self.call(Op::KvPut { key, value }).await.map(Reply::ack)
-    }
-
-    /// KV range scan: present keys of `[start_key, start_key + count)`.
-    pub async fn kv_scan(
-        &self,
-        start_key: u64,
-        count: u32,
-    ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {
-        self.call(Op::KvScan { start_key, count })
-            .await
-            .map(Reply::rows)
     }
 
     /// GetPage.
@@ -886,12 +875,16 @@ mod tests {
             }
             let served_dpu_before = dds.served_dpu.get();
             // Keys 0..4 are DPU-resident: that scan serves on the DPU.
-            let hits = client.kv_scan(0, 4).await.unwrap();
+            let scan = |count| Op::KvScan {
+                start_key: 0,
+                count,
+            };
+            let hits = client.call(scan(4)).await.unwrap().rows();
             assert_eq!(hits.len(), 4);
             assert_eq!(dds.served_dpu.get(), served_dpu_before + 1);
             // Keys 4..8 overflowed to the host: host-served scan.
             let served_host_before = dds.served_host.get();
-            let hits = client.kv_scan(0, 8).await.unwrap();
+            let hits = client.call(scan(8)).await.unwrap().rows();
             assert_eq!(hits.len(), 8);
             assert_eq!(hits[5], (5, Bytes::from(vec![5u8; 64])));
             assert_eq!(dds.served_host.get(), served_host_before + 1);

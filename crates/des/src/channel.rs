@@ -94,7 +94,7 @@ impl<T> Receiver<T> {
     }
 
     /// Number of values currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.borrow().queue.len()
     }
 

@@ -214,11 +214,6 @@ impl<T: Send> XSender<T> {
         self.push(now().saturating_add(self.link.latency), value);
     }
 
-    /// The link's latency — the lookahead this channel contributes.
-    pub fn latency(&self) -> Time {
-        self.link.latency
-    }
-
     /// Test hook: forge an arrival timestamp, bypassing the latency
     /// stamp. This is how the meta-test plants a lookahead violation and
     /// proves the synchronizer catches it.
@@ -942,7 +937,7 @@ mod tests {
         set.set_root(a, move || {
             let sim = Sim::new();
             sim.spawn(async move {
-                sleep_until(10 * crate::time::MILLIS).await;
+                sleep_until(10_000_000).await;
                 ab_tx.send(7);
             });
             (sim, Box::new(NoHooks) as Box<dyn DomainHooks>)
@@ -972,10 +967,7 @@ mod tests {
         set.run(3);
         assert_eq!(
             *got.lock().unwrap(),
-            vec![
-                (10 * crate::time::MILLIS + 100, 7),
-                (10 * crate::time::MILLIS + 200, 8)
-            ]
+            vec![(10_000_000 + 100, 7), (10_000_000 + 200, 8)]
         );
     }
 

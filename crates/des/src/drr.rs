@@ -103,11 +103,6 @@ impl<T> Drr<T> {
         self.len == 0
     }
 
-    /// Items queued for one tenant.
-    pub fn queue_depth(&self, tenant: usize) -> usize {
-        self.queues[tenant].len()
-    }
-
     /// Total cost served to one tenant since construction.
     pub fn served(&self, tenant: usize) -> u64 {
         self.served[tenant]

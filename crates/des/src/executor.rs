@@ -274,7 +274,7 @@ impl Sim {
     ///
     /// # Panics
     /// Panics if `t` is in the past or jumps over a pending timer.
-    pub fn advance_to(&mut self, t: Time) {
+    pub(crate) fn advance_to(&mut self, t: Time) {
         let prev = self.shared.now.get();
         assert!(
             t >= prev,

@@ -56,4 +56,4 @@ pub use probe::Site;
 pub use semaphore::{Permit, Semaphore};
 pub use server::Server;
 pub use stats::{Counter, Gauge, Histogram};
-pub use time::{cycles_to_ns, transmit_ns, Time, MICROS, MILLIS, SECONDS};
+pub use time::{cycles_to_ns, transmit_ns, Time, SECONDS};

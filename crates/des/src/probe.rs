@@ -175,7 +175,7 @@ pub fn set_checker(checker: Option<Rc<dyn Probe>>) {
 /// consult this before computing timestamps so the disabled path stays
 /// branch-only.
 #[inline]
-pub fn probe_enabled() -> bool {
+pub(crate) fn probe_enabled() -> bool {
     ENABLED.with(|e| e.get())
 }
 

@@ -92,11 +92,6 @@ impl Server {
         self.sem.queue_len()
     }
 
-    /// Slots currently free.
-    pub fn free_slots(&self) -> usize {
-        self.sem.available()
-    }
-
     /// Total busy nanoseconds accumulated across all slots.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.get()
@@ -185,7 +180,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let server = Server::new("s", 1);
-            assert_eq!(server.free_slots(), 1);
+            assert_eq!(server.sem.available(), 1);
             let mut hs = Vec::new();
             for _ in 0..3 {
                 let server = server.clone();
@@ -193,12 +188,12 @@ mod tests {
             }
             crate::executor::yield_now().await;
             crate::executor::yield_now().await;
-            assert_eq!(server.free_slots(), 0);
+            assert_eq!(server.sem.available(), 0);
             assert!(server.queue_len() >= 1, "waiters must be visible");
             for h in hs {
                 h.await;
             }
-            assert_eq!(server.free_slots(), 1);
+            assert_eq!(server.sem.available(), 1);
             assert_eq!(server.queue_len(), 0);
         });
         sim.run();

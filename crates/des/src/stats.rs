@@ -64,11 +64,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         self.value.get()
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.value.set(0.0);
-    }
 }
 
 /// Records individual samples and reports exact order statistics.
@@ -99,7 +94,7 @@ impl Histogram {
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.samples.borrow().iter().sum()
     }
 
@@ -113,11 +108,6 @@ impl Histogram {
         }
     }
 
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        self.samples.borrow().iter().copied().min()
-    }
-
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
         self.samples.borrow().iter().copied().max()
@@ -125,7 +115,7 @@ impl Histogram {
 
     /// Exact quantile by the nearest-rank method; `q` in `[0, 1]`.
     /// Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         let mut samples = self.samples.borrow_mut();
         if samples.is_empty() {
             return None;
@@ -147,12 +137,6 @@ impl Histogram {
     /// 99th percentile.
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
-    }
-
-    /// Clears all samples.
-    pub fn reset(&self) {
-        self.samples.borrow_mut().clear();
-        self.sorted.set(false);
     }
 }
 
@@ -177,7 +161,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(5));
         assert_eq!(h.p50(), Some(3));
         assert_eq!(h.quantile(1.0), Some(5));
@@ -189,7 +172,7 @@ mod tests {
     fn empty_histogram_is_safe() {
         let h = Histogram::new();
         assert_eq!(h.p50(), None);
-        assert_eq!(h.min(), None);
+        assert_eq!(h.quantile(0.0), None);
         assert_eq!(h.mean(), 0.0);
     }
 
@@ -199,7 +182,7 @@ mod tests {
         h.record(10);
         assert_eq!(h.p50(), Some(10));
         h.record(1);
-        assert_eq!(h.min(), Some(1));
+        assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.p50(), Some(1)); // nearest-rank of 2 samples at q=0.5
     }
 
@@ -222,7 +205,7 @@ mod tests {
         for q in [0.0, 0.001, 0.5, 0.999, 1.0] {
             assert_eq!(h.quantile(q), Some(42), "q={q}");
         }
-        assert_eq!(h.min(), Some(42));
+        assert_eq!(h.quantile(0.0), Some(42));
         assert_eq!(h.max(), Some(42));
         assert!((h.mean() - 42.0).abs() < 1e-9);
     }
@@ -238,21 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_empty_semantics() {
-        let h = Histogram::new();
-        h.record(7);
-        h.record(9);
-        assert_eq!(h.p50(), Some(7));
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.p50(), None);
-        assert_eq!(h.mean(), 0.0);
-        // Recording after reset starts a fresh distribution.
-        h.record(3);
-        assert_eq!(h.quantile(1.0), Some(3));
-    }
-
-    #[test]
     fn gauge_moves_both_ways() {
         let g = Gauge::new();
         assert_eq!(g.get(), 0.0);
@@ -260,7 +228,5 @@ mod tests {
         g.add(1.5);
         g.add(-2.0);
         assert!((g.get() - 3.5).abs() < 1e-12);
-        g.reset();
-        assert_eq!(g.get(), 0.0);
     }
 }

@@ -4,10 +4,6 @@
 /// A virtual-time instant or duration, in nanoseconds.
 pub type Time = u64;
 
-/// Nanoseconds per microsecond.
-pub const MICROS: Time = 1_000;
-/// Nanoseconds per millisecond.
-pub const MILLIS: Time = 1_000_000;
 /// Nanoseconds per second.
 pub const SECONDS: Time = 1_000_000_000;
 
@@ -39,7 +35,7 @@ mod tests {
         assert_eq!(cycles_to_ns(3, 3_000_000_000), 1);
         assert_eq!(cycles_to_ns(0, 3_000_000_000), 0);
         // 2.5 GHz core: 2500 cycles = 1 µs.
-        assert_eq!(cycles_to_ns(2_500, 2_500_000_000), MICROS);
+        assert_eq!(cycles_to_ns(2_500, 2_500_000_000), 1_000);
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl FaultSite {
     /// surface it (`dpdpu-check`'s fault hygiene). The other categories
     /// (delays, slow I/O, overload and crash windows) only stretch
     /// completion time and need no recovery action.
-    pub fn must_be_handled(self) -> bool {
+    pub(crate) fn must_be_handled(self) -> bool {
         matches!(
             self,
             FaultSite::LinkDrop
@@ -188,11 +188,6 @@ impl FaultPlan {
             seed,
             ..FaultPlan::default()
         }
-    }
-
-    /// The plan seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Drop each network frame independently with probability `rate`.

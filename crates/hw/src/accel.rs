@@ -34,7 +34,6 @@ impl std::error::Error for AccelError {}
 /// their setup latencies but share the engine's internal pipeline, so
 /// `bytes_per_sec` is the device's *aggregate* streaming bandwidth.
 pub struct Accelerator {
-    kind: AccelKind,
     contexts: Semaphore,
     num_contexts: usize,
     pipeline: Rc<Server>,
@@ -52,28 +51,12 @@ impl Accelerator {
     ) -> Rc<Self> {
         assert!(bytes_per_sec > 0, "accelerator bandwidth must be positive");
         Rc::new(Accelerator {
-            kind,
             contexts: Semaphore::new_labeled(&format!("accel-{kind:?}-ctx"), contexts),
             num_contexts: contexts,
             pipeline: Server::new(format!("accel-{kind:?}"), 1),
             fixed_latency_ns,
             bytes_per_sec,
         })
-    }
-
-    /// Which function this engine implements.
-    pub fn kind(&self) -> AccelKind {
-        self.kind
-    }
-
-    /// Streaming bandwidth in bytes/sec.
-    pub fn bytes_per_sec(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
-    /// Fixed per-job latency in ns.
-    pub fn fixed_latency_ns(&self) -> Time {
-        self.fixed_latency_ns
     }
 
     /// Service time for a job of `bytes` (setup + streaming).
@@ -120,7 +103,7 @@ impl Accelerator {
     }
 
     /// Number of hardware contexts.
-    pub fn contexts(&self) -> usize {
+    pub(crate) fn contexts(&self) -> usize {
         self.num_contexts
     }
 

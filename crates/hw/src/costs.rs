@@ -27,13 +27,13 @@ pub const DEFLATE_CYCLES_PER_BYTE_ARM: u64 = 110;
 /// Anchor: Figure 1 — "the compression accelerator on BF-2 outperforms
 /// CPUs by an order of magnitude". 550 MB/s ≈ 10.1× the EPYC software rate
 /// above.
-pub const BF2_COMPRESS_ASIC_BYTES_PER_SEC: u64 = 550_000_000;
+pub(crate) const BF2_COMPRESS_ASIC_BYTES_PER_SEC: u64 = 550_000_000;
 
 /// Fixed per-job setup latency of DPU hardware accelerators, nanoseconds.
 /// Covers descriptor submission, engine scheduling, and completion
 /// interrupt/poll. ASICs trade latency for throughput (paper §5: "high
 /// throughput with high latency").
-pub const ACCEL_FIXED_LATENCY_NS: u64 = 8_000;
+pub(crate) const ACCEL_FIXED_LATENCY_NS: u64 = 8_000;
 
 /// Cycles per byte for software AES-128-CTR on x86 *without* AES-NI usage
 /// in the model (worst-case software path the accelerator displaces).
@@ -43,19 +43,19 @@ pub const AES_CYCLES_PER_BYTE_X86: u64 = 18;
 pub const AES_CYCLES_PER_BYTE_ARM: u64 = 35;
 
 /// BlueField-2 crypto ASIC bandwidth, bytes/sec (line-rate capable).
-pub const BF2_CRYPTO_ASIC_BYTES_PER_SEC: u64 = 12_500_000_000;
+pub(crate) const BF2_CRYPTO_ASIC_BYTES_PER_SEC: u64 = 12_500_000_000;
 
 /// Cycles per byte for software regex scanning (Thompson NFA).
 pub const REGEX_CYCLES_PER_BYTE_CPU: u64 = 40;
 
 /// BlueField-2 RegEx ASIC (RXP) bandwidth, bytes/sec.
-pub const BF2_REGEX_ASIC_BYTES_PER_SEC: u64 = 4_000_000_000;
+pub(crate) const BF2_REGEX_ASIC_BYTES_PER_SEC: u64 = 4_000_000_000;
 
 /// Cycles per byte for SHA-256 hashing in software.
 pub const SHA_CYCLES_PER_BYTE_CPU: u64 = 12;
 
 /// Dedup ASIC (content hashing) bandwidth, bytes/sec.
-pub const BF2_DEDUP_ASIC_BYTES_PER_SEC: u64 = 8_000_000_000;
+pub(crate) const BF2_DEDUP_ASIC_BYTES_PER_SEC: u64 = 8_000_000_000;
 
 /// Host CPU cycles consumed per storage I/O through the Linux kernel path
 /// (syscall entry/exit, VFS, block layer, interrupt handling, copyout).
@@ -124,32 +124,32 @@ pub const DPU_RDMA_ISSUE_CYCLES: u64 = 300;
 pub const RDMA_NIC_OP_NS: u64 = 600;
 
 /// PCIe 4.0 round-trip latency for a small DMA transaction, nanoseconds.
-pub const PCIE_RTT_NS: u64 = 700;
+pub(crate) const PCIE_RTT_NS: u64 = 700;
 
 /// Per-DMA-transaction engine overhead on top of the RTT, nanoseconds.
-pub const DMA_SETUP_NS: u64 = 150;
+pub(crate) const DMA_SETUP_NS: u64 = 150;
 
 /// Descriptor size on the SE/NE request and completion rings, bytes.
 pub const RING_DESC_BYTES: u64 = 64;
 
 /// Re-probe cadence of a DPU ring poller that found its ring empty,
 /// nanoseconds.
-pub const RING_IDLE_POLL_NS: u64 = 1_000;
+pub(crate) const RING_IDLE_POLL_NS: u64 = 1_000;
 
 /// NVMe SSD read base latency (4K–8K random read), nanoseconds.
-pub const SSD_READ_LATENCY_NS: u64 = 78_000;
+pub(crate) const SSD_READ_LATENCY_NS: u64 = 78_000;
 
 /// NVMe SSD write base latency (SLC-cache absorbed), nanoseconds.
-pub const SSD_WRITE_LATENCY_NS: u64 = 14_000;
+pub(crate) const SSD_WRITE_LATENCY_NS: u64 = 14_000;
 
 /// NVMe SSD internal read bandwidth, bytes/sec.
-pub const SSD_READ_BYTES_PER_SEC: u64 = 3_200_000_000;
+pub(crate) const SSD_READ_BYTES_PER_SEC: u64 = 3_200_000_000;
 
 /// NVMe SSD internal write bandwidth, bytes/sec.
-pub const SSD_WRITE_BYTES_PER_SEC: u64 = 2_800_000_000;
+pub(crate) const SSD_WRITE_BYTES_PER_SEC: u64 = 2_800_000_000;
 
 /// NVMe queue depth per device.
-pub const SSD_QUEUE_DEPTH: usize = 128;
+pub(crate) const SSD_QUEUE_DEPTH: usize = 128;
 
 /// Host kernel network stack one-way latency, nanoseconds (driver,
 /// softirq, socket wakeup, scheduler).
@@ -157,7 +157,7 @@ pub const HOST_KERNEL_NET_NS: u64 = 15_000;
 
 /// One-way propagation + switching delay inside a data-center rack,
 /// nanoseconds.
-pub const RACK_PROPAGATION_NS: u64 = 2_000;
+pub(crate) const RACK_PROPAGATION_NS: u64 = 2_000;
 
 /// Context-switch / wakeup penalty when a host thread blocks on I/O,
 /// nanoseconds.

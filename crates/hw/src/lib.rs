@@ -20,7 +20,7 @@
 //! * [`Memory`] — a capacity tracker used for the DPU's limited onboard
 //!   memory (the constraint that forces DDS-style *partial* offloading).
 //!
-//! * [`PeerDevice`] — PCIe peer accelerators (GPU/FPGA) with per-launch
+//! * [`PeerDevice`] — a PCIe peer accelerator (a GPU) with per-launch
 //!   overheads, the fusion substrate of §5's extension.
 //!
 //! Device *specifications* ([`DpuSpec`], [`HostSpec`]) describe concrete
@@ -45,7 +45,7 @@ pub use cpu::CpuPool;
 pub use link::{Link, LinkConfig};
 pub use memory::{Memory, MemoryError, MemoryReservation};
 pub use pcie::PcieLink;
-pub use peer::{PeerDevice, PeerKind, PeerSpec};
+pub use peer::{PeerDevice, PeerSpec};
 pub use platform::Platform;
 pub use spec::{AccelKind, AccelSpec, DpuSpec, HostSpec};
 pub use ssd::{IoError, Ssd};

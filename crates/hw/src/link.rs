@@ -76,12 +76,12 @@ pub struct Link<T> {
     out: Sender<T>,
     rng: RefCell<StdRng>,
     fault_exempt: bool,
-    pub delivered: Counter,
-    pub dropped: Counter,
-    pub bytes_sent: Counter,
+    pub(crate) delivered: Counter,
+    pub(crate) dropped: Counter,
+    pub(crate) bytes_sent: Counter,
     /// Frames stamped Congestion Experienced (queueing delay above the
     /// configured ECN threshold).
-    pub ecn_marked: Counter,
+    pub(crate) ecn_marked: Counter,
 }
 
 impl<T: 'static> Link<T> {
@@ -127,13 +127,8 @@ impl<T: 'static> Link<T> {
         )
     }
 
-    /// Link configuration.
-    pub fn config(&self) -> LinkConfig {
-        self.cfg
-    }
-
     /// Serialization time for a frame of `bytes`.
-    pub fn transmit_ns(&self, bytes: u64) -> Time {
+    pub(crate) fn transmit_ns(&self, bytes: u64) -> Time {
         transmit_ns(bytes, self.cfg.bits_per_sec)
     }
 

@@ -12,9 +12,9 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryError {
     /// Bytes requested.
-    pub requested: u64,
+    pub(crate) requested: u64,
     /// Bytes that were still free.
-    pub available: u64,
+    pub(crate) available: u64,
 }
 
 impl std::fmt::Display for MemoryError {
@@ -32,7 +32,6 @@ impl std::error::Error for MemoryError {}
 struct MemInner {
     capacity: u64,
     used: Cell<u64>,
-    peak: Cell<u64>,
 }
 
 /// A device memory pool with explicit capacity.
@@ -48,29 +47,13 @@ impl Memory {
             inner: Rc::new(MemInner {
                 capacity,
                 used: Cell::new(0),
-                peak: Cell::new(0),
             }),
         }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.inner.capacity
     }
 
     /// Bytes currently reserved.
     pub fn used(&self) -> u64 {
         self.inner.used.get()
-    }
-
-    /// Bytes still free.
-    pub fn available(&self) -> u64 {
-        self.inner.capacity - self.inner.used.get()
-    }
-
-    /// High-water mark of reservations.
-    pub fn peak(&self) -> u64 {
-        self.inner.peak.get()
     }
 
     /// Reserves `bytes`, failing if they do not fit. The reservation frees
@@ -83,11 +66,7 @@ impl Memory {
                 available: self.inner.capacity - used,
             });
         }
-        let now_used = used + bytes;
-        self.inner.used.set(now_used);
-        if now_used > self.inner.peak.get() {
-            self.inner.peak.set(now_used);
-        }
+        self.inner.used.set(used + bytes);
         Ok(MemoryReservation {
             pool: self.inner.clone(),
             bytes,
@@ -110,11 +89,6 @@ pub struct MemoryReservation {
 }
 
 impl MemoryReservation {
-    /// Size of this reservation.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Grows the reservation in place, failing without change if the extra
     /// bytes do not fit.
     pub fn grow(&mut self, extra: u64) -> Result<(), MemoryError> {
@@ -126,9 +100,6 @@ impl MemoryReservation {
             });
         }
         self.pool.used.set(used + extra);
-        if used + extra > self.pool.peak.get() {
-            self.pool.peak.set(used + extra);
-        }
         self.bytes += extra;
         Ok(())
     }
@@ -149,7 +120,6 @@ mod tests {
         let mem = Memory::new(1_000);
         let r = mem.try_reserve(600).unwrap();
         assert_eq!(mem.used(), 600);
-        assert_eq!(mem.available(), 400);
         assert!(mem.try_reserve(500).is_err());
         drop(r);
         assert_eq!(mem.used(), 0);
@@ -171,25 +141,13 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_high_water_mark() {
-        let mem = Memory::new(1_000);
-        let a = mem.try_reserve(400).unwrap();
-        let b = mem.try_reserve(300).unwrap();
-        drop(a);
-        drop(b);
-        assert_eq!(mem.peak(), 700);
-        assert_eq!(mem.used(), 0);
-    }
-
-    #[test]
     fn grow_extends_reservation() {
         let mem = Memory::new(100);
         let mut r = mem.try_reserve(40).unwrap();
         r.grow(30).unwrap();
-        assert_eq!(r.bytes(), 70);
         assert_eq!(mem.used(), 70);
         assert!(r.grow(40).is_err());
-        assert_eq!(r.bytes(), 70);
+        assert_eq!(mem.used(), 70);
         drop(r);
         assert_eq!(mem.used(), 0);
     }

@@ -18,7 +18,7 @@ pub struct PcieLink {
     bytes_per_sec: u64,
     rtt_ns: Time,
     setup_ns: Time,
-    pub transactions: Counter,
+    pub(crate) transactions: Counter,
     pub bytes_moved: Counter,
 }
 
@@ -71,8 +71,8 @@ impl PcieLink {
     /// dropped and the ring drained.
     ///
     /// A poller that finds its ring empty re-probes it every
-    /// `rtt_ns +` [`costs::RING_IDLE_POLL_NS`] (one descriptor read, one
-    /// pause). Empty probes touch nothing but the clock, so they are
+    /// `rtt_ns + costs::RING_IDLE_POLL_NS` (1 µs: one descriptor read,
+    /// one pause). Empty probes touch nothing but the clock, so they are
     /// not simulated: the poller parks on the ring and, once a push
     /// wakes it, looks at the first probe instant *after* that push (a
     /// probe at the push's own nanosecond has already looked).
@@ -103,7 +103,7 @@ impl PcieLink {
     }
 
     /// Link name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         self.lane.name()
     }
 }

@@ -1,4 +1,4 @@
-//! PCIe peer accelerators: data-center GPUs and FPGAs (paper §5).
+//! PCIe peer accelerators (paper §5), modelled as a data-center GPU.
 //!
 //! "DPDPU CE can be further augmented when additional common data center
 //! accelerators such as FPGAs and GPUs are connected via PCIe … it makes
@@ -11,57 +11,29 @@ use std::rc::Rc;
 
 use dpdpu_des::{sleep, transmit_ns, Server, Time};
 
-use crate::memory::Memory;
 use crate::pcie::PcieLink;
-
-/// Peer accelerator classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerKind {
-    /// A data-center GPU.
-    Gpu,
-    /// An FPGA card.
-    Fpga,
-}
 
 /// Specification of a PCIe peer accelerator.
 #[derive(Debug, Clone, Copy)]
 pub struct PeerSpec {
-    /// Device class.
-    pub kind: PeerKind,
     /// Streaming compute bandwidth per kernel pass, bytes/sec.
-    pub bytes_per_sec: u64,
+    pub(crate) bytes_per_sec: u64,
     /// Kernel-launch / reconfiguration overhead per pass, ns.
-    pub launch_ns: Time,
+    pub(crate) launch_ns: Time,
     /// Concurrent kernel contexts (streams / PR regions).
-    pub contexts: usize,
-    /// Onboard memory, bytes.
-    pub mem_bytes: u64,
+    pub(crate) contexts: usize,
     /// PCIe bandwidth to the device, bytes/sec.
-    pub pcie_bytes_per_sec: u64,
+    pub(crate) pcie_bytes_per_sec: u64,
 }
 
 impl PeerSpec {
     /// An A100-class GPU: very high streaming bandwidth, ~10 µs launch.
     pub fn gpu() -> Self {
         PeerSpec {
-            kind: PeerKind::Gpu,
             bytes_per_sec: 60_000_000_000,
             launch_ns: 10_000,
             contexts: 8,
-            mem_bytes: 40 << 30,
             pcie_bytes_per_sec: 24_000_000_000,
-        }
-    }
-
-    /// An FPGA card: lower streaming bandwidth, tiny per-pass overhead.
-    pub fn fpga() -> Self {
-        PeerSpec {
-            kind: PeerKind::Fpga,
-            bytes_per_sec: 15_000_000_000,
-            launch_ns: 1_000,
-            contexts: 4,
-            mem_bytes: 16 << 30,
-            pcie_bytes_per_sec: 16_000_000_000,
         }
     }
 }
@@ -73,34 +45,23 @@ pub struct PeerDevice {
     engine: Rc<Server>,
     /// The device's own PCIe link (DPU reaches it peer-to-peer).
     pub pcie: Rc<PcieLink>,
-    /// Onboard memory pool.
-    pub mem: Memory,
 }
 
 impl PeerDevice {
     /// Instantiates a peer device from its spec.
     pub fn new(spec: PeerSpec) -> Rc<Self> {
         Rc::new(PeerDevice {
-            contexts: dpdpu_des::Semaphore::new_labeled(
-                &format!("peer-{:?}-ctx", spec.kind),
-                spec.contexts,
-            ),
-            engine: Server::new(format!("peer-{:?}", spec.kind), 1),
+            contexts: dpdpu_des::Semaphore::new_labeled("peer-Gpu-ctx", spec.contexts),
+            engine: Server::new("peer-Gpu", 1),
             pcie: PcieLink::new("peer-pcie", spec.pcie_bytes_per_sec),
-            mem: Memory::new(spec.mem_bytes),
             spec,
         })
-    }
-
-    /// The device spec.
-    pub fn spec(&self) -> PeerSpec {
-        self.spec
     }
 
     /// Runs `passes` kernel passes over `bytes` on-device as ONE launch
     /// (fused): a single launch overhead, then each pass streams the data
     /// through the engine; intermediates stay in device memory.
-    pub async fn run_fused(&self, bytes: u64, passes: u32) {
+    pub(crate) async fn run_fused(&self, bytes: u64, passes: u32) {
         let _ctx = self.contexts.acquire().await;
         sleep(self.spec.launch_ns).await;
         self.engine
@@ -152,7 +113,7 @@ mod tests {
             }
             let unfused = now() - fused;
             // Same streaming work, but 2 extra launches.
-            assert_eq!(unfused - fused, 2 * gpu.spec().launch_ns);
+            assert_eq!(unfused - fused, 2 * gpu.spec.launch_ns);
         });
         sim.run();
     }
@@ -161,25 +122,18 @@ mod tests {
     fn contexts_bound_concurrent_launches() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let fpga = PeerDevice::new(PeerSpec::fpga());
+            let gpu = PeerDevice::new(PeerSpec::gpu());
             let mut hs = Vec::new();
-            for _ in 0..8 {
-                let fpga = fpga.clone();
-                hs.push(dpdpu_des::spawn(async move { fpga.run_pass(15_000).await }));
+            for _ in 0..16 {
+                let gpu = gpu.clone();
+                hs.push(dpdpu_des::spawn(async move { gpu.run_pass(60_000).await }));
             }
             dpdpu_des::join_all(hs).await;
-            // 8 × 1 µs streaming serialized + overlapped launches.
-            assert!(now() >= 8 * 1_000);
+            // 16 × 1 µs streaming, serialized on the engine. With unbounded
+            // contexts every 10 µs launch would overlap and the last pass
+            // would end at 26 µs; with 8, the ninth launch waits for one.
+            assert!(now() > 10_000 + 16 * 1_000);
         });
         sim.run();
-    }
-
-    #[test]
-    fn peer_memory_is_tracked() {
-        let gpu = PeerDevice::new(PeerSpec::gpu());
-        let r = gpu.mem.try_reserve(10 << 30).unwrap();
-        assert_eq!(gpu.mem.used(), 10 << 30);
-        drop(r);
-        assert_eq!(gpu.mem.used(), 0);
     }
 }

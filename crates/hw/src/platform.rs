@@ -241,7 +241,8 @@ mod tests {
         assert_eq!(p.host_cpu.cores(), 64);
         assert_eq!(p.dpu_cpu.cores(), 8);
         assert!(p.accel(AccelKind::Compression).is_some());
-        assert_eq!(p.dpu_mem.capacity(), 16 << 30);
+        let err = p.dpu_mem.try_reserve(u64::MAX).unwrap_err();
+        assert_eq!(err.available, 16 << 30);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Device specifications: concrete DPU and host products.
 //!
 //! DPU heterogeneity (paper challenge #3) is captured here as data: two
-//! DPUs differ in core count/clock, memory, NIC rate, and — critically —
+//! DPUs differ in core count/clock, memory, PCIe rate, and — critically —
 //! which fixed-function accelerators they carry. BlueField-2 has a RegEx
 //! engine; BlueField-3 and Intel IPU do not. DP kernels consult this
 //! inventory at placement time instead of baking in vendor assumptions.
@@ -21,27 +21,17 @@ pub enum AccelKind {
     Dedup,
 }
 
-impl AccelKind {
-    /// All known kinds, for capability enumeration.
-    pub const ALL: [AccelKind; 4] = [
-        AccelKind::Compression,
-        AccelKind::Encryption,
-        AccelKind::RegEx,
-        AccelKind::Dedup,
-    ];
-}
-
 /// One accelerator instance on a DPU.
 #[derive(Debug, Clone, Copy)]
 pub struct AccelSpec {
     /// Function implemented.
-    pub kind: AccelKind,
+    pub(crate) kind: AccelKind,
     /// Concurrent hardware contexts.
-    pub contexts: usize,
+    pub(crate) contexts: usize,
     /// Fixed per-job latency, ns.
-    pub fixed_latency_ns: u64,
+    pub(crate) fixed_latency_ns: u64,
     /// Streaming bandwidth, bytes/sec.
-    pub bytes_per_sec: u64,
+    pub(crate) bytes_per_sec: u64,
 }
 
 /// A DPU product description (paper Figure 4 for BlueField-2).
@@ -54,16 +44,11 @@ pub struct DpuSpec {
     /// Core clock, Hz.
     pub clock_hz: u64,
     /// Onboard DRAM, bytes.
-    pub mem_bytes: u64,
+    pub(crate) mem_bytes: u64,
     /// Accelerator inventory (heterogeneous across vendors).
-    pub accels: Vec<AccelSpec>,
-    /// Network interface line rate, bits/sec.
-    pub nic_bits_per_sec: u64,
+    pub(crate) accels: Vec<AccelSpec>,
     /// Host-facing PCIe DMA bandwidth, bytes/sec.
     pub pcie_bytes_per_sec: u64,
-    /// Whether generic code can run on NIC datapath cores (BlueField-3
-    /// style) rather than only match-action offloading.
-    pub generic_nic_offload: bool,
 }
 
 impl DpuSpec {
@@ -102,14 +87,12 @@ impl DpuSpec {
                     bytes_per_sec: costs::BF2_DEDUP_ASIC_BYTES_PER_SEC,
                 },
             ],
-            nic_bits_per_sec: 100_000_000_000,
             pcie_bytes_per_sec: 16_000_000_000,
-            generic_nic_offload: false,
         }
     }
 
-    /// NVIDIA BlueField-3: more/faster cores and NIC, **no RegEx engine**
-    /// (paper §1/§5 heterogeneity example), generic NIC-core offload.
+    /// NVIDIA BlueField-3: more/faster cores, **no RegEx engine** (paper
+    /// §1/§5 heterogeneity example).
     pub fn bluefield3() -> Self {
         DpuSpec {
             name: "BlueField-3",
@@ -136,15 +119,13 @@ impl DpuSpec {
                     bytes_per_sec: costs::BF2_DEDUP_ASIC_BYTES_PER_SEC,
                 },
             ],
-            nic_bits_per_sec: 400_000_000_000,
             pcie_bytes_per_sec: 32_000_000_000,
-            generic_nic_offload: true,
         }
     }
 
     /// Intel IPU (Mount Evans class): Neoverse cores, crypto +
     /// compression, **no RegEx, no dedup** (paper §1 heterogeneity
-    /// example), match-action offloading only.
+    /// example).
     pub fn intel_ipu() -> Self {
         DpuSpec {
             name: "Intel-IPU",
@@ -165,20 +146,13 @@ impl DpuSpec {
                     bytes_per_sec: costs::BF2_CRYPTO_ASIC_BYTES_PER_SEC,
                 },
             ],
-            nic_bits_per_sec: 200_000_000_000,
             pcie_bytes_per_sec: 24_000_000_000,
-            generic_nic_offload: false,
         }
     }
 
     /// Looks up the spec for an accelerator kind, if this DPU has one.
     pub fn accel(&self, kind: AccelKind) -> Option<&AccelSpec> {
         self.accels.iter().find(|a| a.kind == kind)
-    }
-
-    /// True if this DPU carries the given engine.
-    pub fn has_accel(&self, kind: AccelKind) -> bool {
-        self.accel(kind).is_some()
     }
 }
 
@@ -188,11 +162,11 @@ pub struct HostSpec {
     /// Product name.
     pub name: &'static str,
     /// Core count.
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Core clock, Hz.
     pub clock_hz: u64,
     /// DRAM, bytes.
-    pub mem_bytes: u64,
+    pub(crate) mem_bytes: u64,
 }
 
 impl HostSpec {
@@ -227,23 +201,20 @@ mod tests {
         assert_eq!(bf2.cores, 8);
         assert_eq!(bf2.clock_hz, 2_500_000_000);
         assert_eq!(bf2.mem_bytes, 16 << 30);
-        assert_eq!(bf2.nic_bits_per_sec, 100_000_000_000);
-        for kind in AccelKind::ALL {
-            assert!(bf2.has_accel(kind), "BF-2 should carry {kind:?}");
+        for kind in [
+            AccelKind::Compression,
+            AccelKind::Encryption,
+            AccelKind::RegEx,
+            AccelKind::Dedup,
+        ] {
+            assert!(bf2.accel(kind).is_some(), "BF-2 should carry {kind:?}");
         }
     }
 
     #[test]
     fn heterogeneity_regex_only_on_bf2() {
-        assert!(DpuSpec::bluefield2().has_accel(AccelKind::RegEx));
-        assert!(!DpuSpec::bluefield3().has_accel(AccelKind::RegEx));
-        assert!(!DpuSpec::intel_ipu().has_accel(AccelKind::RegEx));
-    }
-
-    #[test]
-    fn generic_offload_only_on_bf3() {
-        assert!(!DpuSpec::bluefield2().generic_nic_offload);
-        assert!(DpuSpec::bluefield3().generic_nic_offload);
-        assert!(!DpuSpec::intel_ipu().generic_nic_offload);
+        assert!(DpuSpec::bluefield2().accel(AccelKind::RegEx).is_some());
+        assert!(DpuSpec::bluefield3().accel(AccelKind::RegEx).is_none());
+        assert!(DpuSpec::intel_ipu().accel(AccelKind::RegEx).is_none());
     }
 }

@@ -53,8 +53,8 @@ pub struct Ssd {
     wr: Lane,
     pub reads: Counter,
     pub writes: Counter,
-    pub bytes_read: Counter,
-    pub bytes_written: Counter,
+    pub(crate) bytes_read: Counter,
+    pub(crate) bytes_written: Counter,
     pub io_errors: Counter,
 }
 
@@ -157,7 +157,7 @@ impl Ssd {
 
     /// Names of the internal read/write serializer tracks (the span
     /// tracks this device emits under telemetry).
-    pub fn track_names(&self) -> (String, String) {
+    pub(crate) fn track_names(&self) -> (String, String) {
         (self.rd.bw.name().to_string(), self.wr.bw.name().to_string())
     }
 

@@ -31,7 +31,7 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 
 /// An expanded AES-128 key schedule.
 #[derive(Clone)]
-pub struct Aes128 {
+pub(crate) struct Aes128 {
     round_keys: [[u8; 16]; 11],
 }
 
@@ -42,7 +42,7 @@ fn xtime(b: u8) -> u8 {
 
 impl Aes128 {
     /// Expands a 128-bit key.
-    pub fn new(key: &[u8; 16]) -> Self {
+    pub(crate) fn new(key: &[u8; 16]) -> Self {
         let mut w = [[0u8; 4]; 44];
         for i in 0..4 {
             w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
@@ -70,7 +70,7 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
             sub_bytes(block);

@@ -26,7 +26,7 @@ const TABLE: [u32; 256] = make_table();
 
 /// Incremental CRC-32.
 #[derive(Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -38,12 +38,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// Fresh CRC.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
     /// Absorbs bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
         for &b in data {
             crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
@@ -52,7 +52,7 @@ impl Crc32 {
     }
 
     /// Final checksum.
-    pub fn finalize(self) -> u32 {
+    pub(crate) fn finalize(self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 }

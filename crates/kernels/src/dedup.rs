@@ -13,11 +13,11 @@ use crate::sha256::sha256;
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkerConfig {
     /// Smallest chunk emitted.
-    pub min_size: usize,
+    pub(crate) min_size: usize,
     /// Average target chunk size (must be a power of two).
-    pub avg_size: usize,
+    pub(crate) avg_size: usize,
     /// Largest chunk emitted (forced cut).
-    pub max_size: usize,
+    pub(crate) max_size: usize,
 }
 
 impl Default for ChunkerConfig {
@@ -38,7 +38,7 @@ pub struct Chunk {
     /// Chunk length.
     pub len: usize,
     /// SHA-256 of the chunk contents.
-    pub digest: [u8; 32],
+    pub(crate) digest: [u8; 32],
 }
 
 /// Deterministic gear table derived from a splitmix64 stream.
@@ -98,23 +98,13 @@ pub fn chunk(data: &[u8], cfg: ChunkerConfig) -> Vec<Chunk> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DedupStats {
     /// Total input bytes.
-    pub input_bytes: usize,
+    pub(crate) input_bytes: usize,
     /// Bytes after removing duplicate chunks.
-    pub unique_bytes: usize,
+    pub(crate) unique_bytes: usize,
     /// Chunks in the input.
-    pub total_chunks: usize,
+    pub(crate) total_chunks: usize,
     /// Distinct chunks.
-    pub unique_chunks: usize,
-}
-
-impl DedupStats {
-    /// input / unique ratio (1.0 = nothing saved).
-    pub fn ratio(&self) -> f64 {
-        if self.unique_bytes == 0 {
-            return 1.0;
-        }
-        self.input_bytes as f64 / self.unique_bytes as f64
-    }
+    pub(crate) unique_chunks: usize,
 }
 
 /// Chunks `data` and measures duplicate content.
@@ -133,6 +123,17 @@ pub fn dedup_stats(data: &[u8], cfg: ChunkerConfig) -> DedupStats {
         unique_bytes,
         total_chunks: chunks.len(),
         unique_chunks: seen.len(),
+    }
+}
+
+#[cfg(test)]
+impl DedupStats {
+    /// input / unique ratio (1.0 = nothing saved).
+    fn ratio(&self) -> f64 {
+        if self.unique_bytes == 0 {
+            return 1.0;
+        }
+        self.input_bytes as f64 / self.unique_bytes as f64
     }
 }
 

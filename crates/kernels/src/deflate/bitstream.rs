@@ -1,7 +1,7 @@
 //! LSB-first bit I/O (DEFLATE bit order).
 
 /// Writes bits LSB-first into a byte vector.
-pub struct BitWriter {
+pub(super) struct BitWriter {
     out: Vec<u8>,
     acc: u64,
     nbits: u32,
@@ -9,7 +9,7 @@ pub struct BitWriter {
 
 impl BitWriter {
     #[allow(dead_code)]
-    pub fn new() -> Self {
+    pub(super) fn new() -> Self {
         BitWriter {
             out: Vec::new(),
             acc: 0,
@@ -17,7 +17,7 @@ impl BitWriter {
         }
     }
 
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(super) fn with_capacity(cap: usize) -> Self {
         BitWriter {
             out: Vec::with_capacity(cap),
             acc: 0,
@@ -26,7 +26,7 @@ impl BitWriter {
     }
 
     /// Writes the low `n` bits of `value` (n <= 32).
-    pub fn write_bits(&mut self, value: u32, n: u32) {
+    pub(super) fn write_bits(&mut self, value: u32, n: u32) {
         debug_assert!(n <= 32);
         debug_assert!(
             n == 32 || value < (1u32 << n),
@@ -42,7 +42,7 @@ impl BitWriter {
     }
 
     /// Flushes any partial byte (zero-padded) and returns the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(super) fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
             self.out.push((self.acc & 0xFF) as u8);
         }
@@ -51,13 +51,13 @@ impl BitWriter {
 
     /// Bits written so far (excluding padding).
     #[allow(dead_code)]
-    pub fn bit_len(&self) -> usize {
+    pub(super) fn bit_len(&self) -> usize {
         self.out.len() * 8 + self.nbits as usize
     }
 }
 
 /// Reads bits LSB-first from a byte slice.
-pub struct BitReader<'a> {
+pub(super) struct BitReader<'a> {
     data: &'a [u8],
     pos: usize,
     acc: u64,
@@ -66,10 +66,10 @@ pub struct BitReader<'a> {
 
 /// Error: ran off the end of the input bitstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutOfBits;
+pub(crate) struct OutOfBits;
 
 impl<'a> BitReader<'a> {
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(super) fn new(data: &'a [u8]) -> Self {
         BitReader {
             data,
             pos: 0,
@@ -87,7 +87,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `n` bits (n <= 32).
-    pub fn read_bits(&mut self, n: u32) -> Result<u32, OutOfBits> {
+    pub(super) fn read_bits(&mut self, n: u32) -> Result<u32, OutOfBits> {
         debug_assert!(n <= 32);
         if self.nbits < n {
             self.refill();
@@ -108,7 +108,7 @@ impl<'a> BitReader<'a> {
 
     /// Peeks up to `n` bits without consuming; missing bits read as zero
     /// (valid at end of stream for Huffman peek-decode).
-    pub fn peek_bits(&mut self, n: u32) -> u32 {
+    pub(super) fn peek_bits(&mut self, n: u32) -> u32 {
         debug_assert!(n <= 32);
         self.refill();
         let mask = if n >= 32 {
@@ -120,7 +120,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Consumes `n` already-peeked bits.
-    pub fn consume(&mut self, n: u32) -> Result<(), OutOfBits> {
+    pub(super) fn consume(&mut self, n: u32) -> Result<(), OutOfBits> {
         if self.nbits < n {
             self.refill();
             if self.nbits < n {

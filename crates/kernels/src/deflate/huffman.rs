@@ -8,12 +8,12 @@
 use super::bitstream::{BitReader, BitWriter, OutOfBits};
 
 /// Maximum code length (fits the 4-bit length fields in block headers).
-pub const MAX_CODE_LEN: u8 = 15;
+pub(super) const MAX_CODE_LEN: u8 = 15;
 
 /// Computes optimal length-limited code lengths for `freqs` via
 /// package-merge. Symbols with zero frequency get length 0. A lone active
 /// symbol gets length 1.
-pub fn build_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
+pub(super) fn build_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
     let n = freqs.len();
     let mut lengths = vec![0u8; n];
     let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
@@ -106,14 +106,14 @@ fn kraft_exact(lengths: &[u8]) -> bool {
 }
 
 /// A canonical encoder table: bit-reversed code + length per symbol.
-pub struct Encoder {
+pub(super) struct Encoder {
     codes: Vec<u32>,
     lengths: Vec<u8>,
 }
 
 impl Encoder {
     /// Builds the canonical code from lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
+    pub(super) fn from_lengths(lengths: &[u8]) -> Self {
         let mut bl_count = [0u32; MAX_CODE_LEN as usize + 1];
         for &l in lengths {
             bl_count[l as usize] += 1;
@@ -140,7 +140,7 @@ impl Encoder {
     }
 
     /// Emits `sym`'s code.
-    pub fn write(&self, w: &mut BitWriter, sym: u16) {
+    pub(super) fn write(&self, w: &mut BitWriter, sym: u16) {
         let len = self.lengths[sym as usize];
         debug_assert!(len > 0, "writing symbol {sym} with no code");
         w.write_bits(self.codes[sym as usize], len as u32);
@@ -156,7 +156,7 @@ fn reverse_bits(code: u32, len: u8) -> u32 {
 }
 
 /// A flat peek-table decoder for a canonical code.
-pub struct Decoder {
+pub(super) struct Decoder {
     /// Indexed by `peek_bits(max_len)`: packed `(symbol << 4) | len`.
     table: Vec<u32>,
     max_len: u32,
@@ -164,7 +164,7 @@ pub struct Decoder {
 
 impl Decoder {
     /// Builds the decode table from code lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
+    pub(super) fn from_lengths(lengths: &[u8]) -> Self {
         let max_len = lengths.iter().copied().max().unwrap_or(0).max(1) as u32;
         let enc = Encoder::from_lengths(lengths);
         let mut table = vec![u32::MAX; 1usize << max_len];
@@ -184,7 +184,7 @@ impl Decoder {
     }
 
     /// Decodes one symbol.
-    pub fn read(&self, r: &mut BitReader<'_>) -> Result<u16, DecodeSymbolError> {
+    pub(super) fn read(&self, r: &mut BitReader<'_>) -> Result<u16, DecodeSymbolError> {
         let peek = r.peek_bits(self.max_len);
         let entry = self.table[peek as usize];
         if entry == u32::MAX {
@@ -198,7 +198,7 @@ impl Decoder {
 
 /// Errors from symbol decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeSymbolError {
+pub(crate) enum DecodeSymbolError {
     /// Bit pattern not assigned to any symbol.
     BadCode,
     /// Input exhausted mid-symbol.

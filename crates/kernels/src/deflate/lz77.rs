@@ -4,7 +4,7 @@ use super::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Token {
+pub(super) enum Token {
     /// A raw byte.
     Literal(u8),
     /// A back-reference: copy `len` bytes from `dist` bytes back.
@@ -18,7 +18,7 @@ pub enum Token {
 
 impl Token {
     /// Bytes of input this token covers.
-    pub fn input_len(&self) -> usize {
+    pub(super) fn input_len(&self) -> usize {
         match *self {
             Token::Literal(_) => 1,
             Token::Match { len, .. } => len as usize,
@@ -41,7 +41,7 @@ fn hash3(data: &[u8], i: usize) -> usize {
 
 /// Greedy LZ77 tokenization of `data` (whole-input; the encoder splits the
 /// token stream into blocks afterwards).
-pub fn tokenize(data: &[u8]) -> Vec<Token> {
+pub(super) fn tokenize(data: &[u8]) -> Vec<Token> {
     let n = data.len();
     let mut tokens = Vec::with_capacity(n / 3 + 16);
     if n < MIN_MATCH + 1 {
@@ -122,7 +122,7 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
 /// of entropy coding (test harness; the shipping decoder has its own copy
 /// loop fused with Huffman decoding).
 #[allow(dead_code)]
-pub fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, BadReference> {
+pub(super) fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, BadReference> {
     let mut out = Vec::new();
     for t in tokens {
         match *t {
@@ -151,11 +151,11 @@ pub fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, BadReference> {
 /// Error: a back-reference points before the start of output.
 #[allow(dead_code)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BadReference {
+pub(super) struct BadReference {
     /// Requested distance.
-    pub dist: usize,
+    pub(crate) dist: usize,
     /// Bytes available.
-    pub have: usize,
+    pub(crate) have: usize,
 }
 
 #[cfg(test)]

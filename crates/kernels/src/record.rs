@@ -41,23 +41,13 @@ impl Schema {
         self.columns.len()
     }
 
-    /// Column index by name.
-    pub fn column(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(n, _)| n == name)
-    }
-
-    /// Column name by index.
-    pub fn name(&self, idx: usize) -> &str {
-        &self.columns[idx].0
-    }
-
     /// Column type by index.
-    pub fn column_type(&self, idx: usize) -> ColumnType {
+    pub(crate) fn column_type(&self, idx: usize) -> ColumnType {
         self.columns[idx].1
     }
 
     /// Projects a subset of columns into a new schema.
-    pub fn project(&self, cols: &[usize]) -> Schema {
+    pub(crate) fn project(&self, cols: &[usize]) -> Schema {
         Schema {
             columns: cols.iter().map(|&i| self.columns[i].clone()).collect(),
         }
@@ -76,18 +66,9 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value's column type.
-    pub fn column_type(&self) -> ColumnType {
-        match self {
-            Value::Int(_) => ColumnType::Int64,
-            Value::Float(_) => ColumnType::Float64,
-            Value::Text(_) => ColumnType::Text,
-        }
-    }
-
     /// Total order within a type (floats: NaN sorts last); cross-type
     /// comparisons return `None`.
-    pub fn partial_cmp_typed(&self, other: &Value) -> Option<std::cmp::Ordering> {
+    pub(crate) fn partial_cmp_typed(&self, other: &Value) -> Option<std::cmp::Ordering> {
         use std::cmp::Ordering;
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
@@ -162,14 +143,6 @@ impl fmt::Display for PageError {
 impl std::error::Error for PageError {}
 
 impl Batch {
-    /// Empty batch over a schema.
-    pub fn empty(schema: Schema) -> Self {
-        Batch {
-            schema,
-            rows: Vec::new(),
-        }
-    }
-
     /// Row count.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -266,7 +239,7 @@ pub mod gen {
 
     /// An `orders(order_id, customer_id, amount, status)` table — the
     /// kind of table the paper's predicate-pushdown example scans.
-    pub fn orders_schema() -> Schema {
+    pub(crate) fn orders_schema() -> Schema {
         Schema::new(vec![
             ("order_id", ColumnType::Int64),
             ("customer_id", ColumnType::Int64),
@@ -297,6 +270,25 @@ pub mod gen {
 }
 
 #[cfg(test)]
+impl Schema {
+    /// Column name by index.
+    pub(crate) fn name(&self, idx: usize) -> &str {
+        &self.columns[idx].0
+    }
+}
+
+#[cfg(test)]
+impl Batch {
+    /// Empty batch over a schema.
+    pub(crate) fn empty(schema: Schema) -> Self {
+        Batch {
+            schema,
+            rows: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -308,8 +300,6 @@ mod tests {
     fn schema_lookup() {
         let s = gen::orders_schema();
         assert_eq!(s.arity(), 4);
-        assert_eq!(s.column("amount"), Some(2));
-        assert_eq!(s.column("missing"), None);
         assert_eq!(s.name(3), "status");
         assert_eq!(s.column_type(0), ColumnType::Int64);
     }

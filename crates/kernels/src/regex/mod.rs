@@ -13,7 +13,7 @@
 //! use dpdpu_kernels::regex::Regex;
 //!
 //! let re = Regex::new(r"er(ror|r)\d+").unwrap();
-//! assert!(re.is_match("disk error42 detected"));
+//! assert!(re.find("disk error42 detected").is_some());
 //! assert_eq!(re.find("xx err7 yy"), Some((3, 7)));
 //! ```
 
@@ -28,7 +28,6 @@ use vm::{compile, Program};
 /// A compiled regular expression.
 pub struct Regex {
     program: Program,
-    pattern: String,
 }
 
 impl Regex {
@@ -37,18 +36,7 @@ impl Regex {
         let ast = parse(pattern)?;
         Ok(Regex {
             program: compile(&ast),
-            pattern: pattern.to_string(),
         })
-    }
-
-    /// The source pattern.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
-    }
-
-    /// True if the pattern matches anywhere in `text`.
-    pub fn is_match(&self, text: &str) -> bool {
-        self.program.search(text.as_bytes()).is_some()
     }
 
     /// Leftmost-longest match as a byte span.
@@ -82,17 +70,17 @@ mod tests {
     #[test]
     fn literal_match() {
         let re = Regex::new("abc").unwrap();
-        assert!(re.is_match("xxabcxx"));
-        assert!(!re.is_match("abx"));
+        assert!(re.find("xxabcxx").is_some());
+        assert!(re.find("abx").is_none());
         assert_eq!(re.find("xxabcxx"), Some((2, 5)));
     }
 
     #[test]
     fn alternation_and_groups() {
         let re = Regex::new("(cat|dog)s?").unwrap();
-        assert!(re.is_match("hotdogs"));
-        assert!(re.is_match("cat"));
-        assert!(!re.is_match("cow"));
+        assert!(re.find("hotdogs").is_some());
+        assert!(re.find("cat").is_some());
+        assert!(re.find("cow").is_none());
         assert_eq!(re.find("two dogs"), Some((4, 8)));
     }
 
@@ -106,16 +94,16 @@ mod tests {
     #[test]
     fn plus_requires_one() {
         let re = Regex::new("ab+c").unwrap();
-        assert!(re.is_match("abbc"));
-        assert!(!re.is_match("ac"));
+        assert!(re.find("abbc").is_some());
+        assert!(re.find("ac").is_none());
     }
 
     #[test]
     fn dot_matches_any_but_newline() {
         let re = Regex::new("a.c").unwrap();
-        assert!(re.is_match("abc"));
-        assert!(re.is_match("a-c"));
-        assert!(!re.is_match("a\nc"));
+        assert!(re.find("abc").is_some());
+        assert!(re.find("a-c").is_some());
+        assert!(re.find("a\nc").is_none());
     }
 
     #[test]
@@ -123,8 +111,8 @@ mod tests {
         let re = Regex::new(r"[a-f0-9]+").unwrap();
         assert_eq!(re.find("zz deadbeef zz"), Some((3, 11)));
         let re = Regex::new(r"\d{3}-\d{4}").unwrap();
-        assert!(re.is_match("call 555-1234 now"));
-        assert!(!re.is_match("call 55-1234 now"));
+        assert!(re.find("call 555-1234 now").is_some());
+        assert!(re.find("call 55-1234 now").is_none());
         let re = Regex::new(r"[^aeiou]+").unwrap();
         assert_eq!(re.find("aeioxyz"), Some((4, 7)));
     }
@@ -132,22 +120,22 @@ mod tests {
     #[test]
     fn bounded_repetition() {
         let re = Regex::new("a{2,3}b").unwrap();
-        assert!(!re.is_match("ab"));
-        assert!(re.is_match("aab"));
-        assert!(re.is_match("aaab"));
+        assert!(re.find("ab").is_none());
+        assert!(re.find("aab").is_some());
+        assert!(re.find("aaab").is_some());
         let re = Regex::new("x{3}").unwrap();
-        assert!(re.is_match("wxxxw"));
-        assert!(!re.is_match("wxxw"));
+        assert!(re.find("wxxxw").is_some());
+        assert!(re.find("wxxw").is_none());
     }
 
     #[test]
     fn anchors() {
         let re = Regex::new("^get").unwrap();
-        assert!(re.is_match("get /index"));
-        assert!(!re.is_match("forget"));
+        assert!(re.find("get /index").is_some());
+        assert!(re.find("forget").is_none());
         let re = Regex::new(r"\.log$").unwrap();
-        assert!(re.is_match("sys.log"));
-        assert!(!re.is_match("sys.log.1"));
+        assert!(re.find("sys.log").is_some());
+        assert!(re.find("sys.log.1").is_none());
     }
 
     #[test]
@@ -161,8 +149,8 @@ mod tests {
     #[test]
     fn empty_pattern_matches_empty() {
         let re = Regex::new("").unwrap();
-        assert!(re.is_match(""));
-        assert!(re.is_match("anything"));
+        assert!(re.find("").is_some());
+        assert!(re.find("anything").is_some());
     }
 
     #[test]
@@ -178,25 +166,25 @@ mod tests {
     #[test]
     fn empty_alternation_branch() {
         let re = Regex::new("ab|").unwrap();
-        assert!(re.is_match("xx"), "empty branch matches everywhere");
+        assert!(re.find("xx").is_some(), "empty branch matches everywhere");
         assert_eq!(Regex::new("a|b|").unwrap().find("zzz"), Some((0, 0)));
     }
 
     #[test]
     fn quantified_groups() {
         let re = Regex::new("(ab)*c").unwrap();
-        assert!(re.is_match("c"));
-        assert!(re.is_match("ababc"));
-        assert!(!re.is_match("abab"), "no trailing c anywhere");
+        assert!(re.find("c").is_some());
+        assert!(re.find("ababc").is_some());
+        assert!(re.find("abab").is_none(), "no trailing c anywhere");
         // Unanchored: the bare 'c' at index 3 matches with zero reps.
         assert_eq!(re.find("abac"), Some((3, 4)));
         let re = Regex::new("(a|b){2}").unwrap();
-        assert!(re.is_match("xbay"));
-        assert!(!re.is_match("a-b"));
+        assert!(re.find("xbay").is_some());
+        assert!(re.find("a-b").is_none());
         let re = Regex::new("(x(y|z)+)?w").unwrap();
-        assert!(re.is_match("xyzw"));
-        assert!(re.is_match("w"));
-        assert!(!re.is_match("x"));
+        assert!(re.find("xyzw").is_some());
+        assert!(re.find("w").is_some());
+        assert!(re.find("x").is_none());
     }
 
     #[test]
@@ -204,10 +192,10 @@ mod tests {
         let re = Regex::new(r"\(\d+\)").unwrap();
         assert_eq!(re.find("f(42)"), Some((1, 5)));
         let re = Regex::new(r"a\.b").unwrap();
-        assert!(re.is_match("a.b"));
-        assert!(!re.is_match("axb"));
+        assert!(re.find("a.b").is_some());
+        assert!(re.find("axb").is_none());
         let re = Regex::new(r"c:\\dir").unwrap();
-        assert!(re.is_match(r"c:\dir"));
+        assert!(re.find(r"c:\dir").is_some());
     }
 
     #[test]
@@ -225,7 +213,7 @@ mod tests {
         // (a+)+b-style patterns explode backtrackers; a Pike VM must not.
         let re = Regex::new("(a+)+b").unwrap();
         let text = "a".repeat(2_000);
-        assert!(!re.is_match(&text));
+        assert!(re.find(&text).is_none());
     }
 
     #[test]

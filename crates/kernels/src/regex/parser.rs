@@ -4,9 +4,9 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Byte offset in the pattern.
-    pub position: usize,
+    pub(crate) position: usize,
 }
 
 impl std::fmt::Display for ParseError {
@@ -23,31 +23,31 @@ impl std::error::Error for ParseError {}
 
 /// A set of byte values (character class).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ByteClass {
+pub(super) struct ByteClass {
     /// 256-bit membership bitmap.
-    pub bits: [u64; 4],
+    pub(crate) bits: [u64; 4],
 }
 
 impl ByteClass {
-    pub fn empty() -> Self {
+    pub(super) fn empty() -> Self {
         ByteClass { bits: [0; 4] }
     }
 
-    pub fn insert(&mut self, b: u8) {
+    pub(super) fn insert(&mut self, b: u8) {
         self.bits[(b >> 6) as usize] |= 1u64 << (b & 63);
     }
 
-    pub fn insert_range(&mut self, lo: u8, hi: u8) {
+    pub(super) fn insert_range(&mut self, lo: u8, hi: u8) {
         for b in lo..=hi {
             self.insert(b);
         }
     }
 
-    pub fn contains(&self, b: u8) -> bool {
+    pub(super) fn contains(&self, b: u8) -> bool {
         self.bits[(b >> 6) as usize] & (1u64 << (b & 63)) != 0
     }
 
-    pub fn negate(&mut self) {
+    pub(super) fn negate(&mut self) {
         for w in self.bits.iter_mut() {
             *w = !*w;
         }
@@ -96,7 +96,7 @@ impl ByteClass {
 
 /// Regex AST.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ast {
+pub(super) enum Ast {
     /// Matches the empty string.
     Empty,
     /// One byte from a class.
@@ -123,7 +123,7 @@ struct Parser<'a> {
 }
 
 /// Parses a pattern into an [`Ast`].
-pub fn parse(pattern: &str) -> Result<Ast, ParseError> {
+pub(super) fn parse(pattern: &str) -> Result<Ast, ParseError> {
     let mut p = Parser {
         input: pattern.as_bytes(),
         pos: 0,

@@ -4,7 +4,7 @@ use super::parser::{Ast, ByteClass};
 
 /// One VM instruction.
 #[derive(Debug, Clone)]
-pub enum Inst {
+pub(super) enum Inst {
     /// Consume one byte in the class, then go to pc+1.
     Class(ByteClass),
     /// Fork execution (first target has priority — greedy choice).
@@ -20,12 +20,12 @@ pub enum Inst {
 }
 
 /// A compiled program.
-pub struct Program {
+pub(super) struct Program {
     insts: Vec<Inst>,
 }
 
 /// Compiles an AST into a program ending in [`Inst::Match`].
-pub fn compile(ast: &Ast) -> Program {
+pub(super) fn compile(ast: &Ast) -> Program {
     let mut insts = Vec::new();
     emit(ast, &mut insts);
     insts.push(Inst::Match);
@@ -113,12 +113,12 @@ struct Thread {
 impl Program {
     /// Number of instructions (for size diagnostics).
     #[allow(dead_code)]
-    pub fn size(&self) -> usize {
+    pub(super) fn size(&self) -> usize {
         self.insts.len()
     }
 
     /// Unanchored leftmost-greedy search over the whole text.
-    pub fn search(&self, text: &[u8]) -> Option<(usize, usize)> {
+    pub(super) fn search(&self, text: &[u8]) -> Option<(usize, usize)> {
         self.search_at(text, 0)
     }
 
@@ -129,7 +129,7 @@ impl Program {
     /// greedy alternatives win; a recorded match kills lower-priority
     /// threads and is overwritten only by higher-priority (earlier /
     /// greedier) threads that run longer.
-    pub fn search_at(&self, text: &[u8], from: usize) -> Option<(usize, usize)> {
+    pub(super) fn search_at(&self, text: &[u8], from: usize) -> Option<(usize, usize)> {
         if from > text.len() {
             return None;
         }

@@ -3,9 +3,7 @@
 //! operators (e.g., predicates and aggregation)" DPDPU's Compute Engine
 //! executes on the DPU (paper §1, §4).
 
-use std::collections::HashMap;
-
-use crate::record::{Batch, ColumnType, Record, Value};
+use crate::record::{Batch, Record, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,11 +67,6 @@ impl Predicate {
     /// `a AND b`.
     pub fn and(self, other: Predicate) -> Self {
         Predicate::And(Box::new(self), Box::new(other))
-    }
-
-    /// `a OR b`.
-    pub fn or(self, other: Predicate) -> Self {
-        Predicate::Or(Box::new(self), Box::new(other))
     }
 
     /// Evaluates against one record. Type-incompatible comparisons are
@@ -227,59 +220,6 @@ pub fn aggregate(batch: &Batch, specs: &[AggSpec]) -> Vec<Value> {
         .collect()
 }
 
-/// Hashable group key (Int or Text columns).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum Key {
-    Int(i64),
-    Text(String),
-}
-
-/// Grouped aggregation over an Int64 or Text column. Output is sorted by
-/// group key for determinism. Returns `(key, results per spec)` pairs.
-///
-/// # Panics
-/// Panics if the group column is Float64 (not a valid grouping type).
-pub fn aggregate_by(
-    batch: &Batch,
-    group_col: usize,
-    specs: &[AggSpec],
-) -> Vec<(Value, Vec<Value>)> {
-    assert!(
-        batch.schema.column_type(group_col) != ColumnType::Float64,
-        "cannot group by a float column"
-    );
-    let mut groups: HashMap<Key, Vec<AggState>> = HashMap::new();
-    for row in &batch.rows {
-        let key = match row.get(group_col) {
-            Value::Int(i) => Key::Int(*i),
-            Value::Text(s) => Key::Text(s.clone()),
-            Value::Float(_) => unreachable!("checked above"),
-        };
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| specs.iter().map(|_| AggState::new()).collect());
-        for (spec, st) in specs.iter().zip(states.iter_mut()) {
-            st.update(row.get(spec.col));
-        }
-    }
-    let mut out: Vec<(Key, Vec<AggState>)> = groups.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out.into_iter()
-        .map(|(key, states)| {
-            let key = match key {
-                Key::Int(i) => Value::Int(i),
-                Key::Text(s) => Value::Text(s),
-            };
-            let vals = specs
-                .iter()
-                .zip(states.iter())
-                .map(|(s, st)| st.result(s.func))
-                .collect();
-            (key, vals)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,46 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_aggregation_partitions_rows() {
-        let batch = gen::orders(1_000, 6);
-        let groups = aggregate_by(
-            &batch,
-            3,
-            &[AggSpec {
-                func: AggFunc::Count,
-                col: 0,
-            }],
-        );
-        assert_eq!(groups.len(), 4); // four statuses
-        let total: i64 = groups
-            .iter()
-            .map(|(_, v)| match v[0] {
-                Value::Int(c) => c,
-                _ => panic!("count must be int"),
-            })
-            .sum();
-        assert_eq!(total, 1_000);
-        // Sorted by key.
-        let keys: Vec<String> = groups
-            .iter()
-            .map(|(k, _)| match k {
-                Value::Text(s) => s.clone(),
-                _ => panic!("text key"),
-            })
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot group by a float")]
-    fn grouping_by_float_rejected() {
-        let batch = gen::orders(10, 7);
-        let _ = aggregate_by(&batch, 2, &[]);
-    }
-
-    #[test]
     fn aggregate_empty_batch() {
         let batch = crate::record::Batch::empty(gen::orders_schema());
         let out = aggregate(
@@ -421,6 +321,5 @@ mod tests {
             }],
         );
         assert_eq!(out[0], Value::Int(0));
-        assert!(aggregate_by(&batch, 3, &[]).is_empty());
     }
 }

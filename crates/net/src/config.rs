@@ -44,12 +44,6 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the link shaping (builder style).
-    pub fn with_link(mut self, link: LinkConfig) -> Self {
-        self.link = link;
-        self
-    }
-
     /// This configuration, as the thing [`NetConfig::connect`] is called
     /// on. Kept only because `benchmark/` spells
     /// `.transport().connect(..)`; call `connect` directly.

@@ -42,7 +42,7 @@ impl RdmaTransport for OffloadedQp {
 #[derive(Default)]
 pub struct FlowStats {
     /// Records pushed.
-    pub records: Counter,
+    pub(crate) records: Counter,
     /// Buffers shipped.
     pub batches: Counter,
     /// Payload bytes shipped.
@@ -97,11 +97,6 @@ impl<T: RdmaTransport> Flow<T> {
         self.stats.bytes.add(bytes);
         self.transport.write_remote(bytes).await;
     }
-
-    /// Bytes currently waiting in the local buffer.
-    pub fn buffered_bytes(&self) -> u64 {
-        self.buffered
-    }
 }
 
 #[cfg(test)]
@@ -145,9 +140,9 @@ mod tests {
             let (qp, _peer) = rdma_pair(a, b, LinkConfig::rack_100g());
             let mut flow = Flow::new(qp, 1 << 20);
             flow.push(100).await;
-            assert_eq!(flow.buffered_bytes(), 100);
+            assert_eq!(flow.buffered, 100);
             flow.flush().await;
-            assert_eq!(flow.buffered_bytes(), 0);
+            assert_eq!(flow.buffered, 0);
             out2.set(flow.stats.bytes.get());
         });
         sim.run();

@@ -35,8 +35,8 @@
 //! window (all `W` messages in flight ⇒ the peer owes ≥ `W/2`) is
 //! always replenished — the scheme cannot deadlock. Because at most `W`
 //! data messages are uncredited per direction, the NIC-side buffered
-//! backlog ([`crate::rdma::RdmaStats::rnr`]) is bounded by `W` plus the
-//! handful of in-flight grants.
+//! backlog (the `rnr` count of [`crate::rdma::RdmaStats`]) is bounded
+//! by `W` plus the handful of in-flight grants.
 //!
 //! ## Faults
 //!
@@ -79,7 +79,7 @@ pub enum FabricKind {
 
 impl FabricKind {
     /// Stable lowercase name (CLI flags, tables, reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FabricKind::Tcp => "tcp",
             FabricKind::Rdma => "rdma",
@@ -88,7 +88,7 @@ impl FabricKind {
     }
 
     /// Parses [`Self::name`] back (accepts `rdma_offload` too).
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "tcp" => Some(FabricKind::Tcp),
             "rdma" => Some(FabricKind::Rdma),
@@ -136,9 +136,9 @@ const RNR_BACKOFF_NS: Time = 2_000;
 #[derive(Clone)]
 pub struct Endpoint {
     /// Host cores.
-    pub host_cpu: Rc<CpuPool>,
+    pub(crate) host_cpu: Rc<CpuPool>,
     /// DPU cores + host↔DPU PCIe, when this endpoint has a DPU.
-    pub dpu: Option<(Rc<CpuPool>, Rc<PcieLink>)>,
+    pub(crate) dpu: Option<(Rc<CpuPool>, Rc<PcieLink>)>,
 }
 
 impl Endpoint {
@@ -233,8 +233,6 @@ impl From<TcpReceiver> for FabricReceiver {
 
 /// One endpoint's handle on an established fabric connection.
 pub struct Connection {
-    /// Which fabric this connection rides.
-    pub kind: FabricKind,
     tx: FabricSender,
     rx: FabricReceiver,
 }
@@ -309,18 +307,9 @@ impl NetConfig {
                 )
             }
         };
-        let kind = self.fabric;
         (
-            Connection {
-                kind,
-                tx: a_tx,
-                rx: a_rx,
-            },
-            Connection {
-                kind,
-                tx: b_tx,
-                rx: b_rx,
-            },
+            Connection { tx: a_tx, rx: a_rx },
+            Connection { tx: b_tx, rx: b_rx },
         )
     }
 }
@@ -605,7 +594,6 @@ mod tests {
             let (a, b) = endpoints_for(kind, kind.name());
             let net = NetConfig::default().with_fabric(kind);
             let (ca, cb) = net.connect(&a, &b, &format!("t-{kind}"));
-            assert_eq!((ca.kind, cb.kind), (kind, kind));
             let (a_tx, mut a_rx) = ca.split();
             let (b_tx, mut b_rx) = cb.split();
             spawn(async move {

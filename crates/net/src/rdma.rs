@@ -17,7 +17,7 @@ use dpdpu_hw::{costs, CpuPool, Link, LinkConfig};
 
 /// One-sided or two-sided RDMA operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RdmaOpKind {
+pub(crate) enum RdmaOpKind {
     /// One-sided write to remote memory.
     Write,
     /// One-sided read from remote memory.
@@ -58,18 +58,18 @@ impl NicMsg {
 #[derive(Default)]
 pub struct RdmaStats {
     /// Operations completed.
-    pub ops: Counter,
+    pub(crate) ops: Counter,
     /// Payload bytes moved.
-    pub bytes: Counter,
+    pub(crate) bytes: Counter,
     /// Two-sided sends that arrived with **no** posted receive. Real
     /// hardware raises receiver-not-ready (RNR NAK) here and the sender
     /// backs off and retries; this model buffers the payload in the NIC
     /// instead (nothing is ever silently dropped) but counts each event
     /// so flow-control layers can prove their window kept the backlog
     /// bounded.
-    pub rnr: Counter,
+    pub(crate) rnr: Counter,
     /// High-water mark of that NIC-buffered backlog.
-    pub rnr_peak: Counter,
+    pub(crate) rnr_peak: Counter,
 }
 
 struct Completion {
@@ -122,7 +122,7 @@ pub fn rdma_pair(
 /// that inject loss *above* the NIC (e.g. the cluster fabric's dropped
 /// WQEs with RNR-style retry): a NicMsg silently lost on the wire would
 /// strand its completion forever, so the wire itself must be lossless.
-pub fn rdma_pair_named(
+pub(crate) fn rdma_pair_named(
     a_cpu: Rc<CpuPool>,
     b_cpu: Rc<CpuPool>,
     cfg: LinkConfig,
@@ -301,7 +301,7 @@ impl RdmaQp {
 
     /// Posts one operation through the verbs path and waits for its
     /// completion-queue entry, then pays the CQ poll.
-    pub async fn post(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
+    pub(crate) async fn post(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
         let cqe = self.issue(kind, bytes, payload).await;
         let _ = cqe.await;
         self.cpu.exec(costs::RDMA_CQ_POLL_CYCLES).await;
@@ -318,7 +318,12 @@ impl RdmaQp {
     ///
     /// Not for one-sided *reads* a caller consumes the result of —
     /// those need [`post`](Self::post)'s completion semantics.
-    pub async fn post_pipelined(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
+    pub(crate) async fn post_pipelined(
+        &self,
+        kind: RdmaOpKind,
+        bytes: u64,
+        payload: Option<Bytes>,
+    ) {
         let cqe = self.issue(kind, bytes, payload).await;
         let cpu = self.cpu.clone();
         spawn(async move {
@@ -333,22 +338,11 @@ impl RdmaQp {
         self.post(RdmaOpKind::Write, bytes, None).await;
     }
 
-    /// One-sided read of `bytes`.
-    pub async fn read(&self, bytes: u64) {
-        self.post(RdmaOpKind::Read, bytes, None).await;
-    }
-
-    /// Two-sided send carrying a payload.
-    pub async fn send(&self, payload: Bytes) {
-        let bytes = payload.len() as u64;
-        self.post(RdmaOpKind::Send, bytes, Some(payload)).await;
-    }
-
     /// Posts a receive and waits for the next incoming two-sided send's
     /// payload. Posting the receive WQE costs issue-side CPU, and reaping
     /// the completion costs a CQ poll — two-sided RDMA is not free on the
     /// passive side, which is exactly why one-sided ops matter (§6).
-    pub async fn recv(&self) -> Bytes {
+    pub(crate) async fn recv(&self) -> Bytes {
         self.cpu.exec(costs::RDMA_VERB_ISSUE_CYCLES / 2).await;
         let pending = self.recv_state.borrow_mut().pending.pop_front();
         let payload = match pending {
@@ -361,6 +355,20 @@ impl RdmaQp {
         };
         self.cpu.exec(costs::RDMA_CQ_POLL_CYCLES).await;
         payload
+    }
+}
+
+#[cfg(test)]
+impl RdmaQp {
+    /// One-sided read of `bytes`.
+    async fn read(&self, bytes: u64) {
+        self.post(RdmaOpKind::Read, bytes, None).await;
+    }
+
+    /// Two-sided send carrying a payload.
+    async fn send(&self, payload: Bytes) {
+        let bytes = payload.len() as u64;
+        self.post(RdmaOpKind::Send, bytes, Some(payload)).await;
     }
 }
 

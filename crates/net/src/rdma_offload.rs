@@ -24,11 +24,11 @@ use crate::rdma::{RdmaOpKind, RdmaQp};
 #[derive(Default)]
 pub struct OffloadStats {
     /// Descriptors the DPU pulled from the host ring.
-    pub polled: Counter,
+    pub(crate) polled: Counter,
     /// DMA batches the poller issued.
-    pub poll_batches: Counter,
+    pub(crate) poll_batches: Counter,
     /// Completions pushed back to the host.
-    pub completions: Counter,
+    pub(crate) completions: Counter,
 }
 
 struct RingEntry {
@@ -128,7 +128,7 @@ pub fn offload_qp(
 /// memory alongside its completion descriptor, and the host drains them
 /// through [`OffloadRecvStream`] at completion-ring poll cost. With both
 /// directions behind rings the host issues **zero verbs** end to end.
-pub fn offload_qp_with_recv(
+pub(crate) fn offload_qp_with_recv(
     host_cpu: Rc<CpuPool>,
     dpu_cpu: Rc<CpuPool>,
     pcie: Rc<PcieLink>,
@@ -153,14 +153,14 @@ pub fn offload_qp_with_recv(
 
 /// Host-side handle on the inbound completion ring: messages the DPU
 /// received and DMA'd into host memory, reaped at batched-poll cost.
-pub struct OffloadRecvStream {
+pub(crate) struct OffloadRecvStream {
     host_cpu: Rc<CpuPool>,
     rx: Receiver<Bytes>,
 }
 
 impl OffloadRecvStream {
     /// Next inbound two-sided payload (`None` if the pump is gone).
-    pub async fn recv(&mut self) -> Option<Bytes> {
+    pub(crate) async fn recv(&mut self) -> Option<Bytes> {
         let payload = self.rx.recv().await?;
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES / 4).await;
         Some(payload)
@@ -188,7 +188,7 @@ impl OffloadedQp {
     /// lock, no doorbell), then an await of the completion ring. The
     /// await models the §6 requirement that "applications only spend
     /// minimal resources polling responses".
-    pub async fn post(&self, kind: RdmaOpKind, bytes: u64) {
+    pub(crate) async fn post(&self, kind: RdmaOpKind, bytes: u64) {
         self.submit_entry(kind, bytes, None).await;
     }
 
@@ -197,16 +197,11 @@ impl OffloadedQp {
         self.post(RdmaOpKind::Write, bytes).await;
     }
 
-    /// One-sided read.
-    pub async fn read(&self, bytes: u64) {
-        self.post(RdmaOpKind::Read, bytes).await;
-    }
-
     /// Two-sided send carrying `payload`, issued by the DPU; returns
     /// once the DPU has issued the verb, not after the remote round
     /// trip. Successive sends keep ring and wire order, so a message
     /// pump overlaps round trips instead of paying one per message.
-    pub async fn send_pipelined(&self, payload: Bytes) {
+    pub(crate) async fn send_pipelined(&self, payload: Bytes) {
         let bytes = payload.len() as u64;
         self.submit_entry(RdmaOpKind::Send, bytes, Some(payload))
             .await;
@@ -216,7 +211,7 @@ impl OffloadedQp {
     /// signalled by a 0-byte notify send (both DPU-issued), with
     /// pipelined completion as in
     /// [`send_pipelined`](Self::send_pipelined).
-    pub async fn send_bulk_pipelined(&self, payload: Bytes) {
+    pub(crate) async fn send_bulk_pipelined(&self, payload: Bytes) {
         let bytes = payload.len() as u64;
         self.submit_entry(RdmaOpKind::Write, bytes, Some(payload))
             .await;

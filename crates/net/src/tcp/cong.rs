@@ -1,5 +1,5 @@
 //! Pluggable congestion control: the algorithm is an object behind the
-//! [`CongAlg`] trait, not arithmetic inlined in the sender's state
+//! `CongAlg` trait, not arithmetic inlined in the sender's state
 //! machine.
 //!
 //! The interface follows the CCP/portus shape: the datapath *installs*
@@ -13,15 +13,15 @@
 //!
 //! Three algorithms ship:
 //!
-//! * [`Reno`] — the classic AIMD loop, extracted verbatim from the old
+//! * `Reno` — the classic AIMD loop, extracted verbatim from the old
 //!   monolithic sender. Its float arithmetic is kept operation-for-
 //!   operation identical, so simulations that select Reno produce
 //!   byte-identical traces to the pre-refactor code.
-//! * [`Cubic`] — window growth is a cubic function of time since the
+//! * `Cubic` — window growth is a cubic function of time since the
 //!   last loss (concave up to the previous saturation point `W_max`,
 //!   convex beyond it), which recovers bandwidth on long-RTT paths far
 //!   faster than Reno's one-MSS-per-RTT.
-//! * [`Dctcp`] — keeps an EWMA `alpha` of the fraction of ECN-marked
+//! * `Dctcp` — keeps an EWMA `alpha` of the fraction of ECN-marked
 //!   bytes per window and cuts `cwnd` by `alpha/2` — a cut proportional
 //!   to congestion *extent*, which holds switch queues at the marking
 //!   threshold instead of overflowing them (the incast regime).
@@ -54,13 +54,13 @@ impl CongAlgKind {
     }
 
     /// Parses a CLI value.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         let s = s.to_ascii_lowercase();
         Self::ALL.into_iter().find(|kind| kind.name() == s)
     }
 
     /// Instantiates the algorithm.
-    pub fn build(self) -> Box<dyn CongAlg> {
+    pub(crate) fn build(self) -> Box<dyn CongAlg> {
         match self {
             CongAlgKind::Reno => Box::new(Reno::default()),
             CongAlgKind::Cubic => Box::new(Cubic::default()),
@@ -71,13 +71,13 @@ impl CongAlgKind {
 
 /// Connection constants handed to the algorithm at install time.
 #[derive(Debug, Clone, Copy)]
-pub struct CongConfig {
+pub(crate) struct CongConfig {
     /// Maximum segment size, bytes.
-    pub mss: u64,
+    pub(crate) mss: u64,
     /// Initial congestion window, bytes.
-    pub init_cwnd: f64,
+    pub(crate) init_cwnd: f64,
     /// Window ceiling, bytes.
-    pub max_wnd: f64,
+    pub(crate) max_wnd: f64,
 }
 
 impl Default for CongConfig {
@@ -92,31 +92,31 @@ impl Default for CongConfig {
 
 /// One congestion event's measurements, reported by the datapath.
 #[derive(Debug, Clone, Copy)]
-pub struct Measurement {
+pub(crate) struct Measurement {
     /// Cumulative ACK sequence carried by the triggering segment.
-    pub ack: u64,
+    pub(crate) ack: u64,
     /// Sender's next-to-send sequence at event time (window frontier —
     /// lets window-grained algorithms like DCTCP detect window edges).
-    pub snd_nxt: u64,
+    pub(crate) snd_nxt: u64,
     /// Bytes newly acknowledged by this event (0 for dup-ACK / RTO).
-    pub acked_bytes: u64,
+    pub(crate) acked_bytes: u64,
     /// Whether the triggering ACK echoed an ECN Congestion Experienced
     /// mark.
-    pub ecn: bool,
+    pub(crate) ecn: bool,
 }
 
 /// The algorithm's window decision, applied verbatim by the sender.
 #[derive(Debug, Clone, Copy)]
-pub struct Report {
+pub(crate) struct Report {
     /// Congestion window, bytes.
-    pub cwnd: f64,
+    pub(crate) cwnd: f64,
     /// Slow-start threshold, bytes.
-    pub ssthresh: f64,
+    pub(crate) ssthresh: f64,
 }
 
 /// A congestion-control algorithm: install once, then one callback per
 /// congestion event; every callback reports the window decision.
-pub trait CongAlg {
+pub(crate) trait CongAlg {
     /// Binds the algorithm to a connection; returns the initial window.
     fn install(&mut self, cfg: &CongConfig) -> Report;
     /// A new-data cumulative ACK arrived (no ECN echo).
@@ -127,8 +127,6 @@ pub trait CongAlg {
     fn on_timeout(&mut self, m: &Measurement) -> Report;
     /// A new-data ACK arrived carrying an ECN echo.
     fn on_ecn(&mut self, m: &Measurement) -> Report;
-    /// Algorithm name (labels, traces).
-    fn name(&self) -> &'static str;
 }
 
 /// The window state every algorithm keeps, and the steps they share.
@@ -187,7 +185,7 @@ impl Window {
 /// slow start doubles per RTT below `ssthresh`, congestion avoidance
 /// adds one MSS per RTT above it, loss halves.
 #[derive(Debug, Default)]
-pub struct Reno {
+pub(crate) struct Reno {
     w: Window,
     /// Window frontier at the last ECN cut: at most one multiplicative
     /// decrease per window of data, as RFC 3168 requires.
@@ -221,10 +219,6 @@ impl CongAlg for Reno {
         }
         self.w.report()
     }
-
-    fn name(&self) -> &'static str {
-        "reno"
-    }
 }
 
 /// CUBIC constants (RFC 8312): `C` scales the cubic term (with time in
@@ -237,7 +231,7 @@ const CUBIC_BETA: f64 = 0.7;
 /// `W(t) = C·(t − K)³ + W_max` — concave while recovering toward the old
 /// saturation point, convex while probing beyond it.
 #[derive(Debug, Default)]
-pub struct Cubic {
+pub(crate) struct Cubic {
     w: Window,
     /// Window (in MSS) where the last congestion event occurred.
     w_max: f64,
@@ -311,10 +305,6 @@ impl CongAlg for Cubic {
         }
         self.w.report()
     }
-
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
 }
 
 /// DCTCP EWMA gain `g` (RFC 8257 recommends 1/16).
@@ -325,7 +315,7 @@ const DCTCP_G: f64 = 1.0 / 16.0;
 /// marked window cuts `cwnd` by `alpha/2` — small cuts for small queue
 /// excursions, a full halving under persistent congestion.
 #[derive(Debug, Default)]
-pub struct Dctcp {
+pub(crate) struct Dctcp {
     w: Window,
     /// EWMA of the fraction of bytes marked per window.
     alpha: f64,
@@ -338,11 +328,6 @@ pub struct Dctcp {
 }
 
 impl Dctcp {
-    /// Current EWMA of the marked fraction (for tests / introspection).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     fn observe(&mut self, m: &Measurement) {
         self.window_bytes += m.acked_bytes;
         if m.ecn {
@@ -400,10 +385,6 @@ impl CongAlg for Dctcp {
         }
         self.observe(m);
         self.w.grow()
-    }
-
-    fn name(&self) -> &'static str {
-        "dctcp"
     }
 }
 
@@ -635,7 +616,7 @@ mod tests {
                     }
                 }
             }
-            (d.alpha(), d.w.cwnd)
+            (d.alpha, d.w.cwnd)
         };
         let (alpha_all, cwnd_all) = run(1); // every byte marked
         let (alpha_some, cwnd_some) = run(8); // 1/8 of bytes marked
@@ -668,14 +649,13 @@ mod tests {
             before + (10 * MSS) as f64,
             "no marks → pure slow-start growth"
         );
-        assert!(d.alpha() < 1.0, "alpha must decay with unmarked windows");
+        assert!(d.alpha < 1.0, "alpha must decay with unmarked windows");
     }
 
     #[test]
     fn kind_roundtrips_names() {
         for kind in CongAlgKind::ALL {
             assert_eq!(CongAlgKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.build().name(), kind.name());
         }
         assert_eq!(CongAlgKind::parse("bbr"), None);
         assert_eq!(CongAlgKind::default(), CongAlgKind::Reno);

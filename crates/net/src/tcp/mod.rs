@@ -29,8 +29,8 @@
 //! * `receiver` — reassembly, receive-ring flow control, ACK generation
 //!   with ECN echo.
 //! * [`cong`] — the congestion-control algorithms behind the
-//!   portus-style [`CongAlg`] trait: [`cong::Reno`], [`cong::Cubic`],
-//!   [`cong::Dctcp`].
+//!   portus-style `CongAlg` trait: Reno, CUBIC and DCTCP, picked by
+//!   [`CongAlgKind`].
 //!
 //! Connections are built with [`TcpConnector`], the only constructor.
 
@@ -45,13 +45,13 @@ use bytes::Bytes;
 use dpdpu_des::{Counter, Permit, Receiver, Sender, Time};
 use dpdpu_hw::{costs, LinkConfig};
 
-pub use cong::{CongAlg, CongAlgKind, CongConfig, Measurement, Report};
+pub use cong::CongAlgKind;
 
 use crate::fabric::Endpoint;
 use conn::build_mux;
 
 /// Maximum segment size (payload bytes per segment).
-pub const MSS: usize = 8_192;
+pub(crate) const MSS: usize = 8_192;
 
 /// Tunables for one connection.
 #[derive(Debug, Clone, Copy)]
@@ -137,17 +137,17 @@ impl Endpoint {
 #[derive(Default)]
 pub struct TcpStats {
     /// Data segments transmitted (including retransmits).
-    pub segments_sent: Rc<Counter>,
+    pub(crate) segments_sent: Rc<Counter>,
     /// Retransmitted segments.
-    pub retransmits: Rc<Counter>,
+    pub(crate) retransmits: Rc<Counter>,
     /// Retransmission-timeout fires.
-    pub rto_fires: Rc<Counter>,
+    pub(crate) rto_fires: Rc<Counter>,
     /// ACK frames sent.
-    pub acks_sent: Rc<Counter>,
+    pub(crate) acks_sent: Rc<Counter>,
     /// New-data ACKs that echoed an ECN Congestion Experienced mark.
-    pub ecn_echoes: Rc<Counter>,
+    pub(crate) ecn_echoes: Rc<Counter>,
     /// Payload bytes delivered in order to the application.
-    pub bytes_delivered: Rc<Counter>,
+    pub(crate) bytes_delivered: Rc<Counter>,
 }
 
 impl TcpStats {
@@ -185,9 +185,6 @@ impl TcpSender {
     pub fn send(&self, data: Bytes) {
         self.app_tx.send(data).expect("tcp sender task gone");
     }
-
-    /// Closes the stream (a FIN follows the queued data).
-    pub fn close(self) {}
 }
 
 /// Receiving half of a simplex TCP stream.
@@ -213,7 +210,7 @@ impl TcpReceiver {
 
 /// One endpoint's handles on a duplex TCP connection: a sender toward
 /// the peer and a receiver for the peer's messages.
-pub type TcpEndpoint = (TcpSender, TcpReceiver);
+pub(crate) type TcpEndpoint = (TcpSender, TcpReceiver);
 
 /// Builder for TCP connections — the one entry point for simplex
 /// streams, shared-wire stream fans and duplex connections.
@@ -223,7 +220,6 @@ pub type TcpEndpoint = (TcpSender, TcpReceiver);
 ///     .cong(CongAlgKind::Dctcp)
 ///     .stream(src, dst);
 /// let pairs = TcpConnector::new(link).streams(src, dst, 8); // shared wire
-/// let (a_ep, b_ep) = TcpConnector::new(link).duplex(a, b);
 /// ```
 #[derive(Clone)]
 pub struct TcpConnector {
@@ -294,7 +290,7 @@ impl TcpConnector {
     /// One duplex connection between `a` and `b`: two simplex streams
     /// (a→b and b→a), each with its own physical link pair. Returns
     /// `(a_endpoint, b_endpoint)`.
-    pub fn duplex(&self, a: Endpoint, b: Endpoint) -> (TcpEndpoint, TcpEndpoint) {
+    pub(crate) fn duplex(&self, a: Endpoint, b: Endpoint) -> (TcpEndpoint, TcpEndpoint) {
         let (a2b_tx, a2b_rx) = self.stream(a.clone(), b.clone());
         let (b2a_tx, b2a_rx) = self.stream(b, a);
         ((a2b_tx, b2a_rx), (b2a_tx, a2b_rx))
@@ -327,7 +323,7 @@ mod tests {
             for i in 0..20u32 {
                 tx.send(Bytes::from(vec![i as u8; 8_192]));
             }
-            tx.close();
+            drop(tx);
             let mut n = 0u32;
             while let Some(msg) = rx.recv().await {
                 assert_eq!(msg[0], n as u8);
@@ -350,7 +346,7 @@ mod tests {
             for _ in 0..msgs {
                 tx.send(Bytes::from(vec![0u8; 65_536]));
             }
-            tx.close();
+            drop(tx);
             let t0 = now();
             let mut got = 0u64;
             while let Some(m) = rx.recv().await {
@@ -389,7 +385,7 @@ mod tests {
                 tx.send(m.clone());
             }
             let stats = tx.stats.clone();
-            tx.close();
+            drop(tx);
             let mut got = Vec::new();
             while let Some(m) = rx.recv().await {
                 got.push(m);
@@ -421,7 +417,7 @@ mod tests {
                 tx.send(m.clone());
             }
             let stats = tx.stats.clone();
-            tx.close();
+            drop(tx);
             let mut got = Vec::new();
             while let Some(m) = rx.recv().await {
                 got.push(m);
@@ -456,7 +452,7 @@ mod tests {
                 for _ in 0..500 {
                     tx.send(Bytes::from(vec![7u8; 8_192]));
                 }
-                tx.close();
+                drop(tx);
                 let t0 = now();
                 while rx.recv().await.is_some() {}
                 out2.set(now() - t0);
@@ -496,7 +492,7 @@ mod tests {
                 for _ in 0..2_000 {
                     tx.send(Bytes::from(vec![1u8; 8_192]));
                 }
-                tx.close();
+                drop(tx);
                 while rx.recv().await.is_some() {}
                 let elapsed = now();
                 out2.set((src_host.cores_consumed(elapsed), elapsed));
@@ -521,7 +517,7 @@ mod tests {
             let (src, dst) = host_sides();
             let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
             tx.send(Bytes::from_static(b"first"));
-            tx.close();
+            drop(tx);
             let m = rx.recv().await.unwrap();
             assert_eq!(m, Bytes::from_static(b"first"));
             // SYN + SYN-ACK cross the rack before data: at least two
@@ -551,7 +547,7 @@ mod tests {
             for i in 0..20u8 {
                 tx.send(Bytes::from(vec![i; 1_024]));
             }
-            tx.close();
+            drop(tx);
             let mut n = 0u8;
             while let Some(m) = rx.recv().await {
                 assert_eq!(m[0], n);
@@ -579,7 +575,7 @@ mod tests {
                 for _ in 0..per_flow / 65_536 {
                     tx.send(Bytes::from(vec![0u8; 65_536]));
                 }
-                tx.close();
+                drop(tx);
                 handles.push(dpdpu_des::spawn(async move {
                     let mut got = 0u64;
                     while let Some(m) = rx.recv().await {
@@ -615,7 +611,7 @@ mod tests {
                 for n in 0..50u8 {
                     tx.send(Bytes::from(vec![i as u8 * 100 + n; 4_096]));
                 }
-                tx.close();
+                drop(tx);
                 handles.push(dpdpu_des::spawn(async move {
                     let mut expect = 0u8;
                     while let Some(m) = rx.recv().await {
@@ -651,7 +647,7 @@ mod tests {
             for i in 0..MSGS {
                 tx.send(Bytes::from(vec![i as u8; 8_192]));
             }
-            tx.close();
+            drop(tx);
             // Consumer takes 100 µs per message.
             let mut n = 0u64;
             while let Some(m) = rx.recv().await {
@@ -698,7 +694,7 @@ mod tests {
             for i in 0..10u8 {
                 tx.send(Bytes::from(vec![i; 8_192]));
             }
-            tx.close();
+            drop(tx);
             // Stall completely for 5 ms, then drain: the window update
             // must restart the flow.
             dpdpu_des::sleep(5_000_000).await;
@@ -740,7 +736,7 @@ mod tests {
         sim.spawn(async {
             let (src, dst) = host_sides();
             let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
-            tx.close();
+            drop(tx);
             assert_eq!(rx.recv().await, None);
         });
         sim.run();
@@ -755,7 +751,7 @@ mod tests {
             let big: Bytes = (0..100_000u32).map(|i| (i % 253) as u8).collect();
             tx.send(big.clone());
             let stats = tx.stats.clone();
-            tx.close();
+            drop(tx);
             let mut got = Vec::new();
             while let Some(m) = rx.recv().await {
                 got.extend_from_slice(&m);
@@ -779,7 +775,7 @@ mod tests {
                 for i in 0..30u8 {
                     tx.send(Bytes::from(vec![i; 4_096]));
                 }
-                tx.close();
+                drop(tx);
                 let mut n = 0u8;
                 while let Some(m) = rx.recv().await {
                     assert_eq!(m[0], n, "{} out of order", alg.name());
@@ -803,7 +799,7 @@ mod tests {
             for _ in 0..10 {
                 tx.send(Bytes::from(vec![3u8; 8_192]));
             }
-            tx.close();
+            drop(tx);
             while rx.recv().await.is_some() {}
         });
         sim.run();

@@ -21,20 +21,20 @@ const INIT_CWND_SEGS: u64 = 10;
 
 pub(crate) struct SendState {
     /// Lowest unacknowledged byte.
-    pub snd_una: u64,
+    pub(crate) snd_una: u64,
     /// Next byte to transmit.
-    pub snd_nxt: u64,
+    pub(crate) snd_nxt: u64,
     /// Congestion window, bytes (mirrors the algorithm's last report).
-    pub cwnd: f64,
+    pub(crate) cwnd: f64,
     /// Slow-start threshold, bytes (mirrors the last report).
-    pub ssthresh: f64,
+    pub(crate) ssthresh: f64,
     /// Receiver-advertised window, bytes (flow control).
-    pub snd_wnd: u64,
-    pub dup_acks: u32,
+    pub(crate) snd_wnd: u64,
+    pub(crate) dup_acks: u32,
     /// Unsent message queue (already segmented).
-    pub unsent: VecDeque<(u64, Bytes)>,
+    pub(crate) unsent: VecDeque<(u64, Bytes)>,
     /// In-flight segments by sequence number.
-    pub inflight: BTreeMap<u64, Bytes>,
+    pub(crate) inflight: BTreeMap<u64, Bytes>,
 }
 
 impl SendState {

@@ -8,7 +8,7 @@ use dpdpu_hw::{IoError, Ssd};
 
 /// Logical block size (4 KB, the NVMe formatting the paper's 8 KB pages
 /// sit on as block pairs).
-pub const BLOCK_SIZE: usize = 4_096;
+pub(crate) const BLOCK_SIZE: usize = 4_096;
 
 /// A block store: sparse real contents + simulated NVMe timing.
 ///
@@ -32,7 +32,7 @@ impl BlockDevice {
     }
 
     /// Device capacity in blocks.
-    pub fn capacity_blocks(&self) -> u64 {
+    pub(crate) fn capacity_blocks(&self) -> u64 {
         self.capacity_blocks
     }
 
@@ -43,7 +43,7 @@ impl BlockDevice {
 
     /// Reads `n` consecutive blocks as one I/O (one SSD op); blocks never
     /// written read as zeros.
-    pub async fn read_blocks(&self, lba: u64, n: u64) -> Result<Vec<u8>, IoError> {
+    pub(crate) async fn read_blocks(&self, lba: u64, n: u64) -> Result<Vec<u8>, IoError> {
         assert!(lba + n <= self.capacity_blocks, "{lba}+{n} out of range");
         self.ssd.read(n * BLOCK_SIZE as u64).await?;
         let blocks = self.blocks.borrow();
@@ -59,7 +59,7 @@ impl BlockDevice {
 
     /// Writes `data` (a multiple of the block size) at consecutive blocks
     /// as one SSD op.
-    pub async fn write_blocks(&self, lba: u64, data: &[u8]) -> Result<(), IoError> {
+    pub(crate) async fn write_blocks(&self, lba: u64, data: &[u8]) -> Result<(), IoError> {
         assert_eq!(data.len() % BLOCK_SIZE, 0, "writes are block-aligned");
         let n = (data.len() / BLOCK_SIZE) as u64;
         assert!(lba + n <= self.capacity_blocks, "{lba}+{n} out of range");
@@ -73,13 +73,8 @@ impl BlockDevice {
     }
 
     /// Discards a block's contents (TRIM).
-    pub fn trim(&self, lba: u64) {
+    pub(crate) fn trim(&self, lba: u64) {
         self.blocks.borrow_mut().remove(&lba);
-    }
-
-    /// Blocks currently holding data.
-    pub fn allocated_blocks(&self) -> usize {
-        self.blocks.borrow().len()
     }
 }
 
@@ -135,9 +130,9 @@ mod tests {
         sim.spawn(async {
             let d = dev();
             d.write_blocks(5, &vec![1u8; BLOCK_SIZE]).await.unwrap();
-            assert_eq!(d.allocated_blocks(), 1);
+            assert_eq!(d.blocks.borrow().len(), 1);
             d.trim(5);
-            assert_eq!(d.allocated_blocks(), 0);
+            assert_eq!(d.blocks.borrow().len(), 0);
             assert_eq!(d.read_blocks(5, 1).await.unwrap(), vec![0u8; BLOCK_SIZE]);
         });
         sim.run();

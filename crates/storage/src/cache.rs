@@ -34,9 +34,9 @@ pub struct PageCache {
     /// Cache hits.
     pub hits: Counter,
     /// Cache misses.
-    pub misses: Counter,
+    pub(crate) misses: Counter,
     /// Evictions performed.
-    pub evictions: Counter,
+    pub(crate) evictions: Counter,
 }
 
 impl PageCache {
@@ -126,16 +126,6 @@ impl PageCache {
     pub fn invalidate(&self, file: FileId, offset: u64) {
         self.map.borrow_mut().remove(&(file.0, offset));
     }
-
-    /// Resident pages.
-    pub fn len(&self) -> usize {
-        self.map.borrow().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.borrow().is_empty()
-    }
 }
 
 /// A page-granular cached view over the DPU file service.
@@ -203,7 +193,7 @@ mod tests {
         // Touch page 0 so page 1 becomes LRU.
         assert!(cache.get(f, 0).is_some());
         cache.put(f, 8_192, vec![2u8; 4_096]);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.map.borrow().len(), 2);
         assert!(cache.get(f, 0).is_some(), "recently-used page survives");
         assert!(cache.get(f, 4_096).is_none(), "LRU page evicted");
         assert_eq!(cache.evictions.get(), 1);
@@ -222,7 +212,7 @@ mod tests {
         let mem = Memory::new(1 << 20);
         let cache = PageCache::new(&mem, 0, 4_096).unwrap();
         cache.put(FileId(1), 0, vec![1u8; 16]);
-        assert!(cache.is_empty());
+        assert!(cache.map.borrow().is_empty());
         assert_eq!(mem.used(), 0);
     }
 

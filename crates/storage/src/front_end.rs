@@ -29,7 +29,7 @@ pub struct HostFrontEnd {
     host_cpu: Rc<CpuPool>,
     ring: Sender<Descriptor>,
     /// Ops submitted through the rings.
-    pub ops: Counter,
+    pub(crate) ops: Counter,
 }
 
 impl HostFrontEnd {
@@ -116,13 +116,6 @@ impl HostFrontEnd {
         })
         .await
     }
-
-    /// Deletes a file.
-    pub async fn delete(&self, name: &str) -> Result<(), FsError> {
-        let name = name.to_string();
-        self.submit(|service, _| async move { service.delete(&name).await })
-            .await
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +143,6 @@ mod tests {
             let back = fe.read(id, 4_096, 8_192).await.unwrap();
             assert_eq!(back, vec![5u8; 8_192]);
             assert_eq!(fe.open("t.db").await.unwrap(), id);
-            fe.delete("t.db").await.unwrap();
-            assert_eq!(fe.open("t.db").await.unwrap_err(), FsError::NotFound);
         });
         sim.run();
     }

@@ -180,21 +180,6 @@ impl ExtentFs {
             .ok_or(FsError::NotFound)
     }
 
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.dir.borrow().len()
-    }
-
-    /// The physical extent list of a file — the "file mapping" the DPU
-    /// owns in DDS.
-    pub fn extent_map(&self, id: FileId) -> Result<Vec<(u64, u64)>, FsError> {
-        self.inodes
-            .borrow()
-            .get(&id.0)
-            .map(|i| i.extents.iter().map(|(_, e)| (e.lba, e.blocks)).collect())
-            .ok_or(FsError::NotFound)
-    }
-
     fn allocate(&self, blocks: u64) -> Result<Extent, FsError> {
         // First fit from the free list.
         {
@@ -322,6 +307,17 @@ mod tests {
         ExtentFs::format(BlockDevice::new(Ssd::new("t"), 1 << 16))
     }
 
+    /// The physical extent list of a file: `(lba, blocks)` per extent.
+    fn extent_map(fs: &ExtentFs, id: FileId) -> Vec<(u64, u64)> {
+        let inodes = fs.inodes.borrow();
+        let inode = inodes.get(&id.0).expect("file exists");
+        inode
+            .extents
+            .iter()
+            .map(|(_, e)| (e.lba, e.blocks))
+            .collect()
+    }
+
     fn run_fs_test<F, Fut>(f: F)
     where
         F: FnOnce(Rc<ExtentFs>) -> Fut + 'static,
@@ -404,11 +400,11 @@ mod tests {
         run_fs_test(|fs| async move {
             let a = fs.create("a").unwrap();
             fs.write(a, 0, &vec![1u8; BLOCK_SIZE * 8]).await.unwrap();
-            let map_a = fs.extent_map(a).unwrap();
+            let map_a = extent_map(&fs, a);
             fs.delete("a").unwrap();
             let b = fs.create("b").unwrap();
             fs.write(b, 0, &vec![2u8; BLOCK_SIZE * 4]).await.unwrap();
-            let map_b = fs.extent_map(b).unwrap();
+            let map_b = extent_map(&fs, b);
             assert_eq!(map_b[0].0, map_a[0].0, "freed extent should be reused");
         });
     }
@@ -418,7 +414,7 @@ mod tests {
         run_fs_test(|fs| async move {
             let id = fs.create("f").unwrap();
             fs.write(id, 0, &vec![7u8; 50_000]).await.unwrap();
-            let blocks: u64 = fs.extent_map(id).unwrap().iter().map(|(_, n)| n).sum();
+            let blocks: u64 = extent_map(&fs, id).iter().map(|(_, n)| n).sum();
             assert_eq!(blocks, 50_000u64.div_ceil(BLOCK_SIZE as u64));
         });
     }
@@ -479,7 +475,7 @@ mod tests {
             for k in 0..64u64 {
                 fs.write(id, k * 4_108, &[k as u8; 4_108]).await.unwrap();
             }
-            let extents = fs.extent_map(id).unwrap().len();
+            let extents = extent_map(&fs, id).len();
             let ssd = fs.device().ssd().clone();
             let reads_before = ssd.reads.get();
             // The last record's value straddles blocks 63 and 64.
@@ -507,7 +503,7 @@ mod tests {
                 let back = fs.read(id, 0, data.len() as u64).await.unwrap();
                 assert_eq!(back, data);
             }
-            assert_eq!(fs.file_count(), 50);
+            assert_eq!(fs.dir.borrow().len(), 50);
         });
     }
 }

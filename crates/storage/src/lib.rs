@@ -37,7 +37,7 @@ mod log;
 mod persist;
 mod service;
 
-pub use blockdev::{BlockDevice, BLOCK_SIZE};
+pub use blockdev::BlockDevice;
 pub use cache::{CachedFileService, PageCache};
 pub use front_end::HostFrontEnd;
 pub use fs::{ExtentFs, FileId, FsError};

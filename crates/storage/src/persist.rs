@@ -33,9 +33,9 @@ pub struct FastPersist {
     host_dpu_pcie: Rc<PcieLink>,
     mode: AckMode,
     /// Appends acknowledged.
-    pub appends: Counter,
+    pub(crate) appends: Counter,
     /// Background host-apply operations completed (DpuAck mode).
-    pub host_applied: Rc<Counter>,
+    pub(crate) host_applied: Rc<Counter>,
 }
 
 impl FastPersist {
@@ -60,11 +60,6 @@ impl FastPersist {
             appends: Counter::new(),
             host_applied: Rc::new(Counter::new()),
         })
-    }
-
-    /// Current ack mode.
-    pub fn mode(&self) -> AckMode {
-        self.mode
     }
 
     /// Appends `data` durably and returns the client-visible ack latency.

@@ -10,16 +10,16 @@ use dpdpu_hw::{costs, CpuPool, PcieLink};
 use crate::fs::{ExtentFs, FileId, FsError};
 
 /// Device I/O retries before the service gives up on an op.
-pub const IO_RETRY_LIMIT: u32 = 3;
+pub(crate) const IO_RETRY_LIMIT: u32 = 3;
 /// Base virtual-time backoff before the first retry; doubles per attempt.
-pub const IO_RETRY_BASE_NS: u64 = 20_000;
+pub(crate) const IO_RETRY_BASE_NS: u64 = 20_000;
 
 /// The DPU-side file service: owns the file system (and with it the file
 /// mapping), executes ops on DPU cores, reaches the SSD over peer-to-peer
 /// PCIe.
 ///
 /// Transient device errors (the only kind the fault layer injects) are
-/// retried up to [`IO_RETRY_LIMIT`] times with exponential backoff — the
+/// retried up to `IO_RETRY_LIMIT` (3) times with exponential backoff — the
 /// self-managing behaviour a DPU-hosted service needs, since there is no
 /// host kernel underneath to do it.
 pub struct FileService {
@@ -27,7 +27,7 @@ pub struct FileService {
     dpu_cpu: Rc<CpuPool>,
     dpu_ssd_pcie: Rc<PcieLink>,
     /// Completed operations.
-    pub ops: Counter,
+    pub(crate) ops: Counter,
     /// Device-error retries performed.
     pub retries: Counter,
 }
@@ -119,13 +119,6 @@ impl FileService {
         self.ops.inc();
         Ok(())
     }
-
-    /// Deletes a file.
-    pub async fn delete(&self, name: &str) -> Result<(), FsError> {
-        self.dpu_cpu.exec(costs::SPDK_IO_CYCLES_PER_OP / 2).await;
-        self.ops.inc();
-        self.fs.delete(name)
-    }
 }
 
 /// The baseline: the same file system driven through the host kernel —
@@ -138,7 +131,7 @@ pub struct HostKernelPath {
     host_ssd_pcie: Rc<PcieLink>,
     cycles_per_op: u64,
     /// Completed operations.
-    pub ops: Counter,
+    pub(crate) ops: Counter,
 }
 
 impl HostKernelPath {
@@ -159,7 +152,7 @@ impl HostKernelPath {
     }
 
     /// Fully parameterised constructor.
-    pub fn with_cycles(
+    pub(crate) fn with_cycles(
         fs: Rc<ExtentFs>,
         host_cpu: Rc<CpuPool>,
         host_ssd_pcie: Rc<PcieLink>,
@@ -189,24 +182,6 @@ impl HostKernelPath {
         sleep(costs::HOST_WAKEUP_NS).await;
         self.ops.inc();
         Ok(data)
-    }
-
-    /// Kernel-path write.
-    pub async fn write(&self, id: FileId, offset: u64, data: &[u8]) -> Result<(), FsError> {
-        let _span = dpdpu_telemetry::span("host", "kernel-io", "write").with("bytes", data.len());
-        self.host_cpu.exec(self.cycles_per_op).await;
-        self.host_ssd_pcie.dma(data.len() as u64).await;
-        self.fs.write(id, offset, data).await?;
-        sleep(costs::HOST_WAKEUP_NS).await;
-        self.ops.inc();
-        Ok(())
-    }
-
-    /// Kernel-path create.
-    pub async fn create(&self, name: &str) -> Result<FileId, FsError> {
-        self.host_cpu.exec(self.cycles_per_op / 2).await;
-        self.ops.inc();
-        self.fs.create(name)
     }
 }
 
@@ -277,11 +252,11 @@ mod tests {
         let out2 = out.clone();
         sim.spawn(async move {
             let (p, fs) = setup();
+            let id = fs.create("f").unwrap();
+            fs.write(id, 0, &vec![0u8; 8192]).await.unwrap();
             let classic =
                 HostKernelPath::new(fs.clone(), p.host_cpu.clone(), p.host_ssd_pcie.clone());
             let uring = HostKernelPath::io_uring(fs, p.host_cpu.clone(), p.host_ssd_pcie.clone());
-            let id = classic.create("f").await.unwrap();
-            classic.write(id, 0, &vec![0u8; 8192]).await.unwrap();
             p.host_cpu.reset_stats();
             for _ in 0..50 {
                 classic.read(id, 0, 8192).await.unwrap();

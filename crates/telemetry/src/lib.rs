@@ -75,7 +75,7 @@ pub struct Telemetry {
 }
 
 /// Device name used for tracks nobody claimed.
-pub const SIM_PROCESS: &str = "sim";
+pub(crate) const SIM_PROCESS: &str = "sim";
 
 thread_local! {
     static CURRENT: RefCell<Option<Rc<Telemetry>>> = const { RefCell::new(None) };

@@ -58,7 +58,7 @@ impl Registry {
     }
 
     /// Histogram identified by `name` + `labels`.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Rc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Rc<Histogram> {
         self.histograms
             .borrow_mut()
             .entry(key(name, labels))
@@ -85,7 +85,7 @@ impl Registry {
     }
 
     /// All histograms as (rendered key, handle), sorted by key.
-    pub fn histograms(&self) -> Vec<(String, Rc<Histogram>)> {
+    pub(crate) fn histograms(&self) -> Vec<(String, Rc<Histogram>)> {
         self.histograms
             .borrow()
             .iter()

@@ -13,11 +13,11 @@ use crate::Telemetry;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterSample {
     /// Device the source belongs to.
-    pub process: String,
+    pub(crate) process: String,
     /// Track name (e.g. `util:cpu-dpu`).
     pub name: String,
     /// Virtual time of the poll, ns.
-    pub t: Time,
+    pub(crate) t: Time,
     /// Sampled value.
     pub value: f64,
 }
@@ -30,7 +30,7 @@ struct Source {
 
 /// Registered sources plus everything sampled so far; owned by
 /// [`Telemetry`].
-pub struct SampleStore {
+pub(crate) struct SampleStore {
     sources: RefCell<Vec<Source>>,
     samples: RefCell<Vec<CounterSample>>,
 }

@@ -25,6 +25,12 @@
 //! And one interner: every label, probe event and check-point is a des
 //! `Site`, so the telemetry crate's old string table and its hasher are
 //! named nowhere.
+//!
+//! And every `pub` has a caller outside its crate: each `pub` item under
+//! `crates/*/src` is named by another crate, a test, an example, the
+//! benchmark, README.md's doctests or (for `dpdpu-bench`) its own bins —
+//! or it is `pub(crate)`, or it is listed with a reason in
+//! `UNNAMED_PUB`.
 
 use std::path::{Path, PathBuf};
 
@@ -247,4 +253,319 @@ fn one_interner() {
         strays.is_empty(),
         "a label is a `dpdpu_des::Site`; there is no second string table: {strays:#?}"
     );
+}
+
+/// `pub` items that nothing outside their crate names, kept `pub` on
+/// purpose, one per line: `crate item: reason`. Most are types that a
+/// called `pub` item takes or returns, so they stay `pub` although no
+/// caller spells their name.
+const UNNAMED_PUB: &str = "\
+bench CellReport: returned by `netmatrix::run_cell`
+bench Divergence: returned by the `audit` runners
+bench FleetReport: returned by `fleet::run_fleet`; a `cell::Run` field
+bench TenantFleetReport: returned by `fleet::run_tenant_fleet`; a `cell::Run` field
+check Violation: returned by `CheckSession::finish`
+compute DpKernel: returned by `ComputeEngine::get_dpk` (Figure 6's kernel handle)
+compute SprocDone: what the receiver `Scheduler::submit` returns resolves to
+core SprocError: the payload of `DpdpuError::Sproc`
+core SprocRegistry: the type of `Dpdpu::sprocs`
+dds ErrorCode: the payload of `proto::Reply::Error`
+dds PageServer: the type of `Dds::pages`
+dds ReplGroupCtl: returned by `DdsCluster::ctl`
+dds ReplRole: returned by `Dds::replication`
+dds ReplicaGroup: returned by `DdsCluster::group`
+dds TrafficDirector: the type of `Dds::director`
+dds pageserver: the module of `PageServer`, which the crate docs present
+dds recover: restart recovery of `KvStore` and `PageServer` from their logs
+dds resume_migration: finishes an `add_shard` that returned `Err`, whose keys stay dual-read until then
+des Acquire: the future `Semaphore::acquire` returns
+des Cancelled: what a `OneshotReceiver` yields when its sender drops
+des Elapsed: returned by `timeout`
+des Race: the future `race` returns
+des Recv: the futures `Receiver::recv` and `XReceiver::recv` return
+des SendError: returned by `Sender::send`
+des Sleep: the future `sleep` and `sleep_until` return
+des YieldNow: the future `yield_now` returns
+hw AccelSpec: returned by `DpuSpec::accel`
+hw PeerDevice: returned by `Platform::install_peer` and `peer_device`
+kernels Chunk: returned by `dedup::chunk`
+kernels DecodeError: returned by `deflate::decompress`
+kernels PageError: returned by `Batch::decode_page`
+kernels ParseError: returned by `Regex::new`
+net Connection: returned by `NetConfig::connect`
+net FlowStats: the type of `dfi::Flow::stats`
+net OffloadStats: the type of `OffloadedQp::stats`
+net OffloadedQp: returned by `rdma_offload::offload_qp`
+net RdmaQp: returned by `rdma::rdma_pair`
+net RdmaStats: the type of `RdmaQp::stats`
+net TcpReceiver: returned by `TcpConnector::stream`
+net TcpStats: the type of `TcpSender::stats` and `TcpReceiver::stats`
+telemetry CounterSample: returned by `Telemetry::samples`
+telemetry Registry: returned by `Telemetry::registry`
+telemetry SamplerHandle: returned by `start_sampler`
+telemetry SpanGuard: returned by `span`
+telemetry Tracer: returned by `Telemetry::tracer`";
+
+/// [`UNNAMED_PUB`] as `(crate, item, reason)` entries.
+fn unnamed_pub() -> Vec<(&'static str, &'static str, &'static str)> {
+    let entry = |line: &'static str| {
+        let (item, reason) = line.split_once(": ").expect("`crate item: reason`");
+        let (krate, name) = item.split_once(' ').expect("`crate item`");
+        (krate, name, reason)
+    };
+    UNNAMED_PUB.lines().map(entry).collect()
+}
+
+/// One `pub` item: where it is declared, its kind and its name.
+struct PubItem {
+    line: usize,
+    kind: &'static str,
+    name: String,
+}
+
+/// The leading identifier of `s`.
+fn ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// The `pub` items declared in `source`: fns, types, traits, consts,
+/// statics, modules, named fields, and the names a `pub use` exports.
+/// `pub(crate)` and narrower are not `pub`; a `#[cfg(test)]` block is
+/// skipped.
+fn pub_items(source: &str) -> Vec<PubItem> {
+    const KINDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let mut items = Vec::new();
+    let (mut test_attr, mut test_depth) = (false, 0usize);
+    let mut reexport: Option<(usize, String)> = None;
+    for (at, raw) in source.lines().enumerate() {
+        let line = raw.trim();
+        if test_depth > 0 {
+            test_depth = (test_depth + line.matches('{').count()) - line.matches('}').count();
+            continue;
+        }
+        if line.is_empty() || line.starts_with("//") {
+            continue;
+        }
+        if line.starts_with("#[") {
+            test_attr |= line == "#[cfg(test)]";
+            continue;
+        }
+        if std::mem::take(&mut test_attr) && line.ends_with('{') {
+            test_depth = 1;
+            continue;
+        }
+        let mut item = |line, kind, name: &str| {
+            let name = name.to_string();
+            items.push(PubItem { line, kind, name });
+        };
+        // A `pub use` tree may span lines: gather it up to its `;`.
+        let tree = match (reexport.take(), line.strip_prefix("pub use ")) {
+            (Some((start, tree)), _) => Some((start, tree + line)),
+            (None, Some(tree)) => Some((at + 1, tree.to_string())),
+            (None, None) => None,
+        };
+        if let Some((start, tree)) = tree {
+            if tree.contains(';') {
+                exported(&tree).for_each(|n| item(start, "use", n));
+            } else {
+                reexport = Some((start, tree));
+            }
+            continue;
+        }
+        let Some(rest) = line.strip_prefix("pub ") else {
+            continue;
+        };
+        let rest = rest
+            .trim_start_matches("async ")
+            .trim_start_matches("unsafe ");
+        let rest = rest
+            .strip_prefix("const ")
+            .filter(|r| r.starts_with("fn "))
+            .unwrap_or(rest);
+        let declared = KINDS
+            .iter()
+            .find_map(|&kind| Some((kind, ident(rest.strip_prefix(kind)?.strip_prefix(' ')?))));
+        match declared {
+            Some((kind, name)) => item(at + 1, kind, name),
+            None if rest[ident(rest).len()..].trim_start().starts_with(':') => {
+                item(at + 1, "field", ident(rest))
+            }
+            None => {}
+        }
+    }
+    items.retain(|i| !i.name.is_empty());
+    items
+}
+
+/// The names a `use` tree (the text after `pub use`) brings into scope:
+/// each leaf's last segment or its `as` rename; a glob exports no name.
+fn exported(tree: &str) -> impl Iterator<Item = &str> {
+    tree.split(['{', '}', ',', ';'])
+        .map(|leaf| match leaf.rsplit_once(" as ") {
+            Some((_, alias)) => alias.trim(),
+            None => leaf.rsplit("::").next().unwrap_or("").trim(),
+        })
+        .filter(|name| !name.is_empty() && *name != "*" && *name != "self")
+}
+
+/// The identifiers in `source`'s code, `//` comment lines skipped.
+fn identifiers(source: &str) -> std::collections::HashSet<&str> {
+    source
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(|l| l.split(|c: char| !(c.is_alphanumeric() || c == '_')))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// The census over `files` (repo-relative name, source): for each crate
+/// under `crates/`, the `pub` items in its `src/` (its `src/bin/` aside)
+/// that no other file names and `exempt` does not list; then each
+/// `exempt` entry that matches no such item.
+fn uncalled_pub(
+    files: &[(String, String)],
+    exempt: &[(&str, &str, &str)],
+) -> (Vec<String>, Vec<String>) {
+    let idents: Vec<_> = files
+        .iter()
+        .map(|(n, s)| (n.as_str(), identifiers(s)))
+        .collect();
+    let mut crates: Vec<&str> = files
+        .iter()
+        .filter_map(|(n, _)| Some(n.strip_prefix("crates/")?.split_once("/src/")?.0))
+        .collect();
+    crates.sort();
+    crates.dedup();
+    let (mut uncalled, mut exempted) = (Vec::new(), Vec::new());
+    for krate in crates {
+        let home = format!("crates/{krate}/src/");
+        let bins = format!("{home}bin/");
+        let inside = |n: &str| n.starts_with(&home) && !n.starts_with(&bins);
+        for (file, source) in files.iter().filter(|(n, _)| inside(n)) {
+            for item in pub_items(source) {
+                let named = |(n, ids): &(&str, std::collections::HashSet<&str>)| {
+                    !inside(n) && ids.contains(item.name.as_str())
+                };
+                if idents.iter().any(named) {
+                    continue;
+                }
+                if exempt.iter().any(|&(k, n, _)| k == krate && n == item.name) {
+                    exempted.push(format!("{krate}: {}", item.name));
+                } else {
+                    let PubItem { line, kind, name } = item;
+                    uncalled.push(format!("{krate}: pub {kind} {name} ({file}:{line})"));
+                }
+            }
+        }
+    }
+    let stale = exempt
+        .iter()
+        .map(|(k, n, _)| format!("{k}: {n}"))
+        .filter(|entry| !exempted.contains(entry))
+        .collect();
+    (uncalled, stale)
+}
+
+/// Every `.rs` file that can call into `crates/` (this census aside),
+/// then README.md's Rust fences — the root crate's doctests — as one
+/// file.
+fn census_tree() -> Vec<(String, String)> {
+    let dirs = [
+        "crates",
+        "tests",
+        "examples",
+        "src",
+        "benchmark/src",
+        "benchmark/tests",
+    ];
+    let mut files = sources(&dirs);
+    files.retain(|(n, _)| n != "tests/harness_census.rs");
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md");
+    let readme = std::fs::read_to_string(readme).expect("readable README");
+    let (mut rust, mut fence) = (String::new(), None);
+    for line in readme.lines() {
+        match (line.strip_prefix("```"), fence) {
+            (Some(tag), None) => fence = Some(tag.is_empty() || tag.starts_with("rust")),
+            (Some(_), Some(_)) => fence = None,
+            (None, Some(true)) => rust.extend([line, "\n"]),
+            _ => {}
+        }
+    }
+    files.push(("README.md".to_string(), rust));
+    files
+}
+
+#[test]
+fn every_pub_has_a_caller_outside_its_crate() {
+    let (uncalled, stale) = uncalled_pub(&census_tree(), &unnamed_pub());
+    assert!(
+        uncalled.is_empty(),
+        "`pub` items that nothing outside their crate names: make each `pub(crate)` \
+         (then delete what rustc calls dead), or list it in UNNAMED_PUB with a reason: \
+         {uncalled:#?}"
+    );
+    assert!(
+        stale.is_empty(),
+        "UNNAMED_PUB entries that match no uncalled `pub` item: {stale:?}"
+    );
+    let bare: Vec<_> = unnamed_pub()
+        .into_iter()
+        .filter(|(_, _, why)| why.trim().is_empty())
+        .collect();
+    assert!(
+        bare.is_empty(),
+        "UNNAMED_PUB entries without a reason: {bare:?}"
+    );
+}
+
+/// `tree` with `text` appended to its file `name`.
+fn appended(tree: &[(String, String)], name: &str, text: &str) -> Vec<(String, String)> {
+    let mut tree = tree.to_vec();
+    let file = tree.iter_mut().find(|(n, _)| n == name);
+    file.expect("file in the tree").1.push_str(text);
+    tree
+}
+
+/// The census is sensitive: a planted uncalled `pub fn` is named, a
+/// caller in its own crate does not clear it and one in another does,
+/// and an exemption naming no item fails as stale.
+#[test]
+fn the_census_catches_a_planted_pub_and_a_stale_exemption() {
+    let exempt = unnamed_pub();
+    let tree = census_tree();
+    let probe = "\npub fn planted_census_probe() {}\n";
+    let planted = appended(&tree, "crates/des/src/time.rs", probe);
+    let (uncalled, stale) = uncalled_pub(&planted, &exempt);
+    assert!(stale.is_empty(), "{stale:?}");
+    assert_eq!(uncalled.len(), 1, "{uncalled:#?}");
+    let named = "des: pub fn planted_census_probe (crates/des/src/time.rs:";
+    assert!(uncalled[0].starts_with(named), "{uncalled:?}");
+
+    let call = "\nfn caller() { dpdpu_des::planted_census_probe(); }\n";
+    let left = |file| {
+        uncalled_pub(&appended(&planted, file, call), &exempt)
+            .0
+            .len()
+    };
+    assert_eq!(
+        left("crates/des/src/stats.rs"),
+        1,
+        "a caller in des is no caller"
+    );
+    assert_eq!(
+        left("examples/quickstart.rs"),
+        0,
+        "a caller outside des clears it"
+    );
+
+    let mut with_stale = exempt.clone();
+    with_stale.push(("des", "no_such_item", "planted"));
+    let (uncalled, stale) = uncalled_pub(&tree, &with_stale);
+    assert!(uncalled.is_empty(), "{uncalled:#?}");
+    assert_eq!(stale, ["des: no_such_item"]);
 }

@@ -12,7 +12,7 @@
 //!
 //! The matrix is **known-sensitive**: `wfq_disabled_breaks_isolation`
 //! re-runs a cell with the gateway's DRR and admission limits turned
-//! off ([`GatewayConfig::unfair`]) and asserts the isolation predicate
+//! off ([`GatewayConfig::fair`]` = false`) and asserts the isolation predicate
 //! *fails*, proving the assertions have teeth and the WFQ tier is the
 //! thing providing the isolation.
 

@@ -161,7 +161,10 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
     let msgs = sh.msgs_per_stream;
     let bytes = sh.msg_bytes;
     let link = sh.link;
-    let params = sh.params;
+    let params = TcpParams {
+        cong: alg,
+        ..sh.params
+    };
     let cell = label.clone();
 
     let (p50_ns, p99_ns, delivered, last_ns) = block_on(async move {
@@ -179,7 +182,6 @@ pub fn run_cell(scenario: NetScenario, alg: CongAlgKind, seed: u64) -> CellRepor
         ));
         let conns = TcpConnector::new(link)
             .params(params)
-            .cong(alg)
             .label(cell)
             .streams(src, dst, streams);
 

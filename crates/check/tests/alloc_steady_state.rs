@@ -9,11 +9,11 @@
 //! event of a site may allocate (it grows the session's table to cover
 //! the site's id); no later one may.
 //!
-//! This file deliberately holds a single `#[test]` so no concurrent test
-//! can pollute the global counter mid-measurement.
+//! The counter is per thread, so neither the test harness's threads nor
+//! a concurrent test can pollute the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dpdpu_check::{CheckSession, Exit, Flow, Site};
 use dpdpu_des::probe::Probe;
@@ -21,13 +21,24 @@ use dpdpu_des::probe::Probe;
 /// Counts every allocation; the default `realloc` goes through `alloc`.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Only the measuring thread counts:
+    /// the test harness's own threads allocate whenever they like.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread; `try_with`, so that
+/// counting can never panic inside the allocator.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
+// the `GlobalAlloc` contract; the counter touches no allocator state and,
+// as a `const` thread-local without a destructor, never allocates itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -91,9 +102,9 @@ impl Member {
 }
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //! counting global allocator over kernels whose functional result owns
 //! no heap memory (a CRC, a digest).
 //!
-//! Single `#[test]` on purpose: a concurrent test in the same binary
-//! would pollute the global allocation counter mid-measurement.
+//! The counter is per thread, so neither the test harness's threads nor
+//! a concurrent test can pollute the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, ExecTarget, KernelInput, KernelOp, Placement};
@@ -16,11 +16,24 @@ use dpdpu_hw::Platform;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Only the measuring thread counts:
+    /// the test harness's own threads allocate whenever they like.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation on the calling thread; `try_with`, so that
+/// counting can never panic inside the allocator.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state and,
+// as a `const` thread-local without a destructor, never allocates itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,11 +69,11 @@ fn kernel_runs_without_telemetry_do_not_allocate() {
         };
         // Warm-up: the executor's timer slab reaches its working size.
         round().await;
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = ALLOCS.with(Cell::get);
         for _ in 0..1_000 {
             round().await;
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        ALLOCS.with(Cell::get) - before
     });
     assert_eq!(
         allocs, 0,

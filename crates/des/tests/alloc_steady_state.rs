@@ -11,12 +11,10 @@
 //!   a timer cancelled when its timeout loses frees a slot the next one
 //!   re-uses.
 //!
-//! This file deliberately holds a single `#[test]` so no concurrent test
-//! can pollute the global counter mid-measurement.
+//! The counter is per thread, so neither the test harness's threads nor
+//! a concurrent test can pollute the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -24,11 +22,24 @@ use dpdpu_des::{channel, probe, race, sleep, timeout, yield_now, Sim};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Only the measuring thread counts:
+    /// the test harness's own threads allocate whenever they like.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation on the calling thread; `try_with`, so that
+/// counting can never panic inside the allocator.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state and,
+// as a `const` thread-local without a destructor, never allocates itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

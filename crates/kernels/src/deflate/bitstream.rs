@@ -8,15 +8,6 @@ pub(super) struct BitWriter {
 }
 
 impl BitWriter {
-    #[allow(dead_code)]
-    pub(super) fn new() -> Self {
-        BitWriter {
-            out: Vec::new(),
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
     pub(super) fn with_capacity(cap: usize) -> Self {
         BitWriter {
             out: Vec::with_capacity(cap),
@@ -47,12 +38,6 @@ impl BitWriter {
             self.out.push((self.acc & 0xFF) as u8);
         }
         self.out
-    }
-
-    /// Bits written so far (excluding padding).
-    #[allow(dead_code)]
-    pub(super) fn bit_len(&self) -> usize {
-        self.out.len() * 8 + self.nbits as usize
     }
 }
 
@@ -130,6 +115,22 @@ impl<'a> BitReader<'a> {
         self.acc >>= n;
         self.nbits -= n;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl BitWriter {
+    pub(super) fn new() -> Self {
+        BitWriter {
+            out: Vec::new(),
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
+    /// Bits written so far (excluding padding).
+    fn bit_len(&self) -> usize {
+        self.out.len() * 8 + self.nbits as usize
     }
 }
 

@@ -121,8 +121,8 @@ pub(super) fn tokenize(data: &[u8]) -> Vec<Token> {
 /// Reconstructs bytes from tokens — validates the tokenizer independently
 /// of entropy coding (test harness; the shipping decoder has its own copy
 /// loop fused with Huffman decoding).
-#[allow(dead_code)]
-pub(super) fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, BadReference> {
+#[cfg(test)]
+fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, BadReference> {
     let mut out = Vec::new();
     for t in tokens {
         match *t {
@@ -149,13 +149,13 @@ pub(super) fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, BadReference> {
 }
 
 /// Error: a back-reference points before the start of output.
-#[allow(dead_code)]
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct BadReference {
+struct BadReference {
     /// Requested distance.
-    pub(crate) dist: usize,
+    dist: usize,
     /// Bytes available.
-    pub(crate) have: usize,
+    have: usize,
 }
 
 #[cfg(test)]

@@ -111,12 +111,6 @@ struct Thread {
 }
 
 impl Program {
-    /// Number of instructions (for size diagnostics).
-    #[allow(dead_code)]
-    pub(super) fn size(&self) -> usize {
-        self.insts.len()
-    }
-
     /// Unanchored leftmost-greedy search over the whole text.
     pub(super) fn search(&self, text: &[u8]) -> Option<(usize, usize)> {
         self.search_at(text, 0)
@@ -251,6 +245,14 @@ impl Program {
             }
             Inst::Class(_) | Inst::Match => list.push(th),
         }
+    }
+}
+
+#[cfg(test)]
+impl Program {
+    /// Number of instructions (for size diagnostics).
+    fn size(&self) -> usize {
+        self.insts.len()
     }
 }
 

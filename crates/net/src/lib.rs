@@ -5,8 +5,8 @@
 //! their familiar APIs:
 //!
 //! * [`tcp`] — a message-segmented TCP implementation (handshake, sliding
-//!   window, pluggable congestion control — Reno, CUBIC, or DCTCP behind
-//!   one trait, picked by [`tcp::CongAlgKind`] — fast retransmit, RTO) that can run
+//!   window, congestion control — Reno, CUBIC, or DCTCP as policies over
+//!   one window, picked by [`tcp::CongAlgKind`] — fast retransmit, RTO) that can run
 //!   its protocol either on **host cores through the kernel path** or on
 //!   **DPU cores behind a POSIX-like socket front end** where the host
 //!   only touches lock-free rings and payload DMA (the §6 proposal).

@@ -72,11 +72,6 @@ pub struct RdmaStats {
     pub(crate) rnr_peak: Counter,
 }
 
-struct Completion {
-    #[allow(dead_code)]
-    op_id: u64,
-}
-
 /// A local RDMA queue pair bound to a remote peer.
 ///
 /// `post` models the verbs issue path on the caller's CPU pool; the NIC
@@ -84,7 +79,7 @@ struct Completion {
 /// polled inline (`post`) or by a spawned reaper (`post_pipelined`).
 pub struct RdmaQp {
     cpu: Rc<CpuPool>,
-    nic_tx: Sender<(NicMsg, dpdpu_des::OneshotSender<Completion>)>,
+    nic_tx: Sender<(NicMsg, dpdpu_des::OneshotSender<()>)>,
     next_op: std::cell::Cell<u64>,
     recv_state: Rc<RefCell<RecvState>>,
     /// Per-QP statistics.
@@ -151,17 +146,17 @@ fn make_qp(
     let stats = Rc::new(RdmaStats::default());
     let recv_state: Rc<RefCell<RecvState>> = Rc::new(RefCell::new(RecvState::default()));
     let matcher_recv = recv_state.clone();
-    let (nic_tx, mut nic_rx) = channel::<(NicMsg, dpdpu_des::OneshotSender<Completion>)>();
+    let (nic_tx, mut nic_rx) = channel::<(NicMsg, dpdpu_des::OneshotSender<()>)>();
 
     // Local NIC engine: serializes WQE processing per QP, sends on the
     // wire, and signals completions.
     {
         let matcher_link = out_link.clone();
         let matcher_stats = stats.clone();
-        let (done_tx, mut done_rx) = channel::<(u64, dpdpu_des::OneshotSender<Completion>)>();
+        let (done_tx, mut done_rx) = channel::<(u64, dpdpu_des::OneshotSender<()>)>();
         // Completion matcher: pairs wire responses with waiting ops.
         spawn(async move {
-            let mut waiting: std::collections::HashMap<u64, dpdpu_des::OneshotSender<Completion>> =
+            let mut waiting: std::collections::HashMap<u64, dpdpu_des::OneshotSender<()>> =
                 std::collections::HashMap::new();
             let mut responses: std::collections::HashMap<u64, u64> =
                 std::collections::HashMap::new();
@@ -170,7 +165,7 @@ fn make_qp(
             let mut posts_open = true;
             loop {
                 enum NicEvt {
-                    Done(Option<(u64, dpdpu_des::OneshotSender<Completion>)>),
+                    Done(Option<(u64, dpdpu_des::OneshotSender<()>)>),
                     Wire(Option<NicMsg>),
                 }
                 let evt = if posts_open {
@@ -184,7 +179,7 @@ fn make_qp(
                 match evt {
                     NicEvt::Done(Some((op_id, tx))) => {
                         if responses.remove(&op_id).is_some() {
-                            let _ = tx.send(Completion { op_id });
+                            let _ = tx.send(());
                         } else {
                             waiting.insert(op_id, tx);
                         }
@@ -194,7 +189,7 @@ fn make_qp(
                         NicMsg::Response { op_id, bytes } => {
                             matcher_stats.bytes.add(bytes);
                             if let Some(tx) = waiting.remove(&op_id) {
-                                let _ = tx.send(Completion { op_id });
+                                let _ = tx.send(());
                             } else {
                                 responses.insert(op_id, bytes);
                             }
@@ -282,7 +277,7 @@ impl RdmaQp {
         kind: RdmaOpKind,
         bytes: u64,
         payload: Option<Bytes>,
-    ) -> OneshotReceiver<Completion> {
+    ) -> OneshotReceiver<()> {
         self.cpu.exec(costs::RDMA_VERB_ISSUE_CYCLES).await;
         let op_id = self.next_op.get();
         self.next_op.set(op_id + 1);

@@ -1,17 +1,14 @@
-//! Pluggable congestion control: the algorithm is an object behind the
-//! `CongAlg` trait, not arithmetic inlined in the sender's state
-//! machine.
+//! Congestion control: one window, three policies.
 //!
-//! The interface follows the CCP/portus shape: the datapath *installs*
-//! the algorithm with the connection's constants, feeds it *measurements*
-//! (one per congestion event — new-data ACK, ECN-echo ACK, third
-//! duplicate ACK, RTO), and the algorithm *reports* back the `cwnd` /
-//! `ssthresh` pair the sender must apply. The sender owns reliability
-//! (retransmit selection, RTO arming, duplicate-ACK counting); the
-//! algorithm owns only the window decision, so the two evolve
-//! independently.
+//! The interface follows the CCP/portus shape: the policy owns `cwnd` and
+//! `ssthresh`, and the datapath only reports *measurements*, one per
+//! congestion event (`Event`: a new-data ACK, whose ECN echo rides on
+//! `Measurement::ecn`; the third duplicate ACK; an RTO). The sender owns
+//! reliability (retransmit selection, RTO arming, duplicate-ACK
+//! counting) and reads the window back from `Cong::cwnd`, so the two
+//! evolve independently.
 //!
-//! Three algorithms ship:
+//! Three policies ship:
 //!
 //! * `Reno` — the classic AIMD loop, extracted verbatim from the old
 //!   monolithic sender. Its float arithmetic is kept operation-for-
@@ -58,36 +55,17 @@ impl CongAlgKind {
         let s = s.to_ascii_lowercase();
         Self::ALL.into_iter().find(|kind| kind.name() == s)
     }
-
-    /// Instantiates the algorithm.
-    pub(crate) fn build(self) -> Box<dyn CongAlg> {
-        match self {
-            CongAlgKind::Reno => Box::new(Reno::default()),
-            CongAlgKind::Cubic => Box::new(Cubic::default()),
-            CongAlgKind::Dctcp => Box::new(Dctcp::default()),
-        }
-    }
 }
 
-/// Connection constants handed to the algorithm at install time.
+/// A congestion event, as the sender sees it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CongConfig {
-    /// Maximum segment size, bytes.
-    pub(crate) mss: u64,
-    /// Initial congestion window, bytes.
-    pub(crate) init_cwnd: f64,
-    /// Window ceiling, bytes.
-    pub(crate) max_wnd: f64,
-}
-
-impl Default for CongConfig {
-    fn default() -> Self {
-        CongConfig {
-            mss: 1,
-            init_cwnd: 1.0,
-            max_wnd: 1.0,
-        }
-    }
+pub(crate) enum Event {
+    /// A new-data cumulative ACK arrived (possibly echoing a CE mark).
+    Ack,
+    /// Third duplicate ACK: the sender is about to fast-retransmit.
+    DupAck,
+    /// Retransmission timeout fired.
+    Timeout,
 }
 
 /// One congestion event's measurements, reported by the datapath.
@@ -105,286 +83,213 @@ pub(crate) struct Measurement {
     pub(crate) ecn: bool,
 }
 
-/// The algorithm's window decision, applied verbatim by the sender.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Report {
-    /// Congestion window, bytes.
-    pub(crate) cwnd: f64,
-    /// Slow-start threshold, bytes.
-    pub(crate) ssthresh: f64,
-}
-
-/// A congestion-control algorithm: install once, then one callback per
-/// congestion event; every callback reports the window decision.
-pub(crate) trait CongAlg {
-    /// Binds the algorithm to a connection; returns the initial window.
-    fn install(&mut self, cfg: &CongConfig) -> Report;
-    /// A new-data cumulative ACK arrived (no ECN echo).
-    fn on_ack(&mut self, m: &Measurement) -> Report;
-    /// Third duplicate ACK: the sender is about to fast-retransmit.
-    fn on_dup_ack(&mut self, m: &Measurement) -> Report;
-    /// Retransmission timeout fired.
-    fn on_timeout(&mut self, m: &Measurement) -> Report;
-    /// A new-data ACK arrived carrying an ECN echo.
-    fn on_ecn(&mut self, m: &Measurement) -> Report;
-}
-
-/// The window state every algorithm keeps, and the steps they share.
-/// Every step reports the window it leaves behind.
-#[derive(Debug, Default)]
-struct Window {
-    cfg: CongConfig,
-    cwnd: f64,
-    ssthresh: f64,
-}
-
-impl Window {
-    fn install(&mut self, cfg: &CongConfig) -> Report {
-        self.cfg = *cfg;
-        self.cwnd = cfg.init_cwnd;
-        self.ssthresh = cfg.max_wnd;
-        self.report()
-    }
-
-    fn report(&self) -> Report {
-        Report {
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-        }
-    }
-
-    /// Reno's additive-increase step: slow start below `ssthresh`, one
-    /// MSS per RTT above it. DCTCP grows the same way, and so does CUBIC
-    /// until its first congestion event.
-    fn grow(&mut self) -> Report {
-        let mss = self.cfg.mss;
-        if self.cwnd < self.ssthresh {
-            self.cwnd += mss as f64;
-        } else {
-            self.cwnd += (mss as f64) * (mss as f64) / self.cwnd;
-        }
-        self.cwnd = self.cwnd.min(self.cfg.max_wnd);
-        self.report()
-    }
-
-    /// The standard loss response: halve, floored at two segments.
-    fn halve(&mut self) -> Report {
-        self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-        self.cwnd = self.ssthresh;
-        self.report()
-    }
-
-    /// An RTO is a full stall: restart from one MSS.
-    fn collapse(&mut self) -> Report {
-        self.cwnd = self.cfg.mss as f64;
-        self.report()
-    }
-}
-
-/// Classic Reno AIMD, lifted unchanged from the pre-refactor sender:
-/// slow start doubles per RTT below `ssthresh`, congestion avoidance
-/// adds one MSS per RTT above it, loss halves.
-#[derive(Debug, Default)]
-pub(crate) struct Reno {
-    w: Window,
-    /// Window frontier at the last ECN cut: at most one multiplicative
-    /// decrease per window of data, as RFC 3168 requires.
-    ecn_cut_until: u64,
-}
-
-impl CongAlg for Reno {
-    fn install(&mut self, cfg: &CongConfig) -> Report {
-        self.w.install(cfg)
-    }
-
-    fn on_ack(&mut self, _m: &Measurement) -> Report {
-        self.w.grow()
-    }
-
-    fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
-        self.w.halve()
-    }
-
-    fn on_timeout(&mut self, _m: &Measurement) -> Report {
-        self.w.halve();
-        self.w.collapse()
-    }
-
-    fn on_ecn(&mut self, m: &Measurement) -> Report {
-        // RFC 3168 response: treat the echo like a loss signal, but cut
-        // at most once per window of data.
-        if m.ack >= self.ecn_cut_until {
-            self.w.halve();
-            self.ecn_cut_until = m.snd_nxt;
-        }
-        self.w.report()
-    }
-}
-
 /// CUBIC constants (RFC 8312): `C` scales the cubic term (with time in
 /// seconds and windows in MSS units), `BETA` is the multiplicative
 /// decrease factor.
 const CUBIC_C: f64 = 0.4;
 const CUBIC_BETA: f64 = 0.7;
 
-/// CUBIC: after a loss at window `W_max`, the window follows
-/// `W(t) = C·(t − K)³ + W_max` — concave while recovering toward the old
-/// saturation point, convex while probing beyond it.
-#[derive(Debug, Default)]
-pub(crate) struct Cubic {
-    w: Window,
-    /// Window (in MSS) where the last congestion event occurred.
-    w_max: f64,
-    /// Time of the last congestion event; `None` until the first loss
-    /// (pure slow start / additive probing before any loss signal).
-    epoch_start: Option<Time>,
-    /// Plateau-crossing time `K = ∛(W_max·(1−β)/C)`, seconds.
-    k: f64,
-    ecn_cut_until: u64,
-}
-
-impl Cubic {
-    /// Registers a congestion event: remember the saturation point and
-    /// restart the cubic clock.
-    fn congestion_event(&mut self) {
-        let mss = self.w.cfg.mss as f64;
-        self.w_max = self.w.cwnd / mss;
-        self.k = (self.w_max * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
-        self.epoch_start = Some(now());
-        self.w.ssthresh = (self.w.cwnd * CUBIC_BETA).max(2.0 * mss);
-        self.w.cwnd = self.w.ssthresh;
-    }
-}
-
-impl CongAlg for Cubic {
-    fn install(&mut self, cfg: &CongConfig) -> Report {
-        self.w.install(cfg)
-    }
-
-    fn on_ack(&mut self, _m: &Measurement) -> Report {
-        // Slow start, and congestion avoidance until the first congestion
-        // event anchors the cubic curve, are Reno's.
-        let Some(t0) = self.epoch_start else {
-            return self.w.grow();
-        };
-        let w = &mut self.w;
-        if w.cwnd < w.ssthresh {
-            return w.grow();
-        }
-        let mss = w.cfg.mss as f64;
-        let t = (now() - t0) as f64 / 1e9;
-        let target = CUBIC_C * (t - self.k).powi(3) + self.w_max; // MSS units
-        let segs = w.cwnd / mss;
-        if target > segs {
-            // Close a fraction of the gap per ACK; over one RTT's worth
-            // of ACKs this tracks the cubic curve.
-            w.cwnd += (target - segs) / segs * mss;
-        } else {
-            // At/above the curve: probe gently (~1.5% of an MSS per ACK)
-            // so the window never stalls flat.
-            w.cwnd += 0.015 * mss;
-        }
-        w.cwnd = w.cwnd.min(w.cfg.max_wnd);
-        w.report()
-    }
-
-    fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
-        self.congestion_event();
-        self.w.report()
-    }
-
-    fn on_timeout(&mut self, _m: &Measurement) -> Report {
-        self.congestion_event();
-        self.w.collapse()
-    }
-
-    fn on_ecn(&mut self, m: &Measurement) -> Report {
-        if m.ack >= self.ecn_cut_until {
-            self.congestion_event();
-            self.ecn_cut_until = m.snd_nxt;
-        }
-        self.w.report()
-    }
-}
-
 /// DCTCP EWMA gain `g` (RFC 8257 recommends 1/16).
 const DCTCP_G: f64 = 1.0 / 16.0;
 
-/// DCTCP: the receiver echoes per-segment CE marks; the sender keeps
-/// `alpha`, an EWMA of the marked-byte fraction per window, and on a
-/// marked window cuts `cwnd` by `alpha/2` — small cuts for small queue
-/// excursions, a full halving under persistent congestion.
-#[derive(Debug, Default)]
-pub(crate) struct Dctcp {
-    w: Window,
-    /// EWMA of the fraction of bytes marked per window.
-    alpha: f64,
-    /// Bytes acknowledged in the current observation window.
-    window_bytes: u64,
-    /// Of those, bytes whose ACKs echoed a CE mark.
-    marked_bytes: u64,
-    /// Sequence where the current observation window ends.
-    window_end: u64,
+/// What each algorithm keeps beyond the shared window.
+#[derive(Debug)]
+enum Policy {
+    /// Classic Reno AIMD: slow start doubles per RTT below `ssthresh`,
+    /// congestion avoidance adds one MSS per RTT above it, loss halves.
+    Reno,
+    /// CUBIC: after a loss at window `W_max`, the window follows
+    /// `W(t) = C·(t − K)³ + W_max` — concave while recovering toward the
+    /// old saturation point, convex while probing beyond it.
+    Cubic {
+        /// Window (in MSS) where the last congestion event occurred.
+        w_max: f64,
+        /// Time of the last congestion event; `None` until the first
+        /// loss (Reno growth before any loss signal).
+        epoch_start: Option<Time>,
+        /// Plateau-crossing time `K = ∛(W_max·(1−β)/C)`, seconds.
+        k: f64,
+    },
+    /// DCTCP: the receiver echoes per-segment CE marks; the sender keeps
+    /// `alpha`, an EWMA of the marked-byte fraction per window, and on a
+    /// marked window cuts `cwnd` by `alpha/2` — small cuts for small
+    /// queue excursions, a full halving under persistent congestion.
+    Dctcp {
+        /// EWMA of the fraction of bytes marked per window.
+        alpha: f64,
+        /// Bytes acknowledged in the current observation window.
+        window_bytes: u64,
+        /// Of those, bytes whose ACKs echoed a CE mark.
+        marked_bytes: u64,
+        /// Sequence where the current observation window ends.
+        window_end: u64,
+    },
 }
 
-impl Dctcp {
-    fn observe(&mut self, m: &Measurement) {
-        self.window_bytes += m.acked_bytes;
-        if m.ecn {
-            self.marked_bytes += m.acked_bytes;
+/// A connection's congestion window and the policy that moves it.
+#[derive(Debug)]
+pub(crate) struct Cong {
+    /// Congestion window, bytes.
+    pub(crate) cwnd: f64,
+    /// Slow-start threshold, bytes.
+    ssthresh: f64,
+    /// Maximum segment size, bytes.
+    mss: f64,
+    /// Window ceiling, bytes.
+    max_wnd: f64,
+    /// Window frontier at the last ECN cut: at most one multiplicative
+    /// decrease per window of data, as RFC 3168 requires.
+    ecn_cut_until: u64,
+    policy: Policy,
+}
+
+impl Cong {
+    /// A window of `init_cwnd` bytes under `kind`, capped at `max_wnd`.
+    pub(crate) fn new(kind: CongAlgKind, mss: u64, init_cwnd: f64, max_wnd: f64) -> Self {
+        let policy = match kind {
+            CongAlgKind::Reno => Policy::Reno,
+            CongAlgKind::Cubic => Policy::Cubic {
+                w_max: 0.0,
+                epoch_start: None,
+                k: 0.0,
+            },
+            // RFC 8257: start conservative — treat the first window as
+            // fully congested until real measurements arrive.
+            CongAlgKind::Dctcp => Policy::Dctcp {
+                alpha: 1.0,
+                window_bytes: 0,
+                marked_bytes: 0,
+                window_end: 0,
+            },
+        };
+        Cong {
+            cwnd: init_cwnd,
+            ssthresh: max_wnd,
+            mss: mss as f64,
+            max_wnd,
+            ecn_cut_until: 0,
+            policy,
         }
-        if m.ack >= self.window_end {
+    }
+
+    /// Moves the window for one congestion event.
+    pub(crate) fn on(&mut self, event: Event, m: &Measurement) {
+        match event {
+            Event::Ack if matches!(self.policy, Policy::Dctcp { .. }) => {
+                // Marks are *measured*, not reacted to per-ACK: the cut
+                // happens at the window boundary inside `observe`, scaled
+                // by alpha. ECN also ends slow start the first time it
+                // appears.
+                if m.ecn && self.cwnd < self.ssthresh {
+                    self.ssthresh = self.cwnd;
+                }
+                self.observe(m);
+                self.grow();
+            }
+            Event::Ack if m.ecn => {
+                // RFC 3168 response: treat the echo like a loss signal,
+                // but cut at most once per window of data.
+                if m.ack >= self.ecn_cut_until {
+                    self.cut();
+                    self.ecn_cut_until = m.snd_nxt;
+                }
+            }
+            Event::Ack => self.grow(),
+            // Loss; DCTCP falls back to the standard halving (RFC 8257
+            // §3.4).
+            Event::DupAck => self.cut(),
+            // An RTO is a full stall: cut, then restart from one MSS.
+            Event::Timeout => {
+                self.cut();
+                self.cwnd = self.mss;
+            }
+        }
+    }
+
+    /// Window growth per new-data ACK. Reno's additive increase — slow
+    /// start below `ssthresh`, one MSS per RTT above it — is also DCTCP's,
+    /// and CUBIC's until its first congestion event anchors the curve.
+    fn grow(&mut self) {
+        let mss = self.mss;
+        self.cwnd += match self.policy {
+            _ if self.cwnd < self.ssthresh => mss,
+            Policy::Cubic {
+                w_max,
+                epoch_start: Some(t0),
+                k,
+            } => {
+                let t = (now() - t0) as f64 / 1e9;
+                let target = CUBIC_C * (t - k).powi(3) + w_max; // MSS units
+                let segs = self.cwnd / mss;
+                if target > segs {
+                    // Close a fraction of the gap per ACK; over one RTT's
+                    // worth of ACKs this tracks the cubic curve.
+                    (target - segs) / segs * mss
+                } else {
+                    // At/above the curve: probe gently (~1.5% of an MSS
+                    // per ACK) so the window never stalls flat.
+                    0.015 * mss
+                }
+            }
+            _ => mss * mss / self.cwnd,
+        };
+        self.cwnd = self.cwnd.min(self.max_wnd);
+    }
+
+    /// The multiplicative decrease, floored at two segments: Reno and
+    /// DCTCP halve; CUBIC cuts by `BETA`, remembers the saturation point
+    /// and restarts the cubic clock.
+    fn cut(&mut self) {
+        let mss = self.mss;
+        if let Policy::Cubic {
+            w_max,
+            epoch_start,
+            k,
+        } = &mut self.policy
+        {
+            *w_max = self.cwnd / mss;
+            *k = (*w_max * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
+            *epoch_start = Some(now());
+            self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * mss);
+        } else {
+            self.ssthresh = (self.cwnd / 2.0).max(2.0 * mss);
+        }
+        self.cwnd = self.ssthresh;
+    }
+
+    /// DCTCP's per-ACK bookkeeping: fold the ACK into the observation
+    /// window and, once a window of data completes, update `alpha` and
+    /// cut by `alpha/2` if any of it was marked.
+    fn observe(&mut self, m: &Measurement) {
+        let Policy::Dctcp {
+            alpha,
+            window_bytes,
+            marked_bytes,
+            window_end,
+        } = &mut self.policy
+        else {
+            return;
+        };
+        *window_bytes += m.acked_bytes;
+        if m.ecn {
+            *marked_bytes += m.acked_bytes;
+        }
+        if m.ack >= *window_end {
             // One observation window (≈ one RTT of data) completed.
-            let f = if self.window_bytes == 0 {
+            let f = if *window_bytes == 0 {
                 0.0
             } else {
-                self.marked_bytes as f64 / self.window_bytes as f64
+                *marked_bytes as f64 / *window_bytes as f64
             };
-            self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
-            if self.marked_bytes > 0 {
-                let mss = self.w.cfg.mss as f64;
-                self.w.cwnd = (self.w.cwnd * (1.0 - self.alpha / 2.0)).max(2.0 * mss);
-                self.w.ssthresh = self.w.cwnd;
+            *alpha = (1.0 - DCTCP_G) * *alpha + DCTCP_G * f;
+            if *marked_bytes > 0 {
+                self.cwnd = (self.cwnd * (1.0 - *alpha / 2.0)).max(2.0 * self.mss);
+                self.ssthresh = self.cwnd;
             }
-            self.window_bytes = 0;
-            self.marked_bytes = 0;
-            self.window_end = m.snd_nxt;
+            *window_bytes = 0;
+            *marked_bytes = 0;
+            *window_end = m.snd_nxt;
         }
-    }
-}
-
-impl CongAlg for Dctcp {
-    fn install(&mut self, cfg: &CongConfig) -> Report {
-        // RFC 8257: start conservative — treat the first window as
-        // fully congested until real measurements arrive.
-        self.alpha = 1.0;
-        self.w.install(cfg)
-    }
-
-    fn on_ack(&mut self, m: &Measurement) -> Report {
-        self.observe(m);
-        self.w.grow()
-    }
-
-    fn on_dup_ack(&mut self, _m: &Measurement) -> Report {
-        // Loss falls back to the standard halving (RFC 8257 §3.4).
-        self.w.halve()
-    }
-
-    fn on_timeout(&mut self, _m: &Measurement) -> Report {
-        self.w.halve();
-        self.w.collapse()
-    }
-
-    fn on_ecn(&mut self, m: &Measurement) -> Report {
-        // Marks are *measured*, not reacted to per-ACK: the cut happens
-        // at the window boundary inside `observe`, scaled by alpha. ECN
-        // also ends slow start the first time it appears.
-        if self.w.cwnd < self.w.ssthresh {
-            self.w.ssthresh = self.w.cwnd;
-        }
-        self.observe(m);
-        self.w.grow()
     }
 }
 
@@ -395,64 +300,66 @@ mod tests {
 
     const MSS: u64 = 8_192;
 
-    fn cfg() -> CongConfig {
-        CongConfig {
-            mss: MSS,
-            init_cwnd: (10 * MSS) as f64,
-            max_wnd: (256 * MSS) as f64,
-        }
+    /// A congestion event that carries no ACK progress (dup-ACK, RTO).
+    const LOSS: Measurement = Measurement {
+        ack: 0,
+        snd_nxt: 0,
+        acked_bytes: 0,
+        ecn: false,
+    };
+
+    fn cong(kind: CongAlgKind) -> Cong {
+        Cong::new(kind, MSS, (10 * MSS) as f64, (256 * MSS) as f64)
     }
 
-    fn ack(alg: &mut dyn CongAlg, ack_seq: u64, ecn: bool) -> Report {
+    /// Reports one new-data ACK of one MSS; returns the window it leaves.
+    fn ack(c: &mut Cong, ack_seq: u64, ecn: bool) -> f64 {
         let m = Measurement {
             ack: ack_seq,
             snd_nxt: ack_seq + 64 * MSS,
             acked_bytes: MSS,
             ecn,
         };
-        if ecn {
-            alg.on_ecn(&m)
-        } else {
-            alg.on_ack(&m)
+        c.on(Event::Ack, &m);
+        c.cwnd
+    }
+
+    fn alpha(c: &Cong) -> f64 {
+        match c.policy {
+            Policy::Dctcp { alpha, .. } => alpha,
+            _ => unreachable!("not a DCTCP window"),
         }
     }
 
     #[test]
     fn reno_slow_start_doubles_per_window() {
-        let mut reno = Reno::default();
-        let mut r = reno.install(&cfg());
-        assert_eq!(r.cwnd, (10 * MSS) as f64);
+        let mut reno = cong(CongAlgKind::Reno);
+        assert_eq!(reno.cwnd, (10 * MSS) as f64);
         // One ACK per in-flight MSS ≈ one RTT: cwnd grows by one MSS per
         // ACK in slow start, i.e. doubles per window.
         let mut seq = 0u64;
-        let before = r.cwnd;
+        let before = reno.cwnd;
         let acks = (before / MSS as f64) as u64;
         for _ in 0..acks {
             seq += MSS;
-            r = ack(&mut reno, seq, false);
+            ack(&mut reno, seq, false);
         }
-        assert_eq!(r.cwnd, before * 2.0, "slow start must double per RTT");
+        assert_eq!(reno.cwnd, before * 2.0, "slow start must double per RTT");
     }
 
     #[test]
     fn reno_congestion_avoidance_adds_one_mss_per_window() {
-        let mut reno = Reno::default();
-        reno.install(&cfg());
+        let mut reno = cong(CongAlgKind::Reno);
         // Force congestion avoidance: a dup-ack cut sets ssthresh = cwnd.
-        let mut r = reno.on_dup_ack(&Measurement {
-            ack: 0,
-            snd_nxt: 0,
-            acked_bytes: 0,
-            ecn: false,
-        });
-        let before = r.cwnd;
+        reno.on(Event::DupAck, &LOSS);
+        let before = reno.cwnd;
         let acks = (before / MSS as f64).round() as u64;
         let mut seq = 0;
         for _ in 0..acks {
             seq += MSS;
-            r = ack(&mut reno, seq, false);
+            ack(&mut reno, seq, false);
         }
-        let gained = r.cwnd - before;
+        let gained = reno.cwnd - before;
         assert!(
             (gained - MSS as f64).abs() < 0.1 * MSS as f64,
             "CA should add ~1 MSS per RTT, gained {gained}"
@@ -461,19 +368,12 @@ mod tests {
 
     #[test]
     fn reno_halves_on_loss_and_collapses_on_rto() {
-        let mut reno = Reno::default();
-        reno.install(&cfg());
-        let m = Measurement {
-            ack: 0,
-            snd_nxt: 0,
-            acked_bytes: 0,
-            ecn: false,
-        };
-        let r = reno.on_dup_ack(&m);
-        assert_eq!(r.cwnd, (5 * MSS) as f64, "halved");
-        assert_eq!(r.ssthresh, (5 * MSS) as f64);
-        let r = reno.on_timeout(&m);
-        assert_eq!(r.cwnd, MSS as f64, "RTO collapses to one MSS");
+        let mut reno = cong(CongAlgKind::Reno);
+        reno.on(Event::DupAck, &LOSS);
+        assert_eq!(reno.cwnd, (5 * MSS) as f64, "halved");
+        assert_eq!(reno.ssthresh, (5 * MSS) as f64);
+        reno.on(Event::Timeout, &LOSS);
+        assert_eq!(reno.cwnd, MSS as f64, "RTO collapses to one MSS");
     }
 
     #[test]
@@ -484,20 +384,13 @@ mod tests {
         // beyond it (convex).
         let mut sim = Sim::new();
         sim.spawn(async {
-            let mut cubic = Cubic::default();
-            cubic.install(&cfg());
+            let mut cubic = cong(CongAlgKind::Cubic);
             // Grow to a plateau, then signal one loss at W = 100 MSS.
-            cubic.w.cwnd = (100 * MSS) as f64;
-            cubic.w.ssthresh = cubic.w.cwnd;
-            let m = Measurement {
-                ack: 0,
-                snd_nxt: 0,
-                acked_bytes: 0,
-                ecn: false,
-            };
-            let r = cubic.on_dup_ack(&m);
+            cubic.cwnd = (100 * MSS) as f64;
+            cubic.ssthresh = cubic.cwnd;
+            cubic.on(Event::DupAck, &LOSS);
             assert!(
-                (r.cwnd - 0.7 * (100 * MSS) as f64).abs() < 1.0,
+                (cubic.cwnd - 0.7 * (100 * MSS) as f64).abs() < 1.0,
                 "beta cut to 0.7·W_max"
             );
             // Sample the curve every 25 simulated ms (K is seconds-scale
@@ -507,15 +400,12 @@ mod tests {
             let mut samples = Vec::new();
             for _ in 0..400 {
                 dpdpu_des::sleep(25_000_000).await;
-                let mut last = Report {
-                    cwnd: 0.0,
-                    ssthresh: 0.0,
-                };
+                let mut last = 0.0;
                 for _ in 0..32 {
                     seq += MSS;
                     last = ack(&mut cubic, seq, false);
                 }
-                samples.push(last.cwnd / MSS as f64);
+                samples.push(last / MSS as f64);
             }
             let w_max = 100.0;
             // Concave phase: deltas shrink while below W_max.
@@ -548,22 +438,14 @@ mod tests {
     fn cubic_recovers_faster_than_reno_after_a_cut() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let loss = Measurement {
-                ack: 0,
-                snd_nxt: 0,
-                acked_bytes: 0,
-                ecn: false,
-            };
-            let mut cubic = Cubic::default();
-            cubic.install(&cfg());
-            cubic.w.cwnd = (200 * MSS) as f64;
-            cubic.w.ssthresh = cubic.w.cwnd;
-            cubic.on_dup_ack(&loss);
-            let mut reno = Reno::default();
-            reno.install(&cfg());
-            reno.w.cwnd = (200 * MSS) as f64;
-            reno.w.ssthresh = reno.w.cwnd;
-            reno.on_dup_ack(&loss);
+            let mut cubic = cong(CongAlgKind::Cubic);
+            cubic.cwnd = (200 * MSS) as f64;
+            cubic.ssthresh = cubic.cwnd;
+            cubic.on(Event::DupAck, &LOSS);
+            let mut reno = cong(CongAlgKind::Reno);
+            reno.cwnd = (200 * MSS) as f64;
+            reno.ssthresh = reno.cwnd;
+            reno.on(Event::DupAck, &LOSS);
             // Same long-RTT ACK clock for both over ~3 s: few ACKs per
             // unit time, which is exactly where time-based growth wins.
             let mut seq = 0u64;
@@ -572,8 +454,8 @@ mod tests {
                 dpdpu_des::sleep(10_000_000).await;
                 for _ in 0..8 {
                     seq += MSS;
-                    rc = ack(&mut cubic, seq, false).cwnd;
-                    rr = ack(&mut reno, seq, false).cwnd;
+                    rc = ack(&mut cubic, seq, false);
+                    rr = ack(&mut reno, seq, false);
                 }
             }
             assert!(
@@ -592,31 +474,20 @@ mod tests {
         // of bytes marked, one with ~12.5%. The lightly-marked flow must
         // keep a (proportionally) larger window.
         let run = |mark_every: u64| {
-            let mut d = Dctcp::default();
-            d.install(&cfg());
-            d.w.cwnd = (64 * MSS) as f64;
-            d.w.ssthresh = d.w.cwnd; // out of slow start
+            let mut d = cong(CongAlgKind::Dctcp);
+            d.cwnd = (64 * MSS) as f64;
+            d.ssthresh = d.cwnd; // out of slow start
             let mut seq = 0u64;
             // Several windows so alpha converges toward the fraction.
+            // `ack` keeps a constant 64-segment frontier ahead of the
+            // cumulative ACK, as a saturated sender keeps.
             for _ in 0..40 {
                 for i in 0..64u64 {
                     seq += MSS;
-                    let m = Measurement {
-                        ack: seq,
-                        // A constant 64-segment frontier ahead of the
-                        // cumulative ACK, as a saturated sender keeps.
-                        snd_nxt: seq + 64 * MSS,
-                        acked_bytes: MSS,
-                        ecn: i % mark_every == 0,
-                    };
-                    if m.ecn {
-                        d.on_ecn(&m);
-                    } else {
-                        d.on_ack(&m);
-                    }
+                    ack(&mut d, seq, i % mark_every == 0);
                 }
             }
-            (d.alpha, d.w.cwnd)
+            (alpha(&d), d.cwnd)
         };
         let (alpha_all, cwnd_all) = run(1); // every byte marked
         let (alpha_some, cwnd_some) = run(8); // 1/8 of bytes marked
@@ -636,20 +507,19 @@ mod tests {
 
     #[test]
     fn dctcp_unmarked_flow_grows_like_reno() {
-        let mut d = Dctcp::default();
-        let mut r = d.install(&cfg());
-        let before = r.cwnd;
+        let mut d = cong(CongAlgKind::Dctcp);
+        let before = d.cwnd;
         let mut seq = 0u64;
         for _ in 0..10 {
             seq += MSS;
-            r = ack(&mut d, seq, false);
+            ack(&mut d, seq, false);
         }
         assert_eq!(
-            r.cwnd,
+            d.cwnd,
             before + (10 * MSS) as f64,
             "no marks → pure slow-start growth"
         );
-        assert!(d.alpha < 1.0, "alpha must decay with unmarked windows");
+        assert!(alpha(&d) < 1.0, "alpha must decay with unmarked windows");
     }
 
     #[test]

@@ -60,18 +60,6 @@ impl Segment {
     }
 }
 
-/// Events the sender's ACK-ingress hands to the sender task.
-pub(crate) enum AckEvent {
-    SynAck,
-    Ack {
-        ack: u64,
-        wnd: u64,
-        update: bool,
-        ece: bool,
-    },
-    FinAck,
-}
-
 /// A connection's handle on a (possibly shared) physical link: frames
 /// are tagged with the connection id and demultiplexed at the far end.
 #[derive(Clone)]
@@ -140,7 +128,7 @@ pub(crate) fn build_mux(
         let stats = Rc::new(TcpStats::for_flow(label.as_deref(), conn));
         let (app_in_tx, app_in_rx) = channel::<Bytes>();
         let (app_out_tx, app_out_rx) = channel::<(Bytes, Permit)>();
-        let (ack_evt_tx, ack_evt_rx) = channel::<AckEvent>();
+        let (ack_evt_tx, ack_evt_rx) = channel::<Segment>();
         let (data_seg_tx, data_seg_rx) = channel::<Segment>();
         let (ack_seg_tx, mut ack_seg_rx) = channel::<Segment>();
         let (wnd_tx, wnd_rx) = channel::<()>();
@@ -166,26 +154,8 @@ pub(crate) fn build_mux(
             spawn(async move {
                 while let Some(seg) = ack_seg_rx.recv().await {
                     src.charge_ack().await;
-                    let forward = match seg {
-                        Segment::Ack {
-                            ack,
-                            wnd,
-                            update,
-                            ece,
-                        } => Some(AckEvent::Ack {
-                            ack,
-                            wnd,
-                            update,
-                            ece,
-                        }),
-                        Segment::SynAck => Some(AckEvent::SynAck),
-                        Segment::FinAck => Some(AckEvent::FinAck),
-                        _ => None,
-                    };
-                    if let Some(evt) = forward {
-                        if ack_evt_tx.send(evt).is_err() {
-                            break;
-                        }
+                    if ack_evt_tx.send(seg).is_err() {
+                        break;
                     }
                 }
             });

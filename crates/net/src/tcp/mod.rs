@@ -28,9 +28,9 @@
 //!   fast retransmit, RTO, FIN.
 //! * `receiver` — reassembly, receive-ring flow control, ACK generation
 //!   with ECN echo.
-//! * [`cong`] — the congestion-control algorithms behind the
-//!   portus-style `CongAlg` trait: Reno, CUBIC and DCTCP, picked by
-//!   [`CongAlgKind`].
+//! * [`cong`] — congestion control in the portus shape: one window
+//!   whose policy (Reno, CUBIC or DCTCP, picked by [`CongAlgKind`])
+//!   owns `cwnd`, moved by the sender's per-event measurements.
 //!
 //! Connections are built with [`TcpConnector`], the only constructor.
 
@@ -217,7 +217,7 @@ pub(crate) type TcpEndpoint = (TcpSender, TcpReceiver);
 ///
 /// ```ignore
 /// let (tx, rx) = TcpConnector::new(LinkConfig::rack_100g())
-///     .cong(CongAlgKind::Dctcp)
+///     .params(TcpParams { cong: CongAlgKind::Dctcp, ..TcpParams::default() })
 ///     .stream(src, dst);
 /// let pairs = TcpConnector::new(link).streams(src, dst, 8); // shared wire
 /// ```
@@ -254,12 +254,6 @@ impl TcpConnector {
             "TcpParams::max_wnd_segs must be at least 1"
         );
         self.params = params;
-        self
-    }
-
-    /// Selects the congestion-control algorithm.
-    pub fn cong(mut self, alg: CongAlgKind) -> Self {
-        self.params.cong = alg;
         self
     }
 
@@ -771,7 +765,12 @@ mod tests {
             let mut sim = Sim::new();
             sim.spawn(async move {
                 let (src, dst) = host_sides();
-                let (tx, mut rx) = TcpConnector::new(fast_link()).cong(alg).stream(src, dst);
+                let (tx, mut rx) = TcpConnector::new(fast_link())
+                    .params(TcpParams {
+                        cong: alg,
+                        ..TcpParams::default()
+                    })
+                    .stream(src, dst);
                 for i in 0..30u8 {
                     tx.send(Bytes::from(vec![i; 4_096]));
                 }

@@ -1,8 +1,8 @@
 //! The sending side: handshake, window fill, retransmission (fast
 //! retransmit + RTO), and FIN teardown. Reliability decisions live
-//! here; *window* decisions are delegated to the connection's
-//! [`CongAlg`], which sees one measurement per congestion event and
-//! reports the `cwnd`/`ssthresh` the sender must apply.
+//! here; *window* decisions belong to the connection's [`Cong`], which
+//! the sender tells one [`Event`] per congestion event and whose
+//! `cwnd` it reads back when filling the window.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -11,8 +11,8 @@ use bytes::Bytes;
 use dpdpu_des::{race, timeout, Either, Receiver};
 use dpdpu_faults::FaultSite;
 
-use super::cong::{CongAlg, CongConfig, Measurement, Report};
-use super::conn::{AckEvent, SegPort, Segment};
+use super::cong::{Cong, Event, Measurement};
+use super::conn::{SegPort, Segment};
 use super::{TcpParams, TcpStats, MSS};
 use crate::fabric::Endpoint;
 
@@ -24,10 +24,8 @@ pub(crate) struct SendState {
     pub(crate) snd_una: u64,
     /// Next byte to transmit.
     pub(crate) snd_nxt: u64,
-    /// Congestion window, bytes (mirrors the algorithm's last report).
-    pub(crate) cwnd: f64,
-    /// Slow-start threshold, bytes (mirrors the last report).
-    pub(crate) ssthresh: f64,
+    /// Congestion window and the policy that moves it.
+    pub(crate) cong: Cong,
     /// Receiver-advertised window, bytes (flow control).
     pub(crate) snd_wnd: u64,
     pub(crate) dup_acks: u32,
@@ -46,12 +44,6 @@ impl SendState {
             acked_bytes,
             ecn,
         }
-    }
-
-    /// Applies the algorithm's window decision verbatim.
-    fn apply(&mut self, r: Report) {
-        self.cwnd = r.cwnd;
-        self.ssthresh = r.ssthresh;
     }
 }
 
@@ -78,7 +70,7 @@ async fn retransmit_first(s: &SendState, side: &Endpoint, port: &SegPort, stats:
 
 enum Evt {
     App(Option<Bytes>),
-    Ack(Option<AckEvent>),
+    Ack(Option<Segment>),
     Rto,
 }
 
@@ -86,24 +78,17 @@ pub(crate) async fn sender_task(
     side: Endpoint,
     port: SegPort,
     mut app_rx: Receiver<Bytes>,
-    mut ack_rx: Receiver<AckEvent>,
+    mut ack_rx: Receiver<Segment>,
     params: TcpParams,
     stats: Rc<TcpStats>,
     label: Option<Rc<str>>,
 ) {
     let mss = MSS as u64;
     let max_wnd = (params.max_wnd_segs * mss) as f64;
-    let mut alg: Box<dyn CongAlg> = params.cong.build();
-    let initial = alg.install(&CongConfig {
-        mss,
-        init_cwnd: (INIT_CWND_SEGS * mss) as f64,
-        max_wnd,
-    });
     let mut s = SendState {
         snd_una: 0,
         snd_nxt: 0,
-        cwnd: initial.cwnd,
-        ssthresh: initial.ssthresh,
+        cong: Cong::new(params.cong, mss, (INIT_CWND_SEGS * mss) as f64, max_wnd),
         snd_wnd: params.recv_ring_slots as u64 * mss,
         dup_acks: 0,
         unsent: VecDeque::new(),
@@ -124,7 +109,7 @@ pub(crate) async fn sender_task(
         port.send(Segment::Syn).await;
         loop {
             match timeout(params.rto_ns, ack_rx.recv()).await {
-                Ok(Some(AckEvent::SynAck)) => break 'handshake,
+                Ok(Some(Segment::SynAck)) => break 'handshake,
                 Ok(Some(_)) => continue,
                 Ok(None) => return, // peer unreachable
                 Err(_) => break,    // retransmit the SYN
@@ -137,7 +122,7 @@ pub(crate) async fn sender_task(
         loop {
             let in_flight_bytes = s.snd_nxt - s.snd_una;
             // Effective window: congestion AND receiver flow control.
-            let wnd = (s.cwnd.min(max_wnd) as u64).min(s.snd_wnd);
+            let wnd = (s.cong.cwnd.min(max_wnd) as u64).min(s.snd_wnd);
             let fits = |(_, payload): &(u64, Bytes)| in_flight_bytes + payload.len() as u64 <= wnd;
             if !s.unsent.front().is_some_and(fits) {
                 break;
@@ -207,7 +192,7 @@ pub(crate) async fn sender_task(
             Evt::App(None) => {
                 app_open = false;
             }
-            Evt::Ack(Some(AckEvent::Ack {
+            Evt::Ack(Some(Segment::Ack {
                 ack,
                 wnd,
                 update,
@@ -225,29 +210,26 @@ pub(crate) async fn sender_task(
                         s.inflight.remove(&k);
                     }
                     // Window growth (or an ECN-echo response) is the
-                    // algorithm's call.
-                    let m = s.measurement(ack, acked_bytes, ece);
-                    let r = if ece {
+                    // policy's call.
+                    if ece {
                         stats.ecn_echoes.inc();
-                        alg.on_ecn(&m)
-                    } else {
-                        alg.on_ack(&m)
-                    };
-                    s.apply(r);
+                    }
+                    s.cong.on(Event::Ack, &s.measurement(ack, acked_bytes, ece));
                 } else if !s.inflight.is_empty() {
                     s.dup_acks += 1;
                     if s.dup_acks == 3 {
                         // Fast retransmit.
-                        s.apply(alg.on_dup_ack(&s.measurement(ack, 0, ece)));
+                        s.cong.on(Event::DupAck, &s.measurement(ack, 0, ece));
                         retransmit_first(&s, &side, &port, &stats).await;
                     }
                 }
             }
-            Evt::Ack(Some(AckEvent::SynAck | AckEvent::FinAck)) => {}
+            Evt::Ack(Some(_)) => {}
             // ACK ingress gone: no progress is possible.
             Evt::Ack(None) => return,
             Evt::Rto => {
-                s.apply(alg.on_timeout(&s.measurement(s.snd_una, 0, false)));
+                s.cong
+                    .on(Event::Timeout, &s.measurement(s.snd_una, 0, false));
                 s.dup_acks = 0;
                 stats.rto_fires.inc();
                 retransmit_first(&s, &side, &port, &stats).await;
@@ -266,12 +248,11 @@ pub(crate) async fn sender_task(
         }
         port.send(Segment::Fin { seq: fin_seq }).await;
         match timeout(params.rto_ns, ack_rx.recv()).await {
-            Ok(Some(AckEvent::FinAck)) => {
+            Ok(Some(Segment::FinAck)) => {
                 acked = true;
                 break;
             }
-            Ok(Some(AckEvent::Ack { .. } | AckEvent::SynAck)) => continue,
-            Ok(None) | Err(_) => continue,
+            Ok(Some(_) | None) | Err(_) => continue,
         }
     }
     if !acked {
@@ -285,7 +266,7 @@ pub(crate) async fn sender_task(
         if let Some(g) =
             dpdpu_telemetry::gauge("tcp_final_cwnd", &[("flow", &label), ("conn", &conn)])
         {
-            g.set(s.cwnd);
+            g.set(s.cong.cwnd);
         }
     }
 }

@@ -4,22 +4,35 @@
 //! Verified with a counting global allocator over the probe path (the
 //! per-`Server` wait/serve spans) and the `span()` guard path.
 //!
-//! Single `#[test]` on purpose: a concurrent test in the same binary
-//! would pollute the global allocation counter mid-measurement.
+//! The counter is per thread, so neither the test harness's threads nor
+//! a concurrent test can pollute the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dpdpu_des::{probe, Site};
 use dpdpu_telemetry::Telemetry;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Only the measuring thread counts:
+    /// the test harness's own threads allocate whenever they like.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation on the calling thread; `try_with`, so that
+/// counting can never panic inside the allocator.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state and,
+// as a `const` thread-local without a destructor, never allocates itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,7 +62,7 @@ fn enabled_spans_allocate_only_for_buffer_growth() {
         probe::emit_span(sites[0], "serve", 0, 1);
         probe::emit_span(sites[0], "wait", 0, 1);
         drop(dpdpu_telemetry::span("dpu", "engine", "op"));
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = ALLOCS.with(Cell::get);
         for i in 0..PROBE_SPANS {
             let name = if i % 3 == 0 { "wait" } else { "serve" };
             probe::emit_span(sites[(i % 8) as usize], name, i, i + 1);
@@ -57,7 +70,7 @@ fn enabled_spans_allocate_only_for_buffer_growth() {
         for _ in 0..GUARD_SPANS {
             drop(dpdpu_telemetry::span("dpu", "engine", "op"));
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        ALLOCS.with(Cell::get) - before
     });
     Telemetry::uninstall();
     let spans = 3 + PROBE_SPANS + GUARD_SPANS;

@@ -10,21 +10,34 @@
 //! merge. This exporter: 54, buffer growth and one small row per track
 //! per export.
 //!
-//! Single `#[test]` on purpose: a concurrent test in the same binary
-//! would pollute the global allocation counter mid-measurement.
+//! The counter is per thread, so neither the test harness's threads nor
+//! a concurrent test can pollute the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dpdpu_telemetry::{merge_traces, record_span, Telemetry};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Only the measuring thread counts:
+    /// the test harness's own threads allocate whenever they like.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation on the calling thread; `try_with`, so that
+/// counting can never panic inside the allocator.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state and,
+// as a `const` thread-local without a destructor, never allocates itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -57,14 +70,14 @@ fn export_and_merge_do_not_allocate_per_span() {
         })
         .collect();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let whole = sessions[0].chrome_trace();
     let parts = [
         sessions[0].trace_part(0, "d0"),
         sessions[1].trace_part(1, "d1"),
     ];
     let merged = merge_traces(&parts);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.with(Cell::get) - before;
 
     assert!(merged.len() > whole.len() && whole.len() > 10_000 * 60);
     assert!(

@@ -26,6 +26,13 @@
 //! `Site`, so the telemetry crate's old string table and its hasher are
 //! named nowhere.
 //!
+//! And one congestion window: `tcp::cong::Cong` holds it, so no trait
+//! object, install config or second ACK type is named under
+//! `crates/net/src/tcp`.
+//!
+//! And no `allow(dead_code)` in shipping code: an item rustc calls dead
+//! is deleted, or moved under `#[cfg(test)]` if only tests use it.
+//!
 //! And every `pub` has a caller outside its crate: each `pub` item under
 //! `crates/*/src` is named by another crate, a test, an example, the
 //! benchmark, README.md's doctests or (for `dpdpu-bench`) its own bins —
@@ -255,6 +262,73 @@ fn one_interner() {
     );
 }
 
+#[test]
+fn one_congestion_window() {
+    // Spelled in pieces, so that this file does not name them itself.
+    let gone = [
+        concat!("Cong", "Alg"),
+        concat!("Cong", "Config"),
+        concat!("Ack", "Event"),
+        concat!("d", "yn"),
+    ];
+    let mut strays = Vec::new();
+    for (name, source) in sources(&["crates/net/src/tcp"]) {
+        for ident in gone {
+            if names(&source, ident) {
+                strays.push(format!("{name}: `{ident}`"));
+            }
+        }
+    }
+    assert!(
+        strays.is_empty(),
+        "`tcp::cong::Cong` is the one window, moved by `Cong::on`, and the sender \
+         matches on `Segment`: {strays:#?}"
+    );
+}
+
+/// Every `allow(dead_code)` in shipping code: a line of a `crates/*/src`
+/// file before that file's first `#[cfg(test)]`.
+fn dead_code_escapes(tree: &[(String, String)]) -> Vec<String> {
+    let shipping = |name: &str| name.starts_with("crates/") && name.contains("/src/");
+    let mut found = Vec::new();
+    for (name, source) in tree.iter().filter(|(name, _)| shipping(name)) {
+        let lines = source.lines().enumerate();
+        for (at, line) in lines.take_while(|(_, l)| !l.contains("#[cfg(test)]")) {
+            if line.contains("allow(dead_code)") {
+                found.push(format!("{name}:{}", at + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn no_dead_code_escape_in_shipping_code() {
+    let found = dead_code_escapes(&sources(&["crates"]));
+    assert!(
+        found.is_empty(),
+        "delete what rustc calls dead, or move a test-only item under `#[cfg(test)]`: {found:#?}"
+    );
+}
+
+/// The gate is sensitive: an escape planted before a file's tests is
+/// named, one inside them is not.
+#[test]
+fn the_dead_code_gate_catches_a_planted_escape() {
+    let escape = "#[allow(dead_code)]\nfn planted() {}\n";
+    let name = "crates/des/src/time.rs";
+    let tree = sources(&["crates"]);
+    let after_tests = appended(&tree, name, escape);
+    assert!(
+        dead_code_escapes(&after_tests).is_empty(),
+        "after the tests is fine"
+    );
+    let mut planted = tree;
+    let file = planted.iter_mut().find(|(n, _)| n == name);
+    file.expect("file in the tree").1.insert_str(0, escape);
+    assert_eq!(dead_code_escapes(&planted), [format!("{name}:1")]);
+}
+
 /// `pub` items that nothing outside their crate names, kept `pub` on
 /// purpose, one per line: `crate item: reason`. Most are types that a
 /// called `pub` item takes or returns, so they stay `pub` although no
@@ -267,6 +341,7 @@ bench TenantFleetReport: returned by `fleet::run_tenant_fleet`; a `cell::Run` fi
 check Violation: returned by `CheckSession::finish`
 compute DpKernel: returned by `ComputeEngine::get_dpk` (Figure 6's kernel handle)
 compute SprocDone: what the receiver `Scheduler::submit` returns resolves to
+core Report: returned by `Dpdpu::report`
 core SprocError: the payload of `DpdpuError::Sproc`
 core SprocRegistry: the type of `Dpdpu::sprocs`
 dds ErrorCode: the payload of `proto::Reply::Error`

@@ -16,7 +16,7 @@ use dpdpu::des::block_on;
 use dpdpu::faults::{FaultPlan, SessionGuard};
 use dpdpu::hw::{CpuPool, LinkConfig};
 use dpdpu::net::fabric::Endpoint;
-use dpdpu::net::tcp::{CongAlgKind, TcpConnector};
+use dpdpu::net::tcp::{CongAlgKind, TcpConnector, TcpParams};
 use dpdpu_bench::netmatrix::{run_cell, NetScenario};
 
 /// Every algorithm delivers a seeded multi-stream workload in order
@@ -35,7 +35,10 @@ fn every_algorithm_survives_loss_in_order() {
             let src = Endpoint::host(CpuPool::new("src", 8, 3_000_000_000));
             let dst = Endpoint::host(CpuPool::new("dst", 8, 3_000_000_000));
             let conns = TcpConnector::new(LinkConfig::rack_100g())
-                .cong(alg)
+                .params(TcpParams {
+                    cong: alg,
+                    ..TcpParams::default()
+                })
                 .streams(src, dst, STREAMS);
 
             let mut handles = Vec::new();

@@ -1,4 +1,4 @@
-//! Domain-partitioned DDS cluster on the parallel simulation core.
+//! Domain-partitioned DDS cluster on the time-domain simulation core.
 //!
 //! The serial cluster model ([`dpdpu_dds::cluster`]) puts every shard
 //! platform inside one `Sim`, so a 64-server fleet is one giant event
@@ -18,8 +18,7 @@
 //! merged deterministically by (virtual time, domain index, event index)
 //! via [`dpdpu_telemetry::merge_traces`], and the whole run — summary lines,
 //! conformance reports, merged trace — is a pure function of
-//! (configuration, seed): `run_par(cfg, 1)` and `run_par(cfg, N)` must
-//! be byte-identical, which the `par_cluster` scenario and the
+//! (configuration, seed), which the `par_cluster` golden and the
 //! determinism auditor enforce.
 
 use std::cell::{Cell, RefCell};
@@ -117,7 +116,7 @@ struct Ports {
 struct DomainOut {
     line: String,
     report: String,
-    /// The domain's events, formatted on its own thread with pids and
+    /// The domain's events, formatted at its teardown with pids and
     /// device names already in its merge namespace.
     trace: TracePart,
     polls: u64,
@@ -218,8 +217,10 @@ pub struct ParRun {
     pub max_p99_ns: u64,
 }
 
-/// Runs the partitioned cluster on `jobs` worker threads. The output is
-/// a pure function of `cfg` — byte-identical at every job count.
+/// Runs the partitioned cluster. The output is a pure function of `cfg`.
+///
+/// `jobs` is ignored (the domains always share one thread); it is kept
+/// only because the `benchmark/` crate still passes it.
 pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
     assert!(cfg.domains >= 2, "partitioning needs at least two domains");
     assert!(
@@ -466,9 +467,8 @@ async fn domain_root(
     out.set(Some((report, remote.get())));
 }
 
-/// Scenario: the partitioned cluster replayed serially and in parallel
-/// from the same seed; any divergence — a summary byte, a trace byte —
-/// fails the run. The emitted output is the (identical) serial run's.
+/// Scenario: a small partitioned cluster, its per-domain summaries and
+/// conformance reports, and its merged trace.
 pub(crate) fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
     let cfg = ParClusterConfig {
         domains: 3,
@@ -480,33 +480,23 @@ pub(crate) fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
         seed,
         ..ParClusterConfig::default()
     };
-    let serial = run_par(cfg, 1);
-    let parallel = run_par(cfg, 2);
-    assert_eq!(
-        serial.stdout, parallel.stdout,
-        "par_cluster: serial vs parallel stdout diverged"
-    );
-    assert_eq!(
-        serial.trace, parallel.trace,
-        "par_cluster: serial vs parallel trace diverged"
-    );
+    let run = run_par(cfg, 1);
     let mut stdout = String::new();
     let _ = writeln!(stdout, "## scenario par_cluster (seed {seed})");
-    stdout.push_str(&serial.stdout);
+    stdout.push_str(&run.stdout);
     let _ = writeln!(
         stdout,
-        "parallel_replay=identical jobs_checked=1,2 domains={} issued={} ok={} remote={} \
-         elapsed_us={} polls={}",
+        "domains={} issued={} ok={} remote={} elapsed_us={} polls={}",
         cfg.domains,
-        serial.issued,
-        serial.ok,
-        serial.remote,
-        serial.elapsed_ns / 1_000,
-        serial.polls,
+        run.issued,
+        run.ok,
+        run.remote,
+        run.elapsed_ns / 1_000,
+        run.polls,
     );
     crate::scenarios::ScenarioRun {
         stdout,
-        trace: serial.trace,
+        trace: run.trace,
     }
 }
 
@@ -593,7 +583,7 @@ mod tests {
     fn scenario_emits_stable_shape() {
         let r = par_cluster(7);
         assert!(r.stdout.contains("## scenario par_cluster (seed 7)"));
-        assert!(r.stdout.contains("parallel_replay=identical"));
+        assert!(r.stdout.contains("domains=3 issued="));
         assert!(r.stdout.contains("domain=pd2"));
         assert!(r.stdout.contains("conformance:"));
         assert!(!r.trace.is_empty());

@@ -238,8 +238,8 @@ impl Sim {
 
     /// Deadline of the earliest pending timer or, when none is pending,
     /// the latest cancelled deadline still ahead of the clock. This is the
-    /// simulation's next *local* event: the conservative synchronizer in
-    /// [`crate::domain`] uses it as one component of a domain's promise.
+    /// simulation's next *local* event: the domain driver in
+    /// [`crate::domain`] takes it as one component of a domain's bound.
     pub fn next_timer_deadline(&self) -> Option<Time> {
         let mut timers = self.shared.timers.borrow_mut();
         let horizon = timers.horizon();
@@ -269,8 +269,8 @@ impl Sim {
     /// stamped virtual time: the domain driver quiesces the simulation
     /// below `t`, advances to exactly `t`, and only then wakes the
     /// receivers — so arrivals at `t` are processed *before* local timers
-    /// at `t` fire, a fixed convention that makes the merged event order
-    /// independent of how work was sliced across synchronization rounds.
+    /// at `t` fire, a fixed convention that makes each domain's event
+    /// order independent of how the driver's rounds sliced the work.
     ///
     /// # Panics
     /// Panics if `t` is in the past or jumps over a pending timer.

@@ -30,6 +30,10 @@
 //! object, install config or second ACK type is named under
 //! `crates/net/src/tcp`.
 //!
+//! And the time domains run on one thread: the shipping part of
+//! `crates/des/src/domain.rs` names no condition variable, atomic or
+//! notify call, and has exactly one thread spawn site.
+//!
 //! And no `allow(dead_code)` in shipping code: an item rustc calls dead
 //! is deleted, or moved under `#[cfg(test)]` if only tests use it.
 //!
@@ -283,6 +287,67 @@ fn one_congestion_window() {
         strays.is_empty(),
         "`tcp::cong::Cong` is the one window, moved by `Cong::on`, and the sender \
          matches on `Segment`: {strays:#?}"
+    );
+}
+
+const DOMAIN: &str = "crates/des/src/domain.rs";
+
+/// What the shipping part of `source` (its lines before the first
+/// `#[cfg(test)]`) says about threads: the cross-thread primitives it
+/// names, and how many thread spawn or scope sites it has.
+fn threading(source: &str) -> (Vec<&'static str>, usize) {
+    // Spelled in pieces, so that this file does not name them itself.
+    let primitives = [
+        concat!("Cond", "var"),
+        concat!("Atom", "ic"),
+        concat!("notify", "_"),
+    ];
+    let sites = [
+        concat!("thread::", "spawn"),
+        concat!("thread::", "scope"),
+        concat!("thread::", "Builder"),
+    ];
+    let shipping: Vec<&str> = source
+        .lines()
+        .take_while(|l| !l.contains("#[cfg(test)]"))
+        .collect();
+    let named = primitives
+        .into_iter()
+        .filter(|p| shipping.iter().any(|l| l.contains(p)))
+        .collect();
+    let spawns = shipping
+        .iter()
+        .map(|l| sites.iter().map(|s| l.matches(s).count()).sum::<usize>())
+        .sum();
+    (named, spawns)
+}
+
+fn domain_source() -> String {
+    let tree = sources(&["crates/des/src"]);
+    let file = tree.into_iter().find(|(name, _)| name == DOMAIN);
+    file.expect("domain.rs in the tree").1
+}
+
+#[test]
+fn domains_run_on_one_thread() {
+    let (named, spawns) = threading(&domain_source());
+    assert!(
+        named.is_empty(),
+        "{DOMAIN}: one driver loop on one thread needs no cross-thread handshake: {named:?}"
+    );
+    assert_eq!(spawns, 1, "{DOMAIN}: the domains share one worker thread");
+}
+
+/// The gate is sensitive: a planted condition variable before the
+/// tests is named, one after them is not.
+#[test]
+fn the_one_thread_gate_names_a_planted_condvar() {
+    let plant = concat!("use std::sync::Cond", "var;\n");
+    let source = domain_source();
+    assert!(threading(&format!("{source}\n{plant}")).0.is_empty());
+    assert_eq!(
+        threading(&format!("{plant}{source}")),
+        (vec![concat!("Cond", "var")], 1)
     );
 }
 

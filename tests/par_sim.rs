@@ -1,7 +1,7 @@
-//! Parallel-simulation conformance: the partitioned cluster must replay
-//! byte-identically at every worker-thread count, the serial scenarios
-//! must not care which OS thread hosts them, and a planted lookahead
-//! violation must be caught — not silently reordered.
+//! Time-domain conformance: a large partitioned-cluster trace keeps its
+//! bytes and its order, the serial scenarios must not care which OS
+//! thread hosts them, and a planted lookahead violation must be caught —
+//! not silently reordered.
 //!
 //! This is the integration-level counterpart of the unit tests in
 //! `dpdpu_des::domain`: same invariants, but driven through the full
@@ -13,43 +13,9 @@ use dpdpu_des::{DomainSet, NoHooks, Sim};
 
 const SEEDS: [u64; 3] = [42, 7, 1234];
 
-fn small_cfg(seed: u64) -> ParClusterConfig {
-    ParClusterConfig {
-        domains: 3,
-        clients_per_domain: 2,
-        ops_per_client: 8,
-        keys_per_domain: 12,
-        pipeline: 2,
-        seed,
-        ..ParClusterConfig::default()
-    }
-}
-
-#[test]
-fn par_cluster_replays_byte_identically_across_job_counts() {
-    for seed in SEEDS {
-        let serial = run_par(small_cfg(seed), 1);
-        for jobs in [2, 3] {
-            let par = run_par(small_cfg(seed), jobs);
-            assert_eq!(
-                serial.stdout, par.stdout,
-                "seed {seed}: stdout diverged between --jobs 1 and --jobs {jobs}"
-            );
-            assert_eq!(
-                serial.trace, par.trace,
-                "seed {seed}: Chrome trace diverged between --jobs 1 and --jobs {jobs}"
-            );
-            assert_eq!(
-                serial.finals, par.finals,
-                "seed {seed}: final clocks diverged"
-            );
-        }
-    }
-}
-
 #[test]
 fn serial_scenarios_are_invariant_to_the_hosting_thread() {
-    // The single-`Sim` scenarios the parallel core coexists with: a run
+    // The single-`Sim` scenarios the domain core coexists with: a run
     // on the test thread and a run on a fresh worker thread (the way
     // `DomainSet` hosts domains) must produce the same bytes.
     for name in ["cluster_failover", "cluster_fabric"] {
@@ -74,20 +40,20 @@ fn serial_scenarios_are_invariant_to_the_hosting_thread() {
 #[test]
 fn planted_lookahead_violation_is_caught_not_reordered() {
     // Meta-test: forge a timestamp below the receiver's clock through
-    // the public API and prove the synchronizer panics with the checked
-    // invariant instead of delivering the event out of order.
+    // the public API and prove the domain driver panics with the
+    // checked invariant instead of delivering the event out of order.
     let result = std::panic::catch_unwind(|| {
         let mut set = DomainSet::new();
         let a = set.add_domain("meta-a");
         let b = set.add_domain("meta-b");
         let (tx, mut rx) = set.link::<u64>(a, b, 500);
         // Reverse link so 'b' cannot terminate before the forged
-        // message lands, whatever the thread interleaving.
+        // message lands.
         let (back_tx, mut back_rx) = set.link::<u64>(b, a, 500);
         set.set_root(a, move || {
             let sim = Sim::new();
             sim.spawn(async move {
-                // 'a' cannot reach this timer until `b` has promised past
+                // 'a' cannot reach this timer until `b`'s bound is past
                 // it — which requires `b` to have fired its 5_000 timer
                 // first. So by the time this send executes, `b`'s clock
                 // is provably at 5_000 and a stamp of 100 is in its past.

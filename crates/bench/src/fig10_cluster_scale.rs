@@ -15,8 +15,9 @@
 //! read/update, and a key population that grows with the fleet (128
 //! keys per server — constant per-shard working set). The ring runs
 //! 512 virtual nodes: at 64 the 2-shard split is 58/42, and under a
-//! closed-loop fleet the hot shard's WAL-append convoys soak up every
-//! client's window slots, throttling the cold shard too.
+//! closed-loop fleet the hot shard's appends, serialised on its log's
+//! write lock, soak up client window slots and throttle the cold shard
+//! too.
 //! `saved/server` converts the per-request host-cycle delta to cores
 //! at a production rate of 5M req/s per server, matching Figure 9's
 //! scaling.
@@ -27,8 +28,8 @@
 //! fabric and congestion flags apply at 64 servers as they do at 1, and
 //! every column is virtual: two runs print identical bytes. (64 servers
 //! × 256 clients × 32 768 ops is about a second per cell in release.)
-//! Past 8 servers the uniform claims keep holding — goodput 1.00 M →
-//! 5.81 M ops/s at 8 → 64, p50 flat, ~19 cores saved per server — while
+//! Past 8 servers the uniform claims keep holding — goodput 1.23 M →
+//! 6.46 M ops/s at 8 → 64, p50 flat, ~19 cores saved per server — while
 //! zipf 0.99 runs into the hot shard's 64-slot admission window and
 //! sheds from 32 servers on (EXPERIMENTS.md, "Beyond the testbed").
 
@@ -42,7 +43,9 @@ use crate::fleet::{FleetConfig, KeyDist, Mix, MAX_CLIENTS};
 use crate::table::Table;
 
 pub(crate) const KEYS: u64 = 128;
-const CLIENTS_PER_SERVER: usize = 4;
+pub(crate) const CLIENTS_PER_SERVER: usize = 4;
+/// Requests each client keeps in flight: the load is a closed loop.
+pub(crate) const PIPELINE: usize = 4;
 const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
 pub(crate) const PROD_RATE: f64 = 5_000_000.0;
@@ -152,7 +155,7 @@ pub(crate) fn measure(
     let fleet = FleetConfig {
         clients,
         ops_per_client: OPS_PER_CLIENT,
-        pipeline: 4,
+        pipeline: PIPELINE,
         gap_ns: 0,
         dist,
         mix: Mix::read_heavy(),

@@ -44,7 +44,7 @@ pub(crate) fn run() -> String {
 }
 
 /// Standard verbs: host issues. Returns (host cycles/op, p50 ns).
-fn measure_verbs(bytes: u64) -> (f64, u64) {
+pub(crate) fn measure_verbs(bytes: u64) -> (f64, u64) {
     block_on(async move {
         let host = CpuPool::new("host", 8, 3_000_000_000);
         let remote = CpuPool::new("remote", 8, 3_000_000_000);
@@ -61,7 +61,7 @@ fn measure_verbs(bytes: u64) -> (f64, u64) {
 }
 
 /// NE rings: DPU issues. Returns (host cycles/op, p50 ns).
-fn measure_rings(bytes: u64) -> (f64, u64) {
+pub(crate) fn measure_rings(bytes: u64) -> (f64, u64) {
     block_on(async move {
         let host = CpuPool::new("host", 8, 3_000_000_000);
         let dpu = CpuPool::new("dpu", 8, 2_500_000_000);

@@ -429,14 +429,14 @@ mod tests {
         // *after* the invalidate. Without the epoch guard it re-inserts
         // the stale image and later reads serve pre-log bytes.
         //
-        // Interleaving (WAL appends are slower than page reads because
-        // the partial-block WAL write read-modify-writes its block,
-        // ~79us + 14us, vs ~80us for the 8 KB page read):
+        // Interleaving (the WAL's first record touches one block that
+        // holds no byte below EOF, so the append is one ~17us device
+        // write, against ~83us for the 8 KB page read):
         //   t=0     appender starts `append_log(4, ..)`
-        //   t=40us  reader starts `get_page_dpu(4)` — page still clean,
+        //   t=5us   reader starts `get_page_dpu(4)` — page still clean,
         //           pre-log epoch snapshotted, SSD read in flight
-        //   t~95us  append completes: pending + epoch bump + invalidate
-        //   t~120us reader's read returns the pre-log image; the install
+        //   t~17us  append completes: pending + epoch bump + invalidate
+        //   t~88us  reader's read returns the pre-log image; the install
         //           must be skipped (epoch changed)
         let mut sim = Sim::new();
         sim.spawn(async {
@@ -455,7 +455,7 @@ mod tests {
                         .unwrap();
                 })
             };
-            dpdpu_des::sleep(40_000).await;
+            dpdpu_des::sleep(5_000).await;
             // The append is mid-flight: durable write not yet complete,
             // so the page is still clean and DPU-routable.
             assert!(ps.is_clean(4), "append must still be in flight");

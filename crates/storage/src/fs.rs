@@ -74,6 +74,10 @@ struct Inode {
     /// Each extent with the logical index one past its last block, so
     /// the last entry carries the file's block total.
     extents: Vec<(u64, Extent)>,
+    /// The last block a partial write put on the device, as `(lba,
+    /// bytes)`: write-through, so it always equals what the device holds
+    /// at that LBA. Only `write`'s read-modify-write consults it.
+    last_block: Option<(u64, Box<[u8]>)>,
     /// Serializes writers (FIFO): concurrent writers to one file would
     /// otherwise lose updates in the partial-block read-modify-write.
     write_lock: Semaphore,
@@ -134,6 +138,7 @@ impl ExtentFs {
             Inode {
                 size: 0,
                 extents: Vec::new(),
+                last_block: None,
                 write_lock: Semaphore::new(1),
             },
         );
@@ -205,16 +210,32 @@ impl ExtentFs {
         Ok(Extent { lba, blocks })
     }
 
-    /// [`Inode::locate`] on a file the caller has checked exists.
-    fn locate(&self, id: FileId, idx: u64, max: u64) -> (u64, u64) {
-        let inodes = self.inodes.borrow();
-        let inode = inodes.get(&id.0).expect("caller checked the file exists");
-        inode.locate(idx, max)
+    /// Runs `f` on the inode of a file the caller has checked exists.
+    fn with_inode<R>(&self, id: FileId, f: impl FnOnce(&mut Inode) -> R) -> R {
+        let mut inodes = self.inodes.borrow_mut();
+        f(inodes
+            .get_mut(&id.0)
+            .expect("caller checked the file exists"))
     }
 
-    /// Writes `data` at `offset`, growing the file as needed. Partial
-    /// first/last blocks are read-modify-written; aligned middles go down
-    /// in contiguous multi-block I/Os.
+    /// Writes `data` at `offset`, growing the file as needed. Aligned
+    /// middles go down in contiguous multi-block I/Os; a partial first or
+    /// last block is read-modify-written, and the device is read only for
+    /// bytes the write must keep:
+    ///
+    /// * Every byte at or past EOF is zero on the device: it was never
+    ///   written, or [`delete`](Self::delete) trimmed it. So a partial
+    ///   block whose kept bytes all lie at or past the size *before this
+    ///   write* starts from zeros, with no read.
+    /// * The inode holds the last block a partial write put on the device,
+    ///   write-through: set only after that block's write succeeded,
+    ///   cleared by an error and by an aligned write over it, dropped with
+    ///   the inode. The next read-modify-write of that LBA starts from it
+    ///   instead of the device, so an append that continues the previous
+    ///   one's block reads nothing. [`read`](Self::read) never consults it.
+    /// * A growth whose new extent starts at the block right after the
+    ///   file's last extent extends that extent, so an appended file stays
+    ///   one physically contiguous run.
     pub async fn write(&self, id: FileId, offset: u64, data: &[u8]) -> Result<(), FsError> {
         if data.is_empty() {
             return Ok(());
@@ -228,20 +249,41 @@ impl ExtentFs {
         let _guard = lock.await;
         let end = offset + data.len() as u64;
         // Grow allocation to cover the end.
-        {
+        let old_size = {
             let mut inodes = self.inodes.borrow_mut();
             let inode = inodes.get_mut(&id.0).ok_or(FsError::NotFound)?;
             let need_blocks = end.div_ceil(BLOCK_SIZE as u64);
             let have = inode.extents.last().map_or(0, |&(end, _)| end);
             if need_blocks > have {
                 let extent = self.allocate(need_blocks - have)?;
-                inode.extents.push((need_blocks, extent));
+                match inode.extents.last_mut() {
+                    Some((last_end, last)) if last.lba + last.blocks == extent.lba => {
+                        *last_end = need_blocks;
+                        last.blocks += extent.blocks;
+                    }
+                    _ => inode.extents.push((need_blocks, extent)),
+                }
             }
-            if end > inode.size {
-                inode.size = end;
-            }
+            let old_size = inode.size;
+            inode.size = old_size.max(end);
+            old_size
+        };
+        let written = self.write_locked(id, offset, data, old_size).await;
+        if written.is_err() {
+            self.with_inode(id, |inode| inode.last_block = None);
         }
+        written
+    }
 
+    /// The device half of [`write`](Self::write), under its lock, with the
+    /// file's size before this write.
+    async fn write_locked(
+        &self,
+        id: FileId,
+        offset: u64,
+        data: &[u8],
+        old_size: u64,
+    ) -> Result<(), FsError> {
         let bs = BLOCK_SIZE as u64;
         let mut cursor = offset;
         let mut remaining = data;
@@ -249,19 +291,41 @@ impl ExtentFs {
             let block_idx = cursor / bs;
             let in_block = (cursor % bs) as usize;
             let take = remaining.len().min(BLOCK_SIZE - in_block);
-            let (lba, run) = self.locate(id, block_idx, u64::MAX);
+            let (lba, run) = self.with_inode(id, |inode| inode.locate(block_idx, u64::MAX));
             if in_block == 0 && take == BLOCK_SIZE {
                 // Aligned: batch as many contiguous full blocks as we can.
                 let full_blocks = ((remaining.len() / BLOCK_SIZE) as u64).min(run);
                 let bytes = (full_blocks * bs) as usize;
+                // It replaces any held block it covers.
+                self.with_inode(id, |inode| {
+                    let covered = lba..lba + full_blocks;
+                    inode.last_block.take_if(|(held, _)| covered.contains(held));
+                });
                 self.dev.write_blocks(lba, &remaining[..bytes]).await?;
                 cursor += bytes as u64;
                 remaining = &remaining[bytes..];
             } else {
-                // Partial block: read-modify-write.
-                let mut block = self.dev.read_blocks(lba, 1).await?;
+                // Partial block: read-modify-write. Its lowest kept byte
+                // decides whether it keeps anything below the old EOF.
+                let block_start = block_idx * bs;
+                let first_kept = if in_block > 0 {
+                    block_start
+                } else {
+                    block_start + take as u64
+                };
+                let held = self.with_inode(id, |inode| {
+                    inode.last_block.take_if(|(held, _)| *held == lba)
+                });
+                let mut block = match held {
+                    _ if first_kept >= old_size => vec![0u8; BLOCK_SIZE],
+                    Some((_, bytes)) => bytes.into_vec(),
+                    None => self.dev.read_blocks(lba, 1).await?,
+                };
                 block[in_block..in_block + take].copy_from_slice(&remaining[..take]);
                 self.dev.write_blocks(lba, &block).await?;
+                self.with_inode(id, |inode| {
+                    inode.last_block = Some((lba, block.into_boxed_slice()));
+                });
                 cursor += take as u64;
                 remaining = &remaining[take..];
             }
@@ -286,7 +350,7 @@ impl ExtentFs {
             let block_idx = cursor / bs;
             let in_block = cursor % bs;
             let blocks_needed = (end - cursor + in_block).div_ceil(bs);
-            let (lba, run) = self.locate(id, block_idx, blocks_needed);
+            let (lba, run) = self.with_inode(id, |inode| inode.locate(block_idx, blocks_needed));
             let chunk = self.dev.read_blocks(lba, run).await?;
             let skip = in_block as usize;
             let want = ((end - cursor) as usize).min(chunk.len() - skip);
@@ -460,14 +524,11 @@ mod tests {
         });
     }
 
-    /// Reproducer, not fixed in the PR that added it: `write` pushes a new
-    /// extent for every growth even when the allocator hands back the
-    /// blocks right after the file's last one, so an append-only log is
-    /// one extent per append and a value straddling two of them costs two
-    /// serial device reads (160 µs instead of 78 µs for a 4 KiB KV value).
-    /// Merging adjacent extents moves every KV golden.
+    /// Each growth of an appended file starts at the block right after
+    /// its last extent, so the extents merge: 64 appends make one extent,
+    /// and a 4 KiB value straddling two blocks is one device read (78 µs),
+    /// not two serial ones (160 µs).
     #[test]
-    #[ignore = "ROADMAP item 3"]
     fn appended_file_stays_one_extent() {
         run_fs_test(|fs| async move {
             let id = fs.create("log").unwrap();
@@ -487,6 +548,64 @@ mod tests {
                 "(extents of a lone appended file, device reads for one value)"
             );
         });
+    }
+
+    /// Once a log holds one record, an unaligned 4 108-byte append reads
+    /// nothing: its first block is the held last block of the previous
+    /// append and its last block holds no byte below the old EOF. It
+    /// writes each of the two blocks it touches once.
+    #[test]
+    fn an_unaligned_append_reads_nothing_and_writes_each_block_once() {
+        run_fs_test(|fs| async move {
+            let id = fs.create("log").unwrap();
+            fs.write(id, 0, &[0u8; 4_108]).await.unwrap();
+            let ssd = fs.device().ssd().clone();
+            for k in 1..32u64 {
+                let (reads, writes) = (ssd.reads.get(), ssd.writes.get());
+                fs.write(id, k * 4_108, &[k as u8; 4_108]).await.unwrap();
+                assert_eq!(
+                    (ssd.reads.get() - reads, ssd.writes.get() - writes),
+                    (0, 2),
+                    "(device reads, device writes) of append {k}"
+                );
+            }
+            for k in 0..32u64 {
+                let record = fs.read(id, k * 4_108, 4_108).await.unwrap();
+                assert_eq!(record, vec![k as u8; 4_108], "record {k}");
+            }
+        });
+    }
+
+    /// A failed block write leaves the device as it was and drops the held
+    /// block, so the next append reads the device, never a copy that was
+    /// not persisted.
+    #[test]
+    fn a_failed_write_holds_no_block() {
+        let mut sim = Sim::new();
+        let fsys = fs();
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(1));
+        let session = guard.session.clone();
+        sim.spawn(async move {
+            let id = fsys.create("log").unwrap();
+            fsys.write(id, 0, &[1u8; 100]).await.unwrap();
+            session.arm_ssd_write_failures(1);
+            let err = fsys.write(id, 100, &[2u8; 100]).await.unwrap_err();
+            assert!(matches!(err, FsError::Io(_)), "{err:?}");
+            let ssd = fsys.device().ssd().clone();
+            let reads = ssd.reads.get();
+            fsys.write(id, 200, &[3u8; 100]).await.unwrap();
+            assert_eq!(ssd.reads.get() - reads, 1, "no held block after a failure");
+            let back = fsys.read(id, 0, 300).await.unwrap();
+            assert_eq!(&back[..100], &[1u8; 100]);
+            assert_eq!(
+                &back[100..200],
+                &[0u8; 100],
+                "the failed bytes never landed"
+            );
+            assert_eq!(&back[200..], &[3u8; 100]);
+        });
+        sim.run();
+        drop(guard);
     }
 
     #[test]

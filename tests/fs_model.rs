@@ -2,6 +2,18 @@
 //! sequences run against both `ExtentFs` and a trivially-correct
 //! in-memory reference model; every observable result must agree.
 //!
+//! Beside plain creates, deletes, writes and reads, the sequences drive
+//! the write path's held last block and its dead-byte rule: runs of
+//! appends at the tail, small overwrites inside the held block, aligned
+//! whole-block writes over it, delete and re-create (the new file's growth
+//! reuses the trimmed blocks), and writes whose first device write fails,
+//! injected through a `SessionGuard`.
+//! After every op each file is re-read in full and compared with the
+//! model. `ExtentFs::read` never consults the held block, so that re-read
+//! is what the device alone holds: a held block that drifted from the
+//! device, or a dead byte that was not zero, shows up at the op that
+//! caused it.
+//!
 //! Sequences come from a seeded PRNG (no proptest in the offline build);
 //! each case is reproducible from its index.
 
@@ -12,15 +24,50 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use dpdpu::des::block_on;
+use dpdpu::faults::{FaultPlan, FaultSite, SessionGuard};
 use dpdpu::hw::Ssd;
 use dpdpu::storage::{BlockDevice, ExtentFs, FileId, FsError};
+
+/// The device's block size.
+const BLOCK: usize = 4_096;
 
 /// Operations the model exercises.
 #[derive(Debug, Clone)]
 enum Op {
     Create(u8),
     Delete(u8),
+    /// Delete then create under the same name.
+    Recreate(u8),
     Write {
+        name: u8,
+        offset: u16,
+        len: u16,
+        fill: u8,
+    },
+    /// `count` back-to-back appends of `len` bytes at the file's end.
+    Appends {
+        name: u8,
+        count: u8,
+        len: u16,
+        fill: u8,
+    },
+    /// A `len`-byte overwrite starting `back` bytes before EOF.
+    TailPatch {
+        name: u8,
+        back: u16,
+        len: u8,
+        fill: u8,
+    },
+    /// `blocks` whole blocks from block `block` on: aligned, so it
+    /// replaces any held block it covers without reading it.
+    BlockWrite {
+        name: u8,
+        block: u8,
+        blocks: u8,
+        fill: u8,
+    },
+    /// A write whose first device write fails.
+    FailingWrite {
         name: u8,
         offset: u16,
         len: u16,
@@ -35,7 +82,7 @@ enum Op {
 }
 
 fn random_op(rng: &mut StdRng) -> Op {
-    match rng.random_range(0..5u8) {
+    match rng.random_range(0..10u8) {
         0 => Op::Create(rng.random_range(0..6u8)),
         1 => Op::Delete(rng.random_range(0..6u8)),
         2 => Op::Write {
@@ -48,6 +95,31 @@ fn random_op(rng: &mut StdRng) -> Op {
             name: rng.random_range(0..6u8),
             offset: rng.random_range(0..24_000u16),
             len: rng.random_range(0..12_000u16),
+        },
+        4 => Op::Recreate(rng.random_range(0..6u8)),
+        5 => Op::Appends {
+            name: rng.random_range(0..6u8),
+            count: rng.random_range(1..6u8),
+            len: rng.random_range(1..5_000u16),
+            fill: rng.random(),
+        },
+        6 => Op::TailPatch {
+            name: rng.random_range(0..6u8),
+            back: rng.random_range(1..4_096u16),
+            len: rng.random_range(1..64u8),
+            fill: rng.random(),
+        },
+        7 => Op::FailingWrite {
+            name: rng.random_range(0..6u8),
+            offset: rng.random_range(0..20_000u16),
+            len: rng.random_range(1..12_000u16),
+            fill: rng.random(),
+        },
+        8 => Op::BlockWrite {
+            name: rng.random_range(0..6u8),
+            block: rng.random_range(0..6u8),
+            blocks: rng.random_range(1..3u8),
+            fill: rng.random(),
         },
         _ => Op::Size(rng.random_range(0..6u8)),
     }
@@ -73,6 +145,15 @@ impl Model {
         }
     }
 
+    /// A write that failed at its first device write: the file keeps the
+    /// growth it reserved, and the new bytes read as zeros.
+    fn failed_write(&mut self, name: u8, end: usize) {
+        let data = self.files.get_mut(&name).expect("caller checked");
+        if data.len() < end {
+            data.resize(end, 0);
+        }
+    }
+
     fn read(&self, name: u8, offset: usize, len: usize) -> Option<Option<Vec<u8>>> {
         self.files.get(&name).map(|data| {
             if offset + len <= data.len() {
@@ -95,6 +176,8 @@ fn extent_fs_agrees_with_reference_model() {
 }
 
 fn run_case(case: usize, ops: Vec<Op>) {
+    let guard = SessionGuard::new(FaultPlan::new(case as u64));
+    let faults = guard.session.clone();
     let failure = block_on(async move {
         let failed: RefCell<Option<String>> = RefCell::new(None);
         let fs = ExtentFs::format(BlockDevice::new(Ssd::new("m"), 1 << 16));
@@ -105,7 +188,8 @@ fn run_case(case: usize, ops: Vec<Op>) {
                 *failed.borrow_mut() = Some(msg);
             }
         };
-        for op in ops {
+        for (step, op) in ops.into_iter().enumerate() {
+            let what = format!("{op:?}");
             match op {
                 Op::Create(name) => {
                     let real = fs.create(&format!("f{name}"));
@@ -130,6 +214,12 @@ fn run_case(case: usize, ops: Vec<Op>) {
                         ids.remove(&name);
                     }
                 }
+                Op::Recreate(name) => {
+                    let _ = fs.delete(&format!("f{name}"));
+                    let id = fs.create(&format!("f{name}")).expect("name was just freed");
+                    ids.insert(name, id);
+                    model.files.insert(name, Vec::new());
+                }
                 Op::Write {
                     name,
                     offset,
@@ -146,6 +236,69 @@ fn run_case(case: usize, ops: Vec<Op>) {
                         );
                     } else {
                         check(!expect_ok, format!("model had file {name} but fs did not"));
+                    }
+                }
+                Op::Appends {
+                    name,
+                    count,
+                    len,
+                    fill,
+                } => {
+                    if let Some(&id) = ids.get(&name) {
+                        for i in 0..count {
+                            let fill = fill.wrapping_add(i);
+                            let at = model.files[&name].len();
+                            model.write(name, at, len as usize, fill);
+                            let real = fs.write(id, at as u64, &vec![fill; len as usize]).await;
+                            check(real.is_ok(), format!("append {name}@{at}+{len}: {real:?}"));
+                        }
+                    }
+                }
+                Op::TailPatch {
+                    name,
+                    back,
+                    len,
+                    fill,
+                } => {
+                    if let Some(&id) = ids.get(&name) {
+                        let at = model.files[&name].len().saturating_sub(back as usize);
+                        model.write(name, at, len as usize, fill);
+                        let real = fs.write(id, at as u64, &vec![fill; len as usize]).await;
+                        check(real.is_ok(), format!("patch {name}@{at}+{len}: {real:?}"));
+                    }
+                }
+                Op::BlockWrite {
+                    name,
+                    block,
+                    blocks,
+                    fill,
+                } => {
+                    if let Some(&id) = ids.get(&name) {
+                        let (at, len) = (block as usize * BLOCK, blocks as usize * BLOCK);
+                        model.write(name, at, len, fill);
+                        let real = fs.write(id, at as u64, &vec![fill; len]).await;
+                        check(
+                            real.is_ok(),
+                            format!("block write {name}@{at}+{len}: {real:?}"),
+                        );
+                    }
+                }
+                Op::FailingWrite {
+                    name,
+                    offset,
+                    len,
+                    fill,
+                } => {
+                    if let Some(&id) = ids.get(&name) {
+                        let injected = faults.injected(FaultSite::SsdWrite);
+                        faults.arm_ssd_write_failures(1);
+                        let real = fs.write(id, offset as u64, &vec![fill; len as usize]).await;
+                        check(
+                            matches!(real, Err(FsError::Io(_)))
+                                && faults.injected(FaultSite::SsdWrite) == injected + 1,
+                            format!("failing write {name}@{offset}+{len}: {real:?}"),
+                        );
+                        model.failed_write(name, offset as usize + len as usize);
                     }
                 }
                 Op::Read { name, offset, len } => {
@@ -200,9 +353,18 @@ fn run_case(case: usize, ops: Vec<Op>) {
                     ),
                 },
             }
+            // Every file, whole, from the device alone.
+            for (&name, data) in &model.files {
+                let back = fs.read(ids[&name], 0, data.len() as u64).await;
+                check(
+                    back.as_ref() == Ok(data),
+                    format!("step {step} ({what}): file {name} differs from the model on re-read"),
+                );
+            }
         }
         failed.into_inner()
     });
+    drop(guard);
     if let Some(msg) = failure {
         panic!("case {case}: model divergence: {msg}");
     }

@@ -67,7 +67,7 @@ fn chaos_cell(faults: FaultPlan, script: Vec<Time>) -> Cell {
 /// Freeze shard 0's primary while writes are in flight: the failure
 /// detector must promote the backup and no acked write may vanish.
 fn crash_primary_mid_write(seed: u64) -> (Cell, fn(&Run)) {
-    let faults = FaultPlan::new(seed).shard_crash("node0", 5_000_000, 120_000_000);
+    let faults = FaultPlan::new(seed).shard_crash("node0", 2_000_000, 120_000_000);
     (chaos_cell(faults, vec![]), |run| {
         no_acked_write_lost(run);
         assert!(
@@ -85,7 +85,7 @@ fn crash_primary_mid_write(seed: u64) -> (Cell, fn(&Run)) {
 /// Freeze shard 0's backup: the primary must depose it via a solo grant
 /// and keep acking writes.
 fn crash_backup(seed: u64) -> (Cell, fn(&Run)) {
-    let faults = FaultPlan::new(seed).shard_crash("node0r1", 5_000_000, 120_000_000);
+    let faults = FaultPlan::new(seed).shard_crash("node0r1", 2_000_000, 120_000_000);
     (chaos_cell(faults, vec![]), |run| {
         no_acked_write_lost(run);
         let ctl0 = run.cluster.ctl(0).expect("replicated group");
@@ -115,7 +115,7 @@ fn crash_during_migration(seed: u64) -> (Cell, fn(&Run)) {
 /// nothing acked is lost.
 fn double_fault(seed: u64) -> (Cell, fn(&Run)) {
     let faults = FaultPlan::new(seed)
-        .shard_crash("node0", 5_000_000, 60_000_000)
+        .shard_crash("node0", 2_000_000, 60_000_000)
         .shard_crash("node0r1", 70_000_000, 150_000_000);
     (chaos_cell(faults, vec![]), |run| {
         no_acked_write_lost(run);
@@ -137,7 +137,7 @@ fn double_fault(seed: u64) -> (Cell, fn(&Run)) {
 
 /// When `composed_storm` freezes shard 1's primary, and how long after
 /// the load starts it adds a shard.
-const STORM_CRASH_AT: Time = 22_300_000;
+const STORM_CRASH_AT: Time = 10_900_000;
 const STORM_GROW_AFTER: Time = 600_000;
 
 /// Everything at once (ROADMAP item 5): the gateway with the fig11
@@ -417,9 +417,11 @@ fn idle_shard(replicas: usize) -> Cell {
     }
 }
 
-/// Virtual ns one put takes on an idle [`idle_shard`].
-fn idle_put_ns(replicas: usize) -> Time {
+/// Virtual ns one put takes on an idle [`idle_shard`] whose every device
+/// op is served `slow_ns` slower than the model's base latency.
+fn idle_put_ns(replicas: usize, slow_ns: Time) -> Time {
     let _check = CheckGuard::new();
+    let _faults = SessionGuard::new(FaultPlan::new(1).ssd_slow_io(1.0, slow_ns));
     block_on(async move {
         let (_cluster, client) = idle_shard(replicas).boot().await;
         // Past anything the preload left in flight.
@@ -437,12 +439,18 @@ fn idle_put_ns(replicas: usize) -> Time {
 fn a_replicated_put_waits_for_the_slower_apply_not_the_sum() {
     // The primary applies its copy while the backup's round trip is in
     // flight, so replication adds the backup's excess over the local
-    // apply, not a second apply.
-    let (solo, chained) = (idle_put_ns(1), idle_put_ns(2));
-    assert!(
-        chained * 10 <= solo * 13,
-        "a chained put should cost at most 1.3x an unreplicated one: \
-         1 replica {solo} ns, 2 replicas {chained} ns"
+    // apply, not a second apply. Slowing every device op by the same
+    // amount slows both applies alike: their excess, and so the chained
+    // put's premium over an unreplicated one, stays what it was, where a
+    // second apply in series would carry its slowdown into the premium.
+    const SLOW_NS: Time = 100_000;
+    let premium = |slow_ns| idle_put_ns(2, slow_ns) - idle_put_ns(1, slow_ns);
+    let (base, slowed) = (premium(0), premium(SLOW_NS));
+    assert_eq!(
+        slowed, base,
+        "replication must add the backup's excess over the local apply, not a \
+         second apply: the chained put's premium over an unreplicated one was \
+         {base} ns, and {slowed} ns with every device op {SLOW_NS} ns slower"
     );
 }
 

@@ -337,12 +337,14 @@ mod tests {
 
     #[test]
     fn replication_tax_does_not_erase_the_offload_win() {
-        // Chained writes serialize on the primary's chain gate (apply
-        // order must match on the backup), but the gate holds for the
+        // Chained writes of one key serialize on the primary's per-key
+        // chain order (apply order must match on the backup); writes of
+        // other keys chain at once, and each holds its key for the
         // slower of the two applies, which run at once, not their sum:
-        // 2 replicas keep 0.82x of the solo goodput (0.49x while the
-        // backup's apply waited for the primary's). The bound guards
-        // against the tax compounding beyond the chain's inherent cost.
+        // 2 replicas keep 0.99x of the solo goodput (0.97x under one
+        // gate per group, 0.49x while the backup's apply waited for the
+        // primary's). The bound guards against the tax compounding
+        // beyond the chain's inherent cost.
         // The host-cycle saving from offload must survive the extra hop
         // outright.
         let dist = KeyDist::Uniform { keys: KEYS * 2 };

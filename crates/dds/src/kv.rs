@@ -37,6 +37,9 @@ pub enum Residency {
 struct IndexEntry {
     value_offset: u64,
     value_len: u32,
+    /// [`fingerprint`] of the value's bytes, so [`KvStore::digest`]
+    /// covers content without reading the log.
+    fingerprint: u64,
     /// True when this entry was installed by a migration copy
     /// ([`KvStore::put_if_absent`]). A migration copy is always *older*
     /// than any client write racing it on this store (writes route to
@@ -50,16 +53,44 @@ struct IndexEntry {
 }
 
 impl IndexEntry {
-    /// The entry for the record whose 12-byte header sits at log offset
-    /// `record_offset`; [`KvStore::index_insert`] decides `on_dpu`.
-    fn at(record_offset: u64, value_len: u32, migrated: bool) -> Self {
+    /// The entry for the record of `value` whose 12-byte header sits at
+    /// log offset `record_offset`; [`KvStore::index_insert`] decides
+    /// `on_dpu`.
+    fn at(record_offset: u64, value: &[u8], migrated: bool) -> Self {
         IndexEntry {
             value_offset: record_offset + 12,
-            value_len,
+            value_len: value.len() as u32,
+            fingerprint: fingerprint(value),
             migrated,
             on_dpu: false,
         }
     }
+}
+
+/// A 64-bit fingerprint of `value`'s bytes. Each step is a bijection
+/// of its running state and of its word, so two values of one length
+/// that differ in one word always fingerprint apart. Four lanes take
+/// the words of each 32-byte block, so their multiplies overlap. Host
+/// work only: it charges no virtual time.
+fn fingerprint(value: &[u8]) -> u64 {
+    let step = |h: u64, word: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        (h ^ u64::from_le_bytes(w))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31)
+    };
+    let mut blocks = value.chunks_exact(32);
+    let mut lanes = [0u64, 1, 2, 3];
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word);
+        }
+    }
+    let h = lanes
+        .iter()
+        .fold(value.len() as u64, |h, lane| step(h, &lane.to_le_bytes()));
+    blocks.remainder().chunks(8).fold(h, step)
 }
 
 /// The KV store.
@@ -106,12 +137,14 @@ impl KvStore {
         let log = service.open(name).await?;
         let log = RecordLog::open(service, log)?;
         let store = Self::new(log, dpu_mem, index_budget);
-        // Sequential log scan: read headers, skip values. A torn tail
-        // record ends it: its ack never left the DPU.
+        // Sequential log scan: each header, then its value to
+        // fingerprint. A torn tail record ends it: its ack never left
+        // the DPU.
         let mut offset = 0u64;
         while let Some((header, len)) = store.log.header_at(offset, 12).await? {
             let key = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-            store.index_insert(key, IndexEntry::at(offset, len as u32, false));
+            let value = store.log.read(offset + 12, len).await?;
+            store.index_insert(key, IndexEntry::at(offset, &value, false));
             offset += 12 + len;
         }
         Ok(store)
@@ -191,7 +224,7 @@ impl KvStore {
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(value);
         let offset = self.log.append(&rec).await?;
-        let entry = IndexEntry::at(offset, value.len() as u32, migrated);
+        let entry = IndexEntry::at(offset, value, migrated);
         Ok(self.index_insert(key, entry))
     }
 
@@ -295,19 +328,22 @@ impl KvStore {
     /// only, not log garbage): `(entries, value_bytes, checksum)`. Two
     /// replicas that applied the same writes agree on all three even if
     /// their logs interleaved overwrites differently — the checksum
-    /// covers key and value length, not log offsets.
+    /// covers each key, its value's length and its value's bytes (the
+    /// entry's fingerprint), not log offsets.
     pub(crate) fn digest(&self) -> (u64, u64, u64) {
+        let mix = |mut h: u64| {
+            h ^= h >> 30;
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^ (h >> 27)
+        };
         let mut entries = 0u64;
         let mut bytes = 0u64;
         let mut checksum = 0u64;
         for (key, e) in self.index.borrow().iter() {
             entries += 1;
             bytes += e.value_len as u64;
-            let mut h = key ^ ((e.value_len as u64) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-            h ^= h >> 30;
-            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h ^= h >> 27;
-            checksum = checksum.wrapping_add(h);
+            let h = mix(key ^ ((e.value_len as u64) << 32) ^ 0x9E37_79B9_7F4A_7C15);
+            checksum = checksum.wrapping_add(mix(h ^ e.fingerprint));
         }
         (entries, bytes, checksum)
     }
@@ -428,7 +464,7 @@ mod tests {
             let p = Platform::default_bf2();
             let fs = crate::kv::tests::fs_for(&p);
             let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
-            {
+            let written = {
                 let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
                     .await
                     .unwrap();
@@ -439,10 +475,12 @@ mod tests {
                 kv.put(7, b"updated-7").await.unwrap();
                 kv.put(13, b"updated-13").await.unwrap();
                 // "Crash": drop the store; only the log file survives.
-            }
+                kv.digest()
+            };
             let kv = KvStore::recover(svc, p.dpu_mem.clone(), 1 << 20, "kv.log")
                 .await
                 .unwrap();
+            assert_eq!(kv.digest(), written, "recovery fingerprints each value");
             assert_eq!(
                 kv.get(7).await.unwrap().unwrap(),
                 Bytes::from_static(b"updated-7")
@@ -546,7 +584,7 @@ mod tests {
                                              // A late-completing concurrent put of the older version tries
                                              // to re-install its (lower) offset: newest-offset-wins must
                                              // ignore it.
-            kv.index_insert(1, IndexEntry::at(0, 2, false));
+            kv.index_insert(1, IndexEntry::at(0, b"v1", false));
             assert_eq!(kv.get(1).await.unwrap().unwrap(), Bytes::from_static(b"v2"));
         });
         sim.run();
@@ -705,6 +743,36 @@ mod tests {
                 "same live state must digest equal regardless of \
                  partition placement, apply order, or log garbage"
             );
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn digest_sees_the_value_bytes() {
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            let p = Platform::default_bf2();
+            let a = store(&p, 1 << 20).await;
+            let b = store(&p, 1 << 20).await;
+            // One key, one length, different bytes: in the only word, in
+            // the partial word at the end, and in a 32-byte block.
+            let block = [7u8; 40];
+            let mut other = block;
+            other[17] = 8;
+            let pairs: [(u64, &[u8], &[u8]); 3] = [
+                (1, b"same-len", b"diff-len"),
+                (2, b"123456789", b"12345678X"),
+                (3, &block, &other),
+            ];
+            for (k, x, y) in pairs {
+                a.put(k, x).await.unwrap();
+                b.put(k, y).await.unwrap();
+                let (da, db) = (a.digest(), b.digest());
+                assert_eq!((da.0, da.1), (db.0, db.1), "same entries and bytes");
+                assert_ne!(da.2, db.2, "key {k}: the checksum must see the value bytes");
+                b.put(k, x).await.unwrap();
+                assert_eq!(a.digest(), b.digest(), "key {k}: same bytes, same digest");
+            }
         });
         sim.run();
     }

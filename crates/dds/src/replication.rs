@@ -22,9 +22,14 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use dpdpu_des::{Counter, Semaphore};
+use dpdpu_des::{Counter, Permit, Semaphore};
 
 use crate::proto::{ErrorCode, Reply};
+
+/// Stripes of a primary's per-key chain order: a key's commits queue on
+/// stripe `key % CHAIN_STRIPES`. Two keys that share a stripe only
+/// serialize; they never reorder.
+const CHAIN_STRIPES: usize = 64;
 
 /// Shared control state for one replica group (one logical shard).
 pub struct ReplGroupCtl {
@@ -112,10 +117,15 @@ impl ReplGroupCtl {
     /// the backup is deposed and the group epoch advances so the
     /// deposed backup can never be promoted over the solo commits.
     /// Refused (`None`) when the caller is no longer the primary —
-    /// i.e. a failover already promoted past it.
+    /// i.e. a failover already promoted past it. Idempotent: a primary
+    /// already solo gets the current epoch back, so every concurrent
+    /// commit that finds the backup unreachable shares one transition.
     pub(crate) fn solo_grant(&self, me: usize) -> Option<u64> {
         if self.primary.get() != me || self.deposed.borrow()[me] {
             return None;
+        }
+        if self.primary_is_solo() {
+            return Some(self.epoch.get());
         }
         {
             let mut deposed = self.deposed.borrow_mut();
@@ -153,11 +163,12 @@ pub struct ReplRole {
     /// Chain link to the next replica, present on the initial primary
     /// (and any replica that may become one).
     pub(crate) backup: RefCell<Option<Rc<crate::server::DdsClient>>>,
-    /// Serializes replicated commits on this primary so the backup
-    /// applies writes in the primary's apply order — without this, two
-    /// concurrent puts to the same key could chain in the opposite
-    /// order and leave the replicas permanently divergent.
-    pub(crate) chain_gate: Semaphore,
+    /// The per-key chain order: one permit per stripe of keys. A
+    /// commit holds its key's stripe, so the backup applies two writes
+    /// of one key in this primary's apply order; without it they could
+    /// chain in the opposite order and leave the replicas permanently
+    /// divergent. Commits of keys on different stripes overlap.
+    chain_order: [Semaphore; CHAIN_STRIPES],
     /// Writes this replica chain-forwarded to its backup.
     pub(crate) chained: Counter,
     /// Writes committed solo (backup deposed or unreachable).
@@ -176,11 +187,31 @@ impl ReplRole {
             me,
             fence,
             backup: RefCell::new(None),
-            chain_gate: Semaphore::new(1),
+            chain_order: std::array::from_fn(|_| Semaphore::new(1)),
             chained: Counter::new(),
             solo_commits: Counter::new(),
             stale_rejections: Counter::new(),
         })
+    }
+
+    /// Waits for `key`'s place in the chain order; the permit holds it.
+    pub(crate) async fn order_key(&self, key: u64) -> Permit {
+        self.chain_order[stripe_of(key)].acquire().await
+    }
+
+    /// Waits for the places of all `keys`: each stripe once, in
+    /// ascending order. A commit holds a single stripe, and every holder
+    /// of several takes them in this one order, so no cycle of waits
+    /// can form.
+    pub(crate) async fn order_keys(&self, keys: &[u64]) -> Vec<Permit> {
+        let mut stripes: Vec<usize> = keys.iter().map(|&k| stripe_of(k)).collect();
+        stripes.sort_unstable();
+        stripes.dedup();
+        let mut permits = Vec::with_capacity(stripes.len());
+        for s in stripes {
+            permits.push(self.chain_order[s].acquire().await);
+        }
+        permits
     }
 
     /// True when this replica has been fenced out of the group.
@@ -199,6 +230,10 @@ impl ReplRole {
         self.stale_rejections.inc();
         Reply::Error(ErrorCode::StaleEpoch)
     }
+}
+
+fn stripe_of(key: u64) -> usize {
+    (key % CHAIN_STRIPES as u64) as usize
 }
 
 #[cfg(test)]
@@ -220,7 +255,9 @@ mod tests {
 
     #[test]
     fn solo_grant_refused_after_losing_the_primaryship() {
-        let ctl = ReplGroupCtl::new(0, 2);
+        // Three replicas, so the promoted primary still has a backup to
+        // depose (of two, the promotion alone leaves it solo).
+        let ctl = ReplGroupCtl::new(0, 3);
         // Failover promotes replica 1; the old primary's pending solo
         // request must be refused — it is no longer the primary.
         ctl.promote().unwrap();
@@ -239,6 +276,19 @@ mod tests {
         assert!(ctl.primary_is_solo());
         // A deposed backup can never be promoted.
         assert!(ctl.promote().is_none());
+    }
+
+    #[test]
+    fn a_second_solo_grant_is_the_first_one() {
+        // Every concurrent commit that finds the backup unreachable asks
+        // for a grant: one deposal is one transition, however many ask.
+        let check = dpdpu_check::CheckGuard::new();
+        let ctl = ReplGroupCtl::new(0, 2);
+        assert_eq!(ctl.solo_grant(0), Some(2));
+        assert_eq!(ctl.solo_grant(0), Some(2), "already solo: same epoch");
+        assert_eq!(ctl.epoch(), 2);
+        let report = check.session().report();
+        assert!(report.contains("repl_epoch_transitions=1"), "{report}");
     }
 
     #[test]

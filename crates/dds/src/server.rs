@@ -356,8 +356,9 @@ impl Dds {
             Op::MigratePut { key, value } => {
                 let role = self.repl.borrow().clone();
                 match role {
-                    // The replicated path's chain gate already spans the
-                    // presence check and the put.
+                    // The replicated path holds the key's place in the
+                    // chain order across the presence check and the put,
+                    // so a same-key client put cannot slip between them.
                     Some(role) => return self.repl_commit(&role, *key, value, true).await,
                     None => {
                         // Put-if-absent, decided at index-update time: a
@@ -384,8 +385,9 @@ impl Dds {
                     // Forward the drop down the chain first so it lands
                     // FIFO-after any in-flight replicated puts for the
                     // same keys, stamped with the epoch this primary
-                    // holds right now.
-                    let _gate = role.chain_gate.acquire().await;
+                    // holds right now. It waits for every key's place in
+                    // the chain order, taking each stripe once, ascending.
+                    let _order = role.order_keys(keys).await;
                     if !role.ctl.primary_is_solo() {
                         let backup = role.backup.borrow().clone();
                         if let Some(backup) = backup {
@@ -423,10 +425,11 @@ impl Dds {
         value: &Bytes,
         if_absent: bool,
     ) -> Result<Reply, FsError> {
-        // One replicated commit at a time: the backup must apply writes
-        // in this primary's apply order or same-key races would leave
-        // the replicas permanently divergent.
-        let _gate = role.chain_gate.acquire().await;
+        // One replicated commit per key at a time: the backup must apply
+        // a key's writes in this primary's apply order or same-key races
+        // would leave the replicas permanently divergent. Other keys'
+        // commits overlap this one.
+        let _order = role.order_key(key).await;
         if role.deposed() || !role.is_primary() {
             return Ok(role.stand_down());
         }
@@ -462,8 +465,9 @@ impl Dds {
             value: value.clone(),
         };
         // The backup's round trip runs beside the local apply, so the
-        // gate holds for the slower of the two, not their sum. It is a
-        // task of its own so that its wakes never re-poll the apply.
+        // key's place is held for the slower of the two, not their sum.
+        // It is a task of its own so that its wakes never re-poll the
+        // apply.
         let chained = spawn(async move { backup.call(fwd).await });
         let local = self.kv.put(key, value).await;
         match (local, chained.await) {

@@ -30,9 +30,10 @@ use dpdpu::check::CheckGuard;
 use dpdpu::dds::cluster::ClusterConfig;
 use dpdpu::dds::gateway::GatewayConfig;
 use dpdpu::dds::proto::RetryPolicy;
-use dpdpu::des::{block_on, now, sleep, Sim, Time};
+use dpdpu::des::{block_on, join_all, now, sleep, spawn, Sim, Time};
 use dpdpu::faults::{FaultPlan, FaultSite, SessionGuard};
-use dpdpu::net::fabric::FabricKind;
+use dpdpu::hw::CpuPool;
+use dpdpu::net::fabric::{Endpoint, FabricKind};
 use dpdpu::net::NetConfig;
 use dpdpu_bench::cell::{Cell, Load, Preload, Run};
 use dpdpu_bench::fig11_tenants::{default_tenants, default_workloads};
@@ -95,6 +96,7 @@ fn crash_backup(seed: u64) -> (Cell, fn(&Run)) {
         let role = run.cluster.group(0).members[0].replication().unwrap();
         assert!(role.solo_commits.get() > 0, "primary must commit solo");
         assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
+        assert_eq!(ctl0.epoch(), 2, "one deposal, one transition");
     })
 }
 
@@ -452,6 +454,92 @@ fn a_replicated_put_waits_for_the_slower_apply_not_the_sum() {
          second apply: the chained put's premium over an unreplicated one was \
          {base} ns, and {slowed} ns with every device op {SLOW_NS} ns slower"
     );
+}
+
+/// Virtual ns after which each of two puts issued at one instant on an
+/// idle 2-replica [`idle_shard`] finishes, in issue order.
+fn idle_pair_ns(keys: [u64; 2]) -> [Time; 2] {
+    let _check = CheckGuard::new();
+    block_on(async move {
+        let (_cluster, client) = idle_shard(2).boot().await;
+        sleep(1_000_000).await;
+        let start = now();
+        let puts = keys.map(|key| {
+            let client = client.clone();
+            spawn(async move {
+                client
+                    .kv_put(key, Bytes::from(vec![9u8; 256]))
+                    .await
+                    .expect("put");
+                now() - start
+            })
+        });
+        let done = join_all(puts.into()).await;
+        [done[0], done[1]]
+    })
+}
+
+#[test]
+fn a_replicated_put_waits_only_for_its_own_key() {
+    // The chain order is per key: a put to another key chains beside
+    // the first, where a put to the same key waits for it to finish.
+    let apart = idle_pair_ns([3, 4]);
+    let same = idle_pair_ns([3, 3]);
+    assert_eq!(apart[0], same[0], "the first put is alone either way");
+    assert!(
+        apart[1] < same[1],
+        "two keys must chain at once: the pair finished at {apart:?} ns, \
+         no sooner than one key's {same:?} ns"
+    );
+}
+
+#[test]
+fn a_key_chains_in_the_primarys_order_when_its_first_forward_fails() {
+    // Two puts of one key, same length, different bytes, issued at one
+    // instant. The backup's apply of the first forward runs out its
+    // storage attempts, so the chain re-sends it; without the per-key
+    // order the second put's forward would apply in between, and the
+    // backup would end on the first value while the primary holds the
+    // second. The failures are armed once the primary's own first
+    // write has started and before the backup's has.
+    let check = CheckGuard::new();
+    let faults = SessionGuard::new(FaultPlan::new(42));
+    let session = faults.session.clone();
+    let (first, second) = (Bytes::from(vec![1u8; 256]), Bytes::from(vec![2u8; 256]));
+    let expected = second.clone();
+    let (cluster, reads) = block_on(async move {
+        let (cluster, client) = idle_shard(2).boot().await;
+        sleep(1_000_000).await;
+        let puts = [first, second].map(|value| {
+            let client = client.clone();
+            spawn(async move { client.kv_put(3, value).await })
+        });
+        sleep(50_000).await;
+        session.arm_ssd_write_failures(7);
+        for put in join_all(puts.into()).await {
+            put.expect("put");
+        }
+        let reader = Endpoint::host(CpuPool::new("reader", 4, 3_000_000_000));
+        let mut reads = Vec::new();
+        for (r, member) in cluster.group(0).members.iter().enumerate() {
+            let conn = member.connect(&NetConfig::default(), &reader, &format!("reader{r}"));
+            reads.push(conn.kv_get(3).await.expect("get"));
+        }
+        (cluster, reads)
+    });
+    // The content digests of both copies must agree.
+    cluster.verify_replicas();
+    drop(check);
+    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 7);
+    let ctl = cluster.ctl(0).expect("replicated group");
+    assert!(!ctl.primary_is_solo(), "both copies still in the group");
+    for (r, read) in reads.iter().enumerate() {
+        assert_eq!(
+            read.as_ref(),
+            Some(&expected),
+            "replica {r} reads the second value"
+        );
+    }
 }
 
 #[test]

@@ -155,21 +155,26 @@ impl KvStore {
     /// keeps its partition; a new key goes to the DPU while the budget
     /// and DPU memory allow, to the host partition otherwise.
     ///
-    /// Client updates are newest-offset-wins: log offsets are reserved
-    /// in put arrival order before any await, but the index update runs
-    /// after the storage write completes, and concurrent same-key puts
-    /// can complete out of reservation order. Letting a lower offset
+    /// Client updates are newest-offset-wins: the log assigns offsets in
+    /// the order puts queue their records (their arrival order at the
+    /// log), but each put indexes its record only when its own task runs
+    /// again after its batch is durable, and concurrent same-key puts can
+    /// reach that point out of offset order. Letting a lower offset
     /// overwrite a higher one would resurrect the older value — a lost
     /// update under a linearizability check.
+    ///
+    /// The index learns an offset only after the batch that carried it
+    /// returned `Ok`, so a [`get`](Self::get) never reads an offset whose
+    /// bytes are not durable, and a failed put indexes nothing.
     ///
     /// Migration copies are put-if-absent *at index time*: a migrated
     /// entry never overwrites an existing entry (the present entry is
     /// either a fresher client write or an idempotent duplicate copy),
     /// and a client entry always overwrites a migrated one even from a
-    /// lower log offset — the copy reserved its offset later but holds
+    /// lower log offset — the copy queued its record later but holds
     /// the older value, so offset order says nothing here. The presence
     /// re-check must happen at this point, not before the storage
-    /// write: a concurrent client put that reserved a lower offset but
+    /// write: a concurrent client put that queued ahead of the copy but
     /// has not indexed yet is invisible to any earlier `contains` probe.
     fn index_insert(&self, key: u64, entry: IndexEntry) -> bool {
         let mut index = self.index.borrow_mut();
@@ -223,7 +228,7 @@ impl KvStore {
         rec.extend_from_slice(&key.to_le_bytes());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(value);
-        let offset = self.log.append(&rec).await?;
+        let offset = self.log.append(rec).await?;
         let entry = IndexEntry::at(offset, value, migrated);
         Ok(self.index_insert(key, entry))
     }
@@ -239,12 +244,12 @@ impl KvStore {
     /// Returns whether the copy was installed.
     ///
     /// The early `contains` probe only avoids a wasted log append; the
-    /// authoritative if-absent decision is made by [`Self::index_insert`]
+    /// authoritative if-absent decision is made by `index_insert`
     /// on the `migrated` entry, after the storage write — so a client
     /// put racing this copy wins no matter how the log offsets and index
     /// updates interleave, and an acked write can never be clobbered by
     /// a stale copy arriving from a key's old owner.
-    pub(crate) async fn put_if_absent(&self, key: u64, value: &[u8]) -> Result<bool, FsError> {
+    pub async fn put_if_absent(&self, key: u64, value: &[u8]) -> Result<bool, FsError> {
         if self.contains(key) {
             return Ok(false);
         }
@@ -262,7 +267,7 @@ impl KvStore {
 
     /// Reads a value by key (either partition; callers charge host CPU
     /// separately when the host partition was needed).
-    pub(crate) async fn get(&self, key: u64) -> Result<Option<Bytes>, FsError> {
+    pub async fn get(&self, key: u64) -> Result<Option<Bytes>, FsError> {
         let entry = self.index.borrow().get(&key).copied();
         match entry {
             None => Ok(None),
@@ -306,7 +311,7 @@ impl KvStore {
     }
 
     /// Every indexed key, ascending (migration enumeration; no I/O).
-    pub(crate) fn keys(&self) -> Vec<u64> {
+    pub fn keys(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self.index.borrow().keys().copied().collect();
         out.sort_unstable();
         out
@@ -538,13 +543,10 @@ mod tests {
         sim.run();
     }
 
-    /// Reproducer, not fixed here: a put whose write fails has already
-    /// reserved its log range (`RecordLog::append`, the one place that
-    /// decision lives), and recovery parses the unwritten (zero) range as
-    /// `key 0, len 0` records until the next real record no longer sits
-    /// on a record boundary.
+    /// A put whose write fails leaves no trace in the log: the tail and
+    /// the file size move only when a batch is durable, so recovery finds
+    /// exactly the acked puts.
     #[test]
-    #[ignore = "ROADMAP item 3"]
     fn failed_put_must_not_poison_recovery() {
         let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
         dpdpu_des::block_on(async {
@@ -571,6 +573,37 @@ mod tests {
                 Bytes::from_static(b"zero")
             );
         });
+    }
+
+    /// A failed put long enough to span two blocks, then a short one:
+    /// had the file grown by the failed 4 108 bytes, recovery would parse
+    /// their zeros as `key 0` records.
+    #[test]
+    fn a_failed_long_put_then_a_short_one_recovers_only_acked_keys() {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
+        let session = guard.session.clone();
+        dpdpu_des::block_on(async move {
+            let p = Platform::default_bf2();
+            let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
+                .await
+                .unwrap();
+            kv.put(7, b"seven").await.unwrap();
+            // One more failure than the file service retries.
+            session.arm_ssd_write_failures(4);
+            assert!(kv.put(2, &[5u8; 4_096]).await.is_err());
+            kv.put(3, b"three").await.unwrap();
+            drop(kv);
+            let kv = KvStore::recover(svc, p.dpu_mem.clone(), 1 << 20, "kv.log")
+                .await
+                .unwrap();
+            assert_eq!(kv.keys(), vec![3, 7], "recovered keys");
+            assert_eq!(
+                kv.get(3).await.unwrap().unwrap(),
+                Bytes::from_static(b"three")
+            );
+        });
+        drop(guard);
     }
 
     #[test]
@@ -624,8 +657,8 @@ mod tests {
         sim.run();
     }
 
-    /// The resharding lost-write race: a client put reserves a *lower*
-    /// log offset, then a migration copy of the same key reserves a
+    /// The resharding lost-write race: a client put queues at a *lower*
+    /// log offset, then a migration copy of the same key queues at a
     /// higher one before the client's index update lands. Under plain
     /// newest-offset-wins the stale copy's higher offset would bury the
     /// acked client write; the `migrated` flag must make the client
@@ -637,11 +670,11 @@ mod tests {
             let p = Platform::default_bf2();
             let kv = store(&p, 1 << 20).await;
             let kv2 = kv.clone();
-            // Client put polls first: reserves log offset 0.
+            // Client put polls first: queued at log offset 0.
             let client = dpdpu_des::spawn(async move { kv2.put(7, b"fresh-client").await });
             let kv3 = kv.clone();
             // Migration copy polls second: sees the key absent (the
-            // client's index update is still awaiting storage), reserves
+            // client's index update is still awaiting storage), queues at
             // the higher offset.
             let copy = dpdpu_des::spawn(async move { kv3.put_if_absent(7, b"stale-copy!!").await });
             client.await.unwrap();

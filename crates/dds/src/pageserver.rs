@@ -132,9 +132,9 @@ impl PageServer {
             .await
     }
 
-    /// Creates a page server with `num_pages` zeroed pages of
-    /// [`PAGE_SIZE`] bytes and an optional DPU-memory page cache.
-    pub(crate) async fn with_cache(
+    /// Creates a page server with `num_pages` zeroed 8 KiB pages
+    /// (`PAGE_SIZE`) and an optional DPU-memory page cache.
+    pub async fn with_cache(
         service: Rc<FileService>,
         num_pages: u64,
         cache: Option<Rc<PageCache>>,
@@ -153,12 +153,7 @@ impl PageServer {
 
     /// Appends one WAL record: durable in the WAL file, then queued for
     /// replay. The page becomes dirty until replay catches up.
-    pub(crate) async fn append_log(
-        &self,
-        page_id: u64,
-        offset: u32,
-        delta: Bytes,
-    ) -> Result<(), FsError> {
+    pub async fn append_log(&self, page_id: u64, offset: u32, delta: Bytes) -> Result<(), FsError> {
         assert!(
             offset as u64 + delta.len() as u64 <= PAGE_SIZE,
             "log record exceeds page bounds"
@@ -169,7 +164,7 @@ impl PageServer {
         rec.extend_from_slice(&offset.to_le_bytes());
         rec.extend_from_slice(&(delta.len() as u32).to_le_bytes());
         rec.extend_from_slice(&delta);
-        self.wal.append(&rec).await?;
+        self.wal.append(rec).await?;
         self.pending
             .borrow_mut()
             .entry(page_id)
@@ -201,6 +196,14 @@ impl PageServer {
     /// True when the page has no pending log — DPU-servable.
     pub(crate) fn is_clean(&self, page_id: u64) -> bool {
         !self.pending.borrow().contains_key(&page_id)
+    }
+
+    /// The records pending replay on `page_id`, in log order, as
+    /// `(offset in page, bytes)`.
+    pub fn pending(&self, page_id: u64) -> Vec<(u32, Bytes)> {
+        let pending = self.pending.borrow();
+        let records = pending.get(&page_id).into_iter().flatten();
+        records.map(|r| (r.offset, r.delta.clone())).collect()
     }
 
     /// Pages currently dirty.

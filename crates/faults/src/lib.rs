@@ -25,8 +25,10 @@
 //! exactly as before. The session also holds the third style, **scripted
 //! counts** — "fail the next N SSD reads" — armed mid-run with
 //! [`FaultSession::arm_ssd_read_failures`] and its two siblings and
-//! consulted before the seeded rates. All injected effects are charged in
-//! *virtual* time, so an injected run is as deterministic as a clean one.
+//! consulted before the seeded rates — and a scripted **power loss**
+//! ([`FaultSession::arm_power_loss`]) that tears one SSD write and stops
+//! the device. All injected effects are charged in *virtual* time, so an
+//! injected run is as deterministic as a clean one.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -299,6 +301,11 @@ pub struct FaultSession {
     fail_ssd_reads: Cell<u64>,
     fail_ssd_writes: Cell<u64>,
     drop_frames: Cell<u64>,
+    // Scripted power loss: the SSD writes that still complete and the
+    // blocks the next one persists, then the block count of the write
+    // it tore.
+    power_loss: Cell<Option<(u64, u64)>>,
+    torn_write: Cell<Option<u64>>,
     injected: [Counter; FaultSite::ALL.len()],
     // One flag per shard-crash window so each crash is counted once
     // when it first bites, not on every consult inside the window.
@@ -358,6 +365,16 @@ impl FaultSession {
         self.drop_frames.set(self.drop_frames.get() + n);
     }
 
+    /// Scripted: lose power at the `k`-th SSD write from now, counting
+    /// from 0 (`k = 0` is the next write). That write persists only its
+    /// first `torn_blocks` blocks; it and every later SSD op never
+    /// complete, so the run goes quiet. Re-arming replaces the script.
+    /// The block device that holds the contents consults it
+    /// ([`ssd_power_loss`]).
+    pub fn arm_power_loss(&self, k: u64, torn_blocks: u64) {
+        self.power_loss.set(Some((k, torn_blocks)));
+    }
+
     fn record(&self, site: FaultSite) {
         self.injected[site as usize].inc();
         dpdpu_check::fault_injected(site.label(), site.must_be_handled());
@@ -405,6 +422,29 @@ impl FaultSession {
             return IoVerdict::Slow(plan.ssd_slow_ns);
         }
         IoVerdict::Ok
+    }
+
+    /// The block count of the SSD write the power loss tore, once it has
+    /// (see [`FaultSession::arm_power_loss`]).
+    pub fn torn_write_blocks(&self) -> Option<u64> {
+        self.torn_write.get()
+    }
+
+    fn ssd_power_loss(&self, op: IoOp, blocks: u64) -> Option<u64> {
+        if self.torn_write.get().is_some() {
+            return Some(0);
+        }
+        match self.power_loss.get()? {
+            _ if op == IoOp::Read => None,
+            (0, torn_blocks) => {
+                self.torn_write.set(Some(blocks));
+                Some(torn_blocks.min(blocks))
+            }
+            (k, torn_blocks) => {
+                self.power_loss.set(Some((k - 1, torn_blocks)));
+                None
+            }
+        }
     }
 
     fn accel_online(&self) -> bool {
@@ -455,6 +495,18 @@ pub fn ssd_verdict(op: IoOp) -> IoVerdict {
     match FaultSession::current() {
         Some(s) => s.ssd_verdict(op),
         None => IoVerdict::Ok,
+    }
+}
+
+/// Consults the session before one SSD op of `blocks` blocks on a device
+/// that holds contents: `Some(persisted)` once the power is lost, when the
+/// op must never complete and only the first `persisted` blocks of a
+/// write land (0 for every op after the torn write). `None` when no
+/// session is installed.
+pub fn ssd_power_loss(op: IoOp, blocks: u64) -> Option<u64> {
+    match FaultSession::current() {
+        Some(s) => s.ssd_power_loss(op, blocks),
+        None => None,
     }
 }
 
@@ -527,6 +579,8 @@ impl SessionGuard {
             fail_ssd_reads: Cell::new(0),
             fail_ssd_writes: Cell::new(0),
             drop_frames: Cell::new(0),
+            power_loss: Cell::new(None),
+            torn_write: Cell::new(None),
             injected: std::array::from_fn(|_| Counter::new()),
             shard_crash_fired: plan.shard_crash.iter().map(|_| Cell::new(false)).collect(),
             plan,
@@ -590,6 +644,26 @@ mod tests {
         // unscripted run starts.
         assert_eq!(scripted_reads[3..], reads[..]);
         assert_eq!(scripted_frames[3..], frames[..]);
+    }
+
+    #[test]
+    fn power_loss_tears_the_kth_write_and_stops_every_later_op() {
+        let g = SessionGuard::new(FaultPlan::new(1));
+        assert_eq!(ssd_power_loss(IoOp::Write, 4), None, "nothing armed");
+        g.session.arm_power_loss(2, 3);
+        assert_eq!(ssd_power_loss(IoOp::Read, 1), None, "reads do not count");
+        assert_eq!(ssd_power_loss(IoOp::Write, 4), None);
+        assert_eq!(ssd_power_loss(IoOp::Write, 4), None);
+        assert_eq!(g.session.torn_write_blocks(), None);
+        assert_eq!(
+            ssd_power_loss(IoOp::Write, 2),
+            Some(2),
+            "the torn write, capped"
+        );
+        assert_eq!(g.session.torn_write_blocks(), Some(2));
+        assert_eq!(ssd_power_loss(IoOp::Read, 1), Some(0));
+        assert_eq!(ssd_power_loss(IoOp::Write, 4), Some(0));
+        assert_eq!(g.session.report().total(), 0, "no category counts it");
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use dpdpu_faults::IoOp;
 use dpdpu_hw::{IoError, Ssd};
 
 /// Logical block size (4 KB, the NVMe formatting the paper's 8 KB pages
@@ -15,6 +16,10 @@ pub(crate) const BLOCK_SIZE: usize = 4_096;
 /// Unwritten blocks read back as zeros (thin provisioning). The device
 /// charges SSD time per operation; the PCIe hop belongs to whichever
 /// path (host root complex or DPU peer-to-peer) the caller models.
+///
+/// Under a scripted power loss (`FaultSession::arm_power_loss`) the torn
+/// write stores only its first blocks, and it and every later op never
+/// complete.
 pub struct BlockDevice {
     ssd: Rc<Ssd>,
     blocks: RefCell<HashMap<u64, Box<[u8]>>>,
@@ -45,6 +50,9 @@ impl BlockDevice {
     /// written read as zeros.
     pub(crate) async fn read_blocks(&self, lba: u64, n: u64) -> Result<Vec<u8>, IoError> {
         assert!(lba + n <= self.capacity_blocks, "{lba}+{n} out of range");
+        if dpdpu_faults::ssd_power_loss(IoOp::Read, n).is_some() {
+            std::future::pending::<()>().await;
+        }
         self.ssd.read(n * BLOCK_SIZE as u64).await?;
         let blocks = self.blocks.borrow();
         let mut out = Vec::with_capacity((n as usize) * BLOCK_SIZE);
@@ -57,19 +65,44 @@ impl BlockDevice {
         Ok(out)
     }
 
-    /// Writes `data` (a multiple of the block size) at consecutive blocks
-    /// as one SSD op.
-    pub(crate) async fn write_blocks(&self, lba: u64, data: &[u8]) -> Result<(), IoError> {
-        assert_eq!(data.len() % BLOCK_SIZE, 0, "writes are block-aligned");
-        let n = (data.len() / BLOCK_SIZE) as u64;
+    /// Writes the concatenation of `parts`, each a multiple of the block
+    /// size, at consecutive blocks as one SSD op: a caller gathers a run
+    /// from separate buffers without joining them.
+    pub(crate) async fn write_blocks(&self, lba: u64, parts: &[&[u8]]) -> Result<(), IoError> {
+        assert!(
+            parts.iter().all(|part| part.len() % BLOCK_SIZE == 0),
+            "writes are block-aligned"
+        );
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        let n = (len / BLOCK_SIZE) as u64;
         assert!(lba + n <= self.capacity_blocks, "{lba}+{n} out of range");
-        self.ssd.write(data.len() as u64).await?;
-        let mut blocks = self.blocks.borrow_mut();
-        for i in 0..n {
-            let chunk = &data[(i as usize) * BLOCK_SIZE..(i as usize + 1) * BLOCK_SIZE];
-            blocks.insert(lba + i, chunk.to_vec().into_boxed_slice());
+        if let Some(torn) = dpdpu_faults::ssd_power_loss(IoOp::Write, n) {
+            self.store(lba, parts, torn);
+            std::future::pending::<()>().await;
         }
+        self.ssd.write(len as u64).await?;
+        self.store(lba, parts, n);
         Ok(())
+    }
+
+    /// Puts the first `blocks` blocks of `parts` at consecutive LBAs from
+    /// `lba`.
+    fn store(&self, lba: u64, parts: &[&[u8]], blocks: u64) {
+        let mut stored = self.blocks.borrow_mut();
+        let chunks = parts.iter().flat_map(|part| part.chunks_exact(BLOCK_SIZE));
+        for (at, chunk) in (lba..lba + blocks).zip(chunks) {
+            stored.insert(at, chunk.into());
+        }
+    }
+
+    /// The device a restart finds on a fresh `ssd` timing model: a copy
+    /// of every block this one holds.
+    pub(crate) fn restart(&self, ssd: Rc<Ssd>) -> Rc<Self> {
+        Rc::new(BlockDevice {
+            ssd,
+            blocks: self.blocks.clone(),
+            capacity_blocks: self.capacity_blocks,
+        })
     }
 
     /// Discards a block's contents (TRIM).
@@ -93,7 +126,7 @@ mod tests {
         sim.spawn(async {
             let d = dev();
             let data: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
-            d.write_blocks(7, &data).await.unwrap();
+            d.write_blocks(7, &[&data]).await.unwrap();
             assert_eq!(d.read_blocks(7, 1).await.unwrap(), data);
         });
         sim.run();
@@ -115,7 +148,9 @@ mod tests {
         sim.spawn(async {
             let d = dev();
             let data = vec![9u8; BLOCK_SIZE * 4];
-            d.write_blocks(100, &data).await.unwrap();
+            d.write_blocks(100, &[&data[..BLOCK_SIZE], &data[BLOCK_SIZE..]])
+                .await
+                .unwrap();
             assert_eq!(d.ssd().writes.get(), 1);
             let back = d.read_blocks(100, 4).await.unwrap();
             assert_eq!(back, data);
@@ -129,7 +164,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let d = dev();
-            d.write_blocks(5, &vec![1u8; BLOCK_SIZE]).await.unwrap();
+            d.write_blocks(5, &[&[1u8; BLOCK_SIZE]]).await.unwrap();
             assert_eq!(d.blocks.borrow().len(), 1);
             d.trim(5);
             assert_eq!(d.blocks.borrow().len(), 0);

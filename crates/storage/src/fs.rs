@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dpdpu_des::Semaphore;
+use dpdpu_hw::Ssd;
 
 use crate::blockdev::{BlockDevice, BLOCK_SIZE};
 
@@ -84,6 +85,16 @@ struct Inode {
 }
 
 impl Inode {
+    /// An inode with no held block and a free write lock.
+    fn new(size: u64, extents: Vec<(u64, Extent)>) -> Self {
+        Inode {
+            size,
+            extents,
+            last_block: None,
+            write_lock: Semaphore::new(1),
+        }
+    }
+
     /// LBA of logical block `idx`, and the run of physically-contiguous
     /// blocks starting there, capped at `max`.
     fn locate(&self, idx: u64, max: u64) -> (u64, u64) {
@@ -119,6 +130,26 @@ impl ExtentFs {
         })
     }
 
+    /// The file system a restart after power loss finds, on a fresh
+    /// `ssd` timing model: the same names, extents and sizes over a copy
+    /// of the device's blocks. The metadata lives with the file service
+    /// and holds only what completed writes published (a size moves only
+    /// on `Ok`); held blocks and write locks do not survive.
+    pub fn restart(&self, ssd: Rc<Ssd>) -> Rc<Self> {
+        let inodes = self.inodes.borrow();
+        let inodes = inodes
+            .iter()
+            .map(|(&id, inode)| (id, Inode::new(inode.size, inode.extents.clone())));
+        Rc::new(ExtentFs {
+            dev: self.dev.restart(ssd),
+            inodes: RefCell::new(inodes.collect()),
+            dir: self.dir.clone(),
+            next_id: self.next_id.clone(),
+            next_lba: self.next_lba.clone(),
+            free: self.free.clone(),
+        })
+    }
+
     /// The underlying device.
     pub fn device(&self) -> &Rc<BlockDevice> {
         &self.dev
@@ -133,15 +164,9 @@ impl ExtentFs {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
         dir.insert(name.to_string(), id);
-        self.inodes.borrow_mut().insert(
-            id,
-            Inode {
-                size: 0,
-                extents: Vec::new(),
-                last_block: None,
-                write_lock: Semaphore::new(1),
-            },
-        );
+        self.inodes
+            .borrow_mut()
+            .insert(id, Inode::new(0, Vec::new()));
         Ok(FileId(id))
     }
 
@@ -218,24 +243,29 @@ impl ExtentFs {
             .expect("caller checked the file exists"))
     }
 
-    /// Writes `data` at `offset`, growing the file as needed. Aligned
-    /// middles go down in contiguous multi-block I/Os; a partial first or
-    /// last block is read-modify-written, and the device is read only for
+    /// Writes `data` at `offset`, growing the file as needed. Each
+    /// physically contiguous run of blocks the write touches goes down as
+    /// one device write; a partial first or last block is
+    /// read-modify-written inside its run, and the device is read only for
     /// bytes the write must keep:
     ///
-    /// * Every byte at or past EOF is zero on the device: it was never
-    ///   written, or [`delete`](Self::delete) trimmed it. So a partial
-    ///   block whose kept bytes all lie at or past the size *before this
-    ///   write* starts from zeros, with no read.
-    /// * The inode holds the last block a partial write put on the device,
-    ///   write-through: set only after that block's write succeeded,
-    ///   cleared by an error and by an aligned write over it, dropped with
-    ///   the inode. The next read-modify-write of that LBA starts from it
+    /// * Every byte at or past EOF is zero on the device, or was left there
+    ///   by a write that failed: it was never written, [`delete`](Self::delete)
+    ///   trimmed it, or no size ever covered it. So a partial block whose
+    ///   kept bytes all lie at or past the size *before this write* starts
+    ///   from zeros, with no read.
+    /// * The inode holds the last partial block a write put on the device,
+    ///   write-through: set only after that block's run succeeded, cleared
+    ///   by an error and replaced by any run over it, dropped with the
+    ///   inode. The next read-modify-write of that LBA starts from it
     ///   instead of the device, so an append that continues the previous
     ///   one's block reads nothing. [`read`](Self::read) never consults it.
     /// * A growth whose new extent starts at the block right after the
     ///   file's last extent extends that extent, so an appended file stays
-    ///   one physically contiguous run.
+    ///   one physically contiguous run, and an append is one device write.
+    /// * The new size is published only after every run returned `Ok`, so
+    ///   a failed write never grows the file: a reader, or a recovery walk,
+    ///   sees only bytes a completed write put there.
     pub async fn write(&self, id: FileId, offset: u64, data: &[u8]) -> Result<(), FsError> {
         if data.is_empty() {
             return Ok(());
@@ -264,19 +294,19 @@ impl ExtentFs {
                     _ => inode.extents.push((need_blocks, extent)),
                 }
             }
-            let old_size = inode.size;
-            inode.size = old_size.max(end);
-            old_size
+            inode.size
         };
         let written = self.write_locked(id, offset, data, old_size).await;
-        if written.is_err() {
-            self.with_inode(id, |inode| inode.last_block = None);
-        }
+        self.with_inode(id, |inode| match written {
+            Ok(()) => inode.size = inode.size.max(end),
+            Err(_) => inode.last_block = None,
+        });
         written
     }
 
     /// The device half of [`write`](Self::write), under its lock, with the
-    /// file's size before this write.
+    /// file's size before this write: one `write_blocks` per physically
+    /// contiguous run, gathered from the run's edge blocks and `data`.
     async fn write_locked(
         &self,
         id: FileId,
@@ -285,52 +315,78 @@ impl ExtentFs {
         old_size: u64,
     ) -> Result<(), FsError> {
         let bs = BLOCK_SIZE as u64;
+        let end = offset + data.len() as u64;
         let mut cursor = offset;
-        let mut remaining = data;
-        while !remaining.is_empty() {
-            let block_idx = cursor / bs;
-            let in_block = (cursor % bs) as usize;
-            let take = remaining.len().min(BLOCK_SIZE - in_block);
-            let (lba, run) = self.with_inode(id, |inode| inode.locate(block_idx, u64::MAX));
-            if in_block == 0 && take == BLOCK_SIZE {
-                // Aligned: batch as many contiguous full blocks as we can.
-                let full_blocks = ((remaining.len() / BLOCK_SIZE) as u64).min(run);
-                let bytes = (full_blocks * bs) as usize;
-                // It replaces any held block it covers.
-                self.with_inode(id, |inode| {
-                    let covered = lba..lba + full_blocks;
-                    inode.last_block.take_if(|(held, _)| covered.contains(held));
-                });
-                self.dev.write_blocks(lba, &remaining[..bytes]).await?;
-                cursor += bytes as u64;
-                remaining = &remaining[bytes..];
-            } else {
-                // Partial block: read-modify-write. Its lowest kept byte
-                // decides whether it keeps anything below the old EOF.
-                let block_start = block_idx * bs;
-                let first_kept = if in_block > 0 {
-                    block_start
-                } else {
-                    block_start + take as u64
-                };
-                let held = self.with_inode(id, |inode| {
-                    inode.last_block.take_if(|(held, _)| *held == lba)
-                });
-                let mut block = match held {
-                    _ if first_kept >= old_size => vec![0u8; BLOCK_SIZE],
-                    Some((_, bytes)) => bytes.into_vec(),
-                    None => self.dev.read_blocks(lba, 1).await?,
-                };
-                block[in_block..in_block + take].copy_from_slice(&remaining[..take]);
-                self.dev.write_blocks(lba, &block).await?;
-                self.with_inode(id, |inode| {
-                    inode.last_block = Some((lba, block.into_boxed_slice()));
-                });
-                cursor += take as u64;
-                remaining = &remaining[take..];
+        while cursor < end {
+            let idx = cursor / bs;
+            let blocks = (end - idx * bs).div_ceil(bs);
+            let (lba, run) = self.with_inode(id, |inode| inode.locate(idx, blocks));
+            let run_start = idx * bs;
+            let run_end = end.min(run_start + run * bs);
+            let mut body = &data[(cursor - offset) as usize..(run_end - offset) as usize];
+            // Bytes the run keeps in its first and in its last block.
+            let head = (cursor - run_start) as usize;
+            let tail = (run_start + run * bs - run_end) as usize;
+            // The run replaces any held block it covers.
+            let mut held = self.with_inode(id, |inode| {
+                inode
+                    .last_block
+                    .take_if(|(held, _)| (lba..lba + run).contains(held))
+            });
+            // Each partial edge block's image, with its share of `body`
+            // copied in; a run of one block has one edge.
+            let mut first = None;
+            if head > 0 {
+                let mut block = self.edge(lba, run_start, old_size, &mut held).await?;
+                let n = body.len().min(BLOCK_SIZE - head);
+                block[head..head + n].copy_from_slice(&body[..n]);
+                body = &body[n..];
+                first = Some(block);
             }
+            let mut last = None;
+            if tail > 0 && (head == 0 || run > 1) {
+                let mut block = self
+                    .edge(lba + run - 1, run_end, old_size, &mut held)
+                    .await?;
+                let (rest, own) = body.split_at(body.len() - (BLOCK_SIZE - tail));
+                block[..own.len()].copy_from_slice(own);
+                body = rest;
+                last = Some(block);
+            }
+            let parts = [
+                first.as_deref().unwrap_or(&[]),
+                body,
+                last.as_deref().unwrap_or(&[]),
+            ];
+            self.dev.write_blocks(lba, &parts).await?;
+            // The last partial block it wrote becomes the held one.
+            let hold = match (first, last) {
+                (_, Some(block)) => Some((lba + run - 1, block)),
+                (block, None) => block.map(|block| (lba, block)),
+            };
+            if let Some((at, block)) = hold {
+                self.with_inode(id, |inode| inode.last_block = Some((at, block.into())));
+            }
+            cursor = run_end;
         }
         Ok(())
+    }
+
+    /// The image of a partial edge block at `lba` whose lowest kept byte
+    /// is `first_kept`: zeros when that byte lies at or past the old EOF,
+    /// else the held block when it is this LBA, else one device read.
+    async fn edge(
+        &self,
+        lba: u64,
+        first_kept: u64,
+        old_size: u64,
+        held: &mut Option<(u64, Box<[u8]>)>,
+    ) -> Result<Vec<u8>, FsError> {
+        Ok(match held.take_if(|(held, _)| *held == lba) {
+            _ if first_kept >= old_size => vec![0u8; BLOCK_SIZE],
+            Some((_, bytes)) => bytes.into_vec(),
+            None => self.dev.read_blocks(lba, 1).await?,
+        })
     }
 
     /// Reads `len` bytes at `offset` (must be within the file).
@@ -552,8 +608,8 @@ mod tests {
 
     /// Once a log holds one record, an unaligned 4 108-byte append reads
     /// nothing: its first block is the held last block of the previous
-    /// append and its last block holds no byte below the old EOF. It
-    /// writes each of the two blocks it touches once.
+    /// append and its last block holds no byte below the old EOF. The two
+    /// blocks it touches lie in one extent, so it is one device write.
     #[test]
     fn an_unaligned_append_reads_nothing_and_writes_each_block_once() {
         run_fs_test(|fs| async move {
@@ -565,7 +621,7 @@ mod tests {
                 fs.write(id, k * 4_108, &[k as u8; 4_108]).await.unwrap();
                 assert_eq!(
                     (ssd.reads.get() - reads, ssd.writes.get() - writes),
-                    (0, 2),
+                    (0, 1),
                     "(device reads, device writes) of append {k}"
                 );
             }
@@ -573,6 +629,37 @@ mod tests {
                 let record = fs.read(id, k * 4_108, 4_108).await.unwrap();
                 assert_eq!(record, vec![k as u8; 4_108], "record {k}");
             }
+        });
+    }
+
+    /// Two files grown in turn interleave their extents, so neither
+    /// merges: a write that spans two of a file's extents is one device
+    /// write per extent, and reads back whole.
+    #[test]
+    fn a_write_over_two_extents_is_one_device_write_per_extent() {
+        run_fs_test(|fs| async move {
+            let (a, b) = (fs.create("a").unwrap(), fs.create("b").unwrap());
+            for file in [a, b, a, b] {
+                let size = fs.size(file).unwrap();
+                fs.write(file, size, &[1u8; BLOCK_SIZE * 2]).await.unwrap();
+            }
+            assert_eq!(extent_map(&fs, a), vec![(0, 2), (4, 2)]);
+            let ssd = fs.device().ssd().clone();
+            let (reads, writes) = (ssd.reads.get(), ssd.writes.get());
+            // Blocks 1..3 of `a`, unaligned at both ends: the head edge
+            // keeps bytes below EOF (one read), the tail edge too.
+            let data: Vec<u8> = (0..BLOCK_SIZE * 2).map(|i| (i % 251) as u8).collect();
+            fs.write(a, BLOCK_SIZE as u64 + 100, &data).await.unwrap();
+            assert_eq!(
+                (ssd.reads.get() - reads, ssd.writes.get() - writes),
+                (2, 2),
+                "(device reads, device writes) of a write over two extents"
+            );
+            let back = fs.read(a, 0, BLOCK_SIZE as u64 * 4).await.unwrap();
+            let at = BLOCK_SIZE + 100;
+            assert!(back[..at].iter().all(|&b| b == 1));
+            assert_eq!(&back[at..at + data.len()], &data[..]);
+            assert!(back[at + data.len()..].iter().all(|&b| b == 1));
         });
     }
 

@@ -63,14 +63,17 @@ impl FastPersist {
     }
 
     /// Appends `data` durably and returns the client-visible ack latency.
+    ///
+    /// The record joins the log's queue when its append is awaited:
+    /// `DpuAck` on arrival, `HostAck` after the host stack. Appends that
+    /// queue behind an in-flight write share the next one
+    /// ([`RecordLog::append`]).
     pub async fn append(&self, data: &[u8]) -> Result<Time, FsError> {
         let t0 = now();
-        // The range is reserved here, in arrival order, in both modes.
-        let write = self.log.append(data);
         match self.mode {
             AckMode::DpuAck => {
                 // Persist via P2P, ack now, apply on host later.
-                write.await?;
+                self.log.append(data.to_vec()).await?;
                 let ack = now() - t0;
                 self.appends.inc();
                 let host_cpu = self.host_cpu.clone();
@@ -89,7 +92,7 @@ impl FastPersist {
                 self.host_dpu_pcie.dma(data.len() as u64).await;
                 self.host_cpu.exec(costs::LINUX_IO_CYCLES_PER_OP).await;
                 dpdpu_des::sleep(costs::HOST_WAKEUP_NS).await;
-                write.await?;
+                self.log.append(data.to_vec()).await?;
                 // Completion notification back to the DPU.
                 self.host_dpu_pcie.poll_round_trip().await;
                 let ack = now() - t0;

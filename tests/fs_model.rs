@@ -145,15 +145,6 @@ impl Model {
         }
     }
 
-    /// A write that failed at its first device write: the file keeps the
-    /// growth it reserved, and the new bytes read as zeros.
-    fn failed_write(&mut self, name: u8, end: usize) {
-        let data = self.files.get_mut(&name).expect("caller checked");
-        if data.len() < end {
-            data.resize(end, 0);
-        }
-    }
-
     fn read(&self, name: u8, offset: usize, len: usize) -> Option<Option<Vec<u8>>> {
         self.files.get(&name).map(|data| {
             if offset + len <= data.len() {
@@ -298,7 +289,8 @@ fn run_case(case: usize, ops: Vec<Op>) {
                                 && faults.injected(FaultSite::SsdWrite) == injected + 1,
                             format!("failing write {name}@{offset}+{len}: {real:?}"),
                         );
-                        model.failed_write(name, offset as usize + len as usize);
+                        // Its first device write failed, so nothing landed
+                        // and the file did not grow: the model is unchanged.
                     }
                 }
                 Op::Read { name, offset, len } => {

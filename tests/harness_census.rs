@@ -410,13 +410,10 @@ core Report: returned by `Dpdpu::report`
 core SprocError: the payload of `DpdpuError::Sproc`
 core SprocRegistry: the type of `Dpdpu::sprocs`
 dds ErrorCode: the payload of `proto::Reply::Error`
-dds PageServer: the type of `Dds::pages`
 dds ReplGroupCtl: returned by `DdsCluster::ctl`
 dds ReplRole: returned by `Dds::replication`
 dds ReplicaGroup: returned by `DdsCluster::group`
 dds TrafficDirector: the type of `Dds::director`
-dds pageserver: the module of `PageServer`, which the crate docs present
-dds recover: restart recovery of `KvStore` and `PageServer` from their logs
 dds resume_migration: finishes an `add_shard` that returned `Err`, whose keys stay dual-read until then
 des Acquire: the future `Semaphore::acquire` returns
 des Cancelled: what a `OneshotReceiver` yields when its sender drops

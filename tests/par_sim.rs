@@ -93,8 +93,9 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     // Length and hash were first measured with a merge that re-parsed
     // the per-domain JSON, and the part-index merge reproduced them.
     // They were re-measured, with that merge unchanged, when appends
-    // stopped reading blocks they do not keep, which moved the model's
-    // timings.
+    // stopped reading blocks they do not keep, and again when a log
+    // append became one device write shared by the appends queued behind
+    // it; each moved the model's timings.
     let trace = run_par(
         ParClusterConfig {
             domains: 4,
@@ -107,12 +108,12 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
         1,
     )
     .trace;
-    assert_eq!(trace.len(), 12_441_669);
+    assert_eq!(trace.len(), 12_401_071);
     // FNV-1a-64 of the whole trace.
     let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!(format!("{hash:016x}"), "9657510d57b3d0a9");
+    assert_eq!(format!("{hash:016x}"), "10576faf5037cdd2");
     let mut last = f64::MIN;
     let mut timed = 0usize;
     for line in trace.lines() {

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use dpdpu_kernels::aes::ctr_xor;
 use dpdpu_kernels::crc32::crc32;
-use dpdpu_kernels::dedup::{dedup_stats, ChunkerConfig};
+use dpdpu_kernels::dedup::dedup_stats;
 use dpdpu_kernels::deflate::{compress, decompress};
 use dpdpu_kernels::regex::Regex;
 use dpdpu_kernels::sha256::sha256;
@@ -71,6 +71,6 @@ fn main() {
     let copy = dup.clone();
     dup.extend_from_slice(&copy); // guaranteed duplicates
     bench("dedup/cdc_dedup", SIZE, 10, || {
-        black_box(dedup_stats(black_box(&dup), ChunkerConfig::default()));
+        black_box(dedup_stats(black_box(&dup)));
     });
 }

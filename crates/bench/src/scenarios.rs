@@ -7,7 +7,9 @@
 //! (`trace`). Both are pure functions of the seed — the determinism
 //! auditor ([`crate::audit`]) replays every scenario twice per seed and
 //! requires byte-identical output, and the golden-trace harness pins
-//! the seed-42 outputs as blessed fixtures under `tests/golden/`.
+//! the seed-42 outputs as blessed fixtures under `tests/golden/`: the
+//! summary as text, the trace as a digest (its byte length and FNV-1a
+//! hash, then one row per device, track and span name).
 
 use std::fmt::Write as _;
 

@@ -1,13 +1,26 @@
 //! Golden-file conformance: a normalising differ with a bless path.
 //!
 //! Fixtures live under the caller's `tests/golden/`. A test produces
-//! its actual output (a Chrome trace, a summary table) and calls
+//! its actual output (a summary table, a trace digest) and calls
 //! [`assert_matches`]; on mismatch the test fails with a line-level
 //! diff. Setting `UPDATE_GOLDEN=1` rewrites the fixture instead —
-//! review the resulting `git diff` before committing.
+//! review the resulting `git diff` before committing. An output too
+//! large to review, such as a Chrome trace, is pinned by its
+//! [`fingerprint`] instead of its text.
 
 use std::fs;
+use std::hash::Hasher;
 use std::path::Path;
+
+use dpdpu_des::probe::Fnv1a;
+
+/// `bytes=<len> fnv1a64=<hash>` of `text`'s exact bytes: one line that
+/// any changed byte changes, trailing whitespace included.
+pub fn fingerprint(text: &str) -> String {
+    let mut hash = Fnv1a::default();
+    hash.write(text.as_bytes());
+    format!("bytes={} fnv1a64={:016x}", text.len(), hash.finish())
+}
 
 /// Canonical form compared and stored on disk: CRLF → LF, trailing
 /// whitespace stripped per line, exactly one trailing newline.
@@ -120,6 +133,13 @@ mod tests {
         assert!(d.contains("+    2 | B"), "{d}");
         assert!(d.contains("   1 | a"), "{d}");
         assert!(diff("same\n", "same\n").is_none());
+    }
+
+    #[test]
+    fn fingerprint_is_fnv1a_64_of_the_exact_bytes() {
+        assert_eq!(fingerprint(""), "bytes=0 fnv1a64=cbf29ce484222325");
+        assert_eq!(fingerprint("a"), "bytes=1 fnv1a64=af63dc4c8601ec8c");
+        assert_ne!(fingerprint("a\n"), fingerprint("a \n"));
     }
 
     #[test]

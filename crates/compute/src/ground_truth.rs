@@ -48,7 +48,7 @@ pub(crate) fn validate(op: &KernelOp, input: &KernelInput, out: &KernelOutput) -
         (KernelOp::RegexScan { .. }, KernelInput::Bytes(data), KernelOutput::Count(n)) => {
             (*n > data.len() as u64).then(|| format!("{n} matches in {} bytes", data.len()))
         }
-        (KernelOp::Dedup { .. }, KernelInput::Bytes(_), KernelOutput::Dedup(_)) => None,
+        (KernelOp::Dedup, KernelInput::Bytes(_), KernelOutput::Dedup(_)) => None,
         (KernelOp::Sha256, KernelInput::Bytes(data), KernelOutput::Hash(h)) => {
             (dpdpu_kernels::sha256::sha256(data) != *h)
                 .then(|| "sha-256 digest does not match input".to_string())

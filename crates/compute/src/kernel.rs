@@ -4,7 +4,7 @@
 use bytes::Bytes;
 
 use dpdpu_hw::{costs, AccelKind};
-use dpdpu_kernels::dedup::{ChunkerConfig, DedupStats};
+use dpdpu_kernels::dedup::DedupStats;
 use dpdpu_kernels::record::{Batch, Value};
 use dpdpu_kernels::regex::Regex;
 use dpdpu_kernels::relops::{AggSpec, Predicate};
@@ -137,10 +137,7 @@ pub enum KernelOp {
         regex: std::rc::Rc<Regex>,
     },
     /// Analyze dedup potential.
-    Dedup {
-        /// Chunking parameters.
-        config: ChunkerConfig,
-    },
+    Dedup,
     /// SHA-256 digest of the input.
     Sha256,
     /// CRC-32 of the input.
@@ -170,7 +167,7 @@ impl KernelOp {
             KernelOp::Decompress => KernelKind::Decompress,
             KernelOp::Crypt { .. } => KernelKind::Crypt,
             KernelOp::RegexScan { .. } => KernelKind::RegexScan,
-            KernelOp::Dedup { .. } => KernelKind::Dedup,
+            KernelOp::Dedup => KernelKind::Dedup,
             KernelOp::Sha256 => KernelKind::Sha256,
             KernelOp::Crc32 => KernelKind::Crc32,
             KernelOp::Filter { .. } => KernelKind::Filter,
@@ -201,9 +198,9 @@ impl KernelOp {
                     .map_err(|_| KernelError::Execution("regex input not utf-8".into()))?;
                 Ok(KernelOutput::Count(regex.count_matches(text) as u64))
             }
-            (KernelOp::Dedup { config }, KernelInput::Bytes(data)) => Ok(KernelOutput::Dedup(
-                dpdpu_kernels::dedup::dedup_stats(data, *config),
-            )),
+            (KernelOp::Dedup, KernelInput::Bytes(data)) => {
+                Ok(KernelOutput::Dedup(dpdpu_kernels::dedup::dedup_stats(data)))
+            }
             (KernelOp::Sha256, KernelInput::Bytes(data)) => {
                 Ok(KernelOutput::Hash(dpdpu_kernels::sha256::sha256(data)))
             }

@@ -41,11 +41,18 @@ use crate::time::Time;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Site(u32);
 
-/// FNV-1a, the classic short-key hash. A name is a handful of bytes;
-/// SipHash's keyed setup costs more than hashing the whole name. Not
-/// DoS-resistant — fine for trusted, in-process names.
-#[derive(Default)]
-struct Fnv1a(u64);
+/// FNV-1a-64, the classic short-key hash: the site table's hasher, and
+/// the hash `dpdpu_check::golden::fingerprint` pins a whole export with.
+/// A name is a handful of bytes; SipHash's keyed setup costs more than
+/// hashing the whole name. Not DoS-resistant — fine for trusted,
+/// in-process bytes.
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
 
 impl Hasher for Fnv1a {
     fn finish(&self) -> u64 {
@@ -53,16 +60,9 @@ impl Hasher for Fnv1a {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut hash = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
         for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        self.0 = hash;
     }
 }
 

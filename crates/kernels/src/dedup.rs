@@ -9,26 +9,13 @@ use std::collections::HashMap;
 
 use crate::sha256::sha256;
 
-/// Chunking parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkerConfig {
-    /// Smallest chunk emitted.
-    pub(crate) min_size: usize,
-    /// Average target chunk size (must be a power of two).
-    pub(crate) avg_size: usize,
-    /// Largest chunk emitted (forced cut).
-    pub(crate) max_size: usize,
-}
-
-impl Default for ChunkerConfig {
-    fn default() -> Self {
-        ChunkerConfig {
-            min_size: 2 * 1024,
-            avg_size: 8 * 1024,
-            max_size: 64 * 1024,
-        }
-    }
-}
+/// Smallest chunk emitted.
+const MIN_SIZE: usize = 2 * 1024;
+/// Average target chunk size: a power of two, so a cut is a hash mask.
+const AVG_SIZE: usize = 8 * 1024;
+/// Largest chunk emitted (forced cut).
+const MAX_SIZE: usize = 64 * 1024;
+const _: () = assert!(AVG_SIZE.is_power_of_two() && MIN_SIZE <= AVG_SIZE && AVG_SIZE <= MAX_SIZE);
 
 /// A content-defined chunk of the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,14 +44,9 @@ fn gear_table() -> [u64; 256] {
 }
 
 /// Splits `data` into content-defined chunks.
-pub fn chunk(data: &[u8], cfg: ChunkerConfig) -> Vec<Chunk> {
-    assert!(
-        cfg.avg_size.is_power_of_two(),
-        "avg_size must be a power of two"
-    );
-    assert!(cfg.min_size <= cfg.avg_size && cfg.avg_size <= cfg.max_size);
+pub fn chunk(data: &[u8]) -> Vec<Chunk> {
     let table = gear_table();
-    let mask = (cfg.avg_size - 1) as u64;
+    let mask = (AVG_SIZE - 1) as u64;
     let mut chunks = Vec::new();
     let mut start = 0usize;
     let mut hash = 0u64;
@@ -72,7 +54,7 @@ pub fn chunk(data: &[u8], cfg: ChunkerConfig) -> Vec<Chunk> {
     while i < data.len() {
         hash = (hash << 1).wrapping_add(table[data[i] as usize]);
         let len = i - start + 1;
-        let cut = (len >= cfg.min_size && (hash & mask) == 0) || len >= cfg.max_size;
+        let cut = (len >= MIN_SIZE && (hash & mask) == 0) || len >= MAX_SIZE;
         if cut {
             chunks.push(Chunk {
                 offset: start,
@@ -108,8 +90,8 @@ pub struct DedupStats {
 }
 
 /// Chunks `data` and measures duplicate content.
-pub fn dedup_stats(data: &[u8], cfg: ChunkerConfig) -> DedupStats {
-    let chunks = chunk(data, cfg);
+pub fn dedup_stats(data: &[u8]) -> DedupStats {
+    let chunks = chunk(data);
     let mut seen: HashMap<[u8; 32], usize> = HashMap::with_capacity(chunks.len());
     let mut unique_bytes = 0usize;
     for c in &chunks {
@@ -156,7 +138,7 @@ mod tests {
     #[test]
     fn chunks_cover_input_exactly() {
         let data = pseudo(200_000, 42);
-        let chunks = chunk(&data, ChunkerConfig::default());
+        let chunks = chunk(&data);
         let mut pos = 0;
         for c in &chunks {
             assert_eq!(c.offset, pos);
@@ -168,11 +150,10 @@ mod tests {
     #[test]
     fn chunk_sizes_respect_bounds() {
         let data = pseudo(500_000, 7);
-        let cfg = ChunkerConfig::default();
-        let chunks = chunk(&data, cfg);
+        let chunks = chunk(&data);
         for c in &chunks[..chunks.len() - 1] {
-            assert!(c.len >= cfg.min_size, "chunk below min: {}", c.len);
-            assert!(c.len <= cfg.max_size, "chunk above max: {}", c.len);
+            assert!(c.len >= MIN_SIZE, "chunk below min: {}", c.len);
+            assert!(c.len <= MAX_SIZE, "chunk above max: {}", c.len);
         }
     }
 
@@ -184,7 +165,7 @@ mod tests {
         for _ in 0..8 {
             data.extend_from_slice(&block);
         }
-        let stats = dedup_stats(&data, ChunkerConfig::default());
+        let stats = dedup_stats(&data);
         assert!(stats.ratio() > 4.0, "ratio={}", stats.ratio());
         assert!(stats.unique_chunks < stats.total_chunks);
     }
@@ -192,7 +173,7 @@ mod tests {
     #[test]
     fn random_data_does_not_dedup() {
         let data = pseudo(300_000, 1234);
-        let stats = dedup_stats(&data, ChunkerConfig::default());
+        let stats = dedup_stats(&data);
         assert!(stats.ratio() < 1.05, "ratio={}", stats.ratio());
     }
 
@@ -203,8 +184,8 @@ mod tests {
         let base = pseudo(400_000, 5);
         let mut edited = base.clone();
         edited.splice(1000..1000, b"INSERTED".iter().copied());
-        let a = chunk(&base, ChunkerConfig::default());
-        let b = chunk(&edited, ChunkerConfig::default());
+        let a = chunk(&base);
+        let b = chunk(&edited);
         let digests_a: std::collections::HashSet<_> = a.iter().map(|c| c.digest).collect();
         let shared = b.iter().filter(|c| digests_a.contains(&c.digest)).count();
         assert!(
@@ -217,8 +198,8 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_chunks() {
-        assert!(chunk(&[], ChunkerConfig::default()).is_empty());
-        let stats = dedup_stats(&[], ChunkerConfig::default());
+        assert!(chunk(&[]).is_empty());
+        let stats = dedup_stats(&[]);
         assert_eq!(stats.total_chunks, 0);
         assert_eq!(stats.ratio(), 1.0);
     }

@@ -12,7 +12,9 @@
 //! * sampler timeline → `"ph":"C"` counter events.
 //!
 //! Format contract (`benchmark/src/trace.rs` reads it): exactly one
-//! event per line, metadata lines before timed ones.
+//! event per line, metadata lines before timed ones. The golden-trace
+//! test reads an export as JSON, so it is not a second reader of this
+//! line layout.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -198,11 +198,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so boundaries are valid).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash at once:
+                // both are ASCII, so the run ends on a char boundary.
+                let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                let end = run.map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -280,6 +281,24 @@ mod tests {
         );
         assert_eq!(events[0].get("args").unwrap().get("x"), Some(&Json::Null));
         assert_eq!(v.get("unicode").unwrap().as_str(), Some("π → ∞"));
+    }
+
+    #[test]
+    fn a_multi_byte_run_ends_exactly_at_an_escape_or_the_quote() {
+        let doc = r#"["é→\n", "π∞\u00e9x", "∞ü", "ü\\"]"#;
+        let v = Json::parse(doc).unwrap();
+        let got: Vec<_> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(got, ["é→\n", "π∞éx", "∞ü", "ü\\"]);
+        assert!(
+            Json::parse("\"π∞").is_err(),
+            "unterminated after a multi-byte run"
+        );
+        assert!(Json::parse("[\"π∞\\").is_err(), "a trailing backslash");
     }
 
     #[test]

@@ -4,6 +4,17 @@
 //! `=== id ===` block of `dpdpu_bench::render_all()` sits alone in a
 //! ```` ```text ```` fence there, and that fence is its only copy.
 //!
+//! A summary is pinned as its text. A trace is pinned as a digest,
+//! `<scenario>.trace.txt`: line 1 is the [`golden::fingerprint`] of the
+//! export's exact bytes, then one sorted row per (device, track, span
+//! name) gives the span count, Σ duration, first start and last end, in
+//! integer ns. Any changed byte fails line 1, and the rows say where the
+//! change is; a change only to `args` or to event order fails line 1
+//! alone. Every run writes the full export to
+//! `target/tmp/<scenario>.trace.json`, for a trace viewer or for diffing
+//! a parent against a change. The rows read the trace as JSON, not
+//! through the exporter's one-event-per-line layout.
+//!
 //! A behaviour change that shifts virtual timings, event counts, or
 //! summary numbers shows up here as a line-level diff. To re-bless
 //! after an intentional change (figure blocks are rewritten in place;
@@ -13,10 +24,13 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
 
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use dpdpu::check::golden;
+use dpdpu::telemetry::json::Json;
 use dpdpu_bench::scenarios::ScenarioRun;
 
 /// Seed the fixtures are blessed at (the repo-wide default seed).
@@ -46,14 +60,136 @@ fn captures() -> &'static [(&'static str, ScenarioRun)] {
     })
 }
 
-fn check_scenario(name: &str) {
-    let run = captures()
+fn capture(name: &str) -> &'static ScenarioRun {
+    captures()
         .iter()
         .find(|(n, _)| *n == name)
         .map(|(_, run)| run)
-        .expect("scenario exists");
+        .expect("scenario exists")
+}
+
+/// A digest row's key: (device, track, span name).
+type Key = (String, String, String);
+
+fn field<'a>(event: &'a Json, key: &str) -> &'a Json {
+    event
+        .get(key)
+        .unwrap_or_else(|| panic!("a trace event without `{key}`"))
+}
+
+fn text<'a>(event: &'a Json, key: &str) -> &'a str {
+    field(event, key).as_str().expect("a string field")
+}
+
+fn num(event: &Json, key: &str) -> f64 {
+    field(event, key).as_f64().expect("a number field")
+}
+
+fn int(event: &Json, key: &str) -> u64 {
+    num(event, key) as u64
+}
+
+/// A microsecond field as integer ns (the exporter prints at most three
+/// decimals).
+fn ns(event: &Json, key: &str) -> u64 {
+    (num(event, key) * 1e3).round() as u64
+}
+
+/// Every span (`X` event) of a Chrome trace, in export order, as its
+/// key, start and duration in ns. Metadata (`M`) events name each pid (a
+/// device) and each (pid, tid) (a track); counter samples (`C`) are
+/// pinned by the fingerprint alone.
+fn spans(trace: &str) -> Vec<(Key, u64, u64)> {
+    let doc = Json::parse(trace).expect("the export is JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    let events = events.expect("a traceEvents array");
+    let mut names = HashMap::new();
+    for e in events.iter().filter(|e| text(e, "ph") == "M") {
+        let tid = (text(e, "name") == "thread_name").then(|| int(e, "tid"));
+        names.insert((int(e, "pid"), tid), text(field(e, "args"), "name"));
+    }
+    let name = |pid, tid| {
+        names
+            .get(&(pid, tid))
+            .expect("a named pid and track")
+            .to_string()
+    };
+    let timed = events.iter().filter(|e| text(e, "ph") == "X");
+    timed
+        .map(|e| {
+            let (pid, tid) = (int(e, "pid"), int(e, "tid"));
+            let key = (
+                name(pid, None),
+                name(pid, Some(tid)),
+                text(e, "name").to_string(),
+            );
+            (key, ns(e, "ts"), ns(e, "dur"))
+        })
+        .collect()
+}
+
+/// What a trace fixture pins: the trace's fingerprint, then one sorted
+/// row per key with its span count, Σ duration, first start and last end.
+fn digest(trace: &str) -> String {
+    let mut rows: BTreeMap<Key, [u64; 4]> = BTreeMap::new();
+    for (key, start, dur) in spans(trace) {
+        let row = rows.entry(key).or_insert([0, 0, u64::MAX, 0]);
+        *row = [
+            row[0] + 1,
+            row[1] + dur,
+            row[2].min(start),
+            row[3].max(start + dur),
+        ];
+    }
+    let mut out = golden::fingerprint(trace) + "\n";
+    for ((device, track, span), [n, dur, first, end]) in rows {
+        let _ = writeln!(
+            out,
+            "{device} {track} {span} n={n} dur_ns={dur} first_ns={first} end_ns={end}"
+        );
+    }
+    out
+}
+
+/// Errs with a diff, and what it means, when `actual` is not the
+/// blessed digest `expected`; `full` is where the whole trace was put.
+fn compare_digests(expected: &str, actual: &str, full: &Path) -> Result<(), String> {
+    let Some(diff) = golden::diff(expected, actual) else {
+        return Ok(());
+    };
+    let what = if expected.lines().skip(1).eq(actual.lines().skip(1)) {
+        "every row is equal, so only an attribute (`args`) or the event order moved"
+    } else {
+        "the -/+ rows name each (device, track, span) that moved"
+    };
+    Err(format!(
+        "the trace diverges from its digest (UPDATE_GOLDEN=1 re-blesses): {what}; \
+         the full trace is at {}:\n{diff}",
+        full.display()
+    ))
+}
+
+fn check_scenario(name: &str) {
+    let run = capture(name);
     golden::assert_matches(golden_path(&format!("{name}.stdout.txt")), &run.stdout);
-    golden::assert_matches(golden_path(&format!("{name}.trace.json")), &run.trace);
+    let full = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.trace.json"));
+    std::fs::write(&full, &run.trace).expect("write the full trace");
+    let (fixture, actual) = (
+        golden_path(&format!("{name}.trace.txt")),
+        digest(&run.trace),
+    );
+    if golden::blessing() {
+        return golden::assert_matches(fixture, &actual);
+    }
+    let expected = std::fs::read_to_string(&fixture).unwrap_or_else(|e| {
+        panic!(
+            "golden fixture {} unreadable ({e}); UPDATE_GOLDEN=1 blesses it",
+            fixture.display()
+        )
+    });
+    if let Err(e) = compare_digests(&expected, &actual, &full) {
+        panic!("{}: {e}", fixture.display());
+    }
 }
 
 #[test]
@@ -225,6 +361,70 @@ fn the_figure_golden_catches_drift_and_malformed_fences() {
     let _ = std::fs::remove_file(&tmp);
 }
 
+/// The trace golden is as strict as the bytes and says where they moved.
+/// On a copy of the captured `dds_kv` trace, swapping two interior timed
+/// lines keeps every row and fails on line 1 alone, and adding 1 ns to
+/// one event's `dur` fails on the row of that event's (device, track,
+/// span).
+#[test]
+fn the_trace_golden_catches_a_reorder_and_a_one_ns_move() {
+    let trace = &capture("dds_kv").trace;
+    let (blessed, full) = (digest(trace), Path::new("dds_kv.trace.json"));
+    let lines: Vec<&str> = trace.split_inclusive('\n').collect();
+    let timed: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].contains(r#""ph":"X""#))
+        .collect();
+    // Both lines end in a comma, so the swap keeps the document valid.
+    let k = timed.len() / 2;
+    let (a, b) = (timed[k], timed[k + 1]);
+    assert_ne!(lines[a], lines[b], "the swap must move bytes");
+    let moved = |text: Vec<&str>| {
+        let err = compare_digests(&blessed, &digest(&text.concat()), full).expect_err("a change");
+        let changed: Vec<String> = err
+            .lines()
+            .filter(|l| l.starts_with("- ") || l.starts_with("+ "))
+            .map(str::to_string)
+            .collect();
+        assert!(
+            err.contains("the full trace is at dds_kv.trace.json"),
+            "{err}"
+        );
+        (err, changed)
+    };
+
+    let mut swapped = lines.clone();
+    swapped.swap(a, b);
+    let (err, changed) = moved(swapped);
+    assert!(err.contains("every row is equal"), "{err}");
+    assert!(changed.len() == 2, "only line 1 moves: {err}");
+    assert!(
+        changed.iter().all(|l| l.contains("    1 | bytes=")),
+        "{err}"
+    );
+
+    let ((device, track, span), _, dur) = &spans(trace)[k];
+    let (head, rest) = lines[a].split_once(r#""dur":"#).expect("a span has a dur");
+    let tail = &rest[rest.find(',').expect("a field after dur")..];
+    let line = format!(
+        "{head}\"dur\":{}.{:03}{tail}",
+        (dur + 1) / 1000,
+        (dur + 1) % 1000
+    );
+    let mut longer = lines.clone();
+    longer[a] = &line;
+    let (err, changed) = moved(longer);
+    assert!(err.contains("the -/+ rows name"), "{err}");
+    let row = format!(" | {device} {track} {span} n=");
+    let rows: Vec<_> = changed
+        .iter()
+        .filter(|l| !l.contains("    1 | bytes="))
+        .collect();
+    assert!(
+        rows.len() == 2 && rows.iter().all(|l| l.contains(&row)),
+        "{row}: {err}"
+    );
+}
+
 #[test]
 fn every_scenario_has_golden_coverage() {
     // Adding a scenario without blessing fixtures for it must fail
@@ -244,6 +444,26 @@ fn every_scenario_has_golden_coverage() {
         assert!(
             covered.contains(&name),
             "scenario '{name}' has no golden-trace test; add one and bless fixtures"
+        );
+        for kind in ["stdout", "trace"] {
+            let fixture = golden_path(&format!("{name}.{kind}.txt"));
+            assert!(fixture.is_file(), "{} is missing", fixture.display());
+        }
+    }
+    // A trace is pinned by its digest, never its JSON, so every fixture
+    // stays small enough to review.
+    for entry in std::fs::read_dir(golden_path("")).expect("tests/golden") {
+        let path = entry.expect("a directory entry").path();
+        let len = std::fs::metadata(&path).expect("a fixture").len();
+        assert!(
+            path.extension().is_none_or(|e| e != "json"),
+            "{} is JSON",
+            path.display()
+        );
+        assert!(
+            len < 64 * 1024,
+            "{} is {len} bytes (>= 64 KiB)",
+            path.display()
         );
     }
 }

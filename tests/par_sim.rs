@@ -9,6 +9,7 @@
 
 use dpdpu_bench::par_cluster::{run_par, ParClusterConfig};
 use dpdpu_bench::scenarios;
+use dpdpu_check::golden;
 use dpdpu_des::{DomainSet, NoHooks, Sim};
 
 const SEEDS: [u64; 3] = [42, 7, 1234];
@@ -90,9 +91,9 @@ fn planted_lookahead_violation_is_caught_not_reordered() {
 fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     // A seed no golden uses, big enough (≈150 K events) that every
     // domain's pid namespace, tie-break and metadata block is exercised.
-    // Length and hash were first measured with a merge that re-parsed
+    // Its fingerprint (length and FNV-1a hash) was first measured with a merge that re-parsed
     // the per-domain JSON, and the part-index merge reproduced them.
-    // They were re-measured, with that merge unchanged, when appends
+    // It was re-measured, with that merge unchanged, when appends
     // stopped reading blocks they do not keep, and again when a log
     // append became one device write shared by the appends queued behind
     // it; each moved the model's timings.
@@ -108,12 +109,10 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
         1,
     )
     .trace;
-    assert_eq!(trace.len(), 12_401_071);
-    // FNV-1a-64 of the whole trace.
-    let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    assert_eq!(format!("{hash:016x}"), "10576faf5037cdd2");
+    assert_eq!(
+        golden::fingerprint(&trace),
+        "bytes=12401071 fnv1a64=10576faf5037cdd2"
+    );
     let mut last = f64::MIN;
     let mut timed = 0usize;
     for line in trace.lines() {

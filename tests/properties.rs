@@ -9,7 +9,7 @@ use rand::{RngExt, SeedableRng};
 
 use dpdpu::kernels::aes::ctr_xor;
 use dpdpu::kernels::crc32::crc32;
-use dpdpu::kernels::dedup::{chunk, ChunkerConfig};
+use dpdpu::kernels::dedup::chunk;
 use dpdpu::kernels::deflate::{compress, decompress};
 use dpdpu::kernels::record::{gen, Batch, Record, Value};
 use dpdpu::kernels::sha256::{sha256, Sha256};
@@ -133,7 +133,7 @@ fn dedup_chunks_partition_input() {
             let len = rng.random_range(0..100_000usize);
             random_bytes(&mut rng, len)
         };
-        let chunks = chunk(&data, ChunkerConfig::default());
+        let chunks = chunk(&data);
         let mut pos = 0usize;
         for c in &chunks {
             assert_eq!(c.offset, pos, "case {case}");

@@ -178,7 +178,6 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
 
     let t = Telemetry::install();
     let m = measure(0.05);
-    Telemetry::uninstall();
     t.write_chrome_trace(path)?;
     Ok(format!(
         "## Ablation A9 (traced, rate 0.05, seed {SEED})\n\

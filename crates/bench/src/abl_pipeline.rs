@@ -87,6 +87,7 @@ mod tests {
 
     #[test]
     fn pipelining_beats_barriers() {
+        let _check = dpdpu_check::CheckGuard::new();
         let sequential = measure(false);
         let pipelined = measure(true);
         assert!(

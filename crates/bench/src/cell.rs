@@ -326,9 +326,10 @@ async fn run_registers(
 mod tests {
     use super::*;
     use dpdpu_faults::FaultSession;
+    use dpdpu_telemetry::Telemetry;
 
     #[test]
-    fn a_panicking_load_leaves_no_fault_session_behind() {
+    fn a_panicking_load_leaves_no_session_part_behind() {
         let cell = Cell {
             faults: FaultPlan::new(1).link_drops(0.01),
             load: Load::Fleet(FleetConfig {
@@ -337,8 +338,22 @@ mod tests {
             }),
             ..Cell::default()
         };
-        let unwound = std::panic::catch_unwind(|| cell.run(1));
+        // All three parts are installed when the load panics: the tracer
+        // and the checker here, the plan by `Cell::run`.
+        let unwound = std::panic::catch_unwind(|| {
+            let _telemetry = Telemetry::install();
+            let _check = dpdpu_check::CheckGuard::new();
+            cell.run(1)
+        });
         assert!(unwound.is_err(), "a fleet of no clients must panic");
+        assert!(
+            !Telemetry::is_enabled(),
+            "the tracer leaked past its unwind"
+        );
+        assert!(
+            !dpdpu_check::is_active(),
+            "the checker leaked past its unwind"
+        );
         assert!(
             !FaultSession::is_active(),
             "the cell's plan leaked past its unwind"

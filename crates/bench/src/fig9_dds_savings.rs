@@ -98,7 +98,6 @@ pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
         }
         sampler.stop();
     });
-    Telemetry::uninstall();
     t.write_chrome_trace(path)?;
     Ok(t.summary())
 }

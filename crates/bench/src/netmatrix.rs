@@ -277,11 +277,9 @@ mod tests {
 
     #[test]
     fn lossy_cell_retransmits_when_telemetry_is_installed() {
-        let telemetry = dpdpu_telemetry::Telemetry::install();
+        let _telemetry = dpdpu_telemetry::Telemetry::install();
         let _check = dpdpu_check::CheckGuard::new();
         let r = run_cell(NetScenario::Lossy, CongAlgKind::Reno, 11);
-        dpdpu_telemetry::Telemetry::uninstall();
-        let _ = telemetry;
         assert!(
             r.retransmits > 0,
             "3% injected drops must force retransmissions"
@@ -290,11 +288,9 @@ mod tests {
 
     #[test]
     fn incast_marks_ecn_for_dctcp() {
-        let telemetry = dpdpu_telemetry::Telemetry::install();
+        let _telemetry = dpdpu_telemetry::Telemetry::install();
         let _check = dpdpu_check::CheckGuard::new();
         let r = run_cell(NetScenario::Incast, CongAlgKind::Dctcp, 13);
-        dpdpu_telemetry::Telemetry::uninstall();
-        let _ = telemetry;
         assert!(r.ecn_echoes > 0, "the incast queue must trip ECN marking");
     }
 }

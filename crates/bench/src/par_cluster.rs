@@ -28,11 +28,13 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+use dpdpu_check::CheckGuard;
 use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::HashRing;
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu_dds::proto::{Op, Reply};
 use dpdpu_dds::server::{Dds, DdsConfig};
+use dpdpu_des::probe::{self, Guard, Session};
 use dpdpu_des::{
     oneshot, spawn, DomainHooks, DomainSet, OneshotSender, Sim, Time, XReceiver, XSender,
 };
@@ -131,8 +133,10 @@ struct DomainOut {
 /// slices, and exports everything observable at teardown.
 struct ParHooks {
     domain: usize,
-    telemetry: Rc<Telemetry>,
-    check: Rc<dpdpu_check::CheckSession>,
+    telemetry: Guard<Telemetry>,
+    check: CheckGuard,
+    /// The domain's session while another domain's is in the slot.
+    parked: Session,
     fleet: Rc<Cell<Option<(FleetReport, u64)>>>,
     out: Arc<Mutex<Option<DomainOut>>>,
     polls: u64,
@@ -140,13 +144,11 @@ struct ParHooks {
 
 impl DomainHooks for ParHooks {
     fn enter(&mut self) {
-        Telemetry::reinstall(&self.telemetry);
-        dpdpu_check::CheckSession::reinstall(&self.check);
+        probe::swap(&mut self.parked);
     }
 
     fn exit(&mut self) {
-        Telemetry::uninstall();
-        dpdpu_check::CheckSession::uninstall();
+        probe::swap(&mut self.parked);
     }
 
     fn before_teardown(&mut self, sim: &Sim) {
@@ -154,8 +156,8 @@ impl DomainHooks for ParHooks {
     }
 
     fn finish(self: Box<Self>) {
-        let violations = self.check.finish();
-        let report = self.check.report();
+        let violations = self.check.session().finish();
+        let report = self.check.session().report();
         assert!(
             violations.is_empty(),
             "domain pd{}: conformance violations — {report}",
@@ -188,8 +190,7 @@ impl DomainHooks for ParHooks {
             fleet,
             remote,
         });
-        Telemetry::uninstall();
-        dpdpu_check::CheckSession::uninstall();
+        // The guards drop here, entered, and empty the slot.
     }
 }
 
@@ -275,7 +276,7 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
             // Sessions first, then the Sim, so the executor epoch and
             // every setup-time probe land inside this domain's sessions.
             let telemetry = Telemetry::install();
-            let check = dpdpu_check::CheckSession::install_collecting();
+            let check = CheckGuard::collecting();
             let fleet = Rc::new(Cell::new(None));
             let sim = Sim::new();
             sim.spawn(domain_root(d, cfg, mix, ring, port, fleet.clone()));
@@ -283,6 +284,7 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
                 domain: d,
                 telemetry,
                 check,
+                parked: Session::default(),
                 fleet,
                 out,
                 polls: 0,

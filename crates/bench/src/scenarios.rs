@@ -73,7 +73,6 @@ fn harness(body: impl FnOnce(&mut String)) -> ScenarioRun {
     body(&mut stdout);
     let _ = writeln!(stdout, "{}", check.session().report());
     drop(check); // balance sweeps run here; panics on any violation
-    Telemetry::uninstall();
     ScenarioRun {
         trace: telemetry.chrome_trace(),
         stdout,

@@ -7,18 +7,19 @@
 //! mechanically, on every event, during every test, example, and
 //! ablation run.
 //!
-//! A [`CheckSession`] installs itself in two places: as the des
-//! `Probe` **checker** sink (receiving Server wait/serve spans,
-//! labeled-semaphore acquire/release events, and executor clock
-//! advances) and as a thread-local that the engine crates reach via
-//! free check-point functions ([`flow_in`], [`flow_out`],
-//! [`kernel_result`], [`fault_injected`], …). All check-points are
-//! no-ops when no session is installed, so the untraced fast path
-//! stays a single branch. With a session installed a check-point is an
-//! array index: resources, links, shards and tenants intern their name
-//! into a [`Site`] at construction and every per-event table is a `Vec`
-//! indexed by it. Ids follow interning order — OS-scheduling order under
-//! a `--jobs N` runner — so sweeps, reports and messages go by name.
+//! A [`CheckSession`] is the checker part of the thread's one des
+//! session slot, owned by a [`CheckGuard`]. It receives every des probe
+//! event after the tracer (Server wait/serve spans, labeled-semaphore
+//! acquire/release events, executor clock advances), and the engine
+//! crates reach it through free check-point functions ([`flow_in`],
+//! [`flow_out`], [`kernel_result`], [`fault_injected`], …). All
+//! check-points are no-ops when no session is installed, so the
+//! untraced fast path stays a single branch. With a session installed
+//! a check-point is an array index: resources, links, shards and
+//! tenants intern their name into a [`Site`] at construction and every
+//! per-event table is a `Vec` indexed by it. Ids follow interning
+//! order — OS-scheduling order under a `--jobs N` runner — so sweeps,
+//! reports and messages go by name.
 //!
 //! ## One conservation ledger
 //!
@@ -52,21 +53,24 @@
 //!
 //! ## Modes
 //!
-//! * **Strict** (default, [`CheckSession::install`] / [`CheckGuard`]):
-//!   a violation panics at the offending event with a precise message —
-//!   the same failure mode as a debug assertion, and what every test
-//!   and ablation wants.
-//! * **Collecting** ([`CheckSession::install_collecting`]): violations
-//!   accumulate and are returned by [`CheckSession::finish`] — used by
-//!   this crate's own unit tests and by meta-tests that must observe a
-//!   violation without dying.
+//! * **Strict** ([`CheckGuard::new`]): a violation panics at the
+//!   offending event with a precise message — the same failure mode as a
+//!   debug assertion, and what every test and ablation wants.
+//! * **Collecting** ([`CheckGuard::collecting`]): violations accumulate
+//!   and are returned by [`CheckSession::finish`] — used by this crate's
+//!   own unit tests and by meta-tests that must observe a violation
+//!   without dying.
+//!
+//! Either guard's drop runs the end-of-run sweeps and removes the
+//! session; a strict guard's drop panics on what they find. Installing a
+//! second session while one is installed panics.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use dpdpu_des::probe::{self, Probe};
+use dpdpu_des::probe::{self, Guard, Part, Probe};
 use dpdpu_des::{try_now, Time};
 
 pub use dpdpu_des::probe::Site;
@@ -417,64 +421,7 @@ pub struct CheckSession {
     finished: Cell<bool>,
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<Rc<CheckSession>>> = const { RefCell::new(None) };
-}
-
 impl CheckSession {
-    /// Installs a strict session for this thread (replacing any
-    /// previous one) and hooks it into the des checker probe slot.
-    pub fn install() -> Rc<Self> {
-        Self::install_mode(true)
-    }
-
-    /// Installs a collecting session: violations accumulate instead of
-    /// panicking. For tests that assert *on* violations.
-    pub fn install_collecting() -> Rc<Self> {
-        Self::install_mode(false)
-    }
-
-    fn install_mode(strict: bool) -> Rc<Self> {
-        let session = Rc::new(CheckSession {
-            strict,
-            ..Default::default()
-        });
-        CURRENT.with(|c| *c.borrow_mut() = Some(session.clone()));
-        probe::set_checker(Some(session.clone()));
-        session
-    }
-
-    /// Re-installs an existing session as this thread's current one.
-    /// Unlike [`CheckSession::install`] no fresh session is created:
-    /// this is how a parallel time domain re-enters its session around
-    /// every execution slice, so streaming invariants keep their
-    /// accumulated state across slices.
-    pub fn reinstall(session: &Rc<Self>) {
-        CURRENT.with(|c| *c.borrow_mut() = Some(session.clone()));
-        probe::set_checker(Some(session.clone()));
-    }
-
-    /// Installs a strict session only if none is active; returns the
-    /// active session either way. Lets `Dpdpu::start` make the
-    /// checker always-on without clobbering an outer [`CheckGuard`].
-    pub fn ensure_installed() -> Rc<Self> {
-        if let Some(cur) = Self::current() {
-            return cur;
-        }
-        Self::install()
-    }
-
-    /// The session currently installed on this thread, if any.
-    pub fn current() -> Option<Rc<Self>> {
-        CURRENT.with(|c| c.borrow().clone())
-    }
-
-    /// Removes the thread's session and unhooks the des checker probe.
-    pub fn uninstall() {
-        CURRENT.with(|c| *c.borrow_mut() = None);
-        probe::set_checker(None);
-    }
-
     /// Violations recorded so far (strict sessions panic before
     /// recording a second one, collecting sessions accumulate).
     pub(crate) fn violations(&self) -> Vec<Violation> {
@@ -824,9 +771,10 @@ impl Probe for CheckSession {
     }
 }
 
-/// RAII wrapper: installs a strict [`CheckSession`] on construction;
-/// on drop runs [`CheckSession::finish`], uninstalls, and panics if any
-/// violation was recorded (unless the thread is already panicking).
+/// Owns the thread's [`CheckSession`]: installs it as the des probe
+/// checker on construction; on drop runs [`CheckSession::finish`],
+/// removes it, and — for a strict session — panics if any violation was
+/// recorded (unless the thread is already panicking).
 ///
 /// The guard must outlive the simulation, so the permits its tasks
 /// hold are released before the balance sweeps run.
@@ -838,30 +786,45 @@ impl Probe for CheckSession {
 ///     // ... the workload ...
 /// });
 /// ```
-pub struct CheckGuard {
-    session: Rc<CheckSession>,
-}
+///
+/// # Panics
+///
+/// On construction, if a session is already installed on this thread.
+pub struct CheckGuard(Guard<CheckSession>);
 
 impl CheckGuard {
-    /// Installs a strict session and returns the guard.
+    /// Installs a strict session: a violation panics at the offending
+    /// event.
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        CheckGuard {
-            session: CheckSession::install(),
-        }
+        Self::install(true)
+    }
+
+    /// Installs a collecting session: violations accumulate for
+    /// [`CheckSession::finish`], and the drop does not panic on them.
+    /// For tests that assert *on* violations.
+    pub fn collecting() -> Self {
+        Self::install(false)
+    }
+
+    fn install(strict: bool) -> Self {
+        let session = CheckSession {
+            strict,
+            ..Default::default()
+        };
+        CheckGuard(Guard::sink(Part::Checker, session))
     }
 
     /// The underlying session (e.g. for [`CheckSession::report`]).
     pub fn session(&self) -> &Rc<CheckSession> {
-        &self.session
+        &self.0
     }
 }
 
 impl Drop for CheckGuard {
     fn drop(&mut self) {
-        let violations = self.session.finish();
-        CheckSession::uninstall();
-        if !violations.is_empty() && !std::thread::panicking() {
+        let violations = self.0.finish();
+        if self.0.strict && !violations.is_empty() && !std::thread::panicking() {
             let list: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
             panic!(
                 "dpdpu-check: {} invariant violation(s) at end of run:\n  {}",
@@ -875,18 +838,14 @@ impl Drop for CheckGuard {
 // ---- free check-point functions (no-ops without a session) ---------
 
 fn with_session(f: impl FnOnce(&CheckSession)) {
-    CURRENT.with(|c| {
-        if let Some(s) = c.borrow().as_ref() {
-            f(s);
-        }
-    });
+    probe::with(Part::Checker, f);
 }
 
 /// True when a conformance session is installed on this thread.
 /// Engines consult this before doing expensive ground-truth work
 /// (e.g. decompressing a kernel's output to validate a roundtrip).
 pub fn is_active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    probe::with(Part::Checker, |_: &CheckSession| ()).is_some()
 }
 
 /// A unit of `bytes` entered `site` of `flow`: a frame onto a link, an

@@ -15,11 +15,9 @@ fn has(violations: &[Violation], inv: Invariant) -> bool {
 }
 
 fn collecting<R>(f: impl FnOnce(&CheckSession) -> R) -> (R, Vec<Violation>) {
-    let session = CheckSession::install_collecting();
-    let r = f(&session);
-    let violations = session.finish();
-    CheckSession::uninstall();
-    (r, violations)
+    let check = CheckGuard::collecting();
+    let r = f(check.session());
+    (r, check.session().finish())
 }
 
 /// Every invariant, in declaration order.
@@ -113,11 +111,10 @@ fn every_invariant_catches_its_planted_violation() {
 /// Runs `f` in a collecting session and splits its violations into
 /// those recorded at the event and those the finish sweep added.
 fn at_event_and_finish(f: impl FnOnce()) -> (Vec<Violation>, Vec<Violation>) {
-    let session = CheckSession::install_collecting();
+    let check = CheckGuard::collecting();
     f();
-    let at_event = session.violations();
-    let at_finish = session.finish().split_off(at_event.len());
-    CheckSession::uninstall();
+    let at_event = check.session().violations();
+    let at_finish = check.session().finish().split_off(at_event.len());
     (at_event, at_finish)
 }
 
@@ -204,7 +201,7 @@ fn time_monotonic_allows_epoch_reset() {
 
 #[test]
 fn span_causality_catches_future_dated_span() {
-    let session = CheckSession::install_collecting();
+    let check = CheckGuard::collecting();
     let mut sim = Sim::new();
     sim.spawn(async {
         sleep(100).await;
@@ -212,8 +209,7 @@ fn span_causality_catches_future_dated_span() {
         dpdpu_des::probe::emit_span(at("disk"), "serve", 0, 900);
     });
     sim.run();
-    let v = session.finish();
-    CheckSession::uninstall();
+    let v = check.session().finish();
     assert!(has(&v, Invariant::SpanCausality), "{v:?}");
 }
 
@@ -258,21 +254,40 @@ fn clean_simulation_passes_strict_guard() {
 #[test]
 fn strict_session_panics_at_the_offending_event() {
     let err = std::panic::catch_unwind(|| {
-        let _s = CheckSession::install();
+        let _check = CheckGuard::new();
         flow_in(Flow::Link, at("eth0"), 10);
         flow_out(Flow::Link, at("eth0"), Exit::Ok, 20); // over-delivery panics right here
     });
-    CheckSession::uninstall();
     let msg = *err.expect_err("must panic").downcast::<String>().unwrap();
     assert!(msg.contains("link-conservation"), "{msg}");
+    assert!(!is_active(), "the unwind removed the session");
 }
 
 #[test]
-fn ensure_installed_does_not_clobber_existing_session() {
-    let outer = CheckSession::install_collecting();
-    let seen = CheckSession::ensure_installed();
-    assert!(Rc::ptr_eq(&outer, &seen));
-    CheckSession::uninstall();
+fn a_strict_guard_panics_at_its_drop_and_leaves_no_session() {
+    let err = std::panic::catch_unwind(|| {
+        let _check = CheckGuard::new();
+        leak(Flow::Link); // only the end-of-run sweep sees it
+    });
+    let msg = *err.expect_err("must panic").downcast::<String>().unwrap();
+    assert!(msg.contains("link 'site'"), "{msg}");
+    assert!(
+        !is_active(),
+        "the guard removed its session before panicking"
+    );
+}
+
+#[test]
+fn a_second_session_panics_and_the_first_stays_installed() {
+    let outer = CheckGuard::collecting();
+    let nested = std::panic::catch_unwind(CheckGuard::new);
+    assert!(nested.is_err(), "sessions do not nest");
+    leak(Flow::Link);
+    assert_eq!(
+        outer.session().finish().len(),
+        1,
+        "the outer session saw it"
+    );
 }
 
 #[test]
@@ -483,7 +498,8 @@ fn replay_after_interning(first: Vec<String>) -> (String, Vec<String>) {
         for name in &first {
             Site::new(name);
         }
-        let session = CheckSession::install_collecting();
+        let check = CheckGuard::collecting();
+        let session = check.session();
         for nic in ["nic-b", "nic-c", "nic-a"] {
             session.acquire(at(nic), 2, 1); // never released
             session.span(at(nic), "serve", 0, 10);
@@ -501,7 +517,6 @@ fn replay_after_interning(first: Vec<String>) -> (String, Vec<String>) {
         flow_in(Flow::Cluster, at("node1"), 8);
         flow_out(Flow::Cluster, at("node1"), Exit::Ok, 8);
         let violations = session.finish();
-        CheckSession::uninstall();
         (
             session.report(),
             violations.iter().map(|v| v.to_string()).collect(),

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dpdpu_check::{CheckSession, Exit, Flow, Site};
+use dpdpu_check::{CheckGuard, CheckSession, Exit, Flow, Site};
 use dpdpu_des::probe::Probe;
 
 /// Counts every allocation; the default `realloc` goes through `alloc`.
@@ -111,23 +111,23 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 fn check_points_on_known_sites_do_not_allocate() {
     let fleet: Vec<Member> = (0..1_024).map(Member::new).collect();
     let late = Member::new(fleet.len());
-    let session = CheckSession::install();
+    let check = CheckGuard::new();
+    let session = check.session();
     // Every member's fabric direction advertises a one-message window.
     for m in fleet.iter().chain([&late]) {
         dpdpu_check::fabric_conn_open(m.fabric, 1);
     }
-    let pass = |t: u64| fleet.iter().for_each(|m| m.round(&session, t));
+    let pass = |t: u64| fleet.iter().for_each(|m| m.round(session, t));
     pass(0);
     let steady = allocations_during(|| pass(1));
 
     // A site first seen mid-run may grow each of the eight tables its
     // round touches (resources and the seven flows) to cover its id,
     // once, and never again.
-    let first = allocations_during(|| late.round(&session, 2));
-    let later = allocations_during(|| (3..100).for_each(|t| late.round(&session, t)));
+    let first = allocations_during(|| late.round(session, 2));
+    let later = allocations_during(|| (3..100).for_each(|t| late.round(session, t)));
 
     let violations = session.finish();
-    CheckSession::uninstall();
     assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(
         steady, 0,

@@ -527,7 +527,6 @@ mod tests {
             .unwrap();
         });
         sim.run();
-        Telemetry::uninstall();
 
         let spans = t.tracer().spans();
         let kernel = spans

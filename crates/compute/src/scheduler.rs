@@ -363,7 +363,6 @@ mod tests {
             }
         });
         sim.run();
-        Telemetry::uninstall();
 
         let mut sprocs: Vec<_> = t
             .tracer()
@@ -478,7 +477,6 @@ mod tests {
             }
         });
         sim.run();
-        Telemetry::uninstall();
 
         let spans = t.tracer().spans();
         let sprocs: Vec<_> = spans.iter().filter(|s| s.name == "sproc").collect();

@@ -52,7 +52,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn kernel_runs_without_telemetry_do_not_allocate() {
-    dpdpu_telemetry::Telemetry::uninstall();
     let ce = ComputeEngine::new(Platform::default_bf2());
     let input = KernelInput::Bytes(Bytes::from(vec![7u8; 4_096]));
     let runs = [

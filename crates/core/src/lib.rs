@@ -17,14 +17,17 @@
 //!
 //! Boot with [`Dpdpu::start`] (on a given platform) or
 //! [`Dpdpu::start_default`] (EPYC + BlueField-2) inside a running
-//! simulation. A fault plan is not a runtime knob: a
-//! `dpdpu_faults::SessionGuard` installs it around the run.
+//! simulation, under a `dpdpu_check::CheckGuard`: every booted run is
+//! checked, and the guard's drop runs the end-of-run sweeps. A fault plan
+//! is not a runtime knob: a `dpdpu_faults::SessionGuard` installs it
+//! around the run.
 //!
 //! ```
 //! use dpdpu_core::Dpdpu;
 //! use dpdpu_faults::{FaultPlan, SessionGuard};
 //!
 //! let guard = SessionGuard::new(FaultPlan::new(42).ssd_read_errors(0.01));
+//! let _check = dpdpu_check::CheckGuard::new();
 //! dpdpu_des::block_on(async {
 //!     let rt = Dpdpu::start_default();
 //!     let file = rt.storage.create("t").await.unwrap();

@@ -36,14 +36,17 @@ impl Dpdpu {
     /// (the heterogeneity case of §5): registers the platform's resources
     /// with an installed telemetry session, formats the file system,
     /// starts the DPU file service, host front end and Compute Engine.
-    /// Must be called inside a running simulation. A fault plan is not an
-    /// argument: install one with a `dpdpu_faults::SessionGuard` around
-    /// the run.
+    /// Must be called inside a running simulation, under a
+    /// `dpdpu_check::CheckGuard`. A fault plan is not an argument:
+    /// install one with a `dpdpu_faults::SessionGuard` around the run.
+    ///
+    /// # Panics
+    ///
+    /// If no conformance session is installed.
     pub fn start(platform: Rc<Platform>) -> Rc<Self> {
-        // Conformance is always-on: every booted run gets the invariant
-        // checker. An outer `CheckGuard` (strict, owned by the caller) is
-        // respected — this only fills the slot when empty.
-        dpdpu_check::CheckSession::ensure_installed();
+        // Conformance is always-on: every booted run is checked, and its
+        // guard's drop runs the end-of-run sweeps.
+        assert!(dpdpu_check::is_active(), "boot under a `CheckGuard`");
         if let Some(t) = dpdpu_telemetry::Telemetry::current() {
             platform.register_telemetry(&t);
         }
@@ -147,6 +150,7 @@ impl Dpdpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpdpu_check::CheckGuard;
     use dpdpu_des::{now, Sim};
     use dpdpu_faults::{FaultPlan, FaultSite, SessionGuard};
     use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, LinkConfig};
@@ -155,6 +159,7 @@ mod tests {
 
     #[test]
     fn runtime_boots_and_reports() {
+        let _check = CheckGuard::new();
         let mut sim = Sim::new();
         sim.spawn(async {
             let dpdpu = Dpdpu::start_default();
@@ -170,6 +175,7 @@ mod tests {
 
     #[test]
     fn start_boots_on_the_given_platform() {
+        let _check = CheckGuard::new();
         dpdpu_des::block_on(async {
             let bf3 = Platform::new(HostSpec::epyc(), DpuSpec::bluefield3());
             let rt = Dpdpu::start(bf3.clone());
@@ -180,6 +186,7 @@ mod tests {
 
     #[test]
     fn runtime_under_a_fault_plan_retries_an_injected_read() {
+        let _check = CheckGuard::new();
         let guard = SessionGuard::new(FaultPlan::new(9));
         guard.session.arm_ssd_read_failures(1);
         dpdpu_des::block_on(async {
@@ -196,6 +203,7 @@ mod tests {
 
     #[test]
     fn front_end_and_service_share_files() {
+        let _check = CheckGuard::new();
         let mut sim = Sim::new();
         sim.spawn(async {
             let dpdpu = Dpdpu::start_default();
@@ -214,6 +222,7 @@ mod tests {
 
     #[test]
     fn register_sproc_does_not_leak_the_runtime() {
+        let _check = CheckGuard::new();
         // A sproc that uses the runtime must not keep it alive: the
         // registry holds a Weak, so the last handle frees the runtime.
         let rt = dpdpu_des::block_on(async {
@@ -233,6 +242,7 @@ mod tests {
 
     #[test]
     fn read_compress_send_pipeline() {
+        let _check = CheckGuard::new();
         let mut sim = Sim::new();
         sim.spawn(async {
             let dpdpu = Dpdpu::start_default();

@@ -957,8 +957,8 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_when_a_shard_saturates() {
-        let _check = dpdpu_check::CheckGuard::new();
-        block_on(async {
+        let check = dpdpu_check::CheckGuard::new();
+        let shed = block_on(async {
             let cluster = DdsCluster::build(ClusterConfig {
                 shards: 2,
                 admission: 2,
@@ -995,15 +995,16 @@ mod tests {
             assert!(shed > 0, "burst must overflow the admission window");
             assert!(ok > 0, "admitted requests must complete");
             assert_eq!(client.total_shed(), shed);
-            // Every issued op resolved — the CheckGuard verifies the
-            // cluster-conservation invariant on drop.
-            let report = dpdpu_check::CheckSession::current().unwrap().report();
-            assert!(report.contains("cluster_ops="), "report: {report}");
-            assert!(
-                report.contains(&format!("cluster_shed={shed}")),
-                "report: {report}"
-            );
+            shed
         });
+        // Every issued op resolved — the CheckGuard verifies the
+        // cluster-conservation invariant on drop.
+        let report = check.session().report();
+        assert!(report.contains("cluster_ops="), "report: {report}");
+        assert!(
+            report.contains(&format!("cluster_shed={shed}")),
+            "report: {report}"
+        );
     }
 
     #[test]

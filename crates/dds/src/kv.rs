@@ -548,8 +548,9 @@ mod tests {
     /// exactly the acked puts.
     #[test]
     fn failed_put_must_not_poison_recovery() {
-        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
-        dpdpu_des::block_on(async {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
+        let faults = guard.session.clone();
+        dpdpu_des::block_on(async move {
             let p = Platform::default_bf2();
             let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
             let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
@@ -558,9 +559,7 @@ mod tests {
             kv.put(0, b"zero").await.unwrap();
             kv.put(1, b"one").await.unwrap();
             // One more failure than the file service retries.
-            dpdpu_faults::FaultSession::current()
-                .expect("session installed")
-                .arm_ssd_write_failures(4);
+            faults.arm_ssd_write_failures(4);
             assert!(kv.put(2, b"two").await.is_err());
             kv.put(3, b"three").await.unwrap();
             drop(kv);
@@ -581,7 +580,7 @@ mod tests {
     #[test]
     fn a_failed_long_put_then_a_short_one_recovers_only_acked_keys() {
         let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
-        let session = guard.session.clone();
+        let faults = guard.session.clone();
         dpdpu_des::block_on(async move {
             let p = Platform::default_bf2();
             let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
@@ -590,7 +589,7 @@ mod tests {
                 .unwrap();
             kv.put(7, b"seven").await.unwrap();
             // One more failure than the file service retries.
-            session.arm_ssd_write_failures(4);
+            faults.arm_ssd_write_failures(4);
             assert!(kv.put(2, &[5u8; 4_096]).await.is_err());
             kv.put(3, b"three").await.unwrap();
             drop(kv);

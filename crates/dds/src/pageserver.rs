@@ -577,7 +577,8 @@ mod tests {
     fn failed_replay_keeps_its_log_records() {
         for fail_writes in [false, true] {
             let _check = dpdpu_check::CheckGuard::new();
-            let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(5));
+            let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(5));
+            let faults = guard.session.clone();
             dpdpu_des::block_on(async move {
                 let p = Platform::default_bf2();
                 let ps = server(&p).await;
@@ -585,11 +586,10 @@ mod tests {
                     .await
                     .unwrap();
                 // One more failure than the file service retries.
-                let session = dpdpu_faults::FaultSession::current().expect("session installed");
                 if fail_writes {
-                    session.arm_ssd_write_failures(4);
+                    faults.arm_ssd_write_failures(4);
                 } else {
-                    session.arm_ssd_read_failures(4);
+                    faults.arm_ssd_read_failures(4);
                 }
                 assert!(ps.get_page_host(4, &p.host_cpu).await.is_err());
                 assert!(!ps.is_clean(4), "acknowledged log records dropped");

@@ -1184,8 +1184,9 @@ mod tests {
 
     #[test]
     fn dpu_storage_fault_degrades_to_host() {
-        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(7));
-        block_on(async {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(7));
+        let faults = guard.session.clone();
+        block_on(async move {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client.kv_put(1, Bytes::from_static(b"v")).await.unwrap(); // host
             assert_eq!(
@@ -1196,8 +1197,7 @@ mod tests {
             // Fail more consecutive SSD reads than the file service's
             // retry budget: the DPU execution fails, the director opens
             // its breaker, and the host re-executes the same request.
-            let session = dpdpu_faults::FaultSession::current().expect("session installed");
-            session.arm_ssd_read_failures(4);
+            faults.arm_ssd_read_failures(4);
             assert_eq!(
                 client.kv_get(1).await.unwrap().unwrap(),
                 Bytes::from_static(b"v"),
@@ -1217,8 +1217,9 @@ mod tests {
 
     #[test]
     fn timed_out_request_backs_off_and_retries() {
-        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
-        block_on(async {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
+        let faults = guard.session.clone();
+        block_on(async move {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             // Per-attempt timeout below the TCP retransmission timeout:
             // a dropped request frame forces a client-level retry rather
@@ -1228,9 +1229,7 @@ mod tests {
                 base_backoff_ns: 50_000,
                 ..RetryPolicy::default()
             });
-            dpdpu_faults::FaultSession::current()
-                .expect("session installed")
-                .arm_link_drops(1);
+            faults.arm_link_drops(1);
             client.kv_put(5, Bytes::from_static(b"late")).await.unwrap();
             assert!(client.timeouts.get() >= 1, "first attempt must time out");
             assert!(client.retries.get() >= 1, "client must have retried");
@@ -1244,16 +1243,15 @@ mod tests {
 
     #[test]
     fn unrecoverable_storage_error_is_typed_not_hung() {
-        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
-        block_on(async {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
+        let faults = guard.session.clone();
+        block_on(async move {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client.kv_put(1, Bytes::from_static(b"v")).await.unwrap();
             // Every read fails, on both paths, for every client attempt:
             // the call must still reach a terminal state — a typed error,
             // not a hung future.
-            dpdpu_faults::FaultSession::current()
-                .expect("session installed")
-                .arm_ssd_read_failures(1_000);
+            faults.arm_ssd_read_failures(1_000);
             let err = client.kv_get(1).await.unwrap_err();
             assert!(
                 matches!(err, DpdpuError::Remote(_)),
@@ -1271,15 +1269,14 @@ mod tests {
     #[test]
     fn retry_after_a_transient_storage_error_reexecutes() {
         let _check = dpdpu_check::CheckGuard::new();
-        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
-        block_on(async {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
+        let faults = guard.session.clone();
+        block_on(async move {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client.kv_put(1, Bytes::from_static(b"v")).await.unwrap();
             // Exactly one request's worth of failures: 4 device reads on
             // the DPU path, 4 on the host re-execution.
-            dpdpu_faults::FaultSession::current()
-                .expect("session installed")
-                .arm_ssd_read_failures(8);
+            faults.arm_ssd_read_failures(8);
             assert_eq!(
                 client.kv_get(1).await.unwrap().unwrap(),
                 Bytes::from_static(b"v"),
@@ -1297,16 +1294,15 @@ mod tests {
     #[test]
     fn get_page_survives_a_failed_replay() {
         let _check = dpdpu_check::CheckGuard::new();
-        let _guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
-        block_on(async {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(3));
+        let faults = guard.session.clone();
+        block_on(async move {
             let (dds, client, _p) = testbed(DdsConfig::default()).await;
             client
                 .append_log(4, 0, Bytes::from_static(b"NEW"))
                 .await
                 .unwrap();
-            dpdpu_faults::FaultSession::current()
-                .expect("session installed")
-                .arm_ssd_read_failures(4);
+            faults.arm_ssd_read_failures(4);
             let page = client.get_page(4).await.unwrap();
             assert_eq!(&page[0..3], b"NEW", "acknowledged log record lost");
             assert_eq!(dds.exec_errors.get(), 1);

@@ -1,20 +1,27 @@
-//! Instrumentation hooks for the executor's service centres.
+//! Instrumentation hooks for the executor's service centres, and the
+//! thread's one session slot.
 //!
 //! The DES substrate sits below every engine crate, so it cannot depend
-//! on `dpdpu-telemetry` or `dpdpu-check` (both depend on this crate).
-//! Instead it exposes a narrow, zero-cost-when-disabled hook: an
-//! installable [`Probe`] that receives completed (track, name, start,
-//! end) intervals from [`crate::Server`], plus semaphore accounting and
-//! clock-advance events. Two independent sinks exist:
+//! on `dpdpu-telemetry`, `dpdpu-check` or `dpdpu-faults` (all three
+//! depend on this crate). Instead it holds what they install: one
+//! thread-local [`Session`] of three [`Part`]s, each owned by a
+//! [`Guard`]:
 //!
-//! * the **tracer** slot ([`set_probe`]) — installed by the telemetry
-//!   crate to build spans and timelines;
-//! * the **checker** slot ([`set_checker`]) — installed by the
-//!   conformance layer (`dpdpu-check`) to verify invariants such as
-//!   virtual-time monotonicity and acquire/release balance.
+//! * the **tracer** — the telemetry session, a [`Probe`] that builds
+//!   spans and timelines;
+//! * the **checker** — the conformance session (`dpdpu-check`), a
+//!   [`Probe`] that verifies invariants such as virtual-time
+//!   monotonicity and acquire/release balance;
+//! * the **fault plan** (`dpdpu-faults`), which receives no events: the
+//!   device models consult it.
 //!
-//! Every event is delivered to both sinks. The enabled flag is a plain
-//! thread-local `Cell<bool>` so the disabled-path cost in
+//! One rule covers all three: installing a part that is already present
+//! panics, and a guard's drop removes exactly the part it installed,
+//! also during an unwind. A crate reaches its own part by type with
+//! [`get`] or [`with`].
+//!
+//! Every event is delivered to the tracer, then the checker. The enabled
+//! flag is a plain thread-local `Cell<bool>` so the disabled-path cost in
 //! `Server::process` is one predictable branch — no `RefCell` borrow,
 //! no virtual call.
 //!
@@ -22,9 +29,11 @@
 //! once at construction, so a sink keys its per-resource state by array
 //! index instead of comparing names on every event.
 
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::time::Time;
@@ -144,31 +153,162 @@ pub trait Probe {
     fn epoch(&self) {}
 }
 
+/// A part of a run's session. Probe events reach the tracer, then the
+/// checker; the fault plan receives none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// The telemetry session.
+    Tracer,
+    /// The conformance session.
+    Checker,
+    /// The fault plan.
+    Faults,
+}
+
+/// One installed part: the `Rc` that owns it, and the part's type and
+/// address, which [`with`] checks and reads without a virtual call.
+/// `Guard::install`, the only constructor, takes `data` from the `Rc`
+/// it clones into `owner` and `ty` from that `Rc`'s type, so `data`
+/// always points at the value `owner` keeps alive, a value of type `ty`.
+struct Installed {
+    owner: Rc<dyn Any>,
+    ty: TypeId,
+    data: *const (),
+}
+
+/// The parts of one run's session, indexed by [`Part`]. The thread's slot
+/// holds one; a caller that runs several simulations on one thread parks
+/// each one's session in a value of its own and [`swap`]s it in.
+#[derive(Default)]
+pub struct Session {
+    parts: [Option<Installed>; 3],
+    /// The parts that receive probe events, as [`Probe`]s, in delivery
+    /// order.
+    sinks: [Option<Rc<dyn Probe>>; 3],
+}
+
+impl Session {
+    fn clear(&mut self, part: Part) {
+        self.parts[part as usize] = None;
+        self.sinks[part as usize] = None;
+    }
+}
+
 thread_local! {
-    static PROBE: RefCell<Option<Rc<dyn Probe>>> = const { RefCell::new(None) };
-    static CHECKER: RefCell<Option<Rc<dyn Probe>>> = const { RefCell::new(None) };
+    static SESSION: RefCell<Session> = const {
+        RefCell::new(Session { parts: [None, None, None], sinks: [None, None, None] })
+    };
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static SITES: RefCell<SiteTable> = RefCell::default();
 }
 
-fn refresh_enabled() {
-    let any = PROBE.with(|p| p.borrow().is_some()) || CHECKER.with(|c| c.borrow().is_some());
-    ENABLED.with(|e| e.set(any));
+/// Applies `f` to the thread's session, then refreshes the enabled flag.
+fn with_slot(f: impl FnOnce(&mut Session)) {
+    SESSION.with(|s| {
+        f(&mut s.borrow_mut());
+        let any_sink = s.borrow().sinks.iter().any(Option::is_some);
+        ENABLED.with(|e| e.set(any_sink));
+    });
 }
 
-/// Installs `probe` as the thread's tracer sink (replacing any previous
-/// one). Pass `None` to disable.
-pub fn set_probe(probe: Option<Rc<dyn Probe>>) {
-    PROBE.with(|p| *p.borrow_mut() = probe);
-    refresh_enabled();
+/// Owns one installed part of the thread's session. Dropping it removes
+/// that part, also during an unwind, unless [`remove`] or a [`swap`]
+/// already took it out. Derefs to the part.
+#[must_use = "the part is removed when its guard drops"]
+pub struct Guard<T: 'static> {
+    part: Part,
+    value: Rc<T>,
 }
 
-/// Installs `checker` as the thread's conformance sink (replacing any
-/// previous one). Pass `None` to disable. Independent of [`set_probe`]:
-/// both sinks receive every event.
-pub fn set_checker(checker: Option<Rc<dyn Probe>>) {
-    CHECKER.with(|c| *c.borrow_mut() = checker);
-    refresh_enabled();
+impl<T: Any> Guard<T> {
+    /// Installs `value` as `part`, a part no probe event reaches.
+    ///
+    /// # Panics
+    ///
+    /// If the thread's session already holds `part`. Parts do not nest:
+    /// the inner guard's drop would leave the outer run without its part.
+    pub fn new(part: Part, value: T) -> Self {
+        Self::install(part, Rc::new(value), None)
+    }
+
+    fn install(part: Part, value: Rc<T>, sink: Option<Rc<dyn Probe>>) -> Self {
+        with_slot(|s| {
+            let slot = &mut s.parts[part as usize];
+            assert!(
+                slot.is_none(),
+                "{part:?} already installed: session parts do not nest"
+            );
+            let (ty, data) = (TypeId::of::<T>(), Rc::as_ptr(&value).cast());
+            let owner = value.clone();
+            *slot = Some(Installed { owner, ty, data });
+            s.sinks[part as usize] = sink;
+        });
+        Guard { part, value }
+    }
+}
+
+impl<T: Probe + Any> Guard<T> {
+    /// Installs `sink` as `part`; it receives every probe event. Panics
+    /// as [`Guard::new`] does.
+    pub fn sink(part: Part, sink: T) -> Self {
+        let value = Rc::new(sink);
+        Self::install(part, value.clone(), Some(value))
+    }
+}
+
+impl<T> Deref for Guard<T> {
+    type Target = Rc<T>;
+
+    fn deref(&self) -> &Rc<T> {
+        &self.value
+    }
+}
+
+impl<T: 'static> Drop for Guard<T> {
+    fn drop(&mut self) {
+        let ours = Rc::as_ptr(&self.value).cast();
+        with_slot(|s| {
+            if s.parts[self.part as usize]
+                .as_ref()
+                .is_some_and(|p| p.data == ours)
+            {
+                s.clear(self.part);
+            }
+        });
+    }
+}
+
+/// The installed `part`, if it is a `T`.
+pub fn get<T: Any>(part: Part) -> Option<Rc<T>> {
+    let owner = SESSION.with(|s| Some(s.borrow().parts[part as usize].as_ref()?.owner.clone()));
+    owner?.downcast().ok()
+}
+
+/// Runs `f` on the installed `part`, if it is a `T`: [`get`] without
+/// the reference count or a virtual call, for per-event paths.
+pub fn with<T: Any, R>(part: Part, f: impl FnOnce(&T) -> R) -> Option<R> {
+    SESSION.with(|s| {
+        let session = s.borrow();
+        let installed = session.parts[part as usize].as_ref()?;
+        (installed.ty == TypeId::of::<T>()).then(|| {
+            // SAFETY: `data` is the address of the value `installed.owner`
+            // owns, a `T` as `ty` says. The shared borrow keeps that `Rc`
+            // in the slot (removing it needs a mutable borrow), so the
+            // value outlives `f`.
+            f(unsafe { &*installed.data.cast::<T>() })
+        })
+    })
+}
+
+/// Removes `part` from the thread's session, whichever guard installed
+/// it; that guard's drop then does nothing.
+pub fn remove(part: Part) {
+    with_slot(|s| s.clear(part));
+}
+
+/// Exchanges the thread's session with `parked`, every part at once.
+pub fn swap(parked: &mut Session) {
+    with_slot(|s| std::mem::swap(s, parked));
 }
 
 /// True when a tracer or checker is installed. Instrumented code should
@@ -179,52 +319,39 @@ pub(crate) fn probe_enabled() -> bool {
     ENABLED.with(|e| e.get())
 }
 
+/// Delivers one event to the installed sinks, tracer first, if any.
+#[inline]
 fn each_sink(f: impl Fn(&dyn Probe)) {
-    PROBE.with(|p| {
-        if let Some(probe) = p.borrow().as_ref() {
-            f(probe.as_ref());
-        }
-    });
-    CHECKER.with(|c| {
-        if let Some(checker) = c.borrow().as_ref() {
-            f(checker.as_ref());
-        }
-    });
+    if probe_enabled() {
+        SESSION.with(|s| {
+            for sink in s.borrow().sinks.iter().flatten() {
+                f(sink.as_ref());
+            }
+        });
+    }
 }
 
 /// Delivers one interval to the installed sinks, if any.
 #[inline]
 pub fn emit_span(track: Site, name: &'static str, start: Time, end: Time) {
-    if !probe_enabled() {
-        return;
-    }
     each_sink(|s| s.span(track, name, start, end));
 }
 
 /// Delivers one semaphore-acquire event to the installed sinks, if any.
 #[inline]
 pub fn emit_acquire(track: Site, capacity: usize, in_flight: usize) {
-    if !probe_enabled() {
-        return;
-    }
     each_sink(|s| s.acquire(track, capacity, in_flight));
 }
 
 /// Delivers one semaphore-release event to the installed sinks, if any.
 #[inline]
 pub fn emit_release(track: Site, in_flight: usize) {
-    if !probe_enabled() {
-        return;
-    }
     each_sink(|s| s.release(track, in_flight));
 }
 
 /// Delivers one clock-advance event to the installed sinks, if any.
 #[inline]
 pub fn emit_advance(from: Time, to: Time) {
-    if !probe_enabled() {
-        return;
-    }
     each_sink(|s| s.advance(from, to));
 }
 
@@ -232,9 +359,6 @@ pub fn emit_advance(from: Time, to: Time) {
 /// at zero) to the installed sinks, if any.
 #[inline]
 pub fn emit_epoch() {
-    if !probe_enabled() {
-        return;
-    }
     each_sink(|s| s.epoch());
 }
 
@@ -297,16 +421,27 @@ mod tests {
     /// The order of every figure: the platform's resources are built,
     /// then `Dpdpu::start` installs a sink. An id interned before the
     /// sink existed must reach it with the right name.
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// The order of every figure: the platform's resources are built,
+    /// then a checker is installed. An id interned before the sink
+    /// existed must reach it with the right name.
     #[test]
     fn site_interned_before_the_sink_is_installed_is_accounted() {
         let server = Server::new("probe-test.early", 2);
-        let rec = Rc::new(Recorder::default());
-        set_checker(Some(rec.clone()));
+        let rec = Guard::sink(Part::Checker, Recorder::default());
         let mut sim = Sim::new();
         let s2 = server.clone();
         sim.spawn(async move { s2.process(5).await });
         sim.run();
-        set_checker(None);
         assert_eq!(
             *rec.acquires.borrow(),
             [("probe-test.early".to_string(), 2, 1)]
@@ -323,8 +458,7 @@ mod tests {
 
     #[test]
     fn server_emits_wait_and_serve_spans() {
-        let rec = Rc::new(Recorder::default());
-        set_probe(Some(rec.clone()));
+        let rec = Guard::sink(Part::Tracer, Recorder::default());
         let mut sim = Sim::new();
         sim.spawn(async {
             let server = Server::new("disk", 1);
@@ -335,7 +469,6 @@ mod tests {
             h.await;
         });
         sim.run();
-        set_probe(None);
 
         let events = rec.events.borrow();
         let serves: Vec<_> = events.iter().filter(|e| e.1 == "serve").collect();
@@ -349,8 +482,6 @@ mod tests {
 
     #[test]
     fn disabled_probe_costs_nothing_and_records_nothing() {
-        set_probe(None);
-        set_checker(None);
         assert!(!probe_enabled());
         let x = Site::new("x");
         emit_span(x, "y", 0, 1); // must be a no-op, not a panic
@@ -366,10 +497,8 @@ mod tests {
 
     #[test]
     fn checker_slot_receives_events_independently() {
-        let tracer = Rc::new(Recorder::default());
-        let checker = Rc::new(Recorder::default());
-        set_probe(Some(tracer.clone()));
-        set_checker(Some(checker.clone()));
+        let tracer = Guard::sink(Part::Tracer, Recorder::default());
+        let checker = Guard::sink(Part::Checker, Recorder::default());
         let mut sim = Sim::new();
         sim.spawn(async {
             let server = Server::new("nic", 1);
@@ -377,9 +506,6 @@ mod tests {
             sleep(3).await;
         });
         sim.run();
-        set_probe(None);
-        set_checker(None);
-        assert!(!probe_enabled());
 
         // Both sinks saw the same serve span.
         for rec in [&tracer, &checker] {
@@ -396,5 +522,91 @@ mod tests {
         assert!(acq.iter().all(|(t, cap, inf)| t == "nic" && *inf <= *cap));
         // The executor reported clock advances.
         assert!(checker.advances.get() > 0, "no advance events");
+    }
+
+    /// Logs which sink saw each event, into a log both sinks share.
+    struct Tag(&'static str, Rc<RefCell<Vec<&'static str>>>);
+
+    impl Probe for Tag {
+        fn span(&self, _: Site, _: &'static str, _: Time, _: Time) {
+            self.1.borrow_mut().push(self.0);
+        }
+    }
+
+    #[test]
+    fn both_sinks_receive_every_event_tracer_first() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let _checker = Guard::sink(Part::Checker, Tag("checker", log.clone()));
+        let _tracer = Guard::sink(Part::Tracer, Tag("tracer", log.clone()));
+        emit_span(Site::new("nic"), "serve", 0, 1);
+        emit_span(Site::new("nic"), "serve", 1, 2);
+        assert_eq!(*log.borrow(), ["tracer", "checker", "tracer", "checker"]);
+    }
+
+    #[test]
+    fn a_second_part_of_a_kind_panics_and_names_it() {
+        let tracer = Guard::sink(Part::Tracer, Recorder::default());
+        let checker = Guard::sink(Part::Checker, Recorder::default());
+        let plan = Guard::new(Part::Faults, 7u32);
+        for part in [Part::Tracer, Part::Checker] {
+            let msg = panic_message(|| drop(Guard::sink(part, Recorder::default())));
+            assert!(msg.contains(&format!("{part:?}")), "{msg}");
+        }
+        let msg = panic_message(|| drop(Guard::new(Part::Faults, 8u32)));
+        assert!(msg.contains("Faults"), "{msg}");
+        // The refused guards removed nothing.
+        assert!(Rc::ptr_eq(&get::<Recorder>(Part::Tracer).unwrap(), &tracer));
+        assert!(Rc::ptr_eq(
+            &get::<Recorder>(Part::Checker).unwrap(),
+            &checker
+        ));
+        assert_eq!(get::<u32>(Part::Faults).as_deref(), Some(&7));
+        drop(plan);
+    }
+
+    #[test]
+    fn dropping_one_guard_leaves_the_other_parts() {
+        let tracer = Guard::sink(Part::Tracer, Recorder::default());
+        let checker = Guard::sink(Part::Checker, Recorder::default());
+        let plan = Guard::new(Part::Faults, 7u32);
+        drop(checker);
+        assert!(get::<Recorder>(Part::Checker).is_none());
+        assert!(get::<Recorder>(Part::Tracer).is_some() && probe_enabled());
+        drop(tracer);
+        assert!(!probe_enabled(), "the plan is no sink");
+        assert_eq!(with(Part::Faults, |n: &u32| *n), Some(7));
+        drop(plan);
+        assert!(get::<u32>(Part::Faults).is_none());
+    }
+
+    #[test]
+    fn an_unwind_through_the_guards_empties_the_slot() {
+        panic_message(|| {
+            let _tracer = Guard::sink(Part::Tracer, Recorder::default());
+            let _checker = Guard::sink(Part::Checker, Recorder::default());
+            let _plan = Guard::new(Part::Faults, 7u32);
+            panic!("the run failed");
+        });
+        assert!(get::<Recorder>(Part::Tracer).is_none());
+        assert!(get::<Recorder>(Part::Checker).is_none());
+        assert!(get::<u32>(Part::Faults).is_none());
+        assert!(!probe_enabled());
+    }
+
+    #[test]
+    fn swap_parks_and_restores_every_part() {
+        let tracer = Guard::sink(Part::Tracer, Recorder::default());
+        let plan = Guard::new(Part::Faults, 7u32);
+        let mut parked = Session::default();
+        swap(&mut parked);
+        assert!(get::<Recorder>(Part::Tracer).is_none() && !probe_enabled());
+        assert!(get::<u32>(Part::Faults).is_none());
+        emit_span(Site::new("parked"), "serve", 0, 1);
+        swap(&mut parked);
+        assert!(probe_enabled());
+        emit_span(Site::new("entered"), "serve", 0, 1);
+        assert_eq!(tracer.events.borrow().len(), 1, "only the entered span");
+        drop((tracer, plan));
+        assert!(get::<u32>(Part::Faults).is_none());
     }
 }

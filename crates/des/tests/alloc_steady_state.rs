@@ -63,7 +63,6 @@ fn allocations() -> u64 {
 #[test]
 fn disabled_probe_and_steady_state_loop_do_not_allocate() {
     // Part 1: probe emission with no probe installed.
-    probe::set_probe(None);
     let engine = probe::Site::new("engine");
     let before = allocations();
     for i in 0..10_000u64 {

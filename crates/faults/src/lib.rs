@@ -19,10 +19,11 @@
 //!   need an exactly reproducible failure.
 //!
 //! A [`SessionGuard`] is the one way to install a plan: it makes the plan
-//! visible to the device models through the same thread-local-session
-//! pattern `dpdpu_telemetry` uses, and removes it when dropped. With no
-//! session installed every consult is a cheap no-op and the models behave
-//! exactly as before. The session also holds the third style, **scripted
+//! visible to the device models as the fault-plan part of the thread's
+//! one `dpdpu_des::probe` session slot, beside the tracer and the
+//! checker, and removes it when dropped. With no session installed
+//! every consult is a cheap no-op and the models behave exactly as
+//! before. The session also holds the third style, **scripted
 //! counts** — "fail the next N SSD reads" — armed mid-run with
 //! [`FaultSession::arm_ssd_read_failures`] and its two siblings and
 //! consulted before the seeded rates — and a scripted **power loss**
@@ -31,8 +32,8 @@
 //! injected run is as deterministic as a clean one.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
+use dpdpu_des::probe::{self, Guard, Part};
 use dpdpu_des::{try_now, Counter, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -312,10 +313,6 @@ pub struct FaultSession {
     shard_crash_fired: Vec<Cell<bool>>,
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<Rc<FaultSession>>> = const { RefCell::new(None) };
-}
-
 /// Takes one armed hit from a scripted count, if any is left.
 fn take_one(count: &Cell<u64>) -> bool {
     let n = count.get();
@@ -324,14 +321,9 @@ fn take_one(count: &Cell<u64>) -> bool {
 }
 
 impl FaultSession {
-    /// The installed session, if any.
-    pub fn current() -> Option<Rc<FaultSession>> {
-        CURRENT.with(|c| c.borrow().clone())
-    }
-
     /// True when a fault session is installed.
     pub fn is_active() -> bool {
-        CURRENT.with(|c| c.borrow().is_some())
+        probe::with(Part::Faults, |_: &FaultSession| ()).is_some()
     }
 
     /// Injections so far for one category.
@@ -480,22 +472,21 @@ impl FaultSession {
     }
 }
 
+/// Runs `f` on the installed session; `none` when there is none.
+fn consult<R>(none: R, f: impl FnOnce(&FaultSession) -> R) -> R {
+    probe::with(Part::Faults, f).unwrap_or(none)
+}
+
 /// Consults the session for one link frame. [`LinkVerdict::Deliver`]
 /// when no session is installed.
 pub fn link_verdict() -> LinkVerdict {
-    match FaultSession::current() {
-        Some(s) => s.link_verdict(),
-        None => LinkVerdict::Deliver,
-    }
+    consult(LinkVerdict::Deliver, FaultSession::link_verdict)
 }
 
 /// Consults the session for one SSD op. [`IoVerdict::Ok`] when no
 /// session is installed.
 pub fn ssd_verdict(op: IoOp) -> IoVerdict {
-    match FaultSession::current() {
-        Some(s) => s.ssd_verdict(op),
-        None => IoVerdict::Ok,
-    }
+    consult(IoVerdict::Ok, |s| s.ssd_verdict(op))
 }
 
 /// Consults the session before one SSD op of `blocks` blocks on a device
@@ -504,59 +495,46 @@ pub fn ssd_verdict(op: IoOp) -> IoVerdict {
 /// write land (0 for every op after the torn write). `None` when no
 /// session is installed.
 pub fn ssd_power_loss(op: IoOp, blocks: u64) -> Option<u64> {
-    match FaultSession::current() {
-        Some(s) => s.ssd_power_loss(op, blocks),
-        None => None,
-    }
+    consult(None, |s| s.ssd_power_loss(op, blocks))
 }
 
 /// Consults the session for one accelerator job: true when the plan has
 /// the engine offline, which counts as an injection. False when no
 /// session is installed.
 pub fn accel_rejects_job() -> bool {
-    match FaultSession::current() {
-        Some(s) if !s.accel_online() => {
+    consult(false, |s| {
+        let offline = !s.accel_online();
+        if offline {
             s.record(FaultSite::AccelOffline);
-            true
         }
-        _ => false,
-    }
+        offline
+    })
 }
 
 /// True when accelerators are currently online (placement probes this
 /// without charging an injection).
 pub fn accel_online() -> bool {
-    match FaultSession::current() {
-        Some(s) => s.accel_online(),
-        None => true,
-    }
+    consult(true, FaultSession::accel_online)
 }
 
 /// True when the plan says DPU cores are overloaded right now.
 pub fn dpu_overloaded() -> bool {
-    match FaultSession::current() {
-        Some(s) => s.dpu_overloaded(),
-        None => false,
-    }
+    consult(false, FaultSession::dpu_overloaded)
 }
 
 /// True when the shard platform tagged `tag` is inside a scripted crash
 /// window right now. Servers consult this at message ingress and egress
 /// to model a frozen node (requests and responses silently dropped).
 pub fn shard_down(tag: &str) -> bool {
-    match FaultSession::current() {
-        Some(s) => s.shard_down(tag),
-        None => false,
-    }
+    consult(false, |s| s.shard_down(tag))
 }
 
-/// The one way to install a [`FaultPlan`]: installs it as this thread's
-/// fault session on creation and removes it on drop (even on panic), so
-/// one run's plan cannot leak into the next.
+/// The one way to install a [`FaultPlan`]: installs it as the fault-plan
+/// part of this thread's des session on creation and removes it on drop
+/// (even on panic), so one run's plan cannot leak into the next.
 pub struct SessionGuard {
     /// The installed session.
-    pub session: Rc<FaultSession>,
-    _private: Cell<()>,
+    pub session: Guard<FaultSession>,
 }
 
 impl SessionGuard {
@@ -568,12 +546,7 @@ impl SessionGuard {
     /// inner guard's drop would leave the outer plan injecting nothing for
     /// the rest of its run, and its report would undercount.
     pub fn new(plan: FaultPlan) -> Self {
-        assert!(
-            !FaultSession::is_active(),
-            "a fault session is already installed on this thread: drop its \
-             SessionGuard before installing another (fault plans do not nest)"
-        );
-        let session = Rc::new(FaultSession {
+        let session = FaultSession {
             link_rng: RefCell::new(StdRng::seed_from_u64(plan.seed ^ 0x1111_1111)),
             ssd_rng: RefCell::new(StdRng::seed_from_u64(plan.seed ^ 0x2222_2222)),
             fail_ssd_reads: Cell::new(0),
@@ -584,18 +557,10 @@ impl SessionGuard {
             injected: std::array::from_fn(|_| Counter::new()),
             shard_crash_fired: plan.shard_crash.iter().map(|_| Cell::new(false)).collect(),
             plan,
-        });
-        CURRENT.with(|c| *c.borrow_mut() = Some(session.clone()));
+        };
         SessionGuard {
-            session,
-            _private: Cell::new(()),
+            session: Guard::new(Part::Faults, session),
         }
-    }
-}
-
-impl Drop for SessionGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = None);
     }
 }
 

@@ -278,7 +278,6 @@ mod tests {
             sampler.stop();
         });
         sim.run();
-        Telemetry::uninstall();
         let spans = t.tracer().spans();
         let device = |track: &str| spans.iter().find(|s| s.track == track).map(|s| &*s.process);
         assert_eq!(device(p.host_cpu.name()), Some("host"));

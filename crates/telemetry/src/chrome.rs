@@ -199,6 +199,8 @@ pub fn merge_traces<'a>(parts: impl IntoIterator<Item = &'a TracePart>) -> Strin
 #[cfg(test)]
 mod tests {
     use super::merge_traces;
+    use std::rc::Rc;
+
     use crate::json::Json;
     use crate::{record_span, span, start_sampler, Telemetry};
     use dpdpu_des::{sleep, Sim};
@@ -267,7 +269,6 @@ mod tests {
             sampler.stop();
         });
         sim.run();
-        Telemetry::uninstall();
 
         let text = t.chrome_trace();
         let doc = validate(&text);
@@ -310,7 +311,6 @@ mod tests {
     #[test]
     fn empty_session_still_exports_valid_json() {
         let t = Telemetry::install();
-        Telemetry::uninstall();
         validate(&t.chrome_trace());
     }
 
@@ -321,7 +321,6 @@ mod tests {
             let t = Telemetry::install();
             record_span("host", "cpu", "early", *start, *end, &[]);
             record_span("host", "cpu", "late", 500, 900, &[]);
-            Telemetry::uninstall();
             traces.push(t.trace_part(d, &format!("d{d}")));
         }
         let merged = merge_traces(&traces);
@@ -351,15 +350,22 @@ mod tests {
         assert_eq!(merged, merge_traces(&traces));
     }
 
+    /// Runs `f` under a fresh session and returns the session, after
+    /// its guard dropped.
+    fn session(f: impl FnOnce(&Telemetry)) -> Rc<Telemetry> {
+        let t = Telemetry::install();
+        f(&t);
+        Rc::clone(&t)
+    }
+
     /// A session whose 1 000 devices would make pid 1000: in a merge,
     /// domain 1's first pid.
-    fn thousand_devices() -> std::rc::Rc<Telemetry> {
-        let t = Telemetry::install();
-        for device in 0..1_000 {
-            record_span(&format!("dev{device}"), "cpu", "op", 0, 1, &[]);
-        }
-        Telemetry::uninstall();
-        t
+    fn thousand_devices() -> Rc<Telemetry> {
+        session(|_| {
+            for device in 0..1_000 {
+                record_span(&format!("dev{device}"), "cpu", "op", 0, 1, &[]);
+            }
+        })
     }
 
     #[test]
@@ -396,7 +402,6 @@ mod tests {
             sampler.stop();
         });
         sim.run();
-        Telemetry::uninstall();
         assert_eq!(
             t.chrome_trace(),
             r#"{"traceEvents":[
@@ -419,7 +424,6 @@ mod tests {
     #[test]
     fn an_empty_session_exports_these_exact_bytes() {
         let t = Telemetry::install();
-        Telemetry::uninstall();
         assert_eq!(
             t.chrome_trace(),
             "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\"}\n"
@@ -429,31 +433,33 @@ mod tests {
     #[test]
     fn a_merge_exports_these_exact_bytes() {
         // d0: two spans and a counter sample at 0.5 µs, one span before.
-        let d0 = Telemetry::install();
-        d0.register_source("host", "depth", || 2.0);
-        let mut sim = Sim::new();
-        sim.spawn(async {
-            record_span("host", "cpu", "a", 500, 900, &[]);
-            record_span("host", "cpu", "b", 100, 300, &[]);
-            sleep(500).await;
-            start_sampler(100).stop();
-            record_span("host", "cpu", "c", 500, 600, &[]);
+        let d0 = session(|t| {
+            t.register_source("host", "depth", || 2.0);
+            let mut sim = Sim::new();
+            sim.spawn(async {
+                record_span("host", "cpu", "a", 500, 900, &[]);
+                record_span("host", "cpu", "b", 100, 300, &[]);
+                sleep(500).await;
+                start_sampler(100).stop();
+                record_span("host", "cpu", "c", 500, 600, &[]);
+            });
+            sim.run();
         });
-        sim.run();
         // d1: one span tying at 0.5 µs, one earlier on a second device.
-        let d1 = Telemetry::install();
-        record_span("host", "cpu", "d", 500, 700, &[]);
-        record_span("dpu", "arm", "e", 200, 250, &[]);
-        // d"2: no span at all, one counter sample, also at 0.5 µs.
-        let d2 = Telemetry::install();
-        d2.register_source("nic", "q", || 1.0);
-        let mut sim = Sim::new();
-        sim.spawn(async {
-            sleep(500).await;
-            start_sampler(100).stop();
+        let d1 = session(|_| {
+            record_span("host", "cpu", "d", 500, 700, &[]);
+            record_span("dpu", "arm", "e", 200, 250, &[]);
         });
-        sim.run();
-        Telemetry::uninstall();
+        // d"2: no span at all, one counter sample, also at 0.5 µs.
+        let d2 = session(|t| {
+            t.register_source("nic", "q", || 1.0);
+            let mut sim = Sim::new();
+            sim.spawn(async {
+                sleep(500).await;
+                start_sampler(100).stop();
+            });
+            sim.run();
+        });
 
         // The 0.5 µs tie: domain index first (a, c, depth of d0 before d
         // of d1 before q of d"2), then in-domain order (a before c

@@ -33,12 +33,12 @@
 //! });
 //! let json = t.chrome_trace();
 //! assert!(json.contains("compress"));
-//! Telemetry::uninstall();
 //! ```
 //!
-//! Installation is thread-local, matching the single-threaded DES executor.
-//! While installed, `dpdpu_des::Server` queue/service intervals are captured
-//! automatically through the `dpdpu_des::probe` hook.
+//! The session is the tracer part of the thread's one `dpdpu_des::probe`
+//! session slot, matching the single-threaded DES executor, until its
+//! guard drops. While installed, `dpdpu_des::Server` queue/service
+//! intervals reach it directly as probe events.
 
 mod chrome;
 pub mod json;
@@ -50,7 +50,7 @@ mod summary;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dpdpu_des::probe::{self, Probe, Site};
+use dpdpu_des::probe::{self, Guard, Part, Probe, Site};
 use dpdpu_des::Time;
 
 pub use chrome::{merge_traces, TracePart};
@@ -61,7 +61,8 @@ pub use span::{record_span, span, SpanGuard, SpanRecord, Tracer};
 /// One telemetry session: tracer + registry + sampler state.
 ///
 /// Create with [`Telemetry::install`]; everything recorded while installed
-/// accumulates here and can be exported at any point.
+/// accumulates here and can be exported at any point, also after the
+/// guard dropped.
 pub struct Telemetry {
     tracer: Tracer,
     registry: Registry,
@@ -77,66 +78,52 @@ pub struct Telemetry {
 /// Device name used for tracks nobody claimed.
 pub(crate) const SIM_PROCESS: &str = "sim";
 
-thread_local! {
-    static CURRENT: RefCell<Option<Rc<Telemetry>>> = const { RefCell::new(None) };
-}
-
-/// Adapter feeding `dpdpu_des` server intervals into the current session.
-struct DesProbe;
-
-impl Probe for DesProbe {
+impl Probe for Telemetry {
     fn span(&self, track: Site, name: &'static str, start: Time, end: Time) {
-        if let Some(t) = Telemetry::current() {
-            // An array index, one hash lookup and a Vec push — no heap
-            // allocation on the per-event path.
-            let device = t.device_of(track);
-            t.tracer
-                .record(device, track, Site::new(name), start, end, Vec::new());
-        }
+        // An array index, one hash lookup and a Vec push — no heap
+        // allocation on the per-event path.
+        let device = self.device_of(track);
+        self.tracer
+            .record(device, track, Site::new(name), start, end, Vec::new());
     }
 }
 
 impl Telemetry {
-    /// Creates a fresh session and installs it as the thread's current one
-    /// (replacing any previous session). Also hooks the DES probe so
-    /// `Server` queue/service intervals are captured.
-    pub fn install() -> Rc<Telemetry> {
-        let t = Rc::new(Telemetry {
-            tracer: Tracer::new(),
-            registry: Registry::new(),
-            sampler: sampler::SampleStore::new(),
-            devices: RefCell::new(Vec::new()),
-            sim: Site::new(SIM_PROCESS),
-        });
-        CURRENT.with(|c| *c.borrow_mut() = Some(t.clone()));
-        probe::set_probe(Some(Rc::new(DesProbe)));
-        t
+    /// Creates a fresh session and installs it as the thread's tracer
+    /// until the returned guard drops, so `Server` queue/service
+    /// intervals are captured. The guard derefs to the session.
+    ///
+    /// # Panics
+    ///
+    /// If a telemetry session is already installed on this thread.
+    pub fn install() -> Guard<Telemetry> {
+        Guard::sink(
+            Part::Tracer,
+            Telemetry {
+                tracer: Tracer::new(),
+                registry: Registry::new(),
+                sampler: sampler::SampleStore::new(),
+                devices: RefCell::new(Vec::new()),
+                sim: Site::new(SIM_PROCESS),
+            },
+        )
     }
 
-    /// Re-installs an existing session as the thread's current one. This
-    /// is how a parallel time domain re-enters its session around every
-    /// execution slice: unlike [`Telemetry::install`] it does not create
-    /// a fresh session, so events keep accumulating where they left off.
-    pub fn reinstall(t: &Rc<Telemetry>) {
-        CURRENT.with(|c| *c.borrow_mut() = Some(t.clone()));
-        probe::set_probe(Some(Rc::new(DesProbe)));
-    }
-
-    /// Removes the current session and the DES probe. Instrumented code
-    /// reverts to its zero-cost disabled path.
+    /// Removes the thread's session before its guard drops (the drop then
+    /// does nothing). Instrumented code reverts to its zero-cost disabled
+    /// path.
     pub fn uninstall() {
-        probe::set_probe(None);
-        CURRENT.with(|c| *c.borrow_mut() = None);
+        probe::remove(Part::Tracer);
     }
 
     /// The thread's current session, if one is installed.
     pub fn current() -> Option<Rc<Telemetry>> {
-        CURRENT.with(|c| c.borrow().clone())
+        probe::get(Part::Tracer)
     }
 
     /// True when a session is installed.
     pub fn is_enabled() -> bool {
-        CURRENT.with(|c| c.borrow().is_some())
+        probe::with(Part::Tracer, |_: &Telemetry| ()).is_some()
     }
 
     /// The span tracer.

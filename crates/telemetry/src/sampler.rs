@@ -136,7 +136,6 @@ mod tests {
             sampler.stop();
         });
         let end = sim.run();
-        Telemetry::uninstall();
 
         let samples = t.samples();
         // Polls at t=0,100,200,300 and the final one at 400 (stop tick).
@@ -155,7 +154,6 @@ mod tests {
 
     #[test]
     fn sampler_without_session_is_a_noop() {
-        Telemetry::uninstall();
         let mut sim = Sim::new();
         sim.spawn(async {
             let h = start_sampler(10);

@@ -244,7 +244,6 @@ mod tests {
             sleep(25).await;
         });
         sim.run();
-        Telemetry::uninstall();
 
         let spans = t.tracer().spans();
         assert_eq!(spans.len(), 2);
@@ -271,7 +270,6 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert() {
-        Telemetry::uninstall();
         // Outside a sim, now() would panic — so this only passes if the
         // disabled guard genuinely never reads the clock.
         let mut g = span("dpu", "engine", "noop");
@@ -293,12 +291,24 @@ mod tests {
             }
         });
         sim.run();
-        Telemetry::uninstall();
 
         let spans = t.tracer().spans();
         let root_id = spans.iter().find(|s| s.name == "root").unwrap().id;
         let children: Vec<_> = spans.iter().filter(|s| s.name == "child").collect();
         assert_eq!(children.len(), 3);
         assert!(children.iter().all(|c| c.parent == Some(root_id)));
+    }
+
+    #[test]
+    fn sessions_do_not_nest_and_uninstall_is_idempotent_with_the_drop() {
+        let t = Telemetry::install();
+        let nested = std::panic::catch_unwind(Telemetry::install);
+        assert!(nested.is_err(), "a second session must be refused");
+        Telemetry::uninstall();
+        assert!(!Telemetry::is_enabled());
+        let next = Telemetry::install();
+        drop(t);
+        let current = Telemetry::current().expect("the old guard removed nothing");
+        assert!(std::rc::Rc::ptr_eq(&current, &next));
     }
 }

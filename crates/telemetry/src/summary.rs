@@ -201,7 +201,6 @@ mod tests {
             tt.registry().gauge("depth", &[]).set(1.5);
             tt.registry().histogram("lat_ns", &[]).record(30);
         }
-        Telemetry::uninstall();
 
         let text = t.summary();
         for section in [
@@ -221,7 +220,6 @@ mod tests {
     #[test]
     fn empty_summary_has_header_only() {
         let t = Telemetry::install();
-        Telemetry::uninstall();
         let text = t.summary();
         assert!(text.starts_with("== telemetry summary"));
         assert!(!text.contains("-- spans --"));

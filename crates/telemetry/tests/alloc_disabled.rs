@@ -7,8 +7,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dpdpu_telemetry::Telemetry;
-
 struct CountingAlloc;
 
 thread_local! {
@@ -47,7 +45,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_spans_do_not_allocate() {
-    Telemetry::uninstall();
     let engine = dpdpu_des::Site::new("engine");
     let before = ALLOCS.with(Cell::get);
     for i in 0..10_000u64 {

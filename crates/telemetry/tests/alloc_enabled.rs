@@ -72,7 +72,6 @@ fn enabled_spans_allocate_only_for_buffer_growth() {
         }
         ALLOCS.with(Cell::get) - before
     });
-    Telemetry::uninstall();
     let spans = 3 + PROBE_SPANS + GUARD_SPANS;
     assert_eq!(t.tracer().len() as u64, spans);
     // At most one reallocation per doubling of the span buffer.

@@ -154,7 +154,6 @@ fn run_on(label: &str, dpu: DpuSpec, trace_out: Option<&std::path::Path>) {
         }
     });
     if let Some(t) = session {
-        Telemetry::uninstall();
         let path = trace_out.expect("session implies a path");
         t.write_chrome_trace(path)
             .expect("failed to write chrome trace");

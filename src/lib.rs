@@ -11,9 +11,11 @@
 //! tests.
 //!
 //! ```
+//! use dpdpu::check::CheckGuard;
 //! use dpdpu::core::Dpdpu;
 //! use dpdpu::des::block_on;
 //!
+//! let _check = CheckGuard::new(); // every booted run is checked
 //! block_on(async {
 //!     let rt = Dpdpu::start_default();
 //!     let file = rt.storage.create("hello.db").await.unwrap();

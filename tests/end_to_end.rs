@@ -5,6 +5,7 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
+use dpdpu::check::CheckGuard;
 use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelOp, Placement};
 use dpdpu::core::Dpdpu;
 use dpdpu::des::{block_on, now};
@@ -18,6 +19,7 @@ use dpdpu::net::tcp::TcpConnector;
 #[test]
 fn same_sproc_portable_across_dpus() {
     let run = |dpu: DpuSpec| -> (Vec<u8>, u64) {
+        let _check = CheckGuard::new();
         block_on(async move {
             let rt = Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
             let file = rt.storage.create("data").await.unwrap();
@@ -58,6 +60,7 @@ fn same_sproc_portable_across_dpus() {
 #[test]
 fn regex_fallback_matches_asic_result() {
     let scan = |dpu: DpuSpec| -> u64 {
+        let _check = CheckGuard::new();
         block_on(async move {
             let rt = Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
             let regex = Rc::new(dpdpu::kernels::regex::Regex::new(r"ERROR \w+").unwrap());
@@ -101,6 +104,7 @@ fn regex_fallback_matches_asic_result() {
 #[test]
 fn whole_stack_determinism() {
     let run = || -> (u64, u64, u64) {
+        let _check = CheckGuard::new();
         block_on(async move {
             let rt = Dpdpu::start_default();
             let file = rt.storage.create("pages").await.unwrap();
@@ -130,6 +134,7 @@ fn whole_stack_determinism() {
 /// through the file system and decrypt back to plaintext.
 #[test]
 fn encrypt_store_decrypt_pipeline() {
+    let _check = CheckGuard::new();
     block_on(async {
         let rt = Dpdpu::start_default();
         let key = [9u8; 16];
@@ -174,6 +179,7 @@ fn encrypt_store_decrypt_pipeline() {
 /// busy and produces correct results for each kernel.
 #[test]
 fn mixed_kernel_storm() {
+    let _check = CheckGuard::new();
     block_on(async {
         let rt = Dpdpu::start_default();
         let corpus = dpdpu::kernels::text::natural_text(8 * 1024, 3);
@@ -266,6 +272,7 @@ fn mixed_kernel_storm() {
 fn aggregate_pushdown_equals_local() {
     use dpdpu::kernels::record::gen;
     use dpdpu::kernels::relops::{aggregate, AggFunc, AggSpec};
+    let _check = CheckGuard::new();
     block_on(async {
         let rt = Dpdpu::start_default();
         let batch = gen::orders(5_000, 77);

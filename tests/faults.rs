@@ -4,6 +4,7 @@
 //! end through the public `dpdpu` facade, each plan installed by the one
 //! way there is: a `SessionGuard` around the run.
 
+use dpdpu::check::CheckGuard;
 use dpdpu::core::Dpdpu;
 use dpdpu::des::{block_on, now};
 use dpdpu::faults::{FaultPlan, FaultSession, FaultSite, SessionGuard};
@@ -15,6 +16,7 @@ use dpdpu::net::tcp::TcpConnector;
 fn injected_ssd_read_error_is_retried_and_succeeds() {
     let guard = SessionGuard::new(FaultPlan::new(5));
     let faults = guard.session.clone();
+    let _check = CheckGuard::new();
     block_on(async move {
         let rt = Dpdpu::start_default();
         let file = rt.storage.create("t").await.unwrap();
@@ -38,6 +40,7 @@ fn accel_offline_run_completes_via_cpu_fallback() {
     // The compression ASIC is offline for the whole run: scheduled
     // kernels must silently fall back to cores (Figure 6 semantics).
     let _guard = SessionGuard::new(FaultPlan::new(6).accel_offline(0, u64::MAX));
+    let _check = CheckGuard::new();
     block_on(async move {
         let rt = Dpdpu::start_default();
         let file = rt.storage.create("pages").await.unwrap();
@@ -76,6 +79,7 @@ fn same_seed_and_plan_reproduce_identical_runs() {
                 .ssd_read_errors(0.3)
                 .ssd_slow_io(0.2, 50_000),
         );
+        let _check = CheckGuard::new();
         let (end, errors) = block_on(async move {
             let mut errors = 0u64;
             let rt = Dpdpu::start_default();
@@ -107,6 +111,7 @@ fn same_seed_and_plan_reproduce_identical_runs() {
 
 #[test]
 fn runtime_without_plan_injects_nothing() {
+    let _check = CheckGuard::new();
     block_on(async {
         let rt = Dpdpu::start_default();
         assert!(!FaultSession::is_active());

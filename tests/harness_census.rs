@@ -34,6 +34,10 @@
 //! `crates/des/src/domain.rs` names no condition variable, atomic or
 //! notify call, and has exactly one thread spawn site.
 //!
+//! And one session slot: the tracer, the checker and the fault plan are
+//! parts of one thread-local in `crates/des/src/probe.rs`, so the crates
+//! that install them declare no thread-local of their own.
+//!
 //! And no `allow(dead_code)` in shipping code: an item rustc calls dead
 //! is deleted, or moved under `#[cfg(test)]` if only tests use it.
 //!
@@ -351,6 +355,68 @@ fn the_one_thread_gate_names_a_planted_condvar() {
     );
 }
 
+const PROBE: &str = "crates/des/src/probe.rs";
+/// The crates whose sessions are parts of [`PROBE`]'s slot.
+const SESSION_PARTS: [&str; 3] = [
+    "crates/check/src",
+    "crates/telemetry/src",
+    "crates/faults/src",
+];
+
+/// The thread-local session slots in `tree`: every `thread_local!` line
+/// under [`SESSION_PARTS`] (there must be none), and every static of
+/// [`PROBE`] but its site table and enabled flag (there must be one).
+fn session_slots(tree: &[(String, String)]) -> (Vec<String>, Vec<String>) {
+    let mut outside = Vec::new();
+    let mut in_probe = Vec::new();
+    for (name, source) in tree {
+        if SESSION_PARTS.iter().any(|dir| name.starts_with(dir)) {
+            let lines = source.lines().enumerate();
+            let slots = lines.filter(|(_, l)| l.contains("thread_local!"));
+            outside.extend(slots.map(|(at, _)| format!("{name}:{}", at + 1)));
+        } else if name == PROBE {
+            let statics = source
+                .lines()
+                .filter_map(|l| l.trim().strip_prefix("static "));
+            let slots = statics
+                .map(ident)
+                .filter(|s| !["ENABLED", "SITES"].contains(s));
+            in_probe.extend(slots.map(String::from));
+        }
+    }
+    (outside, in_probe)
+}
+
+#[test]
+fn one_session_slot() {
+    let (outside, in_probe) = session_slots(&sources(&["crates"]));
+    assert!(
+        outside.is_empty(),
+        "install a part into des's session slot instead: {outside:#?}"
+    );
+    assert_eq!(in_probe, ["SESSION"], "{PROBE}: one session slot");
+}
+
+/// The gate is sensitive: a second slot planted in the probe, or a
+/// thread-local planted in the checker, is named.
+#[test]
+fn the_session_gate_catches_a_planted_second_slot() {
+    let tree = sources(&["crates"]);
+    let slot = "static CHECKER: RefCell<Option<Rc<dyn Probe>>> = const { RefCell::new(None) };";
+    let mut planted = tree.clone();
+    let file = planted.iter_mut().find(|(n, _)| n == PROBE);
+    let source = &mut file.expect("probe.rs in the tree").1;
+    *source = source.replacen(
+        "thread_local! {\n",
+        &format!("thread_local! {{\n    {slot}\n"),
+        1,
+    );
+    assert_eq!(session_slots(&planted).1, ["CHECKER", "SESSION"]);
+    let local = format!("\nthread_local! {{\n    {slot}\n}}\n");
+    let planted = appended(&tree, "crates/check/src/lib.rs", &local);
+    assert_eq!(session_slots(&planted).0.len(), 1);
+}
+
 /// Every `allow(dead_code)` in shipping code: a line of a `crates/*/src`
 /// file before that file's first `#[cfg(test)]`.
 fn dead_code_escapes(tree: &[(String, String)]) -> Vec<String> {
@@ -440,8 +506,7 @@ net TcpStats: the type of `TcpSender::stats` and `TcpReceiver::stats`
 telemetry CounterSample: returned by `Telemetry::samples`
 telemetry Registry: returned by `Telemetry::registry`
 telemetry SamplerHandle: returned by `start_sampler`
-telemetry SpanGuard: returned by `span`
-telemetry Tracer: returned by `Telemetry::tracer`";
+telemetry SpanGuard: returned by `span`";
 
 /// [`UNNAMED_PUB`] as `(crate, item, reason)` entries.
 fn unnamed_pub() -> Vec<(&'static str, &'static str, &'static str)> {

@@ -78,7 +78,7 @@ fn every_algorithm_survives_loss_in_order() {
 /// cuts idle it, so DCTCP must win the tail *and* the goodput.
 #[test]
 fn dctcp_beats_reno_on_incast() {
-    let telemetry = dpdpu::telemetry::Telemetry::install();
+    let _telemetry = dpdpu::telemetry::Telemetry::install();
     let reno = {
         let _check = dpdpu::check::CheckGuard::new();
         run_cell(NetScenario::Incast, CongAlgKind::Reno, 42)
@@ -87,8 +87,6 @@ fn dctcp_beats_reno_on_incast() {
         let _check = dpdpu::check::CheckGuard::new();
         run_cell(NetScenario::Incast, CongAlgKind::Dctcp, 42)
     };
-    dpdpu::telemetry::Telemetry::uninstall();
-    let _ = telemetry;
 
     assert_eq!(reno.delivered, dctcp.delivered, "both must drain the burst");
     assert!(

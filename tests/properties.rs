@@ -507,6 +507,7 @@ fn engine_compress_adversarial_pages() {
     use dpdpu::core::Dpdpu;
     use dpdpu::des::block_on;
 
+    let _check = dpdpu::check::CheckGuard::new();
     block_on(async {
         let rt = Dpdpu::start_default();
         let cases: Vec<Vec<u8>> = vec![

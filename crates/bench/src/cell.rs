@@ -125,10 +125,12 @@ pub struct Run {
     pub load_started_at: Time,
     /// The new shard's id per script entry, in script order.
     pub script: Vec<Result<usize, DpdpuError>>,
-    /// Host-CPU busy ns summed over the shards, boot through preload.
+    /// Host-CPU busy ns summed over the shards' replicas, boot through
+    /// preload.
     pub(crate) preload_host_busy_ns: u64,
-    /// Host-CPU busy ns summed over the shards (a grown one included)
-    /// from the end of preload until load and script had both returned.
+    /// Host-CPU busy ns summed over the shards' replicas (a grown
+    /// shard's included) from the end of preload until load and script
+    /// had both returned.
     pub(crate) load_host_busy_ns: u64,
     /// What the plan injected, taken after quiescence.
     pub faults: FaultReport,
@@ -235,9 +237,12 @@ impl Cell {
     }
 }
 
+/// Host-CPU busy ns summed over every replica of every shard: a
+/// backup's host pays for the writes it applies too.
 fn host_busy_ns(cluster: &DdsCluster) -> u64 {
     (0..cluster.shards())
-        .map(|i| cluster.platform(i).host_cpu.busy_ns())
+        .flat_map(|i| cluster.group(i).members.clone())
+        .map(|member| member.platform().host_cpu.busy_ns())
         .sum()
 }
 

@@ -346,10 +346,21 @@ mod tests {
         // primary's). The bound guards against the tax compounding
         // beyond the chain's inherent cost.
         // The host-cycle saving from offload must survive the extra hop
-        // outright.
+        // outright, and a backup applies a chain write of a DPU-resident
+        // key on its DPU: counting every replica's host, 2 replicas add
+        // only the chain link's four ring crossings per put (4 x 450
+        // cycles, ~6.5 % here), where an apply on the backup's host
+        // would add 12 000 (1.5x).
         let dist = KeyDist::Uniform { keys: KEYS * 2 };
         let solo = measure(2, dist, true, NetConfig::default(), 1);
         let repl = measure(2, dist, true, NetConfig::default(), 2);
+        assert!(
+            repl.host_cyc_per_req <= 1.10 * solo.host_cyc_per_req,
+            "the backups' hosts must not pay for the chain: host cycles/req \
+             {:.0} at 1 replica, {:.0} at 2",
+            solo.host_cyc_per_req,
+            repl.host_cyc_per_req
+        );
         assert!(
             repl.agg_mops >= 0.7 * solo.agg_mops,
             "replication should cost the chain serialization, not more: \

@@ -6,8 +6,10 @@
 //! constraint drives the design twist: DPU memory is small, so only part
 //! of the index is DPU-resident — lookups that hit the DPU-resident
 //! partition can be served entirely on the DPU; the rest must involve
-//! the host (partial offloading). Updates always go through the host, as
-//! in DDS's integration where the host owns write ordering.
+//! the host (partial offloading). A client's update goes through the
+//! host, as in DDS's integration where the host owns write ordering; a
+//! backup applies an update the replication chain already ordered on the
+//! DPU when the key's entry is DPU-resident.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

@@ -86,7 +86,7 @@ pub struct Dds {
     pub served_host: Counter,
     /// Requests whose DPU execution failed and were re-run on the host
     /// (graceful degradation; also opens the director's breaker).
-    pub(crate) host_fallbacks: Counter,
+    pub host_fallbacks: Counter,
     /// Requests that failed on both paths and were answered with
     /// [`Reply::Error`].
     pub(crate) exec_errors: Counter,
@@ -186,23 +186,31 @@ impl Dds {
 
     /// Classifies one request: can the offload engine serve it alone?
     fn wants_dpu(&self, op: &Op) -> bool {
+        let resident = |key: &u64| self.kv.residency(*key) == Residency::Dpu;
         match op {
-            Op::KvGet { key } => self.kv.residency(*key) == Residency::Dpu,
+            Op::KvGet { key } => resident(key),
             // A liveness probe touches no storage at all.
             Op::Ping => true,
-            // Writes and replay involve host-owned state (§7's partial
-            // offloading: the log protocol needs host memory).
-            Op::KvPut { .. } | Op::AppendLog { .. } => false,
+            // Client writes go through the host, which owns their order
+            // (DDS's integration: the primary's host decides). Page-log
+            // replay needs host memory.
+            Op::KvPut { .. } | Op::MigratePut { .. } | Op::AppendLog { .. } => false,
             Op::GetPage { page_id } => self.pages.is_clean(*page_id),
             // A scan is DPU-servable only when every present key of the
             // range is DPU-resident; one host-partition key drags the
             // whole request to the host.
             Op::KvScan { start_key, count } => self.kv.range_resident_dpu(*start_key, *count),
-            // Replication and migration traffic mutates the log or walks
-            // the full index — host-owned state, host path.
-            Op::ReplPut { .. } | Op::MigratePut { .. } | Op::ListKeys | Op::DropKeys { .. } => {
-                false
-            }
+            // An op delivered by the chain was ordered by the primary
+            // already; the log lives on the DPU file service, so the
+            // backup's host adds nothing when every key it touches has
+            // a DPU-resident index entry. An absent or host-resident key
+            // (a first write, a key past the budget) takes the host path.
+            Op::ReplPut { key, .. } => resident(key),
+            Op::DropKeys { epoch, keys } if *epoch > 0 => keys.iter().all(resident),
+            // A migration's own drop (epoch 0) is a client op of the
+            // primary, and the key listing walks the full index: host
+            // path.
+            Op::ListKeys | Op::DropKeys { .. } => false,
         }
     }
 

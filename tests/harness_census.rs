@@ -45,8 +45,11 @@
 //! `crates/*/src` is named by another crate, a test, an example, the
 //! benchmark, README.md's doctests or (for `dpdpu-bench`) its own bins —
 //! or it is `pub(crate)`, or it is listed with a reason in
-//! `UNNAMED_PUB`.
+//! `UNNAMED_PUB`. A declaration names nothing (a same-named fn, field or
+//! variant elsewhere is no caller), nor does `X::name` where only other
+//! crates declare a type `X`.
 
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 const CELL: &str = "crates/bench/src/cell.rs";
@@ -488,6 +491,7 @@ des Race: the future `race` returns
 des Recv: the futures `Receiver::recv` and `XReceiver::recv` return
 des SendError: returned by `Sender::send`
 des Sleep: the future `sleep` and `sleep_until` return
+des Timeout: the future `timeout` returns
 des YieldNow: the future `yield_now` returns
 hw AccelSpec: returned by `DpuSpec::accel`
 hw PeerDevice: returned by `Platform::install_peer` and `peer_device`
@@ -506,7 +510,8 @@ net TcpStats: the type of `TcpSender::stats` and `TcpReceiver::stats`
 telemetry CounterSample: returned by `Telemetry::samples`
 telemetry Registry: returned by `Telemetry::registry`
 telemetry SamplerHandle: returned by `start_sampler`
-telemetry SpanGuard: returned by `span`";
+telemetry SpanGuard: returned by `span`
+telemetry Tracer: returned by `Telemetry::tracer`";
 
 /// [`UNNAMED_PUB`] as `(crate, item, reason)` entries.
 fn unnamed_pub() -> Vec<(&'static str, &'static str, &'static str)> {
@@ -615,14 +620,107 @@ fn exported(tree: &str) -> impl Iterator<Item = &str> {
         .filter(|name| !name.is_empty() && *name != "*" && *name != "self")
 }
 
-/// The identifiers in `source`'s code, `//` comment lines skipped.
-fn identifiers(source: &str) -> std::collections::HashSet<&str> {
-    source
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("//"))
-        .flat_map(|l| l.split(|c: char| !(c.is_alphanumeric() || c == '_')))
-        .filter(|w| !w.is_empty())
-        .collect()
+/// Keywords that introduce an item: the identifier after one is declared.
+const ITEM_KEYWORDS: [&str; 8] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+];
+
+/// The identifiers of `line` with their byte offsets.
+fn words(line: &str) -> impl Iterator<Item = (usize, &str)> {
+    line.match_indices(|c: char| c.is_alphanumeric() || c == '_')
+        .filter(move |&(at, _)| {
+            !line[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+        .map(move |(at, _)| (at, ident(&line[at..])))
+}
+
+/// The names a file's code mentions, each with the path segments before
+/// its mentions.
+type Mentions<'a> = HashMap<&'a str, Vec<Option<&'a str>>>;
+
+/// The names `source`'s code mentions (`//` comment lines skipped), each
+/// with the path segment before it (`Part` in `Part::Tracer`), if any. A
+/// name a declaration introduces is no mention: the identifier after an
+/// item keyword, a field of a struct or enum body, a variant of an enum
+/// body.
+fn mentions(source: &str) -> Mentions<'_> {
+    let mut out = Mentions::new();
+    // The brace depth inside the struct or enum body being read, and
+    // whether it is an enum's.
+    let mut body: Option<(usize, bool)> = None;
+    for line in source.lines().map(str::trim) {
+        if line.starts_with("//") {
+            continue;
+        }
+        // The member a body line declares: the line's first identifier
+        // after its visibility, when a `:` follows it (a field) or it
+        // sits directly in an enum's body (a variant).
+        let member = body
+            .filter(|_| !line.starts_with('#'))
+            .and_then(|(depth, is_enum)| {
+                let rest = line.strip_prefix("pub").map_or(line, |r| {
+                    r.strip_prefix('(')
+                        .and_then(|r| Some(&r[r.find(')')? + 1..]))
+                        .unwrap_or(r)
+                        .trim_start()
+                });
+                let name = ident(rest);
+                let after = rest[name.len()..].trim_start();
+                let field = after.starts_with(':') && !after.starts_with("::");
+                (!name.is_empty() && (field || (is_enum && depth == 1))).then_some(name)
+            });
+        let mut prev: Option<&str> = None;
+        let mut end = 0;
+        for (at, word) in words(line) {
+            let gap = line[end..at].trim();
+            let after_keyword = gap.is_empty() && prev.is_some_and(|p| ITEM_KEYWORDS.contains(&p));
+            let is_member = member == Some(word) && prev.is_none_or(|p| p == "pub" || p == "crate");
+            if !(after_keyword || is_member) {
+                let qualifier = prev.filter(|_| gap == "::");
+                out.entry(word).or_default().push(qualifier);
+            }
+            (prev, end) = (Some(word), at + word.len());
+        }
+        let opens = line.matches('{').count();
+        let closes = line.matches('}').count();
+        body = match body {
+            Some((depth, is_enum)) => (depth + opens).checked_sub(closes).map(|d| (d, is_enum)),
+            None => ["struct", "enum"]
+                .iter()
+                .find(|k| words(line).any(|(_, w)| w == **k))
+                .filter(|_| opens > closes)
+                .map(|k| (opens - closes, *k == "enum")),
+        }
+        .filter(|&(depth, _)| depth > 0);
+    }
+    out
+}
+
+/// The types declared under `crates/*/src`, each with the crates that
+/// declare one of that name.
+fn declared_types(files: &[(String, String)]) -> HashMap<&str, HashSet<&str>> {
+    let mut types: HashMap<&str, HashSet<&str>> = HashMap::new();
+    for (name, source) in files {
+        let Some((krate, _)) = name
+            .strip_prefix("crates/")
+            .and_then(|n| n.split_once("/src/"))
+        else {
+            continue;
+        };
+        for line in source.lines().map(str::trim) {
+            let mut prev = "";
+            for (_, word) in words(line) {
+                if ["struct", "enum", "trait", "type"].contains(&prev) {
+                    types.entry(word).or_default().insert(krate);
+                }
+                prev = word;
+            }
+        }
+    }
+    types
 }
 
 /// The census over `files` (repo-relative name, source): for each crate
@@ -633,10 +731,11 @@ fn uncalled_pub(
     files: &[(String, String)],
     exempt: &[(&str, &str, &str)],
 ) -> (Vec<String>, Vec<String>) {
-    let idents: Vec<_> = files
+    let mentioned: Vec<_> = files
         .iter()
-        .map(|(n, s)| (n.as_str(), identifiers(s)))
+        .map(|(n, s)| (n.as_str(), mentions(s)))
         .collect();
+    let types = declared_types(files);
     let mut crates: Vec<&str> = files
         .iter()
         .filter_map(|(n, _)| Some(n.strip_prefix("crates/")?.split_once("/src/")?.0))
@@ -648,12 +747,18 @@ fn uncalled_pub(
         let home = format!("crates/{krate}/src/");
         let bins = format!("{home}bin/");
         let inside = |n: &str| n.starts_with(&home) && !n.starts_with(&bins);
+        // `X::name` with `X` a type only other crates declare names a
+        // member of `X`, not an item of this crate.
+        let foreign = |q: &str| types.get(q).is_some_and(|ks| !ks.contains(krate));
         for (file, source) in files.iter().filter(|(n, _)| inside(n)) {
             for item in pub_items(source) {
-                let named = |(n, ids): &(&str, std::collections::HashSet<&str>)| {
-                    !inside(n) && ids.contains(item.name.as_str())
+                let named = |(n, names): &(&str, Mentions)| {
+                    !inside(n)
+                        && names
+                            .get(item.name.as_str())
+                            .is_some_and(|qs| qs.iter().any(|q| !q.is_some_and(foreign)))
                 };
-                if idents.iter().any(named) {
+                if mentioned.iter().any(named) {
                     continue;
                 }
                 if exempt.iter().any(|&(k, n, _)| k == krate && n == item.name) {
@@ -770,4 +875,34 @@ fn the_census_catches_a_planted_pub_and_a_stale_exemption() {
     let (uncalled, stale) = uncalled_pub(&tree, &with_stale);
     assert!(uncalled.is_empty(), "{uncalled:#?}");
     assert_eq!(stale, ["des: no_such_item"]);
+}
+
+/// A declaration is no caller: a planted `pub struct` in des stays
+/// uncalled while another crate declares a same-named enum variant, a
+/// field and a fn and names the variant through its enum; naming the
+/// struct clears it.
+#[test]
+fn the_census_sees_past_a_same_named_declaration() {
+    let exempt = unnamed_pub();
+    let tree = census_tree();
+    let probe = "\npub struct PlantedCensusProbe;\n";
+    let planted = appended(&tree, "crates/des/src/time.rs", probe);
+    let namesakes = "\nenum PlantedPart {\n    PlantedCensusProbe,\n}\n\
+                     struct PlantedHolder {\n    PlantedCensusProbe: u8,\n}\n\
+                     fn PlantedCensusProbe() -> PlantedPart {\n    \
+                     PlantedPart::PlantedCensusProbe\n}\n";
+    let shadowed = appended(&planted, "crates/telemetry/src/lib.rs", namesakes);
+    let (uncalled, stale) = uncalled_pub(&shadowed, &exempt);
+    assert!(stale.is_empty(), "{stale:?}");
+    assert_eq!(uncalled.len(), 1, "{uncalled:#?}");
+    let named = "des: pub struct PlantedCensusProbe (crates/des/src/time.rs:";
+    assert!(uncalled[0].starts_with(named), "{uncalled:?}");
+
+    let call = "\nfn caller() -> dpdpu_des::PlantedCensusProbe {\n    \
+                dpdpu_des::PlantedCensusProbe\n}\n";
+    let called = appended(&shadowed, "crates/telemetry/src/lib.rs", call);
+    assert!(
+        uncalled_pub(&called, &exempt).0.is_empty(),
+        "a caller clears it"
+    );
 }

@@ -29,10 +29,12 @@ use bytes::Bytes;
 use dpdpu::check::CheckGuard;
 use dpdpu::dds::cluster::ClusterConfig;
 use dpdpu::dds::gateway::GatewayConfig;
-use dpdpu::dds::proto::RetryPolicy;
+use dpdpu::dds::kv::INDEX_ENTRY_BYTES;
+use dpdpu::dds::proto::{Op, Reply, RetryPolicy};
+use dpdpu::dds::server::DdsConfig;
 use dpdpu::des::{block_on, join_all, now, sleep, spawn, Sim, Time};
 use dpdpu::faults::{FaultPlan, FaultSite, SessionGuard};
-use dpdpu::hw::CpuPool;
+use dpdpu::hw::{costs, CpuPool};
 use dpdpu::net::fabric::{Endpoint, FabricKind};
 use dpdpu::net::NetConfig;
 use dpdpu_bench::cell::{Cell, Load, Preload, Run};
@@ -493,15 +495,23 @@ fn a_replicated_put_waits_only_for_its_own_key() {
     );
 }
 
+/// How long after a put is issued on an idle [`idle_shard`]`(2)` its
+/// primary's log write has started (28.3 µs) and its backup's has not
+/// (35.5 µs): scripted write failures armed then land on the backup.
+const BACKUP_WRITE_PENDING_AT: Time = 32_000;
+
 #[test]
 fn a_key_chains_in_the_primarys_order_when_its_first_forward_fails() {
     // Two puts of one key, same length, different bytes, issued at one
-    // instant. The backup's apply of the first forward runs out its
-    // storage attempts, so the chain re-sends it; without the per-key
-    // order the second put's forward would apply in between, and the
-    // backup would end on the first value while the primary holds the
-    // second. The failures are armed once the primary's own first
-    // write has started and before the backup's has.
+    // instant. The backup's apply of the first forward fails back to the
+    // primary, so the chain re-sends it; without the per-key order the
+    // second put's forward would apply in between, and the backup would
+    // end on the first value while the primary holds the second. The
+    // eleven failures are armed once the primary's own first write has
+    // started and before the backup's has: the forward's four attempts
+    // on the backup's DPU and the four of its re-run on the backup's
+    // host take eight, and the re-send takes the last three and applies
+    // on its fourth attempt.
     let check = CheckGuard::new();
     let faults = SessionGuard::new(FaultPlan::new(42));
     let session = faults.session.clone();
@@ -514,8 +524,8 @@ fn a_key_chains_in_the_primarys_order_when_its_first_forward_fails() {
             let client = client.clone();
             spawn(async move { client.kv_put(3, value).await })
         });
-        sleep(50_000).await;
-        session.arm_ssd_write_failures(7);
+        sleep(BACKUP_WRITE_PENDING_AT).await;
+        session.arm_ssd_write_failures(11);
         for put in join_all(puts.into()).await {
             put.expect("put");
         }
@@ -530,9 +540,14 @@ fn a_key_chains_in_the_primarys_order_when_its_first_forward_fails() {
     // The content digests of both copies must agree.
     cluster.verify_replicas();
     drop(check);
-    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 7);
+    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 11);
     let ctl = cluster.ctl(0).expect("replicated group");
     assert!(!ctl.primary_is_solo(), "both copies still in the group");
+    assert_eq!(
+        cluster.group(0).members[1].host_fallbacks.get(),
+        1,
+        "only the first forward's DPU-path apply fails"
+    );
     for (r, read) in reads.iter().enumerate() {
         assert_eq!(
             read.as_ref(),
@@ -582,4 +597,140 @@ fn a_primary_that_fails_its_own_apply_hands_the_group_to_its_backup() {
     assert_eq!(stale, 1, "that answer ended the call to the old primary");
     assert_eq!(put, Ok(()), "the re-routed put succeeds");
     assert_eq!(read, Ok(Some(expected)), "the promoted backup serves it");
+}
+
+/// What putting each of `keys` in turn on an idle [`idle_shard`]`(2)`
+/// of `dds` servers costs the backup: its host-CPU busy ns beyond the
+/// transport's ring crossing for each chain message (the forward in, the
+/// ack out), and the requests it served on the DPU and on its host.
+fn backup_apply_costs(dds: DdsConfig, keys: &[u64]) -> (u64, u64, u64) {
+    let _check = CheckGuard::new();
+    let cell = idle_shard(2);
+    let cell = Cell {
+        cluster: ClusterConfig {
+            dds,
+            ..cell.cluster
+        },
+        ..cell
+    };
+    let keys = keys.to_vec();
+    let puts = keys.len() as u64;
+    block_on(async move {
+        let (cluster, client) = cell.boot().await;
+        sleep(1_000_000).await;
+        let backup = cluster.group(0).members[1].clone();
+        let tally = || {
+            (
+                backup.platform().host_cpu.busy_ns(),
+                backup.served_dpu.get(),
+                backup.served_host.get(),
+            )
+        };
+        let before = tally();
+        for key in keys {
+            client
+                .kv_put(key, Bytes::from(vec![7u8; 256]))
+                .await
+                .expect("put");
+        }
+        let after = tally();
+        cluster.verify_replicas();
+        let host_cpu = &backup.platform().host_cpu;
+        let rings = 2 * puts * host_cpu.cycles_ns(costs::NE_HOST_RING_CYCLES_PER_MSG);
+        (
+            after.0 - before.0 - rings,
+            after.1 - before.1,
+            after.2 - before.2,
+        )
+    })
+}
+
+#[test]
+fn a_backup_applies_chain_writes_of_dpu_resident_keys_on_its_dpu() {
+    // The primary's chain order already fixed each write's place and the
+    // log lives on the DPU file service: the backup's host adds nothing.
+    let keys: Vec<u64> = (0..8).collect();
+    let (host_ns, dpu, host) = backup_apply_costs(DdsConfig::default(), &keys);
+    assert_eq!(host_ns, 0, "the backup's host applied chain writes");
+    assert_eq!(
+        (dpu, host),
+        (keys.len() as u64, 0),
+        "every chain write served on the DPU"
+    );
+}
+
+#[test]
+fn a_backup_applies_on_its_host_past_its_index_budget_or_without_offload() {
+    // Room for four keys on the DPU: the preload's last four keys live
+    // in the host partition, so a chain write of one takes the host path.
+    let budget = DdsConfig {
+        kv_index_budget: 4 * INDEX_ENTRY_BYTES,
+        ..DdsConfig::default()
+    };
+    let (host_ns, dpu, host) = backup_apply_costs(budget, &[7]);
+    assert!(host_ns > 0, "a host-resident key's apply costs host CPU");
+    assert_eq!((dpu, host), (0, 1), "the chain write served on the host");
+    // The all-host baseline applies every chain write on the host.
+    let baseline = DdsConfig {
+        offload_enabled: false,
+        ..DdsConfig::default()
+    };
+    let (host_ns, dpu, host) = backup_apply_costs(baseline, &[0, 1, 2]);
+    assert!(host_ns > 0, "the baseline's applies cost host CPU");
+    assert_eq!((dpu, host), (0, 3), "every chain write served on the host");
+}
+
+#[test]
+fn a_backup_whose_dpu_apply_fails_reruns_it_on_its_host_once() {
+    // Four scripted write failures, armed once the primary's own write
+    // has started and before the backup's has: the backup's DPU-path
+    // apply runs out its four storage attempts, and the director re-runs
+    // the op on the backup's host, where it applies. The primary's chain
+    // never sees the failure.
+    let check = CheckGuard::new();
+    let faults = SessionGuard::new(FaultPlan::new(42));
+    let session = faults.session.clone();
+    let value = Bytes::from(vec![5u8; 256]);
+    let expected = value.clone();
+    let (cluster, served, keys, read) = block_on(async move {
+        let (cluster, client) = idle_shard(2).boot().await;
+        sleep(1_000_000).await;
+        let backup = cluster.group(0).members[1].clone();
+        let tally = || {
+            [
+                backup.served_dpu.get(),
+                backup.served_host.get(),
+                backup.host_fallbacks.get(),
+            ]
+        };
+        let before = tally();
+        let put = spawn(async move { client.kv_put(3, value).await });
+        sleep(BACKUP_WRITE_PENDING_AT).await;
+        session.arm_ssd_write_failures(4);
+        put.await.expect("the put acks");
+        let after = tally();
+        let served = [0, 1, 2].map(|i| after[i] - before[i]);
+        let reader = Endpoint::host(CpuPool::new("reader", 4, 3_000_000_000));
+        let conn = backup.connect(&NetConfig::default(), &reader, "reader");
+        let keys = conn.call(Op::ListKeys).await.expect("list");
+        let read = conn.kv_get(3).await.expect("get");
+        (cluster, served, keys, read)
+    });
+    cluster.verify_replicas();
+    drop(check);
+    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 4);
+    assert_eq!(
+        served,
+        [0, 1, 1],
+        "[DPU-served, host-served, host fallbacks] on the backup"
+    );
+    assert_eq!(
+        keys,
+        Reply::Keys((0..8).collect()),
+        "the backup indexes the key once"
+    );
+    assert_eq!(read, Some(expected), "the backup holds the new value");
+    let ctl = cluster.ctl(0).expect("replicated group");
+    assert_eq!(ctl.promotions.get(), 0, "no failover");
+    assert!(!ctl.primary_is_solo(), "both copies still in the group");
 }

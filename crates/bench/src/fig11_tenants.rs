@@ -15,7 +15,9 @@
 //! * **steady-kv** — a uniform KV victim tenant at a paced, modest
 //!   load;
 //! * **batch-scan** — a Diba-style streaming-scan tenant issuing
-//!   bursty full-fan-out scans.
+//!   bursty full-fan-out scans. A scan asks every shard at once, and
+//!   each shard reads every key of the range at once, so a scan waits
+//!   about one device read, not one per key.
 //!
 //! Each tenant is first measured **solo** (alone on an identical
 //! cluster, same gateway config) to establish its baseline tail; the

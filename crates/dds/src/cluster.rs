@@ -39,7 +39,7 @@ use bytes::Bytes;
 
 use dpdpu_check::{Exit, Flow};
 use dpdpu_core::DpdpuError;
-use dpdpu_des::{Counter, Semaphore, Site};
+use dpdpu_des::{join_all, spawn, Counter, Semaphore, Site};
 use dpdpu_hw::{CpuPool, DpuSpec, HostSpec, PcieLink, Platform};
 use dpdpu_net::fabric::{Endpoint, FabricKind};
 use dpdpu_net::NetConfig;
@@ -573,10 +573,10 @@ impl ClusterClient {
 
     /// The one routed entry point: runs a KV op against the shard (or
     /// shards) the ring assigns it. [`ClusterClient::kv_get`],
-    /// [`ClusterClient::kv_put`] and [`ClusterClient::kv_scan`] are this
-    /// call with the reply unpacked; the gateway queues the [`Op`] itself
-    /// and load generators hand over the one they drew.
-    pub async fn call(&self, op: Op) -> Result<Reply, DpdpuError> {
+    /// [`ClusterClient::kv_put`] and [`ClusterClient::kv_scan`] take the
+    /// same routes with the reply unpacked; the gateway queues the [`Op`]
+    /// itself and load generators hand over the one they drew.
+    pub async fn call(self: &Rc<Self>, op: Op) -> Result<Reply, DpdpuError> {
         match op {
             Op::KvGet { key } => self.routed_get(key).await,
             // Writes always go to the ring's *current* owner, so a
@@ -618,16 +618,23 @@ impl ClusterClient {
     }
 
     /// The range's keys are scattered across shards by the hash
-    /// partitioning, so every shard is queried and the results
-    /// merged in key order. Under membership churn a key can
-    /// momentarily exist on two shards; the current ring owner's copy
-    /// wins.
-    async fn routed_scan(&self, scan: Op) -> Result<Reply, DpdpuError> {
+    /// partitioning, so every shard is queried at once, one task per
+    /// shard, and the results merged in key order once all have
+    /// answered; the first error in shard order is the scan's. Under
+    /// membership churn a key can momentarily exist on two shards; the
+    /// current ring owner's copy wins.
+    async fn routed_scan(self: &Rc<Self>, scan: Op) -> Result<Reply, DpdpuError> {
         self.ensure_conns();
         let shards = self.conns.borrow().len();
+        let asks = (0..shards)
+            .map(|shard| {
+                let (client, scan) = (self.clone(), scan.clone());
+                spawn(async move { client.call_group(shard, scan, true).await })
+            })
+            .collect();
         let mut hits: Vec<(u64, Bytes, usize)> = Vec::new();
-        for shard in 0..shards {
-            for (k, v) in self.call_group(shard, scan.clone(), true).await?.rows() {
+        for (shard, reply) in join_all(asks).await.into_iter().enumerate() {
+            for (k, v) in reply?.rows() {
                 hits.push((k, v, shard));
             }
         }
@@ -643,17 +650,20 @@ impl ClusterClient {
 
     /// Routed KV get: `None` when no owner, old or new, holds the key.
     pub async fn kv_get(&self, key: u64) -> Result<Option<Bytes>, DpdpuError> {
-        self.call(Op::KvGet { key }).await.map(Reply::value)
+        self.routed_get(key).await.map(Reply::value)
     }
 
     /// Routed KV put.
     pub async fn kv_put(&self, key: u64, value: Bytes) -> Result<(), DpdpuError> {
-        self.call(Op::KvPut { key, value }).await.map(Reply::ack)
+        let shard = self.cluster.shard_for(key);
+        self.call_group(shard, Op::KvPut { key, value }, true)
+            .await
+            .map(Reply::ack)
     }
 
     /// Cluster-wide range scan, merged in key order.
     pub async fn kv_scan(
-        &self,
+        self: &Rc<Self>,
         start_key: u64,
         count: u32,
     ) -> Result<Vec<(u64, Bytes)>, DpdpuError> {

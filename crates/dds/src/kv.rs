@@ -17,6 +17,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
+use dpdpu_des::{join_all, spawn};
 use dpdpu_hw::{Memory, MemoryReservation};
 use dpdpu_storage::{FileService, FsError, RecordLog};
 
@@ -292,19 +293,35 @@ impl KvStore {
 
     /// Multi-get over the dense key range `[start_key, start_key +
     /// count)`: returns the present keys in ascending order with their
-    /// current values.
+    /// values. The present keys come from one snapshot of the index, and
+    /// their records are all read at once, one task per read, so the
+    /// reads share the device's queue instead of waiting in turn. Every
+    /// read finishes before the scan returns; the first error in key
+    /// order is the scan's.
     pub(crate) async fn scan(
-        &self,
+        self: &Rc<Self>,
         start_key: u64,
         count: u32,
     ) -> Result<Vec<(u64, Bytes)>, FsError> {
-        let mut out = Vec::new();
-        for key in start_key..start_key.saturating_add(count as u64) {
-            if let Some(value) = self.get(key).await? {
-                out.push((key, value));
-            }
-        }
-        Ok(out)
+        let present: Vec<(u64, IndexEntry)> = {
+            let index = self.index.borrow();
+            (start_key..start_key.saturating_add(count as u64))
+                .filter_map(|k| index.get(&k).map(|e| (k, *e)))
+                .collect()
+        };
+        let reads = present
+            .iter()
+            .map(|&(_, e)| {
+                let kv = self.clone();
+                spawn(async move { kv.log.read(e.value_offset, e.value_len as u64).await })
+            })
+            .collect();
+        let values = join_all(reads).await;
+        present
+            .into_iter()
+            .zip(values)
+            .map(|((key, _), value)| Ok((key, Bytes::from(value?))))
+            .collect()
     }
 
     /// True when `key` is present in either index partition (no I/O).

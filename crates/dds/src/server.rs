@@ -350,6 +350,13 @@ impl Dds {
                 match role {
                     Some(role) if *epoch >= role.fence.get() => {
                         self.kv.put(*key, value).await?;
+                        // The fence is checked again after the apply: a
+                        // primary whose chain call timed out meanwhile
+                        // took a solo grant and deposed this replica, so
+                        // this replica must not ack the write.
+                        if role.deposed() || *epoch < role.fence.get() {
+                            return Ok(role.stand_down());
+                        }
                         // Record the ack at apply time, not when the
                         // primary hears back: a promotion landing between
                         // the two must not make this write look like it

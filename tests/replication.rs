@@ -734,3 +734,55 @@ fn a_backup_whose_dpu_apply_fails_reruns_it_on_its_host_once() {
     assert_eq!(ctl.promotions.get(), 0, "no failover");
     assert!(!ctl.primary_is_solo(), "both copies still in the group");
 }
+
+#[test]
+fn a_backup_deposed_during_its_own_apply_acks_nothing() {
+    // The chain-order cell above with fifteen write failures: the first
+    // forward's DPU-path apply and its host re-run fail, and so does most
+    // of the re-send's, whose host re-run outlasts the primary's 1 ms
+    // chain timeout. The primary then goes solo at a new epoch and
+    // deposes the backup while it is still applying; the backup answers
+    // `StaleEpoch` and records no ack at the epoch its apply began
+    // under, which the strict session would call `[epoch-fencing]`.
+    let check = CheckGuard::new();
+    let faults = SessionGuard::new(FaultPlan::new(42));
+    let session = faults.session.clone();
+    let (first, second) = (Bytes::from(vec![1u8; 256]), Bytes::from(vec![2u8; 256]));
+    let expected = second.clone();
+    let (cluster, puts, read) = block_on(async move {
+        let (cluster, client) = idle_shard(2).boot().await;
+        sleep(1_000_000).await;
+        let puts = [first, second].map(|value| {
+            let client = client.clone();
+            spawn(async move { client.kv_put(3, value).await })
+        });
+        sleep(BACKUP_WRITE_PENDING_AT).await;
+        session.arm_ssd_write_failures(15);
+        let puts = join_all(puts.into()).await;
+        let read = client.kv_get(3).await;
+        (cluster, puts, read)
+    });
+    cluster.verify_replicas();
+    drop(check);
+    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 15);
+    assert_eq!(puts, [Ok(()), Ok(())], "both puts ack");
+    assert_eq!(
+        read,
+        Ok(Some(expected)),
+        "the primary holds the second value"
+    );
+    let ctl = cluster.ctl(0).expect("replicated group");
+    assert!(ctl.primary_is_solo(), "the primary went solo");
+    assert!(ctl.is_deposed(1), "the backup was deposed");
+    assert_eq!(
+        (ctl.epoch(), ctl.promotions.get()),
+        (2, 0),
+        "one solo grant"
+    );
+    let backup = cluster.group(0).members[1].replication().unwrap();
+    assert_eq!(
+        backup.stale_rejections.get(),
+        1,
+        "the backup stood down after its late apply"
+    );
+}

@@ -22,8 +22,7 @@ fn main() {
         };
         match net.apply_cli_flag(&arg, &value) {
             Ok(true) => {
-                // `--fabric` here restricts the sweep to that column;
-                // TCP is still measured as the savings baseline.
+                // `--fabric` here restricts the sweep to that column.
                 if arg == "--fabric" {
                     only = Some(net.fabric);
                 }

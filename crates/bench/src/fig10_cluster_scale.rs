@@ -48,7 +48,7 @@ pub(crate) const CLIENTS_PER_SERVER: usize = 4;
 pub(crate) const PIPELINE: usize = 4;
 const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
-pub(crate) const PROD_RATE: f64 = 5_000_000.0;
+const PROD_RATE: f64 = 5_000_000.0;
 
 /// The testbed's fleet sizes: what `run` and the figure golden sweep.
 pub const SERVERS: [usize; 4] = [1, 2, 4, 8];
@@ -348,9 +348,9 @@ mod tests {
         // The host-cycle saving from offload must survive the extra hop
         // outright, and a backup applies a chain write of a DPU-resident
         // key on its DPU: counting every replica's host, 2 replicas add
-        // only the chain link's four ring crossings per put (4 x 450
-        // cycles, ~6.5 % here), where an apply on the backup's host
-        // would add 12 000 (1.5x).
+        // only the primary's two ring crossings per put (2 x 450 cycles,
+        // ~7.5 % here; the backup's end of the chain is DPU-native),
+        // where an apply on the backup's host would add 12 000.
         let dist = KeyDist::Uniform { keys: KEYS * 2 };
         let solo = measure(2, dist, true, NetConfig::default(), 1);
         let repl = measure(2, dist, true, NetConfig::default(), 2);

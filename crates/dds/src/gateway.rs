@@ -260,11 +260,12 @@ impl Gateway {
         dpdpu_check::flow_in(Flow::Tenant, state.site, cost);
         dpdpu_telemetry::count("gateway_requests", &[("tenant", name), ("slo", slo)]);
         if self.fair {
-            if !state.take_token() {
-                return Err(self.shed(state, cost, "tenant rate limit"));
-            }
+            // The cap first: a request shed at the cap keeps its token.
             if state.spec.max_in_flight > 0 && state.in_flight.get() >= state.spec.max_in_flight {
                 return Err(self.shed(state, cost, "tenant in-flight cap"));
+            }
+            if !state.take_token() {
+                return Err(self.shed(state, cost, "tenant rate limit"));
             }
         }
         state.in_flight.set(state.in_flight.get() + 1);
@@ -366,8 +367,9 @@ mod tests {
     use super::*;
 
     use bytes::Bytes;
-    use dpdpu_des::block_on;
+    use dpdpu_des::{block_on, sleep};
     use dpdpu_hw::CpuPool;
+    use dpdpu_net::NetConfig;
 
     use crate::cluster::{ClusterConfig, DdsCluster};
 
@@ -494,6 +496,55 @@ mod tests {
                 }
             }
             assert!(shed > 0, "16 concurrent ops over a cap of 2 must shed");
+        });
+    }
+
+    #[test]
+    fn a_request_shed_at_the_cap_keeps_its_token() {
+        let _check = dpdpu_check::CheckGuard::new();
+        block_on(async {
+            // A 600 µs link makes one call outlive the 1 ms token period,
+            // so a token is back in the bucket while the cap still holds.
+            let mut net = NetConfig::default();
+            net.link.propagation_ns = 600_000;
+            net.tcp.rto_ns = 10_000_000;
+            let cluster = DdsCluster::build(ClusterConfig {
+                shards: 1,
+                net,
+                ..ClusterConfig::default()
+            })
+            .await;
+            let client = cluster.connect(CpuPool::new("gw-client", 32, 3_000_000_000));
+            let gw = Gateway::front(
+                client,
+                GatewayConfig::new(vec![TenantSpec::latency("capped", 1)
+                    .rate(1_000, 1)
+                    .in_flight(1)]),
+            );
+            gw.call(0, put_v()).await.expect("the handshake's call");
+            sleep(1_000_000).await;
+            let long = {
+                let gw = gw.clone();
+                spawn(async move { gw.call(0, Op::KvGet { key: 1 }).await })
+            };
+            // A token period later the bucket is full again, and the
+            // long call still holds the tenant's one slot.
+            sleep(1_000_000).await;
+            let shed_at = now();
+            for _ in 0..4 {
+                let err = gw.call(0, Op::KvGet { key: 1 }).await.unwrap_err();
+                assert_eq!(err, DpdpuError::Unavailable("tenant in-flight cap"));
+            }
+            long.await.expect("the long call rides the refilled token");
+            assert!(
+                now() - shed_at < 1_000_000,
+                "no token could refill after the sheds"
+            );
+            gw.call(0, Op::KvGet { key: 1 })
+                .await
+                .expect("the token the cap sheds left behind admits the next call");
+            let snap = gw.snapshot(0);
+            assert_eq!((snap.issued, snap.ok, snap.shed), (7, 3, 4));
         });
     }
 

@@ -34,8 +34,9 @@ const DPU_PARSE_CYCLES: u64 = 800;
 const DPU_APP_CYCLES: u64 = 2_000;
 /// Host cycles of application logic per host-served request (socket
 /// wakeup, request dispatch, buffer management) — on top of storage I/O
-/// and replay costs charged by the layers below.
-const HOST_APP_CYCLES: u64 = 12_000;
+/// and replay costs charged by the layers below. A DPU-served request
+/// costs the host nothing, so this is the whole per-request saving.
+pub const HOST_APP_CYCLES: u64 = 12_000;
 
 /// One connection's replay cache: `req_id` -> `None` while the request
 /// is in flight, `Some(framed response)` once answered.
@@ -147,25 +148,22 @@ impl Dds {
         &self.platform
     }
 
-    /// This server as a fabric endpoint: the transport terminates on the
-    /// DPU (DDS's network front end), with host cores behind the PCIe.
-    pub(crate) fn endpoint(&self) -> Endpoint {
-        Endpoint::of(&self.platform)
-    }
-
     /// Attaches one client: connects `client` to this server over
     /// `net`'s fabric, serves the server half and returns a
     /// [`DdsClient`] on the client half. `label` names the connection's
-    /// resources. The two halves share a ledger of finished calls, so
-    /// the server's replay cache holds only calls the client may still
-    /// retry (see [`Dds::serve`]).
+    /// resources. The server half ends on the DPU, where the director
+    /// routes: the transport costs the host nothing, and the host sees
+    /// only what `Dds::host_exec` forwards. The two halves share a
+    /// ledger of finished calls, so the server's replay cache holds only
+    /// calls the client may still retry (see [`Dds::serve`]).
     pub fn connect(
         self: &Rc<Self>,
         net: &NetConfig,
         client: &Endpoint,
         label: &str,
     ) -> Rc<DdsClient> {
-        let (client_conn, server_conn) = net.connect(client, &self.endpoint(), label);
+        let server = Endpoint::dpu_native(&self.platform);
+        let (client_conn, server_conn) = net.connect(client, &server, label);
         let (stx, srx) = server_conn.split();
         let retired = Retired::default();
         self.serve_retiring(srx, stx, Some(retired.clone()));

@@ -22,8 +22,10 @@
 //!   engine lives there, so server host cores spend nothing on
 //!   transport at all (the Hyperion-style zero-CPU data path).
 //!
-//! Whether an endpoint's stack runs on host cores or on its DPU is a
-//! fact about the [`Endpoint`] (one `Option`), not about the API.
+//! Whether an endpoint's stack runs on host cores or on its DPU, and
+//! whether its application sits on the host or on the DPU too, is a
+//! fact about the [`Endpoint`] (one enum), not about the API or the
+//! argument order: every fabric reads it the same way.
 //!
 //! ## Wire format and credits
 //!
@@ -72,8 +74,9 @@ pub enum FabricKind {
     Tcp,
     /// RDMA verbs issued by host cores.
     Rdma,
-    /// RDMA verbs issued by the DPU behind NE rings; server side
-    /// terminates on the DPU with no host involvement.
+    /// RDMA verbs issued by the DPU: a host application sits behind NE
+    /// rings, a DPU-native one (a DDS server's half) terminates on the
+    /// DPU with no host involvement.
     RdmaOffload,
 }
 
@@ -137,8 +140,32 @@ const RNR_BACKOFF_NS: Time = 2_000;
 pub struct Endpoint {
     /// Host cores.
     pub(crate) host_cpu: Rc<CpuPool>,
-    /// DPU cores + host↔DPU PCIe, when this endpoint has a DPU.
-    pub(crate) dpu: Option<(Rc<CpuPool>, Rc<PcieLink>)>,
+    /// Where the stack runs, and where the application it serves sits.
+    pub(crate) stack: Stack,
+}
+
+/// Where an endpoint's network stack runs.
+#[derive(Clone)]
+pub(crate) enum Stack {
+    /// The kernel stack, on host cores.
+    Host,
+    /// The stack on DPU cores, the application on the host: every
+    /// message crosses the NE rings and the host↔DPU PCIe.
+    Offloaded(Rc<CpuPool>, Rc<PcieLink>),
+    /// The stack and the application both on the DPU (a DDS server's
+    /// half): the transport ends there, and the host sees a message
+    /// only when the application forwards it.
+    DpuNative(Rc<CpuPool>, Rc<PcieLink>),
+}
+
+impl Stack {
+    /// The DPU cores and host↔DPU PCIe, when the stack runs on a DPU.
+    pub(crate) fn dpu(&self) -> Option<(&Rc<CpuPool>, &Rc<PcieLink>)> {
+        match self {
+            Stack::Host => None,
+            Stack::Offloaded(cpu, pcie) | Stack::DpuNative(cpu, pcie) => Some((cpu, pcie)),
+        }
+    }
 }
 
 impl Endpoint {
@@ -146,15 +173,16 @@ impl Endpoint {
     pub fn host(host_cpu: Rc<CpuPool>) -> Self {
         Endpoint {
             host_cpu,
-            dpu: None,
+            stack: Stack::Host,
         }
     }
 
-    /// An endpoint with a DPU (cluster servers; offload-fabric clients).
+    /// An endpoint with its stack on a DPU and its application on the
+    /// host (offload-fabric clients; a primary's chain link).
     pub fn offloaded(host_cpu: Rc<CpuPool>, dpu_cpu: Rc<CpuPool>, pcie: Rc<PcieLink>) -> Self {
         Endpoint {
             host_cpu,
-            dpu: Some((dpu_cpu, pcie)),
+            stack: Stack::Offloaded(dpu_cpu, pcie),
         }
     }
 
@@ -166,6 +194,16 @@ impl Endpoint {
             platform.dpu_cpu.clone(),
             platform.host_dpu_pcie.clone(),
         )
+    }
+
+    /// `platform` with the stack *and* the application on its DPU: the
+    /// half a DDS server serves. The transport costs its host nothing;
+    /// the host pays only for requests the application routes to it.
+    pub fn dpu_native(platform: &Platform) -> Self {
+        Endpoint {
+            host_cpu: platform.host_cpu.clone(),
+            stack: Stack::DpuNative(platform.dpu_cpu.clone(), platform.host_dpu_pcie.clone()),
+        }
     }
 }
 
@@ -266,24 +304,22 @@ impl NetConfig {
             // host cores issue its QP (the §6 baseline — WQE build, QP
             // lock, doorbell MMIO and CQ polls all land there), and a
             // payload crosses PCIe when that side's application lives
-            // on its DPU. Offload: DPU cores issue both QPs, side `a`
-            // (the client) sits behind NE rings — its host enqueues
-            // descriptors and polls completions — and side `b` (the
-            // server) terminates on its DPU, where the DDS engine
-            // already lives: zero host cycles, zero PCIe per request.
+            // on its DPU. Offload: DPU cores issue both QPs; a side
+            // whose application is on its host sits behind NE rings —
+            // the host enqueues descriptors and polls completions — and
+            // a DPU-native side (a DDS server's half) terminates on its
+            // DPU: zero host cycles, zero PCIe per request. The
+            // endpoint's `Stack` decides which, as it does for TCP.
             FabricKind::Rdma | FabricKind::RdmaOffload => {
                 let offload = self.fabric == FabricKind::RdmaOffload;
-                let dpu_of = |e: &Endpoint, role: &str| {
-                    e.dpu.clone().unwrap_or_else(|| {
+                let issuer = |e: &Endpoint, role: &str| match (offload, e.stack.dpu()) {
+                    (false, _) => e.host_cpu.clone(),
+                    (true, Some((cpu, _))) => cpu.clone(),
+                    (true, None) => {
                         panic!("rdma-offload fabric needs a DPU on the {role} endpoint")
-                    })
+                    }
                 };
-                let pcie_of = |e: &Endpoint| e.dpu.as_ref().map(|(_, pcie)| pcie.clone());
-                let (a_issuer, b_issuer) = if offload {
-                    (dpu_of(a, "client").0, dpu_of(b, "server").0)
-                } else {
-                    (a.host_cpu.clone(), b.host_cpu.clone())
-                };
+                let (a_issuer, b_issuer) = (issuer(a, "client"), issuer(b, "server"));
                 // Loss is injected above the NIC, so the wire itself is
                 // made lossless.
                 let mut cfg = self.link;
@@ -292,14 +328,16 @@ impl NetConfig {
                     rdma_pair_named(a_issuer, b_issuer, cfg, &format!("{label}.rdma"), true);
                 let a2b = Site::new(&format!("{label}.a2b"));
                 let b2a = Site::new(&format!("{label}.b2a"));
-                let a_io = if offload {
-                    let (a_dpu, a_pcie) = dpu_of(a, "client");
-                    let (qp, stream) = offload_qp_with_recv(a.host_cpu.clone(), a_dpu, a_pcie, qa);
-                    (FabricTx::Rings { qp }, FabricRx::Rings { stream })
-                } else {
-                    qp_io(qa, pcie_of(a))
+                let io = |e: &Endpoint, qp: Rc<RdmaQp>| match (&e.stack, offload) {
+                    (Stack::Offloaded(dpu, pcie), true) => {
+                        let (qp, stream) =
+                            offload_qp_with_recv(e.host_cpu.clone(), dpu.clone(), pcie.clone(), qp);
+                        (FabricTx::Rings { qp }, FabricRx::Rings { stream })
+                    }
+                    (Stack::DpuNative(_, pcie), false) => qp_io(qp, Some(pcie.clone())),
+                    _ => qp_io(qp, None),
                 };
-                let b_io = qp_io(qb, if offload { None } else { pcie_of(b) });
+                let (a_io, b_io) = (io(a, qa), io(b, qb));
                 let params = self.fabric_params;
                 (
                     spawn_endpoint(a_io, params, a2b, b2a),
@@ -570,6 +608,17 @@ mod tests {
         )
     }
 
+    /// `dpu_endpoint` with the application on the DPU too: a server half.
+    fn dpu_native_endpoint(tag: &str) -> Endpoint {
+        Endpoint {
+            host_cpu: CpuPool::new(format!("{tag}-host"), 8, 3_000_000_000),
+            stack: Stack::DpuNative(
+                CpuPool::new(format!("{tag}-dpu"), 8, 2_000_000_000),
+                PcieLink::new(format!("{tag}-pcie"), 16_000_000_000),
+            ),
+        }
+    }
+
     fn endpoints_for(kind: FabricKind, tag: &str) -> (Endpoint, Endpoint) {
         match kind {
             FabricKind::Tcp | FabricKind::Rdma => (
@@ -578,7 +627,7 @@ mod tests {
             ),
             FabricKind::RdmaOffload => (
                 dpu_endpoint(&format!("{tag}-a")),
-                dpu_endpoint(&format!("{tag}-b")),
+                dpu_native_endpoint(&format!("{tag}-b")),
             ),
         }
     }
@@ -648,15 +697,15 @@ mod tests {
         echo_run(FabricKind::RdmaOffload, n, 32);
     }
 
-    #[test]
-    fn offload_fabric_leaves_server_host_idle() {
+    /// Echoes 50 requests from `a` to `b` over rdma-offload and returns
+    /// the busy time of each side's host.
+    fn offload_echo_host_busy(a: Endpoint, b: Endpoint) -> (u64, u64) {
         let _check = CheckGuard::new();
         let mut sim = Sim::new();
-        let server_host_busy = Rc::new(Cell::new(u64::MAX));
-        let shb = server_host_busy.clone();
+        let busy = Rc::new(Cell::new((u64::MAX, u64::MAX)));
+        let busy2 = busy.clone();
         sim.spawn(async move {
-            let (a, b) = endpoints_for(FabricKind::RdmaOffload, "idle");
-            let b_host = b.host_cpu.clone();
+            let (a_host, b_host) = (a.host_cpu.clone(), b.host_cpu.clone());
             let net = NetConfig::default().with_fabric(FabricKind::RdmaOffload);
             let (ca, cb) = net.connect(&a, &b, "t-idle");
             let (a_tx, mut a_rx) = ca.split();
@@ -670,15 +719,31 @@ mod tests {
                 a_tx.send(Bytes::from_static(b"req"));
                 a_rx.recv().await.expect("echo alive");
             }
-            shb.set(b_host.busy_ns());
+            busy2.set((a_host.busy_ns(), b_host.busy_ns()));
         });
         sim.run();
         drop(sim);
+        busy.get()
+    }
+
+    #[test]
+    fn offload_fabric_leaves_server_host_idle() {
+        let (a, b) = endpoints_for(FabricKind::RdmaOffload, "idle");
         assert_eq!(
-            server_host_busy.get(),
+            offload_echo_host_busy(a, b).1,
             0,
             "rdma-offload server transport must cost zero host cycles"
         );
+    }
+
+    #[test]
+    fn the_stack_not_the_argument_order_picks_rings_or_dpu_termination() {
+        // A DPU-native side terminates on its DPU and an offloaded one
+        // sits behind NE rings, whichever side of `connect` each is on.
+        let (a_busy, b_busy) =
+            offload_echo_host_busy(dpu_native_endpoint("swap-a"), dpu_endpoint("swap-b"));
+        assert_eq!(a_busy, 0, "a DPU-native client costs its host nothing");
+        assert!(b_busy > 0, "an offloaded server's host drains its rings");
     }
 
     #[test]
@@ -701,10 +766,17 @@ mod tests {
     fn endpoint_of_a_platform_is_its_host_dpu_and_pcie() {
         let p = Platform::default_bf2();
         let ep = Endpoint::of(&p);
-        let (dpu_cpu, pcie) = ep.dpu.expect("platform endpoints have a DPU");
+        let (dpu_cpu, pcie) = ep.stack.dpu().expect("platform endpoints have a DPU");
         assert!(Rc::ptr_eq(&ep.host_cpu, &p.host_cpu));
-        assert!(Rc::ptr_eq(&dpu_cpu, &p.dpu_cpu));
-        assert!(Rc::ptr_eq(&pcie, &p.host_dpu_pcie));
+        assert!(Rc::ptr_eq(dpu_cpu, &p.dpu_cpu));
+        assert!(Rc::ptr_eq(pcie, &p.host_dpu_pcie));
+        assert!(matches!(ep.stack, Stack::Offloaded(..)));
+        let native = Endpoint::dpu_native(&p);
+        assert!(matches!(native.stack, Stack::DpuNative(..)));
+        let (dpu_cpu, pcie) = native.stack.dpu().expect("a DPU-native endpoint has a DPU");
+        assert!(Rc::ptr_eq(&native.host_cpu, &p.host_cpu));
+        assert!(Rc::ptr_eq(dpu_cpu, &p.dpu_cpu));
+        assert!(Rc::ptr_eq(pcie, &p.host_dpu_pcie));
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   are charged to DPU cores; payloads cross host↔DPU PCIe by DMA; the
 //!   host pays only the lock-free-ring enqueue/poll cost per message —
 //!   the §6 "POSIX-like socket API through a user library".
+//! * **DPU-native stack** ([`Endpoint::dpu_native`], a DDS server's
+//!   half): protocol cycles on DPU cores as above, and the application
+//!   lives on the DPU too, so no message crosses to the host — the
+//!   server forwards only the requests it routes there.
 //!
 //! ## Structure
 //!
@@ -47,7 +51,7 @@ use dpdpu_hw::{costs, LinkConfig};
 
 pub use cong::CongAlgKind;
 
-use crate::fabric::Endpoint;
+use crate::fabric::{Endpoint, Stack};
 use conn::build_mux;
 
 /// Maximum segment size (payload bytes per segment).
@@ -82,14 +86,15 @@ impl Default for TcpParams {
 
 /// The TCP stack's costs on one endpoint: the kernel path on host cores
 /// when the endpoint has no DPU, the NE path (stack on DPU cores, host
-/// touches rings + DMA only) when it has one.
+/// touches rings + DMA only) when it has one, and no host cost at all
+/// when the application lives on the DPU too.
 impl Endpoint {
     /// Charges protocol cycles for one data segment of `bytes`. Stack
     /// *latency* (softirq, wakeups) is not charged here — per-segment
     /// processing pipelines in a real stack; latency effects are modelled
     /// where they matter (the Figure 8 round-trip experiment).
     pub(crate) async fn charge_data_segment(&self, bytes: u64) {
-        match &self.dpu {
+        match self.stack.dpu() {
             None => {
                 self.host_cpu
                     .exec(costs::TCP_CYCLES_PER_MSG + bytes / 2)
@@ -105,7 +110,7 @@ impl Endpoint {
 
     /// Charges ACK processing.
     pub(crate) async fn charge_ack(&self) {
-        match &self.dpu {
+        match self.stack.dpu() {
             None => self.host_cpu.exec(costs::TCP_CYCLES_PER_MSG / 4).await,
             Some((dpu_cpu, _)) => dpu_cpu.exec(costs::DPU_TCP_CYCLES_PER_MSG / 4).await,
         }
@@ -113,17 +118,18 @@ impl Endpoint {
 
     /// Device this endpoint's stack spends cycles on (telemetry process).
     pub(crate) fn device(&self) -> &'static str {
-        match &self.dpu {
-            None => "host",
-            Some(_) => "dpu",
+        match self.stack {
+            Stack::Host => "host",
+            Stack::Offloaded(..) | Stack::DpuNative(..) => "dpu",
         }
     }
 
-    /// Host-side cost of handing one message across the app boundary
-    /// (syscall-free ring ops when offloaded; folded into segment cost on
-    /// the kernel path) plus payload DMA for the offloaded path.
+    /// Host-side cost of handing one message across the app boundary:
+    /// syscall-free ring ops plus payload DMA when the stack is offloaded
+    /// and the application is on the host. The kernel path folds it into
+    /// the segment cost, and a DPU-native application has no boundary.
     pub(crate) async fn app_boundary(&self, bytes: u64) {
-        if let Some((_, pcie)) = &self.dpu {
+        if let Stack::Offloaded(_, pcie) = &self.stack {
             self.host_cpu.exec(costs::NE_HOST_RING_CYCLES_PER_MSG).await;
             pcie.dma(bytes).await;
         }
@@ -499,6 +505,44 @@ mod tests {
         assert!(
             offl_cores < host_cores / 3.0,
             "offload should slash sender host CPU: host={host_cores:.3} offloaded={offl_cores:.3}"
+        );
+    }
+
+    #[test]
+    fn a_dpu_native_receiver_costs_its_host_nothing() {
+        // The offloaded receiver hands each message across the NE ring to
+        // its host; a DPU-native one (a DDS server's half) keeps it.
+        let run = |native: bool| {
+            let mut sim = Sim::new();
+            let out = Rc::new(std::cell::Cell::new(u64::MAX));
+            let out2 = out.clone();
+            sim.spawn(async move {
+                let p = dpdpu_hw::Platform::default_bf2();
+                let dst = if native {
+                    Endpoint::dpu_native(&p)
+                } else {
+                    Endpoint::of(&p)
+                };
+                let src = Endpoint::host(CpuPool::new("src-host", 16, 3_000_000_000));
+                let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);
+                for _ in 0..10 {
+                    tx.send(Bytes::from(vec![1u8; 256]));
+                }
+                drop(tx);
+                while rx.recv().await.is_some() {}
+                out2.set(p.host_cpu.busy_ns());
+            });
+            sim.run();
+            out.get()
+        };
+        assert_eq!(
+            run(true),
+            0,
+            "a DPU-native receiver must leave its host idle"
+        );
+        assert!(
+            run(false) > 0,
+            "an offloaded receiver pays the ring crossing"
         );
     }
 

@@ -96,7 +96,8 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     // It was re-measured, with that merge unchanged, when appends
     // stopped reading blocks they do not keep, and again when a log
     // append became one device write shared by the appends queued behind
-    // it; each moved the model's timings.
+    // it, and when a DDS server's transport came to end on its DPU; each
+    // moved the model's timings.
     let trace = run_par(
         ParClusterConfig {
             domains: 4,
@@ -111,7 +112,7 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     .trace;
     assert_eq!(
         golden::fingerprint(&trace),
-        "bytes=12401071 fnv1a64=10576faf5037cdd2"
+        "bytes=10600264 fnv1a64=27762bbd2ccad5f0"
     );
     let mut last = f64::MIN;
     let mut timed = 0usize;

@@ -34,7 +34,7 @@ use dpdpu::dds::proto::{Op, Reply, RetryPolicy};
 use dpdpu::dds::server::DdsConfig;
 use dpdpu::des::{block_on, join_all, now, sleep, spawn, Sim, Time};
 use dpdpu::faults::{FaultPlan, FaultSite, SessionGuard};
-use dpdpu::hw::{costs, CpuPool};
+use dpdpu::hw::CpuPool;
 use dpdpu::net::fabric::{Endpoint, FabricKind};
 use dpdpu::net::NetConfig;
 use dpdpu_bench::cell::{Cell, Load, Preload, Run};
@@ -600,9 +600,9 @@ fn a_primary_that_fails_its_own_apply_hands_the_group_to_its_backup() {
 }
 
 /// What putting each of `keys` in turn on an idle [`idle_shard`]`(2)`
-/// of `dds` servers costs the backup: its host-CPU busy ns beyond the
-/// transport's ring crossing for each chain message (the forward in, the
-/// ack out), and the requests it served on the DPU and on its host.
+/// of `dds` servers costs the backup: its host-CPU busy ns (the chain's
+/// transport ends on the backup's DPU, so it adds none), and the
+/// requests it served on the DPU and on its host.
 fn backup_apply_costs(dds: DdsConfig, keys: &[u64]) -> (u64, u64, u64) {
     let _check = CheckGuard::new();
     let cell = idle_shard(2);
@@ -614,7 +614,6 @@ fn backup_apply_costs(dds: DdsConfig, keys: &[u64]) -> (u64, u64, u64) {
         ..cell
     };
     let keys = keys.to_vec();
-    let puts = keys.len() as u64;
     block_on(async move {
         let (cluster, client) = cell.boot().await;
         sleep(1_000_000).await;
@@ -635,13 +634,7 @@ fn backup_apply_costs(dds: DdsConfig, keys: &[u64]) -> (u64, u64, u64) {
         }
         let after = tally();
         cluster.verify_replicas();
-        let host_cpu = &backup.platform().host_cpu;
-        let rings = 2 * puts * host_cpu.cycles_ns(costs::NE_HOST_RING_CYCLES_PER_MSG);
-        (
-            after.0 - before.0 - rings,
-            after.1 - before.1,
-            after.2 - before.2,
-        )
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
     })
 }
 
@@ -657,6 +650,34 @@ fn a_backup_applies_chain_writes_of_dpu_resident_keys_on_its_dpu() {
         (keys.len() as u64, 0),
         "every chain write served on the DPU"
     );
+}
+
+#[test]
+fn a_dpu_served_get_costs_its_server_host_nothing() {
+    // Every preloaded key's index entry is DPU-resident, so the director
+    // serves each get on the DPU; the TCP transport ends there too, so
+    // the server's host does no work at all.
+    let _check = CheckGuard::new();
+    let (host_ns, dpu, host) = block_on(async {
+        let (cluster, client) = idle_shard(1).boot().await;
+        sleep(1_000_000).await;
+        let server = cluster.group(0).members[0].clone();
+        let tally = || {
+            (
+                server.platform().host_cpu.busy_ns(),
+                server.served_dpu.get(),
+                server.served_host.get(),
+            )
+        };
+        let before = tally();
+        for key in 0..8 {
+            assert!(client.kv_get(key).await.expect("get").is_some());
+        }
+        let after = tally();
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+    });
+    assert_eq!((dpu, host), (8, 0), "every get served on the DPU");
+    assert_eq!(host_ns, 0, "DPU-served gets cost their server's host");
 }
 
 #[test]

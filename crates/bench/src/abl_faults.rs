@@ -20,7 +20,7 @@ use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
 
-use crate::fleet::{preload_keys, xorshift_keys};
+use crate::fleet::{preload_keys, sample_platform, xorshift_keys};
 use crate::table::Table;
 
 const KEYS: u64 = 64;
@@ -42,7 +42,7 @@ const OVERLOAD_PERIODS: u64 = 400;
 pub(crate) const RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "fault_rate",
         "resolved",
@@ -114,12 +114,7 @@ pub(crate) fn measure(rate: f64) -> FaultMeasurement {
     let guard = SessionGuard::new(plan(rate));
     let (mut latencies, host_frac, errors, retries) = block_on(async move {
         let platform = Platform::default_bf2();
-        // When a telemetry session is installed (the traced CI scenario),
-        // add resource-utilisation counter tracks to the trace.
-        let sampler = dpdpu_telemetry::Telemetry::current().map(|session| {
-            platform.register_telemetry(&session);
-            dpdpu_telemetry::start_sampler(50_000)
-        });
+        let sampler = sample_platform(&platform);
         let dds = Dds::build(
             platform.clone(),
             DdsConfig {
@@ -150,9 +145,7 @@ pub(crate) fn measure(rate: f64) -> FaultMeasurement {
         } else {
             dds.served_host.get() as f64 / served as f64
         };
-        if let Some(sampler) = sampler {
-            sampler.stop();
-        }
+        sampler.stop();
         (latencies, host_frac, errors, client.retries.get())
     });
     let injected = guard.session.report().total();
@@ -167,29 +160,6 @@ pub(crate) fn measure(rate: f64) -> FaultMeasurement {
         injected,
         retries,
     }
-}
-
-/// Runs the mid-rate scenario with a telemetry session installed, writes
-/// the Chrome trace to `path`, and returns the table plus the fault
-/// report. With a fixed seed the output — table, report, and trace file —
-/// is byte-identical across runs; CI runs this twice and diffs.
-pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
-    use dpdpu_telemetry::Telemetry;
-
-    let t = Telemetry::install();
-    let m = measure(0.05);
-    t.write_chrome_trace(path)?;
-    Ok(format!(
-        "## Ablation A9 (traced, rate 0.05, seed {SEED})\n\
-         resolved {}/{GETS}, errors {}, p99 {:.1} us, host_frac {:.2}, \
-         injected {}, client_retries {}\n",
-        m.resolved,
-        m.errors,
-        m.p99_ns as f64 / 1e3,
-        m.host_frac,
-        m.injected,
-        m.retries,
-    ))
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@
 //! at a production rate of 5M req/s per server, matching Figure 9's
 //! scaling.
 //!
-//! There is one sweep. `--servers N…` on the bin picks other fleet
-//! sizes for the same table, through the same `measure` →
+//! There is one sweep. `all_figures fig10 --servers N…` picks other
+//! fleet sizes for the same table, through the same `measure` →
 //! `Cell::run` path on the same serial `DdsCluster`, so replication,
 //! fabric and congestion flags apply at 64 servers as they do at 1, and
 //! every column is virtual: two runs print identical bytes. (64 servers
@@ -39,8 +39,9 @@ use dpdpu_dds::server::DdsConfig;
 use dpdpu_net::NetConfig;
 
 use crate::cell::Cell;
-use crate::fleet::{FleetConfig, KeyDist, Mix, MAX_CLIENTS};
+use crate::fleet::{FleetConfig, KeyDist, Mix};
 use crate::table::Table;
+use crate::Knobs;
 
 pub(crate) const KEYS: u64 = 128;
 pub(crate) const CLIENTS_PER_SERVER: usize = 4;
@@ -50,46 +51,18 @@ const OPS_PER_CLIENT: u64 = 128;
 /// Production per-server request rate the cycle delta is scaled to.
 const PROD_RATE: f64 = 5_000_000.0;
 
-/// The testbed's fleet sizes: what `run` and the figure golden sweep.
-pub const SERVERS: [usize; 4] = [1, 2, 4, 8];
+/// The testbed's fleet sizes: what the figure golden sweeps.
+pub(crate) const SERVERS: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs the default sweep and renders the table.
-pub(crate) fn run() -> String {
-    run_with(&SERVERS, NetConfig::default(), 1)
-}
-
-/// The default sweep with every shard replicated twice: the replication
-/// tax, against [`run`]'s table.
-pub(crate) fn run_replicated() -> String {
-    run_with(&SERVERS, NetConfig::default(), 2)
-}
-
-/// The bin's `--servers` list: every token of `args` up to the next
-/// `--flag`, each a fleet size whose clients (at most 1 000, the most
-/// one run's seeds keep apart) fit one run. `Err` is the usage message.
-pub fn parse_servers(
-    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-) -> Result<Vec<usize>, String> {
-    let max = MAX_CLIENTS / CLIENTS_PER_SERVER;
-    // A non-number reads as 0, which no fleet has.
-    let servers: Vec<usize> = std::iter::from_fn(|| args.next_if(|a| !a.starts_with("--")))
-        .map(|token| token.parse().unwrap_or(0))
-        .collect();
-    if servers.is_empty() || servers.iter().any(|n| !(1..=max).contains(n)) {
-        return Err(format!(
-            "--servers takes fleet sizes in 1..={max} (at most {MAX_CLIENTS} clients)"
-        ));
-    }
-    Ok(servers)
-}
-
-/// Runs the sweep at each fleet size of `servers` over `net` (fabric,
-/// congestion control, link shaping — the bin's `--fabric`/`--cong`
-/// flags land here) with `replicas` copies of every shard (`--replicas`).
-/// At 2, every write chains primary→backup before acking, so the table
-/// doubles as the replication tax measurement: the host-core saving must
-/// survive the extra fabric hop.
-pub fn run_with(servers: &[usize], net: NetConfig, replicas: usize) -> String {
+/// Runs the sweep at each fleet size of `k.servers` (`--servers`) with
+/// `replicas` copies of every shard (fig10r is 2), every cell on
+/// `k.fabric` over `k.net` (`--fabric`, `--cong`, `--loss`,
+/// `--ecn-threshold-us`). At 2 replicas every write chains
+/// primary→backup before acking, so the table doubles as the replication
+/// tax measurement: the host-core saving must survive the extra fabric
+/// hop.
+pub(crate) fn run(k: &Knobs, replicas: usize) -> String {
+    let net = k.fabric.map_or(k.net, |fabric| k.net.with_fabric(fabric));
     let mut table = Table::new(&[
         "servers",
         "clients",
@@ -100,7 +73,7 @@ pub fn run_with(servers: &[usize], net: NetConfig, replicas: usize) -> String {
         "shed",
         "saved_cores_per_server",
     ]);
-    for &servers in servers {
+    for &servers in k.servers.as_deref().unwrap_or(&SERVERS) {
         let keys = KEYS * servers as u64;
         for dist in [
             KeyDist::Uniform { keys },
@@ -231,13 +204,16 @@ mod tests {
         );
     }
 
-    /// Every flag reaches every fleet size: there is one sweep, so a
-    /// `--servers` table is the `--replicas`/`--fabric` table too.
+    /// Every knob reaches every fleet size: there is one sweep, so a
+    /// `--servers` table is the fig10r/`--fabric` table too.
     #[test]
     fn replicas_and_fabric_reach_a_servers_sized_sweep() {
-        let tcp = NetConfig::default();
-        let solo = run_with(&[3], tcp, 1);
-        let repl = run_with(&[3], tcp, 2);
+        let three = Knobs {
+            servers: Some(vec![3]),
+            ..Knobs::default()
+        };
+        let solo = run(&three, 1);
+        let repl = run(&three, 2);
         assert!(!solo.contains("replicas/shard"), "{solo}");
         assert!(
             repl.contains("(2 replicas/shard, chained writes)"),
@@ -249,43 +225,15 @@ mod tests {
             table(&repl),
             "replication must move the numbers"
         );
-        let rdma = run_with(&[3], tcp.with_fabric(FabricKind::Rdma), 1);
-        assert_ne!(solo, rdma, "the fabric must move the numbers");
+        let rdma = Knobs {
+            fabric: Some(FabricKind::Rdma),
+            ..three.clone()
+        };
+        assert_ne!(solo, run(&rdma, 1), "the fabric must move the numbers");
         let rows = solo
             .lines()
             .filter(|l| l.split_whitespace().next() == Some("3"));
         assert_eq!(rows.count(), 2, "one row per distribution:\n{solo}");
-    }
-
-    #[test]
-    fn servers_are_validated_at_the_cli_edge() {
-        let parse = |line: &str| {
-            let mut args = line.split_whitespace().map(String::from).peekable();
-            (parse_servers(&mut args), args.next())
-        };
-        // Consumes up to the next flag and leaves it for the caller.
-        let (servers, rest) = parse("16 32 64 --fabric rdma");
-        assert_eq!(servers, Ok(vec![16, 32, 64]));
-        assert_eq!(rest.as_deref(), Some("--fabric"));
-        // The bounds are the fleet sizes `run_clients` can seed.
-        assert_eq!(parse("1 250").0, Ok(vec![1, 250]));
-        for bad in [
-            "",
-            "--replicas 2",
-            "0",
-            "8 0",
-            "251",
-            "sixteen",
-            "16 x",
-            "-1",
-            "1.5",
-        ] {
-            let err = parse(bad).0.expect_err(bad);
-            assert!(
-                err.contains("1..=250") && err.contains("1000 clients"),
-                "{bad:?}: {err}"
-            );
-        }
     }
 
     #[test]

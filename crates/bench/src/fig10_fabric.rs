@@ -23,16 +23,12 @@ use dpdpu_net::NetConfig;
 use crate::fig10_cluster_scale::{self, Measurement, KEYS, SERVERS};
 use crate::fleet::KeyDist;
 use crate::table::Table;
+use crate::Knobs;
 
-/// Runs the full sweep and renders the table.
-pub(crate) fn run() -> String {
-    run_with(None, NetConfig::default())
-}
-
-/// Runs the sweep, optionally restricted to one fabric (`--fabric` on
-/// the binary), over `base` network settings (congestion control, link
-/// shaping) with the fabric column overriding `base.fabric`.
-pub fn run_with(only: Option<FabricKind>, base: NetConfig) -> String {
+/// Runs the sweep, restricted to `k.fabric`'s column when it is set
+/// (`--fabric`), over `k.net` (congestion control, link shaping) with the
+/// fabric column overriding `k.net.fabric`.
+pub(crate) fn run(k: &Knobs) -> String {
     let mut table = Table::new(&[
         "servers",
         "fabric",
@@ -43,10 +39,10 @@ pub fn run_with(only: Option<FabricKind>, base: NetConfig) -> String {
     ]);
     for servers in SERVERS {
         for fabric in FabricKind::ALL {
-            if only.is_some_and(|k| k != fabric) {
+            if k.fabric.is_some_and(|only| only != fabric) {
                 continue;
             }
-            let m = measure(servers, fabric, base);
+            let m = measure(servers, fabric, k.net);
             table.row(vec![
                 format!("{servers}"),
                 format!("{fabric}"),

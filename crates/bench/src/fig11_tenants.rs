@@ -33,6 +33,7 @@ use dpdpu_dds::gateway::{GatewayConfig, TenantSnapshot};
 use crate::cell::{Cell, Load, Preload};
 use crate::fleet::{KeyDist, Mix, TenantFleetReport, TenantWorkload};
 use crate::table::Table;
+use crate::Knobs;
 
 const SHARDS: usize = 2;
 const KEYS: u64 = 128;
@@ -160,8 +161,7 @@ fn cell(specs: &[TenantSpec], workloads: Vec<TenantWorkload>, fair: bool) -> Cel
 /// off) that the known-sensitive isolation test proves is broken.
 pub(crate) fn sweep(specs: Vec<TenantSpec>, fair: bool, seed: u64) -> Vec<TenantOutcome> {
     let mut workloads = default_workloads();
-    // Extra victim tenants (the bin's `--tenants` flag) ride the steady
-    // shape.
+    // Extra victim tenants (`--tenants`) ride the steady shape.
     for t in 3..specs.len() {
         workloads.push(steady_workload(t));
     }
@@ -191,15 +191,19 @@ pub(crate) fn sweep(specs: Vec<TenantSpec>, fair: bool, seed: u64) -> Vec<Tenant
         .collect()
 }
 
-/// Runs the default three-tenant figure at seed 42.
-pub(crate) fn run() -> String {
-    run_with(default_tenants(), 42)
-}
-
-/// Runs the figure over custom tenant specs (the bin's `--tenants` /
-/// `--weights` flags land here).
-pub fn run_with(specs: Vec<TenantSpec>, seed: u64) -> String {
-    let outcomes = sweep(specs, true, seed);
+/// Runs the figure: the default three tenants at seed 42, or `k`'s
+/// reshaped mix. `--tenants N` adds `N - 3` steady-KV victims beyond the
+/// storm/steady/batch trio, and `--weights` overrides the DRR weights in
+/// tenant order.
+pub(crate) fn run(k: &Knobs) -> String {
+    let mut specs = default_tenants();
+    for i in 3..k.tenants.unwrap_or(3) {
+        specs.push(TenantSpec::latency(format!("steady-kv{}", i - 1), 4));
+    }
+    for (spec, &weight) in specs.iter_mut().zip(&k.weights) {
+        spec.weight = weight;
+    }
+    let outcomes = sweep(specs, true, k.seed.unwrap_or(42));
     let mut table = Table::new(&[
         "tenant",
         "slo",
@@ -277,7 +281,7 @@ mod tests {
 
     #[test]
     fn figure_renders_with_population_headline() {
-        let out = run();
+        let out = run(&Knobs::default());
         assert!(out.contains("Figure 11"), "{out}");
         assert!(out.contains("storm-kv"), "{out}");
         assert!(out.contains("1050000 logical clients"), "{out}");

@@ -15,7 +15,7 @@ use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
 
-use crate::fleet::{preload_keys, xorshift_keys};
+use crate::fleet::{preload_keys, sample_platform, xorshift_keys};
 use crate::table::Table;
 
 const KEYS: u64 = 128;
@@ -23,7 +23,7 @@ const GETS: u64 = 1_024;
 const VALUE: usize = 512;
 
 /// Runs the sweep and renders the table.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut table = Table::new(&[
         "dpu_index_coverage",
         "offload_fraction",
@@ -61,47 +61,6 @@ pub fn run() -> String {
     )
 }
 
-/// Runs a short traced demo of the full DDS pipeline — client over
-/// offloaded TCP, DDS server routing, DPU file service + SSD, and a
-/// Compute-Engine compression of every fetched value — with a telemetry
-/// session installed, writes the Chrome trace to `path`, and returns the
-/// plain-text summary table.
-pub fn run_traced(path: &std::path::Path) -> std::io::Result<String> {
-    use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, Placement};
-    use dpdpu_telemetry::Telemetry;
-
-    let t = Telemetry::install();
-    let session = t.clone();
-    block_on(async move {
-        let platform = Platform::default_bf2();
-        platform.register_telemetry(&session);
-        let sampler = dpdpu_telemetry::start_sampler(50_000); // 50 µs ticks
-        let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
-        let ce = ComputeEngine::new(platform.clone());
-        let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
-
-        preload_keys(0..32, VALUE, |k, v| client.kv_put(k, v)).await;
-        for i in 0..96u64 {
-            let value = client
-                .kv_get(i % 32)
-                .await
-                .expect("get must succeed")
-                .expect("loaded key");
-            ce.run(
-                &KernelOp::Compress,
-                &KernelInput::Bytes(value),
-                Placement::Scheduled,
-            )
-            .await
-            .expect("compress kernel cannot fail");
-        }
-        sampler.stop();
-    });
-    t.write_chrome_trace(path)?;
-    Ok(t.summary())
-}
-
 struct Measurement {
     offload_fraction: f64,
     host_cores: f64,
@@ -111,6 +70,7 @@ struct Measurement {
 fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
     block_on(async move {
         let platform = Platform::default_bf2();
+        let sampler = sample_platform(&platform);
         let dds = Dds::build(
             platform.clone(),
             DdsConfig {
@@ -138,6 +98,7 @@ fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
         let elapsed = (now() - t0).max(1);
         let frac =
             dds.served_dpu.get() as f64 / (dds.served_dpu.get() + dds.served_host.get()) as f64;
+        sampler.stop();
         Measurement {
             offload_fraction: frac,
             host_cores: platform.host_cpu.cores_consumed(elapsed),
@@ -173,7 +134,8 @@ mod tests {
 
         let path =
             std::env::temp_dir().join(format!("dpdpu-fig9-trace-test-{}.json", std::process::id()));
-        let summary = run_traced(&path).expect("trace export must succeed");
+        let knobs = crate::Knobs::default();
+        let summary = crate::render(&["fig9"], &knobs, Some(&path)).expect("trace export");
         let text = std::fs::read_to_string(&path).expect("trace file must exist");
         let _ = std::fs::remove_file(&path);
 
@@ -200,18 +162,15 @@ mod tests {
             }
         }
 
-        // Spans from at least three engines: the Compute Engine
-        // ("kernel:*"), DDS + Storage Engine ("req:*", file-service
-        // reads), and the Network Engine's app boundary.
+        // Spans from DDS + the Storage Engine ("req:*", file-service
+        // reads) and the Network Engine's app boundary. (Fig. 9 runs no
+        // kernel; the compute_pipeline scenario's trace digest pins the
+        // Compute Engine's "kernel:*" spans.)
         let span_names: Vec<&str> = events
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
             .filter_map(|e| e.get("name").unwrap().as_str())
             .collect();
-        assert!(
-            span_names.iter().any(|n| n.starts_with("kernel:")),
-            "Compute Engine spans missing"
-        );
         assert!(
             span_names.iter().any(|n| n.starts_with("req:")),
             "DDS server spans missing"

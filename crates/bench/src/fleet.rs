@@ -25,6 +25,8 @@ use dpdpu_dds::cluster::ClusterClient;
 use dpdpu_dds::gateway::Gateway;
 use dpdpu_dds::proto::Op;
 use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, JoinHandle, Semaphore, Time};
+use dpdpu_hw::Platform;
+use dpdpu_telemetry::{start_sampler, SamplerHandle, Telemetry};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -339,7 +341,7 @@ pub(crate) async fn client_loop<F, Fut>(
 /// The most clients one run may drive: every caller's seed formula
 /// strides clients by 1 and runs by at least this, so client 1000 of one
 /// seed would be client 0 of the next.
-pub(crate) const MAX_CLIENTS: usize = 1_000;
+pub const MAX_CLIENTS: usize = 1_000;
 
 /// Spawns `n` generator tasks and reports once all have resolved.
 /// Client `c` wakes at `start(c)`, seeds its RNG from `seed(c)` and runs
@@ -384,6 +386,16 @@ where
         p50_ns: outcomes.latency.p50().unwrap_or(0),
         p99_ns: outcomes.latency.p99().unwrap_or(0),
     }
+}
+
+/// Under a telemetry session (`all_figures --trace-out`), adds
+/// `platform`'s utilisation and queue-depth tracks to the trace, sampled
+/// every 50 µs until the handle is stopped; without one, does nothing.
+pub(crate) fn sample_platform(platform: &Rc<Platform>) -> SamplerHandle {
+    if let Some(session) = Telemetry::current() {
+        platform.register_telemetry(&session);
+    }
+    start_sampler(50_000)
 }
 
 /// Puts [`value_for`] under every key of `keys` through `put`,

@@ -12,15 +12,15 @@
 //! [`render_all`] sits alone in one of its ```` ```text ```` fences,
 //! which `tests/golden_trace.rs` compares and `UPDATE_GOLDEN=1` rewrites.
 //!
-//! Binaries: `all_figures [id…]` prints every table, or the named ones
-//! (the ids of [`all`]: `all_figures fig2 A3`); the six harnesses that
-//! take flags keep a binary of their own — `fig9_dds_savings`,
-//! `fig10_cluster_scale`, `fig10_fabric`, `fig11_tenants`, `abl_faults`
-//! and `audit_determinism`.
+//! Binaries: `all_figures [id…] [--knob value…] [--trace-out path]`
+//! prints every table, or the named ones (the ids of [`all`]:
+//! `all_figures fig2 A3`), with the knobs each named id declares
+//! (`all_figures fig10 --servers 16 32`); `--trace-out` records one id's
+//! telemetry. `audit_determinism` replays the scenarios.
 
 mod abl_cache_split;
 mod abl_fast_persist;
-pub mod abl_faults;
+mod abl_faults;
 mod abl_fusion;
 mod abl_partial_offload;
 mod abl_pipeline;
@@ -29,77 +29,141 @@ mod abl_scheduler;
 mod abl_tenant_iso;
 pub mod audit;
 pub mod cell;
-pub mod fig10_cluster_scale;
-pub mod fig10_fabric;
+mod fig10_cluster_scale;
+mod fig10_fabric;
 pub mod fig11_tenants;
 mod fig1_compression;
 mod fig2_storage_cpu;
 mod fig3_network_cpu;
 mod fig7_rdma;
 mod fig8_roundtrips;
-pub mod fig9_dds_savings;
+mod fig9_dds_savings;
 pub mod fleet;
 pub mod netmatrix;
 pub mod par_cluster;
 pub mod scenarios;
 pub mod table;
 
-/// A figure/ablation runner.
-pub(crate) type Runner = fn() -> String;
+use std::path::Path;
 
-/// Every figure/ablation in experiment-id order: `(id, runner)`.
-pub fn all() -> Vec<(&'static str, Runner)> {
+use dpdpu_net::fabric::FabricKind;
+use dpdpu_net::NetConfig;
+
+/// What an `all_figures` command line can change. A knob left unset
+/// (`Knobs::default()` sets none) keeps the figure's pinned value, and an
+/// experiment reads only the knobs its entry of [`all`] declares.
+#[derive(Clone, Debug, Default)]
+pub struct Knobs {
+    /// `--servers`: the fleet sizes of fig10 and fig10r (1, 2, 4, 8).
+    pub servers: Option<Vec<usize>>,
+    /// `--fabric`: fig10 and fig10r run every cell on it; fig10f keeps
+    /// only its column.
+    pub fabric: Option<FabricKind>,
+    /// `--cong`, `--loss`, `--ecn-threshold-us`: the network of fig10,
+    /// fig10r and fig10f.
+    pub net: NetConfig,
+    /// `--tenants`: fig11's tenant count (3), steady-KV victims past the
+    /// default three.
+    pub tenants: Option<usize>,
+    /// `--weights`: fig11's DRR weights in tenant order; the rest keep
+    /// their default.
+    pub weights: Vec<u64>,
+    /// `--seed`: fig11's seed (42).
+    pub seed: Option<u64>,
+}
+
+/// The largest fleet `--servers` takes: fig10 runs 4 clients per server
+/// and one run seeds at most [`fleet::MAX_CLIENTS`] clients apart.
+pub const MAX_SERVERS: usize = fleet::MAX_CLIENTS / fig10_cluster_scale::CLIENTS_PER_SERVER;
+
+/// A figure/ablation runner: its table under the given knobs.
+type Runner = fn(&Knobs) -> String;
+
+/// One experiment of [`all`].
+pub struct Experiment {
+    /// Its `=== id ===` header and `all_figures` argument.
+    pub id: &'static str,
+    /// The knob flags it reads; `all_figures` refuses any other.
+    pub knobs: &'static [&'static str],
+    run: Runner,
+}
+
+fn exp(id: &'static str, knobs: &'static [&'static str], run: Runner) -> Experiment {
+    Experiment { id, knobs, run }
+}
+
+/// Every figure/ablation in experiment-id order.
+pub fn all() -> Vec<Experiment> {
+    const FLEET: &[&str] = &[
+        "--servers",
+        "--fabric",
+        "--cong",
+        "--loss",
+        "--ecn-threshold-us",
+    ];
+    const TENANTS: &[&str] = &["--tenants", "--weights", "--seed"];
     vec![
-        ("fig1", fig1_compression::run as Runner),
-        ("fig2", fig2_storage_cpu::run),
-        ("fig3", fig3_network_cpu::run),
-        ("fig7", fig7_rdma::run),
-        ("fig8", fig8_roundtrips::run),
-        ("fig9", fig9_dds_savings::run),
-        ("fig10", fig10_cluster_scale::run),
-        ("fig10r", fig10_cluster_scale::run_replicated),
-        ("fig10f", fig10_fabric::run),
-        ("fig11", fig11_tenants::run),
-        ("A1", abl_scheduler::run),
-        ("A2", abl_placement::run),
-        ("A3", abl_cache_split::run),
-        ("A4", abl_fast_persist::run),
-        ("A5", abl_partial_offload::run),
-        ("A6", abl_tenant_iso::run),
-        ("A7", abl_pipeline::run),
-        ("A8", abl_fusion::run),
-        ("A9", abl_faults::run),
+        exp("fig1", &[], |_| fig1_compression::run()),
+        exp("fig2", &[], |_| fig2_storage_cpu::run()),
+        exp("fig3", &[], |_| fig3_network_cpu::run()),
+        exp("fig7", &[], |_| fig7_rdma::run()),
+        exp("fig8", &[], |_| fig8_roundtrips::run()),
+        exp("fig9", &[], |_| fig9_dds_savings::run()),
+        exp("fig10", FLEET, |k| fig10_cluster_scale::run(k, 1)),
+        // fig10 with every shard replicated twice: the replication tax.
+        exp("fig10r", FLEET, |k| fig10_cluster_scale::run(k, 2)),
+        exp("fig10f", &FLEET[1..], fig10_fabric::run),
+        exp("fig11", TENANTS, fig11_tenants::run),
+        exp("A1", &[], |_| abl_scheduler::run()),
+        exp("A2", &[], |_| abl_placement::run()),
+        exp("A3", &[], |_| abl_cache_split::run()),
+        exp("A4", &[], |_| abl_fast_persist::run()),
+        exp("A5", &[], |_| abl_partial_offload::run()),
+        exp("A6", &[], |_| abl_tenant_iso::run()),
+        exp("A7", &[], |_| abl_pipeline::run()),
+        exp("A8", &[], |_| abl_fusion::run()),
+        exp("A9", &[], |_| abl_faults::run()),
     ]
 }
 
-/// The tables of those experiments of [`all`] whose id is in `ids`, each
-/// under its `=== id ===` header, in experiment-id order (an id `all`
-/// does not list selects nothing). Each runner gets its own worker thread
-/// (simulations are thread-confined, so they cannot interact) and its
-/// own strict invariant session.
-pub fn render(ids: &[&str]) -> String {
+/// The tables of those experiments of [`all`] whose id is in `ids`, run
+/// with `knobs`, each under its `=== id ===` header, in experiment-id
+/// order (an id `all` does not list selects nothing). Each runner gets
+/// its own worker thread (simulations are thread-confined, so they
+/// cannot interact) and its own strict invariant session. With
+/// `trace_out`, a runner also records a telemetry session, writes its
+/// Chrome trace there and follows its table with the summary: name one
+/// id.
+pub fn render(ids: &[&str], knobs: &Knobs, trace_out: Option<&Path>) -> std::io::Result<String> {
     let workers: Vec<_> = all()
         .into_iter()
-        .filter(|(id, _)| ids.contains(id))
-        .map(|(id, runner)| {
-            let checked = move || {
+        .filter(|e| ids.contains(&e.id))
+        .map(|Experiment { id, run, .. }| {
+            let (knobs, trace_out) = (knobs.clone(), trace_out.map(Path::to_path_buf));
+            let checked = move || -> std::io::Result<String> {
                 let _check = dpdpu_check::CheckGuard::new();
-                runner()
+                let Some(path) = trace_out else {
+                    return Ok(run(&knobs));
+                };
+                let t = dpdpu_telemetry::Telemetry::install();
+                let table = run(&knobs);
+                t.write_chrome_trace(path)?;
+                Ok(format!("{table}\n{}", t.summary()))
             };
             (id, std::thread::spawn(checked))
         })
         .collect();
     let mut out = String::new();
     for (id, worker) in workers {
-        let table = worker.join().expect("figure panicked");
-        out += &format!("=== {id} ===\n{table}\n");
+        let block = worker.join().expect("figure panicked")?;
+        out += &format!("=== {id} ===\n{block}\n");
     }
-    out
+    Ok(out)
 }
 
 /// Every figure and ablation table: what `all_figures` prints, pinned
 /// block by block in EXPERIMENTS.md's ```` ```text ```` fences.
 pub fn render_all() -> String {
-    let ids: Vec<_> = all().iter().map(|(id, _)| *id).collect();
-    render(&ids)
+    let ids: Vec<_> = all().iter().map(|e| e.id).collect();
+    render(&ids, &Knobs::default(), None).expect("an untraced run writes nothing")
 }

@@ -90,8 +90,9 @@ impl FabricKind {
         }
     }
 
-    /// Parses [`Self::name`] back (accepts `rdma_offload` too).
-    pub(crate) fn parse(s: &str) -> Option<Self> {
+    /// Parses a fabric's name: `tcp`, `rdma`, `rdma-offload` (or
+    /// `rdma_offload`).
+    pub fn parse(s: &str) -> Option<Self> {
         match s {
             "tcp" => Some(FabricKind::Tcp),
             "rdma" => Some(FabricKind::Rdma),

@@ -51,7 +51,7 @@ impl CongAlgKind {
     }
 
     /// Parses a CLI value.
-    pub(crate) fn parse(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Option<Self> {
         let s = s.to_ascii_lowercase();
         Self::ALL.into_iter().find(|kind| kind.name() == s)
     }

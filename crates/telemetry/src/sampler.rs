@@ -43,8 +43,13 @@ impl SampleStore {
         }
     }
 
+    /// Adds a source, replacing the one already on its track: a platform
+    /// registered again by a later run in the same session takes its
+    /// tracks over from the earlier run's, which is over.
     pub(crate) fn register(&self, process: String, name: String, sample: Box<dyn Fn() -> f64>) {
-        self.sources.borrow_mut().push(Source {
+        let mut sources = self.sources.borrow_mut();
+        sources.retain(|s| s.process != process || s.name != name);
+        sources.push(Source {
             process,
             name,
             sample,

@@ -41,6 +41,11 @@
 //! And no `allow(dead_code)` in shipping code: an item rustc calls dead
 //! is deleted, or moved under `#[cfg(test)]` if only tests use it.
 //!
+//! And one command line for the experiments: under `crates/bench/src`
+//! only `bin/all_figures.rs` (every figure's knobs, declared in
+//! `dpdpu_bench::all()`) and `bin/audit_determinism.rs` read the process
+//! arguments.
+//!
 //! And every `pub` has a caller outside its crate: each `pub` item under
 //! `crates/*/src` is named by another crate, a test, an example, the
 //! benchmark, README.md's doctests or (for `dpdpu-bench`) its own bins —
@@ -463,6 +468,49 @@ fn the_dead_code_gate_catches_a_planted_escape() {
     assert_eq!(dead_code_escapes(&planted), [format!("{name}:1")]);
 }
 
+/// The two binaries that may read the process arguments.
+const PARSERS: [&str; 2] = [
+    "crates/bench/src/bin/all_figures.rs",
+    "crates/bench/src/bin/audit_determinism.rs",
+];
+
+/// Every file under `crates/bench/src` but [`PARSERS`] whose code reads
+/// `env::args` (or `env::args_os`).
+fn argument_readers(tree: &[(String, String)]) -> Vec<&str> {
+    let bench = |name: &str| name.starts_with("crates/bench/src/") && !PARSERS.contains(&name);
+    let readers = tree
+        .iter()
+        .filter(|(name, source)| bench(name) && calls(source, "env::args"));
+    readers.map(|(name, _)| name.as_str()).collect()
+}
+
+#[test]
+fn one_command_line_for_the_experiments() {
+    let tree = sources(&["crates/bench/src"]);
+    let readers = argument_readers(&tree);
+    assert!(
+        readers.is_empty(),
+        "declare an experiment's knobs in its `dpdpu_bench::all()` entry and let \
+         `all_figures` parse them: {readers:?}"
+    );
+}
+
+/// The gate is sensitive: a second parser planted in a figure module or
+/// in a new binary is named; one in a comment is not.
+#[test]
+fn the_command_line_gate_catches_a_planted_parser() {
+    let tree = sources(&["crates/bench/src"]);
+    let name = "crates/bench/src/fig9_dds_savings.rs";
+    let comment = "\n// std::env::args()\n";
+    assert!(argument_readers(&appended(&tree, name, comment)).is_empty());
+    let parser = "\nfn main() {\n    let _ = std::env::args();\n}\n";
+    assert_eq!(argument_readers(&appended(&tree, name, parser)), [name]);
+    let mut planted = tree;
+    let bin = "crates/bench/src/bin/fig9_dds_savings.rs";
+    planted.push((bin.to_string(), parser.to_string()));
+    assert_eq!(argument_readers(&planted), [bin]);
+}
+
 /// `pub` items that nothing outside their crate names, kept `pub` on
 /// purpose, one per line: `crate item: reason`. Most are types that a
 /// called `pub` item takes or returns, so they stay `pub` although no
@@ -470,6 +518,7 @@ fn the_dead_code_gate_catches_a_planted_escape() {
 const UNNAMED_PUB: &str = "\
 bench CellReport: returned by `netmatrix::run_cell`
 bench Divergence: returned by the `audit` runners
+bench Experiment: the registry `dpdpu_bench::all` returns
 bench FleetReport: returned by `fleet::run_fleet`; a `cell::Run` field
 bench TenantFleetReport: returned by `fleet::run_tenant_fleet`; a `cell::Run` field
 check Violation: returned by `CheckSession::finish`
@@ -509,7 +558,6 @@ net TcpReceiver: returned by `TcpConnector::stream`
 net TcpStats: the type of `TcpSender::stats` and `TcpReceiver::stats`
 telemetry CounterSample: returned by `Telemetry::samples`
 telemetry Registry: returned by `Telemetry::registry`
-telemetry SamplerHandle: returned by `start_sampler`
 telemetry SpanGuard: returned by `span`
 telemetry Tracer: returned by `Telemetry::tracer`";
 

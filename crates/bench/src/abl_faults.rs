@@ -13,14 +13,10 @@
 //! run bit for bit (the CI determinism check diffs two traced runs).
 
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
-use dpdpu_dds::server::{Dds, DdsConfig};
-use dpdpu_des::{block_on, now};
+use dpdpu_dds::server::DdsConfig;
 use dpdpu_faults::{FaultPlan, SessionGuard};
-use dpdpu_hw::{CpuPool, Platform};
-use dpdpu_net::fabric::Endpoint;
-use dpdpu_net::NetConfig;
 
-use crate::fleet::{preload_keys, sample_platform, xorshift_keys};
+use crate::fleet::dds_reads;
 use crate::table::Table;
 
 const KEYS: u64 = 64;
@@ -112,53 +108,26 @@ fn plan(rate: f64) -> FaultPlan {
 /// Runs the read-heavy DDS workload under `plan(rate)`.
 pub(crate) fn measure(rate: f64) -> FaultMeasurement {
     let guard = SessionGuard::new(plan(rate));
-    let (mut latencies, host_frac, errors, retries) = block_on(async move {
-        let platform = Platform::default_bf2();
-        let sampler = sample_platform(&platform);
-        let dds = Dds::build(
-            platform.clone(),
-            DdsConfig {
-                kv_index_budget: KEYS * INDEX_ENTRY_BYTES,
-                ..DdsConfig::default()
-            },
-        )
-        .await;
-        let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
-
-        preload_keys(0..KEYS, VALUE, |k, v| client.kv_put(k, v)).await;
-        dds.served_dpu.reset();
-        dds.served_host.reset();
-        let mut latencies = Vec::with_capacity(GETS as usize);
-        let mut errors = 0u64;
-        for key in xorshift_keys(KEYS).take(GETS as usize) {
-            let t0 = now();
-            match client.kv_get(key).await {
-                Ok(v) => assert!(v.is_some(), "preloaded key must exist"),
-                Err(_) => errors += 1,
-            }
-            latencies.push(now() - t0);
-        }
-        let served = dds.served_dpu.get() + dds.served_host.get();
-        let host_frac = if served == 0 {
-            0.0
-        } else {
-            dds.served_host.get() as f64 / served as f64
-        };
-        sampler.stop();
-        (latencies, host_frac, errors, client.retries.get())
-    });
-    let injected = guard.session.report().total();
-    let resolved = latencies.len() as u64;
+    let config = DdsConfig {
+        kv_index_budget: KEYS * INDEX_ENTRY_BYTES,
+        ..DdsConfig::default()
+    };
+    let mut r = dds_reads(config, KEYS, GETS, VALUE);
+    let served = r.served_dpu + r.served_host;
+    let host_frac = if served == 0 {
+        0.0
+    } else {
+        r.served_host as f64 / served as f64
+    };
+    let latencies = &mut r.latencies;
     latencies.sort_unstable();
-    let p99_ns = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
     FaultMeasurement {
-        p99_ns,
+        p99_ns: latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)],
         host_frac,
-        resolved,
-        errors,
-        injected,
-        retries,
+        resolved: latencies.len() as u64,
+        errors: r.errors,
+        injected: guard.session.report().total(),
+        retries: r.retries,
     }
 }
 

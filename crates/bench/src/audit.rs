@@ -4,19 +4,20 @@
 //! scenario with the same seed must produce the same stdout and the
 //! same Chrome trace, every time, in debug and release. The auditor
 //! enforces that mechanically — every scenario × seed pair is replayed
-//! twice in-process and both channels are byte-compared. CI runs it
-//! over {debug, release} × 3 seeds.
+//! twice in-process and both channels are byte-compared.
+//! `all_figures --audit` runs it, and CI runs that over {debug, release}
+//! × 3 seeds.
 //!
 //! Trust-but-verify applies to the auditor itself:
 //! [`planted_nondeterminism`] is a deliberately broken scenario (it
-//! leaks a process-global counter into its output) and the `--self-test`
-//! flag plus the `audit_meta` integration test prove the auditor flags
-//! it.
+//! leaks a process-global counter into its output) and the `audit_meta`
+//! integration test proves the auditor flags it at one worker and at
+//! four.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::run_jobs;
 use crate::scenarios::{self, ScenarioFn, ScenarioRun};
 
 /// One detected reproducibility failure.
@@ -73,27 +74,12 @@ fn audit_one(name: &str, f: ScenarioFn, seed: u64) -> Vec<Divergence> {
     found
 }
 
-/// Worker count the auditor uses when the caller doesn't pick one: one
-/// per available core.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Replays each `(name, scenario)` twice per seed and byte-compares
-/// stdout and trace, spread across `jobs` worker threads (`jobs = 1` is
-/// the serial run). Returns every divergence found (empty = fully
-/// deterministic).
-///
-/// Each `(scenario, seed)` pair is an independent job — the simulator and
-/// telemetry sessions are thread-confined, so replaying different pairs on
-/// different OS threads cannot interact. Determinism of the *report* is
-/// preserved by construction: every job writes into its own slot, indexed
-/// by position in the matrix order, and progress/divergences are
-/// collected from those slots in that fixed order after all workers have
-/// joined. The output is byte-identical at every `jobs`, no matter how
-/// the OS schedules the workers.
+/// stdout and trace, one `(scenario, seed)` pair per job of
+/// [`run_jobs`] on `jobs` workers (`jobs = 1` is the serial run), and
+/// reports each pair to `progress` in matrix order, so the report is
+/// byte-identical at every `jobs`. Returns every divergence found (empty
+/// = fully deterministic).
 pub fn audit_scenarios(
     scenarios: &[(&'static str, ScenarioFn)],
     seeds: &[u64],
@@ -104,28 +90,12 @@ pub fn audit_scenarios(
         .iter()
         .flat_map(|&(name, f)| seeds.iter().map(move |&seed| (name, f, seed)))
         .collect();
-    let workers = jobs.clamp(1, matrix.len().max(1));
-    let slots: Vec<Mutex<Option<Vec<Divergence>>>> =
-        matrix.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(name, f, seed)) = matrix.get(i) else {
-                    break;
-                };
-                *slots[i].lock().expect("audit slot poisoned") = Some(audit_one(name, f, seed));
-            });
-        }
+    let found = run_jobs(matrix.len(), jobs, |i| {
+        let (name, f, seed) = matrix[i];
+        audit_one(name, f, seed)
     });
     let mut divergences = Vec::new();
-    for (slot, &(name, _, seed)) in slots.iter().zip(&matrix) {
-        let found = slot
-            .lock()
-            .expect("audit slot poisoned")
-            .take()
-            .expect("every job ran to completion");
+    for (found, &(name, _, seed)) in found.into_iter().zip(&matrix) {
         progress(name, seed, found.is_empty());
         divergences.extend(found);
     }
@@ -147,7 +117,7 @@ static PLANT: AtomicU64 = AtomicU64::new(0);
 /// A deliberately nondeterministic scenario: alongside an honest little
 /// simulation it leaks a process-global counter into stdout, so two
 /// replays can never match. Exists purely so the auditor's detection
-/// path is itself tested (`--self-test`, `tests/audit_meta.rs`).
+/// path is itself tested (`tests/audit_meta.rs`).
 pub fn planted_nondeterminism(seed: u64) -> ScenarioRun {
     let leak = PLANT.fetch_add(1, Ordering::Relaxed);
     let mut run = crate::scenarios::compute_pipeline(seed);
@@ -192,17 +162,6 @@ mod tests {
         assert!(
             serial_div.is_empty(),
             "shipped scenarios must be deterministic"
-        );
-    }
-
-    #[test]
-    fn parallel_runner_catches_planted_nondeterminism() {
-        let planted: [(&'static str, ScenarioFn); 1] =
-            [("planted_nondeterminism", planted_nondeterminism)];
-        let divergences = audit_scenarios(&planted, &[42], 2, |_, _, _| {});
-        assert!(
-            !divergences.is_empty(),
-            "plant must be detected in parallel mode"
         );
     }
 }

@@ -1,26 +1,41 @@
-//! `all_figures [id…] [--knob value…] [--trace-out path]`: regenerates
-//! the named figure and ablation tables (`all_figures fig2 A3`), or with
-//! no id all of them — the artifact EXPERIMENTS.md records. A knob
-//! changes what the named ids run (`all_figures fig10 --servers 16 32`)
-//! and is refused unless every named id declares it. `--trace-out`
+//! `all_figures [id…] [--knob value…] [--trace-out path] [--jobs N]`:
+//! regenerates the named figure and ablation tables (`all_figures fig2
+//! A3`), or with no id all of them — the artifact EXPERIMENTS.md records.
+//! A knob changes what the named ids run (`all_figures fig10 --servers 16
+//! 32`) and is refused unless every named id declares it. `--trace-out`
 //! records one id's telemetry, writes its Chrome trace to `path` and
 //! prints the summary after the table. Every run is invariant-checked.
+//!
+//! `all_figures --audit [--seeds a,b,c] [--jobs N]` is the determinism
+//! audit instead: every shipped scenario is replayed twice per seed (42,
+//! 7 and 1234 by default), and any stdout or Chrome-trace byte difference
+//! between the two replays fails the run (exit 1).
+//!
+//! `--jobs` caps the worker threads either mode runs on (one per core by
+//! default); results are collected in a fixed order, so no output byte
+//! after the audit's header line depends on it.
 
 use std::iter::Peekable;
 use std::path::PathBuf;
 
 use dpdpu_bench::fleet::MAX_CLIENTS;
-use dpdpu_bench::{all, render, Knobs, MAX_SERVERS};
+use dpdpu_bench::{all, audit, default_jobs, render, scenarios, Knobs, MAX_SERVERS};
 use dpdpu_net::fabric::FabricKind;
 use dpdpu_net::tcp::CongAlgKind;
 
+/// The seeds `--audit` replays when `--seeds` names none.
+const DEFAULT_SEEDS: [u64; 3] = [42, 7, 1234];
+
 /// One command line: the ids to run (none: every id), their knobs, and
-/// where the one id's trace goes.
+/// where the one id's trace goes; or, with `audit`, the seeds to audit
+/// the scenarios at. Either way on `jobs` workers.
 #[derive(Debug)]
 struct Invocation {
     ids: Vec<&'static str>,
     knobs: Knobs,
     trace_out: Option<PathBuf>,
+    audit: Option<Vec<u64>>,
+    jobs: usize,
 }
 
 fn main() {
@@ -28,9 +43,14 @@ fn main() {
         eprintln!("{msg}\n{}", usage());
         std::process::exit(2)
     });
+    if let Some(seeds) = &inv.audit {
+        run_audit(seeds, inv.jobs);
+        return;
+    }
     let every: Vec<_> = all().iter().map(|e| e.id).collect();
     let ids = if inv.ids.is_empty() { every } else { inv.ids };
-    let out = render(&ids, &inv.knobs, inv.trace_out.as_deref()).unwrap_or_else(|e| {
+    let out = render(&ids, &inv.knobs, inv.trace_out.as_deref(), inv.jobs);
+    let out = out.unwrap_or_else(|e| {
         eprintln!("failed to write the trace: {e}");
         std::process::exit(1)
     });
@@ -42,10 +62,41 @@ fn main() {
     }
 }
 
+/// Audits every scenario over `seeds` on `jobs` workers, one report line
+/// per (scenario, seed) in matrix order; exits 1 on any divergence.
+fn run_audit(seeds: &[u64], jobs: usize) {
+    println!(
+        "auditing {} scenario(s) x {} seed(s), two replays each, {jobs} worker(s)",
+        scenarios::all().len(),
+        seeds.len(),
+    );
+    let divergences = audit::audit_all(seeds, jobs, |name, seed, ok| {
+        let verdict = if ok { "reproducible" } else { "DIVERGED" };
+        println!("  {name} seed={seed}: {verdict}");
+    });
+    if divergences.is_empty() {
+        println!("determinism audit passed: every replay was byte-identical");
+        return;
+    }
+    let n = divergences.len();
+    eprintln!("determinism audit FAILED ({n} divergence(s)):");
+    for d in &divergences {
+        eprintln!("{d}");
+    }
+    std::process::exit(1);
+}
+
 fn usage() -> String {
-    let mut text = String::from("usage: all_figures [id…] [--knob value…] [--trace-out path]");
+    let mut text = String::from(
+        "usage: all_figures [id…] [--knob value…] [--trace-out path] [--jobs N]\n       \
+         all_figures --audit [--seeds a,b,c] [--jobs N]\nids and the knobs each takes:",
+    );
     for e in all() {
         text += &format!("\n  {} {}", e.id, e.knobs.join(" "));
+    }
+    text += "\nscenarios --audit replays:";
+    for (name, _) in scenarios::all() {
+        text += &format!("\n  {name}");
     }
     text
 }
@@ -53,12 +104,17 @@ fn usage() -> String {
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
     let registry = all();
     let (mut ids, mut knobs, mut trace_out) = (Vec::new(), Knobs::default(), None);
+    let (mut audit, mut seeds, mut jobs) = (false, None, default_jobs());
     let mut given = Vec::new();
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
         if !arg.starts_with("--") {
             let e = registry.iter().find(|e| e.id == arg);
             ids.push(e.ok_or(format!("unknown experiment id '{arg}'"))?.id);
+            continue;
+        }
+        if arg == "--audit" {
+            audit = true;
             continue;
         }
         if arg == "--servers" {
@@ -70,6 +126,14 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
         let bad = |want: &str| format!("{arg} {v:?}: want {want}");
         match arg.as_str() {
             "--trace-out" => trace_out = Some(PathBuf::from(&v)),
+            "--jobs" => {
+                let n = v.parse().ok().filter(|n| *n >= 1);
+                jobs = n.ok_or(bad("at least 1"))?;
+            }
+            "--seeds" => {
+                let list = v.split(',').map(|s| s.parse().ok());
+                seeds = Some(list.collect::<Option<_>>().ok_or(bad("integers a,b,c"))?);
+            }
             "--fabric" => {
                 knobs.fabric = Some(FabricKind::parse(&v).ok_or(bad("tcp|rdma|rdma-offload"))?)
             }
@@ -99,6 +163,16 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
         }
         given.push(arg);
     }
+    // `--jobs` is every mode's and `--seeds` the audit's; the rest are
+    // the figures' own.
+    given.retain(|flag| flag != "--jobs" && flag != "--seeds");
+    if audit {
+        if let Some(arg) = ids.first().copied().or(given.first().map(String::as_str)) {
+            return Err(format!("--audit takes no {arg}"));
+        }
+    } else if seeds.is_some() {
+        return Err("--seeds needs --audit".into());
+    }
     if trace_out.is_some() && ids.len() != 1 {
         return Err("--trace-out takes exactly one id".into());
     }
@@ -118,6 +192,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
         ids,
         knobs,
         trace_out,
+        audit: audit.then(|| seeds.unwrap_or_else(|| DEFAULT_SEEDS.to_vec())),
+        jobs,
     })
 }
 
@@ -248,5 +324,46 @@ mod tests {
             "--trace-out takes exactly one id"
         );
         assert!(parsed("--trace-out a.json").is_err());
+    }
+
+    #[test]
+    fn the_audit_takes_seeds_and_jobs_only() {
+        let inv = parsed("--audit").expect("--audit");
+        assert_eq!(inv.audit, Some(vec![42, 7, 1234]));
+        let inv = parsed("--jobs 3 --audit --seeds 5,6").expect("seeds and jobs");
+        assert_eq!((inv.audit, inv.jobs), (Some(vec![5, 6]), 3));
+        for (line, err) in [
+            ("--audit fig2", "--audit takes no fig2"),
+            ("fig10 --audit", "--audit takes no fig10"),
+            ("--audit --servers 8", "--audit takes no --servers"),
+            ("--audit --seed 7", "--audit takes no --seed"),
+            ("--audit --trace-out a.json", "--audit takes no --trace-out"),
+        ] {
+            assert_eq!(parsed(line).unwrap_err(), err, "{line}");
+        }
+    }
+
+    #[test]
+    fn seeds_need_the_audit_and_a_whole_list() {
+        assert_eq!(parsed("--seeds 1,2").unwrap_err(), "--seeds needs --audit");
+        assert_eq!(
+            parsed("fig2 --seeds 1").unwrap_err(),
+            "--seeds needs --audit"
+        );
+        for bad in ["1,,2", "1,x", "1;2", "-1", "1,"] {
+            let err = parsed(&format!("--audit --seeds {bad}")).expect_err(bad);
+            assert!(err.contains("want integers a,b,c"), "{bad}: {err}");
+        }
+        assert!(parsed("--audit --seeds").is_err());
+    }
+
+    #[test]
+    fn jobs_caps_every_mode_at_one_worker_or_more() {
+        assert_eq!(parsed("fig2 --jobs 2").expect("fig2").jobs, 2);
+        assert_eq!(parsed("--jobs 1").expect("every id").jobs, 1);
+        for line in ["--jobs 0", "fig2 --jobs 0", "--audit --jobs 0", "--jobs x"] {
+            let err = parsed(line).expect_err(line);
+            assert!(err.contains("want at least 1"), "{line}: {err}");
+        }
     }
 }

@@ -9,13 +9,9 @@
 //! recover the paper's headline.
 
 use dpdpu_dds::kv::INDEX_ENTRY_BYTES;
-use dpdpu_dds::server::{Dds, DdsConfig};
-use dpdpu_des::{block_on, now};
-use dpdpu_hw::{CpuPool, Platform};
-use dpdpu_net::fabric::Endpoint;
-use dpdpu_net::NetConfig;
+use dpdpu_dds::server::DdsConfig;
 
-use crate::fleet::{preload_keys, sample_platform, xorshift_keys};
+use crate::fleet::dds_reads;
 use crate::table::Table;
 
 const KEYS: u64 = 128;
@@ -68,43 +64,18 @@ struct Measurement {
 }
 
 fn measure(offload: bool, kv_index_budget: u64) -> Measurement {
-    block_on(async move {
-        let platform = Platform::default_bf2();
-        let sampler = sample_platform(&platform);
-        let dds = Dds::build(
-            platform.clone(),
-            DdsConfig {
-                offload_enabled: offload,
-                kv_index_budget: kv_index_budget.max(1),
-                ..DdsConfig::default()
-            },
-        )
-        .await;
-        let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
-
-        preload_keys(0..KEYS, VALUE, |k, v| client.kv_put(k, v)).await;
-        platform.host_cpu.reset_stats();
-        dds.served_dpu.reset();
-        dds.served_host.reset();
-        let t0 = now();
-        for key in xorshift_keys(KEYS).take(GETS as usize) {
-            client
-                .kv_get(key)
-                .await
-                .expect("get must succeed")
-                .expect("loaded key");
-        }
-        let elapsed = (now() - t0).max(1);
-        let frac =
-            dds.served_dpu.get() as f64 / (dds.served_dpu.get() + dds.served_host.get()) as f64;
-        sampler.stop();
-        Measurement {
-            offload_fraction: frac,
-            host_cores: platform.host_cpu.cores_consumed(elapsed),
-            cyc_per_req: platform.host_cpu.busy_ns() as f64 * 3.0 / GETS as f64,
-        }
-    })
+    let config = DdsConfig {
+        offload_enabled: offload,
+        kv_index_budget: kv_index_budget.max(1),
+        ..DdsConfig::default()
+    };
+    let r = dds_reads(config, KEYS, GETS, VALUE);
+    assert_eq!(r.errors, 0, "a fault-free get must succeed");
+    Measurement {
+        offload_fraction: r.served_dpu as f64 / (r.served_dpu + r.served_host) as f64,
+        host_cores: r.host_busy_ns as f64 / r.elapsed_ns as f64,
+        cyc_per_req: r.host_busy_ns as f64 * 3.0 / GETS as f64,
+    }
 }
 
 #[cfg(test)]
@@ -135,7 +106,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("dpdpu-fig9-trace-test-{}.json", std::process::id()));
         let knobs = crate::Knobs::default();
-        let summary = crate::render(&["fig9"], &knobs, Some(&path)).expect("trace export");
+        let summary = crate::render(&["fig9"], &knobs, Some(&path), 1).expect("trace export");
         let text = std::fs::read_to_string(&path).expect("trace file must exist");
         let _ = std::fs::remove_file(&path);
 

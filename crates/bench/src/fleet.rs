@@ -24,8 +24,13 @@ use dpdpu_core::DpdpuError;
 use dpdpu_dds::cluster::ClusterClient;
 use dpdpu_dds::gateway::Gateway;
 use dpdpu_dds::proto::Op;
-use dpdpu_des::{now, sleep, sleep_until, spawn, Counter, Histogram, JoinHandle, Semaphore, Time};
-use dpdpu_hw::Platform;
+use dpdpu_dds::server::{Dds, DdsConfig};
+use dpdpu_des::{
+    block_on, now, sleep, sleep_until, spawn, Counter, Histogram, JoinHandle, Semaphore, Time,
+};
+use dpdpu_hw::{CpuPool, Platform};
+use dpdpu_net::fabric::Endpoint;
+use dpdpu_net::NetConfig;
 use dpdpu_telemetry::{start_sampler, SamplerHandle, Telemetry};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -414,15 +419,67 @@ pub(crate) async fn preload_keys<Fut>(
     }
 }
 
-/// The single-server read loops' key stream (Fig. 9, A9): xorshift64
-/// from a fixed seed, reduced into `0..keys`.
-pub(crate) fn xorshift_keys(keys: u64) -> impl Iterator<Item = u64> {
+/// What [`dds_reads`] measured over its gets.
+pub(crate) struct DdsReads {
+    /// Each get's latency in virtual ns, in issue order.
+    pub(crate) latencies: Vec<Time>,
+    /// Gets that ended in a typed error.
+    pub(crate) errors: u64,
+    /// Gets the offload engine served on the DPU.
+    pub(crate) served_dpu: u64,
+    /// Gets served on the host path.
+    pub(crate) served_host: u64,
+    /// The client's re-sends (timeouts and server errors).
+    pub(crate) retries: u64,
+    /// Host CPU busy time the gets cost, in ns.
+    pub(crate) host_busy_ns: u64,
+    /// Virtual ns from the first get's issue to the last one's answer.
+    pub(crate) elapsed_ns: Time,
+}
+
+/// The single-server read loop of Fig. 9 and A9: one DDS server built
+/// with `config` on a BlueField-2 platform, a 16-core host client that
+/// preloads `0..keys` with `value_bytes`-byte values, then `gets`
+/// sequential gets over a fixed xorshift64 key stream. Only the gets are
+/// measured. Runs its own simulation, under whatever fault plan the
+/// caller installed.
+pub(crate) fn dds_reads(config: DdsConfig, keys: u64, gets: u64, value_bytes: usize) -> DdsReads {
     let mut x = 0x2545F491u64;
-    std::iter::repeat_with(move || {
+    let key_stream = std::iter::repeat_with(move || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         x % keys
+    });
+    block_on(async move {
+        let platform = Platform::default_bf2();
+        let sampler = sample_platform(&platform);
+        let dds = Dds::build(platform.clone(), config).await;
+        let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
+        let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");
+        preload_keys(0..keys, value_bytes, |k, v| client.kv_put(k, v)).await;
+        dds.served_dpu.reset();
+        dds.served_host.reset();
+        let (busy0, t0) = (platform.host_cpu.busy_ns(), now());
+        let (mut latencies, mut errors) = (Vec::with_capacity(gets as usize), 0);
+        for key in key_stream.take(gets as usize) {
+            let t = now();
+            match client.kv_get(key).await {
+                Ok(v) => assert!(v.is_some(), "preloaded key must exist"),
+                Err(_) => errors += 1,
+            }
+            latencies.push(now() - t);
+        }
+        sampler.stop();
+        DdsReads {
+            latencies,
+            errors,
+            served_dpu: dds.served_dpu.get(),
+            served_host: dds.served_host.get(),
+            retries: client.retries.get(),
+            host_busy_ns: platform.host_cpu.busy_ns() - busy0,
+            elapsed_ns: (now() - t0).max(1),
+        }
     })
 }
 

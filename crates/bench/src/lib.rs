@@ -12,11 +12,12 @@
 //! [`render_all`] sits alone in one of its ```` ```text ```` fences,
 //! which `tests/golden_trace.rs` compares and `UPDATE_GOLDEN=1` rewrites.
 //!
-//! Binaries: `all_figures [id…] [--knob value…] [--trace-out path]`
-//! prints every table, or the named ones (the ids of [`all`]:
-//! `all_figures fig2 A3`), with the knobs each named id declares
+//! The one binary: `all_figures [id…] [--knob value…] [--trace-out
+//! path] [--jobs N]` prints every table, or the named ones (the ids of
+//! [`all`]: `all_figures fig2 A3`), with the knobs each named id declares
 //! (`all_figures fig10 --servers 16 32`); `--trace-out` records one id's
-//! telemetry. `audit_determinism` replays the scenarios.
+//! telemetry. `all_figures --audit [--seeds a,b,c] [--jobs N]` replays
+//! the scenarios instead ([`audit`]). Both run on [`run_jobs`].
 
 mod abl_cache_split;
 mod abl_fast_persist;
@@ -45,6 +46,7 @@ pub mod scenarios;
 pub mod table;
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpdpu_net::fabric::FabricKind;
 use dpdpu_net::NetConfig;
@@ -127,36 +129,32 @@ pub fn all() -> Vec<Experiment> {
 }
 
 /// The tables of those experiments of [`all`] whose id is in `ids`, run
-/// with `knobs`, each under its `=== id ===` header, in experiment-id
-/// order (an id `all` does not list selects nothing). Each runner gets
-/// its own worker thread (simulations are thread-confined, so they
-/// cannot interact) and its own strict invariant session. With
-/// `trace_out`, a runner also records a telemetry session, writes its
-/// Chrome trace there and follows its table with the summary: name one
-/// id.
-pub fn render(ids: &[&str], knobs: &Knobs, trace_out: Option<&Path>) -> std::io::Result<String> {
-    let workers: Vec<_> = all()
-        .into_iter()
-        .filter(|e| ids.contains(&e.id))
-        .map(|Experiment { id, run, .. }| {
-            let (knobs, trace_out) = (knobs.clone(), trace_out.map(Path::to_path_buf));
-            let checked = move || -> std::io::Result<String> {
-                let _check = dpdpu_check::CheckGuard::new();
-                let Some(path) = trace_out else {
-                    return Ok(run(&knobs));
-                };
-                let t = dpdpu_telemetry::Telemetry::install();
-                let table = run(&knobs);
-                t.write_chrome_trace(path)?;
-                Ok(format!("{table}\n{}", t.summary()))
-            };
-            (id, std::thread::spawn(checked))
-        })
-        .collect();
+/// with `knobs` on [`run_jobs`]' `jobs` workers, each under its
+/// `=== id ===` header, in experiment-id order (an id `all` does not list
+/// selects nothing). Each runner gets its own strict invariant session.
+/// With `trace_out`, a runner also records a telemetry session, writes
+/// its Chrome trace there and follows its table with the summary: name
+/// one id.
+pub fn render(
+    ids: &[&str],
+    knobs: &Knobs,
+    trace_out: Option<&Path>,
+    jobs: usize,
+) -> std::io::Result<String> {
+    let chosen: Vec<_> = all().into_iter().filter(|e| ids.contains(&e.id)).collect();
+    let blocks = run_jobs(chosen.len(), jobs, |i| -> std::io::Result<String> {
+        let _check = dpdpu_check::CheckGuard::new();
+        let Some(path) = trace_out else {
+            return Ok((chosen[i].run)(knobs));
+        };
+        let t = dpdpu_telemetry::Telemetry::install();
+        let table = (chosen[i].run)(knobs);
+        t.write_chrome_trace(path)?;
+        Ok(format!("{table}\n{}", t.summary()))
+    });
     let mut out = String::new();
-    for (id, worker) in workers {
-        let block = worker.join().expect("figure panicked")?;
-        out += &format!("=== {id} ===\n{block}\n");
+    for (e, block) in chosen.iter().zip(blocks) {
+        out += &format!("=== {} ===\n{}\n", e.id, block?);
     }
     Ok(out)
 }
@@ -165,5 +163,61 @@ pub fn render(ids: &[&str], knobs: &Knobs, trace_out: Option<&Path>) -> std::io:
 /// block by block in EXPERIMENTS.md's ```` ```text ```` fences.
 pub fn render_all() -> String {
     let ids: Vec<_> = all().iter().map(|e| e.id).collect();
-    render(&ids, &Knobs::default(), None).expect("an untraced run writes nothing")
+    render(&ids, &Knobs::default(), None, default_jobs()).expect("an untraced run writes nothing")
+}
+
+/// The worker count when the caller picks none: one per available core.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Runs `job(0)`, …, `job(n - 1)` on at most `jobs` worker threads and
+/// returns their results in job order: the one job runner of the
+/// figures, the audit and the golden captures. Simulations and their
+/// sessions are thread-confined, so jobs on different workers cannot
+/// interact, and a worker's sessions are gone before it takes its next
+/// job. Each worker takes the next unclaimed index; the results are put
+/// back in index order after every worker has joined, so what the
+/// caller sees never depends on how the OS scheduled them. A job's panic
+/// is re-raised here.
+pub fn run_jobs<T: Send>(n: usize, jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.clamp(1, n.max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined
+            .flat_map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three experiments on one worker and on four print the same bytes,
+    /// in experiment-id order whatever order the workers finish in.
+    #[test]
+    fn the_runner_renders_identically_at_one_worker_and_at_four() {
+        let ids = ["fig2", "fig7", "A5"];
+        let render_at = |jobs| render(&ids, &Knobs::default(), None, jobs).expect("untraced");
+        let serial = render_at(1);
+        assert_eq!(serial, render_at(4));
+        let headers: Vec<_> = serial.lines().filter(|l| l.starts_with("=== ")).collect();
+        assert_eq!(headers, ["=== fig2 ===", "=== fig7 ===", "=== A5 ==="]);
+    }
 }

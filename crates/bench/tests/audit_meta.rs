@@ -5,24 +5,30 @@
 use dpdpu_bench::audit;
 use dpdpu_bench::scenarios::ScenarioFn;
 
+/// The plant is caught at one worker and at four, once per seed, in
+/// seed order: with four seeds, four workers each replay one.
 #[test]
 fn auditor_catches_planted_nondeterminism() {
     let planted: [(&'static str, ScenarioFn); 1] =
         [("planted_nondeterminism", audit::planted_nondeterminism)];
-    let divergences = audit::audit_scenarios(&planted, &[42], 1, |_, _, _| {});
-    assert!(
-        !divergences.is_empty(),
-        "the planted process-global counter must surface as a divergence"
-    );
-    let d = &divergences[0];
-    assert_eq!(d.scenario, "planted_nondeterminism");
-    assert_eq!(d.seed, 42);
-    assert_eq!(d.channel, "stdout");
-    assert!(
-        d.detail.contains("plant="),
-        "the differ must point at the leaked counter line:\n{}",
-        d.detail
-    );
+    let seeds = [42, 7, 1234, 5];
+    for jobs in [1, 4] {
+        let divergences = audit::audit_scenarios(&planted, &seeds, jobs, |_, _, _| {});
+        let caught: Vec<_> = divergences.iter().map(|d| d.seed).collect();
+        assert_eq!(
+            caught, seeds,
+            "jobs={jobs}: one divergence per seed, in order"
+        );
+        for d in &divergences {
+            assert_eq!(d.scenario, "planted_nondeterminism");
+            assert_eq!(d.channel, "stdout");
+            assert!(
+                d.detail.contains("plant="),
+                "the differ must point at the leaked counter line:\n{}",
+                d.detail
+            );
+        }
+    }
 }
 
 #[test]

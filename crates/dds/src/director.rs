@@ -36,7 +36,8 @@ impl Route {
     }
 }
 
-/// Directs classified requests and keeps the split observable.
+/// Directs classified requests; the served split is counted on the
+/// `Dds` (`served_dpu`, `served_host`, `host_fallbacks`).
 ///
 /// Besides the application-level classification, the director is the
 /// degradation point (graceful degradation, §9): a recorded DPU-path
@@ -44,10 +45,6 @@ impl Route {
 /// injected DPU-overload window reads as degraded too — in either case
 /// requests flow to the host, which can always serve them.
 pub struct TrafficDirector {
-    /// Requests routed to the DPU.
-    pub(crate) to_dpu: Counter,
-    /// Requests routed to the host.
-    pub(crate) to_host: Counter,
     /// Requests rerouted to the host by degradation (fault or overload)
     /// that classification alone would have kept on the DPU.
     pub(crate) degraded: Counter,
@@ -56,13 +53,6 @@ pub struct TrafficDirector {
     offload_enabled: bool,
     /// Virtual time until which the DPU path is considered faulty.
     degraded_until: Cell<Time>,
-    penalty_ns: Time,
-}
-
-impl Default for TrafficDirector {
-    fn default() -> Self {
-        Self::new(true)
-    }
 }
 
 impl TrafficDirector {
@@ -70,12 +60,9 @@ impl TrafficDirector {
     /// server where the DPU is a plain NIC.
     pub(crate) fn new(offload_enabled: bool) -> Self {
         TrafficDirector {
-            to_dpu: Counter::new(),
-            to_host: Counter::new(),
             degraded: Counter::new(),
             offload_enabled,
             degraded_until: Cell::new(0),
-            penalty_ns: DEGRADE_PENALTY_NS,
         }
     }
 
@@ -83,7 +70,7 @@ impl TrafficDirector {
     /// to the host for the penalty window.
     pub(crate) fn record_dpu_fault(&self) {
         if let Some(now) = dpdpu_des::try_now() {
-            self.degraded_until.set(now + self.penalty_ns);
+            self.degraded_until.set(now + DEGRADE_PENALTY_NS);
         }
         dpdpu_telemetry::count("dds_degraded", &[("cause", "dpu_fault")]);
     }
@@ -98,22 +85,20 @@ impl TrafficDirector {
         breaker_open || dpdpu_faults::dpu_overloaded()
     }
 
-    /// Applies the classification, recording the outcome. `wants_dpu` is
-    /// the application/UDF-level judgement (e.g. "index entry resident on
-    /// DPU", "page clean"); degradation overrides it toward the host.
+    /// Applies the classification, counting a degraded reroute.
+    /// `wants_dpu` is the application/UDF-level judgement (e.g. "index
+    /// entry resident on DPU", "page clean"); degradation overrides it
+    /// toward the host.
     pub(crate) fn route(&self, wants_dpu: bool) -> Route {
         if self.offload_enabled && wants_dpu {
             if self.is_degraded() {
                 self.degraded.inc();
-                self.to_host.inc();
                 // Overload faults are absorbed by routing to the host.
                 dpdpu_check::fault_handled(FaultSite::DpuOverload.label(), "degraded");
                 return Route::Host;
             }
-            self.to_dpu.inc();
             Route::Dpu
         } else {
-            self.to_host.inc();
             Route::Host
         }
     }
@@ -128,15 +113,15 @@ mod tests {
         let d = TrafficDirector::new(true);
         assert_eq!(d.route(true), Route::Dpu);
         assert_eq!(d.route(false), Route::Host);
-        assert_eq!(d.to_dpu.get(), 1);
-        assert_eq!(d.to_host.get(), 1);
+        assert_eq!(d.degraded.get(), 0);
     }
 
     #[test]
     fn disabled_director_sends_everything_to_host() {
         let d = TrafficDirector::new(false);
         assert_eq!(d.route(true), Route::Host);
-        assert_eq!(d.to_dpu.get(), 0);
+        assert_eq!(d.route(false), Route::Host);
+        assert_eq!(d.degraded.get(), 0, "a disabled director is never degraded");
     }
 
     #[test]

@@ -42,21 +42,16 @@ fn golden_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-/// All scenario runs, captured exactly once for the whole test binary:
-/// one worker thread per scenario (simulations are thread-confined, so
-/// they cannot interact), joined in declaration order so the captured
-/// list — and any panic propagation — is deterministic.
+/// All scenario runs, captured exactly once for the whole test binary
+/// on `dpdpu_bench::run_jobs`' workers (simulations are thread-confined,
+/// so they cannot interact), in declaration order.
 fn captures() -> &'static [(&'static str, ScenarioRun)] {
     static CAPTURES: OnceLock<Vec<(&'static str, ScenarioRun)>> = OnceLock::new();
     CAPTURES.get_or_init(|| {
-        let workers: Vec<_> = dpdpu_bench::scenarios::all()
-            .into_iter()
-            .map(|(name, f)| (name, std::thread::spawn(move || f(GOLDEN_SEED))))
-            .collect();
-        workers
-            .into_iter()
-            .map(|(name, h)| (name, h.join().expect("scenario capture panicked")))
-            .collect()
+        let scenarios = dpdpu_bench::scenarios::all();
+        let jobs = dpdpu_bench::default_jobs();
+        let runs = dpdpu_bench::run_jobs(scenarios.len(), jobs, |i| scenarios[i].1(GOLDEN_SEED));
+        scenarios.iter().map(|&(name, _)| name).zip(runs).collect()
     })
 }
 

@@ -43,8 +43,11 @@
 //!
 //! And one command line for the experiments: under `crates/bench/src`
 //! only `bin/all_figures.rs` (every figure's knobs, declared in
-//! `dpdpu_bench::all()`) and `bin/audit_determinism.rs` read the process
-//! arguments.
+//! `dpdpu_bench::all()`, and the audit's) reads the process arguments.
+//!
+//! And one job runner: the shipping code under `crates/bench/src` has
+//! exactly one thread spawn or scope site, `dpdpu_bench::run_jobs` in
+//! `lib.rs`, which the figures, the audit and the golden captures share.
 //!
 //! And every `pub` has a caller outside its crate: each `pub` item under
 //! `crates/*/src` is named by another crate, a test, an example, the
@@ -468,16 +471,13 @@ fn the_dead_code_gate_catches_a_planted_escape() {
     assert_eq!(dead_code_escapes(&planted), [format!("{name}:1")]);
 }
 
-/// The two binaries that may read the process arguments.
-const PARSERS: [&str; 2] = [
-    "crates/bench/src/bin/all_figures.rs",
-    "crates/bench/src/bin/audit_determinism.rs",
-];
+/// The one binary that may read the process arguments.
+const PARSER: &str = "crates/bench/src/bin/all_figures.rs";
 
-/// Every file under `crates/bench/src` but [`PARSERS`] whose code reads
+/// Every file under `crates/bench/src` but [`PARSER`] whose code reads
 /// `env::args` (or `env::args_os`).
 fn argument_readers(tree: &[(String, String)]) -> Vec<&str> {
-    let bench = |name: &str| name.starts_with("crates/bench/src/") && !PARSERS.contains(&name);
+    let bench = |name: &str| name.starts_with("crates/bench/src/") && name != PARSER;
     let readers = tree
         .iter()
         .filter(|(name, source)| bench(name) && calls(source, "env::args"));
@@ -506,9 +506,47 @@ fn the_command_line_gate_catches_a_planted_parser() {
     let parser = "\nfn main() {\n    let _ = std::env::args();\n}\n";
     assert_eq!(argument_readers(&appended(&tree, name, parser)), [name]);
     let mut planted = tree;
-    let bin = "crates/bench/src/bin/fig9_dds_savings.rs";
+    let bin = "crates/bench/src/bin/audit_determinism.rs";
     planted.push((bin.to_string(), parser.to_string()));
     assert_eq!(argument_readers(&planted), [bin]);
+}
+
+/// The file of the one job runner, `dpdpu_bench::run_jobs`.
+const RUNNER: &str = "crates/bench/src/lib.rs";
+
+/// The name of each file under `crates/bench/src`, once per thread spawn
+/// or scope site in its shipping part.
+fn spawn_sites(tree: &[(String, String)]) -> Vec<&str> {
+    let bench = tree
+        .iter()
+        .filter(|(name, _)| name.starts_with("crates/bench/src/"));
+    let sites = bench.map(|(name, source)| std::iter::repeat_n(name.as_str(), threading(source).1));
+    sites.flatten().collect()
+}
+
+#[test]
+fn one_job_runner_for_the_experiments() {
+    let tree = sources(&["crates/bench/src"]);
+    assert_eq!(
+        spawn_sites(&tree),
+        [RUNNER],
+        "run jobs on `dpdpu_bench::run_jobs`, the one pool of the figures, the audit and \
+         the golden captures"
+    );
+}
+
+/// The gate is sensitive: a second site planted before a figure
+/// module's tests is named; one after them is not.
+#[test]
+fn the_runner_gate_catches_a_planted_spawn() {
+    let tree = sources(&["crates/bench/src"]);
+    let name = "crates/bench/src/fig9_dds_savings.rs";
+    let spawn = "fn planted() {\n    std::thread::spawn(|| ());\n}\n";
+    assert_eq!(spawn_sites(&appended(&tree, name, spawn)), [RUNNER]);
+    let mut planted = tree;
+    let file = planted.iter_mut().find(|(n, _)| n == name);
+    file.expect("file in the tree").1.insert_str(0, spawn);
+    assert_eq!(spawn_sites(&planted), [name, RUNNER]);
 }
 
 /// `pub` items that nothing outside their crate names, kept `pub` on

@@ -51,9 +51,9 @@ fn measure(pipelined: bool) -> u64 {
         let file = rt.storage.create("pages").await.unwrap();
         let corpus = dpdpu_kernels::text::natural_text((PAGES * PAGE) as usize, 5);
         rt.storage.write(file, 0, &corpus).await.unwrap();
-        let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
+        let client = Endpoint::host(CpuPool::new("client", 8, 3_000_000_000));
         let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
-            .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
+            .stream(Endpoint::dpu_native(&rt.platform), client);
         let pages: Vec<(u64, u64)> = (0..PAGES).map(|i| (i * PAGE, PAGE)).collect();
 
         let t0 = now();

@@ -222,7 +222,7 @@ impl Cell {
             {
                 sleep(after).await;
                 for key in 0..REGISTER_KEYS {
-                    read_register(&mut run.history, &client, clients, key)
+                    register_op(&mut run.history, &client, clients, 0, key, false)
                         .await
                         .unwrap_or_else(|e| {
                             panic!("seed {seed}: read-back of key {key} failed: {e:?}")
@@ -259,20 +259,39 @@ async fn run_script(
     grown
 }
 
-/// Reads register `key` as `reader` and records what it saw.
-async fn read_register(
+/// One op of the register workload, client `c`'s `seq`-th, recorded in
+/// `history`: a put of a value unique to `(c, seq)` when `put`, else a
+/// get, which returns the value it read. A failed get observed nothing;
+/// a failed put is recorded as ambiguous.
+pub async fn register_op(
     history: &mut History,
     client: &ClusterClient,
-    reader: usize,
+    c: usize,
+    seq: u64,
     key: u64,
-) -> Result<(), DpdpuError> {
+    put: bool,
+) -> Result<Option<u64>, DpdpuError> {
     let start = now();
-    let value = client
-        .kv_get(key)
-        .await?
-        .map(|bytes| u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")));
-    history.read(reader, key, value, start, now());
-    Ok(())
+    if !put {
+        let value = client
+            .kv_get(key)
+            .await?
+            .map(|bytes| u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")));
+        history.read(c, key, value, start, now());
+        return Ok(value);
+    }
+    // Unique value per (client, seq): the checker needs to identify a
+    // read's source write.
+    let value = ((c as u64) << 32) | seq;
+    let payload = Bytes::from(value.to_le_bytes().to_vec());
+    let acked = client.kv_put(key, payload).await;
+    match acked {
+        Ok(()) => history.write_ok(c, key, value, start, now()),
+        // Lost ack: the write may still have been applied by a retried
+        // attempt or a deposed primary.
+        Err(_) => history.write_ambiguous(c, key, value, start, now()),
+    }
+    acked.map(|()| None)
 }
 
 /// The register workload: returns the merged history and how many
@@ -292,25 +311,13 @@ async fn run_registers(
                 let mut ambiguous = 0u64;
                 for seq in 0..ops_per_client {
                     let key = rng.random_range(0..REGISTER_KEYS);
-                    if rng.random_bool(0.5) {
-                        // Unique value per (client, seq): the checker
-                        // needs to identify a read's source write.
-                        let value = ((c as u64) << 32) | seq;
-                        let payload = Bytes::from(value.to_le_bytes().to_vec());
-                        let start = now();
-                        match client.kv_put(key, payload).await {
-                            Ok(()) => h.write_ok(c, key, value, start, now()),
-                            // Lost ack: the write may still have been
-                            // applied by a retried attempt or a deposed
-                            // primary.
-                            Err(_) => {
-                                ambiguous += 1;
-                                h.write_ambiguous(c, key, value, start, now());
-                            }
-                        }
-                    } else {
-                        // A failed read observed nothing.
-                        let _ = read_register(&mut h, &client, c, key).await;
+                    let put = rng.random_bool(0.5);
+                    if register_op(&mut h, &client, c, seq, key, put)
+                        .await
+                        .is_err()
+                        && put
+                    {
+                        ambiguous += 1;
                     }
                 }
                 (h, ambiguous)

@@ -188,7 +188,7 @@ mod tests {
     fn runtime_under_a_fault_plan_retries_an_injected_read() {
         let _check = CheckGuard::new();
         let guard = SessionGuard::new(FaultPlan::new(9));
-        guard.session.arm_ssd_read_failures(1);
+        guard.session.arm(FaultSite::SsdRead, 0, 1);
         dpdpu_des::block_on(async {
             let rt = Dpdpu::start_default();
             let id = rt.storage.create("f").await.unwrap();
@@ -250,11 +250,12 @@ mod tests {
             let text = dpdpu_kernels::text::natural_text(8 * 8_192, 3);
             dpdpu.storage.write(id, 0, &text).await.unwrap();
 
-            let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
+            let client = Endpoint::host(CpuPool::new("client", 8, 3_000_000_000));
             let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
-                .stream(Endpoint::of(&dpdpu.platform), Endpoint::host(client_cpu));
+                .stream(Endpoint::dpu_native(&dpdpu.platform), client);
 
             let pages: Vec<(u64, u64)> = (0..8).map(|i| (i * 8_192, 8_192)).collect();
+            let host_busy = dpdpu.platform.host_cpu.busy_ns();
             let (input, compressed) = dpdpu.read_compress_send(id, &pages, &tx).await.unwrap();
             assert_eq!(input, 8 * 8_192);
             assert!(compressed < input, "natural text must compress");
@@ -270,6 +271,9 @@ mod tests {
             }
             assert!(pages_seen >= 8);
             assert_eq!(total, compressed);
+            // Read, compress and send all run on the DPU, the sender's
+            // stack included: the platform's host does no work.
+            assert_eq!(dpdpu.platform.host_cpu.busy_ns(), host_busy);
             // The ASIC (not CPUs) did the compression.
             let accel = dpdpu
                 .platform

@@ -578,7 +578,7 @@ mod tests {
             kv.put(0, b"zero").await.unwrap();
             kv.put(1, b"one").await.unwrap();
             // One more failure than the file service retries.
-            faults.arm_ssd_write_failures(4);
+            faults.arm(dpdpu_faults::FaultSite::SsdWrite, 0, 4);
             assert!(kv.put(2, b"two").await.is_err());
             kv.put(3, b"three").await.unwrap();
             drop(kv);
@@ -608,7 +608,7 @@ mod tests {
                 .unwrap();
             kv.put(7, b"seven").await.unwrap();
             // One more failure than the file service retries.
-            faults.arm_ssd_write_failures(4);
+            faults.arm(dpdpu_faults::FaultSite::SsdWrite, 0, 4);
             assert!(kv.put(2, &[5u8; 4_096]).await.is_err());
             kv.put(3, b"three").await.unwrap();
             drop(kv);

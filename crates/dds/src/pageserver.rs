@@ -587,9 +587,9 @@ mod tests {
                     .unwrap();
                 // One more failure than the file service retries.
                 if fail_writes {
-                    faults.arm_ssd_write_failures(4);
+                    faults.arm(dpdpu_faults::FaultSite::SsdWrite, 0, 4);
                 } else {
-                    faults.arm_ssd_read_failures(4);
+                    faults.arm(dpdpu_faults::FaultSite::SsdRead, 0, 4);
                 }
                 assert!(ps.get_page_host(4, &p.host_cpu).await.is_err());
                 assert!(!ps.is_clean(4), "acknowledged log records dropped");

@@ -1210,7 +1210,7 @@ mod tests {
             // Fail more consecutive SSD reads than the file service's
             // retry budget: the DPU execution fails, the director opens
             // its breaker, and the host re-executes the same request.
-            faults.arm_ssd_read_failures(4);
+            faults.arm(dpdpu_faults::FaultSite::SsdRead, 0, 4);
             assert_eq!(
                 client.kv_get(1).await.unwrap().unwrap(),
                 Bytes::from_static(b"v"),
@@ -1242,7 +1242,7 @@ mod tests {
                 base_backoff_ns: 50_000,
                 ..RetryPolicy::default()
             });
-            faults.arm_link_drops(1);
+            faults.arm(dpdpu_faults::FaultSite::LinkDrop, 0, 1);
             client.kv_put(5, Bytes::from_static(b"late")).await.unwrap();
             assert!(client.timeouts.get() >= 1, "first attempt must time out");
             assert!(client.retries.get() >= 1, "client must have retried");
@@ -1264,7 +1264,7 @@ mod tests {
             // Every read fails, on both paths, for every client attempt:
             // the call must still reach a terminal state — a typed error,
             // not a hung future.
-            faults.arm_ssd_read_failures(1_000);
+            faults.arm(dpdpu_faults::FaultSite::SsdRead, 0, 1_000);
             let err = client.kv_get(1).await.unwrap_err();
             assert!(
                 matches!(err, DpdpuError::Remote(_)),
@@ -1289,7 +1289,7 @@ mod tests {
             client.kv_put(1, Bytes::from_static(b"v")).await.unwrap();
             // Exactly one request's worth of failures: 4 device reads on
             // the DPU path, 4 on the host re-execution.
-            faults.arm_ssd_read_failures(8);
+            faults.arm(dpdpu_faults::FaultSite::SsdRead, 0, 8);
             assert_eq!(
                 client.kv_get(1).await.unwrap().unwrap(),
                 Bytes::from_static(b"v"),
@@ -1315,7 +1315,7 @@ mod tests {
                 .append_log(4, 0, Bytes::from_static(b"NEW"))
                 .await
                 .unwrap();
-            faults.arm_ssd_read_failures(4);
+            faults.arm(dpdpu_faults::FaultSite::SsdRead, 0, 4);
             let page = client.get_page(4).await.unwrap();
             assert_eq!(&page[0..3], b"NEW", "acknowledged log record lost");
             assert_eq!(dds.exec_errors.get(), 1);

@@ -24,9 +24,9 @@
 //! checker, and removes it when dropped. With no session installed
 //! every consult is a cheap no-op and the models behave exactly as
 //! before. The session also holds the third style, **scripted
-//! counts** — "fail the next N SSD reads" — armed mid-run with
-//! [`FaultSession::arm_ssd_read_failures`] and its two siblings and
-//! consulted before the seeded rates — and a scripted **power loss**
+//! counts** — "let the next `k` SSD writes pass, then fail `n`" — armed
+//! by op count, not by clock, with [`FaultSession::arm`] and consulted
+//! before the seeded rates, and a scripted **power loss**
 //! ([`FaultSession::arm_power_loss`]) that tears one SSD write and stops
 //! the device. All injected effects are charged in *virtual* time, so an
 //! injected run is as deterministic as a clean one.
@@ -161,7 +161,7 @@ impl Window {
 ///     .ssd_slow_io(0.05, 150_000)
 ///     .accel_offline(1_000_000, 3_000_000);
 /// let guard = SessionGuard::new(plan);
-/// // ... run the simulation; `guard.session.arm_*` scripts exact faults ...
+/// // ... run the simulation; `guard.session.arm(..)` scripts exact faults ...
 /// println!("{}", guard.session.report());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -297,11 +297,10 @@ pub struct FaultSession {
     // must not change which SSD ops fail under the same seed.
     link_rng: RefCell<StdRng>,
     ssd_rng: RefCell<StdRng>,
-    // Scripted "fail the next n" counts, consulted before the rates: a
-    // scripted hit draws nothing from a stream.
-    fail_ssd_reads: Cell<u64>,
-    fail_ssd_writes: Cell<u64>,
-    drop_frames: Cell<u64>,
+    // Scripted `(pass, fail)` counts per site, consulted before the
+    // rates: a passed op draws as if nothing were armed, a scripted hit
+    // draws nothing from a stream.
+    scripted: [Cell<(u64, u64)>; FaultSite::ALL.len()],
     // Scripted power loss: the SSD writes that still complete and the
     // blocks the next one persists, then the block count of the write
     // it tore.
@@ -311,13 +310,6 @@ pub struct FaultSession {
     // One flag per shard-crash window so each crash is counted once
     // when it first bites, not on every consult inside the window.
     shard_crash_fired: Vec<Cell<bool>>,
-}
-
-/// Takes one armed hit from a scripted count, if any is left.
-fn take_one(count: &Cell<u64>) -> bool {
-    let n = count.get();
-    count.set(n.saturating_sub(1));
-    n > 0
 }
 
 impl FaultSession {
@@ -341,20 +333,24 @@ impl FaultSession {
         }
     }
 
-    /// Scripted: fail the next `n` SSD reads (armed before or during a run;
-    /// adds to what is still armed).
-    pub fn arm_ssd_read_failures(&self, n: u64) {
-        self.fail_ssd_reads.set(self.fail_ssd_reads.get() + n);
-    }
-
-    /// Scripted: fail the next `n` SSD writes (as above).
-    pub fn arm_ssd_write_failures(&self, n: u64) {
-        self.fail_ssd_writes.set(self.fail_ssd_writes.get() + n);
-    }
-
-    /// Scripted: drop the next `n` network frames (as above).
-    pub fn arm_link_drops(&self, n: u64) {
-        self.drop_frames.set(self.drop_frames.get() + n);
+    /// Scripted: of the ops at `site` from now on, the first `k` pass as
+    /// if nothing were armed (they still draw from the seeded streams)
+    /// and the next `n` fail. Counting ops, not time, places a fault
+    /// exactly where a run's op order puts it. Re-arming replaces what
+    /// is still pending at `site`, as [`FaultSession::arm_power_loss`]
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// If `site` has no scripted count: only [`FaultSite::SsdRead`],
+    /// [`FaultSite::SsdWrite`] and [`FaultSite::LinkDrop`] have one.
+    pub fn arm(&self, site: FaultSite, k: u64, n: u64) {
+        match site {
+            FaultSite::SsdRead | FaultSite::SsdWrite | FaultSite::LinkDrop => {
+                self.scripted[site as usize].set((k, n))
+            }
+            _ => panic!("{} has no scripted count", site.label()),
+        }
     }
 
     /// Scripted: lose power at the `k`-th SSD write from now, counting
@@ -373,9 +369,22 @@ impl FaultSession {
         dpdpu_telemetry::count("faults_injected", &[("site", site.label())]);
     }
 
+    /// Takes one op at `site` from its scripted count: true when it is
+    /// a scripted hit.
+    fn take_one(&self, site: FaultSite) -> bool {
+        let script = &self.scripted[site as usize];
+        let (k, n) = script.get();
+        if k > 0 {
+            script.set((k - 1, n));
+            return false;
+        }
+        script.set((0, n.saturating_sub(1)));
+        n > 0
+    }
+
     fn link_verdict(&self) -> LinkVerdict {
         let plan = &self.plan;
-        if take_one(&self.drop_frames)
+        if self.take_one(FaultSite::LinkDrop)
             || (plan.link_drop_rate > 0.0
                 && self.link_rng.borrow_mut().random_bool(plan.link_drop_rate))
         {
@@ -393,19 +402,11 @@ impl FaultSession {
 
     fn ssd_verdict(&self, op: IoOp) -> IoVerdict {
         let plan = &self.plan;
-        let (scripted, rate, site) = match op {
-            IoOp::Read => (
-                &self.fail_ssd_reads,
-                plan.ssd_read_error_rate,
-                FaultSite::SsdRead,
-            ),
-            IoOp::Write => (
-                &self.fail_ssd_writes,
-                plan.ssd_write_error_rate,
-                FaultSite::SsdWrite,
-            ),
+        let (site, rate) = match op {
+            IoOp::Read => (FaultSite::SsdRead, plan.ssd_read_error_rate),
+            IoOp::Write => (FaultSite::SsdWrite, plan.ssd_write_error_rate),
         };
-        if take_one(scripted) || (rate > 0.0 && self.ssd_rng.borrow_mut().random_bool(rate)) {
+        if self.take_one(site) || (rate > 0.0 && self.ssd_rng.borrow_mut().random_bool(rate)) {
             self.record(site);
             return IoVerdict::Fail;
         }
@@ -549,9 +550,7 @@ impl SessionGuard {
         let session = FaultSession {
             link_rng: RefCell::new(StdRng::seed_from_u64(plan.seed ^ 0x1111_1111)),
             ssd_rng: RefCell::new(StdRng::seed_from_u64(plan.seed ^ 0x2222_2222)),
-            fail_ssd_reads: Cell::new(0),
-            fail_ssd_writes: Cell::new(0),
-            drop_frames: Cell::new(0),
+            scripted: std::array::from_fn(|_| Cell::new((0, 0))),
             power_loss: Cell::new(None),
             torn_write: Cell::new(None),
             injected: std::array::from_fn(|_| Counter::new()),
@@ -580,7 +579,7 @@ mod tests {
     #[test]
     fn scripted_counts_fire_exactly_n_times() {
         let g = SessionGuard::new(FaultPlan::new(1));
-        g.session.arm_ssd_read_failures(2);
+        g.session.arm(FaultSite::SsdRead, 0, 2);
         assert_eq!(ssd_verdict(IoOp::Read), IoVerdict::Fail);
         assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Ok);
         assert_eq!(ssd_verdict(IoOp::Read), IoVerdict::Fail);
@@ -591,24 +590,63 @@ mod tests {
 
     #[test]
     fn scripted_hits_draw_nothing_from_the_streams() {
-        let run = |scripted: u64| {
+        let run = |k: usize, n: usize| {
             let g = SessionGuard::new(FaultPlan::new(7).ssd_read_errors(0.3).link_drops(0.3));
-            g.session.arm_ssd_read_failures(scripted);
-            g.session.arm_link_drops(scripted);
-            let reads: Vec<_> = (0..100 + scripted)
-                .map(|_| ssd_verdict(IoOp::Read))
-                .collect();
-            let frames: Vec<_> = (0..100 + scripted).map(|_| link_verdict()).collect();
+            g.session.arm(FaultSite::SsdRead, k as u64, n as u64);
+            g.session.arm(FaultSite::LinkDrop, k as u64, n as u64);
+            let reads: Vec<_> = (0..100 + n).map(|_| ssd_verdict(IoOp::Read)).collect();
+            let frames: Vec<_> = (0..100 + n).map(|_| link_verdict()).collect();
             (reads, frames)
         };
-        let (reads, frames) = run(0);
-        let (scripted_reads, scripted_frames) = run(3);
-        assert_eq!(scripted_reads[..3], [IoVerdict::Fail; 3]);
-        assert_eq!(scripted_frames[..3], [LinkVerdict::Drop; 3]);
-        // After the scripted hits the seeded streams pick up where an
-        // unscripted run starts.
-        assert_eq!(scripted_reads[3..], reads[..]);
-        assert_eq!(scripted_frames[3..], frames[..]);
+        let (reads, frames) = run(0, 0);
+        for k in [0, 1, 5] {
+            let (scripted_reads, scripted_frames) = run(k, 3);
+            // The `k` passed ops draw from the seeded streams exactly as
+            // an unscripted run's first `k` do...
+            assert_eq!(scripted_reads[..k], reads[..k], "k = {k}");
+            assert_eq!(scripted_frames[..k], frames[..k], "k = {k}");
+            assert_eq!(scripted_reads[k..k + 3], [IoVerdict::Fail; 3]);
+            assert_eq!(scripted_frames[k..k + 3], [LinkVerdict::Drop; 3]);
+            // ...and after the scripted hits the streams pick up where
+            // the unscripted run's `k`-th draw left them.
+            assert_eq!(scripted_reads[k + 3..], reads[k..], "k = {k}");
+            assert_eq!(scripted_frames[k + 3..], frames[k..], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn arming_a_site_without_a_scripted_count_names_it() {
+        let g = SessionGuard::new(FaultPlan::new(1));
+        for site in [
+            FaultSite::LinkDelay,
+            FaultSite::SsdSlow,
+            FaultSite::AccelOffline,
+            FaultSite::DpuOverload,
+            FaultSite::ShardCrash,
+        ] {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                g.session.arm(site, 0, 1)
+            }));
+            let message = refused.expect_err("arming must be refused");
+            let message = message.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains(site.label()), "{site:?}: {message}");
+        }
+    }
+
+    #[test]
+    fn re_arming_a_pending_site_replaces_its_script() {
+        let g = SessionGuard::new(FaultPlan::new(1));
+        g.session.arm(FaultSite::SsdWrite, 1, 3);
+        assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Ok);
+        assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Fail);
+        // Two hits still pending: the new script drops them and counts
+        // its `k` from this call.
+        g.session.arm(FaultSite::SsdWrite, 2, 1);
+        assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Ok);
+        assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Ok);
+        assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Fail);
+        assert_eq!(ssd_verdict(IoOp::Write), IoVerdict::Ok);
+        assert_eq!(g.session.injected(FaultSite::SsdWrite), 2);
     }
 
     #[test]
@@ -637,7 +675,7 @@ mod tests {
         let nested = std::panic::catch_unwind(|| SessionGuard::new(FaultPlan::new(2)));
         assert!(nested.is_err(), "a second guard must be refused");
         // The outer plan is still the installed one, and still injects.
-        outer.session.arm_link_drops(1);
+        outer.session.arm(FaultSite::LinkDrop, 0, 1);
         assert_eq!(link_verdict(), LinkVerdict::Drop);
         assert_eq!(outer.session.injected(FaultSite::LinkDrop), 1);
         drop(outer);
@@ -719,8 +757,8 @@ mod tests {
     #[test]
     fn report_renders_deterministically() {
         let g = SessionGuard::new(FaultPlan::new(1));
-        g.session.arm_ssd_read_failures(1);
-        g.session.arm_link_drops(1);
+        g.session.arm(FaultSite::SsdRead, 0, 1);
+        g.session.arm(FaultSite::LinkDrop, 0, 1);
         let _ = ssd_verdict(IoOp::Read);
         let _ = link_verdict();
         let text = g.session.report().to_string();

@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn injected_read_error_charges_base_latency_only() {
         let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(5));
-        guard.session.arm_ssd_read_failures(1);
+        guard.session.arm(FaultSite::SsdRead, 0, 1);
         let mut sim = Sim::new();
         sim.spawn(async {
             let ssd = Ssd::with_params("t", 4, 80_000, 15_000, 1_000_000_000, 1_000_000_000);

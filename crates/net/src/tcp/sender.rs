@@ -100,11 +100,6 @@ pub(crate) async fn sender_task(
     // control plane (the offloaded stack runs it on the DPU too). SYN is
     // retried on the RTO like any other segment.
     'handshake: for attempt in 0..5 {
-        if attempt > 0 {
-            // The SYN rides the data link; a resend is the recovery for
-            // a SYN lost there (the ACK path cannot drop).
-            dpdpu_check::fault_handled(FaultSite::LinkDrop.label(), "retried");
-        }
         side.charge_ack().await;
         port.send(Segment::Syn).await;
         loop {
@@ -115,6 +110,13 @@ pub(crate) async fn sender_task(
                 Err(_) => break,    // retransmit the SYN
             }
         }
+        // The SYN rides the data link; a resend is the recovery for a
+        // SYN lost there (the ACK path cannot drop). Past the last
+        // attempt the sender goes on unsynchronised, as the receiver
+        // takes data without one: like the unacked FIN, a surfaced
+        // terminal state.
+        let outcome = if attempt < 4 { "retried" } else { "surfaced" };
+        dpdpu_check::fault_handled(FaultSite::LinkDrop.label(), outcome);
     }
 
     loop {

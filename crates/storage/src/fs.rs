@@ -675,7 +675,7 @@ mod tests {
         sim.spawn(async move {
             let id = fsys.create("log").unwrap();
             fsys.write(id, 0, &[1u8; 100]).await.unwrap();
-            session.arm_ssd_write_failures(1);
+            session.arm(dpdpu_faults::FaultSite::SsdWrite, 0, 1);
             let err = fsys.write(id, 100, &[2u8; 100]).await.unwrap_err();
             assert!(matches!(err, FsError::Io(_)), "{err:?}");
             let ssd = fsys.device().ssd().clone();

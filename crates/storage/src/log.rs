@@ -147,7 +147,7 @@ mod tests {
     use crate::blockdev::BlockDevice;
     use crate::fs::ExtentFs;
     use dpdpu_des::{block_on, join_all, now, spawn, timeout};
-    use dpdpu_faults::{FaultPlan, SessionGuard};
+    use dpdpu_faults::{FaultPlan, FaultSite, SessionGuard};
     use dpdpu_hw::Platform;
 
     fn new_log(p: &Rc<Platform>) -> Rc<RecordLog> {
@@ -285,7 +285,7 @@ mod tests {
             log.append(record(0, b"kept")).await.unwrap();
             let tail = log.tail();
             // One more failure than the retries, for each of two batches.
-            session.arm_ssd_write_failures(2 * 4);
+            session.arm(FaultSite::SsdWrite, 0, 2 * 4);
             let handles: Vec<_> = (1..4u64)
                 .map(|tag| {
                     let log = log.clone();

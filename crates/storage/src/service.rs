@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn injected_read_error_is_retried_and_succeeds() {
         let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
-        guard.session.arm_ssd_read_failures(2);
+        guard.session.arm(dpdpu_faults::FaultSite::SsdRead, 0, 2);
         let mut sim = Sim::new();
         sim.spawn(async {
             let (p, fs) = setup();
@@ -328,9 +328,11 @@ mod tests {
     #[test]
     fn retries_exhausted_surface_io_error() {
         let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(11));
-        guard
-            .session
-            .arm_ssd_read_failures(IO_RETRY_LIMIT as u64 + 1);
+        guard.session.arm(
+            dpdpu_faults::FaultSite::SsdRead,
+            0,
+            IO_RETRY_LIMIT as u64 + 1,
+        );
         let mut sim = Sim::new();
         sim.spawn(async {
             let (p, fs) = setup();

@@ -59,7 +59,7 @@ fn run(pushdown: bool) -> u64 {
         // Remote database server connection.
         let db_cpu = CpuPool::new("dbms", 16, 3_000_000_000);
         let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
-            .stream(Endpoint::of(&rt.platform), Endpoint::host(db_cpu));
+            .stream(Endpoint::dpu_native(&rt.platform), Endpoint::host(db_cpu));
 
         // WHERE status = 'paid' AND amount > 5000.
         let predicate = Rc::new(

@@ -79,9 +79,9 @@ fn run_on(label: &str, dpu: DpuSpec, trace_out: Option<&std::path::Path>) {
         rt.storage.write(file, 0, &corpus).await.unwrap();
 
         // The remote client connection (Network Engine, offloaded TCP).
-        let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
+        let client = Endpoint::host(CpuPool::new("client", 8, 3_000_000_000));
         let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
-            .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
+            .stream(Endpoint::dpu_native(&rt.platform), client);
 
         // --- the sproc body (Figure 6) ---
         let dpk_compress = rt.compute.get_dpk(KernelKind::Compress);

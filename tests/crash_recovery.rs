@@ -257,7 +257,7 @@ fn run(user: User, seed: u64, power: Option<(u64, u64)>) -> Run {
                     for op in ops.iter().filter(|op| op.task == task) {
                         sleep(op.pause_ns).await;
                         if op.tag == burst_at {
-                            session.arm_ssd_write_failures(BURST);
+                            session.arm(FaultSite::SsdWrite, 0, BURST);
                         }
                         let outcome = if append(&handle, op).await {
                             &acked

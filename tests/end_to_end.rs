@@ -111,9 +111,9 @@ fn whole_stack_determinism() {
             let corpus = dpdpu::kernels::text::natural_text(32 * 8_192, 17);
             rt.storage.write(file, 0, &corpus).await.unwrap();
 
-            let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
+            let client = Endpoint::host(CpuPool::new("client", 8, 3_000_000_000));
             let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g().with_loss(0.01, 23))
-                .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
+                .stream(Endpoint::dpu_native(&rt.platform), client);
             let pages: Vec<(u64, u64)> = (0..32).map(|i| (i * 8_192, 8_192)).collect();
             let (_, compressed) = rt.read_compress_send(file, &pages, &tx).await.unwrap();
             drop(tx);

@@ -23,7 +23,7 @@ fn injected_ssd_read_error_is_retried_and_succeeds() {
         rt.storage.write(file, 0, b"payload").await.unwrap();
         // Two transient device errors: both absorbed by the file
         // service's exponential-backoff retries, invisible to the API.
-        faults.arm_ssd_read_failures(2);
+        faults.arm(FaultSite::SsdRead, 0, 2);
         let back = rt.storage.read(file, 0, 7).await.unwrap();
         assert_eq!(back, b"payload");
         assert!(
@@ -47,9 +47,9 @@ fn accel_offline_run_completes_via_cpu_fallback() {
         let text = dpdpu::kernels::text::natural_text(4 * 8_192, 3);
         rt.storage.write(file, 0, &text).await.unwrap();
 
-        let client_cpu = CpuPool::new("client", 8, 3_000_000_000);
+        let client = Endpoint::host(CpuPool::new("client", 8, 3_000_000_000));
         let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
-            .stream(Endpoint::of(&rt.platform), Endpoint::host(client_cpu));
+            .stream(Endpoint::dpu_native(&rt.platform), client);
         let pages: Vec<(u64, u64)> = (0..4).map(|i| (i * 8_192, 8_192)).collect();
         let (input, compressed) = rt.read_compress_send(file, &pages, &tx).await.unwrap();
         assert_eq!(input, 4 * 8_192);

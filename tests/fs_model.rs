@@ -282,7 +282,7 @@ fn run_case(case: usize, ops: Vec<Op>) {
                 } => {
                     if let Some(&id) = ids.get(&name) {
                         let injected = faults.injected(FaultSite::SsdWrite);
-                        faults.arm_ssd_write_failures(1);
+                        faults.arm(FaultSite::SsdWrite, 0, 1);
                         let real = fs.write(id, offset as u64, &vec![fill; len as usize]).await;
                         check(
                             matches!(real, Err(FsError::Io(_)))

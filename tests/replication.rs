@@ -1,15 +1,18 @@
 //! Chaos matrix for per-shard replication: failover, fencing, and
-//! live resharding under seeded crash plans.
+//! live resharding under seeded crash plans, and a small-scope
+//! enumerator of scripted faults over the replication chain.
 //!
 //! The matrix is one [`Row`] function per shape: the seed's [`Cell`]
-//! and a predicate over its [`Run`]. The four chaos shapes hammer a
+//! and a predicate over its [`Run`]. Four of the five rows hammer a
 //! replicated `DdsCluster` (2 replicas per shard) with history-recording
 //! clients ([`Load::Registers`]) while a [`FaultPlan`] freezes whole
 //! nodes — the primary mid-write, the backup under the chain, a primary
 //! in the middle of a live migration, and a double fault that kills the
 //! promoted backup too. After the dust settles a read-back pass re-reads
 //! every key, so an acked write that any crash managed to lose shows up
-//! as a linearizability violation. The union history must check clean,
+//! as a linearizability violation. The fifth, `composed_storm`, puts the
+//! gateway's tenants, seeded link faults, a kill and a live `add_shard`
+//! on one 4 x 2 `rdma-offload` cell. The union history must check clean,
 //! the surviving replicas of every group must hold byte-identical KV
 //! state, and every epoch transition must be monotone — all three are
 //! enforced by [`dpdpu::check`] before the test ends.
@@ -21,23 +24,34 @@
 //!
 //! To add a row, write its [`Row`] function and one `#[test]` per seed
 //! that hands it to [`run_row`].
+//!
+//! The crash windows are time; the enumerator places its faults by
+//! count instead ([`FaultSession::arm`](dpdpu::faults::FaultSession::arm)).
+//! On a 1 x 2 cell per fabric, two clients run three register ops each
+//! while a burst of `n` SSD-write, SSD-read or link-drop faults is armed
+//! `k` ops after boot, for every `k` until the burst fires nothing
+//! ([`enumerate`]). A path one burst pins is a named [`Point`] with its
+//! own assertions, so a change that moves the path moves `k`, not a
+//! sleep.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use dpdpu::check::linearizability::History;
 use dpdpu::check::CheckGuard;
-use dpdpu::dds::cluster::ClusterConfig;
+use dpdpu::core::DpdpuError;
+use dpdpu::dds::cluster::{ClusterConfig, DdsCluster};
 use dpdpu::dds::gateway::GatewayConfig;
 use dpdpu::dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu::dds::proto::{Op, Reply, RetryPolicy};
 use dpdpu::dds::server::DdsConfig;
 use dpdpu::des::{block_on, join_all, now, sleep, spawn, Sim, Time};
-use dpdpu::faults::{FaultPlan, FaultSite, SessionGuard};
+use dpdpu::faults::{FaultPlan, FaultReport, FaultSite, SessionGuard};
 use dpdpu::hw::CpuPool;
 use dpdpu::net::fabric::{Endpoint, FabricKind};
 use dpdpu::net::NetConfig;
-use dpdpu_bench::cell::{Cell, Load, Preload, Run};
+use dpdpu_bench::cell::{register_op, Cell, Load, Preload, Run};
 use dpdpu_bench::fig11_tenants::{default_tenants, default_workloads};
 
 const CLIENTS: usize = 4;
@@ -495,110 +509,6 @@ fn a_replicated_put_waits_only_for_its_own_key() {
     );
 }
 
-/// How long after a put is issued on an idle [`idle_shard`]`(2)` its
-/// primary's log write has started (28.3 µs) and its backup's has not
-/// (35.5 µs): scripted write failures armed then land on the backup.
-const BACKUP_WRITE_PENDING_AT: Time = 32_000;
-
-#[test]
-fn a_key_chains_in_the_primarys_order_when_its_first_forward_fails() {
-    // Two puts of one key, same length, different bytes, issued at one
-    // instant. The backup's apply of the first forward fails back to the
-    // primary, so the chain re-sends it; without the per-key order the
-    // second put's forward would apply in between, and the backup would
-    // end on the first value while the primary holds the second. The
-    // eleven failures are armed once the primary's own first write has
-    // started and before the backup's has: the forward's four attempts
-    // on the backup's DPU and the four of its re-run on the backup's
-    // host take eight, and the re-send takes the last three and applies
-    // on its fourth attempt.
-    let check = CheckGuard::new();
-    let faults = SessionGuard::new(FaultPlan::new(42));
-    let session = faults.session.clone();
-    let (first, second) = (Bytes::from(vec![1u8; 256]), Bytes::from(vec![2u8; 256]));
-    let expected = second.clone();
-    let (cluster, reads) = block_on(async move {
-        let (cluster, client) = idle_shard(2).boot().await;
-        sleep(1_000_000).await;
-        let puts = [first, second].map(|value| {
-            let client = client.clone();
-            spawn(async move { client.kv_put(3, value).await })
-        });
-        sleep(BACKUP_WRITE_PENDING_AT).await;
-        session.arm_ssd_write_failures(11);
-        for put in join_all(puts.into()).await {
-            put.expect("put");
-        }
-        let reader = Endpoint::host(CpuPool::new("reader", 4, 3_000_000_000));
-        let mut reads = Vec::new();
-        for (r, member) in cluster.group(0).members.iter().enumerate() {
-            let conn = member.connect(&NetConfig::default(), &reader, &format!("reader{r}"));
-            reads.push(conn.kv_get(3).await.expect("get"));
-        }
-        (cluster, reads)
-    });
-    // The content digests of both copies must agree.
-    cluster.verify_replicas();
-    drop(check);
-    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 11);
-    let ctl = cluster.ctl(0).expect("replicated group");
-    assert!(!ctl.primary_is_solo(), "both copies still in the group");
-    assert_eq!(
-        cluster.group(0).members[1].host_fallbacks.get(),
-        1,
-        "only the first forward's DPU-path apply fails"
-    );
-    for (r, read) in reads.iter().enumerate() {
-        assert_eq!(
-            read.as_ref(),
-            Some(&expected),
-            "replica {r} reads the second value"
-        );
-    }
-}
-
-#[test]
-fn a_primary_that_fails_its_own_apply_hands_the_group_to_its_backup() {
-    // The two copies' applies run side by side and take the eight
-    // scripted write failures in turn: each runs out its four storage
-    // attempts. The primary's error is final, but the chain re-sends the
-    // forward and it applies on the backup. Only the backup now holds
-    // the write, so the primary steps down and the routed put re-routes
-    // to it. One attempt per client call, so no client retry can heal a
-    // divergence before the digest sweep.
-    let check = CheckGuard::new();
-    let faults = SessionGuard::new(FaultPlan::new(42));
-    let session = faults.session.clone();
-    let value = Bytes::from_static(b"applied by the backup only");
-    let expected = value.clone();
-    let (cluster, put, stale, read) = block_on(async move {
-        let (cluster, client) = idle_shard(2).boot().await;
-        let primary = client.shard_client(0);
-        primary.set_policy(RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        });
-        session.arm_ssd_write_failures(8);
-        let put = client.kv_put(3, value).await;
-        let stale = primary.failures.get();
-        let read = client.kv_get(3).await;
-        (cluster, put, stale, read)
-    });
-    // The digest sweep first: the copies the group still counts agree.
-    cluster.verify_replicas();
-    drop(check);
-    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 8);
-    let ctl = cluster.ctl(0).expect("replicated group");
-    assert_eq!(ctl.promotions.get(), 1, "the backup is promoted");
-    assert_eq!(ctl.primary(), 1);
-    assert!(ctl.is_deposed(0), "the primary stepped down");
-    let old = cluster.group(0).members[0].replication().unwrap();
-    assert_eq!(old.stale_rejections.get(), 1, "the client saw StaleEpoch");
-    assert_eq!(stale, 1, "that answer ended the call to the old primary");
-    assert_eq!(put, Ok(()), "the re-routed put succeeds");
-    assert_eq!(read, Ok(Some(expected)), "the promoted backup serves it");
-}
-
 /// What putting each of `keys` in turn on an idle [`idle_shard`]`(2)`
 /// of `dds` servers costs the backup: its host-CPU busy ns (the chain's
 /// transport ends on the backup's DPU, so it adds none), and the
@@ -701,21 +611,103 @@ fn a_backup_applies_on_its_host_past_its_index_budget_or_without_offload() {
     assert_eq!((dpu, host), (0, 3), "every chain write served on the host");
 }
 
-#[test]
-fn a_backup_whose_dpu_apply_fails_reruns_it_on_its_host_once() {
-    // Four scripted write failures, armed once the primary's own write
-    // has started and before the backup's has: the backup's DPU-path
-    // apply runs out its four storage attempts, and the director re-runs
-    // the op on the backup's host, where it applies. The primary's chain
-    // never sees the failure.
+/// The two registers of the enumerator's load, the only keys its cell
+/// preloads: their index entries are DPU-resident, so a backup applies
+/// their chain writes on its DPU.
+const A: u64 = 0;
+const B: u64 = 1;
+const PUT: bool = true;
+const GET: bool = false;
+
+/// The ops of clients 1 and 2, in order, as (key, put) for
+/// [`register_op`]. Both clients put `A` at the same instant, so the
+/// primary's chain orders two writes of one key; nothing else writes
+/// `A`, so it ends on the second of them.
+const STEPS: [[(u64, bool); 3]; 2] = [
+    [(A, PUT), (B, PUT), (A, GET)],
+    [(A, PUT), (B, GET), (B, PUT)],
+];
+
+/// The value `A` ends on: client 2's first put ([`register_op`]'s
+/// `(c << 32) | seq`).
+const SECOND_A: u64 = 2 << 32;
+
+/// One point of the small-scope enumeration: on a 1 x 2 [`idle_shard`]
+/// over `fabric`, with `attempts` per call to the first primary, the
+/// first `k` ops at `site` after boot pass and the next `n` fail.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    fabric: FabricKind,
+    attempts: u32,
+    site: FaultSite,
+    k: u64,
+    n: u64,
+}
+
+impl Point {
+    /// The TCP cell under the default [`RetryPolicy`], `k` SSD writes
+    /// passing before `n` fail: the named points' shape.
+    fn ssd_writes(k: u64, n: u64) -> Point {
+        Point {
+            fabric: FabricKind::Tcp,
+            attempts: RetryPolicy::default().max_attempts,
+            site: FaultSite::SsdWrite,
+            k,
+            n,
+        }
+    }
+}
+
+type Read = Result<Option<u64>, DpdpuError>;
+
+/// What a point's run leaves for a named point's own assertions, once the
+/// strict check session, the history and the replica digests have passed.
+struct Outcome {
+    cluster: Rc<DdsCluster>,
+    /// Each client's results, in [`STEPS`] order (a put's reads `None`).
+    results: Vec<Vec<Read>>,
+    /// The backup's [DPU-served, host-served, host fallbacks] from the
+    /// arming until the load returned.
+    backup_served: [u64; 3],
+    /// Calls that the client to the first primary failed.
+    primary_failures: u64,
+    /// The routed read-back of `A` and of `B`.
+    read_back: [u64; 2],
+    /// Each replica the group still counts, with its own key listing and
+    /// value of `A`, read through a connection of its own after the
+    /// read-back.
+    copies: Vec<(usize, Result<Reply, DpdpuError>, Read)>,
+    faults: FaultReport,
+}
+
+/// The register an 8-byte value holds. The cell preloads key `k` as
+/// bytes of `k`, which no [`register_op`] put of clients 1 and 2 holds.
+fn register(value: &[u8]) -> u64 {
+    u64::from_le_bytes(value.try_into().expect("8 bytes"))
+}
+
+/// Runs one point: boot, arm, the [`STEPS`] of clients 1 and 2, a
+/// read-back of both keys, then each replica's own view. Panics when the
+/// strict check session, the history or the replica digests fail.
+fn run_point(p: Point) -> Outcome {
     let check = CheckGuard::new();
     let faults = SessionGuard::new(FaultPlan::new(42));
     let session = faults.session.clone();
-    let value = Bytes::from(vec![5u8; 256]);
-    let expected = value.clone();
-    let (cluster, served, keys, read) = block_on(async move {
-        let (cluster, client) = idle_shard(2).boot().await;
-        sleep(1_000_000).await;
+    let mut cell = idle_shard(2);
+    cell.preload = Preload {
+        keys: 2,
+        value_bytes: 8,
+    };
+    cell.cluster.net = NetConfig::default().with_fabric(p.fabric);
+    let (mut outcome, history) = block_on(async move {
+        let (cluster, client) = cell.boot().await;
+        // After boot: a fault inside the preload panics it.
+        session.arm(p.site, p.k, p.n);
+        let primary = client.shard_client(0);
+        primary.set_policy(RetryPolicy {
+            max_attempts: p.attempts,
+            ..RetryPolicy::default()
+        });
         let backup = cluster.group(0).members[1].clone();
         let tally = || {
             [
@@ -725,74 +717,267 @@ fn a_backup_whose_dpu_apply_fails_reruns_it_on_its_host_once() {
             ]
         };
         let before = tally();
-        let put = spawn(async move { client.kv_put(3, value).await });
-        sleep(BACKUP_WRITE_PENDING_AT).await;
-        session.arm_ssd_write_failures(4);
-        put.await.expect("the put acks");
+        let mut history = History::new();
+        for key in [A, B] {
+            history.write_ok(0, key, register(&[key as u8; 8]), 0, now());
+        }
+        let clients = STEPS.iter().zip(1..).map(|(steps, c)| {
+            let client = client.clone();
+            spawn(async move {
+                let mut h = History::new();
+                let mut results = Vec::new();
+                for (seq, &(key, put)) in (0..).zip(steps) {
+                    results.push(register_op(&mut h, &client, c, seq, key, put).await);
+                }
+                (h, results)
+            })
+        });
+        let mut results = Vec::new();
+        for (h, r) in join_all(clients.collect()).await {
+            history.merge(h);
+            results.push(r);
+        }
         let after = tally();
-        let served = [0, 1, 2].map(|i| after[i] - before[i]);
+        // Retried: a burst of dropped frames can outlast one get's
+        // attempts.
+        let mut read_back = [0; 2];
+        for (key, value) in [A, B].into_iter().zip(&mut read_back) {
+            let mut tries = 0;
+            *value = loop {
+                match register_op(&mut history, &client, 0, 0, key, GET).await {
+                    Ok(read) => break read.expect("a register is never deleted"),
+                    Err(e) => {
+                        tries += 1;
+                        assert!(tries < 8, "{p:?}: read-back of key {key} failed: {e:?}");
+                    }
+                }
+            };
+        }
         let reader = Endpoint::host(CpuPool::new("reader", 4, 3_000_000_000));
-        let conn = backup.connect(&NetConfig::default(), &reader, "reader");
-        let keys = conn.call(Op::ListKeys).await.expect("list");
-        let read = conn.kv_get(3).await.expect("get");
-        (cluster, served, keys, read)
+        let ctl = cluster.ctl(0).expect("replicated group");
+        let mut copies = Vec::new();
+        for (r, member) in cluster.group(0).members.iter().enumerate() {
+            // A deposed copy answers `StaleEpoch` to everything.
+            if ctl.is_deposed(r) {
+                continue;
+            }
+            let conn = member.connect(&NetConfig::default(), &reader, &format!("reader{r}"));
+            let keys = conn.call(Op::ListKeys).await;
+            let a = conn.kv_get(A).await.map(|v| v.as_deref().map(register));
+            copies.push((r, keys, a));
+        }
+        let outcome = Outcome {
+            cluster,
+            results,
+            backup_served: [0, 1, 2].map(|i| after[i] - before[i]),
+            primary_failures: primary.failures.get(),
+            read_back,
+            copies,
+            faults: FaultReport::default(),
+        };
+        (outcome, history)
     });
-    cluster.verify_replicas();
+    let violations = history.check();
+    assert!(violations.is_empty(), "{p:?}: {violations:?}");
+    outcome.cluster.verify_replicas();
     drop(check);
-    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 4);
+    outcome.faults = faults.session.report();
+    outcome
+}
+
+/// Every point on `fabric` at `attempts` per call: each scripted site and
+/// burst, and every `k` from 0 until a burst fires nothing, because it
+/// was armed past the run's last op at its site. Names every point that
+/// fails.
+fn enumerate(fabric: FabricKind, attempts: u32) {
+    let mut runs = 0;
+    let mut failed = Vec::new();
+    for site in [FaultSite::SsdWrite, FaultSite::SsdRead, FaultSite::LinkDrop] {
+        for n in [1, 4, 8, 11, 15, 16] {
+            for k in 0.. {
+                assert!(
+                    k < 1_000,
+                    "{fabric:?} {site:?}: a burst armed at k = {k} still fires"
+                );
+                let p = Point {
+                    fabric,
+                    attempts,
+                    site,
+                    k,
+                    n,
+                };
+                runs += 1;
+                match std::panic::catch_unwind(|| run_point(p)) {
+                    Ok(outcome) if outcome.faults.count(site) == 0 => break,
+                    Ok(_) => {}
+                    Err(_) => failed.push(p),
+                }
+            }
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "{} of {runs} points failed:\n  {}",
+        failed.len(),
+        failed
+            .iter()
+            .map(|p| format!("{p:?}"))
+            .collect::<Vec<_>>()
+            .join("\n  ")
+    );
+}
+
+// One test per fabric and retry policy, so the harness spreads them over
+// its threads: the default `RetryPolicy`, then one attempt per call, which
+// leaves no client retry to heal a divergence before the digest sweep.
+
+#[test]
+fn every_fault_point_of_the_chain_over_tcp() {
+    enumerate(FabricKind::Tcp, RetryPolicy::default().max_attempts);
+}
+
+#[test]
+fn every_fault_point_of_the_chain_over_tcp_at_one_attempt() {
+    enumerate(FabricKind::Tcp, 1);
+}
+
+#[test]
+fn every_fault_point_of_the_chain_over_rdma() {
+    enumerate(FabricKind::Rdma, RetryPolicy::default().max_attempts);
+}
+
+#[test]
+fn every_fault_point_of_the_chain_over_rdma_at_one_attempt() {
+    enumerate(FabricKind::Rdma, 1);
+}
+
+#[test]
+fn every_fault_point_of_the_chain_over_rdma_offload() {
+    enumerate(FabricKind::RdmaOffload, RetryPolicy::default().max_attempts);
+}
+
+#[test]
+fn every_fault_point_of_the_chain_over_rdma_offload_at_one_attempt() {
+    enumerate(FabricKind::RdmaOffload, 1);
+}
+
+// The named points: the paths a hand-placed burst used to pin, each one
+// point of the enumeration with its own assertions. The SSD writes after
+// boot come in the chain's order: the primary's apply of the first put
+// of `A` is write 0, the backup's apply of its forward write 1.
+
+#[test]
+fn a_key_chains_in_the_primarys_order_when_its_first_forward_fails() {
+    // The two puts of `A`: same length, different bytes, one instant.
+    // The backup's apply of the first forward fails back to the primary,
+    // so the chain re-sends it; without the per-key order the second
+    // put's forward would apply in between, and the backup would end on
+    // the first value while the primary holds the second. The eleven
+    // failures start at the backup's first write: the forward's four
+    // attempts on the backup's DPU and the four of its re-run on the
+    // backup's host take eight, and the re-send takes the last three and
+    // applies on its fourth attempt.
+    let out = run_point(Point::ssd_writes(1, 11));
+    assert_eq!(out.faults.count(FaultSite::SsdWrite), 11);
+    for (c, results) in (1..).zip(&out.results) {
+        assert_eq!(results[0], Ok(None), "client {c}'s put of A acks");
+    }
+    let ctl = out.cluster.ctl(0).expect("replicated group");
+    assert!(!ctl.primary_is_solo(), "both copies still in the group");
     assert_eq!(
-        served,
-        [0, 1, 1],
+        out.cluster.group(0).members[1].host_fallbacks.get(),
+        1,
+        "only the first forward's DPU-path apply fails"
+    );
+    assert_eq!(out.copies.len(), 2);
+    for (r, _, read) in &out.copies {
+        assert_eq!(
+            read,
+            &Ok(Some(SECOND_A)),
+            "replica {r} reads the second value"
+        );
+    }
+}
+
+#[test]
+fn a_primary_that_fails_its_own_apply_hands_the_group_to_its_backup() {
+    // The two copies' applies of the first put of `A` run side by side
+    // and take the eight failures in turn: each runs out its four storage
+    // attempts. The primary's error is final, but the chain re-sends the
+    // forward and it applies on the backup. Only the backup now holds the
+    // write, so the primary steps down and the routed puts re-route to
+    // it. One attempt per call to the primary, so no client retry can
+    // heal a divergence before the digest sweep.
+    let out = run_point(Point {
+        attempts: 1,
+        ..Point::ssd_writes(0, 8)
+    });
+    assert_eq!(out.faults.count(FaultSite::SsdWrite), 8);
+    let ctl = out.cluster.ctl(0).expect("replicated group");
+    assert_eq!(ctl.promotions.get(), 1, "the backup is promoted");
+    assert_eq!(ctl.primary(), 1);
+    assert!(ctl.is_deposed(0), "the primary stepped down");
+    let old = out.cluster.group(0).members[0].replication().unwrap();
+    // Both puts of `A` reached the old primary: the first stepped it
+    // down, the second, queued behind it in the key's chain order, found
+    // it deposed.
+    assert_eq!(old.stale_rejections.get(), 2, "each put saw StaleEpoch");
+    assert_eq!(
+        out.primary_failures, 2,
+        "that answer ended each put's call to the old primary"
+    );
+    for (c, results) in (1..).zip(&out.results) {
+        assert_eq!(results[0], Ok(None), "client {c}'s re-routed put succeeds");
+    }
+    assert_eq!(out.read_back[0], SECOND_A, "the promoted backup serves it");
+}
+
+#[test]
+fn a_backup_whose_dpu_apply_fails_reruns_it_on_its_host_once() {
+    // Four failures from the backup's first write: its DPU-path apply of
+    // the first forward runs out its four storage attempts, and the
+    // director re-runs the op on the backup's host, where it applies.
+    // The primary's chain never sees the failure.
+    let out = run_point(Point::ssd_writes(1, 4));
+    assert_eq!(out.faults.count(FaultSite::SsdWrite), 4);
+    // The fault also opens the director's breaker, so the backup's other
+    // three chain writes take its host path too, without a fallback.
+    assert_eq!(
+        out.backup_served,
+        [0, 4, 1],
         "[DPU-served, host-served, host fallbacks] on the backup"
     );
+    let (_, keys, read) = &out.copies[1];
     assert_eq!(
         keys,
-        Reply::Keys((0..8).collect()),
+        &Ok(Reply::Keys(vec![A, B])),
         "the backup indexes the key once"
     );
-    assert_eq!(read, Some(expected), "the backup holds the new value");
-    let ctl = cluster.ctl(0).expect("replicated group");
+    assert_eq!(read, &Ok(Some(SECOND_A)), "the backup holds the new value");
+    let ctl = out.cluster.ctl(0).expect("replicated group");
     assert_eq!(ctl.promotions.get(), 0, "no failover");
     assert!(!ctl.primary_is_solo(), "both copies still in the group");
 }
 
 #[test]
 fn a_backup_deposed_during_its_own_apply_acks_nothing() {
-    // The chain-order cell above with fifteen write failures: the first
-    // forward's DPU-path apply and its host re-run fail, and so does most
-    // of the re-send's, whose host re-run outlasts the primary's 1 ms
-    // chain timeout. The primary then goes solo at a new epoch and
-    // deposes the backup while it is still applying; the backup answers
-    // `StaleEpoch` and records no ack at the epoch its apply began
-    // under, which the strict session would call `[epoch-fencing]`.
-    let check = CheckGuard::new();
-    let faults = SessionGuard::new(FaultPlan::new(42));
-    let session = faults.session.clone();
-    let (first, second) = (Bytes::from(vec![1u8; 256]), Bytes::from(vec![2u8; 256]));
-    let expected = second.clone();
-    let (cluster, puts, read) = block_on(async move {
-        let (cluster, client) = idle_shard(2).boot().await;
-        sleep(1_000_000).await;
-        let puts = [first, second].map(|value| {
-            let client = client.clone();
-            spawn(async move { client.kv_put(3, value).await })
-        });
-        sleep(BACKUP_WRITE_PENDING_AT).await;
-        session.arm_ssd_write_failures(15);
-        let puts = join_all(puts.into()).await;
-        let read = client.kv_get(3).await;
-        (cluster, puts, read)
-    });
-    cluster.verify_replicas();
-    drop(check);
-    assert_eq!(faults.session.report().count(FaultSite::SsdWrite), 15);
-    assert_eq!(puts, [Ok(()), Ok(())], "both puts ack");
+    // The chain-order point with fifteen failures: the first forward's
+    // DPU-path apply and its host re-run fail, and so does most of the
+    // re-send's, whose host re-run outlasts the primary's 1 ms chain
+    // timeout. The primary then goes solo at a new epoch and deposes the
+    // backup while it is still applying; the backup answers `StaleEpoch`
+    // and records no ack at the epoch its apply began under, which the
+    // strict session would call `[epoch-fencing]`.
+    let out = run_point(Point::ssd_writes(1, 15));
+    assert_eq!(out.faults.count(FaultSite::SsdWrite), 15);
+    for (c, results) in (1..).zip(&out.results) {
+        assert_eq!(results[0], Ok(None), "client {c}'s put of A acks");
+    }
     assert_eq!(
-        read,
-        Ok(Some(expected)),
+        out.read_back[0], SECOND_A,
         "the primary holds the second value"
     );
-    let ctl = cluster.ctl(0).expect("replicated group");
+    let ctl = out.cluster.ctl(0).expect("replicated group");
     assert!(ctl.primary_is_solo(), "the primary went solo");
     assert!(ctl.is_deposed(1), "the backup was deposed");
     assert_eq!(
@@ -800,7 +985,7 @@ fn a_backup_deposed_during_its_own_apply_acks_nothing() {
         (2, 0),
         "one solo grant"
     );
-    let backup = cluster.group(0).members[1].replication().unwrap();
+    let backup = out.cluster.group(0).members[1].replication().unwrap();
     assert_eq!(
         backup.stale_rejections.get(),
         1,

@@ -81,7 +81,7 @@ fn scan_with_read_failures(read_failures: u64) -> (Rows, [u64; 3], u64) {
             ]
         };
         let before = tally();
-        session.arm_ssd_read_failures(read_failures);
+        session.arm(FaultSite::SsdRead, 0, read_failures);
         let reply = client.kv_scan(0, KEYS as u32).await;
         let after = tally();
         (reply, [0, 1, 2].map(|i| after[i] - before[i]))

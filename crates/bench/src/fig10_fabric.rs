@@ -121,6 +121,17 @@ mod tests {
             tcp.agg_mops,
             off.agg_mops
         );
+        // And the tail: a ring that carries one message per cycle
+        // queues a burst of requests where TCP does not, which the p99
+        // shows first.
+        assert!(
+            off.p99_us <= tcp.p99_us + premium_us,
+            "moving verbs off the host must not cost the tail more than the NE ring's \
+             {premium_us:.1} us latency premium (Fig. 7): p99 tcp {:.1} us, rdma-offload \
+             {:.1} us",
+            tcp.p99_us,
+            off.p99_us
+        );
     }
 
     #[test]

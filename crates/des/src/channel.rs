@@ -63,6 +63,11 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
+
+    /// True once the receiver is dropped: every later `send` fails.
+    pub fn is_closed(&self) -> bool {
+        !self.inner.borrow().receiver_alive
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -177,7 +182,9 @@ mod tests {
     #[test]
     fn send_fails_after_receiver_dropped() {
         let (tx, rx) = channel::<u8>();
+        assert!(!tx.is_closed());
         drop(rx);
+        assert!(tx.is_closed());
         assert_eq!(tx.send(3), Err(SendError(3)));
     }
 

@@ -387,7 +387,8 @@ enum FabricTx {
         qp: Rc<RdmaQp>,
         xfer_pcie: Option<Rc<PcieLink>>,
     },
-    /// Host behind NE rings: the DPU issues every verb.
+    /// Host behind NE rings: the DPU issues every verb, and a send
+    /// returns once its descriptor is in the ring.
     Rings { qp: Rc<OffloadedQp> },
 }
 

@@ -7,6 +7,14 @@
 //! operations from the DPU side, and pushes completions back through a
 //! completion ring the host polls cheaply.
 //!
+//! Both rings work as rings. A message sender returns once its
+//! descriptor is in the ring, so a burst of messages lands in one poll
+//! batch; the poller writes each completion descriptor back as a posted
+//! PCIe write and moves on to the next descriptor while it is in
+//! flight; and the inbound pump posts each payload's DMA into host
+//! memory the same way. The DMA lane is FIFO with a constant round
+//! trip, so posted writes land in the order they were issued.
+//!
 //! Host cost per op drops from `RDMA_VERB_ISSUE_CYCLES +
 //! RDMA_CQ_POLL_CYCLES` (≈570 cycles) to `NE_RING_ENQUEUE_CYCLES` plus a
 //! batched completion poll (≈100 cycles) — the Figure 7 saving — at the
@@ -35,15 +43,14 @@ struct RingEntry {
     kind: RdmaOpKind,
     bytes: u64,
     /// A message the DPU delivers to the peer (DMA'd from host memory
-    /// first). Message entries complete (`done`) once their verbs are
-    /// issued, not when the remote round trip finishes — send-path
-    /// semantics, where wire order is all the submitter needs. A
-    /// message of kind `Write` is placed by a one-sided write, then
-    /// delivered by a 0-byte notify send — one descriptor, one payload
-    /// DMA, two verbs. `None` is a one-sided op that completes after
-    /// its round trip.
+    /// first). A message of kind `Write` is placed by a one-sided
+    /// write, then delivered by a 0-byte notify send — one descriptor,
+    /// one payload DMA, two verbs. `None` is a one-sided op whose verb
+    /// the poller waits out before it writes the completion back.
     payload: Option<Bytes>,
-    done: OneshotSender<()>,
+    /// Fired when the completion descriptor lands in host memory; `None`
+    /// for a message, whose sender does not wait for it.
+    done: Option<OneshotSender<()>>,
 }
 
 /// The host-visible handle: a request ring plus a completion await.
@@ -77,40 +84,46 @@ pub fn offload_qp(
             while let Some(batch) = pcie.poll_ring(&mut entries, POLL_BATCH).await {
                 stats.poll_batches.inc();
                 stats.polled.add(batch.len() as u64);
-                for entry in batch {
+                for RingEntry {
+                    kind,
+                    bytes,
+                    payload,
+                    done,
+                } in batch
+                {
                     // DPU-side software issue (cheaper than host verbs and
                     // off the host entirely).
                     dpu_cpu.exec(costs::DPU_RDMA_ISSUE_CYCLES).await;
                     // Payload for writes/sends is DMA'd from host memory.
-                    if entry.kind != RdmaOpKind::Read && entry.bytes > 0 {
-                        pcie.dma(entry.bytes).await;
+                    if kind != RdmaOpKind::Read && bytes > 0 {
+                        pcie.dma(bytes).await;
                     }
-                    match entry.payload {
+                    match payload {
                         // Payload by one-sided write, delivery by a
                         // 0-byte notify send — the payload crossed PCIe
                         // once, above.
-                        Some(msg) if entry.kind == RdmaOpKind::Write => {
-                            dpu_qp
-                                .post_pipelined(RdmaOpKind::Write, entry.bytes, None)
-                                .await;
+                        Some(msg) if kind == RdmaOpKind::Write => {
+                            dpu_qp.post_pipelined(RdmaOpKind::Write, bytes, None).await;
                             dpu_cpu.exec(costs::DPU_RDMA_ISSUE_CYCLES).await;
                             dpu_qp.post_pipelined(RdmaOpKind::Send, 0, Some(msg)).await;
                         }
-                        Some(msg) => {
-                            dpu_qp
-                                .post_pipelined(entry.kind, entry.bytes, Some(msg))
-                                .await;
-                        }
-                        None => dpu_qp.post(entry.kind, entry.bytes, None).await,
+                        Some(msg) => dpu_qp.post_pipelined(kind, bytes, Some(msg)).await,
+                        None => dpu_qp.post(kind, bytes, None).await,
                     }
-                    if entry.kind == RdmaOpKind::Read && entry.bytes > 0 {
+                    if kind == RdmaOpKind::Read && bytes > 0 {
                         // Read payload lands in host memory by DMA.
-                        pcie.dma(entry.bytes).await;
+                        pcie.dma(bytes).await;
                     }
-                    // Completion descriptor back to the host ring.
-                    pcie.dma(costs::RING_DESC_BYTES).await;
-                    stats.completions.inc();
-                    let _ = entry.done.send(());
+                    // Completion descriptor back to the host ring: a
+                    // posted write, in flight while the poller moves on.
+                    let (pcie, stats) = (pcie.clone(), stats.clone());
+                    spawn(async move {
+                        pcie.dma(costs::RING_DESC_BYTES).await;
+                        stats.completions.inc();
+                        if let Some(done) = done {
+                            let _ = done.send(());
+                        }
+                    });
                 }
             }
         });
@@ -141,11 +154,18 @@ pub(crate) fn offload_qp_with_recv(
             // The DPU re-posts the receive and reaps its completion
             // (dpu_qp's issuing processor is the DPU pool).
             let payload = dpu_qp.recv().await;
-            pcie.dma(costs::RING_DESC_BYTES + payload.len() as u64)
-                .await;
-            if tx.send(payload).is_err() {
+            if tx.is_closed() {
                 return; // host stream dropped: stop pumping
             }
+            // A posted write: the pump re-posts its receive while the
+            // payload is in flight. The lane is FIFO with a constant
+            // round trip, so payloads reach the host in arrival order.
+            let (pcie, tx) = (pcie.clone(), tx.clone());
+            spawn(async move {
+                pcie.dma(costs::RING_DESC_BYTES + payload.len() as u64)
+                    .await;
+                let _ = tx.send(payload);
+            });
         }
     });
     (oqp, OffloadRecvStream { host_cpu, rx })
@@ -168,19 +188,29 @@ impl OffloadRecvStream {
 }
 
 impl OffloadedQp {
-    async fn submit_entry(&self, kind: RdmaOpKind, bytes: u64, payload: Option<Bytes>) {
+    /// Appends one descriptor to the request ring: a plain store, no
+    /// lock, no doorbell.
+    async fn enqueue(
+        &self,
+        kind: RdmaOpKind,
+        bytes: u64,
+        payload: Option<Bytes>,
+        done: Option<OneshotSender<()>>,
+    ) {
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES).await;
-        let (tx, rx) = oneshot();
         let entry = RingEntry {
             kind,
             bytes,
             payload,
-            done: tx,
+            done,
         };
-        // A descriptor nobody takes must not read as a completed verb.
+        // A descriptor nobody takes must not read as a submitted verb.
         self.ring.send(entry).ok().expect("DPU poller alive");
-        rx.await.expect("DPU poller alive");
-        // Batched completion-ring poll, far cheaper than a CQ poll.
+    }
+
+    /// The host's share of reaping one completion: a batched
+    /// completion-ring poll, far cheaper than a CQ poll.
+    async fn reap(&self) {
         self.host_cpu.exec(costs::NE_RING_ENQUEUE_CYCLES / 4).await;
     }
 
@@ -189,7 +219,10 @@ impl OffloadedQp {
     /// await models the §6 requirement that "applications only spend
     /// minimal resources polling responses".
     pub(crate) async fn post(&self, kind: RdmaOpKind, bytes: u64) {
-        self.submit_entry(kind, bytes, None).await;
+        let (tx, rx) = oneshot();
+        self.enqueue(kind, bytes, None, Some(tx)).await;
+        rx.await.expect("DPU poller alive");
+        self.reap().await;
     }
 
     /// One-sided write.
@@ -198,23 +231,28 @@ impl OffloadedQp {
     }
 
     /// Two-sided send carrying `payload`, issued by the DPU; returns
-    /// once the DPU has issued the verb, not after the remote round
-    /// trip. Successive sends keep ring and wire order, so a message
-    /// pump overlaps round trips instead of paying one per message.
+    /// once the descriptor is in the ring, before the DPU has even
+    /// polled it. Ring order is wire order, so a message pump keeps
+    /// submitting while earlier messages wait in the ring, and a burst
+    /// shares one poll batch instead of paying one ring cycle per
+    /// message. The caller bounds the ring's depth (the fabric's
+    /// credit window); the host still pays the completion poll for
+    /// every message.
     pub(crate) async fn send_pipelined(&self, payload: Bytes) {
         let bytes = payload.len() as u64;
-        self.submit_entry(RdmaOpKind::Send, bytes, Some(payload))
+        self.enqueue(RdmaOpKind::Send, bytes, Some(payload), None)
             .await;
+        self.reap().await;
     }
 
     /// Bulk message: payload placed by a one-sided write, delivery
-    /// signalled by a 0-byte notify send (both DPU-issued), with
-    /// pipelined completion as in
-    /// [`send_pipelined`](Self::send_pipelined).
+    /// signalled by a 0-byte notify send (both DPU-issued), submitted
+    /// as in [`send_pipelined`](Self::send_pipelined).
     pub(crate) async fn send_bulk_pipelined(&self, payload: Bytes) {
         let bytes = payload.len() as u64;
-        self.submit_entry(RdmaOpKind::Write, bytes, Some(payload))
+        self.enqueue(RdmaOpKind::Write, bytes, Some(payload), None)
             .await;
+        self.reap().await;
     }
 }
 
@@ -222,13 +260,16 @@ impl OffloadedQp {
 mod tests {
     use super::*;
     use crate::rdma::rdma_pair;
-    use dpdpu_des::{join_all, now, Sim};
+    use dpdpu_check::CheckGuard;
+    use dpdpu_des::{block_on, join_all, now, sleep, Sim};
     use dpdpu_hw::LinkConfig;
 
     struct Testbed {
         host_cpu: Rc<CpuPool>,
         dpu_cpu: Rc<CpuPool>,
         qp: Rc<OffloadedQp>,
+        /// The peer's QP, issued by its own cores.
+        remote_qp: Rc<RdmaQp>,
     }
 
     fn build() -> Testbed {
@@ -237,12 +278,13 @@ mod tests {
         let remote = CpuPool::new("remote", 8, 3_000_000_000);
         let pcie = PcieLink::new("pcie", 16_000_000_000);
         // The DPU issues the real verbs.
-        let (dpu_side_qp, _remote_qp) = rdma_pair(dpu_cpu.clone(), remote, LinkConfig::rack_100g());
+        let (dpu_side_qp, remote_qp) = rdma_pair(dpu_cpu.clone(), remote, LinkConfig::rack_100g());
         let qp = offload_qp(host_cpu.clone(), dpu_cpu.clone(), pcie, dpu_side_qp);
         Testbed {
             host_cpu,
             dpu_cpu,
             qp,
+            remote_qp,
         }
     }
 
@@ -355,5 +397,123 @@ mod tests {
             );
         });
         sim.run();
+    }
+
+    #[test]
+    fn a_burst_of_messages_shares_the_ring() {
+        // The wire pump's pattern: one task submits back to back. Each
+        // send returns once its descriptor is in the ring, so the burst
+        // rides one or two poll batches, and the last message arrives
+        // after one ring cycle plus the burst's payload fetches (about
+        // 25 us), not after 16 full ring cycles (about 75 us: probe,
+        // descriptor fetch, payload fetch and completion write, each).
+        const BURST: u8 = 16;
+        let (batches, order, last_at) = block_on(async {
+            let tb = build();
+            let remote_qp = tb.remote_qp.clone();
+            let arrivals = spawn(async move {
+                let mut got = Vec::new();
+                for _ in 0..BURST {
+                    got.push((remote_qp.recv().await[0], now()));
+                }
+                got
+            });
+            for i in 0..BURST {
+                tb.qp.send_pipelined(Bytes::from(vec![i; 64])).await;
+            }
+            let got = arrivals.await;
+            let order: Vec<u8> = got.iter().map(|&(i, _)| i).collect();
+            (tb.qp.stats.poll_batches.get(), order, got[got.len() - 1].1)
+        });
+        assert!(
+            batches <= 2,
+            "a burst must share the ring: {batches} poll batches"
+        );
+        assert_eq!(
+            order,
+            (0..BURST).collect::<Vec<_>>(),
+            "ring order is wire order"
+        );
+        assert!(
+            last_at < 40_000,
+            "the burst's last message must arrive within 40 us, arrived at {last_at} ns"
+        );
+    }
+
+    #[test]
+    fn teardown_with_dmas_in_flight_quiesces_and_balances() {
+        // Both host handles drop while the poller's completion writes
+        // and the pump's inbound DMAs are posted. Every posted write
+        // still lands (the PCIe ledger balances under the strict
+        // session), the poller exits once its ring is drained, and the
+        // pump exits at the first message after the host hung up.
+        const SENDS: u64 = 8;
+        let check = CheckGuard::new();
+        let session = check.session().clone();
+        let mut sim = Sim::new();
+        let out = Rc::new(std::cell::Cell::new(None));
+        let out2 = out.clone();
+        sim.spawn(async move {
+            let host_cpu = CpuPool::new("host", 8, 3_000_000_000);
+            let dpu_cpu = CpuPool::new("dpu", 8, 2_500_000_000);
+            let remote = CpuPool::new("remote", 8, 3_000_000_000);
+            let pcie = PcieLink::new("pcie", 16_000_000_000);
+            let (dpu_qp, remote_qp) = rdma_pair(dpu_cpu.clone(), remote, LinkConfig::rack_100g());
+            let (qp, mut stream) =
+                offload_qp_with_recv(host_cpu, dpu_cpu, pcie.clone(), dpu_qp.clone());
+            for i in 0..SENDS {
+                let msg = Bytes::from(vec![i as u8; 512]);
+                remote_qp
+                    .post_pipelined(RdmaOpKind::Send, 512, Some(msg))
+                    .await;
+                qp.send_pipelined(Bytes::from(vec![i as u8; 512])).await;
+            }
+            stream.recv().await.expect("pump alive");
+            // PCIe bytes that entered the ledger but have not landed.
+            let dma_bytes = |report: String| -> u64 {
+                let field = report.split(' ').find_map(|f| f.strip_prefix("dma_bytes="));
+                field
+                    .expect("report names dma_bytes")
+                    .parse()
+                    .expect("a count")
+            };
+            let in_flight = dma_bytes(session.report()) - pcie.bytes_moved.get();
+            let landed = qp.stats.completions.get();
+            let stats = qp.stats.clone();
+            drop((qp, stream));
+            // One more message finds the host gone.
+            sleep(50_000).await;
+            remote_qp
+                .post_pipelined(RdmaOpKind::Send, 8, Some(Bytes::from_static(b"late")))
+                .await;
+            sleep(50_000).await;
+            out2.set(Some((
+                in_flight,
+                landed,
+                stats.completions.get(),
+                Rc::strong_count(&dpu_qp),
+                Rc::strong_count(&pcie),
+            )));
+        });
+        sim.run();
+        drop(sim);
+        let (in_flight, landed, completions, qp_refs, pcie_refs) =
+            out.get().expect("the run finished");
+        assert!(in_flight > 0, "the handles must drop with DMAs posted");
+        assert!(
+            landed < SENDS,
+            "completion writes must be pending at the drop: {landed}"
+        );
+        assert_eq!(completions, SENDS, "every posted completion write lands");
+        assert_eq!(
+            qp_refs, 1,
+            "the poller and the inbound pump must have exited"
+        );
+        assert_eq!(pcie_refs, 1, "no posted DMA may outlive the run");
+        assert!(
+            check.session().finish().is_empty(),
+            "{}",
+            check.session().report()
+        );
     }
 }

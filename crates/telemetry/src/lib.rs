@@ -35,6 +35,12 @@
 //! assert!(json.contains("compress"));
 //! ```
 //!
+//! A session may span several runs, each a fresh `dpdpu_des::Sim` whose
+//! clock starts at zero. It lays them end to end: each run's times are
+//! recorded from a base one nanosecond past the latest time recorded
+//! before it, so a multi-run figure's trace shows its runs one after
+//! another and no track repeats a timestamp.
+//!
 //! The session is the tracer part of the thread's one `dpdpu_des::probe`
 //! session slot, matching the single-threaded DES executor, until its
 //! guard drops. While installed, `dpdpu_des::Server` queue/service
@@ -47,7 +53,7 @@ mod sampler;
 mod span;
 mod summary;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dpdpu_des::probe::{self, Guard, Part, Probe, Site};
@@ -73,6 +79,12 @@ pub struct Telemetry {
     devices: RefCell<Vec<Option<Site>>>,
     /// [`SIM_PROCESS`], interned.
     sim: Site,
+    /// Added to every virtual time this session records: each fresh
+    /// `Sim` restarts its clock at zero, so a session that spans several
+    /// runs lays them end to end instead of on top of one another.
+    base: Cell<Time>,
+    /// The latest time recorded so far, base included.
+    latest: Cell<Option<Time>>,
 }
 
 /// Device name used for tracks nobody claimed.
@@ -83,8 +95,17 @@ impl Probe for Telemetry {
         // An array index, one hash lookup and a Vec push — no heap
         // allocation on the per-event path.
         let device = self.device_of(track);
+        let (start, end) = (self.stamp(start), self.stamp(end));
         self.tracer
             .record(device, track, Site::new(name), start, end, Vec::new());
+    }
+
+    /// A fresh `Sim`: its run starts a nanosecond after everything
+    /// recorded so far.
+    fn epoch(&self) {
+        if let Some(latest) = self.latest.get() {
+            self.base.set(latest + 1);
+        }
     }
 }
 
@@ -105,6 +126,8 @@ impl Telemetry {
                 sampler: sampler::SampleStore::new(),
                 devices: RefCell::new(Vec::new()),
                 sim: Site::new(SIM_PROCESS),
+                base: Cell::new(0),
+                latest: Cell::new(None),
             },
         )
     }
@@ -138,6 +161,14 @@ impl Telemetry {
 
     pub(crate) fn sampler(&self) -> &sampler::SampleStore {
         &self.sampler
+    }
+
+    /// The session time of `t`, a time on the current run's clock.
+    pub(crate) fn stamp(&self, t: Time) -> Time {
+        let t = self.base.get() + t;
+        self.latest
+            .set(Some(self.latest.get().map_or(t, |l| l.max(t))));
+        t
     }
 
     /// Declares that resource `track` belongs to device `process`, so its

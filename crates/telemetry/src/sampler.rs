@@ -16,7 +16,8 @@ pub struct CounterSample {
     pub(crate) process: String,
     /// Track name (e.g. `util:cpu-dpu`).
     pub name: String,
-    /// Virtual time of the poll, ns.
+    /// Session time of the poll, ns: the run's clock plus its base (see
+    /// [`Telemetry`]).
     pub(crate) t: Time,
     /// Sampled value.
     pub value: f64,
@@ -56,9 +57,8 @@ impl SampleStore {
         });
     }
 
-    /// Polls every source once at the current virtual time.
-    pub(crate) fn sample_all(&self) {
-        let t = now();
+    /// Polls every source once, at session time `t`.
+    pub(crate) fn sample_all(&self, t: Time) {
         let sources = self.sources.borrow();
         let mut samples = self.samples.borrow_mut();
         for s in sources.iter() {
@@ -108,7 +108,7 @@ pub fn start_sampler(interval_ns: Time) -> SamplerHandle {
     if let Some(t) = Telemetry::current() {
         spawn(async move {
             loop {
-                t.sampler().sample_all();
+                t.sampler().sample_all(t.stamp(now()));
                 if stop.get() {
                     break;
                 }
@@ -155,6 +155,33 @@ mod tests {
         assert!(samples
             .iter()
             .all(|s| s.process == "dpu" && s.name == "queue:ssd"));
+    }
+
+    #[test]
+    fn each_run_of_a_session_gets_its_own_time_base() {
+        // Two runs, each clock from zero: the second is laid after the
+        // first, so no timestamp of a track repeats across them.
+        let t = Telemetry::install();
+        t.register_source("host", "util:cpu", || 1.0);
+        for _ in 0..2 {
+            let mut sim = Sim::new();
+            sim.spawn(async {
+                let _span = crate::span("host", "cpu", "run");
+                let sampler = start_sampler(100);
+                sleep(250).await;
+                sampler.stop();
+            });
+            sim.run();
+        }
+        let times: Vec<Time> = t.samples().iter().map(|s| s.t).collect();
+        assert_eq!(times, vec![0, 100, 200, 300, 301, 401, 501, 601]);
+        let spans: Vec<_> = t
+            .tracer()
+            .spans()
+            .iter()
+            .map(|s| (s.start, s.end))
+            .collect();
+        assert_eq!(spans, vec![(0, 250), (301, 551)]);
     }
 
     #[test]

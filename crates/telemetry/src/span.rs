@@ -24,9 +24,10 @@ pub struct SpanRecord {
     pub track: String,
     /// What happened.
     pub name: String,
-    /// Virtual start time, ns.
+    /// Session start time, ns: the run's clock plus its base (see
+    /// [`Telemetry`]).
     pub start: Time,
-    /// Virtual end time, ns.
+    /// Session end time, ns.
     pub end: Time,
     /// Free-form key/value attributes.
     pub attrs: Vec<(String, String)>,
@@ -151,7 +152,7 @@ pub fn span(process: &str, track: &str, name: &'static str) -> SpanGuard {
             process: Site::new(process),
             track: Site::new(track),
             name: Site::new(name),
-            start: now(),
+            start: t.stamp(now()),
             end: 0,
             attrs: Vec::new(),
         }),
@@ -176,8 +177,8 @@ pub fn record_span(
             Site::new(process),
             Site::new(track),
             Site::new(name),
-            start,
-            end,
+            t.stamp(start),
+            t.stamp(end),
             attrs,
         );
     }
@@ -219,7 +220,7 @@ impl Drop for SpanGuard {
             stack.remove(pos);
         }
         drop(stack);
-        open.end = now();
+        open.end = t.stamp(now());
         t.tracer.spans.borrow_mut().push(open);
     }
 }

@@ -1,13 +1,14 @@
 //! The stdout of every example, run with no arguments in alphabetical
 //! order under `=== name ===` headers, pinned as
 //! `tests/golden/examples.stdout.txt` — the only CLI surface no other
-//! golden covers. To re-bless after an intentional change:
+//! golden covers. A binary older than its source is refused, not run.
+//! To re-bless after an intentional change:
 //!
 //! ```sh
-//! UPDATE_GOLDEN=1 cargo test --test examples_golden
+//! cargo build --examples && UPDATE_GOLDEN=1 cargo test --test examples_golden
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use dpdpu::check::golden;
@@ -34,11 +35,21 @@ fn every_example_matches_its_golden() {
     };
     let mut actual = String::new();
     for name in &names {
-        let out = Command::new(built.join("examples").join(name))
-            .output()
-            .unwrap_or_else(|e| {
-                panic!("example `{name}` is not built ({e}): run `cargo build{release} --examples`")
-            });
+        // `cargo test --test examples_golden` builds no example, so a
+        // binary left from before an edit would pass, or be blessed,
+        // in the edit's place.
+        let bin = built.join("examples").join(name);
+        let modified = |path: &Path| std::fs::metadata(path).and_then(|m| m.modified());
+        let built_at = modified(&bin).unwrap_or_else(|e| {
+            panic!("example `{name}` is not built ({e}): run `cargo build{release} --examples`")
+        });
+        let source = root.join("examples").join(format!("{name}.rs"));
+        let edited_at = modified(&source).expect("example source has an mtime");
+        assert!(
+            built_at >= edited_at,
+            "example `{name}` is older than examples/{name}.rs: run `cargo build{release} --examples`"
+        );
+        let out = Command::new(&bin).output().expect("example runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "example `{name}` failed:\n{stderr}");
         actual.push_str(&format!("=== {name} ===\n"));

@@ -249,11 +249,12 @@ impl DdsCluster {
             // Chain link primary→backup over the cluster fabric. The
             // backup serves the chain exactly like client traffic, so
             // its crash windows gate replication automatically. The
-            // primary's host orders and sends each forward, so its end
-            // is an offloaded client, behind its DPU's rings.
+            // primary's host orders each write; the payload is already
+            // in DPU memory, so its DPU issues the forward and the
+            // primary's end is a server end, like every DDS server half.
             let chain = members[1].connect(
                 &config.net,
-                &Endpoint::of(members[0].platform()),
+                &Endpoint::dpu_native(members[0].platform()),
                 &format!("node{group}-repl"),
             );
             chain.set_policy(CHAIN_POLICY);

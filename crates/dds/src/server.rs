@@ -914,7 +914,11 @@ mod tests {
             let platform = Platform::default_bf2();
             let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
             let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
-            let server_side = Endpoint::of(&platform);
+            let server_side = Endpoint::offloaded(
+                platform.host_cpu.clone(),
+                platform.dpu_cpu.clone(),
+                platform.host_dpu_pcie.clone(),
+            );
             let client_side = Endpoint::host(client_cpu);
             let net = TcpConnector::new(LinkConfig::rack_100g());
             let (c2s_tx, c2s_rx) = net.stream(client_side.clone(), server_side.clone());

@@ -15,6 +15,8 @@ use std::task::{Context, Poll, Waker};
 struct Inner<T> {
     queue: VecDeque<T>,
     recv_waker: Option<Waker>,
+    /// The task awaiting [`Sender::closed`], woken when the receiver drops.
+    close_waker: Option<Waker>,
     senders: usize,
     receiver_alive: bool,
 }
@@ -39,6 +41,7 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Rc::new(RefCell::new(Inner {
         queue: VecDeque::new(),
         recv_waker: None,
+        close_waker: None,
         senders: 1,
         receiver_alive: true,
     }));
@@ -64,9 +67,30 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// True once the receiver is dropped: every later `send` fails.
-    pub fn is_closed(&self) -> bool {
-        !self.inner.borrow().receiver_alive
+    /// Resolves once the receiver is dropped, so a producer parked on
+    /// something else can race its wait against the hang-up. One task
+    /// waits on it at a time: the receiver's drop wakes the task that
+    /// polled it last.
+    pub fn closed(&self) -> Closed<'_, T> {
+        Closed { tx: self }
+    }
+}
+
+/// Future returned by [`Sender::closed`].
+pub struct Closed<'a, T> {
+    tx: &'a Sender<T>,
+}
+
+impl<T> Future for Closed<'_, T> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let mut inner = self.tx.inner.borrow_mut();
+        if !inner.receiver_alive {
+            return Poll::Ready(());
+        }
+        crate::executor::store_waker(&mut inner.close_waker, cx.waker());
+        Poll::Pending
     }
 }
 
@@ -111,7 +135,11 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.inner.borrow_mut().receiver_alive = false;
+        let mut inner = self.inner.borrow_mut();
+        inner.receiver_alive = false;
+        if let Some(waker) = inner.close_waker.take() {
+            waker.wake();
+        }
     }
 }
 
@@ -182,10 +210,26 @@ mod tests {
     #[test]
     fn send_fails_after_receiver_dropped() {
         let (tx, rx) = channel::<u8>();
-        assert!(!tx.is_closed());
+        assert_eq!(tx.send(2), Ok(()));
         drop(rx);
-        assert!(tx.is_closed());
         assert_eq!(tx.send(3), Err(SendError(3)));
+    }
+
+    #[test]
+    fn closed_resolves_when_the_receiver_drops() {
+        let mut sim = Sim::new();
+        sim.spawn(async {
+            let (tx, rx) = channel::<u8>();
+            spawn(async move {
+                sleep(100).await;
+                drop(rx);
+            });
+            tx.closed().await;
+            assert_eq!(crate::executor::now(), 100);
+            // Already closed: resolves at once.
+            tx.closed().await;
+        });
+        sim.run();
     }
 
     #[test]

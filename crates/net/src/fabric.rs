@@ -179,22 +179,14 @@ impl Endpoint {
     }
 
     /// An endpoint with its stack on a DPU and its application on the
-    /// host (offload-fabric clients; a primary's chain link).
+    /// host: an offload-fabric client, whose host sits behind its DPU's
+    /// rings. A server's half, and a primary's chain link, is
+    /// [`Endpoint::dpu_native`].
     pub fn offloaded(host_cpu: Rc<CpuPool>, dpu_cpu: Rc<CpuPool>, pcie: Rc<PcieLink>) -> Self {
         Endpoint {
             host_cpu,
             stack: Stack::Offloaded(dpu_cpu, pcie),
         }
-    }
-
-    /// `platform` with the stack on its DPU: host cores behind the
-    /// host↔DPU PCIe link.
-    pub fn of(platform: &Platform) -> Self {
-        Endpoint::offloaded(
-            platform.host_cpu.clone(),
-            platform.dpu_cpu.clone(),
-            platform.host_dpu_pcie.clone(),
-        )
     }
 
     /// `platform` with the stack *and* the application on its DPU: the
@@ -767,7 +759,11 @@ mod tests {
     #[test]
     fn endpoint_of_a_platform_is_its_host_dpu_and_pcie() {
         let p = Platform::default_bf2();
-        let ep = Endpoint::of(&p);
+        let ep = Endpoint::offloaded(
+            p.host_cpu.clone(),
+            p.dpu_cpu.clone(),
+            p.host_dpu_pcie.clone(),
+        );
         let (dpu_cpu, pcie) = ep.stack.dpu().expect("platform endpoints have a DPU");
         assert!(Rc::ptr_eq(&ep.host_cpu, &p.host_cpu));
         assert!(Rc::ptr_eq(dpu_cpu, &p.dpu_cpu));

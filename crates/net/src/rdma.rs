@@ -9,7 +9,10 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 use dpdpu_des::{channel, oneshot, sleep, spawn, Counter, OneshotReceiver, Receiver, Sender};
@@ -91,8 +94,48 @@ pub struct RdmaQp {
 /// payloads queue in the NIC buffer instead of being dropped).
 #[derive(Default)]
 struct RecvState {
-    posted: VecDeque<dpdpu_des::OneshotSender<Bytes>>,
+    /// Posted receives in post order, each under the ticket its
+    /// [`PostedRecv`] withdraws it by.
+    posted: VecDeque<(u64, dpdpu_des::OneshotSender<Bytes>)>,
     pending: VecDeque<Bytes>,
+    next_ticket: u64,
+}
+
+/// A posted receive waiting for its payload. Dropped unfilled, it
+/// withdraws itself, so the next arrival goes to a live receive or the
+/// NIC buffer; dropped filled but unread, it hands its payload back to
+/// the front of the buffer. Either way no payload is lost.
+struct PostedRecv<'a> {
+    state: &'a RefCell<RecvState>,
+    ticket: u64,
+    rx: OneshotReceiver<Bytes>,
+    done: bool,
+}
+
+impl Future for PostedRecv<'_> {
+    type Output = Bytes;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Bytes> {
+        let payload = std::task::ready!(Pin::new(&mut self.rx).poll(cx));
+        self.done = true;
+        Poll::Ready(payload.expect("NIC engine alive"))
+    }
+}
+
+impl Drop for PostedRecv<'_> {
+    fn drop(&mut self) {
+        if self.done {
+            return;
+        }
+        let mut rs = self.state.borrow_mut();
+        if let Some(i) = rs.posted.iter().position(|(t, _)| *t == self.ticket) {
+            rs.posted.remove(i);
+        } else if let Poll::Ready(Ok(payload)) =
+            Pin::new(&mut self.rx).poll(&mut Context::from_waker(Waker::noop()))
+        {
+            rs.pending.push_front(payload);
+        }
+    }
 }
 
 /// Creates a connected pair of queue pairs over a duplex link.
@@ -208,7 +251,7 @@ fn make_qp(
                                 let payload = payload.unwrap_or_default();
                                 let waiter = matcher_recv.borrow_mut().posted.pop_front();
                                 match waiter {
-                                    Some(tx) => {
+                                    Some((_, tx)) => {
                                         let _ = tx.send(payload);
                                     }
                                     None => {
@@ -337,6 +380,7 @@ impl RdmaQp {
     /// payload. Posting the receive WQE costs issue-side CPU, and reaping
     /// the completion costs a CQ poll — two-sided RDMA is not free on the
     /// passive side, which is exactly why one-sided ops matter (§6).
+    /// Dropped before its payload arrives, it withdraws the receive.
     pub(crate) async fn recv(&self) -> Bytes {
         self.cpu.exec(costs::RDMA_VERB_ISSUE_CYCLES / 2).await;
         let pending = self.recv_state.borrow_mut().pending.pop_front();
@@ -344,8 +388,20 @@ impl RdmaQp {
             Some(p) => p,
             None => {
                 let (tx, rx) = oneshot();
-                self.recv_state.borrow_mut().posted.push_back(tx);
-                rx.await.expect("NIC engine alive")
+                let ticket = {
+                    let mut rs = self.recv_state.borrow_mut();
+                    let ticket = rs.next_ticket;
+                    rs.next_ticket += 1;
+                    rs.posted.push_back((ticket, tx));
+                    ticket
+                };
+                PostedRecv {
+                    state: &self.recv_state,
+                    ticket,
+                    rx,
+                    done: false,
+                }
+                .await
             }
         };
         self.cpu.exec(costs::RDMA_CQ_POLL_CYCLES).await;
@@ -355,6 +411,11 @@ impl RdmaQp {
 
 #[cfg(test)]
 impl RdmaQp {
+    /// Receives posted and not yet filled.
+    pub(crate) fn posted_receives(&self) -> usize {
+        self.recv_state.borrow().posted.len()
+    }
+
     /// One-sided read of `bytes`.
     async fn read(&self, bytes: u64) {
         self.post(RdmaOpKind::Read, bytes, None).await;
@@ -449,6 +510,33 @@ mod tests {
         });
         sim.run();
         assert!(done.get(), "send/recv deadlocked");
+    }
+
+    #[test]
+    fn a_dropped_receive_loses_no_payload() {
+        // Dropped unfilled, a receive is withdrawn and the next payload
+        // waits in the NIC buffer; dropped filled but unread, it hands
+        // its payload back. Either way the next receive gets it.
+        dpdpu_des::block_on(async {
+            let (a, b, _, _) = pair();
+            for filled in [false, true] {
+                let mut recv = Box::pin(b.recv());
+                let posted = dpdpu_des::race(recv.as_mut(), sleep(5_000)).await;
+                assert!(matches!(posted, dpdpu_des::Either::Right(())));
+                assert_eq!(b.posted_receives(), 1);
+                if filled {
+                    a.send(Bytes::from_static(b"filled")).await;
+                    assert_eq!(b.posted_receives(), 0, "the payload filled it");
+                    drop(recv);
+                } else {
+                    drop(recv);
+                    assert_eq!(b.posted_receives(), 0, "the receive is withdrawn");
+                    a.send(Bytes::from_static(b"unfilled")).await;
+                }
+                let want: &[u8] = if filled { b"filled" } else { b"unfilled" };
+                assert_eq!(b.recv().await, want);
+            }
+        });
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dpdpu_des::{channel, oneshot, spawn, Counter, OneshotSender, Receiver, Sender};
+use dpdpu_des::{channel, oneshot, race, spawn, Counter, Either, OneshotSender, Receiver, Sender};
 use dpdpu_hw::{costs, CpuPool, PcieLink};
 
 use crate::rdma::{RdmaOpKind, RdmaQp};
@@ -152,11 +152,13 @@ pub(crate) fn offload_qp_with_recv(
     spawn(async move {
         loop {
             // The DPU re-posts the receive and reaps its completion
-            // (dpu_qp's issuing processor is the DPU pool).
-            let payload = dpu_qp.recv().await;
-            if tx.is_closed() {
-                return; // host stream dropped: stop pumping
-            }
+            // (dpu_qp's issuing processor is the DPU pool). A host that
+            // hangs up ends the pump at once, traffic or none: the
+            // unfilled receive is withdrawn as the race drops it.
+            let payload = match race(dpu_qp.recv(), tx.closed()).await {
+                Either::Left(payload) => payload,
+                Either::Right(()) => return,
+            };
             // A posted write: the pump re-posts its receive while the
             // payload is in flight. The lane is FIFO with a constant
             // round trip, so payloads reach the host in arrival order.
@@ -441,12 +443,46 @@ mod tests {
     }
 
     #[test]
+    fn a_pump_whose_host_hangs_up_with_no_traffic_exits() {
+        // No message ever arrives: the pump is parked on its posted
+        // receive when the host drops its stream, and it must exit at
+        // once, withdrawing the receive, instead of holding its QP and
+        // PCIe link for the rest of the run.
+        let out = block_on(async {
+            let host_cpu = CpuPool::new("host", 8, 3_000_000_000);
+            let dpu_cpu = CpuPool::new("dpu", 8, 2_500_000_000);
+            let remote = CpuPool::new("remote", 8, 3_000_000_000);
+            let pcie = PcieLink::new("pcie", 16_000_000_000);
+            let (dpu_qp, _remote_qp) = rdma_pair(dpu_cpu.clone(), remote, LinkConfig::rack_100g());
+            let (qp, stream) =
+                offload_qp_with_recv(host_cpu, dpu_cpu, pcie.clone(), dpu_qp.clone());
+            sleep(10_000).await;
+            let posted = dpu_qp.posted_receives();
+            drop((qp, stream));
+            sleep(10_000).await;
+            (
+                posted,
+                dpu_qp.posted_receives(),
+                Rc::strong_count(&dpu_qp),
+                Rc::strong_count(&pcie),
+            )
+        });
+        assert_eq!(out.0, 1, "the pump parks on one posted receive");
+        assert_eq!(out.1, 0, "the exiting pump withdraws its receive");
+        assert_eq!(
+            (out.2, out.3),
+            (1, 1),
+            "the poller and the inbound pump must have exited"
+        );
+    }
+
+    #[test]
     fn teardown_with_dmas_in_flight_quiesces_and_balances() {
         // Both host handles drop while the poller's completion writes
         // and the pump's inbound DMAs are posted. Every posted write
         // still lands (the PCIe ledger balances under the strict
         // session), the poller exits once its ring is drained, and the
-        // pump exits at the first message after the host hung up.
+        // pump exits as the host hangs up, with no message after it.
         const SENDS: u64 = 8;
         let check = CheckGuard::new();
         let session = check.session().clone();
@@ -481,11 +517,6 @@ mod tests {
             let landed = qp.stats.completions.get();
             let stats = qp.stats.clone();
             drop((qp, stream));
-            // One more message finds the host gone.
-            sleep(50_000).await;
-            remote_qp
-                .post_pipelined(RdmaOpKind::Send, 8, Some(Bytes::from_static(b"late")))
-                .await;
             sleep(50_000).await;
             out2.set(Some((
                 in_flight,

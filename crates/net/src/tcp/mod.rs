@@ -521,7 +521,11 @@ mod tests {
                 let dst = if native {
                     Endpoint::dpu_native(&p)
                 } else {
-                    Endpoint::of(&p)
+                    Endpoint::offloaded(
+                        p.host_cpu.clone(),
+                        p.dpu_cpu.clone(),
+                        p.host_dpu_pcie.clone(),
+                    )
                 };
                 let src = Endpoint::host(CpuPool::new("src-host", 16, 3_000_000_000));
                 let (tx, mut rx) = TcpConnector::new(fast_link()).stream(src, dst);

@@ -573,6 +573,7 @@ dds TrafficDirector: the type of `Dds::director`
 dds resume_migration: finishes an `add_shard` that returned `Err`, whose keys stay dual-read until then
 des Acquire: the future `Semaphore::acquire` returns
 des Cancelled: what a `OneshotReceiver` yields when its sender drops
+des Closed: the future `Sender::closed` returns
 des Elapsed: returned by `timeout`
 des Race: the future `race` returns
 des Recv: the futures `Receiver::recv` and `XReceiver::recv` return

@@ -26,7 +26,11 @@ fn four_clients_share_one_server_port() {
         let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
 
         let client_cpu = CpuPool::new("clients", 16, 3_000_000_000);
-        let server_side = Endpoint::of(&platform);
+        let server_side = Endpoint::offloaded(
+            platform.host_cpu.clone(),
+            platform.dpu_cpu.clone(),
+            platform.host_dpu_pcie.clone(),
+        );
         let client_side = Endpoint::host(client_cpu);
         // All clients multiplex over ONE duplex port pair.
         let net = TcpConnector::new(LinkConfig::rack_100g());
@@ -111,7 +115,11 @@ fn stress_clients_terminate_under_aggressive_faults() {
         let dds = Dds::build(platform.clone(), DdsConfig::default()).await;
 
         let client_cpu = CpuPool::new("clients", 16, 3_000_000_000);
-        let server_side = Endpoint::of(&platform);
+        let server_side = Endpoint::offloaded(
+            platform.host_cpu.clone(),
+            platform.dpu_cpu.clone(),
+            platform.host_dpu_pcie.clone(),
+        );
         let client_side = Endpoint::host(client_cpu);
         let net = TcpConnector::new(LinkConfig::rack_100g());
         let c2s = net.streams(client_side.clone(), server_side.clone(), STRESS_CLIENTS);

@@ -45,7 +45,7 @@ use dpdpu::dds::cluster::{ClusterConfig, DdsCluster};
 use dpdpu::dds::gateway::GatewayConfig;
 use dpdpu::dds::kv::INDEX_ENTRY_BYTES;
 use dpdpu::dds::proto::{Op, Reply, RetryPolicy};
-use dpdpu::dds::server::DdsConfig;
+use dpdpu::dds::server::{DdsConfig, HOST_APP_CYCLES};
 use dpdpu::des::{block_on, join_all, now, sleep, spawn, Sim, Time};
 use dpdpu::faults::{FaultPlan, FaultReport, FaultSite, SessionGuard};
 use dpdpu::hw::CpuPool;
@@ -56,9 +56,11 @@ use dpdpu_bench::fig11_tenants::{default_tenants, default_workloads};
 
 const CLIENTS: usize = 4;
 
-/// One row of the matrix: the seed's cell, and what must hold of its run
-/// beyond [`run_row`]'s own checks.
-type Row = fn(seed: u64) -> (Cell, fn(&Run));
+/// What must hold of a row's run beyond [`run_row`]'s own checks.
+type Holds = Box<dyn Fn(&Run)>;
+
+/// One row of the matrix: the seed's cell, and what must hold of its run.
+type Row = fn(seed: u64) -> (Cell, Holds);
 
 /// 2 shards x 2 replicas under the register workload, with a read-back
 /// of every key once every crash window has closed.
@@ -83,9 +85,9 @@ fn chaos_cell(faults: FaultPlan, script: Vec<Time>) -> Cell {
 
 /// Freeze shard 0's primary while writes are in flight: the failure
 /// detector must promote the backup and no acked write may vanish.
-fn crash_primary_mid_write(seed: u64) -> (Cell, fn(&Run)) {
+fn crash_primary_mid_write(seed: u64) -> (Cell, Holds) {
     let faults = FaultPlan::new(seed).shard_crash("node0", 2_000_000, 120_000_000);
-    (chaos_cell(faults, vec![]), |run| {
+    let holds: Holds = Box::new(|run: &Run| {
         no_acked_write_lost(run);
         assert!(
             run.ambiguous > 0,
@@ -96,14 +98,15 @@ fn crash_primary_mid_write(seed: u64) -> (Cell, fn(&Run)) {
         assert_eq!(ctl0.primary(), 1);
         assert!(ctl0.is_deposed(0), "old primary fenced out");
         assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
-    })
+    });
+    (chaos_cell(faults, vec![]), holds)
 }
 
 /// Freeze shard 0's backup: the primary must depose it via a solo grant
 /// and keep acking writes.
-fn crash_backup(seed: u64) -> (Cell, fn(&Run)) {
+fn crash_backup(seed: u64) -> (Cell, Holds) {
     let faults = FaultPlan::new(seed).shard_crash("node0r1", 2_000_000, 120_000_000);
-    (chaos_cell(faults, vec![]), |run| {
+    let holds: Holds = Box::new(|run: &Run| {
         no_acked_write_lost(run);
         let ctl0 = run.cluster.ctl(0).expect("replicated group");
         assert_eq!(ctl0.promotions.get(), 0, "no failover, primary went solo");
@@ -113,29 +116,31 @@ fn crash_backup(seed: u64) -> (Cell, fn(&Run)) {
         assert!(role.solo_commits.get() > 0, "primary must commit solo");
         assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
         assert_eq!(ctl0.epoch(), 2, "one deposal, one transition");
-    })
+    });
+    (chaos_cell(faults, vec![]), holds)
 }
 
 /// Freeze shard 1's primary while a live `add_shard` migration is
 /// draining keys through it. The window opens just after the script's
 /// step at t=8ms, so the freeze always lands while the migration is
 /// draining keys through shard 1 (the fleet alone may quiesce earlier).
-fn crash_during_migration(seed: u64) -> (Cell, fn(&Run)) {
+fn crash_during_migration(seed: u64) -> (Cell, Holds) {
     let faults = FaultPlan::new(seed).shard_crash("node1", 8_200_000, 90_000_000);
-    (chaos_cell(faults, vec![8_000_000]), |run| {
+    let holds: Holds = Box::new(|run: &Run| {
         no_acked_write_lost(run);
         grew_and_failed_over(run, 2);
-    })
+    });
+    (chaos_cell(faults, vec![8_000_000]), holds)
 }
 
 /// Freeze the primary, let the backup take over, then freeze the
 /// promoted backup too — the group goes dark and comes back, and still
 /// nothing acked is lost.
-fn double_fault(seed: u64) -> (Cell, fn(&Run)) {
+fn double_fault(seed: u64) -> (Cell, Holds) {
     let faults = FaultPlan::new(seed)
         .shard_crash("node0", 2_000_000, 60_000_000)
         .shard_crash("node0r1", 70_000_000, 150_000_000);
-    (chaos_cell(faults, vec![]), |run| {
+    let holds: Holds = Box::new(|run: &Run| {
         no_acked_write_lost(run);
         assert!(
             run.ambiguous > 0,
@@ -150,32 +155,35 @@ fn double_fault(seed: u64) -> (Cell, fn(&Run)) {
             "the twice-crashed backup stays primary and recovers"
         );
         assert!(ctl0.epoch() > 1, "deposing a replica advances the epoch");
-    })
+    });
+    (chaos_cell(faults, vec![]), holds)
 }
 
-/// When `composed_storm` freezes shard 1's primary, and how long after
-/// the load starts it adds a shard.
-const STORM_CRASH_AT: Time = 10_900_000;
+/// How long after the load starts `composed_storm` freezes shard 1's
+/// primary, and adds a shard; and when the freeze ends.
+const STORM_CRASH_AFTER: Time = 350_000;
 const STORM_GROW_AFTER: Time = 600_000;
+const STORM_CRASH_UNTIL: Time = 75_000_000;
 
 /// Everything at once (ROADMAP item 5): the gateway with the fig11
 /// tenants before 4 shards x 2 replicas on `rdma-offload`, seeded link
 /// drops and delays, shard 1's primary frozen inside the storm and a
-/// live `add_shard` after that. The crash window is absolute time and
-/// the script counts from the end of preload, so the predicate pins
-/// their order. Cluster and fabric conservation and epoch monotonicity
-/// are the strict check session's.
-fn composed_storm(seed: u64) -> (Cell, fn(&Run)) {
+/// live `add_shard` after that. A crash window is absolute time and the
+/// script counts from the end of preload. Preload is deterministic and
+/// ends before any crash window opens, so a crash-free boot of the same
+/// cell measures when the load starts, the crash is placed from it, and
+/// the predicate pins the order on the real run. Cluster and fabric
+/// conservation and epoch monotonicity are the strict check session's.
+fn composed_storm(seed: u64) -> (Cell, Holds) {
     let gateway = GatewayConfig {
         dispatch_slots: 16,
         ..GatewayConfig::new(default_tenants())
     };
-    let cell = Cell {
+    let mut cell = Cell {
         cluster: rdma_offload_4x2(),
         faults: FaultPlan::new(seed)
             .link_drops(0.005)
-            .link_delays(0.01, 20_000)
-            .shard_crash("node1", STORM_CRASH_AT, 75_000_000),
+            .link_delays(0.01, 20_000),
         pool_label: "gw-fleet".into(),
         pool_cores: 64,
         preload: Preload {
@@ -185,11 +193,23 @@ fn composed_storm(seed: u64) -> (Cell, fn(&Run)) {
         load: Load::Tenants(gateway, default_workloads()),
         script: vec![STORM_GROW_AFTER],
     };
-    (cell, |run| {
+    let probe = cell.clone();
+    let load_at = {
+        let _faults = SessionGuard::new(probe.faults.clone());
+        block_on(async move {
+            probe.boot().await;
+            now()
+        })
+    };
+    let crash_at = load_at + STORM_CRASH_AFTER;
+    cell.faults = cell
+        .faults
+        .shard_crash("node1", crash_at, STORM_CRASH_UNTIL);
+    let holds: Holds = Box::new(move |run: &Run| {
         let grow_at = run.load_started_at + STORM_GROW_AFTER;
         assert!(
-            run.load_started_at < STORM_CRASH_AT && STORM_CRASH_AT < grow_at,
-            "preload drifted: the load starts at {} ns, so the crash at {STORM_CRASH_AT} ns \
+            run.load_started_at < crash_at && crash_at < grow_at,
+            "preload drifted: the load starts at {} ns, so the crash at {crash_at} ns \
              is no longer inside the storm and ahead of the shard add at {grow_at} ns",
             run.load_started_at
         );
@@ -214,7 +234,8 @@ fn composed_storm(seed: u64) -> (Cell, fn(&Run)) {
             assert!(run.faults.count(site) > 0, "{site:?} never fired");
         }
         assert_eq!(run.faults.count(FaultSite::ShardCrash), 1);
-    })
+    });
+    (cell, holds)
 }
 
 /// The register rows' shared predicate: the merged history, read-back
@@ -588,6 +609,61 @@ fn a_dpu_served_get_costs_its_server_host_nothing() {
     });
     assert_eq!((dpu, host), (8, 0), "every get served on the DPU");
     assert_eq!(host_ns, 0, "DPU-served gets cost their server's host");
+}
+
+/// The primary's host-CPU busy ns over `puts` replicated 4 KiB puts of
+/// preloaded keys on an idle 1 x 2 cell over `fabric`, and the ns that
+/// `HOST_APP_CYCLES` per put takes on that host.
+fn primary_host_ns_for_puts(fabric: FabricKind, puts: u64) -> (u64, u64) {
+    let _check = CheckGuard::new();
+    let cell = idle_shard(2);
+    let cell = Cell {
+        cluster: ClusterConfig {
+            net: NetConfig::default().with_fabric(fabric),
+            ..cell.cluster
+        },
+        preload: Preload {
+            keys: 8,
+            value_bytes: 4096,
+        },
+        ..cell
+    };
+    block_on(async move {
+        let (cluster, client) = cell.boot().await;
+        sleep(1_000_000).await;
+        let host_cpu = cluster.group(0).members[0].platform().host_cpu.clone();
+        let before = host_cpu.busy_ns();
+        for i in 0..puts {
+            client
+                .kv_put(i % 8, Bytes::from(vec![i as u8; 4096]))
+                .await
+                .expect("put");
+        }
+        let busy = host_cpu.busy_ns() - before;
+        cluster.verify_replicas();
+        (busy, host_cpu.cycles_ns(HOST_APP_CYCLES) * puts)
+    })
+}
+
+#[test]
+fn a_replicated_put_costs_its_primary_host_only_the_ordering() {
+    // The host orders each write (`HOST_APP_CYCLES`); the payload is in
+    // DPU memory already, so the primary's DPU issues the chain forward
+    // and the host pays no ring cycles or PCIe crossings for it. Host
+    // verbs (`rdma`, the §6 baseline) still cost the host more.
+    const PUTS: u64 = 16;
+    for fabric in [FabricKind::Tcp, FabricKind::RdmaOffload] {
+        let (busy, floor) = primary_host_ns_for_puts(fabric, PUTS);
+        assert_eq!(
+            busy, floor,
+            "{fabric}: the primary's host must pay HOST_APP_CYCLES per put and nothing more"
+        );
+    }
+    let (busy, floor) = primary_host_ns_for_puts(FabricKind::Rdma, PUTS);
+    assert!(
+        busy > floor,
+        "rdma: host-issued verbs cost the primary's host beyond the ordering: {busy} ns <= {floor} ns"
+    );
 }
 
 #[test]

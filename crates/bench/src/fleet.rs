@@ -110,11 +110,16 @@ impl KeySampler {
                 let total = *cum.last().expect("non-empty population");
                 let u = rng.random::<u64>() as f64 / u64::MAX as f64 * total;
                 let rank = cum.partition_point(|&c| c < u).min(cum.len() - 1) as u64;
-                // Scramble rank→key so hot ranks are not adjacent keys.
-                rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.keys
+                zipf_key(rank, self.keys)
             }
         }
     }
+}
+
+/// The key of zipf rank `rank` (0 = hottest) in a population of `keys`:
+/// ranks are scrambled so hot ranks are not adjacent keys.
+pub fn zipf_key(rank: u64, keys: u64) -> u64 {
+    rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % keys
 }
 
 /// Request mix in percent; must sum to 100.

@@ -9,21 +9,31 @@
 //! the host (partial offloading). A client's update goes through the
 //! host, as in DDS's integration where the host owns write ordering; a
 //! backup applies an update the replication chain already ordered on the
-//! DPU when the key's entry is DPU-resident.
+//! DPU when the key's entry is DPU-resident. Which keys hold the DPU
+//! slots follows their gets: a host-served key that out-hits the coldest
+//! DPU-resident entry by a fixed margin swaps partitions with it.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use bytes::Bytes;
 
-use dpdpu_des::{join_all, spawn};
-use dpdpu_hw::{Memory, MemoryReservation};
+use dpdpu_des::{join_all, spawn, Counter};
+use dpdpu_hw::{Memory, MemoryReservation, PcieLink};
 use dpdpu_storage::{FileService, FsError, RecordLog};
 
 /// Approximate DPU-memory footprint of one index entry (bucket slot,
 /// key, address, chain overhead).
 pub const INDEX_ENTRY_BYTES: u64 = 64;
+
+/// Gets by which a host-resident key must lead the coldest DPU-resident
+/// entry before the two swap partitions. A swap costs a PCIe write of
+/// the promoted entry, and under a uniform stream counts differ by
+/// chance alone: Fig. 9's 128-key, 1 024-get stream reaches a lead of
+/// 13 at 25 % coverage, where a swap would buy nothing. Only a lead that
+/// chance rarely gives may move an entry.
+pub(crate) const PROMOTION_MARGIN_GETS: u64 = 16;
 
 /// Where a key's index entry lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +44,16 @@ pub enum Residency {
     Host,
     /// Key unknown.
     Missing,
+}
+
+/// Which partition holds an index entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Partition {
+    Host,
+    Dpu,
+    /// Host-resident while its posted DMA to the DPU is in flight: it
+    /// already holds the DPU slot its victim gave up.
+    Promoting,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -50,22 +70,26 @@ struct IndexEntry {
     /// so a migrated entry loses to a client entry regardless of log
     /// offsets — offsets order concurrent client puts, not copies.
     migrated: bool,
-    /// True when the entry lives in the DPU-resident partition. Decided
-    /// once, when the key is first indexed; updates keep it.
-    on_dpu: bool,
+    /// The partition holding the entry: first-come when the key is
+    /// first indexed, then moved only by a promotion; updates keep it.
+    partition: Partition,
+    /// Gets of this key since it was indexed. Updates keep it; it never
+    /// decays.
+    gets: u64,
 }
 
 impl IndexEntry {
     /// The entry for the record of `value` whose 12-byte header sits at
     /// log offset `record_offset`; [`KvStore::index_insert`] decides
-    /// `on_dpu`.
+    /// its partition.
     fn at(record_offset: u64, value: &[u8], migrated: bool) -> Self {
         IndexEntry {
             value_offset: record_offset + 12,
             value_len: value.len() as u32,
             fingerprint: fingerprint(value),
             migrated,
-            on_dpu: false,
+            partition: Partition::Host,
+            gets: 0,
         }
     }
 }
@@ -99,15 +123,21 @@ fn fingerprint(value: &[u8]) -> u64 {
 /// The KV store.
 pub struct KvStore {
     log: RecordLog,
-    /// Both partitions of the split index: an entry's `on_dpu` says
+    /// Both partitions of the split index: an entry's `partition` says
     /// which one holds it.
     index: RefCell<HashMap<u64, IndexEntry>>,
-    /// Entries with `on_dpu` set — what the §7 budget test counts.
+    /// `(gets, key)` of every DPU-resident entry, coldest first: a
+    /// promotion's victim without a scan of the index.
+    dpu_heat: RefCell<BTreeSet<(u64, u64)>>,
+    /// DPU slots held, by DPU-resident and promoting entries — what the
+    /// §7 budget test counts.
     dpu_entries: Cell<u64>,
     /// DPU memory held by the `dpu_entries` (grown per entry, never
     /// shrunk: FASTER-style stores reclaim index slots lazily).
     index_reservation: RefCell<MemoryReservation>,
     index_budget: u64,
+    /// Swaps of a host-resident key with the coldest DPU-resident one.
+    pub(crate) index_promotions: Counter,
 }
 
 impl KvStore {
@@ -119,18 +149,20 @@ impl KvStore {
         Rc::new(KvStore {
             log,
             index: RefCell::new(HashMap::new()),
+            dpu_heat: RefCell::new(BTreeSet::new()),
             dpu_entries: Cell::new(0),
             index_reservation: RefCell::new(reservation),
             index_budget,
+            index_promotions: Counter::new(),
         })
     }
 
     /// Recovers a store from an existing hybrid-log file: scans the log
     /// from the head, rebuilding the hash index (latest version of each
-    /// key wins, as in FASTER recovery). This is the §9 "coordinated
-    /// recovery" path for state the DPU persisted before a crash: the
-    /// log on the SSD is the single source of truth; the in-memory index
-    /// is reconstructable.
+    /// key wins, as in FASTER recovery; every get count starts at 0).
+    /// This is the §9 "coordinated recovery" path for state the DPU
+    /// persisted before a crash: the log on the SSD is the single source
+    /// of truth; the in-memory index is reconstructable.
     pub async fn recover(
         service: Rc<FileService>,
         dpu_mem: Memory,
@@ -155,8 +187,9 @@ impl KvStore {
 
     /// Inserts or updates the index entry of `key`, respecting the DPU
     /// budget; returns whether the entry was installed. An existing key
-    /// keeps its partition; a new key goes to the DPU while the budget
-    /// and DPU memory allow, to the host partition otherwise.
+    /// keeps its partition and its get count; a new key goes to the DPU
+    /// while the budget and DPU memory allow, to the host partition
+    /// otherwise.
     ///
     /// Client updates are newest-offset-wins: the log assigns offsets in
     /// the order puts queue their records (their arrival order at the
@@ -191,7 +224,8 @@ impl KvStore {
             };
             if wins {
                 *e = IndexEntry {
-                    on_dpu: e.on_dpu,
+                    partition: e.partition,
+                    gets: e.gets,
                     ..entry
                 };
             }
@@ -204,10 +238,14 @@ impl KvStore {
                 .borrow_mut()
                 .grow(INDEX_ENTRY_BYTES)
                 .is_ok();
-        if on_dpu {
+        let partition = if on_dpu {
             self.dpu_entries.set(self.dpu_entries.get() + 1);
-        }
-        index.insert(key, IndexEntry { on_dpu, ..entry });
+            self.dpu_heat.borrow_mut().insert((0, key));
+            Partition::Dpu
+        } else {
+            Partition::Host
+        };
+        index.insert(key, IndexEntry { partition, ..entry });
         true
     }
 
@@ -262,16 +300,25 @@ impl KvStore {
     /// Which partition (if any) indexes `key`.
     pub fn residency(&self, key: u64) -> Residency {
         match self.index.borrow().get(&key) {
-            Some(e) if e.on_dpu => Residency::Dpu,
+            Some(e) if e.partition == Partition::Dpu => Residency::Dpu,
             Some(_) => Residency::Host,
             None => Residency::Missing,
         }
     }
 
     /// Reads a value by key (either partition; callers charge host CPU
-    /// separately when the host partition was needed).
+    /// separately when the host partition was needed) and counts the get
+    /// on its entry.
     pub async fn get(&self, key: u64) -> Result<Option<Bytes>, FsError> {
-        let entry = self.index.borrow().get(&key).copied();
+        let entry = self.index.borrow_mut().get_mut(&key).map(|e| {
+            if e.partition == Partition::Dpu {
+                let mut heat = self.dpu_heat.borrow_mut();
+                heat.remove(&(e.gets, key));
+                heat.insert((e.gets + 1, key));
+            }
+            e.gets += 1;
+            *e
+        });
         match entry {
             None => Ok(None),
             Some(e) => {
@@ -281,6 +328,48 @@ impl KvStore {
         }
     }
 
+    /// Called by the host after it served a get of `key`: when `key` is
+    /// host-resident and leads the coldest DPU-resident entry by
+    /// [`PROMOTION_MARGIN_GETS`] gets, the two swap partitions, and the
+    /// call returns true. The victim is host-resident at once; `key`
+    /// takes the victim's DPU slot now and becomes DPU-resident when its
+    /// entry's posted DMA over `pcie` lands, so neither the slot count
+    /// nor the DPU memory held changes. A key whose promotion is in
+    /// flight is not promoted again.
+    pub(crate) fn promote_if_hot(self: &Rc<Self>, key: u64, pcie: &Rc<PcieLink>) -> bool {
+        let mut index = self.index.borrow_mut();
+        let Some(gets) = index
+            .get(&key)
+            .filter(|e| e.partition == Partition::Host)
+            .map(|e| e.gets)
+        else {
+            return false;
+        };
+        let mut heat = self.dpu_heat.borrow_mut();
+        let Some(&(coldest, victim)) = heat.first() else {
+            return false;
+        };
+        if gets < coldest + PROMOTION_MARGIN_GETS {
+            return false;
+        }
+        heat.pop_first();
+        index.get_mut(&victim).expect("indexed").partition = Partition::Host;
+        index.get_mut(&key).expect("indexed").partition = Partition::Promoting;
+        self.index_promotions.inc();
+        let (kv, pcie) = (self.clone(), pcie.clone());
+        spawn(async move {
+            pcie.dma(INDEX_ENTRY_BYTES).await;
+            // In DPU memory now, unless it was dropped meanwhile.
+            let mut index = kv.index.borrow_mut();
+            let landed = index.get_mut(&key);
+            if let Some(e) = landed.filter(|e| e.partition == Partition::Promoting) {
+                e.partition = Partition::Dpu;
+                kv.dpu_heat.borrow_mut().insert((e.gets, key));
+            }
+        });
+        true
+    }
+
     /// True when every *present* key of the dense range
     /// `[start_key, start_key + count)` is DPU-resident, so the DPU can
     /// serve the scan alone. A range with no present keys is trivially
@@ -288,7 +377,7 @@ impl KvStore {
     pub(crate) fn range_resident_dpu(&self, start_key: u64, count: u32) -> bool {
         let index = self.index.borrow();
         (start_key..start_key.saturating_add(count as u64))
-            .all(|k| index.get(&k).is_none_or(|e| e.on_dpu))
+            .all(|k| index.get(&k).is_none_or(|e| e.partition == Partition::Dpu))
     }
 
     /// Multi-get over the dense key range `[start_key, start_key +
@@ -341,11 +430,18 @@ impl KvStore {
     /// was present. The DPU memory reservation is deliberately not
     /// shrunk: FASTER-style stores reclaim index slots lazily.
     pub(crate) fn drop_key(&self, key: u64) -> bool {
-        let dropped = self.index.borrow_mut().remove(&key);
-        if dropped.is_some_and(|e| e.on_dpu) {
-            self.dpu_entries.set(self.dpu_entries.get() - 1);
+        let Some(dropped) = self.index.borrow_mut().remove(&key) else {
+            return false;
+        };
+        match dropped.partition {
+            Partition::Host => {}
+            Partition::Dpu => {
+                self.dpu_heat.borrow_mut().remove(&(dropped.gets, key));
+                self.dpu_entries.set(self.dpu_entries.get() - 1);
+            }
+            Partition::Promoting => self.dpu_entries.set(self.dpu_entries.get() - 1),
         }
-        dropped.is_some()
+        true
     }
 
     /// Order-independent digest of the *live* state (indexed entries
@@ -372,7 +468,8 @@ impl KvStore {
         (entries, bytes, checksum)
     }
 
-    /// Number of keys in each partition `(dpu, host)`.
+    /// Number of keys in each partition `(dpu, host)`; a promotion in
+    /// flight counts on the DPU side, whose slot it holds.
     pub fn partition_sizes(&self) -> (usize, usize) {
         let dpu = self.dpu_entries.get() as usize;
         (dpu, self.index.borrow().len() - dpu)
@@ -826,6 +923,183 @@ mod tests {
             }
         });
         sim.run();
+    }
+
+    /// One get as the server serves it: residency is read once, at
+    /// routing, and a host-served get may promote its key.
+    async fn serve_get(kv: &Rc<KvStore>, p: &Platform, key: u64) {
+        let host_served = kv.residency(key) == Residency::Host;
+        kv.get(key).await.unwrap().expect("present");
+        if host_served {
+            kv.promote_if_hot(key, &p.host_dpu_pcie);
+        }
+    }
+
+    /// Keys of the skewed stream, which indexes `0..32` with 8 DPU slots.
+    const HOT: std::ops::Range<u64> = 20..28;
+
+    /// Indexes `order` under an 8-slot budget, then serves 40 rounds of
+    /// gets: every [`HOT`] key once and one key of `0..20` in turn.
+    /// After each get, the slots held and the DPU memory reserved are
+    /// checked against the budget and the preload's reservation.
+    async fn skewed_stream(order: &[u64]) -> Rc<KvStore> {
+        let p = Platform::default_bf2();
+        let kv = store(&p, 8 * INDEX_ENTRY_BYTES).await;
+        for &k in order {
+            kv.put(k, b"v").await.unwrap();
+        }
+        let reserved = p.dpu_mem.used();
+        for round in 0..40 {
+            for key in HOT.chain([round % 20]) {
+                serve_get(&kv, &p, key).await;
+                assert_eq!(kv.partition_sizes().0, 8, "the slots held move");
+                assert_eq!(p.dpu_mem.used(), reserved, "a swap reserved memory");
+            }
+        }
+        // Past the last promotion's DMA.
+        dpdpu_des::sleep(1_000_000).await;
+        kv
+    }
+
+    fn dpu_set(kv: &KvStore) -> Vec<u64> {
+        let keys = kv.keys().into_iter();
+        keys.filter(|&k| kv.residency(k) == Residency::Dpu)
+            .collect()
+    }
+
+    #[test]
+    fn a_skewed_stream_converges_to_the_hot_set() {
+        dpdpu_des::block_on(async {
+            let kv = skewed_stream(&(0..32).collect::<Vec<_>>()).await;
+            assert_eq!(dpu_set(&kv), HOT.collect::<Vec<_>>());
+            assert_eq!(kv.index_promotions.get(), 8, "one swap per hot key");
+        });
+    }
+
+    /// The victim is the coldest entry by `(gets, key)`, found without
+    /// walking the `HashMap`, so two insertion orders whose first-come
+    /// slots are equally cold end alike.
+    #[test]
+    fn the_swaps_do_not_depend_on_insertion_order() {
+        dpdpu_des::block_on(async {
+            let ascending = skewed_stream(&(0..32).collect::<Vec<_>>()).await;
+            let other: Vec<u64> = (8..16)
+                .rev()
+                .chain((0..8).rev())
+                .chain((16..32).rev())
+                .collect();
+            let other = skewed_stream(&other).await;
+            assert_eq!(dpu_set(&other), dpu_set(&ascending));
+            assert_eq!(
+                other.index_promotions.get(),
+                ascending.index_promotions.get()
+            );
+        });
+    }
+
+    #[test]
+    fn swaps_keep_the_budget_and_the_reservation() {
+        dpdpu_des::block_on(async {
+            // `skewed_stream` checks both after every get.
+            let kv = skewed_stream(&(0..32).collect::<Vec<_>>()).await;
+            assert_eq!(kv.partition_sizes(), (8, 24));
+            assert!(kv.index_promotions.get() > 0);
+        });
+    }
+
+    #[test]
+    fn a_put_keeps_the_count_and_the_partition() {
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let kv = store(&p, INDEX_ENTRY_BYTES).await;
+            kv.put(0, b"dpu").await.unwrap();
+            kv.put(1, b"host").await.unwrap();
+            for key in [0, 0, 1, 1, 1] {
+                kv.get(key).await.unwrap();
+            }
+            kv.put(0, b"dpu-2").await.unwrap();
+            kv.put(1, b"host-2").await.unwrap();
+            let entry = |k: u64| kv.index.borrow()[&k];
+            assert_eq!((entry(0).gets, entry(0).partition), (2, Partition::Dpu));
+            assert_eq!((entry(1).gets, entry(1).partition), (3, Partition::Host));
+            assert!(kv.dpu_heat.borrow().contains(&(2, 0)));
+        });
+    }
+
+    #[test]
+    fn drop_key_frees_the_slot_of_either_partition() {
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let kv = store(&p, 2 * INDEX_ENTRY_BYTES).await;
+            for k in 0..4 {
+                kv.put(k, b"v").await.unwrap();
+            }
+            assert!(kv.drop_key(3), "a host entry");
+            assert_eq!(kv.partition_sizes(), (2, 1));
+            assert!(kv.drop_key(0), "a DPU entry");
+            assert_eq!(kv.partition_sizes(), (1, 1));
+            assert_eq!(kv.dpu_heat.borrow().len(), 1);
+            kv.put(4, b"v").await.unwrap();
+            assert_eq!(kv.residency(4), Residency::Dpu, "the freed slot");
+            // A promotion dropped in flight gives its slot back, and its
+            // landing finds nothing to place.
+            for _ in 0..PROMOTION_MARGIN_GETS {
+                kv.get(2).await.unwrap();
+            }
+            assert!(kv.promote_if_hot(2, &p.host_dpu_pcie));
+            assert!(kv.drop_key(2), "a promoting entry");
+            assert_eq!(kv.partition_sizes(), (1, 1));
+            dpdpu_des::sleep(1_000_000).await;
+            assert_eq!(kv.residency(2), Residency::Missing);
+            assert_eq!(kv.partition_sizes(), (1, 1));
+        });
+    }
+
+    #[test]
+    fn recovery_starts_every_count_at_zero() {
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
+                .await
+                .unwrap();
+            for k in 0..8u64 {
+                kv.put(k, b"v").await.unwrap();
+                kv.get(k).await.unwrap();
+            }
+            drop(kv);
+            let kv = KvStore::recover(svc, p.dpu_mem.clone(), 1 << 20, "kv.log")
+                .await
+                .unwrap();
+            assert!(kv.index.borrow().values().all(|e| e.gets == 0));
+            let heat = kv.dpu_heat.borrow();
+            assert_eq!(heat.iter().map(|&(gets, _)| gets).max(), Some(0));
+        });
+    }
+
+    /// Fig. 9's sweep: 128 keys preloaded in order, then 1 024 gets of
+    /// its xorshift64 stream. Its counts differ by chance alone, and at
+    /// no coverage does a swap fire.
+    #[test]
+    fn fig9s_uniform_stream_makes_no_swap() {
+        for slots in [32u64, 64, 96] {
+            let promotions = dpdpu_des::block_on(async move {
+                let p = Platform::default_bf2();
+                let kv = store(&p, slots * INDEX_ENTRY_BYTES).await;
+                for k in 0..128u64 {
+                    kv.put(k, b"v").await.unwrap();
+                }
+                let mut x = 0x2545F491u64;
+                for _ in 0..1_024 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    serve_get(&kv, &p, x % 128).await;
+                }
+                kv.index_promotions.get()
+            });
+            assert_eq!(promotions, 0, "{slots} slots");
+        }
     }
 
     #[test]

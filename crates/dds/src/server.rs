@@ -78,7 +78,7 @@ pub struct Dds {
     /// Request router (Q2).
     pub director: TrafficDirector,
     /// FASTER-style KV integration.
-    pub(crate) kv: Rc<KvStore>,
+    pub kv: Rc<KvStore>,
     /// Hyperscale-style page-server integration.
     pub pages: Rc<PageServer>,
     /// Requests served on the DPU path.
@@ -299,6 +299,11 @@ impl Dds {
             .host_dpu_pcie
             .dma(resp.encoded_len() as u64)
             .await;
+        // The get is counted; a key hotter than the coldest DPU entry
+        // takes its slot, by a DMA off the reply's path.
+        if let Op::KvGet { key } = req.op {
+            self.kv.promote_if_hot(key, &self.platform.host_dpu_pcie);
+        }
         resp.reply
     }
 

@@ -319,18 +319,23 @@ fn every_figure_matches_its_golden() {
         .unwrap_or_else(|e| panic!("EXPERIMENTS.md: {e}"));
 }
 
-/// The figure golden is known-sensitive. On a copy of EXPERIMENTS.md, a
-/// changed digit, a missing or repeated block, a text fence holding prose
-/// and an unclosed fence each fail; blessing the changed digit gives the
-/// original back byte for byte.
+/// The figure golden is known-sensitive. On a blessed copy of
+/// EXPERIMENTS.md, a changed digit, a missing or repeated block, a text
+/// fence holding prose and an unclosed fence each fail; blessing the
+/// changed digit gives the blessed copy back byte for byte. The copy is
+/// blessed first so that a stale fence in the document itself, which
+/// `UPDATE_GOLDEN=1` is run to rewrite, fails only
+/// `every_figure_matches_its_golden`.
 #[test]
 fn the_figure_golden_catches_drift_and_malformed_fences() {
-    let doc = std::fs::read_to_string(experiments_md()).expect("EXPERIMENTS.md");
     let tmp = std::env::temp_dir().join(format!("dpdpu-experiments-{}.md", std::process::id()));
     let check = |text: &str, bless: bool| {
         std::fs::write(&tmp, text).expect("write the copy");
         check_figures(&tmp, bless)
     };
+    let current = std::fs::read_to_string(experiments_md()).expect("EXPERIMENTS.md");
+    check(&current, true).expect("blessing the document");
+    let doc = std::fs::read_to_string(&tmp).expect("read back");
     let a4 = &figures().iter().find(|(id, _)| id == "A4").expect("A4").1;
     let fence = format!("```text\n{a4}```\n");
 

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use dpdpu_des::{join_all, spawn, Counter};
+use dpdpu_des::{spawn, Counter};
 use dpdpu_hw::{Memory, MemoryReservation, PcieLink};
 use dpdpu_storage::{FileService, FsError, RecordLog};
 
@@ -172,15 +172,13 @@ impl KvStore {
         let log = service.open(name).await?;
         let log = RecordLog::open(service, log)?;
         let store = Self::new(log, dpu_mem, index_budget);
-        // Sequential log scan: each header, then its value to
-        // fingerprint. A torn tail record ends it: its ack never left
-        // the DPU.
+        // One pass over the log, each value fingerprinted. A torn tail
+        // record ends it: its ack never left the DPU.
         let mut offset = 0u64;
-        while let Some((header, len)) = store.log.header_at(offset, 12).await? {
+        for (header, value) in store.log.walk(0, 12).await? {
             let key = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-            let value = store.log.read(offset + 12, len).await?;
             store.index_insert(key, IndexEntry::at(offset, &value, false));
-            offset += 12 + len;
+            offset += 12 + value.len() as u64;
         }
         Ok(store)
     }
@@ -383,34 +381,25 @@ impl KvStore {
     /// Multi-get over the dense key range `[start_key, start_key +
     /// count)`: returns the present keys in ascending order with their
     /// values. The present keys come from one snapshot of the index, and
-    /// their records are all read at once, one task per read, so the
-    /// reads share the device's queue instead of waiting in turn. Every
-    /// read finishes before the scan returns; the first error in key
+    /// their records are read with one [`RecordLog::read_many`]: one read
+    /// per group of records sharing a device block, all at once. Every
+    /// read finishes before the scan returns; the first error in log
     /// order is the scan's.
     pub(crate) async fn scan(
-        self: &Rc<Self>,
+        &self,
         start_key: u64,
         count: u32,
     ) -> Result<Vec<(u64, Bytes)>, FsError> {
-        let present: Vec<(u64, IndexEntry)> = {
+        let (keys, ranges): (Vec<u64>, Vec<(u64, u64)>) = {
             let index = self.index.borrow();
             (start_key..start_key.saturating_add(count as u64))
-                .filter_map(|k| index.get(&k).map(|e| (k, *e)))
-                .collect()
+                .filter_map(|k| Some((k, index.get(&k)?)))
+                .map(|(k, e)| (k, (e.value_offset, e.value_len as u64)))
+                .unzip()
         };
-        let reads = present
-            .iter()
-            .map(|&(_, e)| {
-                let kv = self.clone();
-                spawn(async move { kv.log.read(e.value_offset, e.value_len as u64).await })
-            })
-            .collect();
-        let values = join_all(reads).await;
-        present
-            .into_iter()
-            .zip(values)
-            .map(|((key, _), value)| Ok((key, Bytes::from(value?))))
-            .collect()
+        let values = self.log.read_many(&ranges).await?;
+        let values = values.into_iter().map(Bytes::from);
+        Ok(keys.into_iter().zip(values).collect())
     }
 
     /// True when `key` is present in either index partition (no I/O).

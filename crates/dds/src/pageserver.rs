@@ -99,20 +99,13 @@ impl PageServer {
         let ps = Self::new(service, pages, wal, cache)?;
         // Redo scan: [page u64][offset u32][len u32][delta]. A torn tail
         // record ends it: that append was never acked.
-        let mut pos = ckpt;
-        while let Some((header, len)) = ps.wal.header_at(pos, 16).await? {
+        for (header, delta) in ps.wal.walk(ckpt, 16).await? {
             let page_id = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
             let offset = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-            let delta = ps.wal.read(pos + 16, len).await?;
-            ps.pending
-                .borrow_mut()
-                .entry(page_id)
-                .or_default()
-                .push(LogRecord {
-                    offset,
-                    delta: Bytes::from(delta),
-                });
-            pos += 16 + len;
+            let delta = Bytes::from(delta);
+            let mut pending = ps.pending.borrow_mut();
+            let records = pending.entry(page_id).or_default();
+            records.push(LogRecord { offset, delta });
         }
         Ok(ps)
     }
@@ -240,35 +233,37 @@ impl PageServer {
     }
 
     /// Host-side replay of one page's pending records: read the image,
-    /// apply deltas (charging host CPU per record), write it back. The
-    /// records are acknowledged state: a replay that fails keeps them,
-    /// ahead of anything appended meanwhile, and the page stays dirty.
+    /// apply deltas (charging host CPU per record), write it back; yields
+    /// the image written, or `None` when nothing was pending. The records
+    /// are acknowledged state: a replay that fails keeps them, ahead of
+    /// anything appended meanwhile, and the page stays dirty.
     pub(crate) async fn replay_page(
         &self,
         page_id: u64,
         host_cpu: &CpuPool,
-    ) -> Result<(), FsError> {
+    ) -> Result<Option<Vec<u8>>, FsError> {
         let Some(records) = self.pending.borrow_mut().remove(&page_id) else {
-            return Ok(());
+            return Ok(None);
         };
         let applied = self.apply(page_id, &records, host_cpu).await;
         match applied {
-            Ok(()) => self.replayed.add(records.len() as u64),
+            Ok(_) => self.replayed.add(records.len() as u64),
             Err(_) => {
                 let mut pending = self.pending.borrow_mut();
                 pending.entry(page_id).or_default().splice(0..0, records);
             }
         }
-        applied
+        applied.map(Some)
     }
 
-    /// Applies `records` to the stored image of `page_id`.
+    /// Applies `records` to the stored image of `page_id`; yields the
+    /// image written.
     async fn apply(
         &self,
         page_id: u64,
         records: &[LogRecord],
         host_cpu: &CpuPool,
-    ) -> Result<(), FsError> {
+    ) -> Result<Vec<u8>, FsError> {
         let base = page_id * PAGE_SIZE;
         let epoch = self.epoch(page_id);
         let mut image = self.read_page(page_id).await?;
@@ -283,28 +278,32 @@ impl PageServer {
             // log record arrived mid-replay, in which case this image is
             // already missing a delta and must not be cached.
             if self.epoch(page_id) == epoch {
-                cache.put(self.pages, base, image);
+                cache.put(self.pages, base, image.clone());
             }
         }
-        Ok(())
+        Ok(image)
     }
 
     /// Serves a page via the host: replay first (the host owns the
-    /// pending log), then return the fresh image.
+    /// pending log) and return the image the replay wrote, or read the
+    /// stored image when nothing was pending.
     pub(crate) async fn get_page_host(
         &self,
         page_id: u64,
         host_cpu: &CpuPool,
     ) -> Result<Bytes, FsError> {
-        self.replay_page(page_id, host_cpu).await?;
-        Ok(Bytes::from(self.read_page(page_id).await?))
+        let image = match self.replay_page(page_id, host_cpu).await? {
+            Some(image) => image,
+            None => self.read_page(page_id).await?,
+        };
+        Ok(Bytes::from(image))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpdpu_des::Sim;
+    use dpdpu_des::{block_on, Sim};
     use dpdpu_hw::Platform;
     use dpdpu_storage::{BlockDevice, ExtentFs};
 
@@ -367,6 +366,25 @@ mod tests {
             assert!(p.host_cpu.busy_ns() > before, "replay must cost host CPU");
         });
         sim.run();
+    }
+
+    /// The replay hands the image it wrote to the GetPage: one device
+    /// read of the stored image, one write of the replayed one, and no
+    /// second read.
+    #[test]
+    fn a_host_get_of_a_dirty_page_reads_it_once() {
+        block_on(async {
+            let p = Platform::default_bf2();
+            let ps = server(&p).await;
+            ps.append_log(3, 8, Bytes::from_static(b"page"))
+                .await
+                .unwrap();
+            let (reads, writes) = (p.ssd.reads.get(), p.ssd.writes.get());
+            let page = ps.get_page_host(3, &p.host_cpu).await.unwrap();
+            assert_eq!(&page[8..12], b"page");
+            let cost = (p.ssd.reads.get() - reads, p.ssd.writes.get() - writes);
+            assert_eq!(cost, (1, 1), "(device reads, device writes)");
+        });
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub struct Ssd {
     wr: Lane,
     pub reads: Counter,
     pub writes: Counter,
-    pub(crate) bytes_read: Counter,
+    pub bytes_read: Counter,
     pub(crate) bytes_written: Counter,
     pub io_errors: Counter,
 }

@@ -27,7 +27,8 @@
 //!   to the host, cutting commit latency.
 //! * [`RecordLog`] — the one append-only record log under `FastPersist`,
 //!   the DDS KV store's hybrid log and the page server's WAL: the
-//!   reserve-then-write tail and the torn-tail recovery walk.
+//!   group-commit tail, reads that share a device block's read, and the
+//!   one-pass torn-tail recovery walk.
 
 mod blockdev;
 mod cache;

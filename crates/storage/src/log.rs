@@ -19,26 +19,34 @@
 //! * **One record shape.** `[fixed fields][body_len u32 LE][body]`: the
 //!   header's last four bytes are the body length.
 //! * **Torn tail.** A header that promises more bytes than the file holds
-//!   ends the walk ([`RecordLog::header_at`]): the append was never
+//!   ends the walk ([`RecordLog::walk`]): the append was never
 //!   acknowledged, so the record is discarded, without error. The file
 //!   grows only when a write completed, so a batch torn by power loss
 //!   is wholly past the end; the rule covers a record whose own bytes
 //!   stop short.
+//! * **A block is read once.** [`RecordLog::read_many`] reads records
+//!   that share a device block with one read, and never reads a block
+//!   that no record needs; a recovery walk reads its suffix in one pass.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::mem;
 use std::rc::Rc;
 
-use dpdpu_des::Semaphore;
+use dpdpu_des::{join_all, spawn, Semaphore};
 
+use crate::blockdev::BLOCK_SIZE;
 use crate::fs::{FileId, FsError};
 use crate::service::FileService;
 
 /// Where a queued append's answer lands: its offset, or its batch's error.
 type Slot = Rc<Cell<Option<Result<u64, FsError>>>>;
 
-/// The group-commit tail and header walk of one log file.
+/// A record a walk found: its header and its body.
+type Record = (Vec<u8>, Vec<u8>);
+
+/// The group-commit tail, block-grouped reads and recovery walk of one
+/// log file.
 pub struct RecordLog {
     service: Rc<FileService>,
     file: FileId,
@@ -125,19 +133,67 @@ impl RecordLog {
         self.service.read(self.file, offset, len).await
     }
 
-    /// One step of a recovery walk: the `len`-byte header of the record
-    /// at `pos` and its body length, or `None` when no whole record
-    /// starts there (end of log, or a torn tail). The next record starts
-    /// at `pos + len + body_len`.
-    pub async fn header_at(&self, pos: u64, len: u64) -> Result<Option<(Vec<u8>, u64)>, FsError> {
-        let size = self.service.fs().size(self.file)?;
-        if pos + len > size {
-            return Ok(None);
+    /// Reads every `(offset, len)` range, all at once. Ranges whose bytes
+    /// share a device block form one group, so a record that straddles
+    /// two blocks links the groups on both sides; each group is one read
+    /// of its byte span. Groups never merge across a gap: no block is
+    /// read that no range needs. Every read finishes before this returns;
+    /// the values follow `ranges`, and the first error in offset order
+    /// is the call's.
+    pub async fn read_many(&self, ranges: &[(u64, u64)]) -> Result<Vec<Vec<u8>>, FsError> {
+        let block = |byte: u64| byte / BLOCK_SIZE as u64;
+        let mut order: Vec<usize> = (0..ranges.len()).filter(|&i| ranges[i].1 > 0).collect();
+        order.sort_by_key(|&i| ranges[i].0);
+        // Each group's `[start, end)` span, and each range's group (none
+        // for an empty range: it needs no block).
+        let mut spans: Vec<(u64, u64)> = Vec::new();
+        let mut group = vec![None; ranges.len()];
+        for i in order {
+            let (offset, end) = (ranges[i].0, ranges[i].0 + ranges[i].1);
+            match spans.last_mut() {
+                Some((_, last)) if block(offset) <= block(*last - 1) => *last = end.max(*last),
+                _ => spans.push((offset, end)),
+            }
+            group[i] = Some(spans.len() - 1);
         }
-        let header = self.read(pos, len).await?;
-        let body_len = &header[header.len() - 4..];
-        let body_len = u32::from_le_bytes(body_len.try_into().expect("4 bytes")) as u64;
-        Ok((pos + len + body_len <= size).then_some((header, body_len)))
+        let reads = spans
+            .iter()
+            .map(|&(start, end)| {
+                let (service, file) = (self.service.clone(), self.file);
+                spawn(async move { service.read(file, start, end - start).await })
+            })
+            .collect();
+        let data: Vec<_> = join_all(reads)
+            .await
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        let values = ranges.iter().zip(group).map(|(&(offset, len), g)| match g {
+            Some(g) => data[g][(offset - spans[g].0) as usize..][..len as usize].to_vec(),
+            None => Vec::new(),
+        });
+        Ok(values.collect())
+    }
+
+    /// Every whole record from `from` on, as `(header, body)`, read with
+    /// one pass over `[from, size)`. A record is a `header_len`-byte
+    /// header whose last four bytes are its body length, then the body; a
+    /// header that promises more than the file holds, or a tail too short
+    /// for a header, ends the walk.
+    pub async fn walk(&self, from: u64, header_len: u64) -> Result<Vec<Record>, FsError> {
+        let size = self.service.fs().size(self.file)?;
+        if from >= size {
+            return Ok(Vec::new());
+        }
+        let bytes = self.read(from, size - from).await?;
+        let mut rest = &bytes[..];
+        let records = std::iter::from_fn(|| {
+            let (header, after) = rest.split_at_checked(header_len as usize)?;
+            let body_len = u32::from_le_bytes(header[header.len() - 4..].try_into().ok()?);
+            let (body, next) = after.split_at_checked(body_len as usize)?;
+            rest = next;
+            Some((header.to_vec(), body.to_vec()))
+        });
+        Ok(records.collect())
     }
 }
 
@@ -146,6 +202,7 @@ mod tests {
     use super::*;
     use crate::blockdev::BlockDevice;
     use crate::fs::ExtentFs;
+    use dpdpu_check::CheckGuard;
     use dpdpu_des::{block_on, join_all, now, spawn, timeout};
     use dpdpu_faults::{FaultPlan, FaultSite, SessionGuard};
     use dpdpu_hw::Platform;
@@ -166,13 +223,13 @@ mod tests {
     }
 
     /// Tags and body lengths of the records a walk from `pos` yields.
-    async fn walk(log: &RecordLog, mut pos: u64) -> Vec<(u64, u64)> {
-        let mut seen = Vec::new();
-        while let Some((header, len)) = log.header_at(pos, 12).await.unwrap() {
-            seen.push((u64::from_le_bytes(header[0..8].try_into().unwrap()), len));
-            pos += 12 + len;
-        }
-        seen
+    async fn walk(log: &RecordLog, pos: u64) -> Vec<(u64, u64)> {
+        let records = log.walk(pos, 12).await.unwrap();
+        let tag = |header: &[u8]| u64::from_le_bytes(header[0..8].try_into().unwrap());
+        records
+            .iter()
+            .map(|(header, body)| (tag(header), body.len() as u64))
+            .collect()
     }
 
     #[test]
@@ -204,14 +261,15 @@ mod tests {
             log.append(torn).await.unwrap();
             assert_eq!(walk(&log, 0).await, vec![(1, 5)]);
             // A tail too short to hold a header ends it the same way.
-            assert!(log.header_at(log.tail() - 4, 12).await.unwrap().is_none());
+            assert_eq!(walk(&log, log.tail() - 4).await, vec![]);
         });
     }
 
     #[test]
     fn a_walk_from_a_checkpoint_yields_exactly_the_suffix() {
         block_on(async {
-            let log = new_log(&Platform::default_bf2());
+            let p = Platform::default_bf2();
+            let log = new_log(&p);
             let mut checkpoint = 0;
             for tag in 0..5u64 {
                 if tag == 2 {
@@ -221,8 +279,10 @@ mod tests {
                 log.append(record(tag, &body)).await.unwrap();
             }
             assert_eq!(checkpoint, 12 + (12 + 10));
+            let reads = p.ssd.reads.get();
             let suffix = walk(&log, checkpoint).await;
             assert_eq!(suffix, vec![(2, 20), (3, 30), (4, 40)]);
+            assert_eq!(p.ssd.reads.get() - reads, 1, "one read for the suffix");
             assert_eq!(walk(&log, log.tail()).await, vec![]);
         });
     }
@@ -325,5 +385,125 @@ mod tests {
             let both = log.read(0, log.tail()).await.unwrap();
             assert_eq!(both, [cancelled, record(2, &[2u8; 50])].concat());
         });
+    }
+
+    /// Appends `bodies` one after another as 12-byte-header records;
+    /// returns each body's `(offset, len)` range.
+    async fn append_all(log: &RecordLog, bodies: &[Vec<u8>]) -> Vec<(u64, u64)> {
+        let mut ranges = Vec::new();
+        for (tag, body) in (0..).zip(bodies) {
+            let at = log.append(record(tag, body)).await.unwrap();
+            ranges.push((at + 12, body.len() as u64));
+        }
+        ranges
+    }
+
+    /// `read_many` of `ranges`: its values, and the device reads and
+    /// bytes it cost.
+    async fn read_counted(
+        p: &Platform,
+        log: &RecordLog,
+        ranges: &[(u64, u64)],
+    ) -> (Vec<Vec<u8>>, u64, u64) {
+        let (reads, bytes) = (p.ssd.reads.get(), p.ssd.bytes_read.get());
+        let values = log.read_many(ranges).await.unwrap();
+        let cost = (p.ssd.reads.get() - reads, p.ssd.bytes_read.get() - bytes);
+        (values, cost.0, cost.1)
+    }
+
+    const BLOCK: u64 = BLOCK_SIZE as u64;
+
+    #[test]
+    fn ranges_in_one_block_cost_one_read() {
+        block_on(async {
+            let p = Platform::default_bf2();
+            let log = new_log(&p);
+            let bodies: Vec<_> = (1..=4u8).map(|b| vec![b; 200]).collect();
+            let ranges = append_all(&log, &bodies).await;
+            let (values, reads, bytes) = read_counted(&p, &log, &ranges).await;
+            assert_eq!(values, bodies);
+            assert_eq!((reads, bytes), (1, BLOCK));
+        });
+    }
+
+    /// Two records in blocks 0 and 3, the blocks between holding only a
+    /// record nobody asked for: two reads of one block each.
+    #[test]
+    fn ranges_in_two_non_adjacent_blocks_read_no_block_between() {
+        block_on(async {
+            let p = Platform::default_bf2();
+            let log = new_log(&p);
+            let filler = vec![0u8; 3 * BLOCK as usize - (12 + 100) - 2 * 12];
+            let bodies = vec![vec![1u8; 100], filler, vec![3u8; 100]];
+            let ranges = append_all(&log, &bodies).await;
+            assert_eq!(ranges[2].0 / BLOCK, 3, "the last record sits in block 3");
+            let wanted = [ranges[0], ranges[2]];
+            let (values, reads, bytes) = read_counted(&p, &log, &wanted).await;
+            assert_eq!(values, [bodies[0].clone(), bodies[2].clone()]);
+            assert_eq!((reads, bytes), (2, 2 * BLOCK));
+        });
+    }
+
+    /// Records in blocks 0 and 1 read apart, but a record straddling the
+    /// boundary joins them into one read of both blocks.
+    #[test]
+    fn a_straddling_record_links_its_neighbours_groups() {
+        block_on(async {
+            let p = Platform::default_bf2();
+            let log = new_log(&p);
+            let before = vec![1u8; BLOCK as usize - 12 - (12 + 50)];
+            let bodies = vec![before, vec![2u8; 100], vec![3u8; 100]];
+            let ranges = append_all(&log, &bodies).await;
+            let (first, straddling, last) = (ranges[0], ranges[1], ranges[2]);
+            assert_eq!(straddling.0 / BLOCK, 0);
+            assert_eq!((straddling.0 + straddling.1) / BLOCK, 1);
+            let (_, reads, bytes) = read_counted(&p, &log, &[first, last]).await;
+            assert_eq!((reads, bytes), (2, 2 * BLOCK), "adjacent blocks stay apart");
+            let (values, reads, bytes) = read_counted(&p, &log, &ranges).await;
+            assert_eq!(values, bodies);
+            assert_eq!((reads, bytes), (1, 2 * BLOCK));
+        });
+    }
+
+    /// Values come back in the order of the ranges asked for, whatever
+    /// their offsets and groups; an empty range reads nothing.
+    #[test]
+    fn values_follow_the_order_of_the_ranges() {
+        block_on(async {
+            let p = Platform::default_bf2();
+            let log = new_log(&p);
+            let bodies: Vec<_> = (0..6u8).map(|b| vec![b; 1_500]).collect();
+            let ranges = append_all(&log, &bodies).await;
+            let order = [4, 0, 5, 2, 1, 3];
+            let mut asked: Vec<_> = order.iter().map(|&i| ranges[i]).collect();
+            asked.insert(2, (ranges[3].0, 0));
+            let (values, _, _) = read_counted(&p, &log, &asked).await;
+            let mut expected: Vec<_> = order.iter().map(|&i| bodies[i].clone()).collect();
+            expected.insert(2, Vec::new());
+            assert_eq!(values, expected);
+        });
+    }
+
+    /// Both groups' reads run out their retries: the call fails only
+    /// after the last of them, and every device read left the ledger.
+    #[test]
+    fn a_failed_group_fails_the_call_after_every_group_finished() {
+        let check = CheckGuard::new();
+        let guard = SessionGuard::new(FaultPlan::new(5));
+        let session = guard.session.clone();
+        block_on(async move {
+            let p = Platform::default_bf2();
+            let log = new_log(&p);
+            let filler = vec![0u8; 3 * BLOCK as usize];
+            let ranges = append_all(&log, &[vec![1u8; 100], filler, vec![3u8; 100]]).await;
+            // Four attempts per group, every one of them failing.
+            session.arm(FaultSite::SsdRead, 0, 2 * 4);
+            let answer = log.read_many(&[ranges[2], ranges[0]]).await;
+            assert!(matches!(answer, Err(FsError::Io(_))), "{answer:?}");
+            assert_eq!(p.ssd.io_errors.get(), 2 * 4, "both groups ran out");
+            assert_eq!(p.ssd.reads.get(), 0);
+        });
+        drop(guard);
+        drop(check);
     }
 }

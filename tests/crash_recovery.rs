@@ -201,11 +201,8 @@ async fn recover(user: User, p: &Rc<Platform>, svc: Rc<FileService>) -> Result<S
         Handle::Persist(_) => {
             let file = svc.open("persist.log").await.unwrap();
             let log = RecordLog::open(svc, file).unwrap();
-            let mut pos = 0;
-            while let Some((header, len)) = log.header_at(pos, 12).await.unwrap() {
-                let body = log.read(pos + 12, len).await.unwrap();
+            for (header, body) in log.walk(0, 12).await.unwrap() {
                 found(tag_of(&header), body);
-                pos += 12 + len;
             }
         }
     }

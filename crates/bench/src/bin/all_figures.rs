@@ -1,15 +1,18 @@
 //! `all_figures [id…] [--knob value…] [--trace-out path] [--jobs N]`:
-//! regenerates the named figure and ablation tables (`all_figures fig2
-//! A3`), or with no id all of them — the artifact EXPERIMENTS.md records.
-//! A knob changes what the named ids run (`all_figures fig10 --servers 16
-//! 32`) and is refused unless every named id declares it. `--trace-out`
+//! regenerates the named entries of `dpdpu_bench::all()` (`all_figures
+//! fig2 A3 dds_kv`), or with no id every figure and ablation table — the
+//! artifact EXPERIMENTS.md records. A scenario prints only when named,
+//! its golden fixture's bytes under its `=== id ===` header. A knob
+//! changes what the named ids run (`all_figures fig10 --servers 16 32`)
+//! and is refused unless every named id declares it. `--trace-out`
 //! records one id's telemetry, writes its Chrome trace to `path` and
 //! prints the summary after the table. Every run is invariant-checked.
 //!
 //! `all_figures --audit [--seeds a,b,c] [--jobs N]` is the determinism
-//! audit instead: every shipped scenario is replayed twice per seed (42,
-//! 7 and 1234 by default), and any stdout or Chrome-trace byte difference
-//! between the two replays fails the run (exit 1).
+//! audit instead: every entry is replayed twice, once per seed (42, 7 and
+//! 1234 by default) if it declares `--seed` and once otherwise, and any
+//! stdout or Chrome-trace byte difference between the two replays fails
+//! the run (exit 1).
 //!
 //! `--jobs` caps the worker threads either mode runs on (one per core by
 //! default); results are collected in a fixed order, so no output byte
@@ -19,16 +22,16 @@ use std::iter::Peekable;
 use std::path::PathBuf;
 
 use dpdpu_bench::fleet::MAX_CLIENTS;
-use dpdpu_bench::{all, audit, default_jobs, render, scenarios, Knobs, MAX_SERVERS};
+use dpdpu_bench::{all, audit, default_jobs, render, Knobs, MAX_SERVERS};
 use dpdpu_net::fabric::FabricKind;
 use dpdpu_net::tcp::CongAlgKind;
 
 /// The seeds `--audit` replays when `--seeds` names none.
 const DEFAULT_SEEDS: [u64; 3] = [42, 7, 1234];
 
-/// One command line: the ids to run (none: every id), their knobs, and
-/// where the one id's trace goes; or, with `audit`, the seeds to audit
-/// the scenarios at. Either way on `jobs` workers.
+/// One command line: the ids to run (none: every figure), their knobs,
+/// and where the one id's trace goes; or, with `audit`, the seeds to
+/// audit the seeded entries at. Either way on `jobs` workers.
 #[derive(Debug)]
 struct Invocation {
     ids: Vec<&'static str>,
@@ -47,9 +50,7 @@ fn main() {
         run_audit(seeds, inv.jobs);
         return;
     }
-    let every: Vec<_> = all().iter().map(|e| e.id).collect();
-    let ids = if inv.ids.is_empty() { every } else { inv.ids };
-    let out = render(&ids, &inv.knobs, inv.trace_out.as_deref(), inv.jobs);
+    let out = render(&inv.ids, &inv.knobs, inv.trace_out.as_deref(), inv.jobs);
     let out = out.unwrap_or_else(|e| {
         eprintln!("failed to write the trace: {e}");
         std::process::exit(1)
@@ -62,17 +63,20 @@ fn main() {
     }
 }
 
-/// Audits every scenario over `seeds` on `jobs` workers, one report line
-/// per (scenario, seed) in matrix order; exits 1 on any divergence.
+/// Audits every experiment on `jobs` workers, each seeded one at every
+/// seed of `seeds`, one report line per run in matrix order; exits 1 on
+/// any divergence.
 fn run_audit(seeds: &[u64], jobs: usize) {
+    let registry = all();
     println!(
-        "auditing {} scenario(s) x {} seed(s), two replays each, {jobs} worker(s)",
-        scenarios::all().len(),
+        "auditing {} experiment(s), those that take --seed at each of {} seed(s), \
+         two replays each, {jobs} worker(s)",
+        registry.len(),
         seeds.len(),
     );
-    let divergences = audit::audit_all(seeds, jobs, |name, seed, ok| {
+    let divergences = audit::replay(&registry, seeds, jobs, |run, ok| {
         let verdict = if ok { "reproducible" } else { "DIVERGED" };
-        println!("  {name} seed={seed}: {verdict}");
+        println!("  {run}: {verdict}");
     });
     if divergences.is_empty() {
         println!("determinism audit passed: every replay was byte-identical");
@@ -93,10 +97,6 @@ fn usage() -> String {
     );
     for e in all() {
         text += &format!("\n  {} {}", e.id, e.knobs.join(" "));
-    }
-    text += "\nscenarios --audit replays:";
-    for (name, _) in scenarios::all() {
-        text += &format!("\n  {name}");
     }
     text
 }
@@ -304,6 +304,12 @@ mod tests {
         assert_eq!(
             parsed("fig10 fig11 --seed 7").unwrap_err(),
             "fig10 takes no --seed"
+        );
+        // A scenario takes `--seed` like fig11; a figure beside it does not.
+        assert!(parsed("fig11 dds_kv par_cluster --seed 7").is_ok());
+        assert_eq!(
+            parsed("fig2 dds_kv --seed 7").unwrap_err(),
+            "fig2 takes no --seed"
         );
     }
 

@@ -8,16 +8,21 @@
 //! (absolute numbers come from the authors' testbed; ours come from the
 //! calibrated models in `dpdpu_hw::costs`).
 //!
-//! EXPERIMENTS.md is the figure golden: each `=== id ===` block of
-//! [`render_all`] sits alone in one of its ```` ```text ```` fences,
-//! which `tests/golden_trace.rs` compares and `UPDATE_GOLDEN=1` rewrites.
+//! [`all`] is the one registry: every figure, ablation and golden
+//! scenario is an [`Experiment`], and [`Experiment::run`] is the one run
+//! path of `all_figures`, the determinism audit and the golden captures.
+//! Its [`Golden`] says where the entry is pinned: a figure's table in an
+//! EXPERIMENTS.md ```` ```text ```` fence (each `=== id ===` block of
+//! [`render_all`] alone in one), a scenario's summary and trace digest in
+//! `tests/golden/<id>.{stdout,trace}.txt`. `tests/golden_trace.rs`
+//! compares both and `UPDATE_GOLDEN=1` rewrites them.
 //!
 //! The one binary: `all_figures [id…] [--knob value…] [--trace-out
-//! path] [--jobs N]` prints every table, or the named ones (the ids of
-//! [`all`]: `all_figures fig2 A3`), with the knobs each named id declares
+//! path] [--jobs N]` prints every figure table, or the named entries
+//! (`all_figures fig2 A3 dds_kv`), with the knobs each named id declares
 //! (`all_figures fig10 --servers 16 32`); `--trace-out` records one id's
 //! telemetry. `all_figures --audit [--seeds a,b,c] [--jobs N]` replays
-//! the scenarios instead ([`audit`]). Both run on [`run_jobs`].
+//! every entry instead ([`audit`]). Both run on [`run_jobs`].
 
 mod abl_cache_split;
 mod abl_fast_persist;
@@ -45,11 +50,14 @@ pub mod par_cluster;
 pub mod scenarios;
 pub mod table;
 
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use dpdpu_check::CheckGuard;
 use dpdpu_net::fabric::FabricKind;
 use dpdpu_net::NetConfig;
+use dpdpu_telemetry::Telemetry;
 
 /// What an `all_figures` command line can change. A knob left unset
 /// (`Knobs::default()` sets none) keeps the figure's pinned value, and an
@@ -70,7 +78,8 @@ pub struct Knobs {
     /// `--weights`: fig11's DRR weights in tenant order; the rest keep
     /// their default.
     pub weights: Vec<u64>,
-    /// `--seed`: fig11's seed (42).
+    /// `--seed`: the seed of fig11 and of every scenario (42, the seed
+    /// their goldens pin); the audit replays them at each of its seeds.
     pub seed: Option<u64>,
 }
 
@@ -78,8 +87,8 @@ pub struct Knobs {
 /// and one run seeds at most [`fleet::MAX_CLIENTS`] clients apart.
 pub const MAX_SERVERS: usize = fleet::MAX_CLIENTS / fig10_cluster_scale::CLIENTS_PER_SERVER;
 
-/// A figure/ablation runner: its table under the given knobs.
-type Runner = fn(&Knobs) -> String;
+/// An experiment's runner: its output under the given knobs.
+type Runner = fn(&Knobs) -> Output;
 
 /// One experiment of [`all`].
 pub struct Experiment {
@@ -87,14 +96,98 @@ pub struct Experiment {
     pub id: &'static str,
     /// The knob flags it reads; `all_figures` refuses any other.
     pub knobs: &'static [&'static str],
+    /// Where its golden lives.
+    pub golden: Golden,
     run: Runner,
 }
 
-fn exp(id: &'static str, knobs: &'static [&'static str], run: Runner) -> Experiment {
-    Experiment { id, knobs, run }
+/// Where an [`Experiment`]'s golden lives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Golden {
+    /// Its table alone in an EXPERIMENTS.md ```` ```text ```` fence: a
+    /// figure or an ablation, which `all_figures` with no id prints.
+    Fence,
+    /// `tests/golden/<id>.stdout.txt` and its trace digest
+    /// `<id>.trace.txt`, at seed 42: a scenario, which records telemetry
+    /// on every run and whose table runs from its `## scenario <id> (seed
+    /// <seed>)` line to its conformance report.
+    Fixture,
 }
 
-/// Every figure/ablation in experiment-id order.
+/// What one run of an experiment leaves.
+pub struct Output {
+    /// The block under its `=== id ===` header.
+    pub table: String,
+    /// The Chrome trace of a run that recorded telemetry.
+    pub trace: Option<String>,
+}
+
+impl From<String> for Output {
+    fn from(table: String) -> Self {
+        Output { table, trace: None }
+    }
+}
+
+impl Experiment {
+    /// Runs the experiment under `knobs`: the one run path of the
+    /// figures, the audit and the golden captures. The run holds its own
+    /// strict invariant session, so the thread must hold none (session
+    /// parts do not nest). It records telemetry when the entry pins a
+    /// trace or `trace_out` asks for one, and with `trace_out` the table
+    /// ends with the telemetry summary. A scenario's table starts with
+    /// its `## scenario` line and ends with its conformance report; a
+    /// runner that returns its own trace (`par_cluster`, whose domains
+    /// run on their own thread under their own sessions) keeps it,
+    /// reports its own conformance and gets no summary.
+    pub fn run(&self, knobs: &Knobs, trace_out: bool) -> Output {
+        let fixture = self.golden == Golden::Fixture;
+        let telemetry = (fixture || trace_out).then(Telemetry::install);
+        let check = CheckGuard::new();
+        let mut out = (self.run)(knobs);
+        if fixture {
+            let head = format!("## scenario {} (seed {})\n", self.id, seed(knobs));
+            out.table.insert_str(0, &head);
+            if out.trace.is_none() {
+                let _ = writeln!(out.table, "{}", check.session().report());
+            }
+        }
+        drop(check); // balance sweeps run here; panics on any violation
+        if let Some(t) = telemetry {
+            if trace_out && out.trace.is_none() {
+                out.table = format!("{}\n{}", out.table, t.summary());
+            }
+            out.trace.get_or_insert_with(|| t.chrome_trace());
+        }
+        out
+    }
+}
+
+fn exp(id: &'static str, knobs: &'static [&'static str], run: Runner) -> Experiment {
+    let golden = Golden::Fence;
+    Experiment {
+        id,
+        knobs,
+        golden,
+        run,
+    }
+}
+
+/// A golden scenario, run at `--seed`.
+fn scenario(id: &'static str, run: Runner) -> Experiment {
+    let golden = Golden::Fixture;
+    Experiment {
+        golden,
+        ..exp(id, &["--seed"], run)
+    }
+}
+
+/// `--seed`, or the seed every golden pins.
+fn seed(k: &Knobs) -> u64 {
+    k.seed.unwrap_or(42)
+}
+
+/// Every experiment: the figures and ablations in experiment-id order,
+/// then the golden scenarios.
 pub fn all() -> Vec<Experiment> {
     const FLEET: &[&str] = &[
         "--servers",
@@ -105,56 +198,60 @@ pub fn all() -> Vec<Experiment> {
     ];
     const TENANTS: &[&str] = &["--tenants", "--weights", "--seed"];
     vec![
-        exp("fig1", &[], |_| fig1_compression::run()),
-        exp("fig2", &[], |_| fig2_storage_cpu::run()),
-        exp("fig3", &[], |_| fig3_network_cpu::run()),
-        exp("fig7", &[], |_| fig7_rdma::run()),
-        exp("fig8", &[], |_| fig8_roundtrips::run()),
-        exp("fig9", &[], |_| fig9_dds_savings::run()),
-        exp("fig10", FLEET, |k| fig10_cluster_scale::run(k, 1)),
+        exp("fig1", &[], |_| fig1_compression::run().into()),
+        exp("fig2", &[], |_| fig2_storage_cpu::run().into()),
+        exp("fig3", &[], |_| fig3_network_cpu::run().into()),
+        exp("fig7", &[], |_| fig7_rdma::run().into()),
+        exp("fig8", &[], |_| fig8_roundtrips::run().into()),
+        exp("fig9", &[], |_| fig9_dds_savings::run().into()),
+        exp("fig10", FLEET, |k| fig10_cluster_scale::run(k, 1).into()),
         // fig10 with every shard replicated twice: the replication tax.
-        exp("fig10r", FLEET, |k| fig10_cluster_scale::run(k, 2)),
-        exp("fig10f", &FLEET[1..], fig10_fabric::run),
-        exp("fig11", TENANTS, fig11_tenants::run),
-        exp("A1", &[], |_| abl_scheduler::run()),
-        exp("A2", &[], |_| abl_placement::run()),
-        exp("A3", &[], |_| abl_cache_split::run()),
-        exp("A4", &[], |_| abl_fast_persist::run()),
-        exp("A5", &[], |_| abl_partial_offload::run()),
-        exp("A6", &[], |_| abl_tenant_iso::run()),
-        exp("A7", &[], |_| abl_pipeline::run()),
-        exp("A8", &[], |_| abl_fusion::run()),
-        exp("A9", &[], |_| abl_faults::run()),
+        exp("fig10r", FLEET, |k| fig10_cluster_scale::run(k, 2).into()),
+        exp("fig10f", &FLEET[1..], |k| fig10_fabric::run(k).into()),
+        exp("fig11", TENANTS, |k| fig11_tenants::run(k).into()),
+        exp("A1", &[], |_| abl_scheduler::run().into()),
+        exp("A2", &[], |_| abl_placement::run().into()),
+        exp("A3", &[], |_| abl_cache_split::run().into()),
+        exp("A4", &[], |_| abl_fast_persist::run().into()),
+        exp("A5", &[], |_| abl_partial_offload::run().into()),
+        exp("A6", &[], |_| abl_tenant_iso::run().into()),
+        exp("A7", &[], |_| abl_pipeline::run().into()),
+        exp("A8", &[], |_| abl_fusion::run().into()),
+        exp("A9", &[], |_| abl_faults::run().into()),
+        scenario("storage_faults", |k| scenarios::storage_faults(seed(k))),
+        scenario("dds_kv", |k| scenarios::dds_kv(seed(k))),
+        scenario("compute_pipeline", |k| scenarios::compute_pipeline(seed(k))),
+        scenario("cluster_fleet", |k| scenarios::cluster_fleet(seed(k))),
+        scenario("cluster_fabric", |k| scenarios::cluster_fabric(seed(k))),
+        scenario("net_scenarios", |k| scenarios::net_scenarios(seed(k))),
+        scenario("cluster_failover", |k| scenarios::cluster_failover(seed(k))),
+        scenario("gateway_tenants", |k| scenarios::gateway_tenants(seed(k))),
+        scenario("par_cluster", |k| par_cluster::par_cluster(seed(k))),
     ]
 }
 
-/// The tables of those experiments of [`all`] whose id is in `ids`, run
-/// with `knobs` on [`run_jobs`]' `jobs` workers, each under its
-/// `=== id ===` header, in experiment-id order (an id `all` does not list
-/// selects nothing). Each runner gets its own strict invariant session.
-/// With `trace_out`, a runner also records a telemetry session, writes
-/// its Chrome trace there and follows its table with the summary: name
-/// one id.
+/// The blocks of those experiments of [`all`] whose id is in `ids` (no
+/// id: every [`Golden::Fence`] one), run with `knobs` on [`run_jobs`]'
+/// `jobs` workers, each under its `=== id ===` header, in registry order
+/// (an id `all` does not list selects nothing). With `trace_out`, a run
+/// also writes its Chrome trace there: name one id.
 pub fn render(
     ids: &[&str],
     knobs: &Knobs,
     trace_out: Option<&Path>,
     jobs: usize,
 ) -> std::io::Result<String> {
-    let chosen: Vec<_> = all().into_iter().filter(|e| ids.contains(&e.id)).collect();
-    let blocks = run_jobs(chosen.len(), jobs, |i| -> std::io::Result<String> {
-        let _check = dpdpu_check::CheckGuard::new();
-        let Some(path) = trace_out else {
-            return Ok((chosen[i].run)(knobs));
-        };
-        let t = dpdpu_telemetry::Telemetry::install();
-        let table = (chosen[i].run)(knobs);
-        t.write_chrome_trace(path)?;
-        Ok(format!("{table}\n{}", t.summary()))
-    });
+    let named =
+        |e: &Experiment| ids.contains(&e.id) || (ids.is_empty() && e.golden == Golden::Fence);
+    let chosen: Vec<_> = all().into_iter().filter(named).collect();
+    let traced = trace_out.is_some();
+    let outs = run_jobs(chosen.len(), jobs, |i| chosen[i].run(knobs, traced));
     let mut out = String::new();
-    for (e, block) in chosen.iter().zip(blocks) {
-        out += &format!("=== {} ===\n{}\n", e.id, block?);
+    for (e, o) in chosen.iter().zip(outs) {
+        if let (Some(path), Some(trace)) = (trace_out, &o.trace) {
+            std::fs::write(path, trace)?;
+        }
+        out += &format!("=== {} ===\n{}\n", e.id, o.table);
     }
     Ok(out)
 }
@@ -162,8 +259,7 @@ pub fn render(
 /// Every figure and ablation table: what `all_figures` prints, pinned
 /// block by block in EXPERIMENTS.md's ```` ```text ```` fences.
 pub fn render_all() -> String {
-    let ids: Vec<_> = all().iter().map(|e| e.id).collect();
-    render(&ids, &Knobs::default(), None, default_jobs()).expect("an untraced run writes nothing")
+    render(&[], &Knobs::default(), None, default_jobs()).expect("an untraced run writes nothing")
 }
 
 /// The worker count when the caller picks none: one per available core.

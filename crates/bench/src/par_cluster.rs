@@ -471,7 +471,7 @@ async fn domain_root(
 
 /// Scenario: a small partitioned cluster, its per-domain summaries and
 /// conformance reports, and its merged trace.
-pub(crate) fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
+pub(crate) fn par_cluster(seed: u64) -> crate::Output {
     let cfg = ParClusterConfig {
         domains: 3,
         clients_per_domain: 2,
@@ -483,9 +483,7 @@ pub(crate) fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
         ..ParClusterConfig::default()
     };
     let run = run_par(cfg, 1);
-    let mut stdout = String::new();
-    let _ = writeln!(stdout, "## scenario par_cluster (seed {seed})");
-    stdout.push_str(&run.stdout);
+    let mut stdout = run.stdout;
     let _ = writeln!(
         stdout,
         "domains={} issued={} ok={} remote={} elapsed_us={} polls={}",
@@ -496,9 +494,9 @@ pub(crate) fn par_cluster(seed: u64) -> crate::scenarios::ScenarioRun {
         run.elapsed_ns / 1_000,
         run.polls,
     );
-    crate::scenarios::ScenarioRun {
-        stdout,
-        trace: run.trace,
+    crate::Output {
+        table: stdout,
+        trace: Some(run.trace),
     }
 }
 
@@ -584,10 +582,9 @@ mod tests {
     #[test]
     fn scenario_emits_stable_shape() {
         let r = par_cluster(7);
-        assert!(r.stdout.contains("## scenario par_cluster (seed 7)"));
-        assert!(r.stdout.contains("domains=3 issued="));
-        assert!(r.stdout.contains("domain=pd2"));
-        assert!(r.stdout.contains("conformance:"));
-        assert!(!r.trace.is_empty());
+        assert!(r.table.contains("domains=3 issued="));
+        assert!(r.table.contains("domain=pd2"));
+        assert!(r.table.contains("conformance:"));
+        assert!(r.trace.is_some_and(|t| !t.is_empty()));
     }
 }

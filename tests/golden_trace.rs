@@ -1,8 +1,10 @@
-//! Golden-trace conformance: every shipped scenario's seed-42 summary
-//! and Chrome trace are pinned as blessed fixtures under `tests/golden/`,
-//! and every figure table is pinned in EXPERIMENTS.md itself: each
-//! `=== id ===` block of `dpdpu_bench::render_all()` sits alone in a
-//! ```` ```text ```` fence there, and that fence is its only copy.
+//! Golden-trace conformance: every entry of `dpdpu_bench::all()` is
+//! pinned where its `Golden` says. A scenario's (a `Golden::Fixture`
+//! entry's) seed-42 summary and Chrome trace are blessed fixtures under
+//! `tests/golden/`, and every fixture there names such an entry. Every
+//! figure table is pinned in EXPERIMENTS.md itself: each `=== id ===`
+//! block of `dpdpu_bench::render_all()` sits alone in a ```` ```text ````
+//! fence there, and that fence is its only copy.
 //!
 //! A summary is pinned as its text. A trace is pinned as a digest,
 //! `<scenario>.trace.txt`: line 1 is the [`golden::fingerprint`] of the
@@ -31,10 +33,7 @@ use std::sync::OnceLock;
 
 use dpdpu::check::golden;
 use dpdpu::telemetry::json::Json;
-use dpdpu_bench::scenarios::ScenarioRun;
-
-/// Seed the fixtures are blessed at (the repo-wide default seed).
-const GOLDEN_SEED: u64 = 42;
+use dpdpu_bench::{Golden, Knobs, Output};
 
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -42,25 +41,36 @@ fn golden_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-/// All scenario runs, captured exactly once for the whole test binary
-/// on `dpdpu_bench::run_jobs`' workers (simulations are thread-confined,
-/// so they cannot interact), in declaration order.
-fn captures() -> &'static [(&'static str, ScenarioRun)] {
-    static CAPTURES: OnceLock<Vec<(&'static str, ScenarioRun)>> = OnceLock::new();
+/// Every `Golden::Fixture` entry's run at the default knobs (seed 42),
+/// captured exactly once for the whole test binary on
+/// `dpdpu_bench::run_jobs`' workers (simulations are thread-confined,
+/// so they cannot interact), in registry order.
+fn captures() -> &'static [(&'static str, Output)] {
+    static CAPTURES: OnceLock<Vec<(&'static str, Output)>> = OnceLock::new();
     CAPTURES.get_or_init(|| {
-        let scenarios = dpdpu_bench::scenarios::all();
+        let traced: Vec<_> = dpdpu_bench::all()
+            .into_iter()
+            .filter(|e| e.golden == Golden::Fixture)
+            .collect();
         let jobs = dpdpu_bench::default_jobs();
-        let runs = dpdpu_bench::run_jobs(scenarios.len(), jobs, |i| scenarios[i].1(GOLDEN_SEED));
-        scenarios.iter().map(|&(name, _)| name).zip(runs).collect()
+        let runs = dpdpu_bench::run_jobs(traced.len(), jobs, |i| {
+            traced[i].run(&Knobs::default(), false)
+        });
+        traced.iter().map(|e| e.id).zip(runs).collect()
     })
 }
 
-fn capture(name: &str) -> &'static ScenarioRun {
+fn capture(name: &str) -> &'static Output {
     captures()
         .iter()
         .find(|(n, _)| *n == name)
         .map(|(_, run)| run)
         .expect("scenario exists")
+}
+
+/// The trace of a scenario's run.
+fn trace(run: &Output) -> &str {
+    run.trace.as_deref().expect("a scenario records its trace")
 }
 
 /// A digest row's key: (device, track, span name).
@@ -164,72 +174,128 @@ fn compare_digests(expected: &str, actual: &str, full: &Path) -> Result<(), Stri
     ))
 }
 
-fn check_scenario(name: &str) {
-    let run = capture(name);
-    golden::assert_matches(golden_path(&format!("{name}.stdout.txt")), &run.stdout);
+/// One error per fixture of scenario `name` that its capture `run`
+/// diverges from or that is missing: its stdout fixture and its trace
+/// digest, each checked; with `UPDATE_GOLDEN=1`, blesses both instead.
+fn check_scenario(name: &str, run: &Output) -> Vec<String> {
+    let stdout = golden_path(&format!("{name}.stdout.txt"));
     let full = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.trace.json"));
-    std::fs::write(&full, &run.trace).expect("write the full trace");
+    std::fs::write(&full, trace(run)).expect("write the full trace");
     let (fixture, actual) = (
         golden_path(&format!("{name}.trace.txt")),
-        digest(&run.trace),
+        digest(trace(run)),
     );
     if golden::blessing() {
-        return golden::assert_matches(fixture, &actual);
+        golden::assert_matches(&stdout, &run.table);
+        golden::assert_matches(fixture, &actual);
+        return Vec::new();
     }
-    let expected = std::fs::read_to_string(&fixture).unwrap_or_else(|e| {
-        panic!(
-            "golden fixture {} unreadable ({e}); UPDATE_GOLDEN=1 blesses it",
-            fixture.display()
-        )
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).map_err(|e| {
+            format!(
+                "golden fixture {} unreadable ({e}); UPDATE_GOLDEN=1 blesses it",
+                path.display()
+            )
+        })
+    };
+    let summary = read(&stdout).and_then(|expected| {
+        let diff = golden::diff(
+            &golden::normalize(&expected),
+            &golden::normalize(&run.table),
+        );
+        diff.map_or(Ok(()), |d| {
+            Err(format!(
+                "output diverges from golden fixture {} (UPDATE_GOLDEN=1 re-blesses):\n{d}",
+                stdout.display()
+            ))
+        })
     });
-    if let Err(e) = compare_digests(&expected, &actual, &full) {
-        panic!("{}: {e}", fixture.display());
-    }
+    let digest = read(&fixture).and_then(|expected| {
+        compare_digests(&expected, &actual, &full)
+            .map_err(|e| format!("{}: {e}", fixture.display()))
+    });
+    [summary, digest]
+        .into_iter()
+        .filter_map(Result::err)
+        .collect()
+}
+
+/// Scenario `name` matches both its fixtures. Each fixture is checked,
+/// and the test then fails with every one that diverged or is missing.
+fn assert_scenario(name: &str) {
+    let failed = check_scenario(name, capture(name));
+    assert!(
+        failed.is_empty(),
+        "{} {name} fixture(s) failed:\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
+}
+
+/// The scenarios with a test of their own below, in registry order.
+const SCENARIOS: [&str; 9] = [
+    "storage_faults",
+    "dds_kv",
+    "compute_pipeline",
+    "cluster_fleet",
+    "cluster_fabric",
+    "net_scenarios",
+    "cluster_failover",
+    "gateway_tenants",
+    "par_cluster",
+];
+
+/// Every `Golden::Fixture` entry has its own test here, so an entry
+/// added without one fails loudly rather than going unpinned.
+#[test]
+fn every_scenario_has_golden_coverage() {
+    let traced: Vec<&str> = captures().iter().map(|(name, _)| *name).collect();
+    assert_eq!(traced, SCENARIOS, "add a test for each new scenario");
 }
 
 #[test]
 fn storage_faults_matches_golden() {
-    check_scenario("storage_faults");
+    assert_scenario("storage_faults");
 }
 
 #[test]
 fn dds_kv_matches_golden() {
-    check_scenario("dds_kv");
+    assert_scenario("dds_kv");
 }
 
 #[test]
 fn compute_pipeline_matches_golden() {
-    check_scenario("compute_pipeline");
+    assert_scenario("compute_pipeline");
 }
 
 #[test]
 fn cluster_fleet_matches_golden() {
-    check_scenario("cluster_fleet");
+    assert_scenario("cluster_fleet");
 }
 
 #[test]
 fn cluster_fabric_matches_golden() {
-    check_scenario("cluster_fabric");
+    assert_scenario("cluster_fabric");
 }
 
 #[test]
 fn net_scenarios_matches_golden() {
-    check_scenario("net_scenarios");
+    assert_scenario("net_scenarios");
 }
 
 #[test]
 fn cluster_failover_matches_golden() {
-    check_scenario("cluster_failover");
+    assert_scenario("cluster_failover");
 }
 
 #[test]
 fn gateway_tenants_matches_golden() {
-    check_scenario("gateway_tenants");
+    assert_scenario("gateway_tenants");
 }
 
 #[test]
 fn par_cluster_matches_golden() {
-    check_scenario("par_cluster");
+    assert_scenario("par_cluster");
 }
 
 /// `render_all()`, run once for the whole test binary, as `(id, block)`
@@ -368,7 +434,7 @@ fn the_figure_golden_catches_drift_and_malformed_fences() {
 /// span).
 #[test]
 fn the_trace_golden_catches_a_reorder_and_a_one_ns_move() {
-    let trace = &capture("dds_kv").trace;
+    let trace = trace(capture("dds_kv"));
     let (blessed, full) = (digest(trace), Path::new("dds_kv.trace.json"));
     let lines: Vec<&str> = trace.split_inclusive('\n').collect();
     let timed: Vec<usize> = (0..lines.len())
@@ -425,33 +491,32 @@ fn the_trace_golden_catches_a_reorder_and_a_one_ns_move() {
     );
 }
 
+/// The fixtures under `tests/golden/` that name no scenario: every
+/// `<id>.stdout.txt` and `<id>.trace.txt` whose id is not in `traced`,
+/// except the examples' golden.
+fn stray_fixtures<'a>(files: &[&'a str], traced: &[&str]) -> Vec<&'a str> {
+    let pinned = |f: &str| {
+        let id = f
+            .strip_suffix(".stdout.txt")
+            .or(f.strip_suffix(".trace.txt"));
+        id.is_none_or(|id| traced.contains(&id))
+    };
+    let strays = files
+        .iter()
+        .filter(|f| **f != "examples.stdout.txt" && !pinned(f));
+    strays.copied().collect()
+}
+
+/// Every fixture names a scenario, so one left behind by a deleted
+/// entry fails here; a planted one is named. A trace is pinned by its
+/// digest, never its JSON, so every fixture stays small enough to
+/// review.
 #[test]
-fn every_scenario_has_golden_coverage() {
-    // Adding a scenario without blessing fixtures for it must fail
-    // loudly here, not silently skip conformance.
-    let covered = [
-        "storage_faults",
-        "dds_kv",
-        "compute_pipeline",
-        "cluster_fleet",
-        "cluster_fabric",
-        "net_scenarios",
-        "cluster_failover",
-        "gateway_tenants",
-        "par_cluster",
-    ];
-    for (name, _) in dpdpu_bench::scenarios::all() {
-        assert!(
-            covered.contains(&name),
-            "scenario '{name}' has no golden-trace test; add one and bless fixtures"
-        );
-        for kind in ["stdout", "trace"] {
-            let fixture = golden_path(&format!("{name}.{kind}.txt"));
-            assert!(fixture.is_file(), "{} is missing", fixture.display());
-        }
-    }
-    // A trace is pinned by its digest, never its JSON, so every fixture
-    // stays small enough to review.
+fn every_fixture_names_a_scenario() {
+    let registry = dpdpu_bench::all();
+    let traced = registry.iter().filter(|e| e.golden == Golden::Fixture);
+    let traced: Vec<&str> = traced.map(|e| e.id).collect();
+    let mut files = Vec::new();
     for entry in std::fs::read_dir(golden_path("")).expect("tests/golden") {
         let path = entry.expect("a directory entry").path();
         let len = std::fs::metadata(&path).expect("a fixture").len();
@@ -465,5 +530,18 @@ fn every_scenario_has_golden_coverage() {
             "{} is {len} bytes (>= 64 KiB)",
             path.display()
         );
+        files.push(
+            path.file_name()
+                .expect("a name")
+                .to_string_lossy()
+                .into_owned(),
+        );
     }
+    let files: Vec<&str> = files.iter().map(String::as_str).collect();
+    assert_eq!(stray_fixtures(&files, &traced), [] as [&str; 0]);
+    let planted = [&files[..], &["gone.trace.txt", "gone.stdout.txt"]].concat();
+    assert_eq!(
+        stray_fixtures(&planted, &traced),
+        ["gone.trace.txt", "gone.stdout.txt"]
+    );
 }

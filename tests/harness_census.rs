@@ -10,7 +10,7 @@
 //!
 //! Two more things there must stay one of: nothing under
 //! `crates/bench/src` but `par_cluster.rs` itself (and its line in the
-//! scenario registry) reaches the partitioned cluster — the product's
+//! experiment registry) reaches the partitioned cluster — the product's
 //! sweeps run on `DdsCluster` — and one file under `crates/` moves a log
 //! tail (`storage/src/log.rs`).
 //!
@@ -48,6 +48,11 @@
 //! And one job runner: the shipping code under `crates/bench/src` has
 //! exactly one thread spawn or scope site, `dpdpu_bench::run_jobs` in
 //! `lib.rs`, which the figures, the audit and the golden captures share.
+//!
+//! And one experiment registry: every figure, ablation and golden
+//! scenario is an entry of `dpdpu_bench::all()` in `lib.rs`, so no
+//! `ScenarioFn`, no `by_name` lookup and no second `fn all(` appears
+//! under `crates/bench/src`.
 //!
 //! And every `pub` has a caller outside its crate: each `pub` item under
 //! `crates/*/src` is named by another crate, a test, an example, the
@@ -143,8 +148,8 @@ fn one_cluster_model_has_callers_and_one_file_moves_a_log_tail() {
     let (mut par_callers, mut tails) = (Vec::new(), Vec::new());
     for (name, source) in sources(&["crates"]) {
         let lines = |needle: &str| source.lines().filter(|l| l.contains(needle)).count();
-        // The scenario registry's one line is the partitioned core's gate.
-        let registry = usize::from(name == "crates/bench/src/scenarios.rs");
+        // The experiment registry's one line is the partitioned core's gate.
+        let registry = usize::from(name == REGISTRY);
         if name.starts_with("crates/bench/src/")
             && name != PAR
             && (lines("run_par") + lines("ParClusterConfig") > 0
@@ -549,13 +554,74 @@ fn the_runner_gate_catches_a_planted_spawn() {
     assert_eq!(spawn_sites(&planted), [name, RUNNER]);
 }
 
+/// The file of the one experiment registry, `dpdpu_bench::all`.
+const REGISTRY: &str = "crates/bench/src/lib.rs";
+
+/// Each second registry under `crates/bench/src`, as `file: needle`: a
+/// code line naming `ScenarioFn` or `by_name`, or an `fn all(` past the
+/// one in [`REGISTRY`].
+fn second_registries(tree: &[(String, String)]) -> Vec<String> {
+    let mut found = Vec::new();
+    let bench = tree
+        .iter()
+        .filter(|(n, _)| n.starts_with("crates/bench/src/"));
+    for (name, source) in bench {
+        let code = source.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let count = |needle| code.clone().filter(|l| l.contains(needle)).count();
+        let allowed = usize::from(name == REGISTRY);
+        for (needle, allowed) in [("ScenarioFn", 0), ("by_name", 0), ("fn all(", allowed)] {
+            if count(needle) > allowed {
+                found.push(format!("{name}: `{needle}`"));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn one_experiment_registry() {
+    let found = second_registries(&sources(&["crates/bench/src"]));
+    assert!(
+        found.is_empty(),
+        "an experiment is an entry of `dpdpu_bench::all()`, run by `Experiment::run`: {found:?}"
+    );
+}
+
+/// The gate is sensitive: a scenario fn type, a lookup by name and a
+/// second `fn all(` planted in the scenarios module are each named, as
+/// is a second `fn all(` in the registry's own file; the same names in
+/// comments are not.
+#[test]
+fn the_registry_gate_catches_a_planted_second_registry() {
+    let tree = sources(&["crates/bench/src"]);
+    let name = "crates/bench/src/scenarios.rs";
+    let comment = "\n// pub fn all() and by_name(name) over ScenarioFn\n";
+    assert!(second_registries(&appended(&tree, name, comment)).is_empty());
+    let registry = "\npub type ScenarioFn = fn(u64) -> String;\n\
+                    pub fn all() -> Vec<(&'static str, ScenarioFn)> {\n    Vec::new()\n}\n\
+                    pub fn by_name(_: &str) -> Option<ScenarioFn> {\n    None\n}\n";
+    assert_eq!(
+        second_registries(&appended(&tree, name, registry)),
+        [
+            format!("{name}: `ScenarioFn`"),
+            format!("{name}: `by_name`"),
+            format!("{name}: `fn all(`"),
+        ]
+    );
+    let twice = "\nfn all() -> Vec<()> {\n    Vec::new()\n}\n";
+    assert_eq!(
+        second_registries(&appended(&tree, REGISTRY, twice)),
+        [format!("{REGISTRY}: `fn all(`")]
+    );
+}
+
 /// `pub` items that nothing outside their crate names, kept `pub` on
 /// purpose, one per line: `crate item: reason`. Most are types that a
 /// called `pub` item takes or returns, so they stay `pub` although no
 /// caller spells their name.
 const UNNAMED_PUB: &str = "\
 bench CellReport: returned by `netmatrix::run_cell`
-bench Divergence: returned by the `audit` runners
+bench Divergence: returned by `audit::replay`
 bench Experiment: the registry `dpdpu_bench::all` returns
 bench FleetReport: returned by `fleet::run_fleet`; a `cell::Run` field
 bench TenantFleetReport: returned by `fleet::run_tenant_fleet`; a `cell::Run` field

@@ -8,7 +8,7 @@
 //! DDS/TCP/telemetry stack instead of toy domains.
 
 use dpdpu_bench::par_cluster::{run_par, ParClusterConfig};
-use dpdpu_bench::scenarios;
+use dpdpu_bench::Knobs;
 use dpdpu_check::golden;
 use dpdpu_des::{DomainSet, NoHooks, Sim};
 
@@ -20,14 +20,22 @@ fn serial_scenarios_are_invariant_to_the_hosting_thread() {
     // on the test thread and a run on a fresh worker thread (the way
     // `DomainSet` hosts domains) must produce the same bytes.
     for name in ["cluster_failover", "cluster_fabric"] {
-        let f = scenarios::by_name(name).expect("scenario exists");
+        let run = move |seed| {
+            let registry = dpdpu_bench::all();
+            let e = registry.iter().find(|e| e.id == name);
+            let knobs = Knobs {
+                seed: Some(seed),
+                ..Knobs::default()
+            };
+            e.expect("a registered scenario").run(&knobs, false)
+        };
         for seed in SEEDS {
-            let here = f(seed);
-            let there = std::thread::spawn(move || f(seed))
+            let here = run(seed);
+            let there = std::thread::spawn(move || run(seed))
                 .join()
                 .expect("scenario run panicked");
             assert_eq!(
-                here.stdout, there.stdout,
+                here.table, there.table,
                 "{name} seed {seed}: stdout depends on the hosting thread"
             );
             assert_eq!(

@@ -16,7 +16,7 @@ use dpdpu_dds::cluster::{ClusterClient, ClusterConfig, DdsCluster};
 use dpdpu_dds::gateway::{Gateway, GatewayConfig, TenantSnapshot};
 use dpdpu_des::{block_on, now, sleep, sleep_until, spawn, Time};
 use dpdpu_faults::{FaultPlan, FaultReport, SessionGuard};
-use dpdpu_hw::CpuPool;
+use dpdpu_hw::{CpuPool, Platform};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -132,6 +132,8 @@ pub struct Run {
     /// shard's included) from the end of preload until load and script
     /// had both returned.
     pub(crate) load_host_busy_ns: u64,
+    /// DPU-CPU busy ns over the same replicas and the same span.
+    pub(crate) load_dpu_busy_ns: u64,
     /// What the plan injected, taken after quiescence.
     pub faults: FaultReport,
 }
@@ -175,8 +177,9 @@ impl Cell {
         let session = SessionGuard::new(self.faults.clone());
         let mut run = block_on(async move {
             let (cluster, client) = self.boot().await;
+            let preload_dpu_busy_ns = busy_ns(&cluster, |p| &p.dpu_cpu);
             let mut run = Run {
-                preload_host_busy_ns: host_busy_ns(&cluster),
+                preload_host_busy_ns: busy_ns(&cluster, |p| &p.host_cpu),
                 cluster,
                 fleet: FleetReport::default(),
                 tenants: Vec::new(),
@@ -187,6 +190,7 @@ impl Cell {
                 load_started_at: now(),
                 script: Vec::new(),
                 load_host_busy_ns: 0,
+                load_dpu_busy_ns: 0,
                 faults: FaultReport::default(),
             };
             let script = spawn(run_script(client.clone(), self.script));
@@ -213,7 +217,9 @@ impl Cell {
                 }
             }
             run.script = script.await;
-            run.load_host_busy_ns = host_busy_ns(&run.cluster) - run.preload_host_busy_ns;
+            run.load_host_busy_ns =
+                busy_ns(&run.cluster, |p| &p.host_cpu) - run.preload_host_busy_ns;
+            run.load_dpu_busy_ns = busy_ns(&run.cluster, |p| &p.dpu_cpu) - preload_dpu_busy_ns;
             if let Load::Registers {
                 clients,
                 read_back_after: Some(after),
@@ -237,12 +243,12 @@ impl Cell {
     }
 }
 
-/// Host-CPU busy ns summed over every replica of every shard: a
-/// backup's host pays for the writes it applies too.
-fn host_busy_ns(cluster: &DdsCluster) -> u64 {
+/// Busy ns of the CPU pool `cpu` picks, summed over every replica of
+/// every shard: a backup pays for the writes it applies too.
+fn busy_ns(cluster: &DdsCluster, cpu: fn(&Platform) -> &Rc<CpuPool>) -> u64 {
     (0..cluster.shards())
         .flat_map(|i| cluster.group(i).members.clone())
-        .map(|member| member.platform().host_cpu.busy_ns())
+        .map(|member| cpu(member.platform()).busy_ns())
         .sum()
 }
 

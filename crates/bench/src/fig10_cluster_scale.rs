@@ -28,8 +28,8 @@
 //! fabric and congestion flags apply at 64 servers as they do at 1, and
 //! every column is virtual: two runs print identical bytes. (64 servers
 //! × 256 clients × 32 768 ops is about a second per cell in release.)
-//! Past 8 servers the uniform claims keep holding — goodput 1.23 M →
-//! 6.46 M ops/s at 8 → 64, p50 flat, ~19 cores saved per server — while
+//! Past 8 servers the uniform claims keep holding — goodput 1.26 M →
+//! 6.55 M ops/s at 8 → 64, p50 flat, 20 cores saved per server — while
 //! zipf 0.99 runs into the hot shard's 64-slot admission window and
 //! sheds from 32 servers on (EXPERIMENTS.md, "Beyond the testbed").
 
@@ -115,6 +115,7 @@ pub(crate) struct Measurement {
     pub(crate) p99_us: f64,
     pub(crate) shed: u64,
     pub(crate) host_cyc_per_req: f64,
+    pub(crate) dpu_cyc_per_req: f64,
 }
 
 pub(crate) fn measure(
@@ -164,6 +165,8 @@ pub(crate) fn measure(
         p99_us: report.p99_ns as f64 / 1e3,
         shed: report.shed,
         host_cyc_per_req: run.load_host_busy_ns as f64 * 3.0 / report.ok.max(1) as f64,
+        // BlueField-2's cores run at 2.5 GHz.
+        dpu_cyc_per_req: run.load_dpu_busy_ns as f64 * 2.5 / report.ok.max(1) as f64,
     }
 }
 
@@ -295,16 +298,17 @@ mod tests {
         // beyond the chain's inherent cost.
         // The host-cycle saving from offload must survive the extra hop
         // outright. Both ends of the chain are DPU-native: the primary's
-        // DPU issues the forward its host ordered, and a backup applies
-        // a chain write of a DPU-resident key on its DPU. Counting every
-        // replica's host, 2 replicas cost exactly what 1 does, where an
-        // apply on the backup's host would add 12 000 per put.
+        // DPU orders a put of a DPU-resident key and issues its forward,
+        // and a backup applies a chain write of such a key on its DPU.
+        // Counting every replica's host, 2 replicas cost exactly what 1
+        // does (nothing), where an apply on the backup's host would add
+        // 12 000 per put.
         let dist = KeyDist::Uniform { keys: KEYS * 2 };
         let solo = measure(2, dist, true, NetConfig::default(), 1);
         let repl = measure(2, dist, true, NetConfig::default(), 2);
         assert_eq!(
             repl.host_cyc_per_req, solo.host_cyc_per_req,
-            "the chain must cost no host beyond the primary's ordering: host cycles/req \
+            "the chain must cost no host beyond what one replica costs: host cycles/req \
              {:.0} at 1 replica, {:.0} at 2",
             solo.host_cyc_per_req, repl.host_cyc_per_req
         );

@@ -6,12 +6,13 @@
 //! constraint drives the design twist: DPU memory is small, so only part
 //! of the index is DPU-resident — lookups that hit the DPU-resident
 //! partition can be served entirely on the DPU; the rest must involve
-//! the host (partial offloading). A client's update goes through the
-//! host, as in DDS's integration where the host owns write ordering; a
-//! backup applies an update the replication chain already ordered on the
-//! DPU when the key's entry is DPU-resident. Which keys hold the DPU
-//! slots follows their gets: a host-served key that out-hits the coldest
-//! DPU-resident entry by a fixed margin swaps partitions with it.
+//! the host (partial offloading). Writes follow the same split: the DPU
+//! orders a client's update, and a backup applies a chain write, when the
+//! key's entry is DPU-resident; an update of any other key goes through
+//! the host, as in DDS's integration where the host owns write ordering.
+//! Which keys hold the DPU slots follows their gets: a host-served key
+//! that out-hits the coldest DPU-resident entry by a fixed margin swaps
+//! partitions with it, unless that entry has a DPU-ordered put in flight.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
@@ -76,6 +77,9 @@ struct IndexEntry {
     /// Gets of this key since it was indexed. Updates keep it; it never
     /// decays.
     gets: u64,
+    /// DPU-ordered puts of this key in flight ([`DpuPut`]): while any
+    /// is, no swap demotes the entry. Updates keep it; a drop takes it.
+    dpu_puts: u32,
 }
 
 impl IndexEntry {
@@ -90,6 +94,25 @@ impl IndexEntry {
             migrated,
             partition: Partition::Host,
             gets: 0,
+            dpu_puts: 0,
+        }
+    }
+}
+
+/// A put the DPU ordered against its key's DPU-resident entry, counted
+/// in the entry's `dpu_puts` from routing ([`KvStore::order_on_dpu`])
+/// until the ticket drops: when the put has indexed its record, or when
+/// it failed or stood down without one.
+pub(crate) struct DpuPut {
+    kv: Rc<KvStore>,
+    key: u64,
+}
+
+impl Drop for DpuPut {
+    fn drop(&mut self) {
+        // A drop of the key meanwhile took the count with it.
+        if let Some(e) = self.kv.index.borrow_mut().get_mut(&self.key) {
+            e.dpu_puts = e.dpu_puts.saturating_sub(1);
         }
     }
 }
@@ -177,7 +200,7 @@ impl KvStore {
         let mut offset = 0u64;
         for (header, value) in store.log.walk(0, 12).await? {
             let key = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-            store.index_insert(key, IndexEntry::at(offset, &value, false));
+            store.index_insert(key, IndexEntry::at(offset, &value, false), None);
             offset += 12 + value.len() as u64;
         }
         Ok(store)
@@ -210,9 +233,17 @@ impl KvStore {
     /// re-check must happen at this point, not before the storage
     /// write: a concurrent client put that queued ahead of the copy but
     /// has not indexed yet is invisible to any earlier `contains` probe.
-    fn index_insert(&self, key: u64, entry: IndexEntry) -> bool {
+    ///
+    /// A DPU-ordered put (`ordered`) gives its count back here, after
+    /// the update, and its entry must still be DPU-resident: the count
+    /// kept every swap off it.
+    fn index_insert(&self, key: u64, entry: IndexEntry, ordered: Option<DpuPut>) -> bool {
         let mut index = self.index.borrow_mut();
         if let Some(e) = index.get_mut(&key) {
+            assert!(
+                ordered.is_none() || e.dpu_puts == 0 || e.partition == Partition::Dpu,
+                "key {key} left the DPU under a DPU-ordered put"
+            );
             let wins = if entry.migrated {
                 false
             } else if e.migrated {
@@ -224,6 +255,7 @@ impl KvStore {
                 *e = IndexEntry {
                     partition: e.partition,
                     gets: e.gets,
+                    dpu_puts: e.dpu_puts,
                     ..entry
                 };
             }
@@ -262,20 +294,53 @@ impl KvStore {
 
     /// Appends `[key u64][len u32][value]` to the hybrid log, then
     /// indexes the record; returns whether the index took it.
-    async fn append(&self, key: u64, value: &[u8], migrated: bool) -> Result<bool, FsError> {
+    async fn append(
+        &self,
+        key: u64,
+        value: &[u8],
+        migrated: bool,
+        ordered: Option<DpuPut>,
+    ) -> Result<bool, FsError> {
         let mut rec = Vec::with_capacity(12 + value.len());
         rec.extend_from_slice(&key.to_le_bytes());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(value);
         let offset = self.log.append(rec).await?;
         let entry = IndexEntry::at(offset, value, migrated);
-        Ok(self.index_insert(key, entry))
+        Ok(self.index_insert(key, entry, ordered))
     }
 
     /// Upserts a record: appends it to the hybrid log and updates
     /// whichever index partition holds (or can hold) the key.
     pub async fn put(&self, key: u64, value: &[u8]) -> Result<(), FsError> {
-        self.append(key, value, false).await.map(|_| ())
+        self.put_ordered(key, value, None).await
+    }
+
+    /// [`KvStore::put`], for a put the DPU ordered when `ordered` is its
+    /// ticket: the put's index update gives the entry's count back.
+    pub(crate) async fn put_ordered(
+        &self,
+        key: u64,
+        value: &[u8],
+        ordered: Option<DpuPut>,
+    ) -> Result<(), FsError> {
+        self.append(key, value, false, ordered).await.map(|_| ())
+    }
+
+    /// Counts a put of the DPU-resident `key` that the DPU orders, on
+    /// its entry, and returns the ticket the put carries: no swap
+    /// demotes the entry until the put indexes or the ticket drops.
+    /// Called at routing, in the same step that read the residency.
+    pub(crate) fn order_on_dpu(self: &Rc<Self>, key: u64) -> DpuPut {
+        let mut index = self.index.borrow_mut();
+        let e = index.get_mut(&key);
+        let e = e.filter(|e| e.partition == Partition::Dpu);
+        e.expect("the DPU orders puts of DPU-resident keys only")
+            .dpu_puts += 1;
+        DpuPut {
+            kv: self.clone(),
+            key,
+        }
     }
 
     /// Migration copy: appends and indexes `value` only if `key` is
@@ -292,7 +357,7 @@ impl KvStore {
         if self.contains(key) {
             return Ok(false);
         }
-        self.append(key, value, true).await
+        self.append(key, value, true, None).await
     }
 
     /// Which partition (if any) indexes `key`.
@@ -333,9 +398,10 @@ impl KvStore {
     /// takes the victim's DPU slot now and becomes DPU-resident when its
     /// entry's posted DMA over `pcie` lands, so neither the slot count
     /// nor the DPU memory held changes. A key whose promotion is in
-    /// flight is not promoted again.
+    /// flight is not promoted again, and a victim with a DPU-ordered put
+    /// in flight is not demoted: the swap waits for a later host get.
     pub(crate) fn promote_if_hot(self: &Rc<Self>, key: u64, pcie: &Rc<PcieLink>) -> bool {
-        let mut index = self.index.borrow_mut();
+        let index = self.index.borrow();
         let Some(gets) = index
             .get(&key)
             .filter(|e| e.partition == Partition::Host)
@@ -343,15 +409,25 @@ impl KvStore {
         else {
             return false;
         };
-        let mut heat = self.dpu_heat.borrow_mut();
-        let Some(&(coldest, victim)) = heat.first() else {
+        let Some(&(coldest, victim)) = self.dpu_heat.borrow().first() else {
             return false;
         };
-        if gets < coldest + PROMOTION_MARGIN_GETS {
+        if gets < coldest + PROMOTION_MARGIN_GETS || index[&victim].dpu_puts > 0 {
             return false;
         }
-        heat.pop_first();
-        index.get_mut(&victim).expect("indexed").partition = Partition::Host;
+        drop(index);
+        self.swap(key, victim, pcie);
+        true
+    }
+
+    /// Demotes the DPU-resident `victim` and promotes the host-resident
+    /// `key` into its slot, the entry landing by a posted DMA over
+    /// `pcie`.
+    fn swap(self: &Rc<Self>, key: u64, victim: u64, pcie: &Rc<PcieLink>) {
+        let mut index = self.index.borrow_mut();
+        let demoted = index.get_mut(&victim).expect("indexed");
+        self.dpu_heat.borrow_mut().remove(&(demoted.gets, victim));
+        demoted.partition = Partition::Host;
         index.get_mut(&key).expect("indexed").partition = Partition::Promoting;
         self.index_promotions.inc();
         let (kv, pcie) = (self.clone(), pcie.clone());
@@ -365,7 +441,6 @@ impl KvStore {
                 kv.dpu_heat.borrow_mut().insert((e.gets, key));
             }
         });
-        true
     }
 
     /// True when every *present* key of the dense range
@@ -721,7 +796,7 @@ mod tests {
                                              // A late-completing concurrent put of the older version tries
                                              // to re-install its (lower) offset: newest-offset-wins must
                                              // ignore it.
-            kv.index_insert(1, IndexEntry::at(0, b"v1", false));
+            kv.index_insert(1, IndexEntry::at(0, b"v1", false), None);
             assert_eq!(kv.get(1).await.unwrap().unwrap(), Bytes::from_static(b"v2"));
         });
         sim.run();
@@ -1063,6 +1138,105 @@ mod tests {
             assert!(kv.index.borrow().values().all(|e| e.gets == 0));
             let heat = kv.dpu_heat.borrow();
             assert_eq!(heat.iter().map(|&(gets, _)| gets).max(), Some(0));
+        });
+    }
+
+    /// One DPU slot, held by key 0; key 1, host-resident, leads it by
+    /// [`PROMOTION_MARGIN_GETS`] gets.
+    async fn a_swap_ready(p: &Rc<Platform>) -> Rc<KvStore> {
+        let kv = store(p, INDEX_ENTRY_BYTES).await;
+        kv.put(0, b"dpu").await.unwrap();
+        kv.put(1, b"host").await.unwrap();
+        for _ in 0..PROMOTION_MARGIN_GETS {
+            kv.get(1).await.unwrap();
+        }
+        kv
+    }
+
+    /// A put the DPU ordered for `key`, spawned as the server runs it:
+    /// its ticket is taken at once, and the put is in flight on return.
+    async fn dpu_ordered_put(kv: &Rc<KvStore>, key: u64) -> dpdpu_des::JoinHandle<()> {
+        let ticket = kv.order_on_dpu(key);
+        let kv = kv.clone();
+        let put = spawn(async move {
+            kv.put_ordered(key, b"ordered", Some(ticket)).await.unwrap();
+        });
+        dpdpu_des::sleep(1_000).await;
+        put
+    }
+
+    #[test]
+    fn a_swap_waits_for_the_dpu_ordered_puts_of_its_victim() {
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let kv = a_swap_ready(&p).await;
+            let put = dpu_ordered_put(&kv, 0).await;
+            assert_eq!(kv.index.borrow()[&0].dpu_puts, 1, "the put is in flight");
+            assert!(
+                !kv.promote_if_hot(1, &p.host_dpu_pcie),
+                "the victim has a DPU-ordered put in flight"
+            );
+            assert_eq!(kv.residency(0), Residency::Dpu);
+            put.await;
+            assert_eq!(
+                kv.index.borrow()[&0].dpu_puts,
+                0,
+                "the put gave its count back"
+            );
+            assert_eq!(kv.index_promotions.get(), 0);
+            // The next host get of the hot key swaps.
+            serve_get(&kv, &p, 1).await;
+            assert_eq!(kv.index_promotions.get(), 1);
+            assert_eq!(kv.residency(0), Residency::Host);
+            assert_eq!(
+                kv.get(0).await.unwrap().unwrap(),
+                Bytes::from_static(b"ordered")
+            );
+        });
+    }
+
+    #[test]
+    fn a_put_to_a_promoting_key_routes_to_the_host() {
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let kv = a_swap_ready(&p).await;
+            assert!(kv.promote_if_hot(1, &p.host_dpu_pcie));
+            // `Dds::wants_dpu` routes a put by this residency.
+            assert_eq!(kv.residency(1), Residency::Host, "promoting");
+            kv.put(1, b"host-2").await.unwrap();
+            dpdpu_des::sleep(1_000_000).await;
+            assert_eq!(kv.residency(1), Residency::Dpu, "landed");
+        });
+    }
+
+    #[test]
+    fn a_failed_dpu_ordered_put_gives_its_count_back() {
+        let guard = dpdpu_faults::SessionGuard::new(dpdpu_faults::FaultPlan::new(9));
+        let faults = guard.session.clone();
+        dpdpu_des::block_on(async move {
+            let p = Platform::default_bf2();
+            let kv = a_swap_ready(&p).await;
+            let ticket = kv.order_on_dpu(0);
+            assert!(!kv.promote_if_hot(1, &p.host_dpu_pcie), "counted");
+            // One more failure than the file service retries.
+            faults.arm(dpdpu_faults::FaultSite::SsdWrite, 0, 4);
+            assert!(kv.put_ordered(0, b"lost", Some(ticket)).await.is_err());
+            assert!(kv.promote_if_hot(1, &p.host_dpu_pcie), "given back");
+        });
+        drop(guard);
+    }
+
+    /// The planted violation: a swap that ignores the victim's count
+    /// trips the put's index update.
+    #[test]
+    #[should_panic(expected = "left the DPU under a DPU-ordered put")]
+    fn a_swap_past_a_dpu_ordered_put_trips_its_index_update() {
+        dpdpu_des::block_on(async {
+            let p = Platform::default_bf2();
+            let kv = a_swap_ready(&p).await;
+            let put = dpu_ordered_put(&kv, 0).await;
+            kv.swap(1, 0, &p.host_dpu_pcie);
+            put.await;
         });
     }
 

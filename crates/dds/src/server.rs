@@ -22,7 +22,7 @@ use dpdpu_net::NetConfig;
 use dpdpu_storage::{BlockDevice, ExtentFs, FileService, FsError};
 
 use crate::director::{Route, TrafficDirector};
-use crate::kv::{KvStore, Residency};
+use crate::kv::{DpuPut, KvStore, Residency};
 use crate::pageserver::{PageServer, PAGE_SIZE};
 use crate::proto::{ErrorCode, Op, Reply, Request, Response, RetryPolicy};
 use crate::replication::ReplRole;
@@ -186,13 +186,17 @@ impl Dds {
     fn wants_dpu(&self, op: &Op) -> bool {
         let resident = |key: &u64| self.kv.residency(*key) == Residency::Dpu;
         match op {
-            Op::KvGet { key } => resident(key),
+            // A put to a DPU-resident key is ordered where its entry
+            // lives: the per-key chain stripe, the epoch stamp, the log
+            // append and the replay cache are all DPU state, so the host
+            // adds nothing. A missing, host-resident or promoting key's
+            // put takes the host path, as in DDS's integration.
+            Op::KvGet { key } | Op::KvPut { key, .. } => resident(key),
             // A liveness probe touches no storage at all.
             Op::Ping => true,
-            // Client writes go through the host, which owns their order
-            // (DDS's integration: the primary's host decides). Page-log
-            // replay needs host memory.
-            Op::KvPut { .. } | Op::MigratePut { .. } | Op::AppendLog { .. } => false,
+            // A migration copy is put-if-absent over the whole index, and
+            // page-log replay needs host memory.
+            Op::MigratePut { .. } | Op::AppendLog { .. } => false,
             Op::GetPage { page_id } => self.pages.is_clean(*page_id),
             // A scan is DPU-servable only when every present key of the
             // range is DPU-resident; one host-partition key drags the
@@ -247,8 +251,15 @@ impl Dds {
         );
         match route {
             Route::Dpu => {
+                // A put holds its entry on the DPU until it indexes.
+                let ordered = match req.op {
+                    Op::KvPut { key, .. } | Op::ReplPut { key, .. } => {
+                        Some(self.kv.order_on_dpu(key))
+                    }
+                    _ => None,
+                };
                 self.platform.dpu_cpu.exec(DPU_APP_CYCLES).await;
-                match self.try_exec(&req.op).await {
+                match self.try_exec(&req.op, ordered).await {
                     Ok(reply) => {
                         self.served_dpu.inc();
                         reply
@@ -282,7 +293,7 @@ impl Dds {
             .await;
         dpdpu_des::sleep(costs::HOST_KERNEL_NET_NS).await;
         self.platform.host_cpu.exec(HOST_APP_CYCLES).await;
-        let reply = match self.try_exec(&req.op).await {
+        let reply = match self.try_exec(&req.op, None).await {
             Ok(reply) => reply,
             Err(_) => {
                 self.exec_errors.inc();
@@ -311,7 +322,8 @@ impl Dds {
     /// server / file service layers are charged by those layers).
     /// Storage failures — e.g. injected SSD errors that survive the file
     /// service's retries — surface as `Err` for the caller to degrade on.
-    async fn try_exec(&self, op: &Op) -> Result<Reply, FsError> {
+    /// `ordered` is the ticket of a put the DPU ordered.
+    async fn try_exec(&self, op: &Op, ordered: Option<DpuPut>) -> Result<Reply, FsError> {
         Ok(match op {
             Op::KvGet { key } => match self.kv.get(*key).await? {
                 Some(data) => Reply::Data(data),
@@ -320,9 +332,11 @@ impl Dds {
             Op::KvPut { key, value } => {
                 let role = self.repl.borrow().clone();
                 match role {
-                    Some(role) => return self.repl_commit(&role, *key, value, false).await,
+                    Some(role) => {
+                        return self.repl_commit(&role, *key, value, false, ordered).await
+                    }
                     None => {
-                        self.kv.put(*key, value).await?;
+                        self.kv.put_ordered(*key, value, ordered).await?;
                         Reply::Ok
                     }
                 }
@@ -352,7 +366,7 @@ impl Dds {
                 let role = self.repl.borrow().clone();
                 match role {
                     Some(role) if *epoch >= role.fence.get() => {
-                        self.kv.put(*key, value).await?;
+                        self.kv.put_ordered(*key, value, ordered).await?;
                         // The fence is checked again after the apply: a
                         // primary whose chain call timed out meanwhile
                         // took a solo grant and deposed this replica, so
@@ -377,7 +391,7 @@ impl Dds {
                     // The replicated path holds the key's place in the
                     // chain order across the presence check and the put,
                     // so a same-key client put cannot slip between them.
-                    Some(role) => return self.repl_commit(&role, *key, value, true).await,
+                    Some(role) => return self.repl_commit(&role, *key, value, true, None).await,
                     None => {
                         // Put-if-absent, decided at index-update time: a
                         // client write that already landed — or is still
@@ -435,13 +449,15 @@ impl Dds {
     /// Commits one write on a replicated shard: apply locally and chain
     /// to the backup at once, ack only once the chain (or an
     /// epoch-fenced solo grant) holds the write. `if_absent` gives
-    /// migration copies put-if-absent semantics.
+    /// migration copies put-if-absent semantics; `ordered` is the ticket
+    /// of a put the DPU ordered.
     async fn repl_commit(
         &self,
         role: &Rc<ReplRole>,
         key: u64,
         value: &Bytes,
         if_absent: bool,
+        ordered: Option<DpuPut>,
     ) -> Result<Reply, FsError> {
         // One replicated commit per key at a time: the backup must apply
         // a key's writes in this primary's apply order or same-key races
@@ -461,7 +477,7 @@ impl Dds {
             role.backup.borrow().clone()
         };
         let Some(backup) = backup else {
-            self.kv.put(key, value).await?;
+            self.kv.put_ordered(key, value, ordered).await?;
             // Solo already, or no chain link wired: make the solo claim
             // explicit before acking unreplicated writes.
             let e = if role.ctl.primary_is_solo() {
@@ -487,7 +503,7 @@ impl Dds {
         // It is a task of its own so that its wakes never re-poll the
         // apply.
         let chained = spawn(async move { backup.call(fwd).await });
-        let local = self.kv.put(key, value).await;
+        let local = self.kv.put_ordered(key, value, ordered).await;
         match (local, chained.await) {
             // Both copies applied (the backup recorded the ack itself).
             (Ok(()), Ok(Reply::Ok)) => Ok(Reply::Ok),
@@ -1092,14 +1108,20 @@ mod tests {
     }
 
     #[test]
-    fn reads_route_dpu_writes_route_host() {
+    fn a_first_write_routes_host_then_its_key_routes_dpu() {
         block_on(async {
-            let (dds, client, _p) = testbed(DdsConfig::default()).await;
+            let (dds, client, p) = testbed(DdsConfig::default()).await;
             client.kv_put(7, Bytes::from_static(b"x")).await.unwrap(); // host
+            let host_ns = p.host_cpu.busy_ns();
             client.kv_get(7).await.unwrap(); // dpu (index resident)
-            client.kv_get(7).await.unwrap(); // dpu
+            client.kv_put(7, Bytes::from_static(b"y")).await.unwrap(); // dpu
+            assert_eq!(
+                client.kv_get(7).await.unwrap().unwrap(),
+                Bytes::from_static(b"y")
+            );
             assert_eq!(dds.served_host.get(), 1);
-            assert_eq!(dds.served_dpu.get(), 2);
+            assert_eq!(dds.served_dpu.get(), 3);
+            assert_eq!(p.host_cpu.busy_ns(), host_ns, "the DPU path costs the host");
         });
     }
 

@@ -104,7 +104,8 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     // It was re-measured, with that merge unchanged, when appends
     // stopped reading blocks they do not keep, and again when a log
     // append became one device write shared by the appends queued behind
-    // it, and when a DDS server's transport came to end on its DPU; each
+    // it, when a DDS server's transport came to end on its DPU, and when
+    // writes to DPU-resident keys came to be ordered on the DPU; each
     // moved the model's timings.
     let trace = run_par(
         ParClusterConfig {
@@ -120,7 +121,7 @@ fn a_large_merged_trace_keeps_its_bytes_and_its_order() {
     .trace;
     assert_eq!(
         golden::fingerprint(&trace),
-        "bytes=10600264 fnv1a64=27762bbd2ccad5f0"
+        "bytes=10431021 fnv1a64=e92239bf6b9d9c10"
     );
     let mut last = f64::MIN;
     let mut timed = 0usize;

@@ -35,6 +35,7 @@
 //! sleep.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -611,15 +612,17 @@ fn a_dpu_served_get_costs_its_server_host_nothing() {
     assert_eq!(host_ns, 0, "DPU-served gets cost their server's host");
 }
 
-/// The primary's host-CPU busy ns over `puts` replicated 4 KiB puts of
-/// preloaded keys on an idle 1 x 2 cell over `fabric`, and the ns that
-/// `HOST_APP_CYCLES` per put takes on that host.
-fn primary_host_ns_for_puts(fabric: FabricKind, puts: u64) -> (u64, u64) {
+/// The primary's host-CPU busy ns over [`PUTS`] replicated 4 KiB puts
+/// on an idle 1 x 2 cell over `fabric`, whose index holds `dds`'s budget
+/// of its 8 preloaded keys, and the ns that `HOST_APP_CYCLES` per put
+/// takes on that host. The puts take `keys` in turn.
+fn primary_host_ns_for_puts(fabric: FabricKind, dds: DdsConfig, keys: Range<u64>) -> (u64, u64) {
     let _check = CheckGuard::new();
     let cell = idle_shard(2);
     let cell = Cell {
         cluster: ClusterConfig {
             net: NetConfig::default().with_fabric(fabric),
+            dds,
             ..cell.cluster
         },
         preload: Preload {
@@ -633,37 +636,58 @@ fn primary_host_ns_for_puts(fabric: FabricKind, puts: u64) -> (u64, u64) {
         sleep(1_000_000).await;
         let host_cpu = cluster.group(0).members[0].platform().host_cpu.clone();
         let before = host_cpu.busy_ns();
-        for i in 0..puts {
+        for (i, key) in (0..PUTS).zip(keys.cycle()) {
             client
-                .kv_put(i % 8, Bytes::from(vec![i as u8; 4096]))
+                .kv_put(key, Bytes::from(vec![i as u8; 4096]))
                 .await
                 .expect("put");
         }
         let busy = host_cpu.busy_ns() - before;
         cluster.verify_replicas();
-        (busy, host_cpu.cycles_ns(HOST_APP_CYCLES) * puts)
+        (busy, host_cpu.cycles_ns(HOST_APP_CYCLES) * PUTS)
     })
 }
 
+/// Puts of [`primary_host_ns_for_puts`].
+const PUTS: u64 = 16;
+
 #[test]
-fn a_replicated_put_costs_its_primary_host_only_the_ordering() {
-    // The host orders each write (`HOST_APP_CYCLES`); the payload is in
-    // DPU memory already, so the primary's DPU issues the chain forward
-    // and the host pays no ring cycles or PCIe crossings for it. Host
-    // verbs (`rdma`, the §6 baseline) still cost the host more.
-    const PUTS: u64 = 16;
+fn a_put_to_a_dpu_resident_key_costs_its_primary_host_nothing() {
+    // The primary's DPU orders each write of a DPU-resident key: the
+    // chain stripe, the epoch stamp and the log append are DPU state,
+    // the payload is in DPU memory already, and the chain forward
+    // leaves from the DPU. Host verbs (`rdma`, the §6 baseline) still
+    // cost the host.
     for fabric in [FabricKind::Tcp, FabricKind::RdmaOffload] {
-        let (busy, floor) = primary_host_ns_for_puts(fabric, PUTS);
+        let (busy, _) = primary_host_ns_for_puts(fabric, DdsConfig::default(), 0..8);
+        assert_eq!(
+            busy, 0,
+            "{fabric}: the primary's host paid for DPU-ordered puts"
+        );
+    }
+    let (busy, _) = primary_host_ns_for_puts(FabricKind::Rdma, DdsConfig::default(), 0..8);
+    assert!(
+        busy > 0,
+        "rdma: host-issued verbs cost the primary's host nothing"
+    );
+}
+
+#[test]
+fn a_put_to_a_host_resident_key_costs_its_primary_host_only_the_ordering() {
+    // Room for four keys on the DPU: the preload's last four keys live
+    // in the host partition, so the host orders each of their writes
+    // (`HOST_APP_CYCLES`) and pays nothing more.
+    let budget = DdsConfig {
+        kv_index_budget: 4 * INDEX_ENTRY_BYTES,
+        ..DdsConfig::default()
+    };
+    for fabric in [FabricKind::Tcp, FabricKind::RdmaOffload] {
+        let (busy, floor) = primary_host_ns_for_puts(fabric, budget, 4..8);
         assert_eq!(
             busy, floor,
             "{fabric}: the primary's host must pay HOST_APP_CYCLES per put and nothing more"
         );
     }
-    let (busy, floor) = primary_host_ns_for_puts(FabricKind::Rdma, PUTS);
-    assert!(
-        busy > floor,
-        "rdma: host-issued verbs cost the primary's host beyond the ordering: {busy} ns <= {floor} ns"
-    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use dpdpu_des::{block_on, now, Histogram};
 use dpdpu_hw::Platform;
-use dpdpu_storage::{BlockDevice, CachedFileService, ExtentFs, FileService, PageCache};
+use dpdpu_storage::{CachedFileService, FileService, PageCache};
 
 use crate::table::Table;
 
@@ -55,8 +55,7 @@ struct Measurement {
 fn measure(dpu_cache_pages: usize, remote_fraction: f64) -> Measurement {
     block_on(async move {
         let p = Platform::default_bf2();
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        let service = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let service = FileService::boot(&p);
         let file = service.create("data").await.unwrap();
         service
             .write(file, HOT_PAGES * PAGE - 1, &[0])

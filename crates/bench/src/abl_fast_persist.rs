@@ -7,7 +7,7 @@
 
 use dpdpu_des::{block_on, Histogram};
 use dpdpu_hw::Platform;
-use dpdpu_storage::{AckMode, BlockDevice, ExtentFs, FastPersist, FileService};
+use dpdpu_storage::{AckMode, FastPersist, FileService};
 
 use crate::table::Table;
 
@@ -43,8 +43,7 @@ pub(crate) fn run() -> String {
 fn measure(mode: AckMode, payload_bytes: usize) -> u64 {
     block_on(async move {
         let p = Platform::default_bf2();
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        let service = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let service = FileService::boot(&p);
         let log = service.fs().create("wal").unwrap();
         let persist = FastPersist::new(
             service,

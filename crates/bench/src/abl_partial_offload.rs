@@ -10,7 +10,7 @@ use bytes::Bytes;
 use dpdpu_dds::kv::{KvStore, Residency, INDEX_ENTRY_BYTES};
 use dpdpu_des::block_on;
 use dpdpu_hw::Platform;
-use dpdpu_storage::{BlockDevice, ExtentFs, FileService};
+use dpdpu_storage::FileService;
 
 use crate::table::Table;
 
@@ -51,8 +51,7 @@ struct Measurement {
 fn measure(budget_bytes: u64) -> Measurement {
     block_on(async move {
         let p = Platform::default_bf2();
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 22));
-        let service = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let service = FileService::boot(&p);
         let kv = KvStore::create(service, p.dpu_mem.clone(), budget_bytes, "kv")
             .await
             .unwrap();

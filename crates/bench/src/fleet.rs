@@ -31,7 +31,7 @@ use dpdpu_des::{
 use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
-use dpdpu_telemetry::{start_sampler, SamplerHandle, Telemetry};
+use dpdpu_telemetry::start_sampler;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -398,16 +398,6 @@ where
     }
 }
 
-/// Under a telemetry session (`all_figures --trace-out`), adds
-/// `platform`'s utilisation and queue-depth tracks to the trace, sampled
-/// every 50 µs until the handle is stopped; without one, does nothing.
-pub(crate) fn sample_platform(platform: &Rc<Platform>) -> SamplerHandle {
-    if let Some(session) = Telemetry::current() {
-        platform.register_telemetry(&session);
-    }
-    start_sampler(50_000)
-}
-
 /// Puts [`value_for`] under every key of `keys` through `put`,
 /// sequentially — deterministic and admission-safe.
 pub(crate) async fn preload_keys<Fut>(
@@ -458,7 +448,7 @@ pub(crate) fn dds_reads(config: DdsConfig, keys: u64, gets: u64, value_bytes: us
     });
     block_on(async move {
         let platform = Platform::default_bf2();
-        let sampler = sample_platform(&platform);
+        let sampler = start_sampler(50_000);
         let dds = Dds::build(platform.clone(), config).await;
         let client_cpu = CpuPool::new("client", 16, 3_000_000_000);
         let client = dds.connect(&NetConfig::default(), &Endpoint::host(client_cpu), "client");

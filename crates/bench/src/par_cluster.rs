@@ -338,9 +338,6 @@ async fn domain_root(
         DpuSpec::bluefield2(),
         &format!("pnode{d}"),
     );
-    if let Some(t) = Telemetry::current() {
-        platform.register_telemetry(&t);
-    }
     let dds = Dds::build(
         platform.clone(),
         DdsConfig {

@@ -30,7 +30,6 @@ use dpdpu_faults::{FaultPlan, SessionGuard};
 use dpdpu_hw::{CpuPool, Platform};
 use dpdpu_net::fabric::Endpoint;
 use dpdpu_net::NetConfig;
-use dpdpu_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -89,9 +88,6 @@ pub(crate) fn dds_kv(seed: u64) -> Output {
     let guard = SessionGuard::new(FaultPlan::new(seed).link_drops(0.02).ssd_read_errors(0.02));
     let (resolved, errors, host_frac, retries, total_ns) = block_on(async move {
         let platform = Platform::default_bf2();
-        if let Some(t) = Telemetry::current() {
-            platform.register_telemetry(&t);
-        }
         let dds = Dds::build(
             platform.clone(),
             DdsConfig {

@@ -1,15 +1,12 @@
 //! The unified error surface of the runtime boundary.
 //!
 //! Each engine keeps its own precise error enum internally (`FsError`,
-//! `KernelError`, `SprocError`, ...), but APIs that cross the runtime
-//! boundary — `Dpdpu` methods, sproc dispatch, the DDS client — return
-//! one [`DpdpuError`] so callers write a single `match` regardless of
-//! which engine a request traversed.
+//! `KernelError`, ...), but APIs that cross the runtime boundary —
+//! `Dpdpu` methods, the DDS client — return one [`DpdpuError`] so callers
+//! write a single `match` regardless of which engine a request traversed.
 
 use dpdpu_compute::KernelError;
 use dpdpu_storage::FsError;
-
-use crate::sproc::SprocError;
 
 /// Any failure crossing the runtime boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,8 +15,6 @@ pub enum DpdpuError {
     Fs(FsError),
     /// Compute Engine failure (placement or kernel execution).
     Kernel(KernelError),
-    /// Sproc registry failure (unknown name, duplicate registration).
-    Sproc(SprocError),
     /// A request exceeded its overall deadline.
     Timeout {
         /// Virtual nanoseconds spent before giving up.
@@ -55,18 +50,11 @@ impl From<KernelError> for DpdpuError {
     }
 }
 
-impl From<SprocError> for DpdpuError {
-    fn from(e: SprocError) -> Self {
-        DpdpuError::Sproc(e)
-    }
-}
-
 impl std::fmt::Display for DpdpuError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DpdpuError::Fs(e) => write!(f, "storage: {e}"),
             DpdpuError::Kernel(e) => write!(f, "compute: {e}"),
-            DpdpuError::Sproc(e) => write!(f, "sproc: {e}"),
             DpdpuError::Timeout { elapsed_ns } => {
                 write!(f, "request deadline exceeded after {elapsed_ns} ns")
             }
@@ -88,7 +76,6 @@ impl std::error::Error for DpdpuError {
         match self {
             DpdpuError::Fs(e) => Some(e),
             DpdpuError::Kernel(e) => Some(e),
-            DpdpuError::Sproc(e) => Some(e),
             _ => None,
         }
     }
@@ -103,9 +90,6 @@ mod tests {
         let e: DpdpuError = FsError::NotFound.into();
         assert_eq!(e, DpdpuError::Fs(FsError::NotFound));
         assert_eq!(e.to_string(), "storage: file not found");
-
-        let e: DpdpuError = SprocError::Unknown("scan".into()).into();
-        assert!(e.to_string().contains("unknown sproc"));
 
         let e = DpdpuError::Timeout { elapsed_ns: 5_000 };
         assert!(e.to_string().contains("5000 ns"));

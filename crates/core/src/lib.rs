@@ -12,8 +12,7 @@
 //! next without barriers — see [`Dpdpu::read_compress_send`], the §4
 //! walk-through ("read the data from local SSDs using the Storage
 //! Engine … compress … in the DPU compression accelerator … deliver the
-//! result to the client"), and the sproc registry implementing Figure 6's
-//! programming model.
+//! result to the client").
 //!
 //! Boot with [`Dpdpu::start`] (on a given platform) or
 //! [`Dpdpu::start_default`] (EPYC + BlueField-2) inside a running
@@ -39,11 +38,9 @@
 mod error;
 mod report;
 mod runtime;
-mod sproc;
 mod tenants;
 
 pub use error::DpdpuError;
 pub use report::Report;
 pub use runtime::Dpdpu;
-pub use sproc::{SprocError, SprocRegistry};
 pub use tenants::{SloClass, TenantSpec};

@@ -7,14 +7,10 @@ use bytes::Bytes;
 use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
 use dpdpu_hw::Platform;
 use dpdpu_net::tcp::TcpSender;
-use dpdpu_storage::{BlockDevice, ExtentFs, FileId, FileService, HostFrontEnd};
+use dpdpu_storage::{FileId, FileService, HostFrontEnd};
 
 use crate::error::DpdpuError;
 use crate::report::Report;
-use crate::sproc::SprocRegistry;
-
-/// File-system capacity the runtime formats at boot, in 4 KB blocks.
-const FS_CAPACITY_BLOCKS: u64 = 1 << 24;
 
 /// The DPDPU runtime: engines wired over one platform.
 pub struct Dpdpu {
@@ -26,16 +22,16 @@ pub struct Dpdpu {
     pub storage: Rc<FileService>,
     /// Storage Engine: the host-side POSIX-like front end.
     pub front_end: Rc<HostFrontEnd>,
-    /// Registered sprocs.
-    pub sprocs: SprocRegistry,
 }
 
 impl Dpdpu {
     /// Boots DPDPU on `platform` — e.g. `Platform::new(HostSpec::epyc(),
     /// DpuSpec::bluefield3())`, the BlueField-3 without a RegEx engine
-    /// (the heterogeneity case of §5): registers the platform's resources
-    /// with an installed telemetry session, formats the file system,
-    /// starts the DPU file service, host front end and Compute Engine.
+    /// (the heterogeneity case of §5): boots the Storage Engine with
+    /// `FileService::boot`, which registers the platform's resources with
+    /// an installed telemetry session, formats the file system and starts
+    /// the DPU file service; then starts the host front end and Compute
+    /// Engine.
     /// Must be called inside a running simulation, under a
     /// `dpdpu_check::CheckGuard`. A fault plan is not an argument:
     /// install one with a `dpdpu_faults::SessionGuard` around the run.
@@ -47,11 +43,7 @@ impl Dpdpu {
         // Conformance is always-on: every booted run is checked, and its
         // guard's drop runs the end-of-run sweeps.
         assert!(dpdpu_check::is_active(), "boot under a `CheckGuard`");
-        if let Some(t) = dpdpu_telemetry::Telemetry::current() {
-            platform.register_telemetry(&t);
-        }
-        let fs = ExtentFs::format(BlockDevice::new(platform.ssd.clone(), FS_CAPACITY_BLOCKS));
-        let storage = FileService::new(fs, platform.dpu_cpu.clone(), platform.dpu_ssd_pcie.clone());
+        let storage = FileService::boot(&platform);
         let front_end = HostFrontEnd::new(
             platform.host_cpu.clone(),
             platform.host_dpu_pcie.clone(),
@@ -62,7 +54,6 @@ impl Dpdpu {
             platform,
             storage,
             front_end,
-            sprocs: SprocRegistry::new(),
         })
     }
 
@@ -118,27 +109,6 @@ impl Dpdpu {
             output += o;
         }
         Ok((input, output))
-    }
-
-    /// Registers a sproc that receives the runtime as an argument.
-    ///
-    /// Use this instead of capturing an `Rc<Dpdpu>` inside the closure:
-    /// a captured strong reference forms a cycle (runtime → registry →
-    /// closure → runtime) that leaks the runtime and every engine task
-    /// parked behind it. The registry holds only a `Weak` and upgrades
-    /// it per invocation.
-    pub fn register_sproc<F, Fut>(self: &Rc<Self>, name: &str, f: F) -> Result<(), DpdpuError>
-    where
-        F: Fn(Rc<Dpdpu>, Bytes) -> Fut + 'static,
-        Fut: std::future::Future<Output = Bytes> + 'static,
-    {
-        let weak = Rc::downgrade(self);
-        self.sprocs
-            .register(name, move |arg: Bytes| {
-                let rt = weak.upgrade().expect("runtime dropped while sproc invoked");
-                f(rt, arg)
-            })
-            .map_err(DpdpuError::from)
     }
 
     /// Snapshot of resource consumption at `elapsed` virtual time.
@@ -218,26 +188,6 @@ mod tests {
             assert_eq!(data, vec![7u8; 1_000]);
         });
         sim.run();
-    }
-
-    #[test]
-    fn register_sproc_does_not_leak_the_runtime() {
-        let _check = CheckGuard::new();
-        // A sproc that uses the runtime must not keep it alive: the
-        // registry holds a Weak, so the last handle frees the runtime.
-        let rt = dpdpu_des::block_on(async {
-            let rt = Dpdpu::start_default();
-            rt.register_sproc("noop", |_rt: Rc<Dpdpu>, arg: Bytes| async move { arg })
-                .unwrap();
-            let out = rt
-                .sprocs
-                .invoke("noop", Bytes::from_static(b"x"))
-                .await
-                .unwrap();
-            assert_eq!(out, Bytes::from_static(b"x"));
-            Rc::downgrade(&rt)
-        });
-        assert!(rt.upgrade().is_none(), "runtime ↔ sproc registry cycle");
     }
 
     #[test]

@@ -236,9 +236,6 @@ impl DdsCluster {
                 format!("node{group}r{r}")
             };
             let platform = Platform::new_tagged(HostSpec::epyc(), DpuSpec::bluefield2(), &tag);
-            if let Some(t) = dpdpu_telemetry::Telemetry::current() {
-                platform.register_telemetry(&t);
-            }
             members.push(Dds::build(platform, config.dds).await);
         }
         let ctl = if config.replicas >= 2 {

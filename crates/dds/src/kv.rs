@@ -553,14 +553,9 @@ mod tests {
     use super::*;
     use dpdpu_des::Sim;
     use dpdpu_hw::Platform;
-    use dpdpu_storage::{BlockDevice, ExtentFs};
-
-    pub(crate) fn fs_for(p: &Rc<Platform>) -> Rc<ExtentFs> {
-        ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20))
-    }
 
     async fn store(p: &Rc<Platform>, budget: u64) -> Rc<KvStore> {
-        let svc = FileService::new(fs_for(p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let svc = FileService::boot(p);
         KvStore::create(svc, p.dpu_mem.clone(), budget, "kv.log")
             .await
             .unwrap()
@@ -647,8 +642,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = crate::kv::tests::fs_for(&p);
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let written = {
                 let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
                     .await
@@ -693,8 +687,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = crate::kv::tests::fs_for(&p);
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             {
                 let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
                     .await
@@ -732,7 +725,7 @@ mod tests {
         let faults = guard.session.clone();
         dpdpu_des::block_on(async move {
             let p = Platform::default_bf2();
-            let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
                 .await
                 .unwrap();
@@ -763,7 +756,7 @@ mod tests {
         let faults = guard.session.clone();
         dpdpu_des::block_on(async move {
             let p = Platform::default_bf2();
-            let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
                 .await
                 .unwrap();
@@ -1123,7 +1116,7 @@ mod tests {
     fn recovery_starts_every_count_at_zero() {
         dpdpu_des::block_on(async {
             let p = Platform::default_bf2();
-            let svc = FileService::new(fs_for(&p), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let kv = KvStore::create(svc.clone(), p.dpu_mem.clone(), 1 << 20, "kv.log")
                 .await
                 .unwrap();

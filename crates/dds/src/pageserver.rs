@@ -305,11 +305,9 @@ mod tests {
     use super::*;
     use dpdpu_des::{block_on, Sim};
     use dpdpu_hw::Platform;
-    use dpdpu_storage::{BlockDevice, ExtentFs};
 
     async fn server(p: &Rc<Platform>) -> Rc<PageServer> {
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let svc = FileService::boot(p);
         PageServer::with_cache(svc, 64, None).await.unwrap()
     }
 
@@ -410,11 +408,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = dpdpu_storage::ExtentFs::format(dpdpu_storage::BlockDevice::new(
-                p.ssd.clone(),
-                1 << 20,
-            ));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let cache = PageCache::new(&p.dpu_mem, 16, PAGE_SIZE).unwrap();
             let ps = PageServer::with_cache(svc, 64, Some(cache.clone()))
                 .await
@@ -462,8 +456,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let cache = PageCache::new(&p.dpu_mem, 16, PAGE_SIZE).unwrap();
             let ps = PageServer::with_cache(svc, 64, Some(cache.clone()))
                 .await
@@ -504,8 +497,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             {
                 let ps = PageServer::with_cache(svc.clone(), 64, None).await.unwrap();
                 ps.append_log(3, 10, Bytes::from_static(b"abc"))
@@ -531,8 +523,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             {
                 let ps = PageServer::with_cache(svc.clone(), 64, None).await.unwrap();
                 ps.append_log(1, 0, Bytes::from_static(b"AAAA"))
@@ -558,8 +549,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             {
                 let ps = PageServer::with_cache(svc.clone(), 64, None).await.unwrap();
                 ps.append_log(5, 0, Bytes::from_static(b"old"))

@@ -19,7 +19,7 @@ use dpdpu_des::{oneshot, spawn, timeout, Counter, OneshotSender};
 use dpdpu_hw::{costs, Platform};
 use dpdpu_net::fabric::{Endpoint, FabricReceiver, FabricSender};
 use dpdpu_net::NetConfig;
-use dpdpu_storage::{BlockDevice, ExtentFs, FileService, FsError};
+use dpdpu_storage::{FileService, FsError};
 
 use crate::director::{Route, TrafficDirector};
 use crate::kv::{DpuPut, KvStore, Residency};
@@ -104,11 +104,12 @@ pub struct Dds {
 }
 
 impl Dds {
-    /// Builds the server: formats the unified file system, starts the DPU
-    /// file service, and instantiates both application integrations.
+    /// Builds the server: boots the Storage Engine with
+    /// `FileService::boot`, which registers the platform with an installed
+    /// telemetry session, formats the unified file system and starts the
+    /// DPU file service, then instantiates both application integrations.
     pub async fn build(platform: Rc<Platform>, config: DdsConfig) -> Rc<Self> {
-        let fs = ExtentFs::format(BlockDevice::new(platform.ssd.clone(), 1 << 24));
-        let service = FileService::new(fs, platform.dpu_cpu.clone(), platform.dpu_ssd_pcie.clone());
+        let service = FileService::boot(&platform);
         let kv = KvStore::create(
             service.clone(),
             platform.dpu_mem.clone(),

@@ -221,11 +221,23 @@ pub(crate) type TcpEndpoint = (TcpSender, TcpReceiver);
 /// Builder for TCP connections — the one entry point for simplex
 /// streams, shared-wire stream fans and duplex connections.
 ///
-/// ```ignore
-/// let (tx, rx) = TcpConnector::new(LinkConfig::rack_100g())
+/// ```
+/// # use dpdpu_hw::{CpuPool, LinkConfig};
+/// # use dpdpu_net::fabric::Endpoint;
+/// # use dpdpu_net::tcp::{CongAlgKind, TcpConnector, TcpParams};
+/// # dpdpu_des::block_on(async {
+/// # let host = |name| Endpoint::host(CpuPool::new(name, 8, 3_000_000_000));
+/// # let (src, dst, link) = (host("src"), host("dst"), LinkConfig::rack_100g());
+/// let (tx, mut rx) = TcpConnector::new(LinkConfig::rack_100g())
 ///     .params(TcpParams { cong: CongAlgKind::Dctcp, ..TcpParams::default() })
-///     .stream(src, dst);
+///     .stream(src.clone(), dst.clone());
 /// let pairs = TcpConnector::new(link).streams(src, dst, 8); // shared wire
+/// # tx.send(bytes::Bytes::from_static(b"ping"));
+/// # drop(tx);
+/// # assert_eq!(rx.recv().await.unwrap(), &b"ping"[..]);
+/// # assert_eq!(rx.recv().await, None);
+/// # assert_eq!(pairs.len(), 8);
+/// # });
 /// ```
 #[derive(Clone)]
 pub struct TcpConnector {

@@ -178,8 +178,6 @@ impl CachedFileService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockdev::BlockDevice;
-    use crate::fs::ExtentFs;
     use dpdpu_des::{now, Sim};
     use dpdpu_hw::Platform;
 
@@ -221,8 +219,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 16));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let file = svc.create("f").await.unwrap();
             svc.write(file, 0, &vec![3u8; 8_192]).await.unwrap();
 

@@ -121,14 +121,11 @@ impl HostFrontEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockdev::BlockDevice;
-    use crate::fs::ExtentFs;
     use dpdpu_des::{join_all, Sim};
     use dpdpu_hw::Platform;
 
     fn build(p: &Rc<Platform>) -> Rc<HostFrontEnd> {
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let svc = FileService::boot(p);
         HostFrontEnd::new(p.host_cpu.clone(), p.host_dpu_pcie.clone(), svc)
     }
 

@@ -200,16 +200,13 @@ impl RecordLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockdev::BlockDevice;
-    use crate::fs::ExtentFs;
     use dpdpu_check::CheckGuard;
     use dpdpu_des::{block_on, join_all, now, spawn, timeout};
     use dpdpu_faults::{FaultPlan, FaultSite, SessionGuard};
     use dpdpu_hw::Platform;
 
     fn new_log(p: &Rc<Platform>) -> Rc<RecordLog> {
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let svc = FileService::boot(p);
         let file = svc.fs().create("log").unwrap();
         Rc::new(RecordLog::open(svc, file).unwrap())
     }
@@ -318,8 +315,7 @@ mod tests {
             let rec = rec.clone();
             async move {
                 let p = Platform::default_bf2();
-                let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-                let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+                let svc = FileService::boot(&p);
                 let file = svc.fs().create("log").unwrap();
                 svc.write(file, 0, &rec).await.unwrap();
                 now()

@@ -106,14 +106,11 @@ impl FastPersist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockdev::BlockDevice;
-    use crate::fs::ExtentFs;
     use dpdpu_des::Sim;
     use dpdpu_hw::Platform;
 
     fn build(p: &Rc<Platform>, mode: AckMode) -> Rc<FastPersist> {
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+        let svc = FileService::boot(p);
         let log = svc.fs().create("wal").unwrap();
         FastPersist::new(svc, p.host_cpu.clone(), p.host_dpu_pcie.clone(), mode, log)
     }
@@ -169,8 +166,7 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn(async {
             let p = Platform::default_bf2();
-            let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&p);
             let log = svc.fs().create("wal").unwrap();
             let open = |mode| {
                 let (cpu, pcie) = (p.host_cpu.clone(), p.host_dpu_pcie.clone());

@@ -5,9 +5,14 @@
 use std::rc::Rc;
 
 use dpdpu_des::{sleep, Counter};
-use dpdpu_hw::{costs, CpuPool, PcieLink};
+use dpdpu_hw::{costs, CpuPool, PcieLink, Platform};
 
+use crate::blockdev::BlockDevice;
 use crate::fs::{ExtentFs, FileId, FsError};
+
+/// File-system capacity [`FileService::boot`] formats, in 4 KB blocks.
+/// The block device is sparse, so this only bounds `FsError::NoSpace`.
+const FS_CAPACITY_BLOCKS: u64 = 1 << 24;
 
 /// Device I/O retries before the service gives up on an op.
 pub(crate) const IO_RETRY_LIMIT: u32 = 3;
@@ -37,6 +42,19 @@ fn io_backoff_ns(attempt: u32) -> u64 {
 }
 
 impl FileService {
+    /// Boots the Storage Engine on `platform`: registers the platform's
+    /// resources with the installed telemetry session, if there is one,
+    /// formats the file system over its SSD and starts the service on
+    /// its DPU cores over the DPU↔SSD link. The runtime and every DDS
+    /// server boot through here.
+    pub fn boot(platform: &Rc<Platform>) -> Rc<Self> {
+        if let Some(t) = dpdpu_telemetry::Telemetry::current() {
+            platform.register_telemetry(&t);
+        }
+        let fs = ExtentFs::format(BlockDevice::new(platform.ssd.clone(), FS_CAPACITY_BLOCKS));
+        Self::new(fs, platform.dpu_cpu.clone(), platform.dpu_ssd_pcie.clone())
+    }
+
     /// Creates the service over a formatted file system.
     pub fn new(fs: Rc<ExtentFs>, dpu_cpu: Rc<CpuPool>, dpu_ssd_pcie: Rc<PcieLink>) -> Rc<Self> {
         Rc::new(FileService {
@@ -192,18 +210,17 @@ mod tests {
     use dpdpu_des::{join_all, now, spawn, Sim};
     use dpdpu_hw::{Platform, Ssd};
 
-    fn setup() -> (Rc<Platform>, Rc<ExtentFs>) {
+    fn setup() -> (Rc<Platform>, Rc<FileService>) {
         let p = Platform::default_bf2();
-        let fs = ExtentFs::format(BlockDevice::new(p.ssd.clone(), 1 << 20));
-        (p, fs)
+        let svc = FileService::boot(&p);
+        (p, svc)
     }
 
     #[test]
     fn service_round_trips_data() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let (p, fs) = setup();
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&Platform::default_bf2());
             let id = svc.create("pages").await.unwrap();
             let page: Vec<u8> = (0..8192u32).map(|i| (i % 199) as u8).collect();
             svc.write(id, 0, &page).await.unwrap();
@@ -222,9 +239,12 @@ mod tests {
         let out = Rc::new(std::cell::Cell::new((0u64, 0u64)));
         let out2 = out.clone();
         sim.spawn(async move {
-            let (p, fs) = setup();
-            let svc = FileService::new(fs.clone(), p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
-            let kpath = HostKernelPath::new(fs, p.host_cpu.clone(), p.host_ssd_pcie.clone());
+            let (p, svc) = setup();
+            let kpath = HostKernelPath::new(
+                svc.fs().clone(),
+                p.host_cpu.clone(),
+                p.host_ssd_pcie.clone(),
+            );
             let id = svc.create("f").await.unwrap();
             svc.write(id, 0, &vec![1u8; 8192]).await.unwrap();
             p.host_cpu.reset_stats();
@@ -251,7 +271,8 @@ mod tests {
         let out = Rc::new(std::cell::Cell::new((0u64, 0u64)));
         let out2 = out.clone();
         sim.spawn(async move {
-            let (p, fs) = setup();
+            let (p, svc) = setup();
+            let fs = svc.fs().clone();
             let id = fs.create("f").unwrap();
             fs.write(id, 0, &vec![0u8; 8192]).await.unwrap();
             let classic =
@@ -281,8 +302,7 @@ mod tests {
     fn parallel_reads_saturate_queue_depth() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let (p, fs) = setup();
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&Platform::default_bf2());
             let id = svc.create("f").await.unwrap();
             svc.write(id, 0, &vec![0u8; 64 * 8192]).await.unwrap();
             let t0 = now();
@@ -311,8 +331,7 @@ mod tests {
         guard.session.arm(dpdpu_faults::FaultSite::SsdRead, 0, 2);
         let mut sim = Sim::new();
         sim.spawn(async {
-            let (p, fs) = setup();
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let (p, svc) = setup();
             let id = svc.create("f").await.unwrap();
             svc.write(id, 0, &vec![3u8; 8192]).await.unwrap();
             // Two injected failures, then success on the third attempt.
@@ -335,8 +354,7 @@ mod tests {
         );
         let mut sim = Sim::new();
         sim.spawn(async {
-            let (p, fs) = setup();
-            let svc = FileService::new(fs, p.dpu_cpu.clone(), p.dpu_ssd_pcie.clone());
+            let svc = FileService::boot(&Platform::default_bf2());
             let id = svc.create("f").await.unwrap();
             svc.write(id, 0, &vec![3u8; 8192]).await.unwrap();
             let err = svc.read(id, 0, 8192).await.unwrap_err();

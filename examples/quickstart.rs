@@ -5,12 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use std::rc::Rc;
-
 use bytes::Bytes;
 use dpdpu::compute::{KernelInput, KernelOp, Placement};
 use dpdpu::core::Dpdpu;
 use dpdpu::des::{block_on, now};
+use dpdpu::storage::FileId;
 
 fn main() {
     let _check = dpdpu::check::CheckGuard::new();
@@ -66,28 +65,19 @@ fn main() {
             },
         );
 
-        // Sprocs: register and invoke a checksum procedure (Figure 6's
-        // programming model). The runtime arrives as an argument — don't
-        // capture an `Rc<Dpdpu>` in the closure (it would cycle).
-        rt.register_sproc("crc-file", move |rt: Rc<Dpdpu>, arg: Bytes| async move {
-            let len = u64::from_le_bytes(arg[..8].try_into().unwrap());
-            let data = rt.storage.read(file, 0, len).await.unwrap();
-            let crc = dpdpu::kernels::crc32::crc32(&data);
-            Bytes::from(crc.to_le_bytes().to_vec())
-        })
-        .unwrap();
-        let crc_bytes = rt
-            .sprocs
-            .invoke(
-                "crc-file",
-                Bytes::from((payload.len() as u64).to_le_bytes().to_vec()),
-            )
-            .await
-            .unwrap();
-        let crc = u32::from_le_bytes(crc_bytes[..4].try_into().unwrap());
+        // Sprocs: a checksum procedure over the file (Figure 6's
+        // programming model) is a plain async fn over the runtime.
+        let crc = crc_file(&rt, file, payload.len() as u64).await;
         assert_eq!(crc, dpdpu::kernels::crc32::crc32(&payload));
         println!("sproc: crc-file returned {crc:#010x}");
 
         println!("\n--- resource report ---\n{}", rt.report(now().max(1)));
     });
+}
+
+/// The `crc-file` sproc: reads the first `len` bytes of `file` through
+/// the DPU file service and checksums them.
+async fn crc_file(rt: &Dpdpu, file: FileId, len: u64) -> u32 {
+    let data = rt.storage.read(file, 0, len).await.unwrap();
+    dpdpu::kernels::crc32::crc32(&data)
 }

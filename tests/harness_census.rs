@@ -54,6 +54,13 @@
 //! `ScenarioFn`, no `by_name` lookup and no second `fn all(` appears
 //! under `crates/bench/src`.
 //!
+//! And one storage boot: `FileService::boot` in
+//! `crates/storage/src/service.rs` is the one place that formats a
+//! platform's file system and registers a platform with telemetry, so
+//! neither call appears in the shipping part of another `crates/*/src`
+//! file or in a `tests/*.rs` binary — except a format in the files of
+//! `OWN_FS`, each listed with its reason.
+//!
 //! And every `pub` has a caller outside its crate: each `pub` item under
 //! `crates/*/src` is named by another crate, a test, an example, the
 //! benchmark, README.md's doctests or (for `dpdpu-bench`) its own bins —
@@ -615,6 +622,120 @@ fn the_registry_gate_catches_a_planted_second_registry() {
     );
 }
 
+/// The file of the one Storage Engine boot, `FileService::boot`.
+const BOOT: &str = "crates/storage/src/service.rs";
+/// What only [`BOOT`] may do, once each: format a file system and
+/// register a platform with telemetry. Spelled in pieces, so that this
+/// file does not do them itself.
+const BOOT_ONLY: [&str; 2] = [
+    concat!("ExtentFs::", "format("),
+    concat!("register_", "telemetry("),
+];
+/// The files that format a file system of their own, each with its
+/// reason.
+const OWN_FS: [(&str, &str); 3] = [
+    (
+        "crates/bench/src/fig2_storage_cpu.rs",
+        "Figure 2 formats one file system per SSD of its array",
+    ),
+    (
+        "tests/crash_recovery.rs",
+        "keeps its file system across a power loss and a restart",
+    ),
+    (
+        "tests/fs_model.rs",
+        "drives the file system alone, against a model",
+    ),
+];
+
+/// Each second boot, as `file: needle`: a code line of a `tests/*.rs`
+/// file, or of a `crates/*/src` file before its first `#[cfg(test)]`,
+/// that names a [`BOOT_ONLY`] call past [`BOOT`]'s one of each and the
+/// formats of [`OWN_FS`]. The `fn` declaring a needle is no call.
+fn second_boots(tree: &[(String, String)]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (name, source) in tree {
+        let shipping = name.starts_with("crates/") && name.contains("/src/");
+        if !shipping && !name.starts_with("tests/") {
+            continue;
+        }
+        let code = source
+            .lines()
+            .take_while(|l| !(shipping && l.contains("#[cfg(test)]")))
+            .filter(|l| !l.trim_start().starts_with("//"));
+        for needle in BOOT_ONLY {
+            let definition = format!("fn {needle}");
+            let calls: usize = code
+                .clone()
+                .map(|l| l.matches(needle).count() - l.matches(&definition).count())
+                .sum();
+            let own_fs = needle == BOOT_ONLY[0] && OWN_FS.iter().any(|(f, _)| f == name);
+            let allowed = if own_fs {
+                usize::MAX
+            } else {
+                usize::from(name == BOOT)
+            };
+            if calls > allowed {
+                found.push(format!("{name}: `{needle}`"));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn one_storage_boot() {
+    let found = second_boots(&sources(&["crates", "tests"]));
+    assert!(
+        found.is_empty(),
+        "boot the Storage Engine with `FileService::boot`, which registers the platform with \
+         telemetry and formats its file system: {found:?}"
+    );
+}
+
+/// The gate is sensitive: a boot pair planted before a DDS module's
+/// tests, in a test binary or a second time in [`BOOT`] is named; one
+/// inside a module's tests or in a comment is not, nor is a format in
+/// an [`OWN_FS`] file.
+#[test]
+fn the_boot_gate_catches_a_planted_pair() {
+    let tree = sources(&["crates", "tests"]);
+    let [format, register] = BOOT_ONLY;
+    let pair = format!(
+        "fn planted(p: &Rc<Platform>, t: &Telemetry) {{\n    \
+         let _ = {format}BlockDevice::new(p.ssd.clone(), 1));\n    \
+         p.{register}t);\n}}\n"
+    );
+    let comment = format!("\n// {format}..) then p.{register}t)\n");
+    let name = "crates/dds/src/server.rs";
+    assert!(second_boots(&appended(&tree, name, &comment)).is_empty());
+    assert!(
+        second_boots(&appended(&tree, name, &pair)).is_empty(),
+        "inside the tests is fine"
+    );
+    let prepended = |name: &str| {
+        let mut planted = tree.clone();
+        let file = planted.iter_mut().find(|(n, _)| n == name);
+        file.expect("file in the tree").1.insert_str(0, &pair);
+        planted
+    };
+    let named = |file: &str| {
+        [
+            format!("{file}: `{format}`"),
+            format!("{file}: `{register}`"),
+        ]
+    };
+    assert_eq!(second_boots(&prepended(name)), named(name));
+    let test = "tests/scan.rs";
+    assert_eq!(second_boots(&appended(&tree, test, &pair)), named(test));
+    assert_eq!(second_boots(&prepended(BOOT)), named(BOOT));
+    let (fig2, _) = OWN_FS[0];
+    assert_eq!(
+        second_boots(&prepended(fig2)),
+        [format!("{fig2}: `{register}`")]
+    );
+}
+
 /// `pub` items that nothing outside their crate names, kept `pub` on
 /// purpose, one per line: `crate item: reason`. Most are types that a
 /// called `pub` item takes or returns, so they stay `pub` although no
@@ -629,8 +750,6 @@ check Violation: returned by `CheckSession::finish`
 compute DpKernel: returned by `ComputeEngine::get_dpk` (Figure 6's kernel handle)
 compute SprocDone: what the receiver `Scheduler::submit` returns resolves to
 core Report: returned by `Dpdpu::report`
-core SprocError: the payload of `DpdpuError::Sproc`
-core SprocRegistry: the type of `Dpdpu::sprocs`
 dds ErrorCode: the payload of `proto::Reply::Error`
 dds ReplGroupCtl: returned by `DdsCluster::ctl`
 dds ReplRole: returned by `Dds::replication`
@@ -663,6 +782,7 @@ net TcpReceiver: returned by `TcpConnector::stream`
 net TcpStats: the type of `TcpSender::stats` and `TcpReceiver::stats`
 telemetry CounterSample: returned by `Telemetry::samples`
 telemetry Registry: returned by `Telemetry::registry`
+telemetry SamplerHandle: returned by `start_sampler`
 telemetry SpanGuard: returned by `span`
 telemetry Tracer: returned by `Telemetry::tracer`";
 
